@@ -23,7 +23,7 @@ type AggregateReport struct {
 // supports); for a known outlier budget s, 2s..5s iterations suffice
 // (paper §5).
 func (s *Sketcher) Aggregate(global Sketch, maxIters int) (*AggregateReport, error) {
-	if err := global.compatible(s.emptySketch()); err != nil {
+	if err := global.compatible(s.sketchID()); err != nil {
 		return nil, err
 	}
 	ws := s.workspace()

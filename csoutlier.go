@@ -636,7 +636,7 @@ func (s *Sketcher) solveRouted(pick recovery.Solver, y []float64, iters int, war
 // chosen by Config.Solver / the automatic selector; the default path is
 // BOMP recovery.
 func (s *Sketcher) Detect(global Sketch, k int) (*Report, error) {
-	if err := global.compatible(s.emptySketch()); err != nil {
+	if err := global.compatible(s.sketchID()); err != nil {
 		return nil, err
 	}
 	if k <= 0 {
@@ -855,7 +855,7 @@ func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 // sketch: the mode everywhere except on the recovered support. maxIters
 // ≤ 0 uses min(M, N+1).
 func (s *Sketcher) Recover(global Sketch, maxIters int) (map[string]float64, float64, error) {
-	if err := global.compatible(s.emptySketch()); err != nil {
+	if err := global.compatible(s.sketchID()); err != nil {
 		return nil, 0, err
 	}
 	ws := s.workspace()

@@ -89,26 +89,37 @@ func GenerateStream(base uint64, index int) StreamScenario {
 	scn.CrashNode = rng.Intn(scn.L)
 	scn.CrashWindow = 1 + rng.Intn(scn.W)
 	scn.DupNode = (scn.CrashNode + 1 + rng.Intn(scn.L-1)) % scn.L
-	// Budget bounds, measured against the real gob wire format: a fresh
-	// connection's worst-case first exchange (hello + typedefs + one
-	// delta + acks) is ≈ 8M+250 bytes, and every later delta exchange
-	// carries at least 8M+64. The minimum covers the worst case with
-	// margin — every connection makes progress — while the maximum stays
-	// a full frame below the run's guaranteed total traffic
-	// (streamChunks flushes per window), so every scenario loses at
-	// least one connection mid-run and the redial/retry/dedup path is
-	// always exercised (the checker asserts Kills ≥ 1).
-	frame := int64(8*scn.M + 512)
-	floorTotal := int64(streamChunks*scn.W) * int64(8*scn.M+64)
-	scn.ProxyMin = frame
-	scn.ProxyMax = 3 * frame
-	if cap := floorTotal - frame; scn.ProxyMax > cap {
-		scn.ProxyMax = cap
-	}
-	if scn.ProxyMax < scn.ProxyMin {
-		scn.ProxyMax = scn.ProxyMin
-	}
+	scn.ProxyMin, scn.ProxyMax = proxyBudgets(scn.M, streamChunks*scn.W)
 	return scn
+}
+
+// proxyFrame is the most a fresh connection's first exchange puts on
+// the wire: a hello and one delta of m measurements, each with its ack,
+// sized from the push wire format's own overhead constants. A chaos
+// budget below it could starve a node forever.
+func proxyFrame(m int) int64 {
+	return int64(csoutlier.EncodedSketchLen(m) + 2*(stream.MaxDeltaOverhead+len(NodeID(0))))
+}
+
+// proxyBudgets draws a scenario's per-connection chaos byte budget
+// bounds for sketches of m measurements, given how many delta flushes
+// every connection's node is guaranteed to make. The minimum is one
+// first exchange, so every connection makes progress; the maximum stays
+// a full first exchange below the least those flushes can carry, so
+// every scenario loses at least one connection mid-run and the
+// redial/retry/dedup path is always exercised (the checkers assert
+// Kills ≥ 1).
+func proxyBudgets(m, flushes int) (min, max int64) {
+	frame := proxyFrame(m)
+	floorTotal := int64(flushes) * int64(csoutlier.EncodedSketchLen(m)+stream.MinDeltaOverhead+len(NodeID(0)))
+	min, max = frame, 3*frame
+	if cap := floorTotal - frame; max > cap {
+		max = cap
+	}
+	if max < min {
+		max = min
+	}
+	return min, max
 }
 
 func (s StreamScenario) validate() error {
@@ -131,7 +142,7 @@ func (s StreamScenario) validate() error {
 		return fmt.Errorf("simtest: crash and dup node coincide (a stale-epoch dup is rejected, not deduped)")
 	case s.CrashWindow < 1 || s.CrashWindow > s.W:
 		return fmt.Errorf("simtest: crash window %d outside [1, %d]", s.CrashWindow, s.W)
-	case s.ProxyMin < int64(8*s.M+256) || s.ProxyMax < s.ProxyMin:
+	case s.ProxyMin < proxyFrame(s.M) || s.ProxyMax < s.ProxyMin:
 		return fmt.Errorf("simtest: proxy budget [%d, %d] cannot pass a full frame", s.ProxyMin, s.ProxyMax)
 	}
 	return nil

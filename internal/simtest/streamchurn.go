@@ -84,20 +84,11 @@ func GenerateStreamChurn(base uint64, index int) StreamChurnScenario {
 	scn.LeaveWindow = 1 + rng.Intn(scn.W)
 	scn.EvictNode = (scn.LeaveNode + 1 + rng.Intn(scn.L-1)) % scn.L
 	scn.EvictWindow = 1 + rng.Intn(scn.W-1)
-	frame := int64(8*scn.M + 512)
 	minPart := scn.LeaveWindow
 	if joinPart := scn.W - scn.JoinWindow + 1; joinPart < minPart {
 		minPart = joinPart
 	}
-	floorTotal := int64(streamChunks*minPart) * int64(8*scn.M+64)
-	scn.ProxyMin = frame
-	scn.ProxyMax = 3 * frame
-	if cap := floorTotal - frame; scn.ProxyMax > cap {
-		scn.ProxyMax = cap
-	}
-	if scn.ProxyMax < scn.ProxyMin {
-		scn.ProxyMax = scn.ProxyMin
-	}
+	scn.ProxyMin, scn.ProxyMax = proxyBudgets(scn.M, streamChunks*minPart)
 	return scn
 }
 
@@ -125,7 +116,7 @@ func (s StreamChurnScenario) validate() error {
 		return fmt.Errorf("simtest: leave window %d outside [1, %d]", s.LeaveWindow, s.W)
 	case s.EvictWindow < 1 || s.EvictWindow >= s.W:
 		return fmt.Errorf("simtest: evict window %d outside [1, %d) (a window must follow the resurrection)", s.EvictWindow, s.W)
-	case s.ProxyMin < int64(8*s.M+256) || s.ProxyMax < s.ProxyMin:
+	case s.ProxyMin < proxyFrame(s.M) || s.ProxyMax < s.ProxyMin:
 		return fmt.Errorf("simtest: proxy budget [%d, %d] cannot pass a full frame", s.ProxyMin, s.ProxyMax)
 	}
 	return nil

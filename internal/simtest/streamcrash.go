@@ -87,16 +87,7 @@ func GenerateStreamCrash(base uint64, index int) StreamCrashScenario {
 	flushes := scn.L * streamChunks
 	scn.SnapFlush = rng.Intn(flushes - 1)
 	scn.CrashFlush = scn.SnapFlush + 1 + rng.Intn(flushes-1-scn.SnapFlush)
-	frame := int64(8*scn.M + 512)
-	floorTotal := int64(streamChunks*scn.W) * int64(8*scn.M+64)
-	scn.ProxyMin = frame
-	scn.ProxyMax = 3 * frame
-	if cap := floorTotal - frame; scn.ProxyMax > cap {
-		scn.ProxyMax = cap
-	}
-	if scn.ProxyMax < scn.ProxyMin {
-		scn.ProxyMax = scn.ProxyMin
-	}
+	scn.ProxyMin, scn.ProxyMax = proxyBudgets(scn.M, streamChunks*scn.W)
 	return scn
 }
 
@@ -119,7 +110,7 @@ func (s StreamCrashScenario) validate() error {
 	case s.SnapFlush < 0 || s.CrashFlush <= s.SnapFlush || s.CrashFlush >= s.L*streamChunks:
 		return fmt.Errorf("simtest: flush schedule snap=%d crash=%d outside 0 ≤ snap < crash < %d",
 			s.SnapFlush, s.CrashFlush, s.L*streamChunks)
-	case s.ProxyMin < int64(8*s.M+256) || s.ProxyMax < s.ProxyMin:
+	case s.ProxyMin < proxyFrame(s.M) || s.ProxyMax < s.ProxyMin:
 		return fmt.Errorf("simtest: proxy budget [%d, %d] cannot pass a full frame", s.ProxyMin, s.ProxyMax)
 	}
 	return nil

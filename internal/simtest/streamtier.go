@@ -93,16 +93,7 @@ func GenerateStreamTier(base uint64, index int) StreamTierScenario {
 	scn.KillShard = rng.Intn(tierShards)
 	scn.KillWindow = 2 + rng.Intn(scn.W-1)
 	scn.KillFlush = 1 + rng.Intn(scn.L*streamChunks-1)
-	frame := int64(8*m + 512)
-	floorTotal := int64(streamChunks*scn.W) * int64(8*m+64)
-	scn.ProxyMin = frame
-	scn.ProxyMax = 3 * frame
-	if cap := floorTotal - frame; scn.ProxyMax > cap {
-		scn.ProxyMax = cap
-	}
-	if scn.ProxyMax < scn.ProxyMin {
-		scn.ProxyMax = scn.ProxyMin
-	}
+	scn.ProxyMin, scn.ProxyMax = proxyBudgets(m, streamChunks*scn.W)
 	return scn
 }
 
@@ -130,7 +121,7 @@ func (s StreamTierScenario) validate() error {
 		return fmt.Errorf("simtest: kill window %d outside [2, %d]", s.KillWindow, s.W)
 	case s.KillFlush < 1 || s.KillFlush >= s.L*streamChunks:
 		return fmt.Errorf("simtest: kill flush %d outside [1, %d)", s.KillFlush, s.L*streamChunks)
-	case s.ProxyMin < int64(8*s.M()+256) || s.ProxyMax < s.ProxyMin:
+	case s.ProxyMin < proxyFrame(s.M()) || s.ProxyMax < s.ProxyMin:
 		return fmt.Errorf("simtest: proxy budget [%d, %d] cannot pass a full frame", s.ProxyMin, s.ProxyMax)
 	}
 	return nil

@@ -2,9 +2,9 @@ package stream
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sort"
@@ -70,6 +70,8 @@ type AggregatorOptions struct {
 	// the decoded delta sketch. The tier relay uses it to accumulate the
 	// per-window upward delta atomically with the fold it mirrors. The
 	// callback must be fast and must not call back into the aggregator.
+	// delta is the aggregator's one decode scratch: it is valid for the
+	// duration of the call only.
 	OnApplied func(window uint64, folds int, delta csoutlier.Sketch)
 	// SnapshotExtra, when set, is invoked inside Snapshot()'s critical
 	// section; its bytes ride in Snapshot.Extra, atomically consistent
@@ -207,7 +209,10 @@ type nodeState struct {
 // pathological churn of distinct node names; eviction is FIFO.
 const maxTombstones = 1024
 
-// ingestItem is one delta frame queued for the folder.
+// ingestItem is one delta frame queued for the folder. reply is the
+// sending connection's channel: a handler has one frame in flight, and
+// waits on it before it reads (and so overwrites req.Payload with) the
+// next.
 type ingestItem struct {
 	req   pushRequest
 	reply chan Ack
@@ -290,8 +295,10 @@ type Aggregator struct {
 	opts AggregatorOptions
 	ws   *csoutlier.WindowStore
 
-	metrics  *aggMetrics // registry-backed counters; nil only in bare benchmarks
-	foldTick uint64      // frame counter for sampled fold timing; folder goroutine only
+	limits   frameLimits      // per-kind request body caps, from the consensus M
+	scratch  csoutlier.Sketch // OnApplied's decoded delta, allocated only when it is set; guarded by mu
+	metrics  *aggMetrics      // registry-backed counters; nil only in bare benchmarks
+	foldTick uint64           // frame counter for sampled fold timing; folder goroutine only
 
 	// pointTick counts point queries for sampled latency timing. Unlike
 	// foldTick it is bumped from arbitrary caller goroutines, so it is
@@ -365,6 +372,7 @@ func NewAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions) (*Aggregator,
 		sk:         sk,
 		opts:       opts,
 		ws:         ws,
+		limits:     requestLimits(sk.M()),
 		window:     1,
 		epoch:      opts.AggEpoch,
 		nodes:      make(map[string]*nodeState),
@@ -384,6 +392,9 @@ func NewAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions) (*Aggregator,
 		reg = obs.NewRegistry()
 	}
 	a.metrics = newAggMetrics(reg, a)
+	if opts.OnApplied != nil {
+		a.scratch = sk.ZeroSketch()
+	}
 	go a.fold()
 	if opts.WindowEvery > 0 {
 		go a.rotateLoop()
@@ -437,7 +448,10 @@ func (a *Aggregator) Serve(ln net.Listener) error {
 	}
 }
 
-// handle runs one connection's decode→fold→ack loop.
+// handle runs one connection's read→fold→ack loop. Frames are read
+// into one buffer per connection and a delta's payload is folded from
+// it in place; input no conforming node produces (another protocol, an
+// oversized or truncated frame) closes the connection.
 func (a *Aggregator) handle(conn net.Conn) {
 	defer a.handlersWG.Done()
 	defer func() {
@@ -446,27 +460,38 @@ func (a *Aggregator) handle(conn net.Conn) {
 		a.connMu.Unlock()
 		conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	fr := frameReader{r: conn, limits: a.limits, buf: make([]byte, FrameOverhead+a.limits[pushDelta])}
+	var (
+		req   pushRequest
+		wbuf  []byte
+		reply = make(chan Ack, 1)
+	)
 	for {
 		if a.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(a.opts.IdleTimeout))
 		}
-		var req pushRequest
-		if err := dec.Decode(&req); err != nil {
-			return // EOF, deadline, or poisoned stream: node re-dials
+		kind, body, err := fr.next()
+		if err == nil {
+			err = parseRequest(kind, body, &req)
+		}
+		if err != nil {
+			// A clean EOF, a deadline or a reset is a node going away (it
+			// re-dials); anything else is not the push protocol.
+			if m := a.metrics; m != nil && (errors.Is(err, errMalformed) || err == io.ErrUnexpectedEOF) {
+				m.malformed.Inc()
+			}
+			return
 		}
 		var ack Ack
-		switch req.Kind {
+		switch kind {
 		case pushHello:
 			ack = a.hello(req)
 		case pushBye:
 			ack = a.bye(req)
 		case pushDelta:
-			item := ingestItem{req: req, reply: make(chan Ack, 1)}
 			select {
-			case a.ingest <- item: // blocks when full: TCP backpressure
-				ack = <-item.reply
+			case a.ingest <- ingestItem{req: req, reply: reply}: // blocks when full: TCP backpressure
+				ack = <-reply
 			case <-a.quit:
 				return
 			}
@@ -474,16 +499,15 @@ func (a *Aggregator) handle(conn net.Conn) {
 			// A read, not a fold: answered on the handler goroutine from
 			// the point-query path, never through the ingest queue, so a
 			// remote dashboard cannot stall (or be stalled by) folding.
-			reply := a.answerPointQuery(req)
-			if err := enc.Encode(&reply); err != nil {
+			answers := a.answerPointQuery(req)
+			wbuf = appendQueryReply(wbuf, &answers)
+			if _, err := conn.Write(wbuf); err != nil {
 				return
 			}
 			continue
-		default:
-			ack = Ack{Err: fmt.Sprintf("stream: unknown frame kind %d", req.Kind)}
-			ack.Window = a.CurrentWindow()
 		}
-		if err := enc.Encode(&ack); err != nil {
+		wbuf = appendAck(wbuf, &ack)
+		if _, err := conn.Write(wbuf); err != nil {
 			return
 		}
 	}
@@ -774,23 +798,27 @@ func (a *Aggregator) applyFrame(req pushRequest) Ack {
 		ns.status.Dropped++
 		return ackStable()
 	}
-	delta, err := a.sk.UnmarshalSketch(req.Payload)
+	// The payload's floats go from the frame straight into the window's
+	// ring slot; only a relay's OnApplied needs them as a Sketch too.
+	fn := a.opts.OnApplied
+	if fn == nil {
+		err = a.ws.AddEncoded(int(age), req.Payload)
+	} else if err = a.sk.UnmarshalSketchInto(req.Payload, a.scratch); err == nil {
+		err = a.ws.AddSketch(int(age), a.scratch)
+	}
 	if err != nil {
 		// Corrupt or consensus-mismatched payload: rejected before it can
 		// touch the aggregate, not marked (a clean retry may succeed).
 		return reject("stream: node %s delta seq %d: %v", req.Node, req.Seq, err)
 	}
-	if err := a.ws.AddSketch(int(age), delta); err != nil {
-		return reject("stream: node %s delta seq %d: %v", req.Node, req.Seq, err)
-	}
 	markLocked(req.Seq)
 	ns.status.Applied++
-	if fn := a.opts.OnApplied; fn != nil {
+	if fn != nil {
 		folds := int(req.Folds)
 		if folds < 1 {
 			folds = 1
 		}
-		fn(req.Window, folds, delta)
+		fn(req.Window, folds, a.scratch)
 	}
 	if req.Folds > 1 {
 		// A node-side merge: the frame is the exact sum of Folds local

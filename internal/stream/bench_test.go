@@ -74,7 +74,7 @@ func BenchmarkStreamFoldBare(b *testing.B) {
 }
 
 // BenchmarkStreamPushTCP measures end-to-end push throughput over
-// loopback TCP: gob framing, the bounded ingest queue and the folder,
+// loopback TCP: binary framing, the bounded ingest queue and the folder,
 // one stop-and-wait client.
 func BenchmarkStreamPushTCP(b *testing.B) {
 	sk := benchSketcher(b, 4096, 256)

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -20,8 +19,8 @@ import (
 // and stale frames the aggregator must tolerate.
 type Client struct {
 	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
+	fr      frameReader
+	wbuf    []byte // the outgoing frame, reused across exchanges
 	timeout time.Duration
 }
 
@@ -33,12 +32,10 @@ func DialClient(ctx context.Context, addr string, timeout time.Duration) (*Clien
 	if err != nil {
 		return nil, fmt.Errorf("stream: dial %s: %w", addr, err)
 	}
-	return &Client{
-		conn:    conn,
-		enc:     gob.NewEncoder(conn),
-		dec:     gob.NewDecoder(conn),
-		timeout: timeout,
-	}, nil
+	c := &Client{conn: conn, timeout: timeout}
+	c.fr = frameReader{r: conn, buf: make([]byte, FrameOverhead+maxAckBody)} // any ack in one Read
+	c.fr.limits[replyAck] = maxAckBody
+	return c, nil
 }
 
 // Hello announces (node, epoch) and returns the aggregator's current
@@ -73,22 +70,17 @@ func (c *Client) Bye(node string, epoch uint64) (Ack, error) {
 // a query-level rejection (unknown key, span out of range,
 // non-count-sketch backend).
 func (c *Client) PointQuery(fromAge, toAge int, keys []string, threshold float64) ([]csoutlier.PointAnswer, error) {
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
-	}
-	req := pushRequest{
+	c.fr.limits[replyQuery] = queryReplyLimit(len(keys))
+	body, err := c.roundTrip(&pushRequest{
 		Kind:    pushPointQuery,
 		FromAge: fromAge, ToAge: toAge,
 		Keys: keys, Threshold: threshold,
+	}, replyQuery)
+	if err != nil {
+		return nil, err
 	}
-	if err := c.enc.Encode(&req); err != nil {
-		return nil, fmt.Errorf("stream: send: %w", err)
-	}
-	var reply QueryReply
-	if err := c.dec.Decode(&reply); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, errors.New("stream: aggregator closed connection")
-		}
+	reply, err := parseQueryReply(body)
+	if err != nil {
 		return nil, fmt.Errorf("stream: receive: %w", err)
 	}
 	if reply.Err != "" {
@@ -106,22 +98,48 @@ type QueryRejectedError struct{ Msg string }
 
 func (e *QueryRejectedError) Error() string { return e.Msg }
 
-// exchange runs one encode/decode round-trip under the deadline.
+// exchange runs one request/ack round-trip.
 func (c *Client) exchange(req *pushRequest) (Ack, error) {
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
+	body, err := c.roundTrip(req, replyAck)
+	if err != nil {
+		return Ack{}, err
 	}
-	if err := c.enc.Encode(req); err != nil {
-		return Ack{}, fmt.Errorf("stream: send: %w", err)
-	}
-	var ack Ack
-	if err := c.dec.Decode(&ack); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Ack{}, errors.New("stream: aggregator closed connection")
-		}
+	ack, err := parseAck(body)
+	if err != nil {
 		return Ack{}, fmt.Errorf("stream: receive: %w", err)
 	}
 	return ack, nil
+}
+
+// roundTrip writes req as one frame with one Write and reads the reply
+// frame, which must be of kind want, under the deadline. The returned
+// body aliases the client's read buffer.
+func (c *Client) roundTrip(req *pushRequest, want pushKind) ([]byte, error) {
+	if len(req.Node) > MaxNodeLen {
+		return nil, fmt.Errorf("stream: node name is %d bytes, the wire carries at most %d", len(req.Node), MaxNodeLen)
+	}
+	c.wbuf = appendRequest(c.wbuf, req)
+	if req.Kind == pushPointQuery && len(c.wbuf)-FrameOverhead > MaxQueryBytes {
+		return nil, &QueryRejectedError{Msg: fmt.Sprintf("stream: point query of %d keys encodes to %d bytes, limit %d: split the watch list",
+			len(req.Keys), len(c.wbuf)-FrameOverhead, MaxQueryBytes)}
+	}
+	if c.timeout > 0 {
+		c.conn.SetDeadline(time.Now().Add(c.timeout))
+	}
+	if _, err := c.conn.Write(c.wbuf); err != nil {
+		return nil, fmt.Errorf("stream: send: %w", err)
+	}
+	kind, body, err := c.fr.next()
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, errors.New("stream: aggregator closed connection")
+		}
+		return nil, fmt.Errorf("stream: receive: %w", err)
+	}
+	if kind != want {
+		return nil, fmt.Errorf("stream: receive: reply of kind %d, want %d", kind, want)
+	}
+	return body, nil
 }
 
 // Close releases the connection.

@@ -16,6 +16,7 @@ type aggMetrics struct {
 	reg *obs.Registry
 
 	conns          *obs.Counter
+	malformed      *obs.Counter
 	hellos         *obs.Counter
 	frames         *obs.Counter
 	applied        *obs.Counter
@@ -78,6 +79,8 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		exported: make(map[string]struct{}),
 		conns: reg.Counter("stream_connections_total",
 			"node connections accepted"),
+		malformed: reg.Counter("stream_malformed_frames_total",
+			"connections closed on input that is not the push protocol: unknown version or kind, oversized, truncated or unparseable frame"),
 		hellos: reg.Counter("stream_hellos_total",
 			"hello frames answered"),
 		frames: reg.Counter("stream_frames_total",

@@ -157,6 +157,7 @@ type Node struct {
 	seq      uint64
 	pending  []*deltaFrame
 	retained []*deltaFrame    // acked but not yet durable, oldest first
+	free     []*deltaFrame    // frames nothing can resend any more; captures reuse their payload buffers
 	aggEpoch uint64           // aggregator incarnation last seen (0 = none yet)
 	drain    csoutlier.Sketch // reusable drain buffer, guarded by mu
 	stats    NodeStats
@@ -175,8 +176,8 @@ type Node struct {
 // across reconnects and restarts; every node of a deployment must use
 // the same Sketcher consensus as the aggregator.
 func Dial(ctx context.Context, addr string, sk *csoutlier.Sketcher, id string, opts NodeOptions) (*Node, error) {
-	if id == "" {
-		return nil, fmt.Errorf("stream: node id must be non-empty")
+	if id == "" || len(id) > MaxNodeLen {
+		return nil, fmt.Errorf("stream: node id must be 1 to %d bytes, got %d", MaxNodeLen, len(id))
 	}
 	n := &Node{
 		sk:   sk,
@@ -296,14 +297,30 @@ func (n *Node) captureLocked(force bool) error {
 		// target for the next capture, so overflow is capped at one frame
 		// per (window, transmission) boundary.
 	}
-	payload, err := n.drain.MarshalBinary()
+	var f *deltaFrame
+	if last := len(n.free) - 1; last >= 0 {
+		f, n.free = n.free[last], n.free[:last]
+	} else {
+		f = &deltaFrame{}
+	}
+	payload, err := n.drain.AppendBinary(f.payload[:0])
 	if err != nil {
 		return err
 	}
 	n.seq++
-	n.pending = append(n.pending, &deltaFrame{window: n.window, seq: n.seq, folds: 1, payload: payload})
+	*f = deltaFrame{window: n.window, seq: n.seq, folds: 1, payload: payload}
+	n.pending = append(n.pending, f)
 	n.stats.Captured++
 	return nil
+}
+
+// recycleLocked hands f's payload buffer to future captures. Only for a
+// frame that has left both the pending queue and the retention buffer:
+// nothing — retry, replay, in-flight push — can send its bytes again.
+func (n *Node) recycleLocked(f *deltaFrame) {
+	if len(n.free) < n.opts.MaxPending {
+		n.free = append(n.free, f)
+	}
 }
 
 // mergeTargetLocked returns the newest pending frame a capture may fold
@@ -371,6 +388,8 @@ func (n *Node) noteAckLocked(ack Ack) {
 		for _, f := range n.retained {
 			if f.seq > ack.Stable {
 				keep = append(keep, f)
+			} else {
+				n.recycleLocked(f)
 			}
 		}
 		n.retained = keep
@@ -407,10 +426,13 @@ func (n *Node) ackFrame(f *deltaFrame, ack Ack) {
 		// order because stop-and-wait acks frames in seq order.
 		n.retained = append(n.retained, f)
 		for len(n.retained) > n.opts.Retain {
+			n.recycleLocked(n.retained[0])
 			n.retained = n.retained[1:]
 			n.stats.RetainDropped++
 		}
+		return
 	}
+	n.recycleLocked(f)
 }
 
 // connect returns the live client, dialing and re-announcing if needed.

@@ -145,8 +145,9 @@ type gateRelay struct {
 	addr string
 	open atomic.Bool
 
-	mu    sync.Mutex
-	conns []net.Conn
+	mu     sync.Mutex
+	target string // where new connections go; Retarget moves it
+	conns  []net.Conn
 }
 
 func newGateRelay(t *testing.T, target string) *gateRelay {
@@ -156,7 +157,7 @@ func newGateRelay(t *testing.T, target string) *gateRelay {
 		t.Fatalf("relay listen: %v", err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	g := &gateRelay{addr: ln.Addr().String()}
+	g := &gateRelay{addr: ln.Addr().String(), target: target}
 	g.open.Store(true)
 	go func() {
 		for {
@@ -168,6 +169,9 @@ func newGateRelay(t *testing.T, target string) *gateRelay {
 				cli.Close()
 				continue
 			}
+			g.mu.Lock()
+			target := g.target
+			g.mu.Unlock()
 			srv, err := net.Dial("tcp", target)
 			if err != nil {
 				cli.Close()
@@ -200,6 +204,14 @@ func (g *gateRelay) Cut() {
 }
 
 func (g *gateRelay) Restore() { g.open.Store(true) }
+
+// Retarget points future connections at another upstream — a restored
+// aggregator on a fresh listener.
+func (g *gateRelay) Retarget(target string) {
+	g.mu.Lock()
+	g.target = target
+	g.mu.Unlock()
+}
 
 // TestOverloadShed cuts a node's uplink while observations keep coming.
 // The background flusher keeps capturing but cannot drain, so pending
@@ -286,6 +298,180 @@ func TestOverloadShed(t *testing.T) {
 	for i := range got.Y {
 		w, g := want.Y[i], got.Y[i]
 		if math.Abs(g-w) > 1e-9*math.Max(math.Abs(w), 1) {
+			t.Fatalf("window entry %d = %v, want ≈ %v", i, g, w)
+		}
+	}
+}
+
+// TestRecycleNeverReusesResendableFrame (run under -race) drives every
+// way a captured frame can be sent again — a retry after a cut link
+// (sent frames), a replay after an aggregator restore (Retain + AggEpoch
+// bump), shed merges into the queue's tail — while snapshot commits
+// keep trimming the retention buffer into the free list and a
+// background flusher keeps capturing out of it. A payload buffer handed
+// to a new capture while its old frame could still go out would be a
+// data race on the bytes, break the list invariant checked throughout,
+// or land the wrong mass in the window.
+func TestRecycleNeverReusesResendableFrame(t *testing.T) {
+	sk := testSketcher(t, 128, 64, 34)
+	first, firstAddr := serveAgg(t, sk, AggregatorOptions{Windows: 2, Durable: true})
+	relay := newGateRelay(t, firstAddr)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	n, err := Dial(ctx, relay.addr, sk, "node00", NodeOptions{
+		ShedAt:      2,
+		MaxPending:  4,
+		FlushEvery:  time.Millisecond,
+		PushTimeout: 5 * time.Millisecond, // the flusher gives up on a dead link after 4× this, then captures (and sheds) again
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  4 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+
+	// checkLists: a frame is in at most one of pending, retained and
+	// free, and no two frames share a payload buffer.
+	checkLists := func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		where := make(map[*deltaFrame]string)
+		buffers := make(map[*byte]*deltaFrame)
+		for list, frames := range map[string][]*deltaFrame{"pending": n.pending, "retained": n.retained, "free": n.free} {
+			for _, f := range frames {
+				if prev, dup := where[f]; dup {
+					t.Errorf("frame seq %d is in both %s and %s", f.seq, prev, list)
+				}
+				where[f] = list
+				if cap(f.payload) == 0 {
+					continue
+				}
+				first := &f.payload[:1][0]
+				if other, shared := buffers[first]; shared {
+					t.Errorf("frames seq %d and seq %d share a payload buffer", other.seq, f.seq)
+				}
+				buffers[first] = f
+			}
+		}
+	}
+
+	const perPhase = 400
+	observe := func() {
+		for i := 0; i < perPhase; i++ {
+			if err := n.Observe("key007", 1); err != nil {
+				t.Errorf("Observe: %v", err)
+				return
+			}
+			if i%10 == 0 {
+				checkLists()
+			}
+			time.Sleep(500 * time.Microsecond)
+		}
+	}
+	// commit makes everything agg has folded durable: the next ack lets
+	// the node trim its retention buffer into the free list.
+	commit := func(agg *Aggregator) {
+		snap, err := agg.Snapshot()
+		if err != nil {
+			t.Errorf("Snapshot: %v", err)
+			return
+		}
+		agg.CommitSnapshot(snap)
+	}
+	// phase observes while the link flaps and snapshots commit.
+	phase := func(agg *Aggregator) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			observe()
+		}()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				relay.Restore()
+				return
+			default:
+			}
+			switch i % 16 {
+			case 1:
+				relay.Cut()
+			case 12:
+				relay.Restore()
+			case 7, 15:
+				commit(agg)
+			}
+			time.Sleep(3 * time.Millisecond)
+		}
+	}
+
+	phase(first)
+	// Crash and restore: the snapshot is older than the last acks, so the
+	// frames acked since it exist only in the node's retention buffer.
+	snap, err := first.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := n.Observe("key007", 1); err != nil {
+			t.Fatalf("Observe: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	relay.Cut()
+	first.Close(ctx)
+	second, err := RestoreAggregator(sk, AggregatorOptions{Durable: true}, snap)
+	if err != nil {
+		t.Fatalf("RestoreAggregator: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go second.Serve(ln)
+	defer second.Close(ctx)
+	relay.Retarget(ln.Addr().String())
+	relay.Restore()
+	phase(second)
+
+	// Quiesce: once a snapshot covers everything and an ack says so, the
+	// retention buffer empties into the free list.
+	if err := n.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	commit(second)
+	if err := n.Sync(ctx); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	checkLists()
+	n.mu.Lock()
+	retained, recycled := len(n.retained), len(n.free)
+	n.mu.Unlock()
+	if retained != 0 || recycled == 0 {
+		t.Fatalf("after a covering commit: %d frames retained, %d recycled; want 0 and some", retained, recycled)
+	}
+	if err := n.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	st := n.Stats()
+	if st.Replayed == 0 || st.Merged == 0 || st.RetainDropped != 0 || st.Pending != 0 {
+		t.Fatalf("the run did not exercise replay and shed merge (or lost frames): %+v", st)
+	}
+	// Every observation added exactly 1 to one key, however the captures
+	// were grouped, retried and replayed.
+	u := sk.NewUpdater()
+	if err := u.Observe("key007", float64(2*perPhase+40)); err != nil {
+		t.Fatal(err)
+	}
+	want := sk.ZeroSketch()
+	if _, err := u.DrainInto(want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := second.WindowSketch(0)
+	if err != nil {
+		t.Fatalf("WindowSketch: %v", err)
+	}
+	for i := range got.Y {
+		if w, g := want.Y[i], got.Y[i]; math.Abs(g-w) > 1e-9*math.Max(math.Abs(w), 1) {
 			t.Fatalf("window entry %d = %v, want ≈ %v", i, g, w)
 		}
 	}

@@ -366,14 +366,15 @@ func decodeState(b byte) (string, error) {
 	return "", fmt.Errorf("stream: unknown node state byte %d", b)
 }
 
-// snapReader is a bounds-checked little-endian cursor; the first
-// overrun poisons it and every subsequent read returns zero values.
-type snapReader struct {
+// byteReader is a bounds-checked little-endian cursor over a snapshot
+// blob or a wire frame body (wire.go); the first overrun poisons it and
+// every subsequent read returns zero values.
+type byteReader struct {
 	b   []byte
 	err error
 }
 
-func (r *snapReader) take(n int) []byte {
+func (r *byteReader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -386,25 +387,49 @@ func (r *snapReader) take(n int) []byte {
 	return out
 }
 
-func (r *snapReader) u16() uint16 {
+func (r *byteReader) u16() uint16 {
 	if b := r.take(2); b != nil {
 		return binary.LittleEndian.Uint16(b)
 	}
 	return 0
 }
 
-func (r *snapReader) u32() uint32 {
+func (r *byteReader) u32() uint32 {
 	if b := r.take(4); b != nil {
 		return binary.LittleEndian.Uint32(b)
 	}
 	return 0
 }
 
-func (r *snapReader) u64() uint64 {
+func (r *byteReader) u64() uint64 {
 	if b := r.take(8); b != nil {
 		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
+}
+
+// uvarint and varint read one varint; a short or overlong encoding
+// poisons the reader like any other overrun.
+func (r *byteReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		n = len(r.b) + 1
+	}
+	if r.take(n) == nil {
+		return 0
+	}
+	return v
+}
+
+func (r *byteReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		n = len(r.b) + 1
+	}
+	if r.take(n) == nil {
+		return 0
+	}
+	return v
 }
 
 // DecodeSnapshot decodes and validates a snapshot blob. Truncated,
@@ -421,7 +446,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if crc := crc32.ChecksumIEEE(body); crc != binary.LittleEndian.Uint32(trailer) {
 		return nil, fmt.Errorf("stream: snapshot CRC mismatch (stored %08x, computed %08x)", binary.LittleEndian.Uint32(trailer), crc)
 	}
-	r := &snapReader{b: body[4:]}
+	r := &byteReader{b: body[4:]}
 	version := r.u16()
 	if version != snapVersion && version != snapVersionExtra {
 		return nil, fmt.Errorf("stream: snapshot version %d (supported: %d, %d)", version, snapVersion, snapVersionExtra)
@@ -478,7 +503,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-func decodeSnapNode(r *snapReader) (SnapNode, error) {
+func decodeSnapNode(r *byteReader) (SnapNode, error) {
 	var sn SnapNode
 	nameLen := r.u16()
 	sn.Node = string(r.take(int(nameLen)))

@@ -9,7 +9,9 @@
 // csoutlier.Updater: observations fold into the O(M) sketch locally,
 // and the node periodically drains the sketch into a *delta* — the
 // exact measurement of everything observed since the previous drain —
-// and pushes it to the Aggregator over a persistent gob/TCP connection.
+// and pushes it to the Aggregator over a persistent TCP connection, as
+// one fixed binary frame (wire.go) the aggregator folds straight from
+// its read buffer.
 // Every delta frame is tagged with (node, epoch, window, seq):
 //
 //   - window is the wall-clock window the observations belong to, as
@@ -38,9 +40,12 @@ package stream
 
 import "csoutlier"
 
-// The push protocol: one gob-framed request/response exchange per
-// frame, node-initiated (the reverse of internal/cluster's pull
-// protocol, whose aggregator is the client). Three request kinds:
+// The push protocol: one request/response exchange per frame,
+// node-initiated (the reverse of internal/cluster's pull protocol, whose
+// aggregator is the client), strictly stop-and-wait — a connection
+// carries one outstanding request, which is what lets both ends reuse a
+// single buffer per connection. wire.go has the byte layout. Four
+// request kinds:
 //
 //	hello  — announce (node, epoch), learn the current window; sent on
 //	         every (re)connect and as an idle heartbeat. Also the join
@@ -58,6 +63,9 @@ import "csoutlier"
 //	         from the recovery-free count-sketch path. A read, not a
 //	         fold: it bypasses the ingest queue entirely and replies
 //	         with a QueryReply instead of an Ack.
+//
+// and two reply kinds: an Ack for hello, delta and bye, a QueryReply
+// for a query.
 type pushKind uint8
 
 const (
@@ -65,9 +73,13 @@ const (
 	pushDelta
 	pushBye
 	pushPointQuery
+	replyAck
+	replyQuery
 )
 
-// pushRequest is the node→aggregator wire frame.
+// pushRequest is a decoded node→aggregator frame. On the aggregator,
+// Payload aliases the connection's read buffer: it is valid until the
+// frame is acked.
 type pushRequest struct {
 	Kind    pushKind
 	Node    string

@@ -1,0 +1,433 @@
+package stream
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/gob"
+	"fmt"
+	"io"
+	"math"
+	"net"
+	"testing"
+	"testing/iotest"
+	"time"
+
+	"csoutlier"
+	"csoutlier/internal/xrand"
+)
+
+// sampleFrames is one real encoded frame of every kind.
+func sampleFrames(t testing.TB, sk *csoutlier.Sketcher) map[pushKind][]byte {
+	t.Helper()
+	payload := uniformDelta(t, sk, 1.5)
+	return map[pushKind][]byte{
+		pushHello:      appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3}),
+		pushBye:        appendRequest(nil, &pushRequest{Kind: pushBye, Node: "node00", Epoch: 3}),
+		pushDelta:      appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 70000, Seq: 1 << 40, Folds: 5, Payload: payload}),
+		pushPointQuery: appendRequest(nil, &pushRequest{Kind: pushPointQuery, FromAge: 0, ToAge: 3, Keys: []string{"key001", "", "key300"}, Threshold: 2.5}),
+		replyAck:       appendAck(nil, &Ack{Window: 9, Applied: true, Status: StatusApplied, AggEpoch: 2, Stable: 1 << 33}),
+		replyQuery: appendQueryReply(nil, &QueryReply{Answers: []csoutlier.PointAnswer{
+			{Value: 7, Mode: 2, Deviation: 5, Outlier: true}, {Value: -1, Mode: 2, Deviation: -3},
+		}}),
+	}
+}
+
+func allKinds() frameLimits {
+	l := requestLimits(32)
+	l[replyAck] = maxAckBody
+	l[replyQuery] = queryReplyLimit(8)
+	return l
+}
+
+func TestWireRoundTrip(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 5)
+	frames := sampleFrames(t, sk)
+	var stream []byte
+	order := []pushKind{pushHello, pushDelta, pushBye, pushPointQuery, replyAck, replyQuery}
+	for _, k := range order {
+		stream = append(stream, frames[k]...)
+	}
+	// One byte per Read: frames must reassemble however TCP slices them.
+	fr := frameReader{r: iotest.OneByteReader(bytes.NewReader(stream)), limits: allKinds()}
+	var req pushRequest
+	for _, want := range order {
+		kind, body, err := fr.next()
+		if err != nil || kind != want {
+			t.Fatalf("next: kind %d err %v, want kind %d", kind, err, want)
+		}
+		switch kind {
+		case replyAck:
+			ack, err := parseAck(body)
+			if err != nil || ack != (Ack{Window: 9, Applied: true, Status: StatusApplied, AggEpoch: 2, Stable: 1 << 33}) {
+				t.Fatalf("ack %+v err %v", ack, err)
+			}
+		case replyQuery:
+			reply, err := parseQueryReply(body)
+			if err != nil || len(reply.Answers) != 2 || reply.Answers[0] != (csoutlier.PointAnswer{Value: 7, Mode: 2, Deviation: 5, Outlier: true}) ||
+				reply.Answers[1] != (csoutlier.PointAnswer{Value: -1, Mode: 2, Deviation: -3}) {
+				t.Fatalf("reply %+v err %v", reply, err)
+			}
+		default:
+			if err := parseRequest(kind, body, &req); err != nil {
+				t.Fatalf("kind %d: %v", kind, err)
+			}
+			if again := appendRequest(nil, &req); !bytes.Equal(again, frames[kind]) {
+				t.Fatalf("kind %d: re-encoding the parsed request changed the frame", kind)
+			}
+		}
+	}
+	if _, _, err := fr.next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	// Every status string survives the trip; rejection text does too.
+	for _, status := range ackStatuses {
+		in := Ack{Status: status, Err: "stream: no", Window: 1}
+		out, err := parseAck(appendAck(nil, &in)[FrameOverhead:])
+		if err != nil || out != in {
+			t.Fatalf("status %q: got %+v err %v", status, out, err)
+		}
+	}
+}
+
+// FuzzPushFrame feeds arbitrary bytes to the frame reader and every
+// body parser: none may panic, the read buffer may never outgrow the
+// largest limit, and whatever parses must survive re-encoding.
+func FuzzPushFrame(f *testing.F) {
+	sk := testSketcher(f, 64, 32, 5)
+	for _, frame := range sampleFrames(f, sk) {
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+		long := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(long, 1<<31)
+		f.Add(long)
+	}
+	f.Add([]byte{2, 0, 0, 0, wireVersion, byte(pushHello), 0x80, 0x80})
+	limits := allKinds()
+	largest := 0
+	for _, l := range limits {
+		if l > largest {
+			largest = l
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr := frameReader{r: bytes.NewReader(data), limits: limits}
+		var req pushRequest
+		for {
+			kind, body, err := fr.next()
+			if cap(fr.buf) > largest {
+				t.Fatalf("read buffer grew to %d bytes, past the largest limit %d", cap(fr.buf), largest)
+			}
+			if err != nil {
+				return
+			}
+			switch kind {
+			case replyAck:
+				if ack, err := parseAck(body); err == nil {
+					if again, err := parseAck(appendAck(nil, &ack)[FrameOverhead:]); err != nil || again != ack {
+						t.Fatalf("ack %+v re-encodes to %+v (%v)", ack, again, err)
+					}
+				}
+			case replyQuery:
+				if reply, err := parseQueryReply(body); err == nil && len(reply.Answers)*answerLen > len(body) {
+					t.Fatalf("%d answers out of a %d-byte body", len(reply.Answers), len(body))
+				}
+			default:
+				if parseRequest(kind, body, &req) != nil {
+					continue
+				}
+				if len(req.Keys) > len(body) || len(req.Payload) > len(body) || len(req.Node) > MaxNodeLen {
+					t.Fatalf("kind %d: parsed more than the body holds: %d keys, %d payload bytes, %d-byte name from %d bytes",
+						kind, len(req.Keys), len(req.Payload), len(req.Node), len(body))
+				}
+				// The canonical encoding of what parsed is a fixed point.
+				canon := appendRequest(nil, &req)
+				var again pushRequest
+				if err := parseRequest(kind, canon[FrameOverhead:], &again); err != nil || !bytes.Equal(appendRequest(nil, &again), canon) {
+					t.Fatalf("kind %d: %+v re-encodes to %+v (%v)", kind, req, again, err)
+				}
+			}
+		}
+	})
+}
+
+// malformedCount polls the counter: the handler bumps it on its own
+// goroutine, just before it closes the connection.
+func malformedCount(t *testing.T, agg *Aggregator, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for agg.metrics.malformed.Value() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("stream_malformed_frames_total = %d, want %d", agg.metrics.malformed.Value(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// expectClosed asserts the aggregator closes conn — a clean EOF (or a
+// reset, when it closed with our bytes unread), never a hang.
+func expectClosed(t *testing.T, what string, conn net.Conn) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 64)); err == nil || n != 0 {
+		t.Fatalf("%s: read %d bytes, err %v; want a closed connection", what, n, err)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("%s: connection left open (read timed out)", what)
+	}
+}
+
+func TestGobPeerGetsCleanClose(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 5)
+	agg, addr := serveAgg(t, sk, AggregatorOptions{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// What the previous protocol's client put on a fresh connection.
+	type gobHello struct {
+		Kind    uint8
+		Node    string
+		Epoch   uint64
+		Payload []byte
+	}
+	if err := gob.NewEncoder(conn).Encode(&gobHello{Kind: 1, Node: "node00", Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	expectClosed(t, "gob peer", conn)
+	malformedCount(t, agg, 1)
+}
+
+func TestMalformedFramesCloseConnection(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 5)
+	agg, addr := serveAgg(t, sk, AggregatorOptions{})
+	good := sampleFrames(t, sk)
+	prelude := func(n uint32, version byte, kind pushKind, body ...byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, n), append([]byte{version, byte(kind)}, body...)...)
+	}
+	oversized := append([]byte(nil), good[pushDelta]...)
+	binary.LittleEndian.PutUint32(oversized, uint32(agg.limits[pushDelta]+1))
+	cases := []struct {
+		name      string
+		bytes     []byte
+		closeSend bool // half-close after writing: the frame is cut short
+	}{
+		{"unknown version", prelude(2, 9, pushHello, 0, 1), false},
+		{"unknown kind", prelude(2, wireVersion, 77, 0, 1), false},
+		{"reply kind as a request", good[replyAck], false},
+		{"oversized delta", oversized, false},
+		{"oversized hello", prelude(1<<20, wireVersion, pushHello), false},
+		{"truncated delta", good[pushDelta][:len(good[pushDelta])-9], true},
+		{"truncated prelude", good[pushHello][:3], true},
+		{"varint runs off the body", prelude(2, wireVersion, pushHello, 0x80, 0x80), false},
+		{"name longer than the body", prelude(2, wireVersion, pushHello, 40, 'x'), false},
+		{"trailing bytes after a hello", prelude(4, wireVersion, pushHello, 1, 'x', 1, 0), false},
+		{"more keys than bytes", prelude(12, wireVersion, pushPointQuery, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200, 1), false},
+	}
+	for i, tc := range cases {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(tc.bytes); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.closeSend {
+			conn.(*net.TCPConn).CloseWrite()
+		}
+		expectClosed(t, tc.name, conn)
+		conn.Close()
+		malformedCount(t, agg, int64(i+1))
+	}
+	// A node going away between frames is not malformed input, and the
+	// aggregator still serves a conforming client.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := DialClient(ctx, addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := c.Hello("node00", 1); err != nil || ack.Err != "" || ack.Status != StatusHello {
+		t.Fatalf("hello after the malformed peers: %+v, %v", ack, err)
+	}
+	c.Close()
+	if _, err := c.Hello(string(make([]byte, MaxNodeLen+1)), 1); err == nil {
+		t.Fatal("a node name past MaxNodeLen was sent")
+	}
+	malformedCount(t, agg, int64(len(cases)))
+}
+
+// ensembleSketchers is one Sketcher per ensemble over the same keys.
+func ensembleSketchers(t *testing.T, m int, seed uint64) map[string]*csoutlier.Sketcher {
+	t.Helper()
+	keys := make([]string, 96)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%03d", i)
+	}
+	out := make(map[string]*csoutlier.Sketcher)
+	for name, cfg := range map[string]csoutlier.Config{
+		"gaussian":    {M: m, Seed: seed},
+		"sparse":      {M: m, Seed: seed, Ensemble: csoutlier.SparseRademacher},
+		"srht":        {M: m, Seed: seed, Ensemble: csoutlier.SRHT},
+		"countsketch": {M: m, Seed: seed, Ensemble: csoutlier.CountSketch, Depth: 4},
+	} {
+		sk, err := csoutlier.NewSketcher(keys, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = sk
+	}
+	return out
+}
+
+// TestFoldFromWire: on every ensemble, pushing deltas over loopback —
+// folded straight from the read buffer, or through a relay's OnApplied
+// decode scratch — leaves windows Float64bits-identical to decoding
+// each payload and adding the Sketch; and a payload with a flipped bit,
+// another seed or another M is acked with Err, not marked, and leaves
+// every window bit-for-bit unchanged.
+func TestFoldFromWire(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	const m, windows = 32, 3
+	foreign := ensembleSketchers(t, m, 12)
+	wider := ensembleSketchers(t, m+4, 11)
+	for name, sk := range ensembleSketchers(t, m, 11) {
+		direct, directAddr := serveAgg(t, sk, AggregatorOptions{Windows: windows})
+		mirrored := sk.ZeroSketch() // Σ of what OnApplied was shown
+		relayed, relayedAddr := serveAgg(t, sk, AggregatorOptions{Windows: windows,
+			OnApplied: func(_ uint64, _ int, delta csoutlier.Sketch) { mirrored.Add(delta) }})
+		want, _ := sk.NewWindowStore(windows)
+		total := sk.ZeroSketch()
+		var clients []*Client
+		for _, addr := range []string{directAddr, relayedAddr} {
+			c, err := DialClient(ctx, addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			clients = append(clients, c)
+		}
+		rng := xrand.New(77)
+		delta := sk.ZeroSketch()
+		checkWindows := func(when string) {
+			t.Helper()
+			for age := 0; age < windows; age++ {
+				w, err := want.Window(age)
+				if err != nil {
+					continue // not opened yet
+				}
+				for what, agg := range map[string]*Aggregator{"direct": direct, "relayed": relayed} {
+					got, err := agg.WindowSketch(age)
+					if err != nil {
+						t.Fatalf("%s %s: %v", name, what, err)
+					}
+					sameBits(t, fmt.Sprintf("%s %s %s, age %d", name, what, when, age), got, w)
+				}
+			}
+			sameBits(t, name+" OnApplied mirror "+when, mirrored, total)
+		}
+		seq, window := uint64(0), uint64(1)
+		push := func(payload []byte, wantErr bool, tag uint64) {
+			t.Helper()
+			for _, c := range clients {
+				ack, err := c.PushDelta("leaf", 1, tag, seq, 1, payload)
+				if err != nil {
+					t.Fatalf("%s seq %d: %v", name, seq, err)
+				}
+				if wantErr != (ack.Err != "") || ack.Applied == wantErr {
+					t.Fatalf("%s seq %d: ack %+v, want rejected=%v", name, seq, ack, wantErr)
+				}
+			}
+		}
+		for round := 0; round < 24; round++ {
+			if round%8 == 7 {
+				direct.Rotate()
+				relayed.Rotate()
+				want.Rotate()
+				window++
+			}
+			for i := range delta.Y {
+				delta.Y[i] = math.Ldexp(rng.Float64()-0.5, int(rng.Uint64()%40)-20)
+			}
+			good, err := delta.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq++
+			if round%3 == 0 {
+				// The same seq first arrives damaged three ways: each is
+				// refused without being marked, so the clean copy still folds.
+				flipped := append([]byte(nil), good...)
+				flipped[40+round] ^= 1 << (round % 8)
+				shaped := func(other *csoutlier.Sketcher) []byte {
+					s := other.ZeroSketch()
+					copy(s.Y, delta.Y)
+					b, _ := s.MarshalBinary()
+					return b
+				}
+				for _, bad := range [][]byte{flipped, shaped(foreign[name]), shaped(wider[name])} {
+					push(bad, true, window)
+				}
+				checkWindows("after rejected payloads")
+			}
+			// Late frames land in the window they are tagged with.
+			tag := window - uint64(round%2)*(window-1)/2
+			push(good, false, tag)
+			decoded, err := sk.UnmarshalSketch(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := want.AddSketch(int(window-tag), decoded); err != nil {
+				t.Fatal(err)
+			}
+			total.Add(decoded)
+			checkWindows("after a fold")
+		}
+		if st := direct.Stats(); st.Applied != 24 || st.Rejected != 24 {
+			t.Fatalf("%s: direct applied %d rejected %d, want 24 and 24", name, st.Applied, st.Rejected)
+		}
+	}
+}
+
+// TestPushPathAllocs pins the steady state of the push path: a frame
+// pushed over loopback, folded and acked costs at most 2 allocations at
+// the client and 2 at the aggregator (measured: none at either).
+func TestPushPathAllocs(t *testing.T) {
+	sk := testSketcher(t, 256, 64, 5)
+	agg, addr := serveAgg(t, sk, AggregatorOptions{})
+	payload := uniformDelta(t, sk, 1)
+
+	seq := uint64(0)
+	req := pushRequest{Kind: pushDelta, Node: "direct", Epoch: 1, Window: 1, Folds: 1, Payload: payload}
+	if n := testing.AllocsPerRun(200, func() {
+		seq++
+		req.Seq = seq
+		if ack := agg.apply(req); !ack.Applied {
+			t.Fatalf("apply: %+v", ack)
+		}
+	}); n != 0 {
+		t.Errorf("fold from an encoded payload: %v allocs per frame, want 0", n)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := DialClient(ctx, addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seq = 0
+	push := func() {
+		seq++
+		if ack, err := c.PushDelta("leaf", 1, 1, seq, 1, payload); err != nil || !ack.Applied {
+			t.Fatalf("PushDelta %d: %+v, %v", seq, ack, err)
+		}
+	}
+	push() // buffers sized, node state created
+	// AllocsPerRun counts the whole process: the client's and the
+	// aggregator's allocations for the frame together.
+	if n := testing.AllocsPerRun(500, push); n > 2 {
+		t.Errorf("PushDelta→fold→ack over loopback: %v allocs per frame across client and aggregator, want ≤ 2", n)
+	}
+}

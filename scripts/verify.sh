@@ -2,11 +2,14 @@
 # Repo verification: everything CI runs, in one command.
 #
 #   scripts/verify.sh          # tier-1 + race + simulation smoke
-#   scripts/verify.sh -quick   # tier-1 only
+#   scripts/verify.sh -quick   # tier-1 (and the benchmark module) only
 #   scripts/verify.sh -bench   # tier-1 + 1-iteration benchmark smoke
 #
 # Tier-1 (build, vet, full test suite) is the floor every change must
-# clear; the race pass covers the concurrency-heavy transport/collector,
+# clear. benchmark/ is a module of its own, so tier-1's ./... never
+# compiles it: its vet + test stage runs in every mode, or drift in the
+# stream/tier API it drives is found only by the next benchmark run.
+# The race pass covers the concurrency-heavy transport/collector,
 # the streaming push service (internal/stream), AND the column-parallel
 # sensing kernels, blocked GEMM (internal/linalg), and batched recovery
 # engine (internal/recovery); the simulation smoke runs randomized
@@ -33,6 +36,9 @@ echo "== tier-1: build + vet + test =="
 go build ./...
 go vet ./...
 go test ./...
+
+echo "== benchmark module: vet + test (not part of ./...) =="
+(cd benchmark && go vet . && go test .)
 
 case "${1:-}" in
 -quick)
@@ -98,7 +104,7 @@ if [ -z "$url" ]; then
 	exit 1
 fi
 "$tmp/obscheck" -url "$url" -require \
-	stream_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_ingest_queue_depth,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,pointq_remote_queries_total,pointq_remote_keys_total,pointq_remote_errors_total,pointq_remote_seconds,recovery_solver_picks_total,recovery_solver_seconds
+	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_ingest_queue_depth,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,pointq_remote_queries_total,pointq_remote_keys_total,pointq_remote_errors_total,pointq_remote_seconds,recovery_solver_picks_total,recovery_solver_seconds
 "$tmp/obscheck" -url "${url%/metrics}/healthz" -health
 
 echo "== hierarchical metrics smoke: tier_*/shard_* on a live relay =="

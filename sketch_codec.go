@@ -29,12 +29,24 @@ var sketchMagic = [4]byte{'C', 'S', 'K', '2'}
 const sketchHeaderLen = 4 + 4 + 4 + 8 + 1 + 4
 const sketchTrailerLen = 4
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s Sketch) MarshalBinary() ([]byte, error) {
+// EncodedSketchLen returns the size in bytes of the binary encoding of
+// a sketch of m measurements — what a transport needs to bound a frame
+// before reading it.
+func EncodedSketchLen(m int) int { return sketchHeaderLen + 8*m + sketchTrailerLen }
+
+// AppendBinary appends the binary encoding of s to dst and returns the
+// extended slice; with cap(dst)-len(dst) ≥ EncodedSketchLen(M) it does
+// not allocate.
+func (s Sketch) AppendBinary(dst []byte) ([]byte, error) {
 	if s.m == 0 || len(s.Y) != s.m {
-		return nil, fmt.Errorf("csoutlier: cannot marshal zero-value or inconsistent sketch (m=%d, len=%d)", s.m, len(s.Y))
+		return dst, fmt.Errorf("csoutlier: cannot marshal zero-value or inconsistent sketch (m=%d, len=%d)", s.m, len(s.Y))
 	}
-	buf := make([]byte, sketchHeaderLen+8*s.m+sketchTrailerLen)
+	start, n := len(dst), EncodedSketchLen(s.m)
+	if cap(dst)-start < n {
+		dst = append(make([]byte, 0, start+n), dst...)
+	}
+	dst = dst[:start+n]
+	buf := dst[start:]
 	copy(buf[0:4], sketchMagic[:])
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(s.m))
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(s.n))
@@ -44,31 +56,87 @@ func (s Sketch) MarshalBinary() ([]byte, error) {
 	for i, v := range s.Y {
 		binary.LittleEndian.PutUint64(buf[sketchHeaderLen+8*i:], math.Float64bits(v))
 	}
-	sum := crc32.ChecksumIEEE(buf[:len(buf)-sketchTrailerLen])
-	binary.LittleEndian.PutUint32(buf[len(buf)-sketchTrailerLen:], sum)
-	return buf, nil
+	sum := crc32.ChecksumIEEE(buf[:n-sketchTrailerLen])
+	binary.LittleEndian.PutUint32(buf[n-sketchTrailerLen:], sum)
+	return dst, nil
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (s Sketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 // UnmarshalSketch decodes a sketch produced by MarshalBinary and
 // verifies both its integrity (checksum) and its compatibility with
 // this Sketcher's consensus parameters.
 func (s *Sketcher) UnmarshalSketch(data []byte) (Sketch, error) {
-	sk, err := decodeSketch(data)
+	out := s.emptySketch()
+	if err := s.UnmarshalSketchInto(data, out); err != nil {
+		return Sketch{}, err
+	}
+	return out, nil
+}
+
+// UnmarshalSketchInto is UnmarshalSketch into a caller-provided sketch
+// of this Sketcher (e.g. from ZeroSketch): zero allocation, and dst is
+// untouched when data is rejected.
+func (s *Sketcher) UnmarshalSketchInto(data []byte, dst Sketch) error {
+	sk, err := decodeSketchID(data)
 	if err != nil {
-		return Sketch{}, err
+		return err
 	}
-	if err := sk.compatible(s.emptySketch()); err != nil {
-		return Sketch{}, err
+	if err := sk.compatible(s.sketchID()); err != nil {
+		return err
 	}
-	return sk, nil
+	if err := dst.compatible(s.sketchID()); err != nil {
+		return err
+	}
+	readFloats(dst.Y, data)
+	return nil
+}
+
+// AddToBinary adds s into data, a binary-encoded sketch of the same
+// consensus, in place: afterwards data encodes (what it held) + s,
+// bit-for-bit what decoding it, Add(s) and re-encoding would produce.
+// data is untouched when it is rejected.
+func (s Sketch) AddToBinary(data []byte) error {
+	enc, err := decodeSketchID(data)
+	if err != nil {
+		return err
+	}
+	if err := enc.compatible(s); err != nil {
+		return err
+	}
+	if len(s.Y) != s.m {
+		return fmt.Errorf("csoutlier: inconsistent sketch (m=%d, len=%d)", s.m, len(s.Y))
+	}
+	body := data[sketchHeaderLen : len(data)-sketchTrailerLen]
+	for i, v := range s.Y {
+		cell := body[8*i : 8*i+8]
+		sum := math.Float64frombits(binary.LittleEndian.Uint64(cell)) + v
+		binary.LittleEndian.PutUint64(cell, math.Float64bits(sum))
+	}
+	sum := crc32.ChecksumIEEE(data[:len(data)-sketchTrailerLen])
+	binary.LittleEndian.PutUint32(data[len(data)-sketchTrailerLen:], sum)
+	return nil
 }
 
 // DecodeSketch decodes a sketch without a Sketcher, for transport
 // layers that only relay sketches. Compatibility is still enforced at
 // Add/Sub/Detect time.
-func DecodeSketch(data []byte) (Sketch, error) { return decodeSketch(data) }
+func DecodeSketch(data []byte) (Sketch, error) {
+	sk, err := decodeSketchID(data)
+	if err != nil {
+		return Sketch{}, err
+	}
+	sk.Y = make([]float64, sk.m)
+	readFloats(sk.Y, data)
+	return sk, nil
+}
 
-func decodeSketch(data []byte) (Sketch, error) {
+// decodeSketchID validates an encoded sketch — length, magic, checksum,
+// dimensions — and returns its consensus identity with no payload
+// (Y nil, no allocation). After it succeeds, data holds exactly m
+// floats at sketchHeaderLen.
+func decodeSketchID(data []byte) (Sketch, error) {
 	if len(data) < sketchHeaderLen+sketchTrailerLen {
 		return Sketch{}, fmt.Errorf("csoutlier: sketch payload too short (%d bytes)", len(data))
 	}
@@ -90,12 +158,17 @@ func decodeSketch(data []byte) (Sketch, error) {
 	if m <= 0 || n <= 0 {
 		return Sketch{}, fmt.Errorf("csoutlier: sketch header has non-positive dimensions (m=%d, n=%d)", m, n)
 	}
-	if want := sketchHeaderLen + 8*m + sketchTrailerLen; len(data) != want {
+	if want := EncodedSketchLen(m); len(data) != want {
 		return Sketch{}, fmt.Errorf("csoutlier: sketch payload is %d bytes, header says %d", len(data), want)
 	}
-	y := make([]float64, m)
+	return Sketch{m: m, n: n, seed: seed, ens: ens, d: d}, nil
+}
+
+// readFloats copies the len(y) payload floats of a validated encoded
+// sketch into y.
+func readFloats(y []float64, data []byte) {
+	body := data[sketchHeaderLen:]
 	for i := range y {
-		y[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[sketchHeaderLen+8*i:]))
+		y[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 	}
-	return Sketch{Y: y, m: m, n: n, seed: seed, ens: ens, d: d}, nil
 }

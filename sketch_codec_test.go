@@ -311,3 +311,178 @@ func TestSketchCodecProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// codecEnsembles is one small Sketcher per ensemble, for properties
+// that must hold whatever Φ is.
+func codecEnsembles(t *testing.T, seed uint64) map[string]*Sketcher {
+	t.Helper()
+	keys := testKeys(64)
+	out := make(map[string]*Sketcher)
+	for name, cfg := range map[string]Config{
+		"gaussian":    {M: 24, Seed: seed},
+		"sparse":      {M: 24, Seed: seed, Ensemble: SparseRademacher},
+		"srht":        {M: 24, Seed: seed, Ensemble: SRHT},
+		"countsketch": {M: 24, Seed: seed, Ensemble: CountSketch, Depth: 3},
+	} {
+		sk, err := NewSketcher(keys, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = sk
+	}
+	return out
+}
+
+func sketchOf(sk *Sketcher, vals []float64) Sketch {
+	s := sk.ZeroSketch()
+	copy(s.Y, vals)
+	return s
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property, every ensemble: the in-place entry points — AddEncoded,
+// UnmarshalSketchInto, AddToBinary — are Float64bits-identical to the
+// decode-then-operate paths they replace.
+func TestEncodedOpsMatchDecodeThenOperate(t *testing.T) {
+	for name, sk := range codecEnsembles(t, 9) {
+		check := func(base, delta, other [24]float64) bool {
+			data, err := sketchOf(sk, delta[:]).MarshalBinary()
+			if err != nil {
+				return false
+			}
+			decoded, err := sk.UnmarshalSketch(data)
+			if err != nil {
+				return false
+			}
+			into := sk.ZeroSketch()
+			if err := sk.UnmarshalSketchInto(data, into); err != nil || !bitsEqual(into.Y, decoded.Y) {
+				return false
+			}
+
+			fromWire, _ := sk.NewWindowStore(2)
+			viaSketch, _ := sk.NewWindowStore(2)
+			for _, ws := range []*WindowStore{fromWire, viaSketch} {
+				ws.Rotate()
+				if err := ws.AddSketch(1, sketchOf(sk, base[:])); err != nil {
+					return false
+				}
+			}
+			if err := fromWire.AddEncoded(1, data); err != nil {
+				return false
+			}
+			if err := viaSketch.AddSketch(1, decoded); err != nil {
+				return false
+			}
+			got, _ := fromWire.Window(1)
+			want, _ := viaSketch.Window(1)
+			if !bitsEqual(got.Y, want.Y) {
+				return false
+			}
+
+			add := sketchOf(sk, other[:])
+			if err := decoded.Add(add); err != nil {
+				return false
+			}
+			wantBytes, _ := decoded.MarshalBinary()
+			if err := add.AddToBinary(data); err != nil {
+				return false
+			}
+			return string(data) == string(wantBytes)
+		}
+		if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// A payload with a flipped bit, another seed or another M is rejected
+// by every in-place entry point with its target bit-for-bit unchanged.
+func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
+	keys := testKeys(64)
+	otherM, err := NewSketcher(keys, Config{M: 25, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sk := range codecEnsembles(t, 9) {
+		vals := make([]float64, sk.M())
+		for i := range vals {
+			vals[i] = float64(i) - 7.5
+		}
+		good, _ := sketchOf(sk, vals).MarshalBinary()
+		flipped := append([]byte(nil), good...)
+		flipped[sketchHeaderLen+11] ^= 0x10
+		wrongSeed, _ := sketchOf(codecEnsembles(t, 10)[name], vals).MarshalBinary()
+		wrongM, _ := sketchOf(otherM, append(vals, 1)).MarshalBinary()
+
+		ws, _ := sk.NewWindowStore(1)
+		if err := ws.AddEncoded(0, good); err != nil {
+			t.Fatalf("%s: good payload: %v", name, err)
+		}
+		before, _ := ws.Window(0)
+		dst := sketchOf(sk, vals)
+		for what, bad := range map[string][]byte{"flipped bit": flipped, "wrong seed": wrongSeed, "wrong M": wrongM, "truncated": good[:len(good)-1]} {
+			if err := ws.AddEncoded(0, bad); err == nil {
+				t.Fatalf("%s: AddEncoded accepted %s", name, what)
+			}
+			if err := sk.UnmarshalSketchInto(bad, dst); err == nil {
+				t.Fatalf("%s: UnmarshalSketchInto accepted %s", name, what)
+			}
+			target := append([]byte(nil), bad...)
+			if err := dst.AddToBinary(target); err == nil {
+				t.Fatalf("%s: AddToBinary accepted %s", name, what)
+			}
+			if string(target) != string(bad) {
+				t.Fatalf("%s: AddToBinary changed a rejected %s payload", name, what)
+			}
+		}
+		if err := ws.AddEncoded(1, good); err == nil {
+			t.Fatalf("%s: AddEncoded accepted an age outside the ring", name)
+		}
+		after, _ := ws.Window(0)
+		if !bitsEqual(after.Y, before.Y) {
+			t.Fatalf("%s: a rejected payload changed the window", name)
+		}
+		if !bitsEqual(dst.Y, vals) {
+			t.Fatalf("%s: a rejected payload changed UnmarshalSketchInto's destination", name)
+		}
+	}
+}
+
+// The push path's codec calls allocate nothing once their buffers exist.
+func TestEncodedOpsZeroAlloc(t *testing.T) {
+	sk := codecEnsembles(t, 9)["gaussian"]
+	s := sk.ZeroSketch()
+	for i := range s.Y {
+		s.Y[i] = float64(i)
+	}
+	buf := make([]byte, 0, EncodedSketchLen(sk.M()))
+	ws, _ := sk.NewWindowStore(1)
+	dst := sk.ZeroSketch()
+	for _, op := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"AppendBinary", func() (err error) { buf, err = s.AppendBinary(buf[:0]); return }},
+		{"AddEncoded", func() error { return ws.AddEncoded(0, buf) }},
+		{"UnmarshalSketchInto", func() error { return sk.UnmarshalSketchInto(buf, dst) }},
+		{"AddToBinary", func() error { return s.AddToBinary(buf) }},
+	} {
+		if err := op.fn(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { op.fn() }); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", op.name, n)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package csoutlier
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"csoutlier/internal/linalg"
@@ -114,6 +116,34 @@ func (w *WindowStore) AddSketch(age int, o Sketch) error {
 		return err
 	}
 	w.ring[w.slot(age)].Add(linalg.Vector(o.Y))
+	return nil
+}
+
+// AddEncoded is AddSketch straight from the binary codec: data is
+// validated exactly as UnmarshalSketch would (integrity, then
+// consensus identity) and its little-endian floats are added into the
+// window's ring slot with no intermediate Sketch — the streaming
+// aggregator folds delta frames from its read buffer this way. The
+// result is Float64bits-identical to UnmarshalSketch + AddSketch, and
+// the store is untouched when data or age is rejected.
+func (w *WindowStore) AddEncoded(age int, data []byte) error {
+	id, err := decodeSketchID(data)
+	if err != nil {
+		return err
+	}
+	if err := id.compatible(w.sk.sketchID()); err != nil {
+		return err
+	}
+	body := data[sketchHeaderLen:]
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.checkAge(age); err != nil {
+		return err
+	}
+	slot := w.ring[w.slot(age)]
+	for i := range slot {
+		slot[i] += math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
 	return nil
 }
 
