@@ -61,6 +61,13 @@ type LocalNode struct {
 	name string
 	mu   sync.RWMutex
 	x    linalg.Vector
+
+	// phi is the measurement matrix of the last spec a Sketch request
+	// carried, see matrix. One slot per node: nodes of one process share
+	// nothing, as nodes of a deployment cannot.
+	phiMu   sync.Mutex
+	phiSpec sensing.Spec
+	phi     sensing.Matrix
 }
 
 // NewLocalNode wraps a vectorized slice. The slice is NOT copied; use
@@ -72,9 +79,10 @@ func NewLocalNode(name string, x linalg.Vector) *LocalNode {
 // ID implements NodeAPI.
 func (n *LocalNode) ID() string { return n.name }
 
-// Sketch implements NodeAPI. The node regenerates Φ₀ from the consensus
-// spec; for the Gaussian family a small dense limit keeps node-side
-// memory at O(M)·small regardless of N.
+// Sketch implements NodeAPI. Between rounds the node holds Φ₀ for the
+// spec it served last, so a standing aggregator pays one y_l = Φ₀·x_l
+// per round and nothing else; Update cannot stale it, because Φ₀ is a
+// function of the spec alone.
 func (n *LocalNode) Sketch(ctx context.Context, spec sensing.Spec) (linalg.Vector, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -84,11 +92,33 @@ func (n *LocalNode) Sketch(ctx context.Context, spec sensing.Spec) (linalg.Vecto
 	if spec.N != len(n.x) {
 		return nil, fmt.Errorf("cluster: node %s holds N=%d, request says N=%d", n.name, len(n.x), spec.N)
 	}
-	m, err := sensing.New(spec, 1<<22)
+	m, err := n.matrix(spec)
 	if err != nil {
 		return nil, err
 	}
 	return m.Measure(n.x, nil), nil
+}
+
+// nodeDenseLimit is the largest M·N a node stores Gaussian Φ₀ for
+// (32 MB); above it columns are regenerated per measurement, so what a
+// node holds between rounds stays bounded whatever N is.
+const nodeDenseLimit = 1 << 22
+
+// matrix returns Φ₀ for spec: the held one when spec is the last one
+// served, a new one that replaces it otherwise. Building under the lock
+// makes concurrent first requests for one spec build it once.
+func (n *LocalNode) matrix(spec sensing.Spec) (sensing.Matrix, error) {
+	n.phiMu.Lock()
+	defer n.phiMu.Unlock()
+	if n.phi != nil && n.phiSpec == spec {
+		return n.phi, nil
+	}
+	m, err := sensing.New(spec, nodeDenseLimit)
+	if err != nil {
+		return nil, err
+	}
+	n.phiSpec, n.phi = spec, m
+	return m, nil
 }
 
 // FullVector implements NodeAPI.
