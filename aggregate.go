@@ -41,7 +41,7 @@ func (s *Sketcher) Aggregate(global Sketch, maxIters int) (*AggregateReport, err
 	for _, j := range res.Support {
 		rec.Values = append(rec.Values, res.X[j])
 	}
-	s.ws.Put(ws)
+	s.putWorkspace(ws)
 	if err := rec.Validate(); err != nil {
 		return nil, fmt.Errorf("csoutlier: internal recovery inconsistency: %w", err)
 	}

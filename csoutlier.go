@@ -290,11 +290,16 @@ type Sketcher struct {
 	// matrix directly (they stream columns and would thrash the cache).
 	recMat sensing.Matrix
 
-	// ws recycles recovery workspaces across Detect/Recover calls, so a
-	// standing query replaying BOMP on each refreshed sketch reuses all
-	// recovery scratch (QR factorization, correlation and residual
-	// buffers) instead of reallocating it per query.
-	ws sync.Pool
+	// wsHeld and ws recycle recovery workspaces across Detect/Recover
+	// calls, so a standing query replaying BOMP or AIHT on each refreshed
+	// sketch reuses all recovery scratch (QR factorization, correlation,
+	// residual and iterate buffers) instead of reallocating it per query.
+	// wsHeld is one strongly-held workspace in front of the pool: a pool
+	// is emptied by two GCs in a row, and a warmed Sketcher serving one
+	// query at a time must not re-grow ~2 MB of buffers whenever that
+	// happens. The pool takes the overflow of concurrent queries.
+	wsHeld atomic.Pointer[recovery.Workspace]
+	ws     sync.Pool
 
 	// colPool recycles M-length scratch vectors for column generation and
 	// sparse measurement across every Updater and WindowStore bound to
@@ -561,12 +566,24 @@ func (s *Sketcher) FromPayload(y []float64) (Sketch, error) {
 	return out, nil
 }
 
-// workspace checks a recovery workspace out of the pool.
+// workspace checks a recovery workspace out: the held one when no other
+// query has it, else one from the pool.
 func (s *Sketcher) workspace() *recovery.Workspace {
+	if ws := s.wsHeld.Swap(nil); ws != nil {
+		return ws
+	}
 	if ws, ok := s.ws.Get().(*recovery.Workspace); ok {
 		return ws
 	}
 	return recovery.NewWorkspace()
+}
+
+// putWorkspace returns a checked-out workspace, refilling the held slot
+// first.
+func (s *Sketcher) putWorkspace(ws *recovery.Workspace) {
+	if !s.wsHeld.CompareAndSwap(nil, ws) {
+		s.ws.Put(ws)
+	}
 }
 
 // sensingKind maps the public Ensemble onto the sensing-layer family
@@ -603,17 +620,19 @@ func (s *Sketcher) pickSolver(k, iters int, prevResidual float64, y []float64, w
 	})
 }
 
-// solveRouted answers one query with a non-default solver. The target
+// solveRouted answers one query with the picked solver. BOMP and AIHT
+// run in ws, and their Result aliases it until the caller has copied out
+// what it keeps; the other solvers allocate their own. The target
 // sparsity handed to the sparsity-targeted solvers is the query's
 // iteration budget — deliberately generous; their coefficient pruning
 // drops the unused slots, so overshooting costs time, never phantom
 // outliers. Warm Selection hints (from any solver) are honored where
 // the solver supports them.
-func (s *Sketcher) solveRouted(pick recovery.Solver, y []float64, iters int, warm []int) (*recovery.Result, error) {
+func (s *Sketcher) solveRouted(ws *recovery.Workspace, pick recovery.Solver, y []float64, iters int, warm []int) (*recovery.Result, error) {
 	v := linalg.Vector(y)
 	switch pick {
 	case recovery.SolverBOMP:
-		return recovery.BOMP(s.recMat, v, recovery.Options{MaxIterations: iters})
+		return ws.BOMP(s.recMat, v, recovery.Options{MaxIterations: iters})
 	case recovery.SolverOLS:
 		return recovery.BiasedOLS(s.recMat, v, recovery.Options{MaxIterations: iters})
 	case recovery.SolverCoSaMP:
@@ -621,7 +640,7 @@ func (s *Sketcher) solveRouted(pick recovery.Solver, y []float64, iters int, war
 	case recovery.SolverIHT:
 		return recovery.BiasedIHT(s.recMat, v, iters, recovery.Options{})
 	case recovery.SolverAIHT:
-		return recovery.BiasedAIHTWarm(s.recMat, v, iters, warm, recovery.Options{})
+		return ws.BiasedAIHTWarm(s.recMat, v, iters, warm, recovery.Options{})
 	case recovery.SolverBP:
 		return recovery.BiasedBP(s.recMat, v)
 	case recovery.SolverDantzig:
@@ -652,15 +671,9 @@ func (s *Sketcher) Detect(global Sketch, k int) (*Report, error) {
 	if m != nil {
 		start = time.Now()
 	}
-	var res *recovery.Result
-	var err error
-	var ws *recovery.Workspace
-	if pick == recovery.SolverBOMP {
-		ws = s.workspace()
-		res, err = ws.BOMP(s.recMat, global.Y, recovery.Options{MaxIterations: iters})
-	} else {
-		res, err = s.solveRouted(pick, global.Y, iters, nil)
-	}
+	ws := s.workspace()
+	defer s.putWorkspace(ws)
+	res, err := s.solveRouted(ws, pick, global.Y, iters, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -673,11 +686,7 @@ func (s *Sketcher) Detect(global Sketch, k int) (*Report, error) {
 		m.solverPicks.With(pick.String()).Inc()
 		m.solverSeconds.With(pick.String()).Observe(elapsed)
 	}
-	rep := s.reportFromResult(res, k, pick)
-	if ws != nil {
-		s.ws.Put(ws)
-	}
-	return rep, nil
+	return s.reportFromResult(res, k, pick), nil
 }
 
 // reportFromResult packages a recovery result into a Report, copying
@@ -773,7 +782,14 @@ func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 
 	results := make([]*recovery.Result, len(queries))
 	var stats recovery.BatchStats
-	wss := make([]*recovery.Workspace, len(bompIdx))
+	// One workspace per query, held until its report is built: results
+	// alias them.
+	wss := make([]*recovery.Workspace, len(bompIdx), len(queries))
+	defer func() {
+		for _, ws := range wss {
+			s.putWorkspace(ws)
+		}
+	}()
 	if len(bompIdx) > 0 {
 		items := make([]recovery.BatchItem, len(bompIdx))
 		for bi, i := range bompIdx {
@@ -783,9 +799,6 @@ func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 		}
 		sub, st, err := recovery.BOMPBatch(s.recMat, wss, items)
 		if err != nil {
-			for _, ws := range wss {
-				s.ws.Put(ws)
-			}
 			return nil, err
 		}
 		stats = st
@@ -808,11 +821,10 @@ func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 		if m != nil {
 			qStart = time.Now()
 		}
-		res, err := s.solveRouted(picks[i], queries[i].Global.Y, iterss[i], queries[i].Warm)
+		ws := s.workspace()
+		wss = append(wss, ws)
+		res, err := s.solveRouted(ws, picks[i], queries[i].Global.Y, iterss[i], queries[i].Warm)
 		if err != nil {
-			for _, ws := range wss {
-				s.ws.Put(ws)
-			}
 			return nil, fmt.Errorf("csoutlier: batch query %d (%v): %w", i, picks[i], err)
 		}
 		results[i] = res
@@ -829,9 +841,6 @@ func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 			m.residual.Set(res.Residual)
 			m.solverPicks.With(picks[i].String()).Inc()
 		}
-	}
-	for _, ws := range wss {
-		s.ws.Put(ws)
 	}
 	if m != nil {
 		m.batchSeconds.Observe(time.Since(start).Seconds())
@@ -859,6 +868,7 @@ func (s *Sketcher) Recover(global Sketch, maxIters int) (map[string]float64, flo
 		return nil, 0, err
 	}
 	ws := s.workspace()
+	defer s.putWorkspace(ws)
 	res, err := ws.BOMP(s.recMat, global.Y, recovery.Options{MaxIterations: maxIters})
 	if err != nil {
 		return nil, 0, err
@@ -867,9 +877,7 @@ func (s *Sketcher) Recover(global Sketch, maxIters int) (map[string]float64, flo
 	for _, j := range res.Support {
 		out[s.dict.Key(j)] = res.X[j]
 	}
-	mode := res.Mode
-	s.ws.Put(ws)
-	return out, mode, nil
+	return out, res.Mode, nil
 }
 
 // ExactOutliers answers the k-outlier query on uncompressed data — the

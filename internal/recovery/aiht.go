@@ -3,6 +3,7 @@ package recovery
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"csoutlier/internal/linalg"
@@ -27,14 +28,14 @@ import (
 // where BOMP pays 3s+1 QR-augmented greedy rounds. A final least-squares
 // debias on the recovered support makes exact-sparse instances exact.
 func AIHT(m sensing.Matrix, y linalg.Vector, s int, opt Options) (*Result, error) {
-	return aiht(m, y, s, opt, false, nil)
+	return NewWorkspace().AIHT(m, y, s, opt)
 }
 
 // BiasedAIHT runs AIHT over BOMP's extended dictionary [φ₀, Φ₀], so
 // data concentrated around an unknown bias is recovered the same way
 // BOMP does it, with the bias occupying one sparse slot.
 func BiasedAIHT(m sensing.Matrix, y linalg.Vector, s int, opt Options) (*Result, error) {
-	return aiht(m, y, s, opt, true, nil)
+	return NewWorkspace().BiasedAIHTWarm(m, y, s, nil, opt)
 }
 
 // BiasedAIHTWarm is BiasedAIHT seeded with a warm-start hint: the
@@ -45,10 +46,21 @@ func BiasedAIHT(m sensing.Matrix, y linalg.Vector, s int, opt Options) (*Result,
 // only costs extra iterations, never a wrong answer, because the
 // iteration corrects the support like a cold run.
 func BiasedAIHTWarm(m sensing.Matrix, y linalg.Vector, s int, warm []int, opt Options) (*Result, error) {
-	return aiht(m, y, s, opt, true, warm)
+	return NewWorkspace().BiasedAIHTWarm(m, y, s, warm, opt)
 }
 
-func aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool, warm []int) (*Result, error) {
+// AIHT is the workspace-backed form of the package-level AIHT.
+func (ws *Workspace) AIHT(m sensing.Matrix, y linalg.Vector, s int, opt Options) (*Result, error) {
+	return ws.aiht(m, y, s, opt, false, nil)
+}
+
+// BiasedAIHTWarm is the workspace-backed form of the package-level
+// BiasedAIHTWarm (and, with a nil hint, of BiasedAIHT).
+func (ws *Workspace) BiasedAIHTWarm(m sensing.Matrix, y linalg.Vector, s int, warm []int, opt Options) (*Result, error) {
+	return ws.aiht(m, y, s, opt, true, warm)
+}
+
+func (ws *Workspace) aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool, warm []int) (*Result, error) {
 	p := m.Params()
 	if len(y) != p.M {
 		return nil, fmt.Errorf("%w: len(y)=%d, M=%d", ErrDimension, len(y), p.M)
@@ -56,14 +68,17 @@ func aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool, wa
 	if s < 1 {
 		return nil, fmt.Errorf("recovery: AIHT needs target sparsity >= 1, got %d", s)
 	}
-	var d dictionary
+	var d sparseImager
 	size := p.N
 	if biased {
-		d = &biasedDict{m: m, phi0: m.ExtensionColumn(nil)}
+		ws.phi0 = m.ExtensionColumn(ws.phi0)
+		ws.bd.m, ws.bd.phi0 = m, ws.phi0
+		d = &ws.bd
 		s++ // bias slot
 		size = p.N + 1
 	} else {
-		d = &plainDict{m: m}
+		ws.pd = plainDict{m: m}
+		d = &ws.pd
 	}
 	if s > size {
 		s = size
@@ -74,56 +89,52 @@ func aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool, wa
 	}
 	yNorm := y.Norm2()
 	if yNorm == 0 {
-		return &Result{X: make(linalg.Vector, p.N)}, nil
+		ws.res = Result{X: assembleInto(ws.x, p.N, 0, nil, nil)}
+		ws.x = ws.res.X
+		return &ws.res, nil
 	}
 	tol := opt.residualTol() * yNorm
 
-	x := make(linalg.Vector, size)
-	residual := y.Clone()
-	grad := make(linalg.Vector, size)
-	cand := make(linalg.Vector, size)
-	step := make(linalg.Vector, size)
-	colBuf := make(linalg.Vector, p.M)
-	gImg := make(linalg.Vector, p.M)
-	diffImg := make(linalg.Vector, p.M)
+	ws.iter = ensureVec(ws.iter, size)
+	x := ws.iter
+	x.Fill(0)
+	ws.residual = ensureVec(ws.residual, p.M)
+	residual := ws.residual
+	copy(residual, y)
+	ws.cand = ensureVec(ws.cand, size)
+	ws.step = ensureVec(ws.step, size)
+	cand, step := ws.cand, ws.step
 
 	// Warm start: least-squares on the hinted extended-dictionary
 	// support. A useful hint lands the iterate next to the solution;
 	// any other hint is just a different starting point.
 	if len(warm) > 0 {
-		if sup := validWarmSupport(warm, size, s); len(sup) > 0 {
-			qr := linalg.NewIncrementalQR(p.M)
-			qr.SetTarget(y)
-			var kept []int
-			for _, j := range sup {
-				colBuf = d.col(j, colBuf)
-				if _, err := qr.Append(colBuf); err != nil {
-					continue
+		ws.script = validWarmSupport(ws.script, &ws.masked, warm, size, s)
+		if len(ws.script) > 0 {
+			if kept, z, err := ws.leastSquares(d, y, ws.script); err == nil && len(kept) > 0 {
+				for i, j := range kept {
+					x[j] = z[i]
 				}
-				kept = append(kept, j)
-			}
-			if len(kept) > 0 {
-				if z, err := qr.Solve(); err == nil {
-					for i, j := range kept {
-						x[j] = z[i]
-					}
-					residual = applyResidual(d, y, x, colBuf)
-				}
+				residual = ws.sp.applyResidual(d, y, x, residual)
 			}
 		}
 	}
 
 	// Current support τ: where x is nonzero, or the s strongest proxy
 	// entries while the iterate is still zero (snippet-2 initialization).
-	support := nonzeroIndices(x)
+	support := nonzeroIndices(ws.tau, x)
+	spare := ws.tauNext
+	// The two support buffers trade places on every accepted step; hand
+	// both back whichever way the run leaves them.
+	defer func() { ws.tau, ws.tauNext = support, spare }()
 	prevNorm := residual.Norm2()
 	if ft := warmFastTol(tol, yNorm); ft > 0 && prevNorm <= ft && len(support) > 0 {
 		// Warm hint already explains the measurement to tolerance.
-		return finishAIHT(d, p, y, yNorm, x, 0, false, nil, opt, biased)
+		return ws.finishAIHT(d, p, y, yNorm, support, 0, false, nil, biased)
 	}
 	if len(support) == 0 {
-		grad = d.correlate(y, grad)
-		support = topAbsIndices(grad, s)
+		ws.corr = d.correlate(y, ws.corr)
+		support = ws.sp.topAbsIndices(support, ws.corr, s)
 	}
 	prevNorm = residual.Norm2()
 
@@ -133,7 +144,8 @@ func aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool, wa
 	var trace []float64
 	for t := 0; t < maxIter; t++ {
 		iters = t + 1
-		grad = d.correlate(residual, grad)
+		ws.corr = d.correlate(residual, ws.corr)
+		grad := ws.corr
 
 		// Adaptive step on the current support: μ = ‖g_τ‖²/‖Φ g_τ‖².
 		num := 0.0
@@ -147,8 +159,8 @@ func aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool, wa
 			// orthogonal to every selected column — converged.
 			break
 		}
-		gImg = sparseImage(d, step, support, colBuf, gImg)
-		den := gImg.Dot(gImg)
+		ws.gImg = ws.sp.sparseImage(d, step, support, ws.gImg)
+		den := ws.gImg.Dot(ws.gImg)
 		if den == 0 {
 			break
 		}
@@ -166,12 +178,11 @@ func aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool, wa
 			for i := range cand {
 				cand[i] = x[i] + mu*grad[i]
 			}
-			hardThreshold(cand, s)
-			newSupport := nonzeroIndices(cand)
-			if intsEqual(newSupport, support) {
-				support = newSupport
+			ws.sp.hardThreshold(cand, s)
+			spare = nonzeroIndices(spare, cand)
+			if intsEqual(spare, support) {
 				accepted = true
-				applied, appliedScale = gImg, mu
+				applied, appliedScale = ws.gImg, mu
 				break
 			}
 			// Support moved: accept only a provably stable step.
@@ -179,16 +190,16 @@ func aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool, wa
 				step[i] = cand[i] - x[i]
 			}
 			diffNorm2 := step.Dot(step)
-			diffImg = sparseImage(d, step, nil, colBuf, diffImg)
-			imgNorm2 := diffImg.Dot(diffImg)
+			ws.diffImg = ws.sp.sparseImage(d, step, nil, ws.diffImg)
+			imgNorm2 := ws.diffImg.Dot(ws.diffImg)
 			if imgNorm2 == 0 {
 				break
 			}
 			omega := (1 - c) * diffNorm2 / imgNorm2
 			if mu <= omega {
-				support = newSupport
+				support, spare = spare, support
 				accepted = true
-				applied, appliedScale = diffImg, 1
+				applied, appliedScale = ws.diffImg, 1
 				break
 			}
 			mu /= 2
@@ -213,17 +224,19 @@ func aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool, wa
 		prevNorm = norm
 	}
 
-	return finishAIHT(d, p, y, yNorm, x, iters, stalled, trace, opt, biased)
+	spare = nonzeroIndices(spare, x)
+	return ws.finishAIHT(d, p, y, yNorm, spare, iters, stalled, trace, biased)
 }
 
-// finishAIHT debiases the final iterate and maps it into a Result.
-func finishAIHT(d dictionary, p sensing.Params, y linalg.Vector, yNorm float64,
-	x linalg.Vector, iters int, stalled bool, trace []float64, opt Options, biased bool) (*Result, error) {
-	kept, coef, resNorm, err := debiasPruned(d, y, yNorm, nonzeroIndices(x), p.M)
+// finishAIHT debiases the final iterate's support and maps it into the
+// workspace's Result.
+func (ws *Workspace) finishAIHT(d dictionary, p sensing.Params, y linalg.Vector, yNorm float64,
+	support []int, iters int, stalled bool, trace []float64, biased bool) (*Result, error) {
+	kept, coef, resNorm, err := ws.debiasPruned(d, y, yNorm, support)
 	if err != nil {
 		return nil, err
 	}
-	res := extendedResult(p.N, kept, coef, biased)
+	res := ws.extendedResult(p.N, kept, coef, biased)
 	res.Iterations = iters
 	res.StoppedEarly = stalled
 	res.ResidualTrace = trace
@@ -231,65 +244,54 @@ func finishAIHT(d dictionary, p sensing.Params, y linalg.Vector, yNorm float64,
 	return res, nil
 }
 
-// sparseImage computes Φ·v for a vector supported on the given indices
-// (nil = derive from nonzeros) — through the ensemble's fused
-// MeasureSparse kernel when the dictionary supports it, by column
-// accumulation into dst otherwise.
-func sparseImage(d dictionary, v linalg.Vector, support []int, colBuf, dst linalg.Vector) linalg.Vector {
-	if si, ok := d.(sparseImager); ok {
-		idx := support
-		if idx == nil {
-			for j, val := range v {
-				if val != 0 {
-					idx = append(idx, j)
-				}
-			}
-		}
-		vals := make([]float64, len(idx))
-		for k, j := range idx {
-			vals[k] = v[j]
-		}
-		return si.image(idx, vals, dst)
-	}
-	dst = ensureVec(dst, len(colBuf))
-	dst.Fill(0)
-	if support == nil {
-		for j, val := range v {
-			if val == 0 {
-				continue
-			}
-			colBuf = d.col(j, colBuf)
-			dst.AddScaled(val, colBuf)
-		}
-		return dst
-	}
-	for _, j := range support {
-		if v[j] == 0 {
-			continue
-		}
-		colBuf = d.col(j, colBuf)
-		dst.AddScaled(v[j], colBuf)
-	}
-	return dst
+// thresholdScratch is the scratch the hard-thresholding family (IHT,
+// AIHT) works in: a Workspace owns one, a one-shot caller declares one.
+type thresholdScratch struct {
+	work linalg.Vector // |v|, partially reordered by kthLargest
+	idx  []int         // sparse image: where v is nonzero
+	vals []float64     // sparse image: v there
+	img  linalg.Vector // applyResidual's Φ·x
 }
 
-// validWarmSupport sanitizes a warm Selection hint: in-range extended
-// indices, deduplicated, first s kept (hints are emitted energy-first).
-func validWarmSupport(warm []int, size, s int) []int {
-	seen := make(map[int]bool, len(warm))
-	var out []int
+// sparseImage computes Φ·v into dst for a vector supported on the given
+// indices (nil = derive from nonzeros) through the ensemble's fused
+// MeasureSparse kernel.
+func (sc *thresholdScratch) sparseImage(d sparseImager, v linalg.Vector, support []int, dst linalg.Vector) linalg.Vector {
+	idx := support
+	if idx == nil {
+		sc.idx = sc.idx[:0]
+		for j, val := range v {
+			if val != 0 {
+				sc.idx = append(sc.idx, j)
+			}
+		}
+		idx = sc.idx
+	}
+	sc.vals = sc.vals[:0]
+	for _, j := range idx {
+		sc.vals = append(sc.vals, v[j])
+	}
+	return d.image(idx, sc.vals, dst)
+}
+
+// validWarmSupport sanitizes a warm Selection hint into dst: in-range
+// extended indices, deduplicated through seen, first s kept (hints are
+// emitted energy-first), sorted.
+func validWarmSupport(dst []int, seen *bitset, warm []int, size, s int) []int {
+	seen.reset(size)
+	dst = dst[:0]
 	for _, j := range warm {
-		if j < 0 || j >= size || seen[j] {
+		if j < 0 || j >= size || seen.has(j) {
 			continue
 		}
-		seen[j] = true
-		out = append(out, j)
-		if len(out) == s {
+		seen.set(j)
+		dst = append(dst, j)
+		if len(dst) == s {
 			break
 		}
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(dst)
+	return dst
 }
 
 // coefPruneFrac is the relative coefficient floor used when debiasing a
@@ -320,104 +322,139 @@ func warmFastTol(tol, yNorm float64) float64 {
 	return tol
 }
 
+// leastSquares solves min ‖y − Φ_sup·z‖ over the given (extended)
+// support in the workspace's QR, skipping numerically dependent columns.
+// kept and z alias workspace storage; kept is empty when no column of
+// sup was usable.
+func (ws *Workspace) leastSquares(d dictionary, y linalg.Vector, sup []int) (kept []int, z linalg.Vector, err error) {
+	if ws.qr == nil {
+		ws.qr = linalg.NewIncrementalQR(len(y))
+	} else {
+		ws.qr.Reset(len(y))
+	}
+	ws.qr.SetTarget(y)
+	ws.selected = ws.selected[:0]
+	for _, j := range sup {
+		ws.colBuf = d.col(j, ws.colBuf)
+		if _, err := ws.qr.Append(ws.colBuf); err != nil {
+			continue
+		}
+		ws.selected = append(ws.selected, j)
+	}
+	if len(ws.selected) == 0 {
+		return nil, nil, nil
+	}
+	z, err = ws.qr.SolveInto(ws.coef)
+	if err != nil {
+		return nil, nil, err
+	}
+	ws.coef = z
+	return ws.selected, z, nil
+}
+
 // debiasPruned least-squares-solves y over the given (extended) support,
 // drops coefficients below coefPruneFrac·‖y‖, and re-solves over the
 // survivors so the reported coefficients and residual are exact for the
-// pruned support. Numerically dependent columns are skipped.
-func debiasPruned(d dictionary, y linalg.Vector, yNorm float64, support []int, m int) (kept []int, coef []float64, resNorm float64, err error) {
-	resNorm = yNorm
+// pruned support. kept and coef alias workspace storage.
+func (ws *Workspace) debiasPruned(d dictionary, y linalg.Vector, yNorm float64, support []int) (kept []int, coef []float64, resNorm float64, err error) {
 	if len(support) == 0 {
-		return nil, nil, resNorm, nil
+		return nil, nil, yNorm, nil
 	}
-	colBuf := make(linalg.Vector, m)
-	solve := func(sup []int) ([]int, []float64, float64, error) {
-		qr := linalg.NewIncrementalQR(m)
-		qr.SetTarget(y)
-		var ks []int
-		for _, j := range sup {
-			colBuf = d.col(j, colBuf)
-			if _, err := qr.Append(colBuf); err != nil {
-				continue
-			}
-			ks = append(ks, j)
-		}
-		if len(ks) == 0 {
-			return nil, nil, yNorm, nil
-		}
-		z, err := qr.Solve()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return ks, append([]float64(nil), z...), qr.ResidualNorm(), nil
-	}
-	kept, coef, resNorm, err = solve(support)
+	kept, coef, err = ws.leastSquares(d, y, support)
 	if err != nil || len(kept) == 0 {
 		return nil, nil, yNorm, err
 	}
 	floor := coefPruneFrac * yNorm
-	var pruned []int
+	ws.pruned = ws.pruned[:0]
 	for i, j := range kept {
 		if math.Abs(coef[i]) > floor {
-			pruned = append(pruned, j)
+			ws.pruned = append(ws.pruned, j)
 		}
 	}
-	if len(pruned) == len(kept) {
-		return kept, coef, resNorm, nil
+	if len(ws.pruned) == len(kept) {
+		return kept, coef, ws.qr.ResidualNorm(), nil
 	}
-	if len(pruned) == 0 {
+	if len(ws.pruned) == 0 {
 		return nil, nil, yNorm, nil
 	}
-	return solve(pruned)
+	kept, coef, err = ws.leastSquares(d, y, ws.pruned)
+	if err != nil || len(kept) == 0 {
+		return nil, nil, yNorm, err
+	}
+	return kept, coef, ws.qr.ResidualNorm(), nil
+}
+
+// debiasPruned is the one-shot form for solvers that run outside a
+// Workspace.
+func debiasPruned(d dictionary, y linalg.Vector, yNorm float64, support []int) ([]int, []float64, float64, error) {
+	return NewWorkspace().debiasPruned(d, y, yNorm, support)
+}
+
+// extItem is one extended-dictionary (column, coefficient) pair.
+type extItem struct {
+	j int
+	c float64
 }
 
 // extendedResult maps an extended-dictionary (support, coef) solution
-// into a Result: the bias column becomes Mode, data columns shift down
-// by one, Support/Coef are ordered by |coef| descending (the energy
-// order BOMP's greedy selection produces naturally), and Selection
-// carries the extended indices in the same order so any solver can warm
-// the next generation's run — including a BOMP one.
-func extendedResult(n int, kept []int, coef []float64, biased bool) *Result {
-	type jc struct {
-		j int
-		c float64
-	}
-	items := make([]jc, 0, len(kept))
+// into the workspace's Result: the bias column becomes Mode, data
+// columns shift down by one, Support/Coef are ordered by |coef|
+// descending (the energy order BOMP's greedy selection produces
+// naturally), and Selection carries the extended indices in the same
+// order so any solver can warm the next generation's run — including a
+// BOMP one.
+func (ws *Workspace) extendedResult(n int, kept []int, coef []float64, biased bool) *Result {
+	ws.items = ws.items[:0]
 	mode := 0.0
-	var selection []int
 	if biased {
 		for i, j := range kept {
 			if j == 0 {
 				mode = coef[i] / math.Sqrt(float64(n))
 				continue
 			}
-			items = append(items, jc{j, coef[i]})
+			ws.items = append(ws.items, extItem{j, coef[i]})
 		}
 	} else {
 		for i, j := range kept {
-			items = append(items, jc{j + 1, coef[i]})
+			ws.items = append(ws.items, extItem{j + 1, coef[i]})
 		}
 	}
-	sort.Slice(items, func(a, b int) bool {
-		da, db := math.Abs(items[a].c), math.Abs(items[b].c)
-		if da != db {
-			return da > db
+	// Columns are distinct, so the order is total and any sort agrees.
+	slices.SortFunc(ws.items, func(a, b extItem) int {
+		switch da, db := math.Abs(a.c), math.Abs(b.c); {
+		case da > db:
+			return -1
+		case da < db:
+			return 1
 		}
-		return items[a].j < items[b].j
+		return a.j - b.j
 	})
-	res := &Result{Mode: mode}
+	ws.selOut, ws.support, ws.coefOut = ws.selOut[:0], ws.support[:0], ws.coefOut[:0]
 	if biased && mode != 0 {
-		selection = append(selection, 0)
+		ws.selOut = append(ws.selOut, 0)
 	}
-	for _, it := range items {
-		res.Support = append(res.Support, it.j-1)
-		res.Coef = append(res.Coef, it.c)
-		selection = append(selection, it.j)
+	for _, it := range ws.items {
+		ws.support = append(ws.support, it.j-1)
+		ws.coefOut = append(ws.coefOut, it.c)
+		ws.selOut = append(ws.selOut, it.j)
 	}
-	if biased {
-		res.Selection = selection
+	res := &ws.res
+	*res = Result{Mode: mode}
+	if len(ws.items) > 0 {
+		res.Support, res.Coef = ws.support, ws.coefOut
 	}
-	res.X = assemble(n, mode, res.Support, res.Coef)
+	if biased && len(ws.selOut) > 0 {
+		res.Selection = ws.selOut
+	}
+	ws.x = assembleInto(ws.x, n, mode, res.Support, res.Coef)
+	res.X = ws.x
 	return res
+}
+
+// extendedResult is the one-shot form for solvers that run outside a
+// Workspace.
+func extendedResult(n int, kept []int, coef []float64, biased bool) *Result {
+	return NewWorkspace().extendedResult(n, kept, coef, biased)
 }
 
 // intsEqual reports whether two sorted index slices are identical.

@@ -118,7 +118,7 @@ func bpLP(d dictionary, p sensing.Params, y, yUnit linalg.Vector, yNorm float64,
 	// Debias: the LP meets the equality constraint only to simplex
 	// tolerance; a least-squares polish on its support makes exact-sparse
 	// instances exact and fills in Mode/Selection for the biased variant.
-	kept, coef, resNorm, err := debiasPruned(d, y, yNorm, support, p.M)
+	kept, coef, resNorm, err := debiasPruned(d, y, yNorm, support)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +227,7 @@ func bpADMM(d dictionary, p sensing.Params, y, yUnit linalg.Vector, yNorm float6
 				}
 			}
 			if len(sup) > 0 && len(sup) <= supCap {
-				kept, coef, resNorm, err := debiasPruned(d, y, yNorm, sup, p.M)
+				kept, coef, resNorm, err := debiasPruned(d, y, yNorm, sup)
 				if err == nil && len(kept) > 0 && resNorm <= accept {
 					res := extendedResult(p.N, kept, coef, biased)
 					res.Iterations = iters
@@ -299,7 +299,7 @@ func bpADMM(d dictionary, p sensing.Params, y, yUnit linalg.Vector, yNorm float6
 		}
 	}
 
-	kept, coef, finalNorm, err := debiasPruned(d, y, yNorm, sortedIdxCopy(support), p.M)
+	kept, coef, finalNorm, err := debiasPruned(d, y, yNorm, sortedIdxCopy(support))
 	if err != nil {
 		return nil, err
 	}

@@ -152,7 +152,7 @@ func cosamp(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool) 
 	// exceeds the true one, CoSaMP fills the spare slots with junk
 	// columns whose least-squares coefficients sit at float-noise level —
 	// without the prune they would surface as phantom outliers.
-	kept, coefOut, resNorm, err := debiasPruned(d, y, yNorm, support, p.M)
+	kept, coefOut, resNorm, err := debiasPruned(d, y, yNorm, support)
 	if err != nil {
 		return nil, err
 	}
@@ -162,17 +162,24 @@ func cosamp(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool) 
 	return res, nil
 }
 
-// topAbsIndices returns the indices of the k largest |v| entries.
+// topAbsIndices returns the indices of the k largest |v| entries,
+// ascending.
 func topAbsIndices(v linalg.Vector, k int) []int {
+	var sc thresholdScratch
+	return sc.topAbsIndices(nil, v, k)
+}
+
+// topAbsIndices is the package-level topAbsIndices collecting into dst.
+func (sc *thresholdScratch) topAbsIndices(dst []int, v linalg.Vector, k int) []int {
+	dst = dst[:0]
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	if k >= len(v) {
-		out := make([]int, len(v))
-		for i := range out {
-			out[i] = i
+		for i := range v {
+			dst = append(dst, i)
 		}
-		return out
+		return dst
 	}
 	// O(N) threshold by quickselect, then two gather passes: everything
 	// strictly above the k-th largest magnitude, and ties in ascending
@@ -180,29 +187,24 @@ func topAbsIndices(v linalg.Vector, k int) []int {
 	// magnitude-descending sort with index tie-breaks selects, without
 	// the O(N log N) comparator-closure sort (the IHT family calls this
 	// on every step proposal, where the sort dominated the profile).
-	work := make([]float64, len(v))
-	for i, x := range v {
-		work[i] = math.Abs(x)
-	}
-	th := kthLargest(work, k)
-	out := make([]int, 0, k)
+	th := sc.kthLargestAbs(v, k)
 	for i, x := range v {
 		if math.Abs(x) > th {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	need := k - len(out)
+	need := k - len(dst)
 	for i, x := range v {
 		if need == 0 {
 			break
 		}
 		if math.Abs(x) == th {
-			out = append(out, i)
+			dst = append(dst, i)
 			need--
 		}
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(dst)
+	return dst
 }
 
 // kthLargest returns the k-th largest value of a (1 ≤ k ≤ len(a)),

@@ -94,8 +94,8 @@ func dantzig(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool,
 	// contract), and with them this shortcut.
 	fastTol := warmFastTol(tol, yNorm)
 	if len(warm) > 0 && fastTol > 0 {
-		if sup := validWarmSupport(warm, size, s); len(sup) > 0 {
-			kept, coef, resNorm, err := debiasPruned(d, y, yNorm, sup, p.M)
+		if sup := validWarmSupport(nil, new(bitset), warm, size, s); len(sup) > 0 {
+			kept, coef, resNorm, err := debiasPruned(d, y, yNorm, sup)
 			if err == nil && len(kept) > 0 && resNorm <= fastTol {
 				res := extendedResult(p.N, kept, coef, biased)
 				res.Residual = resNorm
@@ -273,7 +273,7 @@ func dantzig(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool,
 		}
 	}
 
-	kept, coef, finalNorm, err := debiasPruned(d, y, yNorm, sortedIdxCopy(support), p.M)
+	kept, coef, finalNorm, err := debiasPruned(d, y, yNorm, sortedIdxCopy(support))
 	if err != nil {
 		return nil, err
 	}

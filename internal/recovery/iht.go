@@ -3,7 +3,6 @@ package recovery
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/sensing"
@@ -43,7 +42,7 @@ func iht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool) (*R
 	if s < 1 {
 		return nil, fmt.Errorf("recovery: IHT needs target sparsity >= 1, got %d", s)
 	}
-	var d dictionary
+	var d sparseImager
 	size := p.N
 	if biased {
 		d = &biasedDict{m: m, phi0: m.ExtensionColumn(nil)}
@@ -66,7 +65,8 @@ func iht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool) (*R
 	residual := y.Clone()          // y − Φx
 	grad := make(linalg.Vector, size)
 	prox := make(linalg.Vector, size)
-	colBuf := make(linalg.Vector, p.M)
+	candRes := make(linalg.Vector, p.M)
+	var sc thresholdScratch
 	prevNorm := math.Inf(1)
 	iters := 0
 	stalled := false
@@ -86,11 +86,11 @@ func iht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool) (*R
 			for i := range prox {
 				prox[i] = x[i] + mu*grad[i]
 			}
-			hardThreshold(prox, s)
-			candRes := applyResidual(d, y, prox, colBuf)
+			sc.hardThreshold(prox, s)
+			candRes = sc.applyResidual(d, y, prox, candRes)
 			if cn := candRes.Norm2(); cn <= prevNorm {
 				copy(x, prox)
-				residual = candRes
+				residual, candRes = candRes, residual
 				norm = cn
 				accepted = true
 				break
@@ -121,7 +121,7 @@ func iht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool) (*R
 	// Debias: least squares on the final support (standard IHT polish)
 	// with coefficient pruning, so exact-sparse instances recover exactly
 	// and spare sparsity slots don't surface as phantom outliers.
-	kept, coef, resNorm, err := debiasPruned(d, y, yNorm, nonzeroIndices(x), p.M)
+	kept, coef, resNorm, err := debiasPruned(d, y, yNorm, nonzeroIndices(nil, x))
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +134,7 @@ func iht(m sensing.Matrix, y linalg.Vector, s int, opt Options, biased bool) (*R
 }
 
 // hardThreshold zeroes all but the s largest-magnitude entries in place.
-func hardThreshold(v linalg.Vector, s int) {
+func (sc *thresholdScratch) hardThreshold(v linalg.Vector, s int) {
 	if s >= len(v) {
 		return
 	}
@@ -142,11 +142,7 @@ func hardThreshold(v linalg.Vector, s int) {
 	// largest magnitude plus lowest-index ties — zeroed in place without
 	// the index sort or a map (this runs on every IHT/AIHT step
 	// proposal, including each backtracking halving).
-	work := make([]float64, len(v))
-	for i, x := range v {
-		work[i] = math.Abs(x)
-	}
-	th := kthLargest(work, s)
+	th := sc.kthLargestAbs(v, s)
 	above := 0
 	for _, x := range v {
 		if math.Abs(x) > th {
@@ -167,44 +163,32 @@ func hardThreshold(v linalg.Vector, s int) {
 	}
 }
 
-// applyResidual computes y − Φ·x for a sparse iterate x — one fused
-// sparse measurement when the dictionary supports it (colBuf doubles as
-// the image buffer), column accumulation otherwise (cost: nnz(x)·M).
-func applyResidual(d dictionary, y, x, colBuf linalg.Vector) linalg.Vector {
-	if si, ok := d.(sparseImager); ok {
-		var idx []int
-		for j, v := range x {
-			if v != 0 {
-				idx = append(idx, j)
-			}
-		}
-		vals := make([]float64, len(idx))
-		for k, j := range idx {
-			vals[k] = x[j]
-		}
-		img := si.image(idx, vals, colBuf)
-		r := y.Clone()
-		r.AddScaled(-1, img)
-		return r
+// kthLargestAbs returns the k-th largest |v| entry (1 ≤ k ≤ len(v)).
+func (sc *thresholdScratch) kthLargestAbs(v linalg.Vector, k int) float64 {
+	sc.work = ensureVec(sc.work, len(v))
+	for i, x := range v {
+		sc.work[i] = math.Abs(x)
 	}
-	r := y.Clone()
-	for j, v := range x {
-		if v == 0 {
-			continue
-		}
-		colBuf = d.col(j, colBuf)
-		r.AddScaled(-v, colBuf)
-	}
-	return r
+	return kthLargest(sc.work, k)
 }
 
-func nonzeroIndices(v linalg.Vector) []int {
-	var out []int
+// applyResidual computes y − Φ·x into dst for a sparse iterate x, by one
+// fused sparse measurement.
+func (sc *thresholdScratch) applyResidual(d sparseImager, y, x, dst linalg.Vector) linalg.Vector {
+	sc.img = sc.sparseImage(d, x, nil, sc.img)
+	dst = ensureVec(dst, len(y))
+	copy(dst, y)
+	dst.AddScaled(-1, sc.img)
+	return dst
+}
+
+// nonzeroIndices collects into dst, ascending, where v is nonzero.
+func nonzeroIndices(dst []int, v linalg.Vector) []int {
+	dst = dst[:0]
 	for i, x := range v {
 		if x != 0 {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	sort.Ints(out)
-	return out
+	return dst
 }

@@ -98,20 +98,21 @@ func TestIHTValidation(t *testing.T) {
 }
 
 func TestHardThreshold(t *testing.T) {
+	var sc thresholdScratch
 	v := linalg.Vector{5, -9, 2, 0, 7}
-	hardThreshold(v, 2)
+	sc.hardThreshold(v, 2)
 	if v[0] != 0 || v[1] != -9 || v[2] != 0 || v[4] != 7 {
 		t.Fatalf("hardThreshold = %v", v)
 	}
 	w := linalg.Vector{1, 2}
-	hardThreshold(w, 5)
+	sc.hardThreshold(w, 5)
 	if w[0] != 1 || w[1] != 2 {
 		t.Fatal("s >= len must be identity")
 	}
 }
 
 func TestNonzeroIndices(t *testing.T) {
-	got := nonzeroIndices(linalg.Vector{0, 3, 0, -1})
+	got := nonzeroIndices([]int{7, 7, 7}, linalg.Vector{0, 3, 0, -1})
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("nonzeroIndices = %v", got)
 	}

@@ -209,6 +209,10 @@ func (d *plainDict) image(idx []int, vals []float64, dst linalg.Vector) linalg.V
 type biasedDict struct {
 	m    sensing.Matrix
 	phi0 linalg.Vector
+
+	// image's split of its input into the data columns, kept across calls.
+	dataIdx  []int
+	dataVals []float64
 }
 
 func (d *biasedDict) size() int { return d.m.Params().N + 1 }
@@ -236,28 +240,29 @@ func (d *biasedDict) correlate(r, dst linalg.Vector) linalg.Vector {
 
 func (d *biasedDict) image(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
 	c0 := 0.0
-	dataIdx := make([]int, 0, len(idx))
-	dataVals := make([]float64, 0, len(idx))
+	d.dataIdx, d.dataVals = d.dataIdx[:0], d.dataVals[:0]
 	for k, j := range idx {
 		if j == 0 {
 			c0 += vals[k]
 			continue
 		}
-		dataIdx = append(dataIdx, j-1)
-		dataVals = append(dataVals, vals[k])
+		d.dataIdx = append(d.dataIdx, j-1)
+		d.dataVals = append(d.dataVals, vals[k])
 	}
-	dst = d.m.MeasureSparse(dataIdx, dataVals, dst)
+	dst = d.m.MeasureSparse(d.dataIdx, d.dataVals, dst)
 	if c0 != 0 {
 		dst.AddScaled(c0, d.phi0)
 	}
 	return dst
 }
 
-// sparseImager is implemented by dictionaries that can compute Φ·v for
-// a sparse v through the ensemble's fused MeasureSparse kernel, which
-// beats column-at-a-time accumulation (strided reads on dense storage,
-// one column regeneration per index on seeded storage).
+// sparseImager is a dictionary that can compute Φ·v for a sparse v
+// through the ensemble's fused MeasureSparse kernel, which beats
+// column-at-a-time accumulation (strided reads on dense storage, one
+// column regeneration per index on seeded storage). The thresholding
+// solvers (IHT, AIHT) run on it; both package dictionaries are one.
 type sparseImager interface {
+	dictionary
 	image(idx []int, vals []float64, dst linalg.Vector) linalg.Vector
 }
 

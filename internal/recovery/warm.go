@@ -112,7 +112,7 @@ func BOMPBatch(m sensing.Matrix, wss []*Workspace, items []BatchItem) ([]*Result
 	for i, ws := range wss {
 		it := items[i]
 		ws.phi0 = m.ExtensionColumn(ws.phi0)
-		ws.bd = biasedDict{m: m, phi0: ws.phi0}
+		ws.bd.m, ws.bd.phi0 = m, ws.phi0
 		var modeFn func(z linalg.Vector, idx []int) float64
 		if it.Opt.TraceMode {
 			n := p.N

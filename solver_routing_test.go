@@ -2,10 +2,13 @@ package csoutlier
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"csoutlier/internal/obs"
+	"csoutlier/internal/recovery"
 )
 
 // solverFixture builds a sketcher + aggregated sketch with planted
@@ -194,5 +197,71 @@ func TestSolverMetricsPreSeeded(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `recovery_solver_picks_total{solver="bomp"} 1`) {
 		t.Fatal("bomp pick not counted")
+	}
+}
+
+// TestWorkspaceSurvivesGC: a warmed Sketcher keeps its recovery
+// workspace across back-to-back GCs (which empty a sync.Pool), and
+// concurrent queries still get one each.
+func TestWorkspaceSurvivesGC(t *testing.T) {
+	s, global, _ := solverFixture(t, 300, 120, Config{Seed: 3}, map[int]float64{17: 4000})
+	if _, err := s.Detect(global, 2); err != nil {
+		t.Fatal(err)
+	}
+	held := s.workspace()
+	second := s.workspace()
+	if second == held {
+		t.Fatal("one workspace checked out twice")
+	}
+	s.putWorkspace(held)
+	s.putWorkspace(second)
+	runtime.GC()
+	runtime.GC()
+	if got := s.workspace(); got != held {
+		t.Fatal("the held workspace did not survive two GCs")
+	}
+}
+
+// TestAIHTThroughPooledWorkspace: Detect and DetectBatch run an AIHT
+// pick on the Sketcher's recycled workspaces — warmed by other solvers,
+// shapes and hints — and report what a one-shot BiasedAIHTWarm does.
+func TestAIHTThroughPooledWorkspace(t *testing.T) {
+	planted := map[int]float64{17: 4000, 63: -3500, 150: 2500, 201: -2000}
+	s, global, _ := solverFixture(t, 600, 300, Config{Seed: 7}, planted)
+	const k = 30
+	iters := recovery.IterationBudget(k)
+	want, err := recovery.BiasedAIHTWarm(s.recMat, global.Y, iters, nil, recovery.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, rep *Report) {
+		t.Helper()
+		if rep.Solver != "aiht" {
+			t.Fatalf("%s: routed to %q, want aiht", label, rep.Solver)
+		}
+		if math.Float64bits(rep.Mode) != math.Float64bits(want.Mode) ||
+			math.Float64bits(rep.Residual) != math.Float64bits(want.Residual) ||
+			rep.Iterations != want.Iterations || !slices.Equal(rep.Selection, want.Selection) {
+			t.Fatalf("%s: report diverges from a fresh-workspace AIHT", label)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		if _, err := s.Detect(global, 2); err != nil { // BOMP on the same workspace in between
+			t.Fatal(err)
+		}
+		rep, err := s.Detect(global, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Detect", rep)
+		reps, err := s.DetectBatch([]BatchQuery{{Global: global, K: k}, {Global: global, K: 2}, {Global: global, K: k}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("DetectBatch[0]", reps[0])
+		check("DetectBatch[2]", reps[2])
+		if reps[1].Solver != "bomp" {
+			t.Fatalf("k=2 routed to %q", reps[1].Solver)
+		}
 	}
 }
