@@ -2,6 +2,7 @@ package csoutlier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"strings"
 	"testing"
@@ -92,6 +93,10 @@ func FuzzClusterFrameDecoder(f *testing.F) {
 	f.Add(cluster.GarbageFrame())
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	// A prelude that claims a 2 GiB spec: refused from its length alone.
+	huge := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(huge, 1<<31)
+	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		node := cluster.NewLocalNode("fuzz", make(linalg.Vector, 8))

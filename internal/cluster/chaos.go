@@ -2,11 +2,12 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"csoutlier/internal/frame"
 )
 
 // ChaosServer speaks the wire protocol of Serve but misbehaves on sketch
@@ -104,15 +105,23 @@ func (s *ChaosServer) serve(conn net.Conn, done chan struct{}) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	fr := frame.Reader{R: conn, Limits: requestLimits[:]}
+	var (
+		req  request
+		wbuf []byte
+	)
+	answer := func() bool {
+		resp := handle(context.Background(), s.node, &req)
+		wbuf = appendReply(wbuf, req.Kind, &resp)
+		_, err := conn.Write(wbuf)
+		return err == nil
+	}
 	for {
-		var req request
-		if dec.Decode(&req) != nil {
+		if readRequest(&fr, &req) != nil {
 			return
 		}
 		if req.Kind != reqSketch {
-			if enc.Encode(handle(context.Background(), s.node, &req)) != nil {
+			if !answer() {
 				return
 			}
 			continue
@@ -132,7 +141,7 @@ func (s *ChaosServer) serve(conn net.Conn, done chan struct{}) {
 			s.Stop() // synchronous: listener is gone before the client sees EOF
 			return
 		default:
-			if enc.Encode(handle(context.Background(), s.node, &req)) != nil {
+			if !answer() {
 				return
 			}
 		}

@@ -9,8 +9,9 @@
 // request out to all nodes in parallel, combines the responses, and runs
 // recovery. Two node implementations exist: LocalNode (in-process, used
 // by the experiment harness) and the TCP client/server in transport.go
-// (a real networked deployment over net + encoding/gob, used by
-// cmd/csnode and cmd/csagg).
+// (a real networked deployment over net and the binary frames of
+// internal/frame — the push stream's codec with the pull protocol's own
+// kinds — used by cmd/csnode and cmd/csagg).
 package cluster
 
 import (

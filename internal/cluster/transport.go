@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -13,50 +11,46 @@ import (
 	"sync/atomic"
 	"time"
 
+	"csoutlier/internal/frame"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
 	"csoutlier/internal/sensing"
 	"csoutlier/internal/xrand"
 )
 
-// The TCP transport speaks a tiny gob-framed request/response protocol
-// over a persistent connection: the aggregator (client) encodes one
-// request struct, the node (server) replies with one response struct.
-// This is the real-network counterpart of LocalNode, used by cmd/csnode
-// and cmd/csagg; the geo-distributed deployment of the paper's §1 maps
-// one csnode process to one data center.
+// The TCP transport speaks a small request/response protocol over a
+// persistent connection: the aggregator (client) writes one request
+// frame, the node (server) answers with one reply frame. This is the
+// real-network counterpart of LocalNode, used by cmd/csnode and
+// cmd/csagg; the geo-distributed deployment of the paper's §1 maps one
+// csnode process to one data center.
+//
+// Every frame, in either direction, is internal/frame's six-byte prelude
+// (u32 body length, version, kind) and a body, laid out per kind:
+//
+//	id, full      (empty)
+//	sketch        uv M | uv N | u64 seed | u8 ensemble | uv D
+//	sample        uv n | n × uv index
+//	outliers      f64 mode | uv count
+//	reply         u8 status (1 ok, 0 error), then for an error its text and
+//	              for an ok what the request asked for, each to the end of
+//	              the body: the node's name (id), raw f64 values (sketch,
+//	              full, sample), or (uv index | f64 value) pairs (outliers)
+//
+// uv is an unsigned varint, u64 and f64 are little-endian. It is the push
+// protocol's framing (internal/stream/wire.go) with its own kinds: one
+// codec, no negotiation, and a sketch costs its 8·M bytes plus 7 on the
+// wire. Every body length is capped before the body is read — a request
+// by requestLimits, a reply by the client from what it asked for
+// (replyLimit) — and a peer that sends anything else (another version,
+// an unknown kind, an oversized, truncated or trailing field) is
+// disconnected.
 //
 // Failure is treated as the normal case (§1 challenges 2–3): every
-// round-trip carries a deadline, a connection whose gob stream errored
-// mid-exchange is poisoned and transparently re-dialed (the encoder and
-// decoder of a broken stream are never reused — a half-written frame
-// would desync every later request), and the client keeps per-node
-// health counters the aggregator can surface.
-
-type reqKind uint8
-
-const (
-	reqID reqKind = iota + 1
-	reqSketch
-	reqFull
-	reqSample
-	reqOutliers
-)
-
-type request struct {
-	Kind    reqKind
-	Spec    sensing.Spec
-	Indices []int
-	Mode    float64
-	Count   int
-}
-
-type response struct {
-	Err  string
-	Name string
-	Vec  []float64
-	KVs  []outlier.KV
-}
+// round-trip carries a deadline, a connection that errored mid-exchange
+// is poisoned and transparently re-dialed (a half-read frame would
+// desync every later request), and the client keeps per-node health
+// counters the aggregator can surface.
 
 // ServeOptions tunes the node-side server.
 type ServeOptions struct {
@@ -111,11 +105,10 @@ func ServeStream(r io.Reader, w io.Writer, node NodeAPI, opts ServeOptions) {
 // given spec — the aggregator's hot message. Exposed so fuzz corpora and
 // protocol tests can construct valid frames without a live connection.
 func SketchRequestFrame(spec sensing.Spec) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&request{Kind: reqSketch, Spec: spec}); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return appendRequest(nil, &request{Kind: reqSketch, Spec: spec}), nil
 }
 
 // serveFrames is the protocol loop shared by the TCP server and
@@ -123,14 +116,16 @@ func SketchRequestFrame(spec sensing.Spec) ([]byte, error) {
 // encode one response. arm/disarm, when non-nil, run before and after
 // each frame decode (the TCP path uses them for the idle deadline).
 func serveFrames(r io.Reader, w io.Writer, node NodeAPI, opts ServeOptions, arm, disarm func()) {
-	dec := gob.NewDecoder(r)
-	enc := gob.NewEncoder(w)
+	fr := frame.Reader{R: r, Limits: requestLimits[:]}
+	var (
+		req  request
+		wbuf []byte
+	)
 	for {
 		if arm != nil {
 			arm()
 		}
-		var req request
-		if err := dec.Decode(&req); err != nil {
+		if err := readRequest(&fr, &req); err != nil {
 			return // client went away (io.EOF), idled out, or sent garbage
 		}
 		if disarm != nil {
@@ -143,20 +138,30 @@ func serveFrames(r io.Reader, w io.Writer, node NodeAPI, opts ServeOptions, arm,
 		}
 		resp := handle(ctx, node, &req)
 		cancel()
-		if err := enc.Encode(resp); err != nil {
+		wbuf = appendReply(wbuf, req.Kind, &resp)
+		if _, err := w.Write(wbuf); err != nil {
 			return
 		}
 	}
 }
 
-func handle(ctx context.Context, node NodeAPI, req *request) *response {
+// readRequest reads and decodes the next request frame.
+func readRequest(fr *frame.Reader, req *request) error {
+	kind, body, err := fr.Next()
+	if err != nil {
+		return err
+	}
+	return parseRequest(reqKind(kind), body, req)
+}
+
+func handle(ctx context.Context, node NodeAPI, req *request) response {
 	switch req.Kind {
 	case reqID:
-		return &response{Name: node.ID()}
+		return response{Name: node.ID()}
 	case reqSketch:
 		// The spec crossed the wire: validate before it sizes allocations.
 		if err := req.Spec.Validate(); err != nil {
-			return &response{Err: err.Error()}
+			return response{Err: err.Error()}
 		}
 		y, err := node.Sketch(ctx, req.Spec)
 		return vecResp(y, err)
@@ -169,19 +174,19 @@ func handle(ctx context.Context, node NodeAPI, req *request) *response {
 	case reqOutliers:
 		kvs, err := node.LocalOutliers(ctx, req.Mode, req.Count)
 		if err != nil {
-			return &response{Err: err.Error()}
+			return response{Err: err.Error()}
 		}
-		return &response{KVs: kvs}
-	default:
-		return &response{Err: fmt.Sprintf("cluster: unknown request kind %d", req.Kind)}
+		return response{KVs: kvs}
+	default: // unreachable: the frame reader accepts no other kind
+		return response{Err: fmt.Sprintf("cluster: unknown request kind %d", req.Kind)}
 	}
 }
 
-func vecResp(v []float64, err error) *response {
+func vecResp(v []float64, err error) response {
 	if err != nil {
-		return &response{Err: err.Error()}
+		return response{Err: err.Error()}
 	}
-	return &response{Vec: v}
+	return response{Vec: v}
 }
 
 // DialOptions tunes the client side of the transport. The zero value
@@ -273,10 +278,14 @@ type RemoteNode struct {
 	mu  sync.Mutex // serializes round-trips: the protocol is strictly request/response
 	rng *xrand.RNG // retry jitter; accessed only under mu
 
-	connMu sync.Mutex // guards conn/enc/dec/closed; Close may race a round-trip
+	// The read buffer, the reply cap and the outgoing frame live as long
+	// as the node and are touched only under mu.
+	fr     frame.Reader
+	limits [kindReply + 1]int
+	wbuf   []byte
+
+	connMu sync.Mutex // guards conn/closed; Close may race a round-trip
 	conn   net.Conn
-	dec    *gob.Decoder
-	enc    *gob.Encoder
 	closed bool
 
 	bytesRead    int64 // atomic
@@ -297,8 +306,8 @@ func Dial(addr string) (*RemoteNode, error) {
 func DialContext(ctx context.Context, addr string, opts DialOptions) (*RemoteNode, error) {
 	r := &RemoteNode{addr: addr, opts: opts.withDefaults()}
 	r.rng = xrand.New(backoffSeed(r.opts.BackoffSeed, addr))
-	resp, err := r.roundTrip(ctx, &request{Kind: reqID})
-	if err != nil {
+	var resp response
+	if err := r.roundTrip(ctx, &request{Kind: reqID}, &resp); err != nil {
 		r.Close()
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
@@ -341,14 +350,14 @@ var errClosed = errors.New("cluster: node is closed")
 
 // acquireConn returns the live connection, dialing a fresh one if the
 // previous one was poisoned. Called with r.mu held.
-func (r *RemoteNode) acquireConn(ctx context.Context) (net.Conn, *gob.Encoder, *gob.Decoder, error) {
+func (r *RemoteNode) acquireConn(ctx context.Context) (net.Conn, error) {
 	r.connMu.Lock()
 	defer r.connMu.Unlock()
 	if r.closed {
-		return nil, nil, nil, errClosed
+		return nil, errClosed
 	}
 	if r.conn != nil {
-		return r.conn, r.enc, r.dec, nil
+		return r.conn, nil
 	}
 	dctx := ctx
 	if r.opts.DialTimeout > 0 {
@@ -359,29 +368,37 @@ func (r *RemoteNode) acquireConn(ctx context.Context) (net.Conn, *gob.Encoder, *
 	var d net.Dialer
 	conn, err := d.DialContext(dctx, "tcp", r.addr)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	cc := &countingConn{Conn: conn, r: &r.bytesRead, w: &r.bytesWritten}
-	// A fresh gob encoder/decoder pair per connection: gob streams are
-	// stateful (type descriptors), so they can never outlive their conn.
-	r.conn, r.enc, r.dec = cc, gob.NewEncoder(cc), gob.NewDecoder(cc)
-	return r.conn, r.enc, r.dec, nil
+	r.conn = &countingConn{Conn: conn, r: &r.bytesRead, w: &r.bytesWritten}
+	// The reader starts clean on a new connection (whatever the old one
+	// left half-read is gone) and keeps its buffer.
+	r.fr = frame.Reader{R: r.conn, Limits: r.limits[:], Buf: r.fr.Buf}
+	return r.conn, nil
 }
 
 // poison discards conn if it is still the node's live connection, so the
-// next attempt re-dials instead of reusing a desynced gob stream.
+// next attempt re-dials instead of reading on from the middle of a frame.
 func (r *RemoteNode) poison(conn net.Conn) {
 	r.connMu.Lock()
 	defer r.connMu.Unlock()
 	if r.conn == conn && conn != nil {
 		conn.Close()
-		r.conn, r.enc, r.dec = nil, nil, nil
+		r.conn = nil
 	}
 }
 
-func (r *RemoteNode) roundTrip(ctx context.Context, req *request) (*response, error) {
+// roundTrip sends req and decodes the node's reply into resp, retrying
+// transport failures on fresh connections. A reply that carries an error
+// is the node's answer, returned without a retry.
+func (r *RemoteNode) roundTrip(ctx context.Context, req *request, resp *response) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.wbuf = appendRequest(r.wbuf, req)
+	if n := len(r.wbuf) - frame.Overhead; n > requestLimits[req.Kind] {
+		return fmt.Errorf("cluster: request of %d indices encodes to %d bytes, limit %d: split the list", len(req.Indices), n, requestLimits[req.Kind])
+	}
+	r.limits[kindReply] = replyLimit(req)
 	var lastErr error
 	hadConn := false
 	for attempt := 0; attempt <= r.opts.MaxRetries; attempt++ {
@@ -389,17 +406,17 @@ func (r *RemoteNode) roundTrip(ctx context.Context, req *request) (*response, er
 			r.note(func(h *NodeHealth) { h.Retries++ })
 			if err := sleepCtx(ctx, backoffDelay(r.rng, attempt, r.opts.BaseBackoff, r.opts.MaxBackoff)); err != nil {
 				r.note(func(h *NodeHealth) { h.Failures++ })
-				return nil, fmt.Errorf("cluster: %s: %w (last transport error: %v)", r.addr, err, lastErr)
+				return fmt.Errorf("cluster: %s: %w (last transport error: %v)", r.addr, err, lastErr)
 			}
 		}
 		if err := ctx.Err(); err != nil {
 			r.note(func(h *NodeHealth) { h.Failures++ })
-			return nil, err
+			return err
 		}
-		conn, enc, dec, err := r.acquireConn(ctx)
+		conn, err := r.acquireConn(ctx)
 		if err != nil {
 			if errors.Is(err, errClosed) {
-				return nil, err
+				return err
 			}
 			lastErr = fmt.Errorf("dial: %w", err)
 			r.note(func(h *NodeHealth) {
@@ -414,7 +431,7 @@ func (r *RemoteNode) roundTrip(ctx context.Context, req *request) (*response, er
 			r.note(func(h *NodeHealth) { h.Redials++ })
 		}
 		hadConn = true
-		resp, rtt, err := r.exchange(ctx, conn, enc, dec, req)
+		rtt, err := r.exchange(ctx, conn, req.Kind, resp)
 		if err == nil {
 			r.note(func(h *NodeHealth) {
 				h.Attempts++
@@ -427,12 +444,12 @@ func (r *RemoteNode) roundTrip(ctx context.Context, req *request) (*response, er
 			if resp.Err != "" {
 				// Application-level error: the stream is still in sync,
 				// so the connection stays usable — fail without retry.
-				return nil, errors.New(resp.Err)
+				return errors.New(resp.Err)
 			}
-			return resp, nil
+			return nil
 		}
-		// Transport error: the gob stream may hold a half-written frame.
-		// Poison the connection; a retry starts from a clean dial.
+		// Transport error: the connection may hold a half-written or
+		// half-read frame. Poison it; a retry starts from a clean dial.
 		r.poison(conn)
 		lastErr = err
 		r.note(func(h *NodeHealth) {
@@ -443,15 +460,17 @@ func (r *RemoteNode) roundTrip(ctx context.Context, req *request) (*response, er
 		})
 		if cerr := ctx.Err(); cerr != nil {
 			r.note(func(h *NodeHealth) { h.Failures++ })
-			return nil, fmt.Errorf("cluster: %s: %w (transport: %v)", r.addr, cerr, err)
+			return fmt.Errorf("cluster: %s: %w (transport: %v)", r.addr, cerr, err)
 		}
 	}
 	r.note(func(h *NodeHealth) { h.Failures++ })
-	return nil, fmt.Errorf("cluster: %s: giving up after %d attempts: %w", r.addr, r.opts.MaxRetries+1, lastErr)
+	return fmt.Errorf("cluster: %s: giving up after %d attempts: %w", r.addr, r.opts.MaxRetries+1, lastErr)
 }
 
-// exchange runs one encode/decode pair under the request deadline.
-func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, req *request) (*response, time.Duration, error) {
+// exchange writes the encoded request in r.wbuf with one Write and reads
+// the reply to a request of the given kind into resp, under the request
+// deadline.
+func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, kind reqKind, resp *response) (time.Duration, error) {
 	deadline := time.Time{}
 	if r.opts.RequestTimeout > 0 {
 		deadline = time.Now().Add(r.opts.RequestTimeout)
@@ -473,12 +492,15 @@ func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, enc *gob.Encod
 		}
 	}()
 	start := time.Now()
-	var resp response
 	err := func() error {
-		if err := enc.Encode(req); err != nil {
+		if _, err := conn.Write(r.wbuf); err != nil {
 			return fmt.Errorf("cluster: send: %w", err)
 		}
-		if err := dec.Decode(&resp); err != nil {
+		_, body, err := r.fr.Next() // the reader accepts no kind but a reply
+		if err == nil {
+			err = parseReply(kind, body, resp)
+		}
+		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return errors.New("cluster: node closed connection")
 			}
@@ -488,7 +510,7 @@ func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, enc *gob.Encod
 	}()
 	close(stop)
 	<-done
-	return &resp, time.Since(start), err
+	return time.Since(start), err
 }
 
 func (r *RemoteNode) note(f func(*NodeHealth)) {
@@ -556,10 +578,14 @@ func backoffSeed(seed uint64, label string) uint64 {
 // ID implements NodeAPI.
 func (r *RemoteNode) ID() string { return r.name }
 
-// Sketch implements NodeAPI.
+// Sketch implements NodeAPI. A spec the node would refuse is refused
+// here, before the round-trip.
 func (r *RemoteNode) Sketch(ctx context.Context, spec sensing.Spec) (linalg.Vector, error) {
-	resp, err := r.roundTrip(ctx, &request{Kind: reqSketch, Spec: spec})
-	if err != nil {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	var resp response
+	if err := r.roundTrip(ctx, &request{Kind: reqSketch, Spec: spec}, &resp); err != nil {
 		return nil, err
 	}
 	return linalg.Vector(resp.Vec), nil
@@ -567,8 +593,8 @@ func (r *RemoteNode) Sketch(ctx context.Context, spec sensing.Spec) (linalg.Vect
 
 // FullVector implements NodeAPI.
 func (r *RemoteNode) FullVector(ctx context.Context) (linalg.Vector, error) {
-	resp, err := r.roundTrip(ctx, &request{Kind: reqFull})
-	if err != nil {
+	var resp response
+	if err := r.roundTrip(ctx, &request{Kind: reqFull}, &resp); err != nil {
 		return nil, err
 	}
 	return linalg.Vector(resp.Vec), nil
@@ -576,8 +602,13 @@ func (r *RemoteNode) FullVector(ctx context.Context) (linalg.Vector, error) {
 
 // SampleValues implements NodeAPI.
 func (r *RemoteNode) SampleValues(ctx context.Context, idx []int) ([]float64, error) {
-	resp, err := r.roundTrip(ctx, &request{Kind: reqSample, Indices: idx})
-	if err != nil {
+	for _, j := range idx {
+		if j < 0 {
+			return nil, fmt.Errorf("cluster: sample index %d is negative", j)
+		}
+	}
+	var resp response
+	if err := r.roundTrip(ctx, &request{Kind: reqSample, Indices: idx}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Vec, nil
@@ -585,8 +616,8 @@ func (r *RemoteNode) SampleValues(ctx context.Context, idx []int) ([]float64, er
 
 // LocalOutliers implements NodeAPI.
 func (r *RemoteNode) LocalOutliers(ctx context.Context, mode float64, count int) ([]outlier.KV, error) {
-	resp, err := r.roundTrip(ctx, &request{Kind: reqOutliers, Mode: mode, Count: count})
-	if err != nil {
+	var resp response
+	if err := r.roundTrip(ctx, &request{Kind: reqOutliers, Mode: mode, Count: max(count, 0)}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.KVs, nil

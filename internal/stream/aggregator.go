@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"csoutlier"
+	"csoutlier/internal/frame"
 	"csoutlier/internal/obs"
 )
 
@@ -460,7 +461,7 @@ func (a *Aggregator) handle(conn net.Conn) {
 		a.connMu.Unlock()
 		conn.Close()
 	}()
-	fr := frameReader{r: conn, limits: a.limits, buf: make([]byte, FrameOverhead+a.limits[pushDelta])}
+	fr := frame.Reader{R: conn, Limits: a.limits[:], Buf: make([]byte, FrameOverhead+a.limits[pushDelta])}
 	var (
 		req   pushRequest
 		wbuf  []byte
@@ -470,7 +471,8 @@ func (a *Aggregator) handle(conn net.Conn) {
 		if a.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(a.opts.IdleTimeout))
 		}
-		kind, body, err := fr.next()
+		k, body, err := fr.Next()
+		kind := pushKind(k)
 		if err == nil {
 			err = parseRequest(kind, body, &req)
 		}

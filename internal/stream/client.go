@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"csoutlier"
+	"csoutlier/internal/frame"
 	"csoutlier/internal/xrand"
 )
 
@@ -19,8 +20,9 @@ import (
 // and stale frames the aggregator must tolerate.
 type Client struct {
 	conn    net.Conn
-	fr      frameReader
-	wbuf    []byte // the outgoing frame, reused across exchanges
+	fr      frame.Reader
+	limits  frameLimits // reply body caps; replyQuery's moves with each query
+	wbuf    []byte      // the outgoing frame, reused across exchanges
 	timeout time.Duration
 }
 
@@ -33,8 +35,8 @@ func DialClient(ctx context.Context, addr string, timeout time.Duration) (*Clien
 		return nil, fmt.Errorf("stream: dial %s: %w", addr, err)
 	}
 	c := &Client{conn: conn, timeout: timeout}
-	c.fr = frameReader{r: conn, buf: make([]byte, FrameOverhead+maxAckBody)} // any ack in one Read
-	c.fr.limits[replyAck] = maxAckBody
+	c.limits[replyAck] = maxAckBody
+	c.fr = frame.Reader{R: conn, Limits: c.limits[:], Buf: make([]byte, FrameOverhead+maxAckBody)} // any ack in one Read
 	return c, nil
 }
 
@@ -70,7 +72,7 @@ func (c *Client) Bye(node string, epoch uint64) (Ack, error) {
 // a query-level rejection (unknown key, span out of range,
 // non-count-sketch backend).
 func (c *Client) PointQuery(fromAge, toAge int, keys []string, threshold float64) ([]csoutlier.PointAnswer, error) {
-	c.fr.limits[replyQuery] = queryReplyLimit(len(keys))
+	c.limits[replyQuery] = queryReplyLimit(len(keys))
 	body, err := c.roundTrip(&pushRequest{
 		Kind:    pushPointQuery,
 		FromAge: fromAge, ToAge: toAge,
@@ -129,14 +131,14 @@ func (c *Client) roundTrip(req *pushRequest, want pushKind) ([]byte, error) {
 	if _, err := c.conn.Write(c.wbuf); err != nil {
 		return nil, fmt.Errorf("stream: send: %w", err)
 	}
-	kind, body, err := c.fr.next()
+	kind, body, err := c.fr.Next()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, errors.New("stream: aggregator closed connection")
 		}
 		return nil, fmt.Errorf("stream: receive: %w", err)
 	}
-	if kind != want {
+	if pushKind(kind) != want {
 		return nil, fmt.Errorf("stream: receive: reply of kind %d, want %d", kind, want)
 	}
 	return body, nil

@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"csoutlier"
+	"csoutlier/internal/frame"
 )
 
 // snapMagic/snapVersion identify the snapshot codec.
@@ -366,78 +367,15 @@ func decodeState(b byte) (string, error) {
 	return "", fmt.Errorf("stream: unknown node state byte %d", b)
 }
 
-// byteReader is a bounds-checked little-endian cursor over a snapshot
-// blob or a wire frame body (wire.go); the first overrun poisons it and
-// every subsequent read returns zero values.
-type byteReader struct {
-	b   []byte
-	err error
-}
-
-func (r *byteReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b) {
-		r.err = errors.New("stream: snapshot truncated")
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *byteReader) u16() uint16 {
-	if b := r.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (r *byteReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *byteReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-// uvarint and varint read one varint; a short or overlong encoding
-// poisons the reader like any other overrun.
-func (r *byteReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		n = len(r.b) + 1
-	}
-	if r.take(n) == nil {
-		return 0
-	}
-	return v
-}
-
-func (r *byteReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		n = len(r.b) + 1
-	}
-	if r.take(n) == nil {
-		return 0
-	}
-	return v
-}
+// errSnapTruncated reports a snapshot blob that ends inside a field.
+var errSnapTruncated = errors.New("stream: snapshot truncated")
 
 // DecodeSnapshot decodes and validates a snapshot blob. Truncated,
 // corrupt (CRC), wrong-version and non-canonical inputs are rejected
 // with an error — never a panic, never an unbounded allocation.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < 4+2+4 {
-		return nil, errors.New("stream: snapshot truncated")
+		return nil, errSnapTruncated
 	}
 	if string(data[:4]) != string(snapMagic[:]) {
 		return nil, fmt.Errorf("stream: bad snapshot magic %q", data[:4])
@@ -446,69 +384,69 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if crc := crc32.ChecksumIEEE(body); crc != binary.LittleEndian.Uint32(trailer) {
 		return nil, fmt.Errorf("stream: snapshot CRC mismatch (stored %08x, computed %08x)", binary.LittleEndian.Uint32(trailer), crc)
 	}
-	r := &byteReader{b: body[4:]}
-	version := r.u16()
+	r := &frame.Cursor{B: body[4:]}
+	version := r.U16()
 	if version != snapVersion && version != snapVersionExtra {
 		return nil, fmt.Errorf("stream: snapshot version %d (supported: %d, %d)", version, snapVersion, snapVersionExtra)
 	}
 	s := &Snapshot{
-		AggEpoch:   r.u64(),
-		Window:     r.u64(),
-		Membership: r.u64(),
+		AggEpoch:   r.U64(),
+		Window:     r.U64(),
+		Membership: r.U64(),
 	}
-	capacity := r.u32()
-	windows := r.u32()
-	if r.err == nil && (capacity < 1 || windows < 1 || windows > capacity || capacity > 1<<20) {
+	capacity := r.U32()
+	windows := r.U32()
+	if r.Err == nil && (capacity < 1 || windows < 1 || windows > capacity || capacity > 1<<20) {
 		return nil, fmt.Errorf("stream: snapshot has %d windows for capacity %d", windows, capacity)
 	}
 	s.Capacity = int(capacity)
-	for i := uint32(0); i < windows && r.err == nil; i++ {
-		n := r.u32()
-		w := r.take(int(n))
-		if r.err == nil {
+	for i := uint32(0); i < windows && r.Err == nil; i++ {
+		n := r.U32()
+		w := r.Take(int(n))
+		if r.Err == nil {
 			cp := make([]byte, len(w))
 			copy(cp, w)
 			s.Windows = append(s.Windows, cp)
 		}
 	}
 	for _, dst := range []*[]SnapNode{&s.Nodes, &s.Tombs} {
-		count := r.u32()
-		for i := uint32(0); i < count && r.err == nil; i++ {
+		count := r.U32()
+		for i := uint32(0); i < count && r.Err == nil; i++ {
 			sn, err := decodeSnapNode(r)
 			if err != nil {
 				return nil, err
 			}
-			if r.err == nil {
+			if r.Err == nil {
 				*dst = append(*dst, sn)
 			}
 		}
 	}
 	if version == snapVersionExtra {
-		n := r.u32()
-		if r.err == nil && n == 0 {
+		n := r.U32()
+		if r.Err == nil && n == 0 {
 			// Canonical form: an empty Extra is encoded as version 1.
 			return nil, errors.New("stream: version-2 snapshot with empty extra")
 		}
-		extra := r.take(int(n))
-		if r.err == nil {
+		extra := r.Take(int(n))
+		if r.Err == nil {
 			s.Extra = append([]byte(nil), extra...)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, errSnapTruncated
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("stream: snapshot has %d trailing bytes", len(r.b))
+	if len(r.B) != 0 {
+		return nil, fmt.Errorf("stream: snapshot has %d trailing bytes", len(r.B))
 	}
 	return s, nil
 }
 
-func decodeSnapNode(r *byteReader) (SnapNode, error) {
+func decodeSnapNode(r *frame.Cursor) (SnapNode, error) {
 	var sn SnapNode
-	nameLen := r.u16()
-	sn.Node = string(r.take(int(nameLen)))
-	stateByte := r.take(1)
-	if r.err != nil {
+	nameLen := r.U16()
+	sn.Node = string(r.Take(int(nameLen)))
+	stateByte := r.Take(1)
+	if r.Err != nil {
 		return sn, nil
 	}
 	state, err := decodeState(stateByte[0])
@@ -516,13 +454,13 @@ func decodeSnapNode(r *byteReader) (SnapNode, error) {
 		return sn, err
 	}
 	sn.State = state
-	sn.Epoch = r.u64()
-	sn.Base = r.u64()
-	aheadCount := r.u32()
+	sn.Epoch = r.U64()
+	sn.Base = r.U64()
+	aheadCount := r.U32()
 	prev := sn.Base
-	for i := uint32(0); i < aheadCount && r.err == nil; i++ {
-		seq := r.u64()
-		if r.err != nil {
+	for i := uint32(0); i < aheadCount && r.Err == nil; i++ {
+		seq := r.U64()
+		if r.Err != nil {
 			break
 		}
 		// Canonical form: strictly ascending, all above the low-water
@@ -533,9 +471,9 @@ func decodeSnapNode(r *byteReader) (SnapNode, error) {
 		prev = seq
 		sn.Ahead = append(sn.Ahead, seq)
 	}
-	sn.LastWindow = r.u64()
+	sn.LastWindow = r.U64()
 	for _, dst := range []*int64{&sn.Applied, &sn.Duplicates, &sn.Dropped, &sn.Rejected, &sn.Restarts, &sn.ShedFrames, &sn.ShedFolds} {
-		*dst = int64(r.u64())
+		*dst = int64(r.U64())
 	}
 	return sn, nil
 }

@@ -2,21 +2,16 @@ package stream
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"csoutlier"
+	"csoutlier/internal/frame"
 )
 
-// The wire format. Every frame, in either direction, is a fixed
-// six-byte prelude and a body:
-//
-//	length  uint32 LE  size of the body in bytes
-//	version uint8      wireVersion
-//	kind    uint8      pushHello … replyQuery
-//	body    length bytes, laid out per kind:
+// The wire format. Every frame, in either direction, is
+// internal/frame's six-byte prelude (u32 body length, version, kind)
+// and a body, laid out per kind (pushHello … replyQuery):
 //
 //	hello, bye   str node | uv epoch
 //	delta        str node | uv epoch | uv window | uv seq | uv folds |
@@ -31,13 +26,12 @@ import (
 // sends anything else — another version, an unknown kind, a body over
 // the kind's limit, a truncated or trailing field — is disconnected;
 // there is no negotiation.
-const wireVersion = 1
 
 // Frame-size accounting, exported for harnesses that budget bytes per
 // connection (internal/simtest's chaos proxies).
 const (
 	// FrameOverhead is the prelude in front of every frame body.
-	FrameOverhead = 4 + 1 + 1
+	FrameOverhead = frame.Overhead
 	// MaxNodeLen bounds a node name on the wire.
 	MaxNodeLen = 256
 	// MaxQueryBytes bounds a point-query frame body: the span and
@@ -65,7 +59,7 @@ const (
 var ackStatuses = [...]string{"", StatusApplied, StatusDuplicate, StatusDroppedOld, StatusHello, StatusBye}
 
 // errMalformed marks input no conforming peer produces.
-var errMalformed = errors.New("stream: malformed frame")
+var errMalformed = frame.ErrMalformed
 
 // frameLimits is the largest body accepted per kind; 0 = the kind is
 // not accepted at all (every real body is at least two bytes).
@@ -83,83 +77,8 @@ func requestLimits(m int) frameLimits {
 	return l
 }
 
-// frameReader reads frames off one connection into one reused buffer.
-type frameReader struct {
-	r        io.Reader
-	limits   frameLimits
-	buf      []byte
-	off, end int // buf[off:end] is read but not yet consumed
-}
-
-// next returns the next frame's kind and body. The body aliases the
-// reader's buffer and is valid until the following call. io.EOF means
-// the peer closed between frames; a close inside one is
-// io.ErrUnexpectedEOF. The buffer grows to the largest body seen, never
-// past the kind's limit.
-func (fr *frameReader) next() (pushKind, []byte, error) {
-	if err := fr.fill(FrameOverhead); err != nil {
-		return 0, nil, err
-	}
-	p := fr.buf[fr.off:]
-	n, version, kind := binary.LittleEndian.Uint32(p), p[4], pushKind(p[5])
-	if version != wireVersion {
-		return 0, nil, fmt.Errorf("%w: version %d", errMalformed, version)
-	}
-	if int(kind) >= len(fr.limits) || fr.limits[kind] == 0 {
-		return 0, nil, fmt.Errorf("%w: unexpected kind %d", errMalformed, kind)
-	}
-	if uint64(n) > uint64(fr.limits[kind]) {
-		return 0, nil, fmt.Errorf("%w: kind %d body of %d bytes, limit %d", errMalformed, kind, n, fr.limits[kind])
-	}
-	fr.off += FrameOverhead
-	if err := fr.fill(int(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
-	}
-	body := fr.buf[fr.off : fr.off+int(n)]
-	fr.off += int(n)
-	return kind, body, nil
-}
-
-// fill blocks until n unconsumed bytes are buffered.
-func (fr *frameReader) fill(n int) error {
-	if fr.end-fr.off >= n {
-		return nil
-	}
-	fr.end = copy(fr.buf, fr.buf[fr.off:fr.end])
-	fr.off = 0
-	if n > len(fr.buf) {
-		fr.buf = append(make([]byte, 0, n), fr.buf[:fr.end]...)[:n]
-	}
-	for fr.end < n {
-		got, err := fr.r.Read(fr.buf[fr.end:])
-		fr.end += got
-		if err != nil && fr.end < n {
-			if err == io.EOF && fr.end > 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// beginFrame starts a frame of the given kind in buf's storage;
-// endFrame fills in the length once the body is appended.
-func beginFrame(buf []byte, kind pushKind) []byte {
-	return append(buf[:0], 0, 0, 0, 0, wireVersion, byte(kind))
-}
-
-func endFrame(buf []byte) []byte {
-	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-FrameOverhead))
-	return buf
-}
-
-func appendString(buf []byte, s string) []byte {
-	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
-}
+// beginFrame starts a frame of the given kind in buf's storage.
+func beginFrame(buf []byte, kind pushKind) []byte { return frame.Begin(buf, uint8(kind)) }
 
 // appendRequest encodes req as one frame into buf's storage.
 func appendRequest(buf []byte, req *pushRequest) []byte {
@@ -170,11 +89,11 @@ func appendRequest(buf []byte, req *pushRequest) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(req.Threshold))
 		buf = binary.AppendUvarint(buf, uint64(len(req.Keys)))
 		for _, k := range req.Keys {
-			buf = appendString(buf, k)
+			buf = frame.AppendString(buf, k)
 		}
-		return endFrame(buf)
+		return frame.End(buf)
 	}
-	buf = appendString(buf, req.Node)
+	buf = frame.AppendString(buf, req.Node)
 	buf = binary.AppendUvarint(buf, req.Epoch)
 	if req.Kind == pushDelta {
 		buf = binary.AppendUvarint(buf, req.Window)
@@ -182,42 +101,31 @@ func appendRequest(buf []byte, req *pushRequest) []byte {
 		buf = binary.AppendUvarint(buf, uint64(req.Folds))
 		buf = append(buf, req.Payload...)
 	}
-	return endFrame(buf)
+	return frame.End(buf)
 }
-
-// str reads a uvarint length and that many bytes.
-func (r *byteReader) str() []byte {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		n = uint64(len(r.b)) + 1
-	}
-	return r.take(int(n))
-}
-
-func (r *byteReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // parseRequest decodes a request body into req, overwriting every
 // field. req.Payload aliases body. The node name reuses req's previous
 // one when unchanged — a connection speaks for one node, so the steady
 // state allocates nothing.
 func parseRequest(kind pushKind, body []byte, req *pushRequest) error {
-	r := byteReader{b: body}
+	r := frame.Cursor{B: body}
 	node := req.Node
 	*req = pushRequest{Kind: kind}
 	if kind == pushPointQuery {
-		req.FromAge = int(r.varint())
-		req.ToAge = int(r.varint())
-		req.Threshold = r.f64()
-		n := r.uvarint()
-		if n > uint64(len(r.b)) { // every key is at least its length byte
-			return fmt.Errorf("%w: %d keys in %d bytes", errMalformed, n, len(r.b))
+		req.FromAge = int(r.Varint())
+		req.ToAge = int(r.Varint())
+		req.Threshold = r.F64()
+		n := r.Uvarint()
+		if n > uint64(len(r.B)) { // every key is at least its length byte
+			return fmt.Errorf("%w: %d keys in %d bytes", errMalformed, n, len(r.B))
 		}
 		req.Keys = make([]string, n)
 		for i := range req.Keys {
-			req.Keys[i] = string(r.str())
+			req.Keys[i] = string(r.Str())
 		}
 	} else {
-		name := r.str()
+		name := r.Str()
 		if len(name) > MaxNodeLen {
 			return fmt.Errorf("%w: node name of %d bytes, limit %d", errMalformed, len(name), MaxNodeLen)
 		}
@@ -225,19 +133,19 @@ func parseRequest(kind pushKind, body []byte, req *pushRequest) error {
 			node = string(name)
 		}
 		req.Node = node
-		req.Epoch = r.uvarint()
+		req.Epoch = r.Uvarint()
 		if kind == pushDelta {
-			req.Window = r.uvarint()
-			req.Seq = r.uvarint()
-			folds := r.uvarint()
+			req.Window = r.Uvarint()
+			req.Seq = r.Uvarint()
+			folds := r.Uvarint()
 			if folds > math.MaxUint32 {
 				return fmt.Errorf("%w: folds %d", errMalformed, folds)
 			}
 			req.Folds = uint32(folds)
-			req.Payload = r.take(len(r.b))
+			req.Payload = r.Take(len(r.B))
 		}
 	}
-	if r.err != nil || len(r.b) != 0 {
+	if r.Err != nil || len(r.B) != 0 {
 		return fmt.Errorf("%w: kind %d body does not parse", errMalformed, kind)
 	}
 	return nil
@@ -263,26 +171,26 @@ func appendAck(buf []byte, ack *Ack) []byte {
 	if len(msg) > maxAckErr {
 		msg = msg[:maxAckErr]
 	}
-	return endFrame(append(buf, msg...))
+	return frame.End(append(buf, msg...))
 }
 
 func parseAck(body []byte) (Ack, error) {
-	r := byteReader{b: body}
-	status := r.take(1)
-	if r.err != nil || int(status[0]&^ackApplied) >= len(ackStatuses) {
+	r := frame.Cursor{B: body}
+	status := r.U8()
+	if r.Err != nil || int(status&^ackApplied) >= len(ackStatuses) {
 		return Ack{}, fmt.Errorf("%w: ack status", errMalformed)
 	}
 	ack := Ack{
-		Status:   ackStatuses[status[0]&^ackApplied],
-		Applied:  status[0]&ackApplied != 0,
-		Window:   r.uvarint(),
-		AggEpoch: r.uvarint(),
-		Stable:   r.uvarint(),
+		Status:   ackStatuses[status&^ackApplied],
+		Applied:  status&ackApplied != 0,
+		Window:   r.Uvarint(),
+		AggEpoch: r.Uvarint(),
+		Stable:   r.Uvarint(),
 	}
-	if r.err != nil {
+	if r.Err != nil {
 		return Ack{}, fmt.Errorf("%w: ack does not parse", errMalformed)
 	}
-	ack.Err = string(r.b)
+	ack.Err = string(r.B)
 	return ack, nil
 }
 
@@ -295,7 +203,7 @@ func appendQueryReply(buf []byte, reply *QueryReply) []byte {
 	if len(msg) > maxAckErr {
 		msg = msg[:maxAckErr]
 	}
-	buf = appendString(buf, msg)
+	buf = frame.AppendString(buf, msg)
 	buf = binary.AppendUvarint(buf, uint64(len(reply.Answers)))
 	for _, a := range reply.Answers {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Value))
@@ -306,14 +214,14 @@ func appendQueryReply(buf []byte, reply *QueryReply) []byte {
 		}
 		buf = append(buf, outlier)
 	}
-	return endFrame(buf)
+	return frame.End(buf)
 }
 
 func parseQueryReply(body []byte) (QueryReply, error) {
-	r := byteReader{b: body}
-	reply := QueryReply{Err: string(r.str())}
-	n := r.uvarint()
-	if r.err != nil || n > uint64(len(r.b)) || n*answerLen != uint64(len(r.b)) {
+	r := frame.Cursor{B: body}
+	reply := QueryReply{Err: string(r.Str())}
+	n := r.Uvarint()
+	if r.Err != nil || n > uint64(len(r.B)) || n*answerLen != uint64(len(r.B)) {
 		return QueryReply{}, fmt.Errorf("%w: query reply does not parse", errMalformed)
 	}
 	if n > 0 {
@@ -321,9 +229,9 @@ func parseQueryReply(body []byte) (QueryReply, error) {
 	}
 	for i := range reply.Answers {
 		a := &reply.Answers[i]
-		a.Value, a.Mode = r.f64(), r.f64()
+		a.Value, a.Mode = r.F64(), r.F64()
 		a.Deviation = a.Value - a.Mode
-		a.Outlier = r.take(1)[0] != 0
+		a.Outlier = r.U8() != 0
 	}
 	return reply, nil
 }

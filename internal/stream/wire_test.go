@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"csoutlier"
+	"csoutlier/internal/frame"
 	"csoutlier/internal/xrand"
 )
 
@@ -49,10 +50,12 @@ func TestWireRoundTrip(t *testing.T) {
 		stream = append(stream, frames[k]...)
 	}
 	// One byte per Read: frames must reassemble however TCP slices them.
-	fr := frameReader{r: iotest.OneByteReader(bytes.NewReader(stream)), limits: allKinds()}
+	limits := allKinds()
+	fr := frame.Reader{R: iotest.OneByteReader(bytes.NewReader(stream)), Limits: limits[:]}
 	var req pushRequest
 	for _, want := range order {
-		kind, body, err := fr.next()
+		k, body, err := fr.Next()
+		kind := pushKind(k)
 		if err != nil || kind != want {
 			t.Fatalf("next: kind %d err %v, want kind %d", kind, err, want)
 		}
@@ -77,7 +80,7 @@ func TestWireRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := fr.next(); err != io.EOF {
+	if _, _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 	// Every status string survives the trip; rejection text does too.
@@ -102,7 +105,7 @@ func FuzzPushFrame(f *testing.F) {
 		binary.LittleEndian.PutUint32(long, 1<<31)
 		f.Add(long)
 	}
-	f.Add([]byte{2, 0, 0, 0, wireVersion, byte(pushHello), 0x80, 0x80})
+	f.Add([]byte{2, 0, 0, 0, frame.Version, byte(pushHello), 0x80, 0x80})
 	limits := allKinds()
 	largest := 0
 	for _, l := range limits {
@@ -111,12 +114,13 @@ func FuzzPushFrame(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := frameReader{r: bytes.NewReader(data), limits: limits}
+		fr := frame.Reader{R: bytes.NewReader(data), Limits: limits[:]}
 		var req pushRequest
 		for {
-			kind, body, err := fr.next()
-			if cap(fr.buf) > largest {
-				t.Fatalf("read buffer grew to %d bytes, past the largest limit %d", cap(fr.buf), largest)
+			k, body, err := fr.Next()
+			kind := pushKind(k)
+			if cap(fr.Buf) > largest {
+				t.Fatalf("read buffer grew to %d bytes, past the largest limit %d", cap(fr.Buf), largest)
 			}
 			if err != nil {
 				return
@@ -213,16 +217,16 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		closeSend bool // half-close after writing: the frame is cut short
 	}{
 		{"unknown version", prelude(2, 9, pushHello, 0, 1), false},
-		{"unknown kind", prelude(2, wireVersion, 77, 0, 1), false},
+		{"unknown kind", prelude(2, frame.Version, 77, 0, 1), false},
 		{"reply kind as a request", good[replyAck], false},
 		{"oversized delta", oversized, false},
-		{"oversized hello", prelude(1<<20, wireVersion, pushHello), false},
+		{"oversized hello", prelude(1<<20, frame.Version, pushHello), false},
 		{"truncated delta", good[pushDelta][:len(good[pushDelta])-9], true},
 		{"truncated prelude", good[pushHello][:3], true},
-		{"varint runs off the body", prelude(2, wireVersion, pushHello, 0x80, 0x80), false},
-		{"name longer than the body", prelude(2, wireVersion, pushHello, 40, 'x'), false},
-		{"trailing bytes after a hello", prelude(4, wireVersion, pushHello, 1, 'x', 1, 0), false},
-		{"more keys than bytes", prelude(12, wireVersion, pushPointQuery, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200, 1), false},
+		{"varint runs off the body", prelude(2, frame.Version, pushHello, 0x80, 0x80), false},
+		{"name longer than the body", prelude(2, frame.Version, pushHello, 40, 'x'), false},
+		{"trailing bytes after a hello", prelude(4, frame.Version, pushHello, 1, 'x', 1, 0), false},
+		{"more keys than bytes", prelude(12, frame.Version, pushPointQuery, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200, 1), false},
 	}
 	for i, tc := range cases {
 		conn, err := net.Dial("tcp", addr)
