@@ -3,7 +3,6 @@ package csoutlier
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -195,35 +194,28 @@ func (s *Sketcher) DetectCluster(ctx context.Context, addrs []string, k int, opt
 
 	// Fold the collection's per-node stats and the transport health into
 	// the report, whether or not the collection met its quorum.
-	fill := func(nodes map[string]cluster.NodeStats) {
-		for id, ns := range nodes {
-			i, ok := live[id]
-			if !ok {
-				continue
-			}
-			nr := &rep.Nodes[i]
-			nr.Included = ns.OK
-			nr.Err = ns.Err
-			nr.Attempts = ns.Attempts
-			nr.Retries = ns.Retries
-			nr.Timeouts = ns.Timeouts
-			nr.RTT = ns.RTT
-			h := remotes[i].Health()
-			nr.Redials = h.Redials
-			nr.Bytes = h.BytesRead + h.BytesWritten
+	for id, ns := range part.Nodes {
+		i, ok := live[id]
+		if !ok {
+			continue
 		}
+		nr := &rep.Nodes[i]
+		nr.Included = ns.OK
+		nr.Err = ns.Err
+		nr.Attempts = ns.Attempts
+		nr.Retries = ns.Retries
+		nr.Timeouts = ns.Timeouts
+		nr.RTT = ns.RTT
+		h := remotes[i].Health()
+		nr.Redials = h.Redials
+		nr.Bytes = h.BytesRead + h.BytesWritten
 	}
-	if err != nil {
-		return rep, fmt.Errorf("csoutlier: cluster collection failed: %w", err)
-	}
-	fill(part.Nodes)
 	for _, nr := range rep.Nodes {
 		if !nr.Included {
 			rep.Failed = append(rep.Failed, nr)
 		}
 	}
-	rep.Included = append(rep.Included, part.Included...)
-	sort.Strings(rep.Included)
+	rep.Included = part.Included
 	rep.Stats = ClusterStats{
 		Bytes:    part.Stats.Bytes,
 		Messages: part.Stats.Messages,
@@ -231,6 +223,9 @@ func (s *Sketcher) DetectCluster(ctx context.Context, addrs []string, k int, opt
 		Attempts: part.Stats.Attempts,
 		Retries:  part.Stats.Retries,
 		Timeouts: part.Stats.Timeouts,
+	}
+	if err != nil {
+		return rep, fmt.Errorf("csoutlier: cluster collection failed: %w", err)
 	}
 
 	global, err := s.FromPayload(part.Sketch)

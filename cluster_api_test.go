@@ -149,6 +149,63 @@ func TestDetectClusterFailsBelowQuorum(t *testing.T) {
 	}
 }
 
+// TestDetectClusterFailedQuorumKeepsEvidence: below MinNodes the report
+// still says what every node did — a hung node's timeouts, a crashed
+// node's attempts and error, the healthy node's RTT and bytes.
+func TestDetectClusterFailedQuorumKeepsEvidence(t *testing.T) {
+	const n = 60
+	sk, err := NewSketcher(testKeys(n), Config{M: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"healthy", "hung", "crashed"}
+	addrs := make([]string, len(names))
+	for i, name := range names {
+		srv, err := cluster.StartChaos(cluster.NewLocalNode(name, make([]float64, n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		addrs[i] = srv.Addr()
+		switch name {
+		case "hung":
+			srv.SetBehavior(cluster.BehaveHang)
+		case "crashed":
+			srv.SetBehavior(cluster.BehaveCrash)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rep, err := sk.DetectCluster(ctx, addrs, 3, ClusterOptions{
+		MinNodes: 2, NodeTimeout: 200 * time.Millisecond, MaxAttempts: 2, DialRetries: -1,
+	})
+	if err == nil {
+		t.Fatal("one node of a quorum of two answered and the query succeeded")
+	}
+	if rep == nil || len(rep.Nodes) != 3 || len(rep.Included) != 1 || rep.Included[0] != "healthy" {
+		t.Fatalf("report %+v", rep)
+	}
+	if len(rep.Failed) != 2 || rep.Failed[0].ID != "hung" || rep.Failed[1].ID != "crashed" {
+		t.Fatalf("failed %+v", rep.Failed)
+	}
+	healthy, hung, crashed := rep.Nodes[0], rep.Nodes[1], rep.Nodes[2]
+	if !healthy.Included || healthy.Attempts != 1 || healthy.RTT <= 0 || healthy.Bytes == 0 {
+		t.Fatalf("healthy node report %+v", healthy)
+	}
+	if hung.Included || hung.Attempts != 2 || hung.Retries != 1 || hung.Timeouts != 2 || hung.Err == "" {
+		t.Fatalf("hung node report %+v", hung)
+	}
+	if crashed.Included || crashed.Attempts != 2 || crashed.Retries != 1 || crashed.Err == "" {
+		t.Fatalf("crashed node report %+v", crashed)
+	}
+	if rep.Stats.Attempts != 5 || rep.Stats.Retries != 2 || rep.Stats.Timeouts != 2 || rep.Stats.Messages != 1 {
+		t.Fatalf("stats %+v", rep.Stats)
+	}
+	if len(rep.Outliers) != 0 {
+		t.Fatalf("a failed collection reported outliers: %+v", rep.Outliers)
+	}
+}
+
 func TestDetectClusterValidatesArgs(t *testing.T) {
 	keys := testKeys(50)
 	sk, _ := NewSketcher(keys, Config{M: 20, Seed: 5})

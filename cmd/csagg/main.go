@@ -136,19 +136,23 @@ func main() {
 			NodeTimeout: *nodeTO,
 			Metrics:     reg,
 		})
+		// A collection that missed its quorum still reports what each
+		// node did; print that before giving up.
+		if part != nil {
+			for id, ferr := range part.Failed {
+				log.Printf("csagg: node %s excluded: %v", id, ferr)
+			}
+			if *health {
+				for id, ns := range part.Nodes {
+					log.Printf("csagg: node %-12s ok=%-5v attempts=%d retries=%d timeouts=%d rtt=%v",
+						id, ns.OK, ns.Attempts, ns.Retries, ns.Timeouts, ns.RTT.Round(time.Microsecond))
+				}
+			}
+		}
 		if err != nil {
 			log.Fatalf("csagg: collect: %v", err)
 		}
-		for id, ferr := range part.Failed {
-			log.Printf("csagg: node %s excluded: %v", id, ferr)
-		}
 		log.Printf("csagg: aggregate over %d/%d nodes: %v", len(part.Included), len(nodes), part.Included)
-		if *health {
-			for id, ns := range part.Nodes {
-				log.Printf("csagg: node %-12s ok=%-5v attempts=%d retries=%d timeouts=%d rtt=%v",
-					id, ns.OK, ns.Attempts, ns.Retries, ns.Timeouts, ns.RTT.Round(time.Microsecond))
-			}
-		}
 		res, err = cluster.DetectSketchSpec(part.Sketch, spec, *k, recovery.Options{MaxIterations: *iters})
 		if err != nil {
 			log.Fatalf("csagg: detect: %v", err)

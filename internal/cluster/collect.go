@@ -66,8 +66,8 @@ type NodeStats struct {
 
 // PartialResult reports a fault-tolerant collection.
 type PartialResult struct {
-	Sketch   linalg.Vector
-	Included []string // node IDs whose sketches are in the sum
+	Sketch   linalg.Vector // the sum over Included; nil when the quorum was missed
+	Included []string      // node IDs whose sketches are in the sum
 	Failed   map[string]error
 	Nodes    map[string]NodeStats // per-node health/latency
 	Stats    CommStats
@@ -78,7 +78,9 @@ type PartialResult struct {
 // error when the context is cancelled or when too few nodes respond;
 // otherwise it sums whatever subset responded (at least opts.MinNodes)
 // and reports the exact membership of the aggregate plus per-node
-// health. On return, every goroutine it started has exited and every
+// health. A missed quorum returns the report next to the error, without
+// a Sketch: which nodes failed, how, and after how many attempts is what
+// an operator needs exactly then. On return, every goroutine it started has exited and every
 // in-flight request has been cancelled — nothing leaks, provided node
 // implementations honor ctx (NodeAPI's contract).
 func CollectSketchesCtx(ctx context.Context, nodes []NodeAPI, p sensing.Params, opts CollectOptions) (*PartialResult, error) {
@@ -232,15 +234,16 @@ loop:
 	if opts.Metrics != nil {
 		recordCollect(opts.Metrics, res, len(res.Included) >= min)
 	}
+	sort.Strings(res.Included)
 	if len(res.Included) < min {
+		res.Sketch = nil
 		if timedOut {
-			return nil, fmt.Errorf("cluster: context done with %d/%d responses (need %d): %w",
+			return res, fmt.Errorf("cluster: context done with %d/%d responses (need %d): %w",
 				len(res.Included), len(nodes), min, ctx.Err())
 		}
-		return nil, fmt.Errorf("cluster: only %d/%d nodes responded (need %d); failures: %v",
+		return res, fmt.Errorf("cluster: only %d/%d nodes responded (need %d); failures: %v",
 			len(res.Included), len(nodes), min, res.Failed)
 	}
-	sort.Strings(res.Included)
 	return res, nil
 }
 

@@ -57,8 +57,25 @@ func TestCollectCtxFailsBelowQuorum(t *testing.T) {
 		NewFaultyNode("dead2"),
 	}
 	p := sensing.Params{M: 4, N: 10, Seed: 25}
-	if _, err := CollectSketchesCtx(context.Background(), nodes, p, CollectOptions{MinNodes: 2}); err == nil {
+	res, err := CollectSketchesCtx(context.Background(), nodes, p, CollectOptions{MinNodes: 2, RetryBackoff: time.Millisecond})
+	if err == nil {
 		t.Fatal("quorum failure not reported")
+	}
+	// The evidence comes back with the error: who answered, who did not,
+	// after how many attempts — and no sketch to mistake for an aggregate.
+	if res == nil || res.Sketch != nil {
+		t.Fatalf("below quorum: result %+v", res)
+	}
+	if len(res.Included) != 1 || res.Included[0] != "ok" || len(res.Failed) != 2 {
+		t.Fatalf("included %v failed %v", res.Included, res.Failed)
+	}
+	for _, id := range []string{"dead1", "dead2"} {
+		if ns := res.Nodes[id]; ns.OK || ns.Attempts != 2 || ns.Retries != 1 || ns.Err == "" {
+			t.Fatalf("%s stats %+v", id, ns)
+		}
+	}
+	if res.Stats.Attempts != 5 || res.Stats.Messages != 1 {
+		t.Fatalf("stats %+v", res.Stats)
 	}
 }
 

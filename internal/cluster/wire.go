@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"csoutlier/internal/frame"
 	"csoutlier/internal/outlier"
@@ -45,7 +46,8 @@ const (
 	// maxReplyText bounds a node name or an error text in a reply.
 	maxReplyText = 1024
 
-	maxSpecBody = 3*binary.MaxVarintLen64 + 8 + 1
+	maxSpecBody = 3*binary.MaxVarintLen64 + 8 + 1 // uv M | uv N | u64 seed | u8 kind | uv D
+	maxKVLen    = binary.MaxVarintLen64 + 8       // uv index | f64 value
 )
 
 // requestLimits is the largest body a node accepts per request kind.
@@ -71,10 +73,7 @@ func replyLimit(req *request) int {
 	case reqSample:
 		n = 8 * len(req.Indices)
 	case reqOutliers:
-		n = MaxVectorBytes
-		if req.Count < MaxVectorBytes/(binary.MaxVarintLen64+8) {
-			n = req.Count * (binary.MaxVarintLen64 + 8)
-		}
+		n = min(req.Count, MaxVectorBytes/maxKVLen) * maxKVLen
 	}
 	return 1 + min(max(n, maxReplyText), MaxVectorBytes)
 }
@@ -171,7 +170,7 @@ func appendReply(buf []byte, kind reqKind, resp *response) []byte {
 	case msg != "":
 	case len(resp.Name) > maxReplyText:
 		msg = fmt.Sprintf("cluster: node name of %d bytes, the wire carries at most %d", len(resp.Name), maxReplyText)
-	case 8*len(resp.Vec) > MaxVectorBytes || (binary.MaxVarintLen64+8)*len(resp.KVs) > MaxVectorBytes:
+	case 8*len(resp.Vec) > MaxVectorBytes || maxKVLen*len(resp.KVs) > MaxVectorBytes:
 		msg = fmt.Sprintf("cluster: reply of %d values, the wire carries at most %d bytes", len(resp.Vec)+len(resp.KVs), MaxVectorBytes)
 	}
 	if msg != "" {
@@ -182,6 +181,7 @@ func appendReply(buf []byte, kind reqKind, resp *response) []byte {
 	case reqID:
 		buf = append(buf, resp.Name...)
 	case reqSketch, reqFull, reqSample:
+		buf = slices.Grow(buf, 8*len(resp.Vec))
 		for _, v := range resp.Vec {
 			buf = frame.AppendF64(buf, v)
 		}

@@ -89,8 +89,8 @@ func (ws *Workspace) aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options,
 	}
 	yNorm := y.Norm2()
 	if yNorm == 0 {
-		ws.res = Result{X: assembleInto(ws.x, p.N, 0, nil, nil)}
-		ws.x = ws.res.X
+		ws.x = assembleInto(ws.x, p.N, 0, nil, nil)
+		ws.res = Result{X: ws.x}
 		return &ws.res, nil
 	}
 	tol := opt.residualTol() * yNorm
@@ -120,21 +120,19 @@ func (ws *Workspace) aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options,
 		}
 	}
 
-	// Current support τ: where x is nonzero, or the s strongest proxy
-	// entries while the iterate is still zero (snippet-2 initialization).
-	support := nonzeroIndices(ws.tau, x)
-	spare := ws.tauNext
-	// The two support buffers trade places on every accepted step; hand
-	// both back whichever way the run leaves them.
-	defer func() { ws.tau, ws.tauNext = support, spare }()
+	// Current support τ (ws.tau): where x is nonzero, or the s strongest
+	// proxy entries while the iterate is still zero (snippet-2
+	// initialization). ws.tauNext holds each proposal's support; the two
+	// trade places when a step that moves the support is accepted.
+	ws.tau = nonzeroIndices(ws.tau, x)
 	prevNorm := residual.Norm2()
-	if ft := warmFastTol(tol, yNorm); ft > 0 && prevNorm <= ft && len(support) > 0 {
+	if ft := warmFastTol(tol, yNorm); ft > 0 && prevNorm <= ft && len(ws.tau) > 0 {
 		// Warm hint already explains the measurement to tolerance.
-		return ws.finishAIHT(d, p, y, yNorm, support, 0, false, nil, biased)
+		return ws.finishAIHT(d, p, y, yNorm, ws.tau, 0, false, nil, biased)
 	}
-	if len(support) == 0 {
+	if len(ws.tau) == 0 {
 		ws.corr = d.correlate(y, ws.corr)
-		support = ws.sp.topAbsIndices(support, ws.corr, s)
+		ws.tau = ws.sp.topAbsIndices(ws.tau, ws.corr, s)
 	}
 	prevNorm = residual.Norm2()
 
@@ -150,7 +148,7 @@ func (ws *Workspace) aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options,
 		// Adaptive step on the current support: μ = ‖g_τ‖²/‖Φ g_τ‖².
 		num := 0.0
 		step.Fill(0)
-		for _, j := range support {
+		for _, j := range ws.tau {
 			num += grad[j] * grad[j]
 			step[j] = grad[j]
 		}
@@ -159,7 +157,7 @@ func (ws *Workspace) aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options,
 			// orthogonal to every selected column — converged.
 			break
 		}
-		ws.gImg = ws.sp.sparseImage(d, step, support, ws.gImg)
+		ws.gImg = ws.sp.sparseImage(d, step, ws.tau, ws.gImg)
 		den := ws.gImg.Dot(ws.gImg)
 		if den == 0 {
 			break
@@ -179,8 +177,8 @@ func (ws *Workspace) aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options,
 				cand[i] = x[i] + mu*grad[i]
 			}
 			ws.sp.hardThreshold(cand, s)
-			spare = nonzeroIndices(spare, cand)
-			if intsEqual(spare, support) {
+			ws.tauNext = nonzeroIndices(ws.tauNext, cand)
+			if intsEqual(ws.tauNext, ws.tau) {
 				accepted = true
 				applied, appliedScale = ws.gImg, mu
 				break
@@ -197,7 +195,7 @@ func (ws *Workspace) aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options,
 			}
 			omega := (1 - c) * diffNorm2 / imgNorm2
 			if mu <= omega {
-				support, spare = spare, support
+				ws.tau, ws.tauNext = ws.tauNext, ws.tau
 				accepted = true
 				applied, appliedScale = ws.diffImg, 1
 				break
@@ -224,8 +222,8 @@ func (ws *Workspace) aiht(m sensing.Matrix, y linalg.Vector, s int, opt Options,
 		prevNorm = norm
 	}
 
-	spare = nonzeroIndices(spare, x)
-	return ws.finishAIHT(d, p, y, yNorm, spare, iters, stalled, trace, biased)
+	ws.tau = nonzeroIndices(ws.tau, x)
+	return ws.finishAIHT(d, p, y, yNorm, ws.tau, iters, stalled, trace, biased)
 }
 
 // finishAIHT debiases the final iterate's support and maps it into the
@@ -327,12 +325,7 @@ func warmFastTol(tol, yNorm float64) float64 {
 // kept and z alias workspace storage; kept is empty when no column of
 // sup was usable.
 func (ws *Workspace) leastSquares(d dictionary, y linalg.Vector, sup []int) (kept []int, z linalg.Vector, err error) {
-	if ws.qr == nil {
-		ws.qr = linalg.NewIncrementalQR(len(y))
-	} else {
-		ws.qr.Reset(len(y))
-	}
-	ws.qr.SetTarget(y)
+	ws.resetQR(y)
 	ws.selected = ws.selected[:0]
 	for _, j := range sup {
 		ws.colBuf = d.col(j, ws.colBuf)

@@ -221,12 +221,7 @@ func (ws *Workspace) greedyInit(d dictionary, y linalg.Vector, m int, opt Option
 	*st = greedyState{d: d, opt: opt, modeFn: modeFn}
 	st.maxIter = clampMaxIter(opt.MaxIterations, m, d.size())
 
-	if ws.qr == nil {
-		ws.qr = linalg.NewIncrementalQR(m)
-	} else {
-		ws.qr.Reset(m)
-	}
-	ws.qr.SetTarget(y)
+	ws.resetQR(y)
 	st.yNorm = y.Norm2()
 	st.prevNorm = st.yNorm
 	st.diag.residual = st.yNorm // final norm if nothing gets selected
@@ -241,6 +236,17 @@ func (ws *Workspace) greedyInit(d dictionary, y linalg.Vector, m int, opt Option
 		return
 	}
 	st.tol = opt.residualTol() * st.yNorm
+}
+
+// resetQR rewinds the workspace's factorization to zero columns against
+// the target y, keeping its storage.
+func (ws *Workspace) resetQR(y linalg.Vector) {
+	if ws.qr == nil {
+		ws.qr = linalg.NewIncrementalQR(len(y))
+	} else {
+		ws.qr.Reset(len(y))
+	}
+	ws.qr.SetTarget(y)
 }
 
 // greedyStep consumes the correlation vector in ws.corr — one iteration

@@ -4,6 +4,7 @@
 #   scripts/verify.sh          # tier-1 + race + simulation smoke
 #   scripts/verify.sh -quick   # tier-1 (and the benchmark module) only
 #   scripts/verify.sh -bench   # tier-1 + 1-iteration benchmark smoke
+#                              # + a 3-round oneshot_pull benchmark run
 #
 # Tier-1 (build, vet, full test suite) is the floor every change must
 # clear. benchmark/ is a module of its own, so tier-1's ./... never
@@ -28,9 +29,22 @@
 # -sim.streamcount and friends for soak runs. The -bench mode
 # compiles and runs every benchmark exactly once — it catches bit-rotted
 # benchmark code without paying for a real measurement (use
-# scripts/bench.sh for that).
+# scripts/bench.sh for that) — and then drives three checked rounds of
+# the end-to-end benchmark's oneshot_pull workload (8 pull nodes over
+# loopback TCP, one DetectCluster per round, every answer against the
+# exact oracle), which must report no failed operation.
+#
+# Every mode first refuses encoding/gob in non-test code: both wire
+# protocols are internal/frame's binary frames, and a gob import is a
+# second codec on its way back in.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "== no encoding/gob outside tests =="
+if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build '"encoding/gob"' .; then
+	echo "verify: the files above import encoding/gob; the wire codec is internal/frame" >&2
+	exit 1
+fi
 
 echo "== tier-1: build + vet + test =="
 go build ./...
@@ -47,6 +61,16 @@ case "${1:-}" in
 -bench)
 	echo "== bench smoke: every benchmark, one iteration =="
 	go test -run - -bench . -benchtime 1x ./...
+	echo "== benchmark smoke: three checked oneshot_pull rounds =="
+	line=$(bash benchmark/run.sh --workload oneshot_pull --cycles 3 --trace 0 | tail -n 1)
+	echo "$line"
+	case "$line" in
+	*'"failed":0'*) ;;
+	*)
+		echo "verify: oneshot_pull reported failed operations" >&2
+		exit 1
+		;;
+	esac
 	echo "verify: OK (bench smoke)"
 	exit 0
 	;;
