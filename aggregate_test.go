@@ -201,10 +201,28 @@ func TestUpdaterValidation(t *testing.T) {
 	if err := u.ObserveBatch(map[string]float64{"bogus": 1, keys[0]: 2}); err == nil {
 		t.Fatal("batch with unknown key accepted")
 	}
-	// Failed batch must not have mutated the sketch.
+	// Neither is a delta that would make the sketch non-finite for good,
+	// on the standing sketch or on a window.
+	ws, _ := sk.NewWindowStore(2)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := u.Observe(keys[1], bad); err == nil {
+			t.Fatalf("Updater.Observe accepted %v", bad)
+		}
+		if err := u.ObserveBatch(map[string]float64{keys[0]: 2, keys[1]: bad}); err == nil {
+			t.Fatalf("Updater.ObserveBatch accepted %v", bad)
+		}
+		if err := ws.Observe(keys[1], bad); err == nil {
+			t.Fatalf("WindowStore.Observe accepted %v", bad)
+		}
+		if err := ws.ObserveBatch(map[string]float64{keys[0]: 2, keys[1]: bad}); err == nil {
+			t.Fatalf("WindowStore.ObserveBatch accepted %v", bad)
+		}
+	}
+	// Failed calls must not have mutated the sketch or the window.
 	s := u.Sketch()
-	for _, v := range s.Y {
-		if v != 0 {
+	cur, _ := ws.Window(0)
+	for i, v := range s.Y {
+		if v != 0 || cur.Y[i] != 0 {
 			t.Fatal("failed batch partially applied")
 		}
 	}

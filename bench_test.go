@@ -204,8 +204,7 @@ func BenchmarkAblationNaiveOMP(b *testing.B) {
 	}
 }
 
-// Recovery-family benches on one shared biased instance: the paper's
-// BOMP against the extended-dictionary variants of CoSaMP, IHT and OLS.
+// BOMP on a biased instance (N=800, M=250, s=30).
 func biasedInstance(b *testing.B) (*sensing.Dense, linalg.Vector, int) {
 	b.Helper()
 	const n, m, s = 800, 250, 30
@@ -222,36 +221,6 @@ func BenchmarkRecoveryBOMP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := recovery.BOMP(d, y, recovery.Options{MaxIterations: s + 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRecoveryBiasedCoSaMP(b *testing.B) {
-	d, y, s := biasedInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := recovery.BiasedCoSaMP(d, y, s, recovery.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRecoveryBiasedIHT(b *testing.B) {
-	d, y, s := biasedInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := recovery.BiasedIHT(d, y, s, recovery.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRecoveryBiasedOLS(b *testing.B) {
-	d, y, s := biasedInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := recovery.BiasedOLS(d, y, recovery.Options{MaxIterations: s + 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

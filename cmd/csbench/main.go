@@ -29,7 +29,6 @@ func main() {
 		seed   = flag.Uint64("seed", 42, "experiment seed")
 		list   = flag.Bool("list", false, "list available experiments and exit")
 		asCSV  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		solver = flag.String("solver", "", "restrict solver-aware experiments to one recovery solver (empty/all/auto = every solver)")
 	)
 	flag.Parse()
 
@@ -47,7 +46,7 @@ func main() {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = experiments.IDs()
 	}
-	cfg := experiments.Config{Scale: *scale, Trials: *trials, Seed: *seed, Solver: *solver}
+	cfg := experiments.Config{Scale: *scale, Trials: *trials, Seed: *seed}
 	for _, id := range ids {
 		start := time.Now()
 		render := experiments.RunAndPrint

@@ -58,7 +58,6 @@ func main() {
 		m           = flag.Int("m", 0, "measurement count M (sketch length)")
 		seed        = flag.Uint64("seed", 42, "consensus measurement seed")
 		ensemble    = flag.String("ensemble", "gaussian", "measurement ensemble: gaussian, sparse, srht or countsketch")
-		solver      = flag.String("solver", "auto", "recovery solver: auto, bomp, ols, cosamp, iht, aiht, bp or dantzig (auto picks per query)")
 		sparseD     = flag.Int("sparse-d", 0, "per-column density for -ensemble sparse (0 = max(8, M/16))")
 		depth       = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
 		watch       = flag.String("watch", "", "comma-separated keys to point-query in every report (requires -ensemble countsketch)")
@@ -97,10 +96,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("csstreamd: %v", err)
 	}
-	sv, err := csoutlier.ParseSolver(*solver)
-	if err != nil {
-		log.Fatalf("csstreamd: %v", err)
-	}
 
 	f, err := os.Open(*dictPath)
 	if err != nil {
@@ -116,7 +111,7 @@ func main() {
 	var sk *csoutlier.Sketcher
 	if *shards > 1 {
 		shardMap, err := tier.NewShardMap(dict.Keys(), *shards, tier.Spec{
-			M: *m, BaseSeed: *seed, Ensemble: ens, SparseD: *sparseD, Depth: *depth, Solver: sv,
+			M: *m, BaseSeed: *seed, Ensemble: ens, SparseD: *sparseD, Depth: *depth,
 		}, *shardVer)
 		if err != nil {
 			log.Fatalf("csstreamd: %v", err)
@@ -133,7 +128,7 @@ func main() {
 			*shardIndex, *shards, *shardVer, len(own.Keys), dict.N(), own.Keys[0], own.Keys[len(own.Keys)-1])
 	} else {
 		sk, err = csoutlier.NewSketcher(dict.Keys(), csoutlier.Config{
-			M: *m, Seed: *seed, Ensemble: ens, SparseD: *sparseD, Depth: *depth, Solver: sv,
+			M: *m, Seed: *seed, Ensemble: ens, SparseD: *sparseD, Depth: *depth,
 		})
 		if err != nil {
 			log.Fatalf("csstreamd: %v", err)

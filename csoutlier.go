@@ -74,90 +74,6 @@ const (
 	CountSketch
 )
 
-// Solver selects the recovery algorithm for Detect/DetectBatch (the
-// aggregator-side CS-Reducer). The default, SolverAuto, picks per query
-// from (k, M, N, ensemble, residual history): BOMP for the common case,
-// adaptive-step IHT when the requested k is large enough that greedy
-// growth dominates, and the Dantzig selector when a standing query's
-// residual history says the data is only approximately sparse. All
-// solvers return the same answer on recoverable instances — the choice
-// trades cost and robustness, not correctness — and all of them honor
-// warm Selection hints, so a standing query migrates solvers across
-// fold generations without losing its warm start.
-type Solver int
-
-const (
-	// SolverAuto picks per query (default).
-	SolverAuto Solver = iota
-	// SolverBOMP forces the paper's bias-aware OMP.
-	SolverBOMP
-	// SolverOLS forces greedy orthogonal least squares.
-	SolverOLS
-	// SolverCoSaMP forces support-correcting matching pursuit.
-	SolverCoSaMP
-	// SolverIHT forces fixed-step iterative hard thresholding.
-	SolverIHT
-	// SolverAIHT forces adaptive-step (normalized) IHT.
-	SolverAIHT
-	// SolverBP forces the basis-pursuit LP baseline (heavy; moderate N
-	// only).
-	SolverBP
-	// SolverDantzig forces the Dantzig-selector ADMM.
-	SolverDantzig
-)
-
-// rec maps the public Solver onto the recovery engine's enum.
-func (v Solver) rec() recovery.Solver {
-	switch v {
-	case SolverBOMP:
-		return recovery.SolverBOMP
-	case SolverOLS:
-		return recovery.SolverOLS
-	case SolverCoSaMP:
-		return recovery.SolverCoSaMP
-	case SolverIHT:
-		return recovery.SolverIHT
-	case SolverAIHT:
-		return recovery.SolverAIHT
-	case SolverBP:
-		return recovery.SolverBP
-	case SolverDantzig:
-		return recovery.SolverDantzig
-	default:
-		return recovery.SolverAuto
-	}
-}
-
-// String returns the flag-friendly solver name ("auto", "bomp", ...).
-func (v Solver) String() string { return v.rec().String() }
-
-// ParseSolver parses a -solver flag value: auto, bomp, ols, cosamp,
-// iht, aiht, bp or dantzig.
-func ParseSolver(name string) (Solver, error) {
-	r, err := recovery.ParseSolver(name)
-	if err != nil {
-		return 0, err
-	}
-	switch r {
-	case recovery.SolverBOMP:
-		return SolverBOMP, nil
-	case recovery.SolverOLS:
-		return SolverOLS, nil
-	case recovery.SolverCoSaMP:
-		return SolverCoSaMP, nil
-	case recovery.SolverIHT:
-		return SolverIHT, nil
-	case recovery.SolverAIHT:
-		return SolverAIHT, nil
-	case recovery.SolverBP:
-		return SolverBP, nil
-	case recovery.SolverDantzig:
-		return SolverDantzig, nil
-	default:
-		return SolverAuto, nil
-	}
-}
-
 // Config parameterizes a Sketcher.
 type Config struct {
 	// M is the sketch length (measurement count). Larger M recovers more
@@ -179,10 +95,6 @@ type Config struct {
 	// values make the point estimator's median an order statistic).
 	// Each row gets M/Depth buckets. Ignored for other ensembles.
 	Depth int
-	// Solver pins the recovery algorithm (default SolverAuto: per-query
-	// selection). Forcing a solver is for ablations, benchmarks and the
-	// differential cross-check suite; Auto is the production choice.
-	Solver Solver
 }
 
 // Outlier is one detected outlier.
@@ -211,10 +123,6 @@ type Report struct {
 	// recovery then replays its prediction instead of re-deriving it,
 	// at identical (bit-exact) output. Safe to pass stale or to drop.
 	Selection []int
-	// Solver names the recovery algorithm that answered this query
-	// ("bomp", "aiht", ...) — which one the automatic selector picked,
-	// or the forced Config.Solver.
-	Solver string
 }
 
 // Sketch is a compressed representation of a node's key→value slice.
@@ -291,9 +199,9 @@ type Sketcher struct {
 	recMat sensing.Matrix
 
 	// wsHeld and ws recycle recovery workspaces across Detect/Recover
-	// calls, so a standing query replaying BOMP or AIHT on each refreshed
-	// sketch reuses all recovery scratch (QR factorization, correlation,
-	// residual and iterate buffers) instead of reallocating it per query.
+	// calls, so a standing query replaying BOMP on each refreshed sketch
+	// reuses all recovery scratch (QR factorization, correlation and
+	// residual buffers) instead of reallocating it per query.
 	// wsHeld is one strongly-held workspace in front of the pool: a pool
 	// is emptied by two GCs in a row, and a warmed Sketcher serving one
 	// query at a time must not re-grow ~2 MB of buffers whenever that
@@ -331,9 +239,10 @@ type detectMetrics struct {
 	batchDiverged *obs.Counter
 	batchSeconds  *obs.Histogram
 
-	// Multi-solver routing metrics, labeled by solver name.
-	solverPicks   *obs.CounterVec
-	solverSeconds *obs.HistogramVec
+	// bompPicks is recovery_solver_picks_total{solver="bomp"}: the family
+	// predates the single-solver path and the end-to-end benchmark reads
+	// it by that name.
+	bompPicks *obs.Counter
 }
 
 // Instrument registers the recovery path's metrics in reg and starts
@@ -356,11 +265,10 @@ type detectMetrics struct {
 //	recovery_batch_divergences_total           — stale warm hints detected
 //	recovery_batch_seconds                     — wall time per batched pass
 //
-// plus the multi-solver routing families (labeled by solver name, one
-// series per solver pre-seeded so they render before the first query):
+// plus, under the name dashboards and the end-to-end benchmark already
+// read:
 //
-//	recovery_solver_picks_total{solver="..."}  — queries routed per solver
-//	recovery_solver_seconds{solver="..."}      — recovery wall time per solver
+//	recovery_solver_picks_total{solver="bomp"} — queries answered, both paths
 //
 // Call it once at daemon startup with the registry served at
 // -metrics-addr; it is safe (but pointless) to call more than once.
@@ -388,18 +296,8 @@ func (s *Sketcher) Instrument(reg *obs.Registry) {
 			"warm-started queries whose hint went stale mid-replay"),
 		batchSeconds: reg.Histogram("recovery_batch_seconds",
 			"wall time per batched recovery pass, in seconds", obs.LatencyBuckets()),
-		solverPicks: reg.CounterVec("recovery_solver_picks_total",
-			"outlier queries routed to each recovery solver", "solver"),
-		solverSeconds: reg.HistogramVec("recovery_solver_seconds",
-			"recovery wall time by solver, in seconds (one observation per query; BOMP-batched queries observe the shared pass once)",
-			obs.LatencyBuckets(), "solver"),
-	}
-	// Pre-seed one series per solver: exposition skips empty families,
-	// and the obscheck gates require every recovery_solver_* family to
-	// render from the first scrape, before any query has routed.
-	for _, sv := range recovery.Solvers() {
-		dm.solverPicks.With(sv.String())
-		dm.solverSeconds.With(sv.String())
+		bompPicks: reg.CounterVec("recovery_solver_picks_total",
+			"outlier queries routed to each recovery solver", "solver").With("bomp"),
 	}
 	s.metrics.Store(dm)
 }
@@ -426,9 +324,6 @@ func NewSketcher(keys []string, cfg Config) (*Sketcher, error) {
 	dict := b.Freeze()
 	if cfg.M > dict.N() {
 		return nil, fmt.Errorf("csoutlier: M=%d exceeds key-space size N=%d (no compression)", cfg.M, dict.N())
-	}
-	if cfg.Solver < SolverAuto || cfg.Solver > SolverDantzig {
-		return nil, fmt.Errorf("csoutlier: unknown solver %d", cfg.Solver)
 	}
 	p := sensing.Params{M: cfg.M, N: dict.N(), Seed: cfg.Seed}
 	var mat sensing.Matrix
@@ -539,6 +434,9 @@ func (s *Sketcher) SketchPairs(pairs map[string]float64) (Sketch, error) {
 	if err != nil {
 		return Sketch{}, err
 	}
+	if err := checkFinite(vals); err != nil {
+		return Sketch{}, err
+	}
 	out := s.emptySketch()
 	s.matrix.MeasureSparse(idx, vals, out.Y)
 	return out, nil
@@ -550,6 +448,9 @@ func (s *Sketcher) SketchVector(x []float64) (Sketch, error) {
 	if len(x) != s.params.N {
 		return Sketch{}, fmt.Errorf("csoutlier: vector length %d, want N=%d", len(x), s.params.N)
 	}
+	if err := checkFinite(x); err != nil {
+		return Sketch{}, err
+	}
 	out := s.emptySketch()
 	s.matrix.Measure(x, out.Y)
 	return out, nil
@@ -560,6 +461,9 @@ func (s *Sketcher) SketchVector(x []float64) (Sketch, error) {
 func (s *Sketcher) FromPayload(y []float64) (Sketch, error) {
 	if len(y) != s.params.M {
 		return Sketch{}, fmt.Errorf("csoutlier: payload length %d, want M=%d", len(y), s.params.M)
+	}
+	if err := checkFinite(y); err != nil {
+		return Sketch{}, err
 	}
 	out := s.emptySketch()
 	copy(out.Y, y)
@@ -586,74 +490,17 @@ func (s *Sketcher) putWorkspace(ws *recovery.Workspace) {
 	}
 }
 
-// sensingKind maps the public Ensemble onto the sensing-layer family
-// tag the solver selector keys on.
-func (s *Sketcher) sensingKind() sensing.Kind {
-	switch s.cfg.Ensemble {
-	case SparseRademacher:
-		return sensing.KindSparseRademacher
-	case SRHT:
-		return sensing.KindSRHT
-	case CountSketch:
-		return sensing.KindCountSketch
-	default:
-		return sensing.KindGaussian
+// iterations is BOMP's iteration budget for a k-outlier query:
+// Config.MaxIterations, or the paper's R = f(k) when that is 0.
+func (s *Sketcher) iterations(k int) int {
+	if s.cfg.MaxIterations != 0 {
+		return s.cfg.MaxIterations
 	}
-}
-
-// pickSolver runs the selection policy for one query.
-func (s *Sketcher) pickSolver(k, iters int, prevResidual float64, y []float64, warm []int) recovery.Solver {
-	prevRel := 0.0
-	if prevResidual > 0 {
-		if yn := linalg.Vector(y).Norm2(); yn > 0 {
-			prevRel = prevResidual / yn
-		}
-	}
-	return recovery.Selector{Force: s.cfg.Solver.rec()}.Pick(recovery.QueryProfile{
-		K:            k,
-		Budget:       iters,
-		M:            s.params.M,
-		N:            s.params.N,
-		Kind:         s.sensingKind(),
-		PrevResidual: prevRel,
-		Warm:         len(warm) > 0,
-	})
-}
-
-// solveRouted answers one query with the picked solver. BOMP and AIHT
-// run in ws, and their Result aliases it until the caller has copied out
-// what it keeps; the other solvers allocate their own. The target
-// sparsity handed to the sparsity-targeted solvers is the query's
-// iteration budget — deliberately generous; their coefficient pruning
-// drops the unused slots, so overshooting costs time, never phantom
-// outliers. Warm Selection hints (from any solver) are honored where
-// the solver supports them.
-func (s *Sketcher) solveRouted(ws *recovery.Workspace, pick recovery.Solver, y []float64, iters int, warm []int) (*recovery.Result, error) {
-	v := linalg.Vector(y)
-	switch pick {
-	case recovery.SolverBOMP:
-		return ws.BOMP(s.recMat, v, recovery.Options{MaxIterations: iters})
-	case recovery.SolverOLS:
-		return recovery.BiasedOLS(s.recMat, v, recovery.Options{MaxIterations: iters})
-	case recovery.SolverCoSaMP:
-		return recovery.BiasedCoSaMP(s.recMat, v, iters, recovery.Options{})
-	case recovery.SolverIHT:
-		return recovery.BiasedIHT(s.recMat, v, iters, recovery.Options{})
-	case recovery.SolverAIHT:
-		return ws.BiasedAIHTWarm(s.recMat, v, iters, warm, recovery.Options{})
-	case recovery.SolverBP:
-		return recovery.BiasedBP(s.recMat, v)
-	case recovery.SolverDantzig:
-		return recovery.BiasedDantzigWarm(s.recMat, v, iters, warm, recovery.Options{})
-	default:
-		return nil, fmt.Errorf("csoutlier: unroutable solver %v", pick)
-	}
+	return recovery.IterationBudget(k)
 }
 
 // Detect recovers the k-outliers and the mode from an aggregated global
-// sketch (the aggregator-side operation, CS-Reducer). The solver is
-// chosen by Config.Solver / the automatic selector; the default path is
-// BOMP recovery.
+// sketch by BOMP recovery (the aggregator-side operation, CS-Reducer).
 func (s *Sketcher) Detect(global Sketch, k int) (*Report, error) {
 	if err := global.compatible(s.sketchID()); err != nil {
 		return nil, err
@@ -661,11 +508,7 @@ func (s *Sketcher) Detect(global Sketch, k int) (*Report, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("csoutlier: k must be positive, got %d", k)
 	}
-	iters := s.cfg.MaxIterations
-	if iters == 0 {
-		iters = recovery.IterationBudget(k)
-	}
-	pick := s.pickSolver(k, iters, 0, global.Y, nil)
+	iters := s.iterations(k)
 	var start time.Time
 	m := s.metrics.Load()
 	if m != nil {
@@ -673,26 +516,24 @@ func (s *Sketcher) Detect(global Sketch, k int) (*Report, error) {
 	}
 	ws := s.workspace()
 	defer s.putWorkspace(ws)
-	res, err := s.solveRouted(ws, pick, global.Y, iters, nil)
+	res, err := ws.BOMP(s.recMat, global.Y, recovery.Options{MaxIterations: iters})
 	if err != nil {
 		return nil, err
 	}
 	if m != nil {
-		elapsed := time.Since(start).Seconds()
-		m.seconds.Observe(elapsed)
+		m.seconds.Observe(time.Since(start).Seconds())
 		m.iterations.Observe(float64(res.Iterations))
 		m.residual.Set(res.Residual)
 		m.detects.Inc()
-		m.solverPicks.With(pick.String()).Inc()
-		m.solverSeconds.With(pick.String()).Observe(elapsed)
+		m.bompPicks.Inc()
 	}
-	return s.reportFromResult(res, k, pick), nil
+	return s.reportFromResult(res, k), nil
 }
 
 // reportFromResult packages a recovery result into a Report, copying
 // everything out of the workspace-owned slices so the workspace can go
 // back to the pool.
-func (s *Sketcher) reportFromResult(res *recovery.Result, k int, pick recovery.Solver) *Report {
+func (s *Sketcher) reportFromResult(res *recovery.Result, k int) *Report {
 	cands := make([]outlier.KV, len(res.Support))
 	for i, j := range res.Support {
 		cands[i] = outlier.KV{Index: j, Value: res.X[j]}
@@ -703,7 +544,6 @@ func (s *Sketcher) reportFromResult(res *recovery.Result, k int, pick recovery.S
 		Iterations: res.Iterations,
 		Residual:   res.Residual,
 		Selection:  append([]int(nil), res.Selection...),
-		Solver:     pick.String(),
 	}
 	for _, kv := range top {
 		rep.Outliers = append(rep.Outliers, Outlier{Key: s.dict.Key(kv.Index), Value: kv.Value})
@@ -721,11 +561,6 @@ type BatchQuery struct {
 	// standing query, or nil for a cold solve. Stale hints are safe: the
 	// answer is bit-identical to a cold Detect either way.
 	Warm []int
-	// PrevResidual is the previous generation's Report.Residual for this
-	// standing query (0 = unknown). It is the selector's residual
-	// history: a persistently unexplained sketch steers the query to the
-	// robustness solver.
-	PrevResidual float64
 }
 
 // DetectQuery is Detect with a warm-start hint: a standing query passes
@@ -739,24 +574,17 @@ func (s *Sketcher) DetectQuery(global Sketch, k int, warm []int) (*Report, error
 	return reps[0], nil
 }
 
-// DetectBatch answers many outlier queries in one pass. Each query is
-// routed by the solver selector (Config.Solver pins it); the BOMP-routed
-// subset — the common case — runs through the batched recovery engine,
-// where every greedy iteration the warm hints predict is correlated in a
-// single block kernel call that regenerates each dictionary column once
-// for the whole batch. Other solvers answer their queries individually,
-// warm-started from the same Selection hints, so standing queries
-// migrate between solvers across fold generations without losing their
-// warm start. Each BOMP report is bit-identical to an independent
-// Detect on the same sketch.
+// DetectBatch answers many outlier queries in one pass through the
+// batched recovery engine: every greedy iteration the warm hints predict
+// is correlated in a single block kernel call that regenerates each
+// dictionary column once for the whole batch. Each report is
+// bit-identical to an independent Detect on the same sketch.
 func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
 	id := s.sketchID()
-	picks := make([]recovery.Solver, len(queries))
-	iterss := make([]int, len(queries))
-	var bompIdx []int
+	items := make([]recovery.BatchItem, len(queries))
 	for i, q := range queries {
 		if err := q.Global.compatible(id); err != nil {
 			return nil, fmt.Errorf("csoutlier: batch query %d: %w", i, err)
@@ -764,15 +592,7 @@ func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 		if q.K <= 0 {
 			return nil, fmt.Errorf("csoutlier: batch query %d: k must be positive, got %d", i, q.K)
 		}
-		iters := s.cfg.MaxIterations
-		if iters == 0 {
-			iters = recovery.IterationBudget(q.K)
-		}
-		iterss[i] = iters
-		picks[i] = s.pickSolver(q.K, iters, q.PrevResidual, q.Global.Y, q.Warm)
-		if picks[i] == recovery.SolverBOMP {
-			bompIdx = append(bompIdx, i)
-		}
+		items[i] = recovery.BatchItem{Y: q.Global.Y, Warm: q.Warm, Opt: recovery.Options{MaxIterations: s.iterations(q.K)}}
 	}
 	m := s.metrics.Load()
 	var start time.Time
@@ -780,82 +600,40 @@ func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 		start = time.Now()
 	}
 
-	results := make([]*recovery.Result, len(queries))
-	var stats recovery.BatchStats
 	// One workspace per query, held until its report is built: results
 	// alias them.
-	wss := make([]*recovery.Workspace, len(bompIdx), len(queries))
+	wss := make([]*recovery.Workspace, len(queries))
+	for i := range wss {
+		wss[i] = s.workspace()
+	}
 	defer func() {
 		for _, ws := range wss {
 			s.putWorkspace(ws)
 		}
 	}()
-	if len(bompIdx) > 0 {
-		items := make([]recovery.BatchItem, len(bompIdx))
-		for bi, i := range bompIdx {
-			q := queries[i]
-			items[bi] = recovery.BatchItem{Y: q.Global.Y, Warm: q.Warm, Opt: recovery.Options{MaxIterations: iterss[i]}}
-			wss[bi] = s.workspace()
-		}
-		sub, st, err := recovery.BOMPBatch(s.recMat, wss, items)
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		for bi, i := range bompIdx {
-			results[i] = sub[bi]
-		}
-	}
-	var bompElapsed float64
-	if m != nil {
-		bompElapsed = time.Since(start).Seconds()
-	}
-
-	// Non-BOMP queries solve individually (no block engine), timed per
-	// solver.
-	for i := range queries {
-		if results[i] != nil {
-			continue
-		}
-		var qStart time.Time
-		if m != nil {
-			qStart = time.Now()
-		}
-		ws := s.workspace()
-		wss = append(wss, ws)
-		res, err := s.solveRouted(ws, picks[i], queries[i].Global.Y, iterss[i], queries[i].Warm)
-		if err != nil {
-			return nil, fmt.Errorf("csoutlier: batch query %d (%v): %w", i, picks[i], err)
-		}
-		results[i] = res
-		if m != nil {
-			m.solverSeconds.With(picks[i].String()).Observe(time.Since(qStart).Seconds())
-		}
+	results, stats, err := recovery.BOMPBatch(s.recMat, wss, items)
+	if err != nil {
+		return nil, err
 	}
 
 	reports := make([]*Report, len(results))
 	for i, res := range results {
-		reports[i] = s.reportFromResult(res, queries[i].K, picks[i])
+		reports[i] = s.reportFromResult(res, queries[i].K)
 		if m != nil {
 			m.iterations.Observe(float64(res.Iterations))
 			m.residual.Set(res.Residual)
-			m.solverPicks.With(picks[i].String()).Inc()
 		}
 	}
 	if m != nil {
 		m.batchSeconds.Observe(time.Since(start).Seconds())
 		m.batches.Inc()
 		m.detects.Add(int64(len(queries)))
+		m.bompPicks.Add(int64(len(queries)))
 		m.batchQueries.Add(int64(stats.Items))
 		m.batchWarm.Add(int64(stats.Warm))
 		m.batchScripted.Add(int64(stats.ScriptedIterations))
 		m.batchLive.Add(int64(stats.LiveIterations))
 		m.batchDiverged.Add(int64(stats.Divergences))
-		if len(bompIdx) > 0 {
-			// The batched engine answers its whole subset in one pass;
-			// observe that shared pass once under the bomp label.
-			m.solverSeconds.With(recovery.SolverBOMP.String()).Observe(bompElapsed)
-		}
 	}
 	return reports, nil
 }

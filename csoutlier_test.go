@@ -3,8 +3,13 @@ package csoutlier
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"csoutlier/internal/obs"
 )
 
 // testKeys returns n distinct keys.
@@ -147,6 +152,16 @@ func TestSketchUnknownKeyRejected(t *testing.T) {
 	if _, err := s.SketchVector(make([]float64, 9)); err == nil {
 		t.Fatal("short vector accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := s.SketchPairs(map[string]float64{testKeys(10)[2]: bad}); err == nil {
+			t.Fatalf("SketchPairs accepted %v", bad)
+		}
+		x := make([]float64, 10)
+		x[7] = bad
+		if _, err := s.SketchVector(x); err == nil {
+			t.Fatalf("SketchVector accepted %v", bad)
+		}
+	}
 }
 
 func TestIncompatibleSketchesRejected(t *testing.T) {
@@ -211,6 +226,119 @@ func TestKeysCanonicalOrderInsensitive(t *testing.T) {
 		if pa.Y[i] != pb.Y[i] {
 			t.Fatal("key order changed the sketch")
 		}
+	}
+}
+
+// TestDetectLargeKRecall is the end-to-end benchmark's large-k probe as
+// a checked answer: N=4000, M=320, 48 planted keys on a ladder of
+// deviations around mode 5000, k=16, default Config. Detect must report
+// every key of the exact top-16 on every one of 8 seeded vectors. (The
+// per-query solver selector this shape used to reach reported four
+// fifths of them on average.)
+func TestDetectLargeKRecall(t *testing.T) {
+	const n, m, planted, k, vectors = 4000, 320, 48, 16, 8
+	keys := testKeys(n)
+	s, err := NewSketcher(keys, Config{M: m, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(401))
+	for v := 0; v < vectors; v++ {
+		outliers := make(map[int]float64, planted)
+		for r, pos := range rng.Perm(n)[:planted] {
+			d := 2000 + 400*float64(r)
+			if rng.Intn(2) == 0 {
+				d = -d
+			}
+			outliers[pos] = d
+		}
+		pairs := biasedPairs(keys, 5000, outliers)
+		global, err := s.SketchPairs(pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Detect(global, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, _ := ExactOutliers(pairs, k)
+		got := make(map[string]bool, k)
+		for _, o := range rep.Outliers {
+			got[o.Key] = true
+		}
+		for _, o := range exact {
+			if !got[o.Key] {
+				t.Errorf("vector %d: exact top-%d key %q (value %v) not reported", v, k, o.Key, o.Value)
+			}
+		}
+	}
+}
+
+// TestSolverMetricsPreSeeded checks Instrument renders the
+// recovery_solver_picks_total{solver="bomp"} series before any query
+// runs — the exposition skips empty families, and the obscheck gate and
+// the end-to-end benchmark read it by that name — and that Detect and
+// DetectBatch both count into it.
+func TestSolverMetricsPreSeeded(t *testing.T) {
+	keys := testKeys(300)
+	s, err := NewSketcher(keys, Config{M: 120, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	global, err := s.SketchPairs(biasedPairs(keys, 1800, map[int]float64{17: 4000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	scrape := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if text := scrape(); !strings.Contains(text, `recovery_solver_picks_total{solver="bomp"} 0`) {
+		t.Fatalf("bomp picks series missing before first query:\n%s", text)
+	}
+	if _, err := s.Detect(global, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DetectBatch([]BatchQuery{{Global: global, K: 1}, {Global: global, K: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scrape(), `recovery_solver_picks_total{solver="bomp"} 3`) {
+		t.Fatal("one Detect and a two-query DetectBatch did not count 3 bomp picks")
+	}
+}
+
+// TestWorkspaceSurvivesGC: a warmed Sketcher keeps its recovery
+// workspace across back-to-back GCs (which empty a sync.Pool), and
+// concurrent queries still get one each.
+func TestWorkspaceSurvivesGC(t *testing.T) {
+	keys := testKeys(300)
+	s, err := NewSketcher(keys, Config{M: 120, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	global, err := s.SketchPairs(biasedPairs(keys, 1800, map[int]float64{17: 4000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Detect(global, 2); err != nil {
+		t.Fatal(err)
+	}
+	held := s.workspace()
+	second := s.workspace()
+	if second == held {
+		t.Fatal("one workspace checked out twice")
+	}
+	s.putWorkspace(held)
+	s.putWorkspace(second)
+	runtime.GC()
+	runtime.GC()
+	if got := s.workspace(); got != held {
+		t.Fatal("the held workspace did not survive two GCs")
 	}
 }
 

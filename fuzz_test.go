@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -60,6 +61,13 @@ func FuzzDecodeSketch(f *testing.F) {
 		s, err := DecodeSketch(data) // must never panic
 		if err != nil {
 			return
+		}
+		// Anything that decodes is finite: one NaN or ±Inf summed into a
+		// window would outlive the frame that carried it.
+		for i, v := range s.Y {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("decoded measurement %d = %v", i, v)
+			}
 		}
 		// Anything that decodes must re-encode to an identical payload.
 		out, err := s.MarshalBinary()

@@ -193,8 +193,13 @@ func appendReply(buf []byte, kind reqKind, resp *response) []byte {
 	return frame.End(buf)
 }
 
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // parseReply decodes the reply body to a request of the given kind into
 // resp. A vector is decoded straight into the slice the caller returns.
+// A NaN or ±Inf value is malformed: summed into the round's aggregate it
+// would make the whole answer non-finite.
 func parseReply(kind reqKind, body []byte, resp *response) error {
 	r := frame.Cursor{B: body}
 	*resp = response{}
@@ -217,11 +222,18 @@ func parseReply(kind reqKind, body []byte, resp *response) error {
 		resp.Vec = make([]float64, len(r.B)/8)
 		for i := range resp.Vec {
 			resp.Vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.B[8*i:]))
+			if !finite(resp.Vec[i]) {
+				return fmt.Errorf("%w: vector reply value %d is not finite", frame.ErrMalformed, i)
+			}
 		}
 	case reqOutliers:
 		resp.KVs = make([]outlier.KV, 0, len(r.B)/9) // an entry is at least nine bytes
 		for len(r.B) > 0 && r.Err == nil {
-			resp.KVs = append(resp.KVs, outlier.KV{Index: cursorInt(&r), Value: r.F64()})
+			kv := outlier.KV{Index: cursorInt(&r), Value: r.F64()}
+			if !finite(kv.Value) {
+				return fmt.Errorf("%w: outlier reply value for index %d is not finite", frame.ErrMalformed, kv.Index)
+			}
+			resp.KVs = append(resp.KVs, kv)
 		}
 		if r.Err != nil {
 			return fmt.Errorf("%w: outlier reply does not parse", frame.ErrMalformed)

@@ -36,7 +36,7 @@ func sampleRequests() []request {
 func sampleReplies() map[reqKind]response {
 	return map[reqKind]response{
 		reqID:       {Name: "dc-west"},
-		reqSketch:   {Vec: []float64{1.5, math.Inf(-1), 0, math.Copysign(0, -1), 1e-300}},
+		reqSketch:   {Vec: []float64{1.5, -math.MaxFloat64, 0, math.Copysign(0, -1), 1e-300}},
 		reqFull:     {Vec: []float64{}},
 		reqSample:   {Vec: []float64{42}},
 		reqOutliers: {KVs: []outlier.KV{{Index: 0, Value: -3}, {Index: 1 << 30, Value: 9.75}}},
@@ -248,8 +248,9 @@ func scriptedServer(t *testing.T, answer func(kind reqKind) []byte) string {
 }
 
 // TestClientRejectsHostileReplies: a reply over the cap the client derived
-// from its own request, of the wrong kind, or that does not parse fails
-// the exchange after a bounded number of attempts — no allocation sized
+// from its own request, of the wrong kind, that does not parse or that
+// carries a non-finite value fails the exchange after a bounded number
+// of attempts — no allocation sized
 // by the peer, no hang, no retry storm.
 func TestClientRejectsHostileReplies(t *testing.T) {
 	const m = 4
@@ -266,6 +267,10 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 		"ragged vector":        reply(replyOK, 1, 2, 3),
 		"garbage":              GarbageFrame(),
 		"another wire version": {1, 0, 0, 0, 9, byte(kindReply), replyOK},
+	}
+	// A vector that parses but would poison the round's sum.
+	for name, v := range map[string]float64{"NaN in the vector": math.NaN(), "+Inf in the vector": math.Inf(1), "-Inf in the vector": math.Inf(-1)} {
+		cases[name] = appendReply(nil, reqSketch, &response{Vec: linalg.Vector{1, v, 3, 4}})
 	}
 	for name, bad := range cases {
 		addr := scriptedServer(t, func(kind reqKind) []byte {
@@ -296,6 +301,8 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 	for name, body := range map[string][]byte{
 		"cut value":      {replyOK, 3, 1, 2},
 		"index past int": append([]byte{replyOK}, append(binary.AppendUvarint(nil, math.MaxUint64), make([]byte, 8)...)...),
+		"NaN value":      appendReply(nil, reqOutliers, &response{KVs: []outlier.KV{{Index: 1, Value: 2}, {Index: 3, Value: math.NaN()}}})[frame.Overhead:],
+		"Inf value":      appendReply(nil, reqOutliers, &response{KVs: []outlier.KV{{Index: 3, Value: math.Inf(-1)}}})[frame.Overhead:],
 	} {
 		if err := parseReply(reqOutliers, body, &resp); !errors.Is(err, frame.ErrMalformed) {
 			t.Fatalf("%s: %v", name, err)

@@ -264,8 +264,8 @@ func TestConjectureExperiments(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 18 {
-		t.Fatalf("registry has %d experiments, want 18", len(ids))
+	if len(ids) != 17 {
+		t.Fatalf("registry has %d experiments, want 17", len(ids))
 	}
 	for _, id := range ids {
 		if Describe(id) == "" {

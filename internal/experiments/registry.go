@@ -26,12 +26,11 @@ var registry = map[string]struct {
 	"fig12":     {Fig12, "efficiency vs key-space size N (to 5M keys)"},
 	"conj1":     {Conj1, "numerical check of the near-isometric transformation conjecture"},
 	"conj2":     {Conj2, "numerical check of the near-independent inner product conjecture"},
-	"algos":     {Algos, "extension: all recovery algorithms on biased data (why BOMP exists)"},
+	"algos":     {Algos, "extension: BOMP vs bias-blind OMP on biased data (why BOMP exists)"},
 	"fig1":      {Fig1, "motivating example: local views vs global truth; outlier-k vs top-k"},
 	"jitter":    {Jitter, "extension: BOMP robustness to concentration jitter (near-sparse data)"},
 	"ensembles": {Ensembles, "extension: Gaussian vs sparse-Rademacher vs SRHT measurement quality"},
 	"pointq":    {PointQ, "extension: recovery-free count-sketch point queries — accuracy, bytes, latency vs M"},
-	"solvers":   {Solvers, "extension: multi-solver sweep — EK and ns/op per solver per (s,M) cell"},
 }
 
 // IDs returns the registered experiment ids, sorted.

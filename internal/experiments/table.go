@@ -149,9 +149,6 @@ type Config struct {
 	Trials int
 	// Seed offsets all randomness, so independent runs can be averaged.
 	Seed uint64
-	// Solver restricts solver-aware experiments (the "solvers" sweep) to
-	// one recovery solver by name; "" / "all" / "auto" run every solver.
-	Solver string
 }
 
 func (c Config) scale() float64 {

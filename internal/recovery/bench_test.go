@@ -173,82 +173,27 @@ func BenchmarkRecoveryBOMPSeededWorkspace(b *testing.B) {
 	}
 }
 
-// solverBenchCell builds one (s, M) cell instance for the per-solver
-// benchmarks: exact-sparse biased data, dense ensemble, with BOMP given
-// the same 3s+1 iteration budget Detect derives from k — the production
-// comparison, where greedy growth scales with the query size and the
-// first-order solvers do not.
-func solverBenchCell(b *testing.B, m, n, s int) (sensing.Matrix, linalg.Vector) {
-	b.Helper()
-	mat, y, _ := benchInstance(b, func(p sensing.Params) (sensing.Matrix, error) {
-		return sensing.NewDense(p)
-	}, m, n, s)
-	return mat, y
-}
-
-// BenchmarkSolver measures every recovery solver on a small-s cell
-// (BOMP's home turf) and a large-s cell with measurement headroom (the
-// selector's AIHT regime, where BENCH.json pins AIHT under BOMP).
+// BenchmarkSolver measures BOMP, with the 3s+1 iteration budget Detect
+// derives from k, on a small-s cell and two large-s cells with
+// measurement headroom.
 func BenchmarkSolver(b *testing.B) {
-	cells := []struct {
-		name     string
-		m, n, s  int
-		iterOnly bool // skip the LP/ADMM convex solvers (seconds per solve)
+	for _, cell := range []struct {
+		name    string
+		m, n, s int
 	}{
-		{"s12_m160_n800", 160, 800, 12, false},
-		{"s64_m512_n2000", 512, 2000, 64, false},
-		{"s128_m1024_n4000", 1024, 4000, 128, true},
-	}
-	for _, cell := range cells {
-		mat, y := solverBenchCell(b, cell.m, cell.n, cell.s)
-		s := cell.s
-		runs := []struct {
-			name string
-			run  func() error
-		}{
-			{"bomp", func() error {
-				_, err := BOMP(mat, y, Options{MaxIterations: 3*s + 1})
-				return err
-			}},
-			{"cosamp", func() error {
-				_, err := BiasedCoSaMP(mat, y, s, Options{})
-				return err
-			}},
-			{"iht", func() error {
-				_, err := BiasedIHT(mat, y, s, Options{})
-				return err
-			}},
-			{"aiht", func() error {
-				_, err := BiasedAIHT(mat, y, s, Options{})
-				return err
-			}},
-		}
-		if !cell.iterOnly {
-			runs = append(runs,
-				struct {
-					name string
-					run  func() error
-				}{"dantzig", func() error {
-					_, err := BiasedDantzig(mat, y, s, Options{})
-					return err
-				}},
-				struct {
-					name string
-					run  func() error
-				}{"bp", func() error {
-					_, err := BiasedBP(mat, y)
-					return err
-				}},
-			)
-		}
-		for _, r := range runs {
-			b.Run(cell.name+"/"+r.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := r.run(); err != nil {
-						b.Fatal(err)
-					}
+		{"s12_m160_n800", 160, 800, 12},
+		{"s64_m512_n2000", 512, 2000, 64},
+		{"s128_m1024_n4000", 1024, 4000, 128},
+	} {
+		mat, y, s := benchInstance(b, func(p sensing.Params) (sensing.Matrix, error) {
+			return sensing.NewDense(p)
+		}, cell.m, cell.n, cell.s)
+		b.Run(cell.name+"/bomp", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := BOMP(mat, y, Options{MaxIterations: 3*s + 1}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

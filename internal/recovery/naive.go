@@ -85,6 +85,6 @@ func NaiveOMP(m sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
 		prevNorm = norm
 	}
 	res := &Result{Support: selected, Coef: z, Iterations: len(selected)}
-	res.X = assemble(p.N, 0, selected, z)
+	res.X = assembleInto(nil, p.N, 0, selected, z)
 	return res, nil
 }

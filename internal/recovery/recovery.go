@@ -2,8 +2,8 @@
 // aggregator runs on the global measurement: standard Orthogonal Matching
 // Pursuit (OMP, §2.2 / Algorithm 2), the paper's new Biased OMP (BOMP,
 // §3.2 / Algorithm 1) that additionally recovers the unknown mode the
-// data concentrates around, OMP with an externally known mode (the
-// baseline of Figure 4a), and Basis Pursuit (BP) via linear programming.
+// data concentrates around, and OMP with an externally known mode (the
+// baseline of Figure 4a).
 //
 // All algorithms share one greedy engine: per iteration, correlate every
 // dictionary column with the current residual, select the column with the
@@ -162,12 +162,6 @@ func KnownModeOMP(m sensing.Matrix, y linalg.Vector, mode float64, opt Options) 
 	return NewWorkspace().KnownModeOMP(m, y, mode, opt)
 }
 
-// assemble builds a fresh full recovered vector from the mode and the
-// (support, deviation) pairs. Hot paths use assembleInto instead.
-func assemble(n int, mode float64, support []int, coef []float64) linalg.Vector {
-	return assembleInto(nil, n, mode, support, coef)
-}
-
 // modeFromExtended extracts the running mode estimate b = z₀/√N from the
 // extended-coefficient vector (paper Algorithm 1 step 3). idx maps each
 // coefficient to its extended-dictionary column; column 0 is the bias.
@@ -200,19 +194,11 @@ func (d *plainDict) correlate(r, dst linalg.Vector) linalg.Vector {
 	return d.m.Correlate(r, dst)
 }
 
-func (d *plainDict) image(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
-	return d.m.MeasureSparse(idx, vals, dst)
-}
-
 // biasedDict exposes the extended matrix Φ = [φ₀, Φ₀] (paper eq. 2):
 // column 0 is the bias column, column j+1 is φ_j.
 type biasedDict struct {
 	m    sensing.Matrix
 	phi0 linalg.Vector
-
-	// image's split of its input into the data columns, kept across calls.
-	dataIdx  []int
-	dataVals []float64
 }
 
 func (d *biasedDict) size() int { return d.m.Params().N + 1 }
@@ -236,34 +222,6 @@ func (d *biasedDict) correlate(r, dst linalg.Vector) linalg.Vector {
 	d.m.Correlate(r, dst[1:])
 	dst[0] = d.phi0.Dot(r)
 	return dst
-}
-
-func (d *biasedDict) image(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
-	c0 := 0.0
-	d.dataIdx, d.dataVals = d.dataIdx[:0], d.dataVals[:0]
-	for k, j := range idx {
-		if j == 0 {
-			c0 += vals[k]
-			continue
-		}
-		d.dataIdx = append(d.dataIdx, j-1)
-		d.dataVals = append(d.dataVals, vals[k])
-	}
-	dst = d.m.MeasureSparse(d.dataIdx, d.dataVals, dst)
-	if c0 != 0 {
-		dst.AddScaled(c0, d.phi0)
-	}
-	return dst
-}
-
-// sparseImager is a dictionary that can compute Φ·v for a sparse v
-// through the ensemble's fused MeasureSparse kernel, which beats
-// column-at-a-time accumulation (strided reads on dense storage, one
-// column regeneration per index on seeded storage). The thresholding
-// solvers (IHT, AIHT) run on it; both package dictionaries are one.
-type sparseImager interface {
-	dictionary
-	image(idx []int, vals []float64, dst linalg.Vector) linalg.Vector
 }
 
 type diagnostics struct {

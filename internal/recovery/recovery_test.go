@@ -204,9 +204,6 @@ func TestDimensionMismatch(t *testing.T) {
 	if _, err := KnownModeOMP(d, y, 1, Options{}); err == nil {
 		t.Fatal("KnownModeOMP accepted wrong-length measurement")
 	}
-	if _, err := BP(d, y); err == nil {
-		t.Fatal("BP accepted wrong-length measurement")
-	}
 }
 
 func TestIterationBudgetWithinPaperRange(t *testing.T) {
@@ -383,43 +380,6 @@ func sortedCopy(xs []int) []int {
 	c := append([]int(nil), xs...)
 	sort.Ints(c)
 	return c
-}
-
-func TestBPExactRecovery(t *testing.T) {
-	r := xrand.New(11)
-	const n, m, s = 60, 35, 4
-	d := dense(t, m, n, 20)
-	x, want := biasedSparse(r, n, s, 0, 1, 10)
-	y := d.Measure(x, nil)
-	res, err := BP(d, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !supportEqual(res.Support, want) {
-		t.Fatalf("BP support = %v, want %v", res.Support, want)
-	}
-	if !res.X.Equal(x, 1e-5) {
-		t.Fatal("BP recovered vector mismatch")
-	}
-}
-
-func TestBPAgreesWithOMP(t *testing.T) {
-	r := xrand.New(12)
-	const n, m, s = 50, 30, 3
-	d := dense(t, m, n, 21)
-	x, _ := biasedSparse(r, n, s, 0, 2, 9)
-	y := d.Measure(x, nil)
-	bp, err := BP(d, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	omp, err := OMP(d, y, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bp.X.Equal(omp.X, 1e-4) {
-		t.Fatal("BP and OMP disagree on exact-recovery instance")
-	}
 }
 
 func TestSeededMatrixRecovery(t *testing.T) {

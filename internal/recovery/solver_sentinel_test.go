@@ -61,32 +61,28 @@ func resultsIdentical(a, b *Result) bool {
 	return true
 }
 
-// TestSolverSentinelParity is the cross-solver Options contract test:
-// the PR 6 sentinel semantics (zero ResidualTol/StallRelTol meaning
-// "default", negative meaning "disabled") must behave identically for
-// BOMP, AIHT and Dantzig on every measurement ensemble.
+// TestSolverSentinelParity is the Options contract test: the PR 6
+// sentinel semantics (zero ResidualTol/StallRelTol meaning "default",
+// negative meaning "disabled") must behave identically for BOMP, OMP and
+// KnownModeOMP on every measurement ensemble.
 func TestSolverSentinelParity(t *testing.T) {
-	const m, n, s, bias = 128, 256, 5, 300.0
+	const m, n, s = 128, 256, 5
 	solvers := []struct {
 		name string
+		bias float64 // the mode the row's data concentrates around
 		run  func(mat sensing.Matrix, y linalg.Vector, opt Options) (*Result, error)
 	}{
-		{"bomp", func(mat sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
-			return BOMP(mat, y, opt)
-		}},
-		{"aiht", func(mat sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
-			return BiasedAIHT(mat, y, s, opt)
-		}},
-		{"dantzig", func(mat sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
-			return BiasedDantzig(mat, y, s, opt)
+		{"bomp", 300, BOMP},
+		{"omp", 0, OMP},
+		{"knownmode", 300, func(mat sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
+			return KnownModeOMP(mat, y, 300, opt)
 		}},
 	}
 	for _, ens := range sentinelEnsembles(t, m, n, 0x5e47) {
-		rng := xrand.New(0x5e47)
-		x, want := biasedSparse(rng, n, s, bias, 100, 1000)
-		y := ens.mat.Measure(x, nil)
 		for _, sv := range solvers {
 			label := ens.name + "/" + sv.name
+			x, want := biasedSparse(xrand.New(0x5e47), n, s, sv.bias, 100, 1000)
+			y := ens.mat.Measure(x, nil)
 
 			// Zero sentinels resolve to the documented defaults: an
 			// Options{} run and an explicit-defaults run are identical.
@@ -117,8 +113,8 @@ func TestSolverSentinelParity(t *testing.T) {
 				if !supportEqual(neg.Support, want) {
 					t.Errorf("%s: StallRelTol=-1 run missed truth: %v want %v", label, neg.Support, want)
 				}
-				if math.Abs(zero.Mode-bias) > 1e-6*bias {
-					t.Errorf("%s: mode = %g, want %g", label, zero.Mode, bias)
+				if math.Abs(zero.Mode-sv.bias) > 1e-6*sv.bias {
+					t.Errorf("%s: mode = %g, want %g", label, zero.Mode, sv.bias)
 				}
 			}
 
@@ -133,49 +129,5 @@ func TestSolverSentinelParity(t *testing.T) {
 				t.Errorf("%s: disabled-stops run reported %d iterations", label, dis.Iterations)
 			}
 		}
-	}
-}
-
-// TestWarmFastPathHonorsResidualTolSentinel pins the interaction the
-// warm shortcut has with the sentinel: a negative ResidualTol disables
-// tolerance stops, and the zero-iteration fast path is a tolerance stop,
-// so a warm restart under ResidualTol=-1 must run the iteration.
-func TestWarmFastPathHonorsResidualTolSentinel(t *testing.T) {
-	inst := newSolverInstance(t, 160, 400, 8, 500, 23)
-	cold, err := BiasedAIHT(inst.mat, inst.y, 8, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExact(t, "cold", cold, inst)
-
-	warmA, err := BiasedAIHTWarm(inst.mat, inst.y, 8, cold.Selection, Options{ResidualTol: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmA.Iterations == 0 {
-		t.Error("aiht: warm fast path fired despite ResidualTol=-1")
-	}
-	warmD, err := BiasedDantzigWarm(inst.mat, inst.y, 8, cold.Selection, Options{ResidualTol: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmD.Iterations == 0 {
-		t.Error("dantzig: warm fast path fired despite ResidualTol=-1")
-	}
-	// And with the default tolerance both shortcuts fire.
-	for _, run := range []func() (*Result, error){
-		func() (*Result, error) { return BiasedAIHTWarm(inst.mat, inst.y, 8, cold.Selection, Options{}) },
-		func() (*Result, error) {
-			return BiasedDantzigWarm(inst.mat, inst.y, 8, cold.Selection, Options{})
-		},
-	} {
-		res, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Iterations != 0 {
-			t.Errorf("default-tolerance warm restart ran %d iterations", res.Iterations)
-		}
-		checkExact(t, "warm", res, inst)
 	}
 }

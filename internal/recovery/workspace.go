@@ -9,11 +9,11 @@ import (
 	"csoutlier/internal/sensing"
 )
 
-// Workspace owns every buffer the greedy recovery engine and AIHT touch
-// — the correlation vector, column scratch, residual, QR factorization,
-// masks, iterates and the Result itself — so that a standing query
-// replaying BOMP or AIHT on each refreshed sketch performs no heap
-// allocation after the first call (pinned by AllocsPerRun tests).
+// Workspace owns every buffer the greedy recovery engine touches — the
+// correlation vector, column scratch, residual, QR factorization, masks
+// and the Result itself — so that a standing query replaying BOMP on
+// each refreshed sketch performs no heap allocation after the first call
+// (pinned by AllocsPerRun tests).
 //
 // A Workspace is NOT safe for concurrent use. The *Result returned by
 // its methods, including every slice inside it, is owned by the
@@ -45,20 +45,6 @@ type Workspace struct {
 	script   []int         // validated warm hint: the predicted selection order
 	predRes  linalg.Vector // predicted residual rows, flat rows×M
 	predCorr linalg.Vector // their biased correlations, flat rows×(N+1)
-
-	// AIHT state (see aiht.go). The gradient lives in corr, the warm-start
-	// and debias least squares in qr/selected/coef, the output in the
-	// Result backings above.
-	iter    linalg.Vector // the iterate x, extended-dictionary length
-	cand    linalg.Vector // thresholded step proposal
-	step    linalg.Vector // g_τ, then x₁−x₀ under the safeguard
-	gImg    linalg.Vector // Φ·g_τ
-	diffImg linalg.Vector // Φ·(x₁−x₀)
-	tau     []int         // current support τ
-	tauNext []int         // a proposal's support; trades places with tau
-	pruned  []int         // debias survivors
-	items   []extItem     // (column, coefficient) pairs being ordered
-	sp      thresholdScratch
 }
 
 // NewWorkspace returns an empty workspace. Buffers are sized lazily on

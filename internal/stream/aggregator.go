@@ -982,7 +982,6 @@ func (a *Aggregator) Outliers(fromAge, toAge, k int) (*csoutlier.Report, error) 
 	type slot struct {
 		key      queryKey
 		warm     []int
-		prevRes  float64
 		standing bool
 	}
 	a.mu.Lock()
@@ -992,11 +991,7 @@ func (a *Aggregator) Outliers(fromAge, toAge, k int) (*csoutlier.Report, error) 
 	if prev, ok := a.cache[key]; ok {
 		// The entry exists but is stale — this query has now been asked
 		// twice, so it is standing, and its old selection is the warm hint.
-		// Its old residual is the selector's residual history: a standing
-		// query whose sketch stays badly explained migrates to the
-		// robustness solver on the next generation.
 		slots[0].warm = prev.sel
-		slots[0].prevRes = prev.report.Residual
 		slots[0].standing = true
 	}
 	for k2, v := range a.cache {
@@ -1004,7 +999,7 @@ func (a *Aggregator) Outliers(fromAge, toAge, k int) (*csoutlier.Report, error) 
 			break
 		}
 		if k2 != key && v.standing && v.gen != gen {
-			slots = append(slots, slot{key: k2, warm: v.sel, prevRes: v.report.Residual, standing: true})
+			slots = append(slots, slot{key: k2, warm: v.sel, standing: true})
 		}
 	}
 	for len(a.qsketches) < len(slots) {
@@ -1022,7 +1017,7 @@ func (a *Aggregator) Outliers(fromAge, toAge, k int) (*csoutlier.Report, error) 
 			continue // a piggybacked span no longer resolves; drop it
 		}
 		kept = append(kept, sl)
-		queries = append(queries, csoutlier.BatchQuery{Global: sketch, K: sl.key.k, Warm: sl.warm, PrevResidual: sl.prevRes})
+		queries = append(queries, csoutlier.BatchQuery{Global: sketch, K: sl.key.k, Warm: sl.warm})
 	}
 	a.mu.Unlock()
 	reports, err := a.sk.DetectBatch(queries)

@@ -106,6 +106,14 @@ func FuzzPushFrame(f *testing.F) {
 		f.Add(long)
 	}
 	f.Add([]byte{2, 0, 0, 0, frame.Version, byte(pushHello), 0x80, 0x80})
+	// A delta whose payload passes its checksum around a non-finite float.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 1, Seq: 1, Folds: 1, Payload: uniformDelta(f, sk, v)}))
+	}
+	ws, err := sk.NewWindowStore(1)
+	if err != nil {
+		f.Fatal(err)
+	}
 	limits := allKinds()
 	largest := 0
 	for _, l := range limits {
@@ -143,6 +151,20 @@ func FuzzPushFrame(f *testing.F) {
 				if len(req.Keys) > len(body) || len(req.Payload) > len(body) || len(req.Node) > MaxNodeLen {
 					t.Fatalf("kind %d: parsed more than the body holds: %d keys, %d payload bytes, %d-byte name from %d bytes",
 						kind, len(req.Keys), len(req.Payload), len(req.Node), len(body))
+				}
+				// After any payload the fold accepts, every float of the
+				// window is finite. Rotating a one-window ring clears it,
+				// so sums of huge finite values are not what is checked.
+				if kind == pushDelta {
+					ws.Rotate()
+					if ws.AddEncoded(0, req.Payload) == nil {
+						win, _ := ws.Window(0)
+						for i, v := range win.Y {
+							if math.IsNaN(v) || math.IsInf(v, 0) {
+								t.Fatalf("an accepted delta left window float %d = %v", i, v)
+							}
+						}
+					}
 				}
 				// The canonical encoding of what parsed is a fixed point.
 				canon := appendRequest(nil, &req)
@@ -288,8 +310,8 @@ func ensembleSketchers(t *testing.T, m int, seed uint64) map[string]*csoutlier.S
 // folded straight from the read buffer, or through a relay's OnApplied
 // decode scratch — leaves windows Float64bits-identical to decoding
 // each payload and adding the Sketch; and a payload with a flipped bit,
-// another seed or another M is acked with Err, not marked, and leaves
-// every window bit-for-bit unchanged.
+// another seed, another M or a NaN/±Inf measurement is acked with Err,
+// not marked, and leaves every window bit-for-bit unchanged.
 func TestFoldFromWire(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -360,7 +382,7 @@ func TestFoldFromWire(t *testing.T) {
 			}
 			seq++
 			if round%3 == 0 {
-				// The same seq first arrives damaged three ways: each is
+				// The same seq first arrives damaged six ways: each is
 				// refused without being marked, so the clean copy still folds.
 				flipped := append([]byte(nil), good...)
 				flipped[40+round] ^= 1 << (round % 8)
@@ -370,7 +392,16 @@ func TestFoldFromWire(t *testing.T) {
 					b, _ := s.MarshalBinary()
 					return b
 				}
-				for _, bad := range [][]byte{flipped, shaped(foreign[name]), shaped(wider[name])} {
+				// And with a valid checksum around one non-finite float.
+				poisoned := func(v float64) []byte {
+					s := sk.ZeroSketch()
+					copy(s.Y, delta.Y)
+					s.Y[round] = v
+					b, _ := s.MarshalBinary()
+					return b
+				}
+				for _, bad := range [][]byte{flipped, shaped(foreign[name]), shaped(wider[name]),
+					poisoned(math.NaN()), poisoned(math.Inf(1)), poisoned(math.Inf(-1))} {
 					push(bad, true, window)
 				}
 				checkWindows("after rejected payloads")
@@ -388,8 +419,8 @@ func TestFoldFromWire(t *testing.T) {
 			total.Add(decoded)
 			checkWindows("after a fold")
 		}
-		if st := direct.Stats(); st.Applied != 24 || st.Rejected != 24 {
-			t.Fatalf("%s: direct applied %d rejected %d, want 24 and 24", name, st.Applied, st.Rejected)
+		if st := direct.Stats(); st.Applied != 24 || st.Rejected != 48 {
+			t.Fatalf("%s: direct applied %d rejected %d, want 24 and 48", name, st.Applied, st.Rejected)
 		}
 	}
 }

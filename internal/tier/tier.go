@@ -59,13 +59,12 @@ type Spec struct {
 	M int
 	// BaseSeed seeds the per-shard consensus seed derivation.
 	BaseSeed uint64
-	// MaxIterations, Ensemble, SparseD, Depth, Solver pass through to
+	// MaxIterations, Ensemble, SparseD, Depth pass through to
 	// csoutlier.Config per shard.
 	MaxIterations int
 	Ensemble      csoutlier.Ensemble
 	SparseD       int
 	Depth         int
-	Solver        csoutlier.Solver
 }
 
 // Shard is one contiguous key range of a ShardMap.
@@ -169,7 +168,6 @@ func (m *ShardMap) Sketcher(i int) (*csoutlier.Sketcher, error) {
 		Ensemble:      m.spec.Ensemble,
 		SparseD:       m.spec.SparseD,
 		Depth:         m.spec.Depth,
-		Solver:        m.spec.Solver,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tier: shard %d sketcher: %w", i, err)

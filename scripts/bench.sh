@@ -47,7 +47,7 @@ trap 'rm -f "$raw" "$cur"' EXIT
 echo "== kernels: internal/sensing (benchtime=$BENCHTIME count=$COUNT) =="
 go test -run - -bench 'BenchmarkKernel' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/sensing/ | tee -a "$raw"
 echo "== end-to-end: internal/recovery =="
-go test -run - -bench 'BenchmarkRecovery|BenchmarkBatchedRecovery|BenchmarkWarmStartBOMP|BenchmarkSolver' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/recovery/ | tee -a "$raw"
+go test -run - -bench 'BenchmarkRecovery|BenchmarkBatchedRecovery|BenchmarkWarmStartBOMP' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/recovery/ | tee -a "$raw"
 echo "== streaming ingest + durability + point queries: internal/stream =="
 go test -run - -bench 'BenchmarkStream|BenchmarkSnapshotWrite|BenchmarkPointQuery|BenchmarkDetectQueryCold' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/stream/ | tee -a "$raw"
 echo "== hierarchical fold: internal/tier (flat vs 2-tier fan-in) =="

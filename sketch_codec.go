@@ -22,7 +22,12 @@ import (
 // The full consensus identity travels with the payload so the receiver
 // can verify sketch compatibility before summing — a mismatched seed or
 // ensemble silently corrupting an aggregation is the protocol's worst
-// failure mode.
+// failure mode. The second worst is a non-finite measurement: sums are
+// linear, so one NaN or ±Inf makes every span over the window it was
+// folded into unanswerable for the window's ring lifetime. Every
+// decoder below therefore refuses a payload that carries one, and the
+// entry points that take floats from the caller (FromPayload,
+// SketchPairs, SketchVector, Observe, ObserveBatch) refuse them too.
 
 var sketchMagic = [4]byte{'C', 'S', 'K', '2'}
 
@@ -108,6 +113,9 @@ func (s Sketch) AddToBinary(data []byte) error {
 	if len(s.Y) != s.m {
 		return fmt.Errorf("csoutlier: inconsistent sketch (m=%d, len=%d)", s.m, len(s.Y))
 	}
+	if err := checkFinite(s.Y); err != nil {
+		return err
+	}
 	body := data[sketchHeaderLen : len(data)-sketchTrailerLen]
 	for i, v := range s.Y {
 		cell := body[8*i : 8*i+8]
@@ -133,9 +141,9 @@ func DecodeSketch(data []byte) (Sketch, error) {
 }
 
 // decodeSketchID validates an encoded sketch — length, magic, checksum,
-// dimensions — and returns its consensus identity with no payload
-// (Y nil, no allocation). After it succeeds, data holds exactly m
-// floats at sketchHeaderLen.
+// dimensions, finite measurements — and returns its consensus identity
+// with no payload (Y nil, no allocation). After it succeeds, data holds
+// exactly m finite floats at sketchHeaderLen.
 func decodeSketchID(data []byte) (Sketch, error) {
 	if len(data) < sketchHeaderLen+sketchTrailerLen {
 		return Sketch{}, fmt.Errorf("csoutlier: sketch payload too short (%d bytes)", len(data))
@@ -161,7 +169,57 @@ func decodeSketchID(data []byte) (Sketch, error) {
 	if want := EncodedSketchLen(m); len(data) != want {
 		return Sketch{}, fmt.Errorf("csoutlier: sketch payload is %d bytes, header says %d", len(data), want)
 	}
+	if i := firstNonFinite(data[sketchHeaderLen : len(data)-sketchTrailerLen]); i >= 0 {
+		return Sketch{}, fmt.Errorf("csoutlier: sketch measurement %d is not finite", i)
+	}
 	return Sketch{m: m, n: n, seed: seed, ens: ens, d: d}, nil
+}
+
+// expMask is a float64's exponent bits; NaN and ±Inf are exactly the
+// values with all of them set.
+const expMask = 0x7ff << 52
+
+// firstNonFinite returns the index of the first NaN or ±Inf among the
+// little-endian float64s of body, or -1. The push path runs it over
+// every frame before folding, so the common all-finite case is kept
+// branch-free: (bits&expMask)+1<<52 carries into the sign bit exactly
+// when every exponent bit is set, and OR-ing that over the body, four
+// floats a step, costs about what the checksum pass does.
+func firstNonFinite(body []byte) int {
+	const carry = 1 << 52
+	var acc uint64
+	b := body
+	for ; len(b) >= 32; b = b[32:] {
+		acc |= (binary.LittleEndian.Uint64(b)&expMask + carry) |
+			(binary.LittleEndian.Uint64(b[8:])&expMask + carry) |
+			(binary.LittleEndian.Uint64(b[16:])&expMask + carry) |
+			(binary.LittleEndian.Uint64(b[24:])&expMask + carry)
+	}
+	for ; len(b) >= 8; b = b[8:] {
+		acc |= binary.LittleEndian.Uint64(b)&expMask + carry
+	}
+	if acc>>63 == 0 {
+		return -1
+	}
+	for i := 0; ; i++ {
+		if binary.LittleEndian.Uint64(body[8*i:])&expMask == expMask {
+			return i
+		}
+	}
+}
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return math.Float64bits(v)&expMask != expMask }
+
+// checkFinite refuses a NaN or ±Inf among values a caller or a peer
+// supplied, before they reach a sketch.
+func checkFinite(vals []float64) error {
+	for i, v := range vals {
+		if !finite(v) {
+			return fmt.Errorf("csoutlier: value %d is not finite (%v)", i, v)
+		}
+	}
+	return nil
 }
 
 // readFloats copies the len(y) payload floats of a validated encoded

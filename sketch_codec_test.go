@@ -2,8 +2,10 @@ package csoutlier
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -406,13 +408,26 @@ func TestEncodedOpsMatchDecodeThenOperate(t *testing.T) {
 	}
 }
 
-// A payload with a flipped bit, another seed or another M is rejected
-// by every in-place entry point with its target bit-for-bit unchanged.
+// A payload with a flipped bit, another seed, another M or a non-finite
+// measurement is rejected by every in-place entry point with its target
+// bit-for-bit unchanged.
 func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 	keys := testKeys(64)
 	otherM, err := NewSketcher(keys, Config{M: 25, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A non-finite measurement is found wherever it sits (M=25 leaves one
+	// float past the decoder's four-at-a-time scan).
+	for pos := 0; pos < otherM.M(); pos++ {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -math.NaN()} {
+			vals := make([]float64, otherM.M())
+			vals[pos] = v
+			data, _ := sketchOf(otherM, vals).MarshalBinary()
+			if _, err := otherM.UnmarshalSketch(data); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("measurement %d ", pos)) {
+				t.Fatalf("%v at measurement %d: %v", v, pos, err)
+			}
+		}
 	}
 	for name, sk := range codecEnsembles(t, 9) {
 		vals := make([]float64, sk.M())
@@ -431,12 +446,33 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		}
 		before, _ := ws.Window(0)
 		dst := sketchOf(sk, vals)
-		for what, bad := range map[string][]byte{"flipped bit": flipped, "wrong seed": wrongSeed, "wrong M": wrongM, "truncated": good[:len(good)-1]} {
+		cases := map[string][]byte{"flipped bit": flipped, "wrong seed": wrongSeed, "wrong M": wrongM, "truncated": good[:len(good)-1]}
+		// A payload with a valid checksum around one non-finite measurement.
+		for what, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+			poisoned := append([]float64(nil), vals...)
+			poisoned[len(poisoned)/2] = v
+			cases[what], _ = sketchOf(sk, poisoned).MarshalBinary()
+			// And as the sketch being added into clean bytes.
+			target := append([]byte(nil), good...)
+			if err := sketchOf(sk, poisoned).AddToBinary(target); err == nil {
+				t.Fatalf("%s: AddToBinary added a sketch carrying %s", name, what)
+			}
+			if string(target) != string(good) {
+				t.Fatalf("%s: AddToBinary changed its target before refusing %s", name, what)
+			}
+			if _, err := sk.FromPayload(poisoned); err == nil {
+				t.Fatalf("%s: FromPayload accepted %s", name, what)
+			}
+		}
+		for what, bad := range cases {
 			if err := ws.AddEncoded(0, bad); err == nil {
 				t.Fatalf("%s: AddEncoded accepted %s", name, what)
 			}
 			if err := sk.UnmarshalSketchInto(bad, dst); err == nil {
 				t.Fatalf("%s: UnmarshalSketchInto accepted %s", name, what)
+			}
+			if _, err := sk.UnmarshalSketch(bad); err == nil {
+				t.Fatalf("%s: UnmarshalSketch accepted %s", name, what)
 			}
 			target := append([]byte(nil), bad...)
 			if err := dst.AddToBinary(target); err == nil {

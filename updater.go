@@ -41,6 +41,9 @@ func (u *Updater) Observe(key string, delta float64) error {
 	if !ok {
 		return fmt.Errorf("csoutlier: key %q not in global dictionary", key)
 	}
+	if !finite(delta) {
+		return fmt.Errorf("csoutlier: key %q: delta %v is not finite", key, delta)
+	}
 	if delta == 0 {
 		return nil
 	}
@@ -55,7 +58,8 @@ func (u *Updater) Observe(key string, delta float64) error {
 }
 
 // ObserveBatch folds a batch of observations. The batch is all-or-
-// nothing: an unknown key fails the whole batch before any mutation.
+// nothing: an unknown key or a non-finite delta fails the whole batch
+// before any mutation.
 func (u *Updater) ObserveBatch(pairs map[string]float64) error {
 	idx := make([]int, 0, len(pairs))
 	vals := make([]float64, 0, len(pairs))
@@ -63,6 +67,9 @@ func (u *Updater) ObserveBatch(pairs map[string]float64) error {
 		i, ok := u.sk.dict.Index(k)
 		if !ok {
 			return fmt.Errorf("csoutlier: key %q not in global dictionary", k)
+		}
+		if !finite(v) {
+			return fmt.Errorf("csoutlier: key %q: delta %v is not finite", k, v)
 		}
 		if v == 0 {
 			continue

@@ -63,6 +63,9 @@ func (w *WindowStore) Observe(key string, delta float64) error {
 	if !ok {
 		return fmt.Errorf("csoutlier: key %q not in global dictionary", key)
 	}
+	if !finite(delta) {
+		return fmt.Errorf("csoutlier: key %q: delta %v is not finite", key, delta)
+	}
 	if delta == 0 {
 		return nil
 	}
@@ -76,7 +79,7 @@ func (w *WindowStore) Observe(key string, delta float64) error {
 }
 
 // ObserveBatch folds a batch into the current window; all-or-nothing on
-// unknown keys.
+// unknown keys and non-finite deltas.
 func (w *WindowStore) ObserveBatch(pairs map[string]float64) error {
 	idx := make([]int, 0, len(pairs))
 	vals := make([]float64, 0, len(pairs))
@@ -84,6 +87,9 @@ func (w *WindowStore) ObserveBatch(pairs map[string]float64) error {
 		i, ok := w.sk.dict.Index(k)
 		if !ok {
 			return fmt.Errorf("csoutlier: key %q not in global dictionary", k)
+		}
+		if !finite(v) {
+			return fmt.Errorf("csoutlier: key %q: delta %v is not finite", k, v)
 		}
 		if v == 0 {
 			continue
