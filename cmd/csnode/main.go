@@ -204,8 +204,8 @@ func pushSlice(sk *csoutlier.Sketcher, dict *keydict.Dictionary, x linalg.Vector
 		log.Printf("csnode: push flush: %v", err)
 	}
 	s := n.Stats()
-	log.Printf("csnode: slice streamed: %d deltas captured (%d shed-merged), %d applied, %d replayed, %d redials; heartbeating every %v",
-		s.Captured, s.Merged, s.Applied, s.Replayed, s.Redials, pushEvery)
+	log.Printf("csnode: slice streamed: %d deltas captured (%d shed-merged, %d sent as pairs), %d applied, %d replayed, %d redials; heartbeating every %v",
+		s.Captured, s.Merged, s.PairFrames, s.Applied, s.Replayed, s.Redials, pushEvery)
 	for {
 		time.Sleep(pushEvery)
 		if err := n.Sync(ctx); err != nil {

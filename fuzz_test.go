@@ -56,11 +56,45 @@ func FuzzDecodeSketch(f *testing.F) {
 	}
 	f.Add(validCsk)
 	f.Add(validCsk[:len(validCsk)-5])
+	// The pairs encoding of the same observation, whole and damaged: a
+	// NaN value, an index past N, a count past the bytes, a cut tail.
+	pairs := func(count int, obs ...obsPair) []byte {
+		l := pairLog{}
+		for _, o := range obs {
+			l.add(o.idx, o.v)
+		}
+		l.count = count
+		return l.appendPairs(nil, sk.sketchID())
+	}
+	validPairs := pairs(1, obsPair{1, 2.5})
+	f.Add(validPairs)
+	f.Add(validPairs[:len(validPairs)-3])
+	f.Add([]byte("CSKP"))
+	f.Add(pairs(2, obsPair{1, 2.5}, obsPair{3, -1}))
+	f.Add(pairs(1, obsPair{1, math.NaN()}))
+	f.Add(pairs(1, obsPair{4, 2.5}))
+	f.Add(pairs(3, obsPair{1, 2.5}))
+	f.Add(pairs(3, obsPair{0, 1}, obsPair{1, 1}, obsPair{2, 1})) // no smaller than the sketch
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// With the matrix at hand either encoding decodes, and whatever
+		// decodes is finite and, as pairs, was smaller than the sketch.
+		if s, err := sk.UnmarshalSketch(data); err == nil {
+			for i, v := range s.Y {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("measurement %d = %v", i, v)
+				}
+			}
+			if PairsEncoded(data) && len(data) >= EncodedSketchLen(sk.M()) {
+				t.Fatalf("a %d-byte pairs payload decoded, the sketch is %d", len(data), EncodedSketchLen(sk.M()))
+			}
+		}
 		s, err := DecodeSketch(data) // must never panic
 		if err != nil {
 			return
+		}
+		if PairsEncoded(data) {
+			t.Fatal("DecodeSketch measured a pairs payload without a matrix")
 		}
 		// Anything that decodes is finite: one NaN or ±Inf summed into a
 		// window would outlive the frame that carried it.

@@ -27,8 +27,10 @@ import (
 
 const (
 	// Version is the prelude's version byte. A peer that sends another is
-	// disconnected; there is no negotiation.
-	Version = 1
+	// disconnected; there is no negotiation. 2: a push delta's payload may
+	// be csoutlier's pairs encoding, which a version-1 aggregator would
+	// ack as a bad sketch, frame after frame, instead of hanging up.
+	Version = 2
 	// Overhead is the prelude in front of every frame body.
 	Overhead = 4 + 1 + 1
 )

@@ -296,3 +296,39 @@ func TestCountSketchEvenDepthMedian(t *testing.T) {
 		t.Fatalf("even-depth PointEstimate = %v, want %v", est, x[10])
 	}
 }
+
+// From a zero vector, AddCols lands on the bits of one Col and one dense
+// AddScaled per index — through repeats, cancellations that leave +0,
+// negative values and products that underflow to −0.
+func TestCountSketchAddColsBitIdentical(t *testing.T) {
+	c := cskMat(t, Params{M: 45, N: 200, Seed: 7}, 4) // one tail cell
+	rng := xrand.New(11)
+	for _, n := range []int{0, 1, 9, 64} {
+		idx, vals := make([]int, n), make([]float64, n)
+		for k := range idx {
+			idx[k] = rng.Intn(12) // collisions and repeats
+			switch k % 4 {
+			case 0:
+				vals[k] = math.Ldexp(rng.Float64()-0.5, int(rng.Uint64()%40)-20)
+			case 1:
+				vals[k] = -vals[k-1] // cancels wherever idx repeats
+				idx[k] = idx[k-1]
+			case 2:
+				vals[k] = -5e-324 // times 1/√depth: −0
+			default:
+				vals[k] = float64(rng.Intn(7) - 3)
+			}
+		}
+		got, want := make(linalg.Vector, c.p.M), make(linalg.Vector, c.p.M)
+		c.AddCols(idx, vals, got)
+		col := make(linalg.Vector, c.p.M)
+		for k, j := range idx {
+			want.AddScaled(vals[k], c.Col(j, col))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d columns: y[%d] = %v (%#x), Col+AddScaled gives %v (%#x)", n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+}

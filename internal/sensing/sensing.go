@@ -208,6 +208,27 @@ func (d *Dense) Params() Params { return d.p }
 // Col implements Matrix.
 func (d *Dense) Col(j int, dst linalg.Vector) linalg.Vector { return d.mat.Col(j, dst) }
 
+// AddCols adds Σ vals[k]·φ_{idx[k]} into y with every y[i] taking its
+// terms in k order, so y ends on exactly the bits of one Col and one
+// AddScaled per k — but it gets there a matrix row at a time. A column
+// of the row-major storage is M loads N·8 bytes apart, a page each; the
+// same loads taken row by row share their pages and overlap their
+// misses, which halves the cost of measuring a short run of
+// observations (a pairs delta frame) and changes none of its arithmetic.
+func (d *Dense) AddCols(idx []int, vals []float64, y linalg.Vector) {
+	if len(y) != d.p.M || len(idx) != len(vals) {
+		panic(fmt.Sprintf("sensing: AddCols of %d indices, %d values into length %d, want M=%d", len(idx), len(vals), len(y), d.p.M))
+	}
+	for i := range y {
+		row := d.mat.Row(i)
+		s := y[i]
+		for k, j := range idx {
+			s += vals[k] * row[j]
+		}
+		y[i] = s
+	}
+}
+
 // Measure implements Matrix.
 func (d *Dense) Measure(x, dst linalg.Vector) linalg.Vector {
 	if len(x) != d.p.N {

@@ -118,6 +118,35 @@ func TestMeasureSparse(t *testing.T) {
 	}
 }
 
+// AddCols lands on the bits of one Col and one AddScaled per index, in
+// index order, whatever y held and however often an index repeats.
+func TestDenseAddColsBitIdentical(t *testing.T) {
+	d, _ := both(t, params())
+	rng := xrand.New(5)
+	for _, n := range []int{0, 1, 7, 64} {
+		idx, vals := make([]int, n), make([]float64, n)
+		for k := range idx {
+			idx[k] = rng.Intn(d.p.N / 4) // repeats
+			vals[k] = math.Ldexp(rng.Float64()-0.5, int(rng.Uint64()%40)-20)
+		}
+		got, want := make(linalg.Vector, d.p.M), make(linalg.Vector, d.p.M)
+		for i := range got {
+			got[i] = rng.Float64() - 0.5
+			want[i] = got[i]
+		}
+		d.AddCols(idx, vals, got)
+		col := make(linalg.Vector, d.p.M)
+		for k, j := range idx {
+			want.AddScaled(vals[k], d.Col(j, col))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d columns: y[%d] = %v, Col+AddScaled gives %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestCorrelate(t *testing.T) {
 	p := params()
 	d, s := both(t, p)

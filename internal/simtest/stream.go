@@ -95,8 +95,10 @@ func GenerateStream(base uint64, index int) StreamScenario {
 
 // proxyFrame is the most a fresh connection's first exchange puts on
 // the wire: a hello and one delta of m measurements, each with its ack,
-// sized from the push wire format's own overhead constants. A chaos
-// budget below it could starve a node forever.
+// sized from the push wire format's own overhead constants (a delta
+// travels as pairs only when that is smaller than the sketch, so the
+// sketch is the cap). A chaos budget below it could starve a node
+// forever.
 func proxyFrame(m int) int64 {
 	return int64(csoutlier.EncodedSketchLen(m) + 2*(stream.MaxDeltaOverhead+len(NodeID(0))))
 }
@@ -105,13 +107,16 @@ func proxyFrame(m int) int64 {
 // bounds for sketches of m measurements, given how many delta flushes
 // every connection's node is guaranteed to make. The minimum is one
 // first exchange, so every connection makes progress; the maximum stays
-// a full first exchange below the least those flushes can carry, so
-// every scenario loses at least one connection mid-run and the
-// redial/retry/dedup path is always exercised (the checkers assert
-// Kills ≥ 1).
+// a full first exchange below the least those flushes can carry — each
+// at least the smallest delta payload, one observation as a pair — and
+// never below the minimum. With payloads that small the cap usually
+// binds at the minimum itself: every connection then dies within a
+// sketch's worth of traffic, which a run's flushes, hellos and acks
+// exceed many times over, so the redial/retry/dedup path is still always
+// exercised (the checkers assert Kills ≥ 1).
 func proxyBudgets(m, flushes int) (min, max int64) {
 	frame := proxyFrame(m)
-	floorTotal := int64(flushes) * int64(csoutlier.EncodedSketchLen(m)+stream.MinDeltaOverhead+len(NodeID(0)))
+	floorTotal := int64(flushes) * int64(stream.MinDeltaPayload+stream.MinDeltaOverhead+len(NodeID(0)))
 	min, max = frame, 3*frame
 	if cap := floorTotal - frame; max > cap {
 		max = cap

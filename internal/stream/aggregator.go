@@ -714,8 +714,9 @@ func (a *Aggregator) fold() {
 const foldSampleMask = 15
 
 // apply folds one delta frame, produces its ack, and records the
-// frame's outcome — two atomic counter increments per frame, plus a
-// lock-free histogram observation on sampled frames. Nothing here can
+// frame's outcome — two atomic counter increments per frame (three for
+// an applied one), plus a lock-free histogram observation on sampled
+// frames. Nothing here can
 // block the folder.
 func (a *Aggregator) apply(req pushRequest) Ack {
 	m := a.metrics
@@ -742,6 +743,11 @@ func (a *Aggregator) apply(req pushRequest) Ack {
 		m.dropped.Inc()
 	default:
 		m.applied.Inc()
+		if csoutlier.PairsEncoded(req.Payload) {
+			m.pairFrames.Inc()
+		} else {
+			m.sketchFrames.Inc()
+		}
 	}
 	return ack
 }
@@ -800,8 +806,9 @@ func (a *Aggregator) applyFrame(req pushRequest) Ack {
 		ns.status.Dropped++
 		return ackStable()
 	}
-	// The payload's floats go from the frame straight into the window's
-	// ring slot; only a relay's OnApplied needs them as a Sketch too.
+	// The payload goes from the frame straight into the window's ring
+	// slot — a sketch's floats added, a pairs payload measured first; only
+	// a relay's OnApplied needs the delta as a Sketch too.
 	fn := a.opts.OnApplied
 	if fn == nil {
 		err = a.ws.AddEncoded(int(age), req.Payload)

@@ -14,49 +14,39 @@ import (
 // frames folded per second — with the network stripped away: frames go
 // straight through the idempotency tracker and the window-store fold,
 // exactly the folder goroutine's work. b.SetBytes reports the wire-side
-// delta payload, so ns/op and MB/s both come out of one run.
-func BenchmarkStreamFold(b *testing.B) {
-	for _, m := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
-			sk := benchSketcher(b, 4096, m)
-			agg, err := NewAggregator(sk, AggregatorOptions{Windows: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer agg.Close(context.Background())
-			payload := benchDelta(b, sk)
-			b.SetBytes(int64(len(payload)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ack := agg.apply(pushRequest{
-					Kind: pushDelta, Node: "bench", Epoch: 1,
-					Window: 1, Seq: uint64(i + 1), Payload: payload,
-				})
-				if !ack.Applied {
-					b.Fatalf("fold %d not applied: %+v", i, ack)
-				}
-			}
-		})
-	}
-}
+// delta payload, so ns/op and MB/s both come out of one run. The M=
+// cells fold a sketch payload (what a relay forwards, and any leaf
+// delta from the size crossover up); pairs16 folds a 16-observation
+// leaf flush as it now travels, measured here instead of at the leaf.
+func BenchmarkStreamFold(b *testing.B) { benchFold(b, false) }
 
 // BenchmarkStreamFoldBare is BenchmarkStreamFold with the metrics layer
 // disabled — the uninstrumented fold. Comparing the two pins the
-// instrumentation overhead (two atomic counter increments per frame,
-// plus a sampled 1-in-16 histogram observation; the acceptance budget
-// is ≤2%).
-func BenchmarkStreamFoldBare(b *testing.B) {
-	for _, m := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
-			sk := benchSketcher(b, 4096, m)
+// instrumentation overhead (two or three atomic counter increments per
+// frame, plus a sampled 1-in-16 histogram observation; the acceptance
+// budget is ≤2%).
+func BenchmarkStreamFoldBare(b *testing.B) { benchFold(b, true) }
+
+func benchFold(b *testing.B, bare bool) {
+	for _, c := range []struct {
+		name  string
+		m     int
+		pairs int // observations shipped as pairs; 0 = a sketch payload
+	}{{"M=256", 256, 0}, {"M=1024", 1024, 0}, {"pairs16/M=256", 256, 16}} {
+		b.Run(c.name, func(b *testing.B) {
+			sk := benchSketcher(b, 4096, c.m)
 			agg, err := NewAggregator(sk, AggregatorOptions{Windows: 8})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer agg.Close(context.Background())
-			agg.metrics = nil
+			if bare {
+				agg.metrics = nil
+			}
 			payload := benchDelta(b, sk)
+			if c.pairs > 0 {
+				payload = benchPairs(b, sk, c.pairs)
+			}
 			b.SetBytes(int64(len(payload)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -75,36 +65,48 @@ func BenchmarkStreamFoldBare(b *testing.B) {
 
 // BenchmarkStreamPushTCP measures end-to-end push throughput over
 // loopback TCP: binary framing, the bounded ingest queue and the folder,
-// one stop-and-wait client.
+// one stop-and-wait client — for a sketch payload and for a
+// 16-observation flush as pairs.
 func BenchmarkStreamPushTCP(b *testing.B) {
-	sk := benchSketcher(b, 4096, 256)
-	agg, err := NewAggregator(sk, AggregatorOptions{Windows: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer agg.Close(context.Background())
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go agg.Serve(ln)
-	c, err := DialClient(context.Background(), ln.Addr().String(), 10*time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello("bench", 1); err != nil {
-		b.Fatal(err)
-	}
-	payload := benchDelta(b, sk)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ack, err := c.PushDelta("bench", 1, 1, uint64(i+1), 1, payload)
-		if err != nil || !ack.Applied {
-			b.Fatalf("push %d: %v / %+v", i, err, ack)
+	for _, pairs := range []int{0, 16} {
+		name := "sketch"
+		if pairs > 0 {
+			name = fmt.Sprintf("pairs%d", pairs)
 		}
+		b.Run(name, func(b *testing.B) {
+			sk := benchSketcher(b, 4096, 256)
+			agg, err := NewAggregator(sk, AggregatorOptions{Windows: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer agg.Close(context.Background())
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			go agg.Serve(ln)
+			c, err := DialClient(context.Background(), ln.Addr().String(), 10*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Hello("bench", 1); err != nil {
+				b.Fatal(err)
+			}
+			payload := benchDelta(b, sk)
+			if pairs > 0 {
+				payload = benchPairs(b, sk, pairs)
+			}
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ack, err := c.PushDelta("bench", 1, 1, uint64(i+1), 1, payload)
+				if err != nil || !ack.Applied {
+					b.Fatalf("push %d: %v / %+v", i, err, ack)
+				}
+			}
+		})
 	}
 }
 
@@ -268,6 +270,23 @@ func benchSketcher(b *testing.B, n, m int) *csoutlier.Sketcher {
 	return sk
 }
 
+// benchPairs is a delta of n observations in the pairs encoding.
+func benchPairs(b *testing.B, sk *csoutlier.Sketcher, n int) []byte {
+	b.Helper()
+	u := sk.NewUpdater()
+	for i := 0; i < n; i++ {
+		if err := u.Observe(fmt.Sprintf("key%05d", i*257%sk.N()), float64(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	payload, _, err := u.DrainEncoded(nil)
+	if err != nil || !csoutlier.PairsEncoded(payload) {
+		b.Fatalf("%d observations did not drain as pairs: %v", n, err)
+	}
+	return payload
+}
+
+// benchDelta is a delta of 32 observations as a sketch payload.
 func benchDelta(b *testing.B, sk *csoutlier.Sketcher) []byte {
 	b.Helper()
 	u := sk.NewUpdater()

@@ -47,7 +47,8 @@ func (c *Client) Hello(node string, epoch uint64) (Ack, error) {
 }
 
 // PushDelta ships one window-tagged sketch delta. payload must be the
-// csoutlier binary sketch codec bytes of the delta; folds is how many
+// csoutlier binary codec bytes of the delta, in either of its
+// encodings; folds is how many
 // local captures were merged into it (0 and 1 both mean a plain frame,
 // >1 marks a shed/merged frame). A transport error poisons the
 // connection (the client must be re-dialed); an Ack with a non-empty

@@ -52,6 +52,9 @@ type aggMetrics struct {
 	shedFrames *obs.Counter
 	shedFolds  *obs.Counter
 
+	pairFrames   *obs.Counter
+	sketchFrames *obs.Counter
+
 	nodeLag      *obs.GaugeVec
 	nodeLastSeen *obs.GaugeVec
 	nodeEpoch    *obs.GaugeVec
@@ -74,6 +77,8 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		"outlier queries by recovery-cache result", "result")
 	membership := reg.CounterVec("stream_membership_events_total",
 		"membership changes by kind (join covers first contact and rejoin)", "event")
+	encodings := reg.CounterVec("stream_delta_frames_total",
+		"applied delta frames by payload encoding: pairs are measured here, at the fold; sketches were measured by the sender", "encoding")
 	m := &aggMetrics{
 		reg:      reg,
 		exported: make(map[string]struct{}),
@@ -137,6 +142,8 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 			"applied frames that were node-side merges of more than one local capture"),
 		shedFolds: reg.Counter("stream_shed_folds_total",
 			"extra local captures carried by shed frames (sum of folds-1); applied frames + shed folds = captures folded"),
+		pairFrames:   encodings.With("pairs"),
+		sketchFrames: encodings.With("sketch"),
 		nodeLag: reg.GaugeVec("stream_node_lag_windows",
 			"windows the node's latest applied delta trails the current window", "node"),
 		nodeLastSeen: reg.GaugeVec("stream_node_last_seen_age_seconds",

@@ -288,6 +288,17 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 	}
 	defer agg.Close(context.Background())
 
+	// Both encodings' series exist before the first frame.
+	var fresh strings.Builder
+	if err := reg.WritePrometheus(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`stream_delta_frames_total{encoding="pairs"} 0`, `stream_delta_frames_total{encoding="sketch"} 0`} {
+		if !strings.Contains(fresh.String(), want) {
+			t.Fatalf("a fresh aggregator's exposition is missing %q", want)
+		}
+	}
+
 	payload := testDelta(t, sk, "key007", 80)
 	push := func(window, seq uint64) Ack {
 		return agg.apply(pushRequest{
@@ -309,6 +320,19 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 	if ack := push(3, 0); ack.Err == "" {
 		t.Fatalf("seq 0 not rejected: %+v", ack)
 	}
+	// One applied frame more, in the pairs encoding; the rejected,
+	// duplicate and dropped ones above count under neither encoding.
+	u := sk.NewUpdater()
+	if err := u.Observe("key009", 3); err != nil {
+		t.Fatal(err)
+	}
+	pairs, _, err := u.DrainEncoded(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack := agg.apply(pushRequest{Kind: pushDelta, Node: "n1", Epoch: 1, Window: 3, Seq: 3, Payload: pairs}); !ack.Applied {
+		t.Fatalf("apply pairs: %+v", ack)
+	}
 	if _, err := agg.Outliers(0, 0, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -321,8 +345,8 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 		t.Fatalf("frame identity violated: %d != %d+%d+%d+%d",
 			s.Frames, s.Applied, s.Duplicates, s.Dropped, s.Rejected)
 	}
-	if s.Frames != 4 || s.Applied != 1 || s.Duplicates != 1 || s.Dropped != 1 || s.Rejected != 1 {
-		t.Fatalf("counters = %+v, want one frame of each outcome", s)
+	if s.Frames != 5 || s.Applied != 2 || s.Duplicates != 1 || s.Dropped != 1 || s.Rejected != 1 {
+		t.Fatalf("counters = %+v, want two applied frames and one of each other outcome", s)
 	}
 	if s.CacheHits != 1 || s.CacheMisses != 1 || s.Rotations != 2 {
 		t.Fatalf("cache %d/%d rotations %d, want 1/1 and 2", s.CacheHits, s.CacheMisses, s.Rotations)
@@ -344,14 +368,16 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 		t.Fatalf("exposition fails lint: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"stream_frames_total 4",
-		`stream_frame_outcomes_total{outcome="applied"} 1`,
-		// Fold timing is sampled (first frame, then 1 in 16): 4 frames
+		"stream_frames_total 5",
+		`stream_frame_outcomes_total{outcome="applied"} 2`,
+		`stream_delta_frames_total{encoding="pairs"} 1`,
+		`stream_delta_frames_total{encoding="sketch"} 1`,
+		// Fold timing is sampled (first frame, then 1 in 16): 5 frames
 		// yield exactly one histogram observation.
 		"stream_fold_seconds_count 1",
 		"stream_ingest_queue_depth 0",
 		"stream_window 3",
-		`stream_node_lag_windows{node="n1"} 2`,
+		`stream_node_lag_windows{node="n1"} 0`,
 		`stream_recovery_cache_total{result="hit"} 1`,
 	} {
 		if !strings.Contains(out, want) {

@@ -107,6 +107,10 @@ type NodeStats struct {
 	// Merged counts captures folded into an already-pending frame under
 	// backpressure (admission control) instead of queueing their own.
 	Merged int64
+	// PairFrames counts the frames queued in the pairs encoding — raw
+	// observations, smaller than the sketch, which the aggregator
+	// measures; Captured − Merged − PairFrames frames carried a sketch.
+	PairFrames int64
 	// Retained is the current replay-retention buffer depth: acked
 	// frames the aggregator has not yet declared durable.
 	Retained int
@@ -159,7 +163,7 @@ type Node struct {
 	retained []*deltaFrame    // acked but not yet durable, oldest first
 	free     []*deltaFrame    // frames nothing can resend any more; captures reuse their payload buffers
 	aggEpoch uint64           // aggregator incarnation last seen (0 = none yet)
-	drain    csoutlier.Sketch // reusable drain buffer, guarded by mu
+	drain    csoutlier.Sketch // a shed merge's drain buffer, made by the first one; guarded by mu
 	stats    NodeStats
 
 	sendMu sync.Mutex // serializes network use: Flush/Sync/background
@@ -195,7 +199,6 @@ func Dial(ctx context.Context, addr string, sk *csoutlier.Sketcher, id string, o
 		seed = h.Sum64() ^ n.opts.Epoch
 	}
 	n.rng = xrand.New(seed)
-	n.drain = sk.ZeroSketch()
 	n.sendMu.Lock()
 	_, err := n.connect(ctx)
 	n.sendMu.Unlock()
@@ -261,36 +264,14 @@ func (n *Node) captureLocked(force bool) error {
 		return fmt.Errorf("stream: node %s: %d frames pending (limit %d); observations keep accumulating in the standing sketch",
 			n.id, len(n.pending), n.opts.MaxPending)
 	}
-	cnt, err := n.u.DrainInto(n.drain)
-	if err != nil {
-		return err
-	}
-	if cnt == 0 {
+	// Captures are the only drains and they hold n.mu, so what is there
+	// now is still there when it is drained below.
+	if n.u.Updates() == 0 {
 		return nil
 	}
 	if shed && !force {
 		if tail := n.mergeTargetLocked(); tail != nil {
-			// Admission control: fold this capture into the queued frame
-			// instead of growing the queue. Exact by linearity — the result
-			// is the delta one larger capture would have produced — and
-			// never applied to a frame that may already have been folded
-			// (sent) or that belongs to another window.
-			merged, err := n.sk.UnmarshalSketch(tail.payload)
-			if err != nil {
-				return err
-			}
-			if err := merged.Add(n.drain); err != nil {
-				return err
-			}
-			payload, err := merged.MarshalBinary()
-			if err != nil {
-				return err
-			}
-			tail.payload = payload
-			tail.folds++
-			n.stats.Captured++
-			n.stats.Merged++
-			return nil
+			return n.mergeLocked(tail)
 		}
 		// No mergeable tail (it is in flight, or the window rotated):
 		// queue a fresh frame even past the bound — it becomes the merge
@@ -303,14 +284,54 @@ func (n *Node) captureLocked(force bool) error {
 	} else {
 		f = &deltaFrame{}
 	}
-	payload, err := n.drain.AppendBinary(f.payload[:0])
+	// Whichever encoding is smaller, straight into the recycled buffer.
+	payload, _, err := n.u.DrainEncoded(f.payload[:0])
 	if err != nil {
+		n.recycleLocked(f)
 		return err
 	}
 	n.seq++
 	*f = deltaFrame{window: n.window, seq: n.seq, folds: 1, payload: payload}
 	n.pending = append(n.pending, f)
 	n.stats.Captured++
+	if csoutlier.PairsEncoded(payload) {
+		n.stats.PairFrames++
+	}
+	return nil
+}
+
+// mergeLocked is admission control: it folds this capture into the
+// queued frame tail instead of growing the queue. Exact by linearity —
+// the merged frame is bit-for-bit sketch(tail) + sketch(capture), the
+// delta one larger capture would have produced — and never applied to a
+// frame that may already have been folded (sent) or that belongs to
+// another window: mergeTargetLocked chose tail. The sum is taken in
+// tail's bytes, in place; a tail still in the pairs encoding is measured
+// into a sketch payload first.
+func (n *Node) mergeLocked(tail *deltaFrame) error {
+	if len(n.drain.Y) == 0 {
+		n.drain = n.sk.ZeroSketch() // only a node that sheds ever needs it
+	}
+	if csoutlier.PairsEncoded(tail.payload) {
+		if err := n.sk.UnmarshalSketchInto(tail.payload, n.drain); err != nil {
+			return err
+		}
+		payload, err := n.drain.AppendBinary(tail.payload[:0])
+		if err != nil {
+			return err
+		}
+		tail.payload = payload
+		n.stats.PairFrames--
+	}
+	if _, err := n.u.DrainInto(n.drain); err != nil {
+		return err
+	}
+	if err := n.drain.AddToBinary(tail.payload); err != nil {
+		return err
+	}
+	tail.folds++
+	n.stats.Captured++
+	n.stats.Merged++
 	return nil
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"csoutlier"
 )
 
 // TestShedMergeExact pins the linearity contract of admission control:
@@ -51,9 +53,14 @@ func TestShedMergeExact(t *testing.T) {
 			t.Fatalf("capture %d: %v", i, err)
 		}
 	}
+	// One observation a capture: both frames were queued as pairs, and the
+	// merge target became a sketch to take the third capture's sum.
 	st := n.Stats()
-	if st.Captured != 3 || st.Merged != 1 || st.Pending != 2 {
-		t.Fatalf("after shed capture: %+v, want Captured=3 Merged=1 Pending=2", st)
+	if st.Captured != 3 || st.Merged != 1 || st.Pending != 2 || st.PairFrames != 1 {
+		t.Fatalf("after shed capture: %+v, want Captured=3 Merged=1 Pending=2 PairFrames=1", st)
+	}
+	if head, tail := n.pending[0].payload, n.pending[1].payload; !csoutlier.PairsEncoded(head) || csoutlier.PairsEncoded(tail) || len(tail) != csoutlier.EncodedSketchLen(sk.M()) {
+		t.Fatalf("pending payloads are %d and %d bytes, want pairs then a merged sketch", len(head), len(tail))
 	}
 	if err := n.Flush(ctx); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -98,6 +105,52 @@ func TestShedMergeExact(t *testing.T) {
 	}
 	if ns.ShedFrames != 1 || ns.ShedFolds != 1 {
 		t.Fatalf("node shed status: %+v, want ShedFrames=1 ShedFolds=1", ns)
+	}
+}
+
+// TestShedMergeInPlace: once the merge target holds a sketch, every
+// further shed capture is summed into those same bytes — no decode, no
+// re-encode, no second buffer.
+func TestShedMergeInPlace(t *testing.T) {
+	sk := testSketcher(t, 256, 64, 31)
+	_, addr := serveAgg(t, sk, AggregatorOptions{Windows: 4})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{ShedAt: 1, MaxPending: 8})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer n.Abort()
+	capture := func(v float64) {
+		t.Helper()
+		if err := n.Observe("key010", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.capture(false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	capture(1) // queued, as pairs
+	capture(2) // merged: the tail becomes a sketch
+	tail := n.pending[0]
+	bytesAt := &tail.payload[0]
+	for i := 0; i < 20; i++ {
+		capture(float64(3 + i))
+	}
+	if len(n.pending) != 1 || &n.pending[0].payload[0] != bytesAt || len(tail.payload) != csoutlier.EncodedSketchLen(sk.M()) {
+		t.Fatalf("20 merges moved or resized the tail's payload (%d pending, %d bytes)", len(n.pending), len(tail.payload))
+	}
+	want := sk.NewUpdater()
+	for v := 1; v <= 22; v++ {
+		want.Observe("key010", float64(v)) // the same sums in the same order
+	}
+	got, err := sk.UnmarshalSketch(tail.payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "22 captures merged in place", got, want.Sketch())
+	if st := n.Stats(); st.Captured != 22 || st.Merged != 21 || st.PairFrames != 0 || tail.folds != 22 {
+		t.Fatalf("stats %+v folds %d, want 22 captures, 21 merged, no pairs frame left", st, tail.folds)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 //
 //	hello, bye   str node | uv epoch
 //	delta        str node | uv epoch | uv window | uv seq | uv folds |
-//	             payload: the rest of the body, csoutlier's sketch codec
+//	             payload: the rest of the body, csoutlier's delta codec
 //	point query  sv fromAge | sv toAge | f64 threshold | uv n | n × str key
 //	ack          u8 status (low bits: index into ackStatuses; bit 7: Applied) |
 //	             uv window | uv aggEpoch | uv stable | err: the rest of the body
@@ -26,6 +26,18 @@ import (
 // sends anything else — another version, an unknown kind, a body over
 // the kind's limit, a truncated or trailing field — is disconnected;
 // there is no negotiation.
+//
+// A delta's payload is opaque here. csoutlier gives it one of two
+// layouts behind the same 25-byte consensus identity and CRC — the M
+// measurements ("CSK2"), or the observations themselves as (uv key
+// index, f64 value) pairs ("CSKP") — and a node ships whichever is
+// smaller (csoutlier.Updater.DrainEncoded): a flush never costs more
+// bytes than the data it carries, and never more than the sketch. The
+// bytes saved are paid for in CPU one hop up: whoever folds a pairs
+// payload measures it (O(M) per pair), work the leaf no longer does.
+// Version 2 of the prelude marks peers that may send pairs; a version-1
+// aggregator would have acked every such frame "bad sketch magic"
+// instead of hanging up.
 
 // Frame-size accounting, exported for harnesses that budget bytes per
 // connection (internal/simtest's chaos proxies).
@@ -40,10 +52,14 @@ const (
 	MaxQueryBytes = 1 << 20
 	// MinDeltaOverhead and MaxDeltaOverhead bound what one delta exchange
 	// — the frame and its Err-free ack — puts on the wire on top of the
-	// node name and the sketch payload. A hello or bye exchange fits in
+	// node name and the delta payload. A hello or bye exchange fits in
 	// MaxDeltaOverhead plus the name.
 	MinDeltaOverhead = 2*FrameOverhead + (1 + 4) + (1 + 3)
 	MaxDeltaOverhead = 2*FrameOverhead + (binary.MaxVarintLen16 + 4*binary.MaxVarintLen64) + (1 + 3*binary.MaxVarintLen64)
+	// MinDeltaPayload is the smallest payload a flush carries: one
+	// observation as a pair. The largest is csoutlier.EncodedSketchLen(M)
+	// — pairs are only ever sent when smaller.
+	MinDeltaPayload = csoutlier.MinEncodedPairsLen
 )
 
 const (

@@ -50,6 +50,8 @@ echo "== end-to-end: internal/recovery =="
 go test -run - -bench 'BenchmarkRecovery|BenchmarkBatchedRecovery|BenchmarkWarmStartBOMP' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/recovery/ | tee -a "$raw"
 echo "== streaming ingest + durability + point queries: internal/stream =="
 go test -run - -bench 'BenchmarkStream|BenchmarkSnapshotWrite|BenchmarkPointQuery|BenchmarkDetectQueryCold' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/stream/ | tee -a "$raw"
+echo "== leaf ingest: one Observe, logged and measured =="
+go test -run - -bench 'BenchmarkUpdaterObserve' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee -a "$raw"
 echo "== hierarchical fold: internal/tier (flat vs 2-tier fan-in) =="
 go test -run - -bench 'BenchmarkTier' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/tier/ | tee -a "$raw"
 

@@ -6,6 +6,8 @@
 #   scripts/verify.sh -bench   # tier-1 + 1-iteration benchmark smoke
 #                              # + 3-round oneshot_pull benchmark runs
 #                              #   (no failed operation; large-k recall)
+#                              # + 8-cycle ingest_flat run (no failed
+#                              #   operation; wire bytes per observation)
 #
 # Tier-1 (build, vet, full test suite) is the floor every change must
 # clear. benchmark/ is a module of its own, so tier-1's ./... never
@@ -36,7 +38,11 @@
 # exact oracle), which must report no failed operation, and once more
 # with --trace 1, where the traced recovery.large_k_recall probe (k=16
 # at M=320: every key of the exact top-16, on every seeded vector) must
-# read at least 0.99.
+# read at least 0.99. Last, eight fixed cycles of ingest_flat (2 leaves
+# flushing 16-observation frames at one root): no failed operation — the
+# workload checks every root window against the exact sketch — and at
+# most 20 wire bytes per observation, which holds only while a small
+# flush travels as its observations and not as the M-float sketch.
 #
 # Every mode first refuses encoding/gob in non-test code: both wire
 # protocols are internal/frame's binary frames, and a gob import is a
@@ -82,6 +88,22 @@ case "${1:-}" in
 	if ! awk -v r="${recall:-0}" 'BEGIN { exit !(r >= 0.99) }'; then
 		echo "verify: oneshot_pull recovery.large_k_recall below 0.99" >&2
 		echo "$line" >&2
+		exit 1
+	fi
+	echo "== benchmark gate: ingest_flat wire bytes per observation =="
+	line=$(bash benchmark/run.sh --workload ingest_flat --seed 1 --cycles 8 --trace 0 | tail -n 1)
+	echo "$line"
+	case "$line" in
+	*'"failed":0'*) ;;
+	*)
+		echo "verify: ingest_flat reported failed operations" >&2
+		exit 1
+		;;
+	esac
+	wire=$(printf '%s\n' "$line" | sed -n 's/.*"wire_bytes_per_obs":{"value":\([0-9.eE+-]*\).*/\1/p')
+	echo "wire_bytes_per_obs = ${wire:-missing}"
+	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 20) }'; then
+		echo "verify: ingest_flat wire_bytes_per_obs above 20" >&2
 		exit 1
 	fi
 	echo "verify: OK (bench smoke)"
@@ -138,7 +160,7 @@ if [ -z "$url" ]; then
 	exit 1
 fi
 "$tmp/obscheck" -url "$url" -require \
-	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_ingest_queue_depth,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,pointq_remote_queries_total,pointq_remote_keys_total,pointq_remote_errors_total,pointq_remote_seconds,recovery_solver_picks_total
+	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_ingest_queue_depth,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,pointq_remote_queries_total,pointq_remote_keys_total,pointq_remote_errors_total,pointq_remote_seconds,recovery_solver_picks_total
 "$tmp/obscheck" -url "${url%/metrics}/healthz" -health
 
 echo "== hierarchical metrics smoke: tier_*/shard_* on a live relay =="

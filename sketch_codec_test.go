@@ -1,6 +1,7 @@
 package csoutlier
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -463,6 +464,73 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 			if _, err := sk.FromPayload(poisoned); err == nil {
 				t.Fatalf("%s: FromPayload accepted %s", name, what)
 			}
+		}
+		// The pairs encoding, damaged every way a peer could damage it, each
+		// under a valid checksum (but for the flipped bit).
+		log := pairLog{}
+		log.add(3, 1.5)
+		log.add(63, -2.25)
+		log.add(3, 0.125)
+		id := sk.sketchID()
+		goodPairs := log.appendPairs(nil, id)
+		if err := ws.AddEncoded(0, goodPairs); err != nil {
+			t.Fatalf("%s: good pairs payload: %v", name, err)
+		}
+		before, _ = ws.Window(0)
+		withValue := func(v float64) []byte {
+			l := pairLog{}
+			l.add(3, 1.5)
+			l.add(7, v)
+			return l.appendPairs(nil, id)
+		}
+		one := pairLog{}
+		one.add(0, 1)
+		full := pairLog{}
+		for pairsLen(full.count+1, len(full.bytes)+9) < EncodedSketchLen(sk.M()) {
+			full.add(full.count%64, 1)
+		}
+		if err := ws.AddEncoded(0, full.appendPairs(nil, id)); err != nil {
+			t.Fatalf("%s: the largest pairs payload under the sketch's size (%d observations): %v", name, full.count, err)
+		}
+		before, _ = ws.Window(0)
+		full.add(0, 1)
+		rawPairs := func(body []byte) []byte {
+			b := append(id.appendIdentity(nil, pairsMagic), body...)
+			return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+		}
+		flippedPairs := append([]byte(nil), goodPairs...)
+		flippedPairs[sketchHeaderLen+3] ^= 0x04
+		for what, bad := range map[string][]byte{
+			"pairs: index N":                                      pairLog{count: 1, bytes: binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, uint64(sk.N())), math.Float64bits(1))}.appendPairs(nil, id),
+			"pairs: index 2^40":                                   pairLog{count: 1, bytes: binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 1<<40), math.Float64bits(1))}.appendPairs(nil, id),
+			"pairs: no smaller than CSK2":                         full.appendPairs(nil, id),
+			"pairs: count over the bytes":                         pairLog{count: log.count + 1, bytes: log.bytes}.appendPairs(nil, id),
+			"pairs: count 2^62":                                   pairLog{count: 1 << 62, bytes: log.bytes}.appendPairs(nil, id),
+			"pairs: count under the bytes (trailing observation)": pairLog{count: log.count - 1, bytes: log.bytes}.appendPairs(nil, id),
+			"pairs: trailing byte":                                pairLog{count: log.count, bytes: append(append([]byte(nil), log.bytes...), 0)}.appendPairs(nil, id),
+			"pairs: value cut short":                              pairLog{count: log.count, bytes: log.bytes[:len(log.bytes)-3]}.appendPairs(nil, id),
+			"pairs: varint cut short":                             pairLog{count: 2, bytes: append(append([]byte(nil), one.bytes...), 0x80)}.appendPairs(nil, id),
+			"pairs: overlong varint":                              pairLog{count: 1, bytes: append(bytes.Repeat([]byte{0x80}, 10), one.bytes...)}.appendPairs(nil, id),
+			"pairs: no count":                                     rawPairs(nil),
+			"pairs: count cut short":                              rawPairs([]byte{0x80}),
+			"pairs: NaN":                                          withValue(math.NaN()),
+			"pairs: +Inf":                                         withValue(math.Inf(1)),
+			"pairs: -Inf":                                         withValue(math.Inf(-1)),
+			"pairs: wrong seed":                                   log.appendPairs(nil, codecEnsembles(t, 10)[name].sketchID()),
+			"pairs: wrong M":                                      log.appendPairs(nil, otherM.sketchID()),
+			"pairs: flipped bit":                                  flippedPairs,
+			"pairs: truncated":                                    goodPairs[:len(goodPairs)-1],
+		} {
+			cases[what] = bad
+		}
+		// Good pairs are still not something a sketch can be added into, or
+		// decoded without the matrix.
+		target := append([]byte(nil), goodPairs...)
+		if err := dst.AddToBinary(target); err == nil || string(target) != string(goodPairs) {
+			t.Fatalf("%s: AddToBinary into a pairs payload: %v", name, err)
+		}
+		if _, err := DecodeSketch(goodPairs); err == nil {
+			t.Fatalf("%s: DecodeSketch measured a pairs payload without a Sketcher", name)
 		}
 		for what, bad := range cases {
 			if err := ws.AddEncoded(0, bad); err == nil {

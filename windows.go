@@ -19,7 +19,8 @@ import (
 // O(windows·M) state with no raw data retained.
 //
 // A WindowStore is safe for concurrent use; like Updater, the O(M)
-// column generation of each observation runs outside the mutex.
+// column generation of each observation runs outside the mutex (a pairs
+// payload given to AddEncoded is measured under it).
 type WindowStore struct {
 	sk *Sketcher
 
@@ -28,6 +29,7 @@ type WindowStore struct {
 	head    int             // index of the current window
 	filled  int             // number of windows that have ever been open
 	rotated int64
+	pairSum linalg.Vector // AddEncoded's measurement of a pairs payload, made on first use
 }
 
 // NewWindowStore returns a store holding the current window plus
@@ -129,10 +131,29 @@ func (w *WindowStore) AddSketch(age int, o Sketch) error {
 // validated exactly as UnmarshalSketch would (integrity, then
 // consensus identity) and its little-endian floats are added into the
 // window's ring slot with no intermediate Sketch — the streaming
-// aggregator folds delta frames from its read buffer this way. The
-// result is Float64bits-identical to UnmarshalSketch + AddSketch, and
-// the store is untouched when data or age is rejected.
+// aggregator folds delta frames from its read buffer this way. A pairs
+// payload is measured into the store's one scratch vector first, and
+// that is what is added. Either way the result is Float64bits-identical
+// to UnmarshalSketch + AddSketch, and the store is untouched when data
+// or age is rejected.
 func (w *WindowStore) AddEncoded(age int, data []byte) error {
+	if PairsEncoded(data) {
+		pairs, err := w.sk.decodePairs(data)
+		if err != nil {
+			return err
+		}
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if err := w.checkAge(age); err != nil {
+			return err
+		}
+		if w.pairSum == nil {
+			w.pairSum = make(linalg.Vector, w.sk.params.M)
+		}
+		w.sk.measurePairs(w.pairSum, pairs)
+		w.ring[w.slot(age)].Add(w.pairSum)
+		return nil
+	}
 	id, err := decodeSketchID(data)
 	if err != nil {
 		return err
