@@ -34,7 +34,7 @@ func (s *Sketcher) Aggregate(global Sketch, maxIters int) (*AggregateReport, err
 	// res aliases ws's buffers and the report outlives this call: copy
 	// the support and values out before returning ws to the pool.
 	rec := &queries.Recovered{
-		N:       s.params.N,
+		N:       s.spec.N,
 		Mode:    res.Mode,
 		Support: append([]int(nil), res.Support...),
 	}

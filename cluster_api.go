@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"csoutlier/internal/cluster"
-	"csoutlier/internal/sensing"
 )
 
 // ClusterOptions tunes DetectCluster's fault tolerance. The zero value
@@ -75,24 +74,6 @@ type ClusterReport struct {
 	Failed   []NodeReport // nodes excluded (dial failures and RPC failures)
 	Nodes    []NodeReport // every node, in addrs order
 	Stats    ClusterStats
-}
-
-// spec is this Sketcher's consensus as a wire-level measurement spec —
-// what a remote node needs to produce a compatible sketch.
-func (s *Sketcher) spec() sensing.Spec {
-	sp := sensing.Spec{Params: s.params}
-	switch s.cfg.Ensemble {
-	case SparseRademacher:
-		sp.Kind = sensing.KindSparseRademacher
-		if sr, ok := s.matrix.(*sensing.SparseRademacher); ok {
-			sp.D = sr.D()
-		}
-	case SRHT:
-		sp.Kind = sensing.KindSRHT
-	default:
-		sp.Kind = sensing.KindGaussian
-	}
-	return sp
 }
 
 // DetectCluster runs the full distributed query against csnode servers:
@@ -184,7 +165,7 @@ func (s *Sketcher) DetectCluster(ctx context.Context, addrs []string, k int, opt
 		return rep, fmt.Errorf("csoutlier: only %d/%d nodes reachable (need %d)", len(nodes), len(addrs), min)
 	}
 
-	part, err := cluster.CollectSketchesCtxSpec(ctx, nodes, s.spec(), cluster.CollectOptions{
+	part, err := cluster.CollectSketchesCtxSpec(ctx, nodes, s.spec, cluster.CollectOptions{
 		MinNodes:    min,
 		MaxAttempts: opts.MaxAttempts,
 		NodeTimeout: nodeTimeout,

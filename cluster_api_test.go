@@ -41,10 +41,25 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
+// TestDetectClusterEndToEnd runs the distributed query under every
+// ensemble: the nodes build Φ from the spec the request carries, so a
+// spec that names another family than the Sketcher's own matrix (as the
+// count-sketch one once did) shows up as a mode and outlier mismatch.
 func TestDetectClusterEndToEnd(t *testing.T) {
+	for _, cfg := range []Config{
+		{M: 90, Seed: 99},
+		{M: 120, Seed: 99, Ensemble: SparseRademacher},
+		{M: 120, Seed: 99, Ensemble: SRHT},
+		{M: 210, Seed: 99, Ensemble: CountSketch, Depth: 7},
+	} {
+		t.Run(cfg.Ensemble.String(), func(t *testing.T) { detectClusterEndToEnd(t, cfg) })
+	}
+}
+
+func detectClusterEndToEnd(t *testing.T, cfg Config) {
 	const n, k, mode = 300, 4, 750.0
 	keys := testKeys(n)
-	sk, err := NewSketcher(keys, Config{M: 90, Seed: 99})
+	sk, err := NewSketcher(keys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,7 @@ import (
 	"csoutlier/internal/keydict"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/obs"
+	"csoutlier/internal/sensing"
 	"csoutlier/internal/stream"
 	"csoutlier/internal/tier"
 )
@@ -120,7 +121,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "csnode: -push requires -m (the daemon's sketch length)")
 			os.Exit(2)
 		}
-		ens, err := parseEnsemble(*ensemble)
+		ens, err := sensing.ParseKind(*ensemble)
 		if err != nil {
 			log.Fatalf("csnode: %v", err)
 		}
@@ -267,20 +268,6 @@ func pushSliceSharded(m *tier.ShardMap, sks []*csoutlier.Sketcher, dict *keydict
 			log.Printf("csnode: push heartbeat: %v", err)
 		}
 	}
-}
-
-func parseEnsemble(name string) (csoutlier.Ensemble, error) {
-	switch name {
-	case "gaussian":
-		return csoutlier.Gaussian, nil
-	case "sparse":
-		return csoutlier.SparseRademacher, nil
-	case "srht":
-		return csoutlier.SRHT, nil
-	case "countsketch":
-		return csoutlier.CountSketch, nil
-	}
-	return 0, fmt.Errorf("unknown ensemble %q (want gaussian, sparse, srht or countsketch)", name)
 }
 
 func loadDict(path string) (*keydict.Dictionary, error) {

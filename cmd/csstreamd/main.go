@@ -47,6 +47,7 @@ import (
 	"csoutlier"
 	"csoutlier/internal/keydict"
 	"csoutlier/internal/obs"
+	"csoutlier/internal/sensing"
 	"csoutlier/internal/stream"
 	"csoutlier/internal/tier"
 )
@@ -92,7 +93,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "csstreamd: -relay-upstream requires -relay-id")
 		os.Exit(2)
 	}
-	ens, err := parseEnsemble(*ensemble)
+	ens, err := sensing.ParseKind(*ensemble)
 	if err != nil {
 		log.Fatalf("csstreamd: %v", err)
 	}
@@ -359,18 +360,4 @@ func report(agg *stream.Aggregator, relay *tier.Relay, k, span int, watched []st
 	for i, o := range rep.Outliers {
 		log.Printf("  %2d. %-40s value %.6g (divergence %+.6g)", i+1, o.Key, o.Value, o.Value-rep.Mode)
 	}
-}
-
-func parseEnsemble(name string) (csoutlier.Ensemble, error) {
-	switch name {
-	case "gaussian":
-		return csoutlier.Gaussian, nil
-	case "sparse":
-		return csoutlier.SparseRademacher, nil
-	case "srht":
-		return csoutlier.SRHT, nil
-	case "countsketch":
-		return csoutlier.CountSketch, nil
-	}
-	return 0, fmt.Errorf("unknown ensemble %q (want gaussian, sparse, srht or countsketch)", name)
 }

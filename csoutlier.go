@@ -46,23 +46,25 @@ import (
 	"csoutlier/internal/sensing"
 )
 
-// Ensemble selects the measurement-matrix family.
-type Ensemble int
+// Ensemble selects the measurement-matrix family. It is the sensing
+// layer's Kind — one name table (Ensemble.String, sensing.ParseKind)
+// and one set of values, which the sketch codec writes.
+type Ensemble = sensing.Kind
 
 const (
 	// Gaussian is the paper's ensemble: i.i.d. N(0, 1/M) entries, the
 	// strongest recovery guarantees (Theorem 1). Default.
-	Gaussian Ensemble = iota
+	Gaussian = sensing.KindGaussian
 	// SparseRademacher uses D non-zero ±1/√D entries per column: each
 	// observation folds into a sketch in O(D) instead of O(M), at a
 	// modest recovery-quality cost. Use for very hot ingest paths.
-	SparseRademacher
+	SparseRademacher = sensing.KindSparseRademacher
 	// SRHT is the subsampled randomized Hadamard transform: measuring a
 	// dense slice costs one O(N·log N) fast transform regardless of M,
 	// and recovery's correlation step drops from O(M·N) to O(N·log N)
 	// per iteration. Use for dense slices and large M. Single-key
 	// updates (Updater.Observe) still cost O(M).
-	SRHT
+	SRHT = sensing.KindSRHT
 	// CountSketch is the bias-aware count-sketch (Chen & Zhang): Depth
 	// hash rows of M/Depth signed buckets. It is a perfectly ordinary
 	// linear Φ — Updater, WindowStore, the push protocol and BOMP span
@@ -71,7 +73,7 @@ const (
 	// Sketcher.NewPointState. Ingest is the cheapest of any ensemble
 	// (O(Depth) per pair); recovery quality trails the Gaussian family,
 	// so size M generously when span top-k reports matter too.
-	CountSketch
+	CountSketch = sensing.KindCountSketch
 )
 
 // Config parameterizes a Sketcher.
@@ -187,8 +189,8 @@ func (s Sketch) Sub(o Sketch) error {
 type Sketcher struct {
 	cfg    Config
 	dict   *keydict.Dictionary
-	params sensing.Params
-	matrix sensing.Matrix // dense when affordable, seeded otherwise
+	spec   sensing.Spec   // the consensus: what every participant must share, D resolved
+	matrix sensing.Matrix // sensing.New(spec): dense when affordable, seeded otherwise
 
 	// recMat is the recovery-side view of matrix: for regenerating
 	// ensembles it wraps matrix in a bounded sensing.ColumnCache, so the
@@ -325,36 +327,16 @@ func NewSketcher(keys []string, cfg Config) (*Sketcher, error) {
 	if cfg.M > dict.N() {
 		return nil, fmt.Errorf("csoutlier: M=%d exceeds key-space size N=%d (no compression)", cfg.M, dict.N())
 	}
-	p := sensing.Params{M: cfg.M, N: dict.N(), Seed: cfg.Seed}
-	var mat sensing.Matrix
-	var err error
-	switch cfg.Ensemble {
-	case Gaussian:
-		if int64(p.M)*int64(p.N) <= denseLimit {
-			mat, err = sensing.NewDense(p)
-		} else {
-			mat, err = sensing.NewSeeded(p)
-		}
-	case SparseRademacher:
-		d := cfg.SparseD
-		if d <= 0 {
-			d = cfg.M / 16
-			if d < 8 {
-				d = 8
-			}
-		}
-		mat, err = sensing.NewSparseRademacher(p, d)
-	case SRHT:
-		mat, err = sensing.NewSRHT(p)
-	case CountSketch:
-		d := cfg.Depth
-		if d <= 0 {
-			d = sensing.DefaultCountSketchDepth
-		}
-		mat, err = sensing.NewCountSketch(p, d)
-	default:
-		return nil, fmt.Errorf("csoutlier: unknown ensemble %d", cfg.Ensemble)
+	spec := sensing.Spec{
+		Params: sensing.Params{M: cfg.M, N: dict.N(), Seed: cfg.Seed},
+		Kind:   cfg.Ensemble,
+		D:      cfg.SparseD,
 	}
+	if cfg.Ensemble == CountSketch {
+		spec.D = cfg.Depth
+	}
+	spec = spec.Resolve()
+	mat, err := sensing.New(spec, denseLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -371,42 +353,32 @@ func NewSketcher(keys []string, cfg Config) (*Sketcher, error) {
 		// columns every generation.
 		recMat = sensing.NewColumnCache(mat, 0)
 	}
-	return &Sketcher{cfg: cfg, dict: dict, params: p, matrix: mat, recMat: recMat}, nil
+	return &Sketcher{cfg: cfg, dict: dict, spec: spec, matrix: mat, recMat: recMat}, nil
 }
 
 // N returns the key-space size.
 func (s *Sketcher) N() int { return s.dict.N() }
 
 // M returns the sketch length.
-func (s *Sketcher) M() int { return s.params.M }
+func (s *Sketcher) M() int { return s.spec.M }
 
 // Keys returns the canonical (sorted) key order.
 func (s *Sketcher) Keys() []string { return s.dict.Keys() }
 
 // CompressionRatio returns M/N — the fraction of ALL-shipping
 // communication a sketch costs.
-func (s *Sketcher) CompressionRatio() float64 { return s.params.CompressionRatio() }
+func (s *Sketcher) CompressionRatio() float64 { return s.spec.CompressionRatio() }
 
 // sketchID returns this sketcher's consensus identity without a payload
 // — enough for compatibility checks, with no O(M) allocation.
 func (s *Sketcher) sketchID() Sketch {
-	d := 0
-	switch m := s.matrix.(type) {
-	case *sensing.SparseRademacher:
-		d = m.D()
-	case *sensing.CountSketch:
-		d = m.Depth()
-	}
-	return Sketch{
-		m: s.params.M, n: s.params.N, seed: s.params.Seed,
-		ens: s.cfg.Ensemble, d: d,
-	}
+	return Sketch{m: s.spec.M, n: s.spec.N, seed: s.spec.Seed, ens: s.spec.Kind, d: s.spec.D}
 }
 
 // emptySketch returns a zero sketch with this sketcher's identity.
 func (s *Sketcher) emptySketch() Sketch {
 	out := s.sketchID()
-	out.Y = make([]float64, s.params.M)
+	out.Y = make([]float64, s.spec.M)
 	return out
 }
 
@@ -415,7 +387,7 @@ func (s *Sketcher) getCol() *linalg.Vector {
 	if v, ok := s.colPool.Get().(*linalg.Vector); ok {
 		return v
 	}
-	v := make(linalg.Vector, s.params.M)
+	v := make(linalg.Vector, s.spec.M)
 	return &v
 }
 
@@ -445,8 +417,8 @@ func (s *Sketcher) SketchPairs(pairs map[string]float64) (Sketch, error) {
 // SketchVector compresses an already-vectorized slice (values in the
 // canonical key order, length N).
 func (s *Sketcher) SketchVector(x []float64) (Sketch, error) {
-	if len(x) != s.params.N {
-		return Sketch{}, fmt.Errorf("csoutlier: vector length %d, want N=%d", len(x), s.params.N)
+	if len(x) != s.spec.N {
+		return Sketch{}, fmt.Errorf("csoutlier: vector length %d, want N=%d", len(x), s.spec.N)
 	}
 	if err := checkFinite(x); err != nil {
 		return Sketch{}, err
@@ -459,8 +431,8 @@ func (s *Sketcher) SketchVector(x []float64) (Sketch, error) {
 // FromPayload reconstructs a Sketch around a raw payload received from
 // a node (length must be M).
 func (s *Sketcher) FromPayload(y []float64) (Sketch, error) {
-	if len(y) != s.params.M {
-		return Sketch{}, fmt.Errorf("csoutlier: payload length %d, want M=%d", len(y), s.params.M)
+	if len(y) != s.spec.M {
+		return Sketch{}, fmt.Errorf("csoutlier: payload length %d, want M=%d", len(y), s.spec.M)
 	}
 	if err := checkFinite(y); err != nil {
 		return Sketch{}, err

@@ -22,7 +22,7 @@ func drainEnsembles(t *testing.T, seed uint64) map[string]*Sketcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := sensing.NewSeeded(sk.params)
+	seeded, err := sensing.NewSeeded(sk.spec.Params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 	a, b := xrand.New(42), xrand.New(42)
 	var seqA, seqB []time.Duration
 	for attempt := 1; attempt <= 10; attempt++ {
-		seqA = append(seqA, backoffDelay(a, attempt, base, max))
-		seqB = append(seqB, backoffDelay(b, attempt, base, max))
+		seqA = append(seqA, xrand.BackoffDelay(a, attempt, base, max))
+		seqB = append(seqB, xrand.BackoffDelay(b, attempt, base, max))
 	}
 	for i := range seqA {
 		if seqA[i] != seqB[i] {
@@ -39,7 +39,7 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 	c := xrand.New(43)
 	diverged := false
 	for attempt := 1; attempt <= 10; attempt++ {
-		if backoffDelay(c, attempt, base, max) != seqA[attempt-1] {
+		if xrand.BackoffDelay(c, attempt, base, max) != seqA[attempt-1] {
 			diverged = true
 			break
 		}
@@ -86,8 +86,8 @@ func TestDialBackoffSeedOption(t *testing.T) {
 	}
 	r1, r2 := dial(99), dial(99)
 	for i := 0; i < 8; i++ {
-		d1 := backoffDelay(r1.rng, i+1, 25*time.Millisecond, time.Second)
-		d2 := backoffDelay(r2.rng, i+1, 25*time.Millisecond, time.Second)
+		d1 := xrand.BackoffDelay(r1.rng, i+1, 25*time.Millisecond, time.Second)
+		d2 := xrand.BackoffDelay(r2.rng, i+1, 25*time.Millisecond, time.Second)
 		if d1 != d2 {
 			t.Fatalf("draw %d: same BackoffSeed drew %v vs %v", i, d1, d2)
 		}

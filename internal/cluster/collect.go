@@ -135,7 +135,7 @@ func CollectSketchesCtxSpec(ctx context.Context, nodes []NodeAPI, spec sensing.S
 			for attempt := 1; attempt <= maxAttempts; attempt++ {
 				if attempt > 1 {
 					ns.Retries++
-					if sleepCtx(inner, backoffDelay(rng, attempt-1, baseBackoff, maxBackoff)) != nil {
+					if xrand.SleepCtx(inner, xrand.BackoffDelay(rng, attempt-1, baseBackoff, maxBackoff)) != nil {
 						break
 					}
 				}

@@ -404,7 +404,7 @@ func (r *RemoteNode) roundTrip(ctx context.Context, req *request, resp *response
 	for attempt := 0; attempt <= r.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
 			r.note(func(h *NodeHealth) { h.Retries++ })
-			if err := sleepCtx(ctx, backoffDelay(r.rng, attempt, r.opts.BaseBackoff, r.opts.MaxBackoff)); err != nil {
+			if err := xrand.SleepCtx(ctx, xrand.BackoffDelay(r.rng, attempt, r.opts.BaseBackoff, r.opts.MaxBackoff)); err != nil {
 				r.note(func(h *NodeHealth) { h.Failures++ })
 				return fmt.Errorf("cluster: %s: %w (last transport error: %v)", r.addr, err, lastErr)
 			}
@@ -527,40 +527,6 @@ func isTimeout(err error) bool {
 	}
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// sleepCtx sleeps for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// backoffDelay is exponential backoff with full jitter: attempt n waits
-// a uniform draw from (base·2ⁿ⁻¹/2, base·2ⁿ⁻¹], capped at max. The
-// jitter comes from the caller's seedable RNG, never the global
-// math/rand, so retry timing replays deterministically.
-func backoffDelay(rng *xrand.RNG, attempt int, base, max time.Duration) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + int64(rng.Intn(int(half)+1)))
 }
 
 // backoffSeed resolves a jitter seed: an explicit non-zero seed wins,

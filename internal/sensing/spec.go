@@ -88,16 +88,14 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// density resolves the SparseRademacher density default.
+// density resolves the SparseRademacher density: the default for a
+// zero D, and never more than the M rows a column has.
 func (s Spec) density() int {
-	if s.D > 0 {
-		return s.D
+	d := s.D
+	if d <= 0 {
+		d = max(8, s.M/16)
 	}
-	d := s.M / 16
-	if d < 8 {
-		d = 8
-	}
-	return d
+	return min(d, s.M)
 }
 
 // depth resolves the CountSketch row-count default.
@@ -106,6 +104,21 @@ func (s Spec) depth() int {
 		return s.D
 	}
 	return DefaultCountSketchDepth
+}
+
+// Resolve returns s with D made explicit: the family's default filled
+// in, zero for the families that ignore it. Specs naming the same
+// matrix resolve to equal values.
+func (s Spec) Resolve() Spec {
+	switch s.Kind {
+	case KindSparseRademacher:
+		s.D = s.density()
+	case KindCountSketch:
+		s.D = s.depth()
+	default:
+		s.D = 0
+	}
+	return s
 }
 
 // DefaultCountSketchDepth is the row count a zero D resolves to for the

@@ -30,6 +30,7 @@ import (
 
 	"csoutlier"
 	"csoutlier/internal/linalg"
+	"csoutlier/internal/sensing"
 	"csoutlier/internal/workload"
 	"csoutlier/internal/xrand"
 )
@@ -192,15 +193,8 @@ func (s Scenario) String() string {
 	for i, f := range s.Faults {
 		faults[i] = faultRunes[f]
 	}
-	ens := "gaussian"
-	switch s.Ens {
-	case csoutlier.SparseRademacher:
-		ens = "sparse"
-	case csoutlier.SRHT:
-		ens = "srht"
-	}
 	return fmt.Sprintf("v1 seed=%d n=%d s=%d l=%d m=%d k=%d mode=%g alpha=%g noise=%g ens=%s faults=%s",
-		s.Seed, s.N, s.S, s.L, s.M, s.K, s.Mode, s.Alpha, s.Noise, ens, faults)
+		s.Seed, s.N, s.S, s.L, s.M, s.K, s.Mode, s.Alpha, s.Noise, s.Ens, faults)
 }
 
 // ParseScenario decodes a Scenario.String() line.
@@ -236,16 +230,7 @@ func ParseScenario(line string) (Scenario, error) {
 		case "noise":
 			scn.Noise, err = strconv.ParseFloat(val, 64)
 		case "ens":
-			switch val {
-			case "gaussian":
-				scn.Ens = csoutlier.Gaussian
-			case "sparse":
-				scn.Ens = csoutlier.SparseRademacher
-			case "srht":
-				scn.Ens = csoutlier.SRHT
-			default:
-				err = fmt.Errorf("unknown ensemble %q", val)
-			}
+			scn.Ens, err = sensing.ParseKind(val)
 		case "faults":
 			scn.Faults = make([]Fault, len(val))
 			for i := 0; i < len(val); i++ {

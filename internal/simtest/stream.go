@@ -12,6 +12,7 @@ import (
 	"csoutlier"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
+	"csoutlier/internal/sensing"
 	"csoutlier/internal/stream"
 	"csoutlier/internal/workload"
 	"csoutlier/internal/xrand"
@@ -155,15 +156,8 @@ func (s StreamScenario) validate() error {
 
 // String encodes the scenario as a replayable one-liner.
 func (s StreamScenario) String() string {
-	ens := "gaussian"
-	switch s.Ens {
-	case csoutlier.SparseRademacher:
-		ens = "sparse"
-	case csoutlier.SRHT:
-		ens = "srht"
-	}
 	return fmt.Sprintf("stream1 seed=%d n=%d s=%d l=%d w=%d m=%d k=%d mode=%g noise=%g ens=%s crash=%d@%d dup=%d proxy=%d:%d",
-		s.Seed, s.N, s.S, s.L, s.W, s.M, s.K, s.Mode, s.Noise, ens,
+		s.Seed, s.N, s.S, s.L, s.W, s.M, s.K, s.Mode, s.Noise, s.Ens,
 		s.CrashNode, s.CrashWindow, s.DupNode, s.ProxyMin, s.ProxyMax)
 }
 
@@ -200,16 +194,7 @@ func ParseStreamScenario(line string) (StreamScenario, error) {
 		case "noise":
 			scn.Noise, err = strconv.ParseFloat(val, 64)
 		case "ens":
-			switch val {
-			case "gaussian":
-				scn.Ens = csoutlier.Gaussian
-			case "sparse":
-				scn.Ens = csoutlier.SparseRademacher
-			case "srht":
-				scn.Ens = csoutlier.SRHT
-			default:
-				err = fmt.Errorf("unknown ensemble %q", val)
-			}
+			scn.Ens, err = sensing.ParseKind(val)
 		case "crash":
 			node, win, ok := strings.Cut(val, "@")
 			if !ok {

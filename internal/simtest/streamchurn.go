@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"csoutlier"
+	"csoutlier/internal/sensing"
 	"csoutlier/internal/stream"
 	"csoutlier/internal/xrand"
 )
@@ -124,15 +125,8 @@ func (s StreamChurnScenario) validate() error {
 
 // String encodes the scenario as a replayable one-liner.
 func (s StreamChurnScenario) String() string {
-	ens := "gaussian"
-	switch s.Ens {
-	case csoutlier.SparseRademacher:
-		ens = "sparse"
-	case csoutlier.SRHT:
-		ens = "srht"
-	}
 	return fmt.Sprintf("streamchurn1 seed=%d n=%d s=%d l=%d w=%d m=%d k=%d mode=%g noise=%g ens=%s join=%d leave=%d@%d evict=%d@%d proxy=%d:%d",
-		s.Seed, s.N, s.S, s.L, s.W, s.M, s.K, s.Mode, s.Noise, ens,
+		s.Seed, s.N, s.S, s.L, s.W, s.M, s.K, s.Mode, s.Noise, s.Ens,
 		s.JoinWindow, s.LeaveNode, s.LeaveWindow, s.EvictNode, s.EvictWindow, s.ProxyMin, s.ProxyMax)
 }
 
@@ -169,16 +163,7 @@ func ParseStreamChurnScenario(line string) (StreamChurnScenario, error) {
 		case "noise":
 			scn.Noise, err = strconv.ParseFloat(val, 64)
 		case "ens":
-			switch val {
-			case "gaussian":
-				scn.Ens = csoutlier.Gaussian
-			case "sparse":
-				scn.Ens = csoutlier.SparseRademacher
-			case "srht":
-				scn.Ens = csoutlier.SRHT
-			default:
-				err = fmt.Errorf("unknown ensemble %q", val)
-			}
+			scn.Ens, err = sensing.ParseKind(val)
 		case "join":
 			scn.JoinWindow, err = strconv.Atoi(val)
 		case "leave":

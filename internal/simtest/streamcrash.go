@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"csoutlier"
+	"csoutlier/internal/sensing"
 	"csoutlier/internal/stream"
 	"csoutlier/internal/xrand"
 )
@@ -118,15 +119,8 @@ func (s StreamCrashScenario) validate() error {
 
 // String encodes the scenario as a replayable one-liner.
 func (s StreamCrashScenario) String() string {
-	ens := "gaussian"
-	switch s.Ens {
-	case csoutlier.SparseRademacher:
-		ens = "sparse"
-	case csoutlier.SRHT:
-		ens = "srht"
-	}
 	return fmt.Sprintf("streamcrash1 seed=%d n=%d s=%d l=%d w=%d m=%d k=%d mode=%g noise=%g ens=%s cw=%d snap=%d crash=%d proxy=%d:%d",
-		s.Seed, s.N, s.S, s.L, s.W, s.M, s.K, s.Mode, s.Noise, ens,
+		s.Seed, s.N, s.S, s.L, s.W, s.M, s.K, s.Mode, s.Noise, s.Ens,
 		s.CrashWindow, s.SnapFlush, s.CrashFlush, s.ProxyMin, s.ProxyMax)
 }
 
@@ -163,16 +157,7 @@ func ParseStreamCrashScenario(line string) (StreamCrashScenario, error) {
 		case "noise":
 			scn.Noise, err = strconv.ParseFloat(val, 64)
 		case "ens":
-			switch val {
-			case "gaussian":
-				scn.Ens = csoutlier.Gaussian
-			case "sparse":
-				scn.Ens = csoutlier.SparseRademacher
-			case "srht":
-				scn.Ens = csoutlier.SRHT
-			default:
-				err = fmt.Errorf("unknown ensemble %q", val)
-			}
+			scn.Ens, err = sensing.ParseKind(val)
 		case "cw":
 			scn.CrashWindow, err = strconv.Atoi(val)
 		case "snap":

@@ -606,7 +606,7 @@ func CheckStreamTierScenario(scn StreamTierScenario) error {
 	// on each root's push listener).
 	targets := make([]tier.Target, tierShards)
 	for s := 0; s < tierShards; s++ {
-		rp := tier.NewRemotePoint(res.RootAddrs[s], 5*time.Second)
+		rp := stream.NewRemotePoint(res.RootAddrs[s], 5*time.Second)
 		defer rp.Close()
 		targets[s] = tier.Target{Span: res.Roots[s], Point: rp}
 	}

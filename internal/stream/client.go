@@ -10,12 +10,11 @@ import (
 
 	"csoutlier"
 	"csoutlier/internal/frame"
-	"csoutlier/internal/xrand"
 )
 
 // Client is the low-level delta-protocol client: one TCP connection,
 // one strictly serialized request/response exchange at a time, no
-// retries and no state. Node builds the production retry/redial loop
+// retries and no state. Sender builds the production retry/redial loop
 // on top of it; tests use it directly to inject duplicate, reordered
 // and stale frames the aggregator must tolerate.
 type Client struct {
@@ -147,37 +146,3 @@ func (c *Client) roundTrip(req *pushRequest, want pushKind) ([]byte, error) {
 
 // Close releases the connection.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// sleepCtx sleeps for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// backoffDelay is exponential backoff with equal jitter, mirroring the
-// pull transport's policy (internal/cluster). The jitter comes from the
-// caller's RNG, not the global source, so a node seeded from a
-// simulation scenario reconnects with reproducible timing.
-func backoffDelay(rng *xrand.RNG, attempt int, base, max time.Duration) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + int64(rng.Uint64()%uint64(half+1)))
-}

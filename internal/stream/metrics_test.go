@@ -251,12 +251,12 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 	other := xrand.New(456)
 	diverged := false
 	for attempt := 1; attempt <= 12; attempt++ {
-		da := backoffDelay(a, attempt, base, max)
-		db := backoffDelay(b, attempt, base, max)
+		da := xrand.BackoffDelay(a, attempt, base, max)
+		db := xrand.BackoffDelay(b, attempt, base, max)
 		if da != db {
 			t.Fatalf("attempt %d: same seed gave %v and %v", attempt, da, db)
 		}
-		if dc := backoffDelay(other, attempt, base, max); dc != da {
+		if dc := xrand.BackoffDelay(other, attempt, base, max); dc != da {
 			diverged = true
 		}
 		d := base
@@ -400,7 +400,7 @@ func TestNodeBackoffSeedOption(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer n.Abort()
-		rngs = append(rngs, n.rng)
+		rngs = append(rngs, n.snd.rng)
 	}
 	for i := 0; i < 8; i++ {
 		if a, b := rngs[0].Uint64(), rngs[1].Uint64(); a != b {

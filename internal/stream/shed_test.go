@@ -59,7 +59,7 @@ func TestShedMergeExact(t *testing.T) {
 	if st.Captured != 3 || st.Merged != 1 || st.Pending != 2 || st.PairFrames != 1 {
 		t.Fatalf("after shed capture: %+v, want Captured=3 Merged=1 Pending=2 PairFrames=1", st)
 	}
-	if head, tail := n.pending[0].payload, n.pending[1].payload; !csoutlier.PairsEncoded(head) || csoutlier.PairsEncoded(tail) || len(tail) != csoutlier.EncodedSketchLen(sk.M()) {
+	if head, tail := n.snd.pending[0].Payload, n.snd.pending[1].Payload; !csoutlier.PairsEncoded(head) || csoutlier.PairsEncoded(tail) || len(tail) != csoutlier.EncodedSketchLen(sk.M()) {
 		t.Fatalf("pending payloads are %d and %d bytes, want pairs then a merged sketch", len(head), len(tail))
 	}
 	if err := n.Flush(ctx); err != nil {
@@ -132,25 +132,25 @@ func TestShedMergeInPlace(t *testing.T) {
 	}
 	capture(1) // queued, as pairs
 	capture(2) // merged: the tail becomes a sketch
-	tail := n.pending[0]
-	bytesAt := &tail.payload[0]
+	tail := n.snd.pending[0]
+	bytesAt := &tail.Payload[0]
 	for i := 0; i < 20; i++ {
 		capture(float64(3 + i))
 	}
-	if len(n.pending) != 1 || &n.pending[0].payload[0] != bytesAt || len(tail.payload) != csoutlier.EncodedSketchLen(sk.M()) {
-		t.Fatalf("20 merges moved or resized the tail's payload (%d pending, %d bytes)", len(n.pending), len(tail.payload))
+	if len(n.snd.pending) != 1 || &n.snd.pending[0].Payload[0] != bytesAt || len(tail.Payload) != csoutlier.EncodedSketchLen(sk.M()) {
+		t.Fatalf("20 merges moved or resized the tail's payload (%d pending, %d bytes)", len(n.snd.pending), len(tail.Payload))
 	}
 	want := sk.NewUpdater()
 	for v := 1; v <= 22; v++ {
 		want.Observe("key010", float64(v)) // the same sums in the same order
 	}
-	got, err := sk.UnmarshalSketch(tail.payload)
+	got, err := sk.UnmarshalSketch(tail.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameBits(t, "22 captures merged in place", got, want.Sketch())
-	if st := n.Stats(); st.Captured != 22 || st.Merged != 21 || st.PairFrames != 0 || tail.folds != 22 {
-		t.Fatalf("stats %+v folds %d, want 22 captures, 21 merged, no pairs frame left", st, tail.folds)
+	if st := n.Stats(); st.Captured != 22 || st.Merged != 21 || st.PairFrames != 0 || tail.Folds != 22 {
+		t.Fatalf("stats %+v folds %d, want 22 captures, 21 merged, no pairs frame left", st, tail.Folds)
 	}
 }
 
@@ -176,9 +176,9 @@ func TestShedNeverMergesSentFrame(t *testing.T) {
 	}
 	// Mark the only pending frame as transmitted, as an in-flight push
 	// would.
-	n.mu.Lock()
-	n.pending[0].sent = true
-	n.mu.Unlock()
+	n.snd.mu.Lock()
+	n.snd.pending[0].sent = true
+	n.snd.mu.Unlock()
 	if err := n.Observe("key002", 1); err != nil {
 		t.Fatalf("Observe: %v", err)
 	}
@@ -386,22 +386,22 @@ func TestRecycleNeverReusesResendableFrame(t *testing.T) {
 	// checkLists: a frame is in at most one of pending, retained and
 	// free, and no two frames share a payload buffer.
 	checkLists := func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		where := make(map[*deltaFrame]string)
-		buffers := make(map[*byte]*deltaFrame)
-		for list, frames := range map[string][]*deltaFrame{"pending": n.pending, "retained": n.retained, "free": n.free} {
+		n.snd.mu.Lock()
+		defer n.snd.mu.Unlock()
+		where := make(map[*Frame]string)
+		buffers := make(map[*byte]*Frame)
+		for list, frames := range map[string][]*Frame{"pending": n.snd.pending, "retained": n.snd.retained, "free": n.snd.free} {
 			for _, f := range frames {
 				if prev, dup := where[f]; dup {
-					t.Errorf("frame seq %d is in both %s and %s", f.seq, prev, list)
+					t.Errorf("frame seq %d is in both %s and %s", f.Seq, prev, list)
 				}
 				where[f] = list
-				if cap(f.payload) == 0 {
+				if cap(f.Payload) == 0 {
 					continue
 				}
-				first := &f.payload[:1][0]
+				first := &f.Payload[:1][0]
 				if other, shared := buffers[first]; shared {
-					t.Errorf("frames seq %d and seq %d share a payload buffer", other.seq, f.seq)
+					t.Errorf("frames seq %d and seq %d share a payload buffer", other.Seq, f.Seq)
 				}
 				buffers[first] = f
 			}
@@ -496,9 +496,9 @@ func TestRecycleNeverReusesResendableFrame(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 	checkLists()
-	n.mu.Lock()
-	retained, recycled := len(n.retained), len(n.free)
-	n.mu.Unlock()
+	n.snd.mu.Lock()
+	retained, recycled := len(n.snd.retained), len(n.snd.free)
+	n.snd.mu.Unlock()
 	if retained != 0 || recycled == 0 {
 		t.Fatalf("after a covering commit: %d frames retained, %d recycled; want 0 and some", retained, recycled)
 	}

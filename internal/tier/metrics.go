@@ -28,6 +28,7 @@ func newRelayMetrics(reg *obs.Registry, r *Relay) *relayMetrics {
 	dropped := outcomes.With("dropped")
 	rejected := outcomes.With("rejected")
 	replayed := reg.Gauge("tier_replayed_frames_total", "retained upward frames requeued after a parent restore")
+	retainDropped := reg.Gauge("tier_retain_dropped_frames_total", "retained upward frames discarded at the retention cap; a parent restore could lose each")
 	redials := reg.Gauge("tier_redials_total", "upstream connections re-established")
 	unstable := reg.Gauge("tier_unstable_windows", "windows with accumulated-but-unsnapshotted upward deltas")
 	staged := reg.Gauge("tier_staged_frames", "upward frames waiting for a snapshot commit")
@@ -49,6 +50,7 @@ func newRelayMetrics(reg *obs.Registry, r *Relay) *relayMetrics {
 		dropped.SetInt(s.Dropped)
 		rejected.SetInt(s.Rejected)
 		replayed.SetInt(s.Replayed)
+		retainDropped.SetInt(s.RetainDropped)
 		redials.SetInt(s.Redials)
 		unstable.SetInt(int64(s.Unstable))
 		staged.SetInt(int64(s.Staged))

@@ -5,17 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"csoutlier"
+	"csoutlier/internal/frame"
 	"csoutlier/internal/obs"
 	"csoutlier/internal/stream"
-	"csoutlier/internal/xrand"
 )
 
 // RelayOptions tunes a regional relay aggregator.
@@ -70,32 +67,7 @@ func (o RelayOptions) withDefaults() RelayOptions {
 	if o.UpEpoch == 0 {
 		o.UpEpoch = 1
 	}
-	if o.Retain == 0 {
-		o.Retain = 1024
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.PushTimeout <= 0 {
-		o.PushTimeout = 10 * time.Second
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 25 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = time.Second
-	}
 	return o
-}
-
-// upFrame is one upward delta frame: the folded sum of every leaf
-// delta applied to one window between two forwards.
-type upFrame struct {
-	window  uint64
-	seq     uint64
-	folds   uint32 // leaf captures carried (Σ applied frames' folds)
-	payload []byte
-	sent    bool
 }
 
 // upAccum accumulates applied leaf deltas for one window since the
@@ -105,7 +77,9 @@ type upAccum struct {
 	folds  uint32
 }
 
-// RelayStats is a snapshot of a relay's upward-forwarding state.
+// RelayStats is a snapshot of a relay's upward-forwarding state. The
+// delivery fields (Applied … RootStable, Queued, Retained) are the
+// upward stream.Sender's books.
 type RelayStats struct {
 	Forwards        int64 // completed Forward cycles
 	ForwardErrors   int64 // Forward cycles that failed (snapshot or drain)
@@ -117,6 +91,7 @@ type RelayStats struct {
 	Dropped         int64 // upward frames too old for the parent's ring
 	Rejected        int64 // upward frames the parent refused
 	Replayed        int64 // retained frames requeued after a parent restore
+	RetainDropped   int64 // retained frames discarded at the Retain cap; a parent restore could lose each
 	Redials         int64 // upstream connections re-established
 	Unstable        int   // windows with accumulated-but-unsnapshotted deltas
 	Staged          int   // frames waiting for a snapshot commit
@@ -129,12 +104,13 @@ type RelayStats struct {
 }
 
 // Relay is a regional aggregator: a full stream.Aggregator for the
-// nodes below it, and a stream node for the aggregator above it. Leaf
-// deltas fold into its window ring exactly as at a flat aggregator;
-// the OnApplied hook mirrors every applied delta into a per-window
-// upward accumulator, so by linearity each accumulator is exactly the
-// sum of the leaf deltas it covers — forwarding it upward as one frame
-// gives the root bit-identical windows at a fraction of the fan-in.
+// nodes below it, and a stream.Sender — the leaf node's own — for the
+// aggregator above it. Leaf deltas fold into its window ring exactly as
+// at a flat aggregator; the OnApplied hook mirrors every applied delta
+// into a per-window upward accumulator, so by linearity each
+// accumulator is exactly the sum of the leaf deltas it covers —
+// forwarding it upward as one frame gives the root bit-identical
+// windows at a fraction of the fan-in.
 //
 // Exactly-once across the hop comes from a staging discipline tied to
 // the embedded aggregator's snapshot atomicity:
@@ -142,38 +118,36 @@ type RelayStats struct {
 //  1. SnapshotExtra (inside Snapshot's critical section) drains the
 //     unstable accumulators into staged frames, assigning upward seqs
 //     in ascending-window order, and encodes the full upward state
-//     (epoch, seq counter, retained+queued+staged frames with
-//     payloads) into Snapshot.Extra. The upward state is therefore
-//     always captured atomically with the fold state that produced it.
+//     (epoch, seq counter, the sender's retained+queued frames and the
+//     staged ones, with payloads) into Snapshot.Extra. The upward state
+//     is therefore always captured atomically with the fold state that
+//     produced it.
 //  2. A durable relay persists the snapshot, then CommitSnapshot
-//     releases staged frames into the send queue (OnSnapshotCommit) in
-//     the same call that advances the leaves' Stable watermarks. So a
-//     leaf is told "your frame is durable" exactly when the upward
-//     frame carrying it is on disk — one atomic durability event.
+//     releases staged frames to the sender (OnSnapshotCommit) in the
+//     same call that advances the leaves' Stable watermarks. So a leaf
+//     is told "your frame is durable" exactly when the upward frame
+//     carrying it is on disk — one atomic durability event.
 //  3. Every sendable frame's (seq → content) binding is a function of
 //     committed snapshot state only: RestoreRelay re-derives
 //     byte-identical frames, the parent's dedup books drop replayed
 //     ones, and leaf-replayed deltas accumulate fresh (never reused)
 //     seqs. Conservation holds through the tree: every leaf capture is
 //     folded exactly once at the root or accounted shed on the way.
+//
+// Lock order: agg.mu → fmu → the sender's lock. The sender's window
+// callback (adoptRoot) runs under none of them.
 type Relay struct {
 	sk   *csoutlier.Sketcher
 	opts RelayOptions
 	name string // FrameID(shard, level, id)
 	agg  *stream.Aggregator
+	snd  *stream.Sender // committed frames: push, retain, replay
 
-	fmu       sync.Mutex
-	unstable  map[uint64]*upAccum
-	staged    []*upFrame
-	queue     []*upFrame
-	retained  []*upFrame
-	upSeq     uint64
-	rootEpoch uint64
-	stats     RelayStats
-
-	sendMu sync.Mutex // serializes upstream use: Forward/Sync/Close
-	client *stream.Client
-	rng    *xrand.RNG
+	fmu      sync.Mutex
+	unstable map[uint64]*upAccum
+	staged   []*stream.Frame
+	upSeq    uint64
+	stats    RelayStats // the staging counters; Stats adds the sender's
 
 	metrics *relayMetrics
 }
@@ -183,21 +157,13 @@ type Relay struct {
 // leaf-facing window clock agrees with the root before the first leaf
 // connects. Serve must be called to accept leaf pushes.
 func NewRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions) (*Relay, error) {
-	opts = opts.withDefaults()
-	r, err := buildRelay(sk, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.connectAndAdopt(ctx); err != nil {
-		r.agg.Close(context.Background())
-		return nil, err
-	}
-	return r, nil
+	return buildRelay(ctx, sk, opts.withDefaults(), nil)
 }
 
 // buildRelay constructs the relay and its embedded aggregator with the
-// hooks wired; restored carries a decoded upward state (nil = fresh).
-func buildRelay(sk *csoutlier.Sketcher, opts RelayOptions, restored *relayExtraState) (*Relay, error) {
+// hooks wired, then runs the upstream handshake; restored carries a
+// decoded upward state (nil = fresh).
+func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, restored *relayExtraState) (*Relay, error) {
 	if opts.ID == "" {
 		return nil, errors.New("tier: relay ID must be non-empty")
 	}
@@ -210,16 +176,18 @@ func buildRelay(sk *csoutlier.Sketcher, opts RelayOptions, restored *relayExtraS
 		name:     FrameID(opts.Shard, opts.Level, opts.ID),
 		unstable: make(map[uint64]*upAccum),
 	}
-	seed := opts.BackoffSeed
-	if seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(r.name))
-		seed = h.Sum64() ^ opts.UpEpoch
-	}
-	r.rng = xrand.New(seed)
-	if restored != nil {
-		r.upSeq = restored.UpSeq
-		r.queue = restored.Frames
+	var err error
+	r.snd, err = stream.NewSender(opts.Upstream, r.name, stream.NodeOptions{
+		Epoch:       opts.UpEpoch,
+		Retain:      opts.Retain,
+		DialTimeout: opts.DialTimeout,
+		PushTimeout: opts.PushTimeout,
+		BaseBackoff: opts.BaseBackoff,
+		MaxBackoff:  opts.MaxBackoff,
+		BackoffSeed: opts.BackoffSeed,
+	}, r.adoptRoot)
+	if err != nil {
+		return nil, err
 	}
 
 	aopts := opts.Agg
@@ -234,19 +202,24 @@ func buildRelay(sk *csoutlier.Sketcher, opts RelayOptions, restored *relayExtraS
 	aopts.OnApplied = r.onApplied
 	aopts.SnapshotExtra = r.snapshotExtra
 	aopts.OnSnapshotCommit = r.onSnapshotCommit
-	var agg *stream.Aggregator
-	var err error
 	if restored != nil {
-		agg, err = stream.RestoreAggregator(sk, aopts, restored.snap)
+		r.upSeq = restored.UpSeq
+		for _, f := range restored.Frames {
+			r.snd.Enqueue(f)
+		}
+		r.agg, err = stream.RestoreAggregator(sk, aopts, restored.snap)
 	} else {
-		agg, err = stream.NewAggregator(sk, aopts)
+		r.agg, err = stream.NewAggregator(sk, aopts)
 	}
 	if err != nil {
 		return nil, err
 	}
-	r.agg = agg
 	if opts.Metrics != nil {
 		r.metrics = newRelayMetrics(opts.Metrics, r)
+	}
+	if err := r.snd.Connect(ctx); err != nil {
+		r.agg.Close(context.Background())
+		return nil, err
 	}
 	return r, nil
 }
@@ -273,15 +246,7 @@ func RestoreRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions
 	}
 	opts.UpEpoch = st.UpEpoch
 	st.snap = snap
-	r, err := buildRelay(sk, opts, st)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.connectAndAdopt(ctx); err != nil {
-		r.agg.Close(context.Background())
-		return nil, err
-	}
-	return r, nil
+	return buildRelay(ctx, sk, opts, st)
 }
 
 // Name returns the relay's upward wire identity.
@@ -297,23 +262,24 @@ func (r *Relay) Serve(ln net.Listener) error { return r.agg.Serve(ln) }
 
 // Stats returns a snapshot of the relay's upward counters.
 func (r *Relay) Stats() RelayStats {
+	up := r.snd.Stats()
 	r.fmu.Lock()
 	defer r.fmu.Unlock()
 	s := r.stats
 	s.Unstable = len(r.unstable)
 	s.Staged = len(r.staged)
-	s.Queued = len(r.queue)
-	s.Retained = len(r.retained)
 	s.UpSeq = r.upSeq
 	s.UpEpoch = r.opts.UpEpoch
-	s.RootEpoch = r.rootEpoch
+	s.Applied, s.Duplicates, s.Dropped, s.Rejected = up.Applied, up.Duplicates, up.Dropped, up.Rejected
+	s.Replayed, s.RetainDropped, s.Redials = up.Replayed, up.RetainDropped, up.Redials
+	s.Queued, s.Retained = up.Pending, up.Retained
+	s.RootEpoch, s.RootStable = up.AggEpoch, up.Stable
 	return s
 }
 
 // onApplied mirrors one applied leaf delta into the window's upward
 // accumulator. Runs under the aggregator mutex (so it can never race a
-// snapshot capture of the same fold) and takes fmu inside it — the
-// relay's lock order is always agg.mu → fmu.
+// snapshot capture of the same fold) and takes fmu inside it.
 func (r *Relay) onApplied(window uint64, folds int, delta csoutlier.Sketch) {
 	r.fmu.Lock()
 	defer r.fmu.Unlock()
@@ -349,22 +315,26 @@ func (r *Relay) snapshotExtra() ([]byte, error) {
 	}
 	for _, w := range windows {
 		acc := r.unstable[w]
-		payload, err := acc.sketch.MarshalBinary()
+		f := r.snd.Alloc() // a buffer some settled frame no longer needs, when there is one
+		payload, err := acc.sketch.AppendBinary(f.Payload[:0])
 		if err != nil {
 			return nil, fmt.Errorf("tier: relay %s window %d: %w", r.name, w, err)
 		}
 		r.upSeq++
-		r.staged = append(r.staged, &upFrame{window: w, seq: r.upSeq, folds: acc.folds, payload: payload})
+		*f = stream.Frame{Window: w, Seq: r.upSeq, Folds: acc.folds, Payload: payload}
+		r.staged = append(r.staged, f)
 		delete(r.unstable, w)
 		r.stats.FramesStaged++
 		r.stats.FoldsStaged += int64(acc.folds)
 	}
+	// Staging, above, is the relay's only Alloc and runs under fmu: the
+	// listed frames hold still while they are encoded.
 	return encodeRelayExtra(r.opts.Shard, r.opts.Level, r.opts.ID, r.opts.UpEpoch, r.upSeq,
-		r.retained, r.queue, r.staged)
+		r.snd.Resendable(), r.staged)
 }
 
 // onSnapshotCommit releases staged frames covered by the committed
-// snapshot into the send queue. Frames staged after the capture (a
+// snapshot to the sender. Frames staged after the capture (a
 // concurrent fold can stage between capture and commit only via a
 // later snapshot) stay staged for the next cycle.
 func (r *Relay) onSnapshotCommit(extra []byte) {
@@ -376,8 +346,8 @@ func (r *Relay) onSnapshotCommit(extra []byte) {
 	defer r.fmu.Unlock()
 	keep := r.staged[:0]
 	for _, f := range r.staged {
-		if f.seq <= st.UpSeq {
-			r.queue = append(r.queue, f)
+		if f.Seq <= st.UpSeq {
+			r.snd.Enqueue(f)
 			r.stats.FramesCommitted++
 		} else {
 			keep = append(keep, f)
@@ -393,12 +363,10 @@ func (r *Relay) onSnapshotCommit(extra []byte) {
 // until acked, adopting the parent's window from each ack. It is the
 // relay's durability point, exactly as Flush is a node's.
 func (r *Relay) Forward(ctx context.Context) error {
-	r.sendMu.Lock()
-	defer r.sendMu.Unlock()
 	start := time.Now()
 	err := r.commitCycle()
 	if err == nil {
-		err = r.drain(ctx)
+		err = r.snd.Drain(ctx)
 	}
 	r.fmu.Lock()
 	if err != nil {
@@ -413,263 +381,39 @@ func (r *Relay) Forward(ctx context.Context) error {
 	return err
 }
 
-// commitCycle captures, optionally persists, and commits one snapshot.
-// Called with sendMu held.
+// commitCycle captures, optionally persists, and commits one snapshot;
+// the commit is what calls onSnapshotCommit.
 func (r *Relay) commitCycle() error {
-	snap, err := r.agg.Snapshot()
+	var err error
+	if r.opts.SnapshotPath != "" {
+		err = r.agg.WriteSnapshot(r.opts.SnapshotPath)
+	} else {
+		var snap *stream.Snapshot
+		if snap, err = r.agg.Snapshot(); err == nil {
+			r.agg.CommitSnapshot(snap)
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("tier: relay %s: %w", r.name, err)
 	}
-	if r.opts.SnapshotPath != "" {
-		if err := writeFileAtomic(r.opts.SnapshotPath, snap); err != nil {
-			return fmt.Errorf("tier: relay %s: %w", r.name, err)
-		}
-	}
-	r.agg.CommitSnapshot(snap)
 	return nil
-}
-
-// writeFileAtomic persists a snapshot with the tmp+fsync+rename
-// discipline (mirroring stream.Aggregator.WriteSnapshot, which the
-// relay cannot use because it must interleave its own commit).
-func writeFileAtomic(path string, snap *stream.Snapshot) error {
-	data, err := snap.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
-}
-
-// head returns the oldest queued frame, or nil.
-func (r *Relay) head() *upFrame {
-	r.fmu.Lock()
-	defer r.fmu.Unlock()
-	if len(r.queue) == 0 {
-		return nil
-	}
-	return r.queue[0]
-}
-
-// drain pushes every queued frame upstream in order. Called with
-// sendMu held.
-func (r *Relay) drain(ctx context.Context) error {
-	for {
-		f := r.head()
-		if f == nil {
-			return nil
-		}
-		ack, err := r.push(ctx, f)
-		if err != nil {
-			return err
-		}
-		r.finishFrame(f, ack)
-		r.adoptRoot(ack.Window)
-	}
-}
-
-// push delivers one upward frame, redialing with backoff until acked
-// or ctx expires. Called with sendMu held.
-func (r *Relay) push(ctx context.Context, f *upFrame) (stream.Ack, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if err := sleepUp(ctx, backoffUp(r.rng, attempt, r.opts.BaseBackoff, r.opts.MaxBackoff)); err != nil {
-				return stream.Ack{}, fmt.Errorf("tier: relay %s: %w (last transport error: %v)", r.name, err, lastErr)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return stream.Ack{}, err
-		}
-		c, err := r.connect(ctx)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if attempt > 0 {
-			r.fmu.Lock()
-			r.stats.Redials++
-			r.fmu.Unlock()
-		}
-		r.fmu.Lock()
-		f.sent = true
-		folds, payload := f.folds, f.payload
-		r.fmu.Unlock()
-		ack, err := c.PushDelta(r.name, r.opts.UpEpoch, f.window, f.seq, folds, payload)
-		if err != nil {
-			r.disconnect()
-			lastErr = err
-			continue
-		}
-		return ack, nil
-	}
-}
-
-// finishFrame accounts an upward ack and moves the frame from the
-// queue into the retention buffer if the parent has not yet declared
-// it durable.
-func (r *Relay) finishFrame(f *upFrame, ack stream.Ack) {
-	r.fmu.Lock()
-	defer r.fmu.Unlock()
-	r.noteAckLocked(ack)
-	for i, q := range r.queue {
-		if q == f {
-			r.queue = append(r.queue[:i], r.queue[i+1:]...)
-			break
-		}
-	}
-	switch {
-	case ack.Err != "":
-		r.stats.Rejected++
-	case ack.Applied:
-		r.stats.Applied++
-	case ack.Status == stream.StatusDuplicate:
-		r.stats.Duplicates++
-	case ack.Status == stream.StatusDroppedOld:
-		r.stats.Dropped++
-	}
-	if ack.Err == "" && r.opts.Retain > 0 && f.seq > ack.Stable {
-		r.retained = append(r.retained, f)
-		for len(r.retained) > r.opts.Retain {
-			r.retained = r.retained[1:]
-		}
-	}
-}
-
-// noteAckLocked processes the parent's durability piggybacks — the
-// leaf rule, one level up: a parent AggEpoch bump requeues the
-// retention buffer for replay; the Stable watermark trims it.
-func (r *Relay) noteAckLocked(ack stream.Ack) {
-	r.stats.RootStable = ack.Stable
-	if ack.AggEpoch > r.rootEpoch {
-		if r.rootEpoch != 0 && len(r.retained) > 0 {
-			r.queue = append(append(make([]*upFrame, 0, len(r.retained)+len(r.queue)), r.retained...), r.queue...)
-			r.stats.Replayed += int64(len(r.retained))
-			r.retained = nil
-		}
-		r.rootEpoch = ack.AggEpoch
-	}
-	if len(r.retained) > 0 && ack.Stable > 0 {
-		keep := r.retained[:0]
-		for _, f := range r.retained {
-			if f.seq > ack.Stable {
-				keep = append(keep, f)
-			}
-		}
-		r.retained = keep
-	}
 }
 
 // adoptRoot advances the relay's leaf-facing window clock to the
-// parent's — the rotation broadcast cascading down the tree. Never
-// called with fmu held (Rotate takes the aggregator mutex, and the
-// established order is agg.mu → fmu).
+// parent's — the rotation broadcast cascading down the tree, and the
+// sender's window callback. Never called with fmu held (Rotate takes
+// the aggregator mutex).
 func (r *Relay) adoptRoot(w uint64) {
 	for r.agg.CurrentWindow() < w {
 		r.agg.Rotate()
 	}
 }
 
-// connect returns the live upstream client, dialing and re-announcing
-// if needed. Called with sendMu held.
-func (r *Relay) connect(ctx context.Context) (*stream.Client, error) {
-	if r.client != nil {
-		return r.client, nil
-	}
-	dctx, cancel := context.WithTimeout(ctx, r.opts.DialTimeout)
-	c, err := stream.DialClient(dctx, r.opts.Upstream, r.opts.PushTimeout)
-	cancel()
-	if err != nil {
-		return nil, err
-	}
-	ack, err := c.Hello(r.name, r.opts.UpEpoch)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	if ack.Err != "" {
-		c.Close()
-		return nil, fmt.Errorf("tier: relay %s rejected upstream: %s", r.name, ack.Err)
-	}
-	r.client = c
-	r.fmu.Lock()
-	r.noteAckLocked(ack)
-	r.fmu.Unlock()
-	r.adoptRoot(ack.Window)
-	return c, nil
-}
-
-// connectAndAdopt performs the initial upstream handshake.
-func (r *Relay) connectAndAdopt(ctx context.Context) error {
-	r.sendMu.Lock()
-	defer r.sendMu.Unlock()
-	_, err := r.connect(ctx)
-	return err
-}
-
-// disconnect poisons the upstream connection. Called with sendMu held.
-func (r *Relay) disconnect() {
-	if r.client != nil {
-		r.client.Close()
-		r.client = nil
-	}
-}
-
 // Sync runs an upstream hello round-trip — adopting the parent's
 // current window and processing its durability piggybacks — and drains
-// any queued upward frames (a restored relay's replay runs here).
-func (r *Relay) Sync(ctx context.Context) error {
-	r.sendMu.Lock()
-	defer r.sendMu.Unlock()
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if err := sleepUp(ctx, backoffUp(r.rng, attempt, r.opts.BaseBackoff, r.opts.MaxBackoff)); err != nil {
-				return fmt.Errorf("tier: relay %s: %w (last transport error: %v)", r.name, err, lastErr)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		c, err := r.connect(ctx)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		ack, err := c.Hello(r.name, r.opts.UpEpoch)
-		if err != nil {
-			r.disconnect()
-			lastErr = err
-			continue
-		}
-		if ack.Err != "" {
-			return fmt.Errorf("tier: relay %s rejected upstream: %s", r.name, ack.Err)
-		}
-		r.fmu.Lock()
-		r.noteAckLocked(ack)
-		r.fmu.Unlock()
-		r.adoptRoot(ack.Window)
-		return r.drain(ctx)
-	}
-}
+// any queued upward frames (a restored relay's replay, and the replay a
+// restored parent asks for, run here).
+func (r *Relay) Sync(ctx context.Context) error { return r.snd.Sync(ctx) }
 
 // Close shuts the relay down gracefully: drain and stop the leaf-facing
 // aggregator, run a final Forward so everything folded is staged,
@@ -677,9 +421,7 @@ func (r *Relay) Sync(ctx context.Context) error {
 func (r *Relay) Close(ctx context.Context) error {
 	aggErr := r.agg.Close(ctx)
 	fwdErr := r.Forward(ctx)
-	r.sendMu.Lock()
-	r.disconnect()
-	r.sendMu.Unlock()
+	r.snd.Disconnect()
 	if aggErr != nil {
 		return aggErr
 	}
@@ -692,9 +434,7 @@ func (r *Relay) Close(ctx context.Context) error {
 // is exactly what RestoreRelay plus leaf replay must recover from.
 func (r *Relay) Kill(ctx context.Context) error {
 	err := r.agg.Close(ctx) // SnapshotPath is empty: no snapshot happens
-	r.sendMu.Lock()
-	r.disconnect()
-	r.sendMu.Unlock()
+	r.snd.Disconnect()
 	return err
 }
 
@@ -704,7 +444,7 @@ type relayExtraState struct {
 	ID           string
 	UpEpoch      uint64
 	UpSeq        uint64
-	Frames       []*upFrame
+	Frames       []*stream.Frame
 	snap         *stream.Snapshot // carrier, set by RestoreRelay
 }
 
@@ -715,13 +455,13 @@ type relayExtraState struct {
 //	upEpoch:u64 upSeq:u64 frameCount:u32
 //	{ window:u64 seq:u64 folds:u32 payloadLen:u32 payload }...
 //
-// Frames appear in strictly ascending seq order: retained, then
-// queued, then staged — which is replay order.
+// Frames appear in strictly ascending seq order: the sender's retained
+// and queued ones, then the staged — which is replay order.
 var relayExtraMagic = [4]byte{'C', 'S', 'T', 'R'}
 
 const relayExtraVersion uint16 = 1
 
-func encodeRelayExtra(shard, level int, id string, upEpoch, upSeq uint64, groups ...[]*upFrame) ([]byte, error) {
+func encodeRelayExtra(shard, level int, id string, upEpoch, upSeq uint64, groups ...[]*stream.Frame) ([]byte, error) {
 	if len(id) > 0xffff {
 		return nil, fmt.Errorf("tier: relay id %q too long to snapshot", id[:32]+"…")
 	}
@@ -742,132 +482,60 @@ func encodeRelayExtra(shard, level int, id string, upEpoch, upSeq uint64, groups
 	prev := uint64(0)
 	for _, g := range groups {
 		for _, f := range g {
-			if f.seq <= prev {
-				return nil, fmt.Errorf("tier: relay frame seq %d out of order after %d", f.seq, prev)
+			if f.Seq <= prev {
+				return nil, fmt.Errorf("tier: relay frame seq %d out of order after %d", f.Seq, prev)
 			}
-			prev = f.seq
-			b = binary.LittleEndian.AppendUint64(b, f.window)
-			b = binary.LittleEndian.AppendUint64(b, f.seq)
-			b = binary.LittleEndian.AppendUint32(b, f.folds)
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(f.payload)))
-			b = append(b, f.payload...)
+			prev = f.Seq
+			b = binary.LittleEndian.AppendUint64(b, f.Window)
+			b = binary.LittleEndian.AppendUint64(b, f.Seq)
+			b = binary.LittleEndian.AppendUint32(b, f.Folds)
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Payload)))
+			b = append(b, f.Payload...)
 		}
 	}
 	return b, nil
 }
 
 func decodeRelayExtra(data []byte) (*relayExtraState, error) {
-	r := &extraReader{b: data}
-	magic := r.take(4)
-	if r.err == nil && string(magic) != string(relayExtraMagic[:]) {
+	r := frame.Cursor{B: data}
+	magic := r.Take(4)
+	if r.Err == nil && string(magic) != string(relayExtraMagic[:]) {
 		return nil, fmt.Errorf("tier: bad relay extra magic %q", magic)
 	}
-	if v := r.u16(); r.err == nil && v != relayExtraVersion {
+	if v := r.U16(); r.Err == nil && v != relayExtraVersion {
 		return nil, fmt.Errorf("tier: relay extra version %d (supported: %d)", v, relayExtraVersion)
 	}
 	st := &relayExtraState{
-		Shard: int(r.u32()),
-		Level: int(r.u32()),
+		Shard: int(r.U32()),
+		Level: int(r.U32()),
 	}
-	st.ID = string(r.take(int(r.u16())))
-	st.UpEpoch = r.u64()
-	st.UpSeq = r.u64()
-	count := r.u32()
+	st.ID = string(r.Take(int(r.U16())))
+	st.UpEpoch = r.U64()
+	st.UpSeq = r.U64()
+	count := r.U32()
 	prev := uint64(0)
-	for i := uint32(0); i < count && r.err == nil; i++ {
-		f := &upFrame{
-			window: r.u64(),
-			seq:    r.u64(),
-			folds:  r.u32(),
+	for i := uint32(0); i < count && r.Err == nil; i++ {
+		f := &stream.Frame{
+			Window: r.U64(),
+			Seq:    r.U64(),
+			Folds:  r.U32(),
 		}
-		payload := r.take(int(r.u32()))
-		if r.err != nil {
+		payload := r.Take(int(r.U32()))
+		if r.Err != nil {
 			break
 		}
-		if f.seq <= prev || f.seq > st.UpSeq {
-			return nil, fmt.Errorf("tier: relay extra frame seq %d out of order (prev %d, upSeq %d)", f.seq, prev, st.UpSeq)
+		if f.Seq <= prev || f.Seq > st.UpSeq {
+			return nil, fmt.Errorf("tier: relay extra frame seq %d out of order (prev %d, upSeq %d)", f.Seq, prev, st.UpSeq)
 		}
-		prev = f.seq
-		f.payload = append([]byte(nil), payload...)
+		prev = f.Seq
+		f.Payload = append([]byte(nil), payload...)
 		st.Frames = append(st.Frames, f)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, fmt.Errorf("tier: relay extra: %w", r.Err)
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("tier: relay extra has %d trailing bytes", len(r.b))
+	if len(r.B) != 0 {
+		return nil, fmt.Errorf("tier: relay extra has %d trailing bytes", len(r.B))
 	}
 	return st, nil
-}
-
-// extraReader is a bounds-checked little-endian cursor (the snapshot
-// codec's reader, local to this package).
-type extraReader struct {
-	b   []byte
-	err error
-}
-
-func (r *extraReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b) {
-		r.err = errors.New("tier: relay extra truncated")
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *extraReader) u16() uint16 {
-	if b := r.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (r *extraReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *extraReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-// sleepUp and backoffUp mirror the stream package's context-aware sleep
-// and equal-jitter backoff for the upstream push loop.
-func sleepUp(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-func backoffUp(rng *xrand.RNG, attempt int, base, max time.Duration) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + int64(rng.Uint64()%uint64(half+1)))
 }

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -523,14 +524,23 @@ func TestRelayRestartReplayBitIdentical(t *testing.T) {
 // TestRelayExtraCodec pins the Snapshot.Extra inner codec: round-trip
 // identity and rejection of malformed blobs.
 func TestRelayExtraCodec(t *testing.T) {
-	frames := []*upFrame{
-		{window: 1, seq: 1, folds: 2, payload: []byte{1, 2, 3}},
-		{window: 1, seq: 2, folds: 1, payload: nil},
-		{window: 3, seq: 5, folds: 7, payload: []byte{0xff}},
+	frames := []*stream.Frame{
+		{Window: 1, Seq: 1, Folds: 2, Payload: []byte{1, 2, 3}},
+		{Window: 1, Seq: 2, Folds: 1, Payload: nil},
+		{Window: 3, Seq: 5, Folds: 7, Payload: []byte{0xff}},
 	}
 	b, err := encodeRelayExtra(3, 1, "relayA", 4, 9, frames[:1], frames[1:])
 	if err != nil {
 		t.Fatalf("encode: %v", err)
+	}
+	// CSTR version 1, as the commit before the shared sender wrote it: a
+	// relay snapshot taken by an older build restores under this one.
+	const golden = "4353545201000300000001000000060072656c6179410400000000000000090000000000000003000000" +
+		"010000000000000001000000000000000200000003000000010203" +
+		"0100000000000000020000000000000001000000" + "00000000" +
+		"030000000000000005000000000000000700000001000000ff"
+	if got := hex.EncodeToString(b); got != golden {
+		t.Fatalf("CSTR v1 bytes changed:\n got %s\nwant %s", got, golden)
 	}
 	st, err := decodeRelayExtra(b)
 	if err != nil {
@@ -544,7 +554,7 @@ func TestRelayExtraCodec(t *testing.T) {
 	}
 	for i, f := range st.Frames {
 		want := frames[i]
-		if f.window != want.window || f.seq != want.seq || f.folds != want.folds || string(f.payload) != string(want.payload) {
+		if f.Window != want.Window || f.Seq != want.Seq || f.Folds != want.Folds || string(f.Payload) != string(want.Payload) {
 			t.Fatalf("frame %d: %+v, want %+v", i, f, want)
 		}
 	}
@@ -560,12 +570,12 @@ func TestRelayExtraCodec(t *testing.T) {
 	if _, err := decodeRelayExtra(bad); err == nil {
 		t.Fatal("accepted bad magic")
 	}
-	if _, err := encodeRelayExtra(0, 1, "x", 1, 1, []*upFrame{{seq: 2}, {seq: 1}}); err == nil {
+	if _, err := encodeRelayExtra(0, 1, "x", 1, 1, []*stream.Frame{{Seq: 2}, {Seq: 1}}); err == nil {
 		t.Fatal("encoded out-of-order seqs")
 	}
 	// A frame seq above the snapshotted counter can never have been
 	// assigned — reject rather than replay a forged frame.
-	forged, err := encodeRelayExtra(0, 1, "x", 1, 9, []*upFrame{{seq: 3}})
+	forged, err := encodeRelayExtra(0, 1, "x", 1, 9, []*stream.Frame{{Seq: 3}})
 	if err != nil {
 		t.Fatalf("encode forged base: %v", err)
 	}
@@ -578,5 +588,179 @@ func TestRelayExtraCodec(t *testing.T) {
 	forged[off] = 2
 	if _, err := decodeRelayExtra(forged); err == nil {
 		t.Fatal("accepted frame seq above the snapshotted upSeq")
+	}
+}
+
+// rootRun is one drive of a durable root above one relay and two leaves.
+type rootRun struct {
+	windows  []csoutlier.Sketch // root ring, oldest first
+	up       stream.NodeStatus  // the root's books for the relay
+	relay    RelayStats
+	captured int64
+}
+
+// driveRootRun pushes a fixed plan through relay → root, optionally
+// killing the root after it acked upward frames its last snapshot does
+// not cover and restoring it, from that snapshot, on a new listener. The
+// relay's upstream address is a proxy, so it survives the move.
+func driveRootRun(t *testing.T, kill bool) rootRun {
+	t.Helper()
+	sk := tierSketcher(t, 96, 48, 9)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4, Durable: true})
+	proxy := startTestProxy(t, rootAddr)
+	relay, err := NewRelay(ctx, sk, RelayOptions{
+		ID: "r0", Upstream: proxy.Addr(),
+		BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond, BackoffSeed: 77,
+	})
+	if err != nil {
+		t.Fatalf("NewRelay: %v", err)
+	}
+	relayAddr := serveRelay(t, relay)
+	defer relay.Close(ctx)
+	leaves := make([]*stream.Node, 2)
+	for l := range leaves {
+		if leaves[l], err = stream.Dial(ctx, relayAddr, sk, fmt.Sprintf("node%02d", l), stream.NodeOptions{}); err != nil {
+			t.Fatalf("Dial leaf %d: %v", l, err)
+		}
+	}
+	// step is one leaf flush and one Forward: one upward frame.
+	step := func(l, round int) {
+		t.Helper()
+		for i := l; i < 96; i += 7 {
+			if err := leaves[l].Observe(fmt.Sprintf("key%03d", i), float64(1+round*3+i%5)); err != nil {
+				t.Fatalf("observe: %v", err)
+			}
+		}
+		if err := leaves[l].Flush(ctx); err != nil {
+			t.Fatalf("leaf %d flush: %v", l, err)
+		}
+		if err := relay.Forward(ctx); err != nil {
+			t.Fatalf("Forward: %v", err)
+		}
+	}
+
+	step(0, 0) // upward seq 1
+	snap, err := root.Snapshot()
+	if err != nil {
+		t.Fatalf("root snapshot: %v", err)
+	}
+	root.CommitSnapshot(snap) // seq 1 is durable; 2 and 3 will be acked past it
+	step(1, 1)
+	step(0, 2)
+	if st := relay.Stats(); st.Retained != 2 || st.RootStable != 1 || st.Applied != 3 {
+		t.Fatalf("before the kill: %+v, want seq 2 and 3 retained above Stable 1", st)
+	}
+	if kill {
+		root.Close(ctx)
+		restored, err := stream.RestoreAggregator(sk, stream.AggregatorOptions{}, snap)
+		if err != nil {
+			t.Fatalf("RestoreAggregator: %v", err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		go restored.Serve(ln)
+		defer restored.Close(ctx)
+		proxy.Retarget(ln.Addr().String())
+		root = restored
+		// The hello to the new incarnation requeues what the relay
+		// retained; the same Sync drains it.
+		if err := relay.Sync(ctx); err != nil {
+			t.Fatalf("relay sync after the root restore: %v", err)
+		}
+		if st := relay.Stats(); st.Replayed != 2 || st.Queued != 0 || st.RootEpoch != 2 || st.Redials == 0 {
+			t.Fatalf("after the root restore: %+v, want 2 frames replayed to incarnation 2 over a redial", st)
+		}
+	}
+	root.Rotate()
+	if err := relay.Sync(ctx); err != nil {
+		t.Fatalf("relay sync: %v", err)
+	}
+	for l := range leaves {
+		if err := leaves[l].Sync(ctx); err != nil {
+			t.Fatalf("leaf %d sync: %v", l, err)
+		}
+	}
+	step(1, 3)
+	step(0, 4)
+
+	var run rootRun
+	for age := 1; age >= 0; age-- {
+		s, err := root.WindowSketch(age)
+		if err != nil {
+			t.Fatalf("root window age %d: %v", age, err)
+		}
+		run.windows = append(run.windows, s)
+	}
+	for _, ns := range root.Nodes() {
+		if ns.Node == relay.Name() {
+			run.up = ns
+		}
+	}
+	run.relay = relay.Stats()
+	for _, n := range leaves {
+		run.captured += n.Stats().Captured
+	}
+	return run
+}
+
+// TestRelayReplaysAfterRootRestore is the leaf's replay rule one level
+// up: a root that dies after acking upward frames past its last
+// snapshot, and comes back from that snapshot, gets them again from the
+// relay's retention buffer — and ends up with windows bit-identical to
+// a root that never died, every leaf capture counted once.
+func TestRelayReplaysAfterRootRestore(t *testing.T) {
+	clean := driveRootRun(t, false)
+	crashed := driveRootRun(t, true)
+	if clean.relay.Replayed != 0 || crashed.relay.Replayed < 1 {
+		t.Fatalf("replayed %d (clean) and %d (crashed), want 0 and at least 1", clean.relay.Replayed, crashed.relay.Replayed)
+	}
+	for i := range clean.windows {
+		sameBits(t, fmt.Sprintf("root window %d", i+1), crashed.windows[i], clean.windows[i])
+	}
+	for name, run := range map[string]rootRun{"clean": clean, "crashed": crashed} {
+		if run.up.Applied+run.up.ShedFolds != run.captured || run.up.Rejected != 0 || run.up.Duplicates != 0 {
+			t.Fatalf("%s run: root books for the relay %+v, want applied + shed folds = %d leaf captures, nothing rejected or doubled",
+				name, run.up, run.captured)
+		}
+		if run.relay.RetainDropped != 0 {
+			t.Fatalf("%s run: relay dropped %d retained frames", name, run.relay.RetainDropped)
+		}
+	}
+}
+
+// TestRelayRetainCapCounted: upward frames dropped from retention at
+// the cap are counted, as a leaf's are — each is a frame a parent
+// restore could lose.
+func TestRelayRetainCapCounted(t *testing.T) {
+	sk := tierSketcher(t, 64, 32, 3)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 2, Durable: true}) // never commits: every ack leaves its frame retained
+	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr, Retain: 1})
+	if err != nil {
+		t.Fatalf("NewRelay: %v", err)
+	}
+	defer relay.Close(ctx)
+	leaf, err := stream.Dial(ctx, serveRelay(t, relay), sk, "node00", stream.NodeOptions{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := leaf.Observe("key001", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := leaf.Flush(ctx); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		if err := relay.Forward(ctx); err != nil {
+			t.Fatalf("Forward: %v", err)
+		}
+	}
+	if st := relay.Stats(); st.Applied != 3 || st.Retained != 1 || st.RetainDropped != 2 {
+		t.Fatalf("%+v, want 3 applied, 1 retained, 2 dropped at the cap", st)
 	}
 }

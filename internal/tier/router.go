@@ -1,16 +1,13 @@
 package tier
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"csoutlier"
-	"csoutlier/internal/stream"
 )
 
 // SpanQuerier answers span outlier queries — satisfied by
@@ -20,7 +17,7 @@ type SpanQuerier interface {
 }
 
 // PointQuerier answers point-query watch lists — satisfied by
-// *stream.Aggregator in-process and by *RemotePoint over the wire.
+// *stream.Aggregator in-process and by *stream.RemotePoint over the wire.
 type PointQuerier interface {
 	PointQueryMulti(fromAge, toAge int, keys []string, threshold float64) ([]csoutlier.PointAnswer, error)
 }
@@ -160,65 +157,4 @@ func (r *Router) PointQuery(fromAge, toAge int, key string, threshold float64) (
 		return csoutlier.PointAnswer{}, err
 	}
 	return answers[0], nil
-}
-
-// RemotePoint is a PointQuerier over the push protocol's query RPC: a
-// lazily-dialed connection to a shard root's push listener, with one
-// transparent redial per query (a root restart between polls is
-// routine; a second consecutive transport failure surfaces).
-type RemotePoint struct {
-	addr    string
-	timeout time.Duration
-
-	mu sync.Mutex
-	c  *stream.Client
-}
-
-// NewRemotePoint builds a remote point-querier for a push listener
-// address. timeout bounds each dial and each query exchange.
-func NewRemotePoint(addr string, timeout time.Duration) *RemotePoint {
-	return &RemotePoint{addr: addr, timeout: timeout}
-}
-
-// PointQueryMulti sends the watch list over the wire.
-func (p *RemotePoint) PointQueryMulti(fromAge, toAge int, keys []string, threshold float64) ([]csoutlier.PointAnswer, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if p.c == nil {
-			ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
-			c, err := stream.DialClient(ctx, p.addr, p.timeout)
-			cancel()
-			if err != nil {
-				return nil, err
-			}
-			p.c = c
-		}
-		answers, err := p.c.PointQuery(fromAge, toAge, keys, threshold)
-		if err != nil {
-			var rej *stream.QueryRejectedError
-			if errors.As(err, &rej) {
-				return nil, err // healthy connection, query-level rejection
-			}
-			p.c.Close()
-			p.c = nil
-			if attempt == 0 {
-				continue // one transparent redial
-			}
-			return nil, err
-		}
-		return answers, nil
-	}
-}
-
-// Close releases the connection, if any.
-func (p *RemotePoint) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.c != nil {
-		err := p.c.Close()
-		p.c = nil
-		return err
-	}
-	return nil
 }

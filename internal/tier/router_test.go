@@ -239,7 +239,7 @@ func TestRouterEndToEndRemote(t *testing.T) {
 	fx := buildShardedFixture(t)
 	var targets []Target
 	for i := range fx.aggs {
-		rp := NewRemotePoint(fx.addrs[i], 5*time.Second)
+		rp := stream.NewRemotePoint(fx.addrs[i], 5*time.Second)
 		t.Cleanup(func() { rp.Close() })
 		targets = append(targets, Target{Span: fx.aggs[i], Point: rp})
 	}
@@ -285,7 +285,7 @@ func TestRemotePointRedial(t *testing.T) {
 		return agg, ln.Addr().String()
 	}
 	agg, addr := serve("127.0.0.1:0")
-	rp := NewRemotePoint(addr, 5*time.Second)
+	rp := stream.NewRemotePoint(addr, 5*time.Second)
 	defer rp.Close()
 	if _, err := rp.PointQueryMulti(0, 0, []string{"key001"}, 10); err != nil {
 		t.Fatalf("first query: %v", err)

@@ -107,8 +107,8 @@ func (ps *PointState) QueryIndex(idx int, threshold float64) (PointAnswer, error
 	if !ps.committed {
 		return PointAnswer{}, errPointStateUncommitted
 	}
-	if idx < 0 || idx >= ps.sk.params.N {
-		return PointAnswer{}, fmt.Errorf("csoutlier: key index %d outside [0, %d)", idx, ps.sk.params.N)
+	if idx < 0 || idx >= ps.sk.spec.N {
+		return PointAnswer{}, fmt.Errorf("csoutlier: key index %d outside [0, %d)", idx, ps.sk.spec.N)
 	}
 	v := ps.cs.PointEstimate(ps.sketch.Y, idx, ps.mode)
 	dev := v - ps.mode

@@ -46,13 +46,32 @@
 #
 # Every mode first refuses encoding/gob in non-test code: both wire
 # protocols are internal/frame's binary frames, and a gob import is a
-# second codec on its way back in.
+# second codec on its way back in. Next to it, every mode refuses a
+# PushDelta/Hello/DialClient call in internal/tier and a second
+# definition of the ctx-sleep / backoff-delay helpers.
 set -eu
 cd "$(dirname "$0")/.."
 
 echo "== no encoding/gob outside tests =="
 if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build '"encoding/gob"' .; then
 	echo "verify: the files above import encoding/gob; the wire codec is internal/frame" >&2
+	exit 1
+fi
+
+echo "== one push sender, one backoff =="
+# The stop-and-wait sender (stream.Sender) is the only data-path caller
+# of Client.Hello/PushDelta, and the ctx-sleep / backoff-delay pair is
+# defined once (internal/xrand): a relay that dials its parent itself,
+# or a second copy of the helpers, is a mirror growing back.
+if grep -rnE --include='*.go' --exclude='*_test.go' '\.(PushDelta|Hello|DialClient)\(' internal/tier; then
+	echo "verify: internal/tier talks to its parent directly; upward frames go through stream.Sender" >&2
+	exit 1
+fi
+defs=$(grep -rniE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build --exclude-dir=benchmark \
+	'^func (\([^)]*\) )?(sleepCtx|sleepUp|backoffDelay|backoffUp)\(' . || true)
+if [ "$(printf '%s\n' "$defs" | grep -c .)" -ne 2 ]; then
+	echo "verify: want exactly one ctx-sleep and one backoff-delay definition (internal/xrand/backoff.go), found:" >&2
+	printf '%s\n' "$defs" >&2
 	exit 1
 fi
 
@@ -196,7 +215,7 @@ if [ -z "$relayurl" ]; then
 	exit 1
 fi
 "$tmp/obscheck" -url "$relayurl" -require \
-	tier_forwards_total,tier_forward_errors_total,tier_frames_staged_total,tier_folds_staged_total,tier_frames_committed_total,tier_up_frames_total,tier_replayed_frames_total,tier_redials_total,tier_unstable_windows,tier_staged_frames,tier_queue_frames,tier_retained_frames,tier_up_seq,tier_up_epoch,tier_root_epoch,tier_root_stable,tier_forward_seconds,shard_index,shard_count,shard_keys,shard_map_version
+	tier_forwards_total,tier_forward_errors_total,tier_frames_staged_total,tier_folds_staged_total,tier_frames_committed_total,tier_up_frames_total,tier_replayed_frames_total,tier_retain_dropped_frames_total,tier_redials_total,tier_unstable_windows,tier_staged_frames,tier_queue_frames,tier_retained_frames,tier_up_seq,tier_up_epoch,tier_root_epoch,tier_root_stable,tier_forward_seconds,shard_index,shard_count,shard_keys,shard_map_version
 "$tmp/obscheck" -url "${relayurl%/metrics}/healthz" -health
 
 echo "verify: OK"

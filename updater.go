@@ -43,8 +43,8 @@ func (s *Sketcher) NewUpdater() *Updater {
 	return &Updater{
 		sk:      s,
 		id:      s.sketchID(),
-		y:       make(linalg.Vector, s.params.M),
-		log:     pairLog{bytes: make([]byte, 0, 8*s.params.M)},
+		y:       make(linalg.Vector, s.spec.M),
+		log:     pairLog{bytes: make([]byte, 0, 8*s.spec.M)},
 		logging: true,
 	}
 }

@@ -43,7 +43,7 @@ func (s *Sketcher) NewWindowStore(windows int) (*WindowStore, error) {
 		ring: make([]linalg.Vector, windows),
 	}
 	for i := range w.ring {
-		w.ring[i] = make(linalg.Vector, s.params.M)
+		w.ring[i] = make(linalg.Vector, s.spec.M)
 	}
 	w.filled = 1
 	return w, nil
@@ -148,7 +148,7 @@ func (w *WindowStore) AddEncoded(age int, data []byte) error {
 			return err
 		}
 		if w.pairSum == nil {
-			w.pairSum = make(linalg.Vector, w.sk.params.M)
+			w.pairSum = make(linalg.Vector, w.sk.spec.M)
 		}
 		w.sk.measurePairs(w.pairSum, pairs)
 		w.ring[w.slot(age)].Add(w.pairSum)
