@@ -266,9 +266,8 @@ func sparseInput(n, nnz int) ([]int, []float64) {
 	return idx, vals
 }
 
-// SRHT vs Gaussian recovery at a production-like size: the fast
-// Hadamard correlation path attacks the same recovery bottleneck the
-// paper's GPU future work targets.
+// Gaussian recovery at a production-like size: the correlation step is
+// the recovery bottleneck the paper's GPU future work targets.
 func BenchmarkAblationGaussianBOMP(b *testing.B) {
 	p := sensing.Params{M: 600, N: 10000, Seed: 11}
 	d, err := sensing.NewDense(p)
@@ -285,32 +284,8 @@ func BenchmarkAblationGaussianBOMP(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationSRHTBOMP(b *testing.B) {
-	p := sensing.Params{M: 600, N: 10000, Seed: 11}
-	s, err := sensing.NewSRHT(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, _ := workload.MajorityDominated(p.N, 100, 1800, 300, 5000, 12)
-	y := s.Measure(x, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := recovery.BOMP(s, y, recovery.Options{MaxIterations: 101}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Parallel vs serial correlation — the GPU-acceleration stand-in (§5).
-func BenchmarkAblationSerialCorrelate(b *testing.B) {
-	d, y := ablationInstance(b, 20000, 400, 50)
-	dst := make(linalg.Vector, 20000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.CorrelateSerial(y, dst)
-	}
-}
-
+// Column-parallel correlation — the GPU-acceleration stand-in (§5); run
+// with -cpu 1,N for the serial side of the ablation.
 func BenchmarkAblationParallelCorrelate(b *testing.B) {
 	d, y := ablationInstance(b, 20000, 400, 50)
 	dst := make(linalg.Vector, 20000)

@@ -48,8 +48,6 @@ func deadAddr(t *testing.T) string {
 func TestDetectClusterEndToEnd(t *testing.T) {
 	for _, cfg := range []Config{
 		{M: 90, Seed: 99},
-		{M: 120, Seed: 99, Ensemble: SparseRademacher},
-		{M: 120, Seed: 99, Ensemble: SRHT},
 		{M: 210, Seed: 99, Ensemble: CountSketch, Depth: 7},
 	} {
 		t.Run(cfg.Ensemble.String(), func(t *testing.T) { detectClusterEndToEnd(t, cfg) })

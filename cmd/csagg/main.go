@@ -46,8 +46,8 @@ func main() {
 		attempts  = flag.Int("attempts", 2, "sketch attempts per node before it is declared failed")
 		retries   = flag.Int("retries", 2, "transport-level retries per RPC on a broken connection (re-dial with backoff)")
 		health    = flag.Bool("health", false, "print per-node transport health (attempts, retries, timeouts, RTT, bytes)")
-		ensemble  = flag.String("ensemble", "gaussian", "measurement ensemble: gaussian, sparse or srht")
-		sparseD   = flag.Int("sparse-d", 0, "per-column density for -ensemble sparse (0 = max(8, M/16))")
+		ensemble  = flag.String("ensemble", "gaussian", "measurement ensemble: gaussian or countsketch")
+		depth     = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address for the run's duration (empty = off)")
 	)
@@ -119,7 +119,7 @@ func main() {
 	spec := sensing.Spec{
 		Params: sensing.Params{M: *m, N: dict.N(), Seed: *seed},
 		Kind:   kind,
-		D:      *sparseD,
+		D:      *depth,
 	}
 	start := time.Now()
 	var res *cluster.DetectResult

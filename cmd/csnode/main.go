@@ -66,8 +66,7 @@ func main() {
 		pushChunk  = flag.Int("push-chunk", 256, "keys observed per delta flush in -push mode")
 		m          = flag.Int("m", 0, "measurement count M for -push mode (must match the daemon)")
 		seed       = flag.Uint64("seed", 42, "consensus measurement seed for -push mode")
-		ensemble   = flag.String("ensemble", "gaussian", "measurement ensemble for -push mode: gaussian, sparse, srht or countsketch")
-		sparseD    = flag.Int("sparse-d", 0, "per-column density for -ensemble sparse (0 = max(8, M/16))")
+		ensemble   = flag.String("ensemble", "gaussian", "measurement ensemble for -push mode: gaussian or countsketch")
 		depth      = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
 		epoch      = flag.Uint64("epoch", 1, "incarnation number for -push mode; bump after a restart so the daemon resets this node's sequence space")
 		pushShed   = flag.Int("push-shed-at", 8, "pending-frame threshold where new captures merge into the newest pending frame instead of queueing (admission control; 0 = refuse at the queue cap instead)")
@@ -136,7 +135,7 @@ func main() {
 				log.Fatalf("csnode: -shards %d needs that many comma-separated -push addresses, got %d", *shards, len(addrs))
 			}
 			shardMap, err := tier.NewShardMap(dict.Keys(), *shards, tier.Spec{
-				M: *m, BaseSeed: *seed, Ensemble: ens, SparseD: *sparseD, Depth: *depth,
+				M: *m, BaseSeed: *seed, Ensemble: ens, Depth: *depth,
 			}, 1)
 			if err != nil {
 				log.Fatalf("csnode: %v", err)
@@ -148,7 +147,7 @@ func main() {
 			go pushSliceSharded(shardMap, sks, dict, x, addrs, *name, opts, *pushEvery, *pushChunk)
 		} else {
 			sk, err := csoutlier.NewSketcher(dict.Keys(), csoutlier.Config{
-				M: *m, Seed: *seed, Ensemble: ens, SparseD: *sparseD, Depth: *depth,
+				M: *m, Seed: *seed, Ensemble: ens, Depth: *depth,
 			})
 			if err != nil {
 				log.Fatalf("csnode: %v", err)

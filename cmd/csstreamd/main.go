@@ -58,8 +58,7 @@ func main() {
 		dictPath    = flag.String("dict", "", "global key dictionary file (one key per line, sorted)")
 		m           = flag.Int("m", 0, "measurement count M (sketch length)")
 		seed        = flag.Uint64("seed", 42, "consensus measurement seed")
-		ensemble    = flag.String("ensemble", "gaussian", "measurement ensemble: gaussian, sparse, srht or countsketch")
-		sparseD     = flag.Int("sparse-d", 0, "per-column density for -ensemble sparse (0 = max(8, M/16))")
+		ensemble    = flag.String("ensemble", "gaussian", "measurement ensemble: gaussian or countsketch")
 		depth       = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
 		watch       = flag.String("watch", "", "comma-separated keys to point-query in every report (requires -ensemble countsketch)")
 		watchThresh = flag.Float64("watch-threshold", 0, "flag a watched key as an outlier when it deviates from the span mode by at least this much (0 = just report values)")
@@ -112,7 +111,7 @@ func main() {
 	var sk *csoutlier.Sketcher
 	if *shards > 1 {
 		shardMap, err := tier.NewShardMap(dict.Keys(), *shards, tier.Spec{
-			M: *m, BaseSeed: *seed, Ensemble: ens, SparseD: *sparseD, Depth: *depth,
+			M: *m, BaseSeed: *seed, Ensemble: ens, Depth: *depth,
 		}, *shardVer)
 		if err != nil {
 			log.Fatalf("csstreamd: %v", err)
@@ -129,7 +128,7 @@ func main() {
 			*shardIndex, *shards, *shardVer, len(own.Keys), dict.N(), own.Keys[0], own.Keys[len(own.Keys)-1])
 	} else {
 		sk, err = csoutlier.NewSketcher(dict.Keys(), csoutlier.Config{
-			M: *m, Seed: *seed, Ensemble: ens, SparseD: *sparseD, Depth: *depth,
+			M: *m, Seed: *seed, Ensemble: ens, Depth: *depth,
 		})
 		if err != nil {
 			log.Fatalf("csstreamd: %v", err)

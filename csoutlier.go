@@ -55,24 +55,14 @@ const (
 	// Gaussian is the paper's ensemble: i.i.d. N(0, 1/M) entries, the
 	// strongest recovery guarantees (Theorem 1). Default.
 	Gaussian = sensing.KindGaussian
-	// SparseRademacher uses D non-zero ±1/√D entries per column: each
-	// observation folds into a sketch in O(D) instead of O(M), at a
-	// modest recovery-quality cost. Use for very hot ingest paths.
-	SparseRademacher = sensing.KindSparseRademacher
-	// SRHT is the subsampled randomized Hadamard transform: measuring a
-	// dense slice costs one O(N·log N) fast transform regardless of M,
-	// and recovery's correlation step drops from O(M·N) to O(N·log N)
-	// per iteration. Use for dense slices and large M. Single-key
-	// updates (Updater.Observe) still cost O(M).
-	SRHT = sensing.KindSRHT
 	// CountSketch is the bias-aware count-sketch (Chen & Zhang): Depth
 	// hash rows of M/Depth signed buckets. It is a perfectly ordinary
 	// linear Φ — Updater, WindowStore, the push protocol and BOMP span
 	// queries all work unchanged — but additionally answers single-key
 	// point queries in O(Depth) with no recovery at all, via
-	// Sketcher.NewPointState. Ingest is the cheapest of any ensemble
-	// (O(Depth) per pair); recovery quality trails the Gaussian family,
-	// so size M generously when span top-k reports matter too.
+	// Sketcher.NewPointState. Ingest is O(Depth) per pair; recovery
+	// quality trails the Gaussian ensemble, so size M generously when
+	// span top-k reports matter too.
 	CountSketch = sensing.KindCountSketch
 )
 
@@ -90,12 +80,9 @@ type Config struct {
 	MaxIterations int
 	// Ensemble selects the measurement family (default Gaussian).
 	Ensemble Ensemble
-	// SparseD is the per-column non-zero count for SparseRademacher
-	// (0 = max(8, M/16)). Ignored for Gaussian.
-	SparseD int
 	// Depth is the CountSketch hash-row count, in [1, 64] (0 = 5; odd
 	// values make the point estimator's median an order statistic).
-	// Each row gets M/Depth buckets. Ignored for other ensembles.
+	// Each row gets M/Depth buckets. Ignored for Gaussian.
 	Depth int
 }
 
@@ -139,7 +126,7 @@ type Sketch struct {
 	n    int
 	seed uint64
 	ens  Ensemble
-	d    int // per-ensemble shape: SparseRademacher density or CountSketch depth (0 otherwise)
+	d    int // CountSketch depth (0 for Gaussian)
 }
 
 // Clone returns an independent copy.
@@ -192,14 +179,6 @@ type Sketcher struct {
 	spec   sensing.Spec   // the consensus: what every participant must share, D resolved
 	matrix sensing.Matrix // sensing.New(spec): dense when affordable, seeded otherwise
 
-	// recMat is the recovery-side view of matrix: for regenerating
-	// ensembles it wraps matrix in a bounded sensing.ColumnCache, so the
-	// Φ columns the greedy engine selects — which recur across the
-	// standing queries and fold generations served by one Sketcher — are
-	// generated once, not once per query. Measurement paths keep using
-	// matrix directly (they stream columns and would thrash the cache).
-	recMat sensing.Matrix
-
 	// wsHeld and ws recycle recovery workspaces across Detect/Recover
 	// calls, so a standing query replaying BOMP on each refreshed sketch
 	// reuses all recovery scratch (QR factorization, correlation and
@@ -217,6 +196,9 @@ type Sketcher struct {
 	// a pooled buffer outside the ingest mutexes is what lets concurrent
 	// writers scale instead of serializing on the critical section.
 	colPool sync.Pool
+
+	// chunk is measurePairs' decode buffer between calls.
+	chunk atomic.Pointer[pairChunk]
 
 	// metrics, when installed by Instrument, observes every Detect call.
 	// Loaded atomically so instrumented and uninstrumented Sketchers pay
@@ -304,9 +286,6 @@ func (s *Sketcher) Instrument(reg *obs.Registry) {
 	s.metrics.Store(dm)
 }
 
-// denseLimit caps M·N for materializing the measurement matrix.
-const denseLimit = int64(4e7)
-
 // NewSketcher builds a Sketcher over the global key list. The key list
 // defines the vectorization order; every participant must supply the
 // same set of keys (order-insensitive — the dictionary canonicalizes by
@@ -330,30 +309,13 @@ func NewSketcher(keys []string, cfg Config) (*Sketcher, error) {
 	spec := sensing.Spec{
 		Params: sensing.Params{M: cfg.M, N: dict.N(), Seed: cfg.Seed},
 		Kind:   cfg.Ensemble,
-		D:      cfg.SparseD,
-	}
-	if cfg.Ensemble == CountSketch {
-		spec.D = cfg.Depth
-	}
-	spec = spec.Resolve()
-	mat, err := sensing.New(spec, denseLimit)
+		D:      cfg.Depth,
+	}.Resolve()
+	mat, err := sensing.New(spec, 0)
 	if err != nil {
 		return nil, err
 	}
-	recMat := mat
-	switch mat.(type) {
-	case *sensing.Dense:
-		// Already materialized.
-	case *sensing.CountSketch:
-		// Regenerating a column is Depth hashes — cheaper than the cache's
-		// O(M) copy-out, so caching would only add memory.
-	default:
-		// Regenerating ensembles pay O(M)+ PRNG (or transform) work per
-		// column fetch; the recovery engine refetches the same support
-		// columns every generation.
-		recMat = sensing.NewColumnCache(mat, 0)
-	}
-	return &Sketcher{cfg: cfg, dict: dict, spec: spec, matrix: mat, recMat: recMat}, nil
+	return &Sketcher{cfg: cfg, dict: dict, spec: spec, matrix: mat}, nil
 }
 
 // N returns the key-space size.
@@ -488,7 +450,7 @@ func (s *Sketcher) Detect(global Sketch, k int) (*Report, error) {
 	}
 	ws := s.workspace()
 	defer s.putWorkspace(ws)
-	res, err := ws.BOMP(s.recMat, global.Y, recovery.Options{MaxIterations: iters})
+	res, err := ws.BOMP(s.matrix, global.Y, recovery.Options{MaxIterations: iters})
 	if err != nil {
 		return nil, err
 	}
@@ -583,7 +545,7 @@ func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 			s.putWorkspace(ws)
 		}
 	}()
-	results, stats, err := recovery.BOMPBatch(s.recMat, wss, items)
+	results, stats, err := recovery.BOMPBatch(s.matrix, wss, items)
 	if err != nil {
 		return nil, err
 	}
@@ -619,7 +581,7 @@ func (s *Sketcher) Recover(global Sketch, maxIters int) (map[string]float64, flo
 	}
 	ws := s.workspace()
 	defer s.putWorkspace(ws)
-	res, err := ws.BOMP(s.recMat, global.Y, recovery.Options{MaxIterations: maxIters})
+	res, err := ws.BOMP(s.matrix, global.Y, recovery.Options{MaxIterations: maxIters})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -49,7 +49,7 @@ func TestDetectBatchMatchesDetect(t *testing.T) {
 		cfg  Config
 	}{
 		{"Gaussian", Config{M: 120, Seed: 7}},
-		{"SparseRademacher", Config{M: 120, Seed: 7, Ensemble: SparseRademacher}},
+		{"CountSketch", Config{M: 120, Seed: 7, Ensemble: CountSketch}},
 	} {
 		t.Run(ens.name, func(t *testing.T) {
 			s, err := NewSketcher(keys, ens.cfg)

@@ -26,7 +26,7 @@ func drainEnsembles(t *testing.T, seed uint64) map[string]*Sketcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk.matrix, sk.recMat = seeded, seeded
+	sk.matrix = seeded
 	out["gaussian-regenerated"] = sk
 	return out
 }

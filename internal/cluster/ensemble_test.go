@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"math"
 	"testing"
 
+	"csoutlier/internal/frame"
 	"csoutlier/internal/outlier"
 	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
@@ -29,8 +32,7 @@ func TestDetectAcrossEnsemblesOverTCP(t *testing.T) {
 	truth := outlier.TrueOutliers(global, mode, k)
 	for _, spec := range []sensing.Spec{
 		{Params: sensing.Params{M: 110, N: n, Seed: 32}, Kind: sensing.KindGaussian},
-		{Params: sensing.Params{M: 140, N: n, Seed: 33}, Kind: sensing.KindSparseRademacher, D: 16},
-		{Params: sensing.Params{M: 120, N: n, Seed: 34}, Kind: sensing.KindSRHT},
+		{Params: sensing.Params{M: 160, N: n, Seed: 33}, Kind: sensing.KindCountSketch},
 	} {
 		y, stats, err := CollectSketchesSpec(remotes, spec)
 		if err != nil {
@@ -54,10 +56,9 @@ func TestDetectAcrossEnsemblesOverTCP(t *testing.T) {
 
 func TestParseKind(t *testing.T) {
 	for name, want := range map[string]sensing.Kind{
-		"gaussian": sensing.KindGaussian,
-		"":         sensing.KindGaussian,
-		"sparse":   sensing.KindSparseRademacher,
-		"srht":     sensing.KindSRHT,
+		"gaussian":    sensing.KindGaussian,
+		"":            sensing.KindGaussian,
+		"countsketch": sensing.KindCountSketch,
 	} {
 		got, err := sensing.ParseKind(name)
 		if err != nil || got != want {
@@ -67,7 +68,7 @@ func TestParseKind(t *testing.T) {
 	if _, err := sensing.ParseKind("fourier"); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if sensing.KindSRHT.String() != "srht" || sensing.Kind(9).String() == "" {
+	if sensing.KindCountSketch.String() != "countsketch" || sensing.Kind(9).String() == "" {
 		t.Fatal("Kind.String broken")
 	}
 }
@@ -80,8 +81,7 @@ func TestSpecNewDispatch(t *testing.T) {
 	}{
 		{sensing.GaussianSpec(p), "*sensing.Dense"},
 		{sensing.Spec{Params: sensing.Params{M: 8, N: 1 << 24, Seed: 1}, Kind: sensing.KindGaussian}, "*sensing.Seeded"},
-		{sensing.Spec{Params: p, Kind: sensing.KindSparseRademacher, D: 2}, "*sensing.SparseRademacher"},
-		{sensing.Spec{Params: p, Kind: sensing.KindSRHT}, "*sensing.SRHT"},
+		{sensing.Spec{Params: p, Kind: sensing.KindCountSketch, D: 2}, "*sensing.CountSketch"},
 	} {
 		m, err := sensing.New(tc.spec, 0)
 		if err != nil {
@@ -102,11 +102,42 @@ func typeName(v interface{}) string {
 		return "*sensing.Dense"
 	case *sensing.Seeded:
 		return "*sensing.Seeded"
-	case *sensing.SparseRademacher:
-		return "*sensing.SparseRademacher"
-	case *sensing.SRHT:
-		return "*sensing.SRHT"
+	case *sensing.CountSketch:
+		return "*sensing.CountSketch"
 	default:
 		return "?"
+	}
+}
+
+// TestRetiredKindRefused: Kind numbers 1 and 2 named ensembles this
+// build no longer carries. A request carrying one on the wire is a
+// well-formed frame the server answers with the one retired-kind error —
+// it never builds another ensemble in its place — and the client refuses
+// the same spec before the round trip.
+func TestRetiredKindRefused(t *testing.T) {
+	nodes, _, _ := makeCluster(t, 64, 2, 1, 100, 5)
+	for kind, name := range map[sensing.Kind]string{1: "sparse", 2: "srht"} {
+		want := `sensing: ensemble "` + name + `" was retired (use gaussian or countsketch)`
+		spec := sensing.Spec{Params: sensing.Params{M: 16, N: 64, Seed: 1}, Kind: kind}
+
+		var reply bytes.Buffer
+		ServeStream(bytes.NewReader(appendRequest(nil, &request{Kind: reqSketch, Spec: spec})), &reply, nodes[0], ServeOptions{})
+		limits := [kindReply + 1]int{kindReply: 1 + maxReplyText}
+		fr := frame.Reader{R: &reply, Limits: limits[:]}
+		_, body, err := fr.Next()
+		var resp response
+		if err == nil {
+			err = parseReply(reqSketch, body, &resp)
+		}
+		if err != nil || resp.Err != want || resp.Vec != nil {
+			t.Errorf("server, wire kind %d: reply %+v, %v; want Err %q", kind, resp, err, want)
+		}
+
+		if _, err := nodes[0].Sketch(context.Background(), spec); err == nil || err.Error() != want {
+			t.Errorf("LocalNode.Sketch, kind %d: %v, want %q", kind, err, want)
+		}
+		if _, err := SketchRequestFrame(spec); err == nil || err.Error() != want {
+			t.Errorf("SketchRequestFrame, kind %d: %v, want %q", kind, err, want)
+		}
 	}
 }

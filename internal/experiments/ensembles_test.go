@@ -8,8 +8,8 @@ func TestEnsemblesAllConverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := tables[0]
-	if len(tb.Series) != 4 {
-		t.Fatalf("series = %d, want 4 ensembles", len(tb.Series))
+	if len(tb.Series) != 2 {
+		t.Fatalf("series = %d, want 2 ensembles", len(tb.Series))
 	}
 	last := len(tb.X) - 1
 	for _, s := range tb.Series {

@@ -29,7 +29,7 @@ var registry = map[string]struct {
 	"algos":     {Algos, "extension: BOMP vs bias-blind OMP on biased data (why BOMP exists)"},
 	"fig1":      {Fig1, "motivating example: local views vs global truth; outlier-k vs top-k"},
 	"jitter":    {Jitter, "extension: BOMP robustness to concentration jitter (near-sparse data)"},
-	"ensembles": {Ensembles, "extension: Gaussian vs sparse-Rademacher vs SRHT measurement quality"},
+	"ensembles": {Ensembles, "extension: Gaussian vs count-sketch measurement quality"},
 	"pointq":    {PointQ, "extension: recovery-free count-sketch point queries — accuracy, bytes, latency vs M"},
 }
 

@@ -149,7 +149,7 @@ type SketchJob struct {
 	// reducer fall back to the column-regenerating representation
 	// (every real Hadoop mapper regenerates anyway — sharing one dense
 	// matrix across this simulation's in-process mappers is free).
-	// 0 means 5e7 entries (400 MB).
+	// 0 means sensing.New's default, 4e7 entries (320 MB).
 	DenseLimit int64
 
 	matOnce sync.Once
@@ -224,15 +224,7 @@ func (j *SketchJob) Reduce(key string, values [][]byte, emit func(KV)) error {
 
 func (j *SketchJob) recoveryMatrix() (sensing.Matrix, error) {
 	j.matOnce.Do(func() {
-		limit := j.DenseLimit
-		if limit <= 0 {
-			limit = 5e7
-		}
-		if int64(j.Params.M)*int64(j.Params.N) <= limit {
-			j.mat, j.matErr = sensing.NewDense(j.Params)
-		} else {
-			j.mat, j.matErr = sensing.NewSeeded(j.Params)
-		}
+		j.mat, j.matErr = sensing.New(sensing.GaussianSpec(j.Params), j.DenseLimit)
 	})
 	return j.mat, j.matErr
 }

@@ -30,8 +30,6 @@ func sentinelEnsembles(t testing.TB, m, n int, seed uint64) []struct {
 		exact bool
 	}{
 		{sensing.KindGaussian, true},
-		{sensing.KindSparseRademacher, true},
-		{sensing.KindSRHT, true},
 		{sensing.KindCountSketch, false},
 	} {
 		spec := sensing.Spec{Params: sensing.Params{M: m, N: n, Seed: seed}, Kind: e.kind}

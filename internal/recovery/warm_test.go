@@ -9,9 +9,8 @@ import (
 	"csoutlier/internal/xrand"
 )
 
-// warmEnsembles builds one instance of each ensemble family for the
-// warm-start property tests. SRHT exercises the CorrelateBlock fallback
-// (it has no batch kernel).
+// warmEnsembles builds one instance of each matrix type for the
+// warm-start property tests.
 func warmEnsembles(t *testing.T) []struct {
 	name string
 	mat  sensing.Matrix
@@ -26,11 +25,7 @@ func warmEnsembles(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := sensing.NewSparseRademacher(p, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srht, err := sensing.NewSRHT(p)
+	sketch, err := sensing.NewCountSketch(p, sensing.DefaultCountSketchDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +35,7 @@ func warmEnsembles(t *testing.T) []struct {
 	}{
 		{"Dense", dense},
 		{"Seeded", seeded},
-		{"SparseRademacher", sparse},
-		{"SRHT", srht},
-		{"ColumnCache(Seeded)", sensing.NewColumnCache(seeded, 0)},
+		{"CountSketch", sketch},
 	}
 }
 

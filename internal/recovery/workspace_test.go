@@ -156,7 +156,7 @@ func TestWorkspaceSeededZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, _ := workload.MajorityDominated(p.N, 2, 1800, 300, 3000, 10)
-	y := m.MeasureSerial(x, nil)
+	y := m.Measure(x, nil)
 	opt := Options{MaxIterations: IterationBudget(2)}
 
 	ws := NewWorkspace()

@@ -38,11 +38,7 @@ func TestCorrelateBlockMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := NewSparseRademacher(p, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srht, err := NewSRHT(Params{M: 64, N: 512, Seed: 99})
+	sketch, err := NewCountSketch(p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +48,7 @@ func TestCorrelateBlockMatchesSerial(t *testing.T) {
 	}{
 		{"Dense", dense},
 		{"Seeded", seeded},
-		{"SparseRademacher", sparse},
-		{"SRHT", srht}, // no batch kernel: exercises the fallback loop
-		{"ColumnCache(Seeded)", NewColumnCache(seeded, 0)},
-		{"ColumnCache(SRHT)", NewColumnCache(srht, 0)},
+		{"CountSketch", sketch},
 	}
 	rng := xrand.New(7)
 	for _, tc := range mats {
@@ -138,124 +131,5 @@ func TestDenseMeasureSparseScatterZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("scatter MeasureSparse allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestColumnCacheBitIdentical checks cached columns are exact copies of
-// the inner matrix's, on both the miss and the hit path.
-func TestColumnCacheBitIdentical(t *testing.T) {
-	p := Params{M: 32, N: 300, Seed: 17}
-	inner, err := NewSeeded(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewColumnCache(inner, 16)
-	for pass := 0; pass < 2; pass++ {
-		for _, j := range []int{0, 5, 13, 299, 5} {
-			got := c.Col(j, nil)
-			want := inner.Col(j, nil)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("pass %d col %d row %d: %v vs %v", pass, j, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	hits, misses := c.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("expected both hits and misses, got %d/%d", hits, misses)
-	}
-}
-
-// TestColumnCacheEvictionBound checks the cache never exceeds its
-// capacity and keeps serving correct columns across evictions.
-func TestColumnCacheEvictionBound(t *testing.T) {
-	p := Params{M: 8, N: 256, Seed: 23}
-	inner, err := NewSeeded(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const capCols = 10
-	c := NewColumnCache(inner, capCols)
-	buf := make(linalg.Vector, p.M)
-	want := make(linalg.Vector, p.M)
-	for round := 0; round < 3; round++ {
-		for j := 0; j < p.N; j++ {
-			buf = c.Col(j, buf)
-			want = inner.Col(j, want)
-			for i := range want {
-				if math.Float64bits(buf[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("round %d col %d: cache diverged", round, j)
-				}
-			}
-			if n := c.Len(); n > capCols {
-				t.Fatalf("cache holds %d columns, cap %d", n, capCols)
-			}
-		}
-	}
-	if n := c.Len(); n != capCols {
-		t.Fatalf("cache holds %d columns after sweeps, want full cap %d", n, capCols)
-	}
-}
-
-// TestColumnCacheDefaultCap checks the memory-bounded default.
-func TestColumnCacheDefaultCap(t *testing.T) {
-	inner, err := NewSeeded(Params{M: 64, N: 100000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewColumnCache(inner, 0)
-	if c.max != columnCacheBudget/64 {
-		t.Fatalf("default cap %d, want %d", c.max, columnCacheBudget/64)
-	}
-	inner2, err := NewSeeded(Params{M: 1 << 16, N: 100000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 := NewColumnCache(inner2, 0); c2.max != 64 {
-		t.Fatalf("huge-M default cap %d, want floor 64", c2.max)
-	}
-}
-
-// TestColumnCacheDelegation checks the pass-through methods reach the
-// inner matrix unchanged.
-func TestColumnCacheDelegation(t *testing.T) {
-	p := Params{M: 16, N: 128, Seed: 41}
-	inner, err := NewSeeded(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewColumnCache(inner, 8)
-	if c.Params() != p {
-		t.Fatalf("Params not delegated")
-	}
-	rng := xrand.New(9)
-	x := make(linalg.Vector, p.N)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y1 := c.Measure(x, nil)
-	y2 := inner.Measure(x, nil)
-	if !y1.Equal(y2, 0) {
-		t.Fatalf("Measure not delegated bit-exactly")
-	}
-	r := make(linalg.Vector, p.M)
-	for i := range r {
-		r[i] = rng.NormFloat64()
-	}
-	d1 := c.Correlate(r, nil)
-	d2 := inner.Correlate(r, nil)
-	if !d1.Equal(d2, 0) {
-		t.Fatalf("Correlate not delegated bit-exactly")
-	}
-	e1 := c.ExtensionColumn(nil)
-	e2 := inner.ExtensionColumn(nil)
-	if !e1.Equal(e2, 0) {
-		t.Fatalf("ExtensionColumn not delegated bit-exactly")
-	}
-	s1 := c.MeasureSparse([]int{3, 7}, []float64{1.5, -2}, nil)
-	s2 := inner.MeasureSparse([]int{3, 7}, []float64{1.5, -2}, nil)
-	if !s1.Equal(s2, 0) {
-		t.Fatalf("MeasureSparse not delegated bit-exactly")
 	}
 }

@@ -51,19 +51,6 @@ func BenchmarkKernelDenseCorrelate(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelDenseCorrelateSerial(b *testing.B) {
-	d, err := NewDense(Params{M: benchM, N: benchN, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := benchResidual(benchM)
-	dst := make(linalg.Vector, benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.CorrelateSerial(r, dst)
-	}
-}
-
 func BenchmarkKernelDenseMeasure(b *testing.B) {
 	d, err := NewDense(Params{M: benchM, N: benchN, Seed: 3})
 	if err != nil {
@@ -132,8 +119,8 @@ func BenchmarkKernelSeededExtensionColumn(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelSRHTCorrelate(b *testing.B) {
-	s, err := NewSRHT(Params{M: benchM, N: benchN, Seed: 3})
+func BenchmarkKernelCountSketchCorrelate(b *testing.B) {
+	c, err := NewCountSketch(Params{M: benchM, N: benchN, Seed: 3}, DefaultCountSketchDepth)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -141,58 +128,34 @@ func BenchmarkKernelSRHTCorrelate(b *testing.B) {
 	dst := make(linalg.Vector, benchN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Correlate(r, dst)
+		c.Correlate(r, dst)
 	}
 }
 
-func BenchmarkKernelSparseRademacherCorrelate(b *testing.B) {
-	s, err := NewSparseRademacher(Params{M: benchM, N: benchN, Seed: 3}, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := benchResidual(benchM)
-	dst := make(linalg.Vector, benchN)
+// benchAddCols16 is the ingest cell: one 16-observation pairs frame
+// measured from zero, as the push path's first hop does it.
+func benchAddCols16(b *testing.B, m Matrix) {
+	idx, vals := benchSparseInput(benchN, 16)
+	y := make(linalg.Vector, benchM)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Correlate(r, dst)
+		clear(y)
+		m.AddCols(idx, vals, y)
 	}
 }
 
-func BenchmarkKernelSeededCorrelateSerial(b *testing.B) {
-	s, err := NewSeeded(Params{M: benchM, N: benchN, Seed: 3})
+func BenchmarkKernelDenseAddCols16(b *testing.B) {
+	d, err := NewDense(Params{M: benchM, N: benchN, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := benchResidual(benchM)
-	dst := make(linalg.Vector, benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.CorrelateSerial(r, dst)
-	}
+	benchAddCols16(b, d)
 }
 
-func BenchmarkKernelSRHTCorrelateSerial(b *testing.B) {
-	s, err := NewSRHT(Params{M: benchM, N: benchN, Seed: 3})
+func BenchmarkKernelCountSketchAddCols16(b *testing.B) {
+	c, err := NewCountSketch(Params{M: benchM, N: benchN, Seed: 3}, DefaultCountSketchDepth)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := benchResidual(benchM)
-	dst := make(linalg.Vector, benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.CorrelateSerial(r, dst)
-	}
-}
-
-func BenchmarkKernelSparseRademacherCorrelateSerial(b *testing.B) {
-	s, err := NewSparseRademacher(Params{M: benchM, N: benchN, Seed: 3}, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := benchResidual(benchM)
-	dst := make(linalg.Vector, benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.CorrelateSerial(r, dst)
-	}
+	benchAddCols16(b, c)
 }

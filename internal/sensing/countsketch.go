@@ -15,9 +15,9 @@ import (
 // divide M the trailing M−depth·width entries stay zero). Column j has
 // exactly one non-zero per row — value sign_r(j)/√depth at bucket
 // bucket_r(j), both derived from a seeded hash of (row, j) — so every
-// column has unit norm like the other ensembles and the matrix is a
-// perfectly ordinary linear Φ: Updater, WindowStore, the push protocol
-// and BOMP recovery all work on it unchanged.
+// column has unit norm and the matrix is a perfectly ordinary linear Φ:
+// Updater, WindowStore, the push protocol and BOMP recovery all work on
+// it unchanged.
 //
 // What the hashed structure adds is an O(depth) estimator that needs no
 // recovery at all. The sketch cell (r, b) holds
@@ -60,7 +60,7 @@ type CountSketch struct {
 const maxCountSketchDepth = 64
 
 // countSketchSalt decorrelates the count-sketch hash stream from the
-// other ensembles' PRNG sub-streams at equal seeds.
+// Gaussian ensemble's PRNG sub-streams at equal seeds.
 const countSketchSalt = 0x8f1bbcdc
 
 // NewCountSketch returns a depth×(M/depth) count-sketch ensemble.
@@ -149,12 +149,12 @@ func (c *CountSketch) Col(j int, dst linalg.Vector) linalg.Vector {
 	return dst
 }
 
-// AddCols adds Σ vals[k]·φ_{idx[k]} into y in k order, touching only
-// the depth cells each column occupies. For a y that holds no negative
-// zero — any vector that started at zero and has only taken sums since:
-// x + t is −0 only when x and t both are — the result is bit for bit
-// that of one Col and one dense AddScaled per k, whose other M−depth
-// terms each add a ±0 that changes nothing.
+// AddCols implements Matrix touching only the depth cells each column
+// occupies. For a y that holds no negative zero — any vector that
+// started at zero and has only taken sums since: x + t is −0 only when
+// x and t both are — the result is bit for bit that of one Col and one
+// dense AddScaled per k, whose other M−depth terms each add a ±0 that
+// changes nothing.
 func (c *CountSketch) AddCols(idx []int, vals []float64, y linalg.Vector) {
 	if len(y) != c.p.M || len(idx) != len(vals) {
 		panic(fmt.Sprintf("sensing: AddCols of %d indices, %d values into length %d, want M=%d", len(idx), len(vals), len(y), c.p.M))
@@ -189,8 +189,7 @@ func (c *CountSketch) Measure(x, dst linalg.Vector) linalg.Vector {
 	return dst
 }
 
-// MeasureSparse implements Matrix. Cost: O(depth) per pair, the fastest
-// ingest of any ensemble here.
+// MeasureSparse implements Matrix. Cost: O(depth) per pair.
 func (c *CountSketch) MeasureSparse(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
 	dst = ensure(dst, c.p.M)
 	for k, j := range idx {
@@ -215,8 +214,8 @@ func (c *CountSketch) MeasureSparse(idx []int, vals []float64, dst linalg.Vector
 const countSketchCorrChunk = 512
 
 // Correlate implements Matrix, fanned over GOMAXPROCS workers. dst[j]
-// depends only on column j's hashes and r, so the result is
-// bit-identical to CorrelateSerial for any worker count.
+// depends only on column j's hashes and r, so the result is the same
+// bits for any worker count.
 func (c *CountSketch) Correlate(r, dst linalg.Vector) linalg.Vector {
 	if len(r) != c.p.M {
 		panic(fmt.Sprintf("sensing: Correlate vector length %d, want M=%d", len(r), c.p.M))
@@ -232,17 +231,6 @@ func (c *CountSketch) Correlate(r, dst linalg.Vector) linalg.Vector {
 	return dst
 }
 
-// CorrelateSerial is the single-threaded correlation, kept for the
-// parallel-vs-serial equivalence tests.
-func (c *CountSketch) CorrelateSerial(r, dst linalg.Vector) linalg.Vector {
-	if len(r) != c.p.M {
-		panic(fmt.Sprintf("sensing: Correlate vector length %d, want M=%d", len(r), c.p.M))
-	}
-	dst = ensureExact(dst, c.p.N)
-	c.correlateRange(r, dst, 0, c.p.N)
-	return dst
-}
-
 // correlateRange fills dst[j] = <φ_j, r> for j in [lo, hi).
 func (c *CountSketch) correlateRange(r, dst linalg.Vector, lo, hi int) {
 	for j := lo; j < hi; j++ {
@@ -255,8 +243,8 @@ func (c *CountSketch) correlateRange(r, dst linalg.Vector, lo, hi int) {
 	}
 }
 
-// CorrelateBatch implements BatchCorrelator: each column's depth
-// (cell, sign) pairs are hashed once and applied to every residual.
+// CorrelateBatch implements Matrix: each column's depth (cell, sign)
+// pairs are hashed once and applied to every residual.
 // The accumulation order over rows matches correlateRange's, so each
 // dsts[q] is bit-identical to Correlate(rs[q], ·).
 func (c *CountSketch) CorrelateBatch(rs, dsts []linalg.Vector) {
@@ -362,4 +350,3 @@ func (c *CountSketch) PointEstimate(y linalg.Vector, j int, mode float64) float6
 }
 
 var _ Matrix = (*CountSketch)(nil)
-var _ BatchCorrelator = (*CountSketch)(nil)

@@ -57,10 +57,41 @@ var oddShapes = []Params{
 	{M: 7, N: 4099, Seed: 11},  // prime-ish remainder everywhere
 }
 
+// seededMeasureSerial is the single-threaded reference for
+// Seeded.Measure: one regenerated column and one AddScaled per non-zero
+// entry, in ascending j.
+func seededMeasureSerial(s *Seeded, x linalg.Vector) linalg.Vector {
+	dst := make(linalg.Vector, s.p.M)
+	col := make(linalg.Vector, s.p.M)
+	for j, v := range x {
+		if v == 0 {
+			continue
+		}
+		fillColumn(s.p, j, col)
+		dst.AddScaled(v, col)
+	}
+	return dst
+}
+
+// seededMeasureSparseSerial is the same reference for MeasureSparse, in
+// ascending k.
+func seededMeasureSparseSerial(s *Seeded, idx []int, vals []float64) linalg.Vector {
+	dst := make(linalg.Vector, s.p.M)
+	col := make(linalg.Vector, s.p.M)
+	for k, j := range idx {
+		if vals[k] == 0 {
+			continue
+		}
+		fillColumn(s.p, j, col)
+		dst.AddScaled(vals[k], col)
+	}
+	return dst
+}
+
 // TestSeededParallelBitIdentical pins the protocol-critical property:
-// the parallel Seeded kernels produce the exact bits of their serial
-// counterparts for every worker count and shape. Nodes with different
-// core counts must agree on sketches exactly.
+// the parallel Seeded kernels produce the exact bits of the serial
+// loops for every worker count and shape. Nodes with different core
+// counts must agree on sketches exactly.
 func TestSeededParallelBitIdentical(t *testing.T) {
 	for _, p := range oddShapes {
 		s, err := NewSeeded(p)
@@ -77,9 +108,10 @@ func TestSeededParallelBitIdentical(t *testing.T) {
 		idx := []int{p.N - 1, 0, p.N / 2, 0}
 		vals := []float64{1.5, -2.25, 0, 3.5}
 
-		wantCorr := serial.CorrelateSerial(r, nil)
-		wantMeas := serial.MeasureSerial(x, nil)
-		wantSparse := serial.MeasureSparseSerial(idx, vals, nil)
+		wantCorr := make(linalg.Vector, p.N)
+		serial.correlateRange(r, wantCorr, 0, p.N)
+		wantMeas := seededMeasureSerial(serial, x)
+		wantSparse := seededMeasureSparseSerial(serial, idx, vals)
 		wantExt := serial.ExtensionColumn(nil)
 
 		for _, w := range []int{1, 2, 3, 8} {
@@ -97,71 +129,6 @@ func TestSeededParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSRHTParallelBitIdentical pins Correlate (the parallel FWHT path)
-// against CorrelateSerial bit-for-bit across worker counts.
-func TestSRHTParallelBitIdentical(t *testing.T) {
-	for _, p := range oddShapes {
-		s, err := NewSRHT(p)
-		if err != nil {
-			continue // SRHT requires M ≤ pad; skip the degenerate shapes
-		}
-		r := randVec(3+p.Seed, p.M)
-		want := s.CorrelateSerial(r, nil)
-		for _, w := range []int{1, 2, 3, 8} {
-			withWorkers(t, w, func() {
-				bitsEqual(t, "SRHT.Correlate", s.Correlate(r, nil), want)
-			})
-		}
-	}
-	// Force the parallel FWHT proper (pad ≥ fwhtParallelMin).
-	p := Params{M: 64, N: 10000, Seed: 13}
-	s, err := NewSRHT(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := randVec(17, p.M)
-	want := s.CorrelateSerial(r, nil)
-	for _, w := range []int{2, 3, 5, 16} {
-		withWorkers(t, w, func() {
-			bitsEqual(t, "SRHT.Correlate/large", s.Correlate(r, nil), want)
-		})
-	}
-}
-
-// TestFWHTParallelBitIdentical checks the split-stage transform against
-// the serial one directly, at sizes around the segmenting thresholds.
-func TestFWHTParallelBitIdentical(t *testing.T) {
-	for _, n := range []int{1, 2, 1 << 10, 1 << 13, 1 << 14, 1 << 16} {
-		want := randVec(uint64(n), n)
-		fwht(want)
-		for _, w := range []int{1, 2, 3, 7, 16} {
-			withWorkers(t, w, func() {
-				got := randVec(uint64(n), n)
-				fwhtParallel(got)
-				bitsEqual(t, "fwht", got, want)
-			})
-		}
-	}
-}
-
-// TestSparseRademacherParallelBitIdentical pins the sparse ensemble's
-// parallel correlation against the serial one.
-func TestSparseRademacherParallelBitIdentical(t *testing.T) {
-	for _, p := range oddShapes {
-		s, err := NewSparseRademacher(p, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := randVec(5+p.Seed, p.M)
-		want := s.CorrelateSerial(r, nil)
-		for _, w := range []int{1, 2, 3, 8} {
-			withWorkers(t, w, func() {
-				bitsEqual(t, "SparseRademacher.Correlate", s.Correlate(r, nil), want)
-			})
-		}
-	}
-}
-
 // TestDenseParallelBitIdentical pins Dense.Correlate (ParallelMulVecT)
 // against the serial MulVecT: the two share the same range kernel, so
 // even the reassociated row-blocked sums must agree exactly.
@@ -172,7 +139,7 @@ func TestDenseParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := randVec(23, p.M)
-	want := d.CorrelateSerial(r, nil)
+	want := d.mat.MulVecT(r, nil)
 	for _, w := range []int{1, 2, 3, 8} {
 		withWorkers(t, w, func() {
 			bitsEqual(t, "Dense.Correlate", d.Correlate(r, nil), want)
@@ -180,7 +147,7 @@ func TestDenseParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestExtensionColumnCached checks, for all four ensembles, that the
+// TestExtensionColumnCached checks, for all three matrix types, that the
 // cached φ₀ (a) is stable across repeated calls, (b) matches a freshly
 // built matrix's φ₀ bit-for-bit, and (c) equals (1/√N)·Σⱼφⱼ computed
 // column-by-column (up to accumulation tolerance).
@@ -189,9 +156,8 @@ func TestExtensionColumnCached(t *testing.T) {
 	build := map[string]func() (Matrix, error){
 		"Dense":  func() (Matrix, error) { return NewDense(p) },
 		"Seeded": func() (Matrix, error) { return NewSeeded(p) },
-		"SRHT":   func() (Matrix, error) { return NewSRHT(p) },
-		"SparseRademacher": func() (Matrix, error) {
-			return NewSparseRademacher(p, 4)
+		"CountSketch": func() (Matrix, error) {
+			return NewCountSketch(p, 4)
 		},
 	}
 	for name, mk := range build {

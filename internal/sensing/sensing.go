@@ -8,7 +8,8 @@
 // aggregator's sum Σy_l equals Φ₀·Σx_l: the sketch of the global
 // aggregate, computed without ever materializing it.
 //
-// Two interchangeable matrix representations are provided:
+// Two ensembles, three types. The Gaussian ensemble has two
+// interchangeable representations, chosen by New from M·N:
 //
 //   - Dense stores all M·N entries; fastest for repeated recovery on
 //     moderate N (the paper's production queries have N ≈ 10K).
@@ -24,8 +25,12 @@
 // also make every whole-matrix kernel embarrassingly parallel: Correlate,
 // Measure, MeasureSparse and ExtensionColumn fan columns out over
 // GOMAXPROCS workers (see parallel.go) while staying bit-identical to
-// their serial counterparts — the software stand-in for the GPU
-// acceleration the paper leaves as future work (§5).
+// the serial loop — the software stand-in for the GPU acceleration the
+// paper leaves as future work (§5).
+//
+// CountSketch (countsketch.go) is the other ensemble: hashed columns of
+// depth non-zeros, O(depth) per observation, and point queries that need
+// no recovery.
 package sensing
 
 import (
@@ -69,34 +74,33 @@ type Matrix interface {
 	// MeasureSparse computes y = Σ vals[i]·φ_{idx[i]} for a sparse slice;
 	// indices may repeat (values accumulate).
 	MeasureSparse(idx []int, vals []float64, dst linalg.Vector) linalg.Vector
+	// AddCols adds Σ vals[k]·φ_{idx[k]} into y (length M) with every y[i]
+	// taking its terms in k order: y ends on exactly the bits of one Col
+	// and one AddScaled per k, however the implementation gets there.
+	// This is Updater.Observe's arithmetic a run of observations at a
+	// time, which is what lets a receiver measure a pairs delta frame
+	// into the bits the sender's own sketch would have held.
+	AddCols(idx []int, vals []float64, y linalg.Vector)
 	// Correlate computes Φ₀ᵀ·r — the inner product of every column with
 	// r, the dominant cost of each OMP iteration.
 	Correlate(r linalg.Vector, dst linalg.Vector) linalg.Vector
+	// CorrelateBatch correlates a block of residuals in one pass over
+	// the matrix: a regenerating ensemble builds each column once and
+	// dots it with every residual, Dense runs the blocked GEMM
+	// (linalg.MulMatT). len(rs) == len(dsts), every rs[q] has length M
+	// and every dsts[q] length N, and dsts[q] comes out bit-identical to
+	// Correlate(rs[q], dsts[q]) — batching never changes recovery bits.
+	CorrelateBatch(rs, dsts []linalg.Vector)
 	// ExtensionColumn returns φ₀ = (1/√N)·Σφᵢ, the extra column BOMP
 	// prepends to represent the unknown bias (paper eq. 3). All
 	// implementations cache φ₀ per matrix, so repeated calls cost O(M).
 	ExtensionColumn(dst linalg.Vector) linalg.Vector
 }
 
-// BatchCorrelator is the optional Matrix extension behind the batched
-// recovery engine: correlate a whole *block* of residuals against every
-// column in one pass over the matrix. For the regenerating ensembles the
-// win is amortization — each column is regenerated once and dotted with
-// every residual, so q residuals cost one regeneration pass instead of
-// q; for Dense it is the blocked GEMM's cache reuse (linalg.MulMatT).
-//
-// Contract: len(rs) == len(dsts), every rs[q] has length M and every
-// dsts[q] length N, and dsts[q] comes out bit-identical to
-// Correlate(rs[q], dsts[q]) — batching must never change recovery bits.
-type BatchCorrelator interface {
-	CorrelateBatch(rs, dsts []linalg.Vector)
-}
-
-// CorrelateBlock correlates a residual block through m's batch kernel
-// when it implements BatchCorrelator, and by per-residual Correlate
-// calls otherwise (SRHT: the fast transform is per-residual anyway).
-// Each dsts[q] must be pre-sized to length N; results are bit-identical
-// to per-residual Correlate either way.
+// CorrelateBlock checks a residual block's shapes and correlates it:
+// through m's batch kernel, or by a plain Correlate when the block is a
+// single residual. Each dsts[q] must be pre-sized to length N; results
+// are bit-identical to per-residual Correlate either way.
 func CorrelateBlock(m Matrix, rs, dsts []linalg.Vector) {
 	p := m.Params()
 	if len(rs) != len(dsts) {
@@ -108,8 +112,8 @@ func CorrelateBlock(m Matrix, rs, dsts []linalg.Vector) {
 				len(rs[q]), len(dsts[q]), p.M, p.N))
 		}
 	}
-	if bc, ok := m.(BatchCorrelator); ok && len(rs) > 1 {
-		bc.CorrelateBatch(rs, dsts)
+	if len(rs) > 1 {
+		m.CorrelateBatch(rs, dsts)
 		return
 	}
 	for q := range rs {
@@ -208,13 +212,11 @@ func (d *Dense) Params() Params { return d.p }
 // Col implements Matrix.
 func (d *Dense) Col(j int, dst linalg.Vector) linalg.Vector { return d.mat.Col(j, dst) }
 
-// AddCols adds Σ vals[k]·φ_{idx[k]} into y with every y[i] taking its
-// terms in k order, so y ends on exactly the bits of one Col and one
-// AddScaled per k — but it gets there a matrix row at a time. A column
-// of the row-major storage is M loads N·8 bytes apart, a page each; the
-// same loads taken row by row share their pages and overlap their
-// misses, which halves the cost of measuring a short run of
-// observations (a pairs delta frame) and changes none of its arithmetic.
+// AddCols implements Matrix a matrix row at a time. A column of the
+// row-major storage is M loads N·8 bytes apart, a page each; the same
+// loads taken row by row share their pages and overlap their misses,
+// which halves the cost of measuring a short run of observations (a
+// pairs delta frame) and changes none of its arithmetic.
 func (d *Dense) AddCols(idx []int, vals []float64, y linalg.Vector) {
 	if len(y) != d.p.M || len(idx) != len(vals) {
 		panic(fmt.Sprintf("sensing: AddCols of %d indices, %d values into length %d, want M=%d", len(idx), len(vals), len(y), d.p.M))
@@ -290,15 +292,9 @@ func (d *Dense) Correlate(r, dst linalg.Vector) linalg.Vector {
 	return d.mat.ParallelMulVecT(r, dst)
 }
 
-// CorrelateSerial is the single-threaded correlation, kept for the
-// parallel-correlation ablation bench and the equivalence tests.
-func (d *Dense) CorrelateSerial(r, dst linalg.Vector) linalg.Vector {
-	return d.mat.MulVecT(r, dst)
-}
-
-// CorrelateBatch implements BatchCorrelator via the blocked GEMM: one
-// pass over the matrix serves the whole residual block, bit-identical
-// per residual to Correlate.
+// CorrelateBatch implements Matrix via the blocked GEMM: one pass over
+// the matrix serves the whole residual block, bit-identical per
+// residual to Correlate.
 func (d *Dense) CorrelateBatch(rs, dsts []linalg.Vector) {
 	d.mat.ParallelMulMatT(rs, dsts)
 }
@@ -341,9 +337,22 @@ func (s *Seeded) Col(j int, dst linalg.Vector) linalg.Vector {
 	return dst
 }
 
+// AddCols implements Matrix as the definition reads: one regenerated
+// column and one AddScaled per pair.
+func (s *Seeded) AddCols(idx []int, vals []float64, y linalg.Vector) {
+	if len(y) != s.p.M || len(idx) != len(vals) {
+		panic(fmt.Sprintf("sensing: AddCols of %d indices, %d values into length %d, want M=%d", len(idx), len(vals), len(y), s.p.M))
+	}
+	col := s.cols.get(s.p.M)
+	for k, j := range idx {
+		y.AddScaled(vals[k], s.Col(j, *col))
+	}
+	s.cols.put(col)
+}
+
 // Measure implements Matrix. Column regeneration runs in parallel; the
 // accumulation folds columns in ascending j on the calling goroutine,
-// so the result is bit-identical to MeasureSerial for any GOMAXPROCS.
+// so the result is bit-identical to the serial loop for any GOMAXPROCS.
 func (s *Seeded) Measure(x, dst linalg.Vector) linalg.Vector {
 	if len(x) != s.p.N {
 		panic(fmt.Sprintf("sensing: Measure vector length %d, want N=%d", len(x), s.p.N))
@@ -360,25 +369,6 @@ func (s *Seeded) Measure(x, dst linalg.Vector) linalg.Vector {
 	orderedFold(len(nz), s.p.M, &s.cols,
 		func(k int, colDst linalg.Vector) { fillColumn(s.p, nz[k], colDst) },
 		func(k int, col linalg.Vector) { dst.AddScaled(x[nz[k]], col) })
-	return dst
-}
-
-// MeasureSerial is the single-threaded Measure, kept for the
-// equivalence tests and benches.
-func (s *Seeded) MeasureSerial(x, dst linalg.Vector) linalg.Vector {
-	if len(x) != s.p.N {
-		panic(fmt.Sprintf("sensing: Measure vector length %d, want N=%d", len(x), s.p.N))
-	}
-	dst = ensure(dst, s.p.M)
-	col := s.cols.get(s.p.M)
-	for j, v := range x {
-		if v == 0 {
-			continue
-		}
-		fillColumn(s.p, j, *col)
-		dst.AddScaled(v, *col)
-	}
-	s.cols.put(col)
 	return dst
 }
 
@@ -402,25 +392,6 @@ func (s *Seeded) MeasureSparse(idx []int, vals []float64, dst linalg.Vector) lin
 	return dst
 }
 
-// MeasureSparseSerial is the single-threaded MeasureSparse, kept for
-// the equivalence tests and benches.
-func (s *Seeded) MeasureSparseSerial(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
-	dst = ensure(dst, s.p.M)
-	col := s.cols.get(s.p.M)
-	for k, j := range idx {
-		if vals[k] == 0 {
-			continue
-		}
-		if j < 0 || j >= s.p.N {
-			panic(fmt.Sprintf("sensing: index %d out of [0,%d)", j, s.p.N))
-		}
-		fillColumn(s.p, j, *col)
-		dst.AddScaled(vals[k], *col)
-	}
-	s.cols.put(col)
-	return dst
-}
-
 // seededCorrChunk is the minimum columns per worker for the parallel
 // correlation: one column costs M Gaussian draws, so even small chunks
 // amortize dispatch, but single-digit ranges aren't worth a goroutine.
@@ -428,7 +399,7 @@ const seededCorrChunk = 16
 
 // Correlate implements Matrix by regenerating every column, fanned over
 // GOMAXPROCS workers. dst[j] depends only on column j's sub-stream and
-// r, so the result is bit-identical to CorrelateSerial.
+// r, so the result is the same bits for any worker count.
 func (s *Seeded) Correlate(r, dst linalg.Vector) linalg.Vector {
 	if len(r) != s.p.M {
 		panic(fmt.Sprintf("sensing: Correlate vector length %d, want M=%d", len(r), s.p.M))
@@ -444,17 +415,6 @@ func (s *Seeded) Correlate(r, dst linalg.Vector) linalg.Vector {
 	return dst
 }
 
-// CorrelateSerial is the single-threaded correlation, kept for the
-// parallel-vs-serial equivalence tests and the ablation bench.
-func (s *Seeded) CorrelateSerial(r, dst linalg.Vector) linalg.Vector {
-	if len(r) != s.p.M {
-		panic(fmt.Sprintf("sensing: Correlate vector length %d, want M=%d", len(r), s.p.M))
-	}
-	dst = ensureExact(dst, s.p.N)
-	s.correlateRange(r, dst, 0, s.p.N)
-	return dst
-}
-
 // correlateRange fills dst[j] = <φ_j, r> for j in [lo, hi).
 func (s *Seeded) correlateRange(r, dst linalg.Vector, lo, hi int) {
 	col := s.cols.get(s.p.M)
@@ -465,8 +425,8 @@ func (s *Seeded) correlateRange(r, dst linalg.Vector, lo, hi int) {
 	s.cols.put(col)
 }
 
-// CorrelateBatch implements BatchCorrelator: each column is regenerated
-// ONCE and dotted with every residual, so a q-residual block costs one
+// CorrelateBatch implements Matrix: each column is regenerated ONCE
+// and dotted with every residual, so a q-residual block costs one
 // M·N regeneration pass plus q·N dot products — the regeneration, which
 // dominates Seeded's correlate cost, is amortized across the block.
 // Each dsts[q][j] comes from the same fillColumn bits and the same Dot

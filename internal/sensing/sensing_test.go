@@ -119,31 +119,41 @@ func TestMeasureSparse(t *testing.T) {
 }
 
 // AddCols lands on the bits of one Col and one AddScaled per index, in
-// index order, whatever y held and however often an index repeats.
-func TestDenseAddColsBitIdentical(t *testing.T) {
-	d, _ := both(t, params())
-	rng := xrand.New(5)
-	for _, n := range []int{0, 1, 7, 64} {
-		idx, vals := make([]int, n), make([]float64, n)
-		for k := range idx {
-			idx[k] = rng.Intn(d.p.N / 4) // repeats
-			vals[k] = math.Ldexp(rng.Float64()-0.5, int(rng.Uint64()%40)-20)
-		}
-		got, want := make(linalg.Vector, d.p.M), make(linalg.Vector, d.p.M)
-		for i := range got {
-			got[i] = rng.Float64() - 0.5
-			want[i] = got[i]
-		}
-		d.AddCols(idx, vals, got)
-		col := make(linalg.Vector, d.p.M)
-		for k, j := range idx {
-			want.AddScaled(vals[k], d.Col(j, col))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%d columns: y[%d] = %v, Col+AddScaled gives %v", n, i, got[i], want[i])
+// index order, whatever y held and however often an index repeats — for
+// every matrix type (TestCountSketchAddColsBitIdentical adds the
+// count-sketch's signed-zero cases).
+func TestAddColsBitIdentical(t *testing.T) {
+	p := params()
+	d, sd := both(t, p)
+	cs, err := NewCountSketch(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    Matrix
+	}{{"Dense", d}, {"Seeded", sd}, {"CountSketch", cs}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := xrand.New(5)
+			for _, n := range []int{0, 1, 7, 64} {
+				idx, vals := make([]int, n), make([]float64, n)
+				for k := range idx {
+					idx[k] = rng.Intn(p.N / 4) // repeats
+					vals[k] = math.Ldexp(rng.Float64()-0.5, int(rng.Uint64()%40)-20)
+				}
+				got, want := make(linalg.Vector, p.M), make(linalg.Vector, p.M)
+				for i := range got {
+					got[i] = rng.Float64() - 0.5
+					want[i] = got[i]
+				}
+				tc.m.AddCols(idx, vals, got)
+				col := make(linalg.Vector, p.M)
+				for k, j := range idx {
+					want.AddScaled(vals[k], tc.m.Col(j, col))
+				}
+				bitsEqual(t, "AddCols", got, want)
 			}
-		}
+		})
 	}
 }
 
@@ -162,9 +172,6 @@ func TestCorrelate(t *testing.T) {
 	}
 	if got := d.Correlate(rv, nil); !got.Equal(want, 1e-9) {
 		t.Fatal("dense Correlate mismatch")
-	}
-	if got := d.CorrelateSerial(rv, nil); !got.Equal(want, 1e-9) {
-		t.Fatal("dense CorrelateSerial mismatch")
 	}
 	if got := s.Correlate(rv, nil); !got.Equal(want, 1e-9) {
 		t.Fatal("seeded Correlate mismatch")

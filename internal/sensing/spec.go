@@ -5,27 +5,30 @@ import "fmt"
 // Kind names a measurement-matrix family.
 type Kind uint8
 
-// The ensembles the package implements.
+// The ensembles the package implements. The sketch codec and the cluster
+// protocol write Kind values, so the numbers are fixed: 1 and 2 named
+// two ensembles this build no longer carries and are refused by name
+// (see check), never re-mapped.
 const (
 	// KindGaussian is the paper's i.i.d. N(0, 1/M) ensemble.
-	KindGaussian Kind = iota
-	// KindSparseRademacher has D non-zero ±1/√D entries per column.
-	KindSparseRademacher
-	// KindSRHT is the subsampled randomized Hadamard transform.
-	KindSRHT
+	KindGaussian Kind = 0
 	// KindCountSketch is the bias-aware count-sketch: depth rows of
 	// hashed ±1/√depth buckets, the recovery-free point-query backend.
-	KindCountSketch
+	KindCountSketch Kind = 3
+
+	kindRetiredSparse Kind = 1
+	kindRetiredSRHT   Kind = 2
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. The retired kinds keep their names so
+// the refusal can say which one was asked for.
 func (k Kind) String() string {
 	switch k {
 	case KindGaussian:
 		return "gaussian"
-	case KindSparseRademacher:
+	case kindRetiredSparse:
 		return "sparse"
-	case KindSRHT:
+	case kindRetiredSRHT:
 		return "srht"
 	case KindCountSketch:
 		return "countsketch"
@@ -34,32 +37,41 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind converts a user-facing name into a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "gaussian", "":
-		return KindGaussian, nil
-	case "sparse":
-		return KindSparseRademacher, nil
-	case "srht":
-		return KindSRHT, nil
-	case "countsketch":
-		return KindCountSketch, nil
+// check is the one test of whether this build implements k; ParseKind,
+// Spec.Validate and New all answer with its error.
+func (k Kind) check() error {
+	switch k {
+	case KindGaussian, KindCountSketch:
+		return nil
+	case kindRetiredSparse, kindRetiredSRHT:
+		return fmt.Errorf("sensing: ensemble %q was retired (use gaussian or countsketch)", k.String())
 	default:
-		return 0, fmt.Errorf("sensing: unknown ensemble %q (want gaussian, sparse, srht or countsketch)", s)
+		return fmt.Errorf("sensing: unknown ensemble kind %d", k)
 	}
 }
 
+// ParseKind converts a user-facing name (String's; empty means
+// gaussian) into a Kind.
+func ParseKind(s string) (Kind, error) {
+	if s == "" {
+		return KindGaussian, nil
+	}
+	for k := KindGaussian; k <= KindCountSketch; k++ {
+		if s == k.String() {
+			return k, k.check()
+		}
+	}
+	return 0, fmt.Errorf("sensing: unknown ensemble %q (want gaussian or countsketch)", s)
+}
+
 // Spec fully identifies a measurement matrix across nodes: the shared
-// parameters plus the ensemble family and its knobs. Two nodes with
+// parameters plus the ensemble family and its knob. Two nodes with
 // equal Specs hold the identical matrix; Specs travel over the wire in
 // the cluster protocol.
 type Spec struct {
 	Params
 	Kind Kind
-	// D is the ensemble's per-column shape knob: the SparseRademacher
-	// density (0 means max(8, M/16)) or the CountSketch row count
-	// (0 means 5). Ignored for Gaussian and SRHT.
+	// D is the CountSketch row count (0 means 5). Ignored for Gaussian.
 	D int
 }
 
@@ -70,8 +82,8 @@ func GaussianSpec(p Params) Spec { return Spec{Params: p, Kind: KindGaussian} }
 // wire protocol relies on. A Spec arrives from the network in the cluster
 // protocol and its dimensions size allocations, so servers must reject a
 // malformed one before instantiating anything from it: compression
-// requires M ≤ N, the density cannot be negative, and the ensemble must
-// be one this build knows.
+// requires M ≤ N, the depth cannot be negative, and the ensemble must
+// be one this build implements.
 func (s Spec) Validate() error {
 	if err := s.Params.Validate(); err != nil {
 		return err
@@ -80,22 +92,9 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("sensing: M=%d exceeds N=%d (no compression)", s.M, s.N)
 	}
 	if s.D < 0 {
-		return fmt.Errorf("sensing: negative sparse density D=%d", s.D)
+		return fmt.Errorf("sensing: negative depth D=%d", s.D)
 	}
-	if s.Kind > KindCountSketch {
-		return fmt.Errorf("sensing: unknown ensemble kind %d", s.Kind)
-	}
-	return nil
-}
-
-// density resolves the SparseRademacher density: the default for a
-// zero D, and never more than the M rows a column has.
-func (s Spec) density() int {
-	d := s.D
-	if d <= 0 {
-		d = max(8, s.M/16)
-	}
-	return min(d, s.M)
+	return s.Kind.check()
 }
 
 // depth resolves the CountSketch row-count default.
@@ -106,16 +105,13 @@ func (s Spec) depth() int {
 	return DefaultCountSketchDepth
 }
 
-// Resolve returns s with D made explicit: the family's default filled
-// in, zero for the families that ignore it. Specs naming the same
-// matrix resolve to equal values.
+// Resolve returns s with D made explicit: the count-sketch default
+// filled in, zero for Gaussian. Specs naming the same matrix resolve to
+// equal values.
 func (s Spec) Resolve() Spec {
-	switch s.Kind {
-	case KindSparseRademacher:
-		s.D = s.density()
-	case KindCountSketch:
+	if s.Kind == KindCountSketch {
 		s.D = s.depth()
-	default:
+	} else {
 		s.D = 0
 	}
 	return s
@@ -139,13 +135,9 @@ func New(spec Spec, denseLimit int64) (Matrix, error) {
 			return NewDense(spec.Params)
 		}
 		return NewSeeded(spec.Params)
-	case KindSparseRademacher:
-		return NewSparseRademacher(spec.Params, spec.density())
-	case KindSRHT:
-		return NewSRHT(spec.Params)
 	case KindCountSketch:
 		return NewCountSketch(spec.Params, spec.depth())
 	default:
-		return nil, fmt.Errorf("sensing: unknown ensemble kind %d", spec.Kind)
+		return nil, spec.Kind.check()
 	}
 }

@@ -6,19 +6,7 @@ import (
 	"csoutlier/internal/linalg"
 )
 
-func TestSpecDensityDefault(t *testing.T) {
-	s := Spec{Params: Params{M: 320, N: 10}, Kind: KindSparseRademacher}
-	if d := s.density(); d != 20 {
-		t.Fatalf("density = %d, want M/16 = 20", d)
-	}
-	s.Params.M = 32
-	if d := s.density(); d != 8 {
-		t.Fatalf("density floor = %d, want 8", d)
-	}
-	s.D = 3
-	if d := s.density(); d != 3 {
-		t.Fatalf("explicit density = %d", d)
-	}
+func TestSpecDepthDefault(t *testing.T) {
 	cs := Spec{Params: Params{M: 320, N: 400}, Kind: KindCountSketch}
 	if d := cs.depth(); d != DefaultCountSketchDepth {
 		t.Fatalf("depth default = %d, want %d", d, DefaultCountSketchDepth)
@@ -42,8 +30,6 @@ func TestSpecNewAgreesWithDirectConstructors(t *testing.T) {
 	p := Params{M: 10, N: 40, Seed: 21}
 	for _, spec := range []Spec{
 		GaussianSpec(p),
-		{Params: p, Kind: KindSparseRademacher, D: 4},
-		{Params: p, Kind: KindSRHT},
 		{Params: p, Kind: KindCountSketch, D: 4},
 	} {
 		m, err := New(spec, 0)
@@ -54,10 +40,6 @@ func TestSpecNewAgreesWithDirectConstructors(t *testing.T) {
 		switch spec.Kind {
 		case KindGaussian:
 			direct, err = NewDense(p)
-		case KindSparseRademacher:
-			direct, err = NewSparseRademacher(p, 4)
-		case KindSRHT:
-			direct, err = NewSRHT(p)
 		case KindCountSketch:
 			direct, err = NewCountSketch(p, 4)
 		}
@@ -93,9 +75,8 @@ func TestCompressionRatioAndParamsAccessors(t *testing.T) {
 	}
 	d, _ := NewDense(p)
 	sd, _ := NewSeeded(p)
-	sp, _ := NewSparseRademacher(p, 4)
-	sr, _ := NewSRHT(p)
-	for _, m := range []Matrix{d, sd, sp, sr} {
+	cs, _ := NewCountSketch(p, 4)
+	for _, m := range []Matrix{d, sd, cs} {
 		if m.Params() != p {
 			t.Fatalf("%T.Params() = %+v", m, m.Params())
 		}
@@ -144,5 +125,33 @@ func TestSketchArithmeticPanicsOnMismatch(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestRetiredKindRefused: wire numbers 1 and 2 and the names "sparse"
+// and "srht" belonged to ensembles this build no longer carries. Every
+// door answers with the one error, and none substitutes another
+// ensemble.
+func TestRetiredKindRefused(t *testing.T) {
+	p := Params{M: 10, N: 40, Seed: 1}
+	for kind, name := range map[Kind]string{1: "sparse", 2: "srht"} {
+		want := `sensing: ensemble "` + name + `" was retired (use gaussian or countsketch)`
+		if k, err := ParseKind(name); err == nil || err.Error() != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %q", name, k, err, want)
+		}
+		spec := Spec{Params: p, Kind: kind, D: 4}
+		if err := spec.Validate(); err == nil || err.Error() != want {
+			t.Errorf("Validate(kind %d) = %v, want %q", kind, err, want)
+		}
+		if m, err := New(spec, 0); err == nil || err.Error() != want || m != nil {
+			t.Errorf("New(kind %d) = %T, %v; want %q", kind, m, err, want)
+		}
+		if kind.String() != name {
+			t.Errorf("Kind(%d).String() = %q, want %q", kind, kind.String(), name)
+		}
+	}
+	// The kept kinds keep their wire numbers.
+	if KindGaussian != 0 || KindCountSketch != 3 {
+		t.Fatalf("wire numbers moved: gaussian=%d countsketch=%d", KindGaussian, KindCountSketch)
 	}
 }

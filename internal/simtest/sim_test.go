@@ -94,7 +94,7 @@ func TestSimDeterminism(t *testing.T) {
 // TestScenarioRoundTrip covers the parser against hand-written lines,
 // including fault schedules and rejection of invalid configurations.
 func TestScenarioRoundTrip(t *testing.T) {
-	good := "v1 seed=42 n=200 s=3 l=4 m=80 k=3 mode=-250 alpha=1.5 noise=100 ens=sparse faults=.fh."
+	good := "v1 seed=42 n=200 s=3 l=4 m=80 k=3 mode=-250 alpha=1.5 noise=100 ens=countsketch faults=.fh."
 	scn, err := ParseScenario(good)
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +115,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 		"v1 seed=1 n=200 s=80 l=1 m=80 k=3 ens=gaussian faults=.", // S > N/4
 		"v1 seed=1 n=60 s=3 l=1 m=80 k=3 ens=gaussian faults=.",   // M > N
 		"v1 seed=1 n=200 s=3 l=1 m=80 k=3 ens=banana faults=.",    // ensemble
+		"v1 seed=1 n=200 s=3 l=1 m=80 k=3 ens=srht faults=.",      // retired ensemble
 		"v1 seed=1 n=200 s=3 l=1 m=80 k=3 ens=gaussian faults=.x", // fault rune
 		"v1 seed=1 n=200 s=3 l=1 m=80 k=3 bogus=1 faults=.",       // unknown key
 	} {

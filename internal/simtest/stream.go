@@ -62,16 +62,9 @@ func GenerateStream(base uint64, index int) StreamScenario {
 	scn := StreamScenario{Seed: rng.Uint64()}
 	scn.S = 1 + rng.Intn(5)
 	scn.N = 120 + rng.Intn(321)
-	switch rng.Intn(4) {
-	case 0:
-		scn.Ens = csoutlier.SparseRademacher
-	case 1:
-		scn.Ens = csoutlier.SRHT
-	default:
-		scn.Ens = csoutlier.Gaussian
-	}
+	margin := drawMargin(rng)
 	for {
-		scn.M = measurementsFor(scn.N, scn.S, scn.Ens)
+		scn.M = measurementsFor(scn.N, scn.S, margin)
 		if scn.M <= scn.N*3/5 || scn.S == 1 {
 			break
 		}

@@ -221,7 +221,7 @@ func TestStreamTierScenarioRoundTrip(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"streamtier1 seed=1",
-		"streamtier1 seed=1 n=1000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 ks=0 kw=2 kf=1 proxy=6000:12000",  // M > N/4
+		"streamtier1 seed=1 n=1000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 ks=0 kw=2 kf=1 proxy=6000:12000", // M > N/4
 		"streamtier1 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 ks=0 kw=1 kf=1 proxy=6000:12000", // kill before any forward
 		"streamtier1 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 ks=0 kw=2 kf=0 proxy=6000:12000", // nothing lost
 		"streamtier1 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 ks=2 kw=2 kf=1 proxy=6000:12000", // shard out of range

@@ -359,8 +359,6 @@ func ensembleSketchers(t *testing.T, m int, seed uint64) map[string]*csoutlier.S
 	out := make(map[string]*csoutlier.Sketcher)
 	for name, cfg := range map[string]csoutlier.Config{
 		"gaussian":    {M: m, Seed: seed},
-		"sparse":      {M: m, Seed: seed, Ensemble: csoutlier.SparseRademacher},
-		"srht":        {M: m, Seed: seed, Ensemble: csoutlier.SRHT},
 		"countsketch": {M: m, Seed: seed, Ensemble: csoutlier.CountSketch, Depth: 4},
 	} {
 		sk, err := csoutlier.NewSketcher(keys, cfg)

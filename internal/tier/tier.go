@@ -59,11 +59,10 @@ type Spec struct {
 	M int
 	// BaseSeed seeds the per-shard consensus seed derivation.
 	BaseSeed uint64
-	// MaxIterations, Ensemble, SparseD, Depth pass through to
-	// csoutlier.Config per shard.
+	// MaxIterations, Ensemble, Depth pass through to csoutlier.Config
+	// per shard.
 	MaxIterations int
 	Ensemble      csoutlier.Ensemble
-	SparseD       int
 	Depth         int
 }
 
@@ -166,7 +165,6 @@ func (m *ShardMap) Sketcher(i int) (*csoutlier.Sketcher, error) {
 		Seed:          sh.Seed,
 		MaxIterations: m.spec.MaxIterations,
 		Ensemble:      m.spec.Ensemble,
-		SparseD:       m.spec.SparseD,
 		Depth:         m.spec.Depth,
 	})
 	if err != nil {

@@ -48,7 +48,12 @@
 # protocols are internal/frame's binary frames, and a gob import is a
 # second codec on its way back in. Next to it, every mode refuses a
 # PushDelta/Hello/DialClient call in internal/tier and a second
-# definition of the ctx-sleep / backoff-delay helpers.
+# definition of the ctx-sleep / backoff-delay helpers. Then the two-ensemble
+# guards: no concrete *sensing matrix type in non-test code outside
+# internal/sensing (pointquery.go's *sensing.CountSketch is the one
+# exception — the point estimators are not Matrix methods), no name of a
+# retired ensemble, the column cache or the optional batch interface
+# anywhere, and a gofmt-clean tree.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -72,6 +77,26 @@ defs=$(grep -rniE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --ex
 if [ "$(printf '%s\n' "$defs" | grep -c .)" -ne 2 ]; then
 	echo "verify: want exactly one ctx-sleep and one backoff-delay definition (internal/xrand/backoff.go), found:" >&2
 	printf '%s\n' "$defs" >&2
+	exit 1
+fi
+
+echo "== two ensembles, one Matrix interface =="
+# Callers hold a sensing.Matrix: a type switch on the concrete matrix
+# outside internal/sensing is the per-ensemble fork growing back.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+	'\*sensing\.(Dense|Seeded|CountSketch)\b' . | grep -v '^\./internal/sensing/' | grep -v '^\./pointquery\.go:.*\*sensing\.CountSketch'; then
+	echo "verify: the lines above name a concrete sensing matrix type; hold a sensing.Matrix" >&2
+	exit 1
+fi
+if grep -rnE --include='*.go' --exclude-dir=.git --exclude-dir=.bench_build \
+	'NewSRHT|NewSparseRademacher|NewColumnCache|BatchCorrelator' .; then
+	echo "verify: the lines above name a retired ensemble, the column cache or the optional batch interface (EXPERIMENTS.md pr21)" >&2
+	exit 1
+fi
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "verify: gofmt -l names:" >&2
+	printf '%s\n' "$unformatted" >&2
 	exit 1
 fi
 

@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"csoutlier/internal/linalg"
-	"csoutlier/internal/sensing"
 )
 
 // Binary sketch wire format, for shipping sketches between processes
@@ -20,7 +19,7 @@ import (
 //	n        uint32
 //	seed     uint64
 //	ensemble uint8
-//	density  uint32   (SparseRademacher D or CountSketch depth; 0 otherwise)
+//	density  uint32   (CountSketch depth; 0 for Gaussian)
 //	payload  m × float64 (little endian)
 //	crc32    uint32 (IEEE, over everything above)
 //
@@ -324,42 +323,33 @@ func (s *Sketcher) decodePairs(data []byte) (pairLog, error) {
 }
 
 // measurePairs sets y to Σ valueᵢ·φ_indexᵢ of a validated log: from
-// zero, one column at a time in log order — Updater.Observe's
-// arithmetic, so y ends on the bits an Updater that had observed the
-// same pairs would hold. The materialized Gaussian and the count-sketch
-// reach those bits a chunk of observations at a time, by a shorter road
-// (their AddCols); every other ensemble takes a Col and an AddScaled per
-// pair.
+// zero, in log order, a chunk of observations per Matrix.AddCols call —
+// Updater.Observe's arithmetic, so y ends on the bits an Updater that
+// had observed the same pairs would hold.
 func (s *Sketcher) measurePairs(y linalg.Vector, l pairLog) {
 	clear(y)
-	dense, _ := s.matrix.(*sensing.Dense)
-	sparse, _ := s.matrix.(*sensing.CountSketch)
-	if dense == nil && sparse == nil {
-		col := s.getCol()
-		for b := l.bytes; len(b) > 0; {
-			idx, val, rest, _ := nextPair(b)
-			*col = s.matrix.Col(int(idx), *col)
-			y.AddScaled(math.Float64frombits(val), *col)
-			b = rest
-		}
-		s.putCol(col)
-		return
+	// A slice handed through the Matrix interface escapes, so the chunk
+	// is kept across calls instead of living on the stack; a concurrent
+	// caller that finds the slot empty allocates its own.
+	c := s.chunk.Swap(nil)
+	if c == nil {
+		c = new(pairChunk)
 	}
-	// Concrete calls, so the chunk stays on the stack.
-	var idx [replayChunk]int
-	var vals [replayChunk]float64
 	for b := l.bytes; len(b) > 0; {
 		n := 0
 		for ; n < replayChunk && len(b) > 0; n++ {
 			j, val, rest, _ := nextPair(b)
-			idx[n], vals[n], b = int(j), math.Float64frombits(val), rest
+			c.idx[n], c.vals[n], b = int(j), math.Float64frombits(val), rest
 		}
-		if dense != nil {
-			dense.AddCols(idx[:n], vals[:n], y)
-		} else {
-			sparse.AddCols(idx[:n], vals[:n], y)
-		}
+		s.matrix.AddCols(c.idx[:n], c.vals[:n], y)
 	}
+	s.chunk.Store(c)
+}
+
+// pairChunk is measurePairs' decode buffer.
+type pairChunk struct {
+	idx  [replayChunk]int
+	vals [replayChunk]float64
 }
 
 // replayChunk is how many observations measurePairs hands AddCols at

@@ -323,8 +323,6 @@ func codecEnsembles(t *testing.T, seed uint64) map[string]*Sketcher {
 	out := make(map[string]*Sketcher)
 	for name, cfg := range map[string]Config{
 		"gaussian":    {M: 24, Seed: seed},
-		"sparse":      {M: 24, Seed: seed, Ensemble: SparseRademacher},
-		"srht":        {M: 24, Seed: seed, Ensemble: SRHT},
 		"countsketch": {M: 24, Seed: seed, Ensemble: CountSketch, Depth: 3},
 	} {
 		sk, err := NewSketcher(keys, cfg)
