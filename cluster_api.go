@@ -165,7 +165,7 @@ func (s *Sketcher) DetectCluster(ctx context.Context, addrs []string, k int, opt
 		return rep, fmt.Errorf("csoutlier: only %d/%d nodes reachable (need %d)", len(nodes), len(addrs), min)
 	}
 
-	part, err := cluster.CollectSketchesCtxSpec(ctx, nodes, s.spec, cluster.CollectOptions{
+	part, err := cluster.CollectSketchesCtx(ctx, nodes, s.spec, cluster.CollectOptions{
 		MinNodes:    min,
 		MaxAttempts: opts.MaxAttempts,
 		NodeTimeout: nodeTimeout,

@@ -130,7 +130,7 @@ func main() {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		part, err := cluster.CollectSketchesCtxSpec(ctx, nodes, spec, cluster.CollectOptions{
+		part, err := cluster.CollectSketchesCtx(ctx, nodes, spec, cluster.CollectOptions{
 			MinNodes:    *minNodes,
 			MaxAttempts: *attempts,
 			NodeTimeout: *nodeTO,
@@ -153,17 +153,17 @@ func main() {
 			log.Fatalf("csagg: collect: %v", err)
 		}
 		log.Printf("csagg: aggregate over %d/%d nodes: %v", len(part.Included), len(nodes), part.Included)
-		res, err = cluster.DetectSketchSpec(part.Sketch, spec, *k, recovery.Options{MaxIterations: *iters})
+		res, err = cluster.DetectSketch(part.Sketch, spec, *k, recovery.Options{MaxIterations: *iters})
 		if err != nil {
 			log.Fatalf("csagg: detect: %v", err)
 		}
 		res.Stats = part.Stats
 	} else {
-		y, stats, err := cluster.CollectSketchesSpec(nodes, spec)
+		y, stats, err := cluster.CollectSketches(nodes, spec)
 		if err != nil {
 			log.Fatalf("csagg: collect: %v", err)
 		}
-		res, err = cluster.DetectSketchSpec(y, spec, *k, recovery.Options{MaxIterations: *iters})
+		res, err = cluster.DetectSketch(y, spec, *k, recovery.Options{MaxIterations: *iters})
 		if err != nil {
 			log.Fatalf("csagg: detect: %v", err)
 		}

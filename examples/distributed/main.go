@@ -70,7 +70,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	withDead := append(append([]cluster.NodeAPI{}, remotes...), cluster.NewFaultyNode("dc-dead"))
-	part, err := cluster.CollectSketchesCtx(ctx, withDead, p, cluster.CollectOptions{
+	part, err := cluster.CollectSketchesCtx(ctx, withDead, sensing.GaussianSpec(p), cluster.CollectOptions{
 		MinNodes:    nodes,
 		MaxAttempts: 2,
 		NodeTimeout: 2 * time.Second,
@@ -87,7 +87,7 @@ func main() {
 		ns := part.Nodes[id]
 		fmt.Printf("  included %-8s rtt %8v  attempts %d\n", id, ns.RTT.Round(time.Microsecond), ns.Attempts)
 	}
-	pres, err := cluster.DetectSketch(part.Sketch, p, k, recovery.Options{})
+	pres, err := cluster.DetectSketch(part.Sketch, sensing.GaussianSpec(p), k, recovery.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

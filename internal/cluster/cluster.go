@@ -203,12 +203,7 @@ func (s *CommStats) Add(other CommStats) {
 // L·M·8 bytes of communication in one round. It is the strict (all
 // nodes must answer) path; CollectSketchesCtx adds deadlines, retries
 // and quorum semantics.
-func CollectSketches(nodes []NodeAPI, p sensing.Params) (linalg.Vector, CommStats, error) {
-	return CollectSketchesSpec(nodes, sensing.GaussianSpec(p))
-}
-
-// CollectSketchesSpec is CollectSketches for an explicit ensemble spec.
-func CollectSketchesSpec(nodes []NodeAPI, spec sensing.Spec) (linalg.Vector, CommStats, error) {
+func CollectSketches(nodes []NodeAPI, spec sensing.Spec) (linalg.Vector, CommStats, error) {
 	if len(nodes) == 0 {
 		return nil, CommStats{}, fmt.Errorf("cluster: no nodes")
 	}
@@ -256,11 +251,12 @@ type DetectResult struct {
 // BOMP using the R = f(k) iteration budget, and select the k recovered
 // entries furthest from the recovered mode.
 func Detect(nodes []NodeAPI, p sensing.Params, k int, opt recovery.Options) (*DetectResult, error) {
-	y, stats, err := CollectSketches(nodes, p)
+	spec := sensing.GaussianSpec(p)
+	y, stats, err := CollectSketches(nodes, spec)
 	if err != nil {
 		return nil, err
 	}
-	res, err := DetectSketch(y, p, k, opt)
+	res, err := DetectSketch(y, spec, k, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -271,12 +267,7 @@ func Detect(nodes []NodeAPI, p sensing.Params, k int, opt recovery.Options) (*De
 // DetectSketch runs the aggregator-side recovery on an already-collected
 // global sketch — for callers that gathered sketches themselves (e.g.
 // via CollectSketchesCtx with a quorum, or over a custom transport).
-func DetectSketch(y linalg.Vector, p sensing.Params, k int, opt recovery.Options) (*DetectResult, error) {
-	return DetectSketchSpec(y, sensing.GaussianSpec(p), k, opt)
-}
-
-// DetectSketchSpec is DetectSketch for an explicit ensemble spec.
-func DetectSketchSpec(y linalg.Vector, spec sensing.Spec, k int, opt recovery.Options) (*DetectResult, error) {
+func DetectSketch(y linalg.Vector, spec sensing.Spec, k int, opt recovery.Options) (*DetectResult, error) {
 	m, err := sensing.New(spec, 0)
 	if err != nil {
 		return nil, err

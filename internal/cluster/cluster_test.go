@@ -28,7 +28,7 @@ func makeCluster(t *testing.T, n, s, nodes int, mode float64, seed uint64) ([]No
 func TestCollectSketchesEqualsGlobalMeasurement(t *testing.T) {
 	nodes, global, _ := makeCluster(t, 150, 6, 5, 1800, 1)
 	p := sensing.Params{M: 60, N: 150, Seed: 9}
-	y, stats, err := CollectSketches(nodes, p)
+	y, stats, err := CollectSketches(nodes, sensing.GaussianSpec(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +46,14 @@ func TestCollectSketchesEqualsGlobalMeasurement(t *testing.T) {
 }
 
 func TestCollectSketchesNoNodes(t *testing.T) {
-	if _, _, err := CollectSketches(nil, sensing.Params{M: 2, N: 2}); err == nil {
+	if _, _, err := CollectSketches(nil, sensing.GaussianSpec(sensing.Params{M: 2, N: 2})); err == nil {
 		t.Fatal("no nodes accepted")
 	}
 }
 
 func TestCollectSketchesDimensionError(t *testing.T) {
 	nodes := []NodeAPI{NewLocalNode("a", make(linalg.Vector, 10))}
-	if _, _, err := CollectSketches(nodes, sensing.Params{M: 4, N: 11, Seed: 1}); err == nil {
+	if _, _, err := CollectSketches(nodes, sensing.GaussianSpec(sensing.Params{M: 4, N: 11, Seed: 1})); err == nil {
 		t.Fatal("mismatched N accepted")
 	}
 }
@@ -141,7 +141,7 @@ func TestNodeRemovalBySketchSubtraction(t *testing.T) {
 	// cluster that never contained it.
 	nodes, _, _ := makeCluster(t, 200, 5, 4, 1000, 5)
 	p := sensing.Params{M: 80, N: 200, Seed: 11}
-	all, _, err := CollectSketches(nodes, p)
+	all, _, err := CollectSketches(nodes, sensing.GaussianSpec(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestNodeRemovalBySketchSubtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	sensing.SubSketch(all, leaving)
-	remaining, _, err := CollectSketches(nodes[:3], p)
+	remaining, _, err := CollectSketches(nodes[:3], sensing.GaussianSpec(p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,12 +83,7 @@ type PartialResult struct {
 // an operator needs exactly then. On return, every goroutine it started has exited and every
 // in-flight request has been cancelled — nothing leaks, provided node
 // implementations honor ctx (NodeAPI's contract).
-func CollectSketchesCtx(ctx context.Context, nodes []NodeAPI, p sensing.Params, opts CollectOptions) (*PartialResult, error) {
-	return CollectSketchesCtxSpec(ctx, nodes, sensing.GaussianSpec(p), opts)
-}
-
-// CollectSketchesCtxSpec is CollectSketchesCtx for an explicit ensemble.
-func CollectSketchesCtxSpec(ctx context.Context, nodes []NodeAPI, spec sensing.Spec, opts CollectOptions) (*PartialResult, error) {
+func CollectSketchesCtx(ctx context.Context, nodes []NodeAPI, spec sensing.Spec, opts CollectOptions) (*PartialResult, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
 	}

@@ -13,7 +13,7 @@ import (
 func TestCollectCtxAllHealthy(t *testing.T) {
 	nodes, global, _ := makeCluster(t, 120, 4, 4, 900, 21)
 	p := sensing.Params{M: 40, N: 120, Seed: 22}
-	res, err := CollectSketchesCtx(context.Background(), nodes, p, CollectOptions{})
+	res, err := CollectSketchesCtx(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestCollectCtxToleratesFailuresWithQuorum(t *testing.T) {
 	nodes, _, _ := makeCluster(t, 100, 3, 3, 500, 23)
 	nodes = append(nodes, NewFaultyNode("dead-dc"))
 	p := sensing.Params{M: 30, N: 100, Seed: 24}
-	res, err := CollectSketchesCtx(context.Background(), nodes, p, CollectOptions{MinNodes: 3})
+	res, err := CollectSketchesCtx(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestCollectCtxToleratesFailuresWithQuorum(t *testing.T) {
 		t.Fatalf("failure not reported: %v", res.Failed)
 	}
 	// The partial sum equals the aggregate over the healthy subset.
-	healthy, _, err := CollectSketches(nodes[:3], p)
+	healthy, _, err := CollectSketches(nodes[:3], sensing.GaussianSpec(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCollectCtxFailsBelowQuorum(t *testing.T) {
 		NewFaultyNode("dead2"),
 	}
 	p := sensing.Params{M: 4, N: 10, Seed: 25}
-	res, err := CollectSketchesCtx(context.Background(), nodes, p, CollectOptions{MinNodes: 2, RetryBackoff: time.Millisecond})
+	res, err := CollectSketchesCtx(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 2, RetryBackoff: time.Millisecond})
 	if err == nil {
 		t.Fatal("quorum failure not reported")
 	}
@@ -108,7 +108,7 @@ func TestCollectCtxStragglerTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	p := sensing.Params{M: 20, N: 80, Seed: 28}
-	res, err := CollectSketchesCtx(ctx, nodes, p, CollectOptions{MinNodes: 2})
+	res, err := CollectSketchesCtx(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +132,13 @@ func TestCollectCtxTimeoutBelowQuorum(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	p := sensing.Params{M: 4, N: 10, Seed: 29}
-	if _, err := CollectSketchesCtx(ctx, nodes, p, CollectOptions{MinNodes: 1}); err == nil {
+	if _, err := CollectSketchesCtx(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 1}); err == nil {
 		t.Fatal("all-straggler collection succeeded")
 	}
 }
 
 func TestCollectCtxNoNodes(t *testing.T) {
-	if _, err := CollectSketchesCtx(context.Background(), nil, sensing.Params{M: 1, N: 1}, CollectOptions{}); err == nil {
+	if _, err := CollectSketchesCtx(context.Background(), nil, sensing.GaussianSpec(sensing.Params{M: 1, N: 1}), CollectOptions{}); err == nil {
 		t.Fatal("no nodes accepted")
 	}
 }

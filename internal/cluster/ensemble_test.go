@@ -34,14 +34,14 @@ func TestDetectAcrossEnsemblesOverTCP(t *testing.T) {
 		{Params: sensing.Params{M: 110, N: n, Seed: 32}, Kind: sensing.KindGaussian},
 		{Params: sensing.Params{M: 160, N: n, Seed: 33}, Kind: sensing.KindCountSketch},
 	} {
-		y, stats, err := CollectSketchesSpec(remotes, spec)
+		y, stats, err := CollectSketches(remotes, spec)
 		if err != nil {
 			t.Fatalf("%v: %v", spec.Kind, err)
 		}
 		if stats.Bytes != int64(3*spec.M*8) {
 			t.Fatalf("%v: bytes %d", spec.Kind, stats.Bytes)
 		}
-		res, err := DetectSketchSpec(y, spec, k, recovery.Options{})
+		res, err := DetectSketch(y, spec, k, recovery.Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", spec.Kind, err)
 		}

@@ -200,7 +200,7 @@ func TestCollectorLeaksNoGoroutines(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	p := sensing.Params{M: 16, N: 60, Seed: 53}
-	res, err := CollectSketchesCtx(ctx, nodes, p, CollectOptions{
+	res, err := CollectSketchesCtx(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{
 		MinNodes:    3,
 		QuorumGrace: 50 * time.Millisecond,
 	})
@@ -256,7 +256,7 @@ func TestQuorumCollectionWithHungAndCrashedNodes(t *testing.T) {
 	defer cancel()
 	p := sensing.Params{M: 20, N: 60, Seed: 63}
 	start := time.Now()
-	res, err := CollectSketchesCtx(ctx, nodes, p, CollectOptions{
+	res, err := CollectSketchesCtx(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{
 		MinNodes:     2,
 		MaxAttempts:  2,
 		NodeTimeout:  250 * time.Millisecond,

@@ -205,37 +205,39 @@ func TestFig11Runs(t *testing.T) {
 	}
 }
 
+// TestFig12TraditionalDegradesWithN holds Figure 12's argument to the
+// quantity the paper makes it from (and the simulated clock is derived
+// from): shuffle volume. Traditional top-k ships a tuple per key per
+// mapper, so its volume grows with N; a BOMP mapper ships one M-float
+// sketch whatever N is. Both are exact functions of the input, so this
+// neither flakes under load nor skews under the race detector.
 func TestFig12TraditionalDegradesWithN(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock comparison: race instrumentation skews the two sides differently")
+	ns, series, err := fig12Sweep(tiny())
+	if err != nil {
+		t.Fatal(err)
 	}
-	tables := run(t, "fig12")
-	if len(tables) != 3 {
-		t.Fatalf("fig12 tables = %d", len(tables))
+	if tables, err := fig12Tables(ns, series); err != nil || len(tables) != 3 {
+		t.Fatalf("fig12 tables = %d, %v", len(tables), err)
 	}
-	e2e := tables[0]
-	var trad, bomp50 []float64
-	for _, s := range e2e.Series {
-		switch s.Name {
-		case "Traditional topK":
-			trad = s.Y
-		case "BOMP M=50":
-			bomp50 = s.Y
-		}
-	}
-	if trad == nil || bomp50 == nil {
+	trad, bomp50 := series["Traditional topK"], series["BOMP M=50"]
+	if len(trad) != len(ns) || len(bomp50) != len(ns) {
 		t.Fatal("missing series")
 	}
-	// Paper Figure 12a: traditional degrades with N much faster than
-	// BOMP, and loses clearly at the top of the sweep. (At the very
-	// small N of a scaled run the two are within noise of each other,
-	// so per-point dominance is only asserted at the largest N.)
-	last := len(trad) - 1
-	if bomp50[last] >= trad[last] {
-		t.Fatalf("N=%v: BOMP %vs not faster than traditional %vs", e2e.X[last], bomp50[last], trad[last])
+	for i := range ns {
+		if i > 0 && trad[i].shuffleBytes <= trad[i-1].shuffleBytes {
+			t.Fatalf("N=%v: traditional shuffle %d B did not grow from %d B at N=%v",
+				ns[i], trad[i].shuffleBytes, trad[i-1].shuffleBytes, ns[i-1])
+		}
+		if bomp50[i].shuffleBytes != bomp50[0].shuffleBytes {
+			t.Fatalf("N=%v: BOMP M=50 shuffle %d B, want the constant %d B", ns[i], bomp50[i].shuffleBytes, bomp50[0].shuffleBytes)
+		}
+		if bomp50[i].shuffleBytes >= trad[i].shuffleBytes {
+			t.Fatalf("N=%v: BOMP shuffle %d B not below traditional %d B", ns[i], bomp50[i].shuffleBytes, trad[i].shuffleBytes)
+		}
 	}
-	if growT, growB := trad[last]-trad[0], bomp50[last]-bomp50[0]; growT <= growB {
-		t.Fatalf("traditional growth %v not worse than BOMP growth %v", growT, growB)
+	// One sketch per mapper: M·8 bytes and a few of key.
+	if perMapper := bomp50[0].shuffleBytes / int64(bomp50[0].mapTasks); perMapper < 50*8 || perMapper > 50*8+16 {
+		t.Fatalf("BOMP M=50 ships %d B per mapper, want M·8 = %d plus the key", perMapper, 50*8)
 	}
 }
 

@@ -139,9 +139,12 @@ func fig10Datasets(cfg Config) ([]*mrDataset, error) {
 	return []*mrDataset{small, big, product}, nil
 }
 
-// mrPoint is one timed run.
+// mrPoint is one run: its simulated times, and the shuffle volume they
+// derive from — an exact function of the input, unlike the clock.
 type mrPoint struct {
 	endToEnd, mapT, reduceT float64 // seconds
+	shuffleBytes            int64   // mapper output = spill = shuffle
+	mapTasks                int
 }
 
 func runCS(d *mrDataset, m, k int, seed uint64) (mrPoint, error) {
@@ -173,9 +176,11 @@ func runTraditional(d *mrDataset) (mrPoint, error) {
 
 func toPoint(met *mapreduce.Metrics) mrPoint {
 	return mrPoint{
-		endToEnd: met.EndToEnd.Seconds(),
-		mapT:     met.MapTime.Seconds(),
-		reduceT:  (met.ShuffleTime + met.ReduceTime).Seconds(),
+		endToEnd:     met.EndToEnd.Seconds(),
+		mapT:         met.MapTime.Seconds(),
+		reduceT:      (met.ShuffleTime + met.ReduceTime).Seconds(),
+		shuffleBytes: met.MapOutputBytes,
+		mapTasks:     met.MapTasks,
 	}
 }
 
@@ -314,13 +319,15 @@ func Fig11(cfg Config) ([]*Table, error) {
 // (paper: 100K → 5M at a fixed 10 GB input), comparing traditional
 // top-k against BOMP with M = 50 and M = 100.
 func Fig12(cfg Config) ([]*Table, error) {
-	sc := cfg.scale()
-	const k = 5
-	nsPaper := []int{100000, 200000, 500000, 1000000, 5000000}
-	var ns []float64
-	for _, n := range nsPaper {
-		ns = append(ns, float64(scaleInt(n, sc, 2000)))
+	ns, series, err := fig12Sweep(cfg)
+	if err != nil {
+		return nil, err
 	}
+	return fig12Tables(ns, series)
+}
+
+// fig12Tables lays a sweep out as the figure's three panels.
+func fig12Tables(ns []float64, series map[string][]mrPoint) ([]*Table, error) {
 	titles := []string{"end-to-end", "map", "reduce (incl. shuffle)"}
 	tables := make([]*Table, 3)
 	for i, title := range titles {
@@ -329,33 +336,7 @@ func Fig12(cfg Config) ([]*Table, error) {
 			XLabel: "N", YLabel: "seconds", X: ns,
 		}
 	}
-	series := map[string][]mrPoint{}
-	order := []string{"Traditional topK", "BOMP M=50", "BOMP M=100"}
-	for _, nf := range ns {
-		n := int(nf)
-		global := workload.PowerLaw(n, 1.5, cfg.Seed+501+uint64(n))
-		d, err := buildMRDataset(fmt.Sprintf("N=%d", n), global, 20, 3, 10e9, cfg.Seed+601+uint64(n))
-		if err != nil {
-			return nil, err
-		}
-		trad, err := runTraditional(d)
-		if err != nil {
-			return nil, err
-		}
-		series["Traditional topK"] = append(series["Traditional topK"], trad)
-		for _, m := range []int{50, 100} {
-			mm := m
-			if mm > n/2 {
-				mm = n / 2
-			}
-			pt, err := runCS(d, mm, k, cfg.Seed+uint64(700+m))
-			if err != nil {
-				return nil, err
-			}
-			series[fmt.Sprintf("BOMP M=%d", m)] = append(series[fmt.Sprintf("BOMP M=%d", m)], pt)
-		}
-	}
-	for _, name := range order {
+	for _, name := range []string{"Traditional topK", "BOMP M=50", "BOMP M=100"} {
 		pts := series[name]
 		e2e := make([]float64, len(pts))
 		mp := make([]float64, len(pts))
@@ -374,4 +355,40 @@ func Fig12(cfg Config) ([]*Table, error) {
 		}
 	}
 	return tables, nil
+}
+
+// fig12Sweep runs Figure 12's jobs: at each key-space size, traditional
+// top-k and BOMP at M = 50 and 100 on the same 10 GB input.
+func fig12Sweep(cfg Config) (ns []float64, series map[string][]mrPoint, err error) {
+	sc := cfg.scale()
+	const k = 5
+	for _, n := range []int{100000, 200000, 500000, 1000000, 5000000} {
+		ns = append(ns, float64(scaleInt(n, sc, 2000)))
+	}
+	series = map[string][]mrPoint{}
+	for _, nf := range ns {
+		n := int(nf)
+		global := workload.PowerLaw(n, 1.5, cfg.Seed+501+uint64(n))
+		d, err := buildMRDataset(fmt.Sprintf("N=%d", n), global, 20, 3, 10e9, cfg.Seed+601+uint64(n))
+		if err != nil {
+			return nil, nil, err
+		}
+		trad, err := runTraditional(d)
+		if err != nil {
+			return nil, nil, err
+		}
+		series["Traditional topK"] = append(series["Traditional topK"], trad)
+		for _, m := range []int{50, 100} {
+			mm := m
+			if mm > n/2 {
+				mm = n / 2
+			}
+			pt, err := runCS(d, mm, k, cfg.Seed+uint64(700+m))
+			if err != nil {
+				return nil, nil, err
+			}
+			series[fmt.Sprintf("BOMP M=%d", m)] = append(series[fmt.Sprintf("BOMP M=%d", m)], pt)
+		}
+	}
+	return ns, series, nil
 }

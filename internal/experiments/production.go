@@ -153,7 +153,7 @@ func Fig9(cfg Config) ([]*Table, error) {
 			iters = m
 		}
 		p := sensing.Params{M: m, N: n, Seed: cfg.Seed + uint64(q)*31 + 7}
-		y, _, err := cluster.CollectSketches(nodes, p)
+		y, _, err := cluster.CollectSketches(nodes, sensing.GaussianSpec(p))
 		if err != nil {
 			return nil, err
 		}

@@ -25,12 +25,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"csoutlier"
 	"csoutlier/internal/linalg"
-	"csoutlier/internal/sensing"
 	"csoutlier/internal/workload"
 	"csoutlier/internal/xrand"
 )
@@ -54,9 +52,8 @@ const (
 // sketch to the aggregate.
 func (f Fault) Included() bool { return f == FaultNone || f == FaultFlaky }
 
-var faultRunes = map[Fault]byte{
-	FaultNone: '.', FaultFlaky: 'f', FaultHang: 'h', FaultCrash: 'c', FaultGarbage: 'g',
-}
+// faultRunes spells a fault schedule, one rune per node, indexed by Fault.
+const faultRunes = ".fhcg"
 
 // String implements fmt.Stringer.
 func (f Fault) String() string {
@@ -200,58 +197,28 @@ func (s Scenario) String() string {
 
 // ParseScenario decodes a Scenario.String() line.
 func ParseScenario(line string) (Scenario, error) {
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) == 0 || fields[0] != "v1" {
-		return Scenario{}, fmt.Errorf("simtest: scenario line must start with %q", "v1")
-	}
 	var scn Scenario
-	for _, f := range fields[1:] {
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return Scenario{}, fmt.Errorf("simtest: malformed field %q", f)
+	err := parseReplayLine(line, func(prefix string) (fieldTable, error) {
+		if prefix != "v1" {
+			return nil, fmt.Errorf("simtest: scenario line must start with %q", "v1")
 		}
-		var err error
-		switch key {
-		case "seed":
-			scn.Seed, err = strconv.ParseUint(val, 10, 64)
-		case "n":
-			scn.N, err = strconv.Atoi(val)
-		case "s":
-			scn.S, err = strconv.Atoi(val)
-		case "l":
-			scn.L, err = strconv.Atoi(val)
-		case "m":
-			scn.M, err = strconv.Atoi(val)
-		case "k":
-			scn.K, err = strconv.Atoi(val)
-		case "mode":
-			scn.Mode, err = strconv.ParseFloat(val, 64)
-		case "alpha":
-			scn.Alpha, err = strconv.ParseFloat(val, 64)
-		case "noise":
-			scn.Noise, err = strconv.ParseFloat(val, 64)
-		case "ens":
-			scn.Ens, err = sensing.ParseKind(val)
-		case "faults":
+		t := baseFields(&scn.Seed, &scn.N, &scn.S, &scn.L, &scn.M, &scn.K, &scn.Mode, &scn.Noise, &scn.Ens)
+		t["alpha"] = floatField(&scn.Alpha)
+		t["faults"] = func(val string) error {
 			scn.Faults = make([]Fault, len(val))
-			for i := 0; i < len(val); i++ {
-				found := false
-				for fl, r := range faultRunes {
-					if r == val[i] {
-						scn.Faults[i] = fl
-						found = true
-					}
+			for i := range scn.Faults {
+				f := strings.IndexByte(faultRunes, val[i])
+				if f < 0 {
+					return fmt.Errorf("unknown fault rune %q", val[i])
 				}
-				if !found {
-					err = fmt.Errorf("unknown fault rune %q", val[i])
-				}
+				scn.Faults[i] = Fault(f)
 			}
-		default:
-			err = fmt.Errorf("unknown field %q", key)
+			return nil
 		}
-		if err != nil {
-			return Scenario{}, fmt.Errorf("simtest: field %q: %v", f, err)
-		}
+		return t, nil
+	})
+	if err != nil {
+		return Scenario{}, err
 	}
 	return scn, scn.validate()
 }

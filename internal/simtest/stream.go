@@ -1,90 +1,242 @@
 package simtest
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"net"
+	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"csoutlier"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
-	"csoutlier/internal/sensing"
 	"csoutlier/internal/stream"
 	"csoutlier/internal/workload"
 	"csoutlier/internal/xrand"
 )
 
-// streamChunks is how many mid-window delta flushes RunStream ships per
-// node per window. The chaos budget sizing in GenerateStream depends on
+// streamChunks is how many mid-window delta flushes the drive ships per
+// node per window. The chaos budget sizing in the generators depends on
 // it: more flushes per window means more guaranteed traffic per
-// connection, which is what lets the generator promise every connection
+// connection, which is what lets a generator promise every connection
 // dies at least once without ever starving one.
 const streamChunks = 3
 
+// tierShards and tierRelays fix the tier topology: 2 shards, each a
+// 2-tier tree of one root fed by 2 regional relays, leaf l homed on
+// relay l%2 of every shard.
+const (
+	tierShards = 2
+	tierRelays = 2
+)
+
+// MarkKind names one kind of scheduled fault.
+type MarkKind int
+
+// The fault vocabulary. Flush indices count a window's flushes from 0 in
+// drive order (active node major, streamChunks per node); windows count
+// from 1.
+const (
+	// MarkDup (dup=node): in every window, the node's last flush is
+	// re-delivered verbatim straight to its aggregator and must be acked
+	// as a duplicate.
+	MarkDup MarkKind = iota
+	// MarkNodeCrash (nodecrash=node@window): after its last flush of the
+	// window the node observes a batch that dies with it (Abort), and a
+	// successor re-dials with epoch 2.
+	MarkNodeCrash
+	// MarkSnap (snap=window:flush): the aggregator writes a snapshot after
+	// the flush completes.
+	MarkSnap
+	// MarkAggCrash (aggcrash=window:flush): the aggregator dies after the
+	// flush and a successor restores from the snapshot on a new listener;
+	// the nodes replay what the crash lost.
+	MarkAggCrash
+	// MarkJoin (join=window): an extra node, id L, participates from the
+	// window on.
+	MarkJoin
+	// MarkLeave (leave=node@window): the node leaves gracefully after the
+	// window.
+	MarkLeave
+	// MarkEvict (evict=node@window): after the window the node stays
+	// silent until a liveness sweep retires it; its next sync resurrects
+	// it with its dedup book intact.
+	MarkEvict
+	// MarkRelayKill (relaykill=shard@window:flush): relay 0 of the shard
+	// is killed after the flush and restored from its own snapshot.
+	MarkRelayKill
+	// MarkProbe (probe=window): after the window's flushes, point queries
+	// on the live aggregator over the newest window and the span so far.
+	MarkProbe
+)
+
+// markKinds gives every kind its replay key and which of (node, window,
+// flush) its value carries, written node@window:flush.
+var markKinds = [...]struct {
+	name                string
+	node, window, flush bool
+}{
+	MarkDup:       {"dup", true, false, false},
+	MarkNodeCrash: {"nodecrash", true, true, false},
+	MarkSnap:      {"snap", false, true, true},
+	MarkAggCrash:  {"aggcrash", false, true, true},
+	MarkJoin:      {"join", false, true, false},
+	MarkLeave:     {"leave", true, true, false},
+	MarkEvict:     {"evict", true, true, false},
+	MarkRelayKill: {"relaykill", true, true, true},
+	MarkProbe:     {"probe", false, true, false},
+}
+
+// Mark is one scheduled fault. Node is a shard index for MarkRelayKill.
+type Mark struct {
+	Kind   MarkKind
+	Node   int
+	Window int
+	Flush  int
+}
+
+// slots returns the value's scan format, its spelled-out shape, and the
+// fields it fills, in order.
+func (m *Mark) slots() (format, shape string, fields []*int) {
+	k := markKinds[m.Kind]
+	if k.node {
+		format, shape, fields = "%d", "node", append(fields, &m.Node)
+		if k.window {
+			format, shape = format+"@", shape+"@"
+		}
+	}
+	if k.window {
+		format, shape, fields = format+"%d", shape+"window", append(fields, &m.Window)
+	}
+	if k.flush {
+		format, shape, fields = format+":%d", shape+":flush", append(fields, &m.Flush)
+	}
+	return format, shape, fields
+}
+
+// String encodes the mark as its replay field.
+func (m Mark) String() string {
+	format, _, fields := m.slots()
+	vals := make([]any, len(fields))
+	for i, p := range fields {
+		vals[i] = *p
+	}
+	return markKinds[m.Kind].name + "=" + fmt.Sprintf(format, vals...)
+}
+
+// parseMark decodes a mark's value; re-encoding must give the value
+// back, which refuses trailing junk and non-canonical numbers.
+func parseMark(kind MarkKind, val string) (Mark, error) {
+	m := Mark{Kind: kind}
+	format, shape, fields := m.slots()
+	ptrs := make([]any, len(fields))
+	for i, p := range fields {
+		ptrs[i] = p
+	}
+	if _, err := fmt.Sscanf(val, format, ptrs...); err != nil || m.String() != markKinds[kind].name+"="+val {
+		return m, fmt.Errorf("want %s", shape)
+	}
+	return m, nil
+}
+
 // StreamScenario is one fully specified streaming simulation: W windows
-// of per-node data pushed as deltas through chaos TCP proxies into a
-// live stream.Aggregator, with one node crash/restart and injected
-// duplicate flushes. Everything — data, split, kill budgets, fault
-// placement — derives from the seed, so a failure replays exactly.
+// of per-node data pushed as deltas into live aggregators, under a
+// schedule of fault marks. Everything — data, split, kill budgets — is
+// derived from the seed, and the marks are spelled out, so a failure
+// replays from its one line.
 //
 // The outlier support is fixed across windows (magnitudes vary), so
 // every window span is S-sparse around its own bias and the centralized
-// oracle stays exact for every queried span.
+// oracle stays exact for every queried span, whatever the marks do.
 type StreamScenario struct {
 	Seed  uint64
 	N     int     // key-space size
 	S     int     // planted outliers (same positions every window)
-	L     int     // node count (≥ 4 in generated scenarios)
+	L     int     // base node count; a joiner gets id L
 	W     int     // windows driven
-	M     int     // measurement budget
-	K     int     // outliers per query
+	K     int     // outliers per span query
 	Mode  float64 // base bias; per-window biases are seeded multiples
 	Noise float64 // per-node zero-sum noise amplitude per window
+
+	// Sizing is either M with an ensemble, or count-sketch Depth×Width
+	// (then M = Depth·Width, per shard on the tier, and Ens is CountSketch).
+	M     int
 	Ens   csoutlier.Ensemble
+	Depth int
+	Width int
 
-	CrashNode   int // node that crashes (loses unflushed data) and restarts
-	CrashWindow int // window (1-based) in which the crash happens
-	DupNode     int // node whose flushes are re-delivered verbatim
+	// Tier selects the 2-shard × 2-relay tree; otherwise every node pushes
+	// into one flat aggregator.
+	Tier bool
 
-	ProxyMin int64 // per-connection chaos byte budget bounds
+	// ProxyMin/ProxyMax bound the per-connection chaos byte budget; 0:0
+	// means no proxies, nodes dial their aggregator directly.
+	ProxyMin int64
 	ProxyMax int64
+
+	Marks []Mark
 }
 
-// GenerateStream derives streaming scenario index from the base seed.
-// Chaos is always on: every scenario has a crash/restart, duplicate
-// injection, and byte-budgeted proxies.
-func GenerateStream(base uint64, index int) StreamScenario {
-	rng := xrand.New(base).Split(uint64(index) + 0x57ea3517)
-	scn := StreamScenario{Seed: rng.Uint64()}
-	scn.S = 1 + rng.Intn(5)
-	scn.N = 120 + rng.Intn(321)
-	margin := drawMargin(rng)
-	for {
-		scn.M = measurementsFor(scn.N, scn.S, margin)
-		if scn.M <= scn.N*3/5 || scn.S == 1 {
-			break
+// normalize puts the scenario in its canonical form: count-sketch sizing
+// resolved and marks sorted, so equal scenarios are equal structs.
+func (s *StreamScenario) normalize() {
+	if s.Depth > 0 {
+		s.Ens = csoutlier.CountSketch
+		if s.M == 0 {
+			s.M = s.Depth * s.Width
 		}
-		scn.S--
 	}
-	scn.K = 1 + rng.Intn(scn.S+1)
-	scn.Mode = 100 + 4900*rng.Float64() // nonzero: every node flushes every window
-	if rng.Float64() < 0.5 {
-		scn.Mode = -scn.Mode
+	sort.Slice(s.Marks, func(i, j int) bool {
+		a, b := s.Marks[i], s.Marks[j]
+		switch {
+		case a.Window != b.Window:
+			return a.Window < b.Window
+		case a.Kind != b.Kind:
+			return a.Kind < b.Kind
+		case a.Node != b.Node:
+			return a.Node < b.Node
+		}
+		return a.Flush < b.Flush
+	})
+}
+
+// mark returns the scenario's mark of a kind validate admits at most
+// one of, or nil.
+func (s StreamScenario) mark(kind MarkKind) *Mark { return s.markAt(kind, 0) }
+
+// markAt returns the mark of a kind due in window w (0: any), or nil.
+func (s StreamScenario) markAt(kind MarkKind, w int) *Mark {
+	for i := range s.Marks {
+		if m := &s.Marks[i]; m.Kind == kind && (w == 0 || m.Window == w) {
+			return m
+		}
 	}
-	if rng.Float64() < 0.6 {
-		scn.Noise = (math.Abs(scn.Mode) + 500) * (0.1 + rng.Float64())
+	return nil
+}
+
+func (s StreamScenario) direct() bool { return s.ProxyMin == 0 && s.ProxyMax == 0 }
+
+// pointQueries reports whether the scenario's aggregators answer point
+// queries (the count-sketch ensemble does, Gaussian does not).
+func (s StreamScenario) pointQueries() bool { return s.Ens == csoutlier.CountSketch }
+
+// activeNodes returns the member ids participating in window w
+// (1-based), ascending: the base nodes minus the leaver once it has
+// left, plus the joiner from its join window on. An evicted node stays
+// active — it is alive the whole time, just silent long enough to be
+// evicted between two windows.
+func (s StreamScenario) activeNodes(w int) []int {
+	leave, join := s.mark(MarkLeave), s.mark(MarkJoin)
+	var ids []int
+	for l := 0; l < s.L; l++ {
+		if leave != nil && l == leave.Node && w > leave.Window {
+			continue
+		}
+		ids = append(ids, l)
 	}
-	scn.L = 4 + rng.Intn(3)
-	scn.W = 2 + rng.Intn(3)
-	scn.CrashNode = rng.Intn(scn.L)
-	scn.CrashWindow = 1 + rng.Intn(scn.W)
-	scn.DupNode = (scn.CrashNode + 1 + rng.Intn(scn.L-1)) % scn.L
-	scn.ProxyMin, scn.ProxyMax = proxyBudgets(scn.M, streamChunks*scn.W)
-	return scn
+	if join != nil && w >= join.Window {
+		ids = append(ids, s.L)
+	}
+	return ids
 }
 
 // proxyFrame is the most a fresh connection's first exchange puts on
@@ -107,7 +259,7 @@ func proxyFrame(m int) int64 {
 // binds at the minimum itself: every connection then dies within a
 // sketch's worth of traffic, which a run's flushes, hellos and acks
 // exceed many times over, so the redial/retry/dedup path is still always
-// exercised (the checkers assert Kills ≥ 1).
+// exercised (the checker asserts Kills ≥ 1).
 func proxyBudgets(m, flushes int) (min, max int64) {
 	frame := proxyFrame(m)
 	floorTotal := int64(flushes) * int64(stream.MinDeltaPayload+stream.MinDeltaOverhead+len(NodeID(0)))
@@ -121,100 +273,227 @@ func proxyBudgets(m, flushes int) (min, max int64) {
 	return min, max
 }
 
+// validate refuses scenarios the harness cannot run or cannot judge
+// exactly. Three refusals are about exactness, not range:
+//
+//   - nodecrash and dup on one node: a duplicate carrying the dead
+//     incarnation's epoch is rejected as stale, not deduplicated.
+//   - aggcrash without a snap earlier in the same window: a restored
+//     aggregator resumes at the snapshot's window and refuses frames
+//     tagged with a later one as from the future.
+//   - nodecrash between the snap and the aggcrash: Abort discards the
+//     node's retention buffer, so the frames the aggregator acked after
+//     the snapshot die twice — lost by design, not a defect to find.
 func (s StreamScenario) validate() error {
+	shards, maxM := 1, s.N
+	if s.Tier {
+		shards, maxM = tierShards, s.N/4
+	}
 	switch {
-	case s.N < 4 || s.S < 1 || s.S > s.N/4:
-		return fmt.Errorf("simtest: stream scenario N=%d S=%d out of range", s.N, s.S)
+	case s.N < 4*shards || s.S < 1 || s.S > s.N/(4*shards):
+		return fmt.Errorf("simtest: stream scenario N=%d S=%d out of range (every shard needs S ≤ its keys/4 for a majority mode)", s.N, s.S)
 	case s.L < 2:
 		return fmt.Errorf("simtest: stream scenario needs ≥ 2 nodes, got %d", s.L)
 	case s.W < 1:
 		return fmt.Errorf("simtest: W=%d", s.W)
-	case s.M < 2 || s.M > s.N:
-		return fmt.Errorf("simtest: M=%d outside [2, N]", s.M)
 	case s.K < 1:
 		return fmt.Errorf("simtest: K=%d", s.K)
 	case s.Mode == 0:
-		return fmt.Errorf("simtest: stream scenarios need a nonzero mode")
-	case s.CrashNode < 0 || s.CrashNode >= s.L || s.DupNode < 0 || s.DupNode >= s.L:
-		return fmt.Errorf("simtest: fault nodes %d/%d outside [0, %d)", s.CrashNode, s.DupNode, s.L)
-	case s.CrashNode == s.DupNode:
-		return fmt.Errorf("simtest: crash and dup node coincide (a stale-epoch dup is rejected, not deduped)")
-	case s.CrashWindow < 1 || s.CrashWindow > s.W:
-		return fmt.Errorf("simtest: crash window %d outside [1, %d]", s.CrashWindow, s.W)
-	case s.ProxyMin < proxyFrame(s.M) || s.ProxyMax < s.ProxyMin:
+		return fmt.Errorf("simtest: stream scenarios need a nonzero mode (every node must flush every window)")
+	case (s.Depth != 0 || s.Width != 0) && (s.Depth < 1 || s.Depth > 64):
+		return fmt.Errorf("simtest: depth %d outside [1, 64]", s.Depth)
+	case s.Depth != 0 && s.Width < 2:
+		return fmt.Errorf("simtest: width %d < 2", s.Width)
+	case s.Depth != 0 && s.M != s.Depth*s.Width:
+		return fmt.Errorf("simtest: M=%d is not depth %d × width %d", s.M, s.Depth, s.Width)
+	case s.M < 2 || s.M > maxM:
+		return fmt.Errorf("simtest: M=%d outside [2, %d] (no compression; on the tier a shard holds N/2 keys)", s.M, maxM)
+	case !s.direct() && (s.ProxyMin < proxyFrame(s.M) || s.ProxyMax < s.ProxyMin):
 		return fmt.Errorf("simtest: proxy budget [%d, %d] cannot pass a full frame", s.ProxyMin, s.ProxyMax)
+	}
+	for i, m := range s.Marks {
+		k := markKinds[m.Kind]
+		switch {
+		case i > 0 && m == s.Marks[i-1], m.Kind != MarkProbe && s.mark(m.Kind) != &s.Marks[i]:
+			return fmt.Errorf("simtest: more than one %s mark", k.name)
+		case k.window && (m.Window < 1 || m.Window > s.W):
+			return fmt.Errorf("simtest: %s window outside [1, %d]", m, s.W)
+		case k.flush && (m.Flush < 0 || m.Flush >= len(s.activeNodes(m.Window))*streamChunks):
+			return fmt.Errorf("simtest: %s flush outside [0, %d)", m, len(s.activeNodes(m.Window))*streamChunks)
+		case k.node && m.Kind != MarkRelayKill && (m.Node < 0 || m.Node >= s.L):
+			return fmt.Errorf("simtest: %s node outside [0, %d)", m, s.L)
+		case s.Tier && m.Kind != MarkRelayKill && m.Kind != MarkProbe:
+			return fmt.Errorf("simtest: %s on the tier topology (its roots are not durable and its leaves do not restart; only relaykill and probe run there)", m)
+		case m.Kind == MarkProbe && !s.pointQueries():
+			return fmt.Errorf("simtest: %s needs count-sketch sizing (d= and wid=); a Gaussian sketch answers no point query", m)
+		}
+	}
+	crash, dup := s.mark(MarkNodeCrash), s.mark(MarkDup)
+	snap, aggCrash := s.mark(MarkSnap), s.mark(MarkAggCrash)
+	join, leave, evict := s.mark(MarkJoin), s.mark(MarkLeave), s.mark(MarkEvict)
+	kill := s.mark(MarkRelayKill)
+	switch {
+	case crash != nil && dup != nil && crash.Node == dup.Node:
+		return fmt.Errorf("simtest: crash and dup node coincide (a stale-epoch dup is rejected, not deduped)")
+	case crash != nil && leave != nil && crash.Node == leave.Node && crash.Window > leave.Window:
+		return fmt.Errorf("simtest: %s after the node left (%s)", crash, leave)
+	case aggCrash != nil && (snap == nil || snap.Window != aggCrash.Window || snap.Flush >= aggCrash.Flush):
+		return fmt.Errorf("simtest: %s needs a snap earlier in the same window (a restored aggregator resumes at the snapshot's window and refuses later frames as from the future)", aggCrash)
+	case (aggCrash != nil || kill != nil) && s.direct():
+		return fmt.Errorf("simtest: a restore comes back on a new listener and only a chaos proxy can retarget a node; proxy=0:0 dials direct")
+	case aggCrash != nil && crash != nil && crash.Window == snap.Window && s.gapCrash(*crash, *snap, *aggCrash):
+		return fmt.Errorf("simtest: %s falls between %s and %s: Abort takes the node's retention buffer with it, so frames acked in that gap are lost by design", crash, snap, aggCrash)
+	case (join != nil || leave != nil || evict != nil) && s.L < 3:
+		return fmt.Errorf("simtest: membership churn needs ≥ 3 base nodes, got %d", s.L)
+	case join != nil && join.Window < 2:
+		return fmt.Errorf("simtest: join window %d outside [2, %d]", join.Window, s.W)
+	case leave != nil && evict != nil && leave.Node == evict.Node:
+		return fmt.Errorf("simtest: leave and evict node coincide")
+	case evict != nil && evict.Window >= s.W:
+		return fmt.Errorf("simtest: evict window %d outside [1, %d) (a window must follow the resurrection)", evict.Window, s.W)
+	case kill != nil && !s.Tier:
+		return fmt.Errorf("simtest: %s needs topo=tier", kill)
+	case kill != nil && (kill.Node < 0 || kill.Node >= tierShards):
+		return fmt.Errorf("simtest: kill shard %d outside [0, %d)", kill.Node, tierShards)
+	case kill != nil && (kill.Window < 2 || kill.Flush < 1):
+		return fmt.Errorf("simtest: %s loses nothing (window ≥ 2 so a forwarded window precedes the kill, flush ≥ 1 so the victim holds an unforwarded frame)", kill)
 	}
 	return nil
 }
 
-// String encodes the scenario as a replayable one-liner.
-func (s StreamScenario) String() string {
-	return fmt.Sprintf("stream1 seed=%d n=%d s=%d l=%d w=%d m=%d k=%d mode=%g noise=%g ens=%s crash=%d@%d dup=%d proxy=%d:%d",
-		s.Seed, s.N, s.S, s.L, s.W, s.M, s.K, s.Mode, s.Noise, s.Ens,
-		s.CrashNode, s.CrashWindow, s.DupNode, s.ProxyMin, s.ProxyMax)
+// gapCrash reports whether the node crash fires strictly between the
+// snapshot and the aggregator crash of its window. A node's crash fires
+// after its last flush; marks keyed by that flush fire first.
+func (s StreamScenario) gapCrash(crash, snap, aggCrash Mark) bool {
+	for i, id := range s.activeNodes(crash.Window) {
+		if id == crash.Node {
+			f := i*streamChunks + streamChunks - 1
+			return snap.Flush < f && f < aggCrash.Flush
+		}
+	}
+	return false
 }
 
-// ParseStreamScenario decodes a StreamScenario.String() line.
-func ParseStreamScenario(line string) (StreamScenario, error) {
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) == 0 || fields[0] != "stream1" {
-		return StreamScenario{}, fmt.Errorf("simtest: stream scenario line must start with %q", "stream1")
+// String encodes the scenario as a replayable stream2 line.
+func (s StreamScenario) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "stream2 seed=%d n=%d s=%d l=%d w=%d k=%d mode=%g noise=%g", s.Seed, s.N, s.S, s.L, s.W, s.K, s.Mode, s.Noise)
+	if s.Depth > 0 {
+		fmt.Fprintf(&b, " d=%d wid=%d", s.Depth, s.Width)
+	} else {
+		fmt.Fprintf(&b, " m=%d ens=%s", s.M, s.Ens)
 	}
-	var scn StreamScenario
-	for _, f := range fields[1:] {
-		key, val, ok := strings.Cut(f, "=")
+	if s.Tier {
+		b.WriteString(" topo=tier")
+	}
+	if !s.direct() {
+		fmt.Fprintf(&b, " proxy=%d:%d", s.ProxyMin, s.ProxyMax)
+	}
+	for _, m := range s.Marks {
+		b.WriteString(" " + m.String())
+	}
+	return b.String()
+}
+
+// fields is the streaming replay grammar: the shared base keys, the
+// streaming ones, and one key per mark kind.
+func (s *StreamScenario) fields() fieldTable {
+	t := baseFields(&s.Seed, &s.N, &s.S, &s.L, &s.M, &s.K, &s.Mode, &s.Noise, &s.Ens)
+	t["w"] = intField(&s.W)
+	t["d"] = intField(&s.Depth)
+	t["wid"] = intField(&s.Width)
+	t["topo"] = func(v string) error {
+		if v != "flat" && v != "tier" {
+			return fmt.Errorf("want flat or tier")
+		}
+		s.Tier = v == "tier"
+		return nil
+	}
+	t["proxy"] = func(v string) error {
+		lo, hi, ok := strings.Cut(v, ":")
 		if !ok {
-			return StreamScenario{}, fmt.Errorf("simtest: malformed field %q", f)
+			return fmt.Errorf("want min:max")
 		}
 		var err error
-		switch key {
-		case "seed":
-			scn.Seed, err = strconv.ParseUint(val, 10, 64)
-		case "n":
-			scn.N, err = strconv.Atoi(val)
-		case "s":
-			scn.S, err = strconv.Atoi(val)
-		case "l":
-			scn.L, err = strconv.Atoi(val)
-		case "w":
-			scn.W, err = strconv.Atoi(val)
-		case "m":
-			scn.M, err = strconv.Atoi(val)
-		case "k":
-			scn.K, err = strconv.Atoi(val)
-		case "mode":
-			scn.Mode, err = strconv.ParseFloat(val, 64)
-		case "noise":
-			scn.Noise, err = strconv.ParseFloat(val, 64)
-		case "ens":
-			scn.Ens, err = sensing.ParseKind(val)
-		case "crash":
-			node, win, ok := strings.Cut(val, "@")
-			if !ok {
-				err = fmt.Errorf("want node@window")
-				break
-			}
-			if scn.CrashNode, err = strconv.Atoi(node); err == nil {
-				scn.CrashWindow, err = strconv.Atoi(win)
-			}
-		case "dup":
-			scn.DupNode, err = strconv.Atoi(val)
-		case "proxy":
-			lo, hi, ok := strings.Cut(val, ":")
-			if !ok {
-				err = fmt.Errorf("want min:max")
-				break
-			}
-			if scn.ProxyMin, err = strconv.ParseInt(lo, 10, 64); err == nil {
-				scn.ProxyMax, err = strconv.ParseInt(hi, 10, 64)
-			}
-		default:
-			err = fmt.Errorf("unknown field %q", key)
+		if s.ProxyMin, err = strconv.ParseInt(lo, 10, 64); err == nil {
+			s.ProxyMax, err = strconv.ParseInt(hi, 10, 64)
 		}
-		if err != nil {
-			return StreamScenario{}, fmt.Errorf("simtest: field %q: %v", f, err)
+		return err
+	}
+	for kind := range markKinds {
+		kind := MarkKind(kind)
+		t[markKinds[kind].name] = func(v string) error {
+			m, err := parseMark(kind, v)
+			if err == nil {
+				s.Marks = append(s.Marks, m)
+			}
+			return err
 		}
 	}
+	return t
+}
+
+// legacyStreamGrammars reads the five retired prefixes through the
+// stream2 table: each entry renames or splits the keys whose meaning
+// differed (crash= is node@window in stream1 and a flush index in
+// streamcrash1) and returns what to add once the line is read — the
+// faults a flavor implied without spelling them.
+var legacyStreamGrammars = map[string]func(s *StreamScenario, t fieldTable) (finish func()){
+	"stream1": func(s *StreamScenario, t fieldTable) func() {
+		t["crash"] = t["nodecrash"]
+		return nil
+	},
+	"streamcrash1": func(s *StreamScenario, t fieldTable) func() {
+		var cw, snap, crash int
+		t["cw"], t["snap"], t["crash"] = intField(&cw), intField(&snap), intField(&crash)
+		return func() {
+			s.Marks = append(s.Marks, Mark{Kind: MarkSnap, Window: cw, Flush: snap}, Mark{Kind: MarkAggCrash, Window: cw, Flush: crash})
+		}
+	},
+	"streamchurn1":  func(s *StreamScenario, t fieldTable) func() { return nil },
+	"streampointq1": func(s *StreamScenario, t fieldTable) func() { return s.probeEveryWindow },
+	"streamtier1": func(s *StreamScenario, t fieldTable) func() {
+		var ks, kw, kf int
+		t["ks"], t["kw"], t["kf"] = intField(&ks), intField(&kw), intField(&kf)
+		return func() {
+			s.Tier = true
+			s.Marks = append(s.Marks, Mark{Kind: MarkRelayKill, Node: ks, Window: kw, Flush: kf})
+		}
+	},
+}
+
+// probeEveryWindow is the point-query flavor's schedule: mid-run probes
+// after every window.
+func (s *StreamScenario) probeEveryWindow() {
+	for w := 1; w <= s.W; w++ {
+		s.Marks = append(s.Marks, Mark{Kind: MarkProbe, Window: w})
+	}
+}
+
+// ParseStreamScenario decodes a StreamScenario.String() line, or a line
+// recorded under one of the legacy prefixes.
+func ParseStreamScenario(line string) (StreamScenario, error) {
+	var scn StreamScenario
+	var finish func()
+	err := parseReplayLine(line, func(prefix string) (fieldTable, error) {
+		t := scn.fields()
+		if prefix == "stream2" {
+			return t, nil
+		}
+		legacy, ok := legacyStreamGrammars[prefix]
+		if !ok {
+			return nil, fmt.Errorf("simtest: unknown streaming scenario prefix %q", prefix)
+		}
+		finish = legacy(&scn, t)
+		return t, nil
+	})
+	if err != nil {
+		return StreamScenario{}, err
+	}
+	if finish != nil {
+		finish()
+	}
+	scn.normalize()
 	return scn, scn.validate()
 }
 
@@ -225,36 +504,27 @@ type StreamData struct {
 	Keys      []string
 	Support   []int             // planted outlier positions, fixed across windows
 	WinGlobal []linalg.Vector   // [w] exact global aggregate of window w+1
-	WinSlices [][]linalg.Vector // [w][l] node l's share of window w+1
+	WinSlices [][]linalg.Vector // [w][i] the share of window w+1's i-th active node
 }
 
-// BuildStream materializes the scenario deterministically.
+// BuildStream materializes the scenario deterministically: W windows of
+// globally S-sparse data around a per-window bias, window w split among
+// its active members — so the global per-window aggregates, and
+// therefore the oracle, are independent of the churn.
 func (s StreamScenario) BuildStream() (*StreamData, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	splits := make([]int, s.W)
-	for w := range splits {
-		splits[w] = s.L
-	}
-	return buildStreamData(s.Seed, s.N, s.S, s.Mode, s.Noise, splits), nil
-}
-
-// buildStreamData materializes W windows of globally S-sparse data
-// around a per-window bias, splitting window w among splits[w] nodes —
-// the shared world builder for every streaming scenario flavor (the
-// churn flavor varies the split count as membership changes).
-func buildStreamData(seed uint64, n, sOut int, mode, noise float64, splits []int) *StreamData {
-	rng := xrand.New(seed)
-	d := &StreamData{Keys: make([]string, n)}
+	rng := xrand.New(s.Seed)
+	d := &StreamData{Keys: make([]string, s.N)}
 	for i := range d.Keys {
 		d.Keys[i] = fmt.Sprintf("key%06d", i)
 	}
-	d.Support = pickDistinct(rng, n, sOut)
+	d.Support = pickDistinct(rng, s.N, s.S)
 	mag0 := 100 + 900*rng.Float64()
-	for w := 0; w < len(splits); w++ {
-		wmode := mode * (0.6 + 0.8*rng.Float64())
-		global := make(linalg.Vector, n)
+	for w := 1; w <= s.W; w++ {
+		wmode := s.Mode * (0.6 + 0.8*rng.Float64())
+		global := make(linalg.Vector, s.N)
 		global.Fill(wmode)
 		for _, j := range d.Support {
 			mag := mag0 * (1 + 9*rng.Float64())
@@ -264,385 +534,42 @@ func buildStreamData(seed uint64, n, sOut int, mode, noise float64, splits []int
 			global[j] = wmode + mag
 		}
 		d.WinGlobal = append(d.WinGlobal, global)
-		d.WinSlices = append(d.WinSlices, workload.SplitZeroSumNoise(global, splits[w], noise, rng.Uint64()))
+		d.WinSlices = append(d.WinSlices, workload.SplitZeroSumNoise(global, len(s.activeNodes(w)), s.Noise, rng.Uint64()))
 	}
-	return d
+	return d, nil
 }
 
-// spanOracle answers the k-outlier query on the exact concatenation of
-// windows [wFrom, wTo] (1-based, inclusive).
-func (s StreamScenario) spanOracle(d *StreamData, wFrom, wTo int) (*OracleAnswer, error) {
-	return streamSpanOracle(s.N, s.K, d, wFrom, wTo)
+// spanTruth is the exact centralized ground truth for one window span:
+// the uncompressed aggregate and its exact majority mode.
+type spanTruth struct {
+	sum  linalg.Vector
+	mode float64
 }
 
-// streamSpanOracle is the centralized exact oracle all streaming
-// scenario flavors share: the k-outlier answer on the concatenation of
-// windows [wFrom, wTo] (1-based, inclusive).
-func streamSpanOracle(n, k int, d *StreamData, wFrom, wTo int) (*OracleAnswer, error) {
-	sum := make(linalg.Vector, n)
+// truthFor sums windows [wFrom, wTo] (1-based, inclusive).
+func (d *StreamData) truthFor(wFrom, wTo int) (spanTruth, error) {
+	sum := make(linalg.Vector, len(d.Keys))
 	for w := wFrom; w <= wTo; w++ {
 		sum.Add(d.WinGlobal[w-1])
 	}
 	mode, ok := outlier.Mode(sum)
 	if !ok {
-		return nil, fmt.Errorf("simtest: span [%d,%d] has no exact majority mode", wFrom, wTo)
+		return spanTruth{}, fmt.Errorf("simtest: span [%d,%d] has no exact majority mode", wFrom, wTo)
 	}
-	ans := &OracleAnswer{Mode: mode}
-	for _, kv := range outlier.TopK(sum, mode, k) {
+	return spanTruth{sum: sum, mode: mode}, nil
+}
+
+// streamSpanOracle is the centralized exact oracle every streaming
+// scenario is judged by: the k-outlier answer on the concatenation of
+// windows [wFrom, wTo].
+func streamSpanOracle(k int, d *StreamData, wFrom, wTo int) (*OracleAnswer, error) {
+	tr, err := d.truthFor(wFrom, wTo)
+	if err != nil {
+		return nil, err
+	}
+	ans := &OracleAnswer{Mode: tr.mode}
+	for _, kv := range outlier.TopK(tr.sum, tr.mode, k) {
 		ans.Outliers = append(ans.Outliers, csoutlier.Outlier{Key: d.Keys[kv.Index], Value: kv.Value})
 	}
 	return ans, nil
-}
-
-// StreamResult is what RunStream hands to the checker: the live
-// aggregator (already drained and closed), the consensus sketcher, and
-// the expected per-window global sketches built by a shadow mirror of
-// the exact fold sequence.
-type StreamResult struct {
-	Agg      *stream.Aggregator
-	Sk       *csoutlier.Sketcher
-	Expected []csoutlier.Sketch // [w] bit-exact expected sketch of window w+1
-	Kills    int64              // chaos-proxy connection kills observed
-}
-
-// RunStream executes the streaming pipeline for real: a TCP
-// stream.Aggregator, one stream.Node per simulated node connected
-// through its own chaos proxy, W windows driven tick by tick. Per
-// window, every node observes its slice key by key and flushes a delta;
-// the dup node's flush is re-delivered verbatim through a raw client;
-// at the crash window, the crash node flushes its share, observes an
-// extra batch that dies with it (Abort), and a successor re-dials with
-// a bumped epoch. Windows rotate manually between ticks, and every node
-// syncs into the new window, so the fold sequence — and therefore every
-// per-window sketch — is deterministic down to the bit.
-func RunStream(scn StreamScenario, data *StreamData) (*StreamResult, error) {
-	sk, err := csoutlier.NewSketcher(data.Keys, csoutlier.Config{
-		M:             scn.M,
-		Seed:          scn.Seed ^ 0x9e3779b97f4a7c15,
-		MaxIterations: recoveryBudget(scn.S, scn.K),
-		Ensemble:      scn.Ens,
-	})
-	if err != nil {
-		return nil, err
-	}
-	agg, err := stream.NewAggregator(sk, stream.AggregatorOptions{Windows: scn.W})
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go agg.Serve(ln)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	closeAgg := func() {
-		cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
-		agg.Close(cctx)
-		ccancel()
-	}
-
-	proxies := make([]*chaosProxy, scn.L)
-	proxySeed := xrand.New(scn.Seed).Split(0x9097)
-	for l := range proxies {
-		p, err := startChaosProxy(ln.Addr().String(), proxySeed.Uint64(), scn.ProxyMin, scn.ProxyMax)
-		if err != nil {
-			closeAgg()
-			return nil, err
-		}
-		defer p.Stop()
-		proxies[l] = p
-	}
-
-	nodeOpts := func(l int, epoch uint64) stream.NodeOptions {
-		return stream.NodeOptions{
-			Epoch:       epoch,
-			PushTimeout: 2 * time.Second,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  20 * time.Millisecond,
-			// Reconnect jitter derives from the scenario seed, so a soak
-			// failure's backoff timing replays from its scenario line.
-			BackoffSeed: xrand.New(scn.Seed).Split(0xbac0ff ^ uint64(l)<<8 ^ epoch).Uint64(),
-		}
-	}
-	nodes := make([]*stream.Node, scn.L)
-	shadow := make([]*csoutlier.Updater, scn.L)
-	for l := range nodes {
-		n, err := stream.Dial(ctx, proxies[l].Addr(), sk, NodeID(l), nodeOpts(l, 1))
-		if err != nil {
-			closeAgg()
-			return nil, fmt.Errorf("simtest: dial node %d: %w", l, err)
-		}
-		nodes[l] = n
-		shadow[l] = sk.NewUpdater()
-	}
-
-	// A raw client straight to the aggregator (no chaos) for verbatim
-	// duplicate injection: the shadow drain bytes are bit-identical to
-	// what the node pushed, so re-delivering them with the node's own
-	// (epoch, window, seq) tags is an exact wire-level duplicate.
-	dupClient, err := stream.DialClient(ctx, ln.Addr().String(), 5*time.Second)
-	if err != nil {
-		closeAgg()
-		return nil, err
-	}
-	defer dupClient.Close()
-
-	res := &StreamResult{Agg: agg, Sk: sk}
-	scratch := sk.ZeroSketch()
-	for w := 1; w <= scn.W; w++ {
-		expected := sk.ZeroSketch()
-		for l := 0; l < scn.L; l++ {
-			// Each window ships as several mid-window delta flushes, not
-			// one snapshot: that is the protocol's real shape, and the
-			// extra frames guarantee every connection outlives its chaos
-			// budget at least once per run.
-			slice := data.WinSlices[w-1][l]
-			for c := 0; c < streamChunks; c++ {
-				lo, hi := len(slice)*c/streamChunks, len(slice)*(c+1)/streamChunks
-				for idx := lo; idx < hi; idx++ {
-					v := slice[idx]
-					if v == 0 {
-						continue
-					}
-					if err := nodes[l].Observe(data.Keys[idx], v); err != nil {
-						closeAgg()
-						return nil, fmt.Errorf("simtest: node %d observe: %w", l, err)
-					}
-					if err := shadow[l].Observe(data.Keys[idx], v); err != nil {
-						closeAgg()
-						return nil, err
-					}
-				}
-				if err := nodes[l].Flush(ctx); err != nil {
-					closeAgg()
-					return nil, fmt.Errorf("simtest: node %d flush (window %d): %w", l, w, err)
-				}
-				if _, err := shadow[l].DrainInto(scratch); err != nil {
-					closeAgg()
-					return nil, err
-				}
-				if err := expected.Add(scratch); err != nil {
-					closeAgg()
-					return nil, err
-				}
-			}
-
-			if l == scn.DupNode {
-				// Re-deliver the flush verbatim: must be acked as a
-				// duplicate and fold nothing.
-				payload, err := scratch.MarshalBinary()
-				if err != nil {
-					closeAgg()
-					return nil, err
-				}
-				st := nodes[l].Stats()
-				ack, err := dupClient.PushDelta(NodeID(l), 1, st.Window, st.Seq, 1, payload)
-				if err != nil {
-					closeAgg()
-					return nil, fmt.Errorf("simtest: dup injection: %w", err)
-				}
-				if ack.Applied || ack.Status != stream.StatusDuplicate {
-					closeAgg()
-					return nil, fmt.Errorf("simtest: duplicate flush was not deduplicated: %+v", ack)
-				}
-			}
-			if l == scn.CrashNode && w == scn.CrashWindow {
-				// The crash loses everything observed since the last flush:
-				// an extra anomalous batch that must never reach the
-				// aggregate. The successor re-dials with a bumped epoch.
-				if err := nodes[l].Observe(data.Keys[data.Support[0]], 123456); err != nil {
-					closeAgg()
-					return nil, err
-				}
-				nodes[l].Abort()
-				n, err := stream.Dial(ctx, proxies[l].Addr(), sk, NodeID(l), nodeOpts(l, 2))
-				if err != nil {
-					closeAgg()
-					return nil, fmt.Errorf("simtest: restart node %d: %w", l, err)
-				}
-				nodes[l] = n
-			}
-		}
-		res.Expected = append(res.Expected, expected)
-		if w < scn.W {
-			agg.Rotate()
-			for l := range nodes {
-				if err := nodes[l].Sync(ctx); err != nil {
-					closeAgg()
-					return nil, fmt.Errorf("simtest: node %d sync: %w", l, err)
-				}
-			}
-		}
-	}
-
-	// Graceful shutdown: every node drains (final flushes are empty),
-	// then the aggregator folds whatever its queue still holds. Its
-	// window store stays queryable for the checker.
-	for l := range nodes {
-		if err := nodes[l].Close(ctx); err != nil {
-			closeAgg()
-			return nil, fmt.Errorf("simtest: node %d close: %w", l, err)
-		}
-	}
-	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
-	err = agg.Close(cctx)
-	ccancel()
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range proxies {
-		res.Kills += p.Kills()
-	}
-	return res, nil
-}
-
-// CheckStreamScenario is the streaming harness's unit of work:
-// materialize the scenario, run the real push pipeline through chaos
-// proxies with the scheduled crash and duplicate injection, then check
-// (1) every per-window aggregator sketch is bit-identical to the shadow
-// mirror of the exact fold sequence, (2) the recovered outliers match
-// the exact centralized oracle for every contiguous window span, and
-// (3) the liveness/idempotency bookkeeping saw what the schedule did.
-func CheckStreamScenario(scn StreamScenario) error {
-	data, err := scn.BuildStream()
-	if err != nil {
-		return err
-	}
-	res, err := RunStream(scn, data)
-	if err != nil {
-		return err
-	}
-	// The chaos budgets are sized so every run loses at least one
-	// connection mid-exchange; if none died, the faults this harness
-	// exists to exercise never happened.
-	if res.Kills < 1 {
-		return fmt.Errorf("chaos proxies killed no connections; budgets [%d, %d] too generous for this schedule",
-			scn.ProxyMin, scn.ProxyMax)
-	}
-
-	// (1) Bit-identical per-window global sketches.
-	for w := 1; w <= scn.W; w++ {
-		age := scn.W - w
-		got, err := res.Agg.WindowSketch(age)
-		if err != nil {
-			return fmt.Errorf("window %d (age %d): %w", w, age, err)
-		}
-		want := res.Expected[w-1]
-		for i := range got.Y {
-			if math.Float64bits(got.Y[i]) != math.Float64bits(want.Y[i]) {
-				return fmt.Errorf("window %d sketch diverges from shadow fold at Y[%d]: %v != %v (bit-exact)",
-					w, i, got.Y[i], want.Y[i])
-			}
-		}
-	}
-
-	// (2) Every contiguous span's recovered outliers match the oracle.
-	queries := 0
-	for from := 0; from < scn.W; from++ {
-		for to := from; to < scn.W; to++ {
-			rep, err := res.Agg.Outliers(from, to, scn.K)
-			queries++
-			if err != nil {
-				return fmt.Errorf("span [%d,%d]: %w", from, to, err)
-			}
-			ans, err := scn.spanOracle(data, scn.W-to, scn.W-from)
-			if err != nil {
-				return err
-			}
-			if err := compareReport(rep, ans); err != nil {
-				return fmt.Errorf("span [%d,%d] differential oracle: %w", from, to, err)
-			}
-		}
-	}
-	// A repeated standing query must come from the recovery cache.
-	if _, err := res.Agg.Outliers(0, scn.W-1, scn.K); err != nil {
-		return err
-	}
-	queries++
-	if s := res.Agg.Stats(); s.CacheHits < 1 {
-		return fmt.Errorf("repeated standing query missed the cache: %+v", s)
-	}
-
-	// Counter identities at quiescence: every frame landed in exactly one
-	// outcome bucket, and every query either hit or missed the cache.
-	stats := res.Agg.Stats()
-	if stats.Frames != stats.Applied+stats.Duplicates+stats.Dropped+stats.Rejected {
-		return fmt.Errorf("frame identity violated: %d frames != %d applied + %d dup + %d dropped + %d rejected",
-			stats.Frames, stats.Applied, stats.Duplicates, stats.Dropped, stats.Rejected)
-	}
-	if got := stats.CacheHits + stats.CacheMisses; got != int64(queries) {
-		return fmt.Errorf("cache hits+misses = %d, issued %d queries", got, queries)
-	}
-	// The registry is the same books as the AggStats snapshot.
-	if reg := res.Agg.MetricsRegistry(); reg != nil {
-		for _, c := range []struct {
-			name string
-			want int64
-		}{
-			{"stream_frames_total", stats.Frames},
-			{"stream_rotations_total", stats.Rotations},
-			{"stream_hellos_total", stats.Hellos},
-			{"stream_connections_total", stats.Conns},
-		} {
-			if got := reg.Counter(c.name, "").Value(); got != c.want {
-				return fmt.Errorf("registry %s = %d, AggStats says %d", c.name, got, c.want)
-			}
-		}
-		outcomes := reg.CounterVec("stream_frame_outcomes_total", "", "outcome")
-		for _, c := range []struct {
-			label string
-			want  int64
-		}{
-			{"applied", stats.Applied},
-			{"duplicate", stats.Duplicates},
-			{"dropped", stats.Dropped},
-			{"rejected", stats.Rejected},
-		} {
-			if got := outcomes.With(c.label).Value(); got != c.want {
-				return fmt.Errorf("registry frame outcome %s = %d, AggStats says %d", c.label, got, c.want)
-			}
-		}
-	}
-
-	// (3) Liveness and idempotency bookkeeping.
-	sts := res.Agg.Nodes()
-	if len(sts) != scn.L {
-		return fmt.Errorf("%d nodes in liveness table, want %d", len(sts), scn.L)
-	}
-	for _, ns := range sts {
-		i := -1
-		fmt.Sscanf(ns.Node, "node%d", &i)
-		switch {
-		case i == scn.CrashNode && (ns.Epoch != 2 || ns.Restarts != 1):
-			return fmt.Errorf("crash node status %+v, want epoch 2 after 1 restart", ns)
-		case i != scn.CrashNode && ns.Epoch != 1:
-			return fmt.Errorf("node %s status %+v, want epoch 1", ns.Node, ns)
-		case ns.Lag != 0:
-			return fmt.Errorf("node %s still lags after final sync: %+v", ns.Node, ns)
-		case ns.Applied < int64(scn.W)-1:
-			return fmt.Errorf("node %s applied only %d deltas over %d windows", ns.Node, ns.Applied, scn.W)
-		}
-	}
-	if s := res.Agg.Stats(); s.Duplicates < int64(scn.W) {
-		return fmt.Errorf("aggregator saw %d duplicates, injected %d", s.Duplicates, scn.W)
-	}
-	// Per-node outcome counters sum to the aggregate ones. Rejected is
-	// >=: a stale-epoch frame is refused before any node state is
-	// charged, so it counts aggregator-wide only.
-	var applied, dups, dropped, rejected int64
-	for _, ns := range sts {
-		applied += ns.Applied
-		dups += ns.Duplicates
-		dropped += ns.Dropped
-		rejected += ns.Rejected
-	}
-	switch {
-	case applied != stats.Applied, dups != stats.Duplicates, dropped != stats.Dropped:
-		return fmt.Errorf("per-node sums (applied %d, dup %d, dropped %d) disagree with aggregate (%d, %d, %d)",
-			applied, dups, dropped, stats.Applied, stats.Duplicates, stats.Dropped)
-	case rejected > stats.Rejected:
-		return fmt.Errorf("per-node rejected sum %d exceeds aggregate %d", rejected, stats.Rejected)
-	}
-	return nil
 }

@@ -18,18 +18,17 @@
 # sensing kernels, blocked GEMM (internal/linalg), and batched recovery
 # engine (internal/recovery); the simulation smoke runs randomized
 # end-to-end scenarios against the exact oracle (see internal/simtest),
-# then the streaming soak drives the push pipeline through chaos TCP
-# proxies (connection kills, a node crash/restart, duplicate deltas)
-# and checks every window bit-identically against the centralized
-# oracle — including a crash-restart flavor (aggregator snapshot,
-# kill, restore, node replay), a membership-churn flavor (mid-run
-# join, graceful leave, eviction + resurrection), a point-query
-# flavor (recovery-free count-sketch point answers vs the exact oracle,
-# mid-run and over every window span), and a hierarchical-tier flavor
-# (2-tier × 2-shard tree with a relay kill/restore, checked bitwise
-# per shard root window and against the oracle through the query
-# router). Raise -sim.count /
-# -sim.streamcount and friends for soak runs. The -bench mode
+# then the streaming soaks drive the push pipeline through one scenario
+# harness (one scenario type carrying a schedule of fault marks, one rig,
+# one checker: internal/simtest/stream*.go) with five seeded generators:
+# chaos-TCP connection kills with a node crash/restart and duplicate
+# deltas; an aggregator snapshot, kill, restore and node replay; a
+# mid-run join, graceful leave and eviction + resurrection; count-sketch
+# point answers mid-run and over every window span; and the 2-tier ×
+# 2-shard tree with a relay kill/restore. Every run is held to the same
+# oracle: each root window bit-identical to a shadow fold, every span's
+# answers equal to the centralized ones, every book balanced. Raise
+# -sim.count / -sim.streamcount and friends for soak runs. The -bench mode
 # compiles and runs every benchmark exactly once — it catches bit-rotted
 # benchmark code without paying for a real measurement (use
 # scripts/bench.sh for that) — and then drives three checked rounds of
@@ -53,7 +52,9 @@
 # internal/sensing (pointquery.go's *sensing.CountSketch is the one
 # exception — the point estimators are not Matrix methods), no name of a
 # retired ensemble, the column cache or the optional batch interface
-# anywhere, and a gofmt-clean tree.
+# anywhere, and a gofmt-clean tree. Last, the one-harness guards: a second
+# replay-line field loop or a third chaos-proxy call site in
+# internal/simtest is a copy of the streaming harness growing back.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -97,6 +98,21 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "verify: gofmt -l names:" >&2
 	printf '%s\n' "$unformatted" >&2
+	exit 1
+fi
+
+echo "== one streaming scenario harness =="
+# Every replay grammar (v1, stream2 and the five legacy prefixes) is a
+# field table read by parseReplayLine, and the rig starts its proxies in
+# one place (two are allowed: one per topology constructor).
+loops=$(grep -c 'strings.Fields(strings.TrimSpace(line))' $(ls internal/simtest/*.go | grep -v _test.go) | awk -F: '{n += $2} END {print n}')
+if [ "$loops" -gt 1 ]; then
+	echo "verify: $loops replay-line field loops in internal/simtest; add a field table to parseReplayLine instead" >&2
+	exit 1
+fi
+sites=$(grep -h 'startChaosProxy(' $(ls internal/simtest/*.go | grep -v _test.go) | grep -vc '^func ')
+if [ "$sites" -gt 2 ]; then
+	echo "verify: $sites startChaosProxy call sites in internal/simtest; the flat and the tier rig are the only two" >&2
 	exit 1
 fi
 
