@@ -108,9 +108,9 @@ type Report struct {
 	// Selection is the recovery engine's internal selection order for
 	// this query (an opaque warm hint). A standing query should pass the
 	// previous generation's Selection as Warm in the next DetectQuery/
-	// DetectBatch call: when the data between two sketches drifts slowly,
-	// recovery then replays its prediction instead of re-deriving it,
-	// at identical (bit-exact) output. Safe to pass stale or to drop.
+	// DetectBatch call: recovery then fetches the columns it is about to
+	// need in one pass instead of one at a time, at identical (bit-exact)
+	// output. Safe to pass stale or to drop.
 	Selection []int
 }
 
@@ -179,10 +179,16 @@ type Sketcher struct {
 	spec   sensing.Spec   // the consensus: what every participant must share, D resolved
 	matrix sensing.Matrix // sensing.New(spec): dense when affordable, seeded otherwise
 
+	// gram is the matrix's Gram-column cache (Φᵀφₛ for the columns
+	// recovery has selected), shared by every workspace below: what one
+	// query computed, the next one — a later generation of the same
+	// standing query, or another query on the same data — finds.
+	gram *recovery.GramCache
+
 	// wsHeld and ws recycle recovery workspaces across Detect/Recover
 	// calls, so a standing query replaying BOMP on each refreshed sketch
-	// reuses all recovery scratch (QR factorization, correlation and
-	// residual buffers) instead of reallocating it per query.
+	// reuses all recovery scratch (QR factorization and correlation
+	// buffers) instead of reallocating it per query.
 	// wsHeld is one strongly-held workspace in front of the pool: a pool
 	// is emptied by two GCs in a row, and a warmed Sketcher serving one
 	// query at a time must not re-grow ~2 MB of buffers whenever that
@@ -214,14 +220,16 @@ type detectMetrics struct {
 	residual   *obs.Gauge
 	detects    *obs.Counter
 
+	// Exact work counters, both paths.
+	gramHits      *obs.Counter
+	gramMisses    *obs.Counter
+	correlateCols *obs.Counter
+
 	// Batch-engine metrics (DetectBatch / DetectQuery).
-	batches       *obs.Counter
-	batchQueries  *obs.Counter
-	batchWarm     *obs.Counter
-	batchScripted *obs.Counter
-	batchLive     *obs.Counter
-	batchDiverged *obs.Counter
-	batchSeconds  *obs.Histogram
+	batches      *obs.Counter
+	batchQueries *obs.Counter
+	batchWarm    *obs.Counter
+	batchSeconds *obs.Histogram
 
 	// bompPicks is recovery_solver_picks_total{solver="bomp"}: the family
 	// predates the single-solver path and the end-to-end benchmark reads
@@ -237,17 +245,19 @@ type detectMetrics struct {
 //	recovery_residual_norm       — last query's final ‖y − Φ·x̂‖₂
 //	recovery_detects_total       — queries answered by BOMP
 //
+// the exact work behind them:
+//
+//	recovery_gram_hits_total          — Gram columns Φᵀφₛ found in the cache
+//	recovery_gram_misses_total        — Gram columns computed (one correlate each)
+//	recovery_correlate_columns_total  — dictionary columns × vectors correlated
+//	                                    with them: N per query, N per miss
+//
 // and the batch engine's (DetectBatch / DetectQuery):
 //
-//	recovery_batches_total                     — batched recovery passes
-//	recovery_batch_queries_total               — queries served batched
-//	recovery_batch_warm_total                  — of those, warm-hinted
-//	recovery_batch_scripted_iterations_total   — iterations served from the
-//	                                             precomputed correlation block
-//	recovery_batch_live_iterations_total       — iterations needing a fresh
-//	                                             correlation pass
-//	recovery_batch_divergences_total           — stale warm hints detected
-//	recovery_batch_seconds                     — wall time per batched pass
+//	recovery_batches_total         — batched recovery passes
+//	recovery_batch_queries_total   — queries served batched
+//	recovery_batch_warm_total      — of those, warm-hinted
+//	recovery_batch_seconds         — wall time per batched pass
 //
 // plus, under the name dashboards and the end-to-end benchmark already
 // read:
@@ -272,12 +282,12 @@ func (s *Sketcher) Instrument(reg *obs.Registry) {
 			"outlier queries served through the batched recovery engine"),
 		batchWarm: reg.Counter("recovery_batch_warm_total",
 			"batched queries that carried a warm-start hint"),
-		batchScripted: reg.Counter("recovery_batch_scripted_iterations_total",
-			"greedy iterations served from the batched correlation block"),
-		batchLive: reg.Counter("recovery_batch_live_iterations_total",
-			"greedy iterations that needed a live correlation pass"),
-		batchDiverged: reg.Counter("recovery_batch_divergences_total",
-			"warm-started queries whose hint went stale mid-replay"),
+		gramHits: reg.Counter("recovery_gram_hits_total",
+			"Gram columns recovery found in the Sketcher's cache"),
+		gramMisses: reg.Counter("recovery_gram_misses_total",
+			"Gram columns recovery had to compute, one correlate each"),
+		correlateCols: reg.Counter("recovery_correlate_columns_total",
+			"dictionary columns correlated, times the vectors correlated with them"),
 		batchSeconds: reg.Histogram("recovery_batch_seconds",
 			"wall time per batched recovery pass, in seconds", obs.LatencyBuckets()),
 		bompPicks: reg.CounterVec("recovery_solver_picks_total",
@@ -315,7 +325,7 @@ func NewSketcher(keys []string, cfg Config) (*Sketcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sketcher{cfg: cfg, dict: dict, spec: spec, matrix: mat}, nil
+	return &Sketcher{cfg: cfg, dict: dict, spec: spec, matrix: mat, gram: recovery.NewGramCache(mat)}, nil
 }
 
 // N returns the key-space size.
@@ -413,7 +423,7 @@ func (s *Sketcher) workspace() *recovery.Workspace {
 	if ws, ok := s.ws.Get().(*recovery.Workspace); ok {
 		return ws
 	}
-	return recovery.NewWorkspace()
+	return s.gram.NewWorkspace()
 }
 
 // putWorkspace returns a checked-out workspace, refilling the held slot
@@ -460,8 +470,15 @@ func (s *Sketcher) Detect(global Sketch, k int) (*Report, error) {
 		m.residual.Set(res.Residual)
 		m.detects.Inc()
 		m.bompPicks.Inc()
+		m.observeGram(ws.GramStats())
 	}
 	return s.reportFromResult(res, k), nil
+}
+
+func (m *detectMetrics) observeGram(g recovery.GramStats) {
+	m.gramHits.Add(int64(g.Hits))
+	m.gramMisses.Add(int64(g.Misses))
+	m.correlateCols.Add(int64(g.CorrelateColumns))
 }
 
 // reportFromResult packages a recovery result into a Report, copying
@@ -509,10 +526,11 @@ func (s *Sketcher) DetectQuery(global Sketch, k int, warm []int) (*Report, error
 }
 
 // DetectBatch answers many outlier queries in one pass through the
-// batched recovery engine: every greedy iteration the warm hints predict
-// is correlated in a single block kernel call that regenerates each
-// dictionary column once for the whole batch. Each report is
-// bit-identical to an independent Detect on the same sketch.
+// batched recovery engine: every query's first correlation and every
+// Gram column a warm hint names that the cache lacks go through a single
+// block kernel call that regenerates each dictionary column once for the
+// whole batch. Each report is bit-identical to an independent Detect on
+// the same sketch.
 func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -565,9 +583,7 @@ func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 		m.bompPicks.Add(int64(len(queries)))
 		m.batchQueries.Add(int64(stats.Items))
 		m.batchWarm.Add(int64(stats.Warm))
-		m.batchScripted.Add(int64(stats.ScriptedIterations))
-		m.batchLive.Add(int64(stats.LiveIterations))
-		m.batchDiverged.Add(int64(stats.Divergences))
+		m.observeGram(stats.GramStats)
 	}
 	return reports, nil
 }

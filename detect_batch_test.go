@@ -103,8 +103,17 @@ func TestDetectBatchMatchesDetect(t *testing.T) {
 			if got := counter("recovery_batch_warm_total"); got != 9 {
 				t.Fatalf("recovery_batch_warm_total = %d, want 9", got)
 			}
-			if counter("recovery_batch_scripted_iterations_total") == 0 {
-				t.Fatal("no scripted iterations recorded")
+			// Both paths count their work: every query correlates the N
+			// dictionary columns once for c₀ and once more per Gram miss —
+			// 12 Detects and 12 batched queries here. The data drifts without
+			// changing its support, so the cache answers most lookups.
+			hits, misses := counter("recovery_gram_hits_total"), counter("recovery_gram_misses_total")
+			if want := int64(s.N()) * (24 + misses); counter("recovery_correlate_columns_total") != want {
+				t.Fatalf("recovery_correlate_columns_total = %d, want N·(24 + %d misses) = %d",
+					counter("recovery_correlate_columns_total"), misses, want)
+			}
+			if misses == 0 || hits <= misses {
+				t.Fatalf("gram hits %d, misses %d: want some misses and mostly hits", hits, misses)
 			}
 		})
 	}

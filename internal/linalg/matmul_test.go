@@ -95,3 +95,35 @@ func TestParallelWorkersScaling(t *testing.T) {
 		t.Fatalf("large work got %d workers", w)
 	}
 }
+
+// TestSubCombination pins the Gram-form kernel against the
+// one-term-at-a-time definition within round-off, covering the 4-term
+// blocking remainder (len(z) % 4 != 0), the zero-term copy and the reuse
+// of a long-enough dst.
+func TestSubCombination(t *testing.T) {
+	r := xrand.New(23)
+	var dst Vector
+	for _, sh := range []struct{ terms, n int }{
+		{0, 5}, {1, 1}, {3, 33}, {4, 64}, {9, 257}, {46, 4097},
+	} {
+		c := randVec(r, sh.n)
+		z := randVec(r, sh.terms)
+		g := make([]Vector, sh.terms)
+		for i := range g {
+			g[i] = randVec(r, sh.n)
+		}
+		dst = SubCombination(dst, c, z, g)
+		if len(dst) != sh.n {
+			t.Fatalf("%d terms × %d: len(dst)=%d", sh.terms, sh.n, len(dst))
+		}
+		for j := range dst {
+			want := c[j]
+			for i := range g {
+				want -= z[i] * g[i][j]
+			}
+			if math.Abs(dst[j]-want) > 1e-12*(1+math.Abs(want)) {
+				t.Fatalf("%d terms × %d: dst[%d]=%v, definition gives %v", sh.terms, sh.n, j, dst[j], want)
+			}
+		}
+	}
+}

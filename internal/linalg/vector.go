@@ -166,3 +166,45 @@ func (v Vector) ArgMaxAbs() (int, float64) {
 	}
 	return best, bestAbs
 }
+
+// SubCombination computes dst = c − Σᵢ z[i]·g[i], the Gram-form update
+// of an OMP correlation vector (Batch-OMP, Rubinstein et al. 2008): with
+// c = Φᵀy and g[i] = Φᵀφ_{sᵢ}, the result is Φᵀ(y − Σ zᵢφ_{sᵢ}) without
+// touching Φ. Every vector has the length of c; dst is allocated when
+// too short and must not alias c or any g[i]. Terms are taken four at a
+// time, in i order, so the result is a fixed function of the arguments.
+//
+// The kernel does one multiply-add per 8 bytes it loads, so it runs at
+// memory speed and stays on one goroutine: on the 2-CPU reference box a
+// 46-term × 4097 combination split in two took 80 µs against 55 µs serial.
+func SubCombination(dst, c, z Vector, g []Vector) Vector {
+	if len(z) != len(g) {
+		panic(fmt.Sprintf("linalg: SubCombination %d coefficients, %d vectors", len(z), len(g)))
+	}
+	n := len(c)
+	for i := range g {
+		if len(g[i]) != n {
+			panic(fmt.Sprintf("linalg: SubCombination vector %d length %d, want %d", i, len(g[i]), n))
+		}
+	}
+	if cap(dst) < n {
+		dst = make(Vector, n)
+	}
+	dst = dst[:n]
+	copy(dst, c)
+	i := 0
+	for ; i+4 <= len(z); i += 4 {
+		z0, z1, z2, z3 := z[i], z[i+1], z[i+2], z[i+3]
+		g0, g1, g2, g3 := g[i][:n], g[i+1][:n], g[i+2][:n], g[i+3][:n]
+		for j := range dst {
+			dst[j] -= (z0*g0[j] + z1*g1[j]) + (z2*g2[j] + z3*g3[j])
+		}
+	}
+	for ; i < len(z); i++ {
+		zi, gi := z[i], g[i][:n]
+		for j := range dst {
+			dst[j] -= zi * gi[j]
+		}
+	}
+	return dst
+}

@@ -95,13 +95,14 @@ func batchBenchSetup(b *testing.B) (sensing.Matrix, []*Workspace, []BatchItem) {
 
 // BenchmarkBatchedRecoveryCold8 is the baseline the batch engine is
 // measured against: the same 8 standing queries served the pre-batch
-// way, one independent cold workspace BOMP per query.
+// way, one independent BOMP per query on a throwaway workspace, so
+// every Gram column is a miss.
 func BenchmarkBatchedRecoveryCold8(b *testing.B) {
-	mat, wss, items := batchBenchSetup(b)
+	mat, _, items := batchBenchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for q := range items {
-			if _, err := wss[q].BOMP(mat, items[q].Y, items[q].Opt); err != nil {
+			if _, err := BOMP(mat, items[q].Y, items[q].Opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -109,9 +110,10 @@ func BenchmarkBatchedRecoveryCold8(b *testing.B) {
 }
 
 // BenchmarkBatchedRecoveryWarm8 serves the same 8 queries through
-// BOMPBatch with warm hints — one block correlation for all scripted
-// iterations of all queries. BENCH.json pins this at ≥2× below Cold8;
-// the results are bit-identical (TestBOMPBatchBitIdentical).
+// BOMPBatch with warm hints — one block correlation for the 8 c₀s, every
+// Gram column already in the workspaces' caches. BENCH.json pins this at
+// ≥2× below Cold8; the results are bit-identical
+// (TestBOMPBatchBitIdentical).
 func BenchmarkBatchedRecoveryWarm8(b *testing.B) {
 	mat, wss, items := batchBenchSetup(b)
 	b.ResetTimer()
@@ -140,6 +142,59 @@ func BenchmarkWarmStartBOMP(b *testing.B) {
 		if _, err := ws.BOMPWarm(mat, y, warm, opt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// gramBenchInstances are the two shapes the Gram-form benchmarks run on:
+// the end-to-end benchmark's query_cold geometry (stored Gaussian, k=15)
+// and the regenerating scaling instance of the benchmarks above.
+var gramBenchInstances = []struct {
+	name    string
+	mk      func(sensing.Params) (sensing.Matrix, error)
+	m, n, s int
+}{
+	{"Dense384x4096", func(p sensing.Params) (sensing.Matrix, error) { return sensing.NewDense(p) }, 384, 4096, 15},
+	{"Seeded128x1000", func(p sensing.Params) (sensing.Matrix, error) { return sensing.NewSeeded(p) }, 128, 1000, 10},
+}
+
+// BenchmarkRecoveryBOMPGramHit is a query whose every Gram column is in
+// the cache (a standing query's steady state): one correlate for c₀,
+// then O(t·N) per iteration.
+func BenchmarkRecoveryBOMPGramHit(b *testing.B) {
+	for _, in := range gramBenchInstances {
+		b.Run(in.name, func(b *testing.B) {
+			mat, y, s := benchInstance(b, in.mk, in.m, in.n, in.s)
+			opt := Options{MaxIterations: 3*s + 1}
+			ws := NewGramCache(mat).NewWorkspace()
+			if _, err := ws.BOMP(mat, y, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ws.BOMP(mat, y, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRecoveryBOMPGramMiss is the same query on a throwaway
+// workspace: every column it selects is a miss — one correlate each, as
+// the residual form paid — plus the combination and the cache's columns
+// allocated on top. The stated cost of a one-shot solve.
+func BenchmarkRecoveryBOMPGramMiss(b *testing.B) {
+	for _, in := range gramBenchInstances {
+		b.Run(in.name, func(b *testing.B) {
+			mat, y, s := benchInstance(b, in.mk, in.m, in.n, in.s)
+			opt := Options{MaxIterations: 3*s + 1}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BOMP(mat, y, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -5,18 +5,20 @@
 // data concentrates around, and OMP with an externally known mode (the
 // baseline of Figure 4a).
 //
-// All algorithms share one greedy engine: per iteration, correlate every
-// dictionary column with the current residual, select the column with the
-// largest |inner product|, append it to an incrementally maintained QR
-// factorization, and re-project. The engine also implements the paper's
+// All algorithms share one greedy engine: per iteration, select the
+// dictionary column most correlated with the current residual, append it
+// to an incrementally maintained QR factorization, and re-project. The
+// correlations come from the Gram form (see Workspace), so an iteration
+// never passes over the matrix. The engine also implements the paper's
 // §5 production fix — "terminate the recovery process once the residual
 // stops decreasing" — which guards against Gram–Schmidt floating-point
 // drift at high iteration counts.
 //
 // The engine runs inside a Workspace (see workspace.go) that owns all
 // scratch: the package-level BOMP/OMP/KnownModeOMP entry points build a
-// throwaway workspace per call, while hot paths (the standing-query
-// Sketcher) hold one and replay queries allocation-free.
+// throwaway workspace per call — and so compute every Gram column they
+// use — while hot paths (the standing-query Sketcher) hold workspaces on
+// one shared GramCache and replay queries allocation-free.
 package recovery
 
 import (
@@ -172,56 +174,6 @@ func modeFromExtended(z linalg.Vector, idx []int, n int) float64 {
 		}
 	}
 	return 0
-}
-
-// dictionary is the greedy engine's view of the measurement matrix:
-// an indexed set of unit-scale columns.
-type dictionary interface {
-	size() int
-	col(j int, dst linalg.Vector) linalg.Vector
-	// correlate fills dst[j] = <column j, r> for all j.
-	correlate(r, dst linalg.Vector) linalg.Vector
-}
-
-// plainDict exposes Φ₀ as-is.
-type plainDict struct{ m sensing.Matrix }
-
-func (d *plainDict) size() int { return d.m.Params().N }
-func (d *plainDict) col(j int, dst linalg.Vector) linalg.Vector {
-	return d.m.Col(j, dst)
-}
-func (d *plainDict) correlate(r, dst linalg.Vector) linalg.Vector {
-	return d.m.Correlate(r, dst)
-}
-
-// biasedDict exposes the extended matrix Φ = [φ₀, Φ₀] (paper eq. 2):
-// column 0 is the bias column, column j+1 is φ_j.
-type biasedDict struct {
-	m    sensing.Matrix
-	phi0 linalg.Vector
-}
-
-func (d *biasedDict) size() int { return d.m.Params().N + 1 }
-func (d *biasedDict) col(j int, dst linalg.Vector) linalg.Vector {
-	if j == 0 {
-		if cap(dst) < len(d.phi0) {
-			dst = make(linalg.Vector, len(d.phi0))
-		}
-		dst = dst[:len(d.phi0)]
-		copy(dst, d.phi0)
-		return dst
-	}
-	return d.m.Col(j-1, dst)
-}
-func (d *biasedDict) correlate(r, dst linalg.Vector) linalg.Vector {
-	n := d.m.Params().N
-	if cap(dst) < n+1 {
-		dst = make(linalg.Vector, n+1)
-	}
-	dst = dst[:n+1]
-	d.m.Correlate(r, dst[1:])
-	dst[0] = d.phi0.Dot(r)
-	return dst
 }
 
 type diagnostics struct {

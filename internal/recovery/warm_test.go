@@ -234,20 +234,38 @@ func TestBOMPBatchBitIdentical(t *testing.T) {
 			if stats.Items != nq {
 				t.Fatalf("stats.Items = %d, want %d", stats.Items, nq)
 			}
-			if stats.ScriptedIterations == 0 {
-				t.Fatal("no scripted iterations in a batch with exact warm hints")
-			}
 			if stats.Warm == 0 {
 				t.Fatal("stats.Warm = 0 despite warmed items")
+			}
+			// Every workspace came with an empty cache of its own: the run
+			// computed each Gram column it used, and besides those the only
+			// pass over the dictionary is one c₀ per non-zero measurement.
+			if stats.Misses == 0 {
+				t.Fatal("no Gram miss on empty caches")
+			}
+			if want := p.N * (nq - 1 + stats.Misses); stats.CorrelateColumns != want {
+				t.Fatalf("correlated %d columns, want N·(c₀s + misses) = %d", stats.CorrelateColumns, want)
+			}
+			// The same batch again finds every column: c₀ is all that is left.
+			results, stats, err = BOMPBatch(tc.mat, wss, items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range results {
+				resultsBitIdentical(t, tc.name+" again", results[i], colds[i])
+			}
+			if stats.Misses != 0 || stats.Hits == 0 || stats.CorrelateColumns != p.N*(nq-1) {
+				t.Fatalf("warmed caches: %+v, want no miss and N·%d columns correlated", stats, nq-1)
 			}
 		})
 	}
 }
 
 // TestBOMPBatchExactHintSkipsLiveCorrelation checks the payoff: an item
-// whose hint IS the true trajectory replays entirely from the
-// precomputed block — its divergence count is zero and the batch needs
-// no live round for it.
+// whose hint IS the true trajectory fetches every Gram column it will
+// use in the batch's one block correlate, so its greedy loop never
+// passes over the matrix — and the next generation, hinted the same,
+// correlates nothing but its c₀.
 func TestBOMPBatchExactHintSkipsLiveCorrelation(t *testing.T) {
 	rng := xrand.New(999)
 	tc := warmEnsembles(t)[1] // Seeded
@@ -260,23 +278,29 @@ func TestBOMPBatchExactHintSkipsLiveCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold = cloneResult(cold)
-	results, stats, err := BOMPBatch(tc.mat,
-		[]*Workspace{NewWorkspace()},
-		[]BatchItem{{Y: y, Warm: cold.Selection, Opt: opt}})
+	wss := []*Workspace{NewWorkspace()}
+	items := []BatchItem{{Y: y, Warm: cold.Selection, Opt: opt}}
+	results, stats, err := BOMPBatch(tc.mat, wss, items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resultsBitIdentical(t, tc.name, results[0], cold)
-	if stats.Divergences != 0 {
-		t.Fatalf("exact hint diverged %d times", stats.Divergences)
+	// Every hinted column missed (the cache was empty) inside the block;
+	// the loop then looked each selection up and hit — the last one only
+	// if a stop rule did not fire right after it.
+	if stats.Misses != cold.Iterations || (stats.Hits != cold.Iterations && stats.Hits != cold.Iterations-1) {
+		t.Fatalf("exact hint on an empty cache: %+v, want %d misses and as many hits, or one fewer", stats, cold.Iterations)
 	}
-	if stats.LiveIterations != 0 {
-		t.Fatalf("exact hint needed %d live iterations, want 0", stats.LiveIterations)
+	if want := p.N * (1 + cold.Iterations); stats.CorrelateColumns != want {
+		t.Fatalf("correlated %d columns, want %d", stats.CorrelateColumns, want)
 	}
-	// The cold run correlates once per selection, plus possibly one final
-	// pass that finds nothing and stops; all of them must be scripted.
-	if stats.ScriptedIterations != cold.Iterations && stats.ScriptedIterations != cold.Iterations+1 {
-		t.Fatalf("scripted %d iterations, cold selected %d columns", stats.ScriptedIterations, cold.Iterations)
+	results, stats, err = BOMPBatch(tc.mat, wss, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsBitIdentical(t, tc.name, results[0], cold)
+	if stats.Misses != 0 || stats.CorrelateColumns != p.N {
+		t.Fatalf("exact hint on a warm cache: %+v, want no miss and only c₀'s %d columns", stats, p.N)
 	}
 }
 

@@ -10,135 +10,76 @@ import (
 )
 
 // Workspace owns every buffer the greedy recovery engine touches — the
-// correlation vector, column scratch, residual, QR factorization, masks
-// and the Result itself — so that a standing query replaying BOMP on
-// each refreshed sketch performs no heap allocation after the first call
+// correlation vectors, column scratch, QR factorization, masks and the
+// Result itself — so that a standing query replaying BOMP on each
+// refreshed sketch performs no heap allocation after the first call
 // (pinned by AllocsPerRun tests).
+//
+// The engine is Batch-OMP (Rubinstein, Zibulevsky & Elad 2008). It never
+// forms the residual: with c₀ = Φᵀy computed once, the correlations of
+// the residual after t selections s₁..s_t are
+//
+//	c_t = Φᵀ(y − Σᵢ zᵢ·φ_{sᵢ}) = c₀ − Σᵢ zᵢ·g_{sᵢ},   g_s = Φᵀφ_s,
+//
+// where z is the least-squares solution on the current basis (one O(t²)
+// back-substitution on the incremental QR) — O(t·N) per iteration
+// instead of an O(M·N) pass over Φ. The Gram columns g_s come from a
+// GramCache: the one the workspace was made on (GramCache.NewWorkspace),
+// else one of its own, kept while it is called with the same matrix.
+// g_s is a function of Φ alone and the combination takes its terms in
+// selection order, so a Result is a function of (Φ, y, Options): what the
+// cache holds, and whether a hint prefetched it, never changes a bit.
 //
 // A Workspace is NOT safe for concurrent use. The *Result returned by
 // its methods, including every slice inside it, is owned by the
 // Workspace and is overwritten by the next call; callers that keep
 // results across calls must copy what they need first.
 type Workspace struct {
+	gram     *GramCache
 	qr       *linalg.IncrementalQR
-	corr     linalg.Vector // Φᵀr, extended-dictionary length
-	colBuf   linalg.Vector // selected column scratch
-	residual linalg.Vector // current residual r
-	coef     linalg.Vector // least-squares coefficients
-	phi0     linalg.Vector // cached-φ₀ copy for the biased dictionary
-	shifted  linalg.Vector // KnownModeOMP's bias-cancelled measurement
-	x        linalg.Vector // assembled N-length output
-	masked   bitset        // columns in the basis or excluded from it
-	selected []int         // selection order
-	selOut   []int         // Result.Selection backing (copy, see finishBOMP)
-	support  []int         // Result.Support backing
-	coefOut  []float64     // Result.Coef backing
+	c0       linalg.Vector   // [φ₀·y, Φ₀ᵀy]
+	corr     linalg.Vector   // c_t, extended-dictionary length
+	colBuf   linalg.Vector   // the column just selected
+	coef     linalg.Vector   // least-squares coefficients z, selection order
+	gcols    []linalg.Vector // g of every selected column but the last
+	pins     []*gramSlot     // cache slots this run holds
+	pending  []*gramSlot     // hinted misses awaiting the block correlate
+	fillBuf  linalg.Vector   // their columns, flat ×M
+	shifted  linalg.Vector   // KnownModeOMP's bias-cancelled measurement
+	x        linalg.Vector   // assembled N-length output
+	masked   bitset          // columns in the basis or excluded from it
+	selected []int           // selection order, extended-dictionary indices
+	selOut   []int           // Result.Selection backing (copy, see finish)
+	support  []int           // Result.Support backing
+	coefOut  []float64       // Result.Coef backing
 	res      Result
-	bd       biasedDict
-	pd       plainDict
 	st       greedyState
+	stats    GramStats
 
-	// Warm-start prediction state (see warm.go). qrSeed is a second QR
-	// so the prediction pass never disturbs ws.qr, which the replay
-	// rebuilds live.
-	qrSeed   *linalg.IncrementalQR
-	script   []int         // validated warm hint: the predicted selection order
-	predRes  linalg.Vector // predicted residual rows, flat rows×M
-	predCorr linalg.Vector // their biased correlations, flat rows×(N+1)
+	// Scratch of the solve this workspace leads (wss[0] of a batch).
+	rs, dsts []linalg.Vector
+	results  []*Result
+	self     [1]*Workspace
+	item     [1]BatchItem
 }
 
-// NewWorkspace returns an empty workspace. Buffers are sized lazily on
-// first use and retained across calls, so one workspace serves queries
-// of mixed shapes (buffers grow to the largest seen).
+// NewWorkspace returns an empty workspace with a Gram cache of its own.
+// Buffers are sized lazily on first use and retained across calls, so one
+// workspace serves queries of mixed shapes (buffers grow to the largest
+// seen).
 func NewWorkspace() *Workspace { return &Workspace{} }
+
+// GramStats reports the cache and correlate work of the last solve.
+func (ws *Workspace) GramStats() GramStats { return ws.stats }
 
 // BOMP is the workspace-backed form of the package-level BOMP.
 func (ws *Workspace) BOMP(m sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
-	p := m.Params()
-	if len(y) != p.M {
-		return nil, fmt.Errorf("%w: len(y)=%d, M=%d", ErrDimension, len(y), p.M)
-	}
-	ws.phi0 = m.ExtensionColumn(ws.phi0)
-	ws.bd.m, ws.bd.phi0 = m, ws.phi0
-	// The mode closure is only needed (and only allocated) when tracing.
-	var modeFn func(z linalg.Vector, idx []int) float64
-	if opt.TraceMode {
-		n := p.N
-		modeFn = func(z linalg.Vector, idx []int) float64 {
-			return modeFromExtended(z, idx, n)
-		}
-	}
-	ws.greedyInit(&ws.bd, y, p.M, opt, modeFn)
-	for !ws.st.done {
-		ws.corr = ws.bd.correlate(ws.residual, ws.corr)
-		ws.greedyStep()
-	}
-	return ws.finishBOMP(p)
-}
-
-// finishBOMP solves for the coefficients and packages the BOMP Result —
-// shared tail of the cold, warm and batched entry points. Selection is
-// copied into its own backing (not aliased to ws.selected) so a caller
-// may hand the previous generation's Selection straight back as the
-// next call's warm hint on the SAME workspace.
-func (ws *Workspace) finishBOMP(p sensing.Params) (*Result, error) {
-	sel, coef, diag, err := ws.greedyFinish()
-	if err != nil {
-		return nil, err
-	}
-	res := &ws.res
-	*res = Result{
-		Iterations:    len(sel),
-		Residual:      diag.residual,
-		StoppedEarly:  diag.stalled,
-		ModeTrace:     diag.modeTrace,
-		ResidualTrace: diag.residualTrace,
-	}
-	ws.selOut = append(ws.selOut[:0], sel...)
-	res.Selection = ws.selOut
-	// Split the bias coefficient from the outlier coefficients.
-	b := 0.0
-	ws.support = ws.support[:0]
-	ws.coefOut = ws.coefOut[:0]
-	for i, j := range sel {
-		if j == 0 {
-			b = coef[i] / math.Sqrt(float64(p.N))
-		} else {
-			ws.support = append(ws.support, j-1)
-			ws.coefOut = append(ws.coefOut, coef[i])
-		}
-	}
-	res.Support = ws.support
-	res.Coef = ws.coefOut
-	res.Mode = b
-	ws.x = assembleInto(ws.x, p.N, b, res.Support, res.Coef)
-	res.X = ws.x
-	return res, nil
+	return ws.solveOne(m, BatchItem{Y: y, Opt: opt}, true)
 }
 
 // OMP is the workspace-backed form of the package-level OMP.
 func (ws *Workspace) OMP(m sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
-	p := m.Params()
-	if len(y) != p.M {
-		return nil, fmt.Errorf("%w: len(y)=%d, M=%d", ErrDimension, len(y), p.M)
-	}
-	ws.pd = plainDict{m: m}
-	sel, coef, diag, err := ws.greedy(&ws.pd, y, p.M, opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &ws.res
-	*res = Result{
-		Support:       sel,
-		Coef:          coef,
-		Iterations:    len(sel),
-		Residual:      diag.residual,
-		StoppedEarly:  diag.stalled,
-		ResidualTrace: diag.residualTrace,
-	}
-	ws.x = assembleInto(ws.x, p.N, 0, sel, coef)
-	res.X = ws.x
-	return res, nil
+	return ws.solveOne(m, BatchItem{Y: y, Opt: opt}, false)
 }
 
 // KnownModeOMP is the workspace-backed form of the package-level
@@ -148,10 +89,9 @@ func (ws *Workspace) KnownModeOMP(m sensing.Matrix, y linalg.Vector, mode float6
 	if len(y) != p.M {
 		return nil, fmt.Errorf("%w: len(y)=%d, M=%d", ErrDimension, len(y), p.M)
 	}
-	ws.phi0 = m.ExtensionColumn(ws.phi0)
 	ws.shifted = ensureVec(ws.shifted, p.M)
 	copy(ws.shifted, y)
-	ws.shifted.AddScaled(-mode*math.Sqrt(float64(p.N)), ws.phi0)
+	ws.shifted.AddScaled(-mode*math.Sqrt(float64(p.N)), ws.bind(m).phi0)
 	res, err := ws.OMP(m, ws.shifted, opt)
 	if err != nil {
 		return nil, err
@@ -163,18 +103,165 @@ func (ws *Workspace) KnownModeOMP(m sensing.Matrix, y linalg.Vector, mode float6
 	return res, nil
 }
 
-// greedyState is the loop-invariant context of one greedy run, kept as
-// a workspace field so cold, warm-started and batched drivers can all
-// step the SAME algorithm: the cold path alternates correlate/step in a
-// local loop, while the batch engine interleaves steps of many
-// workspaces between shared correlation passes. Splitting the loop this
-// way is what makes warm-start bit-identity provable — the replay path
-// runs greedyStep itself, so it cannot diverge from the cold algorithm,
-// only from the cost of computing its inputs.
+func (ws *Workspace) solveOne(m sensing.Matrix, it BatchItem, biased bool) (*Result, error) {
+	if p := m.Params(); len(it.Y) != p.M {
+		return nil, fmt.Errorf("%w: len(y)=%d, M=%d", ErrDimension, len(it.Y), p.M)
+	}
+	ws.self[0], ws.item[0] = ws, it
+	solve(m, ws.self[:], ws.item[:], biased)
+	ws.item[0] = BatchItem{}
+	return ws.finish()
+}
+
+// bind points the workspace at m's Gram columns: the cache it already
+// has when that is m's, else a fresh one of its own.
+func (ws *Workspace) bind(m sensing.Matrix) *GramCache {
+	if ws.gram == nil || ws.gram.m != m {
+		ws.gram = NewGramCache(m)
+	}
+	ws.gram.init()
+	return ws.gram
+}
+
+// solve runs the greedy loop of every item on its workspace; finish
+// packages each result. Everything the items can share happens in one
+// pass over the matrix: all the c₀s, and every Gram column a warm hint
+// names that its cache lacks, go through a single CorrelateBlock, which
+// a regenerating ensemble serves by building each dictionary column
+// once. From there each run is O(t·N) an iteration plus one correlate
+// per column it selects that neither a hint nor an earlier run fetched.
+func solve(m sensing.Matrix, wss []*Workspace, items []BatchItem, biased bool) {
+	lead := wss[0]
+	lead.rs, lead.dsts = lead.rs[:0], lead.dsts[:0]
+	n := m.Params().N
+	for i, ws := range wss {
+		it := &items[i]
+		ws.stats = GramStats{}
+		// The hint first: it may be this workspace's previous Selection,
+		// and ws.masked is free as scratch until greedyInit resets it.
+		ws.prefetch(ws.bind(m), it, lead)
+		ws.greedyInit(it.Y, it.Opt, biased)
+		if ws.st.done {
+			continue
+		}
+		ws.c0[0] = ws.gram.phi0.Dot(it.Y)
+		lead.rs = append(lead.rs, it.Y)
+		lead.dsts = append(lead.dsts, ws.c0[1:])
+		ws.stats.CorrelateColumns += n
+	}
+	sensing.CorrelateBlock(m, lead.rs, lead.dsts)
+	clear(lead.rs) // drop the callers' measurements
+	clear(lead.dsts)
+	for _, ws := range wss {
+		for _, s := range ws.pending {
+			ws.gram.publish(s)
+		}
+	}
+	for _, ws := range wss {
+		for !ws.st.done {
+			ws.corr = linalg.SubCombination(ws.corr, ws.c0, ws.coef, ws.gcols)
+			ws.greedyStep()
+		}
+		ws.gram.unpin(ws.pins)
+		clear(ws.pins)
+		clear(ws.gcols)
+		ws.pins, ws.gcols = ws.pins[:0], ws.gcols[:0]
+	}
+}
+
+// prefetch pins the Gram columns a warm hint names, so the run finds
+// them; those g lacks are queued on lead's block correlate.
+func (ws *Workspace) prefetch(g *GramCache, it *BatchItem, lead *Workspace) {
+	ws.pending = ws.pending[:0]
+	p := g.m.Params()
+	hint := it.Warm
+	if maxIter := clampMaxIter(it.Opt.MaxIterations, p.M, g.stride); len(hint) > maxIter {
+		hint = hint[:maxIter]
+	}
+	ws.fillBuf = ensureVec(ws.fillBuf, len(hint)*p.M)
+	ws.masked.reset(g.stride)
+	for _, j := range hint {
+		if j < 0 || j >= g.stride || ws.masked.has(j) {
+			continue // not a column, or a repeat: hints are untrusted
+		}
+		ws.masked.set(j)
+		s, hit := g.pin(j)
+		ws.pins = append(ws.pins, s)
+		if hit {
+			ws.stats.Hits++
+			continue
+		}
+		k := len(ws.pending)
+		col := g.column(j, ws.fillBuf[k*p.M:(k+1)*p.M:(k+1)*p.M])
+		s.g[0] = g.phi0.Dot(col)
+		lead.rs = append(lead.rs, col)
+		lead.dsts = append(lead.dsts, s.g[1:])
+		ws.pending = append(ws.pending, s)
+		ws.stats.Misses++
+		ws.stats.CorrelateColumns += p.N
+	}
+}
+
+// gramColumn returns g of the column the run just selected (still in
+// ws.colBuf), computing it on a miss.
+func (ws *Workspace) gramColumn(j int) linalg.Vector {
+	s, hit := ws.gram.pin(j)
+	ws.pins = append(ws.pins, s)
+	if hit {
+		ws.stats.Hits++
+		return s.g
+	}
+	ws.gram.fill(s, ws.colBuf)
+	ws.gram.publish(s)
+	ws.stats.Misses++
+	ws.stats.CorrelateColumns += len(s.g) - 1
+	return s.g
+}
+
+// finish packages the Result of the run solve just made. Selection is
+// copied into its own backing (not aliased to ws.selected) so a caller
+// may hand the previous generation's Selection straight back as the
+// next call's warm hint on the SAME workspace.
+func (ws *Workspace) finish() (*Result, error) {
+	st := &ws.st
+	if st.err != nil {
+		return nil, st.err
+	}
+	res := &ws.res
+	*res = Result{
+		Iterations:    len(ws.selected),
+		Residual:      st.diag.residual,
+		StoppedEarly:  st.diag.stalled,
+		ModeTrace:     st.diag.modeTrace,
+		ResidualTrace: st.diag.residualTrace,
+	}
+	if st.biased {
+		ws.selOut = append(ws.selOut[:0], ws.selected...)
+		res.Selection = ws.selOut
+	}
+	// Split the bias coefficient from the outlier coefficients.
+	ws.support = ws.support[:0]
+	ws.coefOut = ws.coefOut[:0]
+	for i, j := range ws.selected {
+		if j == 0 {
+			res.Mode = ws.coef[i] / math.Sqrt(float64(st.n))
+		} else {
+			ws.support = append(ws.support, j-1)
+			ws.coefOut = append(ws.coefOut, ws.coef[i])
+		}
+	}
+	res.Support = ws.support
+	res.Coef = ws.coefOut
+	ws.x = assembleInto(ws.x, st.n, res.Mode, res.Support, res.Coef)
+	res.X = ws.x
+	return res, nil
+}
+
+// greedyState is the loop-invariant context of one greedy run.
 type greedyState struct {
-	d      dictionary
 	opt    Options
-	modeFn func(z linalg.Vector, idx []int) float64
+	n      int  // data-space size N; the dictionary is [φ₀, Φ₀], N+1 columns
+	biased bool // φ₀ is selectable (BOMP); false masks it out (OMP)
 
 	maxIter  int
 	yNorm    float64
@@ -186,8 +273,7 @@ type greedyState struct {
 	diag diagnostics
 }
 
-// clampMaxIter applies the engine's iteration-budget clamps; predict
-// (warm.go) must agree with greedyInit on this exactly.
+// clampMaxIter applies the engine's iteration-budget clamps.
 func clampMaxIter(maxIter, m, size int) int {
 	if maxIter <= 0 || maxIter > m {
 		maxIter = m
@@ -199,23 +285,32 @@ func clampMaxIter(maxIter, m, size int) int {
 }
 
 // greedyInit resets the workspace for a run of the greedy loop
-// (paper Algorithm 2) on dictionary d and measurement y.
-func (ws *Workspace) greedyInit(d dictionary, y linalg.Vector, m int, opt Options,
-	modeFn func(z linalg.Vector, idx []int) float64) {
-
+// (paper Algorithm 2) on measurement y against the bound matrix's
+// extended dictionary [φ₀, Φ₀], or Φ₀ alone when !biased.
+func (ws *Workspace) greedyInit(y linalg.Vector, opt Options, biased bool) {
 	st := &ws.st
-	*st = greedyState{d: d, opt: opt, modeFn: modeFn}
-	st.maxIter = clampMaxIter(opt.MaxIterations, m, d.size())
+	size := ws.gram.stride
+	*st = greedyState{opt: opt, n: size - 1, biased: biased}
+	ws.masked.reset(size)
+	if !biased {
+		ws.masked.set(0)
+		size--
+	}
+	st.maxIter = clampMaxIter(opt.MaxIterations, len(y), size)
 
-	ws.resetQR(y)
+	if ws.qr == nil {
+		ws.qr = linalg.NewIncrementalQR(len(y))
+	} else {
+		ws.qr.Reset(len(y))
+	}
+	ws.qr.SetTarget(y)
 	st.yNorm = y.Norm2()
 	st.prevNorm = st.yNorm
 	st.diag.residual = st.yNorm // final norm if nothing gets selected
 
-	ws.masked.reset(d.size())
 	ws.selected = ws.selected[:0]
-	ws.residual = ensureVec(ws.residual, m)
-	copy(ws.residual, y)
+	ws.coef = ws.coef[:0]
+	ws.c0 = ensureVec(ws.c0, ws.gram.stride)
 
 	if st.yNorm == 0 || st.maxIter < 1 {
 		st.done = true // zero measurement: zero vector
@@ -224,121 +319,68 @@ func (ws *Workspace) greedyInit(d dictionary, y linalg.Vector, m int, opt Option
 	st.tol = opt.residualTol() * st.yNorm
 }
 
-// resetQR rewinds the workspace's factorization to zero columns against
-// the target y, keeping its storage.
-func (ws *Workspace) resetQR(y linalg.Vector) {
-	if ws.qr == nil {
-		ws.qr = linalg.NewIncrementalQR(len(y))
-	} else {
-		ws.qr.Reset(len(y))
-	}
-	ws.qr.SetTarget(y)
-}
-
 // greedyStep consumes the correlation vector in ws.corr — one iteration
-// of the greedy loop: argmax, QR append, residual update, stop checks.
-// The caller (cold loop, scripted replay, or batch driver) is
-// responsible for ws.corr holding Φᵀr for the CURRENT ws.residual.
+// of the greedy loop: argmax, QR append, re-solve, stop checks — and
+// leaves ws.coef and ws.gcols ready for the next combination.
 func (ws *Workspace) greedyStep() {
 	st := &ws.st
 	qr := ws.qr
 	// Select the best column not already in (or rejected from) the
 	// basis. A rank-deficient rejection only marks the column and
-	// re-runs the argmax on the SAME correlations — the residual did
-	// not change, so re-correlating (as a naive loop restart would)
-	// would redo the O(M·N) step for an identical answer.
-	appended := false
+	// re-runs the argmax on the SAME correlations: the basis did not
+	// change.
+	var best int
 	for {
-		best, bestAbs := argMaxAbsMasked(ws.corr, ws.masked)
+		var bestAbs float64
+		best, bestAbs = argMaxAbsMasked(ws.corr, ws.masked)
 		if best < 0 || bestAbs <= 1e-14*st.yNorm {
-			break // nothing correlates: residual is (numerically) zero
+			st.done = true // nothing correlates: residual is (numerically) zero
+			return
 		}
-		ws.colBuf = st.d.col(best, ws.colBuf)
-		if _, err := qr.Append(ws.colBuf); err != nil {
-			if errors.Is(err, linalg.ErrRankDeficient) {
-				// Column numerically inside current span; never pick it again.
-				ws.masked.set(best)
-				continue
-			}
+		ws.masked.set(best)
+		ws.colBuf = ws.gram.column(best, ws.colBuf)
+		_, err := qr.Append(ws.colBuf)
+		if err == nil {
+			break
+		}
+		// A column numerically inside the current span is never picked again.
+		if !errors.Is(err, linalg.ErrRankDeficient) {
 			st.err = err
 			st.done = true
 			return
 		}
-		ws.selected = append(ws.selected, best)
-		ws.masked.set(best)
-		appended = true
-		break
 	}
-	if !appended {
+	ws.selected = append(ws.selected, best)
+	z, err := qr.SolveInto(ws.coef)
+	if err != nil {
+		st.err = err
 		st.done = true
 		return
 	}
+	ws.coef = z
 
-	ws.residual = qr.Residual(ws.residual)
 	norm := qr.ResidualNorm()
 	st.diag.residual = norm
 	if st.opt.TraceResidual {
 		st.diag.residualTrace = append(st.diag.residualTrace, norm)
 	}
-	if st.opt.TraceMode && st.modeFn != nil {
-		z, err := qr.SolveInto(ws.coef)
-		if err != nil {
-			st.err = err
-			st.done = true
-			return
-		}
-		ws.coef = z
-		st.diag.modeTrace = append(st.diag.modeTrace, st.modeFn(z, ws.selected))
+	if st.opt.TraceMode && st.biased {
+		st.diag.modeTrace = append(st.diag.modeTrace, modeFromExtended(z, ws.selected, st.n))
 	}
-	if norm <= st.tol {
+	switch {
+	case norm <= st.tol:
 		st.done = true
-		return
-	}
-	// §5: floating-point drift makes the residual stop decreasing long
-	// before the iteration budget on real data; cut the run there.
-	if !st.opt.DisableEarlyStop && norm >= st.prevNorm*(1-st.opt.stallRelTol()) {
+	case !st.opt.DisableEarlyStop && norm >= st.prevNorm*(1-st.opt.stallRelTol()):
+		// §5: floating-point drift makes the residual stop decreasing long
+		// before the iteration budget on real data; cut the run there.
 		st.diag.stalled = true
 		st.done = true
-		return
-	}
-	st.prevNorm = norm
-	if len(ws.selected) >= st.maxIter {
+	case len(ws.selected) >= st.maxIter:
 		st.done = true
+	default:
+		st.prevNorm = norm
+		ws.gcols = append(ws.gcols, ws.gramColumn(best))
 	}
-}
-
-// greedyFinish solves the least-squares system for the selected columns.
-// It returns the selection order and coefficients, both aliasing
-// workspace storage.
-func (ws *Workspace) greedyFinish() ([]int, linalg.Vector, diagnostics, error) {
-	st := &ws.st
-	if st.err != nil {
-		return nil, nil, st.diag, st.err
-	}
-	if len(ws.selected) == 0 {
-		return nil, nil, st.diag, nil
-	}
-	z, err := ws.qr.SolveInto(ws.coef)
-	if err != nil {
-		return nil, nil, st.diag, err
-	}
-	ws.coef = z
-	return ws.selected, z, st.diag, nil
-}
-
-// greedy is the cold driver of the shared OMP column-selection loop:
-// correlate against the current residual, step, repeat. modeFn, when
-// non-nil and opt.TraceMode is set, converts the running coefficients
-// into a mode estimate per iteration.
-func (ws *Workspace) greedy(d dictionary, y linalg.Vector, m int, opt Options,
-	modeFn func(z linalg.Vector, idx []int) float64) ([]int, linalg.Vector, diagnostics, error) {
-
-	ws.greedyInit(d, y, m, opt, modeFn)
-	for !ws.st.done {
-		ws.corr = d.correlate(ws.residual, ws.corr)
-		ws.greedyStep()
-	}
-	return ws.greedyFinish()
 }
 
 // bitset is a fixed-universe set of column indices.

@@ -181,49 +181,68 @@ func TestWorkspaceSeededZeroAlloc(t *testing.T) {
 // the excluded column again.
 func TestWorkspaceRankDeficientReselect(t *testing.T) {
 	// A 4×6 matrix whose later columns duplicate earlier ones.
-	mat := &dupDict{}
+	mat := dupMatrix{}
 	y := linalg.Vector{1, 2, 3, 4}
-	ws := NewWorkspace()
-	sel, coef, _, err := ws.greedy(mat, y, 4, Options{MaxIterations: 4, DisableEarlyStop: true}, nil)
+	res, err := NewWorkspace().OMP(mat, y, Options{MaxIterations: 4, DisableEarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) == 0 || len(coef) != len(sel) {
-		t.Fatalf("no selection survived: sel=%v coef=%v", sel, coef)
+	if len(res.Support) == 0 || len(res.Coef) != len(res.Support) {
+		t.Fatalf("no selection survived: support=%v coef=%v", res.Support, res.Coef)
 	}
 	seen := map[int]bool{}
-	for _, j := range sel {
-		if seen[j] {
-			t.Fatalf("column %d selected twice: %v", j, sel)
+	for _, j := range res.Support {
+		if seen[j%3] {
+			t.Fatalf("direction %d selected twice: %v", j%3, res.Support)
 		}
-		seen[j] = true
+		seen[j%3] = true
 	}
 }
 
-// dupDict is a small dictionary with duplicated columns: columns 3..5
-// equal columns 0..2, forcing ErrRankDeficient on the second pick of any
-// direction.
-type dupDict struct{}
+// dupMatrix is a 4×6 measurement matrix with duplicated columns: column
+// j is the unit vector e_{j mod 3}, so columns 3..5 equal columns 0..2,
+// forcing ErrRankDeficient on the second pick of any direction.
+type dupMatrix struct{}
 
-func (d *dupDict) size() int { return 6 }
-func (d *dupDict) col(j int, dst linalg.Vector) linalg.Vector {
-	if cap(dst) < 4 {
-		dst = make(linalg.Vector, 4)
-	}
-	dst = dst[:4]
-	for i := range dst {
-		dst[i] = 0
-	}
+func (dupMatrix) Params() sensing.Params { return sensing.Params{M: 4, N: 6} }
+func (dupMatrix) Col(j int, dst linalg.Vector) linalg.Vector {
+	dst = ensureVec(dst, 4)
+	clear(dst)
 	dst[j%3] = 1
 	return dst
 }
-func (d *dupDict) correlate(r, dst linalg.Vector) linalg.Vector {
-	if cap(dst) < 6 {
-		dst = make(linalg.Vector, 6)
+func (d dupMatrix) Measure(x, dst linalg.Vector) linalg.Vector {
+	dst = ensureVec(dst, 4)
+	clear(dst)
+	for j, v := range x {
+		dst[j%3] += v
 	}
-	dst = dst[:6]
-	for j := 0; j < 6; j++ {
+	return dst
+}
+func (d dupMatrix) MeasureSparse(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
+	dst = ensureVec(dst, 4)
+	clear(dst)
+	d.AddCols(idx, vals, dst)
+	return dst
+}
+func (dupMatrix) AddCols(idx []int, vals []float64, y linalg.Vector) {
+	for k, j := range idx {
+		y[j%3] += vals[k]
+	}
+}
+func (dupMatrix) Correlate(r, dst linalg.Vector) linalg.Vector {
+	dst = ensureVec(dst, 6)
+	for j := range dst {
 		dst[j] = r[j%3]
 	}
 	return dst
+}
+func (d dupMatrix) CorrelateBatch(rs, dsts []linalg.Vector) {
+	for q := range rs {
+		d.Correlate(rs[q], dsts[q])
+	}
+}
+func (d dupMatrix) ExtensionColumn(dst linalg.Vector) linalg.Vector {
+	ones := linalg.Vector{1, 1, 1, 1, 1, 1}
+	return d.Measure(ones, dst).Scale(1 / math.Sqrt(6))
 }

@@ -116,10 +116,25 @@ func (r *Router) PointQueryMulti(fromAge, toAge int, keys []string, threshold fl
 	if len(keys) == 0 {
 		return nil, nil
 	}
+	// Two passes — route and count per shard, then fill — so the
+	// per-shard key and position lists are exact-size slices of two
+	// allocations instead of lists grown by doubling.
+	count := make([]int, len(r.targets))
+	shard := make([]int, len(keys))
+	for pos, key := range keys {
+		shard[pos] = r.m.Route(key)
+		count[shard[pos]]++
+	}
+	allKeys, allSlots := make([]string, len(keys)), make([]int, len(keys))
 	byShard := make([][]string, len(r.targets))
 	slots := make([][]int, len(r.targets))
+	off := 0
+	for s, n := range count {
+		byShard[s], slots[s] = allKeys[off:off:off+n], allSlots[off:off:off+n]
+		off += n
+	}
 	for pos, key := range keys {
-		s := r.m.Route(key)
+		s := shard[pos]
 		byShard[s] = append(byShard[s], key)
 		slots[s] = append(slots[s], pos)
 	}

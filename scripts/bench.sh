@@ -13,6 +13,12 @@
 # numbers before and after the most recent perf PR on the recording box
 # (meta notes its GOMAXPROCS — column-parallel speedups need >1 CPU).
 #
+# The recovery pass includes the Gram-form pair
+# BenchmarkRecoveryBOMPGramHit / …GramMiss (every Gram column cached vs
+# a throwaway workspace that computes each one: the engine's best case
+# and its stated worst), on the query_cold shape and the Seeded scaling
+# instance.
+#
 # The streaming pass records BOTH BenchmarkStreamFold (metrics layer on,
 # the production configuration) and BenchmarkStreamFoldBare (metrics
 # stripped): their ratio is the instrumentation overhead on the hot fold

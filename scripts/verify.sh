@@ -52,9 +52,12 @@
 # internal/sensing (pointquery.go's *sensing.CountSketch is the one
 # exception — the point estimators are not Matrix methods), no name of a
 # retired ensemble, the column cache or the optional batch interface
-# anywhere, and a gofmt-clean tree. Last, the one-harness guards: a second
+# anywhere, and a gofmt-clean tree. Then the one-harness guards: a second
 # replay-line field loop or a third chaos-proxy call site in
-# internal/simtest is a copy of the streaming harness growing back.
+# internal/simtest is a copy of the streaming harness growing back. Last,
+# the one-engine guard: internal/recovery calls the matrix's correlate
+# kernels in two places, so a loop that correlates a residual again is the
+# engine the Gram form replaced growing back as a fork.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -113,6 +116,22 @@ fi
 sites=$(grep -h 'startChaosProxy(' $(ls internal/simtest/*.go | grep -v _test.go) | grep -vc '^func ')
 if [ "$sites" -gt 2 ]; then
 	echo "verify: $sites startChaosProxy call sites in internal/simtest; the flat and the tier rig are the only two" >&2
+	exit 1
+fi
+
+echo "== one recovery engine: the Gram form =="
+# The greedy loop reads its correlations off c₀ − Σ z·g (Workspace): the
+# matrix is correlated once per solve for the c₀s and the Gram columns a
+# hint names (solve's block) and once per missed column (GramCache.fill).
+# naive.go is the normal-equations ablation the root benchmarks import.
+sites=$(grep -nE '\.[cC]orrelate[A-Za-z]*\(' $(ls internal/recovery/*.go | grep -v -e '_test\.go$' -e '/naive\.go$') |
+	grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+extra=$(printf '%s\n' "$sites" | grep -v \
+	-e 'workspace\.go:.*sensing\.CorrelateBlock(' \
+	-e 'gram\.go:.*\.m\.Correlate(' || true)
+if [ -n "$extra" ] || [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 2 ]; then
+	echo "verify: internal/recovery correlates outside its two sanctioned sites (solve's c₀/prefetch block, GramCache.fill):" >&2
+	printf '%s\n' "$sites" >&2
 	exit 1
 fi
 
@@ -220,7 +239,7 @@ if [ -z "$url" ]; then
 	exit 1
 fi
 "$tmp/obscheck" -url "$url" -require \
-	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_ingest_queue_depth,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,pointq_remote_queries_total,pointq_remote_keys_total,pointq_remote_errors_total,pointq_remote_seconds,recovery_solver_picks_total
+	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_ingest_queue_depth,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,pointq_remote_queries_total,pointq_remote_keys_total,pointq_remote_errors_total,pointq_remote_seconds,recovery_solver_picks_total
 "$tmp/obscheck" -url "${url%/metrics}/healthz" -health
 
 echo "== hierarchical metrics smoke: tier_*/shard_* on a live relay =="
