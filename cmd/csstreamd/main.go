@@ -64,7 +64,6 @@ func main() {
 		watchThresh = flag.Float64("watch-threshold", 0, "flag a watched key as an outlier when it deviates from the span mode by at least this much (0 = just report values)")
 		windows     = flag.Int("windows", 8, "window ring size: current window plus windows-1 sealed ones stay queryable")
 		windowEvery = flag.Duration("window-every", 10*time.Minute, "wall-clock window rotation period (0 = never rotate)")
-		queue       = flag.Int("queue", 64, "ingest queue depth; when full, TCP backpressure reaches the nodes")
 		k           = flag.Int("k", 10, "outliers per report")
 		span        = flag.Int("span", 0, "report outliers over the last span windows (0 = all available)")
 		reportEvery = flag.Duration("report-every", time.Minute, "how often to print the outlier/liveness report (0 = only on shutdown)")
@@ -143,7 +142,6 @@ func main() {
 	opts := stream.AggregatorOptions{
 		Windows:       *windows,
 		WindowEvery:   *windowEvery,
-		QueueDepth:    *queue,
 		IdleTimeout:   *idleTO,
 		Metrics:       reg,
 		SnapshotPath:  *snapPath,

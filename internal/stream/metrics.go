@@ -134,7 +134,7 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		snapshotBytes: reg.Gauge("stream_snapshot_bytes",
 			"size of the last snapshot written to disk"),
 		snapshotSeconds: reg.Histogram("stream_snapshot_seconds",
-			"fold pause capturing one snapshot (the a.mu critical section plus encode)", obs.LatencyBuckets()),
+			"fold pause capturing one snapshot (the ingest.mu critical section plus encode)", obs.LatencyBuckets()),
 		joins:     membership.With("join"),
 		leaves:    membership.With("leave"),
 		evictions: membership.With("evict"),
@@ -155,9 +155,6 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		nodeFrames: reg.GaugeVec("stream_node_frames",
 			"node's delta frames by fold outcome", "node", "outcome"),
 	}
-	reg.GaugeFunc("stream_ingest_queue_depth",
-		"delta frames queued between connection handlers and the folder",
-		func() float64 { return float64(len(a.ingest)) })
 	reg.GaugeFunc("stream_window",
 		"current window ID",
 		func() float64 { return float64(a.CurrentWindow()) })
@@ -170,9 +167,9 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 	reg.GaugeFunc("stream_membership_tombstones",
 		"retired (left/evicted) node states held for dedup",
 		func() float64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return float64(len(a.tombs))
+			a.in.mu.Lock()
+			defer a.in.mu.Unlock()
+			return float64(len(a.in.members.tombs))
 		})
 	reg.GaugeFunc("stream_agg_epoch",
 		"aggregator incarnation number (bumped on snapshot restore)",

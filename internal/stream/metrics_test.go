@@ -54,7 +54,7 @@ func TestOutliersCacheHitAfterConcurrentFold(t *testing.T) {
 	fold(1, "key001")
 
 	folded := false
-	agg.testHookBeforeSnapshot = func() {
+	agg.q.testHookBeforeSnapshot = func() {
 		if !folded {
 			folded = true
 			fold(2, "key002")
@@ -67,7 +67,7 @@ func TestOutliersCacheHitAfterConcurrentFold(t *testing.T) {
 	if !folded {
 		t.Fatal("hook did not run: query was not a miss")
 	}
-	agg.testHookBeforeSnapshot = nil
+	agg.q.testHookBeforeSnapshot = nil
 
 	r2, err := agg.Outliers(0, 0, 4)
 	if err != nil {
@@ -132,9 +132,9 @@ func TestCacheEvictionKeepsHotQueries(t *testing.T) {
 	if hits := after.CacheHits - before.CacheHits; hits != 1 {
 		t.Fatalf("standing query after sweep: %d cache hits, want 1 (evicted?)", hits)
 	}
-	agg.mu.Lock()
-	size := len(agg.cache)
-	agg.mu.Unlock()
+	agg.q.qmu.Lock()
+	size := len(agg.q.cache.m)
+	agg.q.qmu.Unlock()
 	if size > cacheCap {
 		t.Fatalf("cache size %d exceeds cap %d", size, cacheCap)
 	}
@@ -375,7 +375,6 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 		// Fold timing is sampled (first frame, then 1 in 16): 5 frames
 		// yield exactly one histogram observation.
 		"stream_fold_seconds_count 1",
-		"stream_ingest_queue_depth 0",
 		"stream_window 3",
 		`stream_node_lag_windows{node="n1"} 0`,
 		`stream_recovery_cache_total{result="hit"} 1`,

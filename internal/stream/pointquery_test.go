@@ -195,9 +195,9 @@ func TestPointStateCacheEviction(t *testing.T) {
 			t.Fatalf("PointQuery span (0,%d): %v", age, err)
 		}
 	}
-	agg.pmu.RLock()
-	size := len(agg.points)
-	agg.pmu.RUnlock()
+	agg.pts.pmu.RLock()
+	size := len(agg.pts.cache.m)
+	agg.pts.pmu.RUnlock()
 	if size > pointCacheCap {
 		t.Fatalf("point cache grew to %d entries (cap %d)", size, pointCacheCap)
 	}

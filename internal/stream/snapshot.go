@@ -54,10 +54,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"csoutlier"
@@ -72,24 +72,15 @@ const (
 	snapVersionExtra uint16 = 2 // trailing opaque Extra blob
 )
 
-// SnapNode is one node's membership + dedup state in a snapshot.
+// SnapNode is one node's membership + dedup state in a snapshot: its
+// NodeStatus (LastSeen, Lag and Stable are a running aggregator's view
+// and are not encoded; a restore sets Stable = Base) plus the
+// seqTracker — every seq in [1, Base] processed, and the sparse sorted
+// set processed ahead of that low-water mark.
 type SnapNode struct {
-	Node  string
-	State string // StateLive, StateLeft or StateEvicted
-	Epoch uint64
-	// Base/Ahead are the seqTracker: every seq in [1, Base] processed,
-	// plus the sparse sorted set processed ahead of the low-water mark.
+	NodeStatus
 	Base  uint64
 	Ahead []uint64
-	// Liveness counters, restored so NodeStatus survives the restart.
-	LastWindow uint64
-	Applied    int64
-	Duplicates int64
-	Dropped    int64
-	Rejected   int64
-	Restarts   int64
-	ShedFrames int64
-	ShedFolds  int64
 }
 
 // Snapshot is a point-in-time copy of an aggregator's fold state.
@@ -113,84 +104,45 @@ type Snapshot struct {
 
 // Snapshot captures the aggregator's fold state under one mutex
 // acquisition — the dedup books and the window ring are read in the
-// same critical section the folder writes them in, so the copy can
+// same critical section a fold writes them in, so the copy can
 // never be torn (a frame is either fully in the snapshot, dedup mark
 // and sketch addition both, or fully absent). The pause is O(windows·M
 // + nodes) and is recorded in stream_snapshot_seconds.
 func (a *Aggregator) Snapshot() (*Snapshot, error) {
 	start := time.Now()
-	a.mu.Lock()
+	in := &a.in
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	snap := &Snapshot{
-		AggEpoch:   a.epoch,
-		Window:     a.window,
-		Membership: a.member,
-		Capacity:   a.ws.Windows(),
+		AggEpoch:   in.epoch,
+		Window:     in.window,
+		Membership: in.members.version,
+		Capacity:   in.ws.Windows(),
+		Nodes:      snapNodes(in.members.nodes),
+		Tombs:      snapNodes(in.members.tombs),
 	}
-	avail := a.ws.Available()
+	avail := in.ws.Available()
 	snap.Windows = make([][]byte, 0, avail)
 	for age := avail - 1; age >= 0; age-- {
-		w, err := a.ws.Window(age)
+		var b []byte
+		w, err := in.ws.Window(age)
 		if err == nil {
-			var b []byte
 			b, err = w.MarshalBinary()
-			if err == nil {
-				snap.Windows = append(snap.Windows, b)
-				continue
-			}
 		}
-		a.mu.Unlock()
-		return nil, fmt.Errorf("stream: snapshot window age %d: %w", age, err)
+		if err != nil {
+			return nil, fmt.Errorf("stream: snapshot window age %d: %w", age, err)
+		}
+		snap.Windows = append(snap.Windows, b)
 	}
-	snap.Nodes = snapNodesLocked(a.nodes)
-	snap.Tombs = snapNodesLocked(a.tombs)
 	if fn := a.opts.SnapshotExtra; fn != nil {
 		extra, err := fn()
 		if err != nil {
-			a.mu.Unlock()
 			return nil, fmt.Errorf("stream: snapshot extra: %w", err)
 		}
 		snap.Extra = extra
 	}
-	a.mu.Unlock()
-	if m := a.metrics; m != nil {
-		m.snapshotSeconds.Observe(time.Since(start).Seconds())
-	}
+	a.metrics.snapshotSeconds.Observe(time.Since(start).Seconds())
 	return snap, nil
-}
-
-// snapNodesLocked copies a node-state map into sorted SnapNodes.
-func snapNodesLocked(states map[string]*nodeState) []SnapNode {
-	out := make([]SnapNode, 0, len(states))
-	for _, ns := range states {
-		st := ns.status.State
-		if st == "" {
-			st = StateLive
-		}
-		sn := SnapNode{
-			Node:       ns.status.Node,
-			State:      st,
-			Epoch:      ns.status.Epoch,
-			Base:       ns.tracker.base,
-			LastWindow: ns.status.LastWindow,
-			Applied:    ns.status.Applied,
-			Duplicates: ns.status.Duplicates,
-			Dropped:    ns.status.Dropped,
-			Rejected:   ns.status.Rejected,
-			Restarts:   ns.status.Restarts,
-			ShedFrames: ns.status.ShedFrames,
-			ShedFolds:  ns.status.ShedFolds,
-		}
-		if len(ns.tracker.ahead) > 0 {
-			sn.Ahead = make([]uint64, 0, len(ns.tracker.ahead))
-			for seq := range ns.tracker.ahead {
-				sn.Ahead = append(sn.Ahead, seq)
-			}
-			sort.Slice(sn.Ahead, func(i, j int) bool { return sn.Ahead[i] < sn.Ahead[j] })
-		}
-		out = append(out, sn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
 }
 
 // CommitSnapshot marks snap as durable: every live node whose epoch the
@@ -199,16 +151,14 @@ func snapNodesLocked(states map[string]*nodeState) []SnapNode {
 // buffer. Call it after the snapshot bytes are safely on disk (or
 // wherever they need to be); WriteSnapshot does.
 func (a *Aggregator) CommitSnapshot(snap *Snapshot) {
-	a.mu.Lock()
+	a.in.mu.Lock()
 	for _, sn := range snap.Nodes {
-		if ns, ok := a.nodes[sn.Node]; ok && ns.status.Epoch == sn.Epoch && sn.Base > ns.stable {
-			ns.stable = sn.Base
+		if ns, ok := a.in.members.nodes[sn.Node]; ok && ns.status.Epoch == sn.Epoch && sn.Base > ns.status.Stable {
+			ns.status.Stable = sn.Base
 		}
 	}
-	a.mu.Unlock()
-	if m := a.metrics; m != nil {
-		m.snapshots.Inc()
-	}
+	a.in.mu.Unlock()
+	a.metrics.snapshots.Inc()
 	if fn := a.opts.OnSnapshotCommit; fn != nil {
 		fn(snap.Extra)
 	}
@@ -226,8 +176,8 @@ func (a *Aggregator) CommitSnapshot(snap *Snapshot) {
 // new as the latest committed dedup base — the commit that lets nodes
 // trim their replay-retention buffers can never outrun the rename.
 func (a *Aggregator) WriteSnapshot(path string) error {
-	a.snapMu.Lock()
-	defer a.snapMu.Unlock()
+	a.life.snapMu.Lock()
+	defer a.life.snapMu.Unlock()
 	snap, err := a.Snapshot()
 	if err != nil {
 		return err
@@ -256,10 +206,24 @@ func (a *Aggregator) WriteSnapshot(path string) error {
 		return fmt.Errorf("stream: snapshot %s: %w", path, err)
 	}
 	a.CommitSnapshot(snap)
-	if m := a.metrics; m != nil {
-		m.snapshotBytes.SetInt(int64(len(data)))
-	}
+	a.metrics.snapshotBytes.SetInt(int64(len(data)))
 	return nil
+}
+
+// maybeSnapshot writes a snapshot to the configured path, if any,
+// recording success/failure in the stream_snapshot_* families. A
+// failure is also logged: a silently stale snapshot is a durability
+// loss an operator must hear about before the next crash, not after.
+func (a *Aggregator) maybeSnapshot() error {
+	if a.opts.SnapshotPath == "" {
+		return nil
+	}
+	err := a.WriteSnapshot(a.opts.SnapshotPath)
+	if err != nil {
+		a.metrics.snapshotErrors.Inc()
+		log.Printf("stream: snapshot write failed (durability stale): %v", err)
+	}
+	return err
 }
 
 // LoadSnapshot reads and decodes a snapshot file.
@@ -512,78 +476,18 @@ func RestoreAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, snap *Sna
 	if err != nil {
 		return nil, err
 	}
-	now := time.Now()
-	restore := func(group []SnapNode, live bool) error {
-		for i := range group {
-			sn := &group[i]
-			if !live && sn.State == StateLive {
-				return fmt.Errorf("stream: snapshot tombstone %s marked live", sn.Node)
-			}
-			ns := &nodeState{
-				status: NodeStatus{
-					Node:       sn.Node,
-					State:      sn.State,
-					Epoch:      sn.Epoch,
-					LastWindow: sn.LastWindow,
-					Applied:    sn.Applied,
-					Duplicates: sn.Duplicates,
-					Dropped:    sn.Dropped,
-					Rejected:   sn.Rejected,
-					Restarts:   sn.Restarts,
-					ShedFrames: sn.ShedFrames,
-					ShedFolds:  sn.ShedFolds,
-				},
-				tracker: seqTracker{base: sn.Base},
-				// Everything in the snapshot is durable by definition.
-				stable: sn.Base,
-			}
-			if len(sn.Ahead) > 0 {
-				ns.tracker.ahead = make(map[uint64]struct{}, len(sn.Ahead))
-				for _, seq := range sn.Ahead {
-					ns.tracker.ahead[seq] = struct{}{}
-				}
-			}
-			if live {
-				// LastSeen is not snapshotted (wall-clock state of a dead
-				// process is meaningless); stamp restore time so the evict
-				// loop gives every restored node a full EvictAfter grace
-				// period to reconnect instead of retiring it on the first
-				// tick — a cascade that could push dedup books replaying
-				// nodes still need past the tombstone cap.
-				ns.status.LastSeen = now
-				a.nodes[sn.Node] = ns
-			} else {
-				a.tombs[sn.Node] = ns
-				a.tombFIFO = append(a.tombFIFO, sn.Node)
-			}
-		}
-		return nil
+	err = a.in.ws.RestoreWindows(sketches, int64(snap.Window-1))
+	if err != nil {
+		err = fmt.Errorf("stream: snapshot restore: %w", err)
+	} else {
+		a.in.mu.Lock()
+		a.in.window = snap.Window
+		err = a.in.members.restore(snap)
+		a.in.mu.Unlock()
 	}
-	closeOnErr := func(err error) (*Aggregator, error) {
+	if err != nil {
 		a.Close(context.Background())
 		return nil, err
-	}
-	if err := a.ws.RestoreWindows(sketches, int64(snap.Window-1)); err != nil {
-		return closeOnErr(fmt.Errorf("stream: snapshot restore: %w", err))
-	}
-	a.mu.Lock()
-	a.window = snap.Window
-	a.member = snap.Membership
-	restoreErr := restore(snap.Nodes, true)
-	if restoreErr == nil {
-		restoreErr = restore(snap.Tombs, false)
-	}
-	if restoreErr == nil {
-		for _, sn := range snap.Tombs {
-			if _, dup := a.nodes[sn.Node]; dup {
-				restoreErr = fmt.Errorf("stream: snapshot lists %s both live and tombstoned", sn.Node)
-				break
-			}
-		}
-	}
-	a.mu.Unlock()
-	if restoreErr != nil {
-		return closeOnErr(restoreErr)
 	}
 	return a, nil
 }

@@ -37,20 +37,20 @@ func randSnapshot(rng *xrand.RNG) *Snapshot {
 	}
 	states := []string{StateLive, StateLeft, StateEvicted}
 	randNode := func(i int, tomb bool) SnapNode {
-		sn := SnapNode{
-			Node:       fmt.Sprintf("node%02d-%x", i, rng.Uint64()&0xffff),
-			State:      StateLive,
-			Epoch:      1 + rng.Uint64()%1000,
-			Base:       rng.Uint64() % 10000,
-			LastWindow: rng.Uint64() % 100,
-			Applied:    int64(rng.Uint64()),
-			Duplicates: int64(rng.Uint64()),
-			Dropped:    int64(rng.Uint64()),
-			Rejected:   int64(rng.Uint64()),
-			Restarts:   int64(rng.Uint64()),
-			ShedFrames: int64(rng.Uint64()),
-			ShedFolds:  int64(rng.Uint64()),
-		}
+		sn := SnapNode{NodeStatus: NodeStatus{
+			Node:  fmt.Sprintf("node%02d-%x", i, rng.Uint64()&0xffff),
+			State: StateLive,
+			Epoch: 1 + rng.Uint64()%1000,
+		}}
+		sn.Base = rng.Uint64() % 10000
+		sn.LastWindow = rng.Uint64() % 100
+		sn.Applied = int64(rng.Uint64())
+		sn.Duplicates = int64(rng.Uint64())
+		sn.Dropped = int64(rng.Uint64())
+		sn.Rejected = int64(rng.Uint64())
+		sn.Restarts = int64(rng.Uint64())
+		sn.ShedFrames = int64(rng.Uint64())
+		sn.ShedFolds = int64(rng.Uint64())
 		if tomb {
 			sn.State = states[1+rng.Intn(2)]
 		}
@@ -241,7 +241,7 @@ func TestSnapshotRestoreExact(t *testing.T) {
 		}
 		sameBits(t, fmt.Sprintf("window age %d", age), got, want)
 	}
-	if got, want := restored.ws.Rotations(), agg.ws.Rotations(); got != want {
+	if got, want := restored.in.ws.Rotations(), agg.in.ws.Rotations(); got != want {
 		t.Fatalf("restored Rotations() = %d, want %d (monotonic across restore)", got, want)
 	}
 	// Restored live nodes carry a fresh LastSeen: the evict loop must

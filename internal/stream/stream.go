@@ -27,11 +27,12 @@
 //     (and abandons any un-acked data the old incarnation lost).
 //
 // The Aggregator maintains the global per-window standing sketches in a
-// csoutlier.WindowStore, folds incoming deltas through a bounded ingest
-// queue (backpressure propagates to pushers through TCP), rotates
-// windows on a wall clock, tracks per-node liveness and window lag, and
-// answers "outliers over the last W windows" queries from a recovery
-// cache invalidated whenever a delta lands.
+// csoutlier.WindowStore, folds each incoming delta on the goroutine
+// that read it, under one mutex, before acking it (stop-and-wait is the
+// backpressure a pusher sees), rotates windows on a wall clock, tracks
+// per-node liveness and window lag, and answers "outliers over the last
+// W windows" queries from a recovery cache invalidated whenever a delta
+// lands.
 //
 // cmd/csstreamd is the deployable daemon; csnode -push streams a node's
 // slice into it; internal/simtest drives the whole service through
@@ -61,7 +62,7 @@ import "csoutlier"
 //	         so a late retry still dedups, never refolds).
 //	query  — answer a point-query watch list over a window-age span
 //	         from the recovery-free count-sketch path. A read, not a
-//	         fold: it bypasses the ingest queue entirely and replies
+//	         fold: it takes the fold mutex for at most one span copy and replies
 //	         with a QueryReply instead of an Ack.
 //
 // and two reply kinds: an Ack for hello, delta and bye, a QueryReply

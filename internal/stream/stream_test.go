@@ -514,3 +514,35 @@ func TestStreamBackgroundFlush(t *testing.T) {
 		t.Fatalf("aggregator applied %d, node applied %d", as.Applied, s.Applied)
 	}
 }
+
+// TestServeAfterClose: a Serve that registers its listener after Close
+// has run (`go agg.Serve(ln)` racing a shutdown) must not keep the port
+// open and park in Accept — nothing would ever close that listener.
+func TestServeAfterClose(t *testing.T) {
+	agg, err := NewAggregator(testSketcher(t, 64, 32, 1), AggregatorOptions{})
+	if err != nil {
+		t.Fatalf("NewAggregator: %v", err)
+	}
+	if err := agg.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- agg.Serve(ln) }()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve on a closed aggregator: %v, want nil", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve on a closed aggregator is parked in Accept")
+	}
+	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		conn.Close()
+		t.Fatal("listener handed to a closed aggregator still accepts connections")
+	}
+}

@@ -134,7 +134,7 @@ type RelayStats struct {
 //     seqs. Conservation holds through the tree: every leaf capture is
 //     folded exactly once at the root or accounted shed on the way.
 //
-// Lock order: agg.mu → fmu → the sender's lock. The sender's window
+// Lock order: the aggregator's ingest mutex → fmu → the sender's lock. The sender's window
 // callback (adoptRoot) runs under none of them.
 type Relay struct {
 	sk   *csoutlier.Sketcher

@@ -47,7 +47,9 @@
 # protocols are internal/frame's binary frames, and a gob import is a
 # second codec on its way back in. Next to it, every mode refuses a
 # PushDelta/Hello/DialClient call in internal/tier and a second
-# definition of the ctx-sleep / backoff-delay helpers. Then the two-ensemble
+# definition of the ctx-sleep / backoff-delay helpers, and in
+# internal/stream a queue between a connection's handler and the fold or
+# a nil-check of the aggregator's metrics. Then the two-ensemble
 # guards: no concrete *sensing matrix type in non-test code outside
 # internal/sensing (pointquery.go's *sensing.CountSketch is the one
 # exception — the point estimators are not Matrix methods), no name of a
@@ -81,6 +83,17 @@ defs=$(grep -rniE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --ex
 if [ "$(printf '%s\n' "$defs" | grep -c .)" -ne 2 ]; then
 	echo "verify: want exactly one ctx-sleep and one backoff-delay definition (internal/xrand/backoff.go), found:" >&2
 	printf '%s\n' "$defs" >&2
+	exit 1
+fi
+
+echo "== one serialisation point: the handler folds =="
+# A delta is folded by the goroutine that read it, under ingest.mu, and
+# Aggregator.metrics is always set (BenchmarkStreamFoldBare calls
+# applyFrame): a queue between handler and fold, or a nil-check that
+# forks the product code into instrumented and bare, is the second
+# mechanism growing back.
+if grep -nE 'QueueDepth|chan ingestItem|:= a\.metrics; m != nil|\.metrics [!=]= nil' $(ls internal/stream/*.go | grep -v _test.go); then
+	echo "verify: the lines above queue frames ahead of the fold or fork on a nil metrics pointer (EXPERIMENTS.md pr24)" >&2
 	exit 1
 fi
 
@@ -239,7 +252,7 @@ if [ -z "$url" ]; then
 	exit 1
 fi
 "$tmp/obscheck" -url "$url" -require \
-	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_ingest_queue_depth,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,pointq_remote_queries_total,pointq_remote_keys_total,pointq_remote_errors_total,pointq_remote_seconds,recovery_solver_picks_total
+	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,pointq_remote_queries_total,pointq_remote_keys_total,pointq_remote_errors_total,pointq_remote_seconds,recovery_solver_picks_total
 "$tmp/obscheck" -url "${url%/metrics}/healthz" -health
 
 echo "== hierarchical metrics smoke: tier_*/shard_* on a live relay =="
