@@ -203,9 +203,6 @@ type Sketcher struct {
 	// writers scale instead of serializing on the critical section.
 	colPool sync.Pool
 
-	// chunk is measurePairs' decode buffer between calls.
-	chunk atomic.Pointer[pairChunk]
-
 	// metrics, when installed by Instrument, observes every Detect call.
 	// Loaded atomically so instrumented and uninstrumented Sketchers pay
 	// the same lock-free read on the recovery path.

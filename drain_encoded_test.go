@@ -135,10 +135,10 @@ func TestDrainEncodedBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := folded.AddEncoded(0, payload); err != nil {
-				t.Fatalf("%s count %d: AddEncoded: %v", name, count, err)
+			if err := foldEncoded(folded, 0, payload); err != nil {
+				t.Fatalf("%s count %d: fold: %v", name, count, err)
 			}
-			if err := parent.AddEncoded(0, wantBytes); err != nil {
+			if err := foldEncoded(parent, 0, wantBytes); err != nil {
 				t.Fatal(err)
 			}
 			got, _ := folded.Window(0)
@@ -214,7 +214,7 @@ func TestDrainEncodedBitIdenticalConcurrent(t *testing.T) {
 		}
 		drained += n
 		if n > 0 {
-			if err := ws.AddEncoded(0, payload); err != nil {
+			if err := foldEncoded(ws, 0, payload); err != nil {
 				t.Error(err)
 			}
 		}

@@ -40,7 +40,6 @@ func TestMulVecDimensionPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { m.MulVec(Vector{1, 2}, nil) },
 		func() { m.MulVecT(Vector{1, 2, 3}, nil) },
-		func() { m.ParallelMulVecT(Vector{1}, nil) },
 	} {
 		func() {
 			defer func() {
@@ -130,15 +129,5 @@ func TestIncrementalQREmptySolve(t *testing.T) {
 	}
 	if rn := f.ResidualNorm(); math.Abs(rn-math.Sqrt(14)) > 1e-12 {
 		t.Fatalf("empty-basis residual = %v", rn)
-	}
-}
-
-func TestParallelMulVecTSmallFallsBackToSerial(t *testing.T) {
-	// Tiny matrices take the serial path; results must still be right.
-	m := NewMatrix(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	got := m.ParallelMulVecT(Vector{1, 1}, nil)
-	if !got.Equal(Vector{5, 7, 9}, 1e-12) {
-		t.Fatalf("ParallelMulVecT = %v", got)
 	}
 }

@@ -94,19 +94,6 @@ func TestMulVecKnown(t *testing.T) {
 	}
 }
 
-func TestMulVecTMatchesParallel(t *testing.T) {
-	r := xrand.New(1)
-	for _, dims := range [][2]int{{3, 5}, {64, 200}, {128, 1024}} {
-		m := randMat(r, dims[0], dims[1])
-		x := randVec(r, dims[0])
-		a := m.MulVecT(x, nil)
-		b := m.ParallelMulVecT(x, nil)
-		if !a.Equal(b, 1e-9) {
-			t.Fatalf("dims %v: parallel correlate disagrees", dims)
-		}
-	}
-}
-
 // Property: measurement linearity M(ax + by) = a·Mx + b·My — the algebra
 // the whole distributed-aggregation paradigm rests on.
 func TestMulVecLinearityProperty(t *testing.T) {
@@ -337,17 +324,6 @@ func BenchmarkMulVecT(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelMulVecT(b *testing.B) {
-	r := xrand.New(1)
-	m := randMat(r, 500, 2000)
-	x := randVec(r, 500)
-	dst := make(Vector, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ParallelMulVecT(x, dst)
-	}
-}
-
 func BenchmarkIncrementalQRAppend(b *testing.B) {
 	r := xrand.New(1)
 	const m = 500
@@ -361,6 +337,38 @@ func BenchmarkIncrementalQRAppend(b *testing.B) {
 		for _, c := range cols {
 			if _, err := f.Append(c); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSubCombination pins the Gram-form kernel against the
+// one-term-at-a-time definition within round-off, covering the 4-term
+// blocking remainder (len(z) % 4 != 0), the zero-term copy and the reuse
+// of a long-enough dst.
+func TestSubCombination(t *testing.T) {
+	r := xrand.New(23)
+	var dst Vector
+	for _, sh := range []struct{ terms, n int }{
+		{0, 5}, {1, 1}, {3, 33}, {4, 64}, {9, 257}, {46, 4097},
+	} {
+		c := randVec(r, sh.n)
+		z := randVec(r, sh.terms)
+		g := make([]Vector, sh.terms)
+		for i := range g {
+			g[i] = randVec(r, sh.n)
+		}
+		dst = SubCombination(dst, c, z, g)
+		if len(dst) != sh.n {
+			t.Fatalf("%d terms × %d: len(dst)=%d", sh.terms, sh.n, len(dst))
+		}
+		for j := range dst {
+			want := c[j]
+			for i := range g {
+				want -= z[i] * g[i][j]
+			}
+			if math.Abs(dst[j]-want) > 1e-12*(1+math.Abs(want)) {
+				t.Fatalf("%d terms × %d: dst[%d]=%v, definition gives %v", sh.terms, sh.n, j, dst[j], want)
 			}
 		}
 	}

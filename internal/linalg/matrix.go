@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -73,6 +69,11 @@ func (m *Matrix) MulVec(x, dst Vector) Vector {
 
 // MulVecT computes dst = mᵀ·x (correlations of every column with x).
 // It panics on dimension mismatch. dst is allocated when nil.
+//
+// Rows are blocked four at a time so each output element accumulates
+// four products per pass (ILP across the FP add chain); a block whose
+// four x entries are all zero is skipped, and the remainder rows run
+// unblocked.
 func (m *Matrix) MulVecT(x, dst Vector) Vector {
 	if len(x) != m.Rows {
 		panic(fmt.Sprintf("linalg: MulVecT dims %dx%d with vector %d", m.Rows, m.Cols, len(x)))
@@ -81,19 +82,6 @@ func (m *Matrix) MulVecT(x, dst Vector) Vector {
 		dst = make(Vector, m.Cols)
 	}
 	dst = dst[:m.Cols]
-	m.mulVecTRange(x, dst, 0, m.Cols)
-	return dst
-}
-
-// mulVecTRange computes dst[0:hi-lo] = (mᵀ·x)[lo:hi] — the shared
-// column-range kernel behind MulVecT and ParallelMulVecT. Rows are
-// blocked four at a time so each output element accumulates four
-// products per pass (ILP across the FP add chain); the remainder rows
-// run unblocked. Because the parallel path partitions columns and every
-// column sees the identical row order and blocking, parallel and serial
-// results are bit-identical.
-func (m *Matrix) mulVecTRange(x Vector, dst Vector, lo, hi int) {
-	dst = dst[:hi-lo]
 	clear(dst)
 	i := 0
 	for ; i+4 <= m.Rows; i += 4 {
@@ -101,13 +89,10 @@ func (m *Matrix) mulVecTRange(x Vector, dst Vector, lo, hi int) {
 		if x0 == 0 && x1 == 0 && x2 == 0 && x3 == 0 {
 			continue
 		}
-		r0 := m.Data[i*m.Cols+lo : i*m.Cols+hi]
-		r1 := m.Data[(i+1)*m.Cols+lo : (i+1)*m.Cols+hi]
-		r2 := m.Data[(i+2)*m.Cols+lo : (i+2)*m.Cols+hi]
-		r3 := m.Data[(i+3)*m.Cols+lo : (i+3)*m.Cols+hi]
-		r1 = r1[:len(r0)]
-		r2 = r2[:len(r0)]
-		r3 = r3[:len(r0)]
+		r0 := m.Row(i)
+		r1 := m.Row(i + 1)[:len(r0)]
+		r2 := m.Row(i + 2)[:len(r0)]
+		r3 := m.Row(i + 3)[:len(r0)]
 		out := dst[:len(r0)]
 		for j := range r0 {
 			out[j] += (x0*r0[j] + x1*r1[j]) + (x2*r2[j] + x3*r3[j])
@@ -118,188 +103,11 @@ func (m *Matrix) mulVecTRange(x Vector, dst Vector, lo, hi int) {
 		if xi == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols+lo : i*m.Cols+hi]
-		for j, v := range row {
+		for j, v := range m.Row(i) {
 			dst[j] += v * xi
 		}
 	}
-}
-
-// minParallelWork is the smallest number of multiply-adds worth handing
-// to one goroutine in the parallel kernels. Below roughly 2× this the
-// fork-join overhead exceeds the work, so the kernels fall back to the
-// serial path; above it the worker count is capped so every goroutine
-// still gets at least this much work (spawning GOMAXPROCS workers for a
-// barely-over-threshold product used to cost more than it saved at low
-// parallelism).
-const minParallelWork = 1 << 15
-
-// parallelWorkers returns how many goroutines a kernel doing `work`
-// multiply-adds should fan out over: GOMAXPROCS capped by
-// work/minParallelWork. A result below 2 means "run serial".
-func parallelWorkers(work int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if maxW := work / minParallelWork; workers > maxW {
-		workers = maxW
-	}
-	return workers
-}
-
-// ParallelMulVecT is MulVecT with the column range fanned out over
-// worker goroutines. It is the software stand-in for the GPU
-// acceleration the paper leaves as future work (§5): the correlation step
-// Φᵀr dominates OMP's per-iteration cost, and it is embarrassingly
-// parallel across columns.
-func (m *Matrix) ParallelMulVecT(x, dst Vector) Vector {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("linalg: ParallelMulVecT dims %dx%d with vector %d", m.Rows, m.Cols, len(x)))
-	}
-	workers := parallelWorkers(m.Rows * m.Cols)
-	if workers < 2 || m.Cols < 4*workers {
-		return m.MulVecT(x, dst)
-	}
-	// The fan-out lives in its own method: the goroutine closures there
-	// make every captured variable escape, and keeping them out of this
-	// function keeps the serial fast path (and its callers' steady
-	// state) allocation-free.
-	return m.parallelMulVecTSlow(x, dst, workers)
-}
-
-func (m *Matrix) parallelMulVecTSlow(x, dst Vector, workers int) Vector {
-	if cap(dst) < m.Cols {
-		dst = make(Vector, m.Cols)
-	}
-	dst = dst[:m.Cols]
-	chunk := (m.Cols + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= m.Cols {
-			break
-		}
-		hi := lo + chunk
-		if hi > m.Cols {
-			hi = m.Cols
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// Each worker owns dst[lo:hi]; the shared kernel traverses
-			// rows on the outside so every inner loop reads a contiguous
-			// row segment of the row-major storage (a column-outer loop
-			// would stride by Cols and thrash the cache).
-			m.mulVecTRange(x, dst[lo:hi], lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 	return dst
-}
-
-// MulMatT computes dsts[q] = mᵀ·rs[q] for every q — the correlation of
-// every column with a *block* of residuals in one pass over the matrix
-// (Φᵀ·R as a blocked GEMM). Each rs[q] must have length Rows and each
-// dsts[q] length Cols; it panics otherwise.
-//
-// The payoff over len(rs) MulVecT calls is memory traffic: each 4-row
-// block of m is loaded once and reused against every residual while it
-// is still cache-hot, so the matrix streams from memory once per block
-// instead of once per residual. Per output vector the row order, the
-// blocking, the zero-skip and the accumulation formula are exactly
-// MulVecT's, so dsts[q] is bit-identical to m.MulVecT(rs[q], ·).
-func (m *Matrix) MulMatT(rs, dsts []Vector) {
-	m.checkMatTDims(rs, dsts)
-	m.mulMatTRange(rs, dsts, 0, m.Cols)
-}
-
-func (m *Matrix) checkMatTDims(rs, dsts []Vector) {
-	if len(rs) != len(dsts) {
-		panic(fmt.Sprintf("linalg: MulMatT %d residuals, %d outputs", len(rs), len(dsts)))
-	}
-	for q := range rs {
-		if len(rs[q]) != m.Rows || len(dsts[q]) != m.Cols {
-			panic(fmt.Sprintf("linalg: MulMatT dims %dx%d with residual %d, output %d",
-				m.Rows, m.Cols, len(rs[q]), len(dsts[q])))
-		}
-	}
-}
-
-// mulMatTRange is the column-range kernel behind MulMatT and
-// ParallelMulMatT: it fills dsts[q][lo:hi] for every q. Row blocks run
-// on the outside and residuals inside, so each loaded 4-row tile serves
-// all residuals; within one q the row traversal is identical to
-// mulVecTRange, keeping results bit-identical to the vector kernel.
-func (m *Matrix) mulMatTRange(rs, dsts []Vector, lo, hi int) {
-	for _, dst := range dsts {
-		clear(dst[lo:hi])
-	}
-	i := 0
-	for ; i+4 <= m.Rows; i += 4 {
-		r0 := m.Data[i*m.Cols+lo : i*m.Cols+hi]
-		r1 := m.Data[(i+1)*m.Cols+lo : (i+1)*m.Cols+hi]
-		r2 := m.Data[(i+2)*m.Cols+lo : (i+2)*m.Cols+hi]
-		r3 := m.Data[(i+3)*m.Cols+lo : (i+3)*m.Cols+hi]
-		r1 = r1[:len(r0)]
-		r2 = r2[:len(r0)]
-		r3 = r3[:len(r0)]
-		for q, x := range rs {
-			x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-			if x0 == 0 && x1 == 0 && x2 == 0 && x3 == 0 {
-				continue
-			}
-			out := dsts[q][lo:hi]
-			out = out[:len(r0)]
-			for j := range r0 {
-				out[j] += (x0*r0[j] + x1*r1[j]) + (x2*r2[j] + x3*r3[j])
-			}
-		}
-	}
-	for ; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols+lo : i*m.Cols+hi]
-		for q, x := range rs {
-			xi := x[i]
-			if xi == 0 {
-				continue
-			}
-			out := dsts[q][lo:hi]
-			for j, v := range row {
-				out[j] += v * xi
-			}
-		}
-	}
-}
-
-// ParallelMulMatT is MulMatT with the column range fanned out over
-// worker goroutines. Workers partition columns, every column of every
-// output sees the identical row order, so results stay bit-identical to
-// MulMatT (and hence to per-residual MulVecT) at any GOMAXPROCS.
-func (m *Matrix) ParallelMulMatT(rs, dsts []Vector) {
-	m.checkMatTDims(rs, dsts)
-	if len(rs) == 0 {
-		return
-	}
-	workers := parallelWorkers(len(rs) * m.Rows * m.Cols)
-	if workers < 2 || m.Cols < 4*workers {
-		m.mulMatTRange(rs, dsts, 0, m.Cols)
-		return
-	}
-	chunk := (m.Cols + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= m.Cols {
-			break
-		}
-		hi := lo + chunk
-		if hi > m.Cols {
-			hi = m.Cols
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			m.mulMatTRange(rs, dsts, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // SolveDense solves the square system A·x = b by Gaussian elimination

@@ -150,7 +150,7 @@ func TestWorkspaceSeededZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pinning runs without -race")
 	}
-	p := sensing.Params{M: 16, N: 30, Seed: 47} // N < 2·seededCorrChunk: serial path
+	p := sensing.Params{M: 16, N: 30, Seed: 47} // N < 2·colGenChunk: serial path
 	m, err := sensing.NewSeeded(p)
 	if err != nil {
 		t.Fatal(err)
@@ -222,14 +222,12 @@ func (d dupMatrix) Measure(x, dst linalg.Vector) linalg.Vector {
 func (d dupMatrix) MeasureSparse(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
 	dst = ensureVec(dst, 4)
 	clear(dst)
-	d.AddCols(idx, vals, dst)
+	for k, j := range idx {
+		d.AddCol(j, vals[k], dst)
+	}
 	return dst
 }
-func (dupMatrix) AddCols(idx []int, vals []float64, y linalg.Vector) {
-	for k, j := range idx {
-		y[j%3] += vals[k]
-	}
-}
+func (dupMatrix) AddCol(j int, v float64, y linalg.Vector) { y[j%3] += v }
 func (dupMatrix) Correlate(r, dst linalg.Vector) linalg.Vector {
 	dst = ensureVec(dst, 6)
 	for j := range dst {

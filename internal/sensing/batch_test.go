@@ -102,10 +102,9 @@ func TestCorrelateBlockPanics(t *testing.T) {
 	})
 }
 
-// TestDenseMeasureSparseScatterZeroAlloc pins the fix for the escaping
-// scratch buffer: the dense-scatter path must run allocation-free in
-// steady state, GC or not — the scatter buffer is a dedicated field,
-// not pool-backed storage the collector can reclaim.
+// TestDenseMeasureSparseScatterZeroAlloc pins MeasureSparse on an input
+// that once took a scatter path through an N-length buffer: it is one
+// AddCol per pair now and must run allocation-free, GC or not.
 func TestDenseMeasureSparseScatterZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -115,7 +114,6 @@ func TestDenseMeasureSparseScatterZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dense enough to trip the scatter path: > 64 and > N/16 indices.
 	idx := make([]int, 128)
 	vals := make([]float64, 128)
 	rng := xrand.New(3)
@@ -124,12 +122,11 @@ func TestDenseMeasureSparseScatterZeroAlloc(t *testing.T) {
 		vals[k] = rng.NormFloat64()
 	}
 	dst := make(linalg.Vector, p.M)
-	d.MeasureSparse(idx, vals, dst) // warm the buffer
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(50, func() {
 		d.MeasureSparse(idx, vals, dst)
 	})
 	if allocs != 0 {
-		t.Fatalf("scatter MeasureSparse allocates %.1f/op, want 0", allocs)
+		t.Fatalf("MeasureSparse of %d pairs allocates %.1f/op, want 0", len(idx), allocs)
 	}
 }

@@ -38,6 +38,16 @@ func benchSparseInput(n, nnz int) ([]int, []float64) {
 	return idx, vals
 }
 
+// BenchmarkKernelDenseConstruct is NewDense: one column per PRNG
+// sub-stream, filled in place and fanned out over column ranges.
+func BenchmarkKernelDenseConstruct(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := NewDense(Params{M: benchM, N: benchN, Seed: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkKernelDenseCorrelate(b *testing.B) {
 	d, err := NewDense(Params{M: benchM, N: benchN, Seed: 3})
 	if err != nil {
@@ -73,7 +83,7 @@ func BenchmarkKernelDenseMeasureSparse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx, vals := benchSparseInput(benchN, benchN/8) // dense-ish: scatter path
+	idx, vals := benchSparseInput(benchN, benchN/8) // dense-ish: 1,024 AddCol calls
 	dst := make(linalg.Vector, benchM)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -140,7 +150,9 @@ func benchAddCols16(b *testing.B, m Matrix) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(y)
-		m.AddCols(idx, vals, y)
+		for k, j := range idx {
+			m.AddCol(j, vals[k], y)
+		}
 	}
 }
 

@@ -149,24 +149,22 @@ func (c *CountSketch) Col(j int, dst linalg.Vector) linalg.Vector {
 	return dst
 }
 
-// AddCols implements Matrix touching only the depth cells each column
+// AddCol implements Matrix touching only the depth cells the column
 // occupies. For a y that holds no negative zero — any vector that
 // started at zero and has only taken sums since: x + t is −0 only when
 // x and t both are — the result is bit for bit that of one Col and one
-// dense AddScaled per k, whose other M−depth terms each add a ±0 that
-// changes nothing.
-func (c *CountSketch) AddCols(idx []int, vals []float64, y linalg.Vector) {
-	if len(y) != c.p.M || len(idx) != len(vals) {
-		panic(fmt.Sprintf("sensing: AddCols of %d indices, %d values into length %d, want M=%d", len(idx), len(vals), len(y), c.p.M))
+// dense AddScaled, whose other M−depth terms each add a ±0 that changes
+// nothing.
+func (c *CountSketch) AddCol(j int, v float64, y linalg.Vector) {
+	if len(y) != c.p.M {
+		panic(fmt.Sprintf("sensing: AddCol into length %d, want M=%d", len(y), c.p.M))
 	}
-	for k, j := range idx {
-		if j < 0 || j >= c.p.N {
-			panic(fmt.Sprintf("sensing: index %d out of [0,%d)", j, c.p.N))
-		}
-		for r := 0; r < c.depth; r++ {
-			cell, sign := c.cell(r, j)
-			y[cell] += vals[k] * (sign * c.invs)
-		}
+	if j < 0 || j >= c.p.N {
+		panic(fmt.Sprintf("sensing: index %d out of [0,%d)", j, c.p.N))
+	}
+	for r := 0; r < c.depth; r++ {
+		cell, sign := c.cell(r, j)
+		y[cell] += v * (sign * c.invs)
 	}
 }
 

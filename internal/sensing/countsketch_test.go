@@ -299,8 +299,8 @@ func TestCountSketchEvenDepthMedian(t *testing.T) {
 	}
 }
 
-// From a zero vector, AddCols lands on the bits of one Col and one dense
-// AddScaled per index — through repeats, cancellations that leave +0,
+// From a zero vector, a run of AddCol lands on the bits of one Col and
+// one dense AddScaled per index — through repeats, cancellations that leave +0,
 // negative values and products that underflow to −0.
 func TestCountSketchAddColsBitIdentical(t *testing.T) {
 	c := cskMat(t, Params{M: 45, N: 200, Seed: 7}, 4) // one tail cell
@@ -322,7 +322,9 @@ func TestCountSketchAddColsBitIdentical(t *testing.T) {
 			}
 		}
 		got, want := make(linalg.Vector, c.p.M), make(linalg.Vector, c.p.M)
-		c.AddCols(idx, vals, got)
+		for k, j := range idx {
+			c.AddCol(j, vals[k], got)
+		}
 		col := make(linalg.Vector, c.p.M)
 		for k, j := range idx {
 			want.AddScaled(vals[k], c.Col(j, col))

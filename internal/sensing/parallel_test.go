@@ -129,21 +129,103 @@ func TestSeededParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDenseParallelBitIdentical pins Dense.Correlate (ParallelMulVecT)
-// against the serial MulVecT: the two share the same range kernel, so
-// even the reassociated row-blocked sums must agree exactly.
+// rowMajor copies m's columns into a row-major linalg.Matrix: the
+// reference the column-major Dense kernels are pinned against.
+func rowMajor(m Matrix) *linalg.Matrix {
+	p := m.Params()
+	ref := linalg.NewMatrix(p.M, p.N)
+	col := make(linalg.Vector, p.M)
+	for j := 0; j < p.N; j++ {
+		for i, v := range m.Col(j, col) {
+			ref.Set(i, j, v)
+		}
+	}
+	return ref
+}
+
+// TestDenseParallelBitIdentical pins what NewDense's fanned-out fill and
+// Dense.Correlate produce against the serial row-major MulVecT, at every
+// worker count: each column has its own sub-stream, so the entries are
+// the same bits however the columns were split.
 func TestDenseParallelBitIdentical(t *testing.T) {
-	p := Params{M: 64, N: 2048, Seed: 19} // M·N ≥ 1<<16: parallel path engages
-	d, err := NewDense(p)
+	p := Params{M: 64, N: 2048, Seed: 19}
+	serial, err := NewSeeded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := rowMajor(serial)
 	r := randVec(23, p.M)
-	want := d.mat.MulVecT(r, nil)
+	want := ref.MulVecT(r, nil)
 	for _, w := range []int{1, 2, 3, 8} {
 		withWorkers(t, w, func() {
+			d, err := NewDense(p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			bitsEqual(t, "Dense.Correlate", d.Correlate(r, nil), want)
 		})
+	}
+}
+
+// TestDenseColumnMajorMatchesRowMajor pins every column-major Dense
+// kernel to the row-major arithmetic it replaced, Float64bits-exact:
+// Measure to MulVec, Correlate to MulVecT, CorrelateBatch to
+// per-residual Correlate, φ₀ to the scaled row sums, AddCol to Col plus
+// AddScaled. Shapes: a remainder in every unrolled loop (7×13), more
+// rows than one Measure block (515×21) and the production one
+// (384×4096); x carries an all-zero 8-column pass where N allows,
+// residuals an all-zero 4-row block and a zero in the remainder rows,
+// and one residual is zero throughout.
+func TestDenseColumnMajorMatchesRowMajor(t *testing.T) {
+	for _, p := range []Params{{M: 7, N: 13, Seed: 41}, {M: 515, N: 21, Seed: 47}, {M: 384, N: 4096, Seed: 43}} {
+		for _, w := range []int{1, 2} {
+			withWorkers(t, w, func() {
+				d, err := NewDense(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := rowMajor(d)
+				x := randVec(3+p.Seed, p.N)
+				x[1], x[4], x[5], x[6], x[7] = 0, 0, 0, 0, 0 // one zero quad, one lone zero
+				if p.N >= 24 {
+					clear(x[16:24]) // a skipped pass
+				}
+				bitsEqual(t, "Measure", d.Measure(x, nil), ref.MulVec(x, nil))
+
+				rs := []linalg.Vector{randVec(5+p.Seed, p.M), randVec(7+p.Seed, p.M), make(linalg.Vector, p.M)}
+				clear(rs[0][:4])
+				rs[1][p.M-1] = 0
+				dsts := make([]linalg.Vector, len(rs))
+				for q, r := range rs {
+					bitsEqual(t, "Correlate", d.Correlate(r, nil), ref.MulVecT(r, nil))
+					dsts[q] = make(linalg.Vector, p.N)
+				}
+				d.CorrelateBatch(rs, dsts)
+				for q, r := range rs {
+					bitsEqual(t, "CorrelateBatch", dsts[q], d.Correlate(r, nil))
+				}
+
+				phi0 := make(linalg.Vector, p.M)
+				for i := range phi0 {
+					s := 0.0
+					for _, v := range ref.Row(i) {
+						s += v
+					}
+					phi0[i] = s
+				}
+				bitsEqual(t, "ExtensionColumn", d.ExtensionColumn(nil), phi0.Scale(1/math.Sqrt(float64(p.N))))
+
+				got, want := randVec(9+p.Seed, p.M), make(linalg.Vector, p.M)
+				copy(want, got)
+				col := make(linalg.Vector, p.M)
+				for k, j := range []int{p.N - 1, 0, p.N / 2, 0} {
+					v := float64(k) - 1.5
+					d.AddCol(j, v, got)
+					want.AddScaled(v, ref.Col(j, col))
+				}
+				bitsEqual(t, "AddCol", got, want)
+			})
+		}
 	}
 }
 
@@ -195,15 +277,17 @@ func TestExtensionColumnCached(t *testing.T) {
 	}
 }
 
-// TestDenseMeasureSparseScatterPath checks the dense-scatter fast path
-// (many indices) against the column-walk path and against Measure.
+// TestDenseMeasureSparseScatterPath checks MeasureSparse against Measure
+// on an input dense enough to have taken the scatter path this kernel
+// had while Φ was row-major (more than N/4 indices), and on a sparse one.
+// Both are now one AddCol per pair, so only a tolerance holds between
+// them and Measure's reassociated sums.
 func TestDenseMeasureSparseScatterPath(t *testing.T) {
 	p := Params{M: 16, N: 200, Seed: 31}
 	d, err := NewDense(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dense enough to trip the scatter path: > 64 and > N/16 indices.
 	idx := make([]int, 100)
 	vals := make([]float64, 100)
 	x := make(linalg.Vector, p.N)
@@ -216,7 +300,7 @@ func TestDenseMeasureSparseScatterPath(t *testing.T) {
 	got := d.MeasureSparse(idx, vals, nil)
 	want := d.Measure(x, nil)
 	if !got.Equal(want, 1e-9) {
-		t.Fatalf("scatter MeasureSparse deviates from Measure: %v vs %v", got[:3], want[:3])
+		t.Fatalf("dense-input MeasureSparse deviates from Measure: %v vs %v", got[:3], want[:3])
 	}
 	// And the sparse path (few indices) agrees too.
 	got2 := d.MeasureSparse(idx[:8], vals[:8], nil)
@@ -226,6 +310,6 @@ func TestDenseMeasureSparseScatterPath(t *testing.T) {
 	}
 	want2 := d.Measure(x2, nil)
 	if !got2.Equal(want2, 1e-9) {
-		t.Fatalf("column-walk MeasureSparse deviates from Measure")
+		t.Fatalf("sparse MeasureSparse deviates from Measure")
 	}
 }

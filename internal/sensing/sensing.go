@@ -11,8 +11,10 @@
 // Two ensembles, three types. The Gaussian ensemble has two
 // interchangeable representations, chosen by New from M·N:
 //
-//   - Dense stores all M·N entries; fastest for repeated recovery on
-//     moderate N (the paper's production queries have N ≈ 10K).
+//   - Dense stores all M·N entries, column-major: a column — what an
+//     observation, a pair of a delta frame or a Gram column reads — is
+//     one contiguous run. Fastest for repeated recovery on moderate N
+//     (the paper's production queries have N ≈ 10K).
 //   - Seeded stores nothing but the parameters and regenerates any column
 //     on demand in O(M); this is what makes the key-scaling experiment
 //     (Figure 12, N up to 5M) feasible in bounded memory, and it is also
@@ -22,11 +24,12 @@
 // Both derive column j from the same per-column PRNG sub-stream, so they
 // produce bit-identical matrices for equal parameters — tested, because
 // the protocol's correctness depends on it. The per-column sub-streams
-// also make every whole-matrix kernel embarrassingly parallel: Correlate,
-// Measure, MeasureSparse and ExtensionColumn fan columns out over
-// GOMAXPROCS workers (see parallel.go) while staying bit-identical to
-// the serial loop — the software stand-in for the GPU acceleration the
-// paper leaves as future work (§5).
+// also make the whole-matrix kernels embarrassingly parallel: Seeded's
+// Correlate, Measure, MeasureSparse and ExtensionColumn and Dense's fill
+// and Correlate fan columns out over GOMAXPROCS workers (see
+// parallel.go) while staying bit-identical to the serial loop — the
+// software stand-in for the GPU acceleration the paper leaves as future
+// work (§5).
 //
 // CountSketch (countsketch.go) is the other ensemble: hashed columns of
 // depth non-zeros, O(depth) per observation, and point queries that need
@@ -37,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/xrand"
@@ -74,20 +76,19 @@ type Matrix interface {
 	// MeasureSparse computes y = Σ vals[i]·φ_{idx[i]} for a sparse slice;
 	// indices may repeat (values accumulate).
 	MeasureSparse(idx []int, vals []float64, dst linalg.Vector) linalg.Vector
-	// AddCols adds Σ vals[k]·φ_{idx[k]} into y (length M) with every y[i]
-	// taking its terms in k order: y ends on exactly the bits of one Col
-	// and one AddScaled per k, however the implementation gets there.
-	// This is Updater.Observe's arithmetic a run of observations at a
-	// time, which is what lets a receiver measure a pairs delta frame
-	// into the bits the sender's own sketch would have held.
-	AddCols(idx []int, vals []float64, y linalg.Vector)
+	// AddCol adds v·φ_j into y (length M): y ends on exactly the bits of
+	// one Col and one AddScaled, however the implementation gets there.
+	// A run of AddCol calls is Updater.Observe's arithmetic, which is
+	// what lets a receiver measure a pairs delta frame into the bits the
+	// sender's own sketch would have held. It writes only y, so callers
+	// measuring into their own vectors may run concurrently.
+	AddCol(j int, v float64, y linalg.Vector)
 	// Correlate computes Φ₀ᵀ·r — the inner product of every column with
 	// r, the dominant cost of each OMP iteration.
 	Correlate(r linalg.Vector, dst linalg.Vector) linalg.Vector
 	// CorrelateBatch correlates a block of residuals in one pass over
-	// the matrix: a regenerating ensemble builds each column once and
-	// dots it with every residual, Dense runs the blocked GEMM
-	// (linalg.MulMatT). len(rs) == len(dsts), every rs[q] has length M
+	// the matrix: each column is built or loaded once and dotted with
+	// every residual. len(rs) == len(dsts), every rs[q] has length M
 	// and every dsts[q] length N, and dsts[q] comes out bit-identical to
 	// Correlate(rs[q], dsts[q]) — batching never changes recovery bits.
 	CorrelateBatch(rs, dsts []linalg.Vector)
@@ -141,162 +142,253 @@ func copyCached(phi0 linalg.Vector, dst linalg.Vector) linalg.Vector {
 	return dst
 }
 
-// Dense is a fully materialized measurement matrix.
+// Dense is a fully materialized measurement matrix, stored column-major:
+// column j is cols[j*M:(j+1)*M]. A column is what every per-key
+// operation reads — an observation or a pair of a delta frame adds one,
+// a Gram column dots one — so each is one contiguous run of M floats.
+// The whole-matrix kernels walk the columns too, and each keeps the
+// per-output accumulation order the row-major layout gave it (Measure:
+// linalg.Vector.Dot's four strided partial sums; Correlate: four rows a
+// step; φ₀: ascending j), so a Dense answers with the bits a row-major
+// linalg.Matrix of the same entries would.
 type Dense struct {
 	p    Params
-	mat  *linalg.Matrix // M×N row-major
-	phi0 linalg.Vector  // cached extension column, computed at NewDense
-
-	// scatterBuf is the dedicated N-length scatter buffer for
-	// MeasureSparse, claimed and returned with atomics. Unlike the pooled
-	// fallback it survives GC cycles, which is what keeps the steady-state
-	// scatter path at 0 allocs/op: sync.Pool entries are reclaimed at GC,
-	// and the occasional 64 KB re-allocation showed up as a steady
-	// ~200 B/op in BenchmarkKernelDenseMeasureSparse.
-	scatterBuf atomic.Pointer[linalg.Vector]
-	scatter    vecPool // overflow pool when callers contend for scatterBuf
+	cols []float64     // N columns of M entries
+	phi0 linalg.Vector // cached extension column, computed at NewDense
 }
 
-// NewDense builds and stores the full matrix. Memory: M·N·8 bytes.
+// NewDense builds and stores the full matrix. Memory: M·N·8 bytes. Each
+// column is filled from its own PRNG sub-stream, so the fill fans out
+// over column ranges and the entries are the same bits at any worker
+// count.
 func NewDense(p Params) (*Dense, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	mat := linalg.NewMatrix(p.M, p.N)
-	col := make(linalg.Vector, p.M)
-	for j := 0; j < p.N; j++ {
-		fillColumn(p, j, col)
-		for i := 0; i < p.M; i++ {
-			mat.Set(i, j, col[i])
+	d := &Dense{p: p, cols: make([]float64, p.M*p.N)}
+	parallelRanges(p.N, colGenChunk, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			fillColumn(p, j, d.col(j))
 		}
-	}
-	d := &Dense{p: p, mat: mat}
-	// φ₀ = (1/√N)·Σφᵢ, via row sums over the materialized storage; the
-	// standing-query path re-reads it on every BOMP call, so pay the
-	// O(M·N) exactly once here.
+	})
+	// φ₀ = (1/√N)·Σφᵢ: the standing-query path re-reads it on every BOMP
+	// call, so pay the O(M·N) exactly once here.
 	d.phi0 = make(linalg.Vector, p.M)
-	for i := 0; i < p.M; i++ {
-		s := 0.0
-		for _, v := range mat.Row(i) {
-			s += v
-		}
-		d.phi0[i] = s
+	for j := 0; j < p.N; j++ {
+		d.phi0.Add(d.col(j))
 	}
 	d.phi0.Scale(1 / math.Sqrt(float64(p.N)))
-	scatter := make(linalg.Vector, p.N)
-	d.scatterBuf.Store(&scatter)
 	return d, nil
 }
 
-// getScatter claims the dedicated scatter buffer, falling back to the
-// pool when another MeasureSparse call holds it.
-func (d *Dense) getScatter() *linalg.Vector {
-	if v := d.scatterBuf.Swap(nil); v != nil {
-		return v
-	}
-	return d.scatter.get(d.p.N)
-}
-
-// putScatter returns a scatter buffer, restoring the dedicated slot
-// first so the uncontended path never depends on pool survival.
-func (d *Dense) putScatter(v *linalg.Vector) {
-	if d.scatterBuf.CompareAndSwap(nil, v) {
-		return
-	}
-	d.scatter.put(v)
+// col returns column j, aliasing the storage.
+func (d *Dense) col(j int) linalg.Vector {
+	return d.cols[j*d.p.M : (j+1)*d.p.M : (j+1)*d.p.M]
 }
 
 // Params implements Matrix.
 func (d *Dense) Params() Params { return d.p }
 
 // Col implements Matrix.
-func (d *Dense) Col(j int, dst linalg.Vector) linalg.Vector { return d.mat.Col(j, dst) }
-
-// AddCols implements Matrix a matrix row at a time. A column of the
-// row-major storage is M loads N·8 bytes apart, a page each; the same
-// loads taken row by row share their pages and overlap their misses,
-// which halves the cost of measuring a short run of observations (a
-// pairs delta frame) and changes none of its arithmetic.
-func (d *Dense) AddCols(idx []int, vals []float64, y linalg.Vector) {
-	if len(y) != d.p.M || len(idx) != len(vals) {
-		panic(fmt.Sprintf("sensing: AddCols of %d indices, %d values into length %d, want M=%d", len(idx), len(vals), len(y), d.p.M))
+func (d *Dense) Col(j int, dst linalg.Vector) linalg.Vector {
+	if j < 0 || j >= d.p.N {
+		panic(fmt.Sprintf("sensing: column %d out of [0,%d)", j, d.p.N))
 	}
-	for i := range y {
-		row := d.mat.Row(i)
-		s := y[i]
-		for k, j := range idx {
-			s += vals[k] * row[j]
-		}
-		y[i] = s
-	}
+	dst = ensureExact(dst, d.p.M)
+	copy(dst, d.col(j))
+	return dst
 }
 
-// Measure implements Matrix.
+// AddCol implements Matrix: one contiguous AddScaled.
+func (d *Dense) AddCol(j int, v float64, y linalg.Vector) {
+	if j < 0 || j >= d.p.N {
+		panic(fmt.Sprintf("sensing: index %d out of [0,%d)", j, d.p.N))
+	}
+	y.AddScaled(v, d.col(j))
+}
+
+// Measure implements Matrix with linalg.Vector.Dot's association per
+// output: four partial sums over the columns j ≡ 0, 1, 2, 3 (mod 4) below
+// the last multiple of four, each taking its columns in ascending j,
+// combined as (s0+s1)+(s2+s3), then the remaining columns one at a time.
+// Eight columns are read per pass, so each partial sum is loaded and
+// stored once per two of its terms. Columns whose x entries are zero add
+// ±0 to a partial sum, which changes none of them (a sum that started at
+// +0 is never −0), so a pass whose x entries are all zero is skipped.
+// Every output is independent of the others, so the rows are summed
+// measureBlock at a time, with the three extra partial sums on the stack:
+// Measure allocates nothing.
 func (d *Dense) Measure(x, dst linalg.Vector) linalg.Vector {
+	m := d.p.M
 	if len(x) != d.p.N {
 		panic(fmt.Sprintf("sensing: Measure vector length %d, want N=%d", len(x), d.p.N))
 	}
-	return d.mat.MulVec(x, dst)
-}
-
-// MeasureSparse implements Matrix. For inputs that are not genuinely
-// sparse relative to N, the column-at-a-time walk over the row-major
-// storage is cache-hostile (stride N per element); scattering into a
-// pooled dense vector and running the row-major MulVec is the same flop
-// count with sequential access, so it wins beyond a small density
-// threshold.
-func (d *Dense) MeasureSparse(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
-	n, m := d.p.N, d.p.M
 	dst = ensure(dst, m)
-	if len(idx) > 64 && len(idx) > n/4 {
-		xp := d.getScatter()
-		x := *xp
-		clear(x)
-		for k, j := range idx {
-			if j < 0 || j >= n {
-				panic(fmt.Sprintf("sensing: index %d out of [0,%d)", j, n))
-			}
-			x[j] += vals[k]
-		}
-		d.mat.MulVec(x, dst)
-		d.putScatter(xp)
-		return dst
-	}
-	for _, j := range idx {
-		if j < 0 || j >= n {
-			// Explicit check: row-major indexing would otherwise alias a
-			// neighbouring row's entry instead of failing fast.
-			panic(fmt.Sprintf("sensing: index %d out of [0,%d)", j, n))
-		}
-	}
-	// Row-major gather: accumulate Σ vals[k]·row[idx[k]] one row at a
-	// time. Same flop count as the column-at-a-time walk, but the memory
-	// access moves forward monotonically inside each row instead of
-	// striding N doubles per element, and it reads only nnz/N of the
-	// matrix — which is why the dense MulVec above only wins once the
-	// input stops being sparse.
-	data := d.mat.Data
-	for i := 0; i < m; i++ {
-		row := data[i*n : i*n+n]
-		acc := 0.0
-		for k, j := range idx {
-			acc += vals[k] * row[j]
-		}
-		dst[i] += acc
+	for lo := 0; lo < m; lo += measureBlock {
+		d.measureRows(x, dst[lo:min(lo+measureBlock, m)], lo)
 	}
 	return dst
 }
 
-// Correlate implements Matrix using the goroutine-parallel kernel.
-func (d *Dense) Correlate(r, dst linalg.Vector) linalg.Vector {
-	return d.mat.ParallelMulVecT(r, dst)
+// measureBlock is how many rows one measureRows call sums: 12 KB of
+// stack, and every benchmark workload's M in one block — a
+// 128-row block, re-walking every column once per block, read ~25%
+// slower at 384×4096. A pooled 3·M scratch instead was re-allocated
+// after each GC, which pull nodes measuring concurrently paid in
+// alloc_bytes_per_obs.
+const measureBlock = 512
+
+// measureRows adds rows [lo, lo+len(s0)) of Φ·x into s0, which is zero.
+func (d *Dense) measureRows(x, s0 linalg.Vector, lo int) {
+	m, n, cols, b := d.p.M, d.p.N, d.cols, len(s0)
+	// Every operand is cut to length b, so the loops below index them
+	// with no bounds checks.
+	var acc [3][measureBlock]float64
+	s1, s2, s3 := acc[0][:b], acc[1][:b], acc[2][:b]
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		x0, x1, x2, x3, x4, x5, x6, x7 := x[j], x[j+1], x[j+2], x[j+3], x[j+4], x[j+5], x[j+6], x[j+7]
+		if x0 == 0 && x1 == 0 && x2 == 0 && x3 == 0 && x4 == 0 && x5 == 0 && x6 == 0 && x7 == 0 {
+			continue
+		}
+		c0, c1, c2, c3 := cols[j*m+lo:][:b], cols[(j+1)*m+lo:][:b], cols[(j+2)*m+lo:][:b], cols[(j+3)*m+lo:][:b]
+		c4, c5, c6, c7 := cols[(j+4)*m+lo:][:b], cols[(j+5)*m+lo:][:b], cols[(j+6)*m+lo:][:b], cols[(j+7)*m+lo:][:b]
+		for i := range s0 {
+			s0[i] = s0[i] + c0[i]*x0 + c4[i]*x4
+			s1[i] = s1[i] + c1[i]*x1 + c5[i]*x5
+			s2[i] = s2[i] + c2[i]*x2 + c6[i]*x6
+			s3[i] = s3[i] + c3[i]*x3 + c7[i]*x7
+		}
+	}
+	if j+4 <= n {
+		x0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3]
+		c0, c1, c2, c3 := cols[j*m+lo:][:b], cols[(j+1)*m+lo:][:b], cols[(j+2)*m+lo:][:b], cols[(j+3)*m+lo:][:b]
+		for i := range s0 {
+			s0[i] += c0[i] * x0
+			s1[i] += c1[i] * x1
+			s2[i] += c2[i] * x2
+			s3[i] += c3[i] * x3
+		}
+		j += 4
+	}
+	for i := range s0 {
+		s0[i] = (s0[i] + s1[i]) + (s2[i] + s3[i])
+	}
+	for ; j < n; j++ {
+		s0.AddScaled(x[j], cols[j*m+lo:][:b])
+	}
 }
 
-// CorrelateBatch implements Matrix via the blocked GEMM: one pass over
-// the matrix serves the whole residual block, bit-identical per
-// residual to Correlate.
+// MeasureSparse implements Matrix as one AddCol per pair, from zero in
+// k order: the arithmetic of Updater.Observe over the same pairs.
+func (d *Dense) MeasureSparse(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
+	dst = ensure(dst, d.p.M)
+	for k, j := range idx {
+		d.AddCol(j, vals[k], dst)
+	}
+	return dst
+}
+
+// Correlate implements Matrix.
+func (d *Dense) Correlate(r, dst linalg.Vector) linalg.Vector {
+	if len(r) != d.p.M {
+		panic(fmt.Sprintf("sensing: Correlate vector length %d, want M=%d", len(r), d.p.M))
+	}
+	dst = ensureExact(dst, d.p.N)
+	if d.parallelCorrelate() {
+		d.CorrelateBatch([]linalg.Vector{r}, []linalg.Vector{dst})
+		return dst
+	}
+	// One residual on the calling goroutine: nothing escapes, so the
+	// serial path allocates nothing.
+	rs, dsts := [1]linalg.Vector{r}, [1]linalg.Vector{dst}
+	d.correlateRange(rs[:], dsts[:], 0, d.p.N)
+	return dst
+}
+
+// CorrelateBatch implements Matrix: four columns are read per pass and
+// dotted with every residual while they are cache-hot, so the matrix
+// streams from memory once per block, not once per residual. Workers
+// own disjoint column ranges and every output sees the same row order,
+// so the bits do not depend on the worker count.
 func (d *Dense) CorrelateBatch(rs, dsts []linalg.Vector) {
-	d.mat.ParallelMulMatT(rs, dsts)
+	if !d.parallelCorrelate() {
+		d.correlateRange(rs, dsts, 0, d.p.N)
+		return
+	}
+	parallelRanges(d.p.N, denseCorrChunk, func(lo, hi int) {
+		d.correlateRange(rs, dsts, lo, hi)
+	})
+}
+
+// denseCorrChunk is the minimum columns per worker for Dense's
+// correlation: a column is M multiply-adds, so it takes a few hundred
+// of them to pay for a goroutine.
+const denseCorrChunk = 512
+
+// parallelCorrelate reports whether a correlation fans out.
+func (d *Dense) parallelCorrelate() bool {
+	return kernelWorkers() > 1 && d.p.N >= 2*denseCorrChunk
+}
+
+// correlateRange fills dsts[q][j] = <φ_j, rs[q]> for j in [lo, hi), with
+// linalg.Matrix.MulVecT's association per output: rows four at a step
+// as (x0·φ0 + x1·φ1) + (x2·φ2 + x3·φ3), then the remaining rows one at a
+// time. MulVecT skips a step whose residual entries are all zero; here
+// it adds ±0 to a sum that started at +0 and so is never −0, which
+// changes nothing, and the test would cost more than the step.
+//
+// Four columns are read per pass, a quarter of the range apart: each of
+// the four loads streams through its own quarter of the matrix in
+// address order, which the hardware prefetcher follows as it does the
+// row-major kernel's four rows. Four adjacent columns, read in
+// lockstep, are four short streams that restart every pass, and read
+// ~40% slower at 384×4096.
+func (d *Dense) correlateRange(rs, dsts []linalg.Vector, lo, hi int) {
+	m, cols := d.p.M, d.cols
+	s := (hi - lo) / 4
+	for j := lo; j < lo+s; j++ {
+		// Every operand is cut to capacity m, so one bounds check on the
+		// residual covers the four column loads beside it.
+		c0, c1, c2, c3 := cols[j*m:][:m:m], cols[(j+s)*m:][:m:m], cols[(j+2*s)*m:][:m:m], cols[(j+3*s)*m:][:m:m]
+		for q, r := range rs {
+			r = r[:m:m]
+			var a0, a1, a2, a3 float64
+			i := 0
+			for ; i+4 <= m; i += 4 {
+				x := r[i : i+4 : i+4]
+				e0, e1, e2, e3 := c0[i:i+4:i+4], c1[i:i+4:i+4], c2[i:i+4:i+4], c3[i:i+4:i+4]
+				a0 += (x[0]*e0[0] + x[1]*e0[1]) + (x[2]*e0[2] + x[3]*e0[3])
+				a1 += (x[0]*e1[0] + x[1]*e1[1]) + (x[2]*e1[2] + x[3]*e1[3])
+				a2 += (x[0]*e2[0] + x[1]*e2[1]) + (x[2]*e2[2] + x[3]*e2[3])
+				a3 += (x[0]*e3[0] + x[1]*e3[1]) + (x[2]*e3[2] + x[3]*e3[3])
+			}
+			for ; i < m; i++ {
+				a0 += c0[i] * r[i]
+				a1 += c1[i] * r[i]
+				a2 += c2[i] * r[i]
+				a3 += c3[i] * r[i]
+			}
+			out := dsts[q]
+			out[j], out[j+s], out[j+2*s], out[j+3*s] = a0, a1, a2, a3
+		}
+	}
+	for j := lo + 4*s; j < hi; j++ {
+		c := cols[j*m:][:m:m]
+		for q, r := range rs {
+			r = r[:m:m]
+			a := 0.0
+			i := 0
+			for ; i+4 <= m; i += 4 {
+				x, e := r[i:i+4:i+4], c[i:i+4:i+4]
+				a += (x[0]*e[0] + x[1]*e[1]) + (x[2]*e[2] + x[3]*e[3])
+			}
+			for ; i < m; i++ {
+				a += c[i] * r[i]
+			}
+			dsts[q][j] = a
+		}
+	}
 }
 
 // ExtensionColumn implements Matrix from the per-matrix cache.
@@ -337,16 +429,11 @@ func (s *Seeded) Col(j int, dst linalg.Vector) linalg.Vector {
 	return dst
 }
 
-// AddCols implements Matrix as the definition reads: one regenerated
-// column and one AddScaled per pair.
-func (s *Seeded) AddCols(idx []int, vals []float64, y linalg.Vector) {
-	if len(y) != s.p.M || len(idx) != len(vals) {
-		panic(fmt.Sprintf("sensing: AddCols of %d indices, %d values into length %d, want M=%d", len(idx), len(vals), len(y), s.p.M))
-	}
+// AddCol implements Matrix as the definition reads: one regenerated
+// column and one AddScaled.
+func (s *Seeded) AddCol(j int, v float64, y linalg.Vector) {
 	col := s.cols.get(s.p.M)
-	for k, j := range idx {
-		y.AddScaled(vals[k], s.Col(j, *col))
-	}
+	y.AddScaled(v, s.Col(j, *col))
 	s.cols.put(col)
 }
 
@@ -392,10 +479,11 @@ func (s *Seeded) MeasureSparse(idx []int, vals []float64, dst linalg.Vector) lin
 	return dst
 }
 
-// seededCorrChunk is the minimum columns per worker for the parallel
-// correlation: one column costs M Gaussian draws, so even small chunks
+// colGenChunk is the minimum columns per worker for work that generates
+// columns (Seeded's correlation, Dense's fill): one column costs M
+// Gaussian draws, so even small chunks
 // amortize dispatch, but single-digit ranges aren't worth a goroutine.
-const seededCorrChunk = 16
+const colGenChunk = 16
 
 // Correlate implements Matrix by regenerating every column, fanned over
 // GOMAXPROCS workers. dst[j] depends only on column j's sub-stream and
@@ -405,11 +493,11 @@ func (s *Seeded) Correlate(r, dst linalg.Vector) linalg.Vector {
 		panic(fmt.Sprintf("sensing: Correlate vector length %d, want M=%d", len(r), s.p.M))
 	}
 	dst = ensureExact(dst, s.p.N)
-	if kernelWorkers() < 2 || s.p.N < 2*seededCorrChunk {
+	if kernelWorkers() < 2 || s.p.N < 2*colGenChunk {
 		s.correlateRange(r, dst, 0, s.p.N)
 		return dst
 	}
-	parallelRanges(s.p.N, seededCorrChunk, func(lo, hi int) {
+	parallelRanges(s.p.N, colGenChunk, func(lo, hi int) {
 		s.correlateRange(r, dst, lo, hi)
 	})
 	return dst
@@ -432,11 +520,11 @@ func (s *Seeded) correlateRange(r, dst linalg.Vector, lo, hi int) {
 // Each dsts[q][j] comes from the same fillColumn bits and the same Dot
 // as Correlate(rs[q], ·), so results are bit-identical per residual.
 func (s *Seeded) CorrelateBatch(rs, dsts []linalg.Vector) {
-	if kernelWorkers() < 2 || s.p.N < 2*seededCorrChunk {
+	if kernelWorkers() < 2 || s.p.N < 2*colGenChunk {
 		s.correlateBatchRange(rs, dsts, 0, s.p.N)
 		return
 	}
-	parallelRanges(s.p.N, seededCorrChunk, func(lo, hi int) {
+	parallelRanges(s.p.N, colGenChunk, func(lo, hi int) {
 		s.correlateBatchRange(rs, dsts, lo, hi)
 	})
 }

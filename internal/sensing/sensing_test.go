@@ -118,10 +118,10 @@ func TestMeasureSparse(t *testing.T) {
 	}
 }
 
-// AddCols lands on the bits of one Col and one AddScaled per index, in
-// index order, whatever y held and however often an index repeats — for
-// every matrix type (TestCountSketchAddColsBitIdentical adds the
-// count-sketch's signed-zero cases).
+// A run of AddCol lands on the bits of one Col and one AddScaled per
+// index, in index order, whatever y held and however often an index
+// repeats — for every matrix type (TestCountSketchAddColsBitIdentical
+// adds the count-sketch's signed-zero cases).
 func TestAddColsBitIdentical(t *testing.T) {
 	p := params()
 	d, sd := both(t, p)
@@ -146,12 +146,12 @@ func TestAddColsBitIdentical(t *testing.T) {
 					got[i] = rng.Float64() - 0.5
 					want[i] = got[i]
 				}
-				tc.m.AddCols(idx, vals, got)
 				col := make(linalg.Vector, p.M)
 				for k, j := range idx {
+					tc.m.AddCol(j, vals[k], got)
 					want.AddScaled(vals[k], tc.m.Col(j, col))
 				}
-				bitsEqual(t, "AddCols", got, want)
+				bitsEqual(t, "AddCol", got, want)
 			}
 		})
 	}

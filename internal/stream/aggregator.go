@@ -58,7 +58,7 @@ type AggregatorOptions struct {
 	// the decoded delta sketch. The tier relay uses it to accumulate the
 	// per-window upward delta atomically with the fold it mirrors. The
 	// callback must be fast and must not call back into the aggregator.
-	// delta is the aggregator's one decode scratch: it is valid for the
+	// delta is the connection's decode scratch: it is valid for the
 	// duration of the call only.
 	OnApplied func(window uint64, folds int, delta csoutlier.Sketch)
 	// SnapshotExtra, when set, is invoked inside Snapshot()'s critical
@@ -183,11 +183,13 @@ type AggStats struct {
 // new data lands.
 //
 // There is one serialisation point, ingest.mu: a connection's handler
-// goroutine reads a frame, folds it under that mutex and writes the
-// ack, so a pusher's next frame is not read until its current one is
-// folded (stop-and-wait is the backpressure). Eq. 1 is a sum, so the
-// order in which handlers win the mutex cannot change a window; a test
-// that needs one fold order drives the frames from one goroutine.
+// goroutine reads a frame, decodes (and, for pairs, measures) it into
+// the connection's own scratch without the mutex, folds it under the
+// mutex and writes the ack, so a pusher's next frame is not read until
+// its current one is folded (stop-and-wait is the backpressure). Eq. 1
+// is a sum, so the order in which handlers win the mutex cannot change
+// a window; a test that needs one fold order drives the frames from one
+// goroutine.
 //
 // The state is four components, each owning the mutex that guards its
 // fields (ingest.go, queries.go, points.go, lifecycle.go). Lock order:
@@ -227,9 +229,6 @@ func NewAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions) (*Aggregator,
 	}
 	a.metrics = newAggMetrics(reg, a)
 	a.in.members = newMembers(a.metrics)
-	if opts.OnApplied != nil {
-		a.in.scratch = sk.ZeroSketch()
-	}
 	if opts.WindowEvery > 0 {
 		// A durable aggregator snapshots right after each rotation: the
 		// snapshot's window counter then matches what nodes learn from

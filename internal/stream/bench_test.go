@@ -11,20 +11,22 @@ import (
 )
 
 // BenchmarkStreamFold measures aggregator ingest throughput — delta
-// frames folded per second — with the network stripped away: frames go
-// straight through the idempotency tracker and the window-store fold,
-// exactly what a handler does between reading a frame and acking it. b.SetBytes reports the wire-side
-// delta payload, so ns/op and MB/s both come out of one run. The M=
-// cells fold a sketch payload (what a relay forwards, and any leaf
-// delta from the size crossover up); pairs16 folds a 16-observation
-// leaf flush as it now travels, measured here instead of at the leaf.
+// frames folded per second — with the network stripped away: frames are
+// decoded into one connection's scratch, then go through the
+// idempotency tracker and the window-store fold, exactly what a handler
+// does between reading a frame and acking it. b.SetBytes reports the
+// wire-side delta payload, so ns/op and MB/s both come out of one run.
+// The M= cells fold a sketch payload (what a relay forwards, and any
+// leaf delta from the size crossover up); pairs16 folds a
+// 16-observation leaf flush as it now travels, measured here instead of
+// at the leaf.
 func BenchmarkStreamFold(b *testing.B) { benchFold(b, false) }
 
-// BenchmarkStreamFoldBare is BenchmarkStreamFold on applyFrame, the
-// fold apply wraps — the uninstrumented fold. Comparing the two pins
-// the instrumentation overhead (two or three atomic counter increments
-// per frame, plus a sampled 1-in-16 histogram observation; the
-// acceptance budget is ≤2%).
+// BenchmarkStreamFoldBare is BenchmarkStreamFold on the decode and
+// applyFrame that apply wraps — the uninstrumented fold. Comparing the
+// two pins the instrumentation overhead (two or three atomic counter
+// increments per frame, plus a sampled 1-in-16 histogram observation;
+// the acceptance budget is ≤2%).
 func BenchmarkStreamFoldBare(b *testing.B) { benchFold(b, true) }
 
 func benchFold(b *testing.B, bare bool) {
@@ -40,12 +42,14 @@ func benchFold(b *testing.B, bare bool) {
 				b.Fatal(err)
 			}
 			defer agg.Close(context.Background())
-			fold := agg.apply
+			delta := sk.ZeroSketch()
+			fold := func(req pushRequest) Ack { return agg.apply(req, &delta) }
 			if bare {
 				fold = func(req pushRequest) Ack {
+					err := sk.UnmarshalSketchInto(req.Payload, delta)
 					agg.in.mu.Lock()
 					defer agg.in.mu.Unlock()
-					return agg.applyFrame(req)
+					return agg.applyFrame(req, delta, err)
 				}
 			}
 			payload := benchDelta(b, sk)
@@ -137,7 +141,7 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 					ack := agg.apply(pushRequest{
 						Kind: pushDelta, Node: fmt.Sprintf("bench%d", n), Epoch: 1,
 						Window: uint64(w), Seq: uint64(w), Payload: payload,
-					})
+					}, new(csoutlier.Sketch))
 					if !ack.Applied {
 						b.Fatalf("fold not applied: %+v", ack)
 					}
@@ -214,6 +218,7 @@ func BenchmarkPointQueryParallel(b *testing.B) {
 func BenchmarkDetectQueryCold(b *testing.B) {
 	agg, _ := benchPointAggregator(b)
 	payload := benchDelta(b, agg.sk)
+	delta := agg.sk.ZeroSketch()
 	seq := uint64(2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -221,7 +226,7 @@ func BenchmarkDetectQueryCold(b *testing.B) {
 		ack := agg.apply(pushRequest{
 			Kind: pushDelta, Node: "bench", Epoch: 1,
 			Window: 1, Seq: seq, Payload: payload,
-		})
+		}, &delta)
 		if !ack.Applied {
 			b.Fatalf("fold not applied: %+v", ack)
 		}
@@ -255,7 +260,7 @@ func benchPointAggregator(b *testing.B) (*Aggregator, string) {
 	ack := agg.apply(pushRequest{
 		Kind: pushDelta, Node: "bench", Epoch: 1,
 		Window: 1, Seq: 1, Payload: benchDelta(b, sk),
-	})
+	}, new(csoutlier.Sketch))
 	if !ack.Applied {
 		b.Fatalf("seed fold not applied: %+v", ack)
 	}

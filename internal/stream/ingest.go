@@ -22,8 +22,7 @@ type ingest struct {
 	// atomic, so the point-query fast path never touches mu.
 	gen     atomic.Uint64
 	members members
-	scratch csoutlier.Sketch // OnApplied's decoded delta, allocated only when it is set
-	tick    uint64           // frame counter for sampled fold timing
+	tick    atomic.Uint64 // frame counter for sampled fold timing
 }
 
 // foldSampleMask picks which frames get wall-clock fold timing: frame
@@ -34,24 +33,43 @@ type ingest struct {
 const foldSampleMask = 15
 
 // apply folds one delta frame on the calling goroutine, produces its
-// ack and records the outcome: two atomic counter increments per frame
-// (three for an applied one) after mu is released, plus a lock-free
-// histogram observation on sampled frames. The sampled time is the fold
-// itself, not the wait for mu.
-func (a *Aggregator) apply(req pushRequest) Ack {
+// ack and records the outcome. The payload is decoded into delta — the
+// calling connection's own M-float scratch, made at its first delta —
+// before mu is taken: checksum, consensus and finiteness, and for a
+// pairs payload the measurement Σ vᵢ·φ_{kᵢ}, which is a function of the
+// payload and Φ alone. Under mu, applyFrame does only admission, dedup,
+// window placement and one M-float add, so connections measure in
+// parallel and hold the lock for about a microsecond. Outside mu: two
+// atomic counter increments per frame (three for an applied one), plus
+// a lock-free histogram observation on sampled frames, whose time is the
+// decode plus the locked fold — never the wait for mu.
+func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 	in, m := &a.in, a.metrics
-	in.mu.Lock()
-	in.tick++
-	timed := in.tick&foldSampleMask == 1
+	timed := in.tick.Add(1)&foldSampleMask == 1
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	ack := a.applyFrame(req)
+	if delta.Y == nil {
+		*delta = a.sk.ZeroSketch()
+	}
+	decodeErr := a.sk.UnmarshalSketchInto(req.Payload, *delta)
+	var work time.Duration
 	if timed {
-		m.foldSeconds.Observe(time.Since(start).Seconds())
+		work = time.Since(start)
+	}
+	in.mu.Lock()
+	if timed {
+		start = time.Now()
+	}
+	ack := a.applyFrame(req, *delta, decodeErr)
+	if timed {
+		work += time.Since(start)
 	}
 	in.mu.Unlock()
+	if timed {
+		m.foldSeconds.Observe(work.Seconds())
+	}
 	m.frames.Inc()
 	switch {
 	case ack.Err != "":
@@ -75,9 +93,13 @@ func (a *Aggregator) apply(req pushRequest) Ack {
 	return ack
 }
 
-// applyFrame is the bare fold: idempotency, window placement and the
-// sketch addition, no instrumentation. The caller holds in.mu.
-func (a *Aggregator) applyFrame(req pushRequest) Ack {
+// applyFrame is the bare fold of a decoded delta: admission,
+// idempotency, window placement and the sketch addition, no
+// instrumentation. decodeErr is what decoding the payload into delta
+// returned; it is reported where a payload check always was, after the
+// frame is admitted, known new and placed in a window. The caller holds
+// in.mu.
+func (a *Aggregator) applyFrame(req pushRequest, delta csoutlier.Sketch, decodeErr error) Ack {
 	in := &a.in
 	ack := Ack{Window: in.window, AggEpoch: in.epoch}
 	ns, err := in.members.admit(req.Node, req.Epoch)
@@ -128,24 +150,19 @@ func (a *Aggregator) applyFrame(req pushRequest) Ack {
 		ns.status.Dropped++
 		return ackStable()
 	}
-	// The payload goes from the frame straight into the window's ring
-	// slot — a sketch's floats added, a pairs payload measured first; only
-	// a relay's OnApplied needs the delta as a Sketch too.
-	fn := a.opts.OnApplied
-	if fn == nil {
-		err = in.ws.AddEncoded(int(age), req.Payload)
-	} else if err = a.sk.UnmarshalSketchInto(req.Payload, in.scratch); err == nil {
-		err = in.ws.AddSketch(int(age), in.scratch)
+	if err = decodeErr; err == nil {
+		err = in.ws.AddSketch(int(age), delta)
 	}
 	if err != nil {
-		// Corrupt or consensus-mismatched payload: rejected before it can
-		// touch the aggregate, not marked (a clean retry may succeed).
+		// Corrupt, consensus-mismatched or overflowing payload: rejected
+		// before it can touch the aggregate, not marked (a clean retry may
+		// succeed).
 		return reject("stream: node %s delta seq %d: %v", req.Node, req.Seq, err)
 	}
 	mark(req.Seq)
 	ns.status.Applied++
-	if fn != nil {
-		fn(req.Window, max(1, int(req.Folds)), in.scratch)
+	if fn := a.opts.OnApplied; fn != nil {
+		fn(req.Window, max(1, int(req.Folds)), delta)
 	}
 	if req.Folds > 1 {
 		// A node-side merge: the frame is the exact sum of Folds local

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,9 +48,11 @@ func ringCount(t *testing.T, agg *Aggregator, unit csoutlier.Sketch) float64 {
 
 // TestConcurrentIngestConservation pins what the single folder
 // goroutine used to give by construction, now that every connection
-// folds on its own handler goroutine (run under -race): eight
-// connections push the same delta concurrently over loopback, each
-// re-sending every tenth frame, while windows rotate and span queries,
+// decodes and folds on its own handler goroutine (run under -race):
+// eight connections push the same delta concurrently over loopback —
+// half of them, on the Gaussian matrix, as a pairs frame their handlers
+// measure in parallel — each re-sending every tenth frame, while
+// windows rotate and span queries,
 // snapshots and (count-sketch) point queries run. Every frame is
 // accounted exactly once — in the aggregator's counters, in its node's
 // book, and in the ring — every snapshot's ring matches its own dedup
@@ -74,11 +77,25 @@ func TestConcurrentIngestConservation(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sk := tc.sk
-			payload := uniformDelta(t, sk, 1)
+			// Gaussian: even connections push a sketch frame, odd ones the
+			// same eight observations as a pairs frame, measured by their
+			// handlers outside the lock into the unit's exact bits.
+			payloads := [2][]byte{uniformDelta(t, sk, 1)}
 			if sk.SupportsPointQuery() {
-				payload = pairsDelta(t, sk, allOnes) // point answers that mean something: every key reads the fold count
+				payloads[0] = pairsDelta(t, sk, allOnes) // point answers that mean something: every key reads the fold count
+			} else {
+				u := sk.NewUpdater()
+				for i := 0; i < 8; i++ {
+					if err := u.Observe(fmt.Sprintf("key%03d", 7*i), float64(i+1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				payloads[0], _ = u.Sketch().MarshalBinary()
+				if payloads[1], _, _ = u.DrainEncoded(nil); !csoutlier.PairsEncoded(payloads[1]) {
+					t.Fatal("eight observations did not drain as pairs")
+				}
 			}
-			unit, err := csoutlier.DecodeSketch(payload)
+			unit, err := csoutlier.DecodeSketch(payloads[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +106,11 @@ func TestConcurrentIngestConservation(t *testing.T) {
 			// `limit` frames acked as applied (0 = until the connection
 			// fails) and returns how many that was.
 			var phase2Acked atomic.Int64
-			pusher := func(c *Client, node string, seq *uint64, limit int) (acked int) {
+			pusher := func(c *Client, i int, seq *uint64, limit int) (acked int) {
+				node, payload := fmt.Sprintf("n%d", i), payloads[0]
+				if payloads[1] != nil && i%2 == 1 {
+					payload = payloads[1]
+				}
 				window := uint64(1)
 				for limit == 0 || acked < limit {
 					*seq++
@@ -176,7 +197,7 @@ func TestConcurrentIngestConservation(t *testing.T) {
 				push.Add(1)
 				go func(i int) {
 					defer push.Done()
-					pusher(clients[i], fmt.Sprintf("n%d", i), &seqs[i], frames)
+					pusher(clients[i], i, &seqs[i], frames)
 				}(i)
 			}
 			// Snapshots on this goroutine, so a torn one fails the test at once.
@@ -241,7 +262,7 @@ func TestConcurrentIngestConservation(t *testing.T) {
 				push.Add(1)
 				go func(i int) {
 					defer push.Done()
-					acked[i] = pusher(clients[i], fmt.Sprintf("n%d", i), &seqs[i], 0)
+					acked[i] = pusher(clients[i], i, &seqs[i], 0)
 				}(i)
 			}
 			for deadline := time.Now().Add(10 * time.Second); phase2Acked.Load() < 5*conns; {
@@ -271,4 +292,132 @@ func TestConcurrentIngestConservation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// windowBits is every window of agg's ring, oldest first.
+func windowBits(t *testing.T, agg *Aggregator) []csoutlier.Sketch {
+	t.Helper()
+	var out []csoutlier.Sketch
+	for age := agg.AvailableWindows() - 1; age >= 0; age-- {
+		w, err := agg.WindowSketch(age)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// TestDecodeBeforeLockKeepsAckOrder: a handler decodes a delta before it
+// takes ingest.mu, but a payload that does not decode is refused where
+// it always was — after admission, the seq checks and window placement.
+// A corrupt payload on a frame an earlier check settles gets that
+// check's ack, one on a fresh frame gets its decode error, and no
+// refusal changes a window, even though the connection's scratch still
+// holds the last good delta.
+func TestDecodeBeforeLockKeepsAckOrder(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 3)
+	agg, err := NewAggregator(sk, AggregatorOptions{Windows: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close(context.Background())
+	var delta csoutlier.Sketch // one connection's scratch throughout
+	if ack := agg.apply(pushRequest{Kind: pushDelta, Node: "n", Epoch: 2, Window: 1, Seq: 1, Payload: uniformDelta(t, sk, 1)}, &delta); !ack.Applied {
+		t.Fatalf("seed frame: %+v", ack)
+	}
+	agg.Rotate()
+	if ack := agg.apply(pushRequest{Kind: pushDelta, Node: "n", Epoch: 2, Window: 2, Seq: 2, Payload: uniformDelta(t, sk, 2)}, &delta); !ack.Applied {
+		t.Fatalf("seed frame: %+v", ack)
+	}
+	agg.Rotate() // window 3 is open, window 1 has left the 2-window ring
+	before := windowBits(t, agg)
+
+	badCRC := uniformDelta(t, sk, 3)
+	badCRC[30] ^= 0x08
+	nan := sk.ZeroSketch()
+	nan.Y[5] = math.NaN()
+	nanPayload, _ := nan.MarshalBinary()
+	corrupt := map[string][]byte{
+		"bad checksum": badCRC,
+		"NaN":          nanPayload,
+		"index N":      rawPairs(t, sk, pairsBody(1, []uint64{uint64(sk.N())}, []float64{1})),
+	}
+	seq := uint64(10)
+	for what, payload := range corrupt {
+		for _, c := range []struct {
+			name   string
+			epoch  uint64
+			window uint64
+			seq    uint64
+			status string // want Status, when the ack is not an error
+			err    string // want in Err
+		}{
+			{"duplicate seq", 2, 3, 1, StatusDuplicate, ""},
+			{"too-old window", 2, 1, seq, StatusDroppedOld, ""},
+			{"future window", 2, 4, seq + 1, "", "is ahead of"},
+			{"seq 0", 2, 3, 0, "", "number from seq 1"},
+			{"stale epoch", 1, 3, seq + 1, "", "is stale"},
+			{"fresh frame", 2, 3, seq + 1, "", "delta seq"},
+		} {
+			ack := agg.apply(pushRequest{Kind: pushDelta, Node: "n", Epoch: c.epoch, Window: c.window, Seq: c.seq, Payload: payload}, &delta)
+			if ack.Applied || ack.Status != c.status || !strings.Contains(ack.Err, c.err) || (c.err == "") != (ack.Err == "") {
+				t.Fatalf("%s payload, %s: ack %+v, want status %q and an error containing %q", what, c.name, ack, c.status, c.err)
+			}
+			for i, w := range windowBits(t, agg) {
+				sameBits(t, fmt.Sprintf("%s payload, %s: window %d", what, c.name, i), w, before[i])
+			}
+		}
+		seq += 2
+	}
+	ns := agg.Nodes()[0]
+	if ns.Applied != 2 || ns.Duplicates != 3 || ns.Dropped != 3 || ns.Rejected != 9 {
+		t.Fatalf("node books %+v, want 2 applied, 3 duplicates, 3 dropped, 9 rejected (a stale epoch is refused before the node's books)", ns)
+	}
+}
+
+// TestOverflowingDeltaRefused: a delta of finite floats whose sum with
+// its window would reach ±Inf is acked with Err, counted in Rejected and
+// leaves the window as it was, for either sign; the next delta that
+// fits folds as usual. Quarantine, not clamping: the window stays a
+// finite, exact sum of the deltas it accepted.
+func TestOverflowingDeltaRefused(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 3)
+	agg, addr := serveAgg(t, sk, AggregatorOptions{Windows: 2})
+	c, err := DialClient(context.Background(), addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seq := uint64(0)
+	push := func(v float64) Ack {
+		t.Helper()
+		seq++
+		ack, err := c.PushDelta("n", 1, 1, seq, 1, uniformDelta(t, sk, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ack
+	}
+	var rejected int64
+	for _, huge := range []float64{math.MaxFloat64, -math.MaxFloat64} {
+		if ack := push(huge); !ack.Applied {
+			t.Fatalf("first %v: %+v", huge, ack)
+		}
+		before, _ := agg.WindowSketch(0)
+		if ack := push(huge); ack.Applied || !strings.Contains(ack.Err, "would be") {
+			t.Fatalf("second %v: %+v, want the overflow refused", huge, ack)
+		}
+		rejected++
+		after, _ := agg.WindowSketch(0)
+		sameBits(t, "window after a refused overflow", after, before)
+		if st := agg.Stats(); st.Rejected != rejected || agg.Nodes()[0].Rejected != rejected {
+			t.Fatalf("Rejected = %d (node %d), want %d", st.Rejected, agg.Nodes()[0].Rejected, rejected)
+		}
+		if ack := push(-huge); !ack.Applied { // back to zero
+			t.Fatalf("%v after the refusal: %+v", -huge, ack)
+		}
+	}
+	w, _ := agg.WindowSketch(0)
+	sameBits(t, "window after ±Max and back", w, sk.ZeroSketch())
 }

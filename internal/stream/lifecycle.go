@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"csoutlier"
 	"csoutlier/internal/frame"
 )
 
@@ -100,8 +101,9 @@ func (a *Aggregator) Serve(ln net.Listener) error {
 }
 
 // handle runs one connection's read→fold→ack loop. Frames are read
-// into one buffer per connection and a delta's payload is folded from
-// it in place, on this goroutine: the next frame is not read until the
+// into one buffer per connection, and a delta's payload is decoded from
+// it into one M-float sketch per connection (made at the first delta),
+// then folded, on this goroutine: the next frame is not read until the
 // current one is folded and acked, which is the backpressure a pusher
 // sees. Input no conforming node produces (another protocol, an
 // oversized or truncated frame) closes the connection.
@@ -116,8 +118,9 @@ func (a *Aggregator) handle(conn net.Conn) {
 	}()
 	fr := frame.Reader{R: conn, Limits: a.limits[:], Buf: make([]byte, FrameOverhead+a.limits[pushDelta])}
 	var (
-		req  pushRequest
-		wbuf []byte
+		req   pushRequest
+		wbuf  []byte
+		delta csoutlier.Sketch
 	)
 	for {
 		if a.opts.IdleTimeout > 0 {
@@ -144,7 +147,7 @@ func (a *Aggregator) handle(conn net.Conn) {
 			ack := a.bye(req)
 			wbuf = appendAck(wbuf, &ack)
 		case pushDelta:
-			ack := a.apply(req)
+			ack := a.apply(req, &delta)
 			wbuf = appendAck(wbuf, &ack)
 		case pushPointQuery:
 			// A read, not a fold: it never takes ingest.mu for longer than

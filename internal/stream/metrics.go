@@ -103,7 +103,7 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		batchRefreshes: reg.Counter("stream_batch_refreshes_total",
 			"stale standing queries refreshed by piggybacking on another query's recovery batch"),
 		foldSeconds: reg.Histogram("stream_fold_seconds",
-			"wall time folding one delta frame into the window store (sampled: first frame, then 1 in 16)", obs.LatencyBuckets()),
+			"work per delta frame: decoding (and measuring a pairs payload) outside the ingest mutex plus the locked fold, not the wait for the mutex (sampled: first frame, then 1 in 16)", obs.LatencyBuckets()),
 		// The pointq_* families are registered unconditionally — on a
 		// non-count-sketch backend every PointQuery errors, but the
 		// families still exist (at zero), so a scrape checker can

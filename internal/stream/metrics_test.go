@@ -46,7 +46,7 @@ func TestOutliersCacheHitAfterConcurrentFold(t *testing.T) {
 		ack := agg.apply(pushRequest{
 			Kind: pushDelta, Node: "n1", Epoch: 1,
 			Window: 1, Seq: seq, Payload: testDelta(t, sk, key, 100),
-		})
+		}, new(csoutlier.Sketch))
 		if !ack.Applied {
 			t.Fatalf("fold seq %d not applied: %+v", seq, ack)
 		}
@@ -97,7 +97,7 @@ func TestCacheEvictionKeepsHotQueries(t *testing.T) {
 	ack := agg.apply(pushRequest{
 		Kind: pushDelta, Node: "n1", Epoch: 1,
 		Window: 1, Seq: 1, Payload: testDelta(t, sk, "key000", 50),
-	})
+	}, new(csoutlier.Sketch))
 	if !ack.Applied {
 		t.Fatalf("fold not applied: %+v", ack)
 	}
@@ -115,7 +115,7 @@ func TestCacheEvictionKeepsHotQueries(t *testing.T) {
 	ack = agg.apply(pushRequest{
 		Kind: pushDelta, Node: "n1", Epoch: 1,
 		Window: 1, Seq: 2, Payload: testDelta(t, sk, "key001", 60),
-	})
+	}, new(csoutlier.Sketch))
 	if !ack.Applied {
 		t.Fatalf("fold not applied: %+v", ack)
 	}
@@ -158,7 +158,7 @@ func TestOutliersWarmBatchRefresh(t *testing.T) {
 		ack := agg.apply(pushRequest{
 			Kind: pushDelta, Node: "n1", Epoch: 1,
 			Window: 1, Seq: seq, Payload: testDelta(t, sk, key, v),
-		})
+		}, new(csoutlier.Sketch))
 		if !ack.Applied {
 			t.Fatalf("fold seq %d not applied: %+v", seq, ack)
 		}
@@ -304,7 +304,7 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 		return agg.apply(pushRequest{
 			Kind: pushDelta, Node: "n1", Epoch: 1,
 			Window: window, Seq: seq, Payload: payload,
-		})
+		}, new(csoutlier.Sketch))
 	}
 	if ack := push(1, 1); !ack.Applied {
 		t.Fatalf("apply: %+v", ack)
@@ -330,7 +330,7 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack := agg.apply(pushRequest{Kind: pushDelta, Node: "n1", Epoch: 1, Window: 3, Seq: 3, Payload: pairs}); !ack.Applied {
+	if ack := agg.apply(pushRequest{Kind: pushDelta, Node: "n1", Epoch: 1, Window: 3, Seq: 3, Payload: pairs}, new(csoutlier.Sketch)); !ack.Applied {
 		t.Fatalf("apply pairs: %+v", ack)
 	}
 	if _, err := agg.Outliers(0, 0, 4); err != nil {

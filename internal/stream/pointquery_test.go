@@ -74,7 +74,7 @@ func TestAggregatorPointQuery(t *testing.T) {
 	}
 	payload := pairsDelta(t, sk, pairs)
 	req := pushRequest{Kind: pushDelta, Node: "alpha", Epoch: 1, Window: 1, Seq: 1, Folds: 1, Payload: payload}
-	if ack := agg.apply(req); ack.Err != "" {
+	if ack := agg.apply(req, new(csoutlier.Sketch)); ack.Err != "" {
 		t.Fatalf("apply: %s", ack.Err)
 	}
 
@@ -113,7 +113,7 @@ func TestAggregatorPointQuery(t *testing.T) {
 	// A new fold staleness-bumps the generation: the next query on the
 	// same span re-folds, and the doubled data doubles the answers.
 	req.Seq = 2
-	if ack := agg.apply(req); ack.Err != "" {
+	if ack := agg.apply(req, new(csoutlier.Sketch)); ack.Err != "" {
 		t.Fatalf("apply seq 2: %s", ack.Err)
 	}
 	ans, err := agg.PointQuery(0, 0, "key017", threshold)
@@ -244,7 +244,7 @@ func TestPointQueryWhileFolding(t *testing.T) {
 				Kind: pushDelta, Node: "alpha", Epoch: 1,
 				Window: agg.CurrentWindow(), Seq: seq, Folds: 1, Payload: payload,
 			}
-			if ack := agg.apply(req); ack.Err != "" {
+			if ack := agg.apply(req, new(csoutlier.Sketch)); ack.Err != "" {
 				t.Errorf("apply seq %d: %s", seq, ack.Err)
 				return
 			}

@@ -448,6 +448,14 @@ func TestRecycleNeverReusesResendableFrame(t *testing.T) {
 			switch i % 16 {
 			case 1:
 				relay.Cut()
+				// Hold the cut until the flusher has shed a capture into a
+				// queued frame (or for 200 ms): a merge takes three captures
+				// inside one cut, and how many a fixed-length cut sees
+				// depends on the box's timer resolution.
+				merged := n.Stats().Merged
+				for deadline := time.Now().Add(200 * time.Millisecond); n.Stats().Merged == merged && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
 			case 12:
 				relay.Restore()
 			case 7, 15:

@@ -195,7 +195,7 @@ func TestSnapshotRestoreExact(t *testing.T) {
 		t.Helper()
 		req := pushRequest{Kind: pushDelta, Node: node, Epoch: 1, Window: window, Seq: seq, Folds: 1, Payload: uniformDelta(t, sk, v)}
 		frames = append(frames, req)
-		if ack := agg.apply(req); ack.Err != "" || !ack.Applied {
+		if ack := agg.apply(req, new(csoutlier.Sketch)); ack.Err != "" || !ack.Applied {
 			t.Fatalf("apply %s seq %d: %+v", node, seq, ack)
 		}
 	}
@@ -269,7 +269,7 @@ func TestSnapshotRestoreExact(t *testing.T) {
 	// Replay every pre-snapshot frame: all must dedup, none may fold.
 	before, _ := restored.WindowSketch(1)
 	for _, req := range frames {
-		ack := restored.apply(req)
+		ack := restored.apply(req, new(csoutlier.Sketch))
 		if ack.Err != "" || ack.Status != StatusDuplicate {
 			t.Fatalf("replayed frame %s seq %d: status %q err %q, want duplicate", req.Node, req.Seq, ack.Status, ack.Err)
 		}
@@ -304,7 +304,7 @@ func TestDuplicateReplayAfterRestore(t *testing.T) {
 	}
 	var snap *Snapshot
 	for i, req := range frames {
-		if ack := agg.apply(req); !ack.Applied {
+		if ack := agg.apply(req, new(csoutlier.Sketch)); !ack.Applied {
 			t.Fatalf("apply seq %d: %+v", req.Seq, ack)
 		}
 		if i+1 == snapAt {
@@ -337,7 +337,7 @@ func TestDuplicateReplayAfterRestore(t *testing.T) {
 	defer restored.Close(context.Background())
 	var dups, applied int
 	for _, req := range frames {
-		switch ack := restored.apply(req); {
+		switch ack := restored.apply(req, new(csoutlier.Sketch)); {
 		case ack.Status == StatusDuplicate:
 			dups++
 		case ack.Applied:
@@ -385,7 +385,7 @@ func TestSnapshotWhileFolding(t *testing.T) {
 				Kind: pushDelta, Node: "alpha", Epoch: 1,
 				Window: agg.CurrentWindow(), Seq: seq, Folds: 1, Payload: payload,
 			}
-			if ack := agg.apply(req); ack.Err != "" {
+			if ack := agg.apply(req, new(csoutlier.Sketch)); ack.Err != "" {
 				t.Errorf("apply seq %d: %s", seq, ack.Err)
 				return
 			}
@@ -466,7 +466,7 @@ func TestConcurrentSnapshotCommitOrder(t *testing.T) {
 				Kind: pushDelta, Node: "alpha", Epoch: 1,
 				Window: agg.CurrentWindow(), Seq: seq, Folds: 1, Payload: payload,
 			}
-			if ack := agg.apply(req); ack.Err != "" {
+			if ack := agg.apply(req, new(csoutlier.Sketch)); ack.Err != "" {
 				t.Errorf("apply seq %d: %s", seq, ack.Err)
 				return
 			}
@@ -543,7 +543,7 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 		t.Fatalf("NewAggregator: %v", err)
 	}
 	defer agg.Close(context.Background())
-	if ack := agg.apply(pushRequest{Kind: pushDelta, Node: "alpha", Epoch: 1, Window: 1, Seq: 1, Payload: uniformDelta(t, sk, 2)}); !ack.Applied {
+	if ack := agg.apply(pushRequest{Kind: pushDelta, Node: "alpha", Epoch: 1, Window: 1, Seq: 1, Payload: uniformDelta(t, sk, 2)}, new(csoutlier.Sketch)); !ack.Applied {
 		t.Fatalf("apply: %+v", ack)
 	}
 	dir := t.TempDir()

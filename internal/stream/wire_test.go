@@ -180,6 +180,7 @@ func FuzzPushFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	delta := sk.ZeroSketch()
 	limits := allKinds()
 	largest := 0
 	for _, l := range limits {
@@ -219,11 +220,10 @@ func FuzzPushFrame(f *testing.F) {
 						kind, len(req.Keys), len(req.Payload), len(req.Node), len(body))
 				}
 				// After any payload the fold accepts, every float of the
-				// window is finite. Rotating a one-window ring clears it,
-				// so sums of huge finite values are not what is checked.
-				if kind == pushDelta {
-					ws.Rotate()
-					if ws.AddEncoded(0, req.Payload) == nil {
+				// window is finite — across frames too: a sum of huge
+				// finite values that would overflow is refused.
+				if kind == pushDelta && sk.UnmarshalSketchInto(req.Payload, delta) == nil {
+					if ws.AddSketch(0, delta) == nil {
 						win, _ := ws.Window(0)
 						for i, v := range win.Y {
 							if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -551,17 +551,20 @@ func TestPushPathAllocs(t *testing.T) {
 	}
 	defer c.Close()
 
-	var direct, wire uint64
+	var (
+		direct, wire uint64
+		delta        csoutlier.Sketch
+	)
 	for what, payload := range map[string][]byte{"sketch": uniformDelta(t, sk, 1), "pairs": pairs} {
 		req := pushRequest{Kind: pushDelta, Node: "direct", Epoch: 1, Window: 1, Folds: 1, Payload: payload}
 		fold := func() {
 			direct++
 			req.Seq = direct
-			if ack := agg.apply(req); !ack.Applied {
+			if ack := agg.apply(req, &delta); !ack.Applied {
 				t.Fatalf("apply: %+v", ack)
 			}
 		}
-		fold() // the window store's pairs scratch is made on first use
+		fold() // the connection's decode scratch is made at its first delta
 		if n := testing.AllocsPerRun(200, fold); n != 0 {
 			t.Errorf("fold from an encoded %s payload: %v allocs per frame, want 0", what, n)
 		}

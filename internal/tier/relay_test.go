@@ -329,6 +329,95 @@ func TestRelayUpwardDedup(t *testing.T) {
 	}
 }
 
+// TestRelayRefusesOverflow carries the window overflow refusal across a
+// hop. A leaf delta that would take the relay's window to +Inf is
+// refused there, so the upward frame the relay builds stays finite and
+// the root folds it to the relay's bits. An upward frame that would take
+// the root's window to −Inf is refused at the root, counted on both
+// sides, and the root's window is left as it was.
+func TestRelayRefusesOverflow(t *testing.T) {
+	sk := tierSketcher(t, 64, 32, 13)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
+	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr})
+	if err != nil {
+		t.Fatalf("NewRelay: %v", err)
+	}
+	relayAddr := serveRelay(t, relay)
+	t.Cleanup(func() { relay.Close(ctx) })
+	huge := func(v float64) []byte {
+		s := sk.ZeroSketch()
+		for i := range s.Y {
+			s.Y[i] = v
+		}
+		payload, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	pusher := func(addr, node string) func(v float64) stream.Ack {
+		c, err := stream.DialClient(ctx, addr, 5*time.Second)
+		if err != nil {
+			t.Fatalf("DialClient: %v", err)
+		}
+		t.Cleanup(func() { c.Close() })
+		seq := uint64(0)
+		return func(v float64) stream.Ack {
+			t.Helper()
+			seq++
+			ack, err := c.PushDelta(node, 1, 1, seq, 1, huge(v))
+			if err != nil {
+				t.Fatalf("%s push: %v", node, err)
+			}
+			return ack
+		}
+	}
+	leaf, direct := pusher(relayAddr, "leaf"), pusher(rootAddr, "direct")
+	window := func(agg *stream.Aggregator) csoutlier.Sketch {
+		t.Helper()
+		w, err := agg.WindowSketch(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+
+	if ack := leaf(math.MaxFloat64); !ack.Applied {
+		t.Fatalf("first +Max at the relay: %+v", ack)
+	}
+	if ack := leaf(math.MaxFloat64); ack.Applied || ack.Err == "" {
+		t.Fatalf("second +Max at the relay: %+v, want it refused", ack)
+	}
+	if err := relay.Forward(ctx); err != nil {
+		t.Fatalf("Forward: %v", err)
+	}
+	sameBits(t, "root window after the relay refused", window(root), window(relay.Aggregator()))
+	if rs, ls := root.Stats(), relay.Aggregator().Stats(); rs.Rejected != 0 || rs.Applied != 1 || ls.Rejected != 1 {
+		t.Fatalf("root applied %d rejected %d, relay rejected %d; want 1, 0, 1", rs.Applied, rs.Rejected, ls.Rejected)
+	}
+
+	// The root now also holds what a direct node pushed, so the relay's
+	// next upward frame is the one that would overflow.
+	for i := 0; i < 2; i++ {
+		if ack := direct(-math.MaxFloat64); !ack.Applied {
+			t.Fatalf("direct −Max %d at the root: %+v", i, ack)
+		}
+	}
+	before := window(root)
+	if ack := leaf(-math.MaxFloat64); !ack.Applied {
+		t.Fatalf("−Max at the relay: %+v", ack)
+	}
+	if err := relay.Forward(ctx); err != nil {
+		t.Fatalf("Forward: %v", err)
+	}
+	sameBits(t, "root window after it refused the upward frame", window(root), before)
+	if rs, up := root.Stats(), relay.Stats(); rs.Rejected != 1 || up.Rejected != 1 {
+		t.Fatalf("root rejected %d, relay saw %d upward frames rejected; want 1 and 1", rs.Rejected, up.Rejected)
+	}
+}
+
 // tierRun is one complete drive of a 1-shard, 1-relay, 2-leaf tree.
 type tierRun struct {
 	windows  []csoutlier.Sketch // root ring, oldest first

@@ -15,7 +15,7 @@
 # stream/tier API it drives is found only by the next benchmark run.
 # The race pass covers the concurrency-heavy transport/collector,
 # the streaming push service (internal/stream), AND the column-parallel
-# sensing kernels, blocked GEMM (internal/linalg), and batched recovery
+# sensing kernels (and internal/linalg's reference kernels), and batched recovery
 # engine (internal/recovery); the simulation smoke runs randomized
 # end-to-end scenarios against the exact oracle (see internal/simtest),
 # then the streaming soaks drive the push pipeline through one scenario
@@ -49,7 +49,9 @@
 # PushDelta/Hello/DialClient call in internal/tier and a second
 # definition of the ctx-sleep / backoff-delay helpers, and in
 # internal/stream a queue between a connection's handler and the fold or
-# a nil-check of the aggregator's metrics. Then the two-ensemble
+# a nil-check of the aggregator's metrics, and anywhere a fold from
+# encoded bytes under a lock, a chunked multi-column add with its shared
+# buffer, or the row-major GEMM Dense no longer needs. Then the two-ensemble
 # guards: no concrete *sensing matrix type in non-test code outside
 # internal/sensing (pointquery.go's *sensing.CountSketch is the one
 # exception — the point estimators are not Matrix methods), no name of a
@@ -94,6 +96,18 @@ echo "== one serialisation point: the handler folds =="
 # mechanism growing back.
 if grep -nE 'QueueDepth|chan ingestItem|:= a\.metrics; m != nil|\.metrics [!=]= nil' $(ls internal/stream/*.go | grep -v _test.go); then
 	echo "verify: the lines above queue frames ahead of the fold or fork on a nil metrics pointer (EXPERIMENTS.md pr24)" >&2
+	exit 1
+fi
+
+echo "== measure before the lock, one column at a time =="
+# A handler decodes a delta — measuring a pairs payload — into its own
+# scratch before it takes ingest.mu, and a column of the column-major
+# Dense is one contiguous AddCol. WindowStore.AddEncoded (measure under
+# the store's lock), Matrix.AddCols and its shared pairChunk buffer, and
+# linalg's ParallelMulMatT are what that replaced.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+	'AddEncoded\(|AddCols\(|pairChunk|ParallelMulMatT' .; then
+	echo "verify: the lines above bring back a fold under a lock, a chunked column add or the row-major GEMM (EXPERIMENTS.md pr25)" >&2
 	exit 1
 fi
 

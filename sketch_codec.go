@@ -323,39 +323,18 @@ func (s *Sketcher) decodePairs(data []byte) (pairLog, error) {
 }
 
 // measurePairs sets y to Σ valueᵢ·φ_indexᵢ of a validated log: from
-// zero, in log order, a chunk of observations per Matrix.AddCols call —
+// zero, in log order, one Matrix.AddCol per observation —
 // Updater.Observe's arithmetic, so y ends on the bits an Updater that
-// had observed the same pairs would hold.
+// had observed the same pairs would hold. It writes nothing but y, so
+// concurrent callers need only their own y.
 func (s *Sketcher) measurePairs(y linalg.Vector, l pairLog) {
 	clear(y)
-	// A slice handed through the Matrix interface escapes, so the chunk
-	// is kept across calls instead of living on the stack; a concurrent
-	// caller that finds the slot empty allocates its own.
-	c := s.chunk.Swap(nil)
-	if c == nil {
-		c = new(pairChunk)
-	}
 	for b := l.bytes; len(b) > 0; {
-		n := 0
-		for ; n < replayChunk && len(b) > 0; n++ {
-			j, val, rest, _ := nextPair(b)
-			c.idx[n], c.vals[n], b = int(j), math.Float64frombits(val), rest
-		}
-		s.matrix.AddCols(c.idx[:n], c.vals[:n], y)
+		j, val, rest, _ := nextPair(b)
+		s.matrix.AddCol(int(j), math.Float64frombits(val), y)
+		b = rest
 	}
-	s.chunk.Store(c)
 }
-
-// pairChunk is measurePairs' decode buffer.
-type pairChunk struct {
-	idx  [replayChunk]int
-	vals [replayChunk]float64
-}
-
-// replayChunk is how many observations measurePairs hands AddCols at
-// once: enough loads per matrix row to overlap, few enough to decode
-// onto the stack.
-const replayChunk = 64
 
 // expMask is a float64's exponent bits; NaN and ±Inf are exactly the
 // values with all of them set.

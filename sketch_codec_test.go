@@ -340,6 +340,17 @@ func sketchOf(sk *Sketcher, vals []float64) Sketch {
 	return s
 }
 
+// foldEncoded is what a push-path handler does with a delta payload:
+// decode it into a scratch sketch (a pairs payload is measured there),
+// then add that to the window.
+func foldEncoded(ws *WindowStore, age int, data []byte) error {
+	d := ws.sk.ZeroSketch()
+	if err := ws.sk.UnmarshalSketchInto(data, d); err != nil {
+		return err
+	}
+	return ws.AddSketch(age, d)
+}
+
 func bitsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -352,7 +363,7 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// Property, every ensemble: the in-place entry points — AddEncoded,
+// Property, every ensemble: the in-place entry points —
 // UnmarshalSketchInto, AddToBinary — are Float64bits-identical to the
 // decode-then-operate paths they replace.
 func TestEncodedOpsMatchDecodeThenOperate(t *testing.T) {
@@ -368,26 +379,6 @@ func TestEncodedOpsMatchDecodeThenOperate(t *testing.T) {
 			}
 			into := sk.ZeroSketch()
 			if err := sk.UnmarshalSketchInto(data, into); err != nil || !bitsEqual(into.Y, decoded.Y) {
-				return false
-			}
-
-			fromWire, _ := sk.NewWindowStore(2)
-			viaSketch, _ := sk.NewWindowStore(2)
-			for _, ws := range []*WindowStore{fromWire, viaSketch} {
-				ws.Rotate()
-				if err := ws.AddSketch(1, sketchOf(sk, base[:])); err != nil {
-					return false
-				}
-			}
-			if err := fromWire.AddEncoded(1, data); err != nil {
-				return false
-			}
-			if err := viaSketch.AddSketch(1, decoded); err != nil {
-				return false
-			}
-			got, _ := fromWire.Window(1)
-			want, _ := viaSketch.Window(1)
-			if !bitsEqual(got.Y, want.Y) {
 				return false
 			}
 
@@ -409,7 +400,7 @@ func TestEncodedOpsMatchDecodeThenOperate(t *testing.T) {
 
 // A payload with a flipped bit, another seed, another M or a non-finite
 // measurement is rejected by every in-place entry point with its target
-// bit-for-bit unchanged.
+// bit-for-bit unchanged; so is an add into a window that would overflow.
 func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 	keys := testKeys(64)
 	otherM, err := NewSketcher(keys, Config{M: 25, Seed: 9})
@@ -440,7 +431,7 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		wrongM, _ := sketchOf(otherM, append(vals, 1)).MarshalBinary()
 
 		ws, _ := sk.NewWindowStore(1)
-		if err := ws.AddEncoded(0, good); err != nil {
+		if err := foldEncoded(ws, 0, good); err != nil {
 			t.Fatalf("%s: good payload: %v", name, err)
 		}
 		before, _ := ws.Window(0)
@@ -471,7 +462,7 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		log.add(3, 0.125)
 		id := sk.sketchID()
 		goodPairs := log.appendPairs(nil, id)
-		if err := ws.AddEncoded(0, goodPairs); err != nil {
+		if err := foldEncoded(ws, 0, goodPairs); err != nil {
 			t.Fatalf("%s: good pairs payload: %v", name, err)
 		}
 		before, _ = ws.Window(0)
@@ -487,7 +478,7 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		for pairsLen(full.count+1, len(full.bytes)+9) < EncodedSketchLen(sk.M()) {
 			full.add(full.count%64, 1)
 		}
-		if err := ws.AddEncoded(0, full.appendPairs(nil, id)); err != nil {
+		if err := foldEncoded(ws, 0, full.appendPairs(nil, id)); err != nil {
 			t.Fatalf("%s: the largest pairs payload under the sketch's size (%d observations): %v", name, full.count, err)
 		}
 		before, _ = ws.Window(0)
@@ -531,9 +522,6 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 			t.Fatalf("%s: DecodeSketch measured a pairs payload without a Sketcher", name)
 		}
 		for what, bad := range cases {
-			if err := ws.AddEncoded(0, bad); err == nil {
-				t.Fatalf("%s: AddEncoded accepted %s", name, what)
-			}
 			if err := sk.UnmarshalSketchInto(bad, dst); err == nil {
 				t.Fatalf("%s: UnmarshalSketchInto accepted %s", name, what)
 			}
@@ -548,8 +536,23 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 				t.Fatalf("%s: AddToBinary changed a rejected %s payload", name, what)
 			}
 		}
-		if err := ws.AddEncoded(1, good); err == nil {
-			t.Fatalf("%s: AddEncoded accepted an age outside the ring", name)
+		if err := foldEncoded(ws, 1, good); err == nil {
+			t.Fatalf("%s: AddSketch accepted an age outside the ring", name)
+		}
+		// A finite delta whose sum with the window overflows, either sign.
+		for _, huge := range []float64{math.MaxFloat64, -math.MaxFloat64} {
+			big := sketchOf(sk, make([]float64, sk.M()))
+			big.Y[sk.M()-1] = huge
+			full, _ := sk.NewWindowStore(1)
+			if err := full.AddSketch(0, big); err != nil {
+				t.Fatalf("%s: AddSketch refused a finite sum: %v", name, err)
+			}
+			if err := full.AddSketch(0, big); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("measurement %d would be", sk.M()-1)) {
+				t.Fatalf("%s: AddSketch of a second %v: %v, want the overflow refused", name, huge, err)
+			}
+			if w, _ := full.Window(0); !bitsEqual(w.Y, big.Y) {
+				t.Fatalf("%s: a refused overflow changed the window", name)
+			}
 		}
 		after, _ := ws.Window(0)
 		if !bitsEqual(after.Y, before.Y) {
@@ -576,8 +579,8 @@ func TestEncodedOpsZeroAlloc(t *testing.T) {
 		fn   func() error
 	}{
 		{"AppendBinary", func() (err error) { buf, err = s.AppendBinary(buf[:0]); return }},
-		{"AddEncoded", func() error { return ws.AddEncoded(0, buf) }},
 		{"UnmarshalSketchInto", func() error { return sk.UnmarshalSketchInto(buf, dst) }},
+		{"AddSketch", func() error { return ws.AddSketch(0, dst) }},
 		{"AddToBinary", func() error { return s.AddToBinary(buf) }},
 	} {
 		if err := op.fn(); err != nil {

@@ -1,9 +1,7 @@
 package csoutlier
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"csoutlier/internal/linalg"
@@ -19,8 +17,10 @@ import (
 // O(windows·M) state with no raw data retained.
 //
 // A WindowStore is safe for concurrent use; like Updater, the O(M)
-// column generation of each observation runs outside the mutex (a pairs
-// payload given to AddEncoded is measured under it).
+// column generation of each observation runs outside the mutex. Nothing
+// is measured under it: a delta frame reaches AddSketch already decoded
+// (Sketcher.UnmarshalSketchInto measures a pairs payload into the
+// caller's sketch), so the mutex guards only O(M) adds and copies.
 type WindowStore struct {
 	sk *Sketcher
 
@@ -29,7 +29,6 @@ type WindowStore struct {
 	head    int             // index of the current window
 	filled  int             // number of windows that have ever been open
 	rotated int64
-	pairSum linalg.Vector // AddEncoded's measurement of a pairs payload, made on first use
 }
 
 // NewWindowStore returns a store holding the current window plus
@@ -114,6 +113,12 @@ func (w *WindowStore) ObserveBatch(pairs map[string]float64) error {
 // underlying data in that window — it is how the streaming aggregator
 // (internal/stream) lands window-tagged deltas that arrive late or out
 // of order, with no coordination round.
+//
+// A sum of finite floats can still overflow. A delta that would take
+// any measurement of the window to ±Inf (or carries a non-finite one)
+// is refused and the window is left as it was: one such add would make
+// every span over the window unanswerable, and every frame a relay
+// builds from it unreadable upstream, for the ring's lifetime.
 func (w *WindowStore) AddSketch(age int, o Sketch) error {
 	if err := o.compatible(w.sk.sketchID()); err != nil {
 		return err
@@ -123,54 +128,13 @@ func (w *WindowStore) AddSketch(age int, o Sketch) error {
 	if err := w.checkAge(age); err != nil {
 		return err
 	}
-	w.ring[w.slot(age)].Add(linalg.Vector(o.Y))
-	return nil
-}
-
-// AddEncoded is AddSketch straight from the binary codec: data is
-// validated exactly as UnmarshalSketch would (integrity, then
-// consensus identity) and its little-endian floats are added into the
-// window's ring slot with no intermediate Sketch — the streaming
-// aggregator folds delta frames from its read buffer this way. A pairs
-// payload is measured into the store's one scratch vector first, and
-// that is what is added. Either way the result is Float64bits-identical
-// to UnmarshalSketch + AddSketch, and the store is untouched when data
-// or age is rejected.
-func (w *WindowStore) AddEncoded(age int, data []byte) error {
-	if PairsEncoded(data) {
-		pairs, err := w.sk.decodePairs(data)
-		if err != nil {
-			return err
-		}
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if err := w.checkAge(age); err != nil {
-			return err
-		}
-		if w.pairSum == nil {
-			w.pairSum = make(linalg.Vector, w.sk.spec.M)
-		}
-		w.sk.measurePairs(w.pairSum, pairs)
-		w.ring[w.slot(age)].Add(w.pairSum)
-		return nil
-	}
-	id, err := decodeSketchID(data)
-	if err != nil {
-		return err
-	}
-	if err := id.compatible(w.sk.sketchID()); err != nil {
-		return err
-	}
-	body := data[sketchHeaderLen:]
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.checkAge(age); err != nil {
-		return err
-	}
 	slot := w.ring[w.slot(age)]
-	for i := range slot {
-		slot[i] += math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	for i, v := range o.Y {
+		if s := slot[i] + v; !finite(s) {
+			return fmt.Errorf("csoutlier: window age %d: measurement %d would be %v (%v + %v)", age, i, s, slot[i], v)
+		}
 	}
+	linalg.Vector(slot).Add(linalg.Vector(o.Y))
 	return nil
 }
 
