@@ -70,6 +70,10 @@ type ClusterStats struct {
 // exactly which nodes the aggregate covers and what collecting it cost.
 type ClusterReport struct {
 	Report
+	// Global is the summed sketch the report was recovered from — for
+	// further queries on the same aggregate (Aggregate, DetectQuery)
+	// without another round. Zero when the quorum was missed.
+	Global   Sketch
 	Included []string     // IDs of nodes whose sketches are in the sum
 	Failed   []NodeReport // nodes excluded (dial failures and RPC failures)
 	Nodes    []NodeReport // every node, in addrs order
@@ -165,7 +169,7 @@ func (s *Sketcher) DetectCluster(ctx context.Context, addrs []string, k int, opt
 		return rep, fmt.Errorf("csoutlier: only %d/%d nodes reachable (need %d)", len(nodes), len(addrs), min)
 	}
 
-	part, err := cluster.CollectSketchesCtx(ctx, nodes, s.spec, cluster.CollectOptions{
+	part, err := cluster.CollectSketches(ctx, nodes, s.spec, cluster.CollectOptions{
 		MinNodes:    min,
 		MaxAttempts: opts.MaxAttempts,
 		NodeTimeout: nodeTimeout,
@@ -217,6 +221,6 @@ func (s *Sketcher) DetectCluster(ctx context.Context, addrs []string, k int, opt
 	if err != nil {
 		return rep, err
 	}
-	rep.Report = *out
+	rep.Report, rep.Global = *out, global
 	return rep, nil
 }

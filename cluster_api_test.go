@@ -89,6 +89,18 @@ func detectClusterEndToEnd(t *testing.T, cfg Config) {
 	if len(rep.Outliers) != len(local.Outliers) {
 		t.Fatalf("outlier count %d vs %d", len(rep.Outliers), len(local.Outliers))
 	}
+	// Global is the summed sketch the report came from: recovering it
+	// again gives the report again.
+	if len(rep.Global.Y) != sk.M() {
+		t.Fatalf("Global holds %d measurements, want M=%d", len(rep.Global.Y), sk.M())
+	}
+	again, err := sk.Detect(rep.Global, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Mode != rep.Mode || again.Iterations != rep.Iterations {
+		t.Fatalf("Detect(Global) = mode %v in %d iterations, the round said %v in %d", again.Mode, again.Iterations, rep.Mode, rep.Iterations)
+	}
 	got := make(map[string]bool)
 	for _, o := range rep.Outliers {
 		got[o.Key] = true
@@ -214,8 +226,8 @@ func TestDetectClusterFailedQuorumKeepsEvidence(t *testing.T) {
 	if rep.Stats.Attempts != 5 || rep.Stats.Retries != 2 || rep.Stats.Timeouts != 2 || rep.Stats.Messages != 1 {
 		t.Fatalf("stats %+v", rep.Stats)
 	}
-	if len(rep.Outliers) != 0 {
-		t.Fatalf("a failed collection reported outliers: %+v", rep.Outliers)
+	if len(rep.Outliers) != 0 || rep.Global.Y != nil {
+		t.Fatalf("a failed collection reported outliers %+v or a sketch", rep.Outliers)
 	}
 }
 

@@ -2,7 +2,9 @@
 // deployment: it dials a set of csnode servers, collects their
 // compressive-sensing sketches in one round, recovers the global mode
 // and the k strongest outliers with BOMP, and prints them with the
-// communication cost relative to shipping everything.
+// communication cost relative to shipping everything. The round is one
+// Sketcher.DetectCluster call: the flags are its Config and
+// ClusterOptions, and -timeout is its context's deadline.
 //
 // Usage:
 //
@@ -21,12 +23,9 @@ import (
 	"strings"
 	"time"
 
-	"csoutlier/internal/baseline"
-	"csoutlier/internal/cluster"
+	"csoutlier"
 	"csoutlier/internal/keydict"
 	"csoutlier/internal/obs"
-	"csoutlier/internal/queries"
-	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
 )
 
@@ -39,13 +38,12 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "consensus measurement seed")
 		iters     = flag.Int("iters", 0, "BOMP iteration budget R (0 = paper default f(k) in [2k,5k]; raise toward the data's sparsity for sharper values)")
 		stats     = flag.Bool("stats", false, "also print recovered aggregate statistics (sum, mean, percentiles)")
-		exact     = flag.Bool("exact", false, "also run the transmit-ALL baseline for comparison")
 		timeout   = flag.Duration("timeout", 0, "sketch-collection deadline; with -min-nodes, stragglers past it are dropped")
 		minNodes  = flag.Int("min-nodes", 0, "tolerate node failures: proceed once this many sketches arrived (0 = require all; sketch linearity makes the partial aggregate exact over the responders)")
 		nodeTO    = flag.Duration("node-timeout", 10*time.Second, "per-request deadline on each node RPC (0 = unbounded)")
 		attempts  = flag.Int("attempts", 2, "sketch attempts per node before it is declared failed")
 		retries   = flag.Int("retries", 2, "transport-level retries per RPC on a broken connection (re-dial with backoff)")
-		health    = flag.Bool("health", false, "print per-node transport health (attempts, retries, timeouts, RTT, bytes)")
+		health    = flag.Bool("health", false, "print per-node health (attempts, retries, timeouts, redials, RTT, bytes)")
 		ensemble  = flag.String("ensemble", "gaussian", "measurement ensemble: gaussian or countsketch")
 		depth     = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
 
@@ -66,44 +64,20 @@ func main() {
 	if err != nil {
 		log.Fatalf("csagg: %v", err)
 	}
-
-	dialOpts := cluster.DialOptions{
-		RequestTimeout: *nodeTO,
-		MaxRetries:     *retries,
+	kind, err := sensing.ParseKind(*ensemble)
+	if err != nil {
+		log.Fatalf("csagg: %v", err)
 	}
-	if *nodeTO == 0 {
-		dialOpts.RequestTimeout = -1 // unbounded
-	}
-	if *retries == 0 {
-		dialOpts.MaxRetries = -1 // "-retries 0" means none, not the default
-	}
-	addrs := strings.Split(*nodesFlag, ",")
-	var nodes []cluster.NodeAPI
-	var remotes []*cluster.RemoteNode
-	for _, addr := range addrs {
-		rn, err := cluster.DialContext(context.Background(), strings.TrimSpace(addr), dialOpts)
-		if err != nil {
-			// With a quorum, an unreachable node is a tolerated failure,
-			// the same as one that dies mid-collection.
-			if *minNodes > 0 {
-				log.Printf("csagg: node %s excluded: %v", addr, err)
-				continue
-			}
-			log.Fatalf("csagg: %v", err)
-		}
-		defer rn.Close()
-		nodes = append(nodes, rn)
-		remotes = append(remotes, rn)
-		log.Printf("connected to node %q at %s", rn.ID(), addr)
-	}
-	if *minNodes > 0 && len(nodes) < *minNodes {
-		log.Fatalf("csagg: only %d/%d nodes reachable (need %d)", len(nodes), len(addrs), *minNodes)
+	sk, err := csoutlier.NewSketcher(dict.Keys(), csoutlier.Config{
+		M: *m, Seed: *seed, MaxIterations: *iters, Ensemble: kind, Depth: *depth,
+	})
+	if err != nil {
+		log.Fatalf("csagg: %v", err)
 	}
 
 	var reg *obs.Registry
 	if *metricsAddr != "" {
 		reg = obs.NewRegistry()
-		cluster.RegisterHealthMetrics(reg, remotes...)
 		mln, err := obs.Serve(*metricsAddr, reg, nil)
 		if err != nil {
 			log.Fatalf("csagg: metrics: %v", err)
@@ -112,116 +86,113 @@ func main() {
 		log.Printf("csagg metrics on http://%s/metrics", mln.Addr())
 	}
 
-	kind, err := sensing.ParseKind(*ensemble)
+	// ClusterOptions reads 0 as "default" and -1 as "none"; the flags
+	// read 0 as "none".
+	opts := csoutlier.ClusterOptions{
+		MinNodes:    *minNodes,
+		NodeTimeout: *nodeTO,
+		MaxAttempts: *attempts,
+		DialRetries: *retries,
+	}
+	if *nodeTO == 0 {
+		opts.NodeTimeout = -1
+	}
+	if *retries == 0 {
+		opts.DialRetries = -1
+	}
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	addrs := strings.Split(*nodesFlag, ",")
+	for i := range addrs {
+		addrs[i] = strings.TrimSpace(addrs[i])
+	}
+	start := time.Now()
+	rep, err := sk.DetectCluster(ctx, addrs, *k, opts)
+	elapsed := time.Since(start)
+	// A round that missed its quorum still reports what each node did;
+	// print that before giving up.
+	if rep != nil {
+		if reg != nil {
+			recordRound(reg, rep, err == nil)
+		}
+		for _, nr := range rep.Failed {
+			log.Printf("csagg: node %s excluded: %s", nr.Addr, nr.Err)
+		}
+		if *health {
+			for _, nr := range rep.Nodes {
+				log.Printf("csagg: node %-21s id=%-12q ok=%-5v attempts=%d retries=%d timeouts=%d redials=%d rtt=%v wire=%dB",
+					nr.Addr, nr.ID, nr.Included, nr.Attempts, nr.Retries, nr.Timeouts, nr.Redials,
+					nr.RTT.Round(time.Microsecond), nr.Bytes)
+			}
+		}
+	}
 	if err != nil {
 		log.Fatalf("csagg: %v", err)
 	}
-	spec := sensing.Spec{
-		Params: sensing.Params{M: *m, N: dict.N(), Seed: *seed},
-		Kind:   kind,
-		D:      *depth,
-	}
-	start := time.Now()
-	var res *cluster.DetectResult
-	if *minNodes > 0 || *timeout > 0 {
-		ctx := context.Background()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
-		}
-		part, err := cluster.CollectSketchesCtx(ctx, nodes, spec, cluster.CollectOptions{
-			MinNodes:    *minNodes,
-			MaxAttempts: *attempts,
-			NodeTimeout: *nodeTO,
-			Metrics:     reg,
-		})
-		// A collection that missed its quorum still reports what each
-		// node did; print that before giving up.
-		if part != nil {
-			for id, ferr := range part.Failed {
-				log.Printf("csagg: node %s excluded: %v", id, ferr)
-			}
-			if *health {
-				for id, ns := range part.Nodes {
-					log.Printf("csagg: node %-12s ok=%-5v attempts=%d retries=%d timeouts=%d rtt=%v",
-						id, ns.OK, ns.Attempts, ns.Retries, ns.Timeouts, ns.RTT.Round(time.Microsecond))
-				}
-			}
-		}
-		if err != nil {
-			log.Fatalf("csagg: collect: %v", err)
-		}
-		log.Printf("csagg: aggregate over %d/%d nodes: %v", len(part.Included), len(nodes), part.Included)
-		res, err = cluster.DetectSketch(part.Sketch, spec, *k, recovery.Options{MaxIterations: *iters})
-		if err != nil {
-			log.Fatalf("csagg: detect: %v", err)
-		}
-		res.Stats = part.Stats
-	} else {
-		y, stats, err := cluster.CollectSketches(nodes, spec)
-		if err != nil {
-			log.Fatalf("csagg: collect: %v", err)
-		}
-		res, err = cluster.DetectSketch(y, spec, *k, recovery.Options{MaxIterations: *iters})
-		if err != nil {
-			log.Fatalf("csagg: detect: %v", err)
-		}
-		res.Stats = stats
-	}
-	elapsed := time.Since(start)
+	log.Printf("csagg: aggregate over %d/%d nodes: %v", len(rep.Included), len(addrs), rep.Included)
 
-	allBytes := baseline.AllCostBytes(len(nodes), dict.N())
+	allBytes := int64(len(rep.Included)) * int64(dict.N()) * 8 // transmit-ALL: L·N values at 64 bits
 	fmt.Printf("recovered mode b = %.6g  (%d recovery iterations, %v)\n",
-		res.Mode, res.Recovery.Iterations, elapsed.Round(time.Millisecond))
+		rep.Mode, rep.Iterations, elapsed.Round(time.Millisecond))
 	fmt.Printf("communication: %d bytes in %d round (%.2f%% of transmit-ALL's %d bytes)\n",
-		res.Stats.Bytes, res.Stats.Rounds, 100*float64(res.Stats.Bytes)/float64(allBytes), allBytes)
-	if res.Stats.Attempts > 0 {
-		fmt.Printf("transport: %d attempts, %d retries, %d timeouts\n",
-			res.Stats.Attempts, res.Stats.Retries, res.Stats.Timeouts)
-	}
-	if *health {
-		for _, rn := range remotes {
-			h := rn.Health()
-			log.Printf("csagg: transport %-12s attempts=%d retries=%d timeouts=%d redials=%d failures=%d rtt(last/avg)=%v/%v wire(r/w)=%dB/%dB",
-				rn.ID(), h.Attempts, h.Retries, h.Timeouts, h.Redials, h.Failures,
-				h.LastRTT.Round(time.Microsecond), h.AvgRTT.Round(time.Microsecond), h.BytesRead, h.BytesWritten)
-		}
-	}
+		rep.Stats.Bytes, rep.Stats.Rounds, 100*float64(rep.Stats.Bytes)/float64(allBytes), allBytes)
+	fmt.Printf("transport: %d attempts, %d retries, %d timeouts\n",
+		rep.Stats.Attempts, rep.Stats.Retries, rep.Stats.Timeouts)
 	fmt.Printf("top-%d outliers (furthest from mode first):\n", *k)
-	for i, o := range res.Outliers {
+	for i, o := range rep.Outliers {
 		fmt.Printf("  %2d. %-40s  value %.6g  (divergence %+.6g)\n",
-			i+1, dict.Key(o.Index), o.Value, o.Value-res.Mode)
+			i+1, o.Key, o.Value, o.Value-rep.Mode)
 	}
 
 	if *stats {
-		rec := &queries.Recovered{
-			N:       dict.N(),
-			Mode:    res.Mode,
-			Support: res.Recovery.Support,
-		}
-		for _, j := range res.Recovery.Support {
-			rec.Values = append(rec.Values, res.Recovery.X[j])
+		// BOMP stopped at rep.Iterations either way, so this run repeats
+		// the round's recovery bit for bit and keeps its whole support.
+		agg, err := sk.Aggregate(rep.Global, rep.Iterations)
+		if err != nil {
+			log.Fatalf("csagg: %v", err)
 		}
 		fmt.Printf("\nrecovered aggregate statistics (from the same sketch):\n")
-		fmt.Printf("  sum  %14.6g\n  mean %14.6g\n", queries.Sum(rec), queries.Mean(rec))
+		fmt.Printf("  sum  %14.6g\n  mean %14.6g\n", agg.Sum(), agg.Mean())
 		for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 0.99} {
-			v, err := queries.Percentile(rec, q)
+			v, err := agg.Percentile(q)
 			if err != nil {
 				log.Fatalf("csagg: %v", err)
 			}
 			fmt.Printf("  p%-4.3g %13.6g\n", q*100, v)
 		}
 	}
+}
 
-	if *exact {
-		ex, err := baseline.All(context.Background(), nodes, *k)
-		if err != nil {
-			log.Fatalf("csagg: exact baseline: %v", err)
-		}
-		fmt.Printf("\ntransmit-ALL ground truth (%d bytes):\n", ex.Stats.Bytes)
-		for i, o := range ex.Outliers {
-			fmt.Printf("  %2d. %-40s  value %.6g\n", i+1, dict.Key(o.Index), o.Value)
+// recordRound folds one round's report into the cluster_* families of
+// reg. Family resolution is get-or-create, so the registry is the one
+// place the names and help texts live.
+func recordRound(reg *obs.Registry, rep *csoutlier.ClusterReport, ok bool) {
+	reg.Counter("cluster_attempts_total",
+		"sketch RPCs attempted, including retries").Add(int64(rep.Stats.Attempts))
+	reg.Counter("cluster_retries_total",
+		"sketch attempts beyond each node's first").Add(int64(rep.Stats.Retries))
+	reg.Counter("cluster_timeouts_total",
+		"sketch attempts that died on a deadline").Add(int64(rep.Stats.Timeouts))
+	reg.Counter("cluster_bytes_total",
+		"sketch payload bytes received (paper constants)").Add(rep.Stats.Bytes)
+	reg.Counter("cluster_messages_total",
+		"sketch payloads received").Add(int64(rep.Stats.Messages))
+	outcome := "ok"
+	if !ok {
+		outcome = "failed"
+	}
+	reg.CounterVec("cluster_collects_total",
+		"collections by outcome (ok = quorum reached)", "outcome").With(outcome).Inc()
+	rtt := reg.HistogramVec("cluster_node_rtt_seconds",
+		"per-node sketch round-trip time, last attempt of each collection",
+		obs.LatencyBuckets(), "node")
+	for _, nr := range rep.Nodes {
+		if nr.Attempts > 0 {
+			rtt.With(nr.ID).Observe(nr.RTT.Seconds())
 		}
 	}
 }

@@ -100,17 +100,17 @@ type csResult struct {
 // csTopK answers top-k (mode 0) through the sketch pipeline: k-outliers
 // around the recovered mode, which the power-law data keeps near the
 // density bulk, so the extreme tail surfaces first.
-func csTopK(api []cluster.NodeAPI, k int) csResult {
+func csTopK(api []*cluster.LocalNode, k int) csResult {
 	p := sensing.Params{M: 250, N: n, Seed: 9}
-	res, err := cluster.Detect(api, p, k, recovery.Options{})
+	res, err := cluster.Detect(api, sensing.GaussianSpec(p), k, recovery.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	return csResult{kvs: res.Outliers, bytes: res.Stats.Bytes}
 }
 
-func wrap(slices []linalg.Vector) []cluster.NodeAPI {
-	api := make([]cluster.NodeAPI, len(slices))
+func wrap(slices []linalg.Vector) []*cluster.LocalNode {
+	api := make([]*cluster.LocalNode, len(slices))
 	for i, s := range slices {
 		api[i] = cluster.NewLocalNode(fmt.Sprintf("n%d", i), s)
 	}

@@ -3,12 +3,12 @@ package csoutlier
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"csoutlier/internal/cluster"
+	"csoutlier/internal/frame"
 	"csoutlier/internal/keydict"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/sensing"
@@ -139,13 +139,23 @@ func FuzzClusterFrameDecoder(f *testing.F) {
 	huge := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(huge, 1<<31)
 	f.Add(huge)
+	// The kinds the wire carried for the evaluation baselines (full
+	// vector, sample values, local outliers), each with its old body.
+	f.Add(frame.End(frame.Begin(nil, 0x12)))
+	f.Add(frame.End(append(frame.Begin(nil, 0x13), 2, 0, 7)))
+	f.Add(frame.End(binary.AppendUvarint(frame.AppendF64(frame.Begin(nil, 0x14), -1800.25), 12)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		node := cluster.NewLocalNode("fuzz", make(linalg.Vector, 8))
 		// ServeStream must consume any byte stream without panicking and
 		// must terminate once the stream is exhausted; hostile frames may
 		// only produce error responses or drop the connection.
-		cluster.ServeStream(bytes.NewReader(data), io.Discard, node, cluster.ServeOptions{})
+		var out bytes.Buffer
+		cluster.ServeStream(bytes.NewReader(data), &out, node, cluster.ServeOptions{})
+		// A first frame of a retired kind ends the stream unanswered.
+		if len(data) >= frame.Overhead && data[5] >= 0x12 && data[5] <= 0x14 && out.Len() != 0 {
+			t.Fatalf("a frame of retired kind %#x was answered with %d bytes", data[5], out.Len())
+		}
 	})
 }
 

@@ -79,7 +79,7 @@ func TestIntegrationAllSurfacesAgree(t *testing.T) {
 		remotes[dc] = rn
 	}
 	p := sensing.Params{M: m, N: n, Seed: seed}
-	tcpRes, err := cluster.Detect(remotes, p, k, recovery.Options{})
+	tcpRes, err := cluster.Detect(remotes, sensing.GaussianSpec(p), k, recovery.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestIntegrationAllSurfacesAgree(t *testing.T) {
 	}
 
 	// --- Exact baseline. ---
-	locals := make([]cluster.NodeAPI, dcs)
+	locals := make([]*cluster.LocalNode, dcs)
 	for dc := 0; dc < dcs; dc++ {
 		locals[dc] = cluster.NewLocalNode("x", cl.Slices[dc])
 	}

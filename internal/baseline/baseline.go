@@ -32,7 +32,7 @@ type AllResult struct {
 // k-outlier query exactly. It is both the accuracy ground truth and the
 // communication-cost yardstick every other method is normalized against
 // (Figures 7–8 x-axes).
-func All(ctx context.Context, nodes []cluster.NodeAPI, k int) (*AllResult, error) {
+func All(ctx context.Context, nodes []*cluster.LocalNode, k int) (*AllResult, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("baseline: no nodes")
 	}
@@ -121,7 +121,7 @@ type KDeltaResult struct {
 // Accuracy depends on how evenly the per-key values spread across nodes
 // (paper: big standard deviations → local outliers differ from global
 // ones → large errors), which is exactly what Figures 7–8 measure.
-func KDelta(ctx context.Context, nodes []cluster.NodeAPI, cfg KDeltaConfig) (*KDeltaResult, error) {
+func KDelta(ctx context.Context, nodes []*cluster.LocalNode, cfg KDeltaConfig) (*KDeltaResult, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("baseline: no nodes")
 	}

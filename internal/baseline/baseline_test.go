@@ -13,10 +13,10 @@ import (
 	"csoutlier/internal/xrand"
 )
 
-func makeNodes(t *testing.T, global linalg.Vector, l int, noise float64, seed uint64) []cluster.NodeAPI {
+func makeNodes(t *testing.T, global linalg.Vector, l int, noise float64, seed uint64) []*cluster.LocalNode {
 	t.Helper()
 	slices := workload.SplitZeroSumNoise(global, l, noise, seed)
-	nodes := make([]cluster.NodeAPI, l)
+	nodes := make([]*cluster.LocalNode, l)
 	for i, s := range slices {
 		nodes[i] = cluster.NewLocalNode("n"+string(rune('0'+i)), s)
 	}
@@ -136,7 +136,7 @@ func TestKDeltaForBudget(t *testing.T) {
 // nonNegativeWorkload builds a global vector of non-negative values with
 // clear top-k structure, split across nodes WITHOUT negative shares so
 // TA/TPUT preconditions hold.
-func nonNegativeWorkload(t *testing.T, n, l int, seed uint64) ([]cluster.NodeAPI, linalg.Vector) {
+func nonNegativeWorkload(t *testing.T, n, l int, seed uint64) ([]*cluster.LocalNode, linalg.Vector) {
 	t.Helper()
 	r := xrand.New(seed)
 	global := make(linalg.Vector, n)
@@ -162,7 +162,7 @@ func nonNegativeWorkload(t *testing.T, n, l int, seed uint64) ([]cluster.NodeAPI
 			slices[j][i] = v * weights[j] / sum
 		}
 	}
-	nodes := make([]cluster.NodeAPI, l)
+	nodes := make([]*cluster.LocalNode, l)
 	for j, s := range slices {
 		nodes[j] = cluster.NewLocalNode("n"+string(rune('0'+j)), s)
 	}

@@ -30,7 +30,7 @@ type topKView struct {
 	sorted []rankItem
 }
 
-func buildViews(ctx context.Context, nodes []cluster.NodeAPI, stats *cluster.CommStats) ([]*topKView, int, error) {
+func buildViews(ctx context.Context, nodes []*cluster.LocalNode) ([]*topKView, int, error) {
 	// Materializing the view costs nothing on the wire: it models the
 	// node's local sorted index. Only accesses are charged.
 	views := make([]*topKView, len(nodes))
@@ -57,7 +57,6 @@ func buildViews(ctx context.Context, nodes []cluster.NodeAPI, stats *cluster.Com
 		sortDesc(items)
 		views[i] = &topKView{id: node.ID(), x: x, sorted: items}
 	}
-	_ = stats
 	return views, n, nil
 }
 
@@ -77,16 +76,15 @@ type TAResult struct {
 // sorted-access frontier). Exact for non-negative data; round count
 // scales with the depth reached, which is TA's scalability weakness the
 // paper cites.
-func TA(ctx context.Context, nodes []cluster.NodeAPI, k int) (*TAResult, error) {
+func TA(ctx context.Context, nodes []*cluster.LocalNode, k int) (*TAResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("baseline: k must be positive")
 	}
 	res := &TAResult{}
-	views, n, err := buildViews(ctx, nodes, &res.Stats)
+	views, n, err := buildViews(ctx, nodes)
 	if err != nil {
 		return nil, err
 	}
-	l := len(views)
 	exact := make(map[int]float64)
 	for depth := 0; depth < n; depth++ {
 		res.RoundsOfDepth = depth + 1
@@ -134,7 +132,6 @@ func TA(ctx context.Context, nodes []cluster.NodeAPI, k int) (*TAResult, error) 
 	res.TopK = toKVs(items)
 	res.Stats.Rounds = res.RoundsOfDepth
 	res.Stats.Messages = res.SortedAccess + res.RandomAccess
-	_ = l
 	return res, nil
 }
 
@@ -151,12 +148,12 @@ type TPUTResult struct {
 // value ≥ τ/L and prunes candidates whose upper bound < τ; phase 3
 // random-accesses the survivors for exact sums. Exactly three rounds,
 // unlike TA's data-dependent depth.
-func TPUT(ctx context.Context, nodes []cluster.NodeAPI, k int) (*TPUTResult, error) {
+func TPUT(ctx context.Context, nodes []*cluster.LocalNode, k int) (*TPUTResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("baseline: k must be positive")
 	}
 	res := &TPUTResult{Stats: cluster.CommStats{Rounds: 3}}
-	views, n, err := buildViews(ctx, nodes, &res.Stats)
+	views, _, err := buildViews(ctx, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +220,6 @@ func TPUT(ctx context.Context, nodes []cluster.NodeAPI, k int) (*TPUTResult, err
 		items = items[:k]
 	}
 	res.TopK = toKVs(items)
-	_ = n
 	return res, nil
 }
 

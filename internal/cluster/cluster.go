@@ -11,7 +11,9 @@
 // by the experiment harness) and the TCP client/server in transport.go
 // (a real networked deployment over net and the binary frames of
 // internal/frame — the push stream's codec with the pull protocol's own
-// kinds — used by cmd/csnode and cmd/csagg).
+// kinds — used by cmd/csnode and, through Sketcher.DetectCluster,
+// cmd/csagg). The wire carries the paper's round and nothing else: a
+// node's ID and its sketch.
 package cluster
 
 import (
@@ -46,18 +48,11 @@ type NodeAPI interface {
 	// (consensus parameters + ensemble) and returns y_l = Φ₀·x_l
 	// (paper §3.1 "Local Compression").
 	Sketch(ctx context.Context, spec sensing.Spec) (linalg.Vector, error)
-	// FullVector returns the entire local slice — the transmit-ALL
-	// baseline's request.
-	FullVector(ctx context.Context) (linalg.Vector, error)
-	// SampleValues returns the local values at the given key positions —
-	// round 1 of the K+δ baseline.
-	SampleValues(ctx context.Context, idx []int) ([]float64, error)
-	// LocalOutliers returns the node's top-count local outliers with
-	// respect to the supplied mode — round 3 of the K+δ baseline.
-	LocalOutliers(ctx context.Context, mode float64, count int) ([]outlier.KV, error)
 }
 
-// LocalNode is an in-process NodeAPI over a vectorized slice.
+// LocalNode is an in-process NodeAPI over a vectorized slice. Beyond the
+// protocol's Sketch it answers the evaluation baselines' requests
+// (internal/baseline) in process: those never cross the wire.
 type LocalNode struct {
 	name string
 	mu   sync.RWMutex
@@ -122,7 +117,8 @@ func (n *LocalNode) matrix(spec sensing.Spec) (sensing.Matrix, error) {
 	return m, nil
 }
 
-// FullVector implements NodeAPI.
+// FullVector returns a copy of the entire local slice — the
+// transmit-ALL baseline's request.
 func (n *LocalNode) FullVector(ctx context.Context) (linalg.Vector, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -132,7 +128,8 @@ func (n *LocalNode) FullVector(ctx context.Context) (linalg.Vector, error) {
 	return n.x.Clone(), nil
 }
 
-// SampleValues implements NodeAPI.
+// SampleValues returns the local values at the given key positions —
+// round 1 of the K+δ baseline.
 func (n *LocalNode) SampleValues(ctx context.Context, idx []int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -149,7 +146,8 @@ func (n *LocalNode) SampleValues(ctx context.Context, idx []int) ([]float64, err
 	return out, nil
 }
 
-// LocalOutliers implements NodeAPI.
+// LocalOutliers returns the node's top-count local outliers with respect
+// to the supplied mode — round 3 of the K+δ baseline.
 func (n *LocalNode) LocalOutliers(ctx context.Context, mode float64, count int) ([]outlier.KV, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -175,8 +173,7 @@ func (n *LocalNode) Update(delta linalg.Vector) error {
 
 // CommStats records the logical communication and the transport effort
 // of one aggregation. Bytes/Messages/Rounds use the paper's cost model;
-// the attempt counters come from the fault-tolerant collection path
-// (zero on the strict, non-retrying paths).
+// the attempt counters come from the collector (zero in the baselines).
 type CommStats struct {
 	Bytes    int64 // total payload bytes, paper constants
 	Messages int   // node→aggregator or aggregator→node messages
@@ -198,76 +195,24 @@ func (s *CommStats) Add(other CommStats) {
 	s.Timeouts += other.Timeouts
 }
 
-// CollectSketches asks every node for its sketch in parallel, sums them
-// into the global measurement y = Σ y_l (paper eq. 1), and accounts
-// L·M·8 bytes of communication in one round. It is the strict (all
-// nodes must answer) path; CollectSketchesCtx adds deadlines, retries
-// and quorum semantics.
-func CollectSketches(nodes []NodeAPI, spec sensing.Spec) (linalg.Vector, CommStats, error) {
-	if len(nodes) == 0 {
-		return nil, CommStats{}, fmt.Errorf("cluster: no nodes")
-	}
-	ctx := context.Background()
-	ys := make([]linalg.Vector, len(nodes))
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node NodeAPI) {
-			defer wg.Done()
-			ys[i], errs[i] = node.Sketch(ctx, spec)
-		}(i, node)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, CommStats{}, fmt.Errorf("cluster: node %s: %w", nodes[i].ID(), err)
-		}
-	}
-	global := make(linalg.Vector, spec.M)
-	for i, y := range ys {
-		if len(y) != spec.M {
-			return nil, CommStats{}, fmt.Errorf("cluster: node %s returned sketch of length %d, want %d", nodes[i].ID(), len(y), spec.M)
-		}
-		sensing.AddSketch(global, y)
-	}
-	stats := CommStats{
-		Bytes:    int64(len(nodes)) * sensing.SketchBytes(spec.M),
-		Messages: len(nodes),
-		Rounds:   1,
-	}
-	return global, stats, nil
-}
-
 // DetectResult is the aggregator's answer to a k-outlier query.
 type DetectResult struct {
 	Outliers []outlier.KV // the k detected outliers, strongest first
 	Mode     float64      // recovered mode b
-	Recovery *recovery.Result
 	Stats    CommStats
 }
 
-// Detect runs the paper's full pipeline: collect sketches, recover with
-// BOMP using the R = f(k) iteration budget, and select the k recovered
-// entries furthest from the recovered mode.
-func Detect(nodes []NodeAPI, p sensing.Params, k int, opt recovery.Options) (*DetectResult, error) {
-	spec := sensing.GaussianSpec(p)
-	y, stats, err := CollectSketches(nodes, spec)
+// Detect runs the paper's full pipeline in one call: collect every
+// node's sketch, recover with BOMP using the R = f(k) iteration budget on
+// a throwaway workspace, and select the k recovered entries furthest
+// from the recovered mode. It is the experiments' in-process entry
+// point; a standing aggregator uses Sketcher.DetectCluster, whose
+// recovery keeps its Gram cache between rounds.
+func Detect[T NodeAPI](nodes []T, spec sensing.Spec, k int, opt recovery.Options) (*DetectResult, error) {
+	part, err := CollectSketches(context.Background(), nodes, spec, CollectOptions{})
 	if err != nil {
 		return nil, err
 	}
-	res, err := DetectSketch(y, spec, k, opt)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	return res, nil
-}
-
-// DetectSketch runs the aggregator-side recovery on an already-collected
-// global sketch — for callers that gathered sketches themselves (e.g.
-// via CollectSketchesCtx with a quorum, or over a custom transport).
-func DetectSketch(y linalg.Vector, spec sensing.Spec, k int, opt recovery.Options) (*DetectResult, error) {
 	m, err := sensing.New(spec, 0)
 	if err != nil {
 		return nil, err
@@ -275,7 +220,7 @@ func DetectSketch(y linalg.Vector, spec sensing.Spec, k int, opt recovery.Option
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = recovery.IterationBudget(k)
 	}
-	res, err := recovery.BOMP(m, y, opt)
+	res, err := recovery.BOMP(m, part.Sketch, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -286,6 +231,6 @@ func DetectSketch(y linalg.Vector, spec sensing.Spec, k int, opt recovery.Option
 	return &DetectResult{
 		Outliers: outlier.TopKOf(cands, res.Mode, k),
 		Mode:     res.Mode,
-		Recovery: res,
+		Stats:    part.Stats,
 	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sort"
 	"testing"
+	"time"
 
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
@@ -28,13 +29,14 @@ func makeCluster(t *testing.T, n, s, nodes int, mode float64, seed uint64) ([]No
 func TestCollectSketchesEqualsGlobalMeasurement(t *testing.T) {
 	nodes, global, _ := makeCluster(t, 150, 6, 5, 1800, 1)
 	p := sensing.Params{M: 60, N: 150, Seed: 9}
-	y, stats, err := CollectSketches(nodes, sensing.GaussianSpec(p))
+	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := res.Stats
 	d, _ := sensing.NewDense(p)
 	want := d.Measure(global, nil)
-	if !y.Equal(want, 1e-8) {
+	if !res.Sketch.Equal(want, 1e-8) {
 		t.Fatal("sum of node sketches != sketch of global aggregate")
 	}
 	if stats.Bytes != int64(5*60*8) {
@@ -46,14 +48,15 @@ func TestCollectSketchesEqualsGlobalMeasurement(t *testing.T) {
 }
 
 func TestCollectSketchesNoNodes(t *testing.T) {
-	if _, _, err := CollectSketches(nil, sensing.GaussianSpec(sensing.Params{M: 2, N: 2})); err == nil {
+	if _, err := CollectSketches(context.Background(), []NodeAPI(nil), sensing.GaussianSpec(sensing.Params{M: 2, N: 2}), CollectOptions{}); err == nil {
 		t.Fatal("no nodes accepted")
 	}
 }
 
 func TestCollectSketchesDimensionError(t *testing.T) {
 	nodes := []NodeAPI{NewLocalNode("a", make(linalg.Vector, 10))}
-	if _, _, err := CollectSketches(nodes, sensing.GaussianSpec(sensing.Params{M: 4, N: 11, Seed: 1})); err == nil {
+	spec := sensing.GaussianSpec(sensing.Params{M: 4, N: 11, Seed: 1})
+	if _, err := CollectSketches(context.Background(), nodes, spec, CollectOptions{RetryBackoff: time.Millisecond}); err == nil {
 		t.Fatal("mismatched N accepted")
 	}
 }
@@ -63,7 +66,7 @@ func TestDetectEndToEnd(t *testing.T) {
 	const mode = 1800.0
 	nodes, global, _ := makeCluster(t, n, s, 4, mode, 2)
 	p := sensing.Params{M: 120, N: n, Seed: 10}
-	res, err := Detect(nodes, p, k, recovery.Options{})
+	res, err := Detect(nodes, sensing.GaussianSpec(p), k, recovery.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,20 +144,21 @@ func TestNodeRemovalBySketchSubtraction(t *testing.T) {
 	// cluster that never contained it.
 	nodes, _, _ := makeCluster(t, 200, 5, 4, 1000, 5)
 	p := sensing.Params{M: 80, N: 200, Seed: 11}
-	all, _, err := CollectSketches(nodes, sensing.GaussianSpec(p))
+	ctx := context.Background()
+	all, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaving, err := nodes[3].Sketch(context.Background(), sensing.GaussianSpec(p))
+	leaving, err := nodes[3].Sketch(ctx, sensing.GaussianSpec(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sensing.SubSketch(all, leaving)
-	remaining, _, err := CollectSketches(nodes[:3], sensing.GaussianSpec(p))
+	sensing.SubSketch(all.Sketch, leaving)
+	remaining, err := CollectSketches(ctx, nodes[:3], sensing.GaussianSpec(p), CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !all.Equal(remaining, 1e-8) {
+	if !all.Sketch.Equal(remaining.Sketch, 1e-8) {
 		t.Fatal("subtracted sketch != sketch of remaining nodes")
 	}
 }
@@ -170,6 +174,8 @@ func startServer(t *testing.T, node NodeAPI) string {
 	return ln.Addr().String()
 }
 
+// TestTCPTransportAllMethods drives both requests the pull wire carries,
+// ID (at Dial) and Sketch, under both ensembles, plus an error reply.
 func TestTCPTransportAllMethods(t *testing.T) {
 	x := linalg.Vector{5, 5, 100, 5, -60}
 	addr := startServer(t, NewLocalNode("dc-tokyo", x))
@@ -182,43 +188,30 @@ func TestTCPTransportAllMethods(t *testing.T) {
 	if rn.ID() != "dc-tokyo" {
 		t.Fatalf("ID = %q", rn.ID())
 	}
-	p := sensing.Params{M: 3, N: 5, Seed: 12}
-	y, err := rn.Sketch(context.Background(), sensing.GaussianSpec(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := sensing.NewDense(p)
-	if !y.Equal(d.Measure(x, nil), 1e-9) {
-		t.Fatal("remote sketch mismatch")
-	}
-	full, err := rn.FullVector(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.Equal(x, 0) {
-		t.Fatal("remote full vector mismatch")
-	}
-	vs, err := rn.SampleValues(context.Background(), []int{4, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs[0] != -60 || vs[1] != 100 {
-		t.Fatalf("remote SampleValues = %v", vs)
-	}
-	kvs, err := rn.LocalOutliers(context.Background(), 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != 2 || kvs[0].Index != 2 || kvs[1].Index != 4 {
-		t.Fatalf("remote LocalOutliers = %v", kvs)
+	ctx := context.Background()
+	for _, spec := range []sensing.Spec{
+		sensing.GaussianSpec(sensing.Params{M: 3, N: 5, Seed: 12}),
+		{Params: sensing.Params{M: 4, N: 5, Seed: 12}, Kind: sensing.KindCountSketch, D: 2},
+	} {
+		y, err := rn.Sketch(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _ := sensing.New(spec, 0)
+		if !bitsEqual(y, m.Measure(x, nil)) {
+			t.Fatalf("%v: remote sketch mismatch", spec.Kind)
+		}
 	}
 	// Errors must propagate as errors, not crashes.
-	if _, err := rn.Sketch(context.Background(), sensing.GaussianSpec(sensing.Params{M: 3, N: 99, Seed: 1})); err == nil {
+	if _, err := rn.Sketch(ctx, sensing.GaussianSpec(sensing.Params{M: 3, N: 99, Seed: 1})); err == nil {
 		t.Fatal("remote dimension error not propagated")
 	}
 	// The connection must survive an error response.
-	if _, err := rn.FullVector(context.Background()); err != nil {
+	if _, err := rn.Sketch(ctx, sensing.GaussianSpec(sensing.Params{M: 3, N: 5, Seed: 12})); err != nil {
 		t.Fatalf("connection broken after error: %v", err)
+	}
+	if h := rn.Health(); h.Redials != 0 || h.Failures != 0 || h.Attempts != 5 {
+		t.Fatalf("health %+v, want 5 attempts on one connection", h)
 	}
 }
 
@@ -237,7 +230,7 @@ func TestTCPDetectEndToEnd(t *testing.T) {
 		remotes[i] = rn
 	}
 	p := sensing.Params{M: 100, N: n, Seed: 13}
-	res, err := Detect(remotes, p, k, recovery.Options{})
+	res, err := Detect(remotes, sensing.GaussianSpec(p), k, recovery.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +257,7 @@ func TestCommStatsAdd(t *testing.T) {
 func TestDetectOrderedByDivergence(t *testing.T) {
 	nodes, _, _ := makeCluster(t, 250, 7, 3, 500, 7)
 	p := sensing.Params{M: 110, N: 250, Seed: 14}
-	res, err := Detect(nodes, p, 7, recovery.Options{})
+	res, err := Detect(nodes, sensing.GaussianSpec(p), 7, recovery.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

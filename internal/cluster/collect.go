@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"csoutlier/internal/linalg"
-	"csoutlier/internal/obs"
-	"csoutlier/internal/outlier"
 	"csoutlier/internal/sensing"
 	"csoutlier/internal/xrand"
 )
@@ -48,10 +46,6 @@ type CollectOptions struct {
 	// decorrelated across nodes while the whole collection replays
 	// deterministically. 0 uses a fixed default seed.
 	BackoffSeed uint64
-	// Metrics, when non-nil, receives the collection's attempt/retry/
-	// timeout/byte counters and per-node RTT observations (cluster_*
-	// families). nil = no instrumentation.
-	Metrics *obs.Registry
 }
 
 // NodeStats reports one node's behaviour during a collection.
@@ -73,17 +67,22 @@ type PartialResult struct {
 	Stats    CommStats
 }
 
-// CollectSketchesCtx gathers sketches in parallel with cancellation,
-// per-node retries and straggler tolerance. It returns early with an
-// error when the context is cancelled or when too few nodes respond;
-// otherwise it sums whatever subset responded (at least opts.MinNodes)
+// CollectSketches asks every node for its sketch in parallel and sums
+// the answers into the global measurement y = Σ y_l (paper eq. 1), one
+// round at L·M·8 bytes — with cancellation, per-node retries and
+// straggler tolerance. It returns early with an error when the context
+// is cancelled or when too few nodes respond; otherwise it sums whatever
+// subset responded (at least opts.MinNodes; the zero value demands all)
 // and reports the exact membership of the aggregate plus per-node
-// health. A missed quorum returns the report next to the error, without
-// a Sketch: which nodes failed, how, and after how many attempts is what
-// an operator needs exactly then. On return, every goroutine it started has exited and every
-// in-flight request has been cancelled — nothing leaks, provided node
-// implementations honor ctx (NodeAPI's contract).
-func CollectSketchesCtx(ctx context.Context, nodes []NodeAPI, spec sensing.Spec, opts CollectOptions) (*PartialResult, error) {
+// health. The sum runs in node order whatever order the answers arrive
+// in, so one membership always gives the same bits. A missed quorum
+// returns the report next to the error, without a Sketch: which nodes
+// failed, how, and after how many attempts is what an operator needs
+// exactly then. On return, every goroutine it started has exited and
+// every in-flight request has been cancelled — nothing leaks, provided
+// node implementations honor ctx (NodeAPI's contract). T lets the
+// experiments pass the []*LocalNode the baselines take as well.
+func CollectSketches[T NodeAPI](ctx context.Context, nodes []T, spec sensing.Spec, opts CollectOptions) (*PartialResult, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
 	}
@@ -115,15 +114,15 @@ func CollectSketchesCtx(ctx context.Context, nodes []NodeAPI, spec sensing.Spec,
 	defer cancel()
 
 	type report struct {
-		id string
+		i  int // position in nodes
 		y  linalg.Vector
 		ns NodeStats
 	}
 	// Buffered to len(nodes): a worker can always deliver its final
 	// report and exit, even after the collector stopped receiving.
 	ch := make(chan report, len(nodes))
-	for _, node := range nodes {
-		go func(node NodeAPI) {
+	for i, node := range nodes {
+		go func(i int, node T) {
 			var ns NodeStats
 			var y linalg.Vector
 			rng := xrand.New(jitterSeed).Split(backoffSeed(0, node.ID()))
@@ -167,32 +166,12 @@ func CollectSketchesCtx(ctx context.Context, nodes []NodeAPI, spec sensing.Spec,
 			if !ns.OK && ns.Err == "" {
 				ns.Err = "cancelled before first attempt"
 			}
-			ch <- report{id: node.ID(), y: y, ns: ns}
-		}(node)
+			ch <- report{i: i, y: y, ns: ns}
+		}(i, node)
 	}
 
-	res := &PartialResult{
-		Sketch: make(linalg.Vector, spec.M),
-		Failed: make(map[string]error),
-		Nodes:  make(map[string]NodeStats, len(nodes)),
-		Stats:  CommStats{Rounds: 1},
-	}
-	record := func(r report) {
-		res.Nodes[r.id] = r.ns
-		res.Stats.Attempts += r.ns.Attempts
-		res.Stats.Retries += r.ns.Retries
-		res.Stats.Timeouts += r.ns.Timeouts
-		if r.ns.OK {
-			sensing.AddSketch(res.Sketch, r.y)
-			res.Included = append(res.Included, r.id)
-			res.Stats.Bytes += sensing.SketchBytes(spec.M)
-			res.Stats.Messages++
-		} else {
-			res.Failed[r.id] = errors.New(r.ns.Err)
-		}
-	}
-
-	received := 0
+	reports := make([]report, len(nodes))
+	received, ok := 0, 0
 	timedOut := false
 	var graceTimer *time.Timer
 	var grace <-chan time.Time
@@ -206,8 +185,11 @@ loop:
 			break loop
 		case r := <-ch:
 			received++
-			record(r)
-			if opts.QuorumGrace > 0 && grace == nil && len(res.Included) >= min && received < len(nodes) {
+			reports[r.i] = r
+			if r.ns.OK {
+				ok++
+			}
+			if opts.QuorumGrace > 0 && grace == nil && ok >= min && received < len(nodes) {
 				graceTimer = time.NewTimer(opts.QuorumGrace)
 				grace = graceTimer.C
 			}
@@ -223,11 +205,29 @@ loop:
 	for received < len(nodes) {
 		r := <-ch
 		received++
-		record(r)
+		reports[r.i] = r
 	}
 
-	if opts.Metrics != nil {
-		recordCollect(opts.Metrics, res, len(res.Included) >= min)
+	res := &PartialResult{
+		Sketch: make(linalg.Vector, spec.M),
+		Failed: make(map[string]error),
+		Nodes:  make(map[string]NodeStats, len(nodes)),
+		Stats:  CommStats{Rounds: 1},
+	}
+	for i, r := range reports {
+		id := nodes[i].ID()
+		res.Nodes[id] = r.ns
+		res.Stats.Attempts += r.ns.Attempts
+		res.Stats.Retries += r.ns.Retries
+		res.Stats.Timeouts += r.ns.Timeouts
+		if r.ns.OK {
+			sensing.AddSketch(res.Sketch, r.y)
+			res.Included = append(res.Included, id)
+			res.Stats.Bytes += sensing.SketchBytes(spec.M)
+			res.Stats.Messages++
+		} else {
+			res.Failed[id] = errors.New(r.ns.Err)
+		}
 	}
 	sort.Strings(res.Included)
 	if len(res.Included) < min {
@@ -240,27 +240,4 @@ loop:
 			len(res.Included), len(nodes), min, res.Failed)
 	}
 	return res, nil
-}
-
-// faultyNode wraps a NodeAPI and fails every call; used by tests.
-type faultyNode struct {
-	name string
-}
-
-// NewFaultyNode returns a node that errors on every request — a stand-in
-// for a crashed or partitioned data center in tests and examples.
-func NewFaultyNode(name string) NodeAPI { return &faultyNode{name: name} }
-
-func (f *faultyNode) ID() string { return f.name }
-func (f *faultyNode) Sketch(context.Context, sensing.Spec) (linalg.Vector, error) {
-	return nil, fmt.Errorf("cluster: node %s unavailable", f.name)
-}
-func (f *faultyNode) FullVector(context.Context) (linalg.Vector, error) {
-	return nil, fmt.Errorf("cluster: node %s unavailable", f.name)
-}
-func (f *faultyNode) SampleValues(context.Context, []int) ([]float64, error) {
-	return nil, fmt.Errorf("cluster: node %s unavailable", f.name)
-}
-func (f *faultyNode) LocalOutliers(context.Context, float64, int) ([]outlier.KV, error) {
-	return nil, fmt.Errorf("cluster: node %s unavailable", f.name)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 func TestCollectCtxAllHealthy(t *testing.T) {
 	nodes, global, _ := makeCluster(t, 120, 4, 4, 900, 21)
 	p := sensing.Params{M: 40, N: 120, Seed: 22}
-	res, err := CollectSketchesCtx(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{})
+	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +29,9 @@ func TestCollectCtxAllHealthy(t *testing.T) {
 
 func TestCollectCtxToleratesFailuresWithQuorum(t *testing.T) {
 	nodes, _, _ := makeCluster(t, 100, 3, 3, 500, 23)
-	nodes = append(nodes, NewFaultyNode("dead-dc"))
+	nodes = append(nodes, newFaultyNode("dead-dc"))
 	p := sensing.Params{M: 30, N: 100, Seed: 24}
-	res, err := CollectSketchesCtx(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 3})
+	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +42,11 @@ func TestCollectCtxToleratesFailuresWithQuorum(t *testing.T) {
 		t.Fatalf("failure not reported: %v", res.Failed)
 	}
 	// The partial sum equals the aggregate over the healthy subset.
-	healthy, _, err := CollectSketches(nodes[:3], sensing.GaussianSpec(p))
+	healthy, err := CollectSketches(context.Background(), nodes[:3], sensing.GaussianSpec(p), CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Sketch.Equal(healthy, 1e-9) {
+	if !res.Sketch.Equal(healthy.Sketch, 1e-9) {
 		t.Fatal("partial sketch != healthy-subset aggregate")
 	}
 }
@@ -53,11 +54,11 @@ func TestCollectCtxToleratesFailuresWithQuorum(t *testing.T) {
 func TestCollectCtxFailsBelowQuorum(t *testing.T) {
 	nodes := []NodeAPI{
 		NewLocalNode("ok", make(linalg.Vector, 10)),
-		NewFaultyNode("dead1"),
-		NewFaultyNode("dead2"),
+		newFaultyNode("dead1"),
+		newFaultyNode("dead2"),
 	}
 	p := sensing.Params{M: 4, N: 10, Seed: 25}
-	res, err := CollectSketchesCtx(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 2, RetryBackoff: time.Millisecond})
+	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 2, RetryBackoff: time.Millisecond})
 	if err == nil {
 		t.Fatal("quorum failure not reported")
 	}
@@ -76,6 +77,52 @@ func TestCollectCtxFailsBelowQuorum(t *testing.T) {
 	}
 	if res.Stats.Attempts != 5 || res.Stats.Messages != 1 {
 		t.Fatalf("stats %+v", res.Stats)
+	}
+}
+
+// faultyNode fails every request — a stand-in for a crashed or
+// partitioned data center.
+type faultyNode struct{ name string }
+
+func newFaultyNode(name string) NodeAPI { return &faultyNode{name: name} }
+
+func (f *faultyNode) ID() string { return f.name }
+func (f *faultyNode) Sketch(context.Context, sensing.Spec) (linalg.Vector, error) {
+	return nil, fmt.Errorf("cluster: node %s unavailable", f.name)
+}
+
+// fixedNode answers every sketch request with y after delay.
+type fixedNode struct {
+	name  string
+	y     linalg.Vector
+	delay time.Duration
+}
+
+func (f *fixedNode) ID() string { return f.name }
+func (f *fixedNode) Sketch(ctx context.Context, _ sensing.Spec) (linalg.Vector, error) {
+	select {
+	case <-time.After(f.delay):
+		return f.y.Clone(), nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// TestCollectSumsInNodeOrder: the nodes answer last-to-first, and the
+// aggregate is still (y₀ + y₁) + y₂ — floating-point addition does not
+// associate, so only a fixed order gives one membership one set of bits.
+func TestCollectSumsInNodeOrder(t *testing.T) {
+	ys := []linalg.Vector{{1e16}, {-1e16}, {1}} // in node order 1; last-to-first 0
+	nodes := make([]NodeAPI, len(ys))
+	for i, y := range ys {
+		nodes[i] = &fixedNode{name: fmt.Sprint("n", i), y: y, delay: time.Duration(len(ys)-i) * 20 * time.Millisecond}
+	}
+	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(sensing.Params{M: 1, N: 1}), CollectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sketch[0] != 1 {
+		t.Fatalf("aggregate %v, want 1 = (1e16 + -1e16) + 1 in node order", res.Sketch[0])
 	}
 }
 
@@ -108,7 +155,7 @@ func TestCollectCtxStragglerTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	p := sensing.Params{M: 20, N: 80, Seed: 28}
-	res, err := CollectSketchesCtx(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 2})
+	res, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +179,13 @@ func TestCollectCtxTimeoutBelowQuorum(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	p := sensing.Params{M: 4, N: 10, Seed: 29}
-	if _, err := CollectSketchesCtx(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 1}); err == nil {
+	if _, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 1}); err == nil {
 		t.Fatal("all-straggler collection succeeded")
 	}
 }
 
 func TestCollectCtxNoNodes(t *testing.T) {
-	if _, err := CollectSketchesCtx(context.Background(), nil, sensing.GaussianSpec(sensing.Params{M: 1, N: 1}), CollectOptions{}); err == nil {
+	if _, err := CollectSketches(context.Background(), []NodeAPI(nil), sensing.GaussianSpec(sensing.Params{M: 1, N: 1}), CollectOptions{}); err == nil {
 		t.Fatal("no nodes accepted")
 	}
 }

@@ -34,16 +34,12 @@ func TestDetectAcrossEnsemblesOverTCP(t *testing.T) {
 		{Params: sensing.Params{M: 110, N: n, Seed: 32}, Kind: sensing.KindGaussian},
 		{Params: sensing.Params{M: 160, N: n, Seed: 33}, Kind: sensing.KindCountSketch},
 	} {
-		y, stats, err := CollectSketches(remotes, spec)
+		res, err := Detect(remotes, spec, k, recovery.Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", spec.Kind, err)
 		}
-		if stats.Bytes != int64(3*spec.M*8) {
-			t.Fatalf("%v: bytes %d", spec.Kind, stats.Bytes)
-		}
-		res, err := DetectSketch(y, spec, k, recovery.Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", spec.Kind, err)
+		if res.Stats.Bytes != int64(3*spec.M*8) {
+			t.Fatalf("%v: bytes %d", spec.Kind, res.Stats.Bytes)
 		}
 		if math.Abs(res.Mode-mode) > 0.02*mode {
 			t.Fatalf("%v: mode %v", spec.Kind, res.Mode)

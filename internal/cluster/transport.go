@@ -13,7 +13,6 @@ import (
 
 	"csoutlier/internal/frame"
 	"csoutlier/internal/linalg"
-	"csoutlier/internal/outlier"
 	"csoutlier/internal/sensing"
 	"csoutlier/internal/xrand"
 )
@@ -28,14 +27,11 @@ import (
 // Every frame, in either direction, is internal/frame's six-byte prelude
 // (u32 body length, version, kind) and a body, laid out per kind:
 //
-//	id, full      (empty)
-//	sketch        uv M | uv N | u64 seed | u8 ensemble | uv D
-//	sample        uv n | n × uv index
-//	outliers      f64 mode | uv count
-//	reply         u8 status (1 ok, 0 error), then for an error its text and
+//	id      0x10  (empty)
+//	sketch  0x11  uv M | uv N | u64 seed | u8 ensemble | uv D
+//	reply   0x15  u8 status (1 ok, 0 error), then for an error its text and
 //	              for an ok what the request asked for, each to the end of
-//	              the body: the node's name (id), raw f64 values (sketch,
-//	              full, sample), or (uv index | f64 value) pairs (outliers)
+//	              the body: the node's name (id) or raw f64 values (sketch)
 //
 // uv is an unsigned varint, u64 and f64 are little-endian. It is the push
 // protocol's framing (internal/stream/wire.go) with its own kinds: one
@@ -164,29 +160,13 @@ func handle(ctx context.Context, node NodeAPI, req *request) response {
 			return response{Err: err.Error()}
 		}
 		y, err := node.Sketch(ctx, req.Spec)
-		return vecResp(y, err)
-	case reqFull:
-		x, err := node.FullVector(ctx)
-		return vecResp(x, err)
-	case reqSample:
-		vs, err := node.SampleValues(ctx, req.Indices)
-		return vecResp(vs, err)
-	case reqOutliers:
-		kvs, err := node.LocalOutliers(ctx, req.Mode, req.Count)
 		if err != nil {
 			return response{Err: err.Error()}
 		}
-		return response{KVs: kvs}
+		return response{Vec: y}
 	default: // unreachable: the frame reader accepts no other kind
 		return response{Err: fmt.Sprintf("cluster: unknown request kind %d", req.Kind)}
 	}
-}
-
-func vecResp(v []float64, err error) response {
-	if err != nil {
-		return response{Err: err.Error()}
-	}
-	return response{Vec: v}
 }
 
 // DialOptions tunes the client side of the transport. The zero value
@@ -395,9 +375,6 @@ func (r *RemoteNode) roundTrip(ctx context.Context, req *request, resp *response
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.wbuf = appendRequest(r.wbuf, req)
-	if n := len(r.wbuf) - frame.Overhead; n > requestLimits[req.Kind] {
-		return fmt.Errorf("cluster: request of %d indices encodes to %d bytes, limit %d: split the list", len(req.Indices), n, requestLimits[req.Kind])
-	}
 	r.limits[kindReply] = replyLimit(req)
 	var lastErr error
 	hadConn := false
@@ -555,38 +532,6 @@ func (r *RemoteNode) Sketch(ctx context.Context, spec sensing.Spec) (linalg.Vect
 		return nil, err
 	}
 	return linalg.Vector(resp.Vec), nil
-}
-
-// FullVector implements NodeAPI.
-func (r *RemoteNode) FullVector(ctx context.Context) (linalg.Vector, error) {
-	var resp response
-	if err := r.roundTrip(ctx, &request{Kind: reqFull}, &resp); err != nil {
-		return nil, err
-	}
-	return linalg.Vector(resp.Vec), nil
-}
-
-// SampleValues implements NodeAPI.
-func (r *RemoteNode) SampleValues(ctx context.Context, idx []int) ([]float64, error) {
-	for _, j := range idx {
-		if j < 0 {
-			return nil, fmt.Errorf("cluster: sample index %d is negative", j)
-		}
-	}
-	var resp response
-	if err := r.roundTrip(ctx, &request{Kind: reqSample, Indices: idx}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Vec, nil
-}
-
-// LocalOutliers implements NodeAPI.
-func (r *RemoteNode) LocalOutliers(ctx context.Context, mode float64, count int) ([]outlier.KV, error) {
-	var resp response
-	if err := r.roundTrip(ctx, &request{Kind: reqOutliers, Mode: mode, Count: max(count, 0)}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.KVs, nil
 }
 
 var _ NodeAPI = (*RemoteNode)(nil)

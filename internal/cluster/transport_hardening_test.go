@@ -30,57 +30,56 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rn.Close()
-	x, err := rn.FullVector(context.Background())
+	spec := sensing.GaussianSpec(sensing.Params{M: 2, N: 3, Seed: 4})
+	y, err := rn.Sketch(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !x.Equal(linalg.Vector{1, 2, 3}, 0) {
+	want, _ := node.Sketch(context.Background(), spec)
+	if !bitsEqual(y, want) {
 		t.Fatal("post-garbage request returned wrong data")
 	}
 }
 
 func TestRemoteNodeConcurrentCalls(t *testing.T) {
 	// The client serializes request/response pairs on one connection;
-	// concurrent callers must not interleave frames.
+	// concurrent callers must not interleave frames. Each caller asks for
+	// its own spec, so a reply delivered to the wrong caller shows.
 	x := make(linalg.Vector, 50)
 	for i := range x {
 		x[i] = float64(i)
 	}
-	addr := startServer(t, NewLocalNode("x", x))
+	node := NewLocalNode("x", x)
+	addr := startServer(t, node)
 	rn, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rn.Close()
 
+	const callers = 8
+	specs := make([]sensing.Spec, callers)
+	want := make([]linalg.Vector, callers)
+	for w := range specs {
+		specs[w] = sensing.GaussianSpec(sensing.Params{M: 4 + w%3, N: 50, Seed: uint64(w + 1)})
+		m, _ := sensing.New(specs[w], 0)
+		want[w] = m.Measure(x, nil)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 40)
-	for w := 0; w < 8; w++ {
+	for w := 0; w < callers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				switch (w + i) % 3 {
-				case 0:
-					got, err := rn.SampleValues(context.Background(), []int{w})
-					if err != nil {
-						errs <- err
-						return
-					}
-					if got[0] != float64(w) {
-						t.Errorf("interleaved response: got %v want %d", got[0], w)
-						return
-					}
-				case 1:
-					if _, err := rn.Sketch(context.Background(), sensing.GaussianSpec(sensing.Params{M: 4, N: 50, Seed: 1})); err != nil {
-						errs <- err
-						return
-					}
-				default:
-					if _, err := rn.LocalOutliers(context.Background(), 0, 2); err != nil {
-						errs <- err
-						return
-					}
+				got, err := rn.Sketch(context.Background(), specs[w])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bitsEqual(got, want[w]) {
+					t.Errorf("interleaved response: caller %d got %v want %v", w, got, want[w])
+					return
 				}
 			}
 		}(w)

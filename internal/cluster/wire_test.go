@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"reflect"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -18,7 +17,6 @@ import (
 
 	"csoutlier/internal/frame"
 	"csoutlier/internal/linalg"
-	"csoutlier/internal/outlier"
 	"csoutlier/internal/sensing"
 )
 
@@ -26,20 +24,35 @@ func sampleRequests() []request {
 	return []request{
 		{Kind: reqID},
 		{Kind: reqSketch, Spec: sensing.Spec{Params: sensing.Params{M: 320, N: 2000, Seed: 1<<63 + 5}, Kind: sensing.KindCountSketch, D: 7}},
-		{Kind: reqFull},
-		{Kind: reqSample, Indices: []int{0, 7, 1 << 20, 3}},
-		{Kind: reqSample, Indices: []int{}},
-		{Kind: reqOutliers, Mode: -1800.25, Count: 12},
+		{Kind: reqSketch, Spec: sensing.GaussianSpec(sensing.Params{M: 4, N: 8, Seed: 9})},
+		{Kind: reqSketch, Spec: sensing.GaussianSpec(sensing.Params{M: 8, N: 1 << 24, Seed: 1})},
+		{Kind: reqSketch, Spec: sensing.Spec{Params: sensing.Params{M: math.MaxInt, N: math.MaxInt, Seed: math.MaxUint64}, Kind: 0xff, D: math.MaxInt}},
 	}
 }
 
-func sampleReplies() map[reqKind]response {
-	return map[reqKind]response{
-		reqID:       {Name: "dc-west"},
-		reqSketch:   {Vec: []float64{1.5, -math.MaxFloat64, 0, math.Copysign(0, -1), 1e-300}},
-		reqFull:     {Vec: []float64{}},
-		reqSample:   {Vec: []float64{42}},
-		reqOutliers: {KVs: []outlier.KV{{Index: 0, Value: -3}, {Index: 1 << 30, Value: 9.75}}},
+// retiredRequests are well-formed frames of the kinds the pull wire
+// carried for the evaluation baselines (full vector, sample values, local
+// outliers), which a node now refuses as unknown.
+func retiredRequests() [][]byte {
+	return [][]byte{
+		frame.End(frame.Begin(nil, 0x12)),
+		frame.End(append(frame.Begin(nil, 0x13), 2, 0, 7)),
+		frame.End(binary.AppendUvarint(frame.AppendF64(frame.Begin(nil, 0x14), -1800.25), 12)),
+	}
+}
+
+type sampleReply struct {
+	kind reqKind
+	resp response
+}
+
+func sampleReplies() []sampleReply {
+	return []sampleReply{
+		{reqID, response{Name: "dc-west"}},
+		{reqID, response{Name: ""}},
+		{reqSketch, response{Vec: []float64{1.5, -math.MaxFloat64, 0, math.Copysign(0, -1), 1e-300}}},
+		{reqSketch, response{Vec: []float64{}}},
+		{reqSketch, response{Vec: []float64{42}}},
 	}
 }
 
@@ -65,7 +78,8 @@ func TestPullWireRoundTrip(t *testing.T) {
 		t.Fatalf("after the last request: %v, want io.EOF", err)
 	}
 
-	for kind, want := range sampleReplies() {
+	for _, r := range sampleReplies() {
+		kind, want := r.kind, r.resp
 		wire := appendReply(nil, kind, &want)
 		var resp response
 		if err := parseReply(kind, wire[frame.Overhead:], &resp); err != nil {
@@ -74,12 +88,12 @@ func TestPullWireRoundTrip(t *testing.T) {
 		if !bytes.Equal(appendReply(nil, kind, &resp), wire) {
 			t.Fatalf("reply to kind %d: parsed %+v, sent %+v", kind, resp, want)
 		}
-		if len(wire)-frame.Overhead > replyLimit(&request{Kind: kind, Spec: sensing.Spec{Params: sensing.Params{M: len(want.Vec)}}, Indices: make([]int, len(want.Vec)), Count: len(want.KVs)}) {
+		if len(wire)-frame.Overhead > replyLimit(&request{Kind: kind, Spec: sensing.Spec{Params: sensing.Params{M: len(want.Vec)}}}) {
 			t.Fatalf("reply to kind %d is over its own limit", kind)
 		}
 	}
 	// Floats travel by their bits.
-	sk := sampleReplies()[reqSketch]
+	sk := sampleReplies()[2].resp
 	var resp response
 	if err := parseReply(reqSketch, appendReply(nil, reqSketch, &sk)[frame.Overhead:], &resp); err != nil {
 		t.Fatal(err)
@@ -150,7 +164,8 @@ func TestMalformedRequestsCloseConnection(t *testing.T) {
 		return append(binary.LittleEndian.AppendUint32(nil, n), append([]byte{version, byte(kind)}, body...)...)
 	}
 	sketch, _ := SketchRequestFrame(sensing.GaussianSpec(sensing.Params{M: 4, N: 8, Seed: 9}))
-	huge := binary.AppendUvarint(nil, math.MaxUint64)
+	// uv M past MaxInt, then uv N, u64 seed, u8 ensemble, uv D.
+	overM := append(binary.AppendUvarint(nil, math.MaxUint64), append([]byte{8}, make([]byte, 8+1+1)...)...)
 	cases := []struct {
 		name      string
 		bytes     []byte
@@ -160,15 +175,16 @@ func TestMalformedRequestsCloseConnection(t *testing.T) {
 		{"unknown kind", prelude(0, frame.Version, 77), false},
 		{"a push-protocol kind", prelude(2, frame.Version, 1, 0, 1), false},
 		{"reply kind as a request", prelude(1, frame.Version, kindReply, replyOK), false},
-		{"oversized sample list", prelude(MaxRequestBytes+1, frame.Version, reqSample), false},
+		{"retired full-vector kind 0x12", retiredRequests()[0], false},
+		{"retired sample kind 0x13", retiredRequests()[1], false},
+		{"retired local-outliers kind 0x14", retiredRequests()[2], false},
 		{"oversized spec", prelude(1<<20, frame.Version, reqSketch), false},
 		{"body on an id request", prelude(1, frame.Version, reqID, 0), false},
 		{"truncated spec", sketch[:len(sketch)-2], true},
 		{"truncated prelude", sketch[:3], true},
 		{"trailing byte after a spec", append(prelude(uint32(len(sketch)-frame.Overhead+1), frame.Version, reqSketch), append(sketch[frame.Overhead:], 0)...), false},
-		{"more indices than bytes", prelude(2, frame.Version, reqSample, 200, 1), false},
-		{"varint runs off the body", prelude(2, frame.Version, reqSample, 1, 0x80), false},
-		{"index past MaxInt", prelude(uint32(1+len(huge)), frame.Version, reqSample, append([]byte{1}, huge...)...), false},
+		{"varint runs off the body", prelude(1, frame.Version, reqSketch, 0x80), false},
+		{"M past MaxInt", prelude(uint32(len(overM)), frame.Version, reqSketch, overM...), false},
 		{"garbage", GarbageFrame(), false},
 	}
 	for _, tc := range cases {
@@ -296,22 +312,10 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 		}
 		rn.Close()
 	}
-	// A KV reply is checked entry by entry.
-	var resp response
-	for name, body := range map[string][]byte{
-		"cut value":      {replyOK, 3, 1, 2},
-		"index past int": append([]byte{replyOK}, append(binary.AppendUvarint(nil, math.MaxUint64), make([]byte, 8)...)...),
-		"NaN value":      appendReply(nil, reqOutliers, &response{KVs: []outlier.KV{{Index: 1, Value: 2}, {Index: 3, Value: math.NaN()}}})[frame.Overhead:],
-		"Inf value":      appendReply(nil, reqOutliers, &response{KVs: []outlier.KV{{Index: 3, Value: math.Inf(-1)}}})[frame.Overhead:],
-	} {
-		if err := parseReply(reqOutliers, body, &resp); !errors.Is(err, frame.ErrMalformed) {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
 }
 
-// TestClientRefusesUnsendableRequests: what has no wire form, or would be
-// refused by any node's request cap, fails before the round-trip.
+// TestClientRefusesUnsendableRequests: a spec no node would accept fails
+// before the round-trip, and the connection stays usable.
 func TestClientRefusesUnsendableRequests(t *testing.T) {
 	node := NewLocalNode("dc", make(linalg.Vector, 8))
 	rn, err := Dial(startServer(t, node))
@@ -321,23 +325,21 @@ func TestClientRefusesUnsendableRequests(t *testing.T) {
 	defer rn.Close()
 	ctx := context.Background()
 	before := rn.Health().Attempts
-	if _, err := rn.SampleValues(ctx, []int{1, -1}); err == nil {
-		t.Fatal("negative sample index sent")
-	}
-	if _, err := rn.SampleValues(ctx, make([]int, MaxRequestBytes)); err == nil || !strings.Contains(err.Error(), "split") {
-		t.Fatalf("oversized sample list: %v", err)
-	}
-	if _, err := rn.Sketch(ctx, sensing.Spec{Params: sensing.Params{M: -4, N: 8}}); err == nil {
-		t.Fatal("negative M sent")
+	for name, spec := range map[string]sensing.Spec{
+		"negative M":   {Params: sensing.Params{M: -4, N: 8}},
+		"M past N":     {Params: sensing.Params{M: 9, N: 8}},
+		"retired kind": {Params: sensing.Params{M: 4, N: 8}, Kind: 2},
+		"negative D":   {Params: sensing.Params{M: 4, N: 8}, Kind: sensing.KindCountSketch, D: -1},
+	} {
+		if _, err := rn.Sketch(ctx, spec); err == nil {
+			t.Fatalf("%s sent", name)
+		}
 	}
 	if got := rn.Health().Attempts - before; got != 0 {
 		t.Fatalf("%d round-trips for requests that cannot be sent", got)
 	}
-	if kvs, err := rn.LocalOutliers(ctx, 0, -3); err != nil || len(kvs) != 0 {
-		t.Fatalf("negative count: %v, %v", kvs, err)
-	}
-	if vs, err := rn.SampleValues(ctx, []int{3}); err != nil || len(vs) != 1 {
-		t.Fatalf("the connection did not survive the refusals: %v, %v", vs, err)
+	if y, err := rn.Sketch(ctx, sensing.GaussianSpec(sensing.Params{M: 4, N: 8, Seed: 1})); err != nil || len(y) != 4 {
+		t.Fatalf("the connection did not survive the refusals: %v, %v", y, err)
 	}
 }
 
@@ -445,55 +447,49 @@ func FuzzRequestFrame(f *testing.F) {
 		binary.LittleEndian.PutUint32(long, 1<<31)
 		f.Add(long)
 	}
+	for _, wire := range retiredRequests() {
+		f.Add(wire)
+	}
 	f.Add(GarbageFrame())
-	f.Add([]byte{2, 0, 0, 0, frame.Version, byte(reqSample), 0x80, 0x80})
+	f.Add([]byte{1, 0, 0, 0, frame.Version, byte(reqSketch), 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := frame.Reader{R: bytes.NewReader(data), Limits: requestLimits[:]}
 		var req request
 		for {
 			err := readRequest(&fr, &req)
-			if cap(fr.Buf) > MaxRequestBytes+frame.Overhead {
+			if cap(fr.Buf) > maxSpecBody+frame.Overhead {
 				t.Fatalf("read buffer grew to %d bytes, past the largest request", cap(fr.Buf))
 			}
 			if err != nil {
 				return
 			}
-			if cap(req.Indices) > len(data) {
-				t.Fatalf("%d-byte input sized a list of %d indices", len(data), cap(req.Indices))
+			if req.Kind != reqID && req.Kind != reqSketch {
+				t.Fatalf("kind %d accepted; the wire carries id and sketch requests only", req.Kind)
 			}
 			// What parses re-encodes to a frame that parses to the same.
 			canon := appendRequest(nil, &req)
 			var again request
-			if err := parseRequest(req.Kind, canon[frame.Overhead:], &again); err != nil || !reflect.DeepEqual(normalize(again), normalize(req)) {
+			if err := parseRequest(req.Kind, canon[frame.Overhead:], &again); err != nil || again != req {
 				t.Fatalf("kind %d: %+v re-parsed as %+v, %v", req.Kind, req, again, err)
 			}
 		}
 	})
 }
 
-func normalize(r request) request {
-	if len(r.Indices) == 0 {
-		r.Indices = nil
-	}
-	if r.Mode != r.Mode {
-		r.Mode = 0 // NaN payloads travel by their bits; DeepEqual cannot compare them
-	}
-	return r
-}
-
 // FuzzReplyFrame drives the client-side reply parser with arbitrary
-// bodies for every request kind.
+// bodies for both request kinds.
 func FuzzReplyFrame(f *testing.F) {
-	for kind, resp := range sampleReplies() {
-		wire := appendReply(nil, kind, &resp)
-		f.Add(byte(kind), wire[frame.Overhead:])
-		f.Add(byte(kind), wire[frame.Overhead:len(wire)-1])
+	for _, r := range sampleReplies() {
+		wire := appendReply(nil, r.kind, &r.resp)
+		f.Add(byte(r.kind), wire[frame.Overhead:])
+		f.Add(byte(r.kind), wire[frame.Overhead:len(wire)-1])
 	}
 	f.Add(byte(reqSketch), appendReply(nil, reqSketch, &response{Err: "cluster: no"})[frame.Overhead:])
-	f.Add(byte(reqOutliers), GarbageFrame())
+	f.Add(byte(reqSketch), GarbageFrame())
+	f.Add(byte(reqID), append([]byte{replyOK}, strings.Repeat("n", maxReplyText+1)...))
 	f.Fuzz(func(t *testing.T, k byte, body []byte) {
 		kind := reqKind(k)
-		if kind < reqID || kind > reqOutliers {
+		if kind != reqID && kind != reqSketch {
 			return
 		}
 		var resp response
@@ -503,8 +499,8 @@ func FuzzReplyFrame(f *testing.F) {
 			}
 			return
 		}
-		if 8*len(resp.Vec) > len(body) || 9*cap(resp.KVs) > len(body) || len(resp.Name)+len(resp.Err) > len(body)+64 {
-			t.Fatalf("kind %d: a %d-byte body decoded to more than it holds: %d values, %d pairs", kind, len(body), len(resp.Vec), cap(resp.KVs))
+		if 8*len(resp.Vec) > len(body) || len(resp.Name)+len(resp.Err) > len(body)+64 {
+			t.Fatalf("kind %d: a %d-byte body decoded to more than it holds: %d values", kind, len(body), len(resp.Vec))
 		}
 		if resp.Err != "" {
 			return
@@ -512,8 +508,7 @@ func FuzzReplyFrame(f *testing.F) {
 		// What parses re-encodes to a body that parses to the same bits.
 		canon := appendReply(nil, kind, &resp)[frame.Overhead:]
 		var again response
-		if err := parseReply(kind, canon, &again); err != nil || again.Name != resp.Name ||
-			!bitsEqual(again.Vec, resp.Vec) || len(again.KVs) != len(resp.KVs) {
+		if err := parseReply(kind, canon, &again); err != nil || again.Name != resp.Name || !bitsEqual(again.Vec, resp.Vec) {
 			t.Fatalf("kind %d: %+v re-parsed as %+v, %v", kind, resp, again, err)
 		}
 	})

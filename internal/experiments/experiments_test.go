@@ -166,34 +166,43 @@ func abs(x float64) float64 {
 	return x
 }
 
+// TestFig10CSWinsAtSmallM holds Figure 10's argument to the quantity the
+// paper makes it from, as TestFig12TraditionalDegradesWithN does:
+// shuffle volume. At the smallest M a BOMP mapper ships one M-float
+// sketch where a traditional one ships a tuple per key it saw, on every
+// input. Both are exact functions of the input; no clock is compared.
 func TestFig10CSWinsAtSmallM(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock comparison: race instrumentation skews the two sides differently")
-	}
 	tables := run(t, "fig10")
 	if len(tables) != 3 {
 		t.Fatalf("fig10 tables = %d", len(tables))
 	}
-	for _, tb := range tables {
-		var cs, trad []float64
-		for _, s := range tb.Series {
-			switch s.Name {
-			case "BOMP":
-				cs = s.Y
-			case "Traditional Top-K":
-				trad = s.Y
+	datasets, err := fig10Datasets(tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range datasets {
+		for _, s := range tables[i].Series {
+			for _, y := range s.Y {
+				if y <= 0 {
+					t.Fatalf("%s: non-positive simulated time %v in %q", tables[i].Title, y, s.Name)
+				}
 			}
 		}
-		if cs == nil || trad == nil {
-			t.Fatalf("%s: missing series", tb.Title)
+		m := int(tables[i].X[0])
+		cs, err := runCS(d, m, 5, tiny().Seed+uint64(m))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cs[0] >= trad[0] {
-			t.Fatalf("%s: BOMP %vs not faster than traditional %vs at smallest M", tb.Title, cs[0], trad[0])
+		trad, err := runTraditional(d)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, y := range append(append([]float64{}, cs...), trad...) {
-			if y <= 0 {
-				t.Fatalf("%s: non-positive simulated time %v", tb.Title, y)
-			}
+		if cs.shuffleBytes >= trad.shuffleBytes {
+			t.Fatalf("%s: BOMP shuffle %d B not below traditional %d B at M=%d", d.name, cs.shuffleBytes, trad.shuffleBytes, m)
+		}
+		// One sketch per mapper: M·8 bytes and a few of key.
+		if perMapper := cs.shuffleBytes / int64(cs.mapTasks); perMapper < int64(m)*8 || perMapper > int64(m)*8+16 {
+			t.Fatalf("%s: BOMP M=%d ships %d B per mapper, want M·8 plus the key", d.name, m, perMapper)
 		}
 	}
 }

@@ -15,14 +15,14 @@ import (
 // prodCluster builds the production-like distributed workload once per
 // experiment: the core-search click-score query over 8 data centers
 // (§6.1.2), at the configured scale.
-func prodCluster(cfg Config, q workload.QueryType) (*workload.ClickLogs, []cluster.NodeAPI) {
+func prodCluster(cfg Config, q workload.QueryType) (*workload.ClickLogs, []*cluster.LocalNode) {
 	cl := workload.GenerateClickLogs(workload.ClickLogConfig{
 		Query:       q,
 		DataCenters: 8,
 		ScaleN:      cfg.scale(),
 		Seed:        cfg.Seed + uint64(q) + 101,
 	})
-	nodes := make([]cluster.NodeAPI, len(cl.Slices))
+	nodes := make([]*cluster.LocalNode, len(cl.Slices))
 	for i, s := range cl.Slices {
 		nodes[i] = cluster.NewLocalNode("dc"+itoa(i), s)
 	}
@@ -82,7 +82,7 @@ func fig78(cfg Config, value bool) ([]*Table, error) {
 			lo, hi, sum := math.Inf(1), math.Inf(-1), 0.0
 			for run := 0; run < runs; run++ {
 				p := sensing.Params{M: m, N: n, Seed: cfg.Seed + uint64(run)*104729 + uint64(m)}
-				res, err := cluster.Detect(nodes, p, k, recovery.Options{})
+				res, err := cluster.Detect(nodes, sensing.GaussianSpec(p), k, recovery.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -153,7 +153,7 @@ func Fig9(cfg Config) ([]*Table, error) {
 			iters = m
 		}
 		p := sensing.Params{M: m, N: n, Seed: cfg.Seed + uint64(q)*31 + 7}
-		y, _, err := cluster.CollectSketches(nodes, sensing.GaussianSpec(p))
+		part, err := cluster.CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), cluster.CollectOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -161,7 +161,7 @@ func Fig9(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := recovery.BOMP(d, y, recovery.Options{
+		res, err := recovery.BOMP(d, part.Sketch, recovery.Options{
 			MaxIterations: iters,
 			TraceMode:     true,
 			ResidualTol:   1e-13,

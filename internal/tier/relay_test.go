@@ -680,6 +680,60 @@ func TestRelayExtraCodec(t *testing.T) {
 	}
 }
 
+// FuzzRelayExtra feeds the relay snapshot's Extra decoder hostile bytes.
+// It never panics; what it accepts accounts for every input byte (the
+// header, the id, then per frame its 24 fixed bytes and its payload), so
+// nothing is sized from a decoded count; and it re-encodes byte for byte.
+func FuzzRelayExtra(f *testing.F) {
+	frames := []*stream.Frame{
+		{Window: 1, Seq: 1, Folds: 2, Payload: []byte{1, 2, 3}},
+		{Window: 1, Seq: 2, Folds: 1},
+		{Window: 3, Seq: 5, Folds: 7, Payload: []byte{0xff}},
+	}
+	valid, err := encodeRelayExtra(3, 1, "relayA", 4, 9, frames[:1], frames[1:])
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, err := encodeRelayExtra(0, 0, "", 0, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(empty)
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(append([]byte(nil), valid...), 0))
+	f.Add([]byte{})
+	f.Add([]byte("CSTR"))
+	// A frame count of 2³²−1 over no frames: refused, not preallocated.
+	huge := append([]byte(nil), empty...)
+	copy(huge[len(huge)-4:], []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := decodeRelayExtra(data)
+		if err != nil {
+			return
+		}
+		const header = 4 + 2 + 4 + 4 + 2 + 8 + 8 + 4 // magic ver shard level idLen upEpoch upSeq count
+		used := header + len(st.ID)
+		for _, fr := range st.Frames {
+			used += 8 + 8 + 4 + 4 + len(fr.Payload)
+		}
+		if used != len(data) {
+			t.Fatalf("a %d-byte blob decoded to %d bytes' worth", len(data), used)
+		}
+		if cap(st.Frames) > max(8, 2*len(st.Frames)) {
+			t.Fatalf("%d frames decoded into a list of capacity %d", len(st.Frames), cap(st.Frames))
+		}
+		again, err := encodeRelayExtra(st.Shard, st.Level, st.ID, st.UpEpoch, st.UpSeq, st.Frames)
+		if err != nil {
+			t.Fatalf("accepted blob does not re-encode: %v", err)
+		}
+		if string(again) != string(data) {
+			t.Fatalf("re-encoding changed the bytes:\n in  %x\n out %x", data, again)
+		}
+	})
+}
+
 // rootRun is one drive of a durable root above one relay and two leaves.
 type rootRun struct {
 	windows  []csoutlier.Sketch // root ring, oldest first

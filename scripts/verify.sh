@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # Repo verification: everything CI runs, in one command.
 #
-#   scripts/verify.sh          # tier-1 + race + simulation smoke
+#   scripts/verify.sh          # tier-1 + doc-lint + CLI deployment
+#                              # + race + simulation smoke
 #   scripts/verify.sh -quick   # tier-1 (and the benchmark module) only
-#   scripts/verify.sh -bench   # tier-1 + 1-iteration benchmark smoke
+#   scripts/verify.sh -bench   # tier-1 + doc-lint + CLI deployment
+#                              # + 1-iteration benchmark smoke
 #                              # + 3-round oneshot_pull benchmark runs
 #                              #   (no failed operation; large-k recall)
 #                              # + 8-cycle ingest_flat run (no failed
@@ -13,6 +15,12 @@
 # clear. benchmark/ is a module of its own, so tier-1's ./... never
 # compiles it: its vet + test stage runs in every mode, or drift in the
 # stream/tier API it drives is found only by the next benchmark run.
+# Every mode but -quick then builds the commands and runs two checks on
+# them: a doc-lint (every -flag a fenced command line in README, DESIGN
+# or the verify skill passes to csagg, csnode, csstreamd, csgen or
+# csbench is in that command's -h) and the CLI deployment (csgen, three
+# loopback csnodes, csagg's top-1 key equal to truth.csv's; then one
+# address dead under -min-nodes 3 -health: a row per node, exit 1).
 # The race pass covers the concurrency-heavy transport/collector,
 # the streaming push service (internal/stream), AND the column-parallel
 # sensing kernels (and internal/linalg's reference kernels), and batched recovery
@@ -58,10 +66,14 @@
 # retired ensemble, the column cache or the optional batch interface
 # anywhere, and a gofmt-clean tree. Then the one-harness guards: a second
 # replay-line field loop or a third chaos-proxy call site in
-# internal/simtest is a copy of the streaming harness growing back. Last,
+# internal/simtest is a copy of the streaming harness growing back. Then
 # the one-engine guard: internal/recovery calls the matrix's correlate
 # kernels in two places, so a loop that correlates a residual again is the
-# engine the Gram form replaced growing back as a fork.
+# engine the Gram form replaced growing back as a fork. Last, the
+# one-pull-round guards: internal/baseline imported outside
+# internal/experiments and examples/, or cmd/csagg importing
+# internal/cluster, internal/recovery or internal/queries, is a baseline
+# RPC or a second aggregator growing back.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -162,6 +174,22 @@ if [ -n "$extra" ] || [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 2 ]; then
 	exit 1
 fi
 
+echo "== one pull round: the baselines are evaluation code, csagg a DetectCluster caller =="
+# The pull wire carries a node's ID and its sketch and nothing else; the
+# paper's baselines (internal/baseline) run in process over
+# cluster.LocalNode, so only the experiments and the examples import them.
+# csagg's round is one Sketcher.DetectCluster: it needs none of the
+# packages that round is built from.
+if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+	'"csoutlier/internal/baseline"' . | grep -vE '^\./(internal/experiments|examples)/'; then
+	echo "verify: the files above import internal/baseline outside internal/experiments and examples/" >&2
+	exit 1
+fi
+if grep -nE '"csoutlier/internal/(cluster|recovery|queries)"' cmd/csagg/*.go; then
+	echo "verify: cmd/csagg imports the pull round's parts; it calls Sketcher.DetectCluster" >&2
+	exit 1
+fi
+
 echo "== tier-1: build + vet + test =="
 go build ./...
 go vet ./...
@@ -170,10 +198,113 @@ go test ./...
 echo "== benchmark module: vet + test (not part of ./...) =="
 (cd benchmark && go vet . && go test .)
 
-case "${1:-}" in
--quick)
+if [ "${1:-}" = -quick ]; then
 	exit 0
-	;;
+fi
+
+tmp=$(mktemp -d)
+pids=""
+cleanup() {
+	[ -n "$pids" ] && kill $pids 2>/dev/null || true
+	rm -rf "$tmp"
+}
+trap cleanup EXIT INT TERM
+go build -o "$tmp/bin/" ./cmd/csagg ./cmd/csnode ./cmd/csstreamd ./cmd/csgen ./cmd/csbench ./cmd/obscheck
+
+echo "== doc-lint: every -flag a documented command line passes exists =="
+# A fenced code line (continuation lines joined) that runs csagg, csnode,
+# csstreamd, csgen or csbench may pass only flags that command's -h
+# lists: a flag deleted from the code is deleted from the docs.
+for c in csagg csnode csstreamd csgen csbench; do
+	"$tmp/bin/$c" -h >"$tmp/$c.help" 2>&1 || true
+done
+stale=$(awk '
+FNR == 1 { fence = 0; acc = "" }
+/^[[:space:]]*```/ { fence = !fence; acc = ""; next }
+!fence { next }
+sub(/\\[[:space:]]*$/, " ") { acc = acc $0; next }
+{
+	line = acc $0; acc = ""
+	n = split(line, segs, /[;&|]/)
+	for (i = 1; i <= n; i++) {
+		m = split(segs[i], w, /[[:space:]]+/)
+		cmd = ""
+		for (j = 1; j <= m; j++) {
+			tok = w[j]
+			gsub(/"/, "", tok)
+			if (tok ~ /^#/) break
+			if (cmd == "") {
+				sub(/.*\//, "", tok)
+				if (tok ~ /^(csagg|csnode|csstreamd|csgen|csbench)$/) cmd = tok
+			} else if (tok ~ /^--?[A-Za-z][A-Za-z0-9.-]*(=.*)?$/) {
+				sub(/^--?/, "", tok)
+				sub(/=.*/, "", tok)
+				print FILENAME ": " cmd " -" tok
+			}
+		}
+	}
+}' README.md DESIGN.md .claude/skills/verify/SKILL.md | sort -u | while read -r file cmd flag; do
+	grep -qE -- "^  $flag( |\$)" "$tmp/$cmd.help" || echo "$file $cmd $flag"
+done)
+if [ -n "$stale" ]; then
+	echo "verify: documented flags the commands do not have:" >&2
+	printf '%s\n' "$stale" >&2
+	exit 1
+fi
+
+echo "== CLI deployment: csgen, three csnodes, csagg =="
+# The networked deployment end to end: csagg's top-1 key is the planted
+# one, and with one address dead below -min-nodes it prints a health row
+# per node and exits 1.
+"$tmp/bin/csgen" -out "$tmp/demo" -nodes 3 -n 2000 -s 20 >"$tmp/csgen.log" 2>&1
+for i in 0 1 2; do
+	"$tmp/bin/csnode" -listen 127.0.0.1:0 -name "dc$i" -dict "$tmp/demo/keys.txt" -data "$tmp/demo/node$i.csv" >"$tmp/node$i.log" 2>&1 &
+	pids="$pids $!"
+done
+addrs=""
+for i in 0 1 2; do
+	a=""
+	for _ in $(seq 1 50); do
+		a=$(sed -n 's/.*serving [0-9]* keys on \([0-9.:]*\)$/\1/p' "$tmp/node$i.log" | head -1)
+		[ -n "$a" ] && break
+		sleep 0.1
+	done
+	if [ -z "$a" ]; then
+		echo "verify: csnode $i never logged its address" >&2
+		cat "$tmp/node$i.log" >&2
+		exit 1
+	fi
+	addrs="$addrs${addrs:+,}$a"
+done
+if ! "$tmp/bin/csagg" -nodes "$addrs" -dict "$tmp/demo/keys.txt" -m 400 -k 5 -iters 40 >"$tmp/agg.out" 2>"$tmp/agg.err"; then
+	cat "$tmp/agg.err" >&2
+	echo "verify: csagg failed against three live csnodes" >&2
+	exit 1
+fi
+got=$(sed -n 's/^ *1\. \([^ ]*\) .*/\1/p' "$tmp/agg.out")
+want=$(sed -n '2s/,.*//p' "$tmp/demo/truth.csv")
+if [ -z "$got" ] || [ "$got" != "$want" ]; then
+	cat "$tmp/agg.out" >&2
+	echo "verify: csagg top-1 key '$got', truth.csv says '$want'" >&2
+	exit 1
+fi
+echo "csagg top-1 $got = truth.csv top-1"
+dead="${addrs%,*},127.0.0.1:1"
+if "$tmp/bin/csagg" -nodes "$dead" -dict "$tmp/demo/keys.txt" -m 400 -k 5 -min-nodes 3 -health >"$tmp/agg.out" 2>"$tmp/agg.err"; then
+	echo "verify: csagg met a quorum of 3 with one of three addresses dead" >&2
+	exit 1
+fi
+rows=$(grep -c 'csagg: node .* id=' "$tmp/agg.err" || true)
+if [ "$rows" -ne 3 ]; then
+	cat "$tmp/agg.err" >&2
+	echo "verify: csagg -health printed $rows node rows below quorum, want 3" >&2
+	exit 1
+fi
+tail -n 1 "$tmp/agg.err"
+kill $pids 2>/dev/null || true
+pids=""
+
+case "${1:-}" in
 -bench)
 	echo "== bench smoke: every benchmark, one iteration =="
 	go test -run - -bench . -benchtime 1x ./...
@@ -237,23 +368,10 @@ echo "== hierarchical-tier soak: 2-tier × 2-shard tree with relay kill/restore 
 go test ./internal/simtest -run 'TestStreamTierSoak$' -sim.streamtiercount=10
 
 echo "== metrics smoke: /metrics + /healthz on a live csstreamd =="
-tmp=$(mktemp -d)
-daemon=""
-root=""
-relay=""
-cleanup() {
-	[ -n "$daemon" ] && kill "$daemon" 2>/dev/null || true
-	[ -n "$relay" ] && kill "$relay" 2>/dev/null || true
-	[ -n "$root" ] && kill "$root" 2>/dev/null || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
 printf 'key000\nkey001\nkey002\nkey003\nkey004\nkey005\nkey006\nkey007\n' >"$tmp/keys.txt"
-go build -o "$tmp/csstreamd" ./cmd/csstreamd
-go build -o "$tmp/obscheck" ./cmd/obscheck
-"$tmp/csstreamd" -dict "$tmp/keys.txt" -m 4 -listen 127.0.0.1:0 \
+"$tmp/bin/csstreamd" -dict "$tmp/keys.txt" -m 4 -listen 127.0.0.1:0 \
 	-metrics-addr 127.0.0.1:0 -report-every 0 >"$tmp/log" 2>&1 &
-daemon=$!
+pids="$pids $!"
 url=""
 for _ in $(seq 1 50); do
 	url=$(sed -n 's/.*csstreamd metrics on \(http:[^ ]*\)$/\1/p' "$tmp/log" | head -1)
@@ -265,16 +383,16 @@ if [ -z "$url" ]; then
 	cat "$tmp/log" >&2
 	exit 1
 fi
-"$tmp/obscheck" -url "$url" -require \
+"$tmp/bin/obscheck" -url "$url" -require \
 	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,pointq_remote_queries_total,pointq_remote_keys_total,pointq_remote_errors_total,pointq_remote_seconds,recovery_solver_picks_total
-"$tmp/obscheck" -url "${url%/metrics}/healthz" -health
+"$tmp/bin/obscheck" -url "${url%/metrics}/healthz" -health
 
 echo "== hierarchical metrics smoke: tier_*/shard_* on a live relay =="
 # Shard 0 of a 2-shard partition (4 of 8 keys, so -m 2 keeps
 # compression), served by a root with a relay forwarding into it.
-"$tmp/csstreamd" -dict "$tmp/keys.txt" -m 2 -shards 2 -shard-index 0 \
+"$tmp/bin/csstreamd" -dict "$tmp/keys.txt" -m 2 -shards 2 -shard-index 0 \
 	-listen 127.0.0.1:0 -report-every 0 >"$tmp/rootlog" 2>&1 &
-root=$!
+pids="$pids $!"
 rootaddr=""
 for _ in $(seq 1 50); do
 	rootaddr=$(sed -n 's/.*csstreamd serving .* on \([0-9.:]*\);.*/\1/p' "$tmp/rootlog" | head -1)
@@ -286,10 +404,10 @@ if [ -z "$rootaddr" ]; then
 	cat "$tmp/rootlog" >&2
 	exit 1
 fi
-"$tmp/csstreamd" -dict "$tmp/keys.txt" -m 2 -shards 2 -shard-index 0 \
+"$tmp/bin/csstreamd" -dict "$tmp/keys.txt" -m 2 -shards 2 -shard-index 0 \
 	-relay-upstream "$rootaddr" -relay-id r0 -forward-every 1s \
 	-listen 127.0.0.1:0 -metrics-addr 127.0.0.1:0 -report-every 0 >"$tmp/relaylog" 2>&1 &
-relay=$!
+pids="$pids $!"
 relayurl=""
 for _ in $(seq 1 50); do
 	relayurl=$(sed -n 's/.*csstreamd metrics on \(http:[^ ]*\)$/\1/p' "$tmp/relaylog" | head -1)
@@ -301,8 +419,8 @@ if [ -z "$relayurl" ]; then
 	cat "$tmp/relaylog" >&2
 	exit 1
 fi
-"$tmp/obscheck" -url "$relayurl" -require \
+"$tmp/bin/obscheck" -url "$relayurl" -require \
 	tier_forwards_total,tier_forward_errors_total,tier_frames_staged_total,tier_folds_staged_total,tier_frames_committed_total,tier_up_frames_total,tier_replayed_frames_total,tier_retain_dropped_frames_total,tier_redials_total,tier_unstable_windows,tier_staged_frames,tier_queue_frames,tier_retained_frames,tier_up_seq,tier_up_epoch,tier_root_epoch,tier_root_stable,tier_forward_seconds,shard_index,shard_count,shard_keys,shard_map_version
-"$tmp/obscheck" -url "${relayurl%/metrics}/healthz" -health
+"$tmp/bin/obscheck" -url "${relayurl%/metrics}/healthz" -health
 
 echo "verify: OK"
