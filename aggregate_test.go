@@ -192,6 +192,44 @@ func TestUpdaterMatchesBatchSketch(t *testing.T) {
 	}
 }
 
+// TestObserveBatchSumsInKeyOrder: a batch is summed in canonical key
+// order, not map-iteration order, so a fresh Updater or WindowStore fed
+// the same map holds SketchPairs' bits on every run. Twenty runs of a
+// 96-pair batch of values spread over many binades leave map order
+// almost no chance to land on the key order each time.
+func TestObserveBatchSumsInKeyOrder(t *testing.T) {
+	keys := testKeys(256)
+	sk, err := NewSketcher(keys, Config{M: 32, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrandtest.New(t, 0xba7c4)
+	pairs := make(map[string]float64)
+	for len(pairs) < 96 {
+		pairs[keys[rng.Intn(len(keys))]] = math.Ldexp(rng.Float64()-0.5, rng.Intn(40)-20)
+	}
+	want, err := sk.SketchPairs(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		u := sk.NewUpdater()
+		if err := u.ObserveBatch(pairs); err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(u.Sketch().Y, want.Y) {
+			t.Fatalf("run %d: Updater.ObserveBatch differs from SketchPairs of the same map", run)
+		}
+		ws, _ := sk.NewWindowStore(1)
+		if err := ws.ObserveBatch(pairs); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := ws.Window(0); !bitsEqual(got.Y, want.Y) {
+			t.Fatalf("run %d: WindowStore.ObserveBatch differs from SketchPairs of the same map", run)
+		}
+	}
+}
+
 func TestUpdaterValidation(t *testing.T) {
 	keys := testKeys(10)
 	sk, _ := NewSketcher(keys, Config{M: 4, Seed: 1})

@@ -371,16 +371,28 @@ func (s *Sketcher) ZeroSketch() Sketch { return s.emptySketch() }
 // pairs. Keys must come from the global key list; missing keys simply
 // contribute zero. This is the node-side operation (CS-Mapper).
 func (s *Sketcher) SketchPairs(pairs map[string]float64) (Sketch, error) {
-	idx, vals, err := s.dict.SparseVectorize(pairs)
+	idx, vals, err := s.vectorizePairs(pairs)
 	if err != nil {
-		return Sketch{}, err
-	}
-	if err := checkFinite(vals); err != nil {
 		return Sketch{}, err
 	}
 	out := s.emptySketch()
 	s.matrix.MeasureSparse(idx, vals, out.Y)
 	return out, nil
+}
+
+// vectorizePairs is a key→value batch as MeasureSparse takes it: the
+// non-zero entries in canonical key order, so a batch sums in the same
+// order whatever order the map iterates in. An unknown key or a
+// non-finite value refuses the whole batch.
+func (s *Sketcher) vectorizePairs(pairs map[string]float64) ([]int, []float64, error) {
+	idx, vals, err := s.dict.SparseVectorize(pairs)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkFinite(vals); err != nil {
+		return nil, nil, err
+	}
+	return idx, vals, nil
 }
 
 // SketchVector compresses an already-vectorized slice (values in the
@@ -608,9 +620,8 @@ func (s *Sketcher) Recover(global Sketch, maxIters int) (map[string]float64, flo
 // ExactOutliers answers the k-outlier query on uncompressed data — the
 // transmit-ALL ground truth, provided for validation and for callers
 // that want the same ranking semantics without sketching. The mode is
-// the exact majority value when one exists, else the supplied data's
-// value closest to the recovered concentration is not defined and 0 is
-// used.
+// the exact majority value: the value more than half of the keys hold,
+// or 0 when no value does (outlier.Mode).
 func ExactOutliers(pairs map[string]float64, k int) ([]Outlier, float64) {
 	keys := make([]string, 0, len(pairs))
 	for key := range pairs {

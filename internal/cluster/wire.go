@@ -14,7 +14,7 @@ import (
 // has the byte layout.
 
 // reqKind is a frame kind. The numbers start past the push protocol's
-// (internal/stream, 1–6) so a peer of one protocol that reaches a port of
+// (internal/stream, 1–5) so a peer of one protocol that reaches a port of
 // the other is refused at its first prelude. 0x12–0x14 carried the
 // baselines' full-vector, sample and local-outlier requests; they are
 // refused as unknown, and the reply keeps its number.

@@ -12,9 +12,8 @@
 // connection into one reused buffer, with the length prefix capped per
 // kind before any of the body is read; it starts and finishes frames in
 // a caller's buffer; and it gives body parsers a bounds-checked cursor.
-// Bodies are built from unsigned varints (uv), zig-zag varints (sv),
-// strings (a uv length, then that many bytes) and IEEE-754 doubles,
-// little-endian (f64).
+// Bodies are built from unsigned varints (uv), strings (a uv length,
+// then that many bytes) and IEEE-754 doubles, little-endian (f64).
 package frame
 
 import (
@@ -188,18 +187,6 @@ func (r *Cursor) U64() uint64 {
 // poisons the cursor like any other overrun.
 func (r *Cursor) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.B)
-	if n <= 0 {
-		n = len(r.B) + 1
-	}
-	if r.Take(n) == nil {
-		return 0
-	}
-	return v
-}
-
-// Varint reads one zig-zag varint, under Uvarint's rules.
-func (r *Cursor) Varint() int64 {
-	v, n := binary.Varint(r.B)
 	if n <= 0 {
 		n = len(r.B) + 1
 	}

@@ -258,7 +258,8 @@ func TestStreamComposed(t *testing.T) {
 		// Count-sketch point probes through chaos proxies on both sides of
 		// an aggregator restore.
 		"probes+restore": "stream2 seed=13 n=1826 s=2 l=3 w=3 k=2 mode=1091.16 noise=856 d=7 wid=96 proxy=5589:5589 probe=1 snap=2:1 aggcrash=2:6 probe=2 probe=3",
-		// Mid-run probes routed over the wire to the tier's shard roots.
+		// Mid-run probes routed to the tier's shard roots, around a relay
+		// kill.
 		"tier+probes": "stream2 seed=14 n=4290 s=1 l=4 w=2 k=1 mode=-1932.04 noise=0 d=7 wid=128 topo=tier proxy=7381:7381 probe=1 relaykill=1@2:4 probe=2",
 	} {
 		line := line

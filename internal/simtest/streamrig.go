@@ -97,7 +97,6 @@ type StreamRig struct {
 	rootOpts stream.AggregatorOptions
 	lanes    [][]lane // [shard][lane]
 	query    streamQuerier
-	remotes  []*stream.RemotePoint
 	// dial connects leaf l to one address per shard and returns it with
 	// its per-shard stream nodes.
 	dial func(l int, addrs []string, opts stream.NodeOptions) (pushNode, []*stream.Node, error)
@@ -209,9 +208,8 @@ func (r *StreamRig) buildFlat() error {
 
 // buildTier is the 2-shard × 2-relay tree: per shard one root (not
 // durable: the durability story here is the relays') fed by two durable
-// relays, each owning a snapshot file; queries go through a tier.Router,
-// span queries in process and point queries over the wire (the query
-// RPC on each root's push listener).
+// relays, each owning a snapshot file; queries go through a tier.Router
+// over the roots in process, span and point queries alike.
 func (r *StreamRig) buildTier() error {
 	scn := r.scn
 	m, err := tier.NewShardMap(r.data.Keys, tierShards, tier.Spec{
@@ -242,9 +240,7 @@ func (r *StreamRig) buildTier() error {
 		if err != nil {
 			return err
 		}
-		rp := stream.NewRemotePoint(rootAddr, 5*time.Second)
-		r.remotes = append(r.remotes, rp)
-		targets[s] = tier.Target{Span: root, Point: rp}
+		targets[s] = tier.Target{Span: root, Point: root}
 		for rr := 0; rr < tierRelays; rr++ {
 			ln := lane{opts: tier.RelayOptions{
 				ID:           fmt.Sprintf("r%d", rr),
@@ -553,10 +549,6 @@ func (r *StreamRig) Close() error {
 		errs = append(errs, within10s(root.Close))
 	}
 	r.roots, r.lanes = nil, nil
-	for _, rp := range r.remotes {
-		rp.Close()
-	}
-	r.remotes = nil
 	for _, ps := range r.proxies {
 		for _, p := range ps {
 			p.Stop()

@@ -8,7 +8,6 @@ import (
 	"net"
 	"time"
 
-	"csoutlier"
 	"csoutlier/internal/frame"
 )
 
@@ -20,8 +19,7 @@ import (
 type Client struct {
 	conn    net.Conn
 	fr      frame.Reader
-	limits  frameLimits // reply body caps; replyQuery's moves with each query
-	wbuf    []byte      // the outgoing frame, reused across exchanges
+	wbuf    []byte // the outgoing frame, reused across exchanges
 	timeout time.Duration
 }
 
@@ -34,8 +32,7 @@ func DialClient(ctx context.Context, addr string, timeout time.Duration) (*Clien
 		return nil, fmt.Errorf("stream: dial %s: %w", addr, err)
 	}
 	c := &Client{conn: conn, timeout: timeout}
-	c.limits[replyAck] = maxAckBody
-	c.fr = frame.Reader{R: conn, Limits: c.limits[:], Buf: make([]byte, FrameOverhead+maxAckBody)} // any ack in one Read
+	c.fr = frame.Reader{R: conn, Limits: replyLimits[:], Buf: make([]byte, FrameOverhead+maxAckBody)} // any ack in one Read
 	return c, nil
 }
 
@@ -65,83 +62,31 @@ func (c *Client) Bye(node string, epoch uint64) (Ack, error) {
 	return c.exchange(&pushRequest{Kind: pushBye, Node: node, Epoch: epoch})
 }
 
-// PointQuery answers a watch list of keys over a window-age span — the
-// wire form of Aggregator.PointQueryMulti, multiplexed on the same push
-// connection. Answers come back in request order. A transport error
-// poisons the connection; a returned error with a healthy connection is
-// a query-level rejection (unknown key, span out of range,
-// non-count-sketch backend).
-func (c *Client) PointQuery(fromAge, toAge int, keys []string, threshold float64) ([]csoutlier.PointAnswer, error) {
-	c.limits[replyQuery] = queryReplyLimit(len(keys))
-	body, err := c.roundTrip(&pushRequest{
-		Kind:    pushPointQuery,
-		FromAge: fromAge, ToAge: toAge,
-		Keys: keys, Threshold: threshold,
-	}, replyQuery)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := parseQueryReply(body)
-	if err != nil {
-		return nil, fmt.Errorf("stream: receive: %w", err)
-	}
-	if reply.Err != "" {
-		return nil, &QueryRejectedError{Msg: reply.Err}
-	}
-	return reply.Answers, nil
-}
-
-// QueryRejectedError is a query-level rejection of a point-query RPC:
-// the connection is healthy and a retry of the same request would be
-// rejected again (unknown key, span out of range, non-count-sketch
-// backend). Callers distinguish it from transport errors, which poison
-// the connection and are worth one redial.
-type QueryRejectedError struct{ Msg string }
-
-func (e *QueryRejectedError) Error() string { return e.Msg }
-
-// exchange runs one request/ack round-trip.
+// exchange writes req as one frame with one Write and reads the ack
+// under the deadline; the reader refuses any other reply kind.
 func (c *Client) exchange(req *pushRequest) (Ack, error) {
-	body, err := c.roundTrip(req, replyAck)
+	if len(req.Node) > MaxNodeLen {
+		return Ack{}, fmt.Errorf("stream: node name is %d bytes, the wire carries at most %d", len(req.Node), MaxNodeLen)
+	}
+	c.wbuf = appendRequest(c.wbuf, req)
+	if c.timeout > 0 {
+		c.conn.SetDeadline(time.Now().Add(c.timeout))
+	}
+	if _, err := c.conn.Write(c.wbuf); err != nil {
+		return Ack{}, fmt.Errorf("stream: send: %w", err)
+	}
+	_, body, err := c.fr.Next()
 	if err != nil {
-		return Ack{}, err
+		if errors.Is(err, io.EOF) {
+			return Ack{}, errors.New("stream: aggregator closed connection")
+		}
+		return Ack{}, fmt.Errorf("stream: receive: %w", err)
 	}
 	ack, err := parseAck(body)
 	if err != nil {
 		return Ack{}, fmt.Errorf("stream: receive: %w", err)
 	}
 	return ack, nil
-}
-
-// roundTrip writes req as one frame with one Write and reads the reply
-// frame, which must be of kind want, under the deadline. The returned
-// body aliases the client's read buffer.
-func (c *Client) roundTrip(req *pushRequest, want pushKind) ([]byte, error) {
-	if len(req.Node) > MaxNodeLen {
-		return nil, fmt.Errorf("stream: node name is %d bytes, the wire carries at most %d", len(req.Node), MaxNodeLen)
-	}
-	c.wbuf = appendRequest(c.wbuf, req)
-	if req.Kind == pushPointQuery && len(c.wbuf)-FrameOverhead > MaxQueryBytes {
-		return nil, &QueryRejectedError{Msg: fmt.Sprintf("stream: point query of %d keys encodes to %d bytes, limit %d: split the watch list",
-			len(req.Keys), len(c.wbuf)-FrameOverhead, MaxQueryBytes)}
-	}
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
-	}
-	if _, err := c.conn.Write(c.wbuf); err != nil {
-		return nil, fmt.Errorf("stream: send: %w", err)
-	}
-	kind, body, err := c.fr.Next()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, errors.New("stream: aggregator closed connection")
-		}
-		return nil, fmt.Errorf("stream: receive: %w", err)
-	}
-	if pushKind(kind) != want {
-		return nil, fmt.Errorf("stream: receive: reply of kind %d, want %d", kind, want)
-	}
-	return body, nil
 }
 
 // Close releases the connection.

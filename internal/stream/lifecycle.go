@@ -139,22 +139,16 @@ func (a *Aggregator) handle(conn net.Conn) {
 			}
 			return
 		}
+		var ack Ack
 		switch kind {
 		case pushHello:
-			ack := a.hello(req)
-			wbuf = appendAck(wbuf, &ack)
+			ack = a.hello(req)
 		case pushBye:
-			ack := a.bye(req)
-			wbuf = appendAck(wbuf, &ack)
+			ack = a.bye(req)
 		case pushDelta:
-			ack := a.apply(req, &delta)
-			wbuf = appendAck(wbuf, &ack)
-		case pushPointQuery:
-			// A read, not a fold: it never takes ingest.mu for longer than
-			// one span copy, so a remote dashboard cannot stall folding.
-			answers := a.answerPointQuery(req)
-			wbuf = appendQueryReply(wbuf, &answers)
+			ack = a.apply(req, &delta)
 		}
+		wbuf = appendAck(wbuf, &ack)
 		if _, err := conn.Write(wbuf); err != nil {
 			return
 		}

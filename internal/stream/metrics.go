@@ -35,11 +35,6 @@ type aggMetrics struct {
 	pointOutliers  *obs.Counter
 	pointSeconds   *obs.Histogram
 
-	pointRemoteQueries *obs.Counter
-	pointRemoteKeys    *obs.Counter
-	pointRemoteErrors  *obs.Counter
-	pointRemoteSeconds *obs.Histogram
-
 	snapshots       *obs.Counter
 	snapshotErrors  *obs.Counter
 	snapshotBytes   *obs.Gauge
@@ -116,17 +111,6 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 			"point queries whose key deviated from the span mode by at least the caller's threshold"),
 		pointSeconds: reg.Histogram("pointq_seconds",
 			"wall time answering one point query (sampled: first query, then 1 in 256)", obs.LatencyBuckets()),
-		// pointq_remote_* counts the wire-RPC form of the same queries
-		// (pushPointQuery frames). Also unconditional: the families must
-		// exist at zero on an aggregator no client ever queries.
-		pointRemoteQueries: reg.Counter("pointq_remote_queries_total",
-			"point-query RPC frames answered on the push listener"),
-		pointRemoteKeys: reg.Counter("pointq_remote_keys_total",
-			"watch-list keys answered across all point-query RPC frames"),
-		pointRemoteErrors: reg.Counter("pointq_remote_errors_total",
-			"point-query RPC frames answered with a query-level error"),
-		pointRemoteSeconds: reg.Histogram("pointq_remote_seconds",
-			"wall time answering one point-query RPC frame (every frame; remote queries are rare)", obs.LatencyBuckets()),
 		snapshots: reg.Counter("stream_snapshot_commits_total",
 			"snapshots committed (nodes' stable watermarks advanced)"),
 		snapshotErrors: reg.Counter("stream_snapshot_errors_total",

@@ -176,23 +176,3 @@ func (a *Aggregator) refreshPointLocked(pk pointKey) (*csoutlier.PointState, err
 	a.metrics.pointRefreshes.Inc()
 	return ps, nil
 }
-
-// answerPointQuery serves one pushPointQuery frame: the wire form of
-// PointQueryMulti, accounted in the pointq_remote_* families (the
-// underlying answers still count in pointq_* like local ones).
-func (a *Aggregator) answerPointQuery(req pushRequest) QueryReply {
-	m := a.metrics
-	m.pointRemoteQueries.Inc()
-	m.pointRemoteKeys.Add(int64(len(req.Keys)))
-	start := time.Now()
-	var reply QueryReply
-	answers, err := a.PointQueryMulti(req.FromAge, req.ToAge, req.Keys, req.Threshold)
-	if err != nil {
-		reply.Err = err.Error()
-		m.pointRemoteErrors.Inc()
-	} else {
-		reply.Answers = answers
-	}
-	m.pointRemoteSeconds.Observe(time.Since(start).Seconds())
-	return reply
-}

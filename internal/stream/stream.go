@@ -39,13 +39,11 @@
 // chaos TCP against a differential oracle.
 package stream
 
-import "csoutlier"
-
 // The push protocol: one request/response exchange per frame,
 // node-initiated (the reverse of internal/cluster's pull protocol, whose
 // aggregator is the client), strictly stop-and-wait — a connection
 // carries one outstanding request, which is what lets both ends reuse a
-// single buffer per connection. wire.go has the byte layout. Four
+// single buffer per connection. wire.go has the byte layout. Three
 // request kinds:
 //
 //	hello  — announce (node, epoch), learn the current window; sent on
@@ -60,22 +58,18 @@ import "csoutlier"
 //	bye    — announce a graceful leave: the aggregator retires the
 //	         node's membership (its dedup book is kept as a tombstone
 //	         so a late retry still dedups, never refolds).
-//	query  — answer a point-query watch list over a window-age span
-//	         from the recovery-free count-sketch path. A read, not a
-//	         fold: it takes the fold mutex for at most one span copy and replies
-//	         with a QueryReply instead of an Ack.
 //
-// and two reply kinds: an Ack for hello, delta and bye, a QueryReply
-// for a query.
+// and one reply kind, the Ack. Sketches travel one way: queries are
+// answered in the process that holds the windows (Aggregator.Outliers,
+// PointQueryMulti), not over this wire. Kinds 4 and 6 carried a
+// point-query RPC and its reply; they are refused as unknown.
 type pushKind uint8
 
 const (
-	pushHello pushKind = iota + 1
-	pushDelta
-	pushBye
-	pushPointQuery
-	replyAck
-	replyQuery
+	pushHello pushKind = 1
+	pushDelta pushKind = 2
+	pushBye   pushKind = 3
+	replyAck  pushKind = 5
 )
 
 // pushRequest is a decoded node→aggregator frame. On the aggregator,
@@ -89,23 +83,6 @@ type pushRequest struct {
 	Seq     uint64 // delta only: per-(node, epoch) sequence number, from 1
 	Folds   uint32 // delta only: local captures merged into this frame (0/1 = plain, >1 = shed)
 	Payload []byte // delta only: csoutlier.Sketch binary codec bytes
-
-	// Point-query fields (Kind == pushPointQuery only): the window-age
-	// span, the watch list, and the outlier-classification threshold —
-	// the wire form of Aggregator.PointQueryMulti's arguments.
-	FromAge   int
-	ToAge     int
-	Keys      []string
-	Threshold float64
-}
-
-// QueryReply is the aggregator's reply to a pushPointQuery frame: one
-// answer per requested key, in request order. Err is a query-level
-// rejection (unknown key, span out of range, non-count-sketch backend)
-// on a healthy connection.
-type QueryReply struct {
-	Err     string
-	Answers []csoutlier.PointAnswer
 }
 
 // Statuses an Ack can carry for a processed delta.

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -25,15 +27,38 @@ func sampleFrames(t testing.TB, sk *csoutlier.Sketcher) map[pushKind][]byte {
 	t.Helper()
 	payload := uniformDelta(t, sk, 1.5)
 	return map[pushKind][]byte{
-		pushHello:      appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3}),
-		pushBye:        appendRequest(nil, &pushRequest{Kind: pushBye, Node: "node00", Epoch: 3}),
-		pushDelta:      appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 70000, Seq: 1 << 40, Folds: 5, Payload: payload}),
-		pushPointQuery: appendRequest(nil, &pushRequest{Kind: pushPointQuery, FromAge: 0, ToAge: 3, Keys: []string{"key001", "", "key300"}, Threshold: 2.5}),
-		replyAck:       appendAck(nil, &Ack{Window: 9, Applied: true, Status: StatusApplied, AggEpoch: 2, Stable: 1 << 33}),
-		replyQuery: appendQueryReply(nil, &QueryReply{Answers: []csoutlier.PointAnswer{
-			{Value: 7, Mode: 2, Deviation: 5, Outlier: true}, {Value: -1, Mode: 2, Deviation: -3},
-		}}),
+		pushHello: appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3}),
+		pushBye:   appendRequest(nil, &pushRequest{Kind: pushBye, Node: "node00", Epoch: 3}),
+		pushDelta: appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 70000, Seq: 1 << 40, Folds: 5, Payload: payload}),
+		replyAck:  appendAck(nil, &Ack{Window: 9, Applied: true, Status: StatusApplied, AggEpoch: 2, Stable: 1 << 33}),
 	}
+}
+
+// The kinds of the retired point-query RPC: a watch-list query and its
+// reply. Both are refused as unknown.
+const (
+	retiredQuery pushKind = 4
+	retiredReply pushKind = 6
+)
+
+// retiredFrames is one frame of each retired kind, laid out as the
+// protocol that carried them encoded it: a query for three keys over
+// window ages [0, 3], and a reply of two answers.
+func retiredFrames() map[pushKind][]byte {
+	q := frame.Begin(nil, uint8(retiredQuery))
+	q = binary.AppendVarint(q, 0)  // sv fromAge
+	q = binary.AppendVarint(q, 3)  // sv toAge
+	q = frame.AppendF64(q, 2.5)    // f64 threshold
+	q = binary.AppendUvarint(q, 3) // uv n, then n × str key
+	for _, k := range []string{"key001", "", "key300"} {
+		q = frame.AppendString(q, k)
+	}
+	r := frame.Begin(nil, uint8(retiredReply))
+	r = frame.AppendString(r, "")  // str err
+	r = binary.AppendUvarint(r, 2) // uv n, then n × (f64 value | f64 mode | u8 outlier)
+	r = append(frame.AppendF64(frame.AppendF64(r, 7), 2), 1)
+	r = append(frame.AppendF64(frame.AppendF64(r, -1), 2), 0)
+	return map[pushKind][]byte{retiredQuery: frame.End(q), retiredReply: frame.End(r)}
 }
 
 // rawPairs is a pairs-encoded delta payload put together by hand — the
@@ -95,7 +120,6 @@ func hostilePairs(t testing.TB, sk, foreign, wider *csoutlier.Sketcher) map[stri
 func allKinds() frameLimits {
 	l := requestLimits(32)
 	l[replyAck] = maxAckBody
-	l[replyQuery] = queryReplyLimit(8)
 	return l
 }
 
@@ -103,7 +127,7 @@ func TestWireRoundTrip(t *testing.T) {
 	sk := testSketcher(t, 64, 32, 5)
 	frames := sampleFrames(t, sk)
 	var stream []byte
-	order := []pushKind{pushHello, pushDelta, pushBye, pushPointQuery, replyAck, replyQuery}
+	order := []pushKind{pushHello, pushDelta, pushBye, replyAck}
 	for _, k := range order {
 		stream = append(stream, frames[k]...)
 	}
@@ -123,12 +147,6 @@ func TestWireRoundTrip(t *testing.T) {
 			if err != nil || ack != (Ack{Window: 9, Applied: true, Status: StatusApplied, AggEpoch: 2, Stable: 1 << 33}) {
 				t.Fatalf("ack %+v err %v", ack, err)
 			}
-		case replyQuery:
-			reply, err := parseQueryReply(body)
-			if err != nil || len(reply.Answers) != 2 || reply.Answers[0] != (csoutlier.PointAnswer{Value: 7, Mode: 2, Deviation: 5, Outlier: true}) ||
-				reply.Answers[1] != (csoutlier.PointAnswer{Value: -1, Mode: 2, Deviation: -3}) {
-				t.Fatalf("reply %+v err %v", reply, err)
-			}
 		default:
 			if err := parseRequest(kind, body, &req); err != nil {
 				t.Fatalf("kind %d: %v", kind, err)
@@ -140,6 +158,13 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if _, _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	// The retired kinds are unknown ones: refused at the prelude.
+	for kind, b := range retiredFrames() {
+		fr := frame.Reader{R: bytes.NewReader(b), Limits: limits[:]}
+		if _, _, err := fr.Next(); !errors.Is(err, errMalformed) {
+			t.Fatalf("retired kind %d: %v, want a malformed-frame refusal", kind, err)
+		}
 	}
 	// Every status string survives the trip; rejection text does too.
 	for _, status := range ackStatuses {
@@ -163,7 +188,23 @@ func FuzzPushFrame(f *testing.F) {
 		binary.LittleEndian.PutUint32(long, 1<<31)
 		f.Add(long)
 	}
+	for _, frame := range retiredFrames() {
+		f.Add(frame)
+	}
 	f.Add([]byte{2, 0, 0, 0, frame.Version, byte(pushHello), 0x80, 0x80})
+	// A node name at the limit and one byte past it, folds past 32 bits,
+	// and an ack status no conforming aggregator sends.
+	for _, n := range []int{MaxNodeLen, MaxNodeLen + 1} {
+		f.Add(appendRequest(nil, &pushRequest{Kind: pushHello, Node: strings.Repeat("n", n), Epoch: 1}))
+	}
+	wide := frame.AppendString(frame.Begin(nil, uint8(pushDelta)), "node00")
+	for _, v := range []uint64{3, 1, 1, 1 << 32} { // epoch, window, seq, folds
+		wide = binary.AppendUvarint(wide, v)
+	}
+	f.Add(frame.End(append(wide, uniformDelta(f, sk, 1)...)))
+	badStatus := appendAck(nil, &Ack{Window: 1})
+	badStatus[FrameOverhead] = byte(len(ackStatuses))
+	f.Add(badStatus)
 	// A delta whose payload passes its checksum around a non-finite float.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f.Add(appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 1, Seq: 1, Folds: 1, Payload: uniformDelta(f, sk, v)}))
@@ -207,17 +248,13 @@ func FuzzPushFrame(f *testing.F) {
 						t.Fatalf("ack %+v re-encodes to %+v (%v)", ack, again, err)
 					}
 				}
-			case replyQuery:
-				if reply, err := parseQueryReply(body); err == nil && len(reply.Answers)*answerLen > len(body) {
-					t.Fatalf("%d answers out of a %d-byte body", len(reply.Answers), len(body))
-				}
 			default:
 				if parseRequest(kind, body, &req) != nil {
 					continue
 				}
-				if len(req.Keys) > len(body) || len(req.Payload) > len(body) || len(req.Node) > MaxNodeLen {
-					t.Fatalf("kind %d: parsed more than the body holds: %d keys, %d payload bytes, %d-byte name from %d bytes",
-						kind, len(req.Keys), len(req.Payload), len(req.Node), len(body))
+				if len(req.Payload) > len(body) || len(req.Node) > MaxNodeLen {
+					t.Fatalf("kind %d: parsed more than the body holds: %d payload bytes, %d-byte name from %d bytes",
+						kind, len(req.Payload), len(req.Node), len(body))
 				}
 				// After any payload the fold accepts, every float of the
 				// window is finite — across frames too: a sum of huge
@@ -293,7 +330,7 @@ func TestGobPeerGetsCleanClose(t *testing.T) {
 func TestMalformedFramesCloseConnection(t *testing.T) {
 	sk := testSketcher(t, 64, 32, 5)
 	agg, addr := serveAgg(t, sk, AggregatorOptions{})
-	good := sampleFrames(t, sk)
+	good, retired := sampleFrames(t, sk), retiredFrames()
 	prelude := func(n uint32, version byte, kind pushKind, body ...byte) []byte {
 		return append(binary.LittleEndian.AppendUint32(nil, n), append([]byte{version, byte(kind)}, body...)...)
 	}
@@ -314,7 +351,8 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		{"varint runs off the body", prelude(2, frame.Version, pushHello, 0x80, 0x80), false},
 		{"name longer than the body", prelude(2, frame.Version, pushHello, 40, 'x'), false},
 		{"trailing bytes after a hello", prelude(4, frame.Version, pushHello, 1, 'x', 1, 0), false},
-		{"more keys than bytes", prelude(12, frame.Version, pushPointQuery, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200, 1), false},
+		{"retired point query (kind 4)", retired[retiredQuery], false},
+		{"retired query reply (kind 6) as a request", retired[retiredReply], false},
 	}
 	for i, tc := range cases {
 		conn, err := net.Dial("tcp", addr)

@@ -17,7 +17,8 @@ type SpanQuerier interface {
 }
 
 // PointQuerier answers point-query watch lists — satisfied by
-// *stream.Aggregator in-process and by *stream.RemotePoint over the wire.
+// *stream.Aggregator, queried in the process that holds the shard's
+// windows (the push wire carries no queries).
 type PointQuerier interface {
 	PointQueryMulti(fromAge, toAge int, keys []string, threshold float64) ([]csoutlier.PointAnswer, error)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -227,76 +226,12 @@ func TestRouterEndToEndInProcess(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("rejection not attributed to shard 1: %v", err)
 	}
+	// A rejection is the one query's: the router and the shard that
+	// refused still answer the next list.
+	if answers, err := r.PointQueryMulti(0, 0, []string{"key450"}, 1000); err != nil || !answers[0].Outlier {
+		t.Fatalf("query after a rejection: %+v, %v", answers, err)
+	}
 	if _, err := NewRouter(fx.m, []Target{{Span: fx.aggs[0]}}); err == nil {
 		t.Fatal("accepted target count != shard count")
-	}
-}
-
-// TestRouterEndToEndRemote runs the same fixture with the point
-// fan-out going over the wire — the query RPC on each shard root's
-// push listener.
-func TestRouterEndToEndRemote(t *testing.T) {
-	fx := buildShardedFixture(t)
-	var targets []Target
-	for i := range fx.aggs {
-		rp := stream.NewRemotePoint(fx.addrs[i], 5*time.Second)
-		t.Cleanup(func() { rp.Close() })
-		targets = append(targets, Target{Span: fx.aggs[i], Point: rp})
-	}
-	r, err := NewRouter(fx.m, targets)
-	if err != nil {
-		t.Fatalf("NewRouter: %v", err)
-	}
-	checkFixtureAnswers(t, r)
-	// Remote rejection surfaces as a QueryRejectedError, not a
-	// transport error: the connection stays healthy and is not redialed.
-	_, err = targets[1].Point.PointQueryMulti(0, 0, []string{"no-such-key"}, 1000)
-	var rej *stream.QueryRejectedError
-	if !errors.As(err, &rej) {
-		t.Fatalf("unknown key over the wire: %v, want QueryRejectedError", err)
-	}
-	// The same connection still answers.
-	if _, err := targets[1].Point.PointQueryMulti(0, 0, []string{"key450"}, 1000); err != nil {
-		t.Fatalf("query after rejection: %v", err)
-	}
-}
-
-// TestRemotePointRedial restarts an aggregator behind a fixed address
-// and checks RemotePoint recovers with its one transparent redial.
-func TestRemotePointRedial(t *testing.T) {
-	sk, err := csoutlier.NewSketcher(testKeys(64), csoutlier.Config{
-		M: 48, Seed: 3, Ensemble: csoutlier.CountSketch, Depth: 4,
-	})
-	if err != nil {
-		t.Fatalf("NewSketcher: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	serve := func(addr string) (*stream.Aggregator, string) {
-		agg, err := stream.NewAggregator(sk, stream.AggregatorOptions{Windows: 4})
-		if err != nil {
-			t.Fatalf("NewAggregator: %v", err)
-		}
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			t.Fatalf("listen %s: %v", addr, err)
-		}
-		go agg.Serve(ln)
-		return agg, ln.Addr().String()
-	}
-	agg, addr := serve("127.0.0.1:0")
-	rp := stream.NewRemotePoint(addr, 5*time.Second)
-	defer rp.Close()
-	if _, err := rp.PointQueryMulti(0, 0, []string{"key001"}, 10); err != nil {
-		t.Fatalf("first query: %v", err)
-	}
-	// Restart on the same address: the pinned connection is now dead.
-	if err := agg.Close(ctx); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	agg2, _ := serve(addr)
-	defer agg2.Close(context.Background())
-	if _, err := rp.PointQueryMulti(0, 0, []string{"key001"}, 10); err != nil {
-		t.Fatalf("query after restart (transparent redial): %v", err)
 	}
 }

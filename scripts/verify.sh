@@ -15,10 +15,11 @@
 # clear. benchmark/ is a module of its own, so tier-1's ./... never
 # compiles it: its vet + test stage runs in every mode, or drift in the
 # stream/tier API it drives is found only by the next benchmark run.
-# Every mode but -quick then builds the commands and runs two checks on
-# them: a doc-lint (every -flag a fenced command line in README, DESIGN
-# or the verify skill passes to csagg, csnode, csstreamd, csgen or
-# csbench is in that command's -h) and the CLI deployment (csgen, three
+# Every mode but -quick then builds the commands and runs three checks:
+# two doc-lints over README, DESIGN and the verify skill (every -flag a
+# fenced command line passes to csagg, csnode, csstreamd, csgen or
+# csbench is in that command's -h; every metric family they name is a
+# string literal in the product's Go) and the CLI deployment (csgen, three
 # loopback csnodes, csagg's top-1 key equal to truth.csv's; then one
 # address dead under -min-nodes 3 -health: a row per node, exit 1).
 # The race pass covers the concurrency-heavy transport/collector,
@@ -73,7 +74,8 @@
 # one-pull-round guards: internal/baseline imported outside
 # internal/experiments and examples/, or cmd/csagg importing
 # internal/cluster, internal/recovery or internal/queries, is a baseline
-# RPC or a second aggregator growing back.
+# RPC or a second aggregator growing back; and a query on the push wire
+# is the retired point-query RPC growing back.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -190,6 +192,16 @@ if grep -nE '"csoutlier/internal/(cluster|recovery|queries)"' cmd/csagg/*.go; th
 	exit 1
 fi
 
+echo "== one push protocol: hello, delta, bye and the ack =="
+# Sketches travel one way: the push wire carries ingest, and queries are
+# answered in the process that holds the windows (PointQueryMulti,
+# tier.Router over in-process roots).
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+	'RemotePoint|Client\) PointQuery|QueryReply|QueryRejected|MaxQueryBytes|pointq_remote' .; then
+	echo "verify: the lines above bring back a query on the push wire (EXPERIMENTS.md pr28)" >&2
+	exit 1
+fi
+
 echo "== tier-1: build + vet + test =="
 go build ./...
 go vet ./...
@@ -248,6 +260,25 @@ sub(/\\[[:space:]]*$/, " ") { acc = acc $0; next }
 done)
 if [ -n "$stale" ]; then
 	echo "verify: documented flags the commands do not have:" >&2
+	printf '%s\n' "$stale" >&2
+	exit 1
+fi
+
+echo "== doc-lint: every metric family the docs name is registered =="
+# A stream_, pointq_, recovery_, tier_, shard_ or cluster_ name in the
+# same three files (a {label} selector is never part of the match, a
+# file name like stream_test.go is skipped, and a _bucket/_sum/_count
+# series may name its histogram) must be a string literal in non-test Go
+# outside benchmark/: a family deleted from the code is deleted from the
+# docs.
+grep -rhoE --include='*.go' --exclude='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build --exclude-dir=benchmark \
+	'"[a-z0-9_]+"' . | tr -d '"' | sort -u >"$tmp/literals"
+stale=$(grep -ohE '\b(stream|pointq|recovery|tier|shard|cluster)_[A-Za-z0-9_]*[A-Za-z0-9](\.go)?' \
+	README.md DESIGN.md .claude/skills/verify/SKILL.md | grep -v '\.go$' | sort -u | while read -r f; do
+	grep -qxF "$f" "$tmp/literals" || grep -qxF "$(printf '%s\n' "$f" | sed -E 's/_(bucket|sum|count)$//')" "$tmp/literals" || echo "$f"
+done)
+if [ -n "$stale" ]; then
+	echo "verify: metric families the docs name and no product code registers:" >&2
 	printf '%s\n' "$stale" >&2
 	exit 1
 fi
@@ -384,7 +415,7 @@ if [ -z "$url" ]; then
 	exit 1
 fi
 "$tmp/bin/obscheck" -url "$url" -require \
-	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,pointq_remote_queries_total,pointq_remote_keys_total,pointq_remote_errors_total,pointq_remote_seconds,recovery_solver_picks_total
+	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,recovery_solver_picks_total
 "$tmp/bin/obscheck" -url "${url%/metrics}/healthz" -health
 
 echo "== hierarchical metrics smoke: tier_*/shard_* on a live relay =="

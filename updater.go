@@ -130,28 +130,13 @@ func (u *Updater) Observe(key string, delta float64) error {
 	return nil
 }
 
-// ObserveBatch folds a batch of observations. The batch is all-or-
-// nothing: an unknown key or a non-finite delta fails the whole batch
-// before any mutation.
+// ObserveBatch folds a batch of observations, summed in key order as
+// SketchPairs sums it. The batch is all-or-nothing: an unknown key or a
+// non-finite delta fails the whole batch before any mutation.
 func (u *Updater) ObserveBatch(pairs map[string]float64) error {
-	idx := make([]int, 0, len(pairs))
-	vals := make([]float64, 0, len(pairs))
-	for k, v := range pairs {
-		i, ok := u.sk.dict.Index(k)
-		if !ok {
-			return fmt.Errorf("csoutlier: key %q not in global dictionary", k)
-		}
-		if !finite(v) {
-			return fmt.Errorf("csoutlier: key %q: delta %v is not finite", k, v)
-		}
-		if v == 0 {
-			continue
-		}
-		idx = append(idx, i)
-		vals = append(vals, v)
-	}
-	if len(idx) == 0 {
-		return nil
+	idx, vals, err := u.sk.vectorizePairs(pairs)
+	if err != nil || len(idx) == 0 {
+		return err
 	}
 	// Measure the whole batch outside the mutex (MeasureSparse zeroes its
 	// destination), then accumulate under it. A batch is measured as one

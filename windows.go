@@ -79,24 +79,13 @@ func (w *WindowStore) Observe(key string, delta float64) error {
 	return nil
 }
 
-// ObserveBatch folds a batch into the current window; all-or-nothing on
-// unknown keys and non-finite deltas.
+// ObserveBatch folds a batch into the current window, summed in key
+// order as SketchPairs sums it; all-or-nothing on unknown keys and
+// non-finite deltas.
 func (w *WindowStore) ObserveBatch(pairs map[string]float64) error {
-	idx := make([]int, 0, len(pairs))
-	vals := make([]float64, 0, len(pairs))
-	for k, v := range pairs {
-		i, ok := w.sk.dict.Index(k)
-		if !ok {
-			return fmt.Errorf("csoutlier: key %q not in global dictionary", k)
-		}
-		if !finite(v) {
-			return fmt.Errorf("csoutlier: key %q: delta %v is not finite", k, v)
-		}
-		if v == 0 {
-			continue
-		}
-		idx = append(idx, i)
-		vals = append(vals, v)
+	idx, vals, err := w.sk.vectorizePairs(pairs)
+	if err != nil {
+		return err
 	}
 	col := w.sk.getCol()
 	*col = w.sk.matrix.MeasureSparse(idx, vals, *col)
