@@ -1,8 +1,10 @@
 package sensing
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"csoutlier/internal/linalg"
@@ -274,6 +276,41 @@ func TestExtensionColumnCached(t *testing.T) {
 				t.Fatalf("cached φ₀ deviates from column sum: %v vs %v", first[:3], want[:3])
 			}
 		})
+	}
+}
+
+// TestDenseExtensionColumnConcurrentFirstUse has eight goroutines ask a
+// fresh Dense for φ₀ at once: whichever of them builds it, every caller
+// gets the Float64bits of the serial ascending-j column sum.
+func TestDenseExtensionColumnConcurrentFirstUse(t *testing.T) {
+	p := Params{M: 24, N: 300, Seed: 29}
+	d, err := NewDense(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(linalg.Vector, p.M)
+	col := make(linalg.Vector, p.M)
+	for j := 0; j < p.N; j++ {
+		want.Add(d.Col(j, col))
+	}
+	want.Scale(1 / math.Sqrt(float64(p.N)))
+
+	const callers = 8
+	got := make([]linalg.Vector, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g] = d.ExtensionColumn(nil)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		bitsEqual(t, fmt.Sprintf("caller %d", g), got[g], want)
 	}
 }
 

@@ -123,15 +123,23 @@ func CorrelateBlock(m Matrix, rs, dsts []linalg.Vector) {
 }
 
 // fillColumn writes the canonical column j for params p into dst, which
-// must have length p.M. Entries are N(0, 1/M). The generator lives on
-// the stack (value constructors), so regenerating a column performs no
-// heap allocation.
+// must have length p.M. Entries are N(0, 1/M): the column's sub-stream
+// of NormFloat64 draws, scaled. They are taken a Box–Muller pair at a
+// time, and an odd M ends on the first value of one more pair, as the
+// M-th NormFloat64 would. The generator lives on the stack (value
+// constructors), so regenerating a column performs no heap allocation.
 func fillColumn(p Params, j int, dst linalg.Vector) {
 	root := xrand.NewValue(p.Seed)
 	rng := root.SplitValue(uint64(j) + 1)
 	inv := 1 / math.Sqrt(float64(p.M))
-	for i := range dst {
-		dst[i] = rng.NormFloat64() * inv
+	i := 0
+	for ; i+1 < len(dst); i += 2 {
+		z0, z1 := rng.NormPair()
+		dst[i], dst[i+1] = z0*inv, z1*inv
+	}
+	if i < len(dst) {
+		z, _ := rng.NormPair()
+		dst[i] = z * inv
 	}
 }
 
@@ -152,9 +160,10 @@ func copyCached(phi0 linalg.Vector, dst linalg.Vector) linalg.Vector {
 // step; φ₀: ascending j), so a Dense answers with the bits a row-major
 // linalg.Matrix of the same entries would.
 type Dense struct {
-	p    Params
-	cols []float64     // N columns of M entries
-	phi0 linalg.Vector // cached extension column, computed at NewDense
+	p        Params
+	cols     []float64 // N columns of M entries
+	phi0Once sync.Once
+	phi0     linalg.Vector // extension column, built by the first ExtensionColumn
 }
 
 // NewDense builds and stores the full matrix. Memory: M·N·8 bytes. Each
@@ -171,13 +180,6 @@ func NewDense(p Params) (*Dense, error) {
 			fillColumn(p, j, d.col(j))
 		}
 	})
-	// φ₀ = (1/√N)·Σφᵢ: the standing-query path re-reads it on every BOMP
-	// call, so pay the O(M·N) exactly once here.
-	d.phi0 = make(linalg.Vector, p.M)
-	for j := 0; j < p.N; j++ {
-		d.phi0.Add(d.col(j))
-	}
-	d.phi0.Scale(1 / math.Sqrt(float64(p.N)))
 	return d, nil
 }
 
@@ -391,8 +393,18 @@ func (d *Dense) correlateRange(rs, dsts []linalg.Vector, lo, hi int) {
 	}
 }
 
-// ExtensionColumn implements Matrix from the per-matrix cache.
+// ExtensionColumn implements Matrix. φ₀ = (1/√N)·Σφᵢ is summed in
+// ascending j on the first call, once per matrix, and cached: only a
+// matrix that runs BOMP pays the O(M·N), and every later call is an O(M)
+// copy.
 func (d *Dense) ExtensionColumn(dst linalg.Vector) linalg.Vector {
+	d.phi0Once.Do(func() {
+		phi0 := make(linalg.Vector, d.p.M)
+		for j := 0; j < d.p.N; j++ {
+			phi0.Add(d.col(j))
+		}
+		d.phi0 = phi0.Scale(1 / math.Sqrt(float64(d.p.N)))
+	})
 	return copyCached(d.phi0, dst)
 }
 

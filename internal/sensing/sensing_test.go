@@ -1,6 +1,8 @@
 package sensing
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -51,6 +53,42 @@ func TestDenseSeededAgree(t *testing.T) {
 			if dc[i] != sc[i] {
 				t.Fatalf("col %d row %d: dense %v != seeded %v", j, i, dc[i], sc[i])
 			}
+		}
+	}
+}
+
+// TestGaussianGolden pins Φ and φ₀ to constants: FNV-1a over the
+// little-endian Float64bits of Dense's column-major entries followed by
+// its φ₀, and over Seeded's φ₀, for the shapes the benchmark workloads
+// build and an odd M. Every deployed sketch depends on these bits. The
+// constants were recorded on amd64 and agree on 386 (scripts/verify.sh
+// runs both); other architectures are not covered.
+func TestGaussianGolden(t *testing.T) {
+	hash := func(vs ...linalg.Vector) uint64 {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range vs {
+			for _, x := range v {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+				h.Write(b[:])
+			}
+		}
+		return h.Sum64()
+	}
+	for _, c := range []struct {
+		p            Params
+		dense, phi0s uint64
+	}{
+		{Params{M: 384, N: 4096, Seed: 1}, 0x5a9c862b88067987, 0x4066d11fb88b6295},
+		{Params{M: 320, N: 2000, Seed: 1}, 0x24cca9cc932a34fe, 0xa04bc32433fab1e8},
+		{Params{M: 97, N: 301, Seed: 7919}, 0x3db61bf9a5508548, 0xea70c96aafe4d826},
+	} {
+		d, s := both(t, c.p)
+		if got := hash(d.cols, d.ExtensionColumn(nil)); got != c.dense {
+			t.Errorf("%+v: Dense Φ+φ₀ hash = %#x, want %#x", c.p, got, c.dense)
+		}
+		if got := hash(s.ExtensionColumn(nil)); got != c.phi0s {
+			t.Errorf("%+v: Seeded φ₀ hash = %#x, want %#x", c.p, got, c.phi0s)
 		}
 	}
 }

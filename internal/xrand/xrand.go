@@ -4,9 +4,11 @@
 // The compressive-sensing aggregation protocol requires every node to
 // generate the exact same measurement matrix Φ from a shared seed ("by a
 // consensus", paper §3.1). The generator here is fully specified — a PCG
-// XSL-RR 128/64 step with splitmix64 seeding — so two nodes built from this
-// package always agree bit-for-bit, independent of the Go version's
-// math/rand internals.
+// XSL-RR 128/64 step with splitmix64 seeding — so its streams do not
+// depend on the Go version's math/rand internals. Golden tests pin the
+// integer and Gaussian streams to recorded constants on amd64 and 386; a
+// deployment that mixes in other architectures is unverified (see
+// NormPair).
 //
 // Sub-streams: Split derives an independent generator for a labeled
 // sub-stream (for example, one stream per matrix column). This lets a node
@@ -15,7 +17,10 @@
 // large key spaces.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitmix64 is the seed-scrambling finalizer from Steele et al.,
 // "Fast Splittable Pseudorandom Number Generators" (OOPSLA 2014).
@@ -34,7 +39,7 @@ func splitmix64(x uint64) uint64 {
 type RNG struct {
 	hi, lo uint64 // 128-bit LCG state
 
-	// Box–Muller generates Gaussians in pairs; the spare is cached.
+	// Box–Muller generates Gaussians in pairs; NormFloat64 caches the spare.
 	haveGauss bool
 	gauss     float64
 }
@@ -92,36 +97,16 @@ func (r *RNG) step() {
 	)
 	// 128-bit multiply-add: state = state*mul + inc.
 	hi, lo := mul128(r.hi, r.lo, mulHi, mulLo)
-	lo2 := lo + incLo
-	carry := uint64(0)
-	if lo2 < lo {
-		carry = 1
-	}
+	lo, carry := bits.Add64(lo, incLo, 0)
 	r.hi = hi + incHi + carry
-	r.lo = lo2
+	r.lo = lo
 }
 
-// mul128 computes (aHi:aLo) * (bHi:bLo) mod 2^128.
+// mul128 computes (aHi:aLo) * (bHi:bLo) mod 2^128: the full product of
+// the low words (one hardware multiply where the platform has one), plus
+// the two cross terms that land in the high word.
 func mul128(aHi, aLo, bHi, bLo uint64) (hi, lo uint64) {
-	// Full 64x64 -> 128 of the low words.
-	const mask32 = 0xffffffff
-	a0, a1 := aLo&mask32, aLo>>32
-	b0, b1 := bLo&mask32, bLo>>32
-
-	t := a0 * b0
-	w0 := t & mask32
-	k := t >> 32
-
-	t = a1*b0 + k
-	w1 := t & mask32
-	w2 := t >> 32
-
-	t = a0*b1 + w1
-	k = t >> 32
-
-	lo = (t << 32) + w0
-	hi = a1*b1 + w2 + k
-	// Cross terms that land in the high word.
+	hi, lo = bits.Mul64(aLo, bLo)
 	hi += aHi*bLo + aLo*bHi
 	return hi, lo
 }
@@ -146,27 +131,29 @@ func (r *RNG) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless bounded sampling.
 	un := uint64(n)
-	v := r.Uint64()
-	hi, lo := mul128(0, v, 0, un)
+	hi, lo := bits.Mul64(r.Uint64(), un)
 	if lo < un {
 		threshold := -un % un
 		for lo < threshold {
-			v = r.Uint64()
-			hi, lo = mul128(0, v, 0, un)
+			hi, lo = bits.Mul64(r.Uint64(), un)
 		}
 	}
 	return int(hi)
 }
 
-// NormFloat64 returns a standard normal sample via the Box–Muller
-// transform. Box–Muller is chosen over ziggurat because it is trivially
-// portable and exactly reproducible: it uses only math.Sqrt, math.Log,
-// math.Sincos, all correctly rounded or deterministic on all Go platforms.
-func (r *RNG) NormFloat64() float64 {
-	if r.haveGauss {
-		r.haveGauss = false
-		return r.gauss
-	}
+// NormPair returns both outputs of one Box–Muller transform: two
+// independent standard normal samples, the cosine one first. It neither
+// reads nor leaves NormFloat64's cached spare, so on a generator with no
+// spare pending, NormPair's two values are the next two NormFloat64s.
+//
+// Box–Muller is chosen over ziggurat because it is short and needs no
+// tables, but only math.Sqrt among its functions is correctly rounded.
+// The golden tests pin its outputs on amd64, where math.Log is assembly,
+// and on 386, where it is pure Go, and the two agree. On arm64, ppc64le,
+// s390x and riscv64 the compiler may fuse multiply-adds inside math.Log
+// and math.Sincos; no test covers those, so a deployment that mixes
+// architectures is unverified.
+func (r *RNG) NormPair() (float64, float64) {
 	var u float64
 	for u == 0 {
 		u = r.Float64()
@@ -174,9 +161,19 @@ func (r *RNG) NormFloat64() float64 {
 	v := r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u))
 	s, c := math.Sincos(2 * math.Pi * v)
-	r.gauss = mag * s
-	r.haveGauss = true
-	return mag * c
+	return mag * c, mag * s
+}
+
+// NormFloat64 returns a standard normal sample: the first value of a
+// NormPair, caching the second for the next call.
+func (r *RNG) NormFloat64() float64 {
+	if r.haveGauss {
+		r.haveGauss = false
+		return r.gauss
+	}
+	z, spare := r.NormPair()
+	r.gauss, r.haveGauss = spare, true
+	return z
 }
 
 // ExpFloat64 returns an exponential sample with rate 1.

@@ -1,7 +1,10 @@
 package xrand
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -30,20 +33,83 @@ func TestDistinctSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestKnownGoldenSequence pins the generator's output to constants: the
+// distributed protocol depends on every binary generating identical
+// matrices, so a change to the PCG step, the seeding, Split, Intn or
+// Box–Muller must not move a single bit. The constants were recorded on
+// amd64 and agree on 386 (scripts/verify.sh runs both); other
+// architectures are not covered.
 func TestKnownGoldenSequence(t *testing.T) {
-	// Pin the exact output sequence: the distributed protocol depends on
-	// every binary, on every machine, generating identical matrices.
-	r := New(12345)
-	got := []uint64{r.Uint64(), r.Uint64(), r.Uint64()}
-	r2 := New(12345)
-	want := []uint64{r2.Uint64(), r2.Uint64(), r2.Uint64()}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("sequence not reproducible at %d", i)
+	for _, c := range []struct {
+		seed uint64
+		want [4]uint64
+	}{
+		{0, [4]uint64{0x3cdee518ef1ecd4c, 0x8e01003396c1933f, 0xeb65c3c84b73d435, 0x5c1033f2d07e7a53}},
+		{1, [4]uint64{0xe054e023bb9129a, 0x3806fed8a7b7fa7a, 0x25d3d544eda9b72c, 0xd5684b20f0e36bb5}},
+		{12345, [4]uint64{0xb33897664f9c5937, 0x6a0c87b3c59c4ffe, 0x64f8cad58cb88bc5, 0x55bea23519edde95}},
+		{math.MaxUint64, [4]uint64{0x126a79bf9cdaaeba, 0xb5afb744215e32f3, 0x98ddcfdef795836b, 0x41c4db6567e48a73}},
+	} {
+		r := New(c.seed)
+		for i, want := range c.want {
+			if got := r.Uint64(); got != want {
+				t.Fatalf("seed %d: Uint64 #%d = %#x, want %#x", c.seed, i, got, want)
+			}
 		}
 	}
-	if got[0] == got[1] && got[1] == got[2] {
-		t.Fatal("degenerate constant sequence")
+
+	// An odd count, so the last draw leaves a spare behind.
+	r := New(12345)
+	for i, want := range []uint64{0xbfe731e2d8368461, 0x3fdbbaafa92488fa, 0xbfe6349e6f797bf3, 0x3ff2ca36ec740a96, 0x3f9ac2b2d006ed09} {
+		if got := math.Float64bits(r.NormFloat64()); got != want {
+			t.Fatalf("NormFloat64 #%d bits = %#x, want %#x", i, got, want)
+		}
+	}
+
+	r = New(12345)
+	for i, c := range []struct{ n, want int }{
+		{1, 0}, {2, 0}, {3, 1}, {10, 3}, {1000, 999}, {1 << 20, 957725}, {1<<30 + 1, 725261906}, {3 << 29, 906926142},
+	} {
+		if got := r.Intn(c.n); got != c.want {
+			t.Fatalf("Intn #%d (n=%d) = %d, want %d", i, c.n, got, c.want)
+		}
+	}
+
+	for _, c := range []struct{ label, u, norm uint64 }{
+		{1, 0xbe4cb107fe3f6d9d, 0xbfd7dd82f6926669},
+		{2, 0xb8192dda5fc7f706, 0xbff26a6f64efbd02},
+		{4097, 0x7f3c49577aa677c3, 0x3fe214c904e06b85},
+	} {
+		s := New(12345).Split(c.label)
+		if got := s.Uint64(); got != c.u {
+			t.Fatalf("Split(%d) Uint64 = %#x, want %#x", c.label, got, c.u)
+		}
+		if got := math.Float64bits(s.NormFloat64()); got != c.norm {
+			t.Fatalf("Split(%d) NormFloat64 bits = %#x, want %#x", c.label, got, c.norm)
+		}
+	}
+
+	// Longer streams, FNV-1a over their little-endian words: 10,001
+	// Gaussians, 10,000 bounded ints and 1,000 sibling sub-streams.
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	r = New(1)
+	for i := 0; i < 10001; i++ {
+		put(math.Float64bits(r.NormFloat64()))
+	}
+	r = New(2)
+	for i := 0; i < 10000; i++ {
+		put(uint64(r.Intn(1000003)))
+	}
+	r = New(3)
+	for i := 0; i < 1000; i++ {
+		put(r.Split(uint64(i)).Uint64())
+	}
+	if got, want := h.Sum64(), uint64(0x7380c385715a4474); got != want {
+		t.Fatalf("stream hash = %#x, want %#x", got, want)
 	}
 }
 
@@ -172,6 +238,19 @@ func TestNormFloat64Tails(t *testing.T) {
 	}
 }
 
+// TestNormPairMatchesNormFloat64 pins the contract fillColumn relies on:
+// with no spare pending, a NormPair is the next two NormFloat64s.
+func TestNormPairMatchesNormFloat64(t *testing.T) {
+	a, b := New(15), New(15)
+	for i := 0; i < 1000; i++ {
+		z0, z1 := a.NormPair()
+		w0, w1 := b.NormFloat64(), b.NormFloat64()
+		if math.Float64bits(z0) != math.Float64bits(w0) || math.Float64bits(z1) != math.Float64bits(w1) {
+			t.Fatalf("pair %d: NormPair (%v, %v), NormFloat64 (%v, %v)", i, z0, z1, w0, w1)
+		}
+	}
+}
+
 func TestExpFloat64Mean(t *testing.T) {
 	r := New(12)
 	const n = 200000
@@ -237,6 +316,45 @@ func TestMul128AgainstSmallCases(t *testing.T) {
 			t.Fatalf("mul128(%d:%d, %d:%d) = %d:%d, want %d:%d",
 				c.aHi, c.aLo, c.bHi, c.bLo, hi, lo, c.wantHi, c.wantLo)
 		}
+	}
+
+	// Against math/big: every 4-tuple of boundary words (all-ones words,
+	// 32-bit limb edges and top bits, whose products carry through every
+	// limb), then 10,000 seeded operand pairs mixing random and boundary
+	// words.
+	edges := []uint64{0, 1, math.MaxUint64, 1 << 63, math.MaxUint32, math.MaxUint32 + 1, 0xffffffff00000000, math.MaxUint64 - 1}
+	mod := new(big.Int).Lsh(big.NewInt(1), 128)
+	wide := func(hi, lo uint64) *big.Int {
+		v := new(big.Int).SetUint64(hi)
+		return v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(lo))
+	}
+	check := func(aHi, aLo, bHi, bLo uint64) {
+		t.Helper()
+		want := new(big.Int).Mul(wide(aHi, aLo), wide(bHi, bLo))
+		want.Mod(want, mod)
+		hi, lo := mul128(aHi, aLo, bHi, bLo)
+		if wide(hi, lo).Cmp(want) != 0 {
+			t.Fatalf("mul128(%#x:%#x, %#x:%#x) = %#x:%#x, want %#x", aHi, aLo, bHi, bLo, hi, lo, want)
+		}
+	}
+	for _, aHi := range edges {
+		for _, aLo := range edges {
+			for _, bHi := range edges {
+				for _, bLo := range edges {
+					check(aHi, aLo, bHi, bLo)
+				}
+			}
+		}
+	}
+	r := New(128)
+	word := func() uint64 {
+		if r.Intn(4) == 0 {
+			return edges[r.Intn(len(edges))]
+		}
+		return r.Uint64()
+	}
+	for i := 0; i < 10000; i++ {
+		check(word(), word(), word(), word())
 	}
 }
 

@@ -15,7 +15,9 @@
 # clear. benchmark/ is a module of its own, so tier-1's ./... never
 # compiles it: its vet + test stage runs in every mode, or drift in the
 # stream/tier API it drives is found only by the next benchmark run.
-# Every mode but -quick then builds the commands and runs three checks:
+# Every mode but -quick then runs the xrand and sensing tests again under
+# GOARCH=386, so the golden Φ constants hold on a second architecture,
+# builds the commands and runs three checks:
 # two doc-lints over README, DESIGN and the verify skill (every -flag a
 # fenced command line passes to csagg, csnode, csstreamd, csgen or
 # csbench is in that command's -h; every metric family they name is a
@@ -213,6 +215,12 @@ echo "== benchmark module: vet + test (not part of ./...) =="
 if [ "${1:-}" = -quick ]; then
 	exit 0
 fi
+
+echo "== second architecture: the Φ golden pins under GOARCH=386 =="
+# The golden constants in internal/xrand and internal/sensing were recorded
+# on amd64; on 386 math.Log is pure Go and bits.Mul64 no intrinsic, and the
+# bits must still agree. 386 test binaries run natively on amd64 Linux.
+GOARCH=386 go test -count=1 ./internal/xrand/ ./internal/sensing/
 
 tmp=$(mktemp -d)
 pids=""
