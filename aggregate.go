@@ -13,12 +13,11 @@ import (
 // representation (mode + outliers), so querying costs O(s·log s), not
 // O(N).
 type AggregateReport struct {
-	rec  *queries.Recovered
-	keys func(int) string
+	rec *queries.Recovered
 }
 
 // Aggregate recovers the global aggregate once and returns a report
-// that can answer sum/mean/percentile/top-k queries. maxIters bounds
+// that can answer sum/mean/percentile queries. maxIters bounds
 // the recovery effort (0 = min(M, N+1): recover everything the sketch
 // supports); for a known outlier budget s, 2s..5s iterations suffice
 // (paper §5).
@@ -45,7 +44,7 @@ func (s *Sketcher) Aggregate(global Sketch, maxIters int) (*AggregateReport, err
 	if err := rec.Validate(); err != nil {
 		return nil, fmt.Errorf("csoutlier: internal recovery inconsistency: %w", err)
 	}
-	return &AggregateReport{rec: rec, keys: s.dict.Key}, nil
+	return &AggregateReport{rec: rec}, nil
 }
 
 // Mode returns the recovered concentration value b.
@@ -63,35 +62,3 @@ func (r *AggregateReport) Mean() float64 { return queries.Mean(r.rec) }
 func (r *AggregateReport) Percentile(q float64) (float64, error) {
 	return queries.Percentile(r.rec, q)
 }
-
-// Range returns recovered max − min.
-func (r *AggregateReport) Range() float64 { return queries.Range(r.rec) }
-
-// TopK returns the k keys with the largest recovered values. Entries
-// drawn from the mode block (keys indistinguishable at the mode) have
-// Key == "" — the sketch cannot name which of the N−s mode keys ranks
-// there, and any of them does.
-func (r *AggregateReport) TopK(k int) []Outlier {
-	return r.convert(queries.TopK(r.rec, k))
-}
-
-// BottomK returns the k keys with the smallest recovered values,
-// symmetric to TopK.
-func (r *AggregateReport) BottomK(k int) []Outlier {
-	return r.convert(queries.BottomK(r.rec, k))
-}
-
-func (r *AggregateReport) convert(es []queries.Entry) []Outlier {
-	out := make([]Outlier, len(es))
-	for i, e := range es {
-		o := Outlier{Value: e.Value}
-		if e.Index >= 0 {
-			o.Key = r.keys(e.Index)
-		}
-		out[i] = o
-	}
-	return out
-}
-
-// OutlierCount returns the number of recovered off-mode keys.
-func (r *AggregateReport) OutlierCount() int { return len(r.rec.Support) }

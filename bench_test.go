@@ -162,8 +162,10 @@ func BenchmarkConjecture2(b *testing.B) {
 		rep := theory.VerifyConjecture2(200, 5000, 0.01, []float64{0.1, 0.3}, 2)
 		if i == 0 {
 			holds := 1.0
-			if !rep.AllHold() {
-				holds = 0
+			for _, p := range rep.Points {
+				if !p.Holds {
+					holds = 0
+				}
 			}
 			b.ReportMetric(holds, "holds")
 		}

@@ -213,7 +213,7 @@ func (s *Sketcher) DetectCluster(ctx context.Context, addrs []string, k int, opt
 		return rep, fmt.Errorf("csoutlier: cluster collection failed: %w", err)
 	}
 
-	global, err := s.FromPayload(part.Sketch)
+	global, err := s.fromPayload(part.Sketch)
 	if err != nil {
 		return rep, err
 	}

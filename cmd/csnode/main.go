@@ -1,7 +1,7 @@
 // Command csnode serves one data node (one "data center") of the
 // distributed outlier-detection deployment: it loads a local data slice,
-// vectorizes it against a global key dictionary, and answers
-// sketch/sample/outlier requests from a csagg aggregator over TCP.
+// vectorizes it against a global key dictionary, and answers sketch
+// requests from a csagg aggregator over TCP.
 //
 // Usage (pre-aggregated key,value slice):
 //
@@ -314,8 +314,8 @@ func loadSlice(dict *keydict.Dictionary, path string) (linalg.Vector, error) {
 
 // loadRawLogs reads raw click logs (CSV with a header row, a "Score"
 // column, and arbitrary attribute columns), runs the paper's GROUP BY
-// aggregation through the public query front-end, and vectorizes the
-// result against the shared dictionary.
+// aggregation (query.go), and vectorizes the result against the shared
+// dictionary.
 func loadRawLogs(dict *keydict.Dictionary, path string, groupBy []string) (linalg.Vector, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -336,7 +336,7 @@ func loadRawLogs(dict *keydict.Dictionary, path string, groupBy []string) (linal
 	if scoreCol < 0 {
 		return nil, fmt.Errorf("%s: no Score column in header %v", path, header)
 	}
-	var recs []csoutlier.LogRecord
+	var recs []logRecord
 	for line := 2; ; line++ {
 		row, err := cr.Read()
 		if err == io.EOF {
@@ -355,10 +355,9 @@ func loadRawLogs(dict *keydict.Dictionary, path string, groupBy []string) (linal
 				attrs[h] = row[i]
 			}
 		}
-		recs = append(recs, csoutlier.LogRecord{Attrs: attrs, Score: score})
+		recs = append(recs, logRecord{attrs: attrs, score: score})
 	}
-	q := &csoutlier.OutlierQuery{K: 1, GroupBy: groupBy}
-	pairs, err := q.AggregateNode(recs)
+	pairs, err := aggregateNode(groupBy, recs)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -21,15 +21,17 @@
 //   - -shards N -shard-index I carves the dictionary into N contiguous
 //     key-range shards and serves shard I: the sketcher is derived for
 //     that shard's key slice with a per-shard seed, and the shard_*
-//     metric families advertise the partition. Sharded csnode pushers
-//     (-shards/-shard-index) route each key to its owner.
+//     metric families advertise the partition. A sharded csnode pusher
+//     (-shards N, with N comma-separated -push addresses in shard
+//     order) routes each key to its owner.
 //   - -relay-upstream ADDR turns the process into a regional relay:
 //     leaf pushes fold into the embedded aggregator exactly as in the
 //     flat daemon, and every -forward-every the folded window deltas
 //     are forwarded upward as single frames — exact by linearity, and
 //     exactly-once across the extra hop (with -snapshot, a relay
 //     restart replays its retained upward frames against the root's
-//     dedup books).
+//     dedup books; without it, a restarted relay announces a fresh
+//     upward epoch and its frames fold as new data).
 package main
 
 import (
@@ -79,7 +81,6 @@ func main() {
 
 		relayUpstream = flag.String("relay-upstream", "", "parent aggregator's push address; non-empty makes this process a regional relay")
 		relayID       = flag.String("relay-id", "", "relay identity in the parent's dedup books (required with -relay-upstream)")
-		relayLevel    = flag.Int("relay-level", 1, "tier level of this relay (leaves are 0, the root is highest)")
 		forwardEvery  = flag.Duration("forward-every", 30*time.Second, "how often a relay forwards its folded window deltas upward")
 	)
 	flag.Parse()
@@ -154,7 +155,6 @@ func main() {
 		relay = startRelay(sk, reg, opts, tier.RelayOptions{
 			ID:           *relayID,
 			Shard:        *shardIndex,
-			Level:        *relayLevel,
 			Upstream:     *relayUpstream,
 			SnapshotPath: *snapPath,
 		})

@@ -20,8 +20,9 @@
 //	s, _ := csoutlier.NewSketcher(keys, csoutlier.Config{M: 200, Seed: 42})
 //	y1, _ := s.SketchPairs(node1Pairs) // at node 1
 //	y2, _ := s.SketchPairs(node2Pairs) // at node 2
-//	global := y1.Clone()
-//	global.Add(y2)                     // at the aggregator
+//	global := s.ZeroSketch()
+//	global.Add(y1)                     // at the aggregator
+//	global.Add(y2)
 //	report, _ := s.Detect(global, 10)  // top-10 outliers + mode
 //
 // Sketches are plain []float64 payloads: ship them however you like, or
@@ -107,8 +108,8 @@ type Report struct {
 	Residual float64
 	// Selection is the recovery engine's internal selection order for
 	// this query (an opaque warm hint). A standing query should pass the
-	// previous generation's Selection as Warm in the next DetectQuery/
-	// DetectBatch call: recovery then fetches the columns it is about to
+	// previous generation's Selection as Warm in the next DetectBatch
+	// call: recovery then fetches the columns it is about to
 	// need in one pass instead of one at a time, at identical (bit-exact)
 	// output. Safe to pass stale or to drop.
 	Selection []int
@@ -127,15 +128,6 @@ type Sketch struct {
 	seed uint64
 	ens  Ensemble
 	d    int // CountSketch depth (0 for Gaussian)
-}
-
-// Clone returns an independent copy.
-func (s Sketch) Clone() Sketch {
-	y := make([]float64, len(s.Y))
-	copy(y, s.Y)
-	c := s
-	c.Y = y
-	return c
 }
 
 // compatible reports whether two sketches may be combined.
@@ -185,9 +177,9 @@ type Sketcher struct {
 	// standing query, or another query on the same data — finds.
 	gram *recovery.GramCache
 
-	// wsHeld and ws recycle recovery workspaces across Detect/Recover
-	// calls, so a standing query replaying BOMP on each refreshed sketch
-	// reuses all recovery scratch (QR factorization and correlation
+	// wsHeld and ws recycle recovery workspaces across Detect,
+	// DetectBatch and Aggregate calls, so a standing query replaying BOMP
+	// on each refreshed sketch reuses all recovery scratch (QR factorization and correlation
 	// buffers) instead of reallocating it per query.
 	// wsHeld is one strongly-held workspace in front of the pool: a pool
 	// is emptied by two GCs in a row, and a warmed Sketcher serving one
@@ -196,11 +188,11 @@ type Sketcher struct {
 	wsHeld atomic.Pointer[recovery.Workspace]
 	ws     sync.Pool
 
-	// colPool recycles M-length scratch vectors for column generation and
-	// sparse measurement across every Updater and WindowStore bound to
-	// this Sketcher. Generating a Φ column is O(M) PRNG work; doing it on
-	// a pooled buffer outside the ingest mutexes is what lets concurrent
-	// writers scale instead of serializing on the critical section.
+	// colPool recycles M-length scratch vectors for column generation
+	// across every Updater bound to this Sketcher. Generating a Φ column
+	// is O(M) PRNG work; doing it on a pooled buffer outside the
+	// Updater's mutex is what lets concurrent writers scale instead of
+	// serializing on the critical section.
 	colPool sync.Pool
 
 	// metrics, when installed by Instrument, observes every Detect call.
@@ -222,7 +214,7 @@ type detectMetrics struct {
 	gramMisses    *obs.Counter
 	correlateCols *obs.Counter
 
-	// Batch-engine metrics (DetectBatch / DetectQuery).
+	// Batch-engine metrics (DetectBatch).
 	batches      *obs.Counter
 	batchQueries *obs.Counter
 	batchWarm    *obs.Counter
@@ -249,7 +241,7 @@ type detectMetrics struct {
 //	recovery_correlate_columns_total  — dictionary columns × vectors correlated
 //	                                    with them: N per query, N per miss
 //
-// and the batch engine's (DetectBatch / DetectQuery):
+// and the batch engine's (DetectBatch):
 //
 //	recovery_batches_total         — batched recovery passes
 //	recovery_batch_queries_total   — queries served batched
@@ -371,28 +363,19 @@ func (s *Sketcher) ZeroSketch() Sketch { return s.emptySketch() }
 // pairs. Keys must come from the global key list; missing keys simply
 // contribute zero. This is the node-side operation (CS-Mapper).
 func (s *Sketcher) SketchPairs(pairs map[string]float64) (Sketch, error) {
-	idx, vals, err := s.vectorizePairs(pairs)
+	// The non-zero entries in canonical key order, so a batch sums in the
+	// same order whatever order the map iterates in. An unknown key or a
+	// non-finite value refuses the whole batch.
+	idx, vals, err := s.dict.SparseVectorize(pairs)
 	if err != nil {
+		return Sketch{}, err
+	}
+	if err := checkFinite(vals); err != nil {
 		return Sketch{}, err
 	}
 	out := s.emptySketch()
 	s.matrix.MeasureSparse(idx, vals, out.Y)
 	return out, nil
-}
-
-// vectorizePairs is a key→value batch as MeasureSparse takes it: the
-// non-zero entries in canonical key order, so a batch sums in the same
-// order whatever order the map iterates in. An unknown key or a
-// non-finite value refuses the whole batch.
-func (s *Sketcher) vectorizePairs(pairs map[string]float64) ([]int, []float64, error) {
-	idx, vals, err := s.dict.SparseVectorize(pairs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := checkFinite(vals); err != nil {
-		return nil, nil, err
-	}
-	return idx, vals, nil
 }
 
 // SketchVector compresses an already-vectorized slice (values in the
@@ -409,9 +392,9 @@ func (s *Sketcher) SketchVector(x []float64) (Sketch, error) {
 	return out, nil
 }
 
-// FromPayload reconstructs a Sketch around a raw payload received from
+// fromPayload reconstructs a Sketch around a raw payload received from
 // a node (length must be M).
-func (s *Sketcher) FromPayload(y []float64) (Sketch, error) {
+func (s *Sketcher) fromPayload(y []float64) (Sketch, error) {
 	if len(y) != s.spec.M {
 		return Sketch{}, fmt.Errorf("csoutlier: payload length %d, want M=%d", len(y), s.spec.M)
 	}
@@ -523,17 +506,6 @@ type BatchQuery struct {
 	Warm []int
 }
 
-// DetectQuery is Detect with a warm-start hint: a standing query passes
-// the previous generation's Report.Selection to amortize the recovery
-// work across generations. The report is bit-identical to Detect's.
-func (s *Sketcher) DetectQuery(global Sketch, k int, warm []int) (*Report, error) {
-	reps, err := s.DetectBatch([]BatchQuery{{Global: global, K: k, Warm: warm}})
-	if err != nil {
-		return nil, err
-	}
-	return reps[0], nil
-}
-
 // DetectBatch answers many outlier queries in one pass through the
 // batched recovery engine: every query's first correlation and every
 // Gram column a warm hint names that the cache lacks go through a single
@@ -595,26 +567,6 @@ func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 		m.observeGram(stats.GramStats)
 	}
 	return reports, nil
-}
-
-// Recover reconstructs the full (approximate) global aggregate from the
-// sketch: the mode everywhere except on the recovered support. maxIters
-// ≤ 0 uses min(M, N+1).
-func (s *Sketcher) Recover(global Sketch, maxIters int) (map[string]float64, float64, error) {
-	if err := global.compatible(s.sketchID()); err != nil {
-		return nil, 0, err
-	}
-	ws := s.workspace()
-	defer s.putWorkspace(ws)
-	res, err := ws.BOMP(s.matrix, global.Y, recovery.Options{MaxIterations: maxIters})
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make(map[string]float64, len(res.Support))
-	for _, j := range res.Support {
-		out[s.dict.Key(j)] = res.X[j]
-	}
-	return out, res.Mode, nil
 }
 
 // ExactOutliers answers the k-outlier query on uncompressed data — the

@@ -186,7 +186,8 @@ func TestAddSubRoundTrip(t *testing.T) {
 	s, _ := NewSketcher(keys, Config{M: 16, Seed: 3})
 	y1, _ := s.SketchPairs(map[string]float64{keys[0]: 5})
 	y2, _ := s.SketchPairs(map[string]float64{keys[1]: 9})
-	total := y1.Clone()
+	total := s.ZeroSketch()
+	copy(total.Y, y1.Y)
 	if err := total.Add(y2); err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +206,14 @@ func TestFromPayload(t *testing.T) {
 	s, _ := NewSketcher(keys, Config{M: 10, Seed: 4})
 	y, _ := s.SketchPairs(map[string]float64{keys[5]: 3})
 	wire := append([]float64(nil), y.Y...) // "received from the network"
-	back, err := s.FromPayload(wire)
+	back, err := s.fromPayload(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := back.Add(y); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.FromPayload(make([]float64, 9)); err == nil {
+	if _, err := s.fromPayload(make([]float64, 9)); err == nil {
 		t.Fatal("short payload accepted")
 	}
 }
@@ -339,23 +340,6 @@ func TestWorkspaceSurvivesGC(t *testing.T) {
 	runtime.GC()
 	if got := s.workspace(); got != held {
 		t.Fatal("the held workspace did not survive two GCs")
-	}
-}
-
-func TestRecover(t *testing.T) {
-	keys := testKeys(200)
-	s, _ := NewSketcher(keys, Config{M: 90, Seed: 5})
-	pairs := biasedPairs(keys, 500, map[int]float64{9: 2000, 99: -1500})
-	y, _ := s.SketchPairs(pairs)
-	rec, mode, err := s.Recover(y, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mode-500) > 1 {
-		t.Fatalf("mode = %v", mode)
-	}
-	if v, ok := rec[keys[9]]; !ok || math.Abs(v-2500) > 1 {
-		t.Fatalf("recovered %v for planted 2500", v)
 	}
 }
 

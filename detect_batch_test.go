@@ -119,8 +119,8 @@ func TestDetectBatchMatchesDetect(t *testing.T) {
 	}
 }
 
-// TestDetectQueryWarm checks the single-query warm entry point and its
-// validation.
+// TestDetectQueryWarm checks one warm BatchQuery against a cold Detect,
+// and DetectBatch's validation.
 func TestDetectQueryWarm(t *testing.T) {
 	keys := testKeys(200)
 	s, err := NewSketcher(keys, Config{M: 80, Seed: 3})
@@ -136,18 +136,18 @@ func TestDetectQueryWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := s.DetectQuery(sk, 2, cold.Selection)
+	warm, err := s.DetectBatch([]BatchQuery{{Global: sk, K: 2, Warm: cold.Selection}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reportsEqual(t, "warm", warm, cold)
+	reportsEqual(t, "warm", warm[0], cold)
 
-	if _, err := s.DetectQuery(sk, 0, nil); err == nil {
+	if _, err := s.DetectBatch([]BatchQuery{{Global: sk, K: 0}}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	bad := sk.Clone()
+	bad := sk
 	bad.seed++
-	if _, err := s.DetectQuery(bad, 2, nil); err == nil {
+	if _, err := s.DetectBatch([]BatchQuery{{Global: bad, K: 2}}); err == nil {
 		t.Fatal("incompatible sketch accepted")
 	}
 	if reps, err := s.DetectBatch(nil); err != nil || reps != nil {

@@ -70,9 +70,8 @@ func crossoverCount(m int) int { return (8*m - 1 + 8) / 9 }
 // TestDrainEncodedBitIdentical: on every ensemble and on both sides of
 // the size crossover, a window that folds what DrainEncoded returned
 // holds the bits it would hold had the parent commit's node observed,
-// drained, encoded and shipped a sketch; reads in between see those bits
-// too and leave the log alone; at and past the crossover the bytes
-// themselves are the parent's.
+// drained, encoded and shipped a sketch; at and past the crossover the
+// bytes themselves are the parent's.
 func TestDrainEncodedBitIdentical(t *testing.T) {
 	for name, sk := range drainEnsembles(t, 9) {
 		keys := sk.Keys()
@@ -87,18 +86,9 @@ func TestDrainEncodedBitIdentical(t *testing.T) {
 		into := sk.ZeroSketch()
 		for _, count := range []int{0, 1, cross - 1, cross, cross + 1, 4 * cross} {
 			obs := randomObservations(rng, len(keys), count)
-			for i, o := range obs {
+			for _, o := range obs {
 				if err := u.Observe(keys[o.idx], o.v); err != nil {
 					t.Fatal(err)
-				}
-				if i%5 == 2 {
-					want := observedSketch(sk, obs[:i+1])
-					if got := u.Sketch(); !bitsEqual(got.Y, want.Y) {
-						t.Fatalf("%s count %d: Sketch() after %d observations differs from the observed sketch", name, count, i+1)
-					}
-					if err := u.SketchInto(into); err != nil || !bitsEqual(into.Y, want.Y) {
-						t.Fatalf("%s count %d: SketchInto after %d observations: %v", name, count, i+1, err)
-					}
 				}
 			}
 			want := observedSketch(sk, obs)
@@ -161,30 +151,8 @@ func TestDrainEncodedBitIdentical(t *testing.T) {
 				t.Fatalf("%s count %d: DrainInto drained %d, %v, or differs from the observed sketch", name, count, n, err)
 			}
 		}
-		if u.Updates() != 0 || !bitsEqual(u.Sketch().Y, sk.ZeroSketch().Y) {
+		if n, err := u.DrainInto(into); err != nil || n != 0 || !bitsEqual(into.Y, sk.ZeroSketch().Y) {
 			t.Fatalf("%s: drained updater is not empty", name)
-		}
-
-		// ObserveBatch closes the log: its sum lands on what was observed
-		// singly before it, as it did when every observation was measured
-		// on arrival.
-		obs := randomObservations(rng, len(keys), 3)
-		batch := map[string]float64{keys[5]: 2.5, keys[40]: -0.125}
-		for _, o := range obs {
-			u.Observe(keys[o.idx], o.v)
-		}
-		if err := u.ObserveBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		want := observedSketch(sk, obs)
-		sum, _ := sk.SketchPairs(batch)
-		want.Add(sum)
-		payload, n, err := u.DrainEncoded(buf[:0])
-		if err != nil || n != 5 || PairsEncoded(payload) {
-			t.Fatalf("%s: drain after ObserveBatch: n=%d pairs=%v %v", name, n, PairsEncoded(payload), err)
-		}
-		if err := sk.UnmarshalSketchInto(payload, into); err != nil || !bitsEqual(into.Y, want.Y) {
-			t.Fatalf("%s: singles then a batch differ from the parent's sum: %v", name, err)
 		}
 	}
 }
@@ -265,12 +233,10 @@ func TestDrainEncodedBitIdenticalConcurrent(t *testing.T) {
 	if drain() {
 		t.Fatalf("%d concurrent observations drained as pairs, want a sketch", writers*cross)
 	}
-	// And with drains, reads and a reset-free Sketch racing the writers.
+	// And with drains and reads racing the writers.
 	burst(400, func() {
-		into := sk.ZeroSketch()
 		for i := 0; i < 200; i++ {
 			drain()
-			u.SketchInto(into)
 			u.Updates()
 		}
 	})

@@ -47,7 +47,7 @@ func ExampleSketch_MarshalBinary() {
 }
 
 // One recovery pass answers the related aggregation queries of the
-// paper's introduction: sum, mean, percentiles, top-k.
+// paper's introduction: sum, mean, percentiles.
 func ExampleSketcher_Aggregate() {
 	var keys []string
 	for i := 0; i < 100; i++ {
@@ -66,32 +66,10 @@ func ExampleSketcher_Aggregate() {
 		log.Fatal(err)
 	}
 	med, _ := rep.Percentile(0.5)
-	fmt.Printf("mode %.0f sum %.0f median %.0f top %s\n",
-		rep.Mode(), rep.Sum(), med, rep.TopK(1)[0].Key)
-	// Output: mode 10 sum 1500 median 10 top k42
-}
-
-// The paper's production query template, executed over raw log records.
-func ExampleRunOutlierQuery() {
-	node1 := []csoutlier.LogRecord{
-		{Attrs: map[string]string{"Market": "en-US", "Vertical": "web"}, Score: 500},
-		{Attrs: map[string]string{"Market": "ja-JP", "Vertical": "news"}, Score: 4000},
-	}
-	node2 := []csoutlier.LogRecord{
-		{Attrs: map[string]string{"Market": "en-US", "Vertical": "web"}, Score: -450},
-		{Attrs: map[string]string{"Market": "ja-JP", "Vertical": "news"}, Score: 5000},
-		{Attrs: map[string]string{"Market": "de-DE", "Vertical": "web"}, Score: 30},
-	}
-	res, err := csoutlier.RunOutlierQuery(&csoutlier.OutlierQuery{
-		K:       1,
-		GroupBy: []string{"Market", "Vertical"},
-		Seed:    5,
-	}, [][]csoutlier.LogRecord{node1, node2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s = %.0f\n", res.Report.Outliers[0].Key, res.Report.Outliers[0].Value)
-	// Output: ja-JP|news = 9000
+	hi, _ := rep.Percentile(1)
+	fmt.Printf("mode %.0f sum %.0f median %.0f max %.0f\n",
+		rep.Mode(), rep.Sum(), med, hi)
+	// Output: mode 10 sum 1500 median 10 max 510
 }
 
 // Standing sketches over a stream, with time windows.
@@ -103,9 +81,11 @@ func ExampleWindowStore() {
 	sk, _ := csoutlier.NewSketcher(keys, csoutlier.Config{M: 25, Seed: 9})
 	ws, _ := sk.NewWindowStore(3)
 
-	_ = ws.Observe("k07", 800) // hour 1
+	hour1, _ := sk.SketchPairs(map[string]float64{"k07": 800})
+	_ = ws.AddSketch(0, hour1)
 	ws.Rotate()
-	_ = ws.Observe("k07", 100) // hour 2
+	hour2, _ := sk.SketchPairs(map[string]float64{"k07": 100})
+	_ = ws.AddSketch(0, hour2)
 
 	lastTwoHours, _ := ws.Range(0, 1)
 	rep, _ := sk.Detect(lastTwoHours, 1)

@@ -122,11 +122,12 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRecoverFullBudgetTinyM runs recovery to exhaustion (maxIters ≤ 0:
-// up to M columns) on data too noisy to stop early, at an M so small
-// that the Gram cache holds exactly M columns — one run pins every slot.
-// The answer must be the throwaway-workspace one bit for bit, and again
-// when the run starts from the columns the first left behind.
+// TestRecoverFullBudgetTinyM runs Aggregate's recovery to exhaustion
+// (maxIters ≤ 0: up to M columns) on data too noisy to stop early, at an
+// M so small that the Gram cache holds exactly M columns — one run pins
+// every slot. The answer must be the throwaway-workspace one bit for
+// bit, and again when the run starts from the columns the first left
+// behind.
 func TestRecoverFullBudgetTinyM(t *testing.T) {
 	keys := testKeys(120)
 	for _, cfg := range []Config{{M: 16, Seed: 5}, {M: 20, Seed: 5, Ensemble: CountSketch}} {
@@ -150,24 +151,25 @@ func TestRecoverFullBudgetTinyM(t *testing.T) {
 			t.Fatalf("%v: the reference run stopped after %d of %d columns", cfg.Ensemble, want.Iterations, cfg.M)
 		}
 		for round := 0; round < 2; round++ {
-			values, mode, err := s.Recover(sk, 0)
+			rep, err := s.Aggregate(sk, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mode != want.Mode || len(values) != len(want.Support) {
-				t.Fatalf("%v round %d: mode %v over %d keys, want %v over %d", cfg.Ensemble, round, mode, len(values), want.Mode, len(want.Support))
+			rec := rep.rec
+			if rec.Mode != want.Mode || len(rec.Support) != len(want.Support) {
+				t.Fatalf("%v round %d: mode %v over %d keys, want %v over %d", cfg.Ensemble, round, rec.Mode, len(rec.Support), want.Mode, len(want.Support))
 			}
-			for _, j := range want.Support {
-				if values[s.dict.Key(j)] != want.X[j] {
-					t.Fatalf("%v round %d: %s = %v, want %v", cfg.Ensemble, round, s.dict.Key(j), values[s.dict.Key(j)], want.X[j])
+			for i, j := range rec.Support {
+				if rec.Values[i] != want.X[j] {
+					t.Fatalf("%v round %d: key %d = %v, want %v", cfg.Ensemble, round, j, rec.Values[i], want.X[j])
 				}
 			}
 		}
 	}
 }
 
-// TestDetectConcurrentSharedCache hammers one Sketcher's Detect,
-// DetectQuery and DetectBatch from several goroutines (run with -race):
+// TestDetectConcurrentSharedCache hammers one Sketcher's Detect and
+// DetectBatch (one warm query, two mixed) from several goroutines (run with -race):
 // they share one Gram cache, and every report must equal the one a
 // serial Detect on a Sketcher of its own gave.
 func TestDetectConcurrentSharedCache(t *testing.T) {
@@ -211,8 +213,7 @@ func TestDetectConcurrentSharedCache(t *testing.T) {
 							reps = make([]*Report, 1)
 							reps[0], err = s.Detect(sks[i], k)
 						case 1:
-							reps = make([]*Report, 1)
-							reps[0], err = s.DetectQuery(sks[i], k, wants[i].Selection)
+							reps, err = s.DetectBatch([]BatchQuery{{Global: sks[i], K: k, Warm: wants[i].Selection}})
 						default:
 							reps, err = s.DetectBatch([]BatchQuery{
 								{Global: sks[i], K: k, Warm: wants[next].Selection}, // a stale hint

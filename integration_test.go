@@ -71,7 +71,7 @@ func TestIntegrationAllSurfacesAgree(t *testing.T) {
 		}
 		t.Cleanup(func() { ln.Close() })
 		go cluster.Serve(ln, cluster.NewLocalNode(cl.Keys[0][:2]+string(rune('0'+dc)), cl.Slices[dc]))
-		rn, err := cluster.Dial(ln.Addr().String())
+		rn, err := cluster.DialContext(context.Background(), ln.Addr().String(), cluster.DialOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,11 @@ func TestIntegrationAllSurfacesAgree(t *testing.T) {
 				recs = append(recs, mapreduce.Record{Key: key, Value: v})
 			}
 		}
-		r.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+		shuffled := make([]mapreduce.Record, len(recs))
+		for i, j := range r.Perm(len(recs)) {
+			shuffled[i] = recs[j]
+		}
+		recs = shuffled
 		half := len(recs) / 2
 		splits = append(splits,
 			mapreduce.Split{Records: recs[:half], Bytes: int64(half) * 32},

@@ -37,7 +37,7 @@ func TestAllExact(t *testing.T) {
 	if !res.HasMode || res.Mode != 1800 {
 		t.Fatalf("mode = %v %v", res.Mode, res.HasMode)
 	}
-	truth := outlier.TrueOutliers(global, 1800, k)
+	truth := outlier.TopK(global, 1800, k)
 	if ek := outlier.ErrorOnKey(truth, res.Outliers); ek != 0 {
 		t.Fatalf("ALL must be exact, EK = %v", ek)
 	}
@@ -94,7 +94,7 @@ func TestKDeltaWorseThanExactOnSkewedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := outlier.TrueOutliers(global, 1800, k)
+	truth := outlier.TopK(global, 1800, k)
 	if ek := outlier.ErrorOnKey(truth, res.Outliers); ek == 0 {
 		t.Skip("K+δ got lucky on this seed; skew not strong enough")
 	}

@@ -34,16 +34,15 @@ type ChaosServer struct {
 	done  chan struct{} // closed on Stop; releases hung responses
 }
 
-// Behavior selects how a ChaosServer treats sketch requests.
+// Behavior selects how a ChaosServer treats sketch requests. The zero
+// Behavior answers normally.
 type Behavior int32
 
 // The failure modes a chaos node can exhibit on sketch requests.
 const (
-	// BehaveOK answers normally.
-	BehaveOK Behavior = iota
 	// BehaveHang never answers and holds the connection open — a wedged
 	// process or a black-holed network path.
-	BehaveHang
+	BehaveHang Behavior = iota + 1
 	// BehaveGarbage writes bytes that are not a protocol frame and closes
 	// — a byzantine or version-skewed peer.
 	BehaveGarbage
@@ -66,8 +65,7 @@ func StartChaos(node NodeAPI) (*ChaosServer, error) {
 	return s, nil
 }
 
-// Addr returns the server's dialable address. It is stable across
-// Stop/Restart cycles.
+// Addr returns the server's dialable address.
 func (s *ChaosServer) Addr() string { return s.addr }
 
 // SetBehavior switches the sketch-request failure mode.
@@ -170,14 +168,4 @@ func (s *ChaosServer) Stop() {
 		c.Close()
 	}
 	s.conns = make(map[net.Conn]struct{})
-}
-
-// Restart re-listens on the same address, as a rebooted node would.
-func (s *ChaosServer) Restart() error {
-	ln, err := net.Listen("tcp", s.addr)
-	if err != nil {
-		return fmt.Errorf("cluster: chaos restart: %w", err)
-	}
-	s.run(ln)
-	return nil
 }

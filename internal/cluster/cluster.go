@@ -30,9 +30,8 @@ import (
 // Wire sizes from the paper's cost model (§6.1.2): a vectorized value or
 // a measurement is 64 bits, a keyid–value tuple is 96 bits.
 const (
-	BytesPerValue       = 8
-	BytesPerTuple       = 12
-	BytesPerMeasurement = 8
+	BytesPerValue = 8
+	BytesPerTuple = 12
 )
 
 // NodeAPI is the query surface a remote node exposes to the aggregator.
@@ -181,18 +180,6 @@ type CommStats struct {
 	Attempts int   // sketch RPCs attempted, including retries
 	Retries  int   // attempts beyond each node's first
 	Timeouts int   // attempts that died on a deadline
-}
-
-// Add accumulates other into s.
-func (s *CommStats) Add(other CommStats) {
-	s.Bytes += other.Bytes
-	s.Messages += other.Messages
-	if other.Rounds > s.Rounds {
-		s.Rounds = other.Rounds
-	}
-	s.Attempts += other.Attempts
-	s.Retries += other.Retries
-	s.Timeouts += other.Timeouts
 }
 
 // DetectResult is the aggregator's answer to a k-outlier query.

@@ -73,7 +73,7 @@ func TestDetectEndToEnd(t *testing.T) {
 	if math.Abs(res.Mode-mode) > 1 {
 		t.Fatalf("mode = %v, want %v", res.Mode, mode)
 	}
-	truth := outlier.TrueOutliers(global, mode, k)
+	truth := outlier.TopK(global, mode, k)
 	if ek := outlier.ErrorOnKey(truth, res.Outliers); ek != 0 {
 		t.Fatalf("EK = %v with M=%d", ek, p.M)
 	}
@@ -153,7 +153,7 @@ func TestNodeRemovalBySketchSubtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sensing.SubSketch(all.Sketch, leaving)
+	all.Sketch.AddScaled(-1, leaving)
 	remaining, err := CollectSketches(ctx, nodes[:3], sensing.GaussianSpec(p), CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func startServer(t *testing.T, node NodeAPI) string {
 func TestTCPTransportAllMethods(t *testing.T) {
 	x := linalg.Vector{5, 5, 100, 5, -60}
 	addr := startServer(t, NewLocalNode("dc-tokyo", x))
-	rn, err := Dial(addr)
+	rn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestTCPDetectEndToEnd(t *testing.T) {
 	remotes := make([]NodeAPI, len(nodes))
 	for i, nd := range nodes {
 		addr := startServer(t, nd)
-		rn, err := Dial(addr)
+		rn, err := dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,23 +234,15 @@ func TestTCPDetectEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := outlier.TrueOutliers(global, 1800, k)
+	truth := outlier.TopK(global, 1800, k)
 	if ek := outlier.ErrorOnKey(truth, res.Outliers); ek != 0 {
 		t.Fatalf("EK over TCP = %v", ek)
 	}
 }
 
 func TestDialRefused(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := dial("127.0.0.1:1"); err == nil {
 		t.Fatal("dial to closed port succeeded")
-	}
-}
-
-func TestCommStatsAdd(t *testing.T) {
-	a := CommStats{Bytes: 10, Messages: 1, Rounds: 1}
-	a.Add(CommStats{Bytes: 5, Messages: 2, Rounds: 3})
-	if a.Bytes != 15 || a.Messages != 3 || a.Rounds != 3 {
-		t.Fatalf("Add = %+v", a)
 	}
 }
 

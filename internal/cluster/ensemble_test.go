@@ -22,14 +22,14 @@ func TestDetectAcrossEnsemblesOverTCP(t *testing.T) {
 	remotes := make([]NodeAPI, len(nodes))
 	for i, nd := range nodes {
 		addr := startServer(t, nd)
-		rn, err := Dial(addr)
+		rn, err := dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { rn.Close() })
 		remotes[i] = rn
 	}
-	truth := outlier.TrueOutliers(global, mode, k)
+	truth := outlier.TopK(global, mode, k)
 	for _, spec := range []sensing.Spec{
 		{Params: sensing.Params{M: 110, N: n, Seed: 32}, Kind: sensing.KindGaussian},
 		{Params: sensing.Params{M: 160, N: n, Seed: 33}, Kind: sensing.KindCountSketch},

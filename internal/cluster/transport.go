@@ -277,12 +277,8 @@ type RemoteNode struct {
 	totalRTT time.Duration
 }
 
-// Dial connects to a node served at addr and fetches its ID.
-func Dial(addr string) (*RemoteNode, error) {
-	return DialContext(context.Background(), addr, DialOptions{})
-}
-
-// DialContext is Dial with a context and explicit transport options.
+// DialContext connects to a node served at addr, with the given
+// transport options, and fetches its ID.
 func DialContext(ctx context.Context, addr string, opts DialOptions) (*RemoteNode, error) {
 	r := &RemoteNode{addr: addr, opts: opts.withDefaults()}
 	r.rng = xrand.New(backoffSeed(r.opts.BackoffSeed, addr))
@@ -294,9 +290,6 @@ func DialContext(ctx context.Context, addr string, opts DialOptions) (*RemoteNod
 	r.name = resp.Name
 	return r, nil
 }
-
-// Addr returns the address the node was dialed at.
-func (r *RemoteNode) Addr() string { return r.addr }
 
 // Health returns a snapshot of the node's transport counters.
 func (r *RemoteNode) Health() NodeHealth {

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -145,7 +147,7 @@ func TestGarbageResponsePoisonsConnection(t *testing.T) {
 	}
 	// The stream desynced, but the node recovers: once it behaves, the
 	// poisoned connection is replaced and requests succeed again.
-	s.SetBehavior(BehaveOK)
+	s.SetBehavior(behaveOK)
 	if _, err := rn.Sketch(context.Background(), testSpec); err != nil {
 		t.Fatalf("sketch after garbage recovery: %v", err)
 	}
@@ -314,4 +316,22 @@ func TestQuorumCollectionWithHungAndCrashedNodes(t *testing.T) {
 		s.Stop()
 	}
 	assertNoGoroutineLeak(t, baseline)
+}
+
+// behaveOK is the zero Behavior: a chaos node that answers normally.
+const behaveOK Behavior = 0
+
+// Restart re-listens on s's address after Stop, as a rebooted node would.
+func (s *ChaosServer) Restart() error {
+	ln, err := net.Listen("tcp", s.addr)
+	if err != nil {
+		return fmt.Errorf("cluster: chaos restart: %w", err)
+	}
+	s.run(ln)
+	return nil
+}
+
+// dial connects to a node at addr with the default transport options.
+func dial(addr string) (*RemoteNode, error) {
+	return DialContext(context.Background(), addr, DialOptions{})
 }

@@ -25,7 +25,7 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 	junk.Close()
 
 	// A well-formed client must still be served afterwards.
-	rn, err := Dial(addr)
+	rn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRemoteNodeConcurrentCalls(t *testing.T) {
 	}
 	node := NewLocalNode("x", x)
 	addr := startServer(t, node)
-	rn, err := Dial(addr)
+	rn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

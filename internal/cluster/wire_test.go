@@ -123,7 +123,7 @@ func TestPullWireRoundTrip(t *testing.T) {
 func TestSketchExchangeWireBytes(t *testing.T) {
 	spec := sensing.GaussianSpec(sensing.Params{M: 320, N: 2000, Seed: 1})
 	node := NewLocalNode("dc", make(linalg.Vector, spec.N))
-	rn, err := Dial(startServer(t, node))
+	rn, err := dial(startServer(t, node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestMalformedRequestsCloseConnection(t *testing.T) {
 			t.Fatalf("invalid spec, round %d: %+v, %v", i, resp, err)
 		}
 	}
-	rn, err := Dial(addr)
+	rn, err := dial(addr)
 	if err != nil {
 		t.Fatalf("dial after the malformed peers: %v", err)
 	}
@@ -318,7 +318,7 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 // before the round-trip, and the connection stays usable.
 func TestClientRefusesUnsendableRequests(t *testing.T) {
 	node := NewLocalNode("dc", make(linalg.Vector, 8))
-	rn, err := Dial(startServer(t, node))
+	rn, err := dial(startServer(t, node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestRemoteSketchExchangeAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pinning runs without -race")
 	}
 	spec := sensing.GaussianSpec(sensing.Params{M: 320, N: 2000, Seed: 1})
-	rn, err := Dial(startServer(t, NewLocalNode("dc", make(linalg.Vector, spec.N))))
+	rn, err := dial(startServer(t, NewLocalNode("dc", make(linalg.Vector, spec.N))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,6 +204,3 @@ func (r *Cursor) Str() []byte {
 	}
 	return r.Take(int(n))
 }
-
-// F64 reads an f64.
-func (r *Cursor) F64() float64 { return math.Float64frombits(r.U64()) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 	"testing/iotest"
 )
@@ -52,7 +53,7 @@ func TestReaderLimitsAndEOF(t *testing.T) {
 func TestCursorPoisons(t *testing.T) {
 	buf := AppendF64(AppendString([]byte{7, 1, 0}, "ab"), -2.5)
 	r := Cursor{B: buf}
-	if r.U8() != 7 || r.U16() != 1 || string(r.Str()) != "ab" || r.F64() != -2.5 || r.Err != nil || len(r.B) != 0 {
+	if r.U8() != 7 || r.U16() != 1 || string(r.Str()) != "ab" || math.Float64frombits(r.U64()) != -2.5 || r.Err != nil || len(r.B) != 0 {
 		t.Fatalf("cursor misread its own encoding: %+v", r)
 	}
 	if r.U8() != 0 || r.Err != ErrTruncated {

@@ -46,13 +46,6 @@ func (b *Builder) AddAll(keys []string) {
 	}
 }
 
-// Merge absorbs another builder's keys.
-func (b *Builder) Merge(other *Builder) {
-	for k := range other.seen {
-		b.seen[k] = true
-	}
-}
-
 // Len returns the number of distinct keys so far.
 func (b *Builder) Len() int { return len(b.seen) }
 

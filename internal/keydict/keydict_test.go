@@ -25,17 +25,6 @@ func TestBuilderFreezeCanonical(t *testing.T) {
 	}
 }
 
-func TestBuilderMerge(t *testing.T) {
-	b1 := NewBuilder()
-	b1.AddAll([]string{"a", "b"})
-	b2 := NewBuilder()
-	b2.AddAll([]string{"b", "c"})
-	b1.Merge(b2)
-	if b1.Len() != 3 {
-		t.Fatalf("merged Len = %d", b1.Len())
-	}
-}
-
 func TestIndexRoundTrip(t *testing.T) {
 	d := FromSorted([]string{"a", "b", "c"})
 	for i := 0; i < d.N(); i++ {

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-func TestFillSumClone(t *testing.T) {
-	v := NewVector(4).Fill(2.5)
-	if v.Sum() != 10 {
-		t.Fatalf("Sum = %v", v.Sum())
+func TestFillClone(t *testing.T) {
+	v := make(Vector, 4).Fill(2.5)
+	if !v.Equal(Vector{2.5, 2.5, 2.5, 2.5}, 0) {
+		t.Fatalf("Fill = %v", v)
 	}
 	c := v.Clone()
 	c[0] = -1
@@ -91,7 +91,7 @@ func TestIncrementalQRErrors(t *testing.T) {
 	if _, err := f.Append(Vector{1, 2}); err == nil {
 		t.Fatal("wrong-length column accepted")
 	}
-	if _, err := f.Solve(); err == nil {
+	if _, err := f.SolveInto(nil); err == nil {
 		t.Fatal("Solve before SetTarget accepted")
 	}
 	func() {
@@ -123,7 +123,7 @@ func TestIncrementalQRErrors(t *testing.T) {
 func TestIncrementalQREmptySolve(t *testing.T) {
 	f := NewIncrementalQR(3)
 	f.SetTarget(Vector{1, 2, 3})
-	z, err := f.Solve()
+	z, err := f.SolveInto(nil)
 	if err != nil || len(z) != 0 {
 		t.Fatalf("empty Solve = %v, %v", z, err)
 	}

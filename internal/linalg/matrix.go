@@ -25,19 +25,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
-// Col copies column j into dst (allocating when dst is nil or too short)
-// and returns it.
-func (m *Matrix) Col(j int, dst Vector) Vector {
-	if cap(dst) < m.Rows {
-		dst = make(Vector, m.Rows)
-	}
-	dst = dst[:m.Rows]
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = m.Data[i*m.Cols+j]
-	}
-	return dst
-}
-
 // Clone returns an independent copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)

@@ -45,12 +45,6 @@ func (f *IncrementalQR) Reset(m int) {
 	f.qty = f.qty[:0]
 }
 
-// K returns the number of columns appended so far.
-func (f *IncrementalQR) K() int { return f.k }
-
-// M returns the row dimension.
-func (f *IncrementalQR) M() int { return f.m }
-
 // slot returns the k-th column buffer resized to n, reusing retained
 // storage when possible. vecs is f.q or f.r; k ≤ len(vecs).
 func slot(vecs []Vector, k, n int) ([]Vector, Vector) {
@@ -113,7 +107,7 @@ func (f *IncrementalQR) Append(a Vector) (float64, error) {
 var ErrRankDeficient = fmt.Errorf("linalg: column is in span of existing basis (rank deficient)")
 
 // SetTarget fixes the right-hand side y for subsequent Residual and
-// Solve calls and primes the Qᵀy cache. The caller must not mutate y
+// SolveInto calls and primes the Qᵀy cache. The caller must not mutate y
 // afterwards.
 func (f *IncrementalQR) SetTarget(y Vector) {
 	if len(y) != f.m {
@@ -163,12 +157,10 @@ func (f *IncrementalQR) ResidualNorm() float64 {
 	return math.Sqrt(d)
 }
 
-// Solve returns the least-squares coefficients z minimizing ‖A·z − y‖₂
-// over the appended columns, by back-substituting R·z = Qᵀy.
-func (f *IncrementalQR) Solve() (Vector, error) { return f.SolveInto(nil) }
-
-// SolveInto is Solve writing into dst (allocated when nil or too small),
-// for callers that reuse the coefficient buffer across queries.
+// SolveInto returns the least-squares coefficients z minimizing
+// ‖A·z − y‖₂ over the appended columns, by back-substituting R·z = Qᵀy.
+// It writes into dst (allocated when nil or too small), for callers that
+// reuse the coefficient buffer across queries.
 func (f *IncrementalQR) SolveInto(dst Vector) (Vector, error) {
 	if f.y == nil {
 		return nil, fmt.Errorf("linalg: Solve before SetTarget")
@@ -192,26 +184,4 @@ func (f *IncrementalQR) SolveInto(dst Vector) (Vector, error) {
 		z[i] = s / diag
 	}
 	return z, nil
-}
-
-// Q returns the j-th orthonormal basis column (aliased, do not mutate).
-func (f *IncrementalQR) Q(j int) Vector { return f.q[j] }
-
-// OrthogonalityError returns max |<qᵢ,qⱼ>−δᵢⱼ| over all pairs — a direct
-// measure of the numerical health of the basis, used in tests and in the
-// ablation benches.
-func (f *IncrementalQR) OrthogonalityError() float64 {
-	worst := 0.0
-	for i := 0; i < f.k; i++ {
-		for j := i; j < f.k; j++ {
-			d := f.q[i].Dot(f.q[j])
-			if i == j {
-				d -= 1
-			}
-			if a := math.Abs(d); a > worst {
-				worst = a
-			}
-		}
-	}
-	return worst
 }

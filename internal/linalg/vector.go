@@ -19,9 +19,6 @@ import (
 // Vector is a dense column vector.
 type Vector []float64
 
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
 // Clone returns an independent copy of v.
 func (v Vector) Clone() Vector {
 	c := make(Vector, len(v))
@@ -76,15 +73,6 @@ func (v Vector) Norm2() float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Norm1 returns the sum of absolute values.
-func (v Vector) Norm1() float64 {
-	s := 0.0
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // NormInf returns the maximum absolute value (0 for an empty vector).
 func (v Vector) NormInf() float64 {
 	m := 0.0
@@ -94,15 +82,6 @@ func (v Vector) NormInf() float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of the entries.
-func (v Vector) Sum() float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s
 }
 
 // Scale multiplies every entry by a, in place, and returns v.
@@ -126,9 +105,6 @@ func (v Vector) AddScaled(a float64, w Vector) Vector {
 
 // Add performs v += w in place and returns v.
 func (v Vector) Add(w Vector) Vector { return v.AddScaled(1, w) }
-
-// Sub performs v -= w in place and returns v.
-func (v Vector) Sub(w Vector) Vector { return v.AddScaled(-1, w) }
 
 // Equal reports whether v and w agree within absolute tolerance tol.
 func (v Vector) Equal(w Vector, tol float64) bool {

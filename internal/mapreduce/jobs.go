@@ -110,25 +110,6 @@ func (j *TopKJob) Reduce(key string, values [][]byte, emit func(KV)) error {
 	return nil
 }
 
-// TopKFromOutput decodes reducer output and returns the k entries with
-// the largest |value| (the mode-0 outlier ranking the paper uses when
-// comparing against its own method).
-func TopKFromOutput(out []KV, k int) ([]outlier.KV, error) {
-	kvs := make([]outlier.KV, 0, len(out))
-	for _, kv := range out {
-		id, err := decodeKeyID(kv.Key)
-		if err != nil {
-			return nil, err
-		}
-		v, err := decodeFloat(kv.Value)
-		if err != nil {
-			return nil, err
-		}
-		kvs = append(kvs, outlier.KV{Index: int(id), Value: v})
-	}
-	return outlier.TopKOf(kvs, 0, k), nil
-}
-
 // sketchKey is the single intermediate key of the CS job: every mapper's
 // measurement lands on one reducer, which is exactly the paper's design
 // (the aggregator is a single node).

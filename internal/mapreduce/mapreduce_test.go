@@ -32,7 +32,11 @@ func buildWorkload(t testing.TB, scale float64, dcs, splitsPerDC int, seed uint6
 				recs = append(recs, Record{Key: key, Value: v})
 			}
 		}
-		r.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+		shuffled := make([]Record, len(recs))
+		for i, j := range r.Perm(len(recs)) {
+			shuffled[i] = recs[j]
+		}
+		recs = shuffled
 		per := (len(recs) + splitsPerDC - 1) / splitsPerDC
 		for off := 0; off < len(recs); off += per {
 			end := off + per
@@ -101,21 +105,6 @@ func TestTopKJobAggregatesCorrectly(t *testing.T) {
 		if math.Abs(got[i]-want) > 1e-6*math.Max(1, math.Abs(want)) {
 			t.Fatalf("key %d: reduced %v, want %v", i, got[i], want)
 		}
-	}
-}
-
-func TestTopKFromOutput(t *testing.T) {
-	out := []KV{
-		{Key: encodeKeyID(0), Value: encodeFloat(5)},
-		{Key: encodeKeyID(1), Value: encodeFloat(-50)},
-		{Key: encodeKeyID(2), Value: encodeFloat(30)},
-	}
-	top, err := TopKFromOutput(out, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 2 || top[0].Index != 1 || top[1].Index != 2 {
-		t.Fatalf("TopKFromOutput = %v (must rank by |value|)", top)
 	}
 }
 

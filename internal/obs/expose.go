@@ -89,7 +89,7 @@ func (f *family) write(w *bufio.Writer) error {
 	if f.help != "" {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	}
-	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
+	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind.String())
 
 	if f.kind == gaugeFuncKind {
 		fmt.Fprintf(w, "%s %s\n", f.name, formatValue(fn()))

@@ -160,10 +160,3 @@ func values(kvs []KV) []float64 {
 	}
 	return vs
 }
-
-// TrueOutliers computes the ground-truth k-outliers of a raw data vector
-// around an explicitly known mode — the reference answer every
-// experiment scores against.
-func TrueOutliers(x linalg.Vector, mode float64, k int) []KV {
-	return TopK(x, mode, k)
-}

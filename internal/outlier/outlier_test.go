@@ -156,22 +156,3 @@ func TestErrorOnValueOrderInsensitive(t *testing.T) {
 		t.Fatalf("order sensitivity: %v vs %v", a, b)
 	}
 }
-
-func TestTrueOutliersMatchesTopK(t *testing.T) {
-	r := xrand.New(2)
-	x := make(linalg.Vector, 100)
-	x.Fill(42)
-	for i := 0; i < 10; i++ {
-		x[r.Intn(100)] = 42 + float64(i+1)*7
-	}
-	a := TrueOutliers(x, 42, 5)
-	b := TopK(x, 42, 5)
-	if len(a) != len(b) {
-		t.Fatal("length mismatch")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("mismatch at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}

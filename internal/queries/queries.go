@@ -96,77 +96,3 @@ func Percentile(r *Recovered, q float64) (float64, error) {
 	}
 	return above[rank-1-len(below)-modeCount], nil
 }
-
-// Entry is a (position, value) pair in query answers.
-type Entry struct {
-	Index int
-	Value float64
-}
-
-// TopK returns the k largest values (ties broken toward lower index).
-// When the mode itself ranks among the top k, one representative
-// mode-entry with Index = −1 stands for the whole mode block.
-func TopK(r *Recovered, k int) []Entry {
-	return extremeK(r, k, func(a, b float64) bool { return a > b })
-}
-
-// BottomK returns the k smallest values, symmetric to TopK.
-func BottomK(r *Recovered, k int) []Entry {
-	return extremeK(r, k, func(a, b float64) bool { return a < b })
-}
-
-func extremeK(r *Recovered, k int, better func(a, b float64) bool) []Entry {
-	if k <= 0 {
-		return nil
-	}
-	if k > r.N {
-		k = r.N
-	}
-	cands := make([]Entry, 0, len(r.Values)+1)
-	for i, j := range r.Support {
-		cands = append(cands, Entry{Index: j, Value: r.Values[i]})
-	}
-	modeCount := r.N - len(r.Support)
-	if modeCount > 0 {
-		cands = append(cands, Entry{Index: -1, Value: r.Mode})
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].Value != cands[b].Value {
-			return better(cands[a].Value, cands[b].Value)
-		}
-		return cands[a].Index < cands[b].Index
-	})
-	out := make([]Entry, 0, k)
-	for _, c := range cands {
-		if len(out) == k {
-			break
-		}
-		if c.Index == -1 {
-			// The mode block holds modeCount copies; emit as many as fit.
-			for i := 0; i < modeCount && len(out) < k; i++ {
-				out = append(out, Entry{Index: -1, Value: r.Mode})
-			}
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-// Range returns the recovered max − min.
-func Range(r *Recovered) float64 {
-	max, min := r.Mode, r.Mode
-	if len(r.Support) == r.N {
-		// No mode block: extremes come from values only.
-		max, min = math.Inf(-1), math.Inf(1)
-	}
-	for _, v := range r.Values {
-		if v > max {
-			max = v
-		}
-		if v < min {
-			min = v
-		}
-	}
-	return max - min
-}

@@ -122,81 +122,3 @@ func TestPercentileProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTopKBottomK(t *testing.T) {
-	r := sample()
-	top := TopK(r, 3)
-	if len(top) != 3 || top[0].Value != 100 || top[1].Value != 7 || top[2].Value != 5 {
-		t.Fatalf("TopK = %v", top)
-	}
-	if top[0].Index != 2 || top[1].Index != 9 || top[2].Index != -1 {
-		t.Fatalf("TopK indices = %v", top)
-	}
-	bot := BottomK(r, 2)
-	if len(bot) != 2 || bot[0].Value != -50 || bot[1].Value != 5 {
-		t.Fatalf("BottomK = %v", bot)
-	}
-	if TopK(r, 0) != nil {
-		t.Fatal("k=0 must return nil")
-	}
-}
-
-func TestTopKModeBlockExpansion(t *testing.T) {
-	// k reaching deep into the mode block must emit repeated mode
-	// entries, not run dry.
-	r := &Recovered{N: 5, Mode: 10, Support: []int{0}, Values: []float64{99}}
-	top := TopK(r, 4)
-	if len(top) != 4 {
-		t.Fatalf("TopK len = %d", len(top))
-	}
-	for _, e := range top[1:] {
-		if e.Value != 10 || e.Index != -1 {
-			t.Fatalf("TopK = %v", top)
-		}
-	}
-	// k > N clamps.
-	if got := TopK(r, 99); len(got) != 5 {
-		t.Fatalf("clamp failed: %d", len(got))
-	}
-}
-
-func TestTopKBruteForceProperty(t *testing.T) {
-	check := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		n := 3 + rng.Intn(30)
-		s := rng.Intn(n + 1)
-		r := &Recovered{N: n, Mode: float64(rng.Intn(20))}
-		perm := rng.Perm(n)
-		for i := 0; i < s; i++ {
-			r.Support = append(r.Support, perm[i])
-			r.Values = append(r.Values, float64(rng.Intn(100)-50))
-		}
-		k := 1 + rng.Intn(n)
-		x := materialize(r)
-		sort.Sort(sort.Reverse(sort.Float64Slice(x)))
-		top := TopK(r, k)
-		if len(top) != k {
-			return false
-		}
-		for i := 0; i < k; i++ {
-			if top[i].Value != x[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRange(t *testing.T) {
-	if got := Range(sample()); got != 150 {
-		t.Fatalf("Range = %v", got)
-	}
-	// All entries on support: mode must not leak into extremes.
-	r := &Recovered{N: 2, Mode: 1e9, Support: []int{0, 1}, Values: []float64{3, 10}}
-	if got := Range(r); got != 7 {
-		t.Fatalf("full-support Range = %v", got)
-	}
-}

@@ -79,7 +79,7 @@ loop:
 		res.Selection = selected
 	}
 	if len(selected) > 0 {
-		z, err := qr.Solve()
+		z, err := qr.SolveInto(nil)
 		if err != nil {
 			return nil, err
 		}

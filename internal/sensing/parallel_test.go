@@ -223,7 +223,10 @@ func TestDenseColumnMajorMatchesRowMajor(t *testing.T) {
 				for k, j := range []int{p.N - 1, 0, p.N / 2, 0} {
 					v := float64(k) - 1.5
 					d.AddCol(j, v, got)
-					want.AddScaled(v, ref.Col(j, col))
+					for i := range col {
+						col[i] = ref.At(i, j)
+					}
+					want.AddScaled(v, col)
 				}
 				bitsEqual(t, "AddCol", got, want)
 			})

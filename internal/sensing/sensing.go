@@ -596,16 +596,6 @@ func AddSketch(dst, src linalg.Vector) {
 	dst.Add(src)
 }
 
-// SubSketch removes src from dst (dst -= src): the node-removal path —
-// dropping a data center from the aggregation subtracts its sketch,
-// again in O(M), no recomputation anywhere (paper §1 challenge 3).
-func SubSketch(dst, src linalg.Vector) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("sensing: sketch length mismatch %d vs %d", len(dst), len(src)))
-	}
-	dst.Sub(src)
-}
-
 // SketchBytes returns the wire size of a sketch: M measurements at
 // 64 bits each (S_M in the paper's cost accounting, §6.1.2).
 func SketchBytes(m int) int64 { return int64(m) * 8 }

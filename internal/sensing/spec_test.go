@@ -113,19 +113,12 @@ func TestMeasurePanicsOnBadLength(t *testing.T) {
 func TestSketchArithmeticPanicsOnMismatch(t *testing.T) {
 	a := make(linalg.Vector, 3)
 	b := make(linalg.Vector, 4)
-	for _, f := range []func(){
-		func() { AddSketch(a, b) },
-		func() { SubSketch(a, b) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("sketch length mismatch accepted")
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("sketch length mismatch accepted")
+		}
+	}()
+	AddSketch(a, b)
 }
 
 // TestRetiredKindRefused: wire numbers 1 and 2 and the names "sparse"

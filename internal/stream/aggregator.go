@@ -93,10 +93,10 @@ const (
 	// StateLeft: the node announced a graceful leave (bye). Its dedup
 	// book is tombstoned: late retries still dedup, never refold.
 	StateLeft = "left"
-	// StateEvicted: the node went silent past the liveness deadline and
+	// stateEvicted: the node went silent past the liveness deadline and
 	// was retired by the aggregator. Same tombstone semantics as a
 	// leave; a same-epoch reappearance resurrects the state intact.
-	StateEvicted = "evicted"
+	stateEvicted = "evicted"
 )
 
 // NodeStatus is the aggregator's liveness/lag view of one streaming
@@ -104,7 +104,7 @@ const (
 // cluster.NodeHealth.
 type NodeStatus struct {
 	Node       string
-	State      string    // StateLive, StateLeft or StateEvicted
+	State      string    // StateLive, StateLeft or "evicted"
 	Epoch      uint64    // latest announced incarnation
 	LastSeen   time.Time // last frame (hello or delta) from the node
 	LastWindow uint64    // window tag of the node's latest applied delta

@@ -305,7 +305,11 @@ func benchDelta(b *testing.B, sk *csoutlier.Sketcher) []byte {
 			b.Fatal(err)
 		}
 	}
-	payload, err := u.Sketch().MarshalBinary()
+	d := sk.ZeroSketch()
+	if _, err := u.DrainInto(d); err != nil {
+		b.Fatal(err)
+	}
+	payload, err := d.MarshalBinary()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func DialClient(ctx context.Context, addr string, timeout time.Duration) (*Clien
 		return nil, fmt.Errorf("stream: dial %s: %w", addr, err)
 	}
 	c := &Client{conn: conn, timeout: timeout}
-	c.fr = frame.Reader{R: conn, Limits: replyLimits[:], Buf: make([]byte, FrameOverhead+maxAckBody)} // any ack in one Read
+	c.fr = frame.Reader{R: conn, Limits: replyLimits[:], Buf: make([]byte, frame.Overhead+maxAckBody)} // any ack in one Read
 	return c, nil
 }
 
@@ -56,17 +56,17 @@ func (c *Client) PushDelta(node string, epoch, window, seq uint64, folds uint32,
 	})
 }
 
-// Bye announces a graceful leave for (node, epoch). The aggregator
+// bye announces a graceful leave for (node, epoch). The aggregator
 // retires the membership; the ack carries the final window view.
-func (c *Client) Bye(node string, epoch uint64) (Ack, error) {
+func (c *Client) bye(node string, epoch uint64) (Ack, error) {
 	return c.exchange(&pushRequest{Kind: pushBye, Node: node, Epoch: epoch})
 }
 
 // exchange writes req as one frame with one Write and reads the ack
 // under the deadline; the reader refuses any other reply kind.
 func (c *Client) exchange(req *pushRequest) (Ack, error) {
-	if len(req.Node) > MaxNodeLen {
-		return Ack{}, fmt.Errorf("stream: node name is %d bytes, the wire carries at most %d", len(req.Node), MaxNodeLen)
+	if len(req.Node) > maxNodeLen {
+		return Ack{}, fmt.Errorf("stream: node name is %d bytes, the wire carries at most %d", len(req.Node), maxNodeLen)
 	}
 	c.wbuf = appendRequest(c.wbuf, req)
 	if c.timeout > 0 {

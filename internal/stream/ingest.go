@@ -76,7 +76,7 @@ func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 		m.rejected.Inc()
 	case ack.Status == StatusDuplicate:
 		m.duplicates.Inc()
-	case ack.Status == StatusDroppedOld:
+	case ack.Status == statusDroppedOld:
 		m.dropped.Inc()
 	default:
 		m.applied.Inc()
@@ -146,7 +146,7 @@ func (a *Aggregator) applyFrame(req pushRequest, delta csoutlier.Sketch, decodeE
 		// Too old to represent. Acknowledge and mark it so the node moves
 		// on — re-sending can never succeed.
 		mark(req.Seq)
-		ack.Status = StatusDroppedOld
+		ack.Status = statusDroppedOld
 		ns.status.Dropped++
 		return ackStable()
 	}
@@ -176,6 +176,6 @@ func (a *Aggregator) applyFrame(req pushRequest, delta csoutlier.Sketch, decodeE
 	}
 	in.gen.Add(1) // new data: recovery and point-state caches are now stale
 	ack.Applied = true
-	ack.Status = StatusApplied
+	ack.Status = statusApplied
 	return ackStable()
 }

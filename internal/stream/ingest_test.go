@@ -90,10 +90,14 @@ func TestConcurrentIngestConservation(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				payloads[0], _ = u.Sketch().MarshalBinary()
 				if payloads[1], _, _ = u.DrainEncoded(nil); !csoutlier.PairsEncoded(payloads[1]) {
 					t.Fatal("eight observations did not drain as pairs")
 				}
+				measured, err := sk.UnmarshalSketch(payloads[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				payloads[0], _ = measured.MarshalBinary()
 			}
 			unit, err := csoutlier.DecodeSketch(payloads[0])
 			if err != nil {
@@ -354,7 +358,7 @@ func TestDecodeBeforeLockKeepsAckOrder(t *testing.T) {
 			err    string // want in Err
 		}{
 			{"duplicate seq", 2, 3, 1, StatusDuplicate, ""},
-			{"too-old window", 2, 1, seq, StatusDroppedOld, ""},
+			{"too-old window", 2, 1, seq, statusDroppedOld, ""},
 			{"future window", 2, 4, seq + 1, "", "is ahead of"},
 			{"seq 0", 2, 3, 0, "", "number from seq 1"},
 			{"stale epoch", 1, 3, seq + 1, "", "is stale"},

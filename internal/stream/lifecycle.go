@@ -116,7 +116,7 @@ func (a *Aggregator) handle(conn net.Conn) {
 		l.connMu.Unlock()
 		conn.Close()
 	}()
-	fr := frame.Reader{R: conn, Limits: a.limits[:], Buf: make([]byte, FrameOverhead+a.limits[pushDelta])}
+	fr := frame.Reader{R: conn, Limits: a.limits[:], Buf: make([]byte, frame.Overhead+a.limits[pushDelta])}
 	var (
 		req   pushRequest
 		wbuf  []byte

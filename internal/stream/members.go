@@ -83,7 +83,7 @@ func (ms *members) admit(node string, epoch uint64) (*nodeState, error) {
 }
 
 // retire moves a live node into the tombstone set as StateLeft or
-// StateEvicted. The whole record survives — tombstones are what keep
+// stateEvicted. The whole record survives — tombstones are what keep
 // exactly-once exact across membership churn.
 func (ms *members) retire(ns *nodeState, state string) {
 	delete(ms.nodes, ns.status.Node)
@@ -94,7 +94,7 @@ func (ms *members) retire(ns *nodeState, state string) {
 		ms.tombFIFO = ms.tombFIFO[1:]
 	}
 	ms.version++
-	if state == StateEvicted {
+	if state == stateEvicted {
 		ms.m.evictions.Inc()
 	} else {
 		ms.m.leaves.Inc()
@@ -114,7 +114,7 @@ func (a *Aggregator) hello(req pushRequest) Ack {
 	in := &a.in
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	ack := Ack{Window: in.window, Status: StatusHello, AggEpoch: in.epoch}
+	ack := Ack{Window: in.window, Status: statusHello, AggEpoch: in.epoch}
 	ns, err := in.members.admit(req.Node, req.Epoch)
 	if err != nil {
 		ack.Err = err.Error()
@@ -132,7 +132,7 @@ func (a *Aggregator) bye(req pushRequest) Ack {
 	in := &a.in
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	ack := Ack{Window: in.window, Status: StatusBye, AggEpoch: in.epoch}
+	ack := Ack{Window: in.window, Status: statusBye, AggEpoch: in.epoch}
 	ns, ok := in.members.nodes[req.Node]
 	if !ok {
 		// Unknown or already retired: a bye is idempotent.
@@ -159,16 +159,16 @@ func (a *Aggregator) EvictIdle(olderThan time.Duration) int {
 	evicted := 0
 	for _, ns := range ms.nodes {
 		if ns.status.LastSeen.Before(deadline) {
-			ms.retire(ns, StateEvicted) // deleting the ranged-over entry is allowed
+			ms.retire(ns, stateEvicted) // deleting the ranged-over entry is allowed
 			evicted++
 		}
 	}
 	return evicted
 }
 
-// MembershipVersion returns the membership configuration version —
+// membershipVersion returns the membership configuration version —
 // bumped on every join, leave and eviction.
-func (a *Aggregator) MembershipVersion() uint64 {
+func (a *Aggregator) membershipVersion() uint64 {
 	a.in.mu.Lock()
 	defer a.in.mu.Unlock()
 	return a.in.members.version
@@ -195,8 +195,8 @@ func (a *Aggregator) Nodes() []NodeStatus {
 	return out
 }
 
-// LiveNodes returns how many nodes are current members.
-func (a *Aggregator) LiveNodes() int {
+// liveNodes returns how many nodes are current members.
+func (a *Aggregator) liveNodes() int {
 	a.in.mu.Lock()
 	defer a.in.mu.Unlock()
 	return len(a.in.members.nodes)

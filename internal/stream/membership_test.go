@@ -47,8 +47,8 @@ func TestMembershipLeaveRejoin(t *testing.T) {
 		t.Fatalf("Leave: %v", err)
 	}
 
-	if got := agg.LiveNodes(); got != 0 {
-		t.Fatalf("LiveNodes after leave = %d, want 0", got)
+	if got := agg.liveNodes(); got != 0 {
+		t.Fatalf("liveNodes after leave = %d, want 0", got)
 	}
 	sts := agg.Nodes()
 	if len(sts) != 1 || sts[0].State != StateLeft {
@@ -148,13 +148,13 @@ func TestMembershipEvict(t *testing.T) {
 	if got := agg.EvictIdle(20 * time.Millisecond); got != 1 {
 		t.Fatalf("EvictIdle evicted %d nodes, want 1", got)
 	}
-	if got := agg.LiveNodes(); got != 1 {
-		t.Fatalf("LiveNodes after evict = %d, want 1", got)
+	if got := agg.liveNodes(); got != 1 {
+		t.Fatalf("liveNodes after evict = %d, want 1", got)
 	}
 	for _, st := range agg.Nodes() {
 		want := StateLive
 		if st.Node == "node00" {
-			want = StateEvicted
+			want = stateEvicted
 		}
 		if st.State != want {
 			t.Fatalf("node %s state %q, want %q", st.Node, st.State, want)
@@ -170,8 +170,8 @@ func TestMembershipEvict(t *testing.T) {
 	if err := quiet.Sync(ctx); err != nil {
 		t.Fatalf("Sync quiet after evict: %v", err)
 	}
-	if got := agg.LiveNodes(); got != 2 {
-		t.Fatalf("LiveNodes after resurrect = %d, want 2", got)
+	if got := agg.liveNodes(); got != 2 {
+		t.Fatalf("liveNodes after resurrect = %d, want 2", got)
 	}
 	c, err := DialClient(ctx, addr, 2*time.Second)
 	if err != nil {
@@ -206,7 +206,7 @@ func TestEvictLoop(t *testing.T) {
 	}
 	defer n.Abort()
 	deadline := time.Now().Add(5 * time.Second)
-	for agg.LiveNodes() != 0 {
+	for agg.liveNodes() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("background eviction never fired")
 		}
@@ -215,8 +215,8 @@ func TestEvictLoop(t *testing.T) {
 	if err := n.Sync(ctx); err != nil {
 		t.Fatalf("Sync after eviction: %v", err)
 	}
-	if got := agg.LiveNodes(); got != 1 {
-		t.Fatalf("LiveNodes after rejoin = %d, want 1", got)
+	if got := agg.liveNodes(); got != 1 {
+		t.Fatalf("liveNodes after rejoin = %d, want 1", got)
 	}
 }
 
@@ -237,10 +237,10 @@ func TestTombstoneEpochFencing(t *testing.T) {
 	if ack, err := c.PushDelta("node00", 2, 1, 1, 1, payload); err != nil || !ack.Applied {
 		t.Fatalf("seed frame: ack=%+v err=%v", ack, err)
 	}
-	if ack, err := c.Bye("node00", 2); err != nil || ack.Err != "" || ack.Status != StatusBye {
+	if ack, err := c.bye("node00", 2); err != nil || ack.Err != "" || ack.Status != statusBye {
 		t.Fatalf("bye: ack=%+v err=%v", ack, err)
 	}
-	if ack, err := c.Bye("node00", 2); err != nil || ack.Err != "" {
+	if ack, err := c.bye("node00", 2); err != nil || ack.Err != "" {
 		t.Fatalf("second bye not idempotent: ack=%+v err=%v", ack, err)
 	}
 	if ack, err := c.Hello("node00", 1); err != nil || ack.Err == "" {

@@ -144,10 +144,10 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		func() float64 { return float64(a.CurrentWindow()) })
 	reg.GaugeFunc("stream_nodes",
 		"live member nodes",
-		func() float64 { return float64(a.LiveNodes()) })
+		func() float64 { return float64(a.liveNodes()) })
 	reg.GaugeFunc("stream_membership_version",
 		"membership configuration version (bumped on join/leave/evict)",
-		func() float64 { return float64(a.MembershipVersion()) })
+		func() float64 { return float64(a.membershipVersion()) })
 	reg.GaugeFunc("stream_membership_tombstones",
 		"retired (left/evicted) node states held for dedup",
 		func() float64 {

@@ -19,7 +19,11 @@ func testDelta(t *testing.T, sk *csoutlier.Sketcher, key string, v float64) []by
 	if err := u.Observe(key, v); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := u.Sketch().MarshalBinary()
+	d := sk.ZeroSketch()
+	if _, err := u.DrainInto(d); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := d.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +318,7 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 	}
 	agg.Rotate()
 	agg.Rotate()
-	if ack := push(1, 2); ack.Status != StatusDroppedOld {
+	if ack := push(1, 2); ack.Status != statusDroppedOld {
 		t.Fatalf("dropped: %+v", ack)
 	}
 	if ack := push(3, 0); ack.Err == "" {

@@ -179,9 +179,6 @@ func Dial(ctx context.Context, addr string, sk *csoutlier.Sketcher, id string, o
 	return n, nil
 }
 
-// ID returns the node's identity.
-func (n *Node) ID() string { return n.snd.id }
-
 // Window returns the node's current window view.
 func (n *Node) Window() uint64 {
 	n.snd.mu.Lock()
@@ -204,12 +201,6 @@ func (n *Node) Stats() NodeStats {
 // pusher.
 func (n *Node) Observe(key string, delta float64) error {
 	return n.u.Observe(key, delta)
-}
-
-// ObserveBatch folds a batch of observations; all-or-nothing on unknown
-// keys.
-func (n *Node) ObserveBatch(pairs map[string]float64) error {
-	return n.u.ObserveBatch(pairs)
 }
 
 // capture drains the standing sketch into a new pending frame tagged
@@ -377,7 +368,7 @@ func (n *Node) Leave(ctx context.Context) error {
 	}
 	if err == nil {
 		var ack Ack
-		if ack, err = c.Bye(snd.id, n.opts.Epoch); err == nil && ack.Err != "" {
+		if ack, err = c.bye(snd.id, n.opts.Epoch); err == nil && ack.Err != "" {
 			err = fmt.Errorf("stream: node %s bye rejected: %s", snd.id, ack.Err)
 		}
 	}

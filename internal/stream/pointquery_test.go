@@ -60,9 +60,6 @@ func TestAggregatorPointQuery(t *testing.T) {
 		t.Fatalf("NewAggregator: %v", err)
 	}
 	defer agg.Close(context.Background())
-	if !agg.SupportsPointQuery() {
-		t.Fatal("count-sketch aggregator denies point-query support")
-	}
 
 	planted := map[int]float64{17: 5000, 99: -4000, 300: 3000}
 	pairs := make(map[string]float64, n)
@@ -166,11 +163,9 @@ func TestPointQueryNeedsCountSketch(t *testing.T) {
 		t.Fatalf("NewAggregator: %v", err)
 	}
 	defer agg.Close(context.Background())
-	if agg.SupportsPointQuery() {
-		t.Fatal("gaussian aggregator claims point-query support")
-	}
-	if _, err := agg.PointQuery(0, 0, "key000", 1); !errors.Is(err, csoutlier.ErrNoPointQuery) {
-		t.Fatalf("PointQuery err = %v, want ErrNoPointQuery", err)
+	_, want := sk.NewPointState()
+	if _, err := agg.PointQuery(0, 0, "key000", 1); want == nil || !errors.Is(err, want) {
+		t.Fatalf("PointQuery err = %v, want %v", err, want)
 	}
 	st := agg.Stats()
 	if st.PointQueries != 1 || st.PointRefreshes != 0 {

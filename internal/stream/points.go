@@ -37,10 +37,6 @@ type points struct {
 	tick  atomic.Uint64 // query counter for sampled latency timing
 }
 
-// SupportsPointQuery reports whether the aggregator's sketch backend
-// answers recovery-free point queries (i.e. PointQuery will work).
-func (a *Aggregator) SupportsPointQuery() bool { return a.sk.SupportsPointQuery() }
-
 // PointQuery answers a single-key outlier check over window ages
 // [fromAge, toAge] (0 = the open window) straight from the folded
 // ring: the key's aggregated value is estimated from the count-sketch
@@ -53,8 +49,8 @@ func (a *Aggregator) SupportsPointQuery() bool { return a.sk.SupportsPointQuery(
 // rotation changes the underlying data, so a warm query is O(depth):
 // a shared-lock acquire, one atomic generation check, and depth hashed
 // cell reads — zero allocations (see BenchmarkPointQuery). Requires
-// the CountSketch ensemble; other backends get csoutlier
-// .ErrNoPointQuery. Span top-k detection stays on Outliers — the two
+// the CountSketch ensemble; other backends get the error
+// csoutlier.Sketcher.NewPointState returns. Span top-k detection stays on Outliers — the two
 // paths serve the same ring and agree on the mode by construction.
 func (a *Aggregator) PointQuery(fromAge, toAge int, key string, threshold float64) (csoutlier.PointAnswer, error) {
 	keys, out := [1]string{key}, [1]csoutlier.PointAnswer{}

@@ -60,8 +60,8 @@ type Sender struct {
 // Retain, MaxPending (the free-list cap), the two timeouts and the
 // backoff triple.
 func NewSender(addr, id string, opts NodeOptions, adopt func(window uint64)) (*Sender, error) {
-	if id == "" || len(id) > MaxNodeLen {
-		return nil, fmt.Errorf("stream: node id must be 1 to %d bytes, got %d", MaxNodeLen, len(id))
+	if id == "" || len(id) > maxNodeLen {
+		return nil, fmt.Errorf("stream: node id must be 1 to %d bytes, got %d", maxNodeLen, len(id))
 	}
 	opts = opts.withDefaults()
 	seed := opts.BackoffSeed
@@ -204,7 +204,7 @@ func (s *Sender) settleLocked(f *Frame, ack Ack) {
 		s.stats.Applied++
 	case ack.Status == StatusDuplicate:
 		s.stats.Duplicates++
-	case ack.Status == StatusDroppedOld:
+	case ack.Status == statusDroppedOld:
 		s.stats.Dropped++
 	}
 	if ack.Err != "" || s.opts.Retain <= 0 || f.Seq <= ack.Stable {

@@ -148,7 +148,11 @@ func TestShedMergeInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, "22 captures merged in place", got, want.Sketch())
+	wantSk := sk.ZeroSketch()
+	if _, err := want.DrainInto(wantSk); err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "22 captures merged in place", got, wantSk)
 	if st := n.Stats(); st.Captured != 22 || st.Merged != 21 || st.PairFrames != 0 || tail.Folds != 22 {
 		t.Fatalf("stats %+v folds %d, want 22 captures, 21 merged, no pairs frame left", st, tail.Folds)
 	}

@@ -313,7 +313,7 @@ func encodeState(state string) (byte, error) {
 		return 0, nil
 	case StateLeft:
 		return 1, nil
-	case StateEvicted:
+	case stateEvicted:
 		return 2, nil
 	}
 	return 0, fmt.Errorf("stream: unknown node state %q", state)
@@ -326,7 +326,7 @@ func decodeState(b byte) (string, error) {
 	case 1:
 		return StateLeft, nil
 	case 2:
-		return StateEvicted, nil
+		return stateEvicted, nil
 	}
 	return "", fmt.Errorf("stream: unknown node state byte %d", b)
 }
@@ -455,9 +455,9 @@ func RestoreAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, snap *Sna
 		return nil, fmt.Errorf("stream: snapshot has %d windows for capacity %d", len(snap.Windows), snap.Capacity)
 	}
 	// Window IDs count from 1 and advance with every rotation, so a ring
-	// holding len(Windows) windows implies Window ≥ len(Windows); the
-	// rotation count Window-1 is what keeps WindowStore.Rotations()
-	// monotonic across the restore.
+	// holding len(Windows) windows implies Window ≥ len(Windows). The
+	// counter is exported as the int64 stream_window gauge, so one past
+	// MaxInt64 is refused too.
 	if snap.Window < uint64(len(snap.Windows)) || snap.Window > math.MaxInt64 {
 		return nil, fmt.Errorf("stream: snapshot window counter %d inconsistent with %d restored windows", snap.Window, len(snap.Windows))
 	}
@@ -476,7 +476,7 @@ func RestoreAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, snap *Sna
 	if err != nil {
 		return nil, err
 	}
-	err = a.in.ws.RestoreWindows(sketches, int64(snap.Window-1))
+	err = a.in.ws.RestoreWindows(sketches)
 	if err != nil {
 		err = fmt.Errorf("stream: snapshot restore: %w", err)
 	} else {

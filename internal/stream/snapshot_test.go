@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func randSnapshot(rng *xrand.RNG) *Snapshot {
 		}
 		s.Windows = append(s.Windows, b)
 	}
-	states := []string{StateLive, StateLeft, StateEvicted}
+	states := []string{StateLive, StateLeft, stateEvicted}
 	randNode := func(i int, tomb bool) SnapNode {
 		sn := SnapNode{NodeStatus: NodeStatus{
 			Node:  fmt.Sprintf("node%02d-%x", i, rng.Uint64()&0xffff),
@@ -241,9 +242,6 @@ func TestSnapshotRestoreExact(t *testing.T) {
 		}
 		sameBits(t, fmt.Sprintf("window age %d", age), got, want)
 	}
-	if got, want := restored.in.ws.Rotations(), agg.in.ws.Rotations(); got != want {
-		t.Fatalf("restored Rotations() = %d, want %d (monotonic across restore)", got, want)
-	}
 	// Restored live nodes carry a fresh LastSeen: the evict loop must
 	// grant them a full grace period to reconnect, not retire the whole
 	// membership on its first tick.
@@ -279,6 +277,54 @@ func TestSnapshotRestoreExact(t *testing.T) {
 	}
 	after, _ := restored.WindowSketch(1)
 	sameBits(t, "window after duplicate replay", after, before)
+}
+
+// TestRestoreRefusesWindowCounter feeds RestoreAggregator snapshots
+// whose window counter cannot describe their ring: one below the number
+// of windows held (window IDs count from 1 and advance once per
+// rotation) and one past MaxInt64. Both are refused before an
+// aggregator exists, so nothing is left running; the same snapshot with
+// its own counter restores.
+func TestRestoreRefusesWindowCounter(t *testing.T) {
+	sk := testSketcher(t, 128, 64, 7)
+	agg, err := NewAggregator(sk, AggregatorOptions{Windows: 4, Durable: true})
+	if err != nil {
+		t.Fatalf("NewAggregator: %v", err)
+	}
+	req := pushRequest{Kind: pushDelta, Node: "alpha", Epoch: 1, Window: 1, Seq: 1, Folds: 1, Payload: uniformDelta(t, sk, 1)}
+	if ack := agg.apply(req, new(csoutlier.Sketch)); ack.Err != "" || !ack.Applied {
+		t.Fatalf("apply: %+v", ack)
+	}
+	agg.Rotate()
+	agg.Rotate()
+	snap, err := agg.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if err := agg.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if snap.Window != 3 || len(snap.Windows) != 3 {
+		t.Fatalf("snapshot window %d with %d windows, want 3 and 3", snap.Window, len(snap.Windows))
+	}
+
+	before := runtime.NumGoroutine()
+	for _, w := range []uint64{2, math.MaxInt64 + 1} {
+		bad := *snap
+		bad.Window = w
+		if a, err := RestoreAggregator(sk, AggregatorOptions{}, &bad); err == nil {
+			a.Close(context.Background())
+			t.Errorf("window counter %d restored into a ring of %d windows", w, len(bad.Windows))
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("refused restores left %d goroutines running", after-before)
+	}
+	a, err := RestoreAggregator(sk, AggregatorOptions{}, snap)
+	if err != nil {
+		t.Fatalf("RestoreAggregator with the snapshot's own counter: %v", err)
+	}
+	a.Close(context.Background())
 }
 
 // TestDuplicateReplayAfterRestore is the Close-then-restore regression:

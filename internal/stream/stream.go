@@ -87,20 +87,20 @@ type pushRequest struct {
 
 // Statuses an Ack can carry for a processed delta.
 const (
-	// StatusApplied: the delta was folded into its window.
-	StatusApplied = "applied"
+	// statusApplied: the delta was folded into its window.
+	statusApplied = "applied"
 	// StatusDuplicate: this (epoch, seq) was already processed; the
 	// delta was ignored. The normal outcome of a retry whose original
 	// ack was lost.
 	StatusDuplicate = "duplicate"
-	// StatusDroppedOld: the delta's window has already been evicted from
+	// statusDroppedOld: the delta's window has already been evicted from
 	// the ring; the data is acknowledged (so the node moves on) but no
 	// longer representable.
-	StatusDroppedOld = "dropped-old"
-	// StatusHello: the ack answers a hello, not a delta.
-	StatusHello = "hello"
-	// StatusBye: the ack answers a graceful leave.
-	StatusBye = "bye"
+	statusDroppedOld = "dropped-old"
+	// statusHello: the ack answers a hello, not a delta.
+	statusHello = "hello"
+	// statusBye: the ack answers a graceful leave.
+	statusBye = "bye"
 )
 
 // Ack is the aggregator's reply to one push frame.
@@ -115,7 +115,8 @@ type Ack struct {
 	Window uint64
 	// Applied reports whether a delta was folded into a window.
 	Applied bool
-	// Status is one of the Status* constants.
+	// Status is "applied", StatusDuplicate, "dropped-old", "hello" or
+	// "bye".
 	Status string
 	// AggEpoch is the aggregator's incarnation number. It starts at 1 and
 	// is bumped on every snapshot restore; a node that sees it increase

@@ -185,7 +185,8 @@ func TestStreamEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RangeSketch: %v", err)
 	}
-	wantSpan := expected1.Clone()
+	wantSpan := sk.ZeroSketch()
+	copy(wantSpan.Y, expected1.Y)
 	if err := wantSpan.Add(expected2); err != nil {
 		t.Fatalf("span add: %v", err)
 	}
@@ -330,7 +331,7 @@ func TestStreamIdempotency(t *testing.T) {
 	// One more rotation pushes window 1 off the ring: a straggler is
 	// acknowledged as dropped (and marked, so its retry is a duplicate).
 	agg.Rotate()
-	if ack := push(1, 1, 6, deltas[5]); ack.Status != StatusDroppedOld || ack.Err != "" {
+	if ack := push(1, 1, 6, deltas[5]); ack.Status != statusDroppedOld || ack.Err != "" {
 		t.Fatalf("seq 6: %+v, want dropped-old", ack)
 	}
 	if ack := push(1, 1, 6, deltas[5]); ack.Status != StatusDuplicate {
@@ -500,7 +501,10 @@ func TestStreamBackgroundFlush(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RangeSketch: %v", err)
 	}
-	want := total.Sketch()
+	want := sk.ZeroSketch()
+	if _, err := total.DrainInto(want); err != nil {
+		t.Fatal(err)
+	}
 	for i := range span.Y {
 		if math.Abs(span.Y[i]-want.Y[i]) > 1e-9*math.Max(1, math.Abs(want.Y[i])) {
 			t.Fatalf("conservation violated at Y[%d]: ring sum %v, observed total %v", i, span.Y[i], want.Y[i])

@@ -40,16 +40,14 @@ import (
 // Frame-size accounting, exported for harnesses that budget bytes per
 // connection (internal/simtest's chaos proxies).
 const (
-	// FrameOverhead is the prelude in front of every frame body.
-	FrameOverhead = frame.Overhead
-	// MaxNodeLen bounds a node name on the wire.
-	MaxNodeLen = 256
+	// maxNodeLen bounds a node name on the wire.
+	maxNodeLen = 256
 	// MinDeltaOverhead and MaxDeltaOverhead bound what one delta exchange
 	// — the frame and its Err-free ack — puts on the wire on top of the
 	// node name and the delta payload. A hello or bye exchange fits in
 	// MaxDeltaOverhead plus the name.
-	MinDeltaOverhead = 2*FrameOverhead + (1 + 4) + (1 + 3)
-	MaxDeltaOverhead = 2*FrameOverhead + (binary.MaxVarintLen16 + 4*binary.MaxVarintLen64) + (1 + 3*binary.MaxVarintLen64)
+	MinDeltaOverhead = 2*frame.Overhead + (1 + 4) + (1 + 3)
+	MaxDeltaOverhead = 2*frame.Overhead + (binary.MaxVarintLen16 + 4*binary.MaxVarintLen64) + (1 + 3*binary.MaxVarintLen64)
 	// MinDeltaPayload is the smallest payload a flush carries: one
 	// observation as a pair. The largest is csoutlier.EncodedSketchLen(M)
 	// — pairs are only ever sent when smaller.
@@ -57,7 +55,7 @@ const (
 )
 
 const (
-	maxNodeHeader  = binary.MaxVarintLen16 + MaxNodeLen + binary.MaxVarintLen64 // str node | uv epoch
+	maxNodeHeader  = binary.MaxVarintLen16 + maxNodeLen + binary.MaxVarintLen64 // str node | uv epoch
 	maxDeltaHeader = maxNodeHeader + 3*binary.MaxVarintLen64                    // … | window | seq | folds
 	maxAckErr      = 1024                                                       // longer rejection texts are cut
 	maxAckBody     = 1 + 3*binary.MaxVarintLen64 + maxAckErr
@@ -65,7 +63,7 @@ const (
 )
 
 // ackStatuses maps Ack.Status to its wire code (the index) and back.
-var ackStatuses = [...]string{"", StatusApplied, StatusDuplicate, StatusDroppedOld, StatusHello, StatusBye}
+var ackStatuses = [...]string{"", statusApplied, StatusDuplicate, statusDroppedOld, statusHello, statusBye}
 
 // errMalformed marks input no conforming peer produces.
 var errMalformed = frame.ErrMalformed
@@ -111,8 +109,8 @@ func parseRequest(kind pushKind, body []byte, req *pushRequest) error {
 	node := req.Node
 	*req = pushRequest{Kind: kind}
 	name := r.Str()
-	if len(name) > MaxNodeLen {
-		return fmt.Errorf("%w: node name of %d bytes, limit %d", errMalformed, len(name), MaxNodeLen)
+	if len(name) > maxNodeLen {
+		return fmt.Errorf("%w: node name of %d bytes, limit %d", errMalformed, len(name), maxNodeLen)
 	}
 	if string(name) != node {
 		node = string(name)

@@ -30,7 +30,7 @@ func sampleFrames(t testing.TB, sk *csoutlier.Sketcher) map[pushKind][]byte {
 		pushHello: appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3}),
 		pushBye:   appendRequest(nil, &pushRequest{Kind: pushBye, Node: "node00", Epoch: 3}),
 		pushDelta: appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 70000, Seq: 1 << 40, Folds: 5, Payload: payload}),
-		replyAck:  appendAck(nil, &Ack{Window: 9, Applied: true, Status: StatusApplied, AggEpoch: 2, Stable: 1 << 33}),
+		replyAck:  appendAck(nil, &Ack{Window: 9, Applied: true, Status: statusApplied, AggEpoch: 2, Stable: 1 << 33}),
 	}
 }
 
@@ -144,7 +144,7 @@ func TestWireRoundTrip(t *testing.T) {
 		switch kind {
 		case replyAck:
 			ack, err := parseAck(body)
-			if err != nil || ack != (Ack{Window: 9, Applied: true, Status: StatusApplied, AggEpoch: 2, Stable: 1 << 33}) {
+			if err != nil || ack != (Ack{Window: 9, Applied: true, Status: statusApplied, AggEpoch: 2, Stable: 1 << 33}) {
 				t.Fatalf("ack %+v err %v", ack, err)
 			}
 		default:
@@ -169,7 +169,7 @@ func TestWireRoundTrip(t *testing.T) {
 	// Every status string survives the trip; rejection text does too.
 	for _, status := range ackStatuses {
 		in := Ack{Status: status, Err: "stream: no", Window: 1}
-		out, err := parseAck(appendAck(nil, &in)[FrameOverhead:])
+		out, err := parseAck(appendAck(nil, &in)[frame.Overhead:])
 		if err != nil || out != in {
 			t.Fatalf("status %q: got %+v err %v", status, out, err)
 		}
@@ -194,7 +194,7 @@ func FuzzPushFrame(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, frame.Version, byte(pushHello), 0x80, 0x80})
 	// A node name at the limit and one byte past it, folds past 32 bits,
 	// and an ack status no conforming aggregator sends.
-	for _, n := range []int{MaxNodeLen, MaxNodeLen + 1} {
+	for _, n := range []int{maxNodeLen, maxNodeLen + 1} {
 		f.Add(appendRequest(nil, &pushRequest{Kind: pushHello, Node: strings.Repeat("n", n), Epoch: 1}))
 	}
 	wide := frame.AppendString(frame.Begin(nil, uint8(pushDelta)), "node00")
@@ -203,7 +203,7 @@ func FuzzPushFrame(f *testing.F) {
 	}
 	f.Add(frame.End(append(wide, uniformDelta(f, sk, 1)...)))
 	badStatus := appendAck(nil, &Ack{Window: 1})
-	badStatus[FrameOverhead] = byte(len(ackStatuses))
+	badStatus[frame.Overhead] = byte(len(ackStatuses))
 	f.Add(badStatus)
 	// A delta whose payload passes its checksum around a non-finite float.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -244,7 +244,7 @@ func FuzzPushFrame(f *testing.F) {
 			switch kind {
 			case replyAck:
 				if ack, err := parseAck(body); err == nil {
-					if again, err := parseAck(appendAck(nil, &ack)[FrameOverhead:]); err != nil || again != ack {
+					if again, err := parseAck(appendAck(nil, &ack)[frame.Overhead:]); err != nil || again != ack {
 						t.Fatalf("ack %+v re-encodes to %+v (%v)", ack, again, err)
 					}
 				}
@@ -252,7 +252,7 @@ func FuzzPushFrame(f *testing.F) {
 				if parseRequest(kind, body, &req) != nil {
 					continue
 				}
-				if len(req.Payload) > len(body) || len(req.Node) > MaxNodeLen {
+				if len(req.Payload) > len(body) || len(req.Node) > maxNodeLen {
 					t.Fatalf("kind %d: parsed more than the body holds: %d payload bytes, %d-byte name from %d bytes",
 						kind, len(req.Payload), len(req.Node), len(body))
 				}
@@ -272,7 +272,7 @@ func FuzzPushFrame(f *testing.F) {
 				// The canonical encoding of what parsed is a fixed point.
 				canon := appendRequest(nil, &req)
 				var again pushRequest
-				if err := parseRequest(kind, canon[FrameOverhead:], &again); err != nil || !bytes.Equal(appendRequest(nil, &again), canon) {
+				if err := parseRequest(kind, canon[frame.Overhead:], &again); err != nil || !bytes.Equal(appendRequest(nil, &again), canon) {
 					t.Fatalf("kind %d: %+v re-encodes to %+v (%v)", kind, req, again, err)
 				}
 			}
@@ -377,12 +377,12 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack, err := c.Hello("node00", 1); err != nil || ack.Err != "" || ack.Status != StatusHello {
+	if ack, err := c.Hello("node00", 1); err != nil || ack.Err != "" || ack.Status != statusHello {
 		t.Fatalf("hello after the malformed peers: %+v, %v", ack, err)
 	}
 	c.Close()
-	if _, err := c.Hello(string(make([]byte, MaxNodeLen+1)), 1); err == nil {
-		t.Fatal("a node name past MaxNodeLen was sent")
+	if _, err := c.Hello(string(make([]byte, maxNodeLen+1)), 1); err == nil {
+		t.Fatal("a node name past maxNodeLen was sent")
 	}
 	malformedCount(t, agg, int64(len(cases)))
 }
@@ -731,8 +731,8 @@ func TestDeltaWireBytes(t *testing.T) {
 		return appendRequest(nil, &pushRequest{Kind: pushDelta, Node: id, Epoch: 1, Window: 1, Seq: seq, Folds: 1, Payload: payload})
 	}
 	const (
-		deltaHeader = (1 + len(id)) + 1 + 1 + 1 + 1 // str node | uv epoch | uv window | uv seq | uv folds
-		ack         = FrameOverhead + 1 + 1 + 1 + 1 // status | uv window | uv aggEpoch | uv stable
+		deltaHeader = (1 + len(id)) + 1 + 1 + 1 + 1  // str node | uv epoch | uv window | uv seq | uv folds
+		ack         = frame.Overhead + 1 + 1 + 1 + 1 // status | uv window | uv aggEpoch | uv stable
 	)
 
 	observe(node, 16)
@@ -744,7 +744,7 @@ func TestDeltaWireBytes(t *testing.T) {
 	if !bytes.Equal(read, frameOf(1, pairs)) {
 		t.Fatalf("a 16-observation flush sent\n%x\nwant the observations as pairs\n%x", read, frameOf(1, pairs))
 	}
-	if want := FrameOverhead + deltaHeader + len(pairs) + ack; total != want || want != 209 {
+	if want := frame.Overhead + deltaHeader + len(pairs) + ack; total != want || want != 209 {
 		t.Fatalf("a 16-observation exchange put %d bytes on the wire, want %d (= 209)", total, want)
 	}
 
@@ -768,15 +768,15 @@ func TestDeltaWireBytes(t *testing.T) {
 		}
 		total, read := tap.exchange(flush)
 		if i == 0 {
-			if total >= FrameOverhead+deltaHeader+len(payload)+ack || !csoutlier.PairsEncoded(read[FrameOverhead+deltaHeader:]) {
-				t.Fatalf("%d observations, one under the crossover: %d bytes on the wire, pairs=%v", n, total, csoutlier.PairsEncoded(read[FrameOverhead+deltaHeader:]))
+			if total >= frame.Overhead+deltaHeader+len(payload)+ack || !csoutlier.PairsEncoded(read[frame.Overhead+deltaHeader:]) {
+				t.Fatalf("%d observations, one under the crossover: %d bytes on the wire, pairs=%v", n, total, csoutlier.PairsEncoded(read[frame.Overhead+deltaHeader:]))
 			}
 			continue
 		}
 		if !bytes.Equal(read, frameOf(uint64(2+i), payload)) {
 			t.Fatalf("%d observations (crossover %d): the frame is not the parent's sketch frame", n, cross)
 		}
-		if want := FrameOverhead + deltaHeader + csoutlier.EncodedSketchLen(256) + ack; total != want || want != 2104 {
+		if want := frame.Overhead + deltaHeader + csoutlier.EncodedSketchLen(256) + ack; total != want || want != 2104 {
 			t.Fatalf("%d observations: %d bytes on the wire, want %d (= 2104)", n, total, want)
 		}
 	}

@@ -113,16 +113,6 @@ type Conjecture2Report struct {
 	Points []Conjecture2Point
 }
 
-// AllHold reports whether every ε point satisfied the conjectured bound.
-func (r Conjecture2Report) AllHold() bool {
-	for _, p := range r.Points {
-		if !p.Holds {
-			return false
-		}
-	}
-	return true
-}
-
 // VerifyConjecture2 draws correlated Gaussian pairs (x, y) with
 // per-entry correlation zeta — the paper's worst case is ζ = 1/√N from
 // the extension column — and compares the empirical inner-product tail

@@ -72,5 +72,5 @@ func RegisterShardMetrics(reg *obs.Registry, m *ShardMap, index int) {
 	reg.Gauge("shard_index", "key-range shard this process serves").SetInt(int64(index))
 	reg.Gauge("shard_count", "total shards in the partition").SetInt(int64(m.Shards()))
 	reg.Gauge("shard_keys", "dictionary keys owned by this shard").SetInt(int64(len(m.Shard(index).Keys)))
-	reg.Gauge("shard_map_version", "version stamp of the shard partition").SetInt(int64(m.Version()))
+	reg.Gauge("shard_map_version", "version stamp of the shard partition").SetInt(int64(m.version))
 }

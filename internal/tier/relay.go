@@ -15,25 +15,20 @@ import (
 	"csoutlier/internal/stream"
 )
 
+// relayLevel is a relay's tier level in its wire identity: leaf nodes
+// are level 0 and every relay sits at level 1, directly under a root.
+const relayLevel = 1
+
 // RelayOptions tunes a regional relay aggregator.
 type RelayOptions struct {
 	// ID names this relay in its parent's dedup books (required). The
-	// wire identity is FrameID(Shard, Level, ID).
+	// wire identity is "sSS.t1.ID" for shard SS (Relay.Name).
 	ID string
 	// Shard is the key-range shard this relay's tree serves.
 	Shard int
-	// Level is the relay's tier level (default 1; leaf nodes are
-	// conceptually level 0, the root is the highest level).
-	Level int
 	// Upstream is the parent aggregator's push-listener address
 	// (required).
 	Upstream string
-	// UpEpoch is the relay's upward incarnation (default 1). A volatile
-	// relay that restarts from scratch MUST announce a higher epoch —
-	// exactly the leaf-node restart rule, one level up. A durable relay
-	// restored via RestoreRelay keeps its snapshotted epoch: its replayed
-	// frames are byte-identical, so the parent's books dedup them.
-	UpEpoch uint64
 	// SnapshotPath, when non-empty, makes the relay durable: every
 	// Forward persists an atomic-rename snapshot (the embedded
 	// aggregator's fold state plus the upward-forwarding state in
@@ -58,16 +53,6 @@ type RelayOptions struct {
 	// fold state) and its window clock (adopted from the parent, so the
 	// whole tree shares the root's rotation).
 	Agg stream.AggregatorOptions
-}
-
-func (o RelayOptions) withDefaults() RelayOptions {
-	if o.Level == 0 {
-		o.Level = 1
-	}
-	if o.UpEpoch == 0 {
-		o.UpEpoch = 1
-	}
-	return o
 }
 
 // upAccum accumulates applied leaf deltas for one window since the
@@ -137,11 +122,12 @@ type RelayStats struct {
 // Lock order: the aggregator's ingest mutex → fmu → the sender's lock. The sender's window
 // callback (adoptRoot) runs under none of them.
 type Relay struct {
-	sk   *csoutlier.Sketcher
-	opts RelayOptions
-	name string // FrameID(shard, level, id)
-	agg  *stream.Aggregator
-	snd  *stream.Sender // committed frames: push, retain, replay
+	sk      *csoutlier.Sketcher
+	opts    RelayOptions
+	name    string // frameID(shard, id)
+	upEpoch uint64 // the relay's upward incarnation
+	agg     *stream.Aggregator
+	snd     *stream.Sender // committed frames: push, retain, replay
 
 	fmu      sync.Mutex
 	unstable map[uint64]*upAccum
@@ -156,14 +142,21 @@ type Relay struct {
 // identity and adopts the parent's current window — so the relay's
 // leaf-facing window clock agrees with the root before the first leaf
 // connects. Serve must be called to accept leaf pushes.
+//
+// The upward epoch is the wall clock in Unix nanoseconds: a relay built
+// fresh after a restart announces a higher epoch than its previous
+// incarnation (on a clock that does not step back), so the parent
+// resets the relay's sequence space and folds its frames as new data —
+// the leaf-node restart rule, one level up. A durable relay comes back
+// through RestoreRelay instead.
 func NewRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions) (*Relay, error) {
-	return buildRelay(ctx, sk, opts.withDefaults(), nil)
+	return buildRelay(ctx, sk, opts, uint64(time.Now().UnixNano()), nil)
 }
 
 // buildRelay constructs the relay and its embedded aggregator with the
 // hooks wired, then runs the upstream handshake; restored carries a
 // decoded upward state (nil = fresh).
-func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, restored *relayExtraState) (*Relay, error) {
+func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, upEpoch uint64, restored *relayExtraState) (*Relay, error) {
 	if opts.ID == "" {
 		return nil, errors.New("tier: relay ID must be non-empty")
 	}
@@ -173,12 +166,13 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 	r := &Relay{
 		sk:       sk,
 		opts:     opts,
-		name:     FrameID(opts.Shard, opts.Level, opts.ID),
+		name:     frameID(opts.Shard, opts.ID),
+		upEpoch:  upEpoch,
 		unstable: make(map[uint64]*upAccum),
 	}
 	var err error
 	r.snd, err = stream.NewSender(opts.Upstream, r.name, stream.NodeOptions{
-		Epoch:       opts.UpEpoch,
+		Epoch:       upEpoch,
 		Retain:      opts.Retain,
 		DialTimeout: opts.DialTimeout,
 		PushTimeout: opts.PushTimeout,
@@ -230,23 +224,25 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 // AggEpoch so leaves replay), and the upward state comes back from
 // Snapshot.Extra — same upward epoch, same seq counter, and every
 // frame the parent may not have durably folded requeued byte-identical
-// for replay (the parent's books drop the ones it has). Like NewRelay
+// for replay (the parent's books drop the ones it has). Keeping the
+// epoch is what lets the parent dedup the replay. Like NewRelay
 // it dials the parent and adopts the current window; call Sync to
 // drain the replayed queue, BEFORE the leaves reconnect, so the window
 // clock is current when their frames arrive.
 func RestoreRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, snap *stream.Snapshot) (*Relay, error) {
-	opts = opts.withDefaults()
 	st, err := decodeRelayExtra(snap.Extra)
 	if err != nil {
 		return nil, err
 	}
-	if st.Shard != opts.Shard || st.Level != opts.Level || st.ID != opts.ID {
-		return nil, fmt.Errorf("tier: snapshot belongs to relay %s, not %s",
-			FrameID(st.Shard, st.Level, st.ID), FrameID(opts.Shard, opts.Level, opts.ID))
+	if st.Level != relayLevel {
+		return nil, fmt.Errorf("tier: snapshot of a level-%d relay; relays are level %d", st.Level, relayLevel)
 	}
-	opts.UpEpoch = st.UpEpoch
+	if st.Shard != opts.Shard || st.ID != opts.ID {
+		return nil, fmt.Errorf("tier: snapshot belongs to relay %s, not %s",
+			frameID(st.Shard, st.ID), frameID(opts.Shard, opts.ID))
+	}
 	st.snap = snap
-	return buildRelay(ctx, sk, opts, st)
+	return buildRelay(ctx, sk, opts, st.UpEpoch, st)
 }
 
 // Name returns the relay's upward wire identity.
@@ -269,7 +265,7 @@ func (r *Relay) Stats() RelayStats {
 	s.Unstable = len(r.unstable)
 	s.Staged = len(r.staged)
 	s.UpSeq = r.upSeq
-	s.UpEpoch = r.opts.UpEpoch
+	s.UpEpoch = r.upEpoch
 	s.Applied, s.Duplicates, s.Dropped, s.Rejected = up.Applied, up.Duplicates, up.Dropped, up.Rejected
 	s.Replayed, s.RetainDropped, s.Redials = up.Replayed, up.RetainDropped, up.Redials
 	s.Queued, s.Retained = up.Pending, up.Retained
@@ -329,7 +325,7 @@ func (r *Relay) snapshotExtra() ([]byte, error) {
 	}
 	// Staging, above, is the relay's only Alloc and runs under fmu: the
 	// listed frames hold still while they are encoded.
-	return encodeRelayExtra(r.opts.Shard, r.opts.Level, r.opts.ID, r.opts.UpEpoch, r.upSeq,
+	return encodeRelayExtra(r.opts.Shard, relayLevel, r.opts.ID, r.upEpoch, r.upSeq,
 		r.snd.Resendable(), r.staged)
 }
 

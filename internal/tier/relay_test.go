@@ -298,9 +298,10 @@ func TestRelayUpwardDedup(t *testing.T) {
 		t.Fatalf("Forward: %v", err)
 	}
 
-	// Replay upward frame (epoch 1, seq 1) by hand. The payload doesn't
-	// need to match: the dedup check fires on (identity, epoch, seq)
-	// before the payload is even decoded.
+	// Replay upward frame (the relay's epoch, seq 1) by hand. The payload
+	// doesn't need to match: the dedup check fires on (identity, epoch,
+	// seq) before the payload is even decoded.
+	epoch := relay.Stats().UpEpoch
 	u := sk.NewUpdater()
 	u.Observe("key002", 1)
 	delta := sk.ZeroSketch()
@@ -314,10 +315,10 @@ func TestRelayUpwardDedup(t *testing.T) {
 		t.Fatalf("DialClient: %v", err)
 	}
 	defer c.Close()
-	if _, err := c.Hello(relay.Name(), 1); err != nil {
+	if _, err := c.Hello(relay.Name(), epoch); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	ack, err := c.PushDelta(relay.Name(), 1, 1, 1, 1, payload)
+	ack, err := c.PushDelta(relay.Name(), epoch, 1, 1, 1, payload)
 	if err != nil {
 		t.Fatalf("push: %v", err)
 	}
@@ -327,6 +328,70 @@ func TestRelayUpwardDedup(t *testing.T) {
 	if rs := root.Stats(); rs.Duplicates != 1 {
 		t.Fatalf("root duplicates = %d, want 1", rs.Duplicates)
 	}
+}
+
+// TestVolatileRelayRestart restarts a relay that keeps no snapshot under
+// the same ID. The new incarnation announces a higher upward epoch, so
+// the root folds its frames as new data instead of acking them as
+// duplicates of the first incarnation's seqs, and the root window holds
+// every frame both incarnations forwarded.
+func TestVolatileRelayRestart(t *testing.T) {
+	sk := tierSketcher(t, 64, 32, 13)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
+	want, delta := sk.ZeroSketch(), sk.ZeroSketch()
+	var epochs [2]uint64
+	for life := range epochs {
+		relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr})
+		if err != nil {
+			t.Fatalf("life %d: NewRelay: %v", life, err)
+		}
+		leaf, err := stream.Dial(ctx, serveRelay(t, relay), sk, "node00", stream.NodeOptions{})
+		if err != nil {
+			t.Fatalf("life %d: Dial: %v", life, err)
+		}
+		shadow := sk.NewUpdater()
+		for f := 0; f < 3; f++ {
+			key := fmt.Sprintf("key%03d", 10*life+f)
+			if err := leaf.Observe(key, float64(f+1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := shadow.Observe(key, float64(f+1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := leaf.Flush(ctx); err != nil {
+				t.Fatalf("life %d: flush: %v", life, err)
+			}
+			if err := relay.Forward(ctx); err != nil {
+				t.Fatalf("life %d: Forward: %v", life, err)
+			}
+			if _, err := shadow.DrainInto(delta); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Add(delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epochs[life] = relay.Stats().UpEpoch
+		if err := leaf.Close(ctx); err != nil {
+			t.Fatalf("life %d: leaf close: %v", life, err)
+		}
+		if err := relay.Close(ctx); err != nil {
+			t.Fatalf("life %d: relay close: %v", life, err)
+		}
+	}
+	if epochs[1] <= epochs[0] {
+		t.Fatalf("restarted relay announced upward epoch %d after %d", epochs[1], epochs[0])
+	}
+	if rs := root.Stats(); rs.Applied != 6 || rs.Duplicates != 0 {
+		t.Fatalf("root applied %d, duplicates %d; want all 6 upward frames applied", rs.Applied, rs.Duplicates)
+	}
+	got, err := root.WindowSketch(0)
+	if err != nil {
+		t.Fatalf("root window: %v", err)
+	}
+	sameBits(t, "root window after a volatile relay restart", got, want)
 }
 
 // TestRelayRefusesOverflow carries the window overflow refusal across a

@@ -29,8 +29,8 @@ func TestShardMapPartition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewShardMap: %v", err)
 	}
-	if m.Version() != 7 {
-		t.Fatalf("Version = %d, want 7", m.Version())
+	if m.version != 7 {
+		t.Fatalf("version = %d, want 7", m.version)
 	}
 	if m.Shards() != 3 {
 		t.Fatalf("Shards = %d, want 3", m.Shards())
@@ -155,10 +155,10 @@ func TestShardMapSketchers(t *testing.T) {
 }
 
 func TestFrameID(t *testing.T) {
-	if got := FrameID(3, 1, "relayA"); got != "s03.t1.relayA" {
-		t.Fatalf("FrameID = %q", got)
+	if got := frameID(3, "relayA"); got != "s03.t1.relayA" {
+		t.Fatalf("frameID = %q", got)
 	}
-	if FrameID(0, 1, "x") == FrameID(1, 1, "x") || FrameID(0, 1, "x") == FrameID(0, 2, "x") {
-		t.Fatal("FrameID collides across shard or level")
+	if frameID(0, "x") == frameID(1, "x") {
+		t.Fatal("frameID collides across shards")
 	}
 }

@@ -19,9 +19,11 @@
 // Exactly-once semantics extend through the extra hop unchanged in
 // mechanism: an upward frame is tagged (relay-identity, upEpoch,
 // window, upSeq) where the identity string carries (shard, tier) — see
-// FrameID — so the root's ordinary per-(node, epoch) dedup books refuse
-// upward duplicates exactly as they refuse leaf duplicates. A relay
-// restart bumps the upward epoch only when volatile; a durable relay
+// frameID — so the root's ordinary per-(node, epoch) dedup books refuse
+// upward duplicates exactly as they refuse leaf duplicates. A volatile
+// relay (NewRelay) takes its upward epoch from the wall clock, so a
+// restart announces a higher one and the root folds its frames as new
+// data; a durable relay (RestoreRelay) keeps its snapshotted epoch,
 // restores its upward frame state from Snapshot.Extra and replays
 // byte-identical frames the root dedups. See Relay for the staging
 // discipline that makes "leaf frame folded" and "upward frame durable"
@@ -39,15 +41,15 @@ import (
 // shardSeedLabel derives per-shard consensus seeds from Spec.BaseSeed.
 const shardSeedLabel = 0x7e1a9b4dc2f08e53
 
-// FrameID is the upward identity a relay announces to its parent:
+// frameID is the upward identity a relay announces to its parent:
 // the ordinary node-identity string of the push protocol, prefixed
 // with the (shard, tier-level) coordinates. The parent's dedup books
 // need no schema change — the coordinates ride inside the name, so
-// frames from different shards or levels can never collide in one
-// book, and a frame misrouted to the wrong shard's tree is also
-// rejected by the shard's seed consensus in the sketch codec.
-func FrameID(shard, level int, id string) string {
-	return fmt.Sprintf("s%02d.t%d.%s", shard, level, id)
+// frames from different shards can never collide in one book, and a
+// frame misrouted to the wrong shard's tree is also rejected by the
+// shard's seed consensus in the sketch codec.
+func frameID(shard int, id string) string {
+	return fmt.Sprintf("s%02d.t%d.%s", shard, relayLevel, id)
 }
 
 // Spec is the per-shard measurement consensus template: csoutlier
@@ -84,7 +86,6 @@ type Shard struct {
 type ShardMap struct {
 	version uint64
 	spec    Spec
-	keys    []string // global key space, sorted
 	shards  []Shard
 	lo      []string // lo[i] = first key of shard i
 }
@@ -112,7 +113,6 @@ func NewShardMap(keys []string, shards int, spec Spec, version uint64) (*ShardMa
 	m := &ShardMap{
 		version: version,
 		spec:    spec,
-		keys:    sorted,
 		shards:  make([]Shard, shards),
 		lo:      make([]string, shards),
 	}
@@ -130,20 +130,11 @@ func NewShardMap(keys []string, shards int, spec Spec, version uint64) (*ShardMa
 	return m, nil
 }
 
-// Version returns the partition's version stamp.
-func (m *ShardMap) Version() uint64 { return m.version }
-
-// Spec returns the per-shard consensus template.
-func (m *ShardMap) Spec() Spec { return m.spec }
-
 // Shards returns the shard count.
 func (m *ShardMap) Shards() int { return len(m.shards) }
 
 // Shard returns shard i.
 func (m *ShardMap) Shard(i int) Shard { return m.shards[i] }
-
-// Keys returns the sorted global key space; do not mutate.
-func (m *ShardMap) Keys() []string { return m.keys }
 
 // Route returns the index of the shard owning key. Keys outside the
 // dictionary still route (to the range they would sort into); the

@@ -176,15 +176,6 @@ func (r *RNG) NormFloat64() float64 {
 	return z
 }
 
-// ExpFloat64 returns an exponential sample with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	var u float64
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
-
 // Perm returns a uniform random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -196,12 +187,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the n elements addressed by swap uniformly at random.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

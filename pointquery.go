@@ -8,10 +8,10 @@ import (
 	"csoutlier/internal/sensing"
 )
 
-// ErrNoPointQuery is returned by NewPointState when the sketcher's
+// errNoPointQuery is returned by NewPointState when the sketcher's
 // ensemble is not CountSketch — the only backend whose hashed structure
 // supports recovery-free point estimation.
-var ErrNoPointQuery = errors.New("csoutlier: point queries need the CountSketch ensemble")
+var errNoPointQuery = errors.New("csoutlier: point queries need the CountSketch ensemble")
 
 // errPointStateUncommitted is a static error so the Query fast path
 // stays allocation-free even when misused.
@@ -60,11 +60,11 @@ func (s *Sketcher) SupportsPointQuery() bool {
 }
 
 // NewPointState returns a point-query engine bound to this sketcher.
-// Fails with ErrNoPointQuery unless the ensemble is CountSketch.
+// It fails unless the ensemble is CountSketch.
 func (s *Sketcher) NewPointState() (*PointState, error) {
 	cs, ok := s.matrix.(*sensing.CountSketch)
 	if !ok {
-		return nil, ErrNoPointQuery
+		return nil, errNoPointQuery
 	}
 	return &PointState{
 		sk:      s,
@@ -88,9 +88,6 @@ func (ps *PointState) Commit() {
 	ps.committed = true
 }
 
-// Mode returns the committed bias estimate.
-func (ps *PointState) Mode() float64 { return ps.mode }
-
 // Query estimates key's aggregated value and classifies it against
 // threshold (outlier ⇔ |value − mode| ≥ threshold; threshold ≤ 0 skips
 // classification). O(Depth), zero allocations on the happy path.
@@ -99,16 +96,8 @@ func (ps *PointState) Query(key string, threshold float64) (PointAnswer, error) 
 	if !ok {
 		return PointAnswer{}, fmt.Errorf("csoutlier: key %q not in global dictionary", key)
 	}
-	return ps.QueryIndex(idx, threshold)
-}
-
-// QueryIndex is Query by canonical key index.
-func (ps *PointState) QueryIndex(idx int, threshold float64) (PointAnswer, error) {
 	if !ps.committed {
 		return PointAnswer{}, errPointStateUncommitted
-	}
-	if idx < 0 || idx >= ps.sk.spec.N {
-		return PointAnswer{}, fmt.Errorf("csoutlier: key index %d outside [0, %d)", idx, ps.sk.spec.N)
 	}
 	v := ps.cs.PointEstimate(ps.sketch.Y, idx, ps.mode)
 	dev := v - ps.mode

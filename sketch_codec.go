@@ -30,8 +30,8 @@ import (
 // linear, so one NaN or ±Inf makes every span over the window it was
 // folded into unanswerable for the window's ring lifetime. Every
 // decoder below therefore refuses a payload that carries one, and the
-// entry points that take floats from the caller (FromPayload,
-// SketchPairs, SketchVector, Observe, ObserveBatch) refuse them too.
+// entry points that take floats from the caller (fromPayload,
+// SketchPairs, SketchVector, Observe) refuse them too.
 //
 // A delta of few observations has a second encoding, the observations
 // themselves — the paper's "ALL" baseline for as long as it is the

@@ -450,7 +450,7 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 			if string(target) != string(good) {
 				t.Fatalf("%s: AddToBinary changed its target before refusing %s", name, what)
 			}
-			if _, err := sk.FromPayload(poisoned); err == nil {
+			if _, err := sk.fromPayload(poisoned); err == nil {
 				t.Fatalf("%s: FromPayload accepted %s", name, what)
 			}
 		}

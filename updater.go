@@ -24,8 +24,8 @@ import (
 // An Updater is safe for concurrent use. The O(M) column generation of
 // each measured observation happens outside the mutex on pooled
 // scratch, so concurrent writers only contend for the O(M) accumulate;
-// the one replay per drain period, and a Sketch or SketchInto read
-// while the log is still open, measure the log under it.
+// the one replay per drain period, and a DrainInto while the log is
+// still open, measure the log under it.
 type Updater struct {
 	sk *Sketcher
 	id Sketch // the consensus identity, Y nil
@@ -61,20 +61,12 @@ func (u *Updater) logLocked(idx int, delta float64) bool {
 		u.log.add(idx, delta)
 		return true
 	}
-	u.closeLogLocked()
-	return false
-}
-
-// closeLogLocked measures the open log into y — the sum Observe would
-// have built one arrival at a time — and switches to measuring on
-// arrival.
-func (u *Updater) closeLogLocked() {
-	if !u.logging {
-		return
-	}
+	// Close the log: y becomes the sum Observe would have built one
+	// arrival at a time, and every later observation is measured.
 	u.sk.measurePairs(u.y, u.log)
 	u.log.reset()
 	u.logging = false
+	return false
 }
 
 // reopenLocked empties the updater: y zero, the log open.
@@ -83,15 +75,6 @@ func (u *Updater) reopenLocked() {
 	u.log.reset()
 	u.logging = true
 	u.updates = 0
-}
-
-// readLocked writes the standing sketch into y without disturbing it.
-func (u *Updater) readLocked(y []float64) {
-	if u.logging {
-		u.sk.measurePairs(y, u.log)
-	} else {
-		copy(y, u.y)
-	}
 }
 
 // Observe folds one (key, delta) observation into the standing sketch:
@@ -130,56 +113,11 @@ func (u *Updater) Observe(key string, delta float64) error {
 	return nil
 }
 
-// ObserveBatch folds a batch of observations, summed in key order as
-// SketchPairs sums it. The batch is all-or-nothing: an unknown key or a
-// non-finite delta fails the whole batch before any mutation.
-func (u *Updater) ObserveBatch(pairs map[string]float64) error {
-	idx, vals, err := u.sk.vectorizePairs(pairs)
-	if err != nil || len(idx) == 0 {
-		return err
-	}
-	// Measure the whole batch outside the mutex (MeasureSparse zeroes its
-	// destination), then accumulate under it. A batch is measured as one
-	// sum, not an observation at a time, so it is added to the sketch and
-	// never logged.
-	col := u.sk.getCol()
-	*col = u.sk.matrix.MeasureSparse(idx, vals, *col)
-	u.mu.Lock()
-	u.closeLogLocked()
-	u.y.Add(*col)
-	u.updates += int64(len(idx))
-	u.mu.Unlock()
-	u.sk.putCol(col)
-	return nil
-}
-
 // Updates returns the number of non-zero observations folded in.
 func (u *Updater) Updates() int64 {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return u.updates
-}
-
-// Sketch returns a snapshot of the standing sketch, ready to ship.
-func (u *Updater) Sketch() Sketch {
-	out := u.sk.emptySketch()
-	u.mu.Lock()
-	u.readLocked(out.Y)
-	u.mu.Unlock()
-	return out
-}
-
-// SketchInto snapshots the standing sketch into a caller-provided
-// sketch, so a hot aggregation path can reread a standing sketch with
-// zero allocation. dst must come from the same Sketcher consensus.
-func (u *Updater) SketchInto(dst Sketch) error {
-	if err := dst.compatible(u.id); err != nil {
-		return err
-	}
-	u.mu.Lock()
-	u.readLocked(dst.Y)
-	u.mu.Unlock()
-	return nil
 }
 
 // DrainInto atomically snapshots the standing sketch into dst and
@@ -193,7 +131,11 @@ func (u *Updater) DrainInto(dst Sketch) (int64, error) {
 		return 0, err
 	}
 	u.mu.Lock()
-	u.readLocked(dst.Y)
+	if u.logging {
+		u.sk.measurePairs(dst.Y, u.log)
+	} else {
+		copy(dst.Y, u.y)
+	}
 	n := u.updates
 	u.reopenLocked()
 	u.mu.Unlock()
@@ -226,11 +168,4 @@ func (u *Updater) DrainEncoded(dst []byte) ([]byte, int64, error) {
 	}
 	u.reopenLocked()
 	return dst, n, nil
-}
-
-// Reset clears the standing sketch (e.g. at a window boundary).
-func (u *Updater) Reset() {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.reopenLocked()
 }

@@ -10,25 +10,23 @@ import (
 // WindowStore maintains a ring of per-time-window standing sketches —
 // a miniature of the Impression Store design the paper's authors built
 // on the same compressive-sensing substrate (HotCloud'14, the paper's
-// reference [41]). Observations land in the current window; Rotate
-// seals it and opens a fresh one; any contiguous span of recent windows
+// reference [41]). Sketches land in the current window (AddSketch);
+// Rotate seals it and opens a fresh one; any contiguous span of recent windows
 // can be queried by summing their sketches (linearity again), so
 // "outliers over the last hour" and "outliers today" come from the same
 // O(windows·M) state with no raw data retained.
 //
-// A WindowStore is safe for concurrent use; like Updater, the O(M)
-// column generation of each observation runs outside the mutex. Nothing
-// is measured under it: a delta frame reaches AddSketch already decoded
+// A WindowStore is safe for concurrent use. Nothing is measured under
+// its mutex: a delta frame reaches AddSketch already decoded
 // (Sketcher.UnmarshalSketchInto measures a pairs payload into the
 // caller's sketch), so the mutex guards only O(M) adds and copies.
 type WindowStore struct {
 	sk *Sketcher
 
-	mu      sync.Mutex
-	ring    []linalg.Vector // ring[i] = sketch of window i
-	head    int             // index of the current window
-	filled  int             // number of windows that have ever been open
-	rotated int64
+	mu     sync.Mutex
+	ring   []linalg.Vector // ring[i] = sketch of window i
+	head   int             // index of the current window
+	filled int             // number of windows that have ever been open
 }
 
 // NewWindowStore returns a store holding the current window plus
@@ -50,51 +48,6 @@ func (s *Sketcher) NewWindowStore(windows int) (*WindowStore, error) {
 
 // Windows returns the ring capacity.
 func (w *WindowStore) Windows() int { return len(w.ring) }
-
-// Rotations returns how many times Rotate has been called.
-func (w *WindowStore) Rotations() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rotated
-}
-
-// Observe folds one observation into the current window in O(M).
-func (w *WindowStore) Observe(key string, delta float64) error {
-	idx, ok := w.sk.dict.Index(key)
-	if !ok {
-		return fmt.Errorf("csoutlier: key %q not in global dictionary", key)
-	}
-	if !finite(delta) {
-		return fmt.Errorf("csoutlier: key %q: delta %v is not finite", key, delta)
-	}
-	if delta == 0 {
-		return nil
-	}
-	col := w.sk.getCol()
-	*col = w.sk.matrix.Col(idx, *col) // O(M) PRNG work, outside the mutex
-	w.mu.Lock()
-	w.ring[w.head].AddScaled(delta, *col)
-	w.mu.Unlock()
-	w.sk.putCol(col)
-	return nil
-}
-
-// ObserveBatch folds a batch into the current window, summed in key
-// order as SketchPairs sums it; all-or-nothing on unknown keys and
-// non-finite deltas.
-func (w *WindowStore) ObserveBatch(pairs map[string]float64) error {
-	idx, vals, err := w.sk.vectorizePairs(pairs)
-	if err != nil {
-		return err
-	}
-	col := w.sk.getCol()
-	*col = w.sk.matrix.MeasureSparse(idx, vals, *col)
-	w.mu.Lock()
-	w.ring[w.head].Add(*col)
-	w.mu.Unlock()
-	w.sk.putCol(col)
-	return nil
-}
 
 // AddSketch folds an already-measured sketch (e.g. a delta shipped by a
 // remote streaming node) into the window `age` rotations ago. Sketch
@@ -133,17 +86,10 @@ func (w *WindowStore) AddSketch(age int, o Sketch) error {
 // store restored from the sketches Window() returned is bit-identical
 // to the original, including the relative ring layout, so subsequent
 // Rotate/AddSketch sequences evolve it exactly as they would have the
-// original. rotations is the original store's lifetime Rotate count, so
-// Rotations() stays monotonic across the cycle rather than restarting
-// relative to the restored ring; a ring carrying len(sketches)-1 sealed
-// windows has rotated at least that often, so rotations must be ≥
-// len(sketches)-1, and len(sketches) must be in [1, Windows()].
-func (w *WindowStore) RestoreWindows(sketches []Sketch, rotations int64) error {
+// original. len(sketches) must be in [1, Windows()].
+func (w *WindowStore) RestoreWindows(sketches []Sketch) error {
 	if len(sketches) < 1 || len(sketches) > len(w.ring) {
 		return fmt.Errorf("csoutlier: restore of %d windows into a %d-window store", len(sketches), len(w.ring))
-	}
-	if rotations < int64(len(sketches)-1) {
-		return fmt.Errorf("csoutlier: restore of %d windows implies ≥ %d rotations, got %d", len(sketches), len(sketches)-1, rotations)
 	}
 	for _, s := range sketches {
 		if err := s.compatible(w.sk.sketchID()); err != nil {
@@ -156,7 +102,6 @@ func (w *WindowStore) RestoreWindows(sketches []Sketch, rotations int64) error {
 	// oldest first) lands in ring[j].
 	w.head = len(sketches) - 1
 	w.filled = len(sketches)
-	w.rotated = rotations
 	for i := range w.ring {
 		if i < len(sketches) {
 			copy(w.ring[i], sketches[i].Y)
@@ -181,7 +126,6 @@ func (w *WindowStore) Rotate() {
 	if w.filled < len(w.ring) {
 		w.filled++
 	}
-	w.rotated++
 }
 
 // Available returns how many windows currently hold data (including the
@@ -196,24 +140,13 @@ func (w *WindowStore) Available() int {
 // (0 = the currently open window).
 func (w *WindowStore) Window(age int) (Sketch, error) {
 	out := w.sk.emptySketch()
-	if err := w.WindowInto(age, out); err != nil {
-		return Sketch{}, err
-	}
-	return out, nil
-}
-
-// WindowInto is Window into a caller-provided sketch (zero allocation).
-func (w *WindowStore) WindowInto(age int, dst Sketch) error {
-	if err := dst.compatible(w.sk.sketchID()); err != nil {
-		return err
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.checkAge(age); err != nil {
-		return err
+		return Sketch{}, err
 	}
-	copy(dst.Y, w.ring[w.slot(age)])
-	return nil
+	copy(out.Y, w.ring[w.slot(age)])
+	return out, nil
 }
 
 // Range returns the summed sketch over window ages [fromAge, toAge]

@@ -15,6 +15,18 @@ func windowFixture(t *testing.T) (*Sketcher, []string) {
 	return sk, keys
 }
 
+// addPairs folds the sketch of pairs into ws's open window.
+func addPairs(t *testing.T, ws *WindowStore, pairs map[string]float64) {
+	t.Helper()
+	d, err := ws.sk.SketchPairs(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.AddSketch(0, d); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWindowStoreBasics(t *testing.T) {
 	sk, keys := windowFixture(t)
 	ws, err := sk.NewWindowStore(4)
@@ -28,9 +40,7 @@ func TestWindowStoreBasics(t *testing.T) {
 		t.Fatal("0 windows accepted")
 	}
 
-	if err := ws.Observe(keys[3], 7); err != nil {
-		t.Fatal(err)
-	}
+	addPairs(t, ws, map[string]float64{keys[3]: 7})
 	cur, err := ws.Window(0)
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +51,6 @@ func TestWindowStoreBasics(t *testing.T) {
 			t.Fatal("window sketch != direct sketch")
 		}
 	}
-	if err := ws.Observe("bogus", 1); err == nil {
-		t.Fatal("unknown key accepted")
-	}
 }
 
 func TestWindowStoreRotateAndHistory(t *testing.T) {
@@ -53,19 +60,13 @@ func TestWindowStoreRotateAndHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Window A: key0. Window B: key1. Window C (current): key2.
-	if err := ws.Observe(keys[0], 1); err != nil {
-		t.Fatal(err)
-	}
+	addPairs(t, ws, map[string]float64{keys[0]: 1})
 	ws.Rotate()
-	if err := ws.Observe(keys[1], 2); err != nil {
-		t.Fatal(err)
-	}
+	addPairs(t, ws, map[string]float64{keys[1]: 2})
 	ws.Rotate()
-	if err := ws.Observe(keys[2], 3); err != nil {
-		t.Fatal(err)
-	}
-	if ws.Available() != 3 || ws.Rotations() != 2 {
-		t.Fatalf("available %d rotations %d", ws.Available(), ws.Rotations())
+	addPairs(t, ws, map[string]float64{keys[2]: 3})
+	if ws.Available() != 3 {
+		t.Fatalf("available %d", ws.Available())
 	}
 	for age, wantPairs := range []map[string]float64{
 		{keys[2]: 3}, {keys[1]: 2}, {keys[0]: 1},
@@ -94,9 +95,7 @@ func TestWindowStoreRangeEqualsConcatenation(t *testing.T) {
 	ws, _ := sk.NewWindowStore(4)
 	all := map[string]float64{}
 	add := func(k string, v float64) {
-		if err := ws.Observe(k, v); err != nil {
-			t.Fatal(err)
-		}
+		addPairs(t, ws, map[string]float64{k: v})
 		all[k] += v
 	}
 	add(keys[0], 5)
@@ -135,48 +134,52 @@ func TestWindowStoreRangeEqualsConcatenation(t *testing.T) {
 	}
 }
 
+// TestWindowStoreRestoreRotations restores a store from its windows and
+// rotates both: the restored ring evolves exactly as the original.
 func TestWindowStoreRestoreRotations(t *testing.T) {
 	sk, keys := windowFixture(t)
 	ws, _ := sk.NewWindowStore(3)
-	if err := ws.Observe(keys[0], 1); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 5; i++ {
+		addPairs(t, ws, map[string]float64{keys[i]: float64(i + 1)})
 		ws.Rotate()
 	}
-	var sketches []Sketch
-	for age := ws.Available() - 1; age >= 0; age-- {
-		w, err := ws.Window(age)
-		if err != nil {
-			t.Fatal(err)
+	windows := func(ws *WindowStore) []Sketch {
+		var out []Sketch
+		for age := ws.Available() - 1; age >= 0; age-- {
+			w, err := ws.Window(age)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, w)
 		}
-		sketches = append(sketches, w)
+		return out
 	}
 	restored, _ := sk.NewWindowStore(3)
-	if err := restored.RestoreWindows(sketches, ws.Rotations()); err != nil {
+	if err := restored.RestoreWindows(windows(ws)); err != nil {
 		t.Fatalf("RestoreWindows: %v", err)
 	}
-	// Rotations continues monotonically across the cycle instead of
-	// restarting relative to the restored ring.
-	if got, want := restored.Rotations(), ws.Rotations(); got != want {
-		t.Fatalf("restored Rotations() = %d, want %d", got, want)
+	for _, s := range []*WindowStore{ws, restored} {
+		addPairs(t, s, map[string]float64{keys[9]: 9})
+		s.Rotate()
 	}
-	restored.Rotate()
-	if got := restored.Rotations(); got != 6 {
-		t.Fatalf("Rotations() after restore+rotate = %d, want 6", got)
+	want, got := windows(ws), windows(restored)
+	if len(got) != len(want) {
+		t.Fatalf("restored store holds %d windows after a rotation, want %d", len(got), len(want))
 	}
-	// A rotation count below the sealed-window floor is inconsistent.
-	if err := restored.RestoreWindows(sketches, int64(len(sketches)-2)); err == nil {
-		t.Fatal("restore with too-low rotation count accepted")
+	for i := range want {
+		if !bitsEqual(got[i].Y, want[i].Y) {
+			t.Fatalf("window %d (oldest first) differs after restore and rotation", i)
+		}
+	}
+	if err := restored.RestoreWindows(append(windows(ws), want[0])); err == nil {
+		t.Fatal("restore of more windows than the ring holds accepted")
 	}
 }
 
 func TestWindowStoreEviction(t *testing.T) {
 	sk, keys := windowFixture(t)
 	ws, _ := sk.NewWindowStore(2)
-	if err := ws.Observe(keys[0], 100); err != nil {
-		t.Fatal(err)
-	}
+	addPairs(t, ws, map[string]float64{keys[0]: 100})
 	ws.Rotate() // history: [empty(current), key0]
 	ws.Rotate() // key0 evicted
 	cur, err := ws.Window(1)
@@ -199,16 +202,10 @@ func TestWindowStoreDetection(t *testing.T) {
 	for _, k := range keys {
 		base[k] = 50
 	}
-	if err := ws.ObserveBatch(base); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.Observe(keys[7], 5000); err != nil { // anomaly in window A
-		t.Fatal(err)
-	}
+	addPairs(t, ws, base)
+	addPairs(t, ws, map[string]float64{keys[7]: 5000}) // anomaly in window A
 	ws.Rotate()
-	if err := ws.ObserveBatch(base); err != nil { // quiet window B
-		t.Fatal(err)
-	}
+	addPairs(t, ws, base) // quiet window B
 
 	wide, err := ws.Range(0, 1)
 	if err != nil {
