@@ -179,7 +179,7 @@ type Sketcher struct {
 
 	// wsHeld and ws recycle recovery workspaces across Detect,
 	// DetectBatch and Aggregate calls, so a standing query replaying BOMP
-	// on each refreshed sketch reuses all recovery scratch (QR factorization and correlation
+	// on each refreshed sketch reuses all recovery scratch (Cholesky factor and correlation
 	// buffers) instead of reallocating it per query.
 	// wsHeld is one strongly-held workspace in front of the pool: a pool
 	// is emptied by two GCs in a row, and a warmed Sketcher serving one

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -372,7 +373,7 @@ func TestSubCombination(t *testing.T) {
 		for i := range g {
 			g[i] = randVec(r, sh.n)
 		}
-		dst = SubCombination(dst, c, z, g)
+		dst, _ = SubCombination(dst, c, z, g)
 		if len(dst) != sh.n {
 			t.Fatalf("%d terms × %d: len(dst)=%d", sh.terms, sh.n, len(dst))
 		}
@@ -385,5 +386,84 @@ func TestSubCombination(t *testing.T) {
 				t.Fatalf("%d terms × %d: dst[%d]=%v, definition gives %v", sh.terms, sh.n, j, dst[j], want)
 			}
 		}
+	}
+}
+
+// subCombinationPasses is the combination as it was before it returned
+// its argmax: a copy, a pass per four terms, then a pass per term left.
+func subCombinationPasses(c, z Vector, g []Vector) Vector {
+	dst := c.Clone()
+	i := 0
+	for ; i+4 <= len(z); i += 4 {
+		for j := range dst {
+			dst[j] -= (z[i]*g[i][j] + z[i+1]*g[i+1][j]) + (z[i+2]*g[i+2][j] + z[i+3]*g[i+3][j])
+		}
+	}
+	for ; i < len(z); i++ {
+		for j := range dst {
+			dst[j] -= z[i] * g[i][j]
+		}
+	}
+	return dst
+}
+
+// TestSubCombinationArgMaxBits holds the fused kernel to the separate
+// passes and a scan bit for bit, for 0–13 terms (every remainder of the
+// 4-term unroll, with and without whole groups before it): the same
+// Float64bits in every entry and ArgMaxAbs's index. Ties must go to the
+// lower index, an all-zero result to index 0, an empty one to -1.
+func TestSubCombinationArgMaxBits(t *testing.T) {
+	r := xrand.New(47)
+	var dst Vector
+	check := func(label string, c, z Vector, g []Vector) {
+		t.Helper()
+		want := subCombinationPasses(c, z, g)
+		wantTop, _ := want.ArgMaxAbs()
+		var top int
+		dst, top = SubCombination(dst, c, z, g)
+		for j := range want {
+			if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: dst[%d] = %v, passes give %v", label, j, dst[j], want[j])
+			}
+		}
+		if top != wantTop {
+			t.Fatalf("%s: argmax %d, scan gives %d", label, top, wantTop)
+		}
+	}
+	for terms := 0; terms <= 13; terms++ {
+		for _, n := range []int{1, 7, 130} {
+			c := randVec(r, n)
+			z := randVec(r, terms)
+			g := make([]Vector, terms)
+			for i := range g {
+				g[i] = randVec(r, n)
+			}
+			check(fmt.Sprintf("%d terms × %d", terms, n), c, z, g)
+
+			// A tie: the same |value| at two indices, of either sign,
+			// far above every other entry.
+			if n > 3 {
+				hi, lo := n-1, n/2
+				c[hi], c[lo] = -1e3, 1e3
+				for i := range g {
+					g[i][hi], g[i][lo] = 0, 0
+				}
+				check(fmt.Sprintf("%d terms × %d, tie", terms, n), c, z, g)
+				if wantTop, _ := subCombinationPasses(c, z, g).ArgMaxAbs(); wantTop != lo {
+					t.Fatalf("tie instance has its max at %d, not %d", wantTop, lo)
+				}
+			}
+
+			// All zero: c and every g zero.
+			zero := make(Vector, n)
+			zg := make([]Vector, terms)
+			for i := range zg {
+				zg[i] = make(Vector, n)
+			}
+			check(fmt.Sprintf("%d terms × %d, all zero", terms, n), zero, z, zg)
+		}
+	}
+	if _, top := SubCombination(nil, Vector{}, Vector{}, nil); top != -1 {
+		t.Fatalf("empty combination: argmax %d, want -1", top)
 	}
 }

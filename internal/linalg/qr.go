@@ -7,9 +7,9 @@ import (
 
 // IncrementalQR maintains a thin QR factorization A = Q·R of a tall
 // matrix whose columns arrive one at a time — exactly the access pattern
-// of orthogonal matching pursuit, which appends the newly selected
-// dictionary column each iteration and then needs the least-squares
-// coefficients against all selected columns.
+// of the paper's orthogonal matching pursuit (§5), which appends the
+// newly selected dictionary column each iteration and then needs the
+// least-squares coefficients against all selected columns.
 //
 // Q is m×k with orthonormal columns, R is k×k upper-triangular. Columns
 // are orthogonalized by modified Gram–Schmidt with one re-orthogonalization
@@ -17,9 +17,12 @@ import (
 // round-off level even after many hundreds of appended columns — the
 // floating-point drift the paper calls out in §5 as a practical obstacle.
 //
-// The factorization is reusable: Reset rewinds it to zero columns while
-// keeping all backing storage, so a recovery Workspace that replays
-// queries of similar size performs no allocations after warm-up.
+// Recovery no longer runs it: the greedy loop grows the same R as a
+// Cholesky factor of its cached Gram columns and never forms Q. It is the
+// reference that loop is tested against (residualOMP in
+// internal/recovery) and the kernel the benchmark's linalg.qr_append_us
+// probe times. Reset rewinds it to zero columns while keeping all backing
+// storage, so a replayed factorization allocates nothing after warm-up.
 type IncrementalQR struct {
 	m int // row count
 	k int // active column count; q[:k], r[:k] are live
@@ -140,7 +143,9 @@ func (f *IncrementalQR) Residual(dst Vector) Vector {
 
 // ResidualNorm returns ‖y − proj(y, span Q)‖₂ without materializing the
 // residual: ‖r‖² = ‖y‖² − ‖Qᵀy‖² (Pythagoras for orthonormal Q). The max
-// with 0 guards against cancellation.
+// with 0 guards against cancellation. Recovery's Cholesky loop evaluates
+// the same expression on its own Qᵀy; this one serves the residual-form
+// reference it is tested against.
 func (f *IncrementalQR) ResidualNorm() float64 {
 	if f.y == nil {
 		panic("linalg: ResidualNorm before SetTarget")
@@ -159,8 +164,8 @@ func (f *IncrementalQR) ResidualNorm() float64 {
 
 // SolveInto returns the least-squares coefficients z minimizing
 // ‖A·z − y‖₂ over the appended columns, by back-substituting R·z = Qᵀy.
-// It writes into dst (allocated when nil or too small), for callers that
-// reuse the coefficient buffer across queries.
+// It writes into dst (allocated when nil or too small). The residual-form
+// reference recovery is tested against reads its answer here.
 func (f *IncrementalQR) SolveInto(dst Vector) (Vector, error) {
 	if f.y == nil {
 		return nil, fmt.Errorf("linalg: Solve before SetTarget")

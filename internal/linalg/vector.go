@@ -1,14 +1,17 @@
 // Package linalg provides the dense linear-algebra kernels that the
 // compressive-sensing pipeline is built on: vectors, row-major matrices,
-// and an incremental Gram–Schmidt QR factorization.
+// the Gram-form combination recovery runs every iteration
+// (SubCombination), and an incremental Gram–Schmidt QR factorization.
 //
 // The paper's recovery path (§5) runs orthogonal matching pursuit with a
 // QR factorization maintained one column at a time ("we optimized the
 // matrix computation in the recovery using QR factorization with
-// Gram-Schmidt process"); the authors call into Intel MKL, this package
-// re-implements the same computation in pure Go, with the classic
-// "twice is enough" re-orthogonalization pass to keep Q numerically
-// orthonormal at several hundred iterations.
+// Gram-Schmidt process"); the authors call into Intel MKL. Recovery here
+// grows a Cholesky factor of the cached Gram instead (Batch-OMP, see
+// internal/recovery), which is the same R without the M-row Q. The
+// modified Gram–Schmidt QR, with its "twice is enough"
+// re-orthogonalization pass, stays as the reference the engine is tested
+// against.
 package linalg
 
 import (
@@ -148,12 +151,18 @@ func (v Vector) ArgMaxAbs() (int, float64) {
 // c = Φᵀy and g[i] = Φᵀφ_{sᵢ}, the result is Φᵀ(y − Σ zᵢφ_{sᵢ}) without
 // touching Φ. Every vector has the length of c; dst is allocated when
 // too short and must not alias c or any g[i]. Terms are taken four at a
-// time, in i order, so the result is a fixed function of the arguments.
+// time, in i order, and the 0–3 left over one at a time, so the result is
+// a fixed function of the arguments.
+//
+// It also returns what ArgMaxAbs would return for dst, the first index of
+// the largest |dst[j]| (-1 when c is empty), tracked in the pass that
+// writes dst's final values, so OMP's column selection costs no pass of
+// its own.
 //
 // The kernel does one multiply-add per 8 bytes it loads, so it runs at
 // memory speed and stays on one goroutine: on the 2-CPU reference box a
 // 46-term × 4097 combination split in two took 80 µs against 55 µs serial.
-func SubCombination(dst, c, z Vector, g []Vector) Vector {
+func SubCombination(dst, c, z Vector, g []Vector) (Vector, int) {
 	if len(z) != len(g) {
 		panic(fmt.Sprintf("linalg: SubCombination %d coefficients, %d vectors", len(z), len(g)))
 	}
@@ -167,20 +176,77 @@ func SubCombination(dst, c, z Vector, g []Vector) Vector {
 		dst = make(Vector, n)
 	}
 	dst = dst[:n]
-	copy(dst, c)
-	i := 0
-	for ; i+4 <= len(z); i += 4 {
+	if n == 0 {
+		return dst, -1
+	}
+	// Every pass but the last takes four terms; the last takes what is
+	// left (none only when there are no terms) and tracks the argmax.
+	tail := len(z) % 4
+	if tail == 0 && len(z) > 0 {
+		tail = 4
+	}
+	src, i := c[:n], 0
+	for ; i < len(z)-tail; i += 4 {
+		z0, z1, z2, z3 := z[i], z[i+1], z[i+2], z[i+3]
+		g0, g1, g2, g3 := g[i][:n], g[i+1][:n], g[i+2][:n], g[i+3][:n]
+		s := src[:n]
+		for j := range dst {
+			dst[j] = s[j] - ((z0*g0[j] + z1*g1[j]) + (z2*g2[j] + z3*g3[j]))
+		}
+		src = dst
+	}
+	src = src[:n]
+	best, bestAbs := 0, 0.0
+	switch tail {
+	case 0:
+		for j, v := range src {
+			dst[j] = v
+			if a := math.Abs(v); a > bestAbs {
+				best, bestAbs = j, a
+			}
+		}
+	case 1:
+		z0, g0 := z[i], g[i][:n]
+		for j := range dst {
+			v := src[j] - z0*g0[j]
+			dst[j] = v
+			if a := math.Abs(v); a > bestAbs {
+				best, bestAbs = j, a
+			}
+		}
+	case 2:
+		z0, z1 := z[i], z[i+1]
+		g0, g1 := g[i][:n], g[i+1][:n]
+		for j := range dst {
+			v := src[j] - z0*g0[j]
+			v -= z1 * g1[j]
+			dst[j] = v
+			if a := math.Abs(v); a > bestAbs {
+				best, bestAbs = j, a
+			}
+		}
+	case 3:
+		z0, z1, z2 := z[i], z[i+1], z[i+2]
+		g0, g1, g2 := g[i][:n], g[i+1][:n], g[i+2][:n]
+		for j := range dst {
+			v := src[j] - z0*g0[j]
+			v -= z1 * g1[j]
+			v -= z2 * g2[j]
+			dst[j] = v
+			if a := math.Abs(v); a > bestAbs {
+				best, bestAbs = j, a
+			}
+		}
+	case 4:
 		z0, z1, z2, z3 := z[i], z[i+1], z[i+2], z[i+3]
 		g0, g1, g2, g3 := g[i][:n], g[i+1][:n], g[i+2][:n], g[i+3][:n]
 		for j := range dst {
-			dst[j] -= (z0*g0[j] + z1*g1[j]) + (z2*g2[j] + z3*g3[j])
+			v := src[j] - ((z0*g0[j] + z1*g1[j]) + (z2*g2[j] + z3*g3[j]))
+			dst[j] = v
+			if a := math.Abs(v); a > bestAbs {
+				best, bestAbs = j, a
+			}
 		}
 	}
-	for ; i < len(z); i++ {
-		zi, gi := z[i], g[i][:n]
-		for j := range dst {
-			dst[j] -= zi * gi[j]
-		}
-	}
-	return dst
+	return dst, best
 }

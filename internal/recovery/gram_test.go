@@ -2,7 +2,9 @@ package recovery
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,9 +17,11 @@ import (
 // residualOMP is the engine the Gram form replaced, kept as the
 // reference the way NaiveOMP is kept for the QR: every iteration forms
 // the residual y − Q·Qᵀy and correlates all N+1 extended-dictionary
-// columns with it, an O(M·N) pass over the matrix. QR, masks and stop
-// rules are the production ones, so the two may differ only by the
-// round-off between Φᵀ(y − Σzφ) and Φᵀy − ΣzΦᵀφ.
+// columns with it, an O(M·N) pass over the matrix, on the paper's MGS
+// QR. Masks and stop rules are the production ones, and the production
+// Cholesky factor is the same R, so the two may differ only by
+// round-off: between Φᵀ(y − Σzφ) and Φᵀy − ΣzΦᵀφ, and between the two
+// factorizations.
 func residualOMP(m sensing.Matrix, y linalg.Vector, opt Options, biased bool) (*Result, error) {
 	p := m.Params()
 	phi0 := m.ExtensionColumn(nil)
@@ -94,6 +98,68 @@ loop:
 	}
 	res.X = assembleInto(nil, p.N, res.Mode, res.Support, res.Coef)
 	return res, nil
+}
+
+// repeatedColumn is a dictionary with an exactly repeated column: column
+// dup of the wrapped matrix reads as column src in every method, so φ₀
+// counts src twice and dup never.
+type repeatedColumn struct {
+	sensing.Matrix
+	src, dup int
+	phi0     linalg.Vector
+}
+
+func newRepeatedColumn(m sensing.Matrix, src, dup int) *repeatedColumn {
+	r := &repeatedColumn{Matrix: m, src: src, dup: dup}
+	n := m.Params().N
+	ones := make(linalg.Vector, n)
+	r.phi0 = r.Measure(ones.Fill(1/math.Sqrt(float64(n))), nil)
+	return r
+}
+
+func (r *repeatedColumn) col(j int) int {
+	if j == r.dup {
+		return r.src
+	}
+	return j
+}
+
+func (r *repeatedColumn) Col(j int, dst linalg.Vector) linalg.Vector {
+	return r.Matrix.Col(r.col(j), dst)
+}
+
+func (r *repeatedColumn) AddCol(j int, v float64, y linalg.Vector) { r.Matrix.AddCol(r.col(j), v, y) }
+
+func (r *repeatedColumn) Measure(x, dst linalg.Vector) linalg.Vector {
+	moved := x.Clone()
+	moved[r.src] += moved[r.dup]
+	moved[r.dup] = 0
+	return r.Matrix.Measure(moved, dst)
+}
+
+func (r *repeatedColumn) MeasureSparse(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
+	moved := make([]int, len(idx))
+	for k, j := range idx {
+		moved[k] = r.col(j)
+	}
+	return r.Matrix.MeasureSparse(moved, vals, dst)
+}
+
+func (r *repeatedColumn) Correlate(x, dst linalg.Vector) linalg.Vector {
+	dst = r.Matrix.Correlate(x, dst)
+	dst[r.dup] = dst[r.src]
+	return dst
+}
+
+func (r *repeatedColumn) CorrelateBatch(rs, dsts []linalg.Vector) {
+	r.Matrix.CorrelateBatch(rs, dsts)
+	for _, d := range dsts {
+		d[r.dup] = d[r.src]
+	}
+}
+
+func (r *repeatedColumn) ExtensionColumn(dst linalg.Vector) linalg.Vector {
+	return append(dst[:0], r.phi0...)
 }
 
 // matchesReference fails unless the Gram-form result selected exactly
@@ -176,6 +242,153 @@ func TestGramFormMatchesResidualReference(t *testing.T) {
 				matchesReference(t, in.name+"/OMP", got, want)
 			}
 		})
+	}
+}
+
+// TestRepeatedColumnMatchesResidualReference runs the engine on a
+// dictionary with an exactly repeated column that carries an outlier, on
+// every ensemble. The twins tie in every correlation, so the first is
+// selected and the second is inside the span from then on: a run must
+// never hold both, and must select, stop and stall as residualOMP (whose
+// MGS QR rejects such a column) does.
+func TestRepeatedColumnMatchesResidualReference(t *testing.T) {
+	rng := xrand.New(4711)
+	for _, tc := range warmEnsembles(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.mat.Params()
+			x, sup := biasedSparse(rng, p.N, 7, 1200, 150, 900)
+			src, dup := sup[0], sup[0]
+			for slices.Contains(sup, dup) {
+				dup = rng.Intn(p.N)
+			}
+			mat := newRepeatedColumn(tc.mat, src, dup)
+			jittered := x.Clone()
+			for i := range jittered {
+				jittered[i] += 3 * rng.NormFloat64()
+			}
+			for _, in := range []struct {
+				name string
+				y    linalg.Vector
+				opt  Options
+			}{
+				{"exact", mat.Measure(x, nil), Options{}},
+				{"jittered", mat.Measure(jittered, nil), Options{MaxIterations: IterationBudget(7)}},
+				// Half of M, no stop rule: long, but short of the last
+				// columns, where ‖r‖ is round-off in both engines and
+				// which of them reads an exact 0 first is chance.
+				{"long", mat.Measure(jittered, nil), Options{MaxIterations: p.M / 2, DisableEarlyStop: true, ResidualTol: -1}},
+			} {
+				for _, biased := range []bool{true, false} {
+					label := fmt.Sprintf("%s/biased=%v", in.name, biased)
+					want, err := residualOMP(mat, in.y, in.opt, biased)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := NewWorkspace().solveOne(mat, BatchItem{Y: in.y, Opt: in.opt}, biased)
+					if err != nil {
+						t.Fatal(err)
+					}
+					matchesReference(t, label, got, want)
+					if slices.Contains(got.Support, src) && slices.Contains(got.Support, dup) {
+						t.Fatalf("%s: both twins %d and %d selected: %v", label, src, dup, got.Support)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRepeatedColumnRejectedByPivot steps the loop by hand to the state
+// where round-off makes the twin of a column in the basis the
+// combination's argmax. The pivot must reject it: masked, never selected,
+// and the column a masked scan of the SAME correlations names selected in
+// its place, R and Qᵀy growing by that column only.
+func TestRepeatedColumnRejectedByPivot(t *testing.T) {
+	x, _ := workload.MajorityDominated(200, 5, 700, 100, 900, 3)
+	const src, dup = 17, 150
+	x[src] = 1e5 // the first pick, tied with its twin: the lower index wins
+	mat := newRepeatedColumn(dense(t, 48, 200, 9), src, dup)
+	y := mat.Measure(x, nil)
+
+	ws := NewWorkspace()
+	g := ws.bind(mat)
+	defer func() { g.unpin(ws.pins) }()
+	ws.greedyInit(y, Options{MaxIterations: -1, DisableEarlyStop: true, ResidualTol: -1}, true)
+	ws.c0[0] = g.phi0.Dot(y)
+	mat.Correlate(y, ws.c0[1:])
+	var top int
+	ws.corr, top = linalg.SubCombination(ws.corr, ws.c0, ws.coef, ws.gcols)
+	if top != src+1 {
+		t.Fatalf("first argmax %d, want %d", top, src+1)
+	}
+	ws.greedyStep(top)
+
+	ws.corr, _ = linalg.SubCombination(ws.corr, ws.c0, ws.coef, ws.gcols)
+	ws.corr[dup+1] = 2 * ws.corr.NormInf() // what round-off could do
+	masked := append(bitset(nil), ws.masked...)
+	masked.set(dup + 1)
+	next, _ := argMaxAbsMasked(ws.corr, masked)
+	ws.greedyStep(dup + 1)
+	if !ws.masked.has(dup+1) || !slices.Equal(ws.selected, []int{src + 1, next}) {
+		t.Fatalf("selected %v (twin masked: %v), want [%d %d]", ws.selected, ws.masked.has(dup+1), src+1, next)
+	}
+	if len(ws.chol) != 3 || len(ws.qty) != 2 {
+		t.Fatalf("R holds %d entries and Qᵀy %d after two columns, want 3 and 2", len(ws.chol), len(ws.qty))
+	}
+}
+
+// TestPickMatchesMaskedScan holds the loop's selection — the
+// combination's argmax unless it is masked — to a masked scan of the
+// same correlations (linalg pins the combination's bits and argmax): for
+// 0–13 terms, with the winner masked, a masked index tied with the free
+// winner ahead of it, and an all-zero combination.
+func TestPickMatchesMaskedScan(t *testing.T) {
+	rng := xrand.New(99)
+	const n = 70
+	randVec := func(k int) linalg.Vector {
+		v := make(linalg.Vector, k)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	var corr linalg.Vector
+	for terms := 0; terms <= 13; terms++ {
+		c, z := randVec(n), randVec(terms)
+		g := make([]linalg.Vector, terms)
+		for i := range g {
+			g[i] = randVec(n)
+		}
+		for _, shape := range []string{"free", "winner masked", "masked tie", "all zero"} {
+			var mask bitset
+			mask.reset(n)
+			mask.set(3)
+			var top int
+			corr, top = linalg.SubCombination(corr, c, z, g)
+			switch shape {
+			case "winner masked":
+				mask.set(top)
+			case "masked tie":
+				// Index 1 takes the winner's magnitude, so it becomes the
+				// first index of the maximum, and is masked.
+				c[1] = -corr[top]
+				for i := range g {
+					g[i][1] = 0
+				}
+				mask.set(1)
+			case "all zero":
+				clear(c)
+				for i := range g {
+					clear(g[i])
+				}
+			}
+			corr, top = linalg.SubCombination(corr, c, z, g)
+			gotJ, gotAbs := pick(corr, top, mask)
+			wantJ, wantAbs := argMaxAbsMasked(corr, mask)
+			if gotJ != wantJ || math.Float64bits(gotAbs) != math.Float64bits(wantAbs) {
+				t.Fatalf("%d terms, %s: pick (%d, %v), masked scan (%d, %v)", terms, shape, gotJ, gotAbs, wantJ, wantAbs)
+			}
+		}
 	}
 }
 

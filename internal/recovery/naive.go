@@ -10,7 +10,7 @@ import (
 // NaiveOMP is the ablation reference for the paper's §5 QR optimization:
 // a textbook OMP that re-solves the least-squares problem from scratch
 // via the normal equations (ΦₛᵀΦₛ)z = Φₛᵀy at every iteration, instead
-// of updating an incremental QR factorization. Identical output
+// of growing an incremental factorization. Identical output
 // (up to floating point), asymptotically worse per-iteration cost —
 // BenchmarkAblationNaiveOMP quantifies the gap. Not for production use.
 func NaiveOMP(m sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
@@ -51,7 +51,7 @@ func NaiveOMP(m sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
 		inBasis[best] = true
 
 		// Normal equations, rebuilt from scratch: the O(k²M + k³) work
-		// the QR path avoids.
+		// the incremental path avoids.
 		k := len(cols)
 		g := linalg.NewMatrix(k, k)
 		rhs := make(linalg.Vector, k)

@@ -6,13 +6,15 @@
 // baseline of Figure 4a).
 //
 // All algorithms share one greedy engine: per iteration, select the
-// dictionary column most correlated with the current residual, append it
-// to an incrementally maintained QR factorization, and re-project. The
-// correlations come from the Gram form (see Workspace), so an iteration
+// dictionary column most correlated with the current residual, grow the
+// incremental factorization of the selected columns by it, and re-solve.
+// The paper keeps a Gram–Schmidt QR of those columns; the engine keeps
+// its R alone, as the Cholesky factor of their Gram matrix, and takes the
+// correlations from the Gram form too (see Workspace), so an iteration
 // never passes over the matrix. The engine also implements the paper's
 // §5 production fix — "terminate the recovery process once the residual
-// stops decreasing" — which guards against Gram–Schmidt floating-point
-// drift at high iteration counts.
+// stops decreasing" — which guards against floating-point drift in that
+// factorization at high iteration counts.
 //
 // The engine runs inside a Workspace (see workspace.go) that owns all
 // scratch: the package-level BOMP/OMP/KnownModeOMP entry points build a
@@ -67,8 +69,8 @@ type Options struct {
 	StallRelTol float64
 
 	// TraceMode records the mode estimate after every iteration
-	// (Figures 4b and 9). It costs one k×k back-substitution per
-	// iteration.
+	// (Figures 4b and 9). It costs a scan of the coefficients, which
+	// the loop back-substitutes for every iteration anyway.
 	TraceMode bool
 
 	// TraceResidual records ‖r‖₂ after every iteration.

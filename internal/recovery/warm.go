@@ -65,12 +65,8 @@ func BOMPBatch(m sensing.Matrix, wss []*Workspace, items []BatchItem) ([]*Result
 	solve(m, wss, items, true)
 	lead := wss[0]
 	lead.results = lead.results[:0]
-	for i, ws := range wss {
-		res, err := ws.finish()
-		if err != nil {
-			return nil, stats, fmt.Errorf("recovery: batch item %d: %w", i, err)
-		}
-		lead.results = append(lead.results, res)
+	for _, ws := range wss {
+		lead.results = append(lead.results, ws.finish())
 		stats.add(ws.stats)
 	}
 	return lead.results, stats, nil

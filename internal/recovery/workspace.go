@@ -1,16 +1,16 @@
 package recovery
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/sensing"
 )
 
 // Workspace owns every buffer the greedy recovery engine touches — the
-// correlation vectors, column scratch, QR factorization, masks and the
+// correlation vectors, column scratch, Cholesky factor, masks and the
 // Result itself — so that a standing query replaying BOMP on each
 // refreshed sketch performs no heap allocation after the first call
 // (pinned by AllocsPerRun tests).
@@ -21,14 +21,22 @@ import (
 //
 //	c_t = Φᵀ(y − Σᵢ zᵢ·φ_{sᵢ}) = c₀ − Σᵢ zᵢ·g_{sᵢ},   g_s = Φᵀφ_s,
 //
-// where z is the least-squares solution on the current basis (one O(t²)
-// back-substitution on the incremental QR) — O(t·N) per iteration
-// instead of an O(M·N) pass over Φ. The Gram columns g_s come from a
-// GramCache: the one the workspace was made on (GramCache.NewWorkspace),
-// else one of its own, kept while it is called with the same matrix.
-// g_s is a function of Φ alone and the combination takes its terms in
-// selection order, so a Result is a function of (Φ, y, Options): what the
-// cache holds, and whether a hint prefetched it, never changes a bit.
+// one O(t·N) combination (linalg.SubCombination, which also hands back
+// the next column's index) instead of an O(M·N) pass over Φ. z is the
+// least-squares solution on the current basis S. It comes from R, the
+// upper-triangular Cholesky factor of G_SS = Φ_SᵀΦ_S — the R of the
+// paper's Gram–Schmidt QR of Φ_S, without Q — grown by one column per
+// selection from entries of the cached g_s (see extend), and Qᵀy: one
+// O(t²) back-substitution. ‖r‖² is ‖y‖² − ‖Qᵀy‖². So an iteration reads
+// one dictionary column (for ‖φ_b‖²) and, unless its Gram column is a
+// miss, no other M-vector.
+//
+// The Gram columns g_s come from a GramCache: the one the workspace was
+// made on (GramCache.NewWorkspace), else one of its own, kept while it is
+// called with the same matrix. g_s is a function of Φ alone and the
+// combination takes its terms in selection order, so a Result is a
+// function of (Φ, y, Options): what the cache holds, and whether a hint
+// prefetched it, never changes a bit.
 //
 // A Workspace is NOT safe for concurrent use. The *Result returned by
 // its methods, including every slice inside it, is owned by the
@@ -36,10 +44,11 @@ import (
 // results across calls must copy what they need first.
 type Workspace struct {
 	gram     *GramCache
-	qr       *linalg.IncrementalQR
+	chol     linalg.Vector   // R, packed by columns: column i is [i(i+1)/2, (i+1)(i+2)/2)
+	qty      linalg.Vector   // Qᵀy in R's basis: R·z = qty
 	c0       linalg.Vector   // [φ₀·y, Φ₀ᵀy]
 	corr     linalg.Vector   // c_t, extended-dictionary length
-	colBuf   linalg.Vector   // the column just selected
+	colBuf   linalg.Vector   // the candidate column
 	coef     linalg.Vector   // least-squares coefficients z, selection order
 	gcols    []linalg.Vector // g of every selected column but the last
 	pins     []*gramSlot     // cache slots this run holds
@@ -110,7 +119,7 @@ func (ws *Workspace) solveOne(m sensing.Matrix, it BatchItem, biased bool) (*Res
 	ws.self[0], ws.item[0] = ws, it
 	solve(m, ws.self[:], ws.item[:], biased)
 	ws.item[0] = BatchItem{}
-	return ws.finish()
+	return ws.finish(), nil
 }
 
 // bind points the workspace at m's Gram columns: the cache it already
@@ -159,8 +168,9 @@ func solve(m sensing.Matrix, wss []*Workspace, items []BatchItem, biased bool) {
 	}
 	for _, ws := range wss {
 		for !ws.st.done {
-			ws.corr = linalg.SubCombination(ws.corr, ws.c0, ws.coef, ws.gcols)
-			ws.greedyStep()
+			var top int
+			ws.corr, top = linalg.SubCombination(ws.corr, ws.c0, ws.coef, ws.gcols)
+			ws.greedyStep(top)
 		}
 		ws.gram.unpin(ws.pins)
 		clear(ws.pins)
@@ -203,7 +213,8 @@ func (ws *Workspace) prefetch(g *GramCache, it *BatchItem, lead *Workspace) {
 }
 
 // gramColumn returns g of the column the run just selected (still in
-// ws.colBuf), computing it on a miss.
+// ws.colBuf), computing it on a miss. The loop fetches it only once the
+// run goes on past that selection, so the last pick costs no correlate.
 func (ws *Workspace) gramColumn(j int) linalg.Vector {
 	s, hit := ws.gram.pin(j)
 	ws.pins = append(ws.pins, s)
@@ -222,11 +233,8 @@ func (ws *Workspace) gramColumn(j int) linalg.Vector {
 // copied into its own backing (not aliased to ws.selected) so a caller
 // may hand the previous generation's Selection straight back as the
 // next call's warm hint on the SAME workspace.
-func (ws *Workspace) finish() (*Result, error) {
+func (ws *Workspace) finish() *Result {
 	st := &ws.st
-	if st.err != nil {
-		return nil, st.err
-	}
 	res := &ws.res
 	*res = Result{
 		Iterations:    len(ws.selected),
@@ -254,7 +262,7 @@ func (ws *Workspace) finish() (*Result, error) {
 	res.Coef = ws.coefOut
 	ws.x = assembleInto(ws.x, st.n, res.Mode, res.Support, res.Coef)
 	res.X = ws.x
-	return res, nil
+	return res
 }
 
 // greedyState is the loop-invariant context of one greedy run.
@@ -264,12 +272,12 @@ type greedyState struct {
 	biased bool // φ₀ is selectable (BOMP); false masks it out (OMP)
 
 	maxIter  int
+	yy       float64 // ‖y‖², as y.Dot(y)
 	yNorm    float64
 	tol      float64
 	prevNorm float64
 
 	done bool
-	err  error
 	diag diagnostics
 }
 
@@ -298,16 +306,13 @@ func (ws *Workspace) greedyInit(y linalg.Vector, opt Options, biased bool) {
 	}
 	st.maxIter = clampMaxIter(opt.MaxIterations, len(y), size)
 
-	if ws.qr == nil {
-		ws.qr = linalg.NewIncrementalQR(len(y))
-	} else {
-		ws.qr.Reset(len(y))
-	}
-	ws.qr.SetTarget(y)
+	st.yy = y.Dot(y)
 	st.yNorm = y.Norm2()
 	st.prevNorm = st.yNorm
 	st.diag.residual = st.yNorm // final norm if nothing gets selected
 
+	ws.chol = ws.chol[:0]
+	ws.qty = ws.qty[:0]
 	ws.selected = ws.selected[:0]
 	ws.coef = ws.coef[:0]
 	ws.c0 = ensureVec(ws.c0, ws.gram.stride)
@@ -319,53 +324,47 @@ func (ws *Workspace) greedyInit(y linalg.Vector, opt Options, biased bool) {
 	st.tol = opt.residualTol() * st.yNorm
 }
 
-// greedyStep consumes the correlation vector in ws.corr — one iteration
-// of the greedy loop: argmax, QR append, re-solve, stop checks — and
-// leaves ws.coef and ws.gcols ready for the next combination.
-func (ws *Workspace) greedyStep() {
+// greedyStep consumes the correlation vector in ws.corr and top, the
+// combination's argmax of it — one iteration of the greedy loop: select,
+// extend R, re-solve, stop checks — and leaves ws.coef and ws.gcols ready
+// for the next combination.
+func (ws *Workspace) greedyStep(top int) {
 	st := &ws.st
-	qr := ws.qr
 	// Select the best column not already in (or rejected from) the
-	// basis. A rank-deficient rejection only marks the column and
-	// re-runs the argmax on the SAME correlations: the basis did not
-	// change.
-	var best int
+	// basis. A rejected pivot only marks the column and scans the SAME
+	// correlations again: the basis did not change.
+	best, bestAbs := pick(ws.corr, top, ws.masked)
 	for {
-		var bestAbs float64
-		best, bestAbs = argMaxAbsMasked(ws.corr, ws.masked)
 		if best < 0 || bestAbs <= 1e-14*st.yNorm {
 			st.done = true // nothing correlates: residual is (numerically) zero
 			return
 		}
 		ws.masked.set(best)
 		ws.colBuf = ws.gram.column(best, ws.colBuf)
-		_, err := qr.Append(ws.colBuf)
-		if err == nil {
+		if ws.extend(best) {
 			break
 		}
-		// A column numerically inside the current span is never picked again.
-		if !errors.Is(err, linalg.ErrRankDeficient) {
-			st.err = err
-			st.done = true
-			return
-		}
+		// Numerically inside the span: never picked again.
+		best, bestAbs = argMaxAbsMasked(ws.corr, ws.masked)
 	}
 	ws.selected = append(ws.selected, best)
-	z, err := qr.SolveInto(ws.coef)
-	if err != nil {
-		st.err = err
-		st.done = true
-		return
-	}
-	ws.coef = z
+	ws.solveCoef()
 
-	norm := qr.ResidualNorm()
+	qq := 0.0
+	for _, c := range ws.qty {
+		qq += c * c
+	}
+	d := st.yy - qq
+	if d < 0 {
+		d = 0 // cancellation
+	}
+	norm := math.Sqrt(d)
 	st.diag.residual = norm
 	if st.opt.TraceResidual {
 		st.diag.residualTrace = append(st.diag.residualTrace, norm)
 	}
 	if st.opt.TraceMode && st.biased {
-		st.diag.modeTrace = append(st.diag.modeTrace, modeFromExtended(z, ws.selected, st.n))
+		st.diag.modeTrace = append(st.diag.modeTrace, modeFromExtended(ws.coef, ws.selected, st.n))
 	}
 	switch {
 	case norm <= st.tol:
@@ -381,6 +380,60 @@ func (ws *Workspace) greedyStep() {
 		st.prevNorm = norm
 		ws.gcols = append(ws.gcols, ws.gramColumn(best))
 	}
+}
+
+// pivotTol is the relative pivot at or below which a candidate column
+// counts as inside the span of the basis: d² ≤ pivotTol·‖φ_b‖², a
+// remainder of at most 1e-5 of the column's norm. It is a bound on a
+// square because the Gram squares the basis's condition number.
+const pivotTol = 1e-10
+
+// extend grows R by candidate column b, whose M entries are in ws.colBuf,
+// and reports false, leaving R as it was, when b is numerically inside the
+// span of the basis S. With G_SS = RᵀR, R's new column is [w; d]:
+//
+//	Rᵀw = G_{S,b},   d² = ‖φ_b‖² − ‖w‖²,
+//
+// where G_{S,b}[i] = g_{sᵢ}[b] is read off the cached Gram columns of the
+// basis and ‖φ_b‖² off the column itself, so selecting b costs no
+// correlate. The new entry of Qᵀy is (φ_bᵀy − wᵀQᵀy)/d, with φ_bᵀy = c₀[b]:
+// what Gram–Schmidt would give, without forming q.
+func (ws *Workspace) extend(b int) bool {
+	t := len(ws.qty)
+	base := len(ws.chol) // t(t+1)/2
+	ws.chol = slices.Grow(ws.chol, t+1)[:base+t+1]
+	w := ws.chol[base : base+t]
+	ww := 0.0
+	for i, off := 0, 0; i < t; i, off = i+1, off+i+1 {
+		ri := ws.chol[off : off+i+1] // column i of R
+		wi := (ws.gcols[i][b] - ri[:i].Dot(w[:i])) / ri[i]
+		w[i] = wi
+		ww += wi * wi
+	}
+	nb := ws.colBuf.Dot(ws.colBuf)
+	d2 := nb - ww
+	if !(d2 > pivotTol*nb) {
+		ws.chol = ws.chol[:base]
+		return false
+	}
+	d := math.Sqrt(d2)
+	ws.chol[base+t] = d
+	ws.qty = append(ws.qty, (ws.c0[b]-w.Dot(ws.qty))/d)
+	return true
+}
+
+// solveCoef back-substitutes R·z = Qᵀy into ws.coef, a column of R at a
+// time.
+func (ws *Workspace) solveCoef() {
+	z := append(ws.coef[:0], ws.qty...)
+	end := len(ws.chol)
+	for j := len(z) - 1; j >= 0; j-- {
+		rj := ws.chol[end-j-1 : end] // column j of R
+		end -= j + 1
+		z[j] /= rj[j]
+		z[:j].AddScaled(-z[j], rj[:j])
+	}
+	ws.coef = z
 }
 
 // bitset is a fixed-universe set of column indices.
@@ -418,6 +471,18 @@ func argMaxAbsMasked(v linalg.Vector, mask bitset) (int, float64) {
 		}
 	}
 	return best, bestAbs
+}
+
+// pick is argMaxAbsMasked(corr, masked) given top, the first index of
+// the largest |corr[j]| over every j (SubCombination's): a free top with a
+// nonzero value is the answer, and only otherwise does it scan.
+func pick(corr linalg.Vector, top int, masked bitset) (int, float64) {
+	if top >= 0 && !masked.has(top) {
+		if a := math.Abs(corr[top]); a > 0 {
+			return top, a
+		}
+	}
+	return argMaxAbsMasked(corr, masked)
 }
 
 // ensureVec returns v resized to n without zeroing (callers overwrite).

@@ -38,11 +38,14 @@ if [ "${1:-}" = -quick ]; then
 	exit 0
 fi
 
-echo "== second architecture: the Φ golden pins under GOARCH=386 =="
+echo "== second architecture: the Φ golden pins and recovery under GOARCH=386 =="
 # The golden constants in internal/xrand and internal/sensing were recorded
 # on amd64; on 386 math.Log is pure Go and bits.Mul64 no intrinsic, and the
-# bits must still agree. 386 test binaries run natively on amd64 Linux.
-GOARCH=386 go test -count=1 ./internal/xrand/ ./internal/sensing/
+# bits must still agree. The recovery engine's equivalence tests (Cholesky
+# loop against the MGS reference, every cache state bit-identical) run on
+# the same second architecture. 386 test binaries run natively on amd64
+# Linux.
+GOARCH=386 go test -count=1 ./internal/xrand/ ./internal/sensing/ ./internal/recovery/ ./internal/linalg/
 
 tmp=$(mktemp -d)
 pids=""
