@@ -19,25 +19,21 @@ type ClusterOptions struct {
 	// quorum trades data-window coverage for availability — it never
 	// corrupts the answer over the nodes that are in.
 	MinNodes int
-	// NodeTimeout bounds each sketch attempt against one node
-	// (0 = default 10s; <0 = only ctx bounds it).
+	// NodeTimeout bounds the dial and each sketch attempt against one
+	// node (0 = default 10s; <0 = only ctx bounds them).
 	NodeTimeout time.Duration
-	// MaxAttempts is how many times a node is asked before it is
-	// declared failed (0 = default 2).
+	// MaxAttempts is how many times a node is asked for its sketch before
+	// it is declared failed (0 = default 2). Every attempt is one
+	// exchange; one that follows a broken connection dials a fresh one.
 	MaxAttempts int
-	// DialRetries is the transport-level retry budget per RPC: a broken
-	// connection is re-dialed with backoff this many times before the
-	// attempt fails (0 = default 2; <0 disables).
-	DialRetries int
 	// QuorumGrace bounds the extra wait for stragglers once the quorum
 	// is reached (0 = keep waiting for all nodes or ctx).
 	QuorumGrace time.Duration
-	// BackoffSeed seeds every retry-jitter RNG the query uses (one per
-	// dialed node plus the collector's per-node retry streams), making
-	// the whole pull path's timing deterministic for a given seed —
-	// simtest plumbs the scenario seed through here. 0 keeps the
-	// per-address default seeding (still deterministic, but not
-	// scenario-scoped).
+	// BackoffSeed seeds the retry jitter between a node's attempts (one
+	// stream per node, split off this seed by node ID), making the pull
+	// path's timing deterministic for a given seed — simtest plumbs the
+	// scenario seed through here. 0 uses a fixed default seed (still
+	// deterministic, but not scenario-scoped).
 	BackoffSeed uint64
 }
 
@@ -113,16 +109,8 @@ func (s *Sketcher) DetectCluster(ctx context.Context, addrs []string, k int, opt
 		nodeTimeout = 0
 	}
 
-	dialOpts := cluster.DialOptions{
-		RequestTimeout: nodeTimeout,
-		MaxRetries:     opts.DialRetries,
-	}
-	if nodeTimeout == 0 {
-		dialOpts.RequestTimeout = -1
-	}
-
-	// Dial everyone concurrently; a dead address is a failed node, not a
-	// failed query.
+	// Dial everyone concurrently, one exchange each under the node
+	// timeout; a dead address is a failed node, not a failed query.
 	remotes := make([]*cluster.RemoteNode, len(addrs))
 	dialErrs := make([]error, len(addrs))
 	var wg sync.WaitGroup
@@ -130,12 +118,12 @@ func (s *Sketcher) DetectCluster(ctx context.Context, addrs []string, k int, opt
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			do := dialOpts
-			if opts.BackoffSeed != 0 {
-				// Decorrelate per-node jitter streams off the one seed.
-				do.BackoffSeed = opts.BackoffSeed + uint64(i+1)*0x9e3779b97f4a7c15
+			dctx, cancel := ctx, func() {}
+			if nodeTimeout > 0 {
+				dctx, cancel = context.WithTimeout(ctx, nodeTimeout)
 			}
-			remotes[i], dialErrs[i] = cluster.DialContext(ctx, addr, do)
+			defer cancel()
+			remotes[i], dialErrs[i] = cluster.Dial(dctx, addr)
 		}(i, addr)
 	}
 	wg.Wait()

@@ -3,7 +3,9 @@ package csoutlier
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,6 +158,43 @@ func TestDetectClusterQuorumSurvivesDeadNode(t *testing.T) {
 	}
 }
 
+// TestDetectClusterDialBoundedByNodeTimeout: an address that accepts and
+// never answers costs its dial one node timeout, and the round goes on
+// without it.
+func TestDetectClusterDialBoundedByNodeTimeout(t *testing.T) {
+	const n, k = 200, 3
+	sk, err := NewSketcher(testKeys(n), Config{M: 60, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	global, _ := workload.MajorityDominated(n, k, 500, 80, 3000, 13)
+	addrs := startTestNodes(t, global, 2)
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mute.Close() })
+	go func() {
+		if conn, err := mute.Accept(); err == nil {
+			io.Copy(io.Discard, conn) // reads the id request, answers nothing
+			conn.Close()
+		}
+	}()
+	addrs = append(addrs, mute.Addr().String())
+
+	start := time.Now()
+	rep, err := sk.DetectCluster(context.Background(), addrs, k, ClusterOptions{MinNodes: 2, NodeTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("a mute node held the round for %v", d)
+	}
+	if len(rep.Failed) != 1 || rep.Failed[0].Addr != addrs[2] || rep.Failed[0].Attempts != 0 || !strings.Contains(rep.Failed[0].Err, "i/o timeout") {
+		t.Fatalf("failed %+v", rep.Failed)
+	}
+}
+
 func TestDetectClusterFailsBelowQuorum(t *testing.T) {
 	keys := testKeys(50)
 	sk, err := NewSketcher(keys, Config{M: 20, Seed: 5})
@@ -202,7 +241,7 @@ func TestDetectClusterFailedQuorumKeepsEvidence(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	rep, err := sk.DetectCluster(ctx, addrs, 3, ClusterOptions{
-		MinNodes: 2, NodeTimeout: 200 * time.Millisecond, MaxAttempts: 2, DialRetries: -1,
+		MinNodes: 2, NodeTimeout: 200 * time.Millisecond, MaxAttempts: 2,
 	})
 	if err == nil {
 		t.Fatal("one node of a quorum of two answered and the query succeeded")

@@ -41,8 +41,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "sketch-collection deadline; with -min-nodes, stragglers past it are dropped")
 		minNodes  = flag.Int("min-nodes", 0, "tolerate node failures: proceed once this many sketches arrived (0 = require all; sketch linearity makes the partial aggregate exact over the responders)")
 		nodeTO    = flag.Duration("node-timeout", 10*time.Second, "per-request deadline on each node RPC (0 = unbounded)")
-		attempts  = flag.Int("attempts", 2, "sketch attempts per node before it is declared failed")
-		retries   = flag.Int("retries", 2, "transport-level retries per RPC on a broken connection (re-dial with backoff)")
+		attempts  = flag.Int("attempts", 2, "sketch attempts per node before it is declared failed (each one exchange; a retry after a broken connection re-dials)")
 		health    = flag.Bool("health", false, "print per-node health (attempts, retries, timeouts, redials, RTT, bytes)")
 		ensemble  = flag.String("ensemble", "gaussian", "measurement ensemble: gaussian or countsketch")
 		depth     = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
@@ -86,19 +85,15 @@ func main() {
 		log.Printf("csagg metrics on http://%s/metrics", mln.Addr())
 	}
 
-	// ClusterOptions reads 0 as "default" and -1 as "none"; the flags
-	// read 0 as "none".
+	// ClusterOptions reads a zero NodeTimeout as "default" and a negative
+	// one as "none"; the flag reads 0 as "none".
 	opts := csoutlier.ClusterOptions{
 		MinNodes:    *minNodes,
 		NodeTimeout: *nodeTO,
 		MaxAttempts: *attempts,
-		DialRetries: *retries,
 	}
 	if *nodeTO == 0 {
 		opts.NodeTimeout = -1
-	}
-	if *retries == 0 {
-		opts.DialRetries = -1
 	}
 	ctx := context.Background()
 	if *timeout > 0 {

@@ -71,7 +71,7 @@ func TestIntegrationAllSurfacesAgree(t *testing.T) {
 		}
 		t.Cleanup(func() { ln.Close() })
 		go cluster.Serve(ln, cluster.NewLocalNode(cl.Keys[0][:2]+string(rune('0'+dc)), cl.Slices[dc]))
-		rn, err := cluster.DialContext(context.Background(), ln.Addr().String(), cluster.DialOptions{})
+		rn, err := cluster.Dial(context.Background(), ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -61,35 +59,5 @@ func TestBackoffSeedResolution(t *testing.T) {
 	}
 	if b := backoffSeed(0, "10.0.0.2:9000"); b == a1 {
 		t.Errorf("distinct labels collided on seed %d", a1)
-	}
-}
-
-// TestDialBackoffSeedOption checks DialContext threads the seed into the
-// client's jitter RNG: twin clients with the same explicit seed hold
-// identically seeded streams.
-func TestDialBackoffSeedOption(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go Serve(ln, NewLocalNode("n0", nil))
-
-	dial := func(seed uint64) *RemoteNode {
-		t.Helper()
-		r, err := DialContext(context.Background(), ln.Addr().String(), DialOptions{BackoffSeed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { r.Close() })
-		return r
-	}
-	r1, r2 := dial(99), dial(99)
-	for i := 0; i < 8; i++ {
-		d1 := xrand.BackoffDelay(r1.rng, i+1, 25*time.Millisecond, time.Second)
-		d2 := xrand.BackoffDelay(r2.rng, i+1, 25*time.Millisecond, time.Second)
-		if d1 != d2 {
-			t.Fatalf("draw %d: same BackoffSeed drew %v vs %v", i, d1, d2)
-		}
 	}
 }

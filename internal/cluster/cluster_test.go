@@ -210,8 +210,8 @@ func TestTCPTransportAllMethods(t *testing.T) {
 	if _, err := rn.Sketch(ctx, sensing.GaussianSpec(sensing.Params{M: 3, N: 5, Seed: 12})); err != nil {
 		t.Fatalf("connection broken after error: %v", err)
 	}
-	if h := rn.Health(); h.Redials != 0 || h.Failures != 0 || h.Attempts != 5 {
-		t.Fatalf("health %+v, want 5 attempts on one connection", h)
+	if h := rn.Health(); h.Redials != 0 {
+		t.Fatalf("health %+v, want every exchange on one connection", h)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"net"
 	"sort"
 	"time"
 
@@ -23,19 +25,20 @@ type CollectOptions struct {
 	// so an outage shrinks the data window instead of failing the query.
 	MinNodes int
 	// MaxAttempts is how many times each node's sketch is requested
-	// before the node is declared failed (0 = default 2). The TCP
-	// transport additionally retries broken connections internally; this
-	// level retries application failures and re-polls flaky nodes.
+	// before the node is declared failed (0 = default 2). This is the
+	// pull path's one retry loop: a RemoteNode makes one exchange per
+	// call, so a broken connection, an error reply and a straggler are
+	// each a failed attempt, and the next attempt re-dials if the
+	// connection was poisoned.
 	MaxAttempts int
 	// NodeTimeout bounds each individual attempt (0 = only the overall
 	// ctx limits it). A straggler past the per-attempt deadline is
 	// retried; one past the overall deadline is dropped.
 	NodeTimeout time.Duration
-	// RetryBackoff is the base delay between a node's attempts; it grows
-	// exponentially with full jitter (0 = default 50ms).
+	// RetryBackoff is the base delay between a node's attempts; it
+	// doubles per retry up to one second, with equal jitter (0 = default
+	// 50ms).
 	RetryBackoff time.Duration
-	// MaxBackoff caps the retry delay (0 = default 1s).
-	MaxBackoff time.Duration
 	// QuorumGrace, when positive, bounds how long the collector keeps
 	// waiting for stragglers once MinNodes responses are in: after the
 	// grace elapses, in-flight requests are cancelled and the quorum
@@ -98,10 +101,6 @@ func CollectSketches[T NodeAPI](ctx context.Context, nodes []T, spec sensing.Spe
 	if baseBackoff <= 0 {
 		baseBackoff = 50 * time.Millisecond
 	}
-	maxBackoff := opts.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = time.Second
-	}
 	jitterSeed := opts.BackoffSeed
 	if jitterSeed == 0 {
 		jitterSeed = 0x9e3779b97f4a7c15
@@ -129,7 +128,7 @@ func CollectSketches[T NodeAPI](ctx context.Context, nodes []T, spec sensing.Spe
 			for attempt := 1; attempt <= maxAttempts; attempt++ {
 				if attempt > 1 {
 					ns.Retries++
-					if xrand.SleepCtx(inner, xrand.BackoffDelay(rng, attempt-1, baseBackoff, maxBackoff)) != nil {
+					if xrand.SleepCtx(inner, xrand.BackoffDelay(rng, attempt-1, baseBackoff, time.Second)) != nil {
 						break
 					}
 				}
@@ -240,4 +239,26 @@ loop:
 			len(res.Included), len(nodes), min, res.Failed)
 	}
 	return res, nil
+}
+
+// backoffSeed resolves a jitter seed: an explicit non-zero seed wins,
+// otherwise a stable FNV-1a hash of the label (the node ID) keeps
+// distinct targets decorrelated without global state.
+func backoffSeed(seed uint64, label string) uint64 {
+	if seed != 0 {
+		return seed
+	}
+	h := fnv.New64a()
+	h.Write([]byte(label))
+	return h.Sum64()
+}
+
+// isTimeout reports whether err is a deadline expiry, on the wire or in
+// a context.
+func isTimeout(err error) bool {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return true
+	}
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }

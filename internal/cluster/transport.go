@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"csoutlier/internal/frame"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/sensing"
-	"csoutlier/internal/xrand"
 )
 
 // The TCP transport speaks a small request/response protocol over a
@@ -43,10 +41,11 @@ import (
 // disconnected.
 //
 // Failure is treated as the normal case (§1 challenges 2–3): every
-// round-trip carries a deadline, a connection that errored mid-exchange
-// is poisoned and transparently re-dialed (a half-read frame would
-// desync every later request), and the client keeps per-node health
-// counters the aggregator can surface.
+// exchange runs under its caller's deadline, and a connection that
+// errored mid-exchange is poisoned (a half-read frame would desync every
+// later request), so the node's next exchange dials a fresh one. The
+// client makes one exchange per call; retrying is the collector's
+// (collect.go), the one retry loop on the pull path.
 
 // ServeOptions tunes the node-side server.
 type ServeOptions struct {
@@ -169,142 +168,81 @@ func handle(ctx context.Context, node NodeAPI, req *request) response {
 	}
 }
 
-// DialOptions tunes the client side of the transport. The zero value
-// gets production-safe defaults.
-type DialOptions struct {
-	// DialTimeout bounds each TCP dial attempt (default 5s).
-	DialTimeout time.Duration
-	// RequestTimeout is the per-round-trip deadline applied when the
-	// caller's context carries none (default 30s; <0 disables).
-	RequestTimeout time.Duration
-	// MaxRetries is how many times a round-trip is retried on a fresh
-	// connection after a transport failure (default 2; <0 disables).
-	MaxRetries int
-	// BaseBackoff is the first retry delay; it doubles per retry with
-	// full jitter (default 25ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the retry delay (default 1s).
-	MaxBackoff time.Duration
-	// BackoffSeed seeds the per-client retry-jitter RNG (the PR 5
-	// NodeOptions.BackoffSeed analogue). 0 derives a stable seed from
-	// the dialed address, so jitter is deterministic per target and
-	// never touches the global math/rand state — simtest replays stay
-	// bit-identical on the pull path.
-	BackoffSeed uint64
-}
-
-func (o DialOptions) withDefaults() DialOptions {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 30 * time.Second
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 2
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 25 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = time.Second
-	}
-	return o
-}
-
-// NodeHealth is a snapshot of one RemoteNode's transport counters.
+// NodeHealth is a snapshot of one RemoteNode's connection counters. What
+// each exchange cost and whether it failed is the collector's to count
+// (NodeStats): a RemoteNode makes one exchange per call.
 type NodeHealth struct {
-	Attempts     int           // round-trips started, including retries
-	Retries      int           // round-trips beyond a request's first attempt
-	Timeouts     int           // attempts that died on a deadline
-	Redials      int           // connections re-established after a poisoned one
-	Failures     int           // requests that exhausted retries (errors seen by callers)
-	BytesRead    int64         // raw wire bytes received
-	BytesWritten int64         // raw wire bytes sent
-	LastRTT      time.Duration // round-trip time of the most recent completed exchange
-	AvgRTT       time.Duration // mean round-trip time over completed exchanges
+	Redials      int   // connections dialed to replace a poisoned one
+	BytesRead    int64 // raw wire bytes received
+	BytesWritten int64 // raw wire bytes sent
 }
 
 // countingConn counts raw wire bytes into a RemoteNode's health.
 type countingConn struct {
 	net.Conn
-	r, w *int64
+	r, w *atomic.Int64
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	atomic.AddInt64(c.r, int64(n))
+	c.r.Add(int64(n))
 	return n, err
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	atomic.AddInt64(c.w, int64(n))
+	c.w.Add(int64(n))
 	return n, err
 }
 
-// RemoteNode is a NodeAPI over a TCP connection to a Serve-d node. A
-// transport failure poisons the current connection; the next attempt
-// (within the same request, up to MaxRetries, or a later request)
-// transparently re-dials.
+// RemoteNode is a NodeAPI over a TCP connection to a Serve-d node. Each
+// call is one exchange under the caller's context: it does not retry.
+// A transport failure poisons the connection, and the next call dials a
+// fresh one.
 type RemoteNode struct {
 	addr string
-	opts DialOptions
 	name string
 
-	mu  sync.Mutex // serializes round-trips: the protocol is strictly request/response
-	rng *xrand.RNG // retry jitter; accessed only under mu
-
+	// mu serializes exchanges: the protocol is strictly request/response.
 	// The read buffer, the reply cap and the outgoing frame live as long
 	// as the node and are touched only under mu.
+	mu     sync.Mutex
 	fr     frame.Reader
 	limits [kindReply + 1]int
 	wbuf   []byte
 
-	connMu sync.Mutex // guards conn/closed; Close may race a round-trip
+	connMu sync.Mutex // guards conn/dialed/closed; Close may race an exchange
 	conn   net.Conn
+	dialed bool // a connection was dialed before: the next dial is a redial
 	closed bool
 
-	bytesRead    int64 // atomic
-	bytesWritten int64 // atomic
-
-	hmu      sync.Mutex
-	health   NodeHealth
-	okCount  int64
-	totalRTT time.Duration
+	redials                 atomic.Int64
+	bytesRead, bytesWritten atomic.Int64
 }
 
-// DialContext connects to a node served at addr, with the given
-// transport options, and fetches its ID.
-func DialContext(ctx context.Context, addr string, opts DialOptions) (*RemoteNode, error) {
-	r := &RemoteNode{addr: addr, opts: opts.withDefaults()}
-	r.rng = xrand.New(backoffSeed(r.opts.BackoffSeed, addr))
+// Dial connects to a node served at addr and fetches its ID, in one
+// exchange bounded by ctx. The error names addr.
+func Dial(ctx context.Context, addr string) (*RemoteNode, error) {
+	r := &RemoteNode{addr: addr}
 	var resp response
 	if err := r.roundTrip(ctx, &request{Kind: reqID}, &resp); err != nil {
 		r.Close()
-		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
+		return nil, err
 	}
 	r.name = resp.Name
 	return r, nil
 }
 
-// Health returns a snapshot of the node's transport counters.
+// Health returns a snapshot of the node's connection counters.
 func (r *RemoteNode) Health() NodeHealth {
-	r.hmu.Lock()
-	defer r.hmu.Unlock()
-	h := r.health
-	h.BytesRead = atomic.LoadInt64(&r.bytesRead)
-	h.BytesWritten = atomic.LoadInt64(&r.bytesWritten)
-	if r.okCount > 0 {
-		h.AvgRTT = r.totalRTT / time.Duration(r.okCount)
+	return NodeHealth{
+		Redials:      int(r.redials.Load()),
+		BytesRead:    r.bytesRead.Load(),
+		BytesWritten: r.bytesWritten.Load(),
 	}
-	return h
 }
 
-// Close releases the connection. An in-flight round-trip observes a
+// Close releases the connection. An in-flight exchange observes a
 // closed-connection error.
 func (r *RemoteNode) Close() error {
 	r.connMu.Lock()
@@ -321,8 +259,8 @@ func (r *RemoteNode) Close() error {
 // errClosed is returned for requests on an explicitly-Closed node.
 var errClosed = errors.New("cluster: node is closed")
 
-// acquireConn returns the live connection, dialing a fresh one if the
-// previous one was poisoned. Called with r.mu held.
+// acquireConn returns the live connection, dialing a fresh one if there
+// is none or the previous one was poisoned. Called with r.mu held.
 func (r *RemoteNode) acquireConn(ctx context.Context) (net.Conn, error) {
 	r.connMu.Lock()
 	defer r.connMu.Unlock()
@@ -332,17 +270,15 @@ func (r *RemoteNode) acquireConn(ctx context.Context) (net.Conn, error) {
 	if r.conn != nil {
 		return r.conn, nil
 	}
-	dctx := ctx
-	if r.opts.DialTimeout > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, r.opts.DialTimeout)
-		defer cancel()
-	}
 	var d net.Dialer
-	conn, err := d.DialContext(dctx, "tcp", r.addr)
+	conn, err := d.DialContext(ctx, "tcp", r.addr)
 	if err != nil {
 		return nil, err
 	}
+	if r.dialed {
+		r.redials.Add(1)
+	}
+	r.dialed = true
 	r.conn = &countingConn{Conn: conn, r: &r.bytesRead, w: &r.bytesWritten}
 	// The reader starts clean on a new connection (whatever the old one
 	// left half-read is gone) and keeps its buffer.
@@ -351,103 +287,55 @@ func (r *RemoteNode) acquireConn(ctx context.Context) (net.Conn, error) {
 }
 
 // poison discards conn if it is still the node's live connection, so the
-// next attempt re-dials instead of reading on from the middle of a frame.
+// next exchange dials afresh instead of reading on from the middle of a
+// frame.
 func (r *RemoteNode) poison(conn net.Conn) {
 	r.connMu.Lock()
 	defer r.connMu.Unlock()
-	if r.conn == conn && conn != nil {
+	if r.conn == conn {
 		conn.Close()
 		r.conn = nil
 	}
 }
 
-// roundTrip sends req and decodes the node's reply into resp, retrying
-// transport failures on fresh connections. A reply that carries an error
-// is the node's answer, returned without a retry.
+// roundTrip sends req and decodes the node's reply into resp: one
+// exchange, on the live connection or a freshly dialed one. A reply that
+// carries an error is the node's answer; the connection stays in sync
+// and is kept.
 func (r *RemoteNode) roundTrip(ctx context.Context, req *request, resp *response) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.wbuf = appendRequest(r.wbuf, req)
-	r.limits[kindReply] = replyLimit(req)
-	var lastErr error
-	hadConn := false
-	for attempt := 0; attempt <= r.opts.MaxRetries; attempt++ {
-		if attempt > 0 {
-			r.note(func(h *NodeHealth) { h.Retries++ })
-			if err := xrand.SleepCtx(ctx, xrand.BackoffDelay(r.rng, attempt, r.opts.BaseBackoff, r.opts.MaxBackoff)); err != nil {
-				r.note(func(h *NodeHealth) { h.Failures++ })
-				return fmt.Errorf("cluster: %s: %w (last transport error: %v)", r.addr, err, lastErr)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			r.note(func(h *NodeHealth) { h.Failures++ })
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	conn, err := r.acquireConn(ctx)
+	if err != nil {
+		if errors.Is(err, errClosed) {
 			return err
 		}
-		conn, err := r.acquireConn(ctx)
-		if err != nil {
-			if errors.Is(err, errClosed) {
-				return err
-			}
-			lastErr = fmt.Errorf("dial: %w", err)
-			r.note(func(h *NodeHealth) {
-				h.Attempts++
-				if isTimeout(err) {
-					h.Timeouts++
-				}
-			})
-			continue
-		}
-		if hadConn {
-			r.note(func(h *NodeHealth) { h.Redials++ })
-		}
-		hadConn = true
-		rtt, err := r.exchange(ctx, conn, req.Kind, resp)
-		if err == nil {
-			r.note(func(h *NodeHealth) {
-				h.Attempts++
-				h.LastRTT = rtt
-			})
-			r.hmu.Lock()
-			r.okCount++
-			r.totalRTT += rtt
-			r.hmu.Unlock()
-			if resp.Err != "" {
-				// Application-level error: the stream is still in sync,
-				// so the connection stays usable — fail without retry.
-				return errors.New(resp.Err)
-			}
-			return nil
-		}
-		// Transport error: the connection may hold a half-written or
-		// half-read frame. Poison it; a retry starts from a clean dial.
+		return fmt.Errorf("cluster: %w", err) // names the op and addr
+	}
+	r.wbuf = appendRequest(r.wbuf, req)
+	r.limits[kindReply] = replyLimit(req)
+	if err := r.exchange(ctx, conn, req.Kind, resp); err != nil {
+		// The connection may hold a half-written or half-read frame.
 		r.poison(conn)
-		lastErr = err
-		r.note(func(h *NodeHealth) {
-			h.Attempts++
-			if isTimeout(err) {
-				h.Timeouts++
-			}
-		})
 		if cerr := ctx.Err(); cerr != nil {
-			r.note(func(h *NodeHealth) { h.Failures++ })
 			return fmt.Errorf("cluster: %s: %w (transport: %v)", r.addr, cerr, err)
 		}
+		return fmt.Errorf("cluster: %s: %w", r.addr, err)
 	}
-	r.note(func(h *NodeHealth) { h.Failures++ })
-	return fmt.Errorf("cluster: %s: giving up after %d attempts: %w", r.addr, r.opts.MaxRetries+1, lastErr)
+	if resp.Err != "" {
+		return errors.New(resp.Err)
+	}
+	return nil
 }
 
 // exchange writes the encoded request in r.wbuf with one Write and reads
-// the reply to a request of the given kind into resp, under the request
+// the reply to a request of the given kind into resp, under ctx's
 // deadline.
-func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, kind reqKind, resp *response) (time.Duration, error) {
-	deadline := time.Time{}
-	if r.opts.RequestTimeout > 0 {
-		deadline = time.Now().Add(r.opts.RequestTimeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
+func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, kind reqKind, resp *response) error {
+	deadline, _ := ctx.Deadline()
 	conn.SetDeadline(deadline)
 	// Watchdog: a context cancel must unblock a read that is parked on a
 	// hung node before its deadline fires.
@@ -461,10 +349,9 @@ func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, kind reqKind, 
 		case <-stop:
 		}
 	}()
-	start := time.Now()
 	err := func() error {
 		if _, err := conn.Write(r.wbuf); err != nil {
-			return fmt.Errorf("cluster: send: %w", err)
+			return fmt.Errorf("send: %w", err)
 		}
 		_, body, err := r.fr.Next() // the reader accepts no kind but a reply
 		if err == nil {
@@ -472,43 +359,15 @@ func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, kind reqKind, 
 		}
 		if err != nil {
 			if errors.Is(err, io.EOF) {
-				return errors.New("cluster: node closed connection")
+				return errors.New("node closed connection")
 			}
-			return fmt.Errorf("cluster: receive: %w", err)
+			return fmt.Errorf("receive: %w", err)
 		}
 		return nil
 	}()
 	close(stop)
 	<-done
-	return time.Since(start), err
-}
-
-func (r *RemoteNode) note(f func(*NodeHealth)) {
-	r.hmu.Lock()
-	f(&r.health)
-	r.hmu.Unlock()
-}
-
-// isTimeout reports whether err is a deadline expiry, on the wire or in
-// a context.
-func isTimeout(err error) bool {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// backoffSeed resolves a jitter seed: an explicit non-zero seed wins,
-// otherwise a stable FNV-1a hash of the label (the dialed address or
-// node ID) keeps distinct targets decorrelated without global state.
-func backoffSeed(seed uint64, label string) uint64 {
-	if seed != 0 {
-		return seed
-	}
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return h.Sum64()
+	return err
 }
 
 // ID implements NodeAPI.

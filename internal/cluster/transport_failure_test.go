@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -52,111 +53,117 @@ func testVector() linalg.Vector {
 func TestSketchDeadlineOnHungNode(t *testing.T) {
 	s := startChaos(t, NewLocalNode("wedged", testVector()))
 	s.SetBehavior(BehaveHang)
-	rn, err := DialContext(context.Background(), s.Addr(), DialOptions{
-		RequestTimeout: 150 * time.Millisecond,
-		MaxRetries:     -1,
-	})
+	rn, err := dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rn.Close()
 
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err = rn.Sketch(context.Background(), testSpec)
+	_, err = rn.Sketch(ctx, testSpec)
 	if err == nil {
 		t.Fatal("sketch against a hung node succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline did not fire: call took %v", elapsed)
 	}
-	h := rn.Health()
-	if h.Timeouts != 1 || h.Failures != 1 {
-		t.Fatalf("health %+v, want 1 timeout and 1 failure", h)
+	if !isTimeout(err) {
+		t.Fatalf("error %v is not a timeout", err)
 	}
 }
 
 func TestCancelUnblocksHungExchange(t *testing.T) {
-	// With per-request deadlines disabled, only the watchdog can unpark a
-	// read that is stuck on a wedged node.
+	// A cancel without a deadline sets none on the connection: only the
+	// watchdog can unpark a read that is stuck on a wedged node.
 	s := startChaos(t, NewLocalNode("wedged", testVector()))
 	s.SetBehavior(BehaveHang)
-	rn, err := DialContext(context.Background(), s.Addr(), DialOptions{
-		RequestTimeout: -1,
-		MaxRetries:     -1,
-	})
+	rn, err := dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rn.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	time.AfterFunc(100*time.Millisecond, cancel)
 	start := time.Now()
-	if _, err := rn.Sketch(ctx, testSpec); err == nil {
-		t.Fatal("cancelled sketch succeeded")
+	if _, err := rn.Sketch(ctx, testSpec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sketch returned %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancellation did not unblock the read: call took %v", elapsed)
 	}
 }
 
+// TestTransparentRedialAfterMidStreamDisconnect: a node that hangs up
+// mid-exchange costs its caller nothing but a retry. The RemoteNode
+// makes one exchange and poisons the broken connection; the collector's
+// second attempt re-dials and gets the sketch.
 func TestTransparentRedialAfterMidStreamDisconnect(t *testing.T) {
 	node := NewLocalNode("flaky", testVector())
 	s := startChaos(t, node)
 	s.FailFirst(1)
-	rn, err := DialContext(context.Background(), s.Addr(), DialOptions{BaseBackoff: time.Millisecond})
+	rn, err := dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rn.Close()
 
-	got, err := rn.Sketch(context.Background(), testSpec)
+	res, err := CollectSketches(context.Background(), []*RemoteNode{rn}, testSpec, CollectOptions{RetryBackoff: time.Millisecond})
 	if err != nil {
-		t.Fatalf("sketch did not survive a mid-stream disconnect: %v", err)
+		t.Fatalf("collection did not survive a mid-stream disconnect: %v", err)
 	}
 	want, _ := node.Sketch(context.Background(), testSpec)
-	if !got.Equal(want, 0) {
+	if !res.Sketch.Equal(want, 0) {
 		t.Fatal("retried sketch differs from direct computation")
 	}
-	h := rn.Health()
-	if h.Retries != 1 || h.Redials != 1 {
-		t.Fatalf("health %+v, want exactly 1 retry and 1 redial", h)
+	if ns := res.Nodes["flaky"]; ns.Attempts != 2 || ns.Retries != 1 {
+		t.Fatalf("node stats %+v, want exactly 2 attempts and 1 retry", ns)
+	}
+	if h := rn.Health(); h.Redials != 1 {
+		t.Fatalf("health %+v, want exactly 1 redial", h)
 	}
 }
 
+// TestGarbageResponsePoisonsConnection: a reply that is not a frame
+// fails its one exchange, and the poisoned connection is replaced on
+// the next call once the node behaves.
 func TestGarbageResponsePoisonsConnection(t *testing.T) {
 	node := NewLocalNode("byzantine", testVector())
 	s := startChaos(t, node)
 	s.SetBehavior(BehaveGarbage)
-	rn, err := DialContext(context.Background(), s.Addr(), DialOptions{
-		MaxRetries:  1,
-		BaseBackoff: time.Millisecond,
-	})
+	rn, err := dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rn.Close()
 
+	req, _ := SketchRequestFrame(testSpec)
+	before := rn.Health().BytesWritten
 	if _, err := rn.Sketch(context.Background(), testSpec); err == nil {
 		t.Fatal("garbage response accepted as a sketch")
 	}
-	// 3 attempts: the dial handshake plus both poisoned sketch exchanges.
-	h := rn.Health()
-	if h.Attempts != 3 || h.Failures != 1 {
-		t.Fatalf("health %+v, want 3 attempts and 1 failure", h)
+	if sent := rn.Health().BytesWritten - before; sent != int64(len(req)) {
+		t.Fatalf("sent %d bytes, want one %d-byte request: a RemoteNode does not retry", sent, len(req))
 	}
-	// The stream desynced, but the node recovers: once it behaves, the
-	// poisoned connection is replaced and requests succeed again.
 	s.SetBehavior(behaveOK)
 	if _, err := rn.Sketch(context.Background(), testSpec); err != nil {
 		t.Fatalf("sketch after garbage recovery: %v", err)
 	}
+	if h := rn.Health(); h.Redials != 1 {
+		t.Fatalf("health %+v, want the poisoned connection replaced once", h)
+	}
 }
 
+// TestRedialAfterNodeRestart: the connection to a node that restarted is
+// dead; the exchange on it fails, and the collector's retry dials the
+// new process.
 func TestRedialAfterNodeRestart(t *testing.T) {
 	node := NewLocalNode("rebooted", testVector())
 	s := startChaos(t, node)
-	rn, err := DialContext(context.Background(), s.Addr(), DialOptions{BaseBackoff: time.Millisecond})
+	rn, err := dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,16 +177,19 @@ func TestRedialAfterNodeRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := rn.Sketch(context.Background(), testSpec)
+	res, err := CollectSketches(context.Background(), []*RemoteNode{rn}, testSpec, CollectOptions{RetryBackoff: time.Millisecond})
 	if err != nil {
-		t.Fatalf("sketch did not survive a node restart: %v", err)
+		t.Fatalf("collection did not survive a node restart: %v", err)
 	}
 	want, _ := node.Sketch(context.Background(), testSpec)
-	if !got.Equal(want, 0) {
+	if !res.Sketch.Equal(want, 0) {
 		t.Fatal("post-restart sketch differs from direct computation")
 	}
-	if h := rn.Health(); h.Redials < 1 {
-		t.Fatalf("health %+v, want at least 1 redial", h)
+	if ns := res.Nodes["rebooted"]; ns.Attempts != 2 {
+		t.Fatalf("node stats %+v, want the stale connection's attempt and one more", ns)
+	}
+	if h := rn.Health(); h.Redials != 1 {
+		t.Fatalf("health %+v, want exactly 1 redial", h)
 	}
 }
 
@@ -238,15 +248,10 @@ func TestQuorumCollectionWithHungAndCrashedNodes(t *testing.T) {
 	servers[2].SetBehavior(BehaveHang)
 	servers[3].SetBehavior(BehaveCrash)
 
-	dialOpts := DialOptions{
-		RequestTimeout: 250 * time.Millisecond,
-		MaxRetries:     -1, // retries belong to the collector in this test
-		BaseBackoff:    time.Millisecond,
-	}
 	var nodes []NodeAPI
 	var remotes []*RemoteNode
 	for _, s := range servers {
-		rn, err := DialContext(context.Background(), s.Addr(), dialOpts)
+		rn, err := dial(s.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +336,9 @@ func (s *ChaosServer) Restart() error {
 	return nil
 }
 
-// dial connects to a node at addr with the default transport options.
+// dial connects to a node at addr, giving up after five seconds.
 func dial(addr string) (*RemoteNode, error) {
-	return DialContext(context.Background(), addr, DialOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return Dial(ctx, addr)
 }

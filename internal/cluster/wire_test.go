@@ -265,9 +265,8 @@ func scriptedServer(t *testing.T, answer func(kind reqKind) []byte) string {
 
 // TestClientRejectsHostileReplies: a reply over the cap the client derived
 // from its own request, of the wrong kind, that does not parse or that
-// carries a non-finite value fails the exchange after a bounded number
-// of attempts — no allocation sized
-// by the peer, no hang, no retry storm.
+// carries a non-finite value fails the one exchange — no allocation sized
+// by the peer, no hang, no retry.
 func TestClientRejectsHostileReplies(t *testing.T) {
 	const m = 4
 	spec := sensing.GaussianSpec(sensing.Params{M: m, N: 8, Seed: 9})
@@ -288,6 +287,7 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 	for name, v := range map[string]float64{"NaN in the vector": math.NaN(), "+Inf in the vector": math.Inf(1), "-Inf in the vector": math.Inf(-1)} {
 		cases[name] = appendReply(nil, reqSketch, &response{Vec: linalg.Vector{1, v, 3, 4}})
 	}
+	req, _ := SketchRequestFrame(spec)
 	for name, bad := range cases {
 		addr := scriptedServer(t, func(kind reqKind) []byte {
 			if kind == reqID {
@@ -295,20 +295,22 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 			}
 			return bad
 		})
-		rn, err := DialContext(context.Background(), addr, DialOptions{MaxRetries: 2, BaseBackoff: time.Millisecond, RequestTimeout: 5 * time.Second})
+		rn, err := dial(addr)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		before := rn.Health().Attempts
+		before := rn.Health().BytesWritten
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		start := time.Now()
-		if y, err := rn.Sketch(context.Background(), spec); err == nil {
+		if y, err := rn.Sketch(ctx, spec); err == nil {
 			t.Fatalf("%s: accepted as a sketch: %v", name, y)
 		}
+		cancel()
 		if d := time.Since(start); d > 2*time.Second {
 			t.Fatalf("%s: took %v to fail", name, d)
 		}
-		if got := rn.Health().Attempts - before; got != 3 {
-			t.Fatalf("%s: %d attempts, want MaxRetries+1 = 3", name, got)
+		if got := rn.Health().BytesWritten - before; got != int64(len(req)) {
+			t.Fatalf("%s: sent %d bytes, want one %d-byte request", name, got, len(req))
 		}
 		rn.Close()
 	}
@@ -324,7 +326,7 @@ func TestClientRefusesUnsendableRequests(t *testing.T) {
 	}
 	defer rn.Close()
 	ctx := context.Background()
-	before := rn.Health().Attempts
+	before := rn.Health().BytesWritten
 	for name, spec := range map[string]sensing.Spec{
 		"negative M":   {Params: sensing.Params{M: -4, N: 8}},
 		"M past N":     {Params: sensing.Params{M: 9, N: 8}},
@@ -335,8 +337,8 @@ func TestClientRefusesUnsendableRequests(t *testing.T) {
 			t.Fatalf("%s sent", name)
 		}
 	}
-	if got := rn.Health().Attempts - before; got != 0 {
-		t.Fatalf("%d round-trips for requests that cannot be sent", got)
+	if got := rn.Health().BytesWritten - before; got != 0 {
+		t.Fatalf("%d bytes sent for requests that cannot be sent", got)
 	}
 	if y, err := rn.Sketch(ctx, sensing.GaussianSpec(sensing.Params{M: 4, N: 8, Seed: 1})); err != nil || len(y) != 4 {
 		t.Fatalf("the connection did not survive the refusals: %v, %v", y, err)
@@ -345,8 +347,8 @@ func TestClientRefusesUnsendableRequests(t *testing.T) {
 
 // TestGobPeerGetsCleanClose: a peer from before the binary frames (the
 // transport spoke encoding/gob) is disconnected at its first message in
-// either role — no hang, no answer in a format it would misread, and a
-// bounded number of attempts from a client that dialed one.
+// either role — no hang, no answer in a format it would misread, and one
+// failed exchange for a client that dialed one.
 func TestGobPeerGetsCleanClose(t *testing.T) {
 	type oldRequest struct {
 		Kind    uint8
@@ -394,15 +396,15 @@ func TestGobPeerGetsCleanClose(t *testing.T) {
 		}
 	}()
 	start := time.Now()
-	rn, err := DialContext(context.Background(), ln.Addr().String(), DialOptions{MaxRetries: 1, BaseBackoff: time.Millisecond, RequestTimeout: 2 * time.Second})
+	rn, err := dial(ln.Addr().String())
 	if err == nil {
 		rn.Close()
 		t.Fatal("dialed a gob-speaking node")
 	}
-	if d := time.Since(start); d > 5*time.Second {
+	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("took %v to give up on a gob-speaking node", d)
 	}
-	if !strings.Contains(err.Error(), "giving up after 2 attempts") {
+	if !strings.Contains(err.Error(), "node closed connection") {
 		t.Fatalf("dial error: %v", err)
 	}
 }

@@ -21,7 +21,7 @@ func SleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // BackoffDelay is exponential backoff with equal jitter, the one retry
-// policy of the push sender (internal/stream) and the pull transport
+// policy of the push sender (internal/stream) and the pull collector
 // (internal/cluster): attempt n waits a uniform draw from
 // [base·2ⁿ⁻¹/2, base·2ⁿ⁻¹], capped at max. The jitter comes from the
 // caller's seeded generator, never the global math/rand, so a client
