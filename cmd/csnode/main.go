@@ -69,7 +69,6 @@ func main() {
 		ensemble   = flag.String("ensemble", "gaussian", "measurement ensemble for -push mode: gaussian or countsketch")
 		depth      = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
 		epoch      = flag.Uint64("epoch", 1, "incarnation number for -push mode; bump after a restart so the daemon resets this node's sequence space")
-		pushShed   = flag.Int("push-shed-at", 8, "pending-frame threshold where new captures merge into the newest pending frame instead of queueing (admission control; 0 = refuse at the queue cap instead)")
 		pushRetain = flag.Int("push-retain", 1024, "acked frames retained for replay after an aggregator restore (-1 = none: a restore may silently lose recent deltas)")
 		shards     = flag.Int("shards", 1, "push into a sharded deployment: -push takes this many comma-separated per-shard addresses, keys route to their owning shard")
 
@@ -126,7 +125,6 @@ func main() {
 		}
 		opts := stream.NodeOptions{
 			Epoch:  *epoch,
-			ShedAt: *pushShed,
 			Retain: *pushRetain,
 		}
 		if *shards > 1 {
@@ -204,8 +202,8 @@ func pushSlice(sk *csoutlier.Sketcher, dict *keydict.Dictionary, x linalg.Vector
 		log.Printf("csnode: push flush: %v", err)
 	}
 	s := n.Stats()
-	log.Printf("csnode: slice streamed: %d deltas captured (%d shed-merged, %d sent as pairs), %d applied, %d replayed, %d redials; heartbeating every %v",
-		s.Captured, s.Merged, s.PairFrames, s.Applied, s.Replayed, s.Redials, pushEvery)
+	log.Printf("csnode: slice streamed: %d deltas captured (%d sent as pairs), %d applied, %d replayed, %d redials; heartbeating every %v",
+		s.Captured, s.PairFrames, s.Applied, s.Replayed, s.Redials, pushEvery)
 	for {
 		time.Sleep(pushEvery)
 		if err := n.Sync(ctx); err != nil {

@@ -269,11 +269,12 @@ func recorrelate(m sensing.Matrix, r linalg.Vector) linalg.Vector { return m.Cor
 	},
 	{
 		id:      "surface",
-		name:    "every func, method, const and var has a caller outside tests (DESIGN.md lists the exceptions)",
+		name:    "every func, method, const and var has a caller outside tests, and every …Options field a writer (DESIGN.md lists the exceptions)",
 		section: "pr31",
 		check:   surface,
 		fixtures: []map[string]string{
 			{"internal/fixture/dead.go": `package fixture; func Unused() {}`},
+			{"internal/fixture/knob.go": `package fixture; type KnobOptions struct{ Knob int }`},
 		},
 	},
 }

@@ -16,10 +16,14 @@ import (
 // uses inside a dead declaration do not count, iterated to a fixpoint).
 // An exported name of a package in surfaceStrict needs that use from
 // outside its package; a name only its package uses is unexported.
-// Types and struct fields are exempt. A method is used where a used
-// interface method it implements is: the call through the interface
-// names it. The names only tests use are listed, one reason each,
-// between the allowlist markers of DESIGN.md.
+// Types and struct fields are exempt, but for the fields of an
+// exported …Options struct: each is a setting, and needs a writer in
+// non-test code outside its package (a composite-literal key, or an
+// assignment, increment or address-of through a selector) — a default
+// its own package fills in does not count. A method is used where a
+// used interface method it implements is: the call through the
+// interface names it. The names only tests use or set are listed, one
+// reason each, between the allowlist markers of DESIGN.md.
 
 // surfaceExempt directories declare names the rule does not hold to
 // account: their callers are tests by design (simtest, xrandtest) or
@@ -117,8 +121,19 @@ func surface(prog *program) []string {
 			findings = append(findings, fmt.Sprintf("%s:%d: %s is used only inside its package: unexport it", pos.Filename, pos.Line, d.name))
 		}
 	}
+	fields := optionFields(prog)
+	for _, f := range fields {
+		_, allowed := allow[f.name]
+		pos := prog.fset.Position(f.pos)
+		switch {
+		case allowed && f.written:
+			findings = append(findings, fmt.Sprintf("%s:%d: %s has a non-test writer: drop its %s allowlist entry", pos.Filename, pos.Line, f.name, allowlistDoc))
+		case !allowed && !f.written:
+			findings = append(findings, fmt.Sprintf("%s:%d: %s has no writer outside tests and its package: delete the option, or allowlist it in %s", pos.Filename, pos.Line, f.name, allowlistDoc))
+		}
+	}
 	for name := range allow {
-		if byName[name] == nil {
+		if byName[name] == nil && fields[name] == nil {
 			findings = append(findings, fmt.Sprintf("%s: allowlist entry %s names nothing", allowlistDoc, name))
 		}
 	}
@@ -259,6 +274,81 @@ func liveUses(prog *program, decls []*decl) {
 	}
 }
 
+// option is one field of an exported …Options struct.
+type option struct {
+	name    string // qualified: pkgname.Type.Field
+	pos     token.Pos
+	written bool // by non-test code outside its package
+}
+
+// optionFields lists the exported fields of the exported …Options
+// structs the rule holds to account, by qualified name, and marks the
+// ones non-test code outside their package writes.
+func optionFields(prog *program) map[string]*option {
+	byVar := map[*types.Var]*option{}
+	out := map[string]*option{}
+	for _, p := range prog.pkgs {
+		if surfaceExempt[p.dir] {
+			continue
+		}
+		for _, f := range p.files {
+			if f.test {
+				continue
+			}
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Options") {
+					return false
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if v, ok := p.info.Defs[id].(*types.Var); ok && id.IsExported() {
+							o := &option{name: p.types.Name() + "." + ts.Name.Name + "." + id.Name, pos: id.Pos()}
+							byVar[v], out[o.name] = o, o
+						}
+					}
+				}
+				return false
+			})
+		}
+	}
+	write := func(p *pkg, obj types.Object) {
+		if v, ok := obj.(*types.Var); ok {
+			if o := byVar[v.Origin()]; o != nil && v.Pkg().Path() != p.path {
+				o.written = true
+			}
+		}
+	}
+	writeSel := func(p *pkg, e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			write(p, p.info.Uses[sel.Sel])
+		}
+	}
+	inspect(prog, false, func(p *pkg, _ *file, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				write(p, p.info.Uses[id])
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				writeSel(p, lhs)
+			}
+		case *ast.IncDecStmt:
+			writeSel(p, n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				writeSel(p, n.X)
+			}
+		}
+	})
+	return out
+}
+
 // origin maps an instantiated generic method or field to its declaration.
 func origin(obj types.Object) types.Object {
 	switch o := obj.(type) {
@@ -305,9 +395,16 @@ func (T) N() {}
 type G[X any] struct{}
 func (G[X]) Get() {}
 const K = 1
-var V = 2`,
+var V = 2
+type Options struct {
+	Lit, Assign, Addr, Defaulted, TestOnly, Spare, Stale int
+	unexported                                             int
+}
+func (o *Options) defaults() { o.Defaulted = 1 }
+var _ = (*Options).defaults
+type Settings struct{ NotAnOption int }`,
 		"internal/fix/fix_test.go": `package fix
-func use() { Dead(); K++ }`,
+func use() { Dead(); K++; _ = Options{TestOnly: 1} }`,
 		"internal/stream/stream.go": `package stream
 func Local()  {}
 func Shared() {}
@@ -322,18 +419,23 @@ func main() {
 	m.M()
 	fix.G[int]{}.Get()
 	_ = fix.V
+	o := fix.Options{Lit: 1, Stale: 2}
+	o.Assign = 2
+	_ = &o.Addr
 }`,
 		allowlistDoc: "<!-- archtest:allowlist -->\n" +
 			"- `fix.Allowed`: a reference the tests compare against.\n" +
 			"- `fix.Used`: main calls it.\n" +
 			"- `fix.Gone`: deleted.\n" +
+			"- `fix.Options.Spare`: a test sets it.\n" +
+			"- `fix.Options.Stale`: main sets it now.\n" +
 			"<!-- /archtest:allowlist -->\n",
 	})
 	var got []string
 	for _, f := range surface(prog) {
 		got = append(got, findingName.FindStringSubmatch(f)[1])
 	}
-	want := []string{"fix.Dead", "fix.Gone", "fix.K", "fix.T.N", "fix.Used", "fix.helper", "fix.self", "stream.Local"}
+	want := []string{"fix.Dead", "fix.Gone", "fix.K", "fix.Options.Defaulted", "fix.Options.Stale", "fix.Options.TestOnly", "fix.T.N", "fix.Used", "fix.helper", "fix.self", "stream.Local"}
 	sort.Strings(got)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("surface findings name %v, want %v", got, want)

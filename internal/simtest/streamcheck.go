@@ -386,11 +386,11 @@ func (r *StreamRig) checkMarks() error {
 		}
 	}
 	if scn.mark(MarkJoin) != nil || scn.mark(MarkLeave) != nil || scn.mark(MarkEvict) != nil {
-		// No shedding is configured, so the shed counters must stay zero,
-		// and churn must not push a delta out of the ring.
+		// Flat leaves send one capture a frame, so the shed counters must
+		// stay zero, and churn must not push a delta out of the ring.
 		switch {
 		case st.ShedFrames != 0 || st.ShedFolds != 0:
-			return fmt.Errorf("shed counters moved without shedding configured: %+v", st)
+			return fmt.Errorf("shed counters moved, but only a relay sends multi-capture frames: %+v", st)
 		case st.Dropped != 0:
 			return fmt.Errorf("%d frames dropped as older than the ring; churn must not lose deltas", st.Dropped)
 		case st.Joins != r.joins:

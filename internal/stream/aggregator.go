@@ -114,8 +114,9 @@ type NodeStatus struct {
 	Dropped    int64     // deltas acknowledged but older than the ring
 	Rejected   int64     // frames refused (stale epoch, corrupt payload, …)
 	Restarts   int64     // epoch bumps observed
-	// ShedFrames/ShedFolds count the node's applied merged frames and the
-	// extra local captures folded into them (the admission-control path).
+	// ShedFrames/ShedFolds count the node's applied frames that carry
+	// more than one capture and the extra captures folded into them —
+	// only a relay sends such frames.
 	ShedFrames int64
 	ShedFolds  int64
 	// Stable is the node's durable sequence watermark: every seq ≤ Stable
@@ -169,9 +170,9 @@ type AggStats struct {
 	Snapshots      int64
 	SnapshotErrors int64
 	SnapshotBytes  int64
-	// ShedFrames counts applied frames that were node-side merges of >1
-	// local capture; ShedFolds is the extra captures they carried
-	// (sum of folds−1). Applied + ShedFolds = captures folded.
+	// ShedFrames counts applied frames that carried >1 capture (a
+	// relay's sum of leaf deltas); ShedFolds is the extra captures they
+	// carried (sum of folds−1). Applied + ShedFolds = captures folded.
 	ShedFrames int64
 	ShedFolds  int64
 }

@@ -45,8 +45,8 @@ func (c *Client) Hello(node string, epoch uint64) (Ack, error) {
 // PushDelta ships one window-tagged sketch delta. payload must be the
 // csoutlier binary codec bytes of the delta, in either of its
 // encodings; folds is how many
-// local captures were merged into it (0 and 1 both mean a plain frame,
-// >1 marks a shed/merged frame). A transport error poisons the
+// captures it sums (0 and 1 both mean a plain frame, >1 marks a relay's
+// sum of leaf deltas). A transport error poisons the
 // connection (the client must be re-dialed); an Ack with a non-empty
 // Err is a frame-level rejection on a healthy connection.
 func (c *Client) PushDelta(node string, epoch, window, seq uint64, folds uint32, payload []byte) (Ack, error) {

@@ -165,9 +165,9 @@ func (a *Aggregator) applyFrame(req pushRequest, delta csoutlier.Sketch, decodeE
 		fn(req.Window, max(1, int(req.Folds)), delta)
 	}
 	if req.Folds > 1 {
-		// A node-side merge: the frame is the exact sum of Folds local
-		// captures the overloaded node folded together instead of
-		// blocking — account the shed so "captures folded" reconciles.
+		// A relay's frame: the exact sum of Folds leaf deltas it folded
+		// before forwarding — account them so "captures folded"
+		// reconciles.
 		ns.status.ShedFrames++
 		ns.status.ShedFolds += int64(req.Folds - 1)
 	}

@@ -123,9 +123,9 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		leaves:    membership.With("leave"),
 		evictions: membership.With("evict"),
 		shedFrames: reg.Counter("stream_shed_frames_total",
-			"applied frames that were node-side merges of more than one local capture"),
+			"applied frames that carried more than one capture (a relay's sum of leaf deltas)"),
 		shedFolds: reg.Counter("stream_shed_folds_total",
-			"extra local captures carried by shed frames (sum of folds-1); applied frames + shed folds = captures folded"),
+			"extra captures carried by multi-capture frames (sum of folds-1); applied frames + shed folds = captures folded"),
 		pairFrames:   encodings.With("pairs"),
 		sketchFrames: encodings.With("sketch"),
 		nodeLag: reg.GaugeVec("stream_node_lag_windows",
@@ -206,7 +206,6 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	applied := reg.Gauge("stream_client_applied_frames", "frames the aggregator folded")
 	redials := reg.Gauge("stream_client_redials", "connections re-established")
 	rotations := reg.Gauge("stream_client_rotations", "window advances adopted from acks")
-	merged := reg.Gauge("stream_client_merged_captures", "captures folded into a pending frame under backpressure (shed mode)")
 	retained := reg.Gauge("stream_client_retained_frames", "acked frames held for replay until the aggregator declares them durable")
 	replayed := reg.Gauge("stream_client_replayed_frames", "retained frames requeued after an aggregator restore")
 	retainDropped := reg.Gauge("stream_client_retain_dropped_frames", "retained frames discarded at the retention cap")
@@ -219,7 +218,6 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 		applied.SetInt(s.Applied)
 		redials.SetInt(s.Redials)
 		rotations.SetInt(s.Rotations)
-		merged.SetInt(s.Merged)
 		retained.SetInt(int64(s.Retained))
 		replayed.SetInt(s.Replayed)
 		retainDropped.SetInt(s.RetainDropped)

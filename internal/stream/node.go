@@ -3,36 +3,20 @@ package stream
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"csoutlier"
 )
 
 // NodeOptions tunes a streaming node. The zero value gets production
-// defaults and a manual (no background goroutine) flush discipline.
+// defaults; the caller drives Flush and Sync.
 type NodeOptions struct {
 	// Epoch is the node's incarnation number (default 1). A node that
 	// restarts from scratch MUST announce a strictly higher epoch than
 	// its previous life: the aggregator resets the node's sequence space
 	// on an epoch bump, and rejects frames from older epochs.
 	Epoch uint64
-	// FlushEvery, when positive, runs a background loop that captures
-	// and pushes a delta (or an idle heartbeat, which keeps the node's
-	// window view fresh) on this period. 0 = the caller drives Flush and
-	// Sync explicitly.
-	FlushEvery time.Duration
-	// MaxPending bounds how many captured-but-unacked delta frames may
-	// queue at the node (default 64). When the queue is full, Flush
-	// refuses to capture: observations keep accumulating loss-free in
-	// the O(M) standing sketch, so backpressure costs memory neither
-	// here nor there — the bound only caps frame buffering. Window
-	// rotation may exceed the bound by one frame (the sealed window's
-	// residual must not leak into the next).
-	MaxPending int
-	// DialTimeout bounds each TCP dial attempt (default 5s).
-	DialTimeout time.Duration
-	// PushTimeout bounds each push exchange (default 10s).
+	// PushTimeout bounds each dial and each push exchange (default 10s).
 	PushTimeout time.Duration
 	// BaseBackoff/MaxBackoff shape the reconnect backoff (defaults
 	// 25ms / 1s).
@@ -43,16 +27,6 @@ type NodeOptions struct {
 	// simulation harness sets it from the scenario seed so a soak's
 	// reconnect timing replays from its -sim.streamreplay line.
 	BackoffSeed uint64
-	// ShedAt, when positive, turns on admission control: once ShedAt
-	// frames are pending (the aggregator is slow or unreachable), each
-	// new capture is folded into the newest unsent same-window frame
-	// instead of queueing — the node ships coarser merged frames rather
-	// than blocking or refusing. Sketch linearity makes the merge exact:
-	// the merged frame is bit-for-bit the delta a single larger capture
-	// would have produced; only the frame count coarsens, which the
-	// Folds tag reports to the aggregator's stream_shed_* counters.
-	// 0 (default) keeps the refuse-at-MaxPending behavior.
-	ShedAt int
 	// Retain caps the replay-retention buffer: acked frames the
 	// aggregator has not yet declared durable (ack.Stable below their
 	// seq) are kept and replayed if a restored aggregator (bumped
@@ -67,12 +41,6 @@ type NodeOptions struct {
 func (o NodeOptions) withDefaults() NodeOptions {
 	if o.Epoch == 0 {
 		o.Epoch = 1
-	}
-	if o.MaxPending <= 0 {
-		o.MaxPending = 64
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
 	}
 	if o.PushTimeout <= 0 {
 		o.PushTimeout = 10 * time.Second
@@ -102,12 +70,9 @@ type NodeStats struct {
 	Rejected   int64  // frames the aggregator refused (frame-level error)
 	Redials    int64  // connections re-established
 	Rotations  int64  // window advances adopted from acks
-	// Merged counts captures folded into an already-pending frame under
-	// backpressure (admission control) instead of queueing their own.
-	Merged int64
 	// PairFrames counts the frames queued in the pairs encoding — raw
 	// observations, smaller than the sketch, which the aggregator
-	// measures; Captured − Merged − PairFrames frames carried a sketch.
+	// measures; Captured − PairFrames frames carried a sketch.
 	PairFrames int64
 	// Retained is the current replay-retention buffer depth: acked
 	// frames the aggregator has not yet declared durable.
@@ -129,27 +94,27 @@ type NodeStats struct {
 // Node is the node-side half of the streaming service: a standing
 // csoutlier.Updater fed by Observe, drained into window-tagged delta
 // frames that its Sender pushes to the Aggregator with stop-and-wait
-// retries. The Node owns capture — when a drain becomes a frame, which
-// window tags it, and the shed merge under backpressure; delivery,
-// retention and replay are the Sender's.
+// retries. The Node owns capture — when a drain becomes a frame and
+// which window tags it; delivery, retention and replay are the
+// Sender's.
+//
+// The standing sketch is the node's only backlog. A capture is taken
+// only once the queue has drained, so an unreachable aggregator costs
+// one captured frame (plus a rotation residual) and the O(M) sketch,
+// however long the outage: by linearity the sketch already holds the
+// exact sum of everything observed since.
 //
 // Observe/ObserveBatch are safe for concurrent use and never block on
 // the network. Flush, Sync and Close serialize among themselves.
 type Node struct {
-	sk   *csoutlier.Sketcher
 	opts NodeOptions
 	u    *csoutlier.Updater
 	snd  *Sender
 
-	// Guarded by snd.mu, the node's one state lock: a capture reads the
-	// pending queue and may rewrite its unsent tail.
+	// Guarded by snd.mu, the node's one state lock: a capture appends
+	// to the pending queue.
 	window uint64
 	seq    uint64
-	drain  csoutlier.Sketch // a shed merge's drain buffer, made by the first one
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // Dial connects a streaming node to an aggregator, announces itself,
@@ -158,11 +123,8 @@ type Node struct {
 // the same Sketcher consensus as the aggregator.
 func Dial(ctx context.Context, addr string, sk *csoutlier.Sketcher, id string, opts NodeOptions) (*Node, error) {
 	n := &Node{
-		sk:   sk,
 		opts: opts.withDefaults(),
 		u:    sk.NewUpdater(),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
 	}
 	var err error
 	if n.snd, err = NewSender(addr, id, n.opts, n.adoptWindow); err != nil {
@@ -170,11 +132,6 @@ func Dial(ctx context.Context, addr string, sk *csoutlier.Sketcher, id string, o
 	}
 	if err := n.snd.Connect(ctx); err != nil {
 		return nil, err
-	}
-	if n.opts.FlushEvery > 0 {
-		go n.loop()
-	} else {
-		close(n.done)
 	}
 	return n, nil
 }
@@ -203,36 +160,16 @@ func (n *Node) Observe(key string, delta float64) error {
 	return n.u.Observe(key, delta)
 }
 
-// capture drains the standing sketch into a new pending frame tagged
-// with the node's current window. force ignores the MaxPending bound
-// (used for rotation residuals). An empty drain captures nothing.
-func (n *Node) capture(force bool) error {
-	n.snd.mu.Lock()
-	defer n.snd.mu.Unlock()
-	return n.captureLocked(force)
-}
-
-func (n *Node) captureLocked(force bool) error {
-	snd := n.snd
-	shed := n.opts.ShedAt > 0 && len(snd.pending) >= n.opts.ShedAt
-	if !force && !shed && len(snd.pending) >= n.opts.MaxPending {
-		return fmt.Errorf("stream: node %s: %d frames pending (limit %d); observations keep accumulating in the standing sketch",
-			snd.id, len(snd.pending), n.opts.MaxPending)
-	}
+// captureLocked drains the standing sketch into a new pending frame
+// tagged with the node's current window. An empty drain captures
+// nothing. Called with snd.mu held.
+func (n *Node) captureLocked() error {
 	// Captures are the only drains and they hold the lock, so what is
 	// there now is still there when it is drained below.
 	if n.u.Updates() == 0 {
 		return nil
 	}
-	if shed && !force {
-		if tail := snd.mergeTargetLocked(n.window); tail != nil {
-			return n.mergeLocked(tail)
-		}
-		// No mergeable tail (it is in flight, or the window rotated):
-		// queue a fresh frame even past the bound — it becomes the merge
-		// target for the next capture, so overflow is capped at one frame
-		// per (window, transmission) boundary.
-	}
+	snd := n.snd
 	f := snd.allocLocked()
 	// Whichever encoding is smaller, straight into the recycled buffer.
 	payload, _, err := n.u.DrainEncoded(f.Payload[:0])
@@ -250,41 +187,6 @@ func (n *Node) captureLocked(force bool) error {
 	return nil
 }
 
-// mergeLocked is admission control: it folds this capture into the
-// queued frame tail instead of growing the queue. Exact by linearity —
-// the merged frame is bit-for-bit sketch(tail) + sketch(capture), the
-// delta one larger capture would have produced — and never applied to a
-// frame that may already have been folded (sent) or that belongs to
-// another window: mergeTargetLocked chose tail. The sum is taken in
-// tail's bytes, in place; a tail still in the pairs encoding is measured
-// into a sketch payload first.
-func (n *Node) mergeLocked(tail *Frame) error {
-	if len(n.drain.Y) == 0 {
-		n.drain = n.sk.ZeroSketch() // only a node that sheds ever needs it
-	}
-	if csoutlier.PairsEncoded(tail.Payload) {
-		if err := n.sk.UnmarshalSketchInto(tail.Payload, n.drain); err != nil {
-			return err
-		}
-		payload, err := n.drain.AppendBinary(tail.Payload[:0])
-		if err != nil {
-			return err
-		}
-		tail.Payload = payload
-		n.snd.stats.PairFrames--
-	}
-	if _, err := n.u.DrainInto(n.drain); err != nil {
-		return err
-	}
-	if err := n.drain.AddToBinary(tail.Payload); err != nil {
-		return err
-	}
-	tail.Folds++
-	n.snd.stats.Captured++
-	n.snd.stats.Merged++
-	return nil
-}
-
 // adoptWindow advances the node's window view to the aggregator's — the
 // Sender's window callback. The sealed window's residual observations
 // are captured first (tagged with the old window), so no observation
@@ -297,20 +199,32 @@ func (n *Node) adoptWindow(w uint64) {
 	if w <= n.window {
 		return
 	}
-	n.captureLocked(true) // residual of the sealed window
+	n.captureLocked() // residual of the sealed window
 	n.window = w
 	n.snd.stats.Rotations++
 }
 
-// Flush captures the observations accumulated since the last capture as
-// one delta frame and pushes every pending frame until acked. It is the
-// node's durability point: when Flush returns nil, everything observed
-// before the call is folded (exactly once) into the aggregator.
+// Flush pushes whatever is still pending, then captures the
+// observations accumulated since the last capture as one delta frame
+// and pushes it until acked. It is the node's durability point: when
+// Flush returns nil, everything observed before the call is folded
+// (exactly once) into the aggregator. If the queue does not drain,
+// Flush returns the error and captures nothing: the observations stay
+// in the standing sketch for the next Flush to ship.
 func (n *Node) Flush(ctx context.Context) error {
-	if err := n.capture(false); err != nil {
+	snd := n.snd
+	snd.sendMu.Lock()
+	defer snd.sendMu.Unlock()
+	if err := snd.drain(ctx); err != nil {
 		return err
 	}
-	return n.snd.Drain(ctx)
+	snd.mu.Lock()
+	err := n.captureLocked()
+	snd.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return snd.drain(ctx)
 }
 
 // Sync runs a hello round-trip — adopting the aggregator's current
@@ -319,29 +233,10 @@ func (n *Node) Flush(ctx context.Context) error {
 // their window view and the aggregator's liveness table stay fresh.
 func (n *Node) Sync(ctx context.Context) error { return n.snd.Sync(ctx) }
 
-// loop is the background flush/heartbeat driver.
-func (n *Node) loop() {
-	defer close(n.done)
-	t := time.NewTicker(n.opts.FlushEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-t.C:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 4*n.opts.PushTimeout)
-		n.capture(false)
-		n.Sync(ctx) // hello (window/liveness) + drain; errors retried next tick
-		cancel()
-	}
-}
-
 // Close flushes a final delta, drains the pending queue, and releases
 // the connection. The ctx bounds the final drain; data still pending
 // when it expires stays unsent (the error reports it).
 func (n *Node) Close(ctx context.Context) error {
-	n.stopBackground()
 	flushErr := n.Flush(ctx)
 	n.snd.Disconnect()
 	if flushErr != nil {
@@ -356,7 +251,6 @@ func (n *Node) Close(ctx context.Context) error {
 // dedup, and this same incarnation may rejoin later with its sequence
 // space intact). The connection is released either way.
 func (n *Node) Leave(ctx context.Context) error {
-	n.stopBackground()
 	err := n.Flush(ctx)
 	snd := n.snd
 	snd.sendMu.Lock()
@@ -383,15 +277,9 @@ func (n *Node) Leave(ctx context.Context) error {
 // not yet acked is lost, exactly as if the process had died; a
 // successor must Dial with a higher epoch.
 func (n *Node) Abort() {
-	n.stopBackground()
 	n.snd.Disconnect()
 	n.snd.mu.Lock()
 	n.snd.pending = nil
 	n.snd.retained = nil
 	n.snd.mu.Unlock()
-}
-
-func (n *Node) stopBackground() {
-	n.stopOnce.Do(func() { close(n.stop) })
-	<-n.done
 }

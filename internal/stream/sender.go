@@ -10,17 +10,18 @@ import (
 )
 
 // Frame is one captured, retryable delta. Folds counts the captures it
-// carries (>1 = a shed or relayed sum); sent marks that at least one
-// transmission attempt happened, which makes the frame ineligible for
-// merging (the aggregator may already have folded it). Window and Seq
-// are fixed once the frame is enqueued.
+// carries (>1 = a relay's sum of leaf deltas). A frame's fields are
+// fixed once it is enqueued.
 type Frame struct {
 	Window  uint64
 	Seq     uint64
 	Folds   uint32
 	Payload []byte
-	sent    bool
 }
+
+// freeCap bounds the free list: recycled frames kept for their payload
+// buffers.
+const freeCap = 64
 
 // Sender is the exactly-once half of the push path, the one place a
 // frame is transmitted, retried, retained and replayed. A leaf Node
@@ -57,8 +58,7 @@ type Sender struct {
 
 // NewSender makes the sender for (id, opts.Epoch) towards the aggregator
 // at addr; nothing is dialed until Connect. Of opts it reads Epoch,
-// Retain, MaxPending (the free-list cap), the two timeouts and the
-// backoff triple.
+// Retain, PushTimeout and the backoff triple.
 func NewSender(addr, id string, opts NodeOptions, adopt func(window uint64)) (*Sender, error) {
 	if id == "" || len(id) > maxNodeLen {
 		return nil, fmt.Errorf("stream: node id must be 1 to %d bytes, got %d", maxNodeLen, len(id))
@@ -109,7 +109,7 @@ func (s *Sender) allocLocked() *Frame {
 // frame that is in neither the pending queue nor the retention buffer:
 // nothing — retry, replay, in-flight push — can send its bytes again.
 func (s *Sender) recycleLocked(f *Frame) {
-	if len(s.free) < s.opts.MaxPending {
+	if len(s.free) < freeCap {
 		s.free = append(s.free, f)
 	}
 }
@@ -130,21 +130,6 @@ func (s *Sender) Resendable() []*Frame {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append(append(make([]*Frame, 0, len(s.retained)+len(s.pending)), s.retained...), s.pending...)
-}
-
-// mergeTargetLocked returns the newest pending frame a capture for
-// window may fold into: unsent (no transmission attempt — resending
-// mutated bytes under an already-marked seq would lose the merge) and
-// tagged with that window.
-func (s *Sender) mergeTargetLocked(window uint64) *Frame {
-	if len(s.pending) == 0 {
-		return nil
-	}
-	tail := s.pending[len(s.pending)-1]
-	if tail.sent || tail.Window != window {
-		return nil
-	}
-	return tail
 }
 
 // noteAck processes what every ack carries: the durability piggybacks
@@ -227,7 +212,7 @@ func (s *Sender) connect(ctx context.Context) (*Client, error) {
 	if s.client != nil {
 		return s.client, nil
 	}
-	dctx, cancel := context.WithTimeout(ctx, s.opts.DialTimeout)
+	dctx, cancel := context.WithTimeout(ctx, s.opts.PushTimeout)
 	c, err := DialClient(dctx, s.addr, s.opts.PushTimeout)
 	cancel()
 	if err != nil {
@@ -304,11 +289,7 @@ func (s *Sender) drain(ctx context.Context) error {
 			return nil
 		}
 		ack, err := s.exchange(ctx, func(c *Client) (Ack, error) {
-			s.mu.Lock()
-			f.sent = true // from here the frame may have been folded: never merge into it
-			folds, payload := f.Folds, f.Payload
-			s.mu.Unlock()
-			return c.PushDelta(s.id, s.opts.Epoch, f.Window, f.Seq, folds, payload)
+			return c.PushDelta(s.id, s.opts.Epoch, f.Window, f.Seq, f.Folds, f.Payload)
 		})
 		if err != nil {
 			return err

@@ -106,32 +106,25 @@ func (r *senderRig) want(what string, got []uint64, want ...uint64) {
 }
 
 // TestSenderRules pins, on the Sender alone, the rules its two owners —
-// Node's capture/shed-merge and tier.Relay's staging — rely on.
+// Node's capture and tier.Relay's staging — rely on.
 func TestSenderRules(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts NodeOptions
 		run  func(t *testing.T, r *senderRig)
 	}{
-		{"a sent frame is never a merge target", NodeOptions{PushTimeout: 20 * time.Millisecond}, func(t *testing.T, r *senderRig) {
+		{"an unanswered frame stays pending, unchanged, until acked", NodeOptions{PushTimeout: 20 * time.Millisecond}, func(t *testing.T, r *senderRig) {
 			f := r.enqueue(r.delta)
-			r.s.mu.Lock()
-			if r.s.mergeTargetLocked(2) != nil || r.s.mergeTargetLocked(1) != f {
-				t.Error("an unsent tail is the merge target of its own window and of no other")
-			}
-			r.s.mu.Unlock()
-			// One transmission attempt that never hears its ack: the frame
-			// stays pending, and may have been folded.
+			// Transmission attempts that never hear their ack: the frame
+			// stays pending with its bytes, and may have been folded.
 			r.gate.Cut()
 			if err := r.s.Drain(r.ctx(60 * time.Millisecond)); err == nil {
 				t.Fatal("Drain over a cut link returned nil")
 			}
-			r.s.mu.Lock()
-			if len(r.s.pending) != 1 || !f.sent || r.s.mergeTargetLocked(1) != nil {
-				t.Errorf("after a failed push: %d pending, sent=%v, merge target %v; want the frame pending, sent and unmergeable",
-					len(r.s.pending), f.sent, r.s.mergeTargetLocked(1))
+			r.want("pending after a failed push", r.seqs(pendingOf), 1)
+			if string(f.Payload) != string(r.delta) {
+				t.Error("a failed push changed the frame's payload")
 			}
-			r.s.mu.Unlock()
 			r.gate.Restore()
 			r.drain()
 			if st := r.s.Stats(); st.Applied+st.Duplicates != 1 || st.Pending != 0 {

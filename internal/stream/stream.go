@@ -81,7 +81,7 @@ type pushRequest struct {
 	Epoch   uint64
 	Window  uint64 // delta only: window ID the observations belong to
 	Seq     uint64 // delta only: per-(node, epoch) sequence number, from 1
-	Folds   uint32 // delta only: local captures merged into this frame (0/1 = plain, >1 = shed)
+	Folds   uint32 // delta only: captures summed into this frame (0/1 = plain, >1 = a relay's sum)
 	Payload []byte // delta only: csoutlier.Sketch binary codec bytes
 }
 

@@ -397,55 +397,100 @@ func TestSeqTracker(t *testing.T) {
 	}
 }
 
-// TestNodeBackpressureAndAbort checks the pending-frame bound and the
-// crash path: an unreachable aggregator queues frames up to MaxPending,
-// Flush then refuses to capture, and Abort drops everything.
+// TestNodeBackpressureAndAbort checks the outage path and the crash
+// path. While the link is cut, every Flush fails and the queue never
+// holds more than the one frame captured before the first failure: the
+// rest of the outage's observations wait in the standing sketch. The
+// first Flush after the link returns ships them, every observation
+// exactly once. Abort then drops what is pending.
 func TestNodeBackpressureAndAbort(t *testing.T) {
 	sk := testSketcher(t, 64, 24, 11)
-	agg, addr := serveAgg(t, sk, AggregatorOptions{})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	agg, addr := serveAgg(t, sk, AggregatorOptions{Windows: 4})
+	gate := newGateRelay(t, addr)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
-	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{
-		MaxPending: 1, PushTimeout: 100 * time.Millisecond,
+	n, err := Dial(ctx, gate.addr, sk, "node00", NodeOptions{
+		PushTimeout: 100 * time.Millisecond,
 		BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	// Kill the aggregator: pushes now fail.
-	cctx, ccancel := context.WithTimeout(context.Background(), 5*time.Second)
+	total := sk.NewUpdater() // everything observed, never drained
+	observe := func(i int) {
+		t.Helper()
+		key := fmt.Sprintf("key%03d", i%64)
+		if err := n.Observe(key, float64(i%5)+1); err != nil {
+			t.Fatalf("observe: %v", err)
+		}
+		total.Observe(key, float64(i%5)+1)
+	}
+	observe(0)
+	if err := n.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+
+	// A long outage: far more failed flushes than the one frame the
+	// queue may hold, and more than the free list's 64.
+	gate.Cut()
+	const outage = 80
+	for i := 1; i <= outage; i++ {
+		observe(i)
+		fctx, fcancel := context.WithTimeout(ctx, 5*time.Millisecond)
+		err := n.Flush(fctx)
+		fcancel()
+		if err == nil {
+			t.Fatalf("flush %d over a cut link succeeded", i)
+		}
+		if s := n.Stats(); s.Pending > 1 {
+			t.Fatalf("flush %d: %d frames pending, want at most 1", i, s.Pending)
+		}
+	}
+	gate.Restore()
+	observe(outage + 1)
+	if err := n.Flush(ctx); err != nil {
+		t.Fatalf("Flush after the link came back: %v", err)
+	}
+	observe(outage + 2)
+	if err := n.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s := n.Stats()
+	if s.Pending != 0 || s.Applied != s.Captured || s.Captured != 4 {
+		t.Fatalf("stats = %+v, want 4 captures (one before, one during, one after the outage, one at Close), each applied", s)
+	}
+	if as := agg.Stats(); as.Applied != s.Applied || as.Duplicates != 0 {
+		t.Fatalf("aggregator applied %d (%d duplicates), node applied %d", as.Applied, as.Duplicates, s.Applied)
+	}
+	got, err := agg.WindowSketch(0)
+	if err != nil {
+		t.Fatalf("WindowSketch: %v", err)
+	}
+	closeTo(t, "window after the outage", sk, got, total)
+
+	// The crash path: a frame stuck behind a dead aggregator is dropped
+	// by Abort, not delivered.
+	m, err := Dial(ctx, gate.addr, sk, "node01", NodeOptions{PushTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	cctx, ccancel := context.WithTimeout(ctx, 5*time.Second)
 	agg.Close(cctx)
 	ccancel()
-
-	if err := n.Observe("key001", 1); err != nil {
+	if err := m.Observe("key001", 1); err != nil {
 		t.Fatalf("observe: %v", err)
 	}
-	fctx, fcancel := context.WithTimeout(ctx, 300*time.Millisecond)
-	if err := n.Flush(fctx); err == nil {
+	fctx, fcancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	if err := m.Flush(fctx); err == nil {
 		t.Fatal("flush to a dead aggregator succeeded")
 	}
 	fcancel()
-	if s := n.Stats(); s.Pending != 1 {
+	if s := m.Stats(); s.Pending != 1 {
 		t.Fatalf("pending = %d, want 1", s.Pending)
 	}
-	// The queue is full: the next flush refuses to capture, but
-	// observations keep landing in the standing sketch loss-free.
-	if err := n.Observe("key002", 2); err != nil {
-		t.Fatalf("observe: %v", err)
-	}
-	fctx, fcancel = context.WithTimeout(ctx, 100*time.Millisecond)
-	err = n.Flush(fctx)
-	fcancel()
-	if err == nil {
-		t.Fatal("flush captured past MaxPending")
-	}
-	if s := n.Stats(); s.Pending != 1 || s.Captured != 1 {
-		t.Fatalf("stats = %+v, want Pending=1 Captured=1", s)
-	}
-
-	n.Abort()
-	if s := n.Stats(); s.Pending != 0 {
+	m.Abort()
+	if s := m.Stats(); s.Pending != 0 {
 		t.Fatalf("pending = %d after abort, want 0", s.Pending)
 	}
 	if _, err := DialClient(ctx, addr, time.Second); err == nil {
@@ -453,22 +498,23 @@ func TestNodeBackpressureAndAbort(t *testing.T) {
 	}
 }
 
-// TestStreamBackgroundFlush runs nodes with background flush loops and
-// wall-clock rotation under concurrent observers, then checks
-// conservation: everything observed is folded somewhere in the ring.
-// (Capture timing is nondeterministic here, so the check is numeric,
-// not bit-exact — the deterministic tests above and the simtest soak
-// cover exactness.)
+// TestStreamBackgroundFlush runs a node whose flush loop ticks on its
+// own goroutine, as csnode's does, under concurrent observers and
+// wall-clock rotation, then checks conservation: everything observed
+// is folded somewhere in the ring. (Capture timing is nondeterministic
+// here, so the check is numeric, not bit-exact — the deterministic
+// tests above and the simtest soak cover exactness.)
 func TestStreamBackgroundFlush(t *testing.T) {
 	sk := testSketcher(t, 64, 24, 13)
 	agg, addr := serveAgg(t, sk, AggregatorOptions{Windows: 64, WindowEvery: 20 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 
-	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{FlushEvery: 5 * time.Millisecond})
+	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
+	stopFlushing := flushEvery(n, 5*time.Millisecond, 10*time.Second)
 	total := sk.NewUpdater() // everything observed, never drained
 	var wg sync.WaitGroup
 	var mirror sync.Mutex
@@ -490,6 +536,7 @@ func TestStreamBackgroundFlush(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	stopFlushing()
 	if err := n.Close(ctx); err != nil {
 		t.Fatalf("node close: %v", err)
 	}
@@ -501,15 +548,7 @@ func TestStreamBackgroundFlush(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RangeSketch: %v", err)
 	}
-	want := sk.ZeroSketch()
-	if _, err := total.DrainInto(want); err != nil {
-		t.Fatal(err)
-	}
-	for i := range span.Y {
-		if math.Abs(span.Y[i]-want.Y[i]) > 1e-9*math.Max(1, math.Abs(want.Y[i])) {
-			t.Fatalf("conservation violated at Y[%d]: ring sum %v, observed total %v", i, span.Y[i], want.Y[i])
-		}
-	}
+	closeTo(t, "ring sum", sk, span, total)
 	s := n.Stats()
 	if s.Applied == 0 || s.Rotations == 0 {
 		t.Fatalf("node stats = %+v, want background flushes applied across rotations", s)
@@ -548,5 +587,47 @@ func TestServeAfterClose(t *testing.T) {
 	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
 		conn.Close()
 		t.Fatal("listener handed to a closed aggregator still accepts connections")
+	}
+}
+
+// closeTo checks a fold of many regrouped captures against the
+// centralized total, whose entries it can differ from only by FP
+// association: a relative tolerance, not bits.
+func closeTo(t *testing.T, what string, sk *csoutlier.Sketcher, got csoutlier.Sketch, total *csoutlier.Updater) {
+	t.Helper()
+	want := sk.ZeroSketch()
+	if _, err := total.DrainInto(want); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got.Y {
+		if w, g := want.Y[i], got.Y[i]; math.Abs(g-w) > 1e-9*math.Max(math.Abs(w), 1) {
+			t.Fatalf("%s: Y[%d] = %v, want ≈ %v", what, i, g, w)
+		}
+	}
+}
+
+// flushEvery drives n.Flush from a ticker, each call bounded by
+// timeout, until the returned stop is called: the push loop csnode
+// runs. A failed Flush is retried at the next tick.
+func flushEvery(n *Node, every, timeout time.Duration) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			n.Flush(ctx)
+			cancel()
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
 }

@@ -38,9 +38,8 @@ type RelayOptions struct {
 	// negative disables) — frames the parent acked but has not yet
 	// declared durable, replayed if the parent restores from a snapshot.
 	Retain int
-	// DialTimeout/PushTimeout/BaseBackoff/MaxBackoff/BackoffSeed shape
-	// the upstream connection exactly as stream.NodeOptions do.
-	DialTimeout time.Duration
+	// PushTimeout/BaseBackoff/MaxBackoff/BackoffSeed shape the upstream
+	// connection exactly as stream.NodeOptions do.
 	PushTimeout time.Duration
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
@@ -174,7 +173,6 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 	r.snd, err = stream.NewSender(opts.Upstream, r.name, stream.NodeOptions{
 		Epoch:       upEpoch,
 		Retain:      opts.Retain,
-		DialTimeout: opts.DialTimeout,
 		PushTimeout: opts.PushTimeout,
 		BaseBackoff: opts.BaseBackoff,
 		MaxBackoff:  opts.MaxBackoff,

@@ -145,35 +145,6 @@ func (s *Sketcher) UnmarshalSketchInto(data []byte, dst Sketch) error {
 	return nil
 }
 
-// AddToBinary adds s into data, a binary-encoded sketch of the same
-// consensus, in place: afterwards data encodes (what it held) + s,
-// bit-for-bit what decoding it, Add(s) and re-encoding would produce.
-// data is untouched when it is rejected.
-func (s Sketch) AddToBinary(data []byte) error {
-	enc, err := decodeSketchID(data)
-	if err != nil {
-		return err
-	}
-	if err := enc.compatible(s); err != nil {
-		return err
-	}
-	if len(s.Y) != s.m {
-		return fmt.Errorf("csoutlier: inconsistent sketch (m=%d, len=%d)", s.m, len(s.Y))
-	}
-	if err := checkFinite(s.Y); err != nil {
-		return err
-	}
-	body := data[sketchHeaderLen : len(data)-sketchTrailerLen]
-	for i, v := range s.Y {
-		cell := body[8*i : 8*i+8]
-		sum := math.Float64frombits(binary.LittleEndian.Uint64(cell)) + v
-		binary.LittleEndian.PutUint64(cell, math.Float64bits(sum))
-	}
-	sum := crc32.ChecksumIEEE(data[:len(data)-sketchTrailerLen])
-	binary.LittleEndian.PutUint32(data[len(data)-sketchTrailerLen:], sum)
-	return nil
-}
-
 // DecodeSketch decodes a sketch without a Sketcher, for transport
 // layers that only relay sketches. Compatibility is still enforced at
 // Add/Sub/Detect time. A pairs payload is refused: measuring it takes

@@ -363,12 +363,11 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// Property, every ensemble: the in-place entry points —
-// UnmarshalSketchInto, AddToBinary — are Float64bits-identical to the
-// decode-then-operate paths they replace.
+// Property, every ensemble: the in-place decode, UnmarshalSketchInto,
+// is Float64bits-identical to the allocating one it replaces.
 func TestEncodedOpsMatchDecodeThenOperate(t *testing.T) {
 	for name, sk := range codecEnsembles(t, 9) {
-		check := func(base, delta, other [24]float64) bool {
+		check := func(delta [24]float64) bool {
 			data, err := sketchOf(sk, delta[:]).MarshalBinary()
 			if err != nil {
 				return false
@@ -378,19 +377,7 @@ func TestEncodedOpsMatchDecodeThenOperate(t *testing.T) {
 				return false
 			}
 			into := sk.ZeroSketch()
-			if err := sk.UnmarshalSketchInto(data, into); err != nil || !bitsEqual(into.Y, decoded.Y) {
-				return false
-			}
-
-			add := sketchOf(sk, other[:])
-			if err := decoded.Add(add); err != nil {
-				return false
-			}
-			wantBytes, _ := decoded.MarshalBinary()
-			if err := add.AddToBinary(data); err != nil {
-				return false
-			}
-			return string(data) == string(wantBytes)
+			return sk.UnmarshalSketchInto(data, into) == nil && bitsEqual(into.Y, decoded.Y)
 		}
 		if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -442,14 +429,6 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 			poisoned := append([]float64(nil), vals...)
 			poisoned[len(poisoned)/2] = v
 			cases[what], _ = sketchOf(sk, poisoned).MarshalBinary()
-			// And as the sketch being added into clean bytes.
-			target := append([]byte(nil), good...)
-			if err := sketchOf(sk, poisoned).AddToBinary(target); err == nil {
-				t.Fatalf("%s: AddToBinary added a sketch carrying %s", name, what)
-			}
-			if string(target) != string(good) {
-				t.Fatalf("%s: AddToBinary changed its target before refusing %s", name, what)
-			}
 			if _, err := sk.fromPayload(poisoned); err == nil {
 				t.Fatalf("%s: FromPayload accepted %s", name, what)
 			}
@@ -512,12 +491,7 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		} {
 			cases[what] = bad
 		}
-		// Good pairs are still not something a sketch can be added into, or
-		// decoded without the matrix.
-		target := append([]byte(nil), goodPairs...)
-		if err := dst.AddToBinary(target); err == nil || string(target) != string(goodPairs) {
-			t.Fatalf("%s: AddToBinary into a pairs payload: %v", name, err)
-		}
+		// Good pairs are still not something to decode without the matrix.
 		if _, err := DecodeSketch(goodPairs); err == nil {
 			t.Fatalf("%s: DecodeSketch measured a pairs payload without a Sketcher", name)
 		}
@@ -527,13 +501,6 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 			}
 			if _, err := sk.UnmarshalSketch(bad); err == nil {
 				t.Fatalf("%s: UnmarshalSketch accepted %s", name, what)
-			}
-			target := append([]byte(nil), bad...)
-			if err := dst.AddToBinary(target); err == nil {
-				t.Fatalf("%s: AddToBinary accepted %s", name, what)
-			}
-			if string(target) != string(bad) {
-				t.Fatalf("%s: AddToBinary changed a rejected %s payload", name, what)
 			}
 		}
 		if err := foldEncoded(ws, 1, good); err == nil {
@@ -581,7 +548,6 @@ func TestEncodedOpsZeroAlloc(t *testing.T) {
 		{"AppendBinary", func() (err error) { buf, err = s.AppendBinary(buf[:0]); return }},
 		{"UnmarshalSketchInto", func() error { return sk.UnmarshalSketchInto(buf, dst) }},
 		{"AddSketch", func() error { return ws.AddSketch(0, dst) }},
-		{"AddToBinary", func() error { return s.AddToBinary(buf) }},
 	} {
 		if err := op.fn(); err != nil {
 			t.Fatalf("%s: %v", op.name, err)
