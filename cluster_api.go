@@ -26,9 +26,6 @@ type ClusterOptions struct {
 	// it is declared failed (0 = default 2). Every attempt is one
 	// exchange; one that follows a broken connection dials a fresh one.
 	MaxAttempts int
-	// QuorumGrace bounds the extra wait for stragglers once the quorum
-	// is reached (0 = keep waiting for all nodes or ctx).
-	QuorumGrace time.Duration
 	// BackoffSeed seeds the retry jitter between a node's attempts (one
 	// stream per node, split off this seed by node ID), making the pull
 	// path's timing deterministic for a given seed — simtest plumbs the
@@ -161,7 +158,6 @@ func (s *Sketcher) DetectCluster(ctx context.Context, addrs []string, k int, opt
 		MinNodes:    min,
 		MaxAttempts: opts.MaxAttempts,
 		NodeTimeout: nodeTimeout,
-		QuorumGrace: opts.QuorumGrace,
 		BackoffSeed: opts.BackoffSeed,
 	})
 

@@ -72,7 +72,7 @@ func main() {
 		idleTO      = flag.Duration("idle-timeout", 5*time.Minute, "drop node connections silent for this long (0 = never)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address (empty = off)")
 		snapPath    = flag.String("snapshot", "", "durable snapshot file: written atomically on rotation/shutdown, restored on boot (empty = in-memory only)")
-		snapEvery   = flag.Duration("snapshot-every", 0, "also snapshot on this wall-clock period (requires -snapshot)")
+		snapEvery   = flag.Duration("snapshot-every", 0, "also snapshot on this wall-clock period (requires -snapshot; a relay snapshots on every forward instead)")
 		evictAfter  = flag.Duration("evict-after", 0, "evict nodes not heard from for this long; their dedup state is tombstoned, not lost (0 = never)")
 
 		shards     = flag.Int("shards", 1, "carve the dictionary into this many contiguous key-range shards")
@@ -90,6 +90,14 @@ func main() {
 	}
 	if *relayUpstream != "" && *relayID == "" {
 		fmt.Fprintln(os.Stderr, "csstreamd: -relay-upstream requires -relay-id")
+		os.Exit(2)
+	}
+	if *snapEvery != 0 && *snapPath == "" {
+		fmt.Fprintln(os.Stderr, "csstreamd: -snapshot-every requires -snapshot")
+		os.Exit(2)
+	}
+	if *snapEvery != 0 && *relayUpstream != "" {
+		fmt.Fprintln(os.Stderr, "csstreamd: -snapshot-every does not apply to a relay (-relay-upstream): it snapshots on every -forward-every")
 		os.Exit(2)
 	}
 	ens, err := sensing.ParseKind(*ensemble)
@@ -152,11 +160,11 @@ func main() {
 	var agg *stream.Aggregator
 	var relay *tier.Relay
 	if *relayUpstream != "" {
-		relay = startRelay(sk, reg, opts, tier.RelayOptions{
-			ID:           *relayID,
-			Shard:        *shardIndex,
-			Upstream:     *relayUpstream,
-			SnapshotPath: *snapPath,
+		relay = startRelay(sk, tier.RelayOptions{
+			ID:       *relayID,
+			Shard:    *shardIndex,
+			Upstream: *relayUpstream,
+			Agg:      opts,
 		})
 		agg = relay.Aggregator()
 	} else {
@@ -249,19 +257,18 @@ func main() {
 }
 
 // startRelay builds (or restores, when the snapshot file exists) the
-// regional relay around the shared aggregator options.
-func startRelay(sk *csoutlier.Sketcher, reg *obs.Registry, aopts stream.AggregatorOptions, ropts tier.RelayOptions) *tier.Relay {
-	ropts.Metrics = reg
-	ropts.Agg = aopts
+// regional relay; its snapshot file and registry are the aggregator
+// options' own.
+func startRelay(sk *csoutlier.Sketcher, ropts tier.RelayOptions) *tier.Relay {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if ropts.SnapshotPath != "" {
-		snap, serr := stream.LoadSnapshot(ropts.SnapshotPath)
+	if path := ropts.Agg.SnapshotPath; path != "" {
+		snap, serr := stream.LoadSnapshot(path)
 		switch {
 		case serr == nil:
 			relay, err := tier.RestoreRelay(ctx, sk, ropts, snap)
 			if err != nil {
-				log.Fatalf("csstreamd: restore relay %s: %v", ropts.SnapshotPath, err)
+				log.Fatalf("csstreamd: restore relay %s: %v", path, err)
 			}
 			st := relay.Stats()
 			log.Printf("csstreamd restored relay %s: up-epoch %d, up-seq %d, %d frames to replay",
@@ -271,7 +278,7 @@ func startRelay(sk *csoutlier.Sketcher, reg *obs.Registry, aopts stream.Aggregat
 			}
 			return relay
 		case !os.IsNotExist(serr):
-			log.Fatalf("csstreamd: relay snapshot %s: %v", ropts.SnapshotPath, serr)
+			log.Fatalf("csstreamd: relay snapshot %s: %v", path, serr)
 		}
 	}
 	relay, err := tier.NewRelay(ctx, sk, ropts)

@@ -28,7 +28,7 @@ const (
 
 // docFiles are the documents the rules read, relative to the module
 // root.
-var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGES.md", ".claude/skills/verify/SKILL.md"}
 
 // pkg is one directory's files: all of them parsed, the non-test ones
 // type-checked.

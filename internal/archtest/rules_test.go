@@ -268,8 +268,17 @@ func recorrelate(m sensing.Matrix, r linalg.Vector) linalg.Vector { return m.Cor
 		},
 	},
 	{
+		id:      "changes-entry-length",
+		name:    "every CHANGES.md entry is at most 600 bytes: the evidence lives in EXPERIMENTS.md",
+		section: "pr35",
+		check:   longChanges,
+		fixtures: []map[string]string{
+			{"CHANGES.md": "- short: entry.\n- long: " + strings.Repeat("entry ", 100) + "\n"},
+		},
+	},
+	{
 		id:      "surface",
-		name:    "every func, method, const and var has a caller outside tests, and every …Options field a writer (DESIGN.md lists the exceptions)",
+		name:    "every func, method, const and var has a caller outside tests (DESIGN.md lists the exceptions), and every …Options field a writer (no exceptions)",
 		section: "pr31",
 		check:   surface,
 		fixtures: []map[string]string{
@@ -346,6 +355,32 @@ func staleFamilies(p *program) []string {
 			if !literals[name] && !literals[seriesSuffix.ReplaceAllString(name, "")] {
 				out = append(out, doc+": "+name)
 			}
+		}
+	}
+	return out
+}
+
+// maxChangesEntry is the length limit of one CHANGES.md entry, in
+// bytes (what wc -c counts).
+const maxChangesEntry = 600
+
+// longChanges returns the CHANGES.md entries over maxChangesEntry. An
+// entry is a "- " line and the lines that continue it.
+func longChanges(p *program) []string {
+	var entries []string
+	for _, line := range strings.Split(p.docs["CHANGES.md"], "\n") {
+		switch {
+		case strings.HasPrefix(line, "- "):
+			entries = append(entries, line)
+		case strings.TrimSpace(line) != "" && len(entries) > 0:
+			entries[len(entries)-1] += "\n" + line
+		}
+	}
+	var out []string
+	for _, e := range entries {
+		if len(e) > maxChangesEntry {
+			head, _, _ := strings.Cut(e, ":")
+			out = append(out, fmt.Sprintf("CHANGES.md: %q is %d bytes, over %d", head, len(e), maxChangesEntry))
 		}
 	}
 	return out

@@ -6,7 +6,6 @@ import (
 	"net"
 	"sort"
 	"testing"
-	"time"
 
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
@@ -56,7 +55,7 @@ func TestCollectSketchesNoNodes(t *testing.T) {
 func TestCollectSketchesDimensionError(t *testing.T) {
 	nodes := []NodeAPI{NewLocalNode("a", make(linalg.Vector, 10))}
 	spec := sensing.GaussianSpec(sensing.Params{M: 4, N: 11, Seed: 1})
-	if _, err := CollectSketches(context.Background(), nodes, spec, CollectOptions{RetryBackoff: time.Millisecond}); err == nil {
+	if _, err := CollectSketches(context.Background(), nodes, spec, CollectOptions{}); err == nil {
 		t.Fatal("mismatched N accepted")
 	}
 }

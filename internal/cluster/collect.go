@@ -33,23 +33,19 @@ type CollectOptions struct {
 	MaxAttempts int
 	// NodeTimeout bounds each individual attempt (0 = only the overall
 	// ctx limits it). A straggler past the per-attempt deadline is
-	// retried; one past the overall deadline is dropped.
+	// retried; one past the overall deadline is dropped, and the
+	// aggregate is returned if the quorum is in.
 	NodeTimeout time.Duration
-	// RetryBackoff is the base delay between a node's attempts; it
-	// doubles per retry up to one second, with equal jitter (0 = default
-	// 50ms).
-	RetryBackoff time.Duration
-	// QuorumGrace, when positive, bounds how long the collector keeps
-	// waiting for stragglers once MinNodes responses are in: after the
-	// grace elapses, in-flight requests are cancelled and the quorum
-	// aggregate is returned. 0 waits for all nodes or the overall ctx.
-	QuorumGrace time.Duration
 	// BackoffSeed seeds the retry-jitter RNG; each node's worker splits
 	// its own stream off it by node ID, so retry storms stay
 	// decorrelated across nodes while the whole collection replays
 	// deterministically. 0 uses a fixed default seed.
 	BackoffSeed uint64
 }
+
+// retryBackoff is the base delay between a node's attempts; it doubles
+// per retry up to one second, with equal jitter.
+const retryBackoff = 50 * time.Millisecond
 
 // NodeStats reports one node's behaviour during a collection.
 type NodeStats struct {
@@ -97,18 +93,14 @@ func CollectSketches[T NodeAPI](ctx context.Context, nodes []T, spec sensing.Spe
 	if maxAttempts <= 0 {
 		maxAttempts = 2
 	}
-	baseBackoff := opts.RetryBackoff
-	if baseBackoff <= 0 {
-		baseBackoff = 50 * time.Millisecond
-	}
 	jitterSeed := opts.BackoffSeed
 	if jitterSeed == 0 {
 		jitterSeed = 0x9e3779b97f4a7c15
 	}
 
 	// inner is cancelled the moment the collector decides to stop —
-	// overall deadline, quorum grace expiry, or normal completion — so
-	// in-flight node.Sketch calls unblock and their goroutines exit.
+	// overall deadline or normal completion — so in-flight node.Sketch
+	// calls unblock and their goroutines exit.
 	inner, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -128,7 +120,7 @@ func CollectSketches[T NodeAPI](ctx context.Context, nodes []T, spec sensing.Spe
 			for attempt := 1; attempt <= maxAttempts; attempt++ {
 				if attempt > 1 {
 					ns.Retries++
-					if xrand.SleepCtx(inner, xrand.BackoffDelay(rng, attempt-1, baseBackoff, time.Second)) != nil {
+					if xrand.SleepCtx(inner, xrand.BackoffDelay(rng, attempt-1, retryBackoff, time.Second)) != nil {
 						break
 					}
 				}
@@ -170,32 +162,18 @@ func CollectSketches[T NodeAPI](ctx context.Context, nodes []T, spec sensing.Spe
 	}
 
 	reports := make([]report, len(nodes))
-	received, ok := 0, 0
+	received := 0
 	timedOut := false
-	var graceTimer *time.Timer
-	var grace <-chan time.Time
 loop:
 	for received < len(nodes) {
 		select {
 		case <-ctx.Done():
 			timedOut = true
 			break loop
-		case <-grace:
-			break loop
 		case r := <-ch:
 			received++
 			reports[r.i] = r
-			if r.ns.OK {
-				ok++
-			}
-			if opts.QuorumGrace > 0 && grace == nil && ok >= min && received < len(nodes) {
-				graceTimer = time.NewTimer(opts.QuorumGrace)
-				grace = graceTimer.C
-			}
 		}
-	}
-	if graceTimer != nil {
-		graceTimer.Stop()
 	}
 	// Stop every in-flight request and reap every worker: each one is
 	// guaranteed a slot in the buffered channel, so draining to

@@ -58,7 +58,7 @@ func TestCollectCtxFailsBelowQuorum(t *testing.T) {
 		newFaultyNode("dead2"),
 	}
 	p := sensing.Params{M: 4, N: 10, Seed: 25}
-	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 2, RetryBackoff: time.Millisecond})
+	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 2})
 	if err == nil {
 		t.Fatal("quorum failure not reported")
 	}

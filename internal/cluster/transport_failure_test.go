@@ -111,7 +111,7 @@ func TestTransparentRedialAfterMidStreamDisconnect(t *testing.T) {
 	}
 	defer rn.Close()
 
-	res, err := CollectSketches(context.Background(), []*RemoteNode{rn}, testSpec, CollectOptions{RetryBackoff: time.Millisecond})
+	res, err := CollectSketches(context.Background(), []*RemoteNode{rn}, testSpec, CollectOptions{})
 	if err != nil {
 		t.Fatalf("collection did not survive a mid-stream disconnect: %v", err)
 	}
@@ -177,7 +177,7 @@ func TestRedialAfterNodeRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := CollectSketches(context.Background(), []*RemoteNode{rn}, testSpec, CollectOptions{RetryBackoff: time.Millisecond})
+	res, err := CollectSketches(context.Background(), []*RemoteNode{rn}, testSpec, CollectOptions{})
 	if err != nil {
 		t.Fatalf("collection did not survive a node restart: %v", err)
 	}
@@ -209,13 +209,12 @@ func TestCollectorLeaksNoGoroutines(t *testing.T) {
 			nodes[i] = &slowNode{LocalNode: NewLocalNode("slow"+string(rune('0'+i)), sl), release: release}
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	// The round's deadline is what drops the stragglers once the quorum
+	// is in, as csagg -timeout does.
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	p := sensing.Params{M: 16, N: 60, Seed: 53}
-	res, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{
-		MinNodes:    3,
-		QuorumGrace: 50 * time.Millisecond,
-	})
+	res, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +263,9 @@ func TestQuorumCollectionWithHungAndCrashedNodes(t *testing.T) {
 	p := sensing.Params{M: 20, N: 60, Seed: 63}
 	start := time.Now()
 	res, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{
-		MinNodes:     2,
-		MaxAttempts:  2,
-		NodeTimeout:  250 * time.Millisecond,
-		RetryBackoff: 10 * time.Millisecond,
+		MinNodes:    2,
+		MaxAttempts: 2,
+		NodeTimeout: 250 * time.Millisecond,
 	})
 	elapsed := time.Since(start)
 	if err != nil {

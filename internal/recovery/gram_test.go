@@ -72,7 +72,7 @@ loop:
 		if norm <= opt.residualTol()*yNorm {
 			break
 		}
-		if !opt.DisableEarlyStop && norm >= prevNorm*(1-opt.stallRelTol()) {
+		if !opt.disableEarlyStop && norm >= prevNorm*(1-stallRelTol) {
 			res.StoppedEarly = true
 			break
 		}
@@ -218,7 +218,7 @@ func TestGramFormMatchesResidualReference(t *testing.T) {
 				{"jittered", tc.mat.Measure(jittered, nil), Options{MaxIterations: IterationBudget(7)}},
 				{"noisy", noisy, Options{MaxIterations: IterationBudget(7), ResidualTol: 0.01}},
 				{"large-k", tc.mat.Measure(largeK, nil), Options{MaxIterations: IterationBudget(16)}},
-				{"exhaust", tc.mat.Measure(jittered, nil), Options{MaxIterations: -1, DisableEarlyStop: true, ResidualTol: -1}},
+				{"exhaust", tc.mat.Measure(jittered, nil), Options{MaxIterations: -1, disableEarlyStop: true, ResidualTol: -1}},
 				{"at-zero", tc.mat.Measure(atZero, nil), Options{}},
 			} {
 				want, err := residualOMP(tc.mat, in.y, in.opt, true)
@@ -276,7 +276,7 @@ func TestRepeatedColumnMatchesResidualReference(t *testing.T) {
 				// Half of M, no stop rule: long, but short of the last
 				// columns, where ‖r‖ is round-off in both engines and
 				// which of them reads an exact 0 first is chance.
-				{"long", mat.Measure(jittered, nil), Options{MaxIterations: p.M / 2, DisableEarlyStop: true, ResidualTol: -1}},
+				{"long", mat.Measure(jittered, nil), Options{MaxIterations: p.M / 2, disableEarlyStop: true, ResidualTol: -1}},
 			} {
 				for _, biased := range []bool{true, false} {
 					label := fmt.Sprintf("%s/biased=%v", in.name, biased)
@@ -313,7 +313,7 @@ func TestRepeatedColumnRejectedByPivot(t *testing.T) {
 	ws := NewWorkspace()
 	g := ws.bind(mat)
 	defer func() { g.unpin(ws.pins) }()
-	ws.greedyInit(y, Options{MaxIterations: -1, DisableEarlyStop: true, ResidualTol: -1}, true)
+	ws.greedyInit(y, Options{MaxIterations: -1, disableEarlyStop: true, ResidualTol: -1}, true)
 	ws.c0[0] = g.phi0.Dot(y)
 	mat.Correlate(y, ws.c0[1:])
 	var top int
@@ -476,7 +476,7 @@ func TestGramCacheRunLongerThanCache(t *testing.T) {
 		x[i] += float64(i%7) - 3
 	}
 	y := mat.Measure(x, nil)
-	opt := Options{MaxIterations: -1, DisableEarlyStop: true, ResidualTol: -1} // run to M columns
+	opt := Options{MaxIterations: -1, disableEarlyStop: true, ResidualTol: -1} // run to M columns
 	want, err := BOMP(mat, y, opt)
 	if err != nil {
 		t.Fatal(err)

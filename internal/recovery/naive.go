@@ -79,7 +79,7 @@ func NaiveOMP(m sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
 		if norm <= tol {
 			break
 		}
-		if !opt.DisableEarlyStop && norm >= prevNorm*(1-opt.stallRelTol()) {
+		if !opt.disableEarlyStop && norm >= prevNorm*(1-stallRelTol) {
 			break
 		}
 		prevNorm = norm

@@ -7,12 +7,9 @@ import (
 	"csoutlier/internal/xrand"
 )
 
-// TestOptionsToleranceSentinels pins the three-way sentinel mapping for
-// both tolerance knobs: zero value → documented default, negative →
-// literally zero, positive → itself. (Before this was pinned, a negative
-// StallRelTol leaked through as-is and made the stall threshold
-// prevNorm·(1−(−x)) > prevNorm — silently disabling the §5 cutoff
-// instead of tightening it.)
+// TestOptionsToleranceSentinels pins the three-way sentinel mapping of
+// ResidualTol: zero value → documented default, negative → literally
+// zero, positive → itself.
 func TestOptionsToleranceSentinels(t *testing.T) {
 	residual := []struct{ in, want float64 }{
 		{0, 1e-9},
@@ -23,17 +20,6 @@ func TestOptionsToleranceSentinels(t *testing.T) {
 	for _, c := range residual {
 		if got := (Options{ResidualTol: c.in}).residualTol(); got != c.want {
 			t.Errorf("residualTol(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	stall := []struct{ in, want float64 }{
-		{0, 1e-12},
-		{-1, 0},
-		{-1e-300, 0},
-		{1e-3, 1e-3},
-	}
-	for _, c := range stall {
-		if got := (Options{StallRelTol: c.in}).stallRelTol(); got != c.want {
-			t.Errorf("stallRelTol(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
@@ -57,11 +43,11 @@ func TestResidualTolNegativeDisablesStop(t *testing.T) {
 	}
 
 	const budget = 14
-	stop, err := BOMP(mat, y, Options{MaxIterations: budget, ResidualTol: 1e-3, DisableEarlyStop: true})
+	stop, err := BOMP(mat, y, Options{MaxIterations: budget, ResidualTol: 1e-3, disableEarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := BOMP(mat, y, Options{MaxIterations: budget, ResidualTol: -1, DisableEarlyStop: true})
+	off, err := BOMP(mat, y, Options{MaxIterations: budget, ResidualTol: -1, disableEarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}

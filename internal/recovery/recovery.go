@@ -41,41 +41,36 @@ type Options struct {
 	// ResidualTol stops the loop once ‖r‖₂ ≤ ResidualTol·‖y‖₂.
 	// 0 means 1e-9 (exact recovery territory). A negative value means
 	// literally zero: the tolerance stop is disabled and the loop runs
-	// until the budget, the stall cutoff, or an exactly zero residual.
+	// until the budget, the stall stop, or an exactly zero residual.
 	// (0 cannot mean "disabled" — it is the zero value, and a standing
 	// query built with Options{} must get the default, not an engine
 	// that never stops on tolerance.)
 	ResidualTol float64
 
-	// DisableEarlyStop turns off the residual-stall cutoff from §5.
-	// Only the ablation benches set this; production keeps it on.
-	DisableEarlyStop bool
-
-	// StallRelTol is the relative per-iteration residual improvement
-	// below which the §5 early stop fires: the loop halts when
-	// ‖r_t‖ ≥ ‖r_{t−1}‖·(1 − StallRelTol). The default 0 means 1e-12 —
-	// only a numerically flat residual stops the loop. A negative value
-	// means exactly zero: the loop stops as soon as the residual fails
-	// to strictly decrease (the tightest stall cutoff, not a disabled
-	// one — use DisableEarlyStop for that).
-	//
-	// Note this guards against floating-point drift, not against noise:
-	// greedy selection always finds the dictionary column MOST
-	// correlated with a noise residual, so noise-fitting iterations
-	// still improve the residual by ≈ √(2·ln N / (M−k)) per step and
-	// never look stalled. For sketches carrying measurement noise, set
-	// ResidualTol to the (relative) noise floor instead — the loop then
-	// stops exactly when the signal is exhausted.
-	StallRelTol float64
-
-	// TraceMode records the mode estimate after every iteration
-	// (Figures 4b and 9). It costs a scan of the coefficients, which
-	// the loop back-substitutes for every iteration anyway.
+	// TraceMode records the mode estimate and ‖r‖₂ after every
+	// iteration (Figures 4b and 9). It costs a scan of the
+	// coefficients, which the loop back-substitutes for every
+	// iteration anyway.
 	TraceMode bool
 
-	// TraceResidual records ‖r‖₂ after every iteration.
-	TraceResidual bool
+	// disableEarlyStop turns off the §5 stall stop; the package's
+	// tests set it to isolate the other stopping rules.
+	disableEarlyStop bool
 }
+
+// stallRelTol is the relative per-iteration residual improvement below
+// which the §5 early stop fires: the loop halts when
+// ‖r_t‖ ≥ ‖r_{t−1}‖·(1 − stallRelTol), so only a numerically flat
+// residual stops it.
+//
+// This guards against floating-point drift, not against noise: greedy
+// selection always finds the dictionary column MOST correlated with a
+// noise residual, so noise-fitting iterations still improve the residual
+// by ≈ √(2·ln N / (M−k)) per step and never look stalled. For sketches
+// carrying measurement noise, set ResidualTol to the (relative) noise
+// floor instead — the loop then stops exactly when the signal is
+// exhausted.
+const stallRelTol = 1e-12
 
 func (o Options) residualTol() float64 {
 	if o.ResidualTol < 0 {
@@ -85,16 +80,6 @@ func (o Options) residualTol() float64 {
 		return 1e-9
 	}
 	return o.ResidualTol
-}
-
-func (o Options) stallRelTol() float64 {
-	if o.StallRelTol < 0 {
-		return 0 // explicit "stop unless strictly decreasing"
-	}
-	if o.StallRelTol == 0 {
-		return 1e-12
-	}
-	return o.StallRelTol
 }
 
 // Result is the output of a recovery run.
@@ -131,10 +116,9 @@ type Result struct {
 	Residual float64
 	// StoppedEarly reports that the §5 residual-stall cutoff fired.
 	StoppedEarly bool
-	// ModeTrace, when requested, holds the mode estimate after each
-	// iteration.
-	ModeTrace []float64
-	// ResidualTrace, when requested, holds ‖r‖₂ after each iteration.
+	// ModeTrace and ResidualTrace, when TraceMode asks for them, hold
+	// the mode estimate and ‖r‖₂ after each iteration.
+	ModeTrace     []float64
 	ResidualTrace []float64
 }
 

@@ -266,7 +266,7 @@ func TestModeTrace(t *testing.T) {
 	d := dense(t, m, n, 16)
 	x, _ := biasedSparse(r, n, s, bias, 100, 1000)
 	y := d.Measure(x, nil)
-	res, err := BOMP(d, y, Options{TraceMode: true, TraceResidual: true})
+	res, err := BOMP(d, y, Options{TraceMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestResidualTolStopsAtNoiseFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := OMP(d, y, Options{MaxIterations: 120, ResidualTol: 1e-300, DisableEarlyStop: true})
+	free, err := OMP(d, y, Options{MaxIterations: 120, ResidualTol: 1e-300, disableEarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}

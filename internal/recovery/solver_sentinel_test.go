@@ -59,10 +59,10 @@ func resultsIdentical(a, b *Result) bool {
 	return true
 }
 
-// TestSolverSentinelParity is the Options contract test: the PR 6
-// sentinel semantics (zero ResidualTol/StallRelTol meaning "default",
-// negative meaning "disabled") must behave identically for BOMP, OMP and
-// KnownModeOMP on every measurement ensemble.
+// TestSolverSentinelParity is the Options contract test: the
+// ResidualTol sentinels (zero meaning "default", negative meaning
+// "disabled") must behave identically for BOMP, OMP and KnownModeOMP on
+// every measurement ensemble.
 func TestSolverSentinelParity(t *testing.T) {
 	const m, n, s = 128, 256, 5
 	solvers := []struct {
@@ -88,7 +88,7 @@ func TestSolverSentinelParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: zero-sentinel run: %v", label, err)
 			}
-			expl, err := sv.run(ens.mat, y, Options{ResidualTol: 1e-9, StallRelTol: 1e-12})
+			expl, err := sv.run(ens.mat, y, Options{ResidualTol: 1e-9})
 			if err != nil {
 				t.Fatalf("%s: explicit-default run: %v", label, err)
 			}
@@ -96,20 +96,9 @@ func TestSolverSentinelParity(t *testing.T) {
 				t.Errorf("%s: Options{} differs from explicit defaults: %+v vs %+v", label, zero, expl)
 			}
 
-			// A negative StallRelTol means threshold 0 (stall on any
-			// non-decrease), not "disabled": the run must terminate
-			// without error, and on exact-recovery ensembles the strict
-			// greedy descent means it still finds the truth.
-			neg, err := sv.run(ens.mat, y, Options{StallRelTol: -1})
-			if err != nil {
-				t.Fatalf("%s: negative StallRelTol run: %v", label, err)
-			}
 			if ens.exact {
 				if !supportEqual(zero.Support, want) {
 					t.Errorf("%s: default run missed truth: %v want %v", label, zero.Support, want)
-				}
-				if !supportEqual(neg.Support, want) {
-					t.Errorf("%s: StallRelTol=-1 run missed truth: %v want %v", label, neg.Support, want)
 				}
 				if math.Abs(zero.Mode-sv.bias) > 1e-6*sv.bias {
 					t.Errorf("%s: mode = %g, want %g", label, zero.Mode, sv.bias)
@@ -117,9 +106,9 @@ func TestSolverSentinelParity(t *testing.T) {
 			}
 
 			// A negative ResidualTol disables tolerance stops; combined
-			// with DisableEarlyStop the solver must not error and must
+			// with the stall stop off the solver must not error and must
 			// not report a tolerance-triggered zero-iteration result.
-			dis, err := sv.run(ens.mat, y, Options{ResidualTol: -1, DisableEarlyStop: true})
+			dis, err := sv.run(ens.mat, y, Options{ResidualTol: -1, disableEarlyStop: true})
 			if err != nil {
 				t.Fatalf("%s: disabled-stops run: %v", label, err)
 			}

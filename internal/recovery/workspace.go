@@ -360,16 +360,16 @@ func (ws *Workspace) greedyStep(top int) {
 	}
 	norm := math.Sqrt(d)
 	st.diag.residual = norm
-	if st.opt.TraceResidual {
+	if st.opt.TraceMode {
 		st.diag.residualTrace = append(st.diag.residualTrace, norm)
-	}
-	if st.opt.TraceMode && st.biased {
-		st.diag.modeTrace = append(st.diag.modeTrace, modeFromExtended(ws.coef, ws.selected, st.n))
+		if st.biased {
+			st.diag.modeTrace = append(st.diag.modeTrace, modeFromExtended(ws.coef, ws.selected, st.n))
+		}
 	}
 	switch {
 	case norm <= st.tol:
 		st.done = true
-	case !st.opt.DisableEarlyStop && norm >= st.prevNorm*(1-st.opt.stallRelTol()):
+	case !st.opt.disableEarlyStop && norm >= st.prevNorm*(1-stallRelTol):
 		// §5: floating-point drift makes the residual stop decreasing long
 		// before the iteration budget on real data; cut the run there.
 		st.diag.stalled = true

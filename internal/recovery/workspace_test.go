@@ -183,7 +183,7 @@ func TestWorkspaceRankDeficientReselect(t *testing.T) {
 	// A 4×6 matrix whose later columns duplicate earlier ones.
 	mat := dupMatrix{}
 	y := linalg.Vector{1, 2, 3, 4}
-	res, err := NewWorkspace().OMP(mat, y, Options{MaxIterations: 4, DisableEarlyStop: true})
+	res, err := NewWorkspace().OMP(mat, y, Options{MaxIterations: 4, disableEarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}

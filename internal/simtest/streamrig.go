@@ -243,15 +243,19 @@ func (r *StreamRig) buildTier() error {
 		targets[s] = tier.Target{Span: root, Point: root}
 		for rr := 0; rr < tierRelays; rr++ {
 			ln := lane{opts: tier.RelayOptions{
-				ID:           fmt.Sprintf("r%d", rr),
-				Shard:        s,
-				Upstream:     rootAddr,
-				SnapshotPath: filepath.Join(r.snapDir, fmt.Sprintf("relay-%d-%d.snap", s, rr)),
-				PushTimeout:  2 * time.Second,
-				BaseBackoff:  time.Millisecond,
-				MaxBackoff:   20 * time.Millisecond,
-				BackoffSeed:  seedRng.Split(0x8e1a1 ^ uint64(s)<<16 ^ uint64(rr)<<8).Uint64(),
-				Agg:          stream.AggregatorOptions{Windows: scn.W},
+				ID:       fmt.Sprintf("r%d", rr),
+				Shard:    s,
+				Upstream: rootAddr,
+				Up: stream.NodeOptions{
+					PushTimeout: 2 * time.Second,
+					BaseBackoff: time.Millisecond,
+					MaxBackoff:  20 * time.Millisecond,
+					BackoffSeed: seedRng.Split(0x8e1a1 ^ uint64(s)<<16 ^ uint64(rr)<<8).Uint64(),
+				},
+				Agg: stream.AggregatorOptions{
+					Windows:      scn.W,
+					SnapshotPath: filepath.Join(r.snapDir, fmt.Sprintf("relay-%d-%d.snap", s, rr)),
+				},
 			}}
 			if ln.relay, err = tier.NewRelay(r.ctx, r.sks[s], ln.opts); err != nil {
 				return fmt.Errorf("simtest: relay %d/%d: %w", s, rr, err)
@@ -671,7 +675,7 @@ func (r *StreamRig) restoreRelay(shard int) error {
 	if err := ln.relay.Kill(r.ctx); err != nil {
 		return fmt.Errorf("simtest: kill relay: %w", err)
 	}
-	snap, err := stream.LoadSnapshot(ln.opts.SnapshotPath)
+	snap, err := stream.LoadSnapshot(ln.opts.Agg.SnapshotPath)
 	if err != nil {
 		return fmt.Errorf("simtest: load relay snapshot: %w", err)
 	}

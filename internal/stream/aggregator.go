@@ -48,10 +48,6 @@ type AggregatorOptions struct {
 	// series are dropped. 0 = never evict. Tests drive EvictIdle
 	// directly.
 	EvictAfter time.Duration
-	// AggEpoch is the aggregator's incarnation number (default 1).
-	// RestoreAggregator sets it to the snapshot's epoch + 1; nodes that
-	// see it increase replay their retained frames.
-	AggEpoch uint64
 	// OnApplied, when set, is invoked for every applied delta — under
 	// the aggregator mutex, right after the frame folds — with the
 	// frame's window tag, its local-capture count (max(1, Folds)) and
@@ -79,9 +75,6 @@ func (o AggregatorOptions) withDefaults() AggregatorOptions {
 	}
 	if o.SnapshotPath != "" {
 		o.Durable = true
-	}
-	if o.AggEpoch == 0 {
-		o.AggEpoch = 1
 	}
 	return o
 }
@@ -210,6 +203,13 @@ type Aggregator struct {
 // NewAggregator builds a streaming aggregator bound to the Sketcher
 // consensus every node must share.
 func NewAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions) (*Aggregator, error) {
+	return newAggregator(sk, opts, 1)
+}
+
+// newAggregator builds an aggregator of incarnation epoch: 1 for a
+// fresh one, the snapshot's + 1 for a restored one. Nodes that see the
+// epoch increase replay their retained frames.
+func newAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, epoch uint64) (*Aggregator, error) {
 	opts = opts.withDefaults()
 	ws, err := sk.NewWindowStore(opts.Windows)
 	if err != nil {
@@ -219,7 +219,7 @@ func NewAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions) (*Aggregator,
 		sk:     sk,
 		opts:   opts,
 		limits: requestLimits(sk.M()),
-		in:     ingest{window: 1, epoch: opts.AggEpoch, ws: ws},
+		in:     ingest{window: 1, epoch: epoch, ws: ws},
 		q:      queries{cache: newGenCache[queryKey, queryResult](cacheCap)},
 		pts:    points{cache: newGenCache[pointKey, *csoutlier.PointState](pointCacheCap)},
 		life:   lifecycle{conns: make(map[net.Conn]struct{}), quit: make(chan struct{})},

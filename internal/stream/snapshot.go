@@ -470,9 +470,8 @@ func RestoreAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, snap *Sna
 		sketches[i] = s
 	}
 	opts.Windows = snap.Capacity
-	opts.AggEpoch = snap.AggEpoch + 1
 	opts.Durable = true
-	a, err := NewAggregator(sk, opts)
+	a, err := newAggregator(sk, opts, snap.AggEpoch+1)
 	if err != nil {
 		return nil, err
 	}

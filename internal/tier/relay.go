@@ -11,7 +11,6 @@ import (
 
 	"csoutlier"
 	"csoutlier/internal/frame"
-	"csoutlier/internal/obs"
 	"csoutlier/internal/stream"
 )
 
@@ -19,7 +18,9 @@ import (
 // are level 0 and every relay sits at level 1, directly under a root.
 const relayLevel = 1
 
-// RelayOptions tunes a regional relay aggregator.
+// RelayOptions tunes a regional relay aggregator: the identity and
+// parent below, and the two option structs of the halves it is built
+// from.
 type RelayOptions struct {
 	// ID names this relay in its parent's dedup books (required). The
 	// wire identity is "sSS.t1.ID" for shard SS (Relay.Name).
@@ -29,28 +30,20 @@ type RelayOptions struct {
 	// Upstream is the parent aggregator's push-listener address
 	// (required).
 	Upstream string
-	// SnapshotPath, when non-empty, makes the relay durable: every
-	// Forward persists an atomic-rename snapshot (the embedded
-	// aggregator's fold state plus the upward-forwarding state in
-	// Snapshot.Extra) before any upward frame becomes sendable.
-	SnapshotPath string
-	// Retain caps the upward replay-retention buffer (default 1024,
-	// negative disables) — frames the parent acked but has not yet
-	// declared durable, replayed if the parent restores from a snapshot.
-	Retain int
-	// PushTimeout/BaseBackoff/MaxBackoff/BackoffSeed shape the upstream
-	// connection exactly as stream.NodeOptions do.
-	PushTimeout time.Duration
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	BackoffSeed uint64
-	// Metrics, when set, registers the tier_* families in this registry.
-	Metrics *obs.Registry
-	// Agg configures the embedded leaf-facing aggregator. SnapshotPath,
-	// WindowEvery, and the snapshot hooks are overridden: the relay owns
-	// its snapshot file (so the upward state is always captured with the
-	// fold state) and its window clock (adopted from the parent, so the
-	// whole tree shares the root's rotation).
+	// Up configures the upward connection exactly as it does a leaf
+	// node's: its timeouts, backoff and replay-retention cap. Epoch is
+	// overridden: it is the relay's upward incarnation (see NewRelay).
+	Up stream.NodeOptions
+	// Agg configures the embedded leaf-facing aggregator. Its Metrics
+	// registry also gets the relay's tier_* families. SnapshotPath, when
+	// non-empty, makes the relay durable: every Forward persists an
+	// atomic-rename snapshot there (the embedded aggregator's fold state
+	// plus the upward-forwarding state in Snapshot.Extra) before any
+	// upward frame becomes sendable. The relay owns that file and its
+	// window clock (adopted from the parent, so the whole tree shares
+	// the root's rotation): the aggregator never snapshots or rotates on
+	// its own, so SnapshotEvery and WindowEvery are ignored, and the
+	// snapshot hooks are overridden.
 	Agg stream.AggregatorOptions
 }
 
@@ -75,7 +68,7 @@ type RelayStats struct {
 	Dropped         int64 // upward frames too old for the parent's ring
 	Rejected        int64 // upward frames the parent refused
 	Replayed        int64 // retained frames requeued after a parent restore
-	RetainDropped   int64 // retained frames discarded at the Retain cap; a parent restore could lose each
+	RetainDropped   int64 // retained frames discarded at the Up.Retain cap; a parent restore could lose each
 	Redials         int64 // upstream connections re-established
 	Unstable        int   // windows with accumulated-but-unsnapshotted deltas
 	Staged          int   // frames waiting for a snapshot commit
@@ -170,14 +163,9 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 		unstable: make(map[uint64]*upAccum),
 	}
 	var err error
-	r.snd, err = stream.NewSender(opts.Upstream, r.name, stream.NodeOptions{
-		Epoch:       upEpoch,
-		Retain:      opts.Retain,
-		PushTimeout: opts.PushTimeout,
-		BaseBackoff: opts.BaseBackoff,
-		MaxBackoff:  opts.MaxBackoff,
-		BackoffSeed: opts.BackoffSeed,
-	}, r.adoptRoot)
+	up := opts.Up
+	up.Epoch = upEpoch
+	r.snd, err = stream.NewSender(opts.Upstream, r.name, up, r.adoptRoot)
 	if err != nil {
 		return nil, err
 	}
@@ -185,11 +173,11 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 	aopts := opts.Agg
 	// The relay owns its snapshot file: the embedded aggregator must
 	// never write one on its own (a snapshot not followed by the relay's
-	// commit discipline would advance nothing), and must never rotate on
-	// its own clock (windows are adopted from the parent).
-	aopts.Durable = aopts.Durable || opts.SnapshotPath != ""
+	// commit discipline would advance nothing; without a path its
+	// SnapshotEvery never fires), and must never rotate on its own clock
+	// (windows are adopted from the parent).
+	aopts.Durable = aopts.Durable || aopts.SnapshotPath != ""
 	aopts.SnapshotPath = ""
-	aopts.SnapshotEvery = 0
 	aopts.WindowEvery = 0
 	aopts.OnApplied = r.onApplied
 	aopts.SnapshotExtra = r.snapshotExtra
@@ -206,8 +194,8 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 	if err != nil {
 		return nil, err
 	}
-	if opts.Metrics != nil {
-		r.metrics = newRelayMetrics(opts.Metrics, r)
+	if opts.Agg.Metrics != nil {
+		r.metrics = newRelayMetrics(opts.Agg.Metrics, r)
 	}
 	if err := r.snd.Connect(ctx); err != nil {
 		r.agg.Close(context.Background())
@@ -379,8 +367,8 @@ func (r *Relay) Forward(ctx context.Context) error {
 // the commit is what calls onSnapshotCommit.
 func (r *Relay) commitCycle() error {
 	var err error
-	if r.opts.SnapshotPath != "" {
-		err = r.agg.WriteSnapshot(r.opts.SnapshotPath)
+	if path := r.opts.Agg.SnapshotPath; path != "" {
+		err = r.agg.WriteSnapshot(path)
 	} else {
 		var snap *stream.Snapshot
 		if snap, err = r.agg.Snapshot(); err == nil {

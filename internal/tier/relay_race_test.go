@@ -26,10 +26,9 @@ func TestRelayForwardRace(t *testing.T) {
 	defer cancel()
 	root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 8})
 	relay, err := NewRelay(ctx, sk, RelayOptions{
-		ID:           "r0",
-		Upstream:     rootAddr,
-		SnapshotPath: filepath.Join(t.TempDir(), "relay.snap"),
-		Agg:          stream.AggregatorOptions{Windows: 8},
+		ID:       "r0",
+		Upstream: rootAddr,
+		Agg:      stream.AggregatorOptions{Windows: 8, SnapshotPath: filepath.Join(t.TempDir(), "relay.snap")},
 	})
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)

@@ -7,12 +7,15 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"csoutlier"
+	"csoutlier/internal/obs"
 	"csoutlier/internal/stream"
 	"csoutlier/internal/xrand"
 )
@@ -510,7 +513,11 @@ func driveTierRun(t *testing.T, seed uint64, kill bool) tierRun {
 	defer cancel()
 	root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
 	snapPath := filepath.Join(t.TempDir(), "relay.snap")
-	ropts := RelayOptions{ID: "r0", Upstream: rootAddr, SnapshotPath: snapPath, BackoffSeed: seed ^ 0xbac0ff}
+	ropts := RelayOptions{
+		ID: "r0", Upstream: rootAddr,
+		Up:  stream.NodeOptions{BackoffSeed: seed ^ 0xbac0ff},
+		Agg: stream.AggregatorOptions{SnapshotPath: snapPath},
+	}
 	relay, err := NewRelay(ctx, sk, ropts)
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)
@@ -820,7 +827,7 @@ func driveRootRun(t *testing.T, kill bool) rootRun {
 	proxy := startTestProxy(t, rootAddr)
 	relay, err := NewRelay(ctx, sk, RelayOptions{
 		ID: "r0", Upstream: proxy.Addr(),
-		BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond, BackoffSeed: 77,
+		Up: stream.NodeOptions{BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond, BackoffSeed: 77},
 	})
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)
@@ -948,7 +955,7 @@ func TestRelayRetainCapCounted(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 2, Durable: true}) // never commits: every ack leaves its frame retained
-	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr, Retain: 1})
+	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr, Up: stream.NodeOptions{Retain: 1}})
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)
 	}
@@ -971,4 +978,79 @@ func TestRelayRetainCapCounted(t *testing.T) {
 	if st := relay.Stats(); st.Applied != 3 || st.Retained != 1 || st.RetainDropped != 2 {
 		t.Fatalf("%+v, want 3 applied, 1 retained, 2 dropped at the cap", st)
 	}
+}
+
+// TestRelayConfiguredThroughAgg: a relay takes its snapshot file and
+// its metrics registry from Agg alone. The embedded aggregator never
+// writes the file on its own clock (Agg.SnapshotEvery is ignored);
+// Forward does, RestoreRelay recovers the relay from it, and the tier_*
+// families sit in Agg.Metrics next to the stream_* ones.
+func TestRelayConfiguredThroughAgg(t *testing.T) {
+	sk := tierSketcher(t, 64, 32, 17)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
+	snapPath := filepath.Join(t.TempDir(), "relay.snap")
+	reg := obs.NewRegistry()
+	opts := RelayOptions{ID: "r0", Upstream: rootAddr, Agg: stream.AggregatorOptions{
+		Windows: 4, SnapshotPath: snapPath, SnapshotEvery: time.Millisecond, Metrics: reg,
+	}}
+	relay, err := NewRelay(ctx, sk, opts)
+	if err != nil {
+		t.Fatalf("NewRelay: %v", err)
+	}
+	leaf, err := stream.Dial(ctx, serveRelay(t, relay), sk, "node00", stream.NodeOptions{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	for f := 0; f < 3; f++ {
+		if err := leaf.Observe(fmt.Sprintf("key%03d", f), float64(f+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := leaf.Flush(ctx); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // twenty SnapshotEvery periods
+	if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
+		t.Fatalf("snapshot file before the first Forward: %v", err)
+	}
+	if err := relay.Forward(ctx); err != nil {
+		t.Fatalf("Forward: %v", err)
+	}
+	snap, err := stream.LoadSnapshot(snapPath)
+	if err != nil {
+		t.Fatalf("LoadSnapshot after Forward: %v", err)
+	}
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"tier_forwards_total 1", "tier_up_seq 1", "stream_window 1"} {
+		if !strings.Contains(text.String(), "\n"+line+"\n") {
+			t.Errorf("Agg.Metrics has no %q line", line)
+		}
+	}
+	want, err := relay.Aggregator().WindowSketch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := relay.Stats()
+	if err := relay.Kill(ctx); err != nil {
+		t.Fatalf("Kill: %v", err)
+	}
+	opts.Agg.Metrics = obs.NewRegistry()
+	restored, err := RestoreRelay(ctx, sk, opts, snap)
+	if err != nil {
+		t.Fatalf("RestoreRelay: %v", err)
+	}
+	defer restored.Close(ctx)
+	if after := restored.Stats(); after.UpEpoch != before.UpEpoch || after.UpSeq != before.UpSeq {
+		t.Fatalf("restored upward state epoch %d seq %d, want %d and %d", after.UpEpoch, after.UpSeq, before.UpEpoch, before.UpSeq)
+	}
+	got, err := restored.Aggregator().WindowSketch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "restored relay window", got, want)
 }

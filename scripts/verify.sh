@@ -153,6 +153,20 @@ fi
 tail -n 1 "$tmp/agg.err"
 kill $pids 2>/dev/null || true
 pids=""
+# csstreamd refuses a flag it would ignore, with status 2, before it
+# listens: -snapshot-every without -snapshot, and on a relay (which
+# snapshots on every forward).
+for args in "-snapshot-every 1s" \
+	"-snapshot $tmp/relay.snap -snapshot-every 1s -relay-upstream 127.0.0.1:1 -relay-id r0"; do
+	status=0
+	"$tmp/bin/csstreamd" -dict "$tmp/demo/keys.txt" -m 400 -listen 127.0.0.1:0 $args >"$tmp/refuse.log" 2>&1 || status=$?
+	if [ "$status" -ne 2 ]; then
+		cat "$tmp/refuse.log" >&2
+		echo "verify: csstreamd $args exited $status, want 2" >&2
+		exit 1
+	fi
+	tail -n 1 "$tmp/refuse.log"
+done
 
 case "${1:-}" in
 -bench)
