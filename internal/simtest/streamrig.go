@@ -208,8 +208,11 @@ func (r *StreamRig) buildFlat() error {
 
 // buildTier is the 2-shard × 2-relay tree: per shard one root (not
 // durable: the durability story here is the relays') fed by two durable
-// relays, each owning a snapshot file; queries go through a tier.Router
-// over the roots in process, span and point queries alike.
+// relays; queries go through a tier.Router over the roots in process,
+// span and point queries alike. The relay a relaykill mark targets owns
+// a snapshot file to restore from; every other relay is Durable with no
+// file, so its Forward commits without a capture and the shadow checks
+// that commit bit for bit.
 func (r *StreamRig) buildTier() error {
 	scn := r.scn
 	m, err := tier.NewShardMap(r.data.Keys, tierShards, tier.Spec{
@@ -230,6 +233,7 @@ func (r *StreamRig) buildTier() error {
 	r.lanes = make([][]lane, tierShards)
 	targets := make([]tier.Target, tierShards)
 	seedRng := xrand.New(scn.Seed)
+	kill := scn.mark(MarkRelayKill)
 	for s := 0; s < tierShards; s++ {
 		root, err := stream.NewAggregator(r.sks[s], r.rootOpts)
 		if err != nil {
@@ -252,11 +256,11 @@ func (r *StreamRig) buildTier() error {
 					MaxBackoff:  20 * time.Millisecond,
 					BackoffSeed: seedRng.Split(0x8e1a1 ^ uint64(s)<<16 ^ uint64(rr)<<8).Uint64(),
 				},
-				Agg: stream.AggregatorOptions{
-					Windows:      scn.W,
-					SnapshotPath: filepath.Join(r.snapDir, fmt.Sprintf("relay-%d-%d.snap", s, rr)),
-				},
+				Agg: stream.AggregatorOptions{Windows: scn.W, Durable: true},
 			}}
+			if kill != nil && kill.Node == s && rr == 0 {
+				ln.opts.Agg.SnapshotPath = filepath.Join(r.snapDir, fmt.Sprintf("relay-%d-%d.snap", s, rr))
+			}
 			if ln.relay, err = tier.NewRelay(r.ctx, r.sks[s], ln.opts); err != nil {
 				return fmt.Errorf("simtest: relay %d/%d: %w", s, rr, err)
 			}

@@ -38,9 +38,10 @@ type AggregatorOptions struct {
 	// wall-clock period (requires SnapshotPath).
 	SnapshotEvery time.Duration
 	// Durable forces durable ack semantics without a snapshot path: acks
-	// advance the nodes' Stable watermark only at CommitSnapshot, so
-	// nodes retain acked frames for replay. Implied by SnapshotPath;
-	// useful for in-memory snapshot/restore (tests, embedding).
+	// advance the nodes' Stable watermark only at a commit — a
+	// WriteSnapshot's, or CommitStaged's for an embedder that keeps no
+	// snapshot (a tier relay without a file commits at every Forward) —
+	// so nodes retain acked frames for replay. Implied by SnapshotPath.
 	Durable bool
 	// EvictAfter, when positive, evicts nodes not heard from for this
 	// long: their membership is retired into a tombstone (the dedup book
@@ -62,10 +63,11 @@ type AggregatorOptions struct {
 	// with the window ring and dedup books captured alongside. Same
 	// no-reentrancy rule as OnApplied.
 	SnapshotExtra func() ([]byte, error)
-	// OnSnapshotCommit, when set, is invoked by CommitSnapshot with the
-	// committed snapshot's Extra bytes, after the nodes' Stable
-	// watermarks advance. The tier relay uses it to release staged
-	// upward frames exactly when the snapshot covering them is durable.
+	// OnSnapshotCommit, when set, is invoked when a snapshot commits
+	// (WriteSnapshot) with the committed snapshot's Extra bytes, after
+	// the nodes' Stable watermarks advance. The tier relay uses it to
+	// release staged upward frames exactly when the snapshot covering
+	// them is durable.
 	OnSnapshotCommit func(extra []byte)
 }
 

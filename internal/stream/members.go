@@ -19,6 +19,14 @@ type nodeState struct {
 	status  NodeStatus
 }
 
+// stabilise raises the durable watermark to base, a dedup base of the
+// node's current epoch that a commit covers. The caller holds ingest.mu.
+func (ns *nodeState) stabilise(base uint64) {
+	if base > ns.status.Stable {
+		ns.status.Stable = base
+	}
+}
+
 // maxTombstones bounds retired-node state. Tombstones are tiny (a
 // tracker low-water mark plus counters), so the cap only guards a
 // pathological churn of distinct node names; eviction is FIFO.

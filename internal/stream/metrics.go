@@ -112,7 +112,7 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		pointSeconds: reg.Histogram("pointq_seconds",
 			"wall time answering one point query (sampled: first query, then 1 in 256)", obs.LatencyBuckets()),
 		snapshots: reg.Counter("stream_snapshot_commits_total",
-			"snapshots committed (nodes' stable watermarks advanced)"),
+			"commits that advanced the nodes' stable watermarks: a snapshot's, or a relay Forward's without a snapshot file, which commits with no capture"),
 		snapshotErrors: reg.Counter("stream_snapshot_errors_total",
 			"snapshot write attempts that failed"),
 		snapshotBytes: reg.Gauge("stream_snapshot_bytes",

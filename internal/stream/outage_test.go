@@ -228,7 +228,7 @@ func TestRecycleNeverReusesResendableFrame(t *testing.T) {
 			t.Errorf("Snapshot: %v", err)
 			return
 		}
-		agg.CommitSnapshot(snap)
+		agg.commitSnapshot(snap)
 	}
 	// phase observes while the link flaps and snapshots commit.
 	phase := func(agg *Aggregator) {

@@ -265,7 +265,7 @@ func TestPointQueryWhileFolding(t *testing.T) {
 				t.Errorf("MarshalBinary %d: %v", i, err)
 				return
 			}
-			agg.CommitSnapshot(snap)
+			agg.commitSnapshot(snap)
 		}
 	}()
 

@@ -75,7 +75,7 @@ func (r *senderRig) commit() *Snapshot {
 	if err != nil {
 		r.t.Fatalf("Snapshot: %v", err)
 	}
-	r.agg.CommitSnapshot(snap)
+	r.agg.commitSnapshot(snap)
 	return snap
 }
 

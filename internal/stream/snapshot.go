@@ -121,18 +121,18 @@ func (a *Aggregator) Snapshot() (*Snapshot, error) {
 		Nodes:      snapNodes(in.members.nodes),
 		Tombs:      snapNodes(in.members.tombs),
 	}
+	// Every window is encoded straight from its ring slot into one buffer
+	// the entries share.
 	avail := in.ws.Available()
 	snap.Windows = make([][]byte, 0, avail)
+	buf := make([]byte, 0, avail*csoutlier.EncodedSketchLen(a.sk.M()))
 	for age := avail - 1; age >= 0; age-- {
-		var b []byte
-		w, err := in.ws.Window(age)
-		if err == nil {
-			b, err = w.MarshalBinary()
-		}
-		if err != nil {
+		start := len(buf)
+		var err error
+		if buf, err = in.ws.AppendWindow(buf, age); err != nil {
 			return nil, fmt.Errorf("stream: snapshot window age %d: %w", age, err)
 		}
-		snap.Windows = append(snap.Windows, b)
+		snap.Windows = append(snap.Windows, buf[start:len(buf):len(buf)])
 	}
 	if fn := a.opts.SnapshotExtra; fn != nil {
 		extra, err := fn()
@@ -145,16 +145,16 @@ func (a *Aggregator) Snapshot() (*Snapshot, error) {
 	return snap, nil
 }
 
-// CommitSnapshot marks snap as durable: every live node whose epoch the
+// commitSnapshot marks snap as durable: every live node whose epoch the
 // snapshot covers has its Stable watermark advanced to the snapshot's
 // dedup base, so subsequent acks let the node trim its replay-retention
 // buffer. Call it after the snapshot bytes are safely on disk (or
 // wherever they need to be); WriteSnapshot does.
-func (a *Aggregator) CommitSnapshot(snap *Snapshot) {
+func (a *Aggregator) commitSnapshot(snap *Snapshot) {
 	a.in.mu.Lock()
 	for _, sn := range snap.Nodes {
-		if ns, ok := a.in.members.nodes[sn.Node]; ok && ns.status.Epoch == sn.Epoch && sn.Base > ns.status.Stable {
-			ns.status.Stable = sn.Base
+		if ns, ok := a.in.members.nodes[sn.Node]; ok && ns.status.Epoch == sn.Epoch {
+			ns.stabilise(sn.Base)
 		}
 	}
 	a.in.mu.Unlock()
@@ -162,6 +162,33 @@ func (a *Aggregator) CommitSnapshot(snap *Snapshot) {
 	if fn := a.opts.OnSnapshotCommit; fn != nil {
 		fn(snap.Extra)
 	}
+}
+
+// CommitStaged is a commit with no capture, for an embedder that keeps
+// its state somewhere other than a snapshot (internal/tier's relay
+// without a snapshot file, whose upward frames are its durability).
+// Under one ingest.mu acquisition it runs stage and then advances every
+// live node's Stable watermark to its dedup base — the advance
+// commitSnapshot makes for a snapshot captured at this instant — so no
+// fold lands between what stage takes and what the nodes are told is
+// durable. stage runs under the aggregator mutex with the same
+// no-reentrancy rule as OnApplied; when it fails, nothing advances.
+// OnSnapshotCommit is not called: stage releases what it staged.
+func (a *Aggregator) CommitStaged(stage func() error) error {
+	in := &a.in
+	in.mu.Lock()
+	err := stage()
+	if err == nil {
+		for _, ns := range in.members.nodes {
+			ns.stabilise(ns.tracker.base)
+		}
+	}
+	in.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	a.metrics.snapshots.Inc()
+	return nil
 }
 
 // WriteSnapshot captures, encodes and atomically persists a snapshot:
@@ -205,7 +232,7 @@ func (a *Aggregator) WriteSnapshot(path string) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("stream: snapshot %s: %w", path, err)
 	}
-	a.CommitSnapshot(snap)
+	a.commitSnapshot(snap)
 	a.metrics.snapshotBytes.SetInt(int64(len(data)))
 	return nil
 }

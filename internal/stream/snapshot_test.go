@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"os"
@@ -362,7 +363,7 @@ func TestDuplicateReplayAfterRestore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MarshalBinary: %v", err)
 			}
-			agg.CommitSnapshot(s)
+			agg.commitSnapshot(s)
 			if snap, err = DecodeSnapshot(data); err != nil {
 				t.Fatalf("DecodeSnapshot: %v", err)
 			}
@@ -612,5 +613,61 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		t.Fatalf("snapshot dir holds %v, want only agg.snap", names)
+	}
+}
+
+// TestSnapshotBytesGolden pins the snapshot encoding of a fixed fold
+// history to hashes recorded before Snapshot encoded windows straight
+// from the ring: two nodes (one with a seq gap, so an ahead set), a
+// frame too old for the ring, three rotations, with and without an
+// Extra blob. A change to how a window reaches the blob must not move
+// one byte of it.
+func TestSnapshotBytesGolden(t *testing.T) {
+	sk := testSketcher(t, 128, 64, 7)
+	for _, tc := range []struct {
+		extra []byte
+		want  string
+	}{
+		{nil, "4fe77580d8c50f08831173125514a1073729bd338af21d4c51289354bb561aae"},
+		{[]byte("relay-upward-state"), "f037db0b1339afea54a37c8de2759a5b1e3eb3299396eb8f3f34c943c471b079"},
+	} {
+		opts := AggregatorOptions{Windows: 4, Durable: true}
+		if tc.extra != nil {
+			opts.SnapshotExtra = func() ([]byte, error) { return tc.extra, nil }
+		}
+		agg, err := NewAggregator(sk, opts)
+		if err != nil {
+			t.Fatalf("NewAggregator: %v", err)
+		}
+		fold := func(node string, window, seq uint64, v float64) {
+			t.Helper()
+			req := pushRequest{Kind: pushDelta, Node: node, Epoch: 1, Window: window, Seq: seq, Folds: 1, Payload: uniformDelta(t, sk, v)}
+			if ack := agg.apply(req, new(csoutlier.Sketch)); ack.Err != "" {
+				t.Fatalf("apply %s seq %d: %+v", node, seq, ack)
+			}
+		}
+		fold("alpha", 1, 1, 0.5)
+		fold("beta", 1, 1, -2)
+		agg.Rotate()
+		fold("alpha", 2, 2, 1.25)
+		fold("beta", 2, 3, 3) // seq 2 missing: an ahead set
+		agg.Rotate()
+		agg.Rotate()
+		fold("alpha", 1, 3, 7) // age 3: the ring's oldest slot
+		fold("alpha", 4, 4, math.Pi)
+		agg.Rotate()
+		fold("beta", 1, 4, 9) // age 4: dropped as too old
+		snap, err := agg.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		agg.Close(context.Background())
+		data, err := snap.MarshalBinary()
+		if err != nil {
+			t.Fatalf("MarshalBinary: %v", err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want {
+			t.Errorf("snapshot (extra %q): %d bytes, sha256 %s, want %s", tc.extra, len(data), got, tc.want)
+		}
 	}
 }

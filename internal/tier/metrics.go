@@ -30,7 +30,7 @@ func newRelayMetrics(reg *obs.Registry, r *Relay) *relayMetrics {
 	replayed := reg.Gauge("tier_replayed_frames_total", "retained upward frames requeued after a parent restore")
 	retainDropped := reg.Gauge("tier_retain_dropped_frames_total", "retained upward frames discarded at the retention cap; a parent restore could lose each")
 	redials := reg.Gauge("tier_redials_total", "upstream connections re-established")
-	unstable := reg.Gauge("tier_unstable_windows", "windows with accumulated-but-unsnapshotted upward deltas")
+	unstable := reg.Gauge("tier_unstable_windows", "windows with accumulated-but-unstaged upward deltas")
 	staged := reg.Gauge("tier_staged_frames", "upward frames waiting for a snapshot commit")
 	queued := reg.Gauge("tier_queue_frames", "committed upward frames waiting to be pushed")
 	retained := reg.Gauge("tier_retained_frames", "acked upward frames held for parent-restore replay")

@@ -39,7 +39,9 @@ type RelayOptions struct {
 	// non-empty, makes the relay durable: every Forward persists an
 	// atomic-rename snapshot there (the embedded aggregator's fold state
 	// plus the upward-forwarding state in Snapshot.Extra) before any
-	// upward frame becomes sendable. The relay owns that file and its
+	// upward frame becomes sendable. Without one, Forward captures
+	// nothing; Durable then still holds the leaves' Stable watermarks
+	// back to the last Forward. The relay owns that file and its
 	// window clock (adopted from the parent, so the whole tree shares
 	// the root's rotation): the aggregator never snapshots or rotates on
 	// its own, so SnapshotEvery and WindowEvery are ignored, and the
@@ -48,7 +50,8 @@ type RelayOptions struct {
 }
 
 // upAccum accumulates applied leaf deltas for one window since the
-// last snapshot capture.
+// last staging. Staging zeroes it and keeps it for the next window that
+// needs one.
 type upAccum struct {
 	sketch csoutlier.Sketch
 	folds  uint32
@@ -59,10 +62,10 @@ type upAccum struct {
 // upward stream.Sender's books.
 type RelayStats struct {
 	Forwards        int64 // completed Forward cycles
-	ForwardErrors   int64 // Forward cycles that failed (snapshot or drain)
+	ForwardErrors   int64 // Forward cycles that failed (commit or drain)
 	FramesStaged    int64 // upward frames created (seq assigned)
 	FoldsStaged     int64 // leaf captures carried by staged frames
-	FramesCommitted int64 // staged frames released by a snapshot commit
+	FramesCommitted int64 // staged frames released by a commit
 	Applied         int64 // upward frames the parent folded
 	Duplicates      int64 // upward frames the parent had already processed
 	Dropped         int64 // upward frames too old for the parent's ring
@@ -70,7 +73,7 @@ type RelayStats struct {
 	Replayed        int64 // retained frames requeued after a parent restore
 	RetainDropped   int64 // retained frames discarded at the Up.Retain cap; a parent restore could lose each
 	Redials         int64 // upstream connections re-established
-	Unstable        int   // windows with accumulated-but-unsnapshotted deltas
+	Unstable        int   // windows with accumulated-but-unstaged deltas
 	Staged          int   // frames waiting for a snapshot commit
 	Queued          int   // committed frames waiting to be pushed
 	Retained        int   // acked frames held for parent-restore replay
@@ -90,16 +93,18 @@ type RelayStats struct {
 // windows at a fraction of the fan-in.
 //
 // Exactly-once across the hop comes from a staging discipline tied to
-// the embedded aggregator's snapshot atomicity:
+// the embedded aggregator's mutex. Staging drains the unstable
+// accumulators into frames, assigning upward seqs in ascending-window
+// order, always inside a critical section of the aggregator's ingest
+// mutex, so the frames are exactly the folds that mutex has admitted.
+// A relay with a snapshot file commits in three steps:
 //
-//  1. SnapshotExtra (inside Snapshot's critical section) drains the
-//     unstable accumulators into staged frames, assigning upward seqs
-//     in ascending-window order, and encodes the full upward state
-//     (epoch, seq counter, the sender's retained+queued frames and the
-//     staged ones, with payloads) into Snapshot.Extra. The upward state
-//     is therefore always captured atomically with the fold state that
-//     produced it.
-//  2. A durable relay persists the snapshot, then CommitSnapshot
+//  1. SnapshotExtra (inside Snapshot's critical section) stages and
+//     encodes the full upward state (epoch, seq counter, the sender's
+//     retained+queued frames and the staged ones, with payloads) into
+//     Snapshot.Extra. The upward state is therefore always captured
+//     atomically with the fold state that produced it.
+//  2. The relay persists the snapshot (WriteSnapshot), whose commit
 //     releases staged frames to the sender (OnSnapshotCommit) in the
 //     same call that advances the leaves' Stable watermarks. So a leaf
 //     is told "your frame is durable" exactly when the upward frame
@@ -111,8 +116,18 @@ type RelayStats struct {
 //     seqs. Conservation holds through the tree: every leaf capture is
 //     folded exactly once at the root or accounted shed on the way.
 //
-// Lock order: the aggregator's ingest mutex → fmu → the sender's lock. The sender's window
-// callback (adoptRoot) runs under none of them.
+// A relay without a file has nothing to capture: by linearity the
+// upward frames are the whole of what it forwards, and the window ring
+// plays no part in them. Its Forward stages, releases the frames to the
+// sender and advances the leaves' Stable watermarks in one critical
+// section (Aggregator.CommitStaged), never copying the ring. A Durable
+// one so tells a leaf "durable" exactly when its delta sits in a
+// committed upward frame, the same instant a snapshot commit would.
+//
+// Lock order: the aggregator's ingest mutex → fmu → the sender's lock,
+// on both commit paths (the file path enters through the aggregator's
+// snapMu, which is outside all three). The sender's window callback
+// (adoptRoot) runs under none of them.
 type Relay struct {
 	sk      *csoutlier.Sketcher
 	opts    RelayOptions
@@ -123,6 +138,7 @@ type Relay struct {
 
 	fmu      sync.Mutex
 	unstable map[uint64]*upAccum
+	spare    []*upAccum // zeroed accumulators staging emptied
 	staged   []*stream.Frame
 	upSeq    uint64
 	stats    RelayStats // the staging counters; Stats adds the sender's
@@ -267,7 +283,11 @@ func (r *Relay) onApplied(window uint64, folds int, delta csoutlier.Sketch) {
 	defer r.fmu.Unlock()
 	acc, ok := r.unstable[window]
 	if !ok {
-		acc = &upAccum{sketch: r.sk.ZeroSketch()}
+		if last := len(r.spare) - 1; last >= 0 {
+			acc, r.spare = r.spare[last], r.spare[:last]
+		} else {
+			acc = &upAccum{sketch: r.sk.ZeroSketch()}
+		}
 		r.unstable[window] = acc
 	}
 	// Add cannot fail: delta was decoded by the same sketcher that
@@ -278,14 +298,11 @@ func (r *Relay) onApplied(window uint64, folds int, delta csoutlier.Sketch) {
 	acc.folds += uint32(folds)
 }
 
-// snapshotExtra drains the unstable accumulators into staged frames
-// (assigning upward seqs in ascending-window order, so replay order is
-// deterministic) and encodes the complete upward state. Runs inside
-// the embedded aggregator's Snapshot critical section: the staged
-// frames and the fold state they summarize are captured atomically.
-func (r *Relay) snapshotExtra() ([]byte, error) {
-	r.fmu.Lock()
-	defer r.fmu.Unlock()
+// stage drains the unstable accumulators into staged frames, assigning
+// upward seqs in ascending-window order so replay order is
+// deterministic, and keeps each emptied accumulator for reuse. Both
+// commit paths stage through it, under the aggregator mutex and fmu.
+func (r *Relay) stage() error {
 	windows := make([]uint64, 0, len(r.unstable))
 	for w := range r.unstable {
 		windows = append(windows, w)
@@ -300,7 +317,7 @@ func (r *Relay) snapshotExtra() ([]byte, error) {
 		f := r.snd.Alloc() // a buffer some settled frame no longer needs, when there is one
 		payload, err := acc.sketch.AppendBinary(f.Payload[:0])
 		if err != nil {
-			return nil, fmt.Errorf("tier: relay %s window %d: %w", r.name, w, err)
+			return fmt.Errorf("tier: relay %s window %d: %w", r.name, w, err)
 		}
 		r.upSeq++
 		*f = stream.Frame{Window: w, Seq: r.upSeq, Folds: acc.folds, Payload: payload}
@@ -308,27 +325,19 @@ func (r *Relay) snapshotExtra() ([]byte, error) {
 		delete(r.unstable, w)
 		r.stats.FramesStaged++
 		r.stats.FoldsStaged += int64(acc.folds)
+		clear(acc.sketch.Y)
+		acc.folds = 0
+		r.spare = append(r.spare, acc)
 	}
-	// Staging, above, is the relay's only Alloc and runs under fmu: the
-	// listed frames hold still while they are encoded.
-	return encodeRelayExtra(r.opts.Shard, relayLevel, r.opts.ID, r.upEpoch, r.upSeq,
-		r.snd.Resendable(), r.staged)
+	return nil
 }
 
-// onSnapshotCommit releases staged frames covered by the committed
-// snapshot to the sender. Frames staged after the capture (a
-// concurrent fold can stage between capture and commit only via a
-// later snapshot) stay staged for the next cycle.
-func (r *Relay) onSnapshotCommit(extra []byte) {
-	st, err := decodeRelayExtra(extra)
-	if err != nil {
-		return // not a relay snapshot (or corrupt): release nothing
-	}
-	r.fmu.Lock()
-	defer r.fmu.Unlock()
+// release hands the staged frames with seq ≤ upTo to the sender; later
+// ones stay staged for the next cycle. The caller holds fmu.
+func (r *Relay) release(upTo uint64) {
 	keep := r.staged[:0]
 	for _, f := range r.staged {
-		if f.Seq <= st.UpSeq {
+		if f.Seq <= upTo {
 			r.snd.Enqueue(f)
 			r.stats.FramesCommitted++
 		} else {
@@ -338,12 +347,56 @@ func (r *Relay) onSnapshotCommit(extra []byte) {
 	r.staged = keep
 }
 
-// Forward runs one commit-and-drain cycle: capture a snapshot (staging
-// the windows accumulated since the last one), persist it if the relay
-// is durable, commit it (releasing the staged frames and advancing the
-// leaves' Stable watermarks), then push every queued frame upstream
-// until acked, adopting the parent's window from each ack. It is the
-// relay's durability point, exactly as Flush is a node's.
+// snapshotExtra stages and encodes the complete upward state. Runs
+// inside the embedded aggregator's Snapshot critical section: the
+// staged frames and the fold state they summarize are captured
+// atomically.
+func (r *Relay) snapshotExtra() ([]byte, error) {
+	r.fmu.Lock()
+	defer r.fmu.Unlock()
+	if err := r.stage(); err != nil {
+		return nil, err
+	}
+	// Staging is the relay's only Alloc and runs under fmu: the listed
+	// frames hold still while they are encoded.
+	return encodeRelayExtra(r.opts.Shard, relayLevel, r.opts.ID, r.upEpoch, r.upSeq,
+		r.snd.Resendable(), r.staged)
+}
+
+// onSnapshotCommit releases the staged frames the committed snapshot
+// covers to the sender. Frames staged after the capture (a concurrent
+// fold can stage between capture and commit only via a later snapshot)
+// stay staged for the next cycle.
+func (r *Relay) onSnapshotCommit(extra []byte) {
+	// The header holds the seq counter; the frames behind it need no copy.
+	st, err := readRelayExtraHeader(&frame.Cursor{B: extra})
+	if err != nil {
+		return // not a relay snapshot (or corrupt): release nothing
+	}
+	r.fmu.Lock()
+	defer r.fmu.Unlock()
+	r.release(st.UpSeq)
+}
+
+// stageAndRelease is the pathless commit's stage: with no file to wait
+// for, every frame it stages is released at once. Runs under the
+// aggregator mutex (CommitStaged).
+func (r *Relay) stageAndRelease() error {
+	r.fmu.Lock()
+	defer r.fmu.Unlock()
+	if err := r.stage(); err != nil {
+		return err
+	}
+	r.release(r.upSeq)
+	return nil
+}
+
+// Forward runs one commit-and-drain cycle — commit (staging the windows
+// accumulated since the last cycle, releasing the staged frames and
+// advancing the leaves' Stable watermarks), then push every queued
+// frame upstream until acked, adopting the parent's window from each
+// ack. It is the relay's durability point, exactly as Flush is a
+// node's. See commitCycle for the two ways it commits.
 func (r *Relay) Forward(ctx context.Context) error {
 	start := time.Now()
 	err := r.commitCycle()
@@ -363,17 +416,17 @@ func (r *Relay) Forward(ctx context.Context) error {
 	return err
 }
 
-// commitCycle captures, optionally persists, and commits one snapshot;
-// the commit is what calls onSnapshotCommit.
+// commitCycle commits one cycle. A relay with a snapshot file captures
+// (staging in snapshotExtra), persists and commits a snapshot, whose
+// commit calls onSnapshotCommit. One without stages, releases and
+// advances the watermarks in one aggregator critical section and
+// copies no window.
 func (r *Relay) commitCycle() error {
 	var err error
 	if path := r.opts.Agg.SnapshotPath; path != "" {
 		err = r.agg.WriteSnapshot(path)
 	} else {
-		var snap *stream.Snapshot
-		if snap, err = r.agg.Snapshot(); err == nil {
-			r.agg.CommitSnapshot(snap)
-		}
+		err = r.agg.CommitStaged(r.stageAndRelease)
 	}
 	if err != nil {
 		return fmt.Errorf("tier: relay %s: %w", r.name, err)
@@ -478,8 +531,8 @@ func encodeRelayExtra(shard, level int, id string, upEpoch, upSeq uint64, groups
 	return b, nil
 }
 
-func decodeRelayExtra(data []byte) (*relayExtraState, error) {
-	r := frame.Cursor{B: data}
+// readRelayExtraHeader reads the fixed fields ahead of the frames.
+func readRelayExtraHeader(r *frame.Cursor) (*relayExtraState, error) {
 	magic := r.Take(4)
 	if r.Err == nil && string(magic) != string(relayExtraMagic[:]) {
 		return nil, fmt.Errorf("tier: bad relay extra magic %q", magic)
@@ -494,6 +547,18 @@ func decodeRelayExtra(data []byte) (*relayExtraState, error) {
 	st.ID = string(r.Take(int(r.U16())))
 	st.UpEpoch = r.U64()
 	st.UpSeq = r.U64()
+	if r.Err != nil {
+		return nil, fmt.Errorf("tier: relay extra: %w", r.Err)
+	}
+	return st, nil
+}
+
+func decodeRelayExtra(data []byte) (*relayExtraState, error) {
+	r := frame.Cursor{B: data}
+	st, err := readRelayExtraHeader(&r)
+	if err != nil {
+		return nil, err
+	}
 	count := r.U32()
 	prev := uint64(0)
 	for i := uint32(0); i < count && r.Err == nil; i++ {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -857,11 +858,10 @@ func driveRootRun(t *testing.T, kill bool) rootRun {
 	}
 
 	step(0, 0) // upward seq 1
-	snap, err := root.Snapshot()
-	if err != nil {
+	snapPath := filepath.Join(t.TempDir(), "root.snap")
+	if err := root.WriteSnapshot(snapPath); err != nil { // seq 1 is durable; 2 and 3 will be acked past it
 		t.Fatalf("root snapshot: %v", err)
 	}
-	root.CommitSnapshot(snap) // seq 1 is durable; 2 and 3 will be acked past it
 	step(1, 1)
 	step(0, 2)
 	if st := relay.Stats(); st.Retained != 2 || st.RootStable != 1 || st.Applied != 3 {
@@ -869,6 +869,10 @@ func driveRootRun(t *testing.T, kill bool) rootRun {
 	}
 	if kill {
 		root.Close(ctx)
+		snap, err := stream.LoadSnapshot(snapPath)
+		if err != nil {
+			t.Fatalf("LoadSnapshot: %v", err)
+		}
 		restored, err := stream.RestoreAggregator(sk, stream.AggregatorOptions{}, snap)
 		if err != nil {
 			t.Fatalf("RestoreAggregator: %v", err)
@@ -1053,4 +1057,111 @@ func TestRelayConfiguredThroughAgg(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "restored relay window", got, want)
+}
+
+// TestPathlessForwardCommit: a relay without a snapshot file commits
+// without capturing. The bytes a steady-state Forward allocates do not
+// grow with the window ring (a capture copied and encoded every filled
+// window, so 64 windows cost more than ten times what 4 did), no
+// capture is recorded in stream_snapshot_seconds, every Forward counts
+// as a commit, and a Durable relay still advances a leaf's Stable
+// watermark at Forward only, a volatile one at apply.
+func TestPathlessForwardCommit(t *testing.T) {
+	sk := tierSketcher(t, 1024, 512, 23)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const forwards = 16
+	perForward := func(windows int, durable bool) float64 {
+		t.Helper()
+		root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: windows})
+		reg := obs.NewRegistry()
+		relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr, Agg: stream.AggregatorOptions{
+			Windows: windows, Durable: durable, Metrics: reg,
+		}})
+		if err != nil {
+			t.Fatalf("NewRelay: %v", err)
+		}
+		defer relay.Close(ctx)
+		leaf, err := stream.Dial(ctx, serveRelay(t, relay), sk, "node00", stream.NodeOptions{})
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer leaf.Close(ctx)
+		// Fill the ring: a capture copies every window that was ever open.
+		for root.AvailableWindows() < windows {
+			root.Rotate()
+		}
+		if err := relay.Sync(ctx); err != nil {
+			t.Fatalf("relay sync: %v", err)
+		}
+		if err := leaf.Sync(ctx); err != nil {
+			t.Fatalf("leaf sync: %v", err)
+		}
+		stable := func() uint64 {
+			for _, ns := range relay.Aggregator().Nodes() {
+				if ns.Node == "node00" {
+					return ns.Stable
+				}
+			}
+			t.Fatal("relay has no row for node00")
+			return 0
+		}
+		var seq uint64
+		cycle := func(check bool) {
+			if err := leaf.Observe(fmt.Sprintf("key%03d", seq%256), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := leaf.Flush(ctx); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+			seq++
+			want := seq // a volatile relay: durable once applied
+			if durable {
+				want-- // held back until the next Forward commits
+			}
+			if got := stable(); check && got != want {
+				t.Fatalf("durable=%v: leaf Stable %d after applying seq %d, want %d", durable, got, seq, want)
+			}
+			if err := relay.Forward(ctx); err != nil {
+				t.Fatalf("Forward: %v", err)
+			}
+			if got := stable(); check && got != seq {
+				t.Fatalf("durable=%v: leaf Stable %d after Forward, want %d", durable, got, seq)
+			}
+		}
+		for i := 0; i < 4; i++ { // warm the sender's and the relay's buffers
+			cycle(true)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < forwards; i++ {
+			cycle(false)
+		}
+		runtime.ReadMemStats(&after)
+		var text strings.Builder
+		if err := reg.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{
+			"stream_snapshot_seconds_count 0",
+			fmt.Sprintf("stream_snapshot_commits_total %d", forwards+4),
+		} {
+			if !strings.Contains(text.String(), "\n"+line+"\n") {
+				t.Errorf("windows=%d durable=%v: no %q line", windows, durable, line)
+			}
+		}
+		if st := relay.Stats(); st.Applied != int64(seq) || st.Staged != 0 || st.Unstable != 0 {
+			t.Fatalf("windows=%d durable=%v: %+v, want %d frames applied upstream and none left behind", windows, durable, st, seq)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / forwards
+	}
+	perForward(4, false)
+	small, large := perForward(4, true), perForward(64, true)
+	t.Logf("bytes allocated per leaf flush + Forward: %.0f at 4 windows, %.0f at 64", small, large)
+	// A captured window cost a 4 KiB M-float copy plus its 4 KiB
+	// encoding: 4 KiB of slack per Forward is half of one.
+	if large > small+4096 {
+		t.Fatalf("a Forward at 64 windows allocates %.0f B, %.1f× the %.0f B at 4: the pathless commit copies the ring", large, large/small, small)
+	}
 }

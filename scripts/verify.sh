@@ -213,6 +213,25 @@ case "${1:-}" in
 		echo "verify: ingest_flat wire_bytes_per_obs above 20" >&2
 		exit 1
 	fi
+	echo "== benchmark gate: standing_tier allocated bytes per observation =="
+	# A relay without a snapshot file commits without copying its window
+	# ring: 32 cycles allocate about 18-19 B/obs, against 29-31 when every
+	# Forward captured a snapshot it threw away.
+	line=$(bash benchmark/run.sh --workload standing_tier --seed 1 --cycles 32 --trace 0 | tail -n 1)
+	echo "$line"
+	case "$line" in
+	*'"failed":0'*) ;;
+	*)
+		echo "verify: standing_tier reported failed operations" >&2
+		exit 1
+		;;
+	esac
+	alloc=$(printf '%s\n' "$line" | sed -n 's/.*"alloc_bytes_per_obs":{"value":\([0-9.eE+-]*\).*/\1/p')
+	echo "alloc_bytes_per_obs = ${alloc:-missing}"
+	if ! awk -v a="${alloc:-1e9}" 'BEGIN { exit !(a <= 22) }'; then
+		echo "verify: standing_tier alloc_bytes_per_obs above 22" >&2
+		exit 1
+	fi
 	echo "verify: OK (bench smoke)"
 	exit 0
 	;;

@@ -149,6 +149,20 @@ func (w *WindowStore) Window(age int) (Sketch, error) {
 	return out, nil
 }
 
+// AppendWindow appends the sketch-codec encoding of the window `age`
+// rotations ago to dst — the bytes Window(age) then MarshalBinary would
+// give, encoded straight from the ring slot with no M-float copy.
+func (w *WindowStore) AppendWindow(dst []byte, age int) ([]byte, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.checkAge(age); err != nil {
+		return dst, err
+	}
+	s := w.sk.sketchID()
+	s.Y = w.ring[w.slot(age)]
+	return s.AppendBinary(dst)
+}
+
 // Range returns the summed sketch over window ages [fromAge, toAge]
 // inclusive, fromAge ≤ toAge; e.g. Range(0, 5) = the last six windows.
 // The sum of window sketches is exactly the sketch of the concatenated
