@@ -184,28 +184,6 @@ func ablationInstance(b *testing.B, n, m, s int) (*sensing.Dense, linalg.Vector)
 	return d, d.Measure(x, nil)
 }
 
-// BenchmarkAblationQROMP vs BenchmarkAblationNaiveOMP: the paper's §5 QR
-// optimization against re-solving the normal equations per iteration.
-func BenchmarkAblationQROMP(b *testing.B) {
-	d, y := ablationInstance(b, 1000, 300, 60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := recovery.OMP(d, y, recovery.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationNaiveOMP(b *testing.B) {
-	d, y := ablationInstance(b, 1000, 300, 60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := recovery.NaiveOMP(d, y, recovery.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BOMP on a biased instance (N=800, M=250, s=30).
 func biasedInstance(b *testing.B) (*sensing.Dense, linalg.Vector, int) {
 	b.Helper()

@@ -477,11 +477,7 @@ func (m *detectMetrics) observeGram(g recovery.GramStats) {
 // everything out of the workspace-owned slices so the workspace can go
 // back to the pool.
 func (s *Sketcher) reportFromResult(res *recovery.Result, k int) *Report {
-	cands := make([]outlier.KV, len(res.Support))
-	for i, j := range res.Support {
-		cands[i] = outlier.KV{Index: j, Value: res.X[j]}
-	}
-	top := outlier.TopKOf(cands, res.Mode, k)
+	top := res.Outliers(k)
 	rep := &Report{
 		Mode:       res.Mode,
 		Iterations: res.Iterations,

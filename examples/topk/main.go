@@ -22,7 +22,6 @@ import (
 	"csoutlier/internal/cluster"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
-	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
 	"csoutlier/internal/workload"
 	"csoutlier/internal/xrand"
@@ -102,7 +101,7 @@ type csResult struct {
 // density bulk, so the extreme tail surfaces first.
 func csTopK(api []*cluster.LocalNode, k int) csResult {
 	p := sensing.Params{M: 250, N: n, Seed: 9}
-	res, err := cluster.Detect(api, sensing.GaussianSpec(p), k, recovery.Options{})
+	res, err := cluster.Detect(api, sensing.GaussianSpec(p), k)
 	if err != nil {
 		log.Fatal(err)
 	}

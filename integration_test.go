@@ -16,7 +16,6 @@ import (
 	"csoutlier/internal/keydict"
 	"csoutlier/internal/mapreduce"
 	"csoutlier/internal/outlier"
-	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
 	"csoutlier/internal/workload"
 	"csoutlier/internal/xrand"
@@ -79,7 +78,7 @@ func TestIntegrationAllSurfacesAgree(t *testing.T) {
 		remotes[dc] = rn
 	}
 	p := sensing.Params{M: m, N: n, Seed: seed}
-	tcpRes, err := cluster.Detect(remotes, sensing.GaussianSpec(p), k, recovery.Options{})
+	tcpRes, err := cluster.Detect(remotes, sensing.GaussianSpec(p), k)
 	if err != nil {
 		t.Fatal(err)
 	}

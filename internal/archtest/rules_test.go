@@ -189,13 +189,12 @@ func moreProxies() { startChaosProxy("a", 1, 0, 0); startChaosProxy("b", 2, 0, 0
 	},
 	{
 		id:      "one-engine",
-		name:    "one recovery engine: internal/recovery correlates in solve's c₀/prefetch block and in GramCache.fill, nowhere else (naive.go excepted)",
+		name:    "one recovery engine: internal/recovery correlates in solve's c₀/prefetch block and in GramCache.fill, nowhere else",
 		section: "pr23",
 		check: func(p *program) []string {
 			var sites []string
 			calls(p, func(_ *pkg, f *file, _ *ast.CallExpr, fn types.Object) {
-				if dirOf(f) == "internal/recovery" && f.name != "internal/recovery/naive.go" &&
-					fn != nil && strings.HasPrefix(strings.ToLower(fn.Name()), "correlate") {
+				if dirOf(f) == "internal/recovery" && fn != nil && strings.HasPrefix(strings.ToLower(fn.Name()), "correlate") {
 					sites = append(sites, f.name+": "+fn.Name())
 				}
 			})
@@ -209,6 +208,35 @@ func moreProxies() { startChaosProxy("a", 1, 0, 0); startChaosProxy("b", 2, 0, 0
 		fixtures: []map[string]string{{"internal/recovery/again.go": `package recovery
 import ("csoutlier/internal/linalg"; "csoutlier/internal/sensing")
 func recorrelate(m sensing.Matrix, r linalg.Vector) linalg.Vector { return m.Correlate(r, nil) }`}},
+	},
+	{
+		id:      "one-recovery-path",
+		name:    "every solve runs on a Workspace: no non-test code outside internal/recovery calls a package-level solver (benchmark/ excepted until it is gated)",
+		section: "pr37",
+		check: func(p *program) []string {
+			return uses(p, func(f *file, obj types.Object) bool {
+				fn, ok := obj.(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != modulePath+"/internal/recovery" {
+					return false
+				}
+				if dir := dirOf(f); dir == "internal/recovery" || dir == "benchmark" {
+					return false
+				}
+				sig := fn.Type().(*types.Signature)
+				if sig.Recv() != nil || sig.Results().Len() == 0 {
+					return false
+				}
+				ptr, ok := sig.Results().At(0).Type().(*types.Pointer)
+				if !ok {
+					return false
+				}
+				named, ok := ptr.Elem().(*types.Named)
+				return ok && named.Obj().Name() == "Result"
+			})
+		},
+		fixtures: []map[string]string{{"internal/cluster/cold.go": `package cluster
+import ("csoutlier/internal/linalg"; "csoutlier/internal/recovery"; "csoutlier/internal/sensing")
+func cold(m sensing.Matrix, y linalg.Vector) (*recovery.Result, error) { return recovery.BOMP(m, y, recovery.Options{}) }`}},
 	},
 	{
 		id:      "one-pull-round",

@@ -190,12 +190,12 @@ type DetectResult struct {
 }
 
 // Detect runs the paper's full pipeline in one call: collect every
-// node's sketch, recover with BOMP using the R = f(k) iteration budget on
-// a throwaway workspace, and select the k recovered entries furthest
-// from the recovered mode. It is the experiments' in-process entry
-// point; a standing aggregator uses Sketcher.DetectCluster, whose
-// recovery keeps its Gram cache between rounds.
-func Detect[T NodeAPI](nodes []T, spec sensing.Spec, k int, opt recovery.Options) (*DetectResult, error) {
+// node's sketch, recover with BOMP using the R = f(k) iteration budget,
+// and select the k recovered entries furthest from the recovered mode.
+// It is the experiments' in-process entry point, one matrix per call; a
+// standing aggregator uses Sketcher.DetectCluster, whose recovery keeps
+// its Gram cache between rounds.
+func Detect[T NodeAPI](nodes []T, spec sensing.Spec, k int) (*DetectResult, error) {
 	part, err := CollectSketches(context.Background(), nodes, spec, CollectOptions{})
 	if err != nil {
 		return nil, err
@@ -204,20 +204,9 @@ func Detect[T NodeAPI](nodes []T, spec sensing.Spec, k int, opt recovery.Options
 	if err != nil {
 		return nil, err
 	}
-	if opt.MaxIterations == 0 {
-		opt.MaxIterations = recovery.IterationBudget(k)
-	}
-	res, err := recovery.BOMP(m, part.Sketch, opt)
+	res, err := recovery.NewWorkspace().BOMP(m, part.Sketch, recovery.Options{MaxIterations: recovery.IterationBudget(k)})
 	if err != nil {
 		return nil, err
 	}
-	cands := make([]outlier.KV, len(res.Support))
-	for i, j := range res.Support {
-		cands[i] = outlier.KV{Index: j, Value: res.X[j]}
-	}
-	return &DetectResult{
-		Outliers: outlier.TopKOf(cands, res.Mode, k),
-		Mode:     res.Mode,
-		Stats:    part.Stats,
-	}, nil
+	return &DetectResult{Outliers: res.Outliers(k), Mode: res.Mode, Stats: part.Stats}, nil
 }

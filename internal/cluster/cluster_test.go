@@ -9,7 +9,6 @@ import (
 
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
-	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
 	"csoutlier/internal/workload"
 )
@@ -65,7 +64,7 @@ func TestDetectEndToEnd(t *testing.T) {
 	const mode = 1800.0
 	nodes, global, _ := makeCluster(t, n, s, 4, mode, 2)
 	p := sensing.Params{M: 120, N: n, Seed: 10}
-	res, err := Detect(nodes, sensing.GaussianSpec(p), k, recovery.Options{})
+	res, err := Detect(nodes, sensing.GaussianSpec(p), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +228,7 @@ func TestTCPDetectEndToEnd(t *testing.T) {
 		remotes[i] = rn
 	}
 	p := sensing.Params{M: 100, N: n, Seed: 13}
-	res, err := Detect(remotes, sensing.GaussianSpec(p), k, recovery.Options{})
+	res, err := Detect(remotes, sensing.GaussianSpec(p), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +247,7 @@ func TestDialRefused(t *testing.T) {
 func TestDetectOrderedByDivergence(t *testing.T) {
 	nodes, _, _ := makeCluster(t, 250, 7, 3, 500, 7)
 	p := sensing.Params{M: 110, N: 250, Seed: 14}
-	res, err := Detect(nodes, sensing.GaussianSpec(p), 7, recovery.Options{})
+	res, err := Detect(nodes, sensing.GaussianSpec(p), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"csoutlier/internal/frame"
 	"csoutlier/internal/outlier"
-	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
 )
 
@@ -34,7 +33,7 @@ func TestDetectAcrossEnsemblesOverTCP(t *testing.T) {
 		{Params: sensing.Params{M: 110, N: n, Seed: 32}, Kind: sensing.KindGaussian},
 		{Params: sensing.Params{M: 160, N: n, Seed: 33}, Kind: sensing.KindCountSketch},
 	} {
-		res, err := Detect(remotes, spec, k, recovery.Options{})
+		res, err := Detect(remotes, spec, k)
 		if err != nil {
 			t.Fatalf("%v: %v", spec.Kind, err)
 		}

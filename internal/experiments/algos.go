@@ -36,17 +36,15 @@ func Algos(cfg Config) ([]*Table, error) {
 		YLabel: "EK (avg over trials)",
 		X:      ms,
 	}
-	type algo struct {
+	// One workspace: both algorithms solve on the same Φ each trial and
+	// share the Gram columns they both select.
+	ws := recovery.NewWorkspace()
+	algos := []struct {
 		name string
-		run  func(mat sensing.Matrix, y linalg.Vector) (*recovery.Result, error)
-	}
-	algos := []algo{
-		{"BOMP", func(mat sensing.Matrix, y linalg.Vector) (*recovery.Result, error) {
-			return recovery.BOMP(mat, y, recovery.Options{MaxIterations: s + 1})
-		}},
-		{"OMP(no-bias)", func(mat sensing.Matrix, y linalg.Vector) (*recovery.Result, error) {
-			return recovery.OMP(mat, y, recovery.Options{MaxIterations: s + 1})
-		}},
+		run  func(sensing.Matrix, linalg.Vector, recovery.Options) (*recovery.Result, error)
+	}{
+		{"BOMP", ws.BOMP},
+		{"OMP(no-bias)", ws.OMP},
 	}
 	rng := xrand.New(cfg.Seed + 0xa190)
 	results := make([][]float64, len(algos))
@@ -66,15 +64,11 @@ func Algos(cfg Config) ([]*Table, error) {
 			}
 			y := mat.Measure(x, nil)
 			for ai, a := range algos {
-				res, err := a.run(mat, y)
+				res, err := a.run(mat, y, recovery.Options{MaxIterations: s + 1})
 				if err != nil {
 					return nil, err
 				}
-				est := make([]outlier.KV, len(res.Support))
-				for i, j := range res.Support {
-					est[i] = outlier.KV{Index: j, Value: res.X[j]}
-				}
-				sums[ai] += outlier.ErrorOnKey(truth, outlier.TopKOf(est, res.Mode, k))
+				sums[ai] += outlier.ErrorOnKey(truth, res.Outliers(k))
 			}
 		}
 		for ai := range algos {

@@ -37,6 +37,9 @@ func Fig4a(cfg Config) ([]*Table, error) {
 		X:      ms,
 	}
 	rng := xrand.New(cfg.Seed + 0x4a)
+	// One workspace: BOMP and known-mode OMP solve on the same Φ each
+	// trial and share the Gram columns they both select.
+	ws := recovery.NewWorkspace()
 	for _, s := range sparsities {
 		bomp := make([]float64, len(ms))
 		known := make([]float64, len(ms))
@@ -56,7 +59,7 @@ func Fig4a(cfg Config) ([]*Table, error) {
 				if iters > m {
 					iters = m
 				}
-				res, err := recovery.BOMP(d, y, recovery.Options{MaxIterations: iters})
+				res, err := ws.BOMP(d, y, recovery.Options{MaxIterations: iters})
 				if err != nil {
 					return nil, err
 				}
@@ -67,7 +70,7 @@ func Fig4a(cfg Config) ([]*Table, error) {
 				if itersK > m {
 					itersK = m
 				}
-				resK, err := recovery.KnownModeOMP(d, y, mode, recovery.Options{MaxIterations: itersK})
+				resK, err := ws.KnownModeOMP(d, y, mode, recovery.Options{MaxIterations: itersK})
 				if err != nil {
 					return nil, err
 				}
@@ -165,6 +168,7 @@ func Fig4b(cfg Config) ([]*Table, error) {
 		YLabel: "mode estimate",
 		X:      xs,
 	}
+	ws := recovery.NewWorkspace()
 	for _, s := range sparsities {
 		m := 4*s + 100 // comfortably inside the 100%-recovery region
 		x, _ := workload.MajorityDominated(n, s, mode, 500, 5000, cfg.Seed+uint64(s))
@@ -173,7 +177,7 @@ func Fig4b(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := recovery.BOMP(d, d.Measure(x, nil), recovery.Options{
+		res, err := ws.BOMP(d, d.Measure(x, nil), recovery.Options{
 			MaxIterations: maxIter,
 			TraceMode:     true,
 			ResidualTol:   1e-13,
@@ -223,6 +227,7 @@ func fig56(cfg Config, value bool) ([]*Table, error) {
 		metric = "EV"
 		title = "Figure 6"
 	}
+	ws := recovery.NewWorkspace()
 	var tables []*Table
 	for _, k := range ks {
 		t := &Table{
@@ -246,13 +251,13 @@ func fig56(cfg Config, value bool) ([]*Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					res, err := recovery.BOMP(d, d.Measure(x, nil), recovery.Options{
+					res, err := ws.BOMP(d, d.Measure(x, nil), recovery.Options{
 						MaxIterations: recovery.IterationBudget(k),
 					})
 					if err != nil {
 						return nil, err
 					}
-					est := estimateOutliers(res, k)
+					est := res.Outliers(k)
 					var e float64
 					if value {
 						e = outlier.ErrorOnValue(truth, est)
@@ -283,15 +288,6 @@ func fig56(cfg Config, value bool) ([]*Table, error) {
 		tables = append(tables, t)
 	}
 	return tables, nil
-}
-
-// estimateOutliers converts a recovery result into its k-outlier answer.
-func estimateOutliers(res *recovery.Result, k int) []outlier.KV {
-	cands := make([]outlier.KV, len(res.Support))
-	for i, j := range res.Support {
-		cands[i] = outlier.KV{Index: j, Value: res.X[j]}
-	}
-	return outlier.TopKOf(cands, res.Mode, k)
 }
 
 // Fig5 reproduces Figure 5(a–c): error on key vs M over power-law data.

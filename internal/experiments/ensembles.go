@@ -40,6 +40,7 @@ func Ensembles(cfg Config) ([]*Table, error) {
 		X:      ms,
 	}
 	rng := xrand.New(cfg.Seed + 0xe5)
+	ws := recovery.NewWorkspace()
 	results := make([][]float64, len(specs))
 	for i := range results {
 		results[i] = make([]float64, len(ms))
@@ -56,14 +57,14 @@ func Ensembles(cfg Config) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := recovery.BOMP(mat, mat.Measure(x, nil), recovery.Options{
+				res, err := ws.BOMP(mat, mat.Measure(x, nil), recovery.Options{
 					MaxIterations: recovery.IterationBudget(k),
 				})
 				if err != nil {
 					sums[si]++
 					continue
 				}
-				sums[si] += outlier.ErrorOnKey(truth, estimateOutliers(res, k))
+				sums[si] += outlier.ErrorOnKey(truth, res.Outliers(k))
 			}
 		}
 		for si := range specs {

@@ -136,6 +136,7 @@ func Jitter(cfg Config) ([]*Table, error) {
 	ek := make([]float64, len(fractions))
 	ev := make([]float64, len(fractions))
 	modeErr := make([]float64, len(fractions))
+	ws := recovery.NewWorkspace()
 	for fi, frac := range fractions {
 		var sumEK, sumEV, sumME float64
 		for trial := 0; trial < trials; trial++ {
@@ -148,13 +149,13 @@ func Jitter(cfg Config) ([]*Table, error) {
 			}
 			// Budget covers the full support plus jitter slack: this
 			// experiment isolates the effect of jitter, not of R.
-			res, err := recovery.BOMP(mat, mat.Measure(x, nil), recovery.Options{
+			res, err := ws.BOMP(mat, mat.Measure(x, nil), recovery.Options{
 				MaxIterations: s + 15,
 			})
 			if err != nil {
 				return nil, err
 			}
-			est := estimateOutliers(res, k)
+			est := res.Outliers(k)
 			sumEK += outlier.ErrorOnKey(truth, est)
 			sumEV += outlier.ErrorOnValue(truth, est)
 			sumME += math.Abs(res.Mode-mode) / mode

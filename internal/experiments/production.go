@@ -82,7 +82,7 @@ func fig78(cfg Config, value bool) ([]*Table, error) {
 			lo, hi, sum := math.Inf(1), math.Inf(-1), 0.0
 			for run := 0; run < runs; run++ {
 				p := sensing.Params{M: m, N: n, Seed: cfg.Seed + uint64(run)*104729 + uint64(m)}
-				res, err := cluster.Detect(nodes, sensing.GaussianSpec(p), k, recovery.Options{})
+				res, err := cluster.Detect(nodes, sensing.GaussianSpec(p), k)
 				if err != nil {
 					return nil, err
 				}
@@ -137,6 +137,7 @@ func Fig9(cfg Config) ([]*Table, error) {
 	queries := []workload.QueryType{
 		workload.CoreSearchClicks, workload.AdsClicks, workload.AnswerClicks,
 	}
+	ws := recovery.NewWorkspace()
 	var tables []*Table
 	for _, q := range queries {
 		cl, nodes := prodCluster(cfg, q)
@@ -161,7 +162,7 @@ func Fig9(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := recovery.BOMP(d, part.Sketch, recovery.Options{
+		res, err := ws.BOMP(d, part.Sketch, recovery.Options{
 			MaxIterations: iters,
 			TraceMode:     true,
 			ResidualTol:   1e-13,

@@ -66,44 +66,57 @@ func TestAddScaledAndScale(t *testing.T) {
 	}
 }
 
+// argMaxAbs is SubCombination's argmax reference: the index of the entry
+// with the largest absolute value, and that value; ties break toward the
+// lower index, an all-zero vector gives index 0 and an empty one -1.
+func argMaxAbs(v Vector) (int, float64) {
+	best, bestAbs := -1, 0.0
+	for i, x := range v {
+		if a := math.Abs(x); a > bestAbs {
+			best, bestAbs = i, a
+		} else if best == -1 {
+			best = i
+		}
+	}
+	return best, bestAbs
+}
+
+// TestArgMaxAbs pins the reference's tie rules, which
+// TestSubCombinationArgMaxBits holds the kernel to.
 func TestArgMaxAbs(t *testing.T) {
-	idx, val := Vector{1, -7, 7, 3}.ArgMaxAbs()
+	idx, val := argMaxAbs(Vector{1, -7, 7, 3})
 	if idx != 1 || val != 7 {
-		t.Fatalf("ArgMaxAbs = (%d, %v), want (1, 7) with low-index tie-break", idx, val)
+		t.Fatalf("argMaxAbs = (%d, %v), want (1, 7) with low-index tie-break", idx, val)
 	}
-	if idx, _ := (Vector{}).ArgMaxAbs(); idx != -1 {
-		t.Fatalf("empty ArgMaxAbs idx = %d", idx)
+	if idx, _ := argMaxAbs(Vector{}); idx != -1 {
+		t.Fatalf("empty argMaxAbs idx = %d", idx)
 	}
-	if idx, val := (Vector{0, 0}).ArgMaxAbs(); idx != 0 || val != 0 {
-		t.Fatalf("zero-vector ArgMaxAbs = (%d, %v)", idx, val)
+	if idx, val := argMaxAbs(Vector{0, 0}); idx != 0 || val != 0 {
+		t.Fatalf("zero-vector argMaxAbs = (%d, %v)", idx, val)
 	}
 }
 
 func TestMulVecKnown(t *testing.T) {
 	m := NewMatrix(2, 3)
 	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	got := m.MulVec(Vector{1, 1, 1}, nil)
-	if !got.Equal(Vector{6, 15}, 1e-12) {
-		t.Fatalf("MulVec = %v", got)
-	}
 	gotT := m.MulVecT(Vector{1, 1}, nil)
 	if !gotT.Equal(Vector{5, 7, 9}, 1e-12) {
 		t.Fatalf("MulVecT = %v", gotT)
 	}
 }
 
-// Property: measurement linearity M(ax + by) = a·Mx + b·My — the algebra
-// the whole distributed-aggregation paradigm rests on.
+// Property: linearity Mᵀ(ax + by) = a·Mᵀx + b·Mᵀy — the algebra the
+// whole distributed-aggregation paradigm rests on.
 func TestMulVecLinearityProperty(t *testing.T) {
 	r := xrand.New(2)
-	m := randMat(r, 10, 17)
+	m := randMat(r, 17, 10)
 	check := func(seed uint64, a8, b8 int8) bool {
 		rr := xrand.New(seed)
 		a, b := float64(a8)/16, float64(b8)/16
 		x, y := randVec(rr, 17), randVec(rr, 17)
 		combo := x.Clone().Scale(a).AddScaled(b, y)
-		lhs := m.MulVec(combo, nil)
-		rhs := m.MulVec(x, nil).Scale(a).AddScaled(b, m.MulVec(y, nil))
+		lhs := m.MulVecT(combo, nil)
+		rhs := m.MulVecT(x, nil).Scale(a).AddScaled(b, m.MulVecT(y, nil))
 		return lhs.Equal(rhs, 1e-9)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
@@ -120,46 +133,8 @@ func TestRow(t *testing.T) {
 	}
 	// Row aliases the matrix storage.
 	rw[0] = -4
-	if m.At(1, 0) != -4 {
+	if m.Data[3] != -4 {
 		t.Fatal("Row copied the storage")
-	}
-}
-
-func TestSolveDense(t *testing.T) {
-	r := xrand.New(3)
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + trial%8
-		a := randMat(r, n, n)
-		want := randVec(r, n)
-		b := a.MulVec(want, nil)
-		got, err := SolveDense(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !got.Equal(want, 1e-7) {
-			t.Fatalf("trial %d: solve mismatch\n got %v\nwant %v", trial, got, want)
-		}
-	}
-}
-
-func TestSolveDenseSingular(t *testing.T) {
-	a := NewMatrix(2, 2)
-	copy(a.Data, []float64{1, 2, 2, 4})
-	if _, err := SolveDense(a, Vector{1, 1}); err == nil {
-		t.Fatal("expected singular-matrix error")
-	}
-}
-
-func TestSolveDensePivoting(t *testing.T) {
-	// Zero leading pivot forces a row swap.
-	a := NewMatrix(2, 2)
-	copy(a.Data, []float64{0, 1, 1, 0})
-	x, err := SolveDense(a, Vector{3, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.Equal(Vector{7, 3}, 1e-12) {
-		t.Fatalf("pivoted solve = %v", x)
 	}
 }
 
@@ -298,36 +273,6 @@ func orthogonalityError(f *IncrementalQR) float64 {
 	return worst
 }
 
-func TestSolveDenseAgainstQR(t *testing.T) {
-	// Cross-validate the two solvers on the same square system.
-	r := xrand.New(8)
-	const n = 12
-	a := randMat(r, n, n)
-	b := randVec(r, n)
-	direct, err := SolveDense(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewIncrementalQR(n)
-	for j := 0; j < n; j++ {
-		col := make(Vector, n)
-		for i := range col {
-			col[i] = a.At(i, j)
-		}
-		if _, err := f.Append(col); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.SetTarget(b)
-	viaQR, err := f.SolveInto(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !direct.Equal(viaQR, 1e-6) {
-		t.Fatalf("solver disagreement:\n GE %v\n QR %v", direct, viaQR)
-	}
-}
-
 func BenchmarkMulVecT(b *testing.B) {
 	r := xrand.New(1)
 	m := randMat(r, 500, 2000)
@@ -410,7 +355,7 @@ func subCombinationPasses(c, z Vector, g []Vector) Vector {
 // TestSubCombinationArgMaxBits holds the fused kernel to the separate
 // passes and a scan bit for bit, for 0–13 terms (every remainder of the
 // 4-term unroll, with and without whole groups before it): the same
-// Float64bits in every entry and ArgMaxAbs's index. Ties must go to the
+// Float64bits in every entry and argMaxAbs's index. Ties must go to the
 // lower index, an all-zero result to index 0, an empty one to -1.
 func TestSubCombinationArgMaxBits(t *testing.T) {
 	r := xrand.New(47)
@@ -418,7 +363,7 @@ func TestSubCombinationArgMaxBits(t *testing.T) {
 	check := func(label string, c, z Vector, g []Vector) {
 		t.Helper()
 		want := subCombinationPasses(c, z, g)
-		wantTop, _ := want.ArgMaxAbs()
+		wantTop, _ := argMaxAbs(want)
 		var top int
 		dst, top = SubCombination(dst, c, z, g)
 		for j := range want {
@@ -449,7 +394,7 @@ func TestSubCombinationArgMaxBits(t *testing.T) {
 					g[i][hi], g[i][lo] = 0, 0
 				}
 				check(fmt.Sprintf("%d terms × %d, tie", terms, n), c, z, g)
-				if wantTop, _ := subCombinationPasses(c, z, g).ArgMaxAbs(); wantTop != lo {
+				if wantTop, _ := argMaxAbs(subCombinationPasses(c, z, g)); wantTop != lo {
 					t.Fatalf("tie instance has its max at %d, not %d", wantTop, lo)
 				}
 			}

@@ -16,43 +16,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Clone returns an independent copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MulVec computes dst = m·x. It panics on dimension mismatch.
-// dst is allocated when nil; it must not alias x.
-//
-// Each row product runs through the 4-accumulator unrolled Dot kernel;
-// like all the unrolled kernels here, the sum is reassociated relative
-// to a naive left-fold, so results agree with it only to ~1 ulp per
-// term (and exactly between repeated calls — the kernel itself is
-// deterministic).
-func (m *Matrix) MulVec(x, dst Vector) Vector {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec dims %dx%d with vector %d", m.Rows, m.Cols, len(x)))
-	}
-	if cap(dst) < m.Rows {
-		dst = make(Vector, m.Rows)
-	}
-	dst = dst[:m.Rows]
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Dot(x)
-	}
-	return dst
-}
 
 // MulVecT computes dst = mᵀ·x (correlations of every column with x).
 // It panics on dimension mismatch. dst is allocated when nil.
@@ -95,68 +60,4 @@ func (m *Matrix) MulVecT(x, dst Vector) Vector {
 		}
 	}
 	return dst
-}
-
-// SolveDense solves the square system A·x = b by Gaussian elimination
-// with partial pivoting, overwriting neither input. It returns an error
-// when A is (numerically) singular.
-func SolveDense(a *Matrix, b Vector) (Vector, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveDense needs square system, got %dx%d and b of %d", a.Rows, a.Cols, len(b))
-	}
-	m := a.Clone()
-	x := b.Clone()
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot, pivotAbs := col, abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if a := abs(m.At(r, col)); a > pivotAbs {
-				pivot, pivotAbs = r, a
-			}
-		}
-		if pivotAbs < 1e-300 {
-			return nil, fmt.Errorf("linalg: singular matrix at column %d", col)
-		}
-		if pivot != col {
-			swapRows(m, pivot, col)
-			x[pivot], x[col] = x[col], x[pivot]
-		}
-		inv := 1 / m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			m.Set(r, col, 0)
-			for c := col + 1; c < n; c++ {
-				m.Set(r, c, m.At(r, c)-f*m.At(col, c))
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back substitution.
-	for r := n - 1; r >= 0; r-- {
-		s := x[r]
-		for c := r + 1; c < n; c++ {
-			s -= m.At(r, c) * x[c]
-		}
-		x[r] = s / m.At(r, r)
-	}
-	return x, nil
-}
-
-func swapRows(m *Matrix, i, j int) {
-	ri := m.Data[i*m.Cols : (i+1)*m.Cols]
-	rj := m.Data[j*m.Cols : (j+1)*m.Cols]
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -130,22 +130,6 @@ func (v Vector) Fill(a float64) Vector {
 	return v
 }
 
-// ArgMaxAbs returns the index of the entry with the largest absolute
-// value, and that absolute value. For an empty vector it returns (-1, 0).
-// Ties break toward the lower index, which keeps the OMP column-selection
-// deterministic.
-func (v Vector) ArgMaxAbs() (int, float64) {
-	best, bestAbs := -1, 0.0
-	for i, x := range v {
-		if a := math.Abs(x); a > bestAbs {
-			best, bestAbs = i, a
-		} else if best == -1 {
-			best = i
-		}
-	}
-	return best, bestAbs
-}
-
 // SubCombination computes dst = c − Σᵢ z[i]·g[i], the Gram-form update
 // of an OMP correlation vector (Batch-OMP, Rubinstein et al. 2008): with
 // c = Φᵀy and g[i] = Φᵀφ_{sᵢ}, the result is Φᵀ(y − Σ zᵢφ_{sᵢ}) without
@@ -154,10 +138,9 @@ func (v Vector) ArgMaxAbs() (int, float64) {
 // time, in i order, and the 0–3 left over one at a time, so the result is
 // a fixed function of the arguments.
 //
-// It also returns what ArgMaxAbs would return for dst, the first index of
-// the largest |dst[j]| (-1 when c is empty), tracked in the pass that
-// writes dst's final values, so OMP's column selection costs no pass of
-// its own.
+// It also returns the first index of the largest |dst[j]| (-1 when c is
+// empty), tracked in the pass that writes dst's final values, so OMP's
+// column selection costs no pass of its own.
 //
 // The kernel does one multiply-add per 8 bytes it loads, so it runs at
 // memory speed and stays on one goroutine: on the 2-CPU reference box a

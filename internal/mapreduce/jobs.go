@@ -124,8 +124,6 @@ type SketchJob struct {
 	Dict   *keydict.Dictionary
 	Params sensing.Params
 	K      int
-	// MaxIterations overrides the R = f(K) default (0 = use default).
-	MaxIterations int
 	// DenseLimit caps M·N for materializing Φ₀; above it mappers and the
 	// reducer fall back to the column-regenerating representation
 	// (every real Hadoop mapper regenerates anyway — sharing one dense
@@ -135,6 +133,7 @@ type SketchJob struct {
 
 	matOnce sync.Once
 	mat     sensing.Matrix
+	ws      *recovery.Workspace // Reduce's, on mat's Gram columns (one key: one Reduce a run)
 	matErr  error
 }
 
@@ -184,19 +183,11 @@ func (j *SketchJob) Reduce(key string, values [][]byte, emit func(KV)) error {
 	if err != nil {
 		return err
 	}
-	iters := j.MaxIterations
-	if iters == 0 {
-		iters = recovery.IterationBudget(j.K)
-	}
-	res, err := recovery.BOMP(mat, global, recovery.Options{MaxIterations: iters})
+	res, err := j.ws.BOMP(mat, global, recovery.Options{MaxIterations: recovery.IterationBudget(j.K)})
 	if err != nil {
 		return err
 	}
-	cands := make([]outlier.KV, len(res.Support))
-	for i, jx := range res.Support {
-		cands[i] = outlier.KV{Index: jx, Value: res.X[jx]}
-	}
-	for _, kv := range outlier.TopKOf(cands, res.Mode, j.K) {
+	for _, kv := range res.Outliers(j.K) {
 		emit(KV{Key: encodeKeyID(uint32(kv.Index)), Value: encodeFloat(kv.Value)})
 	}
 	emit(KV{Key: encodeKeyID(modeKeyID), Value: encodeFloat(res.Mode)})
@@ -206,6 +197,9 @@ func (j *SketchJob) Reduce(key string, values [][]byte, emit func(KV)) error {
 func (j *SketchJob) recoveryMatrix() (sensing.Matrix, error) {
 	j.matOnce.Do(func() {
 		j.mat, j.matErr = sensing.New(sensing.GaussianSpec(j.Params), j.DenseLimit)
+		if j.matErr == nil {
+			j.ws = recovery.NewGramCache(j.mat).NewWorkspace()
+		}
 	})
 	return j.mat, j.matErr
 }

@@ -54,7 +54,7 @@ func BenchmarkRecoveryKnownModeOMPSeeded(b *testing.B) {
 	}, 128, 1000, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KnownModeOMP(mat, y, 1800, Options{MaxIterations: 3 * s}); err != nil {
+		if _, err := NewWorkspace().KnownModeOMP(mat, y, 1800, Options{MaxIterations: 3 * s}); err != nil {
 			b.Fatal(err)
 		}
 	}

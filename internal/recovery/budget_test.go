@@ -60,11 +60,7 @@ func TestIterationBudgetSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			est := make([]outlier.KV, len(res.Support))
-			for i, j := range res.Support {
-				est[i] = outlier.KV{Index: j, Value: res.X[j]}
-			}
-			sum += outlier.ErrorOnKey(truth, outlier.TopKOf(est, res.Mode, k))
+			sum += outlier.ErrorOnKey(truth, res.Outliers(k))
 		}
 		pts = append(pts, point{r, sum / trials})
 	}

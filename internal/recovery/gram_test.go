@@ -235,7 +235,7 @@ func TestGramFormMatchesResidualReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err = OMP(tc.mat, in.y, in.opt)
+				got, err = NewWorkspace().OMP(tc.mat, in.y, in.opt)
 				if err != nil {
 					t.Fatal(err)
 				}

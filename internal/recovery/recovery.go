@@ -1,11 +1,11 @@
-// Package recovery implements the sparse-recovery algorithms the paper's
-// aggregator runs on the global measurement: standard Orthogonal Matching
-// Pursuit (OMP, §2.2 / Algorithm 2), the paper's new Biased OMP (BOMP,
-// §3.2 / Algorithm 1) that additionally recovers the unknown mode the
-// data concentrates around, and OMP with an externally known mode (the
+// Package recovery implements the sparse recovery the paper's aggregator
+// runs on the global measurement: the paper's Biased OMP (BOMP, §3.2 /
+// Algorithm 1), which recovers the unknown mode the data concentrates
+// around together with the outliers, standard Orthogonal Matching Pursuit
+// (OMP, §2.2 / Algorithm 2), and OMP with an externally known mode (the
 // baseline of Figure 4a).
 //
-// All algorithms share one greedy engine: per iteration, select the
+// All three share one greedy engine: per iteration, select the
 // dictionary column most correlated with the current residual, grow the
 // incremental factorization of the selected columns by it, and re-solve.
 // The paper keeps a Gram–Schmidt QR of those columns; the engine keeps
@@ -17,10 +17,10 @@
 // factorization at high iteration counts.
 //
 // The engine runs inside a Workspace (see workspace.go) that owns all
-// scratch: the package-level BOMP/OMP/KnownModeOMP entry points build a
-// throwaway workspace per call — and so compute every Gram column they
-// use — while hot paths (the standing-query Sketcher) hold workspaces on
-// one shared GramCache and replay queries allocation-free.
+// scratch and reads its Gram columns from a GramCache: a Sketcher's
+// workspaces share one cache, and any other caller keeps one workspace
+// per matrix, so solves on the same Φ share the columns they select.
+// Result.Outliers turns a solve into the k-outlier answer.
 package recovery
 
 import (
@@ -28,6 +28,7 @@ import (
 	"math"
 
 	"csoutlier/internal/linalg"
+	"csoutlier/internal/outlier"
 	"csoutlier/internal/sensing"
 )
 
@@ -82,11 +83,9 @@ func (o Options) residualTol() float64 {
 	return o.ResidualTol
 }
 
-// Result is the output of a recovery run.
-//
-// When produced by a Workspace method, the Result and all slices in it
-// alias workspace storage and are overwritten by that workspace's next
-// call. Results from the package-level functions are independent.
+// Result is the output of a recovery run. It and all slices in it alias
+// the storage of the workspace that produced it and are overwritten by
+// that workspace's next call.
 type Result struct {
 	// X is the recovered N-length data vector: the mode everywhere except
 	// on the recovered support.
@@ -125,29 +124,23 @@ type Result struct {
 // ErrDimension reports a measurement/matrix size mismatch.
 var ErrDimension = errors.New("recovery: measurement length does not match matrix")
 
-// BOMP recovers a data vector whose values concentrate around an unknown
-// bias b from the measurement y = Φ₀·x (paper Algorithm 1). It extends
-// the dictionary with φ₀ = (1/√N)Σφᵢ so that the bias becomes one more
-// sparse coefficient, runs OMP on the extended problem, and maps the
-// solution back: b = z₀/√N, x = z + b.
+// Outliers returns the k-outlier answer of the run (paper §2.1): the
+// recovered support entries furthest from the recovered mode, strongest
+// first, ties to the lower index. The slice is the caller's: it does not
+// alias the workspace.
+func (r *Result) Outliers(k int) []outlier.KV {
+	cands := make([]outlier.KV, len(r.Support))
+	for i, j := range r.Support {
+		cands[i] = outlier.KV{Index: j, Value: r.X[j]}
+	}
+	return outlier.TopKOf(cands, r.Mode, k)
+}
+
+// BOMP is Workspace.BOMP on a throwaway workspace, which misses every
+// Gram column it selects. Its only caller is the benchmark's cold-solve
+// probe (recovery.bomp_cold_ms); everything else keeps a workspace.
 func BOMP(m sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
 	return NewWorkspace().BOMP(m, y, opt)
-}
-
-// OMP recovers a vector that is sparse at zero (paper §2.2) from
-// y = Φ₀·x. Mode is reported as 0.
-func OMP(m sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
-	return NewWorkspace().OMP(m, y, opt)
-}
-
-// KnownModeOMP recovers a vector known to concentrate around the given
-// mode: it cancels the bias contribution b·Φ₀·1 = b·√N·φ₀ from the
-// measurement, runs plain OMP on the now sparse-at-zero residual signal,
-// and adds the bias back. This is the "OMP + known mode" baseline of
-// Figure 4(a); the paper notes that learning b externally costs an extra
-// 2s+1 values of communication, which BOMP avoids.
-func KnownModeOMP(m sensing.Matrix, y linalg.Vector, mode float64, opt Options) (*Result, error) {
-	return NewWorkspace().KnownModeOMP(m, y, mode, opt)
 }
 
 // modeFromExtended extracts the running mode estimate b = z₀/√N from the

@@ -64,7 +64,7 @@ func TestOMPExactRecoverySparseAtZero(t *testing.T) {
 	d := dense(t, m, n, 7)
 	x, want := biasedSparse(r, n, s, 0, 1, 10)
 	y := d.Measure(x, nil)
-	res, err := OMP(d, y, Options{})
+	res, err := NewWorkspace().OMP(d, y, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestKnownModeOMPMatchesBOMP(t *testing.T) {
 	d := dense(t, m, n, 11)
 	x, want := biasedSparse(r, n, s, bias, 100, 900)
 	y := d.Measure(x, nil)
-	km, err := KnownModeOMP(d, y, bias, Options{})
+	km, err := NewWorkspace().KnownModeOMP(d, y, bias, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +198,10 @@ func TestDimensionMismatch(t *testing.T) {
 	if _, err := BOMP(d, y, Options{}); err == nil {
 		t.Fatal("BOMP accepted wrong-length measurement")
 	}
-	if _, err := OMP(d, y, Options{}); err == nil {
+	if _, err := NewWorkspace().OMP(d, y, Options{}); err == nil {
 		t.Fatal("OMP accepted wrong-length measurement")
 	}
-	if _, err := KnownModeOMP(d, y, 1, Options{}); err == nil {
+	if _, err := NewWorkspace().KnownModeOMP(d, y, 1, Options{}); err == nil {
 		t.Fatal("KnownModeOMP accepted wrong-length measurement")
 	}
 }
@@ -224,7 +224,7 @@ func TestMaxIterationsRespected(t *testing.T) {
 	d := dense(t, m, n, 14)
 	x, _ := biasedSparse(r, n, s, 0, 1, 10)
 	y := d.Measure(x, nil)
-	res, err := OMP(d, y, Options{MaxIterations: 7})
+	res, err := NewWorkspace().OMP(d, y, Options{MaxIterations: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestGreedyPicksLargestOutlierFirst(t *testing.T) {
 	x[42] = 1
 	_ = r
 	y := d.Measure(x, nil)
-	res, err := OMP(d, y, Options{})
+	res, err := NewWorkspace().OMP(d, y, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestEarlyStopOnResidualStall(t *testing.T) {
 	d := dense(t, m, n, 17)
 	x, _ := biasedSparse(r, n, s, 0, 1, 10)
 	y := d.Measure(x, nil)
-	res, err := OMP(d, y, Options{MaxIterations: m, ResidualTol: 1e-300})
+	res, err := NewWorkspace().OMP(d, y, Options{MaxIterations: m, ResidualTol: 1e-300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func BenchmarkOMPKnownMode(b *testing.B) {
 	y := d.Measure(x, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KnownModeOMP(d, y, 5000, Options{}); err != nil {
+		if _, err := NewWorkspace().KnownModeOMP(d, y, 5000, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,11 +35,7 @@ func TestBOMPUnderConcentrationJitter(t *testing.T) {
 		t.Fatalf("mode = %v, want within a few jitters of %v", res.Mode, mode)
 	}
 	truth := outlier.TopK(x, mode, k)
-	est := make([]outlier.KV, len(res.Support))
-	for i, j := range res.Support {
-		est[i] = outlier.KV{Index: j, Value: res.X[j]}
-	}
-	got := outlier.TopKOf(est, res.Mode, k)
+	got := res.Outliers(k)
 	if ek := outlier.ErrorOnKey(truth, got); ek > 0.21 {
 		t.Fatalf("EK = %v under jitter (truth %v, got %v)", ek, truth, got)
 	}
@@ -69,11 +65,7 @@ func TestBOMPUnderMeasurementNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := outlier.TopK(x, mode, k)
-	est := make([]outlier.KV, len(res.Support))
-	for i, j := range res.Support {
-		est[i] = outlier.KV{Index: j, Value: res.X[j]}
-	}
-	got := outlier.TopKOf(est, res.Mode, k)
+	got := res.Outliers(k)
 	if ek := outlier.ErrorOnKey(truth, got); ek != 0 {
 		t.Fatalf("EK = %v under measurement noise", ek)
 	}
@@ -101,11 +93,11 @@ func TestResidualTolStopsAtNoiseFloor(t *testing.T) {
 		noiseSq += e * e
 	}
 	relNoise := math.Sqrt(noiseSq) / y.Norm2()
-	stopped, err := OMP(d, y, Options{MaxIterations: 120, ResidualTol: 2 * relNoise})
+	stopped, err := NewWorkspace().OMP(d, y, Options{MaxIterations: 120, ResidualTol: 2 * relNoise})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := OMP(d, y, Options{MaxIterations: 120, ResidualTol: 1e-300, disableEarlyStop: true})
+	free, err := NewWorkspace().OMP(d, y, Options{MaxIterations: 120, ResidualTol: 1e-300, disableEarlyStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,9 +71,11 @@ func TestSolverSentinelParity(t *testing.T) {
 		run  func(mat sensing.Matrix, y linalg.Vector, opt Options) (*Result, error)
 	}{
 		{"bomp", 300, BOMP},
-		{"omp", 0, OMP},
+		{"omp", 0, func(mat sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
+			return NewWorkspace().OMP(mat, y, opt)
+		}},
 		{"knownmode", 300, func(mat sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
-			return KnownModeOMP(mat, y, 300, opt)
+			return NewWorkspace().KnownModeOMP(mat, y, 300, opt)
 		}},
 	}
 	for _, ens := range sentinelEnsembles(t, m, n, 0x5e47) {

@@ -81,18 +81,27 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // GramStats reports the cache and correlate work of the last solve.
 func (ws *Workspace) GramStats() GramStats { return ws.stats }
 
-// BOMP is the workspace-backed form of the package-level BOMP.
+// BOMP recovers a data vector whose values concentrate around an unknown
+// bias b from the measurement y = Φ₀·x (paper Algorithm 1). It extends
+// the dictionary with φ₀ = (1/√N)Σφᵢ so that the bias becomes one more
+// sparse coefficient, runs OMP on the extended problem, and maps the
+// solution back: b = z₀/√N, x = z + b.
 func (ws *Workspace) BOMP(m sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
 	return ws.solveOne(m, BatchItem{Y: y, Opt: opt}, true)
 }
 
-// OMP is the workspace-backed form of the package-level OMP.
+// OMP recovers a vector that is sparse at zero (paper §2.2) from
+// y = Φ₀·x. Mode is reported as 0.
 func (ws *Workspace) OMP(m sensing.Matrix, y linalg.Vector, opt Options) (*Result, error) {
 	return ws.solveOne(m, BatchItem{Y: y, Opt: opt}, false)
 }
 
-// KnownModeOMP is the workspace-backed form of the package-level
-// KnownModeOMP.
+// KnownModeOMP recovers a vector known to concentrate around the given
+// mode: it cancels the bias contribution b·Φ₀·1 = b·√N·φ₀ from the
+// measurement, runs plain OMP on the now sparse-at-zero residual signal,
+// and adds the bias back. This is the "OMP + known mode" baseline of
+// Figure 4(a); the paper notes that learning b externally costs an extra
+// 2s+1 values of communication, which BOMP avoids.
 func (ws *Workspace) KnownModeOMP(m sensing.Matrix, y linalg.Vector, mode float64, opt Options) (*Result, error) {
 	p := m.Params()
 	if len(y) != p.M {
@@ -453,11 +462,11 @@ func (b *bitset) reset(n int) {
 	clear(*b)
 }
 
-// argMaxAbsMasked is Vector.ArgMaxAbs restricted to indices outside
-// mask. Ties break toward the lower index; when every unmasked entry is
-// zero the first unmasked index is returned with value 0 (and -1 only
-// when every index is masked) — the same contract as ArgMaxAbs over a
-// vector whose masked entries were zeroed.
+// argMaxAbsMasked returns the index of the largest |v[i]| over the
+// indices outside mask, and that value. Ties break toward the lower
+// index, which keeps the column selection deterministic; when every
+// unmasked entry is zero the first unmasked index is returned with value
+// 0, and -1 only when every index is masked.
 func argMaxAbsMasked(v linalg.Vector, mask bitset) (int, float64) {
 	best, bestAbs := -1, 0.0
 	for i, x := range v {

@@ -57,7 +57,7 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantO, err := OMP(m, y, opt)
+		wantO, err := NewWorkspace().OMP(m, y, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantK, err := KnownModeOMP(m, y, want.Mode, opt)
+		wantK, err := NewWorkspace().KnownModeOMP(m, y, want.Mode, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,10 +139,20 @@ func rowMajor(m Matrix) *linalg.Matrix {
 	col := make(linalg.Vector, p.M)
 	for j := 0; j < p.N; j++ {
 		for i, v := range m.Col(j, col) {
-			ref.Set(i, j, v)
+			ref.Data[i*p.N+j] = v
 		}
 	}
 	return ref
+}
+
+// mulVec is the row-major m·x that Dense.Measure replaced: one unrolled
+// Dot per row.
+func mulVec(m *linalg.Matrix, x linalg.Vector) linalg.Vector {
+	dst := make(linalg.Vector, m.Rows)
+	for i := range dst {
+		dst[i] = m.Row(i).Dot(x)
+	}
+	return dst
 }
 
 // TestDenseParallelBitIdentical pins what NewDense's fanned-out fill and
@@ -171,7 +181,7 @@ func TestDenseParallelBitIdentical(t *testing.T) {
 
 // TestDenseColumnMajorMatchesRowMajor pins every column-major Dense
 // kernel to the row-major arithmetic it replaced, Float64bits-exact:
-// Measure to MulVec, Correlate to MulVecT, CorrelateBatch to
+// Measure to mulVec, Correlate to MulVecT, CorrelateBatch to
 // per-residual Correlate, φ₀ to the scaled row sums, AddCol to Col plus
 // AddScaled. Shapes: a remainder in every unrolled loop (7×13), more
 // rows than one Measure block (515×21) and the production one
@@ -192,7 +202,7 @@ func TestDenseColumnMajorMatchesRowMajor(t *testing.T) {
 				if p.N >= 24 {
 					clear(x[16:24]) // a skipped pass
 				}
-				bitsEqual(t, "Measure", d.Measure(x, nil), ref.MulVec(x, nil))
+				bitsEqual(t, "Measure", d.Measure(x, nil), mulVec(ref, x))
 
 				rs := []linalg.Vector{randVec(5+p.Seed, p.M), randVec(7+p.Seed, p.M), make(linalg.Vector, p.M)}
 				clear(rs[0][:4])
@@ -224,7 +234,7 @@ func TestDenseColumnMajorMatchesRowMajor(t *testing.T) {
 					v := float64(k) - 1.5
 					d.AddCol(j, v, got)
 					for i := range col {
-						col[i] = ref.At(i, j)
+						col[i] = ref.Row(i)[j]
 					}
 					want.AddScaled(v, col)
 				}
