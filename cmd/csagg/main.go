@@ -25,7 +25,6 @@ import (
 
 	"csoutlier"
 	"csoutlier/internal/keydict"
-	"csoutlier/internal/obs"
 	"csoutlier/internal/sensing"
 )
 
@@ -45,8 +44,6 @@ func main() {
 		health    = flag.Bool("health", false, "print per-node health (attempts, retries, timeouts, redials, RTT, bytes)")
 		ensemble  = flag.String("ensemble", "gaussian", "measurement ensemble: gaussian or countsketch")
 		depth     = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address for the run's duration (empty = off)")
 	)
 	flag.Parse()
 	if *nodesFlag == "" || *dictPath == "" || *m <= 0 {
@@ -72,17 +69,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatalf("csagg: %v", err)
-	}
-
-	var reg *obs.Registry
-	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		mln, err := obs.Serve(*metricsAddr, reg, nil)
-		if err != nil {
-			log.Fatalf("csagg: metrics: %v", err)
-		}
-		defer mln.Close()
-		log.Printf("csagg metrics on http://%s/metrics", mln.Addr())
 	}
 
 	// ClusterOptions reads a zero NodeTimeout as "default" and a negative
@@ -111,9 +97,6 @@ func main() {
 	// A round that missed its quorum still reports what each node did;
 	// print that before giving up.
 	if rep != nil {
-		if reg != nil {
-			recordRound(reg, rep, err == nil)
-		}
 		for _, nr := range rep.Failed {
 			log.Printf("csagg: node %s excluded: %s", nr.Addr, nr.Err)
 		}
@@ -158,36 +141,6 @@ func main() {
 				log.Fatalf("csagg: %v", err)
 			}
 			fmt.Printf("  p%-4.3g %13.6g\n", q*100, v)
-		}
-	}
-}
-
-// recordRound folds one round's report into the cluster_* families of
-// reg. Family resolution is get-or-create, so the registry is the one
-// place the names and help texts live.
-func recordRound(reg *obs.Registry, rep *csoutlier.ClusterReport, ok bool) {
-	reg.Counter("cluster_attempts_total",
-		"sketch RPCs attempted, including retries").Add(int64(rep.Stats.Attempts))
-	reg.Counter("cluster_retries_total",
-		"sketch attempts beyond each node's first").Add(int64(rep.Stats.Retries))
-	reg.Counter("cluster_timeouts_total",
-		"sketch attempts that died on a deadline").Add(int64(rep.Stats.Timeouts))
-	reg.Counter("cluster_bytes_total",
-		"sketch payload bytes received (paper constants)").Add(rep.Stats.Bytes)
-	reg.Counter("cluster_messages_total",
-		"sketch payloads received").Add(int64(rep.Stats.Messages))
-	outcome := "ok"
-	if !ok {
-		outcome = "failed"
-	}
-	reg.CounterVec("cluster_collects_total",
-		"collections by outcome (ok = quorum reached)", "outcome").With(outcome).Inc()
-	rtt := reg.HistogramVec("cluster_node_rtt_seconds",
-		"per-node sketch round-trip time, last attempt of each collection",
-		obs.LatencyBuckets(), "node")
-	for _, nr := range rep.Nodes {
-		if nr.Attempts > 0 {
-			rtt.With(nr.ID).Observe(nr.RTT.Seconds())
 		}
 	}
 }

@@ -127,6 +127,7 @@ func main() {
 			Epoch:  *epoch,
 			Retain: *pushRetain,
 		}
+		var dial func(context.Context) (pushNode, func() string, error)
 		if *shards > 1 {
 			addrs := strings.Split(*push, ",")
 			if len(addrs) != *shards {
@@ -142,7 +143,27 @@ func main() {
 			if err != nil {
 				log.Fatalf("csnode: %v", err)
 			}
-			go pushSliceSharded(shardMap, sks, dict, x, addrs, *name, opts, *pushEvery, *pushChunk)
+			// The per-node stream_client_* metrics are not registered: the
+			// per-shard nodes would collide in one registry.
+			dial = func(ctx context.Context) (pushNode, func() string, error) {
+				sn, err := tier.DialSharded(ctx, shardMap, sks, addrs, *name, opts)
+				if err != nil {
+					return nil, nil, err
+				}
+				log.Printf("csnode: pushing to %d shards as %q (epoch %d)", shardMap.Shards(), *name, opts.Epoch)
+				return sn, func() string {
+					var captured, applied, replayed, redials int64
+					for i := 0; i < shardMap.Shards(); i++ {
+						s := sn.Node(i).Stats()
+						captured += s.Captured
+						applied += s.Applied
+						replayed += s.Replayed
+						redials += s.Redials
+					}
+					return fmt.Sprintf(" across %d shards: %d deltas captured, %d applied, %d replayed, %d redials",
+						shardMap.Shards(), captured, applied, replayed, redials)
+				}, nil
+			}
 		} else {
 			sk, err := csoutlier.NewSketcher(dict.Keys(), csoutlier.Config{
 				M: *m, Seed: *seed, Ensemble: ens, Depth: *depth,
@@ -150,8 +171,23 @@ func main() {
 			if err != nil {
 				log.Fatalf("csnode: %v", err)
 			}
-			go pushSlice(sk, dict, x, *push, *name, opts, *pushEvery, *pushChunk, reg)
+			dial = func(ctx context.Context) (pushNode, func() string, error) {
+				n, err := stream.Dial(ctx, *push, sk, *name, opts)
+				if err != nil {
+					return nil, nil, err
+				}
+				if reg != nil {
+					n.RegisterMetrics(reg)
+				}
+				log.Printf("csnode: pushing to %s as %q (epoch %d, window %d)", *push, *name, opts.Epoch, n.Window())
+				return n, func() string {
+					s := n.Stats()
+					return fmt.Sprintf(": %d deltas captured (%d sent as pairs), %d applied, %d replayed, %d redials",
+						s.Captured, s.PairFrames, s.Applied, s.Replayed, s.Redials)
+				}, nil
+			}
 		}
+		go pushSlice(dial, dict, x, *pushEvery, *pushChunk)
 	}
 	if err := cluster.ServeWith(ln, node, cluster.ServeOptions{
 		IdleTimeout:    *idleTO,
@@ -161,26 +197,31 @@ func main() {
 	}
 }
 
-// pushSlice streams the loaded slice into a csstreamd aggregator as a
-// sequence of delta frames — pushChunk keys per flush, one flush per
-// pushEvery — then keeps heartbeating so the daemon's liveness table
-// and this node's window view stay fresh. Runs alongside the pull API:
-// the same slice is available both ways.
-func pushSlice(sk *csoutlier.Sketcher, dict *keydict.Dictionary, x linalg.Vector,
-	addr, name string, opts stream.NodeOptions, pushEvery time.Duration, pushChunk int, reg *obs.Registry) {
+// pushNode is the push half of a csnode: a *stream.Node pushing at one
+// daemon, or a *tier.ShardedNode observing each key at its shard's.
+type pushNode interface {
+	Observe(key string, delta float64) error
+	Flush(ctx context.Context) error
+	Sync(ctx context.Context) error
+}
+
+// pushSlice dials a push node and streams the loaded slice through it as
+// a sequence of delta frames — pushChunk keys per flush, one flush per
+// pushEvery — then logs the totals streamed renders and keeps
+// heartbeating so the daemons' liveness tables and this node's window
+// view stay fresh. Runs alongside the pull API: the same slice is
+// available both ways.
+func pushSlice(dial func(context.Context) (pushNode, func() string, error), dict *keydict.Dictionary, x linalg.Vector,
+	pushEvery time.Duration, pushChunk int) {
 	if pushChunk <= 0 {
 		pushChunk = 256
 	}
 	ctx := context.Background()
-	n, err := stream.Dial(ctx, addr, sk, name, opts)
+	n, streamed, err := dial(ctx)
 	if err != nil {
 		log.Printf("csnode: push: %v (streaming disabled, pull API unaffected)", err)
 		return
 	}
-	if reg != nil {
-		n.RegisterMetrics(reg)
-	}
-	log.Printf("csnode: pushing to %s as %q (epoch %d, window %d)", addr, name, opts.Epoch, n.Window())
 	inChunk := 0
 	for idx, v := range x {
 		if v == 0 {
@@ -201,67 +242,10 @@ func pushSlice(sk *csoutlier.Sketcher, dict *keydict.Dictionary, x linalg.Vector
 	if err := n.Flush(ctx); err != nil {
 		log.Printf("csnode: push flush: %v", err)
 	}
-	s := n.Stats()
-	log.Printf("csnode: slice streamed: %d deltas captured (%d sent as pairs), %d applied, %d replayed, %d redials; heartbeating every %v",
-		s.Captured, s.PairFrames, s.Applied, s.Replayed, s.Redials, pushEvery)
+	log.Printf("csnode: slice streamed%s; heartbeating every %v", streamed(), pushEvery)
 	for {
 		time.Sleep(pushEvery)
 		if err := n.Sync(ctx); err != nil {
-			log.Printf("csnode: push heartbeat: %v", err)
-		}
-	}
-}
-
-// pushSliceSharded is pushSlice for a sharded deployment: one
-// connection set over every shard's daemon, each key observed at its
-// owning shard, flushes and heartbeats fanned out in shard order. The
-// per-node stream_client_* metrics are skipped — the per-shard nodes
-// would collide in one registry.
-func pushSliceSharded(m *tier.ShardMap, sks []*csoutlier.Sketcher, dict *keydict.Dictionary, x linalg.Vector,
-	addrs []string, name string, opts stream.NodeOptions, pushEvery time.Duration, pushChunk int) {
-	if pushChunk <= 0 {
-		pushChunk = 256
-	}
-	ctx := context.Background()
-	sn, err := tier.DialSharded(ctx, m, sks, addrs, name, opts)
-	if err != nil {
-		log.Printf("csnode: push: %v (streaming disabled, pull API unaffected)", err)
-		return
-	}
-	log.Printf("csnode: pushing to %d shards as %q (epoch %d)", m.Shards(), name, opts.Epoch)
-	inChunk := 0
-	for idx, v := range x {
-		if v == 0 {
-			continue
-		}
-		if err := sn.Observe(dict.Key(idx), v); err != nil {
-			log.Printf("csnode: push observe: %v", err)
-			return
-		}
-		if inChunk++; inChunk >= pushChunk {
-			inChunk = 0
-			if err := sn.Flush(ctx); err != nil {
-				log.Printf("csnode: push flush: %v", err)
-			}
-			time.Sleep(pushEvery)
-		}
-	}
-	if err := sn.Flush(ctx); err != nil {
-		log.Printf("csnode: push flush: %v", err)
-	}
-	var captured, applied, replayed, redials int64
-	for i := 0; i < m.Shards(); i++ {
-		s := sn.Node(i).Stats()
-		captured += s.Captured
-		applied += s.Applied
-		replayed += s.Replayed
-		redials += s.Redials
-	}
-	log.Printf("csnode: slice streamed across %d shards: %d deltas captured, %d applied, %d replayed, %d redials; heartbeating every %v",
-		m.Shards(), captured, applied, replayed, redials, pushEvery)
-	for {
-		time.Sleep(pushEvery)
-		if err := sn.Sync(ctx); err != nil {
 			log.Printf("csnode: push heartbeat: %v", err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -311,5 +312,40 @@ func TestDrainEncodedZeroAlloc(t *testing.T) {
 	}
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Errorf("DrainEncoded of a sketch into a sketch-sized buffer: %d allocs, want 0", n)
+	}
+}
+
+// TestObserveMeasuredZeroAlloc pins Observe past the size crossover,
+// where each observation is measured into the sketch on arrival: its
+// column scratch comes from the Sketcher's sync.Pool and goes back, so
+// with the GC held off (a collection may empty the pool) an observation
+// allocates nothing.
+func TestObserveMeasuredZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation drops sync.Pool entries at random")
+	}
+	sk, err := NewSketcher(testKeys(512), Config{M: 256, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := sk.Keys()
+	u := sk.NewUpdater()
+	i := 0
+	observe := func() {
+		i++
+		if err := u.Observe(keys[i%len(keys)], float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u.Updates() <= int64(crossoverCount(sk.M())) {
+		observe()
+	}
+	if u.logging {
+		t.Fatalf("%d observations at M=%d are still logged", u.Updates(), sk.M())
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	observe() // the pool holds a column from here on
+	if n := testing.AllocsPerRun(200, observe); n != 0 {
+		t.Errorf("Observe past the crossover: %v allocs per call, want 0", n)
 	}
 }

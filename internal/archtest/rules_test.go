@@ -305,6 +305,15 @@ func cold(m sensing.Matrix, y linalg.Vector) (*recovery.Result, error) { return 
 		},
 	},
 	{
+		id:      "evidence-log-length",
+		name:    "at most five per-PR sections of EXPERIMENTS.md run in full: an older one is a stub naming the commit that holds it",
+		section: "pr38",
+		check:   fullEvidenceSections,
+		fixtures: []map[string]string{
+			{"EXPERIMENTS.md": strings.Repeat("## Extension: a change (`pr1`)\n\none\ntwo\nthree\n\n", 6)},
+		},
+	},
+	{
 		id:      "surface",
 		name:    "every func, method, const and var has a caller outside tests (DESIGN.md lists the exceptions), and every …Options field a writer (no exceptions)",
 		section: "pr31",
@@ -412,6 +421,47 @@ func longChanges(p *program) []string {
 		}
 	}
 	return out
+}
+
+// maxFullSections is how many per-PR sections EXPERIMENTS.md keeps in
+// full, and maxStubLines the non-blank lines a stub's body may have.
+const (
+	maxFullSections = 5
+	maxStubLines    = 2
+)
+
+// prHeading matches the heading of a per-PR section of EXPERIMENTS.md.
+var prHeading = regexp.MustCompile("^## .*`pr[0-9]+`")
+
+// fullEvidenceSections reports EXPERIMENTS.md when more than
+// maxFullSections per-PR sections run longer than a stub. A section
+// runs from its "## " heading to the next one.
+func fullEvidenceSections(p *program) []string {
+	var full []string
+	head, lines := "", 0
+	flush := func() {
+		if head != "" && lines > maxStubLines {
+			full = append(full, head)
+		}
+	}
+	for _, line := range strings.Split(p.docs["EXPERIMENTS.md"], "\n") {
+		switch {
+		case strings.HasPrefix(line, "## "):
+			flush()
+			head, lines = "", 0
+			if prHeading.MatchString(line) {
+				head = line
+			}
+		case strings.TrimSpace(line) != "":
+			lines++
+		}
+	}
+	flush()
+	if len(full) <= maxFullSections {
+		return nil
+	}
+	return []string{fmt.Sprintf("EXPERIMENTS.md: %d per-PR sections run in full, over %d; stub the oldest, %q",
+		len(full), maxFullSections, full[0])}
 }
 
 // The helpers below walk the program for the checks: every non-test

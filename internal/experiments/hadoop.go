@@ -24,9 +24,9 @@ type mrDataset struct {
 // buildMRDataset turns a global vector into MapReduce input splits.
 // Each key's value is scattered across `touch` random splits as zero-sum
 // shares (so mapper-local views differ from the global data), and every
-// split is charged inputBytes/len(splits) of simulated file; MapCPUScale
-// compensates real CPU for the difference between the sampled records
-// and the simulated file size.
+// split is charged inputBytes/len(splits) of simulated file; the cost
+// model's ParseRate charges CPU for the difference between the sampled
+// records and the simulated file size.
 func buildMRDataset(name string, global linalg.Vector, nSplits, touch int, inputBytes int64, seed uint64) (*mrDataset, error) {
 	n := len(global)
 	keys := make([]string, n)

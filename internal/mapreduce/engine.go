@@ -70,10 +70,6 @@ type CostModel struct {
 	// local disk during the external merge sort (Hadoop typically reads
 	// fetched map output back at least twice). 0 means 2.
 	MergePasses int
-	// MapCPUScale multiplies measured map CPU — an alternative knob for
-	// when the sampled records themselves under-represent real compute.
-	// 0 means 1.
-	MapCPUScale float64
 }
 
 // DefaultHadoopCostModel matches the paper's testbed: 1 Gbps network
@@ -89,24 +85,16 @@ func DefaultHadoopCostModel() CostModel {
 	}
 }
 
-func (c CostModel) mapCPUScale() float64 {
-	if c.MapCPUScale <= 0 {
-		return 1
-	}
-	return c.MapCPUScale
-}
-
 // Config describes the simulated cluster.
 type Config struct {
 	// Reducers is the number of reduce partitions (Hadoop: job setting).
 	Reducers int
 	// MapSlots / ReduceSlots are the concurrent task slots of the
 	// simulated cluster (10 nodes in the paper). They gate the *modeled*
-	// wave schedule; real execution uses a worker pool of its own size.
+	// wave schedule; real execution runs min(MapSlots, GOMAXPROCS) map
+	// tasks at a time (see Run).
 	MapSlots, ReduceSlots int
-	// Workers caps real goroutine parallelism (0 = MapSlots).
-	Workers int
-	Cost    CostModel
+	Cost                  CostModel
 }
 
 func (c *Config) normalize() {
@@ -118,16 +106,6 @@ func (c *Config) normalize() {
 	}
 	if c.ReduceSlots <= 0 {
 		c.ReduceSlots = c.Reducers
-	}
-	if c.Workers <= 0 {
-		// Real execution parallelism is capped at the host's cores: the
-		// slot counts above drive the *modeled* schedule, but running
-		// more goroutines than cores would inflate the measured per-task
-		// CPU with scheduler contention.
-		c.Workers = c.MapSlots
-		if procs := runtime.GOMAXPROCS(0); c.Workers > procs {
-			c.Workers = procs
-		}
 	}
 	if c.Cost.DiskBandwidth <= 0 || c.Cost.NetBandwidth <= 0 {
 		def := DefaultHadoopCostModel()
@@ -149,7 +127,7 @@ type Metrics struct {
 	MapOutputTuples int64 // tuples emitted by mappers
 	OutputBytes     int64 // bytes emitted by reducers
 
-	MapCPU    time.Duration // measured (and scaled) mapper compute
+	MapCPU    time.Duration // measured mapper compute plus the parse and tuple charges
 	ReduceCPU time.Duration // measured reducer compute
 
 	MapTime     time.Duration // modeled map-phase wall clock
@@ -160,7 +138,7 @@ type Metrics struct {
 
 // Split is one input split: its records plus the byte size the cost
 // model charges for reading it (a split can stand in for a much larger
-// file region than its sampled Records — see CostModel.MapCPUScale).
+// file region than its sampled Records — see CostModel.ParseRate).
 //
 // Represents scales one sampled split up to many physical map tasks:
 // a real Hadoop job over a 600 GB input runs ~2300 block-sized mappers,
@@ -197,7 +175,11 @@ func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 		err      error
 	}
 	outs := make([]mapOut, len(splits))
-	sem := make(chan struct{}, cfg.Workers)
+	// Real execution parallelism is capped at the host's cores: MapSlots
+	// drives the *modeled* schedule, but running more goroutines than
+	// cores would inflate the measured per-task CPU with scheduler
+	// contention.
+	sem := make(chan struct{}, min(cfg.MapSlots, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
 	for i, sp := range splits {
 		met.InputBytes += sp.Bytes
@@ -231,7 +213,7 @@ func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 		}
 		rep := splits[i].represents()
 		perTaskBytes := float64(splits[i].Bytes) / float64(rep)
-		cpu := time.Duration(float64(o.cpu) * cfg.Cost.mapCPUScale())
+		cpu := o.cpu
 		if cfg.Cost.ParseRate > 0 {
 			cpu += seconds(perTaskBytes / cfg.Cost.ParseRate)
 		}

@@ -207,24 +207,6 @@ func TestCostModelMonotonicInBytes(t *testing.T) {
 	}
 }
 
-func TestMapCPUScale(t *testing.T) {
-	dict, splits, _ := buildWorkload(t, 0.01, 2, 1, 5)
-	cfgA := Config{Reducers: 1, Cost: CostModel{DiskBandwidth: 1e9, NetBandwidth: 1e9, MapCPUScale: 1}}
-	cfgB := cfgA
-	cfgB.Cost.MapCPUScale = 1000
-	_, a, err := Run(&TopKJob{Dict: dict}, splits, cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, b, err := Run(&TopKJob{Dict: dict}, splits, cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.MapCPU <= a.MapCPU {
-		t.Fatalf("MapCPUScale had no effect: %v vs %v", a.MapCPU, b.MapCPU)
-	}
-}
-
 func TestScheduleWaves(t *testing.T) {
 	// 4 equal tasks on 2 slots = 2 waves.
 	tasks := []time.Duration{time.Second, time.Second, time.Second, time.Second}

@@ -378,17 +378,6 @@ func (v *GaugeVec) With(values ...string) *Gauge { return v.f.get(values...).gau
 // stays usable but is detached: writes to it no longer render.
 func (v *GaugeVec) Remove(values ...string) bool { return v.f.remove(values...) }
 
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
-
-// HistogramVec returns the labeled histogram family name.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{r.family(name, help, histogramKind, bounds, labels)}
-}
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram { return v.f.get(values...).hist }
-
 // OnScrape registers fn to run at the start of every exposition render,
 // before any family is read. Subsystems use it to refresh labeled
 // gauges from state that is cheaper to snapshot than to track (the

@@ -89,8 +89,7 @@ func TestVecSeries(t *testing.T) {
 	}
 	gv := r.GaugeVec("lag", "per node lag", "node")
 	gv.With("dc-west").Set(2)
-	hv := r.HistogramVec("rtt_seconds", "per node rtt", []float64{0.1, 1}, "node")
-	hv.With("dc-west").Observe(0.05)
+	r.Histogram("rtt_seconds", "round-trip time", []float64{0.1, 1}).Observe(0.05)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -101,9 +100,9 @@ func TestVecSeries(t *testing.T) {
 		`frames_total{outcome="applied"} 3`,
 		`frames_total{outcome="rejected"} 1`,
 		`lag{node="dc-west"} 2`,
-		`rtt_seconds_bucket{node="dc-west",le="0.1"} 1`,
-		`rtt_seconds_bucket{node="dc-west",le="+Inf"} 1`,
-		`rtt_seconds_count{node="dc-west"} 1`,
+		`rtt_seconds_bucket{le="0.1"} 1`,
+		`rtt_seconds_bucket{le="+Inf"} 1`,
+		`rtt_seconds_count 1`,
 		"# TYPE frames_total counter",
 		"# TYPE lag gauge",
 		"# TYPE rtt_seconds histogram",

@@ -130,3 +130,57 @@ func TestDenseMeasureSparseScatterZeroAlloc(t *testing.T) {
 		t.Fatalf("MeasureSparse of %d pairs allocates %.1f/op, want 0", len(idx), allocs)
 	}
 }
+
+// TestSteadyStateZeroAlloc pins the sensing calls the push and recovery
+// paths make per frame or per solve: with dst allocated and each call
+// made once first (Seeded's φ₀ is built on its first ExtensionColumn),
+// none of them allocates.
+func TestSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	p := Params{M: 64, N: 1024, Seed: 3}
+	d, err := NewDense(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSeeded(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCountSketch(p, DefaultCountSketchDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(5)
+	x := make(linalg.Vector, p.N)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	y := make(linalg.Vector, p.M)
+	// addCols16 is one 16-observation pairs frame measured from zero,
+	// as a receiver measures a leaf flush.
+	addCols16 := func(m Matrix) func() {
+		return func() {
+			clear(y)
+			for k := 0; k < 16; k++ {
+				m.AddCol(k*61%p.N, x[k], y)
+			}
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Dense.Measure", func() { d.Measure(x, y) }},
+		{"Dense.AddCol", addCols16(d)},
+		{"CountSketch.AddCol", addCols16(c)},
+		{"Seeded.ExtensionColumn", func() { s.ExtensionColumn(y) }},
+	} {
+		tc.fn()
+		if n := testing.AllocsPerRun(50, tc.fn); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)
+		}
+	}
+}

@@ -2,9 +2,10 @@ package sensing
 
 // Kernel benchmarks: one per hot sensing kernel, sized near the paper's
 // production query shape (N ≈ 10K keys, M ≈ a few hundred measurements).
-// scripts/bench.sh runs the BenchmarkKernel* set with fixed -benchtime
-// and -count and records the results in BENCH.json — the repo's perf
-// trajectory; compare runs with `scripts/bench.sh -compare`.
+// `scripts/verify.sh -bench` runs each once; the allocation-free ones are
+// pinned by TestSteadyStateZeroAlloc and
+// TestDenseMeasureSparseScatterZeroAlloc, and the repo's perf record is
+// BENCHMARK.json with benchmark/run.sh.
 
 import (
 	"testing"

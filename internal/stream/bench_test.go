@@ -240,7 +240,7 @@ func BenchmarkDetectQueryCold(b *testing.B) {
 // benchPointAggregator builds a count-sketch aggregator (N=4096,
 // M=448, depth 7 → width 64) with one folded delta, plus a key to
 // query.
-func benchPointAggregator(b *testing.B) (*Aggregator, string) {
+func benchPointAggregator(b testing.TB) (*Aggregator, string) {
 	b.Helper()
 	keys := make([]string, 4096)
 	for i := range keys {
@@ -297,7 +297,7 @@ func benchPairs(b *testing.B, sk *csoutlier.Sketcher, n int) []byte {
 }
 
 // benchDelta is a delta of 32 observations as a sketch payload.
-func benchDelta(b *testing.B, sk *csoutlier.Sketcher) []byte {
+func benchDelta(b testing.TB, sk *csoutlier.Sketcher) []byte {
 	b.Helper()
 	u := sk.NewUpdater()
 	for i := 0; i < 32; i++ {

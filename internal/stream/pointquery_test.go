@@ -153,6 +153,29 @@ func TestAggregatorPointQuery(t *testing.T) {
 	}
 }
 
+// TestPointQueryWarmZeroAlloc pins PointQuery's fast path: once a
+// span's point state is committed, asking it again (shared lock,
+// generation check, depth cell reads, the sampled timing included)
+// allocates nothing.
+func TestPointQueryWarmZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	agg, key := benchPointAggregator(t)
+	query := func() {
+		if _, err := agg.PointQuery(0, 0, key, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query() // commits the span's point state
+	if n := testing.AllocsPerRun(200, query); n != 0 {
+		t.Fatalf("warm PointQuery: %v allocs per query, want 0", n)
+	}
+	if st := agg.Stats(); st.PointRefreshes != 1 {
+		t.Fatalf("%d point-state refreshes, want 1: the queries were not warm", st.PointRefreshes)
+	}
+}
+
 // TestPointQueryNeedsCountSketch: on any other ensemble PointQuery
 // fails with the static sentinel, but the pointq_* metric families
 // still exist (at zero) for scrape checkers.

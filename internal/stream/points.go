@@ -48,7 +48,7 @@ type points struct {
 // States are cached per span and refreshed only when a fold or
 // rotation changes the underlying data, so a warm query is O(depth):
 // a shared-lock acquire, one atomic generation check, and depth hashed
-// cell reads — zero allocations (see BenchmarkPointQuery). Requires
+// cell reads — zero allocations (TestPointQueryWarmZeroAlloc). Requires
 // the CountSketch ensemble; other backends get the error
 // csoutlier.Sketcher.NewPointState returns. Span top-k detection stays on Outliers — the two
 // paths serve the same ring and agree on the mode by construction.

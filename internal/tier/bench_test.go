@@ -10,7 +10,7 @@ import (
 	"csoutlier/internal/stream"
 )
 
-func benchDelta(b *testing.B, sk *csoutlier.Sketcher) []byte {
+func benchDelta(b testing.TB, sk *csoutlier.Sketcher) []byte {
 	b.Helper()
 	pairs := make(map[string]float64, len(sk.Keys()))
 	for i, key := range sk.Keys() {

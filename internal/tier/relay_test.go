@@ -1165,3 +1165,46 @@ func TestPathlessForwardCommit(t *testing.T) {
 		t.Fatalf("a Forward at 64 windows allocates %.0f B, %.1f× the %.0f B at 4: the pathless commit copies the ring", large, large/small, small)
 	}
 }
+
+// TestRelayFoldZeroAlloc pins a relay's ingest between Forwards: a leaf
+// delta folded into its window and mirrored into the window's upward
+// accumulator, which the first delta created, allocates nothing. The
+// frame is TestPushPathAllocs' loopback push with the relay's mirror
+// added; AllocsPerRun counts the client and the relay together.
+func TestRelayFoldZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	sk := tierSketcher(t, 1024, 256, 9)
+	_, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close(ctx)
+	c, err := stream.DialClient(ctx, serveRelay(t, relay), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Hello("leaf", 1); err != nil {
+		t.Fatal(err)
+	}
+	payload := benchDelta(t, sk)
+	var seq uint64
+	push := func() {
+		seq++
+		if ack, err := c.PushDelta("leaf", 1, 1, seq, 1, payload); err != nil || !ack.Applied {
+			t.Fatalf("PushDelta %d: %+v, %v", seq, ack, err)
+		}
+	}
+	push() // the window's accumulator is created here
+	if n := testing.AllocsPerRun(500, push); n != 0 {
+		t.Errorf("leaf delta folded at a relay: %v allocs per frame across client and relay, want 0", n)
+	}
+	if st := relay.Stats(); st.Unstable != 1 || st.FramesStaged != 0 {
+		t.Fatalf("relay holds %d unstable windows and staged %d frames, want 1 and 0", st.Unstable, st.FramesStaged)
+	}
+}
