@@ -1,176 +1,19 @@
 package csoutlier
 
-// One benchmark per table/figure of the paper's evaluation (there are no
-// numbered tables; Figures 4–12 are the complete quantitative record),
-// plus the §4 conjecture checks and the ablation benches DESIGN.md calls
-// out. Each figure bench regenerates the figure through the experiments
-// harness at a reduced scale and reports tokens of its headline result
-// as custom benchmark metrics, so `go test -bench=.` both times the
-// pipeline and re-derives the qualitative claims.
-//
-// Scale with -benchtime is meaningless here (each iteration is a full
-// experiment); raise the scale through CSOUTLIER_BENCH_SCALE instead,
-// up to 1.0 for paper-size parameters.
+// The ablation benches DESIGN.md §4 calls out, and micro-benchmarks of
+// the public API. The paper's figures are not benchmarks: their one
+// record is internal/experiments' golden, which `go test` diffs.
 
 import (
-	"os"
 	"strconv"
 	"testing"
 
-	"csoutlier/internal/experiments"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
-	"csoutlier/internal/theory"
 	"csoutlier/internal/workload"
 	"csoutlier/internal/xrand"
 )
-
-func benchScale() float64 {
-	if s := os.Getenv("CSOUTLIER_BENCH_SCALE"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0.05
-}
-
-func benchCfg() experiments.Config {
-	return experiments.Config{Scale: benchScale(), Trials: 3, Seed: 7}
-}
-
-// runFigure executes one experiment per b.N iteration and folds a named
-// scalar from the result tables into the benchmark output.
-func runFigure(b *testing.B, id string, report func(tables []*experiments.Table) (metric string, value float64)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Run(id, benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if report != nil && i == 0 {
-			name, v := report(tables)
-			b.ReportMetric(v, name)
-		}
-	}
-}
-
-func findSeries(tables []*experiments.Table, ti int, name string) []float64 {
-	for _, s := range tables[ti].Series {
-		if s.Name == name {
-			return s.Y
-		}
-	}
-	return nil
-}
-
-func BenchmarkFig4aExactRecovery(b *testing.B) {
-	runFigure(b, "fig4a", func(ts []*experiments.Table) (string, float64) {
-		// Headline: recovery probability at the top of the sweep for the
-		// easiest sparsity.
-		y := ts[0].Series[0].Y
-		return "P(recover)@maxM", y[len(y)-1]
-	})
-}
-
-func BenchmarkFig4bModeTrace(b *testing.B) {
-	runFigure(b, "fig4b", func(ts []*experiments.Table) (string, float64) {
-		y := ts[0].Series[0].Y
-		return "final-mode", y[len(y)-1]
-	})
-}
-
-func BenchmarkFig5ErrorOnKey(b *testing.B) {
-	runFigure(b, "fig5", func(ts []*experiments.Table) (string, float64) {
-		y := findSeries(ts, 0, "alpha=0.9000 Avg")
-		if y == nil {
-			return "EK@maxM", -1
-		}
-		return "EK@maxM", y[len(y)-1]
-	})
-}
-
-func BenchmarkFig6ErrorOnValue(b *testing.B) {
-	runFigure(b, "fig6", func(ts []*experiments.Table) (string, float64) {
-		y := findSeries(ts, 0, "alpha=0.9000 Avg")
-		if y == nil {
-			return "EV@maxM", -1
-		}
-		return "EV@maxM", y[len(y)-1]
-	})
-}
-
-func BenchmarkFig7ProductionKey(b *testing.B) {
-	runFigure(b, "fig7", func(ts []*experiments.Table) (string, float64) {
-		y := findSeries(ts, 0, "BOMP Avg")
-		return "EK@maxBudget", y[len(y)-1]
-	})
-}
-
-func BenchmarkFig8ProductionValue(b *testing.B) {
-	runFigure(b, "fig8", func(ts []*experiments.Table) (string, float64) {
-		y := findSeries(ts, 0, "BOMP Avg")
-		return "EV@maxBudget", y[len(y)-1]
-	})
-}
-
-func BenchmarkFig9ProductionModeTrace(b *testing.B) {
-	runFigure(b, "fig9", func(ts []*experiments.Table) (string, float64) {
-		y := ts[0].Series[0].Y
-		return "final-mode", y[len(y)-1]
-	})
-}
-
-func BenchmarkFig10EndToEnd(b *testing.B) {
-	runFigure(b, "fig10", func(ts []*experiments.Table) (string, float64) {
-		cs := findSeries(ts, 0, "BOMP")
-		trad := findSeries(ts, 0, "Traditional Top-K")
-		// Headline: end-to-end speedup at the smallest M on the small input.
-		return "speedup@minM", trad[0] / cs[0]
-	})
-}
-
-func BenchmarkFig11Breakdown(b *testing.B) {
-	runFigure(b, "fig11", func(ts []*experiments.Table) (string, float64) {
-		csMap := findSeries(ts, 0, "BOMP Mapper")
-		tradMap := findSeries(ts, 0, "Traditional Mapper")
-		return "map-speedup@minM", tradMap[0] / csMap[0]
-	})
-}
-
-func BenchmarkFig12KeyScaling(b *testing.B) {
-	runFigure(b, "fig12", func(ts []*experiments.Table) (string, float64) {
-		cs := findSeries(ts, 0, "BOMP M=50")
-		trad := findSeries(ts, 0, "Traditional topK")
-		last := len(trad) - 1
-		return "speedup@maxN", trad[last] / cs[last]
-	})
-}
-
-func BenchmarkConjecture1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep := theory.VerifyConjecture1(100, 10, 2000, 1)
-		if i == 0 {
-			b.ReportMetric(rep.MinRatio, "min-ratio")
-			b.ReportMetric(float64(rep.Failures), "failures")
-		}
-	}
-}
-
-func BenchmarkConjecture2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep := theory.VerifyConjecture2(200, 5000, 0.01, []float64{0.1, 0.3}, 2)
-		if i == 0 {
-			holds := 1.0
-			for _, p := range rep.Points {
-				if !p.Holds {
-					holds = 0
-				}
-			}
-			b.ReportMetric(holds, "holds")
-		}
-	}
-}
 
 // --- Ablation benches (DESIGN.md §4) ---
 

@@ -57,8 +57,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "csbench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		if !*asCSV {
-			fmt.Printf("\n[%s completed in %v]\n", id, time.Since(start).Round(time.Millisecond))
-		}
+		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
 }

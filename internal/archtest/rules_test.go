@@ -239,6 +239,34 @@ import ("csoutlier/internal/linalg"; "csoutlier/internal/recovery"; "csoutlier/i
 func cold(m sensing.Matrix, y linalg.Vector) (*recovery.Result, error) { return recovery.BOMP(m, y, recovery.Options{}) }`}},
 	},
 	{
+		id:      "clock-free-evaluation",
+		name:    "no clock in the evaluation: internal/experiments and internal/mapreduce read no time and start no timer outside tests, so every table is a function of its seed",
+		section: "pr39",
+		check: func(p *program) []string {
+			return uses(p, func(f *file, obj types.Object) bool {
+				if dir := dirOf(f); dir != "internal/experiments" && dir != "internal/mapreduce" {
+					return false
+				}
+				if _, ok := obj.(*types.Func); !ok || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
+					return false
+				}
+				switch obj.Name() {
+				case "Now", "Since", "Until", "After", "AfterFunc", "NewTimer", "NewTicker", "Tick":
+					return true
+				}
+				return false
+			})
+		},
+		fixtures: []map[string]string{
+			{"internal/mapreduce/clock.go": `package mapreduce
+import "time"
+func measured(f func()) time.Duration { start := time.Now(); f(); return time.Since(start) }`},
+			{"internal/experiments/timer.go": `package experiments
+import "time"
+func deadline() <-chan time.Time { return time.NewTimer(time.Second).C }`},
+		},
+	},
+	{
 		id:      "one-pull-round",
 		name:    "one pull round: internal/baseline is imported by the experiments and examples only, and csagg imports none of the round's parts",
 		section: "pr26",

@@ -6,11 +6,7 @@ import (
 )
 
 func TestAlgosBiasAwareBeatsBiasBlind(t *testing.T) {
-	tables, err := Run("algos", Config{Scale: 0.05, Trials: 3, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := tables[0]
+	tb := run(t, "algos")[0]
 	series := map[string][]float64{}
 	for _, s := range tb.Series {
 		series[s.Name] = s.Y
@@ -35,12 +31,8 @@ func TestAlgosBiasAwareBeatsBiasBlind(t *testing.T) {
 }
 
 func TestAlgosCSVHasAllSeries(t *testing.T) {
-	tables, err := Run("algos", Config{Scale: 0.05, Trials: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sb strings.Builder
-	if err := tables[0].WriteCSV(&sb); err != nil {
+	if err := run(t, "algos")[0].WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

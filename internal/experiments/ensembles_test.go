@@ -3,11 +3,7 @@ package experiments
 import "testing"
 
 func TestEnsemblesAllConverge(t *testing.T) {
-	tables, err := Run("ensembles", Config{Scale: 0.05, Trials: 3, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := tables[0]
+	tb := run(t, "ensembles")[0]
 	if len(tb.Series) != 2 {
 		t.Fatalf("series = %d, want 2 ensembles", len(tb.Series))
 	}

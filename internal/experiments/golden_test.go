@@ -1,12 +1,53 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
 	"csoutlier/internal/xrand/xrandtest"
 )
+
+// goldenFile is the evaluation's one record: the stdout of
+//
+//	go run ./cmd/csbench -scale 0.02 -seed 42 all > internal/experiments/testdata/csbench_scale0.02_seed42.txt
+//
+// Every table is a function of the seed (the Hadoop model charges counted
+// work, not measured time), so a change that moves a cell reruns that
+// command and says why the record moved.
+const goldenFile = "testdata/csbench_scale0.02_seed42.txt"
+
+// TestEvaluationGolden renders every registered experiment at tiny(),
+// as csbench does, and diffs the output against the record byte for byte.
+func TestEvaluationGolden(t *testing.T) {
+	want, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for _, id := range IDs() {
+		for _, tb := range run(t, id) {
+			if err := tb.Print(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, wl := strings.SplitAfter(buf.String(), "\n"), strings.SplitAfter(string(want), "\n")
+	for i := range max(len(got), len(wl)) {
+		if g, w := lineAt(got, i), lineAt(wl, i); g != w {
+			t.Fatalf("%s line %d:\n got  %q\n want %q\nregenerate it with the command in goldenFile's comment and say why it moved", goldenFile, i+1, g, w)
+		}
+	}
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return ""
+}
 
 // TestFig4aPhaseTransitionGolden is the golden-figure regression test for
 // the paper's headline result: Figure 4(a)'s 0→1 phase transition of

@@ -27,7 +27,7 @@ type mrDataset struct {
 // split is charged inputBytes/len(splits) of simulated file; the cost
 // model's ParseRate charges CPU for the difference between the sampled
 // records and the simulated file size.
-func buildMRDataset(name string, global linalg.Vector, nSplits, touch int, inputBytes int64, seed uint64) (*mrDataset, error) {
+func buildMRDataset(name string, global linalg.Vector, nSplits, touch int, inputBytes int64, seed uint64) *mrDataset {
 	n := len(global)
 	keys := make([]string, n)
 	for i := range keys {
@@ -43,7 +43,6 @@ func buildMRDataset(name string, global linalg.Vector, nSplits, touch int, input
 	if touch > nSplits {
 		touch = nSplits
 	}
-	var totalRecords int64
 	for i, v := range global {
 		// Pick `touch` distinct splits and give them zero-sum-noised
 		// shares of v.
@@ -58,7 +57,6 @@ func buildMRDataset(name string, global linalg.Vector, nSplits, touch int, input
 				share = rem
 			}
 			recs[sp] = append(recs[sp], mapreduce.Record{Key: keys[i], Value: share})
-			totalRecords++
 		}
 	}
 	splits := make([]mapreduce.Split, nSplits)
@@ -74,21 +72,20 @@ func buildMRDataset(name string, global linalg.Vector, nSplits, touch int, input
 	for i := range splits {
 		splits[i] = mapreduce.Split{Records: recs[i], Bytes: per, Represents: rep}
 	}
-	_ = totalRecords
 	return &mrDataset{
 		name:       name,
 		global:     global,
 		dict:       dict,
 		splits:     splits,
 		inputBytes: inputBytes,
-	}, nil
+	}
 }
 
 func (d *mrDataset) config(reducers int) mapreduce.Config {
 	// Input-volume-dependent CPU is charged via the model's ParseRate
-	// against each split's simulated Bytes; the measured CPU on top is
-	// the job-specific extra work (measurement / recovery), which does
-	// not scale with raw input size.
+	// against each split's simulated Bytes; the counted CPU on top is
+	// the work on the sampled records (aggregation, measurement,
+	// recovery), which does not scale with raw input size.
 	return mapreduce.Config{
 		Reducers: reducers,
 		MapSlots: 20, // the paper's 10-node cluster, 2 map slots each
@@ -100,7 +97,7 @@ func (d *mrDataset) config(reducers int) mapreduce.Config {
 // scale: power-law α=1.5 with a 600 MB input ("small"), the same data
 // charged as a 600 GB input ("big"), and the production click data
 // (12 GB), mode shifted to 0 as the paper does for the top-k comparison.
-func fig10Datasets(cfg Config) ([]*mrDataset, error) {
+func fig10Datasets(cfg Config) []*mrDataset {
 	sc := cfg.scale()
 	// Floor of 20K keys: below that, the tuple volume the CS job saves
 	// is too small to outweigh recovery overhead at any M — the paper's
@@ -111,14 +108,8 @@ func fig10Datasets(cfg Config) ([]*mrDataset, error) {
 	// each mapper's partial aggregation covers most of the key space —
 	// that is what makes the traditional job ship ~N tuples per mapper.
 	pl := workload.PowerLaw(n, 1.5, cfg.Seed+201)
-	small, err := buildMRDataset("alpha=1.5 small (600MB)", pl, 20, 15, 600e6, cfg.Seed+301)
-	if err != nil {
-		return nil, err
-	}
-	big, err := buildMRDataset("alpha=1.5 big (600GB)", pl, 60, 45, 600e9, cfg.Seed+302)
-	if err != nil {
-		return nil, err
-	}
+	small := buildMRDataset("alpha=1.5 small (600MB)", pl, 20, 15, 600e6, cfg.Seed+301)
+	big := buildMRDataset("alpha=1.5 big (600GB)", pl, 60, 45, 600e9, cfg.Seed+302)
 	// The production key space floors at ~one third of the real 10.4K
 	// keys, for the same reason as the 20K floor above.
 	prodScale := sc
@@ -132,15 +123,12 @@ func fig10Datasets(cfg Config) ([]*mrDataset, error) {
 	for i := range shifted {
 		shifted[i] -= cl.Mode // §6.2: "change the data's mode to 0"
 	}
-	product, err := buildMRDataset("product (12GB)", shifted, 24, 18, 12e9, cfg.Seed+303)
-	if err != nil {
-		return nil, err
-	}
-	return []*mrDataset{small, big, product}, nil
+	product := buildMRDataset("product (12GB)", shifted, 24, 18, 12e9, cfg.Seed+303)
+	return []*mrDataset{small, big, product}
 }
 
 // mrPoint is one run: its simulated times, and the shuffle volume they
-// derive from — an exact function of the input, unlike the clock.
+// derive from. All are exact functions of the input.
 type mrPoint struct {
 	endToEnd, mapT, reduceT float64 // seconds
 	shuffleBytes            int64   // mapper output = spill = shuffle
@@ -149,11 +137,7 @@ type mrPoint struct {
 
 func runCS(d *mrDataset, m, k int, seed uint64) (mrPoint, error) {
 	p := sensing.Params{M: m, N: d.dict.N(), Seed: seed}
-	// Allow a larger dense matrix than the library default (≈1.3 GB at
-	// the cap): the column-regenerating fallback pays N·M Gaussian
-	// regenerations per recovery iteration, which distorts the reducer
-	// timing this experiment measures.
-	job := &mapreduce.SketchJob{Dict: d.dict, Params: p, K: k, DenseLimit: 16e7}
+	job := &mapreduce.SketchJob{Dict: d.dict, Params: p, K: k}
 	_, met, err := mapreduce.Run(job, d.splits, d.config(1))
 	if err != nil {
 		return mrPoint{}, err
@@ -184,12 +168,14 @@ func toPoint(met *mapreduce.Metrics) mrPoint {
 	}
 }
 
+// mSweep returns lo, lo+step, … below hi, then hi: a coarse sweep keeps
+// the largest M the paper plots.
 func mSweep(lo, hi, step int) []float64 {
 	var ms []float64
-	for m := lo; m <= hi; m += step {
+	for m := lo; m < hi; m += step {
 		ms = append(ms, float64(m))
 	}
-	return ms
+	return append(ms, float64(hi))
 }
 
 // fig1011Cache memoizes the shared Figure 10/11 sweep per Config, so
@@ -218,10 +204,7 @@ func fig1011(cfg Config) (fig10 []*Table, fig11 []*Table, err error) {
 }
 
 func fig1011Compute(cfg Config) (fig10 []*Table, fig11 []*Table, err error) {
-	datasets, err := fig10Datasets(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+	datasets := fig10Datasets(cfg)
 	const k = 5
 	step := 1
 	if cfg.scale() < 0.05 {
@@ -369,10 +352,7 @@ func fig12Sweep(cfg Config) (ns []float64, series map[string][]mrPoint, err erro
 	for _, nf := range ns {
 		n := int(nf)
 		global := workload.PowerLaw(n, 1.5, cfg.Seed+501+uint64(n))
-		d, err := buildMRDataset(fmt.Sprintf("N=%d", n), global, 20, 3, 10e9, cfg.Seed+601+uint64(n))
-		if err != nil {
-			return nil, nil, err
-		}
+		d := buildMRDataset(fmt.Sprintf("N=%d", n), global, 20, 3, 10e9, cfg.Seed+601+uint64(n))
 		trad, err := runTraditional(d)
 		if err != nil {
 			return nil, nil, err

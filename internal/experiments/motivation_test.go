@@ -36,11 +36,7 @@ func TestFig1LocalViewsDiffer(t *testing.T) {
 }
 
 func TestJitterDegradesGracefully(t *testing.T) {
-	tables, err := Run("jitter", Config{Scale: 0.05, Trials: 3, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := tables[0]
+	tb := run(t, "jitter")[0]
 	var ek, modeErr []float64
 	for _, s := range tb.Series {
 		switch s.Name {

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"sort"
-	"time"
-
 	"csoutlier/internal/sensing"
 	"csoutlier/internal/workload"
 	"csoutlier/internal/xrand"
@@ -14,10 +11,9 @@ import (
 // estimate) on the paper's majority-dominated workload, swept over M.
 // It measures what the streaming fast path trades: per-key accuracy
 // (outlier recall at a fixed threshold, false positives on clean keys,
-// relative value error on the hits) against sketch size and per-query
-// wall time — the numbers behind the pr8 EXPERIMENTS table. Unlike the
-// BOMP figures there is no recovery loop to time: a query costs depth
-// hashed reads whatever N or k is.
+// relative value error on the hits) against sketch size. A query costs
+// depth hashed reads whatever M, N or k is; the benchmark times it
+// (csoutlier.point_query_ns).
 func PointQ(cfg Config) ([]*Table, error) {
 	const (
 		n      = 2000
@@ -42,8 +38,6 @@ func PointQ(cfg Config) ([]*Table, error) {
 	recall := make([]float64, len(ms))
 	falsePos := make([]float64, len(ms))
 	valErr := make([]float64, len(ms))
-	p50 := make([]float64, len(ms))
-	p99 := make([]float64, len(ms))
 	kb := make([]float64, len(ms))
 	rng := xrand.New(cfg.Seed + 0x1f)
 	for mi, mf := range ms {
@@ -52,7 +46,6 @@ func PointQ(cfg Config) ([]*Table, error) {
 		var hits, planted, fps, clean int
 		var errSum float64
 		var errCnt int
-		lats := make([]float64, 0, trials*n)
 		for trial := 0; trial < trials; trial++ {
 			seed := rng.Uint64()
 			x, support := workload.MajorityDominated(n, s, mode, minMag, maxMag, seed)
@@ -67,9 +60,7 @@ func PointQ(cfg Config) ([]*Table, error) {
 				hot[j] = true
 			}
 			for j := 0; j < n; j++ {
-				start := time.Now()
 				v := cs.PointEstimate(y, j, est)
-				lats = append(lats, float64(time.Since(start).Nanoseconds()))
 				dev := v - est
 				if dev < 0 {
 					dev = -dev
@@ -98,9 +89,6 @@ func PointQ(cfg Config) ([]*Table, error) {
 		if errCnt > 0 {
 			valErr[mi] = errSum / float64(errCnt)
 		}
-		sort.Float64s(lats)
-		p50[mi] = lats[len(lats)/2]
-		p99[mi] = lats[len(lats)*99/100]
 	}
 	for _, sr := range []struct {
 		name string
@@ -109,8 +97,6 @@ func PointQ(cfg Config) ([]*Table, error) {
 		{"outlier recall", recall},
 		{"clean false-pos rate", falsePos},
 		{"rel value err on hits", valErr},
-		{"query p50 ns", p50},
-		{"query p99 ns", p99},
 		{"sketch KiB", kb},
 	} {
 		if err := t.AddSeries(sr.name, sr.y); err != nil {

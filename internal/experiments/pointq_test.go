@@ -3,13 +3,9 @@ package experiments
 import "testing"
 
 func TestPointQConverges(t *testing.T) {
-	tables, err := Run("pointq", Config{Scale: 0.05, Trials: 3, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := tables[0]
-	if len(tb.Series) != 6 {
-		t.Fatalf("series = %d, want 6 quality/cost columns", len(tb.Series))
+	tb := run(t, "pointq")[0]
+	if len(tb.Series) != 4 {
+		t.Fatalf("series = %d, want 4 quality/cost columns", len(tb.Series))
 	}
 	byName := map[string][]float64{}
 	for _, s := range tb.Series {
@@ -25,12 +21,6 @@ func TestPointQConverges(t *testing.T) {
 	}
 	if fp[0] < fp[last] {
 		t.Fatalf("false-pos rate grew with M: %v", fp)
-	}
-	// A query is O(depth) hashed reads whatever M is: the p50 must not
-	// scale with the sketch (allow generous jitter on shared boxes).
-	p50 := byName["query p50 ns"]
-	if p50[last] > 20*p50[0] {
-		t.Fatalf("p50 scaled with M: %v", p50)
 	}
 	// Sketch bytes are exactly 8·M.
 	kb := byName["sketch KiB"]

@@ -30,7 +30,7 @@ var registry = map[string]struct {
 	"fig1":      {Fig1, "motivating example: local views vs global truth; outlier-k vs top-k"},
 	"jitter":    {Jitter, "extension: BOMP robustness to concentration jitter (near-sparse data)"},
 	"ensembles": {Ensembles, "extension: Gaussian vs count-sketch measurement quality"},
-	"pointq":    {PointQ, "extension: recovery-free count-sketch point queries — accuracy, bytes, latency vs M"},
+	"pointq":    {PointQ, "extension: recovery-free count-sketch point queries — accuracy and bytes vs M"},
 }
 
 // IDs returns the registered experiment ids, sorted.

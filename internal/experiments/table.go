@@ -14,6 +14,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -128,15 +129,21 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// formatNum prints v at a fixed precision for its magnitude, one decimal
+// from 100 up and four below, without the decimals when the rounded value
+// is whole. The text is a function of the rounded value, so it changes
+// only when v crosses a rounding boundary: 5000 and 5000 ± 1e-9 print
+// alike.
 func formatNum(v float64) string {
-	switch {
-	case v == float64(int64(v)) && v < 1e15 && v > -1e15:
-		return fmt.Sprintf("%d", int64(v))
-	case v >= 100 || v <= -100:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.4f", v)
+	prec := 4
+	if math.Abs(v) >= 100 {
+		prec = 1
 	}
+	r, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'f', prec, 64), 64)
+	if r == math.Trunc(r) {
+		prec = 0
+	}
+	return strconv.FormatFloat(r+0, 'f', prec, 64) // r+0 turns −0 into 0
 }
 
 // Config tunes an experiment run.

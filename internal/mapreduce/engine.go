@@ -5,21 +5,44 @@
 //
 // The engine is real where it matters and modeled where it cannot be:
 // map functions, the hash shuffle, and reduce functions actually execute
-// (goroutine worker pools, real CPU timing, exact byte accounting of
-// every emitted tuple), while disk and network latency are converted
-// from the measured byte counts by an explicit CostModel calibrated to
-// the paper's testbed (10 nodes, 1 Gbps). DESIGN.md §1 documents why
-// this substitution preserves the Figure 10–12 crossover behaviour.
+// on a goroutine worker pool with exact byte accounting of every emitted
+// tuple, while CPU, disk and network time are modeled. CPU is counted
+// work (records aggregated, values merged, multiply-adds) times two
+// fitted constants; disk and network time come from the byte counts
+// through an explicit CostModel calibrated to the paper's testbed (10
+// nodes, 1 Gbps). Every modeled time is therefore a function of the
+// input. DESIGN.md §1 documents why this substitution preserves the
+// Figure 10–12 crossover behaviour.
 package mapreduce
 
 import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 )
+
+// The CPU a task is charged is its counted work times these constants,
+// fitted once by least squares on relative error to the CPU of every
+// task measured on the Figs 10–12 sweeps at scale 0.15 (EXPERIMENTS.md
+// pr39).
+const (
+	// recordNs is the CPU per record a mapper aggregates and per value a
+	// reducer merges.
+	recordNs = 237.9
+	// mulAddNs is the CPU per multiply-add a job reports: a mapper's
+	// measurement, a reducer's sketch sum and its recovery's correlations.
+	mulAddNs = 1.211
+)
+
+// workCPU charges a task for the records it handled and the
+// multiply-adds it did.
+func workCPU(records int, mulAdds int64) time.Duration {
+	return time.Duration(float64(records)*recordNs + float64(mulAdds)*mulAddNs)
+}
 
 // Record is one input line: a raw key with a click score.
 type Record struct {
@@ -37,12 +60,13 @@ type KV struct {
 
 func (kv KV) wireBytes() int64 { return int64(len(kv.Key) + len(kv.Value)) }
 
-// Job is a MapReduce program.
+// Job is a MapReduce program. Each call returns the multiply-adds it
+// did; the engine counts the records and values itself.
 type Job interface {
 	// Map consumes one input split and emits intermediate tuples.
-	Map(split []Record, emit func(KV)) error
+	Map(split []Record, emit func(KV)) (mulAdds int64, err error)
 	// Reduce consumes all tuples of one key and emits output tuples.
-	Reduce(key string, values [][]byte, emit func(KV)) error
+	Reduce(key string, values [][]byte, emit func(KV)) (mulAdds int64, err error)
 }
 
 // CostModel converts byte counts into simulated wall-clock time.
@@ -62,8 +86,8 @@ type CostModel struct {
 	// ParseRate is the mapper's record parse/aggregate CPU throughput
 	// (bytes/s) charged against each split's simulated Bytes — the part
 	// of map CPU that scales with input volume even when the split's
-	// Records are a sampled stand-in for a larger file. The measured map
-	// CPU (measurement, aggregation of the sample) is added on top.
+	// Records are a sampled stand-in for a larger file. The counted map
+	// CPU (aggregation of the sample, measurement) is added on top.
 	// 0 disables the charge.
 	ParseRate float64
 	// MergePasses is the number of times reduce-side input crosses the
@@ -91,8 +115,7 @@ type Config struct {
 	Reducers int
 	// MapSlots / ReduceSlots are the concurrent task slots of the
 	// simulated cluster (10 nodes in the paper). They gate the *modeled*
-	// wave schedule; real execution runs min(MapSlots, GOMAXPROCS) map
-	// tasks at a time (see Run).
+	// wave schedule; real execution runs GOMAXPROCS tasks at a time.
 	MapSlots, ReduceSlots int
 	Cost                  CostModel
 }
@@ -127,8 +150,8 @@ type Metrics struct {
 	MapOutputTuples int64 // tuples emitted by mappers
 	OutputBytes     int64 // bytes emitted by reducers
 
-	MapCPU    time.Duration // measured mapper compute plus the parse and tuple charges
-	ReduceCPU time.Duration // measured reducer compute
+	MapCPU    time.Duration // counted mapper work plus the parse and tuple charges
+	ReduceCPU time.Duration // counted reducer work
 
 	MapTime     time.Duration // modeled map-phase wall clock
 	ShuffleTime time.Duration // modeled shuffle
@@ -165,9 +188,9 @@ func (s Split) represents() int {
 // sorted by key, with metrics.
 func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 	cfg.normalize()
-	met := &Metrics{MapTasks: len(splits), ReduceTasks: cfg.Reducers}
+	met := &Metrics{ReduceTasks: cfg.Reducers}
 
-	// --- Map phase: real execution on a worker pool. ---
+	// --- Map phase: real execution on a worker pool, counted CPU. ---
 	type mapOut struct {
 		kvs      []KV
 		cpu      time.Duration
@@ -175,11 +198,7 @@ func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 		err      error
 	}
 	outs := make([]mapOut, len(splits))
-	// Real execution parallelism is capped at the host's cores: MapSlots
-	// drives the *modeled* schedule, but running more goroutines than
-	// cores would inflate the measured per-task CPU with scheduler
-	// contention.
-	sem := make(chan struct{}, min(cfg.MapSlots, runtime.GOMAXPROCS(0)))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, sp := range splits {
 		met.InputBytes += sp.Bytes
@@ -190,12 +209,11 @@ func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 			defer func() { <-sem }()
 			var kvs []KV
 			var bytes int64
-			start := time.Now()
-			err := job.Map(sp.Records, func(kv KV) {
+			mulAdds, err := job.Map(sp.Records, func(kv KV) {
 				kvs = append(kvs, kv)
 				bytes += kv.wireBytes()
 			})
-			outs[i] = mapOut{kvs: kvs, cpu: time.Since(start), outBytes: bytes, err: err}
+			outs[i] = mapOut{kvs: kvs, cpu: workCPU(len(sp.Records), mulAdds), outBytes: bytes, err: err}
 		}(i, sp)
 	}
 	wg.Wait()
@@ -206,7 +224,6 @@ func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 	// Bytes/R input each.
 	var mapTaskTimes []time.Duration
 	var sampledTuples int64
-	met.MapTasks = 0
 	for i, o := range outs {
 		if o.err != nil {
 			return nil, nil, fmt.Errorf("mapreduce: map task %d: %w", i, o.err)
@@ -253,7 +270,8 @@ func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 	}
 	met.ShuffleTime = seconds(float64(met.MapOutputBytes) / cfg.Cost.NetBandwidth)
 
-	// --- Reduce phase: real execution, one task per partition. ---
+	// --- Reduce phase: real execution, one task per partition, counted
+	// CPU. ---
 	type redOut struct {
 		kvs      []KV
 		cpu      time.Duration
@@ -280,18 +298,19 @@ func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 			}
 			sort.Strings(keys)
 			var kvs []KV
-			var outBytes int64
-			start := time.Now()
+			var outBytes, mulAdds int64
 			for _, k := range keys {
-				if err := job.Reduce(k, parts[p][k], func(kv KV) {
+				n, err := job.Reduce(k, parts[p][k], func(kv KV) {
 					kvs = append(kvs, kv)
 					outBytes += kv.wireBytes()
-				}); err != nil {
+				})
+				if err != nil {
 					routs[p] = redOut{err: err}
 					return
 				}
+				mulAdds += n
 			}
-			routs[p] = redOut{kvs: kvs, cpu: time.Since(start), inBytes: inBytes, inTuples: inTuples, outBytes: outBytes}
+			routs[p] = redOut{kvs: kvs, cpu: workCPU(int(inTuples), mulAdds), inBytes: inBytes, inTuples: inTuples, outBytes: outBytes}
 		}(p)
 	}
 	wg.Wait()
@@ -340,22 +359,9 @@ func scheduleWaves(tasks []time.Duration, slots int) time.Duration {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
 	load := make([]time.Duration, slots)
 	for _, t := range sorted {
-		// Least-loaded slot.
-		min := 0
-		for s := 1; s < slots; s++ {
-			if load[s] < load[min] {
-				min = s
-			}
-		}
-		load[min] += t
+		load[slices.Index(load, slices.Min(load))] += t // the least-loaded slot
 	}
-	max := load[0]
-	for _, l := range load[1:] {
-		if l > max {
-			max = l
-		}
-	}
-	return max
+	return slices.Max(load)
 }
 
 func partition(key string, reducers int) int {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"csoutlier/internal/keydict"
@@ -64,16 +65,28 @@ func decodeFloats(b []byte) ([]float64, error) {
 
 // localAggregate sums the split's records per dictionary position — the
 // partial aggregation both mappers share (paper Figure 2 / Algorithm 3).
-func localAggregate(dict *keydict.Dictionary, split []Record) (map[uint32]float64, error) {
-	agg := make(map[uint32]float64)
+// It returns the positions in canonical (ascending) order with their
+// sums, so what a mapper emits or measures, bit for bit, does not depend
+// on map iteration order (the rule Sketcher.SketchPairs follows).
+func localAggregate(dict *keydict.Dictionary, split []Record) (idx []int, sums []float64, err error) {
+	agg := make(map[int]float64)
 	for _, rec := range split {
 		i, ok := dict.Index(rec.Key)
 		if !ok {
-			return nil, fmt.Errorf("mapreduce: record key %q not in global key list", rec.Key)
+			return nil, nil, fmt.Errorf("mapreduce: record key %q not in global key list", rec.Key)
 		}
-		agg[uint32(i)] += rec.Value
+		agg[i] += rec.Value
 	}
-	return agg, nil
+	idx = make([]int, 0, len(agg))
+	for i := range agg {
+		idx = append(idx, i)
+	}
+	slices.Sort(idx)
+	sums = make([]float64, len(idx))
+	for n, i := range idx {
+		sums[n] = agg[i]
+	}
+	return idx, sums, nil
 }
 
 // TopKJob is the traditional distributed top-k aggregation the paper
@@ -85,29 +98,29 @@ type TopKJob struct {
 }
 
 // Map implements Job.
-func (j *TopKJob) Map(split []Record, emit func(KV)) error {
-	agg, err := localAggregate(j.Dict, split)
+func (j *TopKJob) Map(split []Record, emit func(KV)) (int64, error) {
+	idx, sums, err := localAggregate(j.Dict, split)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	for id, sum := range agg {
-		emit(KV{Key: encodeKeyID(id), Value: encodeFloat(sum)})
+	for n, id := range idx {
+		emit(KV{Key: encodeKeyID(uint32(id)), Value: encodeFloat(sums[n])})
 	}
-	return nil
+	return 0, nil
 }
 
 // Reduce implements Job.
-func (j *TopKJob) Reduce(key string, values [][]byte, emit func(KV)) error {
+func (j *TopKJob) Reduce(key string, values [][]byte, emit func(KV)) (int64, error) {
 	total := 0.0
 	for _, v := range values {
 		f, err := decodeFloat(v)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		total += f
 	}
 	emit(KV{Key: key, Value: encodeFloat(total)})
-	return nil
+	return 0, nil
 }
 
 // sketchKey is the single intermediate key of the CS job: every mapper's
@@ -124,12 +137,6 @@ type SketchJob struct {
 	Dict   *keydict.Dictionary
 	Params sensing.Params
 	K      int
-	// DenseLimit caps M·N for materializing Φ₀; above it mappers and the
-	// reducer fall back to the column-regenerating representation
-	// (every real Hadoop mapper regenerates anyway — sharing one dense
-	// matrix across this simulation's in-process mappers is free).
-	// 0 means sensing.New's default, 4e7 entries (320 MB).
-	DenseLimit int64
 
 	matOnce sync.Once
 	mat     sensing.Matrix
@@ -137,25 +144,26 @@ type SketchJob struct {
 	matErr  error
 }
 
-// Map implements Job (CS-Mapper, Algorithm 3).
-func (j *SketchJob) Map(split []Record, emit func(KV)) error {
-	agg, err := localAggregate(j.Dict, split)
+// denseLimit caps M·N for a stored Φ₀ (1.28 GB at the cap); above it
+// mappers and the reducer regenerate columns. Both hold the same bits and
+// count the same work: the stored one only runs faster, and sharing it
+// across this simulation's in-process mappers is free.
+const denseLimit = 16e7
+
+// Map implements Job (CS-Mapper, Algorithm 3): one multiply-add per
+// aggregated key and row.
+func (j *SketchJob) Map(split []Record, emit func(KV)) (int64, error) {
+	idx, sums, err := localAggregate(j.Dict, split)
 	if err != nil {
-		return err
-	}
-	idx := make([]int, 0, len(agg))
-	vals := make([]float64, 0, len(agg))
-	for id, sum := range agg {
-		idx = append(idx, int(id))
-		vals = append(vals, sum)
+		return 0, err
 	}
 	m, err := j.recoveryMatrix()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	y := m.MeasureSparse(idx, vals, nil)
+	y := m.MeasureSparse(idx, sums, nil)
 	emit(KV{Key: sketchKey, Value: encodeFloats(y)})
-	return nil
+	return int64(len(idx)) * int64(j.Params.M), nil
 }
 
 // Reduce implements Job (CS-Reducer, Algorithm 4). Output tuples are the
@@ -163,40 +171,42 @@ func (j *SketchJob) Map(split []Record, emit func(KV)) error {
 // under key id 2³²−1.
 const modeKeyID = ^uint32(0)
 
-// Reduce implements Job.
-func (j *SketchJob) Reduce(key string, values [][]byte, emit func(KV)) error {
+// Reduce implements Job: M multiply-adds per sketch summed, and M per
+// dictionary column the recovery correlates.
+func (j *SketchJob) Reduce(key string, values [][]byte, emit func(KV)) (int64, error) {
 	if key != sketchKey {
-		return fmt.Errorf("mapreduce: CS reducer got unexpected key %q", key)
+		return 0, fmt.Errorf("mapreduce: CS reducer got unexpected key %q", key)
 	}
 	global := make(linalg.Vector, j.Params.M)
 	for _, v := range values {
 		y, err := decodeFloats(v)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if len(y) != j.Params.M {
-			return fmt.Errorf("mapreduce: sketch length %d, want M=%d", len(y), j.Params.M)
+			return 0, fmt.Errorf("mapreduce: sketch length %d, want M=%d", len(y), j.Params.M)
 		}
 		sensing.AddSketch(global, linalg.Vector(y))
 	}
 	mat, err := j.recoveryMatrix()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	res, err := j.ws.BOMP(mat, global, recovery.Options{MaxIterations: recovery.IterationBudget(j.K)})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for _, kv := range res.Outliers(j.K) {
 		emit(KV{Key: encodeKeyID(uint32(kv.Index)), Value: encodeFloat(kv.Value)})
 	}
 	emit(KV{Key: encodeKeyID(modeKeyID), Value: encodeFloat(res.Mode)})
-	return nil
+	columns := int64(len(values) + j.ws.GramStats().CorrelateColumns)
+	return columns * int64(j.Params.M), nil
 }
 
 func (j *SketchJob) recoveryMatrix() (sensing.Matrix, error) {
 	j.matOnce.Do(func() {
-		j.mat, j.matErr = sensing.New(sensing.GaussianSpec(j.Params), j.DenseLimit)
+		j.mat, j.matErr = sensing.New(sensing.GaussianSpec(j.Params), denseLimit)
 		if j.matErr == nil {
 			j.ws = recovery.NewGramCache(j.mat).NewWorkspace()
 		}

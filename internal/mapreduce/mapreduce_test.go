@@ -165,15 +165,15 @@ func TestSketchJobRejectsUnknownKey(t *testing.T) {
 
 type errJob struct{ onMap bool }
 
-func (e *errJob) Map(split []Record, emit func(KV)) error {
+func (e *errJob) Map(split []Record, emit func(KV)) (int64, error) {
 	if e.onMap {
-		return errors.New("map boom")
+		return 0, errors.New("map boom")
 	}
 	emit(KV{Key: "k", Value: []byte{1}})
-	return nil
+	return 0, nil
 }
-func (e *errJob) Reduce(key string, values [][]byte, emit func(KV)) error {
-	return errors.New("reduce boom")
+func (e *errJob) Reduce(key string, values [][]byte, emit func(KV)) (int64, error) {
+	return 0, errors.New("reduce boom")
 }
 
 func TestErrorPropagation(t *testing.T) {
@@ -199,11 +199,61 @@ func TestCostModelMonotonicInBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return met.MapTime + met.ShuffleTime // exclude real reduce CPU jitter
+		return met.EndToEnd
 	}
 	small, big := run(1), run(1000)
 	if big <= small {
 		t.Fatalf("1000x input bytes modeled faster: %v <= %v", big, small)
+	}
+}
+
+// TestSketchMapDeterministic: a CS mapper measures its keys in
+// canonical order, so the same split emits the same sketch bits however
+// Go iterates the aggregation map.
+func TestSketchMapDeterministic(t *testing.T) {
+	keys := make([]string, 2000)
+	split := make([]Record, len(keys))
+	r := xrand.New(8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%05d", i)
+		split[i] = Record{Key: keys[i], Value: r.NormFloat64() * 1e3}
+	}
+	dict := keydict.FromSorted(keys)
+	job := &SketchJob{Dict: dict, Params: sensing.Params{M: 64, N: dict.N(), Seed: 3}, K: 3}
+	emitted := func() string {
+		var out []byte
+		if _, err := job.Map(split, func(kv KV) { out = append(out, kv.Value...) }); err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	first := emitted()
+	for i := 0; i < 5; i++ {
+		if emitted() != first {
+			t.Fatalf("call %d emitted different sketch bytes from the same split", i+2)
+		}
+	}
+}
+
+// TestRunMetricsDeterministic: every modeled time is counted work or
+// bytes, so two runs of one job report equal Metrics.
+func TestRunMetricsDeterministic(t *testing.T) {
+	dict, splits, _ := buildWorkload(t, 0.05, 3, 2, 7)
+	p := sensing.Params{M: 120, N: dict.N(), Seed: 53}
+	var first *Metrics
+	for i := 0; i < 3; i++ {
+		_, met, err := Run(&SketchJob{Dict: dict, Params: p, K: 5}, splits, Config{Reducers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.MapCPU <= 0 || met.ReduceCPU <= 0 {
+			t.Fatalf("no CPU charged: %+v", met)
+		}
+		if first == nil {
+			first = met
+		} else if *met != *first {
+			t.Fatalf("run %d metrics %+v, want %+v", i+1, *met, *first)
+		}
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 // countJob emits one fixed tuple per Map call.
 type countJob struct{}
 
-func (countJob) Map(split []Record, emit func(KV)) error {
+func (countJob) Map(split []Record, emit func(KV)) (int64, error) {
 	emit(KV{Key: "kkkk", Value: []byte{1, 2, 3, 4, 5, 6, 7, 8}})
-	return nil
+	return 0, nil
 }
-func (countJob) Reduce(key string, values [][]byte, emit func(KV)) error {
+func (countJob) Reduce(key string, values [][]byte, emit func(KV)) (int64, error) {
 	emit(KV{Key: key, Value: []byte{byte(len(values))}})
-	return nil
+	return 0, nil
 }
 
 func TestRepresentsScalesVolumes(t *testing.T) {
