@@ -27,10 +27,9 @@ import (
 
 func main() {
 	cl := workload.GenerateClickLogs(workload.ClickLogConfig{
-		Query:       workload.CoreSearchClicks,
-		DataCenters: 8,
-		ScaleN:      0.2, // 20% of the production key space, for a quick run
-		Seed:        7,
+		Query:  workload.CoreSearchClicks,
+		ScaleN: 0.2, // 20% of the production key space, for a quick run
+		Seed:   7,
 	})
 	n := len(cl.Keys)
 	const k = 10

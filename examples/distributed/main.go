@@ -103,14 +103,14 @@ func main() {
 	fmt.Printf("  quorum aggregate recovers the same mode: %.1f\n", qrep.Mode)
 
 	// Baselines, in process over the same slices.
-	all, err := baseline.All(ctx, locals, k)
+	all, err := baseline.All(slices, k)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nALL:         mode %.1f, %d bytes, %d round (exact)\n",
 		all.Mode, all.Stats.Bytes, all.Stats.Rounds)
 
-	kd, err := baseline.KDelta(ctx, locals, baseline.KDeltaForBudget(rep.Stats.Bytes, nodes, k, n, 5))
+	kd, err := baseline.KDelta(slices, k, rep.Stats.Bytes, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,14 +14,13 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
 	"csoutlier/internal/baseline"
-	"csoutlier/internal/cluster"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
+	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
 	"csoutlier/internal/workload"
 	"csoutlier/internal/xrand"
@@ -53,19 +52,17 @@ func main() {
 			slices[j][i] = v * w[j] / sum
 		}
 	}
-	api := wrap(slices)
 
 	fmt.Println("=== non-negative data: everyone agrees ===")
-	ctx := context.Background()
-	ta, err := baseline.TA(ctx, api, k)
+	ta, err := baseline.TA(slices, k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tput, err := baseline.TPUT(ctx, api, k)
+	tput, err := baseline.TPUT(slices, k)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cs := csTopK(api, k)
+	cs := csTopK(slices, k)
 	fmt.Printf("TA:    %v   (%d bytes, depth %d)\n", keysOf(ta.TopK), ta.Stats.Bytes, ta.RoundsOfDepth)
 	fmt.Printf("TPUT:  %v   (%d bytes, 3 rounds)\n", keysOf(tput.TopK), tput.Stats.Bytes)
 	fmt.Printf("CS:    %v   (%d bytes, 1 round)\n", keysOf(cs.kvs), cs.bytes)
@@ -75,14 +72,13 @@ func main() {
 	// reached by cancelling contributions — but TA/TPUT's premise dies.
 	fmt.Println("\n=== signed data: partial sums no longer lower-bound totals ===")
 	signed := workload.SplitZeroSumNoise(global, nodes, 5, 77)
-	apiSigned := wrap(signed)
-	if _, err := baseline.TA(ctx, apiSigned, k); err != nil {
+	if _, err := baseline.TA(signed, k); err != nil {
 		fmt.Printf("TA:    refused: %v\n", err)
 	}
-	if _, err := baseline.TPUT(ctx, apiSigned, k); err != nil {
+	if _, err := baseline.TPUT(signed, k); err != nil {
 		fmt.Printf("TPUT:  refused: %v\n", err)
 	}
-	cs2 := csTopK(apiSigned, k)
+	cs2 := csTopK(signed, k)
 	fmt.Printf("CS:    %v   (%d bytes, 1 round)\n", keysOf(cs2.kvs), cs2.bytes)
 
 	truth := outlier.TopK(global, 0, k)
@@ -96,24 +92,25 @@ type csResult struct {
 	bytes int64
 }
 
-// csTopK answers top-k (mode 0) through the sketch pipeline: k-outliers
-// around the recovered mode, which the power-law data keeps near the
-// density bulk, so the extreme tail surfaces first.
-func csTopK(api []*cluster.LocalNode, k int) csResult {
-	p := sensing.Params{M: 250, N: n, Seed: 9}
-	res, err := cluster.Detect(api, sensing.GaussianSpec(p), k)
+// csTopK answers top-k (mode 0) through the sketch pipeline: every node
+// measures its slice, the sketches add up, and BOMP recovers the
+// k-outliers around the recovered mode, which the power-law data keeps
+// near the density bulk, so the extreme tail surfaces first. One round
+// ships one M-value sketch a node.
+func csTopK(slices []linalg.Vector, k int) csResult {
+	phi, err := sensing.NewDense(sensing.Params{M: 250, N: n, Seed: 9})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return csResult{kvs: res.Outliers, bytes: res.Stats.Bytes}
-}
-
-func wrap(slices []linalg.Vector) []*cluster.LocalNode {
-	api := make([]*cluster.LocalNode, len(slices))
-	for i, s := range slices {
-		api[i] = cluster.NewLocalNode(fmt.Sprintf("n%d", i), s)
+	y := make(linalg.Vector, phi.Params().M)
+	for _, x := range slices {
+		sensing.AddSketch(y, phi.Measure(x, nil))
 	}
-	return api
+	res, err := recovery.NewWorkspace().BOMP(phi, y, recovery.Options{MaxIterations: recovery.IterationBudget(k)})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return csResult{kvs: res.Outliers(k), bytes: int64(len(slices)) * sensing.SketchBytes(phi.Params().M)}
 }
 
 func keysOf(kvs []outlier.KV) []int {

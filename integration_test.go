@@ -7,6 +7,7 @@ package csoutlier
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net"
 	"testing"
@@ -24,15 +25,14 @@ import (
 func TestIntegrationAllSurfacesAgree(t *testing.T) {
 	const (
 		k    = 5
-		dcs  = 4
 		seed = 4242
 	)
 	cl := workload.GenerateClickLogs(workload.ClickLogConfig{
-		Query:       workload.CoreSearchClicks,
-		DataCenters: dcs,
-		ScaleN:      0.08,
-		Seed:        seed,
+		Query:  workload.CoreSearchClicks,
+		ScaleN: 0.08,
+		Seed:   seed,
 	})
+	dcs := len(cl.Slices)
 	n := len(cl.Keys)
 	m := n / 6
 	truth := cl.TrueTopOutliers(k)
@@ -61,29 +61,24 @@ func TestIntegrationAllSurfacesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// --- Surface 2: TCP cluster protocol. ---
-	remotes := make([]cluster.NodeAPI, dcs)
-	for dc := 0; dc < dcs; dc++ {
+	// --- Surface 2: TCP cluster protocol, one DetectCluster round. ---
+	addrs := make([]string, dcs)
+	for dc := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ln.Close() })
-		go cluster.Serve(ln, cluster.NewLocalNode(cl.Keys[0][:2]+string(rune('0'+dc)), cl.Slices[dc]))
-		rn, err := cluster.Dial(context.Background(), ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { rn.Close() })
-		remotes[dc] = rn
+		go cluster.Serve(ln, cluster.NewLocalNode(fmt.Sprintf("dc%d", dc), cl.Slices[dc]))
+		addrs[dc] = ln.Addr().String()
 	}
-	p := sensing.Params{M: m, N: n, Seed: seed}
-	tcpRes, err := cluster.Detect(remotes, sensing.GaussianSpec(p), k)
+	tcpRep, err := sk.DetectCluster(context.Background(), addrs, k, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// --- Surface 3: MapReduce engine. ---
+	p := sensing.Params{M: m, N: n, Seed: seed}
 	dict := keydict.FromSorted(cl.Keys)
 	r := xrand.New(seed)
 	var splits []mapreduce.Split
@@ -105,9 +100,7 @@ func TestIntegrationAllSurfacesAgree(t *testing.T) {
 			mapreduce.Split{Records: recs[half:], Bytes: int64(len(recs)-half) * 32},
 		)
 	}
-	out, _, err := mapreduce.Run(
-		&mapreduce.SketchJob{Dict: dict, Params: p, K: k},
-		splits, mapreduce.Config{Reducers: 1})
+	out, _, err := mapreduce.Run(&mapreduce.SketchJob{Dict: dict, Params: p, K: k}, splits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,24 +110,20 @@ func TestIntegrationAllSurfacesAgree(t *testing.T) {
 	}
 
 	// --- Exact baseline. ---
-	locals := make([]*cluster.LocalNode, dcs)
-	for dc := 0; dc < dcs; dc++ {
-		locals[dc] = cluster.NewLocalNode("x", cl.Slices[dc])
-	}
-	exact, err := baseline.All(context.Background(), locals, k)
+	exact, err := baseline.All(cl.Slices, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// All surfaces consumed the same global data through the same
 	// (seed, M, N): sketches are identical, so answers must be identical.
-	if math.Abs(apiRep.Mode-tcpRes.Mode) > 1e-9 || math.Abs(apiRep.Mode-mrMode) > 1e-9 {
-		t.Fatalf("modes disagree: api %v, tcp %v, mr %v", apiRep.Mode, tcpRes.Mode, mrMode)
+	if math.Abs(apiRep.Mode-tcpRep.Mode) > 1e-9 || math.Abs(apiRep.Mode-mrMode) > 1e-9 {
+		t.Fatalf("modes disagree: api %v, tcp %v, mr %v", apiRep.Mode, tcpRep.Mode, mrMode)
 	}
 	for i := range apiRep.Outliers {
-		if apiRep.Outliers[i].Key != cl.Keys[tcpRes.Outliers[i].Index] {
+		if apiRep.Outliers[i].Key != tcpRep.Outliers[i].Key {
 			t.Fatalf("api/tcp outlier %d differ: %q vs %q",
-				i, apiRep.Outliers[i].Key, cl.Keys[tcpRes.Outliers[i].Index])
+				i, apiRep.Outliers[i].Key, tcpRep.Outliers[i].Key)
 		}
 		if apiRep.Outliers[i].Key != cl.Keys[mrOutliers[i].Index] {
 			t.Fatalf("api/mr outlier %d differ", i)

@@ -268,20 +268,30 @@ func deadline() <-chan time.Time { return time.NewTimer(time.Second).C }`},
 	},
 	{
 		id:      "one-pull-round",
-		name:    "one pull round: internal/baseline is imported by the experiments and examples only, and csagg imports none of the round's parts",
-		section: "pr26",
+		name:    "one pull round: internal/baseline is imported by the experiments and examples only, csagg imports none of the round's parts, the evaluation computes on slices (no internal/cluster in internal/baseline, internal/experiments or examples/topk), and internal/cluster only collects (no internal/recovery or internal/outlier)",
+		section: "pr40",
 		check: func(p *program) []string {
 			return imports(p, func(f *file, path string) bool {
 				dir := dirOf(f)
-				if path == modulePath+"/internal/baseline" {
+				switch path {
+				case modulePath + "/internal/baseline":
 					return !strings.HasPrefix(dir+"/", "internal/experiments/") && !strings.HasPrefix(dir+"/", "examples/")
+				case modulePath + "/internal/cluster":
+					return dir == "cmd/csagg" || dir == "internal/baseline" || dir == "internal/experiments" || dir == "examples/topk"
+				case modulePath + "/internal/recovery", modulePath + "/internal/outlier":
+					return dir == "internal/cluster" || dir == "cmd/csagg" && path == modulePath+"/internal/recovery"
 				}
-				return dir == "cmd/csagg" && (path == modulePath+"/internal/cluster" || path == modulePath+"/internal/recovery" || path == modulePath+"/internal/queries")
+				return dir == "cmd/csagg" && path == modulePath+"/internal/queries"
 			})
 		},
 		fixtures: []map[string]string{
 			{"cmd/csnode/baseline.go": `package main; import _ "csoutlier/internal/baseline"`},
 			{"cmd/csagg/collect.go": `package main; import _ "csoutlier/internal/cluster"`},
+			{"internal/baseline/pull.go": `package baseline; import _ "csoutlier/internal/cluster"`},
+			{"internal/experiments/pull.go": `package experiments; import _ "csoutlier/internal/cluster"`},
+			{"examples/topk/pull.go": `package main; import _ "csoutlier/internal/cluster"`},
+			{"internal/cluster/solve.go": `package cluster; import _ "csoutlier/internal/recovery"`},
+			{"internal/cluster/select.go": `package cluster; import _ "csoutlier/internal/outlier"`},
 		},
 	},
 	{
@@ -343,12 +353,13 @@ func deadline() <-chan time.Time { return time.NewTimer(time.Second).C }`},
 	},
 	{
 		id:      "surface",
-		name:    "every func, method, const and var has a caller outside tests (DESIGN.md lists the exceptions), and every …Options field a writer (no exceptions)",
+		name:    "every func, method, const and var has a caller outside tests (DESIGN.md lists the exceptions), and every …Options or …Config field a writer (no exceptions)",
 		section: "pr31",
 		check:   surface,
 		fixtures: []map[string]string{
 			{"internal/fixture/dead.go": `package fixture; func Unused() {}`},
 			{"internal/fixture/knob.go": `package fixture; type KnobOptions struct{ Knob int }`},
+			{"internal/fixture/cfg.go": `package fixture; type KnobConfig struct{ Knob int }`},
 		},
 	},
 }

@@ -17,7 +17,7 @@ import (
 // An exported name of a package in surfaceStrict needs that use from
 // outside its package; a name only its package uses is unexported.
 // Types and struct fields are exempt, but for the fields of an
-// exported …Options struct: each is a setting, and needs a writer in
+// exported …Options or …Config struct: each is a setting, and needs a writer in
 // non-test code outside its package (a composite-literal key, or an
 // assignment, increment or address-of through a selector) — a default
 // its own package fills in does not count. A method is used where a
@@ -276,15 +276,15 @@ func liveUses(prog *program, decls []*decl) {
 	}
 }
 
-// option is one field of an exported …Options struct.
+// option is one field of an exported …Options or …Config struct.
 type option struct {
 	name    string // qualified: pkgname.Type.Field
 	pos     token.Pos
 	written bool // by non-test code outside its package
 }
 
-// optionFields lists the exported fields of the exported …Options
-// structs the rule holds to account, by qualified name, and marks the
+// optionFields lists the exported fields of the exported …Options and
+// …Config structs the rule holds to account, by qualified name, and marks the
 // ones non-test code outside their package writes.
 func optionFields(prog *program) map[string]*option {
 	byVar := map[*types.Var]*option{}
@@ -303,7 +303,7 @@ func optionFields(prog *program) map[string]*option {
 					return true
 				}
 				st, ok := ts.Type.(*ast.StructType)
-				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Options") {
+				if !ok || !ts.Name.IsExported() || !isSettings(ts.Name.Name) {
 					return false
 				}
 				for _, fl := range st.Fields.List {
@@ -349,6 +349,11 @@ func optionFields(prog *program) map[string]*option {
 		}
 	})
 	return out
+}
+
+// isSettings reports whether a struct's name makes its fields settings.
+func isSettings(name string) bool {
+	return strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")
 }
 
 // origin maps an instantiated generic method or field to its declaration.
@@ -405,9 +410,10 @@ type Options struct {
 }
 func (o *Options) defaults() { o.Defaulted = 1 }
 var _ = (*Options).defaults
-type Settings struct{ NotAnOption int }`,
+type Settings struct{ NotAnOption int }
+type Config struct{ Set, TestOnly int }`,
 		"internal/fix/fix_test.go": `package fix
-func use() { Dead(); K++; _ = Options{TestOnly: 1} }`,
+func use() { Dead(); K++; _ = Options{TestOnly: 1}; _ = Config{TestOnly: 1} }`,
 		"internal/stream/stream.go": `package stream
 func Local()  {}
 func Shared() {}
@@ -423,6 +429,7 @@ func main() {
 	fix.G[int]{}.Get()
 	_ = fix.V
 	o := fix.Options{Lit: 1, Stale: 2}
+	_ = fix.Config{Set: 1}
 	o.Assign = 2
 	_ = &o.Addr
 }`,
@@ -438,7 +445,7 @@ func main() {
 	for _, f := range surface(prog) {
 		got = append(got, findingName.FindStringSubmatch(f)[1])
 	}
-	want := []string{"fix.Dead", "fix.Gone", "fix.K", "fix.Options.Defaulted", "fix.Options.Spare", "fix.Options.Stale", "fix.Options.TestOnly", "fix.T.N", "fix.Used", "fix.helper", "fix.self", "stream.Local"}
+	want := []string{"fix.Config.TestOnly", "fix.Dead", "fix.Gone", "fix.K", "fix.Options.Defaulted", "fix.Options.Spare", "fix.Options.Stale", "fix.Options.TestOnly", "fix.T.N", "fix.Used", "fix.helper", "fix.self", "stream.Local"}
 	sort.Strings(got)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("surface findings name %v, want %v", got, want)

@@ -5,18 +5,49 @@
 // (Fagin et al.) and TPUT themselves, which solve distributed top-k for
 // non-negative data and illustrate why the k-outlier problem over the
 // real field needs a different approach.
+//
+// Each takes the data centers' vectorized slices, one per node, and
+// charges what its rounds would put on the wire at the paper's constants;
+// nothing here crosses a real wire.
 package baseline
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
-	"csoutlier/internal/cluster"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
 	"csoutlier/internal/xrand"
 )
+
+// Wire sizes from the paper's cost model (§6.1.2): a vectorized value or
+// a measurement is 64 bits, a keyid–value tuple is 96 bits.
+const (
+	BytesPerValue = 8
+	BytesPerTuple = 12
+)
+
+// Cost is a baseline run's communication at the paper's constants.
+type Cost struct {
+	Bytes    int64 // total payload bytes
+	Messages int   // node→aggregator or aggregator→node messages
+	Rounds   int   // protocol rounds (ALL: 1; K+δ and TPUT: 3)
+}
+
+// checkSlices refuses what no node list can be: no node at all, or
+// slices of different lengths. It returns the key-space size N.
+func checkSlices(slices []linalg.Vector) (int, error) {
+	if len(slices) == 0 {
+		return 0, fmt.Errorf("baseline: no nodes")
+	}
+	n := len(slices[0])
+	for i, x := range slices {
+		if len(x) != n {
+			return 0, fmt.Errorf("baseline: node %d vector length %d, want %d", i, len(x), n)
+		}
+	}
+	return n, nil
+}
 
 // AllResult is the answer of the transmit-everything baseline.
 type AllResult struct {
@@ -24,7 +55,7 @@ type AllResult struct {
 	Mode     float64       // exact majority value (0 when none exists)
 	HasMode  bool
 	Outliers []outlier.KV
-	Stats    cluster.CommStats
+	Stats    Cost
 }
 
 // All ships every node's full vectorized slice to the aggregator
@@ -32,26 +63,14 @@ type AllResult struct {
 // k-outlier query exactly. It is both the accuracy ground truth and the
 // communication-cost yardstick every other method is normalized against
 // (Figures 7–8 x-axes).
-func All(ctx context.Context, nodes []*cluster.LocalNode, k int) (*AllResult, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("baseline: no nodes")
+func All(slices []linalg.Vector, k int) (*AllResult, error) {
+	n, err := checkSlices(slices)
+	if err != nil {
+		return nil, err
 	}
-	var global linalg.Vector
-	stats := cluster.CommStats{Rounds: 1}
-	for _, n := range nodes {
-		x, err := n.FullVector(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: node %s: %w", n.ID(), err)
-		}
-		if global == nil {
-			global = make(linalg.Vector, len(x))
-		}
-		if len(x) != len(global) {
-			return nil, fmt.Errorf("baseline: node %s vector length %d, want %d", n.ID(), len(x), len(global))
-		}
+	global := make(linalg.Vector, n)
+	for _, x := range slices {
 		global.Add(x)
-		stats.Bytes += int64(len(x)) * cluster.BytesPerValue
-		stats.Messages++
 	}
 	mode, ok := outlier.Mode(global)
 	return &AllResult{
@@ -59,121 +78,82 @@ func All(ctx context.Context, nodes []*cluster.LocalNode, k int) (*AllResult, er
 		Mode:     mode,
 		HasMode:  ok,
 		Outliers: outlier.TopK(global, mode, k),
-		Stats:    stats,
+		Stats:    Cost{Bytes: AllCostBytes(len(slices), n), Messages: len(slices), Rounds: 1},
 	}, nil
 }
 
 // AllCostBytes returns the transmit-ALL communication cost the paper
 // normalizes against: L·N vectorized values at 8 bytes.
 func AllCostBytes(l, n int) int64 {
-	return int64(l) * int64(n) * cluster.BytesPerValue
-}
-
-// KDeltaConfig parameterizes the K+δ baseline.
-type KDeltaConfig struct {
-	K     int    // outliers wanted
-	Delta int    // slack: each node returns K+Delta-G candidates
-	G     int    // keys sampled in round 1 for mode estimation
-	N     int    // key-space size
-	Seed  uint64 // determines the shared round-1 sample
-}
-
-// KDeltaForBudget sizes a K+δ run to a communication budget in bytes,
-// following the paper's method: G is chosen so round 1 spends 50% of the
-// budget, and the remainder buys round-3 candidates. L is the node count.
-func KDeltaForBudget(budget int64, l, k, n int, seed uint64) KDeltaConfig {
-	perNodeTuples := budget / (2 * int64(l) * cluster.BytesPerTuple)
-	g := int(perNodeTuples)
-	if g < 1 {
-		g = 1
-	}
-	if g > n {
-		g = n
-	}
-	// Round 3 gets the other half: K+δ−G tuples per node.
-	r3 := int(budget/(2*int64(l)*cluster.BytesPerTuple)) - 1
-	if r3 < 1 {
-		r3 = 1
-	}
-	delta := r3 + g - k
-	if delta < 0 {
-		delta = 0
-	}
-	return KDeltaConfig{K: k, Delta: delta, G: g, N: n, Seed: seed}
+	return int64(l) * int64(n) * BytesPerValue
 }
 
 // KDeltaResult is the K+δ baseline's answer.
 type KDeltaResult struct {
 	Mode     float64 // the sampled mode estimate b
 	Outliers []outlier.KV
-	Stats    cluster.CommStats
+	Stats    Cost
 }
 
-// KDelta runs the paper's three-round approximate baseline (§6.1.2):
+// KDelta runs the paper's three-round approximate baseline (§6.1.2) at a
+// communication budget in bytes:
 //
-//	round 1: every node ships its values at G shared sample positions;
-//	         the aggregator averages the G aggregated values into b.
+//	round 1: every node ships its values at G shared sample positions
+//	         (seed picks them); the aggregator averages the G aggregated
+//	         values into b.
 //	round 2: the aggregator broadcasts b.
-//	round 3: every node ships its K+δ−G strongest local outliers w.r.t.
-//	         b; the aggregator sums what it received per key and picks
-//	         the global top-K around b.
+//	round 3: every node ships its strongest local outliers w.r.t. b/L;
+//	         the aggregator sums what it received per key and picks the
+//	         global top-k around b.
+//
+// The budget is split as the paper does: G is chosen so round 1 spends
+// half of it, and the other half buys round 3's K+δ−G tuples a node (at
+// least k).
 //
 // Accuracy depends on how evenly the per-key values spread across nodes
 // (paper: big standard deviations → local outliers differ from global
 // ones → large errors), which is exactly what Figures 7–8 measure.
-func KDelta(ctx context.Context, nodes []*cluster.LocalNode, cfg KDeltaConfig) (*KDeltaResult, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("baseline: no nodes")
+func KDelta(slices []linalg.Vector, k int, budget int64, seed uint64) (*KDeltaResult, error) {
+	n, err := checkSlices(slices)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.G < 1 || cfg.G > cfg.N {
-		return nil, fmt.Errorf("baseline: G=%d outside [1, N=%d]", cfg.G, cfg.N)
-	}
-	l := len(nodes)
-	stats := cluster.CommStats{Rounds: 3}
+	l := len(slices)
+	half := int(budget / (2 * int64(l) * BytesPerTuple)) // tuples a node, per half
+	g := min(max(half, 1), n)
+	fetch := max(half-1, 1, k)
+	stats := Cost{Rounds: 3}
 
 	// Round 1: shared sample positions, same on every node.
-	r := xrand.New(cfg.Seed)
-	perm := r.Perm(cfg.N)
-	sample := perm[:cfg.G]
-	sums := make([]float64, cfg.G)
-	for _, n := range nodes {
-		vs, err := n.SampleValues(ctx, sample)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: node %s: %w", n.ID(), err)
+	sample := xrand.New(seed).Perm(n)[:g]
+	sums := make([]float64, g)
+	for _, x := range slices {
+		for i, j := range sample {
+			sums[i] += x[j]
 		}
-		for i, v := range vs {
-			sums[i] += v
-		}
-		stats.Bytes += int64(cfg.G) * cluster.BytesPerTuple
+		stats.Bytes += int64(g) * BytesPerTuple
 		stats.Messages++
 	}
 	b := 0.0
 	for _, s := range sums {
 		b += s
 	}
-	b /= float64(cfg.G)
+	b /= float64(g)
 
 	// Round 2: broadcast b.
-	stats.Bytes += int64(l) * cluster.BytesPerValue
+	stats.Bytes += int64(l) * BytesPerValue
 	stats.Messages += l
 
 	// Round 3: local outliers w.r.t. b.
-	fetch := cfg.K + cfg.Delta - cfg.G
-	if fetch < cfg.K {
-		fetch = cfg.K
-	}
 	partial := make(map[int]float64)
 	seenCount := make(map[int]int)
-	for _, n := range nodes {
-		kvs, err := n.LocalOutliers(ctx, b/float64(l), fetch)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: node %s: %w", n.ID(), err)
-		}
+	for _, x := range slices {
+		kvs := outlier.TopK(x, b/float64(l), fetch)
 		for _, kv := range kvs {
 			partial[kv.Index] += kv.Value
 			seenCount[kv.Index]++
 		}
-		stats.Bytes += int64(len(kvs)) * cluster.BytesPerTuple
+		stats.Bytes += int64(len(kvs)) * BytesPerTuple
 		stats.Messages++
 	}
 	// Keys reported by only some nodes are completed with the local-mode
@@ -187,7 +167,7 @@ func KDelta(ctx context.Context, nodes []*cluster.LocalNode, cfg KDeltaConfig) (
 	}
 	return &KDeltaResult{
 		Mode:     b,
-		Outliers: outlier.TopKOf(cands, b, cfg.K),
+		Outliers: outlier.TopKOf(cands, b, k),
 		Stats:    stats,
 	}, nil
 }

@@ -1,33 +1,21 @@
 package baseline
 
 import (
-	"context"
 	"math"
 	"sort"
 	"testing"
 
-	"csoutlier/internal/cluster"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
 	"csoutlier/internal/workload"
 	"csoutlier/internal/xrand"
 )
 
-func makeNodes(t *testing.T, global linalg.Vector, l int, noise float64, seed uint64) []*cluster.LocalNode {
-	t.Helper()
-	slices := workload.SplitZeroSumNoise(global, l, noise, seed)
-	nodes := make([]*cluster.LocalNode, l)
-	for i, s := range slices {
-		nodes[i] = cluster.NewLocalNode("n"+string(rune('0'+i)), s)
-	}
-	return nodes
-}
-
 func TestAllExact(t *testing.T) {
 	const n, s, k = 400, 12, 5
 	global, _ := workload.MajorityDominated(n, s, 1800, 200, 900, 1)
-	nodes := makeNodes(t, global, 4, 400, 2)
-	res, err := All(context.Background(), nodes, k)
+	nodes := workload.SplitZeroSumNoise(global, 4, 400, 2)
+	res, err := All(nodes, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +38,7 @@ func TestAllExact(t *testing.T) {
 }
 
 func TestAllNoNodes(t *testing.T) {
-	if _, err := All(context.Background(), nil, 3); err == nil {
+	if _, err := All(nil, 3); err == nil {
 		t.Fatal("no nodes accepted")
 	}
 }
@@ -58,9 +46,9 @@ func TestAllNoNodes(t *testing.T) {
 func TestKDeltaRunsAndAccounts(t *testing.T) {
 	const n, s, k = 500, 10, 5
 	global, _ := workload.MajorityDominated(n, s, 1800, 300, 900, 3)
-	nodes := makeNodes(t, global, 5, 300, 4)
-	cfg := KDeltaConfig{K: k, Delta: 40, G: 25, N: n, Seed: 7}
-	res, err := KDelta(context.Background(), nodes, cfg)
+	nodes := workload.SplitZeroSumNoise(global, 5, 300, 4)
+	// 3000 bytes over 5 nodes: G = 25 samples a node in round 1.
+	res, err := KDelta(nodes, k, 3000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +59,7 @@ func TestKDeltaRunsAndAccounts(t *testing.T) {
 		t.Fatalf("returned %d outliers", len(res.Outliers))
 	}
 	// Round-1 cost: L·G tuples; round 2: L values; round 3 ≤ L·(K+Δ−G).
-	minBytes := int64(5*25)*cluster.BytesPerTuple + int64(5)*cluster.BytesPerValue
+	minBytes := int64(5*25)*BytesPerTuple + int64(5)*BytesPerValue
 	if res.Stats.Bytes < minBytes {
 		t.Fatalf("Bytes = %d < minimum %d", res.Stats.Bytes, minBytes)
 	}
@@ -89,8 +77,8 @@ func TestKDeltaWorseThanExactOnSkewedData(t *testing.T) {
 	// plateauing at high error).
 	const n, s, k = 600, 15, 10
 	global, _ := workload.MajorityDominated(n, s, 1800, 250, 600, 5)
-	nodes := makeNodes(t, global, 6, 900, 6)
-	res, err := KDelta(context.Background(), nodes, KDeltaConfig{K: k, Delta: 20, G: 10, N: n, Seed: 8})
+	nodes := workload.SplitZeroSumNoise(global, 6, 900, 6)
+	res, err := KDelta(nodes, k, 1200, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,42 +89,63 @@ func TestKDeltaWorseThanExactOnSkewedData(t *testing.T) {
 }
 
 func TestKDeltaValidation(t *testing.T) {
-	nodes := makeNodes(t, make(linalg.Vector, 10), 2, 1, 9)
-	if _, err := KDelta(context.Background(), nodes, KDeltaConfig{K: 1, G: 0, N: 10}); err == nil {
-		t.Fatal("G=0 accepted")
-	}
-	if _, err := KDelta(context.Background(), nodes, KDeltaConfig{K: 1, G: 11, N: 10}); err == nil {
-		t.Fatal("G>N accepted")
-	}
-	if _, err := KDelta(context.Background(), nil, KDeltaConfig{K: 1, G: 1, N: 10}); err == nil {
+	if _, err := KDelta(nil, 1, 1000, 1); err == nil {
 		t.Fatal("no nodes accepted")
+	}
+	ragged := []linalg.Vector{make(linalg.Vector, 10), make(linalg.Vector, 9)}
+	if _, err := KDelta(ragged, 1, 1000, 1); err == nil {
+		t.Fatal("ragged slices accepted")
 	}
 }
 
+// TestKDeltaForBudget: the budget buys round 1 with half of itself and
+// round 3 with the other half, and a budget too small for one sample a
+// node still runs on one.
 func TestKDeltaForBudget(t *testing.T) {
-	cfg := KDeltaForBudget(12000, 5, 10, 1000, 3)
-	if cfg.G < 1 || cfg.G > 1000 {
-		t.Fatalf("G = %d", cfg.G)
+	global, _ := workload.MajorityDominated(1000, 10, 1800, 300, 900, 3)
+	nodes := workload.SplitZeroSumNoise(global, 5, 300, 4)
+	res, err := KDelta(nodes, 10, 12000, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Round-1 cost must be ≤ half the budget.
-	r1 := int64(5) * int64(cfg.G) * cluster.BytesPerTuple
-	if r1 > 6000 {
-		t.Fatalf("round-1 cost %d exceeds half budget", r1)
+	// Round 1 is 5·100 tuples (6000 bytes, half the budget), round 2 five
+	// values, round 3 at most 5·99 tuples.
+	if res.Stats.Bytes > 12000 || res.Stats.Bytes < 6000+5*BytesPerValue {
+		t.Fatalf("Bytes = %d for a 12000-byte budget", res.Stats.Bytes)
 	}
-	if cfg.K != 10 || cfg.N != 1000 {
-		t.Fatalf("cfg = %+v", cfg)
+	tiny, err := KDelta(nodes, 10, 1, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Tiny budgets degrade gracefully.
-	tiny := KDeltaForBudget(1, 5, 10, 1000, 3)
-	if tiny.G < 1 {
-		t.Fatalf("tiny budget G = %d", tiny.G)
+	// One sample a node, the broadcast, and k local outliers a node.
+	if want := int64(5*BytesPerTuple + 5*BytesPerValue + 5*10*BytesPerTuple); tiny.Stats.Bytes != want {
+		t.Fatalf("tiny budget Bytes = %d, want %d", tiny.Stats.Bytes, want)
+	}
+}
+
+// TestBaselinesRefuseEmptyAndRaggedSlices: no baseline answers for a
+// node list that cannot exist.
+func TestBaselinesRefuseEmptyAndRaggedSlices(t *testing.T) {
+	ragged := []linalg.Vector{{1, 2, 3}, {1, 2}}
+	runs := map[string]func([]linalg.Vector) error{
+		"All":    func(s []linalg.Vector) error { _, err := All(s, 1); return err },
+		"KDelta": func(s []linalg.Vector) error { _, err := KDelta(s, 1, 1000, 1); return err },
+		"TA":     func(s []linalg.Vector) error { _, err := TA(s, 1); return err },
+		"TPUT":   func(s []linalg.Vector) error { _, err := TPUT(s, 1); return err },
+	}
+	for name, run := range runs {
+		for input, slices := range map[string][]linalg.Vector{"nil": nil, "empty": {}, "ragged": ragged} {
+			if err := run(slices); err == nil {
+				t.Errorf("%s accepted %s slices", name, input)
+			}
+		}
 	}
 }
 
 // nonNegativeWorkload builds a global vector of non-negative values with
 // clear top-k structure, split across nodes WITHOUT negative shares so
 // TA/TPUT preconditions hold.
-func nonNegativeWorkload(t *testing.T, n, l int, seed uint64) ([]*cluster.LocalNode, linalg.Vector) {
+func nonNegativeWorkload(t *testing.T, n, l int, seed uint64) ([]linalg.Vector, linalg.Vector) {
 	t.Helper()
 	r := xrand.New(seed)
 	global := make(linalg.Vector, n)
@@ -162,11 +171,7 @@ func nonNegativeWorkload(t *testing.T, n, l int, seed uint64) ([]*cluster.LocalN
 			slices[j][i] = v * weights[j] / sum
 		}
 	}
-	nodes := make([]*cluster.LocalNode, l)
-	for j, s := range slices {
-		nodes[j] = cluster.NewLocalNode("n"+string(rune('0'+j)), s)
-	}
-	return nodes, global
+	return slices, global
 }
 
 func trueTopK(global linalg.Vector, k int) []outlier.KV {
@@ -186,7 +191,7 @@ func trueTopK(global linalg.Vector, k int) []outlier.KV {
 func TestTAExactTopK(t *testing.T) {
 	nodes, global := nonNegativeWorkload(t, 300, 4, 10)
 	const k = 5
-	res, err := TA(context.Background(), nodes, k)
+	res, err := TA(nodes, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +216,7 @@ func TestTAExactTopK(t *testing.T) {
 func TestTPUTExactTopK(t *testing.T) {
 	nodes, global := nonNegativeWorkload(t, 300, 4, 11)
 	const k = 5
-	res, err := TPUT(context.Background(), nodes, k)
+	res, err := TPUT(nodes, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,21 +237,21 @@ func TestTATPUTRejectNegativeValues(t *testing.T) {
 	// lower-bound assumption. Our implementations refuse rather than
 	// silently answer wrong.
 	global, _ := workload.MajorityDominated(100, 5, 1800, 100, 500, 12)
-	nodes := makeNodes(t, global, 3, 900, 13) // zero-sum noise → negatives
-	if _, err := TA(context.Background(), nodes, 3); err != ErrNegativeValues {
+	nodes := workload.SplitZeroSumNoise(global, 3, 900, 13) // zero-sum noise → negatives
+	if _, err := TA(nodes, 3); err != ErrNegativeValues {
 		t.Fatalf("TA err = %v, want ErrNegativeValues", err)
 	}
-	if _, err := TPUT(context.Background(), nodes, 3); err != ErrNegativeValues {
+	if _, err := TPUT(nodes, 3); err != ErrNegativeValues {
 		t.Fatalf("TPUT err = %v, want ErrNegativeValues", err)
 	}
 }
 
 func TestTAKValidation(t *testing.T) {
 	nodes, _ := nonNegativeWorkload(t, 50, 2, 14)
-	if _, err := TA(context.Background(), nodes, 0); err == nil {
+	if _, err := TA(nodes, 0); err == nil {
 		t.Fatal("k=0 accepted by TA")
 	}
-	if _, err := TPUT(context.Background(), nodes, 0); err == nil {
+	if _, err := TPUT(nodes, 0); err == nil {
 		t.Fatal("k=0 accepted by TPUT")
 	}
 }
@@ -256,11 +261,11 @@ func TestTPUTCheaperThanTAOnSkew(t *testing.T) {
 	// depth-dependent probing on the same data — the scalability point
 	// from §7.1. (Bytes may vary; assert rounds.)
 	nodes, _ := nonNegativeWorkload(t, 400, 5, 15)
-	ta, err := TA(context.Background(), nodes, 10)
+	ta, err := TA(nodes, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, err := TPUT(context.Background(), nodes, 10)
+	tp, err := TPUT(nodes, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package baseline
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
-	"csoutlier/internal/cluster"
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
 )
@@ -25,26 +23,19 @@ var ErrNegativeValues = fmt.Errorf("baseline: TA/TPUT require non-negative parti
 // the engine TA-style "sorted access" and "random access" with the
 // paper's per-tuple communication accounting.
 type topKView struct {
-	id     string
 	x      linalg.Vector
 	sorted []rankItem
 }
 
-func buildViews(ctx context.Context, nodes []*cluster.LocalNode) ([]*topKView, int, error) {
+func buildViews(slices []linalg.Vector) ([]*topKView, int, error) {
 	// Materializing the view costs nothing on the wire: it models the
 	// node's local sorted index. Only accesses are charged.
-	views := make([]*topKView, len(nodes))
-	n := -1
-	for i, node := range nodes {
-		x, err := node.FullVector(ctx)
-		if err != nil {
-			return nil, 0, fmt.Errorf("baseline: node %s: %w", node.ID(), err)
-		}
-		if n == -1 {
-			n = len(x)
-		} else if len(x) != n {
-			return nil, 0, fmt.Errorf("baseline: node %s vector length %d, want %d", node.ID(), len(x), n)
-		}
+	n, err := checkSlices(slices)
+	if err != nil {
+		return nil, 0, err
+	}
+	views := make([]*topKView, len(slices))
+	for i, x := range slices {
 		for _, v := range x {
 			if v < 0 {
 				return nil, 0, ErrNegativeValues
@@ -55,7 +46,7 @@ func buildViews(ctx context.Context, nodes []*cluster.LocalNode) ([]*topKView, i
 			items[j] = rankItem{idx: j, val: v}
 		}
 		sortDesc(items)
-		views[i] = &topKView{id: node.ID(), x: x, sorted: items}
+		views[i] = &topKView{x: x, sorted: items}
 	}
 	return views, n, nil
 }
@@ -63,7 +54,7 @@ func buildViews(ctx context.Context, nodes []*cluster.LocalNode) ([]*topKView, i
 // TAResult reports the Threshold Algorithm's answer and costs.
 type TAResult struct {
 	TopK          []outlier.KV
-	Stats         cluster.CommStats
+	Stats         Cost
 	SortedAccess  int // tuples read via sorted access
 	RandomAccess  int // tuples read via random access
 	RoundsOfDepth int // sorted-access depth reached
@@ -76,12 +67,12 @@ type TAResult struct {
 // sorted-access frontier). Exact for non-negative data; round count
 // scales with the depth reached, which is TA's scalability weakness the
 // paper cites.
-func TA(ctx context.Context, nodes []*cluster.LocalNode, k int) (*TAResult, error) {
+func TA(slices []linalg.Vector, k int) (*TAResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("baseline: k must be positive")
 	}
 	res := &TAResult{}
-	views, n, err := buildViews(ctx, nodes)
+	views, n, err := buildViews(slices)
 	if err != nil {
 		return nil, err
 	}
@@ -93,14 +84,14 @@ func TA(ctx context.Context, nodes []*cluster.LocalNode, k int) (*TAResult, erro
 			item := v.sorted[depth]
 			threshold += item.val
 			res.SortedAccess++
-			res.Stats.Bytes += cluster.BytesPerTuple
+			res.Stats.Bytes += BytesPerTuple
 			if _, ok := exact[item.idx]; !ok {
 				// Random access to every node for the exact sum.
 				sum := 0.0
 				for _, w := range views {
 					sum += w.x[item.idx]
 					res.RandomAccess++
-					res.Stats.Bytes += cluster.BytesPerTuple
+					res.Stats.Bytes += BytesPerTuple
 				}
 				exact[item.idx] = sum
 			}
@@ -138,7 +129,7 @@ func TA(ctx context.Context, nodes []*cluster.LocalNode, k int) (*TAResult, erro
 // TPUTResult reports TPUT's answer and costs.
 type TPUTResult struct {
 	TopK       []outlier.KV
-	Stats      cluster.CommStats
+	Stats      Cost
 	Candidates int // survivors of phase-2 pruning
 }
 
@@ -148,12 +139,12 @@ type TPUTResult struct {
 // value ≥ τ/L and prunes candidates whose upper bound < τ; phase 3
 // random-accesses the survivors for exact sums. Exactly three rounds,
 // unlike TA's data-dependent depth.
-func TPUT(ctx context.Context, nodes []*cluster.LocalNode, k int) (*TPUTResult, error) {
+func TPUT(slices []linalg.Vector, k int) (*TPUTResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("baseline: k must be positive")
 	}
-	res := &TPUTResult{Stats: cluster.CommStats{Rounds: 3}}
-	views, _, err := buildViews(ctx, nodes)
+	res := &TPUTResult{Stats: Cost{Rounds: 3}}
+	views, _, err := buildViews(slices)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +159,7 @@ func TPUT(ctx context.Context, nodes []*cluster.LocalNode, k int) (*TPUTResult, 
 		}
 		for _, it := range top {
 			partial[it.idx] += it.val
-			res.Stats.Bytes += cluster.BytesPerTuple
+			res.Stats.Bytes += BytesPerTuple
 			res.Stats.Messages++
 		}
 	}
@@ -185,7 +176,7 @@ func TPUT(ctx context.Context, nodes []*cluster.LocalNode, k int) (*TPUTResult, 
 			}
 			partial2[it.idx] += it.val
 			seen2[it.idx]++
-			res.Stats.Bytes += cluster.BytesPerTuple
+			res.Stats.Bytes += BytesPerTuple
 			res.Stats.Messages++
 		}
 	}
@@ -210,7 +201,7 @@ func TPUT(ctx context.Context, nodes []*cluster.LocalNode, k int) (*TPUTResult, 
 		sum := 0.0
 		for _, v := range views {
 			sum += v.x[idx]
-			res.Stats.Bytes += cluster.BytesPerTuple
+			res.Stats.Bytes += BytesPerTuple
 			res.Stats.Messages++
 		}
 		items = append(items, rankItem{idx, sum})

@@ -1,19 +1,19 @@
-// Package cluster is the distributed substrate of the reproduction: the
+// Package cluster is the pull protocol of the reproduction: the
 // shared-nothing node/aggregator topology from the paper's §1 and §3, a
 // single-round sketch-collection protocol with failure as the normal
-// case, and exact communication-cost accounting using the paper's
-// wire-size constants (§6.1.2).
+// case, and the round's communication cost at the paper's 64 bits per
+// measurement (§6.1.2).
 //
 // A node holds a vectorized local slice x_l (ordered by the global key
 // dictionary) and answers a small query API; the aggregator fans a
-// request out to all nodes in parallel, combines the responses, and runs
-// recovery. Two node implementations exist: LocalNode (in-process, used
-// by the experiment harness) and the TCP client/server in transport.go
-// (a real networked deployment over net and the binary frames of
-// internal/frame — the push stream's codec with the pull protocol's own
-// kinds — used by cmd/csnode and, through Sketcher.DetectCluster,
-// cmd/csagg). The wire carries the paper's round and nothing else: a
-// node's ID and its sketch.
+// request out to all nodes in parallel and sums the responses, and the
+// caller recovers. Two node implementations exist: LocalNode (in
+// process; cmd/csnode serves one) and the TCP client/server in
+// transport.go (a real networked deployment over net and the binary
+// frames of internal/frame — the push stream's codec with the pull
+// protocol's own kinds — used by cmd/csnode and, through
+// Sketcher.DetectCluster, cmd/csagg). The wire carries the paper's round
+// and nothing else: a node's ID and its sketch.
 package cluster
 
 import (
@@ -22,16 +22,7 @@ import (
 	"sync"
 
 	"csoutlier/internal/linalg"
-	"csoutlier/internal/outlier"
-	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
-)
-
-// Wire sizes from the paper's cost model (§6.1.2): a vectorized value or
-// a measurement is 64 bits, a keyid–value tuple is 96 bits.
-const (
-	BytesPerValue = 8
-	BytesPerTuple = 12
 )
 
 // NodeAPI is the query surface a remote node exposes to the aggregator.
@@ -49,9 +40,7 @@ type NodeAPI interface {
 	Sketch(ctx context.Context, spec sensing.Spec) (linalg.Vector, error)
 }
 
-// LocalNode is an in-process NodeAPI over a vectorized slice. Beyond the
-// protocol's Sketch it answers the evaluation baselines' requests
-// (internal/baseline) in process: those never cross the wire.
+// LocalNode is an in-process NodeAPI over a vectorized slice.
 type LocalNode struct {
 	name string
 	mu   sync.RWMutex
@@ -116,8 +105,9 @@ func (n *LocalNode) matrix(spec sensing.Spec) (sensing.Matrix, error) {
 	return m, nil
 }
 
-// FullVector returns a copy of the entire local slice — the
-// transmit-ALL baseline's request.
+// FullVector returns a copy of the entire local slice: the exact oracle
+// the benchmark's oneshot_pull workload checks each round against. The
+// pull wire does not carry it.
 func (n *LocalNode) FullVector(ctx context.Context) (linalg.Vector, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -125,35 +115,6 @@ func (n *LocalNode) FullVector(ctx context.Context) (linalg.Vector, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.x.Clone(), nil
-}
-
-// SampleValues returns the local values at the given key positions —
-// round 1 of the K+δ baseline.
-func (n *LocalNode) SampleValues(ctx context.Context, idx []int) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		if j < 0 || j >= len(n.x) {
-			return nil, fmt.Errorf("cluster: sample index %d out of [0,%d)", j, len(n.x))
-		}
-		out[i] = n.x[j]
-	}
-	return out, nil
-}
-
-// LocalOutliers returns the node's top-count local outliers with respect
-// to the supplied mode — round 3 of the K+δ baseline.
-func (n *LocalNode) LocalOutliers(ctx context.Context, mode float64, count int) ([]outlier.KV, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return outlier.TopK(n.x, mode, count), nil
 }
 
 // Update adds delta into the node's slice in place — the incremental
@@ -171,42 +132,13 @@ func (n *LocalNode) Update(delta linalg.Vector) error {
 }
 
 // CommStats records the logical communication and the transport effort
-// of one aggregation. Bytes/Messages/Rounds use the paper's cost model;
-// the attempt counters come from the collector (zero in the baselines).
+// of one collection. Bytes/Messages/Rounds use the paper's cost model;
+// the attempt counters come from the collector.
 type CommStats struct {
-	Bytes    int64 // total payload bytes, paper constants
-	Messages int   // node→aggregator or aggregator→node messages
-	Rounds   int   // protocol rounds (CS and ALL: 1; K+δ: 3)
+	Bytes    int64 // total payload bytes, M·8 per included node
+	Messages int   // node→aggregator messages
+	Rounds   int   // protocol rounds: 1
 	Attempts int   // sketch RPCs attempted, including retries
 	Retries  int   // attempts beyond each node's first
 	Timeouts int   // attempts that died on a deadline
-}
-
-// DetectResult is the aggregator's answer to a k-outlier query.
-type DetectResult struct {
-	Outliers []outlier.KV // the k detected outliers, strongest first
-	Mode     float64      // recovered mode b
-	Stats    CommStats
-}
-
-// Detect runs the paper's full pipeline in one call: collect every
-// node's sketch, recover with BOMP using the R = f(k) iteration budget,
-// and select the k recovered entries furthest from the recovered mode.
-// It is the experiments' in-process entry point, one matrix per call; a
-// standing aggregator uses Sketcher.DetectCluster, whose recovery keeps
-// its Gram cache between rounds.
-func Detect[T NodeAPI](nodes []T, spec sensing.Spec, k int) (*DetectResult, error) {
-	part, err := CollectSketches(context.Background(), nodes, spec, CollectOptions{})
-	if err != nil {
-		return nil, err
-	}
-	m, err := sensing.New(spec, 0)
-	if err != nil {
-		return nil, err
-	}
-	res, err := recovery.NewWorkspace().BOMP(m, part.Sketch, recovery.Options{MaxIterations: recovery.IterationBudget(k)})
-	if err != nil {
-		return nil, err
-	}
-	return &DetectResult{Outliers: res.Outliers(k), Mode: res.Mode, Stats: part.Stats}, nil
 }

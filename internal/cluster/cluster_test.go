@@ -9,6 +9,7 @@ import (
 
 	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
+	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
 	"csoutlier/internal/workload"
 )
@@ -59,49 +60,41 @@ func TestCollectSketchesDimensionError(t *testing.T) {
 	}
 }
 
+// detect runs the paper's round over the pull protocol: collect every
+// node's sketch, recover with BOMP at the R = f(k) budget, and keep the
+// k entries furthest from the recovered mode.
+func detect(t *testing.T, nodes []NodeAPI, spec sensing.Spec, k int) ([]outlier.KV, float64, CommStats) {
+	t.Helper()
+	part, err := CollectSketches(context.Background(), nodes, spec, CollectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sensing.New(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := recovery.NewWorkspace().BOMP(m, part.Sketch, recovery.Options{MaxIterations: recovery.IterationBudget(k)})
+	if err != nil {
+		t.Fatalf("%v: %v", spec.Kind, err)
+	}
+	return res.Outliers(k), res.Mode, part.Stats
+}
+
 func TestDetectEndToEnd(t *testing.T) {
 	const n, s, k = 300, 8, 5
 	const mode = 1800.0
 	nodes, global, _ := makeCluster(t, n, s, 4, mode, 2)
 	p := sensing.Params{M: 120, N: n, Seed: 10}
-	res, err := Detect(nodes, sensing.GaussianSpec(p), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Mode-mode) > 1 {
-		t.Fatalf("mode = %v, want %v", res.Mode, mode)
+	got, gotMode, _ := detect(t, nodes, sensing.GaussianSpec(p), k)
+	if math.Abs(gotMode-mode) > 1 {
+		t.Fatalf("mode = %v, want %v", gotMode, mode)
 	}
 	truth := outlier.TopK(global, mode, k)
-	if ek := outlier.ErrorOnKey(truth, res.Outliers); ek != 0 {
+	if ek := outlier.ErrorOnKey(truth, got); ek != 0 {
 		t.Fatalf("EK = %v with M=%d", ek, p.M)
 	}
-	if ev := outlier.ErrorOnValue(truth, res.Outliers); ev > 0.01 {
+	if ev := outlier.ErrorOnValue(truth, got); ev > 0.01 {
 		t.Fatalf("EV = %v", ev)
-	}
-}
-
-func TestLocalNodeSampleValues(t *testing.T) {
-	n := NewLocalNode("x", linalg.Vector{10, 20, 30})
-	vs, err := n.SampleValues(context.Background(), []int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs[0] != 30 || vs[1] != 10 {
-		t.Fatalf("SampleValues = %v", vs)
-	}
-	if _, err := n.SampleValues(context.Background(), []int{3}); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-}
-
-func TestLocalNodeLocalOutliers(t *testing.T) {
-	n := NewLocalNode("x", linalg.Vector{5, 5, 100, 5, -60})
-	kvs, err := n.LocalOutliers(context.Background(), 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != 1 || kvs[0].Index != 2 {
-		t.Fatalf("LocalOutliers = %v", kvs)
 	}
 }
 
@@ -228,12 +221,9 @@ func TestTCPDetectEndToEnd(t *testing.T) {
 		remotes[i] = rn
 	}
 	p := sensing.Params{M: 100, N: n, Seed: 13}
-	res, err := Detect(remotes, sensing.GaussianSpec(p), k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _, _ := detect(t, remotes, sensing.GaussianSpec(p), k)
 	truth := outlier.TopK(global, 1800, k)
-	if ek := outlier.ErrorOnKey(truth, res.Outliers); ek != 0 {
+	if ek := outlier.ErrorOnKey(truth, got); ek != 0 {
 		t.Fatalf("EK over TCP = %v", ek)
 	}
 }
@@ -247,13 +237,10 @@ func TestDialRefused(t *testing.T) {
 func TestDetectOrderedByDivergence(t *testing.T) {
 	nodes, _, _ := makeCluster(t, 250, 7, 3, 500, 7)
 	p := sensing.Params{M: 110, N: 250, Seed: 14}
-	res, err := Detect(nodes, sensing.GaussianSpec(p), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	divs := make([]float64, len(res.Outliers))
-	for i, kv := range res.Outliers {
-		divs[i] = math.Abs(kv.Value - res.Mode)
+	got, mode, _ := detect(t, nodes, sensing.GaussianSpec(p), 7)
+	divs := make([]float64, len(got))
+	for i, kv := range got {
+		divs[i] = math.Abs(kv.Value - mode)
 	}
 	if !sort.IsSorted(sort.Reverse(sort.Float64Slice(divs))) {
 		t.Fatalf("outliers not sorted by divergence: %v", divs)

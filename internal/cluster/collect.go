@@ -79,9 +79,8 @@ type PartialResult struct {
 // failed, how, and after how many attempts is what an operator needs
 // exactly then. On return, every goroutine it started has exited and
 // every in-flight request has been cancelled — nothing leaks, provided
-// node implementations honor ctx (NodeAPI's contract). T lets the
-// experiments pass the []*LocalNode the baselines take as well.
-func CollectSketches[T NodeAPI](ctx context.Context, nodes []T, spec sensing.Spec, opts CollectOptions) (*PartialResult, error) {
+// node implementations honor ctx (NodeAPI's contract).
+func CollectSketches(ctx context.Context, nodes []NodeAPI, spec sensing.Spec, opts CollectOptions) (*PartialResult, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
 	}
@@ -113,7 +112,7 @@ func CollectSketches[T NodeAPI](ctx context.Context, nodes []T, spec sensing.Spe
 	// report and exit, even after the collector stopped receiving.
 	ch := make(chan report, len(nodes))
 	for i, node := range nodes {
-		go func(i int, node T) {
+		go func(i int, node NodeAPI) {
 			var ns NodeStats
 			var y linalg.Vector
 			rng := xrand.New(jitterSeed).Split(backoffSeed(0, node.ID()))

@@ -33,17 +33,14 @@ func TestDetectAcrossEnsemblesOverTCP(t *testing.T) {
 		{Params: sensing.Params{M: 110, N: n, Seed: 32}, Kind: sensing.KindGaussian},
 		{Params: sensing.Params{M: 160, N: n, Seed: 33}, Kind: sensing.KindCountSketch},
 	} {
-		res, err := Detect(remotes, spec, k)
-		if err != nil {
-			t.Fatalf("%v: %v", spec.Kind, err)
+		got, gotMode, stats := detect(t, remotes, spec, k)
+		if stats.Bytes != int64(3*spec.M*8) {
+			t.Fatalf("%v: bytes %d", spec.Kind, stats.Bytes)
 		}
-		if res.Stats.Bytes != int64(3*spec.M*8) {
-			t.Fatalf("%v: bytes %d", spec.Kind, res.Stats.Bytes)
+		if math.Abs(gotMode-mode) > 0.02*mode {
+			t.Fatalf("%v: mode %v", spec.Kind, gotMode)
 		}
-		if math.Abs(res.Mode-mode) > 0.02*mode {
-			t.Fatalf("%v: mode %v", spec.Kind, res.Mode)
-		}
-		if ek := outlier.ErrorOnKey(truth, res.Outliers); ek > 0.26 {
+		if ek := outlier.ErrorOnKey(truth, got); ek > 0.26 {
 			t.Fatalf("%v: EK %v", spec.Kind, ek)
 		}
 	}

@@ -111,7 +111,7 @@ func TestTransparentRedialAfterMidStreamDisconnect(t *testing.T) {
 	}
 	defer rn.Close()
 
-	res, err := CollectSketches(context.Background(), []*RemoteNode{rn}, testSpec, CollectOptions{})
+	res, err := CollectSketches(context.Background(), []NodeAPI{rn}, testSpec, CollectOptions{})
 	if err != nil {
 		t.Fatalf("collection did not survive a mid-stream disconnect: %v", err)
 	}
@@ -177,7 +177,7 @@ func TestRedialAfterNodeRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := CollectSketches(context.Background(), []*RemoteNode{rn}, testSpec, CollectOptions{})
+	res, err := CollectSketches(context.Background(), []NodeAPI{rn}, testSpec, CollectOptions{})
 	if err != nil {
 		t.Fatalf("collection did not survive a node restart: %v", err)
 	}

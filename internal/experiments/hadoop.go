@@ -14,18 +14,16 @@ import (
 
 // mrDataset is one of the three input configurations of §6.2.
 type mrDataset struct {
-	name       string
-	global     linalg.Vector
-	dict       *keydict.Dictionary
-	splits     []mapreduce.Split
-	inputBytes int64
+	name   string
+	dict   *keydict.Dictionary
+	splits []mapreduce.Split
 }
 
 // buildMRDataset turns a global vector into MapReduce input splits.
 // Each key's value is scattered across `touch` random splits as zero-sum
 // shares (so mapper-local views differ from the global data), and every
-// split is charged inputBytes/len(splits) of simulated file; the cost
-// model's ParseRate charges CPU for the difference between the sampled
+// split is charged inputBytes/len(splits) of simulated file; the Hadoop
+// model's parse rate charges CPU for the difference between the sampled
 // records and the simulated file size.
 func buildMRDataset(name string, global linalg.Vector, nSplits, touch int, inputBytes int64, seed uint64) *mrDataset {
 	n := len(global)
@@ -72,25 +70,7 @@ func buildMRDataset(name string, global linalg.Vector, nSplits, touch int, input
 	for i := range splits {
 		splits[i] = mapreduce.Split{Records: recs[i], Bytes: per, Represents: rep}
 	}
-	return &mrDataset{
-		name:       name,
-		global:     global,
-		dict:       dict,
-		splits:     splits,
-		inputBytes: inputBytes,
-	}
-}
-
-func (d *mrDataset) config(reducers int) mapreduce.Config {
-	// Input-volume-dependent CPU is charged via the model's ParseRate
-	// against each split's simulated Bytes; the counted CPU on top is
-	// the work on the sampled records (aggregation, measurement,
-	// recovery), which does not scale with raw input size.
-	return mapreduce.Config{
-		Reducers: reducers,
-		MapSlots: 20, // the paper's 10-node cluster, 2 map slots each
-		Cost:     mapreduce.DefaultHadoopCostModel(),
-	}
+	return &mrDataset{name: name, dict: dict, splits: splits}
 }
 
 // fig10Datasets builds the paper's three §6.2 inputs at the configured
@@ -117,7 +97,7 @@ func fig10Datasets(cfg Config) []*mrDataset {
 		prodScale = 0.3
 	}
 	cl := workload.GenerateClickLogs(workload.ClickLogConfig{
-		Query: workload.CoreSearchClicks, DataCenters: 8, ScaleN: prodScale, Seed: cfg.Seed + 401,
+		Query: workload.CoreSearchClicks, ScaleN: prodScale, Seed: cfg.Seed + 401,
 	})
 	shifted := cl.Global.Clone()
 	for i := range shifted {
@@ -138,7 +118,7 @@ type mrPoint struct {
 func runCS(d *mrDataset, m, k int, seed uint64) (mrPoint, error) {
 	p := sensing.Params{M: m, N: d.dict.N(), Seed: seed}
 	job := &mapreduce.SketchJob{Dict: d.dict, Params: p, K: k}
-	_, met, err := mapreduce.Run(job, d.splits, d.config(1))
+	_, met, err := mapreduce.Run(job, d.splits)
 	if err != nil {
 		return mrPoint{}, err
 	}
@@ -146,12 +126,7 @@ func runCS(d *mrDataset, m, k int, seed uint64) (mrPoint, error) {
 }
 
 func runTraditional(d *mrDataset) (mrPoint, error) {
-	job := &mapreduce.TopKJob{Dict: d.dict}
-	// A single reducer, like the CS job: computing a *global* top-k
-	// needs all partial sums on one node, and the paper's Figure 11
-	// breakdown (reducer time dominating and growing with input) shows
-	// exactly this funnel.
-	_, met, err := mapreduce.Run(job, d.splits, d.config(1))
+	_, met, err := mapreduce.Run(&mapreduce.TopKJob{Dict: d.dict}, d.splits)
 	if err != nil {
 		return mrPoint{}, err
 	}
@@ -179,8 +154,8 @@ func mSweep(lo, hi, step int) []float64 {
 }
 
 // fig1011Cache memoizes the shared Figure 10/11 sweep per Config, so
-// requesting both figures (csbench `fig10 fig11`, or the two benches)
-// does not run the expensive sweep twice.
+// requesting both figures (csbench `fig10 fig11`) does not run the
+// expensive sweep twice.
 var fig1011Cache struct {
 	sync.Mutex
 	valid    bool

@@ -21,7 +21,7 @@ import (
 // local top-k outliers and the global truth; the final rows compare the
 // global key sets chosen by the three ranking rules.
 func Fig1(cfg Config) ([]*Table, error) {
-	cl, _ := prodCluster(cfg, workload.CoreSearchClicks)
+	cl := prodCluster(cfg, workload.CoreSearchClicks)
 	const k = 10
 	truth := cl.TrueTopOutliers(k)
 	truthSet := map[int]bool{}

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"math"
 
 	"csoutlier/internal/baseline"
-	"csoutlier/internal/cluster"
+	"csoutlier/internal/linalg"
 	"csoutlier/internal/outlier"
 	"csoutlier/internal/recovery"
 	"csoutlier/internal/sensing"
@@ -13,20 +12,26 @@ import (
 )
 
 // prodCluster builds the production-like distributed workload once per
-// experiment: the core-search click-score query over 8 data centers
-// (§6.1.2), at the configured scale.
-func prodCluster(cfg Config, q workload.QueryType) (*workload.ClickLogs, []*cluster.LocalNode) {
-	cl := workload.GenerateClickLogs(workload.ClickLogConfig{
-		Query:       q,
-		DataCenters: 8,
-		ScaleN:      cfg.scale(),
-		Seed:        cfg.Seed + uint64(q) + 101,
+// experiment: a click-score query over 8 data centers (§6.1.2), at the
+// configured scale.
+func prodCluster(cfg Config, q workload.QueryType) *workload.ClickLogs {
+	return workload.GenerateClickLogs(workload.ClickLogConfig{
+		Query:  q,
+		ScaleN: cfg.scale(),
+		Seed:   cfg.Seed + uint64(q) + 101,
 	})
-	nodes := make([]*cluster.LocalNode, len(cl.Slices))
-	for i, s := range cl.Slices {
-		nodes[i] = cluster.NewLocalNode("dc"+itoa(i), s)
+}
+
+// sketchSum measures every data center's slice with phi and sums the
+// sketches in data-center order, starting from zero: the paper's
+// y = Σ Φ₀·x_l (eq. 1), on the bits a pull round's collector sums.
+func sketchSum(phi sensing.Matrix, slices []linalg.Vector) linalg.Vector {
+	m := phi.Params().M
+	y, yl := make(linalg.Vector, m), make(linalg.Vector, m)
+	for _, x := range slices {
+		sensing.AddSketch(y, phi.Measure(x, yl))
 	}
-	return cl, nodes
+	return y
 }
 
 // fig78 runs the shared sweep behind Figures 7 and 8: on production-like
@@ -34,9 +39,9 @@ func prodCluster(cfg Config, q workload.QueryType) (*workload.ClickLogs, []*clus
 // normalized by transmitting ALL, comparing BOMP (MAX/MIN/AVG over
 // random matrices) against the K+δ baseline at the same budget.
 func fig78(cfg Config, value bool) ([]*Table, error) {
-	cl, nodes := prodCluster(cfg, workload.CoreSearchClicks)
+	cl := prodCluster(cfg, workload.CoreSearchClicks)
 	n := len(cl.Global)
-	l := len(nodes)
+	l := len(cl.Slices)
 	runs := cfg.trials(scaleInt(100, cfg.scale(), 5))
 	ks := []int{5, 10, 20}
 	allBytes := baseline.AllCostBytes(l, n)
@@ -45,6 +50,7 @@ func fig78(cfg Config, value bool) ([]*Table, error) {
 	if value {
 		metric, title = "EV", "Figure 8"
 	}
+	ws := recovery.NewWorkspace()
 	var tables []*Table
 	for _, k := range ks {
 		// Paper sweeps 1%–10% (to 15% for k=20).
@@ -67,8 +73,7 @@ func fig78(cfg Config, value bool) ([]*Table, error) {
 		for _, frac := range fracs {
 			budget := int64(frac * float64(allBytes))
 			// --- K+δ at this budget. ---
-			kcfg := baseline.KDeltaForBudget(budget, l, k, n, cfg.Seed+uint64(frac*1000))
-			kres, err := baseline.KDelta(context.Background(), nodes, kcfg)
+			kres, err := baseline.KDelta(cl.Slices, k, budget, cfg.Seed+uint64(frac*1000))
 			if err != nil {
 				return nil, err
 			}
@@ -82,11 +87,15 @@ func fig78(cfg Config, value bool) ([]*Table, error) {
 			lo, hi, sum := math.Inf(1), math.Inf(-1), 0.0
 			for run := 0; run < runs; run++ {
 				p := sensing.Params{M: m, N: n, Seed: cfg.Seed + uint64(run)*104729 + uint64(m)}
-				res, err := cluster.Detect(nodes, sensing.GaussianSpec(p), k)
+				phi, err := sensing.New(sensing.GaussianSpec(p), 0)
 				if err != nil {
 					return nil, err
 				}
-				e := errOf(truth, res.Outliers, value)
+				res, err := ws.BOMP(phi, sketchSum(phi, cl.Slices), recovery.Options{MaxIterations: recovery.IterationBudget(k)})
+				if err != nil {
+					return nil, err
+				}
+				e := errOf(truth, res.Outliers(k), value)
 				if e < lo {
 					lo = e
 				}
@@ -140,7 +149,7 @@ func Fig9(cfg Config) ([]*Table, error) {
 	ws := recovery.NewWorkspace()
 	var tables []*Table
 	for _, q := range queries {
-		cl, nodes := prodCluster(cfg, q)
+		cl := prodCluster(cfg, q)
 		n := len(cl.Global)
 		// The paper traces well past the stabilization point: run ~1.5·s
 		// iterations (plus slack for small scaled s) with M comfortably
@@ -154,15 +163,11 @@ func Fig9(cfg Config) ([]*Table, error) {
 			iters = m
 		}
 		p := sensing.Params{M: m, N: n, Seed: cfg.Seed + uint64(q)*31 + 7}
-		part, err := cluster.CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), cluster.CollectOptions{})
-		if err != nil {
-			return nil, err
-		}
 		d, err := sensing.NewDense(p)
 		if err != nil {
 			return nil, err
 		}
-		res, err := ws.BOMP(d, part.Sketch, recovery.Options{
+		res, err := ws.BOMP(d, sketchSum(d, cl.Slices), recovery.Options{
 			MaxIterations: iters,
 			TraceMode:     true,
 			ResidualTol:   1e-13,

@@ -4,20 +4,18 @@
 // compressive-sensing job (CS-Mapper / CS-Reducer, Algorithms 3 and 4).
 //
 // The engine is real where it matters and modeled where it cannot be:
-// map functions, the hash shuffle, and reduce functions actually execute
-// on a goroutine worker pool with exact byte accounting of every emitted
-// tuple, while CPU, disk and network time are modeled. CPU is counted
-// work (records aggregated, values merged, multiply-adds) times two
-// fitted constants; disk and network time come from the byte counts
-// through an explicit CostModel calibrated to the paper's testbed (10
-// nodes, 1 Gbps). Every modeled time is therefore a function of the
+// map functions, the shuffle, and the one reduce task actually execute
+// (mappers on a goroutine worker pool) with exact byte accounting of
+// every emitted tuple, while CPU, disk and network time are modeled. CPU
+// is counted work (records aggregated, values merged, multiply-adds)
+// times two fitted constants; disk and network time come from the byte
+// counts through constants of the paper's testbed (10 nodes, 1 Gbps). Every modeled time is therefore a function of the
 // input. DESIGN.md §1 documents why this substitution preserves the
 // Figure 10–12 crossover behaviour.
 package mapreduce
 
 import (
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"slices"
 	"sort"
@@ -69,86 +67,44 @@ type Job interface {
 	Reduce(key string, values [][]byte, emit func(KV)) (mulAdds int64, err error)
 }
 
-// CostModel converts byte counts into simulated wall-clock time.
-type CostModel struct {
-	// DiskBandwidth is the sequential HDD throughput used for input
-	// reads, map-output spills and reduce-side merge reads (bytes/s).
-	DiskBandwidth float64
-	// NetBandwidth is the shuffle throughput (bytes/s).
-	NetBandwidth float64
-	// TaskOverhead is the per-task scheduling/JVM-startup cost.
-	TaskOverhead time.Duration
-	// TupleCPU is the per-intermediate-tuple CPU charge (seconds):
-	// Hadoop's map-output collector, sort, spill-merge and reduce-side
-	// merge cost a few microseconds per record, which is what makes
-	// shipping N·L tuples expensive beyond their raw bytes.
-	TupleCPU time.Duration
-	// ParseRate is the mapper's record parse/aggregate CPU throughput
-	// (bytes/s) charged against each split's simulated Bytes — the part
+// The modeled cluster is the paper's testbed (§6.2): 10 nodes with 2 map
+// slots each, a 1 Gbps network, HDD-class sequential disk and
+// Hadoop-2-era container start-up.
+const (
+	// mapSlots gates the modeled wave schedule of the map phase; real
+	// execution runs GOMAXPROCS tasks at a time.
+	mapSlots = 20
+	// diskBandwidth is the sequential HDD throughput (bytes/s) of input
+	// reads, map-output spills and reduce-side merge reads.
+	diskBandwidth = 120e6
+	// netBandwidth is the shuffle throughput (bytes/s).
+	netBandwidth = 125e6
+	// taskOverhead is the per-task scheduling and JVM start-up cost.
+	taskOverhead = 1500 * time.Millisecond
+	// parseRate is the mapper's record parse and aggregate throughput
+	// (bytes/s), charged against each split's simulated Bytes: the part
 	// of map CPU that scales with input volume even when the split's
 	// Records are a sampled stand-in for a larger file. The counted map
 	// CPU (aggregation of the sample, measurement) is added on top.
-	// 0 disables the charge.
-	ParseRate float64
-	// MergePasses is the number of times reduce-side input crosses the
-	// local disk during the external merge sort (Hadoop typically reads
-	// fetched map output back at least twice). 0 means 2.
-	MergePasses int
-}
-
-// DefaultHadoopCostModel matches the paper's testbed: 1 Gbps network
-// (§6.2), HDD-class sequential disk, Hadoop-2-era container startup.
-func DefaultHadoopCostModel() CostModel {
-	return CostModel{
-		DiskBandwidth: 120e6, // 120 MB/s sequential HDD
-		NetBandwidth:  125e6, // 1 Gbps
-		TaskOverhead:  1500 * time.Millisecond,
-		ParseRate:     250e6,            // text parse + hash aggregate
-		TupleCPU:      time.Microsecond, // collector+sort+merge+reduce iterator, per record
-		MergePasses:   2,
-	}
-}
-
-// Config describes the simulated cluster.
-type Config struct {
-	// Reducers is the number of reduce partitions (Hadoop: job setting).
-	Reducers int
-	// MapSlots / ReduceSlots are the concurrent task slots of the
-	// simulated cluster (10 nodes in the paper). They gate the *modeled*
-	// wave schedule; real execution runs GOMAXPROCS tasks at a time.
-	MapSlots, ReduceSlots int
-	Cost                  CostModel
-}
-
-func (c *Config) normalize() {
-	if c.Reducers <= 0 {
-		c.Reducers = 1
-	}
-	if c.MapSlots <= 0 {
-		c.MapSlots = 10
-	}
-	if c.ReduceSlots <= 0 {
-		c.ReduceSlots = c.Reducers
-	}
-	if c.Cost.DiskBandwidth <= 0 || c.Cost.NetBandwidth <= 0 {
-		def := DefaultHadoopCostModel()
-		if c.Cost.DiskBandwidth <= 0 {
-			c.Cost.DiskBandwidth = def.DiskBandwidth
-		}
-		if c.Cost.NetBandwidth <= 0 {
-			c.Cost.NetBandwidth = def.NetBandwidth
-		}
-	}
-}
+	parseRate = 250e6
+	// tupleCPU is the per-intermediate-tuple CPU: Hadoop's map-output
+	// collector, sort, spill-merge and reduce-side merge cost about a
+	// microsecond per record, which is what makes shipping N·L tuples
+	// expensive beyond their raw bytes.
+	tupleCPU = time.Microsecond
+	// mergePasses is how often reduce-side input crosses the local disk
+	// during the external merge sort.
+	mergePasses = 2
+)
 
 // Metrics reports what a job did, plus the modeled Hadoop timing.
 type Metrics struct {
-	MapTasks, ReduceTasks int
+	MapTasks int
 
 	InputBytes      int64 // bytes charged for reading the input splits
 	MapOutputBytes  int64 // bytes emitted by mappers = spill = shuffle volume
 	MapOutputTuples int64 // tuples emitted by mappers
-	OutputBytes     int64 // bytes emitted by reducers
+	OutputBytes     int64 // bytes emitted by the reducer
 
 	MapCPU    time.Duration // counted mapper work plus the parse and tuple charges
 	ReduceCPU time.Duration // counted reducer work
@@ -161,7 +117,7 @@ type Metrics struct {
 
 // Split is one input split: its records plus the byte size the cost
 // model charges for reading it (a split can stand in for a much larger
-// file region than its sampled Records — see CostModel.ParseRate).
+// file region than its sampled Records — see parseRate).
 //
 // Represents scales one sampled split up to many physical map tasks:
 // a real Hadoop job over a 600 GB input runs ~2300 block-sized mappers,
@@ -184,11 +140,13 @@ func (s Split) represents() int {
 	return s.Represents
 }
 
-// Run executes the job over the splits and returns the reducer outputs
-// sorted by key, with metrics.
-func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
-	cfg.normalize()
-	met := &Metrics{ReduceTasks: cfg.Reducers}
+// Run executes the job over the splits on the modeled cluster and
+// returns the reducer's output sorted by key, with metrics. There is one
+// reducer: a global top-k needs every partial sum on one node, and the
+// paper's Figure 11 breakdown (reducer time dominating and growing with
+// input) shows exactly this funnel.
+func Run(job Job, splits []Split) ([]KV, *Metrics, error) {
+	met := &Metrics{}
 
 	// --- Map phase: real execution on a worker pool, counted CPU. ---
 	type mapOut struct {
@@ -218,7 +176,7 @@ func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 	}
 	wg.Wait()
 
-	// Modeled map-phase time: tasks scheduled in waves over MapSlots;
+	// Modeled map-phase time: tasks scheduled in waves over mapSlots;
 	// each task pays input read + CPU + spill write + startup overhead.
 	// A split with Represents = R contributes R identical tasks of
 	// Bytes/R input each.
@@ -230,24 +188,21 @@ func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 		}
 		rep := splits[i].represents()
 		perTaskBytes := float64(splits[i].Bytes) / float64(rep)
-		cpu := o.cpu
-		if cfg.Cost.ParseRate > 0 {
-			cpu += seconds(perTaskBytes / cfg.Cost.ParseRate)
-		}
-		cpu += time.Duration(len(o.kvs)) * cfg.Cost.TupleCPU // map-side sort/spill
+		cpu := o.cpu + seconds(perTaskBytes/parseRate)
+		cpu += time.Duration(len(o.kvs)) * tupleCPU // map-side sort/spill
 		met.MapCPU += time.Duration(rep) * cpu
 		met.MapOutputBytes += int64(rep) * o.outBytes
 		met.MapOutputTuples += int64(rep) * int64(len(o.kvs))
 		sampledTuples += int64(len(o.kvs))
-		io := seconds(perTaskBytes/cfg.Cost.DiskBandwidth) +
-			seconds(float64(o.outBytes)/cfg.Cost.DiskBandwidth)
-		task := cfg.Cost.TaskOverhead + cpu + io
+		io := seconds(perTaskBytes/diskBandwidth) +
+			seconds(float64(o.outBytes)/diskBandwidth)
+		task := taskOverhead + cpu + io
 		for r := 0; r < rep; r++ {
 			mapTaskTimes = append(mapTaskTimes, task)
 		}
 		met.MapTasks += rep
 	}
-	met.MapTime = scheduleWaves(mapTaskTimes, cfg.MapSlots)
+	met.MapTime = scheduleWaves(mapTaskTimes, mapSlots)
 
 	// Reduce-side volumes scale by the same multiplicity: every modeled
 	// map task ships (a copy of) its sampled output.
@@ -256,88 +211,46 @@ func Run(job Job, splits []Split, cfg Config) ([]KV, *Metrics, error) {
 		tupleScale = float64(met.MapOutputTuples) / float64(sampledTuples)
 	}
 
-	// --- Shuffle: hash partition, then group by key. Real movement of
-	// the tuples; modeled network time from the exact byte volume. ---
-	parts := make([]map[string][][]byte, cfg.Reducers)
-	for p := range parts {
-		parts[p] = make(map[string][][]byte)
-	}
+	// --- Shuffle: group by key. Real movement of the tuples; modeled
+	// network time from the exact byte volume. ---
+	groups := make(map[string][][]byte)
+	var inBytes, inTuples int64
 	for _, o := range outs {
 		for _, kv := range o.kvs {
-			p := partition(kv.Key, cfg.Reducers)
-			parts[p][kv.Key] = append(parts[p][kv.Key], kv.Value)
+			groups[kv.Key] = append(groups[kv.Key], kv.Value)
+			inBytes += kv.wireBytes()
+			inTuples++
 		}
 	}
-	met.ShuffleTime = seconds(float64(met.MapOutputBytes) / cfg.Cost.NetBandwidth)
+	met.ShuffleTime = seconds(float64(met.MapOutputBytes) / netBandwidth)
 
-	// --- Reduce phase: real execution, one task per partition, counted
-	// CPU. ---
-	type redOut struct {
-		kvs      []KV
-		cpu      time.Duration
-		inBytes  int64
-		inTuples int64
-		outBytes int64
-		err      error
+	// --- Reduce phase: real execution, counted CPU. ---
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
 	}
-	routs := make([]redOut, cfg.Reducers)
-	for p := 0; p < cfg.Reducers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			keys := make([]string, 0, len(parts[p]))
-			var inBytes, inTuples int64
-			for k, vs := range parts[p] {
-				keys = append(keys, k)
-				for _, v := range vs {
-					inBytes += int64(len(k) + len(v))
-					inTuples++
-				}
-			}
-			sort.Strings(keys)
-			var kvs []KV
-			var outBytes, mulAdds int64
-			for _, k := range keys {
-				n, err := job.Reduce(k, parts[p][k], func(kv KV) {
-					kvs = append(kvs, kv)
-					outBytes += kv.wireBytes()
-				})
-				if err != nil {
-					routs[p] = redOut{err: err}
-					return
-				}
-				mulAdds += n
-			}
-			routs[p] = redOut{kvs: kvs, cpu: workCPU(int(inTuples), mulAdds), inBytes: inBytes, inTuples: inTuples, outBytes: outBytes}
-		}(p)
-	}
-	wg.Wait()
-
-	var redTaskTimes []time.Duration
+	sort.Strings(keys)
 	var outputs []KV
-	for p, o := range routs {
-		if o.err != nil {
-			return nil, nil, fmt.Errorf("mapreduce: reduce task %d: %w", p, o.err)
+	var mulAdds int64
+	for _, k := range keys {
+		n, err := job.Reduce(k, groups[k], func(kv KV) {
+			outputs = append(outputs, kv)
+			met.OutputBytes += kv.wireBytes()
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("mapreduce: reduce task: %w", err)
 		}
-		met.ReduceCPU += o.cpu
-		met.OutputBytes += o.outBytes
-		// Reduce-side IO and merge CPU over the multiplicity-scaled
-		// partition: the external merge crosses local disk MergePasses
-		// times before the reduce function sees the stream.
-		passes := cfg.Cost.MergePasses
-		if passes <= 0 {
-			passes = 2
-		}
-		scaledIn := float64(o.inBytes) * tupleScale
-		io := seconds(float64(passes)*scaledIn/cfg.Cost.DiskBandwidth) +
-			seconds(float64(o.outBytes)/cfg.Cost.DiskBandwidth)
-		merge := time.Duration(float64(o.inTuples) * tupleScale * float64(cfg.Cost.TupleCPU))
-		redTaskTimes = append(redTaskTimes, cfg.Cost.TaskOverhead+o.cpu+merge+io)
-		outputs = append(outputs, o.kvs...)
+		mulAdds += n
 	}
-	met.ReduceTime = scheduleWaves(redTaskTimes, cfg.ReduceSlots)
+	met.ReduceCPU = workCPU(int(inTuples), mulAdds)
+	// Reduce-side IO and merge CPU over the multiplicity-scaled input:
+	// the external merge crosses local disk mergePasses times before the
+	// reduce function sees the stream.
+	scaledIn := float64(inBytes) * tupleScale
+	io := seconds(mergePasses*scaledIn/diskBandwidth) +
+		seconds(float64(met.OutputBytes)/diskBandwidth)
+	merge := time.Duration(float64(inTuples) * tupleScale * float64(tupleCPU))
+	met.ReduceTime = taskOverhead + met.ReduceCPU + merge + io
 	met.EndToEnd = met.MapTime + met.ShuffleTime + met.ReduceTime
 
 	sort.Slice(outputs, func(i, j int) bool { return outputs[i].Key < outputs[j].Key })
@@ -362,12 +275,6 @@ func scheduleWaves(tasks []time.Duration, slots int) time.Duration {
 		load[slices.Index(load, slices.Min(load))] += t // the least-loaded slot
 	}
 	return slices.Max(load)
-}
-
-func partition(key string, reducers int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(reducers))
 }
 
 func seconds(s float64) time.Duration {

@@ -91,8 +91,8 @@ func localAggregate(dict *keydict.Dictionary, split []Record) (idx []int, sums [
 
 // TopKJob is the traditional distributed top-k aggregation the paper
 // benchmarks against in §6.2: mappers partially aggregate and ship every
-// distinct (key, partial-sum) tuple; reducers sum per key. The driver
-// extracts the top k afterwards with TopKFromOutput.
+// distinct (key, partial-sum) tuple; the reducer sums per key. The
+// evaluation charges the job and does not pick the top k from its output.
 type TopKJob struct {
 	Dict *keydict.Dictionary
 }

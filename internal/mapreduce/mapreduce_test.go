@@ -17,18 +17,18 @@ import (
 // buildWorkload converts a generated click-log workload into input
 // splits: each data-center slice becomes raw records, shuffled and
 // chunked so one DC spans several mapper splits.
-func buildWorkload(t testing.TB, scale float64, dcs, splitsPerDC int, seed uint64) (*keydict.Dictionary, []Split, *workload.ClickLogs) {
+func buildWorkload(t testing.TB, scale float64, splitsPerDC int, seed uint64) (*keydict.Dictionary, []Split, *workload.ClickLogs) {
 	t.Helper()
 	cl := workload.GenerateClickLogs(workload.ClickLogConfig{
-		Query: workload.CoreSearchClicks, DataCenters: dcs, ScaleN: scale, Seed: seed,
+		Query: workload.CoreSearchClicks, ScaleN: scale, Seed: seed,
 	})
 	dict := keydict.FromSorted(cl.Keys)
 	r := xrand.New(seed + 77)
 	var splits []Split
-	for dc := 0; dc < dcs; dc++ {
+	for _, slice := range cl.Slices {
 		var recs []Record
 		for i, key := range cl.Keys {
-			if v := cl.Slices[dc][i]; v != 0 {
+			if v := slice[i]; v != 0 {
 				recs = append(recs, Record{Key: key, Value: v})
 			}
 		}
@@ -80,12 +80,12 @@ func TestEncodingRoundTrips(t *testing.T) {
 }
 
 func TestTopKJobAggregatesCorrectly(t *testing.T) {
-	dict, splits, cl := buildWorkload(t, 0.01, 3, 2, 1)
-	out, met, err := Run(&TopKJob{Dict: dict}, splits, Config{Reducers: 3})
+	dict, splits, cl := buildWorkload(t, 0.01, 2, 1)
+	out, met, err := Run(&TopKJob{Dict: dict}, splits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if met.MapTasks != len(splits) || met.ReduceTasks != 3 {
+	if met.MapTasks != len(splits) {
 		t.Fatalf("metrics tasks = %+v", met)
 	}
 	// Every key's reduced total must equal the global aggregate.
@@ -110,10 +110,10 @@ func TestTopKJobAggregatesCorrectly(t *testing.T) {
 
 func TestSketchJobEndToEnd(t *testing.T) {
 	const k = 5
-	dict, splits, cl := buildWorkload(t, 0.05, 3, 2, 2)
+	dict, splits, cl := buildWorkload(t, 0.05, 2, 2)
 	p := sensing.Params{M: 180, N: dict.N(), Seed: 50}
 	job := &SketchJob{Dict: dict, Params: p, K: k}
-	out, met, err := Run(job, splits, Config{Reducers: 1})
+	out, met, err := Run(job, splits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSketchJobEndToEnd(t *testing.T) {
 	}
 	// The headline claim: CS map output is a tiny fraction of the
 	// traditional job's tuple shipping.
-	outTrad, metTrad, err := Run(&TopKJob{Dict: dict}, splits, Config{Reducers: 1})
+	outTrad, metTrad, err := Run(&TopKJob{Dict: dict}, splits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,9 @@ func TestSketchJobEndToEnd(t *testing.T) {
 }
 
 func TestSketchJobMapOutputBytesExact(t *testing.T) {
-	dict, splits, _ := buildWorkload(t, 0.01, 2, 2, 3)
+	dict, splits, _ := buildWorkload(t, 0.01, 2, 3)
 	p := sensing.Params{M: 60, N: dict.N(), Seed: 51}
-	_, met, err := Run(&SketchJob{Dict: dict, Params: p, K: 3}, splits, Config{Reducers: 1})
+	_, met, err := Run(&SketchJob{Dict: dict, Params: p, K: 3}, splits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSketchJobRejectsUnknownKey(t *testing.T) {
 	dict := keydict.FromSorted([]string{"a"})
 	p := sensing.Params{M: 4, N: 1, Seed: 1}
 	splits := []Split{{Records: []Record{{Key: "zz", Value: 1}}, Bytes: 10}}
-	if _, _, err := Run(&SketchJob{Dict: dict, Params: p, K: 1}, splits, Config{}); err == nil {
+	if _, _, err := Run(&SketchJob{Dict: dict, Params: p, K: 1}, splits); err == nil {
 		t.Fatal("unknown key accepted")
 	}
 }
@@ -178,24 +178,24 @@ func (e *errJob) Reduce(key string, values [][]byte, emit func(KV)) (int64, erro
 
 func TestErrorPropagation(t *testing.T) {
 	splits := []Split{{Records: []Record{{Key: "a", Value: 1}}, Bytes: 1}}
-	if _, _, err := Run(&errJob{onMap: true}, splits, Config{}); err == nil {
+	if _, _, err := Run(&errJob{onMap: true}, splits); err == nil {
 		t.Fatal("map error swallowed")
 	}
-	if _, _, err := Run(&errJob{}, splits, Config{}); err == nil {
+	if _, _, err := Run(&errJob{}, splits); err == nil {
 		t.Fatal("reduce error swallowed")
 	}
 }
 
 func TestCostModelMonotonicInBytes(t *testing.T) {
 	// More input bytes must never make the modeled job faster.
-	dict, splits, _ := buildWorkload(t, 0.01, 2, 2, 4)
+	dict, splits, _ := buildWorkload(t, 0.01, 2, 4)
 	p := sensing.Params{M: 50, N: dict.N(), Seed: 52}
 	run := func(mult int64) time.Duration {
 		scaled := make([]Split, len(splits))
 		for i, s := range splits {
 			scaled[i] = Split{Records: s.Records, Bytes: s.Bytes * mult}
 		}
-		_, met, err := Run(&SketchJob{Dict: dict, Params: p, K: 3}, scaled, Config{Reducers: 1})
+		_, met, err := Run(&SketchJob{Dict: dict, Params: p, K: 3}, scaled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,11 +238,11 @@ func TestSketchMapDeterministic(t *testing.T) {
 // TestRunMetricsDeterministic: every modeled time is counted work or
 // bytes, so two runs of one job report equal Metrics.
 func TestRunMetricsDeterministic(t *testing.T) {
-	dict, splits, _ := buildWorkload(t, 0.05, 3, 2, 7)
+	dict, splits, _ := buildWorkload(t, 0.05, 2, 7)
 	p := sensing.Params{M: 120, N: dict.N(), Seed: 53}
 	var first *Metrics
 	for i := 0; i < 3; i++ {
-		_, met, err := Run(&SketchJob{Dict: dict, Params: p, K: 5}, splits, Config{Reducers: 1})
+		_, met, err := Run(&SketchJob{Dict: dict, Params: p, K: 5}, splits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,26 +278,13 @@ func TestScheduleWaves(t *testing.T) {
 	}
 }
 
-func TestPartitionStableAndInRange(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		p := partition(key, 7)
-		if p < 0 || p >= 7 {
-			t.Fatalf("partition out of range: %d", p)
-		}
-		if p != partition(key, 7) {
-			t.Fatal("partition not deterministic")
-		}
-	}
-}
-
 func TestDeterministicOutputOrder(t *testing.T) {
-	dict, splits, _ := buildWorkload(t, 0.01, 2, 2, 6)
-	out1, _, err := Run(&TopKJob{Dict: dict}, splits, Config{Reducers: 4})
+	dict, splits, _ := buildWorkload(t, 0.01, 2, 6)
+	out1, _, err := Run(&TopKJob{Dict: dict}, splits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, _, err := Run(&TopKJob{Dict: dict}, splits, Config{Reducers: 4})
+	out2, _, err := Run(&TopKJob{Dict: dict}, splits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package mapreduce
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // countJob emits one fixed tuple per Map call.
 type countJob struct{}
@@ -20,13 +17,11 @@ func (countJob) Reduce(key string, values [][]byte, emit func(KV)) (int64, error
 func TestRepresentsScalesVolumes(t *testing.T) {
 	base := []Split{{Records: []Record{{Key: "a", Value: 1}}, Bytes: 1000, Represents: 1}}
 	scaled := []Split{{Records: []Record{{Key: "a", Value: 1}}, Bytes: 1000, Represents: 7}}
-	cfg := Config{Reducers: 1}
-
-	_, m1, err := Run(countJob{}, base, cfg)
+	_, m1, err := Run(countJob{}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, m7, err := Run(countJob{}, scaled, cfg)
+	_, m7, err := Run(countJob{}, scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,16 +38,15 @@ func TestRepresentsScalesVolumes(t *testing.T) {
 	if m1.InputBytes != 1000 || m7.InputBytes != 1000 {
 		t.Fatalf("InputBytes = %d / %d", m1.InputBytes, m7.InputBytes)
 	}
-	// With one map slot the seven modeled tasks serialize.
-	slotCfg := Config{Reducers: 1, MapSlots: 1, Cost: CostModel{
-		DiskBandwidth: 1e9, NetBandwidth: 1e9, TaskOverhead: 100 * time.Millisecond,
-	}}
-	_, mSer, err := Run(countJob{}, scaled, slotCfg)
+	// 41 modeled tasks on the 20 map slots run in three waves, each
+	// paying the task overhead.
+	waves := []Split{{Records: []Record{{Key: "a", Value: 1}}, Bytes: 1000, Represents: 41}}
+	_, m41, err := Run(countJob{}, waves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mSer.MapTime < 7*100*time.Millisecond {
-		t.Fatalf("serialized map time %v < 7 task overheads", mSer.MapTime)
+	if m41.MapTime < 3*taskOverhead || m1.MapTime >= 2*taskOverhead {
+		t.Fatalf("map time %v for 41 tasks, %v for 1: want three waves against one", m41.MapTime, m1.MapTime)
 	}
 }
 
@@ -72,9 +66,7 @@ func TestReduceSideScalesWithMultiplicity(t *testing.T) {
 	// the modeled reduce time.
 	mk := func(rep int) *Metrics {
 		splits := []Split{{Records: []Record{{Key: "a", Value: 1}}, Bytes: 100, Represents: rep}}
-		_, met, err := Run(countJob{}, splits, Config{Reducers: 1, Cost: CostModel{
-			DiskBandwidth: 1e6, NetBandwidth: 1e6, TupleCPU: time.Millisecond,
-		}})
+		_, met, err := Run(countJob{}, splits)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -176,13 +176,15 @@ func (q QueryType) profile() (n, s int, mode float64) {
 	}
 }
 
+// dataCenters is the paper's count of geo-distributed data centers
+// (§6.1.2): every click-log workload is split over that many slices.
+const dataCenters = 8
+
 // ClickLogConfig parameterizes the production-like workload.
 type ClickLogConfig struct {
-	Query       QueryType
-	DataCenters int     // paper: 8 geo-distributed DCs
-	ScaleN      float64 // scales the key-space (and sparsity) for fast tests; 0 or 1 = paper scale
-	NoiseAmp    float64 // per-DC zero-sum noise amplitude; 0 = mode/4
-	Seed        uint64
+	Query  QueryType
+	ScaleN float64 // scales the key-space (and sparsity) for fast tests; 0 or 1 = paper scale
+	Seed   uint64
 }
 
 // ClickLogs is a generated distributed click-score workload.
@@ -201,9 +203,6 @@ type ClickLogs struct {
 // center of origin, request-URL bucket: the GROUP-BY attributes from the
 // paper's query template).
 func GenerateClickLogs(cfg ClickLogConfig) *ClickLogs {
-	if cfg.DataCenters <= 0 {
-		cfg.DataCenters = 8
-	}
 	scale := cfg.ScaleN
 	if scale <= 0 {
 		scale = 1
@@ -220,16 +219,13 @@ func GenerateClickLogs(cfg ClickLogConfig) *ClickLogs {
 	if s > n/2-1 {
 		s = n/2 - 1 // keep the data majority-dominated
 	}
-	// Default noise amplitude: twice the mode. Per-node values are then
+	// The noise amplitude is twice the mode. Per-node values are then
 	// dominated by the zero-sum noise — locally, outliers are invisible
 	// (paper §6.1.2: "the values are distributed with big standard
 	// deviations, the mode and outliers on each node are vastly
 	// different from the global ones") — while the global aggregate is
 	// exactly the planted vector.
-	noise := cfg.NoiseAmp
-	if noise <= 0 {
-		noise = 2 * mode
-	}
+	noise := 2 * mode
 
 	r := xrand.New(cfg.Seed)
 	keys := makeKeys(n, r)
@@ -258,7 +254,7 @@ func GenerateClickLogs(cfg ClickLogConfig) *ClickLogs {
 		global[j] = mode + mag
 	}
 
-	slices := SplitZeroSumNoise(global, cfg.DataCenters, noise, r.Uint64())
+	slices := SplitZeroSumNoise(global, dataCenters, noise, r.Uint64())
 	truth := outlier.TopK(global, mode, s)
 	return &ClickLogs{
 		Config: cfg,

@@ -147,9 +147,9 @@ func TestSplitZeroSumNoiseLocalSlicesAreDense(t *testing.T) {
 
 func TestGenerateClickLogsInvariant(t *testing.T) {
 	for _, q := range []QueryType{CoreSearchClicks, AdsClicks, AnswerClicks} {
-		cfg := ClickLogConfig{Query: q, DataCenters: 4, ScaleN: 0.05, Seed: 6}
+		cfg := ClickLogConfig{Query: q, ScaleN: 0.05, Seed: 6}
 		cl := GenerateClickLogs(cfg)
-		if len(cl.Slices) != 4 {
+		if len(cl.Slices) != dataCenters {
 			t.Fatalf("%v: %d slices", q, len(cl.Slices))
 		}
 		if len(cl.Keys) != len(cl.Global) {
@@ -199,7 +199,7 @@ func TestClickLogsSparsityProfiles(t *testing.T) {
 }
 
 func TestPairsForNodeRoundTrip(t *testing.T) {
-	cl := GenerateClickLogs(ClickLogConfig{Query: AnswerClicks, DataCenters: 3, ScaleN: 0.02, Seed: 9})
+	cl := GenerateClickLogs(ClickLogConfig{Query: AnswerClicks, ScaleN: 0.02, Seed: 9})
 	pairs := cl.PairsForNode(1)
 	for k, v := range pairs {
 		// Find the key's index.

@@ -2,10 +2,11 @@
 # Repo verification: everything CI runs, in one command.
 #
 #   scripts/verify.sh          # tier-1, then doc-lint, the CLI deployment,
-#                              # race, simulation smoke, soaks, /metrics smokes
+#                              # the examples, race, simulation smoke, soaks,
+#                              # /metrics smokes
 #   scripts/verify.sh -quick   # gofmt + tier-1 + the benchmark module
-#   scripts/verify.sh -bench   # tier-1, doc-lint, the CLI deployment, then
-#                              # the benchmark smokes and gates
+#   scripts/verify.sh -bench   # tier-1, doc-lint, the CLI deployment, the
+#                              # examples, then the benchmark smokes and gates
 #
 # Tier-1 (build, vet, the full suite) is the floor every change clears.
 # The architecture rules are part of it: the test internal/archtest, whose
@@ -14,7 +15,8 @@
 # every mode vets and tests it too. Everything else here is what only a
 # shell can do: gofmt, the Φ goldens under GOARCH=386, the flag doc-lint
 # (every -flag a documented command line passes is in that command's -h),
-# the networked deployment, the race pass, the soaks and the smokes.
+# the networked deployment, the examples, the race pass, the soaks and the
+# smokes.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -166,6 +168,17 @@ for args in "-snapshot-every 1s" \
 		exit 1
 	fi
 	tail -n 1 "$tmp/refuse.log"
+done
+
+echo "== examples: every main under examples/ runs to a zero exit =="
+go build -o "$tmp/examples/" ./examples/...
+for ex in "$tmp"/examples/*; do
+	if ! "$ex" >"$tmp/example.out" 2>&1; then
+		cat "$tmp/example.out" >&2
+		echo "verify: example $(basename "$ex") failed" >&2
+		exit 1
+	fi
+	echo "examples/$(basename "$ex") ok"
 done
 
 case "${1:-}" in
