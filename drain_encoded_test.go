@@ -13,22 +13,31 @@ import (
 	"csoutlier/internal/xrand"
 )
 
-// drainEnsembles is codecEnsembles plus the Gaussian that regenerates
-// its columns instead of holding them (what NewSketcher picks past
-// denseLimit), under the same consensus identity.
+// drainEnsembles is one Sketcher per ensemble over 8,200 keys, so key
+// indices reach both bands where a pair's tag varint grows (64 and
+// 8,192), plus the Gaussian that regenerates its columns instead of
+// holding them (what NewSketcher picks past denseLimit), under the
+// same consensus identity.
 func drainEnsembles(t *testing.T, seed uint64) map[string]*Sketcher {
 	t.Helper()
-	out := codecEnsembles(t, seed)
-	sk, err := NewSketcher(testKeys(64), Config{M: 24, Seed: seed})
+	keys := testKeys(8200)
+	out := make(map[string]*Sketcher)
+	for name, cfg := range map[string]Config{
+		"gaussian":             {M: 24, Seed: seed},
+		"gaussian-regenerated": {M: 24, Seed: seed},
+		"countsketch":          {M: 24, Seed: seed, Ensemble: CountSketch, Depth: 3},
+	} {
+		sk, err := NewSketcher(keys, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = sk
+	}
+	seeded, err := sensing.NewSeeded(out["gaussian-regenerated"].spec.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := sensing.NewSeeded(sk.spec.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk.matrix = seeded
-	out["gaussian-regenerated"] = sk
+	out["gaussian-regenerated"].matrix = seeded
 	return out
 }
 
@@ -37,15 +46,56 @@ type obsPair struct {
 	v   float64
 }
 
-// randomObservations draws n observations with repeated keys and values
-// across forty binades, so no order of summation is exact by accident.
-func randomObservations(rng *xrand.RNG, keys, n int) []obsPair {
+// edgeIndices are the key indices on either side of where a pair's
+// tag (index<<1 | raw) takes another varint byte, 63/64 and 8191/8192,
+// and of where the untagged index did, 127/128.
+var edgeIndices = []int{63, 64, 127, 128, 8191, 8192}
+
+// observationStream draws n observations over keys ≥ 8193 key indices,
+// with repeated keys and a sixth of them at edgeIndices. Values by
+// kind: "integer" travels as varints, counts of every magnitude up to
+// ±2^53; "raw" as float64s, values across forty binades (so no order
+// of summation is exact by accident), ±(2^53+2) and ±0.5; "mixed"
+// draws each value from either.
+func observationStream(rng *xrand.RNG, keys, n int, kind string) []obsPair {
 	out := make([]obsPair, n)
 	for i := range out {
-		out[i] = obsPair{rng.Intn(keys), math.Ldexp(rng.Float64()-0.5, int(rng.Uint64()%40)-20)}
-		if out[i].v == 0 {
-			out[i].v = 1
+		idx := rng.Intn(keys)
+		if rng.Intn(6) == 0 {
+			idx = edgeIndices[rng.Intn(len(edgeIndices))]
 		}
+		k := kind
+		if k == "mixed" {
+			k = [...]string{"integer", "raw"}[rng.Intn(2)]
+		}
+		edge := rng.Intn(8) == 0
+		var v float64
+		switch {
+		case k == "integer" && edge:
+			v = 1 << 53
+		case k == "integer":
+			v = float64(rng.Uint64() >> (11 + rng.Intn(53)))
+		case edge:
+			v = [...]float64{1<<53 + 2, 0.5}[rng.Intn(2)]
+		default:
+			v = math.Ldexp(rng.Float64()-0.5, int(rng.Uint64()%40)-20)
+		}
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		if v == 0 {
+			v = 1
+		}
+		out[i] = obsPair{idx, v}
+	}
+	return out
+}
+
+// repeated is n copies of o.
+func repeated(o obsPair, n int) []obsPair {
+	out := make([]obsPair, n)
+	for i := range out {
+		out[i] = o
 	}
 	return out
 }
@@ -63,20 +113,29 @@ func observedSketch(sk *Sketcher, obs []obsPair) Sketch {
 	return s
 }
 
-// crossoverCount is the first observation count whose pairs payload is
-// no smaller than the sketch, for key indices below 128 and counts
-// below 128: 1 + 9·count ≥ 8·M.
-func crossoverCount(m int) int { return (8*m - 1 + 8) / 9 }
+// crossoverCount is the first count of obs's observations whose pairs
+// payload, at the lengths the encoder writes, is no smaller than the
+// sketch of m measurements (len(obs)+1 if none is).
+func crossoverCount(m int, obs []obsPair) int {
+	var l pairLog
+	for _, o := range obs {
+		l.add(o.idx, o.v)
+		if pairsLen(l.count, len(l.bytes)) >= EncodedSketchLen(m) {
+			return l.count
+		}
+	}
+	return len(obs) + 1
+}
 
-// TestDrainEncodedBitIdentical: on every ensemble and on both sides of
-// the size crossover, a window that folds what DrainEncoded returned
-// holds the bits it would hold had the parent commit's node observed,
-// drained, encoded and shipped a sketch; at and past the crossover the
-// bytes themselves are the parent's.
+// TestDrainEncodedBitIdentical: on every ensemble, for integer,
+// non-integer and mixed values, and on both sides of the size
+// crossover, a window that folds what DrainEncoded returned holds the
+// bits it would hold had a node that measured every observation on
+// arrival drained, encoded and shipped a sketch; at and past the
+// crossover the bytes themselves are that node's.
 func TestDrainEncodedBitIdentical(t *testing.T) {
 	for name, sk := range drainEnsembles(t, 9) {
 		keys := sk.Keys()
-		cross := crossoverCount(sk.M())
 		rng := xrand.New(31)
 		base := sk.ZeroSketch()
 		for i := range base.Y {
@@ -85,71 +144,79 @@ func TestDrainEncodedBitIdentical(t *testing.T) {
 		u := sk.NewUpdater() // one updater through every count: a drain must leave nothing behind
 		buf := make([]byte, 0, EncodedSketchLen(sk.M()))
 		into := sk.ZeroSketch()
-		for _, count := range []int{0, 1, cross - 1, cross, cross + 1, 4 * cross} {
-			obs := randomObservations(rng, len(keys), count)
-			for _, o := range obs {
-				if err := u.Observe(keys[o.idx], o.v); err != nil {
+		for _, kind := range []string{"integer", "raw", "mixed"} {
+			stream := observationStream(rng, len(keys), 16*sk.M()+64, kind)
+			cross := crossoverCount(sk.M(), stream)
+			if 4*cross > len(stream) {
+				t.Fatalf("%s %s: crossover at %d of %d drawn observations", name, kind, cross, len(stream))
+			}
+			name := name + " " + kind
+			for _, count := range []int{0, 1, cross - 1, cross, cross + 1, 4 * cross} {
+				obs := stream[:count]
+				for _, o := range obs {
+					if err := u.Observe(keys[o.idx], o.v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := observedSketch(sk, obs)
+				wantBytes, _ := want.MarshalBinary()
+				if got := u.Updates(); got != int64(count) {
+					t.Fatalf("%s count %d: Updates() = %d", name, count, got)
+				}
+
+				payload, n, err := u.DrainEncoded(buf[:0])
+				if err != nil || n != int64(count) {
+					t.Fatalf("%s count %d: DrainEncoded drained %d, %v", name, count, n, err)
+				}
+				switch {
+				case count == 0:
+					if len(payload) != 0 {
+						t.Fatalf("%s: an empty drain encoded %d bytes", name, len(payload))
+					}
+					continue
+				case count < cross:
+					if !PairsEncoded(payload) || len(payload) >= len(wantBytes) {
+						t.Fatalf("%s count %d: %d-byte payload (pairs=%v), want pairs under the sketch's %d bytes",
+							name, count, len(payload), PairsEncoded(payload), len(wantBytes))
+					}
+				default:
+					if !bytes.Equal(payload, wantBytes) {
+						t.Fatalf("%s count %d: at or past the crossover the payload is not the parent's sketch frame", name, count)
+					}
+				}
+
+				folded, _ := sk.NewWindowStore(1)
+				parent, _ := sk.NewWindowStore(1)
+				for _, ws := range []*WindowStore{folded, parent} {
+					if err := ws.AddSketch(0, base); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := foldEncoded(folded, 0, payload); err != nil {
+					t.Fatalf("%s count %d: fold: %v", name, count, err)
+				}
+				if err := foldEncoded(parent, 0, wantBytes); err != nil {
 					t.Fatal(err)
 				}
-			}
-			want := observedSketch(sk, obs)
-			wantBytes, _ := want.MarshalBinary()
-			if got := u.Updates(); got != int64(count) {
-				t.Fatalf("%s count %d: Updates() = %d", name, count, got)
-			}
+				got, _ := folded.Window(0)
+				ref, _ := parent.Window(0)
+				if !bitsEqual(got.Y, ref.Y) {
+					t.Fatalf("%s count %d: window folded from DrainEncoded differs from the parent path's", name, count)
+				}
+				if err := sk.UnmarshalSketchInto(payload, into); err != nil || !bitsEqual(into.Y, want.Y) {
+					t.Fatalf("%s count %d: UnmarshalSketchInto of the drained payload: %v", name, count, err)
+				}
+				if _, err := DecodeSketch(payload); (err == nil) != (count >= cross) {
+					t.Fatalf("%s count %d: DecodeSketch without a Sketcher: %v", name, count, err)
+				}
 
-			payload, n, err := u.DrainEncoded(buf[:0])
-			if err != nil || n != int64(count) {
-				t.Fatalf("%s count %d: DrainEncoded drained %d, %v", name, count, n, err)
-			}
-			switch {
-			case count == 0:
-				if len(payload) != 0 {
-					t.Fatalf("%s: an empty drain encoded %d bytes", name, len(payload))
+				// DrainInto is the same sketch, whichever regime it found.
+				for _, o := range obs {
+					u.Observe(keys[o.idx], o.v)
 				}
-				continue
-			case count < cross:
-				if !PairsEncoded(payload) || len(payload) >= len(wantBytes) {
-					t.Fatalf("%s count %d: %d-byte payload (pairs=%v), want pairs under the sketch's %d bytes",
-						name, count, len(payload), PairsEncoded(payload), len(wantBytes))
+				if n, err := u.DrainInto(into); err != nil || n != int64(count) || !bitsEqual(into.Y, want.Y) {
+					t.Fatalf("%s count %d: DrainInto drained %d, %v, or differs from the observed sketch", name, count, n, err)
 				}
-			default:
-				if !bytes.Equal(payload, wantBytes) {
-					t.Fatalf("%s count %d: at or past the crossover the payload is not the parent's sketch frame", name, count)
-				}
-			}
-
-			folded, _ := sk.NewWindowStore(1)
-			parent, _ := sk.NewWindowStore(1)
-			for _, ws := range []*WindowStore{folded, parent} {
-				if err := ws.AddSketch(0, base); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := foldEncoded(folded, 0, payload); err != nil {
-				t.Fatalf("%s count %d: fold: %v", name, count, err)
-			}
-			if err := foldEncoded(parent, 0, wantBytes); err != nil {
-				t.Fatal(err)
-			}
-			got, _ := folded.Window(0)
-			ref, _ := parent.Window(0)
-			if !bitsEqual(got.Y, ref.Y) {
-				t.Fatalf("%s count %d: window folded from DrainEncoded differs from the parent path's", name, count)
-			}
-			if err := sk.UnmarshalSketchInto(payload, into); err != nil || !bitsEqual(into.Y, want.Y) {
-				t.Fatalf("%s count %d: UnmarshalSketchInto of the drained payload: %v", name, count, err)
-			}
-			if _, err := DecodeSketch(payload); (err == nil) != (count >= cross) {
-				t.Fatalf("%s count %d: DecodeSketch without a Sketcher: %v", name, count, err)
-			}
-
-			// DrainInto is the same sketch, whichever regime it found.
-			for _, o := range obs {
-				u.Observe(keys[o.idx], o.v)
-			}
-			if n, err := u.DrainInto(into); err != nil || n != int64(count) || !bitsEqual(into.Y, want.Y) {
-				t.Fatalf("%s count %d: DrainInto drained %d, %v, or differs from the observed sketch", name, count, n, err)
 			}
 		}
 		if n, err := u.DrainInto(into); err != nil || n != 0 || !bitsEqual(into.Y, sk.ZeroSketch().Y) {
@@ -171,7 +238,7 @@ func TestDrainEncodedBitIdenticalConcurrent(t *testing.T) {
 	}
 	const writers = 4
 	keys := sk.Keys()
-	cross := crossoverCount(sk.M())
+	cross := crossoverCount(sk.M(), repeated(obsPair{len(keys) - 1, -9}, 8*sk.M())) // every pair below is two bytes
 	u := sk.NewUpdater()
 	ws, _ := sk.NewWindowStore(1)
 	buf := make([]byte, 0, EncodedSketchLen(sk.M()))
@@ -299,7 +366,7 @@ func TestDrainEncodedZeroAlloc(t *testing.T) {
 	// before it take their column scratch from a sync.Pool, which the
 	// race detector empties at random.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for j := 0; j < crossoverCount(sk.M())+40; j++ {
+	for j := 0; u.logging || j < 40; j++ { // at least to the crossover
 		i++
 		u.Observe(keys[i%len(keys)], float64(i))
 	}
@@ -337,11 +404,8 @@ func TestObserveMeasuredZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for u.Updates() <= int64(crossoverCount(sk.M())) {
+	for u.logging {
 		observe()
-	}
-	if u.logging {
-		t.Fatalf("%d observations at M=%d are still logged", u.Updates(), sk.M())
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	observe() // the pool holds a column from here on

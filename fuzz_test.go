@@ -57,7 +57,9 @@ func FuzzDecodeSketch(f *testing.F) {
 	f.Add(validCsk)
 	f.Add(validCsk[:len(validCsk)-5])
 	// The pairs encoding of the same observation, whole and damaged: a
-	// NaN value, an index past N, a count past the bytes, a cut tail.
+	// NaN value, an index past N, a count past the bytes, a cut tail; an
+	// integer past 2^53, an integer sent raw, a value varint one byte
+	// longer than it needs, the layout before varint values.
 	pairs := func(count int, obs ...obsPair) []byte {
 		l := pairLog{}
 		for _, o := range obs {
@@ -66,15 +68,23 @@ func FuzzDecodeSketch(f *testing.F) {
 		l.count = count
 		return l.appendPairs(nil, sk.sketchID())
 	}
+	tagged := func(tag uint64, value ...byte) []byte {
+		return pairLog{count: 1, bytes: append(binary.AppendUvarint(nil, tag), value...)}.appendPairs(nil, sk.sketchID())
+	}
 	validPairs := pairs(1, obsPair{1, 2.5})
 	f.Add(validPairs)
 	f.Add(validPairs[:len(validPairs)-3])
-	f.Add([]byte("CSKP"))
+	f.Add([]byte("CSKV"))
+	f.Add(append([]byte("CSKP"), validPairs[4:]...))
 	f.Add(pairs(2, obsPair{1, 2.5}, obsPair{3, -1}))
+	f.Add(pairs(2, obsPair{1, 1 << 53}, obsPair{3, math.Copysign(0, -1)}))
 	f.Add(pairs(1, obsPair{1, math.NaN()}))
 	f.Add(pairs(1, obsPair{4, 2.5}))
 	f.Add(pairs(3, obsPair{1, 2.5}))
-	f.Add(pairs(3, obsPair{0, 1}, obsPair{1, 1}, obsPair{2, 1})) // no smaller than the sketch
+	f.Add(pairs(3, obsPair{0, 1.5}, obsPair{1, 1.5}, obsPair{2, 1.5})) // no smaller than the sketch
+	f.Add(tagged(2, binary.AppendVarint(nil, 1<<53+1)...))
+	f.Add(tagged(3, binary.LittleEndian.AppendUint64(nil, math.Float64bits(2))...))
+	f.Add(tagged(2, 0x82, 0x00))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// With the matrix at hand either encoding decodes, and whatever
@@ -87,6 +97,19 @@ func FuzzDecodeSketch(f *testing.F) {
 			}
 			if PairsEncoded(data) && len(data) >= EncodedSketchLen(sk.M()) {
 				t.Fatalf("a %d-byte pairs payload decoded, the sketch is %d", len(data), EncodedSketchLen(sk.M()))
+			}
+		}
+		// A pairs payload that decodes is the one the encoder writes for
+		// its observations, byte for byte.
+		if l, err := sk.decodePairs(data); err == nil {
+			var again pairLog
+			for b := l.bytes; len(b) > 0; {
+				idx, v, rest, _ := nextPair(b)
+				again.add(int(idx), v)
+				b = rest
+			}
+			if out := again.appendPairs(nil, sk.sketchID()); !bytes.Equal(out, data) {
+				t.Fatalf("pairs decode/encode not canonical:\n in  %x\n out %x", data, out)
 			}
 		}
 		s, err := DecodeSketch(data) // must never panic

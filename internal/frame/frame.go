@@ -29,7 +29,8 @@ const (
 	// disconnected; there is no negotiation. 2: a push delta's payload may
 	// be csoutlier's pairs encoding, which a version-1 aggregator would
 	// ack as a bad sketch, frame after frame, instead of hanging up.
-	Version = 2
+	// 3: a pair's value may be a varint (magic "CSKV", not "CSKP").
+	Version = 3
 	// Overhead is the prelude in front of every frame body.
 	Overhead = 4 + 1 + 1
 )

@@ -27,15 +27,17 @@ import (
 //
 // A delta's payload is opaque here. csoutlier gives it one of two
 // layouts behind the same 25-byte consensus identity and CRC — the M
-// measurements ("CSK2"), or the observations themselves as (uv key
-// index, f64 value) pairs ("CSKP") — and a node ships whichever is
-// smaller (csoutlier.Updater.DrainEncoded): a flush never costs more
-// bytes than the data it carries, and never more than the sketch. The
-// bytes saved are paid for in CPU one hop up: whoever folds a pairs
-// payload measures it (O(M) per pair), work the leaf no longer does.
-// Version 2 of the prelude marks peers that may send pairs; a version-1
-// aggregator would have acked every such frame "bad sketch magic"
-// instead of hanging up.
+// measurements ("CSK2"), or the observations themselves ("CSKV": per
+// pair a uv tag of key index and form, then the value as a zigzag
+// varint when it is an integer, else as an f64) — and a node ships
+// whichever is smaller (csoutlier.Updater.DrainEncoded): a flush never
+// costs more bytes than the data it carries, and never more than the
+// sketch. The bytes saved are paid for in CPU one hop up: whoever folds
+// a pairs payload measures it (O(M) per pair), work the leaf no longer
+// does. Version 2 of the prelude marked peers that may send pairs;
+// version 3 marks varint values, so a version-2 peer, whose "CSKP"
+// pairs carry every value as an f64, is disconnected at its first
+// frame instead of acked "bad sketch magic" frame after frame.
 
 // Frame-size accounting, exported for harnesses that budget bytes per
 // connection (internal/simtest's chaos proxies).

@@ -66,16 +66,28 @@ func retiredFrames() map[pushKind][]byte {
 // then a valid checksum — so a test can say exactly what is wrong with it.
 func rawPairs(t testing.TB, sk *csoutlier.Sketcher, body []byte) []byte {
 	t.Helper()
-	b := append([]byte("CSKP"), uniformDelta(t, sk, 0)[4:25]...)
+	return rawPayload(t, sk, "CSKV", body)
+}
+
+// rawPayload is rawPairs under any magic.
+func rawPayload(t testing.TB, sk *csoutlier.Sketcher, magic string, body []byte) []byte {
+	t.Helper()
+	b := append([]byte(magic), uniformDelta(t, sk, 0)[4:25]...)
 	b = append(b, body...)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// pairsBody is uv count | count × (uv index, f64 value).
+// pairsBody is uv count | count × observation: an integer of magnitude
+// at most 2^53 (not −0) as uv(index<<1) and a zigzag varint, any other
+// value as uv(index<<1 | 1) and its f64.
 func pairsBody(count uint64, idx []uint64, vals []float64) []byte {
 	b := binary.AppendUvarint(nil, count)
-	for i := range idx {
-		b = frame.AppendF64(binary.AppendUvarint(b, idx[i]), vals[i])
+	for i, v := range vals {
+		if v == math.Trunc(v) && math.Abs(v) <= 1<<53 && !(v == 0 && math.Signbit(v)) {
+			b = binary.AppendVarint(binary.AppendUvarint(b, idx[i]<<1), int64(v))
+		} else {
+			b = frame.AppendF64(binary.AppendUvarint(b, idx[i]<<1|1), v)
+		}
 	}
 	return b
 }
@@ -89,17 +101,16 @@ func hostilePairs(t testing.TB, sk, foreign, wider *csoutlier.Sketcher) map[stri
 	good := pairsBody(3, idx, vals)
 	flipped := rawPairs(t, sk, good)
 	flipped[30] ^= 0x20
+	// full is one observation more than the largest pairs payload under
+	// the sketch's size.
 	var full []uint64
-	for 1+9*(len(full)+1) < 8*sk.M() {
-		full = append(full, uint64(len(full)%64))
-	}
-	ones := make([]float64, len(full)+1)
-	for i := range ones {
-		ones[i] = 1
+	var ones []float64
+	for len(rawPairs(t, sk, pairsBody(uint64(len(full)), full, ones))) < csoutlier.EncodedSketchLen(sk.M()) {
+		full, ones = append(full, uint64(len(full)%64)), append(ones, 1)
 	}
 	out := map[string][]byte{
 		"index N":                    rawPairs(t, sk, pairsBody(1, []uint64{uint64(sk.N())}, []float64{1})),
-		"no smaller than the sketch": rawPairs(t, sk, pairsBody(uint64(len(full)+1), append(full, 0), ones)),
+		"no smaller than the sketch": rawPairs(t, sk, pairsBody(uint64(len(full)), full, ones)),
 		"count over the bytes":       rawPairs(t, sk, pairsBody(4, idx, vals)),
 		"count of 2^62":              rawPairs(t, sk, pairsBody(1<<62, idx, vals)),
 		"truncated varint":           rawPairs(t, sk, append(pairsBody(2, idx[:1], vals[:1]), bytes.Repeat([]byte{0x80}, 9)...)),
@@ -107,6 +118,10 @@ func hostilePairs(t testing.TB, sk, foreign, wider *csoutlier.Sketcher) map[stri
 		"trailing byte":              rawPairs(t, sk, append(append([]byte(nil), good...), 0)),
 		"trailing observation":       rawPairs(t, sk, pairsBody(2, idx, vals)),
 		"no count":                   rawPairs(t, sk, nil),
+		"integer past 2^53":          rawPairs(t, sk, binary.AppendVarint([]byte{1, 3 << 1}, 1<<53+1)),
+		"integer sent raw":           rawPairs(t, sk, frame.AppendF64([]byte{1, 3<<1 | 1}, 2)),
+		"overlong integer varint":    rawPairs(t, sk, []byte{1, 3 << 1, 0x82, 0x00}),
+		"the CSKP layout":            rawPayload(t, sk, "CSKP", frame.AppendF64([]byte{1, 3}, 1.5)),
 		"another seed":               rawPairs(t, foreign, good),
 		"another M":                  rawPairs(t, wider, good),
 		"flipped bit":                flipped,
@@ -336,12 +351,24 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 	}
 	oversized := append([]byte(nil), good[pushDelta]...)
 	binary.LittleEndian.PutUint32(oversized, uint32(agg.limits[pushDelta]+1))
+	// What a peer built before varint pair values sends first: its hello,
+	// or a delta of pairs in the layout of that version, each under a
+	// version-2 prelude.
+	version2 := func(b []byte) []byte {
+		b = append([]byte(nil), b...)
+		b[4] = 2
+		return b
+	}
+	cskp := rawPayload(t, sk, "CSKP", frame.AppendF64([]byte{1, 3}, 1.5))
+	v2Delta := version2(appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 1, Seq: 1, Folds: 1, Payload: cskp}))
 	cases := []struct {
 		name      string
 		bytes     []byte
 		closeSend bool // half-close after writing: the frame is cut short
 	}{
 		{"unknown version", prelude(2, 9, pushHello, 0, 1), false},
+		{"version-2 hello", version2(good[pushHello]), false},
+		{"version-2 delta of CSKP pairs", v2Delta, false},
 		{"unknown kind", prelude(2, frame.Version, 77, 0, 1), false},
 		{"reply kind as a request", good[replyAck], false},
 		{"oversized delta", oversized, false},
@@ -680,11 +707,12 @@ func (w *wireTap) exchange(fn func()) (total int, read []byte) {
 
 // TestDeltaWireBytes pins what a flush puts on the wire at the
 // benchmark's ingest_flat shape (M=256, N=4096, 16 observations a
-// flush, a six-byte node name): the observations themselves, 209 bytes
-// for the whole exchange where the sketch frame takes 2,104 — and that
-// from the size crossover up, the frame is byte for byte the sketch
-// frame a node that measured every observation on arrival, drained and
-// encoded would have sent.
+// flush, a six-byte node name): the observations themselves, 116 bytes
+// for the whole exchange when they are counts and 213 when they are
+// not, where the sketch frame takes 2,104 — and that from the size
+// crossover up, the frame is byte for byte the sketch frame a node that
+// measured every observation on arrival, drained and encoded would
+// have sent.
 func TestDeltaWireBytes(t *testing.T) {
 	sk := testSketcher(t, 4096, 256, 5)
 	agg, err := NewAggregator(sk, AggregatorOptions{})
@@ -707,15 +735,18 @@ func TestDeltaWireBytes(t *testing.T) {
 	}
 	defer node.Abort()
 
-	// Eight key indices a one-byte varint holds, eight that take two.
+	// Key indices whose tag takes one varint byte (0–48) or two (64–112,
+	// 1,008–1,120); counts whose varint takes one byte (1, 38), two or
+	// three (8,326); and values that are not integers.
 	keys := sk.Keys() // in index order
 	var idx []uint64
-	var vals []float64
+	var counts, vals []float64
 	for i := 0; i < 16; i++ {
 		idx = append(idx, uint64(i*8+(i%2)*1000))
+		counts = append(counts, float64(1+37*i*i))
 		vals = append(vals, float64(i)-7.5)
 	}
-	observe := func(on interface{ Observe(string, float64) error }, n int) {
+	observe := func(on interface{ Observe(string, float64) error }, n int, vals []float64) {
 		for i := 0; i < n; i++ {
 			if err := on.Observe(keys[idx[i%16]], vals[i%16]); err != nil {
 				t.Fatal(err)
@@ -735,30 +766,42 @@ func TestDeltaWireBytes(t *testing.T) {
 		ack         = frame.Overhead + 1 + 1 + 1 + 1 // status | uv window | uv aggEpoch | uv stable
 	)
 
-	observe(node, 16)
-	total, read := tap.exchange(flush)
-	pairs := rawPairs(t, sk, pairsBody(16, idx, vals))
-	if want := 25 + 1 + (8*9 + 8*10) + 4; len(pairs) != want {
-		t.Fatalf("16 observations encode to %d bytes as pairs, want %d", len(pairs), want)
-	}
-	if !bytes.Equal(read, frameOf(1, pairs)) {
-		t.Fatalf("a 16-observation flush sent\n%x\nwant the observations as pairs\n%x", read, frameOf(1, pairs))
-	}
-	if want := frame.Overhead + deltaHeader + len(pairs) + ack; total != want || want != 209 {
-		t.Fatalf("a 16-observation exchange put %d bytes on the wire, want %d (= 209)", total, want)
+	for i, c := range []struct {
+		what        string
+		vals        []float64
+		body, total int
+	}{
+		// Tags 4×1 + 12×2 bytes; values 2×1 + 13×2 + 1×3 bytes, or 16×8.
+		{"counts", counts, 28 + 31, 116},
+		{"non-integers", vals, 28 + 128, 213},
+	} {
+		observe(node, 16, c.vals)
+		total, read := tap.exchange(flush)
+		pairs := rawPairs(t, sk, pairsBody(16, idx, c.vals))
+		if want := 25 + 1 + c.body + 4; len(pairs) != want {
+			t.Fatalf("16 %s encode to %d bytes as pairs, want %d", c.what, len(pairs), want)
+		}
+		if !bytes.Equal(read, frameOf(uint64(1+i), pairs)) {
+			t.Fatalf("a flush of 16 %s sent\n%x\nwant the observations as pairs\n%x", c.what, read, frameOf(uint64(1+i), pairs))
+		}
+		if want := frame.Overhead + deltaHeader + len(pairs) + ack; total != want || want != c.total {
+			t.Fatalf("a flush of 16 %s put %d bytes on the wire, want %d (= %d)", c.what, total, want, c.total)
+		}
 	}
 
-	// The last count that still travels as pairs, and the first that does
-	// not: 8·9 + 8·10 bytes per sixteen observations, a two-byte count.
+	// The last count of non-integers that still travels as pairs, and the
+	// first that does not: each observation at its pair's length, a
+	// two-byte count.
 	cross := 0
 	for body := 0; 2+body < 8*256; cross++ {
-		body += 9 + cross%2
+		j := cross % 16
+		body += len(pairsBody(0, idx[j:j+1], vals[j:j+1])) - 1
 	}
 	shadow := sk.NewUpdater()
 	parent := sk.ZeroSketch()
 	for i, n := range []int{cross - 1, cross, cross + 37} {
-		observe(node, n)
-		observe(shadow, n)
+		observe(node, n, vals)
+		observe(shadow, n, vals)
 		if _, err := shadow.DrainInto(parent); err != nil {
 			t.Fatal(err)
 		}
@@ -773,14 +816,14 @@ func TestDeltaWireBytes(t *testing.T) {
 			}
 			continue
 		}
-		if !bytes.Equal(read, frameOf(uint64(2+i), payload)) {
+		if !bytes.Equal(read, frameOf(uint64(3+i), payload)) {
 			t.Fatalf("%d observations (crossover %d): the frame is not the parent's sketch frame", n, cross)
 		}
 		if want := frame.Overhead + deltaHeader + csoutlier.EncodedSketchLen(256) + ack; total != want || want != 2104 {
 			t.Fatalf("%d observations: %d bytes on the wire, want %d (= 2104)", n, total, want)
 		}
 	}
-	if st := node.Stats(); st.Captured != 4 || st.PairFrames != 2 || st.Applied != 4 {
-		t.Fatalf("node stats %+v, want 4 captures, 2 of them pairs, all applied", st)
+	if st := node.Stats(); st.Captured != 5 || st.PairFrames != 3 || st.Applied != 5 {
+		t.Fatalf("node stats %+v, want 5 captures, 3 of them pairs, all applied", st)
 	}
 }

@@ -37,11 +37,19 @@ import (
 // themselves — the paper's "ALL" baseline for as long as it is the
 // cheaper one:
 //
-//	magic    [4]byte  "CSKP"
+//	magic    [4]byte  "CSKV"
 //	m, n, seed, ensemble, density   as above
 //	count    uvarint
-//	pairs    count × (uvarint key index, float64 value), in the order observed
+//	pairs    count × observation, in the order observed
 //	crc32    uint32 (IEEE, over everything above)
+//
+// An observation is uvarint(index<<1 | raw), then its value: raw = 0,
+// a zigzag varint, for an integer of magnitude at most 2^53 other than
+// −0 (a click-log count costs 1–3 bytes); raw = 1, the little-endian
+// float64, for every other value. Each value has exactly one form, and
+// every varint is minimal, so a payload that decodes re-encodes to the
+// same bytes. ("CSKP", the layout before varint values, is refused by
+// its magic.)
 //
 // The sketch is linear, so the receiver computes Σ valueᵢ·φ_indexᵢ itself,
 // with Observe's arithmetic in Observe's order, and lands on the bits the
@@ -52,15 +60,20 @@ import (
 
 var (
 	sketchMagic = [4]byte{'C', 'S', 'K', '2'}
-	pairsMagic  = [4]byte{'C', 'S', 'K', 'P'}
+	pairsMagic  = [4]byte{'C', 'S', 'K', 'V'}
 )
 
 const sketchHeaderLen = 4 + 4 + 4 + 8 + 1 + 4
 const sketchTrailerLen = 4
 
 // MinEncodedPairsLen is the smallest delta payload either encoding
-// produces for m ≥ 2: one observation of a key index below 128.
-const MinEncodedPairsLen = sketchHeaderLen + 1 + (1 + 8) + sketchTrailerLen
+// produces: one observation of a key index below 64 and an integer
+// value of magnitude below 64.
+const MinEncodedPairsLen = sketchHeaderLen + 1 + (1 + 1) + sketchTrailerLen
+
+// maxPairLen is the largest observation add writes: a 64-bit tag and a
+// raw float64.
+const maxPairLen = binary.MaxVarintLen64 + 8
 
 // EncodedSketchLen returns the size in bytes of the binary encoding of
 // a sketch of m measurements — what a transport needs to bound a frame
@@ -205,38 +218,90 @@ func decodeSketchID(data []byte) (Sketch, error) {
 	return id, nil
 }
 
-// pairLog is count observations as the pairs encoding carries them:
-// count × (uvarint key index, float64 value), in the order observed.
+// pairLog is count observations as the pairs encoding carries them,
+// in the order observed.
 type pairLog struct {
 	count int
 	bytes []byte
 }
 
+// maxExactInt is the largest magnitude a pair's integer value may have:
+// every integer up to it is a float64 exactly.
+const maxExactInt = 1 << 53
+
+// pairInt reports whether v travels as a varint, and as which integer.
+func pairInt(v float64) (int64, bool) {
+	if v != math.Trunc(v) || math.Abs(v) > maxExactInt || math.Float64bits(v) == 1<<63 {
+		return 0, false // not an integer (NaN among them), too large, or −0
+	}
+	return int64(v), true
+}
+
 // add appends one observation.
-func (l *pairLog) add(idx int, delta float64) {
-	l.bytes = binary.LittleEndian.AppendUint64(binary.AppendUvarint(l.bytes, uint64(idx)), math.Float64bits(delta))
+func (l *pairLog) add(idx int, v float64) {
+	if i, ok := pairInt(v); ok {
+		l.bytes = binary.AppendVarint(binary.AppendUvarint(l.bytes, uint64(idx)<<1), i)
+	} else {
+		l.bytes = binary.LittleEndian.AppendUint64(binary.AppendUvarint(l.bytes, uint64(idx)<<1|1), math.Float64bits(v))
+	}
 	l.count++
 }
 
 // reset empties the log, keeping its storage.
 func (l *pairLog) reset() { *l = pairLog{bytes: l.bytes[:0]} }
 
-// nextPair reads the observation at the head of b (its value as
-// Float64bits) and returns the bytes after it; ok is false when b ends
-// inside it.
-func nextPair(b []byte) (idx, val uint64, rest []byte, ok bool) {
-	idx, n := binary.Uvarint(b)
-	if n <= 0 || len(b)-n < 8 {
-		return 0, 0, nil, false
+// nextPair reads the observation at the head of b and returns the bytes
+// after it. defect is empty, or says why b does not start with an
+// observation as add writes it; an index outside the key space is the
+// caller's to check.
+func nextPair(b []byte) (idx uint64, v float64, rest []byte, defect string) {
+	tag, n := uvarint(b)
+	if n <= 0 {
+		return 0, 0, nil, "key index cut short or not minimal"
 	}
-	return idx, binary.LittleEndian.Uint64(b[n:]), b[n+8:], true
+	idx, b = tag>>1, b[n:]
+	if tag&1 == 0 {
+		z, n := uvarint(b)
+		if n <= 0 {
+			return 0, 0, nil, "integer value cut short or not minimal"
+		}
+		i := int64(z >> 1)
+		if z&1 != 0 {
+			i = ^i
+		}
+		if i < -maxExactInt || i > maxExactInt {
+			return 0, 0, nil, "integer value past ±2^53"
+		}
+		return idx, float64(i), b[n:], ""
+	}
+	if len(b) < 8 {
+		return 0, 0, nil, "raw value cut short"
+	}
+	v = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	if !finite(v) {
+		return 0, 0, nil, "value is not finite"
+	}
+	if _, ok := pairInt(v); ok {
+		return 0, 0, nil, "integer value sent raw"
+	}
+	return idx, v, b[8:], ""
+}
+
+// uvarint is binary.Uvarint refusing, as n = -1, a varint longer than
+// its value needs.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -1
+	}
+	return v, n
 }
 
 // uvarintLen is the size of v as a uvarint.
 func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // pairsLen is the size of the pairs payload of count observations whose
-// (index, value) bytes total body.
+// bytes total body.
 func pairsLen(count, body int) int {
 	return sketchHeaderLen + uvarintLen(count) + body + sketchTrailerLen
 }
@@ -253,7 +318,8 @@ func (l pairLog) appendPairs(dst []byte, id Sketch) []byte {
 // measured from it: identity and checksum, this Sketcher's consensus,
 // the size rule (a conforming sender ships pairs only when they are
 // strictly smaller than the sketch, which also bounds count), every
-// index inside the key space, every value finite, no byte left over.
+// observation in add's one form, every index inside the key space, no
+// byte left over.
 func (s *Sketcher) decodePairs(data []byte) (pairLog, error) {
 	id, err := decodeIdentity(data, pairsMagic)
 	if err != nil {
@@ -266,24 +332,22 @@ func (s *Sketcher) decodePairs(data []byte) (pairLog, error) {
 		return pairLog{}, fmt.Errorf("csoutlier: pairs payload of %d bytes is no smaller than the %d-byte sketch", len(data), limit)
 	}
 	body := data[sketchHeaderLen : len(data)-sketchTrailerLen]
-	count, n := binary.Uvarint(body)
+	count, n := uvarint(body)
 	if n <= 0 {
-		return pairLog{}, fmt.Errorf("csoutlier: pairs payload has no count")
+		return pairLog{}, fmt.Errorf("csoutlier: pairs payload count cut short or not minimal")
 	}
 	body = body[n:]
-	if count > uint64(len(body))/(1+8) {
+	if count > uint64(len(body))/2 {
 		return pairLog{}, fmt.Errorf("csoutlier: pairs payload counts %d observations in %d bytes", count, len(body))
 	}
 	rest := body
 	for i := 0; i < int(count); i++ {
-		idx, val, after, ok := nextPair(rest)
+		idx, _, after, defect := nextPair(rest)
 		switch {
-		case !ok:
-			return pairLog{}, fmt.Errorf("csoutlier: pairs payload ends inside observation %d of %d", i, count)
+		case defect != "":
+			return pairLog{}, fmt.Errorf("csoutlier: observation %d of %d: %s", i, count, defect)
 		case idx >= uint64(id.n):
 			return pairLog{}, fmt.Errorf("csoutlier: observation %d: key index %d outside [0, %d)", i, idx, id.n)
-		case val&expMask == expMask:
-			return pairLog{}, fmt.Errorf("csoutlier: observation %d: value is not finite", i)
 		}
 		rest = after
 	}
@@ -301,8 +365,8 @@ func (s *Sketcher) decodePairs(data []byte) (pairLog, error) {
 func (s *Sketcher) measurePairs(y linalg.Vector, l pairLog) {
 	clear(y)
 	for b := l.bytes; len(b) > 0; {
-		j, val, rest, _ := nextPair(b)
-		s.matrix.AddCol(int(j), math.Float64frombits(val), y)
+		j, v, rest, _ := nextPair(b)
+		s.matrix.AddCol(int(j), v, y)
 		b = rest
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -437,7 +438,8 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		// under a valid checksum (but for the flipped bit).
 		log := pairLog{}
 		log.add(3, 1.5)
-		log.add(63, -2.25)
+		log.add(63, -2)
+		log.add(40, 1<<53)
 		log.add(3, 0.125)
 		id := sk.sketchID()
 		goodPairs := log.appendPairs(nil, id)
@@ -453,43 +455,83 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		}
 		one := pairLog{}
 		one.add(0, 1)
-		full := pairLog{}
-		for pairsLen(full.count+1, len(full.bytes)+9) < EncodedSketchLen(sk.M()) {
-			full.add(full.count%64, 1)
+		// full is the largest pairs payload under the sketch's size, over
+		// the same observations and one more.
+		var full, over pairLog
+		for pairsLen(over.count, len(over.bytes)) < EncodedSketchLen(sk.M()) {
+			full = over
+			over.bytes = slices.Clip(over.bytes)
+			over.add(over.count%64, float64(1+over.count%3))
 		}
 		if err := foldEncoded(ws, 0, full.appendPairs(nil, id)); err != nil {
 			t.Fatalf("%s: the largest pairs payload under the sketch's size (%d observations): %v", name, full.count, err)
 		}
 		before, _ = ws.Window(0)
-		full.add(0, 1)
 		rawPairs := func(body []byte) []byte {
 			b := append(id.appendIdentity(nil, pairsMagic), body...)
 			return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 		}
+		oneAt := func(idx int, v float64) []byte {
+			l := pairLog{}
+			l.add(idx, v)
+			return l.appendPairs(nil, id)
+		}
+		// tagged is one observation of key 3 with the given form bit and
+		// value bytes, whatever they hold.
+		tagged := func(raw uint64, value ...byte) []byte {
+			return pairLog{count: 1, bytes: append(binary.AppendUvarint(nil, 3<<1|raw), value...)}.appendPairs(nil, id)
+		}
+		rawValue := func(v float64) []byte {
+			return tagged(1, binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))...)
+		}
+		// One observation as the layout before varint values carried it:
+		// uv index, f64 value.
+		cskp := append(id.appendIdentity(nil, [4]byte{'C', 'S', 'K', 'P'}), 1, 3)
+		cskp = binary.LittleEndian.AppendUint64(cskp, math.Float64bits(1.5))
+		cskp = binary.LittleEndian.AppendUint32(cskp, crc32.ChecksumIEEE(cskp))
 		flippedPairs := append([]byte(nil), goodPairs...)
 		flippedPairs[sketchHeaderLen+3] ^= 0x04
 		for what, bad := range map[string][]byte{
-			"pairs: index N":                                      pairLog{count: 1, bytes: binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, uint64(sk.N())), math.Float64bits(1))}.appendPairs(nil, id),
-			"pairs: index 2^40":                                   pairLog{count: 1, bytes: binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 1<<40), math.Float64bits(1))}.appendPairs(nil, id),
-			"pairs: no smaller than CSK2":                         full.appendPairs(nil, id),
+			"pairs: index N":                                      oneAt(sk.N(), 1),
+			"pairs: index N, raw value":                           oneAt(sk.N(), 0.5),
+			"pairs: index 2^40":                                   oneAt(1<<40, 1),
+			"pairs: no smaller than CSK2":                         over.appendPairs(nil, id),
 			"pairs: count over the bytes":                         pairLog{count: log.count + 1, bytes: log.bytes}.appendPairs(nil, id),
 			"pairs: count 2^62":                                   pairLog{count: 1 << 62, bytes: log.bytes}.appendPairs(nil, id),
 			"pairs: count under the bytes (trailing observation)": pairLog{count: log.count - 1, bytes: log.bytes}.appendPairs(nil, id),
 			"pairs: trailing byte":                                pairLog{count: log.count, bytes: append(append([]byte(nil), log.bytes...), 0)}.appendPairs(nil, id),
 			"pairs: value cut short":                              pairLog{count: log.count, bytes: log.bytes[:len(log.bytes)-3]}.appendPairs(nil, id),
-			"pairs: varint cut short":                             pairLog{count: 2, bytes: append(append([]byte(nil), one.bytes...), 0x80)}.appendPairs(nil, id),
+			"pairs: integer cut short":                            tagged(0, 0x80),
+			"pairs: varint cut short":                             pairLog{count: 2, bytes: append(append([]byte(nil), one.bytes...), 0x80, 0x80)}.appendPairs(nil, id),
 			"pairs: overlong varint":                              pairLog{count: 1, bytes: append(bytes.Repeat([]byte{0x80}, 10), one.bytes...)}.appendPairs(nil, id),
+			"pairs: non-minimal index":                            pairLog{count: 1, bytes: []byte{3<<1 | 0x80, 0x00, 0x02}}.appendPairs(nil, id),
+			"pairs: non-minimal value":                            tagged(0, 0x82, 0x00),
+			"pairs: non-minimal count":                            rawPairs(append([]byte{0x81, 0x00}, one.bytes...)),
+			"pairs: integer 2^53+1":                               tagged(0, binary.AppendVarint(nil, 1<<53+1)...),
+			"pairs: integer -2^53-1":                              tagged(0, binary.AppendVarint(nil, -1<<53-1)...),
+			"pairs: integer 2^63-1":                               tagged(0, binary.AppendVarint(nil, math.MaxInt64)...),
+			"pairs: raw-tagged 2":                                 rawValue(2),
+			"pairs: raw-tagged 0":                                 rawValue(0),
+			"pairs: raw-tagged -2^53":                             rawValue(-1 << 53),
 			"pairs: no count":                                     rawPairs(nil),
 			"pairs: count cut short":                              rawPairs([]byte{0x80}),
 			"pairs: NaN":                                          withValue(math.NaN()),
 			"pairs: +Inf":                                         withValue(math.Inf(1)),
 			"pairs: -Inf":                                         withValue(math.Inf(-1)),
+			"pairs: the CSKP layout":                              cskp,
 			"pairs: wrong seed":                                   log.appendPairs(nil, codecEnsembles(t, 10)[name].sketchID()),
 			"pairs: wrong M":                                      log.appendPairs(nil, otherM.sketchID()),
 			"pairs: flipped bit":                                  flippedPairs,
 			"pairs: truncated":                                    goodPairs[:len(goodPairs)-1],
 		} {
 			cases[what] = bad
+		}
+		// The forms the encoder does write decode: −0 and 2^53+2 raw, ±2^53
+		// as integers.
+		for _, v := range []float64{math.Copysign(0, -1), 1<<53 + 2, -1<<53 - 2, 1 << 53, -1 << 53} {
+			if err := sk.UnmarshalSketchInto(oneAt(5, v), sketchOf(sk, nil)); err != nil {
+				t.Fatalf("%s: one observation of %v: %v", name, v, err)
+			}
 		}
 		// Good pairs are still not something to decode without the matrix.
 		if _, err := DecodeSketch(goodPairs); err == nil {
@@ -527,6 +569,32 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		}
 		if !bitsEqual(dst.Y, vals) {
 			t.Fatalf("%s: a rejected payload changed UnmarshalSketchInto's destination", name)
+		}
+	}
+}
+
+// TestPairLengths pins what one observation costs in a pairs payload.
+// An integer up to ±2^53 is a zigzag varint (a count takes 1–3 bytes,
+// 2^53 eight). Any other value is the 8-byte float64 every value was
+// before, and its pair grows by one byte only where the tag bit
+// lengthens the index's varint: indices [64, 128) and [8192, 16384).
+func TestPairLengths(t *testing.T) {
+	for _, c := range []struct {
+		idx  int
+		v    float64
+		want int
+	}{
+		{0, 1, 2}, {63, 63, 2}, {63, -64, 2}, {63, 64, 3}, {64, 1, 3},
+		{3, 8191, 3}, {3, -8192, 3}, {3, 8192, 4}, {3, 1<<20 - 1, 4}, {3, 1 << 20, 5},
+		{0, 1 << 53, 9}, {0, -1 << 53, 9},
+		{0, 0.5, 9}, {63, 0.5, 9}, {64, 0.5, 10}, {127, 0.5, 10}, {128, 0.5, 10},
+		{8191, 0.5, 10}, {8192, 0.5, 11}, {16383, 0.5, 11}, {16384, 0.5, 11},
+		{0, 1<<53 + 2, 9}, {0, math.Copysign(0, -1), 9}, {0, -1e300, 9},
+	} {
+		var l pairLog
+		l.add(c.idx, c.v)
+		if len(l.bytes) != c.want {
+			t.Errorf("observation (%d, %v) takes %d bytes, want %d", c.idx, c.v, len(l.bytes), c.want)
 		}
 	}
 }

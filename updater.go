@@ -44,7 +44,7 @@ func (s *Sketcher) NewUpdater() *Updater {
 		sk:      s,
 		id:      s.sketchID(),
 		y:       make(linalg.Vector, s.spec.M),
-		log:     pairLog{bytes: make([]byte, 0, 8*s.spec.M)},
+		log:     pairLog{bytes: make([]byte, 0, 8*s.spec.M+maxPairLen)},
 		logging: true,
 	}
 }
@@ -57,12 +57,15 @@ func (u *Updater) logLocked(idx int, delta float64) bool {
 	if !u.logging {
 		return false
 	}
-	if pairsLen(u.log.count+1, len(u.log.bytes)+uvarintLen(idx)+8) < EncodedSketchLen(len(u.y)) {
-		u.log.add(idx, delta)
+	end := len(u.log.bytes)
+	u.log.add(idx, delta)
+	if pairsLen(u.log.count, len(u.log.bytes)) < EncodedSketchLen(len(u.y)) {
 		return true
 	}
-	// Close the log: y becomes the sum Observe would have built one
-	// arrival at a time, and every later observation is measured.
+	// Take the observation back out and close the log: y becomes the
+	// sum Observe would have built one arrival at a time, and every
+	// later observation is measured.
+	u.log.bytes, u.log.count = u.log.bytes[:end], u.log.count-1
 	u.sk.measurePairs(u.y, u.log)
 	u.log.reset()
 	u.logging = false
