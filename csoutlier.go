@@ -34,6 +34,7 @@ package csoutlier
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -170,6 +171,7 @@ type Sketcher struct {
 	dict   *keydict.Dictionary
 	spec   sensing.Spec   // the consensus: what every participant must share, D resolved
 	matrix sensing.Matrix // sensing.New(spec): dense when affordable, seeded otherwise
+	idSum  uint32         // CRC-32 of the consensus identity: where a pairs payload's checksum starts
 
 	// gram is the matrix's Gram-column cache (Φᵀφₛ for the columns
 	// recovery has selected), shared by every workspace below: what one
@@ -314,7 +316,9 @@ func NewSketcher(keys []string, cfg Config) (*Sketcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sketcher{cfg: cfg, dict: dict, spec: spec, matrix: mat, gram: recovery.NewGramCache(mat)}, nil
+	s := &Sketcher{cfg: cfg, dict: dict, spec: spec, matrix: mat, gram: recovery.NewGramCache(mat)}
+	s.idSum = crc32.ChecksumIEEE(s.AppendIdentity(nil))
+	return s, nil
 }
 
 // N returns the key-space size.

@@ -3,6 +3,7 @@ package csoutlier
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -59,23 +60,33 @@ func FuzzDecodeSketch(f *testing.F) {
 	// The pairs encoding of the same observation, whole and damaged: a
 	// NaN value, an index past N, a count past the bytes, a cut tail; an
 	// integer past 2^53, an integer sent raw, a value varint one byte
-	// longer than it needs, the layout before varint values.
+	// longer than it needs; the checksum of another seed; the layouts
+	// that carried the identity, before varint values ("CSKP") and after
+	// ("CSKV").
 	pairs := func(count int, obs ...obsPair) []byte {
 		l := pairLog{}
 		for _, o := range obs {
 			l.add(o.idx, o.v)
 		}
 		l.count = count
-		return l.appendPairs(nil, sk.sketchID())
+		return l.appendPairs(nil, sk.idSum)
 	}
 	tagged := func(tag uint64, value ...byte) []byte {
-		return pairLog{count: 1, bytes: append(binary.AppendUvarint(nil, tag), value...)}.appendPairs(nil, sk.sketchID())
+		return pairLog{count: 1, bytes: append(binary.AppendUvarint(nil, tag), value...)}.appendPairs(nil, sk.idSum)
 	}
 	validPairs := pairs(1, obsPair{1, 2.5})
 	f.Add(validPairs)
 	f.Add(validPairs[:len(validPairs)-3])
-	f.Add([]byte("CSKV"))
-	f.Add(append([]byte("CSKP"), validPairs[4:]...))
+	f.Add([]byte{pairsTag})
+	other, err := NewSketcher([]string{"a", "b", "c", "d"}, Config{M: 3, Seed: 6})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pairLog{count: 1, bytes: validPairs[2 : len(validPairs)-4]}.appendPairs(nil, other.idSum))
+	for _, magic := range []string{"CSKP", "CSKV"} {
+		old := append(append([]byte(magic), sk.AppendIdentity(nil)[4:]...), validPairs[1:len(validPairs)-4]...)
+		f.Add(binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old)))
+	}
 	f.Add(pairs(2, obsPair{1, 2.5}, obsPair{3, -1}))
 	f.Add(pairs(2, obsPair{1, 1 << 53}, obsPair{3, math.Copysign(0, -1)}))
 	f.Add(pairs(1, obsPair{1, math.NaN()}))
@@ -108,7 +119,7 @@ func FuzzDecodeSketch(f *testing.F) {
 				again.add(int(idx), v)
 				b = rest
 			}
-			if out := again.appendPairs(nil, sk.sketchID()); !bytes.Equal(out, data) {
+			if out := again.appendPairs(nil, sk.idSum); !bytes.Equal(out, data) {
 				t.Fatalf("pairs decode/encode not canonical:\n in  %x\n out %x", data, out)
 			}
 		}

@@ -12,8 +12,9 @@
 // connection into one reused buffer, with the length prefix capped per
 // kind before any of the body is read; it starts and finishes frames in
 // a caller's buffer; and it gives body parsers a bounds-checked cursor.
-// Bodies are built from unsigned varints (uv), strings (a uv length,
-// then that many bytes) and IEEE-754 doubles, little-endian (f64).
+// Bodies are built from unsigned varints (uv, minimal: no longer than
+// the value needs), strings (a uv length, then that many bytes) and
+// IEEE-754 doubles, little-endian (f64).
 package frame
 
 import (
@@ -30,7 +31,9 @@ const (
 	// be csoutlier's pairs encoding, which a version-1 aggregator would
 	// ack as a bad sketch, frame after frame, instead of hanging up.
 	// 3: a pair's value may be a varint (magic "CSKV", not "CSKP").
-	Version = 3
+	// 4: a pairs payload no longer carries the consensus identity (tag
+	// 'P', not magic "CSKV"); a push hello names it instead.
+	Version = 4
 	// Overhead is the prelude in front of every frame body.
 	Overhead = 4 + 1 + 1
 )
@@ -184,11 +187,12 @@ func (r *Cursor) U64() uint64 {
 	return 0
 }
 
-// Uvarint reads one unsigned varint; a short or overlong encoding
-// poisons the cursor like any other overrun.
+// Uvarint reads one unsigned varint; a short or overlong encoding, or
+// one longer than its value needs, poisons the cursor like any other
+// overrun.
 func (r *Cursor) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.B)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.B[n-1] == 0 {
 		n = len(r.B) + 1
 	}
 	if r.Take(n) == nil {

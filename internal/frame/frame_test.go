@@ -63,6 +63,17 @@ func TestCursorPoisons(t *testing.T) {
 	if r.Uvarint() != 0 || r.Err != ErrTruncated || r.U64() != 0 || r.Take(0) != nil {
 		t.Fatalf("overlong varint: %+v", r)
 	}
+	// A varint longer than its value needs: 0x80 0x00 is binary.Uvarint's
+	// (0, 2), and one value has one encoding.
+	for _, b := range [][]byte{{0x80, 0x00}, {0x81, 0x00}, {0xff, 0x80, 0x00}} {
+		r = Cursor{B: b}
+		if r.Uvarint() != 0 || r.Err != ErrTruncated {
+			t.Fatalf("non-minimal varint %x: %+v", b, r)
+		}
+	}
+	if r = (Cursor{B: []byte{0x00, 0x80, 0x01}}); r.Uvarint() != 0 || r.Uvarint() != 128 || r.Err != nil {
+		t.Fatalf("minimal varints 0 and 128: %+v", r)
+	}
 	r = Cursor{B: []byte{200, 1, 'x'}} // a string longer than what is left
 	if r.Str() != nil || r.Err != ErrTruncated {
 		t.Fatalf("overlong string: %+v", r)

@@ -37,9 +37,17 @@ func DialClient(ctx context.Context, addr string, timeout time.Duration) (*Clien
 }
 
 // Hello announces (node, epoch) and returns the aggregator's current
-// window — sent on every connect and as an idle heartbeat.
+// window — sent on every connect and as an idle heartbeat. A Client has
+// no Sketcher, so it names no consensus: its deltas speak for
+// themselves (a sketch payload carries the identity, a pairs payload's
+// checksum covers it).
 func (c *Client) Hello(node string, epoch uint64) (Ack, error) {
-	return c.exchange(&pushRequest{Kind: pushHello, Node: node, Epoch: epoch})
+	return c.hello(node, epoch, nil)
+}
+
+// hello is Hello naming the consensus identity id (none when empty).
+func (c *Client) hello(node string, epoch uint64, id []byte) (Ack, error) {
+	return c.exchange(&pushRequest{Kind: pushHello, Node: node, Epoch: epoch, ID: id})
 }
 
 // PushDelta ships one window-tagged sketch delta. payload must be the

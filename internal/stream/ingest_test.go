@@ -345,7 +345,7 @@ func TestDecodeBeforeLockKeepsAckOrder(t *testing.T) {
 	corrupt := map[string][]byte{
 		"bad checksum": badCRC,
 		"NaN":          nanPayload,
-		"index N":      rawPairs(t, sk, pairsBody(1, []uint64{uint64(sk.N())}, []float64{1})),
+		"index N":      rawPairs(sk, pairsBody(1, []uint64{uint64(sk.N())}, []float64{1})),
 	}
 	seq := uint64(10)
 	for what, payload := range corrupt {

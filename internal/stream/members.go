@@ -116,13 +116,23 @@ func (ms *members) entomb(ns *nodeState) {
 
 // hello registers/refreshes a node and returns the current window. A
 // node the aggregator has never seen (or one coming back from a
-// tombstone) joins the membership here.
+// tombstone) joins the membership here — unless its hello names a
+// consensus other than the aggregator's: that is refused before
+// admission, and the node is neither joined nor refreshed.
 func (a *Aggregator) hello(req pushRequest) Ack {
 	a.metrics.hellos.Inc()
+	var idErr error
+	if len(req.ID) > 0 {
+		idErr = a.sk.CheckIdentity(req.ID)
+	}
 	in := &a.in
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	ack := Ack{Window: in.window, Status: statusHello, AggEpoch: in.epoch}
+	if idErr != nil {
+		ack.Err = idErr.Error()
+		return ack
+	}
 	ns, err := in.members.admit(req.Node, req.Epoch)
 	if err != nil {
 		ack.Err = err.Error()

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -253,5 +254,63 @@ func TestTombstoneEpochFencing(t *testing.T) {
 	st := agg.Nodes()[0]
 	if st.Epoch != 3 || st.Restarts != 1 || st.State != StateLive {
 		t.Fatalf("status after epoch bump through tombstone: %+v", st)
+	}
+}
+
+// TestHelloRefusesAnotherConsensus: a Node of another consensus is
+// refused at its hello, deterministically — Dial fails with an error
+// naming both identities, and the node never joins — while a bare
+// Client, which names no consensus, and a Node of the aggregator's own
+// still join.
+func TestHelloRefusesAnotherConsensus(t *testing.T) {
+	sk := testSketcher(t, 128, 64, 21)
+	agg, addr := serveAgg(t, sk, AggregatorOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	identity := func(m int, seed uint64) string {
+		return fmt.Sprintf("{M=%d N=128 seed=%d ensemble=gaussian D=0}", m, seed)
+	}
+	for _, c := range []struct {
+		what string
+		m    int
+		seed uint64
+	}{
+		{"another seed", 64, 22},
+		{"a seed differing in its high word", 64, 21 | 1<<40},
+		{"another M", 48, 21},
+	} {
+		n, err := Dial(ctx, addr, testSketcher(t, 128, c.m, c.seed), "node00", NodeOptions{})
+		if err == nil {
+			n.Abort()
+			t.Fatalf("%s: Dial succeeded", c.what)
+		}
+		for _, want := range []string{identity(c.m, c.seed), identity(64, 21)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: Dial error %q does not name %s", c.what, err, want)
+			}
+		}
+		if sts := agg.Nodes(); len(sts) != 0 {
+			t.Fatalf("%s: Nodes() = %+v, want none", c.what, sts)
+		}
+	}
+	if s := agg.Stats(); s.Joins != 0 {
+		t.Fatalf("refused hellos joined %d nodes", s.Joins)
+	}
+
+	c, err := DialClient(ctx, addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if ack, err := c.Hello("bare", 1); err != nil || ack.Err != "" {
+		t.Fatalf("a hello naming no consensus: %+v, %v", ack, err)
+	}
+	n, err := Dial(ctx, addr, testSketcher(t, 128, 64, 21), "node00", NodeOptions{})
+	if err != nil {
+		t.Fatalf("a Node of the aggregator's consensus: %v", err)
+	}
+	defer n.Abort()
+	if sts := agg.Nodes(); len(sts) != 2 || sts[0].Node != "bare" || sts[1].Node != "node00" {
+		t.Fatalf("Nodes() = %+v, want bare and node00", sts)
 	}
 }

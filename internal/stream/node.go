@@ -127,7 +127,7 @@ func Dial(ctx context.Context, addr string, sk *csoutlier.Sketcher, id string, o
 		u:    sk.NewUpdater(),
 	}
 	var err error
-	if n.snd, err = NewSender(addr, id, n.opts, n.adoptWindow); err != nil {
+	if n.snd, err = NewSender(addr, id, sk, n.opts, n.adoptWindow); err != nil {
 		return nil, err
 	}
 	if err := n.snd.Connect(ctx); err != nil {

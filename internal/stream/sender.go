@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"sync"
 
+	"csoutlier"
 	"csoutlier/internal/xrand"
 )
 
@@ -34,11 +35,13 @@ const freeCap = 64
 // Exactly-once folding comes from the (epoch, seq) tags, not from the
 // transport: the aggregator ignores redeliveries.
 //
-// Every window the aggregator announces, in a hello ack or a push ack,
-// goes to the owner's adopt callback, which is never called with mu
-// held (sendMu is).
+// Every hello names the owner's consensus, so an aggregator of another
+// refuses the sender before it joins. Every window the aggregator
+// announces, in a hello ack or a push ack, goes to the owner's adopt
+// callback, which is never called with mu held (sendMu is).
 type Sender struct {
 	id, addr string
+	ident    []byte // the owner's consensus identity, named in every hello
 	opts     NodeOptions
 	adopt    func(window uint64)
 
@@ -57,9 +60,10 @@ type Sender struct {
 }
 
 // NewSender makes the sender for (id, opts.Epoch) towards the aggregator
-// at addr; nothing is dialed until Connect. Of opts it reads Epoch,
-// Retain, PushTimeout and the backoff triple.
-func NewSender(addr, id string, opts NodeOptions, adopt func(window uint64)) (*Sender, error) {
+// at addr, for frames of sk's consensus; nothing is dialed until
+// Connect. Of opts it reads Epoch, Retain, PushTimeout and the backoff
+// triple.
+func NewSender(addr, id string, sk *csoutlier.Sketcher, opts NodeOptions, adopt func(window uint64)) (*Sender, error) {
 	if id == "" || len(id) > maxNodeLen {
 		return nil, fmt.Errorf("stream: node id must be 1 to %d bytes, got %d", maxNodeLen, len(id))
 	}
@@ -70,7 +74,7 @@ func NewSender(addr, id string, opts NodeOptions, adopt func(window uint64)) (*S
 		h.Write([]byte(id))
 		seed = h.Sum64() ^ opts.Epoch
 	}
-	return &Sender{id: id, addr: addr, opts: opts, adopt: adopt, rng: xrand.New(seed)}, nil
+	return &Sender{id: id, addr: addr, ident: sk.AppendIdentity(nil), opts: opts, adopt: adopt, rng: xrand.New(seed)}, nil
 }
 
 // Stats returns the delivery counters and queue depths.
@@ -218,7 +222,7 @@ func (s *Sender) connect(ctx context.Context) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	ack, err := c.Hello(s.id, s.opts.Epoch)
+	ack, err := c.hello(s.id, s.opts.Epoch, s.ident)
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -331,7 +335,7 @@ func (s *Sender) Drain(ctx context.Context) error {
 func (s *Sender) Sync(ctx context.Context) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	ack, err := s.exchange(ctx, func(c *Client) (Ack, error) { return c.Hello(s.id, s.opts.Epoch) })
+	ack, err := s.exchange(ctx, func(c *Client) (Ack, error) { return c.hello(s.id, s.opts.Epoch, s.ident) })
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,7 @@ func newSenderRig(t *testing.T, opts NodeOptions) *senderRig {
 	r.gate = newGateRelay(t, addr)
 	opts.BaseBackoff, opts.MaxBackoff = time.Millisecond, 2*time.Millisecond
 	var err error
-	if r.s, err = NewSender(r.gate.addr, "sender00", opts, func(w uint64) { r.adopted = append(r.adopted, w) }); err != nil {
+	if r.s, err = NewSender(r.gate.addr, "sender00", sk, opts, func(w uint64) { r.adopted = append(r.adopted, w) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.s.Connect(r.ctx(time.Second)); err != nil {

@@ -46,15 +46,17 @@ package stream
 // single buffer per connection. wire.go has the byte layout. Three
 // request kinds:
 //
-//	hello  — announce (node, epoch), learn the current window; sent on
-//	         every (re)connect and as an idle heartbeat. Also the join
-//	         path: a node the aggregator has never seen becomes a
-//	         member on its first hello.
+//	hello  — announce (node, epoch) and, from a Sender, the consensus
+//	         identity (M, N, seed, ensemble, depth); learn the current
+//	         window. Sent on every (re)connect and as an idle heartbeat.
+//	         Also the join path: a node the aggregator has never seen
+//	         becomes a member on its first hello, unless it named
+//	         another consensus.
 //	delta  — push one window-tagged sketch delta; the payload is the
-//	         csoutlier binary sketch codec, so the full consensus
-//	         identity (M, N, seed, ensemble) travels with every delta
-//	         and a mismatched node is rejected before it can corrupt
-//	         the aggregate.
+//	         csoutlier delta codec: a sketch carries the consensus
+//	         identity, pairs a checksum that covers it, so a payload of
+//	         another consensus is rejected before it can corrupt the
+//	         aggregate.
 //	bye    — announce a graceful leave: the aggregator retires the
 //	         node's membership (its dedup book is kept as a tombstone
 //	         so a late retry still dedups, never refolds).
@@ -83,6 +85,7 @@ type pushRequest struct {
 	Seq     uint64 // delta only: per-(node, epoch) sequence number, from 1
 	Folds   uint32 // delta only: captures summed into this frame (0/1 = plain, >1 = a relay's sum)
 	Payload []byte // delta only: csoutlier.Sketch binary codec bytes
+	ID      []byte // hello only: the consensus identity the node names (csoutlier.IdentityLen bytes), or none
 }
 
 // Statuses an Ack can carry for a processed delta.

@@ -13,31 +13,42 @@ import (
 // internal/frame's six-byte prelude (u32 body length, version, kind)
 // and a body, laid out per kind:
 //
-//	hello 1, bye 3  str node | uv epoch
+//	hello 1         str node | uv epoch | identity: the rest of the body,
+//	                none or csoutlier.IdentityLen bytes
+//	bye 3           str node | uv epoch
 //	delta 2         str node | uv epoch | uv window | uv seq | uv folds |
 //	                payload: the rest of the body, csoutlier's delta codec
 //	ack 5           u8 status (low bits: index into ackStatuses; bit 7: Applied) |
 //	                uv window | uv aggEpoch | uv stable | err: the rest of the body
 //
-// uv is an unsigned varint, str a uv length then that many bytes. A
-// peer that sends anything else — another version, an unknown kind
-// (the retired query kinds 4 and 6 among them), a body over the kind's
-// limit, a truncated or trailing field — is disconnected; there is no
-// negotiation.
+// uv is an unsigned varint, no longer than its value needs; str a uv
+// length then that many bytes. A peer that sends anything else —
+// another version, an unknown kind (the retired query kinds 4 and 6
+// among them), a body over the kind's limit, a truncated or trailing
+// field, a hello identity of any other length — is disconnected; there
+// is no negotiation. So every request that parses re-encodes to its
+// own bytes.
+//
+// The identity is the 25 bytes a csoutlier sketch payload opens with
+// ("CSK2", M, N, seed, ensemble, depth): the consensus, fixed for a
+// deployment, named once per connection. A Sender always names its
+// owner's; the aggregator acks a hello that names another with Err,
+// naming both, and the node does not join. A bare Client names none.
 //
 // A delta's payload is opaque here. csoutlier gives it one of two
-// layouts behind the same 25-byte consensus identity and CRC — the M
-// measurements ("CSK2"), or the observations themselves ("CSKV": per
-// pair a uv tag of key index and form, then the value as a zigzag
-// varint when it is an integer, else as an f64) — and a node ships
-// whichever is smaller (csoutlier.Updater.DrainEncoded): a flush never
-// costs more bytes than the data it carries, and never more than the
-// sketch. The bytes saved are paid for in CPU one hop up: whoever folds
-// a pairs payload measures it (O(M) per pair), work the leaf no longer
-// does. Version 2 of the prelude marked peers that may send pairs;
-// version 3 marks varint values, so a version-2 peer, whose "CSKP"
-// pairs carry every value as an f64, is disconnected at its first
-// frame instead of acked "bad sketch magic" frame after frame.
+// layouts — the M measurements behind the identity and a CRC ("CSK2"),
+// or the observations themselves (tag 'P', a uv count, per pair a uv
+// tag of key index and form, then the value as a zigzag varint when it
+// is an integer, else as an f64, and a CRC over the receiver's identity
+// and those bytes) — and a node ships whichever is smaller
+// (csoutlier.Updater.DrainEncoded): a flush never costs more bytes than
+// the data it carries, and never more than the sketch. The bytes saved
+// are paid for in CPU one hop up: whoever folds a pairs payload
+// measures it (O(M) per pair), work the leaf no longer does. Each
+// prelude version marks a pairs layout: 2 "CSKP" (f64 values), 3 "CSKV"
+// (varint values behind the identity), 4 the tag. A peer of an earlier
+// one is disconnected at its first frame, not acked "bad sketch magic"
+// frame after frame.
 
 // Frame-size accounting, exported for harnesses that budget bytes per
 // connection (internal/simtest's chaos proxies).
@@ -46,8 +57,8 @@ const (
 	maxNodeLen = 256
 	// MinDeltaOverhead and MaxDeltaOverhead bound what one delta exchange
 	// — the frame and its Err-free ack — puts on the wire on top of the
-	// node name and the delta payload. A hello or bye exchange fits in
-	// MaxDeltaOverhead plus the name.
+	// node name and the delta payload. A hello exchange, identity
+	// included, or a bye exchange fits in MaxDeltaOverhead plus the name.
 	MinDeltaOverhead = 2*frame.Overhead + (1 + 4) + (1 + 3)
 	MaxDeltaOverhead = 2*frame.Overhead + (binary.MaxVarintLen16 + 4*binary.MaxVarintLen64) + (1 + 3*binary.MaxVarintLen64)
 	// MinDeltaPayload is the smallest payload a flush carries: one
@@ -79,7 +90,7 @@ type frameLimits [replyAck + 1]int
 // of the body is read.
 func requestLimits(m int) frameLimits {
 	return frameLimits{
-		pushHello: maxNodeHeader,
+		pushHello: maxNodeHeader + csoutlier.IdentityLen,
 		pushBye:   maxNodeHeader,
 		pushDelta: maxDeltaHeader + csoutlier.EncodedSketchLen(m),
 	}
@@ -93,6 +104,9 @@ func appendRequest(buf []byte, req *pushRequest) []byte {
 	buf = frame.Begin(buf, uint8(req.Kind))
 	buf = frame.AppendString(buf, req.Node)
 	buf = binary.AppendUvarint(buf, req.Epoch)
+	if req.Kind == pushHello {
+		buf = append(buf, req.ID...)
+	}
 	if req.Kind == pushDelta {
 		buf = binary.AppendUvarint(buf, req.Window)
 		buf = binary.AppendUvarint(buf, req.Seq)
@@ -103,7 +117,7 @@ func appendRequest(buf []byte, req *pushRequest) []byte {
 }
 
 // parseRequest decodes a request body into req, overwriting every
-// field. req.Payload aliases body. The node name reuses req's previous
+// field. req.Payload and req.ID alias body. The node name reuses req's previous
 // one when unchanged — a connection speaks for one node, so the steady
 // state allocates nothing.
 func parseRequest(kind pushKind, body []byte, req *pushRequest) error {
@@ -119,6 +133,11 @@ func parseRequest(kind pushKind, body []byte, req *pushRequest) error {
 	}
 	req.Node = node
 	req.Epoch = r.Uvarint()
+	if kind == pushHello {
+		if req.ID = r.Take(len(r.B)); len(req.ID) != 0 && len(req.ID) != csoutlier.IdentityLen {
+			return fmt.Errorf("%w: hello identity of %d bytes", errMalformed, len(req.ID))
+		}
+	}
 	if kind == pushDelta {
 		req.Window = r.Uvarint()
 		req.Seq = r.Uvarint()

@@ -27,7 +27,7 @@ func sampleFrames(t testing.TB, sk *csoutlier.Sketcher) map[pushKind][]byte {
 	t.Helper()
 	payload := uniformDelta(t, sk, 1.5)
 	return map[pushKind][]byte{
-		pushHello: appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3}),
+		pushHello: appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: sk.AppendIdentity(nil)}),
 		pushBye:   appendRequest(nil, &pushRequest{Kind: pushBye, Node: "node00", Epoch: 3}),
 		pushDelta: appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 70000, Seq: 1 << 40, Folds: 5, Payload: payload}),
 		replyAck:  appendAck(nil, &Ack{Window: 9, Applied: true, Status: statusApplied, AggEpoch: 2, Stable: 1 << 33}),
@@ -62,18 +62,18 @@ func retiredFrames() map[pushKind][]byte {
 }
 
 // rawPairs is a pairs-encoded delta payload put together by hand — the
-// 21 identity bytes lifted from one of sk's sketch payloads, then body,
-// then a valid checksum — so a test can say exactly what is wrong with it.
-func rawPairs(t testing.TB, sk *csoutlier.Sketcher, body []byte) []byte {
-	t.Helper()
-	return rawPayload(t, sk, "CSKV", body)
+// tag, then body, then the checksum over sk's consensus identity and
+// both — so a test can say exactly what is wrong with it.
+func rawPairs(sk *csoutlier.Sketcher, body []byte) []byte {
+	b := append([]byte{'P'}, body...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Update(crc32.ChecksumIEEE(sk.AppendIdentity(nil)), crc32.IEEETable, b))
 }
 
-// rawPayload is rawPairs under any magic.
-func rawPayload(t testing.TB, sk *csoutlier.Sketcher, magic string, body []byte) []byte {
-	t.Helper()
-	b := append([]byte(magic), uniformDelta(t, sk, 0)[4:25]...)
-	b = append(b, body...)
+// oldPairs is a pairs payload in a layout that carried the identity
+// under its own magic: the magic, the 21 identity bytes after sk's, then
+// body, then a valid checksum over all of it.
+func oldPairs(sk *csoutlier.Sketcher, magic string, body []byte) []byte {
+	b := append(append([]byte(magic), sk.AppendIdentity(nil)[4:]...), body...)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
@@ -99,35 +99,36 @@ func hostilePairs(t testing.TB, sk, foreign, wider *csoutlier.Sketcher) map[stri
 	t.Helper()
 	idx, vals := []uint64{3, 60, 3}, []float64{1.5, -2.25, 0.125}
 	good := pairsBody(3, idx, vals)
-	flipped := rawPairs(t, sk, good)
-	flipped[30] ^= 0x20
+	flipped := rawPairs(sk, good)
+	flipped[5] ^= 0x20
 	// full is one observation more than the largest pairs payload under
 	// the sketch's size.
 	var full []uint64
 	var ones []float64
-	for len(rawPairs(t, sk, pairsBody(uint64(len(full)), full, ones))) < csoutlier.EncodedSketchLen(sk.M()) {
+	for len(rawPairs(sk, pairsBody(uint64(len(full)), full, ones))) < csoutlier.EncodedSketchLen(sk.M()) {
 		full, ones = append(full, uint64(len(full)%64)), append(ones, 1)
 	}
 	out := map[string][]byte{
-		"index N":                    rawPairs(t, sk, pairsBody(1, []uint64{uint64(sk.N())}, []float64{1})),
-		"no smaller than the sketch": rawPairs(t, sk, pairsBody(uint64(len(full)), full, ones)),
-		"count over the bytes":       rawPairs(t, sk, pairsBody(4, idx, vals)),
-		"count of 2^62":              rawPairs(t, sk, pairsBody(1<<62, idx, vals)),
-		"truncated varint":           rawPairs(t, sk, append(pairsBody(2, idx[:1], vals[:1]), bytes.Repeat([]byte{0x80}, 9)...)),
-		"value cut short":            rawPairs(t, sk, good[:len(good)-3]),
-		"trailing byte":              rawPairs(t, sk, append(append([]byte(nil), good...), 0)),
-		"trailing observation":       rawPairs(t, sk, pairsBody(2, idx, vals)),
-		"no count":                   rawPairs(t, sk, nil),
-		"integer past 2^53":          rawPairs(t, sk, binary.AppendVarint([]byte{1, 3 << 1}, 1<<53+1)),
-		"integer sent raw":           rawPairs(t, sk, frame.AppendF64([]byte{1, 3<<1 | 1}, 2)),
-		"overlong integer varint":    rawPairs(t, sk, []byte{1, 3 << 1, 0x82, 0x00}),
-		"the CSKP layout":            rawPayload(t, sk, "CSKP", frame.AppendF64([]byte{1, 3}, 1.5)),
-		"another seed":               rawPairs(t, foreign, good),
-		"another M":                  rawPairs(t, wider, good),
+		"index N":                    rawPairs(sk, pairsBody(1, []uint64{uint64(sk.N())}, []float64{1})),
+		"no smaller than the sketch": rawPairs(sk, pairsBody(uint64(len(full)), full, ones)),
+		"count over the bytes":       rawPairs(sk, pairsBody(4, idx, vals)),
+		"count of 2^62":              rawPairs(sk, pairsBody(1<<62, idx, vals)),
+		"truncated varint":           rawPairs(sk, append(pairsBody(2, idx[:1], vals[:1]), bytes.Repeat([]byte{0x80}, 9)...)),
+		"value cut short":            rawPairs(sk, good[:len(good)-3]),
+		"trailing byte":              rawPairs(sk, append(append([]byte(nil), good...), 0)),
+		"trailing observation":       rawPairs(sk, pairsBody(2, idx, vals)),
+		"no count":                   rawPairs(sk, nil),
+		"integer past 2^53":          rawPairs(sk, binary.AppendVarint([]byte{1, 3 << 1}, 1<<53+1)),
+		"integer sent raw":           rawPairs(sk, frame.AppendF64([]byte{1, 3<<1 | 1}, 2)),
+		"overlong integer varint":    rawPairs(sk, []byte{1, 3 << 1, 0x82, 0x00}),
+		"the CSKP layout":            oldPairs(sk, "CSKP", frame.AppendF64([]byte{1, 3}, 1.5)),
+		"the CSKV layout":            oldPairs(sk, "CSKV", good),
+		"another seed":               rawPairs(foreign, good),
+		"another M":                  rawPairs(wider, good),
 		"flipped bit":                flipped,
 	}
 	for what, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
-		out[what+" value"] = rawPairs(t, sk, pairsBody(2, idx[:2], []float64{1.5, v}))
+		out[what+" value"] = rawPairs(sk, pairsBody(2, idx[:2], []float64{1.5, v}))
 	}
 	return out
 }
@@ -193,7 +194,8 @@ func TestWireRoundTrip(t *testing.T) {
 
 // FuzzPushFrame feeds arbitrary bytes to the frame reader and every
 // body parser: none may panic, the read buffer may never outgrow the
-// largest limit, and whatever parses must survive re-encoding.
+// largest limit, and every request that parses re-encodes to its own
+// body bytes — one request has one encoding.
 func FuzzPushFrame(f *testing.F) {
 	sk := testSketcher(f, 64, 32, 5)
 	for _, frame := range sampleFrames(f, sk) {
@@ -207,10 +209,17 @@ func FuzzPushFrame(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add([]byte{2, 0, 0, 0, frame.Version, byte(pushHello), 0x80, 0x80})
-	// A node name at the limit and one byte past it, folds past 32 bits,
+	// An epoch varint longer than it needs.
+	f.Add([]byte{4, 0, 0, 0, frame.Version, byte(pushHello), 1, 'n', 0x81, 0x00})
+	// A node name at the limit and one byte past it, a hello naming no
+	// identity and one of a byte too few or too many, folds past 32 bits,
 	// and an ack status no conforming aggregator sends.
 	for _, n := range []int{maxNodeLen, maxNodeLen + 1} {
 		f.Add(appendRequest(nil, &pushRequest{Kind: pushHello, Node: strings.Repeat("n", n), Epoch: 1}))
+	}
+	ident := sk.AppendIdentity(nil)
+	for _, id := range [][]byte{nil, ident[:len(ident)-1], append(ident, 0)} {
+		f.Add(appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: id}))
 	}
 	wide := frame.AppendString(frame.Begin(nil, uint8(pushDelta)), "node00")
 	for _, v := range []uint64{3, 1, 1, 1 << 32} { // epoch, window, seq, folds
@@ -228,7 +237,7 @@ func FuzzPushFrame(f *testing.F) {
 	pairsDelta := func(payload []byte) []byte {
 		return appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 1, Seq: 1, Folds: 1, Payload: payload})
 	}
-	f.Add(pairsDelta(rawPairs(f, sk, pairsBody(2, []uint64{3, 60}, []float64{1.5, -2.25}))))
+	f.Add(pairsDelta(rawPairs(sk, pairsBody(2, []uint64{3, 60}, []float64{1.5, -2.25}))))
 	for _, bad := range hostilePairs(f, sk, testSketcher(f, 64, 32, 6), testSketcher(f, 64, 36, 5)) {
 		f.Add(pairsDelta(bad))
 	}
@@ -267,9 +276,8 @@ func FuzzPushFrame(f *testing.F) {
 				if parseRequest(kind, body, &req) != nil {
 					continue
 				}
-				if len(req.Payload) > len(body) || len(req.Node) > maxNodeLen {
-					t.Fatalf("kind %d: parsed more than the body holds: %d payload bytes, %d-byte name from %d bytes",
-						kind, len(req.Payload), len(req.Node), len(body))
+				if len(req.Node) > maxNodeLen || len(req.ID) != 0 && len(req.ID) != csoutlier.IdentityLen {
+					t.Fatalf("kind %d: a %d-byte name or a %d-byte identity parsed", kind, len(req.Node), len(req.ID))
 				}
 				// After any payload the fold accepts, every float of the
 				// window is finite — across frames too: a sum of huge
@@ -284,11 +292,9 @@ func FuzzPushFrame(f *testing.F) {
 						}
 					}
 				}
-				// The canonical encoding of what parsed is a fixed point.
-				canon := appendRequest(nil, &req)
-				var again pushRequest
-				if err := parseRequest(kind, canon[frame.Overhead:], &again); err != nil || !bytes.Equal(appendRequest(nil, &again), canon) {
-					t.Fatalf("kind %d: %+v re-encodes to %+v (%v)", kind, req, again, err)
+				// What parsed is canonical: it re-encodes to its own bytes.
+				if again := appendRequest(nil, &req)[frame.Overhead:]; !bytes.Equal(again, body) {
+					t.Fatalf("kind %d: %+v re-encodes to\n%x, not\n%x", kind, req, again, body)
 				}
 			}
 		}
@@ -351,24 +357,40 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 	}
 	oversized := append([]byte(nil), good[pushDelta]...)
 	binary.LittleEndian.PutUint32(oversized, uint32(agg.limits[pushDelta]+1))
-	// What a peer built before varint pair values sends first: its hello,
-	// or a delta of pairs in the layout of that version, each under a
-	// version-2 prelude.
-	version2 := func(b []byte) []byte {
+	// What a peer of an earlier version sends first: its hello, or a
+	// delta of pairs in the layout of that version, each under its
+	// version's prelude. Version 2 carried values as f64s ("CSKP"),
+	// version 3 as varints ("CSKV"), each behind the identity.
+	version := func(v byte, b []byte) []byte {
 		b = append([]byte(nil), b...)
-		b[4] = 2
+		b[4] = v
 		return b
 	}
-	cskp := rawPayload(t, sk, "CSKP", frame.AppendF64([]byte{1, 3}, 1.5))
-	v2Delta := version2(appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 1, Seq: 1, Folds: 1, Payload: cskp}))
+	oldDelta := func(v byte, payload []byte) []byte {
+		return version(v, appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 1, Seq: 1, Folds: 1, Payload: payload}))
+	}
+	bareHello := appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3})
+	cskp := oldPairs(sk, "CSKP", frame.AppendF64([]byte{1, 3}, 1.5))
+	cskv := oldPairs(sk, "CSKV", pairsBody(1, []uint64{3}, []float64{2}))
+	// A hello naming an identity of a byte too few or too many, or of one
+	// byte.
+	ident := sk.AppendIdentity(nil)
+	helloNaming := func(id []byte) []byte {
+		return appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: id})
+	}
 	cases := []struct {
 		name      string
 		bytes     []byte
 		closeSend bool // half-close after writing: the frame is cut short
 	}{
 		{"unknown version", prelude(2, 9, pushHello, 0, 1), false},
-		{"version-2 hello", version2(good[pushHello]), false},
-		{"version-2 delta of CSKP pairs", v2Delta, false},
+		{"version-2 hello", version(2, bareHello), false},
+		{"version-2 delta of CSKP pairs", oldDelta(2, cskp), false},
+		{"version-3 hello", version(3, bareHello), false},
+		{"version-3 delta of CSKV pairs", oldDelta(3, cskv), false},
+		{"hello naming a 1-byte identity", helloNaming(ident[:1]), false},
+		{"hello naming a 24-byte identity", helloNaming(ident[:24]), false},
+		{"hello naming a 26-byte identity", helloNaming(append(ident, 0)), false},
 		{"unknown kind", prelude(2, frame.Version, 77, 0, 1), false},
 		{"reply kind as a request", good[replyAck], false},
 		{"oversized delta", oversized, false},
@@ -707,8 +729,8 @@ func (w *wireTap) exchange(fn func()) (total int, read []byte) {
 
 // TestDeltaWireBytes pins what a flush puts on the wire at the
 // benchmark's ingest_flat shape (M=256, N=4096, 16 observations a
-// flush, a six-byte node name): the observations themselves, 116 bytes
-// for the whole exchange when they are counts and 213 when they are
+// flush, a six-byte node name): the observations themselves, 92 bytes
+// for the whole exchange when they are counts and 189 when they are
 // not, where the sketch frame takes 2,104 — and that from the size
 // crossover up, the frame is byte for byte the sketch frame a node that
 // measured every observation on arrival, drained and encoded would
@@ -772,13 +794,13 @@ func TestDeltaWireBytes(t *testing.T) {
 		body, total int
 	}{
 		// Tags 4×1 + 12×2 bytes; values 2×1 + 13×2 + 1×3 bytes, or 16×8.
-		{"counts", counts, 28 + 31, 116},
-		{"non-integers", vals, 28 + 128, 213},
+		{"counts", counts, 28 + 31, 92},
+		{"non-integers", vals, 28 + 128, 189},
 	} {
 		observe(node, 16, c.vals)
 		total, read := tap.exchange(flush)
-		pairs := rawPairs(t, sk, pairsBody(16, idx, c.vals))
-		if want := 25 + 1 + c.body + 4; len(pairs) != want {
+		pairs := rawPairs(sk, pairsBody(16, idx, c.vals))
+		if want := 1 + 1 + c.body + 4; len(pairs) != want { // tag | uv count | pairs | CRC
 			t.Fatalf("16 %s encode to %d bytes as pairs, want %d", c.what, len(pairs), want)
 		}
 		if !bytes.Equal(read, frameOf(uint64(1+i), pairs)) {
@@ -790,10 +812,10 @@ func TestDeltaWireBytes(t *testing.T) {
 	}
 
 	// The last count of non-integers that still travels as pairs, and the
-	// first that does not: each observation at its pair's length, a
-	// two-byte count.
+	// first that does not: each observation at its pair's length, behind
+	// the tag and a two-byte count, with the CRC, under the sketch.
 	cross := 0
-	for body := 0; 2+body < 8*256; cross++ {
+	for body := 0; 1+2+body+4 < csoutlier.EncodedSketchLen(256); cross++ {
 		j := cross % 16
 		body += len(pairsBody(0, idx[j:j+1], vals[j:j+1])) - 1
 	}

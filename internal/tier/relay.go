@@ -181,7 +181,7 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 	var err error
 	up := opts.Up
 	up.Epoch = upEpoch
-	r.snd, err = stream.NewSender(opts.Upstream, r.name, up, r.adoptRoot)
+	r.snd, err = stream.NewSender(opts.Upstream, r.name, sk, up, r.adoptRoot)
 	if err != nil {
 		return nil, err
 	}

@@ -1208,3 +1208,23 @@ func TestRelayFoldZeroAlloc(t *testing.T) {
 		t.Fatalf("relay holds %d unstable windows and staged %d frames, want 1 and 0", st.Unstable, st.FramesStaged)
 	}
 }
+
+// TestRelayOfAnotherConsensusRefused: a relay's upward hello names its
+// Sketcher's consensus, so a root of another seed refuses it at
+// NewRelay, naming both identities, and the relay never joins.
+func TestRelayOfAnotherConsensusRefused(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	root, rootAddr := serveRoot(t, tierSketcher(t, 64, 32, 13), stream.AggregatorOptions{})
+	relay, err := NewRelay(ctx, tierSketcher(t, 64, 32, 14), RelayOptions{ID: "r0", Upstream: rootAddr})
+	if err == nil {
+		relay.Close(ctx)
+		t.Fatal("NewRelay joined a root of another seed")
+	}
+	if !strings.Contains(err.Error(), "seed=13 ") || !strings.Contains(err.Error(), "seed=14 ") {
+		t.Fatalf("NewRelay error %q does not name both seeds", err)
+	}
+	if sts := root.Nodes(); len(sts) != 0 {
+		t.Fatalf("root Nodes() = %+v, want none", sts)
+	}
+}

@@ -211,8 +211,10 @@ case "${1:-}" in
 	echo "== benchmark gate: ingest_flat wire bytes per observation =="
 	# Every root window is checked against the exact sketch, and a small
 	# flush must travel as its observations, not as the M-float sketch,
-	# each count a varint: 7.29 B/obs exactly, run after run (13.32 when
-	# every value was an 8-byte float), gated at that plus 2 %.
+	# each count a varint, the consensus named once in the hello and not
+	# in every frame: 5.79 B/obs exactly, run after run (7.29 with the
+	# identity in every pairs frame, 13.32 when every value was an 8-byte
+	# float), gated at that plus 2 %.
 	line=$(bash benchmark/run.sh --workload ingest_flat --seed 1 --cycles 8 --trace 0 | tail -n 1)
 	echo "$line"
 	case "$line" in
@@ -224,16 +226,17 @@ case "${1:-}" in
 	esac
 	wire=$(printf '%s\n' "$line" | sed -n 's/.*"wire_bytes_per_obs":{"value":\([0-9.eE+-]*\).*/\1/p')
 	echo "wire_bytes_per_obs = ${wire:-missing}"
-	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 7.44) }'; then
-		echo "verify: ingest_flat wire_bytes_per_obs above 7.44" >&2
+	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 5.91) }'; then
+		echo "verify: ingest_flat wire_bytes_per_obs above 5.91" >&2
 		exit 1
 	fi
 	echo "== benchmark gate: standing_tier allocated and wire bytes per observation =="
 	# A relay without a snapshot file commits without copying its window
 	# ring: 32 cycles allocate about 18-19 B/obs, against 29-31 when every
 	# Forward captured a snapshot it threw away. Its leaves' counts travel
-	# as varints: 5.33 wire B/obs exactly (11.31 as 8-byte floats), gated
-	# at that plus 2 %.
+	# as varints, and their pairs frames leave the consensus to the hello:
+	# 5.14 wire B/obs exactly (5.33 with the identity in every pairs
+	# frame, 11.31 as 8-byte floats), gated at that plus 2 %.
 	line=$(bash benchmark/run.sh --workload standing_tier --seed 1 --cycles 32 --trace 0 | tail -n 1)
 	echo "$line"
 	case "$line" in
@@ -251,8 +254,8 @@ case "${1:-}" in
 	fi
 	wire=$(printf '%s\n' "$line" | sed -n 's/.*"wire_bytes_per_obs":{"value":\([0-9.eE+-]*\).*/\1/p')
 	echo "wire_bytes_per_obs = ${wire:-missing}"
-	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 5.43) }'; then
-		echo "verify: standing_tier wire_bytes_per_obs above 5.43" >&2
+	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 5.25) }'; then
+		echo "verify: standing_tier wire_bytes_per_obs above 5.25" >&2
 		exit 1
 	fi
 	echo "verify: OK (bench smoke)"

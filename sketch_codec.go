@@ -1,6 +1,7 @@
 package csoutlier
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -37,19 +38,29 @@ import (
 // themselves — the paper's "ALL" baseline for as long as it is the
 // cheaper one:
 //
-//	magic    [4]byte  "CSKV"
-//	m, n, seed, ensemble, density   as above
+//	tag      uint8    'P' (a sketch payload starts with 'C')
 //	count    uvarint
 //	pairs    count × observation, in the order observed
-//	crc32    uint32 (IEEE, over everything above)
+//	crc32    uint32 (IEEE, over the 25-byte consensus identity, then everything above)
 //
 // An observation is uvarint(index<<1 | raw), then its value: raw = 0,
 // a zigzag varint, for an integer of magnitude at most 2^53 other than
 // −0 (a click-log count costs 1–3 bytes); raw = 1, the little-endian
 // float64, for every other value. Each value has exactly one form, and
 // every varint is minimal, so a payload that decodes re-encodes to the
-// same bytes. ("CSKP", the layout before varint values, is refused by
-// its magic.)
+// same bytes. (The layouts that carried the identity, "CSKP" and
+// "CSKV", are refused by their magic.)
+//
+// A pairs payload does not carry the consensus identity: the consensus
+// is fixed for a deployment (§3.1), so a push connection names it once,
+// in its hello (internal/stream), and only a Sketcher, which holds it,
+// measures pairs. The checksum still covers it: it runs over the
+// identity — the 25 bytes a sketch payload opens with
+// (Sketcher.AppendIdentity) — and then the payload, so a payload encoded
+// under another consensus fails it. It fails with certainty when the
+// two identities differ within 32 consecutive bits (M, N, the ensemble
+// or the depth alone, or a seed in only its low or only its high
+// word), and otherwise with probability 1 − 2⁻³².
 //
 // The sketch is linear, so the receiver computes Σ valueᵢ·φ_indexᵢ itself,
 // with Observe's arithmetic in Observe's order, and lands on the bits the
@@ -58,18 +69,22 @@ import (
 // smaller than EncodedSketchLen(m) (Updater.DrainEncoded), and a
 // decoder refuses a pairs payload that is not.
 
-var (
-	sketchMagic = [4]byte{'C', 'S', 'K', '2'}
-	pairsMagic  = [4]byte{'C', 'S', 'K', 'V'}
-)
+var sketchMagic = [4]byte{'C', 'S', 'K', '2'}
+
+// pairsTag is a pairs payload's first byte.
+const pairsTag = 'P'
 
 const sketchHeaderLen = 4 + 4 + 4 + 8 + 1 + 4
 const sketchTrailerLen = 4
 
+// IdentityLen is the size of the consensus identity
+// (Sketcher.AppendIdentity).
+const IdentityLen = sketchHeaderLen
+
 // MinEncodedPairsLen is the smallest delta payload either encoding
 // produces: one observation of a key index below 64 and an integer
 // value of magnitude below 64.
-const MinEncodedPairsLen = sketchHeaderLen + 1 + (1 + 1) + sketchTrailerLen
+const MinEncodedPairsLen = 1 + 1 + (1 + 1) + sketchTrailerLen
 
 // maxPairLen is the largest observation add writes: a 64-bit tag and a
 // raw float64.
@@ -81,11 +96,9 @@ const maxPairLen = binary.MaxVarintLen64 + 8
 func EncodedSketchLen(m int) int { return sketchHeaderLen + 8*m + sketchTrailerLen }
 
 // PairsEncoded reports whether data is a delta in the pairs encoding,
-// from its magic alone: for transports that count or convert deltas by
+// from its tag alone: for transports that count or convert deltas by
 // encoding without decoding them.
-func PairsEncoded(data []byte) bool {
-	return len(data) >= len(pairsMagic) && [4]byte(data[:4]) == pairsMagic
-}
+func PairsEncoded(data []byte) bool { return len(data) > 0 && data[0] == pairsTag }
 
 // AppendBinary appends the binary encoding of s to dst and returns the
 // extended slice; with cap(dst)-len(dst) ≥ EncodedSketchLen(M) it does
@@ -95,7 +108,7 @@ func (s Sketch) AppendBinary(dst []byte) ([]byte, error) {
 		return dst, fmt.Errorf("csoutlier: cannot marshal zero-value or inconsistent sketch (m=%d, len=%d)", s.m, len(s.Y))
 	}
 	start, n := len(dst), EncodedSketchLen(s.m)
-	dst = s.appendIdentity(slices.Grow(dst, n), sketchMagic)[:start+n]
+	dst = s.appendIdentity(slices.Grow(dst, n))[:start+n]
 	buf := dst[start:]
 	for i, v := range s.Y {
 		binary.LittleEndian.PutUint64(buf[sketchHeaderLen+8*i:], math.Float64bits(v))
@@ -106,14 +119,37 @@ func (s Sketch) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // appendIdentity appends the magic and the consensus identity: the 25
-// bytes both encodings open with.
-func (s Sketch) appendIdentity(dst []byte, magic [4]byte) []byte {
-	dst = append(dst, magic[:]...)
+// bytes a sketch payload opens with.
+func (s Sketch) appendIdentity(dst []byte) []byte {
+	dst = append(dst, sketchMagic[:]...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.m))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.n))
 	dst = binary.LittleEndian.AppendUint64(dst, s.seed)
 	dst = append(dst, byte(s.ens))
 	return binary.LittleEndian.AppendUint32(dst, uint32(s.d))
+}
+
+// AppendIdentity appends the Sketcher's consensus identity to dst: the
+// IdentityLen bytes a sketch payload opens with, which a push node names
+// in its hello and a pairs payload's checksum covers.
+func (s *Sketcher) AppendIdentity(dst []byte) []byte { return s.sketchID().appendIdentity(dst) }
+
+// CheckIdentity refuses an identity (AppendIdentity's bytes) that a
+// peer named if it is not this Sketcher's, naming both.
+func (s *Sketcher) CheckIdentity(id []byte) error {
+	var own [IdentityLen]byte
+	if bytes.Equal(id, s.AppendIdentity(own[:0])) {
+		return nil
+	}
+	if len(id) != IdentityLen || [4]byte(id) != sketchMagic {
+		return fmt.Errorf("csoutlier: %q is not a consensus identity", id)
+	}
+	return fmt.Errorf("csoutlier: named consensus %s differs from the receiver's %s", identityOf(id).consensus(), s.sketchID().consensus())
+}
+
+// consensus names the identity of s.
+func (s Sketch) consensus() string {
+	return fmt.Sprintf("{M=%d N=%d seed=%d ensemble=%v D=%d}", s.m, s.n, s.seed, s.ens, s.d)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -172,32 +208,16 @@ func DecodeSketch(data []byte) (Sketch, error) {
 	return sk, nil
 }
 
-// decodeIdentity validates what both encodings share — minimum length,
-// magic, checksum, positive dimensions — and returns the consensus
-// identity (Y nil, no allocation).
-func decodeIdentity(data []byte, magic [4]byte) (Sketch, error) {
-	if len(data) < sketchHeaderLen+sketchTrailerLen {
-		return Sketch{}, fmt.Errorf("csoutlier: sketch payload too short (%d bytes)", len(data))
+// identityOf reads the consensus identity after the magic of the
+// IdentityLen bytes at the head of data (Y nil).
+func identityOf(data []byte) Sketch {
+	return Sketch{
+		m:    int(binary.LittleEndian.Uint32(data[4:8])),
+		n:    int(binary.LittleEndian.Uint32(data[8:12])),
+		seed: binary.LittleEndian.Uint64(data[12:20]),
+		ens:  Ensemble(data[20]),
+		d:    int(binary.LittleEndian.Uint32(data[21:25])),
 	}
-	if [4]byte(data[0:4]) != magic {
-		return Sketch{}, fmt.Errorf("csoutlier: bad sketch magic %q", data[0:4])
-	}
-	wantSum := binary.LittleEndian.Uint32(data[len(data)-sketchTrailerLen:])
-	if got := crc32.ChecksumIEEE(data[:len(data)-sketchTrailerLen]); got != wantSum {
-		return Sketch{}, fmt.Errorf("csoutlier: sketch checksum mismatch (corrupted in transit?)")
-	}
-	m := int(binary.LittleEndian.Uint32(data[4:8]))
-	n := int(binary.LittleEndian.Uint32(data[8:12]))
-	seed := binary.LittleEndian.Uint64(data[12:20])
-	ens := Ensemble(data[20])
-	d := int(binary.LittleEndian.Uint32(data[21:25]))
-	// A zero-dimension header can carry a valid checksum (an m=0 payload
-	// is just header+trailer), but would decode into a Sketch that
-	// MarshalBinary refuses to round-trip and Add/Detect cannot use.
-	if m <= 0 || n <= 0 {
-		return Sketch{}, fmt.Errorf("csoutlier: sketch header has non-positive dimensions (m=%d, n=%d)", m, n)
-	}
-	return Sketch{m: m, n: n, seed: seed, ens: ens, d: d}, nil
 }
 
 // decodeSketchID validates an encoded sketch — length, magic, checksum,
@@ -205,9 +225,22 @@ func decodeIdentity(data []byte, magic [4]byte) (Sketch, error) {
 // with no payload (Y nil, no allocation). After it succeeds, data holds
 // exactly m finite floats at sketchHeaderLen.
 func decodeSketchID(data []byte) (Sketch, error) {
-	id, err := decodeIdentity(data, sketchMagic)
-	if err != nil {
-		return Sketch{}, err
+	if len(data) < sketchHeaderLen+sketchTrailerLen {
+		return Sketch{}, fmt.Errorf("csoutlier: sketch payload too short (%d bytes)", len(data))
+	}
+	if [4]byte(data[0:4]) != sketchMagic {
+		return Sketch{}, fmt.Errorf("csoutlier: bad sketch magic %q", data[0:4])
+	}
+	wantSum := binary.LittleEndian.Uint32(data[len(data)-sketchTrailerLen:])
+	if got := crc32.ChecksumIEEE(data[:len(data)-sketchTrailerLen]); got != wantSum {
+		return Sketch{}, fmt.Errorf("csoutlier: sketch checksum mismatch (corrupted in transit?)")
+	}
+	id := identityOf(data)
+	// A zero-dimension header can carry a valid checksum (an m=0 payload
+	// is just header+trailer), but would decode into a Sketch that
+	// MarshalBinary refuses to round-trip and Add/Detect cannot use.
+	if id.m <= 0 || id.n <= 0 {
+		return Sketch{}, fmt.Errorf("csoutlier: sketch header has non-positive dimensions (m=%d, n=%d)", id.m, id.n)
 	}
 	if want := EncodedSketchLen(id.m); len(data) != want {
 		return Sketch{}, fmt.Errorf("csoutlier: sketch payload is %d bytes, header says %d", len(data), want)
@@ -303,35 +336,39 @@ func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 // pairsLen is the size of the pairs payload of count observations whose
 // bytes total body.
 func pairsLen(count, body int) int {
-	return sketchHeaderLen + uvarintLen(count) + body + sketchTrailerLen
+	return 1 + uvarintLen(count) + body + sketchTrailerLen
 }
 
-// appendPairs appends the pairs payload of l under id's identity.
-func (l pairLog) appendPairs(dst []byte, id Sketch) []byte {
+// appendPairs appends the pairs payload of l under the consensus whose
+// identity's CRC-32 is idSum (Sketcher.idSum).
+func (l pairLog) appendPairs(dst []byte, idSum uint32) []byte {
 	start := len(dst)
-	dst = id.appendIdentity(slices.Grow(dst, pairsLen(l.count, len(l.bytes))), pairsMagic)
+	dst = append(slices.Grow(dst, pairsLen(l.count, len(l.bytes))), pairsTag)
 	dst = append(binary.AppendUvarint(dst, uint64(l.count)), l.bytes...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Update(idSum, crc32.IEEETable, dst[start:]))
 }
 
 // decodePairs validates a pairs payload in full before anything is
-// measured from it: identity and checksum, this Sketcher's consensus,
-// the size rule (a conforming sender ships pairs only when they are
-// strictly smaller than the sketch, which also bounds count), every
-// observation in add's one form, every index inside the key space, no
-// byte left over.
+// measured from it: tag, the size rule (a conforming sender ships pairs
+// only when they are strictly smaller than the sketch, which also
+// bounds count), the checksum over this Sketcher's identity and the
+// payload, every observation in add's one form, every index inside the
+// key space, no byte left over.
 func (s *Sketcher) decodePairs(data []byte) (pairLog, error) {
-	id, err := decodeIdentity(data, pairsMagic)
-	if err != nil {
-		return pairLog{}, err
+	if len(data) < 1+1+sketchTrailerLen {
+		return pairLog{}, fmt.Errorf("csoutlier: pairs payload too short (%d bytes)", len(data))
 	}
-	if err := id.compatible(s.sketchID()); err != nil {
-		return pairLog{}, err
+	if data[0] != pairsTag {
+		return pairLog{}, fmt.Errorf("csoutlier: bad pairs tag %q", data[0])
 	}
-	if limit := EncodedSketchLen(id.m); len(data) >= limit {
+	if limit := EncodedSketchLen(s.spec.M); len(data) >= limit {
 		return pairLog{}, fmt.Errorf("csoutlier: pairs payload of %d bytes is no smaller than the %d-byte sketch", len(data), limit)
 	}
-	body := data[sketchHeaderLen : len(data)-sketchTrailerLen]
+	wantSum := binary.LittleEndian.Uint32(data[len(data)-sketchTrailerLen:])
+	if got := crc32.Update(s.idSum, crc32.IEEETable, data[:len(data)-sketchTrailerLen]); got != wantSum {
+		return pairLog{}, fmt.Errorf("csoutlier: pairs checksum mismatch (corrupted in transit, or encoded under another consensus)")
+	}
+	body := data[1 : len(data)-sketchTrailerLen]
 	count, n := uvarint(body)
 	if n <= 0 {
 		return pairLog{}, fmt.Errorf("csoutlier: pairs payload count cut short or not minimal")
@@ -346,8 +383,8 @@ func (s *Sketcher) decodePairs(data []byte) (pairLog, error) {
 		switch {
 		case defect != "":
 			return pairLog{}, fmt.Errorf("csoutlier: observation %d of %d: %s", i, count, defect)
-		case idx >= uint64(id.n):
-			return pairLog{}, fmt.Errorf("csoutlier: observation %d: key index %d outside [0, %d)", i, idx, id.n)
+		case idx >= uint64(s.spec.N):
+			return pairLog{}, fmt.Errorf("csoutlier: observation %d: key index %d outside [0, %d)", i, idx, s.spec.N)
 		}
 		rest = after
 	}

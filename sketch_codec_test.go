@@ -441,7 +441,7 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		log.add(63, -2)
 		log.add(40, 1<<53)
 		log.add(3, 0.125)
-		id := sk.sketchID()
+		id := sk.idSum
 		goodPairs := log.appendPairs(nil, id)
 		if err := foldEncoded(ws, 0, goodPairs); err != nil {
 			t.Fatalf("%s: good pairs payload: %v", name, err)
@@ -468,7 +468,24 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		}
 		before, _ = ws.Window(0)
 		rawPairs := func(body []byte) []byte {
-			b := append(id.appendIdentity(nil, pairsMagic), body...)
+			b := append([]byte{pairsTag}, body...)
+			return binary.LittleEndian.AppendUint32(b, crc32.Update(id, crc32.IEEETable, b))
+		}
+		// under is the checksum a peer seeds under sk's consensus identity
+		// with one field edited.
+		under := func(edit func(*Sketch)) uint32 {
+			o := sk.sketchID()
+			edit(&o)
+			return crc32.ChecksumIEEE(o.appendIdentity(nil))
+		}
+		if under(func(*Sketch) {}) != id {
+			t.Fatalf("%s: the pairs checksum does not start from the identity's", name)
+		}
+		// magicLayout is log as the layouts that carried the identity laid
+		// it out, under a valid checksum: magic, the 21 bytes after it,
+		// then body.
+		magicLayout := func(magic string, body []byte) []byte {
+			b := append(append([]byte(magic), sk.AppendIdentity(nil)[4:]...), body...)
 			return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 		}
 		oneAt := func(idx int, v float64) []byte {
@@ -486,11 +503,11 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 		}
 		// One observation as the layout before varint values carried it:
 		// uv index, f64 value.
-		cskp := append(id.appendIdentity(nil, [4]byte{'C', 'S', 'K', 'P'}), 1, 3)
-		cskp = binary.LittleEndian.AppendUint64(cskp, math.Float64bits(1.5))
-		cskp = binary.LittleEndian.AppendUint32(cskp, crc32.ChecksumIEEE(cskp))
+		cskp := magicLayout("CSKP", binary.LittleEndian.AppendUint64([]byte{1, 3}, math.Float64bits(1.5)))
+		// The observations as the layout before the tag carried them.
+		cskv := magicLayout("CSKV", append(binary.AppendUvarint(nil, uint64(log.count)), log.bytes...))
 		flippedPairs := append([]byte(nil), goodPairs...)
-		flippedPairs[sketchHeaderLen+3] ^= 0x04
+		flippedPairs[4] ^= 0x04
 		for what, bad := range map[string][]byte{
 			"pairs: index N":                                      oneAt(sk.N(), 1),
 			"pairs: index N, raw value":                           oneAt(sk.N(), 0.5),
@@ -519,8 +536,15 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 			"pairs: +Inf":                                         withValue(math.Inf(1)),
 			"pairs: -Inf":                                         withValue(math.Inf(-1)),
 			"pairs: the CSKP layout":                              cskp,
-			"pairs: wrong seed":                                   log.appendPairs(nil, codecEnsembles(t, 10)[name].sketchID()),
-			"pairs: wrong M":                                      log.appendPairs(nil, otherM.sketchID()),
+			"pairs: the CSKV layout":                              cskv,
+			"pairs: wrong seed":                                   log.appendPairs(nil, codecEnsembles(t, 10)[name].idSum),
+			"pairs: wrong M":                                      log.appendPairs(nil, otherM.idSum),
+			"pairs: another M":                                    log.appendPairs(nil, under(func(o *Sketch) { o.m++ })),
+			"pairs: another N":                                    log.appendPairs(nil, under(func(o *Sketch) { o.n-- })),
+			"pairs: another ensemble":                             log.appendPairs(nil, under(func(o *Sketch) { o.ens ^= CountSketch })),
+			"pairs: another depth":                                log.appendPairs(nil, under(func(o *Sketch) { o.d++ })),
+			"pairs: a seed differing in its low 32 bits":          log.appendPairs(nil, under(func(o *Sketch) { o.seed ^= 1 << 31 })),
+			"pairs: a seed differing in its high 32 bits":         log.appendPairs(nil, under(func(o *Sketch) { o.seed ^= 1 << 32 })),
 			"pairs: flipped bit":                                  flippedPairs,
 			"pairs: truncated":                                    goodPairs[:len(goodPairs)-1],
 		} {

@@ -15,11 +15,12 @@ import (
 //
 // Until the observations since the last drain would encode no smaller
 // than the sketch itself, they are kept as they came — an in-order log
-// of (key index, delta), at most 8·M bytes — and not measured at all:
-// DrainEncoded ships the log, and whoever folds it measures it with the
-// arithmetic Observe would have used. The observation that tips the
-// log over the sketch's size replays it into the sketch, and from there
-// to the next drain every observation is measured on arrival.
+// of (key index, delta), under EncodedSketchLen(M) bytes — and not
+// measured at all: DrainEncoded ships the log, and whoever folds it
+// measures it with the arithmetic Observe would have used. The
+// observation that tips the log over the sketch's size replays it into
+// the sketch, and from there to the next drain every observation is
+// measured on arrival.
 //
 // An Updater is safe for concurrent use. The O(M) column generation of
 // each measured observation happens outside the mutex on pooled
@@ -44,7 +45,7 @@ func (s *Sketcher) NewUpdater() *Updater {
 		sk:      s,
 		id:      s.sketchID(),
 		y:       make(linalg.Vector, s.spec.M),
-		log:     pairLog{bytes: make([]byte, 0, 8*s.spec.M+maxPairLen)},
+		log:     pairLog{bytes: make([]byte, 0, EncodedSketchLen(s.spec.M)+maxPairLen)},
 		logging: true,
 	}
 }
@@ -160,7 +161,7 @@ func (u *Updater) DrainEncoded(dst []byte) ([]byte, int64, error) {
 		return dst, 0, nil
 	}
 	if u.logging {
-		dst = u.log.appendPairs(dst, u.id)
+		dst = u.log.appendPairs(dst, u.sk.idSum)
 	} else {
 		s := u.id
 		s.Y = u.y
