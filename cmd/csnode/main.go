@@ -75,8 +75,8 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address (empty = off)")
 	)
 	flag.Parse()
-	if *dictPath == "" || *dataPath == "" {
-		fmt.Fprintln(os.Stderr, "csnode: -dict and -data are required")
+	if *dictPath == "" || *dataPath == "" || *shards < 1 {
+		fmt.Fprintln(os.Stderr, "csnode: -dict and -data are required, and -shards must be ≥ 1")
 		os.Exit(2)
 	}
 	if *name == "" {

@@ -100,6 +100,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "csstreamd: -snapshot-every does not apply to a relay (-relay-upstream): it snapshots on every -forward-every")
 		os.Exit(2)
 	}
+	if *shards < 1 || *shardIndex < 0 || *shardIndex >= *shards {
+		fmt.Fprintf(os.Stderr, "csstreamd: -shards %d -shard-index %d: want -shards ≥ 1 and the index in [0, -shards)\n", *shards, *shardIndex)
+		os.Exit(2)
+	}
 	ens, err := sensing.ParseKind(*ensemble)
 	if err != nil {
 		log.Fatalf("csstreamd: %v", err)
@@ -123,9 +127,6 @@ func main() {
 		}, *shardVer)
 		if err != nil {
 			log.Fatalf("csstreamd: %v", err)
-		}
-		if *shardIndex < 0 || *shardIndex >= *shards {
-			log.Fatalf("csstreamd: -shard-index %d outside [0, %d)", *shardIndex, *shards)
 		}
 		if sk, err = shardMap.Sketcher(*shardIndex); err != nil {
 			log.Fatalf("csstreamd: %v", err)

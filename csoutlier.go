@@ -141,25 +141,28 @@ func (s Sketch) compatible(o Sketch) error {
 }
 
 // Add accumulates another node's sketch (or an incremental-update
-// sketch) into s.
-func (s Sketch) Add(o Sketch) error {
-	if err := s.compatible(o); err != nil {
-		return err
-	}
-	for i, v := range o.Y {
-		s.Y[i] += v
-	}
-	return nil
-}
+// sketch) into s. A sum of finite floats can still overflow: an add
+// that would take any measurement to ±Inf (or NaN) is refused and
+// leaves s as it was.
+func (s Sketch) Add(o Sketch) error { return s.fold(o, 1) }
 
 // Sub removes a node's sketch from s — e.g. a data center leaving the
-// aggregation.
-func (s Sketch) Sub(o Sketch) error {
+// aggregation. It refuses a non-finite result as Add does.
+func (s Sketch) Sub(o Sketch) error { return s.fold(o, -1) }
+
+// fold adds sign·o into s, all of it or, if any measurement would leave
+// the finite range, none of it.
+func (s Sketch) fold(o Sketch, sign float64) error {
 	if err := s.compatible(o); err != nil {
 		return err
 	}
 	for i, v := range o.Y {
-		s.Y[i] -= v
+		if r := s.Y[i] + sign*v; !finite(r) {
+			return fmt.Errorf("csoutlier: measurement %d would be %v (%v + %v)", i, r, s.Y[i], sign*v)
+		}
+	}
+	for i, v := range o.Y {
+		s.Y[i] += sign * v
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 	"regexp"
 	"sort"
 	"strconv"
@@ -15,13 +16,15 @@ import (
 // rule is one architecture rule: a short id, what it forbids, the
 // EXPERIMENTS.md section that earned it, the check, and fixtures — sources that, added
 // to the module (a .go file joins its directory's package, a doc
-// replaces the doc), each make the rule fire.
+// replaces the doc), each make the rule fire. A rule may also report
+// what it measured, into the test log.
 type rule struct {
 	id       string
 	name     string
 	section  string
 	check    func(*program) []string
 	fixtures []map[string]string
+	report   func(*program) string
 }
 
 var rules = []rule{
@@ -352,6 +355,28 @@ func deadline() <-chan time.Time { return time.NewTimer(time.Second).C }`},
 		},
 	},
 	{
+		id:      "product-apart",
+		name:    "the product imports nothing from the evaluation or the harness, and internal/cluster only from cluster_api.go and cmd/csnode",
+		section: "pr43",
+		check:   productApart,
+		report:  setLines,
+		fixtures: []map[string]string{
+			{"internal/stream/eval.go": `package stream; import _ "csoutlier/internal/workload"`},
+			{"internal/tier/rng.go": `package tier; import _ "csoutlier/internal/xrand/xrandtest"`},
+			{"detect_pull.go": `package csoutlier; import _ "csoutlier/internal/cluster"`},
+		},
+	},
+	{
+		id:      "doc-size",
+		name:    "README.md and DESIGN.md stay within their byte caps",
+		section: "pr43",
+		check:   bigDocs,
+		fixtures: []map[string]string{
+			{"README.md": strings.Repeat("line\n", maxDocBytes["README.md"]/5+1)},
+			{"DESIGN.md": strings.Repeat("line\n", maxDocBytes["DESIGN.md"]/5+1)},
+		},
+	},
+	{
 		id:      "surface",
 		name:    "every func, method, const and var has a caller outside tests (DESIGN.md lists the exceptions), and every …Options or …Config field a writer (no exceptions)",
 		section: "pr31",
@@ -374,6 +399,9 @@ func TestArchitecture(t *testing.T) {
 			}
 			for _, v := range r.check(mod) {
 				t.Errorf("%s: %s", r.name, v)
+			}
+			if r.report != nil {
+				t.Log(r.report(mod))
 			}
 			for i, fx := range r.fixtures {
 				if len(r.check(overlay(t, fx))) == 0 {
@@ -501,6 +529,106 @@ func fullEvidenceSections(p *program) []string {
 	}
 	return []string{fmt.Sprintf("EXPERIMENTS.md: %d per-PR sections run in full, over %d; stub the oldest, %q",
 		len(full), maxFullSections, full[0])}
+}
+
+// codeSets partitions the module's packages by role, each listed once:
+// the product the paper's pipeline deploys, the pull transport, the
+// evaluation and the test harness. Examples, cmd/obscheck and
+// benchmark/ belong to none.
+var codeSets = []struct {
+	name string
+	dirs []string
+}{
+	{"product", []string{"", "internal/stream", "internal/tier", "internal/sensing", "internal/recovery", "internal/linalg",
+		"internal/frame", "internal/keydict", "internal/obs", "internal/xrand", "internal/queries", "internal/outlier",
+		"cmd/csstreamd", "cmd/csnode"}},
+	{"pull", []string{"internal/cluster", "cmd/csagg"}},
+	{"evaluation", []string{"internal/experiments", "internal/mapreduce", "internal/baseline", "internal/theory",
+		"internal/workload", "cmd/csbench", "cmd/csgen"}},
+	{"harness", []string{"internal/simtest", "internal/xrand/xrandtest"}},
+}
+
+// setOf returns the name of the set that lists dir, or "".
+func setOf(dir string) string {
+	for _, set := range codeSets {
+		for _, d := range set.dirs {
+			if d == dir {
+				return set.name
+			}
+		}
+	}
+	return ""
+}
+
+// productApart returns the product's imports of the evaluation or the
+// harness, and of internal/cluster outside the two files that hold the
+// pull protocol today; and any set entry listed twice or naming no
+// package.
+func productApart(p *program) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, set := range codeSets {
+		for _, d := range set.dirs {
+			if seen[d] || p.pkg(path.Join(modulePath, d)) == nil {
+				out = append(out, fmt.Sprintf("%s set: %q is listed twice or is no package", set.name, d))
+			}
+			seen[d] = true
+		}
+	}
+	return append(out, imports(p, func(f *file, imp string) bool {
+		if setOf(dirOf(f)) != "product" || !strings.HasPrefix(imp, modulePath+"/") {
+			return false
+		}
+		switch setOf(strings.TrimPrefix(imp, modulePath+"/")) {
+		case "evaluation", "harness":
+			return true
+		case "pull":
+			return f.name != "cluster_api.go" && dirOf(f) != "cmd/csnode"
+		}
+		return false
+	})...)
+}
+
+// setLines reports the non-test lines of each set, of the packages no
+// set lists, and of benchmark/.
+func setLines(p *program) string {
+	lines := map[string]int{}
+	var others []string
+	eachFile(p, false, func(pk *pkg, f *file) {
+		set := setOf(pk.dir)
+		switch {
+		case pk.dir == "benchmark":
+			set = "benchmark"
+		case set == "":
+			set = "other"
+			if len(others) == 0 || others[len(others)-1] != pk.dir {
+				others = append(others, pk.dir)
+			}
+		}
+		lines[set] += p.fset.File(f.ast.Pos()).LineCount()
+	})
+	var b strings.Builder
+	b.WriteString("non-test lines:")
+	for _, set := range codeSets {
+		fmt.Fprintf(&b, " %s %d,", set.name, lines[set.name])
+	}
+	fmt.Fprintf(&b, " other %d %v, benchmark %d", lines["other"], others, lines["benchmark"])
+	return b.String()
+}
+
+// maxDocBytes caps the two documents that describe the system at the
+// sizes their last edit left: lower a cap after a cut, never raise it.
+var maxDocBytes = map[string]int{"README.md": 44570, "DESIGN.md": 50543}
+
+// bigDocs returns the docs over their cap.
+func bigDocs(p *program) []string {
+	var out []string
+	for name, limit := range maxDocBytes {
+		if n := len(p.docs[name]); n > limit {
+			out = append(out, fmt.Sprintf("%s is %d bytes, over %d", name, n, limit))
+		}
+	}
+	return out
 }
 
 // The helpers below walk the program for the checks: every non-test

@@ -11,8 +11,7 @@ import (
 
 // fieldTable is a replay grammar: every key a scenario line may carry,
 // with the setter that stores its value. The pull-path v1 line and the
-// streaming lines (stream2 and the five legacy prefixes) are each one
-// table read by parseReplayLine.
+// streaming stream2 line are each one table read by parseReplayLine.
 type fieldTable map[string]func(val string) error
 
 // parseReplayLine is the harness's one replay-line reader: the first

@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -8,14 +9,16 @@ import (
 // TestRetiredKindRefused: a recorded replay line that names a retired
 // ensemble fails to parse with sensing's retired-kind error, in every
 // grammar that carries an ens= field — it is never replayed under
-// another ensemble. The generators no longer produce such lines.
+// another ensemble. The generators no longer produce such lines. A line
+// under a retired streaming prefix, or a pull-path line, is refused by
+// its prefix: stream2 is the one streaming grammar.
 func TestRetiredKindRefused(t *testing.T) {
 	lines := map[string]string{
-		"v1":           Generate(7, 0).String(),
-		"stream2":      GenerateStream("stream1", 7, 0).String(),
-		"stream1":      "stream1 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 noise=0 ens=gaussian crash=0@1 dup=1 proxy=4096:8192",
-		"streamcrash1": "streamcrash1 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 noise=0 ens=gaussian cw=1 snap=0 crash=3 proxy=4096:8192",
-		"streamchurn1": "streamchurn1 seed=1 n=200 s=3 l=4 w=3 m=80 k=3 mode=50 noise=0 ens=gaussian join=2 leave=0@1 evict=1@1 proxy=4096:8192",
+		"v1":                 Generate(7, 0).String(),
+		"stream2":            GenerateStream("stream1", 7, 0).String(),
+		"stream2 crash, dup": "stream2 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 noise=0 ens=gaussian nodecrash=0@1 dup=1 proxy=4096:8192",
+		"stream2 restore":    "stream2 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 noise=0 ens=gaussian snap=1:0 aggcrash=1:3 proxy=4096:8192",
+		"stream2 churn":      "stream2 seed=1 n=200 s=3 l=4 w=3 m=80 k=3 mode=50 noise=0 ens=gaussian join=2 leave=0@1 evict=1@1 proxy=4096:8192",
 	}
 	parse := func(l string) error {
 		if strings.HasPrefix(l, "v1 ") {
@@ -26,7 +29,8 @@ func TestRetiredKindRefused(t *testing.T) {
 		return err
 	}
 	for name, line := range lines {
-		if !strings.HasPrefix(line, name+" ") || !strings.Contains(line, " ens=gaussian ") {
+		prefix, _, _ := strings.Cut(name, " ")
+		if !strings.HasPrefix(line, prefix+" ") || !strings.Contains(line, " ens=gaussian ") {
 			t.Fatalf("%s line is %q", name, line)
 		}
 		if err := parse(line); err != nil {
@@ -38,6 +42,13 @@ func TestRetiredKindRefused(t *testing.T) {
 			if err := parse(retired); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s ens=%s: %v, want an error containing %q", name, ens, err, want)
 			}
+		}
+	}
+	body := strings.TrimPrefix(lines["stream2"], "stream2")
+	for _, prefix := range []string{"stream1", "streamcrash1", "streamchurn1", "streampointq1", "streamtier1", "v1"} {
+		want := fmt.Sprintf("unknown streaming scenario prefix %q", prefix)
+		if _, err := ParseStreamScenario(prefix + body); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s%s: %v, want an error containing %q", prefix, body, err, want)
 		}
 	}
 }

@@ -433,65 +433,17 @@ func (s *StreamScenario) fields() fieldTable {
 	return t
 }
 
-// legacyStreamGrammars reads the five retired prefixes through the
-// stream2 table: each entry renames or splits the keys whose meaning
-// differed (crash= is node@window in stream1 and a flush index in
-// streamcrash1) and returns what to add once the line is read — the
-// faults a flavor implied without spelling them.
-var legacyStreamGrammars = map[string]func(s *StreamScenario, t fieldTable) (finish func()){
-	"stream1": func(s *StreamScenario, t fieldTable) func() {
-		t["crash"] = t["nodecrash"]
-		return nil
-	},
-	"streamcrash1": func(s *StreamScenario, t fieldTable) func() {
-		var cw, snap, crash int
-		t["cw"], t["snap"], t["crash"] = intField(&cw), intField(&snap), intField(&crash)
-		return func() {
-			s.Marks = append(s.Marks, Mark{Kind: MarkSnap, Window: cw, Flush: snap}, Mark{Kind: MarkAggCrash, Window: cw, Flush: crash})
-		}
-	},
-	"streamchurn1":  func(s *StreamScenario, t fieldTable) func() { return nil },
-	"streampointq1": func(s *StreamScenario, t fieldTable) func() { return s.probeEveryWindow },
-	"streamtier1": func(s *StreamScenario, t fieldTable) func() {
-		var ks, kw, kf int
-		t["ks"], t["kw"], t["kf"] = intField(&ks), intField(&kw), intField(&kf)
-		return func() {
-			s.Tier = true
-			s.Marks = append(s.Marks, Mark{Kind: MarkRelayKill, Node: ks, Window: kw, Flush: kf})
-		}
-	},
-}
-
-// probeEveryWindow is the point-query flavor's schedule: mid-run probes
-// after every window.
-func (s *StreamScenario) probeEveryWindow() {
-	for w := 1; w <= s.W; w++ {
-		s.Marks = append(s.Marks, Mark{Kind: MarkProbe, Window: w})
-	}
-}
-
-// ParseStreamScenario decodes a StreamScenario.String() line, or a line
-// recorded under one of the legacy prefixes.
+// ParseStreamScenario decodes a StreamScenario.String() line.
 func ParseStreamScenario(line string) (StreamScenario, error) {
 	var scn StreamScenario
-	var finish func()
 	err := parseReplayLine(line, func(prefix string) (fieldTable, error) {
-		t := scn.fields()
-		if prefix == "stream2" {
-			return t, nil
-		}
-		legacy, ok := legacyStreamGrammars[prefix]
-		if !ok {
+		if prefix != "stream2" {
 			return nil, fmt.Errorf("simtest: unknown streaming scenario prefix %q", prefix)
 		}
-		finish = legacy(&scn, t)
-		return t, nil
+		return scn.fields(), nil
 	})
 	if err != nil {
 		return StreamScenario{}, err
-	}
-	if finish != nil {
-		finish()
 	}
 	scn.normalize()
 	return scn, scn.validate()

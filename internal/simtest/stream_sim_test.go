@@ -22,7 +22,7 @@ var (
 	flagStreamTierCount = flag.Int("sim.streamtiercount", 2,
 		"number of randomized hierarchical-tier scenarios TestStreamTierSoak checks")
 	flagStreamReplay = flag.String("sim.streamreplay", "",
-		"replay a single streaming scenario from its failure-message one-liner (stream2, or any legacy flavor: stream1, streamcrash1, streamchurn1, streampointq1, streamtier1)")
+		"replay a single streaming scenario from its failure-message stream2 one-liner")
 )
 
 // soak is every streaming soak: count seeded scenarios of one flavor
@@ -76,12 +76,16 @@ func TestStreamPointQSoak(t *testing.T) { soak(t, "streampointq1", *flagStreamPo
 // root — with a mid-run relay kill/restore.
 func TestStreamTierSoak(t *testing.T) { soak(t, "streamtier1", *flagStreamTierCount) }
 
+// refusal is a line a grammar must refuse, and the text of the reason
+// its error must carry.
+type refusal struct{ line, reason string }
+
 // roundTrips is the per-flavor half of the codec tests: the invariant a
-// flavor's generator promises beyond validate, and lines its grammar
-// must refuse.
+// flavor's generator promises beyond validate, and lines the grammar
+// must refuse for that flavor's reasons.
 var roundTrips = map[string]struct {
 	invariant func(StreamScenario) string
-	bad       []string
+	bad       []refusal
 }{
 	"stream1": {
 		// Generated scenarios always include ≥ 4 nodes, a crash, a distinct
@@ -95,13 +99,12 @@ var roundTrips = map[string]struct {
 			}
 			return ""
 		},
-		[]string{
-			"",
-			"v1 seed=1",
-			"stream1 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=0 ens=gaussian crash=0@1 dup=1 proxy=4096:8192",  // zero mode
-			"stream1 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian crash=1@1 dup=1 proxy=4096:8192", // crash==dup
-			"stream1 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian crash=0@9 dup=1 proxy=4096:8192", // crash window
-			"stream1 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian crash=0@1 dup=1 proxy=16:32",     // budget < frame
+		[]refusal{
+			{"", "empty scenario line"},
+			{"stream2 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=0 ens=gaussian nodecrash=0@1 dup=1 proxy=4096:8192", "need a nonzero mode"},
+			{"stream2 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian nodecrash=1@1 dup=1 proxy=4096:8192", "crash and dup node coincide"},
+			{"stream2 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian nodecrash=0@9 dup=1 proxy=4096:8192", "nodecrash=0@9 window outside [1, 2]"},
+			{"stream2 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian nodecrash=0@1 dup=1 proxy=16:32", "cannot pass a full frame"},
 		},
 	},
 	"streamcrash1": {
@@ -111,12 +114,12 @@ var roundTrips = map[string]struct {
 			}
 			return ""
 		},
-		[]string{
-			"",
-			"stream1 seed=1",
-			"streamcrash1 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian cw=9 snap=0 crash=1 proxy=4096:8192",  // crash window
-			"streamcrash1 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian cw=1 snap=3 crash=3 proxy=4096:8192",  // nothing lost
-			"streamcrash1 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian cw=1 snap=0 crash=12 proxy=4096:8192", // flush out of range
+		[]refusal{
+			{"", "empty scenario line"},
+			{"stream2 seed=1", "N=0 S=0 out of range"},
+			{"stream2 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian snap=9:0 aggcrash=9:1 proxy=4096:8192", "snap=9:0 window outside [1, 2]"},
+			{"stream2 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian snap=1:3 aggcrash=1:3 proxy=4096:8192", "aggcrash=1:3 needs a snap earlier in the same window"},
+			{"stream2 seed=1 n=200 s=3 l=4 w=2 m=80 k=3 mode=50 ens=gaussian snap=1:0 aggcrash=1:12 proxy=4096:8192", "aggcrash=1:12 flush outside [0, 12)"},
 		},
 	},
 	"streamchurn1": {
@@ -126,11 +129,11 @@ var roundTrips = map[string]struct {
 			}
 			return ""
 		},
-		[]string{
-			"",
-			"streamchurn1 seed=1 n=200 s=3 l=4 w=3 m=80 k=3 mode=50 ens=gaussian join=1 leave=0@1 evict=1@1 proxy=4096:8192", // join before window 2
-			"streamchurn1 seed=1 n=200 s=3 l=4 w=3 m=80 k=3 mode=50 ens=gaussian join=2 leave=0@1 evict=0@1 proxy=4096:8192", // leave==evict
-			"streamchurn1 seed=1 n=200 s=3 l=4 w=3 m=80 k=3 mode=50 ens=gaussian join=2 leave=0@1 evict=1@3 proxy=4096:8192", // evict too late
+		[]refusal{
+			{"", "empty scenario line"},
+			{"stream2 seed=1 n=200 s=3 l=4 w=3 m=80 k=3 mode=50 ens=gaussian join=1 leave=0@1 evict=1@1 proxy=4096:8192", "join window 1 outside [2, 3]"},
+			{"stream2 seed=1 n=200 s=3 l=4 w=3 m=80 k=3 mode=50 ens=gaussian join=2 leave=0@1 evict=0@1 proxy=4096:8192", "leave and evict node coincide"},
+			{"stream2 seed=1 n=200 s=3 l=4 w=3 m=80 k=3 mode=50 ens=gaussian join=2 leave=0@1 evict=1@3 proxy=4096:8192", "evict window 3 outside [1, 3)"},
 		},
 	},
 	"streampointq1": {
@@ -140,12 +143,12 @@ var roundTrips = map[string]struct {
 			}
 			return ""
 		},
-		[]string{
-			"",
-			"streampointq1 seed=1",
-			"streampointq1 seed=1 n=100 s=2 l=3 w=2 d=7 wid=96 k=2 mode=50 noise=0",  // M > N
-			"streampointq1 seed=1 n=2000 s=2 l=3 w=2 d=0 wid=96 k=2 mode=50 noise=0", // depth 0
-			"streampointq1 seed=1 n=2000 s=2 l=3 w=2 d=7 wid=96 k=2 mode=0 noise=0",  // zero mode
+		[]refusal{
+			{"", "empty scenario line"},
+			{"stream2 seed=1", "N=0 S=0 out of range"},
+			{"stream2 seed=1 n=100 s=2 l=3 w=2 d=7 wid=96 k=2 mode=50 noise=0 probe=1 probe=2", "M=672 outside [2, 100]"},
+			{"stream2 seed=1 n=2000 s=2 l=3 w=2 d=0 wid=96 k=2 mode=50 noise=0 probe=1 probe=2", "depth 0 outside [1, 64]"},
+			{"stream2 seed=1 n=2000 s=2 l=3 w=2 d=7 wid=96 k=2 mode=0 noise=0 probe=1 probe=2", "need a nonzero mode"},
 		},
 	},
 	"streamtier1": {
@@ -158,19 +161,21 @@ var roundTrips = map[string]struct {
 			}
 			return ""
 		},
-		[]string{
-			"",
-			"streamtier1 seed=1",
-			"streamtier1 seed=1 n=1000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 ks=0 kw=2 kf=1 proxy=6000:12000", // M > N/4
-			"streamtier1 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 ks=0 kw=1 kf=1 proxy=6000:12000", // kill before any forward
-			"streamtier1 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 ks=0 kw=2 kf=0 proxy=6000:12000", // nothing lost
-			"streamtier1 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 ks=2 kw=2 kf=1 proxy=6000:12000", // shard out of range
-			"streamtier1 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=0 noise=0 ks=0 kw=2 kf=1 proxy=6000:12000",  // zero mode
+		[]refusal{
+			{"", "empty scenario line"},
+			{"stream2 seed=1 topo=tier relaykill=0@0:0", "N=0 S=0 out of range"},
+			{"stream2 seed=1 n=1000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 topo=tier relaykill=0@2:1 proxy=6000:12000", "M=672 outside [2, 250]"},
+			{"stream2 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 topo=tier relaykill=0@1:1 proxy=6000:12000", "relaykill=0@1:1 loses nothing"},
+			{"stream2 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 topo=tier relaykill=0@2:0 proxy=6000:12000", "relaykill=0@2:0 loses nothing"},
+			{"stream2 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=50 noise=0 topo=tier relaykill=2@2:1 proxy=6000:12000", "kill shard 2 outside [0, 2)"},
+			{"stream2 seed=1 n=3000 s=2 l=4 w=2 d=7 wid=96 k=2 mode=0 noise=0 topo=tier relaykill=0@2:1 proxy=6000:12000", "need a nonzero mode"},
 		},
 	},
 }
 
-// roundTrip covers one flavor's codec and generator invariants.
+// roundTrip covers one flavor's codec and generator invariants. A bad
+// line must be refused for its stated reason: a refusal by prefix would
+// pass while testing nothing.
 func roundTrip(t *testing.T, flavor string) {
 	base := baseSeed(t)
 	rt := roundTrips[flavor]
@@ -194,8 +199,9 @@ func roundTrip(t *testing.T, flavor string) {
 		}
 	}
 	for _, bad := range rt.bad {
-		if _, err := ParseStreamScenario(bad); err == nil {
-			t.Errorf("ParseStreamScenario(%q) accepted invalid line", bad)
+		_, err := ParseStreamScenario(bad.line)
+		if err == nil || !strings.Contains(err.Error(), bad.reason) || strings.Contains(err.Error(), "unknown streaming scenario prefix") {
+			t.Errorf("ParseStreamScenario(%q): %v, want a refusal naming %q", bad.line, err, bad.reason)
 		}
 	}
 }
@@ -206,11 +212,12 @@ func TestStreamChurnScenarioRoundTrip(t *testing.T)  { roundTrip(t, "streamchurn
 func TestStreamPointQScenarioRoundTrip(t *testing.T) { roundTrip(t, "streampointq1") }
 func TestStreamTierScenarioRoundTrip(t *testing.T)   { roundTrip(t, "streamtier1") }
 
-// TestStreamLegacyLines pins the generators and the legacy grammars to
-// the five harnesses they replaced: every line of testdata (recorded at
-// the last commit that had them, as "base index line") must parse to
-// exactly the scenario the generator draws for the same flavor, base
-// and index, and the first two of each flavor are replayed end to end.
+// TestStreamLegacyLines pins the generators to the five harnesses they
+// replaced: each record of testdata is "base index flavor line", a
+// scenario those harnesses drew, kept in its stream2 spelling. The line
+// must parse to exactly the scenario the generator draws for the same
+// flavor, base and index, and the first two of each flavor are replayed
+// end to end. A malformed record fails the test.
 func TestStreamLegacyLines(t *testing.T) {
 	f, err := os.Open("testdata/legacy_lines.txt")
 	if err != nil {
@@ -219,13 +226,25 @@ func TestStreamLegacyLines(t *testing.T) {
 	defer f.Close()
 	ran := map[string]int{}
 	for sc := bufio.NewScanner(f); sc.Scan(); {
-		rec := strings.SplitN(sc.Text(), " ", 3)
-		base, _ := strconv.ParseUint(rec[0], 10, 64)
-		index, _ := strconv.Atoi(rec[1])
-		flavor, _, _ := strings.Cut(rec[2], " ")
-		scn, err := ParseStreamScenario(rec[2])
+		rec := strings.SplitN(sc.Text(), " ", 4)
+		if len(rec) != 4 {
+			t.Fatalf("record %q: want base index flavor line", sc.Text())
+		}
+		base, err := strconv.ParseUint(rec[0], 10, 64)
 		if err != nil {
-			t.Fatalf("%v\nline: %s", err, rec[2])
+			t.Fatalf("record %q: base: %v", sc.Text(), err)
+		}
+		index, err := strconv.Atoi(rec[1])
+		if err != nil {
+			t.Fatalf("record %q: index: %v", sc.Text(), err)
+		}
+		flavor, line := rec[2], rec[3]
+		if _, ok := streamFlavors[flavor]; !ok {
+			t.Fatalf("record %q: no flavor %q", sc.Text(), flavor)
+		}
+		scn, err := ParseStreamScenario(line)
+		if err != nil {
+			t.Fatalf("%v\nline: %s", err, line)
 		}
 		if want := GenerateStream(flavor, base, index); !reflect.DeepEqual(scn, want) {
 			t.Fatalf("GenerateStream(%s, %d, %d) moved:\nrecorded  %s\ngenerated %s", flavor, base, index, scn, want)
@@ -234,7 +253,7 @@ func TestStreamLegacyLines(t *testing.T) {
 			t.Run(flavor, func(t *testing.T) {
 				t.Parallel()
 				if err := CheckStreamScenario(scn); err != nil {
-					t.Fatalf("%v\nline: %s", err, rec[2])
+					t.Fatalf("%v\nline: %s", err, line)
 				}
 			})
 		}

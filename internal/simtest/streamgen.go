@@ -121,7 +121,9 @@ var streamFlavors = map[string]struct {
 	// Count-sketch, no chaos, point probes after every window.
 	"streampointq1": {0x901f42e5, func(rng *xrand.RNG) StreamScenario {
 		scn := drawStreamBase(rng, pointQSizing, 3, 3, 2, 3)
-		scn.probeEveryWindow()
+		for w := 1; w <= scn.W; w++ {
+			scn.Marks = append(scn.Marks, Mark{Kind: MarkProbe, Window: w})
+		}
 		return scn
 	}},
 	// The 2-shard × 2-relay tree with one relay killed and restored.

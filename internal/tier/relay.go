@@ -278,9 +278,34 @@ func (r *Relay) Stats() RelayStats {
 // onApplied mirrors one applied leaf delta into the window's upward
 // accumulator. Runs under the aggregator mutex (so it can never race a
 // snapshot capture of the same fold) and takes fmu inside it.
+//
+// The delta's own window held finite, but the accumulator sums only
+// what arrived since the last stage, so it can overflow where the
+// window does not (−Max forwarded, then +Max twice). Add refuses that
+// sum; the accumulator is then staged as a frame of its own and the
+// delta starts a fresh one, so the parent folds what the window holds.
 func (r *Relay) onApplied(window uint64, folds int, delta csoutlier.Sketch) {
 	r.fmu.Lock()
 	defer r.fmu.Unlock()
+	acc := r.accumulator(window)
+	if acc.sketch.Add(delta) != nil {
+		err := r.stageWindow(window)
+		if err == nil {
+			acc = r.accumulator(window)
+			// A zero accumulator plus a delta the window took is finite,
+			// and delta was decoded by the same sketcher that built it.
+			err = acc.sketch.Add(delta)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("tier: relay %s accumulator: %v", r.name, err))
+		}
+	}
+	acc.folds += uint32(folds)
+}
+
+// accumulator returns the window's upward accumulator, taking a spare
+// one (or a new one) if the window has none.
+func (r *Relay) accumulator(window uint64) *upAccum {
 	acc, ok := r.unstable[window]
 	if !ok {
 		if last := len(r.spare) - 1; last >= 0 {
@@ -290,18 +315,13 @@ func (r *Relay) onApplied(window uint64, folds int, delta csoutlier.Sketch) {
 		}
 		r.unstable[window] = acc
 	}
-	// Add cannot fail: delta was decoded by the same sketcher that
-	// built the accumulator, so the consensus identities match.
-	if err := acc.sketch.Add(delta); err != nil {
-		panic(fmt.Sprintf("tier: relay %s accumulator: %v", r.name, err))
-	}
-	acc.folds += uint32(folds)
+	return acc
 }
 
 // stage drains the unstable accumulators into staged frames, assigning
 // upward seqs in ascending-window order so replay order is
-// deterministic, and keeps each emptied accumulator for reuse. Both
-// commit paths stage through it, under the aggregator mutex and fmu.
+// deterministic. Both commit paths stage through it, under the
+// aggregator mutex and fmu.
 func (r *Relay) stage() error {
 	windows := make([]uint64, 0, len(r.unstable))
 	for w := range r.unstable {
@@ -313,22 +333,32 @@ func (r *Relay) stage() error {
 		}
 	}
 	for _, w := range windows {
-		acc := r.unstable[w]
-		f := r.snd.Alloc() // a buffer some settled frame no longer needs, when there is one
-		payload, err := acc.sketch.AppendBinary(f.Payload[:0])
-		if err != nil {
-			return fmt.Errorf("tier: relay %s window %d: %w", r.name, w, err)
+		if err := r.stageWindow(w); err != nil {
+			return err
 		}
-		r.upSeq++
-		*f = stream.Frame{Window: w, Seq: r.upSeq, Folds: acc.folds, Payload: payload}
-		r.staged = append(r.staged, f)
-		delete(r.unstable, w)
-		r.stats.FramesStaged++
-		r.stats.FoldsStaged += int64(acc.folds)
-		clear(acc.sketch.Y)
-		acc.folds = 0
-		r.spare = append(r.spare, acc)
 	}
+	return nil
+}
+
+// stageWindow encodes one window's accumulator as the next staged
+// frame and keeps the emptied accumulator for reuse. The caller holds
+// the aggregator mutex and fmu.
+func (r *Relay) stageWindow(w uint64) error {
+	acc := r.unstable[w]
+	f := r.snd.Alloc() // a buffer some settled frame no longer needs, when there is one
+	payload, err := acc.sketch.AppendBinary(f.Payload[:0])
+	if err != nil {
+		return fmt.Errorf("tier: relay %s window %d: %w", r.name, w, err)
+	}
+	r.upSeq++
+	*f = stream.Frame{Window: w, Seq: r.upSeq, Folds: acc.folds, Payload: payload}
+	r.staged = append(r.staged, f)
+	delete(r.unstable, w)
+	r.stats.FramesStaged++
+	r.stats.FoldsStaged += int64(acc.folds)
+	clear(acc.sketch.Y)
+	acc.folds = 0
+	r.spare = append(r.spare, acc)
 	return nil
 }
 
@@ -364,9 +394,8 @@ func (r *Relay) snapshotExtra() ([]byte, error) {
 }
 
 // onSnapshotCommit releases the staged frames the committed snapshot
-// covers to the sender. Frames staged after the capture (a concurrent
-// fold can stage between capture and commit only via a later snapshot)
-// stay staged for the next cycle.
+// covers to the sender. Frames staged after the capture (by a fold
+// whose accumulator would overflow) stay staged for the next cycle.
 func (r *Relay) onSnapshotCommit(extra []byte) {
 	// The header holds the seq counter; the frames behind it need no copy.
 	st, err := readRelayExtraHeader(&frame.Cursor{B: extra})

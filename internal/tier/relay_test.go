@@ -403,18 +403,13 @@ func TestVolatileRelayRestart(t *testing.T) {
 // refused there, so the upward frame the relay builds stays finite and
 // the root folds it to the relay's bits. An upward frame that would take
 // the root's window to −Inf is refused at the root, counted on both
-// sides, and the root's window is left as it was.
+// sides, and the root's window is left as it was. And an upward
+// accumulator that would overflow where the relay's window does not is
+// shipped before the delta that would overflow it, so nothing is lost.
 func TestRelayRefusesOverflow(t *testing.T) {
 	sk := tierSketcher(t, 64, 32, 13)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
-	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr})
-	if err != nil {
-		t.Fatalf("NewRelay: %v", err)
-	}
-	relayAddr := serveRelay(t, relay)
-	t.Cleanup(func() { relay.Close(ctx) })
 	huge := func(v float64) []byte {
 		s := sk.ZeroSketch()
 		for i := range s.Y {
@@ -443,7 +438,18 @@ func TestRelayRefusesOverflow(t *testing.T) {
 			return ack
 		}
 	}
-	leaf, direct := pusher(relayAddr, "leaf"), pusher(rootAddr, "direct")
+	// tree builds a root, a relay under it, a leaf pushing into the relay
+	// and a node pushing straight into the root.
+	tree := func() (root *stream.Aggregator, relay *Relay, leaf, direct func(v float64) stream.Ack) {
+		root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
+		relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr})
+		if err != nil {
+			t.Fatalf("NewRelay: %v", err)
+		}
+		relayAddr := serveRelay(t, relay)
+		t.Cleanup(func() { relay.Close(ctx) })
+		return root, relay, pusher(relayAddr, "leaf"), pusher(rootAddr, "direct")
+	}
 	window := func(agg *stream.Aggregator) csoutlier.Sketch {
 		t.Helper()
 		w, err := agg.WindowSketch(0)
@@ -453,6 +459,7 @@ func TestRelayRefusesOverflow(t *testing.T) {
 		return w
 	}
 
+	root, relay, leaf, direct := tree()
 	if ack := leaf(math.MaxFloat64); !ack.Applied {
 		t.Fatalf("first +Max at the relay: %+v", ack)
 	}
@@ -484,6 +491,31 @@ func TestRelayRefusesOverflow(t *testing.T) {
 	sameBits(t, "root window after it refused the upward frame", window(root), before)
 	if rs, up := root.Stats(), relay.Stats(); rs.Rejected != 1 || up.Rejected != 1 {
 		t.Fatalf("root rejected %d, relay saw %d upward frames rejected; want 1 and 1", rs.Rejected, up.Rejected)
+	}
+
+	// −Max goes up in one cycle; in the next the relay's window goes
+	// −Max → 0 → +Max, while an accumulator of both +Max deltas would hold
+	// +Inf. The first +Max leaves as a frame of its own.
+	root, relay, leaf, _ = tree()
+	if ack := leaf(-math.MaxFloat64); !ack.Applied {
+		t.Fatalf("−Max at the relay: %+v", ack)
+	}
+	if err := relay.Forward(ctx); err != nil {
+		t.Fatalf("Forward: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if ack := leaf(math.MaxFloat64); !ack.Applied {
+			t.Fatalf("+Max %d at the relay: %+v", i, ack)
+		}
+	}
+	if err := relay.Forward(ctx); err != nil {
+		t.Fatalf("Forward: %v", err)
+	}
+	sameBits(t, "root window after the accumulator would have overflowed", window(root), window(relay.Aggregator()))
+	rs, ls, up := root.Stats(), relay.Aggregator().Stats(), relay.Stats()
+	if rs.Rejected != 0 || ls.Rejected != 0 || up.Rejected != 0 || rs.Applied != 3 || up.FramesStaged != 3 {
+		t.Fatalf("root applied %d rejected %d, relay rejected %d and %d upward, staged %d; want 3, 0, 0, 0, 3",
+			rs.Applied, rs.Rejected, ls.Rejected, up.Rejected, up.FramesStaged)
 	}
 }
 

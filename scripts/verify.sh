@@ -157,9 +157,11 @@ kill $pids 2>/dev/null || true
 pids=""
 # csstreamd refuses a flag it would ignore, with status 2, before it
 # listens: -snapshot-every without -snapshot, and on a relay (which
-# snapshots on every forward).
+# snapshots on every forward); -shards below 1, and a -shard-index
+# outside [0, -shards), with one shard too.
 for args in "-snapshot-every 1s" \
-	"-snapshot $tmp/relay.snap -snapshot-every 1s -relay-upstream 127.0.0.1:1 -relay-id r0"; do
+	"-snapshot $tmp/relay.snap -snapshot-every 1s -relay-upstream 127.0.0.1:1 -relay-id r0" \
+	"-shards 0" "-shards -1" "-shard-index 5" "-shard-index -1" "-shards 2 -shard-index 2"; do
 	status=0
 	"$tmp/bin/csstreamd" -dict "$tmp/demo/keys.txt" -m 400 -listen 127.0.0.1:0 $args >"$tmp/refuse.log" 2>&1 || status=$?
 	if [ "$status" -ne 2 ]; then
@@ -169,6 +171,14 @@ for args in "-snapshot-every 1s" \
 	fi
 	tail -n 1 "$tmp/refuse.log"
 done
+status=0
+"$tmp/bin/csnode" -dict "$tmp/demo/keys.txt" -data "$tmp/demo/node0.csv" -listen 127.0.0.1:0 -shards 0 >"$tmp/refuse.log" 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+	cat "$tmp/refuse.log" >&2
+	echo "verify: csnode -shards 0 exited $status, want 2" >&2
+	exit 1
+fi
+tail -n 1 "$tmp/refuse.log"
 
 echo "== examples: every main under examples/ runs to a zero exit =="
 go build -o "$tmp/examples/" ./examples/...

@@ -586,6 +586,14 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 			if w, _ := full.Window(0); !bitsEqual(w.Y, big.Y) {
 				t.Fatalf("%s: a refused overflow changed the window", name)
 			}
+			// Sketch.Add and Sub hold the same rule: refused, s unchanged.
+			acc, neg := sketchOf(sk, big.Y), sketchOf(sk, nil)
+			neg.Y[sk.M()-1] = -huge
+			for op, err := range map[string]error{"Add": acc.Add(big), "Sub": acc.Sub(neg)} {
+				if err == nil || !bitsEqual(acc.Y, big.Y) {
+					t.Fatalf("%s: Sketch.%s past %v: %v, want it refused with the sketch unchanged", name, op, huge, err)
+				}
+			}
 		}
 		after, _ := ws.Window(0)
 		if !bitsEqual(after.Y, before.Y) {

@@ -62,21 +62,16 @@ func (w *WindowStore) Windows() int { return len(w.ring) }
 // every span over the window unanswerable, and every frame a relay
 // builds from it unreadable upstream, for the ring's lifetime.
 func (w *WindowStore) AddSketch(age int, o Sketch) error {
-	if err := o.compatible(w.sk.sketchID()); err != nil {
-		return err
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.checkAge(age); err != nil {
 		return err
 	}
-	slot := w.ring[w.slot(age)]
-	for i, v := range o.Y {
-		if s := slot[i] + v; !finite(s) {
-			return fmt.Errorf("csoutlier: window age %d: measurement %d would be %v (%v + %v)", age, i, s, slot[i], v)
-		}
+	win := w.sk.sketchID()
+	win.Y = w.ring[w.slot(age)]
+	if err := win.Add(o); err != nil {
+		return fmt.Errorf("%w in window age %d", err, age)
 	}
-	linalg.Vector(slot).Add(linalg.Vector(o.Y))
 	return nil
 }
 
