@@ -270,6 +270,61 @@ func TestDetectClusterFailedQuorumKeepsEvidence(t *testing.T) {
 	}
 }
 
+// TestDetectClusterDuplicateNodeID: a node that answers at two addresses
+// is asked for its sketch once. The second address is excluded before
+// the collection, so a quorum that needs it is refused.
+func TestDetectClusterDuplicateNodeID(t *testing.T) {
+	const n, k = 200, 3
+	sk, err := NewSketcher(testKeys(n), Config{M: 60, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	global, _ := workload.MajorityDominated(n, k, 500, 80, 3000, 13)
+	slices := workload.SplitZeroSumNoise(global, 2, 100, 7)
+	a, b := cluster.NewLocalNode("a", slices[0]), cluster.NewLocalNode("b", slices[1])
+	var addrs []string
+	for _, node := range []*cluster.LocalNode{a, a, b} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go cluster.Serve(ln, node)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	isDup := func(nr NodeReport) bool {
+		return nr.Addr == addrs[1] && nr.ID == "a" && !nr.Included && nr.Attempts == 0 && strings.Contains(nr.Err, "duplicate node ID")
+	}
+
+	rep, err := sk.DetectCluster(ctx, addrs, k, ClusterOptions{MinNodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failed) != 1 || !isDup(rep.Failed[0]) {
+		t.Fatalf("failed %+v", rep.Failed)
+	}
+	if rep.Stats.Messages != 2 || len(rep.Included) != 2 {
+		t.Fatalf("included %v, stats %+v", rep.Included, rep.Stats)
+	}
+	want, err := sk.DetectCluster(ctx, []string{addrs[0], addrs[2]}, k, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Mode != want.Mode || fmt.Sprint(rep.Outliers) != fmt.Sprint(want.Outliers) {
+		t.Fatalf("round with the duplicate: mode %v outliers %v; without it: mode %v outliers %v", rep.Mode, rep.Outliers, want.Mode, want.Outliers)
+	}
+
+	rep, err = sk.DetectCluster(ctx, addrs, k, ClusterOptions{})
+	if err == nil {
+		t.Fatal("a quorum of all three addresses met with one node answering at two")
+	}
+	if rep == nil || len(rep.Failed) != 1 || !isDup(rep.Failed[0]) {
+		t.Fatalf("below quorum: report %+v", rep)
+	}
+}
+
 func TestDetectClusterValidatesArgs(t *testing.T) {
 	keys := testKeys(50)
 	sk, _ := NewSketcher(keys, Config{M: 20, Seed: 5})

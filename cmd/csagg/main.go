@@ -46,8 +46,8 @@ func main() {
 		depth     = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
 	)
 	flag.Parse()
-	if *nodesFlag == "" || *dictPath == "" || *m <= 0 {
-		fmt.Fprintln(os.Stderr, "csagg: -nodes, -dict and -m are required")
+	if *nodesFlag == "" || *dictPath == "" || *m <= 0 || *attempts < 1 || *minNodes < 0 {
+		fmt.Fprintln(os.Stderr, "csagg: -nodes, -dict and -m are required, -attempts must be ≥ 1 and -min-nodes ≥ 0")
 		os.Exit(2)
 	}
 

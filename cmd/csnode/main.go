@@ -59,7 +59,6 @@ func main() {
 		groupBy  = flag.String("groupby", "", "comma-separated GROUP BY columns; switches -data to raw-log mode")
 		name     = flag.String("name", "", "node name (default: listen address)")
 		idleTO   = flag.Duration("idle-timeout", 0, "drop connections idle for this long (0 = never)")
-		reqTO    = flag.Duration("request-timeout", 0, "per-request handling budget (0 = unbounded)")
 
 		push       = flag.String("push", "", "stream deltas to a csstreamd aggregator at this address")
 		pushEvery  = flag.Duration("push-every", 2*time.Second, "delay between delta flushes in -push mode (also the heartbeat period once the slice is drained)")
@@ -75,8 +74,8 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address (empty = off)")
 	)
 	flag.Parse()
-	if *dictPath == "" || *dataPath == "" || *shards < 1 {
-		fmt.Fprintln(os.Stderr, "csnode: -dict and -data are required, and -shards must be ≥ 1")
+	if *dictPath == "" || *dataPath == "" || *shards < 1 || *pushChunk < 1 {
+		fmt.Fprintln(os.Stderr, "csnode: -dict and -data are required, and -shards and -push-chunk must be ≥ 1")
 		os.Exit(2)
 	}
 	if *name == "" {
@@ -189,10 +188,7 @@ func main() {
 		}
 		go pushSlice(dial, dict, x, *pushEvery, *pushChunk)
 	}
-	if err := cluster.ServeWith(ln, node, cluster.ServeOptions{
-		IdleTimeout:    *idleTO,
-		RequestTimeout: *reqTO,
-	}); err != nil {
+	if err := cluster.ServeWith(ln, node, cluster.ServeOptions{IdleTimeout: *idleTO}); err != nil {
 		log.Fatalf("csnode: serve: %v", err)
 	}
 }
@@ -213,9 +209,6 @@ type pushNode interface {
 // available both ways.
 func pushSlice(dial func(context.Context) (pushNode, func() string, error), dict *keydict.Dictionary, x linalg.Vector,
 	pushEvery time.Duration, pushChunk int) {
-	if pushChunk <= 0 {
-		pushChunk = 256
-	}
 	ctx := context.Background()
 	n, streamed, err := dial(ctx)
 	if err != nil {

@@ -185,7 +185,7 @@ func FuzzClusterFrameDecoder(f *testing.F) {
 		// must terminate once the stream is exhausted; hostile frames may
 		// only produce error responses or drop the connection.
 		var out bytes.Buffer
-		cluster.ServeStream(bytes.NewReader(data), &out, node, cluster.ServeOptions{})
+		cluster.ServeStream(bytes.NewReader(data), &out, node)
 		// A first frame of a retired kind ends the stream unanswered.
 		if len(data) >= frame.Overhead && data[5] >= 0x12 && data[5] <= 0x14 && out.Len() != 0 {
 			t.Fatalf("a frame of retired kind %#x was answered with %d bytes", data[5], out.Len())

@@ -298,6 +298,35 @@ func deadline() <-chan time.Time { return time.NewTimer(time.Second).C }`},
 		},
 	},
 	{
+		id:      "one-round-types",
+		name:    "one set of pull-round types: cluster_api.go declares no struct but ClusterReport, and internal/cluster no exported …Options type but Options and ServeOptions",
+		section: "pr44",
+		check: func(p *program) []string {
+			var out []string
+			eachFile(p, false, func(_ *pkg, f *file) {
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					ts, ok := n.(*ast.TypeSpec)
+					if !ok {
+						return true
+					}
+					name := ts.Name.Name
+					_, isStruct := ts.Type.(*ast.StructType)
+					switch {
+					case f.name == "cluster_api.go" && isStruct && name != "ClusterReport",
+						dirOf(f) == "internal/cluster" && ts.Name.IsExported() && strings.HasSuffix(name, "Options") && name != "Options" && name != "ServeOptions":
+						out = append(out, at(p, ts.Pos())+": type "+name)
+					}
+					return false
+				})
+			})
+			return out
+		},
+		fixtures: []map[string]string{
+			{"cluster_api.go": `package csoutlier; type NodeReport struct{}`},
+			{"internal/cluster/collect2.go": `package cluster; type CollectOptions struct{ MinNodes int }`},
+		},
+	},
+	{
 		id:      "one-push-protocol",
 		name:    "one push protocol: no query on the push wire",
 		section: "pr28",

@@ -47,17 +47,14 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 	}
 }
 
-// TestBackoffSeedResolution checks the seed ladder: explicit seeds win,
-// the zero seed hashes the label, and distinct labels decorrelate.
+// TestBackoffSeedResolution checks a node's jitter stream label: one ID
+// hashes to one label, and distinct IDs decorrelate.
 func TestBackoffSeedResolution(t *testing.T) {
-	if got := backoffSeed(7, "addr"); got != 7 {
-		t.Errorf("explicit seed: got %d, want 7", got)
-	}
-	a1, a2 := backoffSeed(0, "10.0.0.1:9000"), backoffSeed(0, "10.0.0.1:9000")
+	a1, a2 := backoffSeed("dc-0"), backoffSeed("dc-0")
 	if a1 != a2 {
-		t.Errorf("same label hashed to %d and %d", a1, a2)
+		t.Errorf("same ID hashed to %d and %d", a1, a2)
 	}
-	if b := backoffSeed(0, "10.0.0.2:9000"); b == a1 {
-		t.Errorf("distinct labels collided on seed %d", a1)
+	if b := backoffSeed("dc-1"); b == a1 {
+		t.Errorf("distinct IDs collided on seed %d", a1)
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -109,7 +108,7 @@ func (s *ChaosServer) serve(conn net.Conn, done chan struct{}) {
 		wbuf []byte
 	)
 	answer := func() bool {
-		resp := handle(context.Background(), s.node, &req)
+		resp := handle(s.node, &req)
 		wbuf = appendReply(wbuf, req.Kind, &resp)
 		_, err := conn.Write(wbuf)
 		return err == nil

@@ -130,15 +130,3 @@ func (n *LocalNode) Update(delta linalg.Vector) error {
 	n.x.Add(delta)
 	return nil
 }
-
-// CommStats records the logical communication and the transport effort
-// of one collection. Bytes/Messages/Rounds use the paper's cost model;
-// the attempt counters come from the collector.
-type CommStats struct {
-	Bytes    int64 // total payload bytes, M·8 per included node
-	Messages int   // node→aggregator messages
-	Rounds   int   // protocol rounds: 1
-	Attempts int   // sketch RPCs attempted, including retries
-	Retries  int   // attempts beyond each node's first
-	Timeouts int   // attempts that died on a deadline
-}

@@ -25,17 +25,28 @@ func makeCluster(t *testing.T, n, s, nodes int, mode float64, seed uint64) ([]No
 	return apis, global, support
 }
 
+// collectNodes runs the collector over nodes as Collect does over the
+// ones it dialed: opts resolved, every node's ID in its record.
+func collectNodes(ctx context.Context, nodes []NodeAPI, spec sensing.Spec, opts Options) (linalg.Vector, *Round, error) {
+	r := &Round{Nodes: make([]NodeReport, len(nodes))}
+	for i, n := range nodes {
+		r.Nodes[i].ID = n.ID()
+	}
+	sum, err := collect(ctx, nodes, spec, opts.resolve(len(nodes)), r)
+	return sum, r, err
+}
+
 func TestCollectSketchesEqualsGlobalMeasurement(t *testing.T) {
 	nodes, global, _ := makeCluster(t, 150, 6, 5, 1800, 1)
 	p := sensing.Params{M: 60, N: 150, Seed: 9}
-	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{})
+	sum, res, err := collectNodes(context.Background(), nodes, sensing.GaussianSpec(p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats := res.Stats
 	d, _ := sensing.NewDense(p)
 	want := d.Measure(global, nil)
-	if !res.Sketch.Equal(want, 1e-8) {
+	if !sum.Equal(want, 1e-8) {
 		t.Fatal("sum of node sketches != sketch of global aggregate")
 	}
 	if stats.Bytes != int64(5*60*8) {
@@ -47,15 +58,15 @@ func TestCollectSketchesEqualsGlobalMeasurement(t *testing.T) {
 }
 
 func TestCollectSketchesNoNodes(t *testing.T) {
-	if _, err := CollectSketches(context.Background(), []NodeAPI(nil), sensing.GaussianSpec(sensing.Params{M: 2, N: 2}), CollectOptions{}); err == nil {
-		t.Fatal("no nodes accepted")
+	if _, r, err := Collect(context.Background(), nil, sensing.GaussianSpec(sensing.Params{M: 2, N: 2}), Options{}); err == nil || r != nil {
+		t.Fatalf("no addresses: report %+v, error %v", r, err)
 	}
 }
 
 func TestCollectSketchesDimensionError(t *testing.T) {
 	nodes := []NodeAPI{NewLocalNode("a", make(linalg.Vector, 10))}
 	spec := sensing.GaussianSpec(sensing.Params{M: 4, N: 11, Seed: 1})
-	if _, err := CollectSketches(context.Background(), nodes, spec, CollectOptions{}); err == nil {
+	if _, _, err := collectNodes(context.Background(), nodes, spec, Options{}); err == nil {
 		t.Fatal("mismatched N accepted")
 	}
 }
@@ -63,9 +74,9 @@ func TestCollectSketchesDimensionError(t *testing.T) {
 // detect runs the paper's round over the pull protocol: collect every
 // node's sketch, recover with BOMP at the R = f(k) budget, and keep the
 // k entries furthest from the recovered mode.
-func detect(t *testing.T, nodes []NodeAPI, spec sensing.Spec, k int) ([]outlier.KV, float64, CommStats) {
+func detect(t *testing.T, nodes []NodeAPI, spec sensing.Spec, k int) ([]outlier.KV, float64, Stats) {
 	t.Helper()
-	part, err := CollectSketches(context.Background(), nodes, spec, CollectOptions{})
+	sum, r, err := collectNodes(context.Background(), nodes, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +84,11 @@ func detect(t *testing.T, nodes []NodeAPI, spec sensing.Spec, k int) ([]outlier.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := recovery.NewWorkspace().BOMP(m, part.Sketch, recovery.Options{MaxIterations: recovery.IterationBudget(k)})
+	res, err := recovery.NewWorkspace().BOMP(m, sum, recovery.Options{MaxIterations: recovery.IterationBudget(k)})
 	if err != nil {
 		t.Fatalf("%v: %v", spec.Kind, err)
 	}
-	return res.Outliers(k), res.Mode, part.Stats
+	return res.Outliers(k), res.Mode, r.Stats
 }
 
 func TestDetectEndToEnd(t *testing.T) {
@@ -136,7 +147,7 @@ func TestNodeRemovalBySketchSubtraction(t *testing.T) {
 	nodes, _, _ := makeCluster(t, 200, 5, 4, 1000, 5)
 	p := sensing.Params{M: 80, N: 200, Seed: 11}
 	ctx := context.Background()
-	all, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{})
+	all, _, err := collectNodes(ctx, nodes, sensing.GaussianSpec(p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +155,12 @@ func TestNodeRemovalBySketchSubtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all.Sketch.AddScaled(-1, leaving)
-	remaining, err := CollectSketches(ctx, nodes[:3], sensing.GaussianSpec(p), CollectOptions{})
+	all.AddScaled(-1, leaving)
+	remaining, _, err := collectNodes(ctx, nodes[:3], sensing.GaussianSpec(p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !all.Sketch.Equal(remaining.Sketch, 1e-8) {
+	if !all.Equal(remaining, 1e-8) {
 		t.Fatal("subtracted sketch != sketch of remaining nodes")
 	}
 }
@@ -201,8 +212,8 @@ func TestTCPTransportAllMethods(t *testing.T) {
 	if _, err := rn.Sketch(ctx, sensing.GaussianSpec(sensing.Params{M: 3, N: 5, Seed: 12})); err != nil {
 		t.Fatalf("connection broken after error: %v", err)
 	}
-	if h := rn.Health(); h.Redials != 0 {
-		t.Fatalf("health %+v, want every exchange on one connection", h)
+	if n := rn.redials.Load(); n != 0 {
+		t.Fatalf("%d redials, want every exchange on one connection", n)
 	}
 }
 

@@ -14,15 +14,15 @@ import (
 func TestCollectCtxAllHealthy(t *testing.T) {
 	nodes, global, _ := makeCluster(t, 120, 4, 4, 900, 21)
 	p := sensing.Params{M: 40, N: 120, Seed: 22}
-	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{})
+	sum, res, err := collectNodes(context.Background(), nodes, sensing.GaussianSpec(p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Included) != 4 || len(res.Failed) != 0 {
-		t.Fatalf("included %v failed %v", res.Included, res.Failed)
+	if len(res.Included) != 4 {
+		t.Fatalf("included %v nodes %+v", res.Included, res.Nodes)
 	}
 	d, _ := sensing.NewDense(p)
-	if !res.Sketch.Equal(d.Measure(global, nil), 1e-8) {
+	if !sum.Equal(d.Measure(global, nil), 1e-8) {
 		t.Fatal("ctx collection does not match global measurement")
 	}
 }
@@ -31,22 +31,22 @@ func TestCollectCtxToleratesFailuresWithQuorum(t *testing.T) {
 	nodes, _, _ := makeCluster(t, 100, 3, 3, 500, 23)
 	nodes = append(nodes, newFaultyNode("dead-dc"))
 	p := sensing.Params{M: 30, N: 100, Seed: 24}
-	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 3})
+	sum, res, err := collectNodes(context.Background(), nodes, sensing.GaussianSpec(p), Options{MinNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Included) != 3 {
 		t.Fatalf("included %v", res.Included)
 	}
-	if _, ok := res.Failed["dead-dc"]; !ok {
-		t.Fatalf("failure not reported: %v", res.Failed)
+	if dead := res.Nodes[3]; dead.ID != "dead-dc" || dead.Included || dead.Err == "" {
+		t.Fatalf("failure not reported: %+v", dead)
 	}
 	// The partial sum equals the aggregate over the healthy subset.
-	healthy, err := CollectSketches(context.Background(), nodes[:3], sensing.GaussianSpec(p), CollectOptions{})
+	healthy, _, err := collectNodes(context.Background(), nodes[:3], sensing.GaussianSpec(p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Sketch.Equal(healthy.Sketch, 1e-9) {
+	if !sum.Equal(healthy, 1e-9) {
 		t.Fatal("partial sketch != healthy-subset aggregate")
 	}
 }
@@ -58,21 +58,21 @@ func TestCollectCtxFailsBelowQuorum(t *testing.T) {
 		newFaultyNode("dead2"),
 	}
 	p := sensing.Params{M: 4, N: 10, Seed: 25}
-	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 2})
+	sum, res, err := collectNodes(context.Background(), nodes, sensing.GaussianSpec(p), Options{MinNodes: 2})
 	if err == nil {
 		t.Fatal("quorum failure not reported")
 	}
 	// The evidence comes back with the error: who answered, who did not,
 	// after how many attempts — and no sketch to mistake for an aggregate.
-	if res == nil || res.Sketch != nil {
-		t.Fatalf("below quorum: result %+v", res)
+	if sum != nil {
+		t.Fatalf("below quorum: sum %v", sum)
 	}
-	if len(res.Included) != 1 || res.Included[0] != "ok" || len(res.Failed) != 2 {
-		t.Fatalf("included %v failed %v", res.Included, res.Failed)
+	if len(res.Included) != 1 || res.Included[0] != "ok" {
+		t.Fatalf("included %v", res.Included)
 	}
-	for _, id := range []string{"dead1", "dead2"} {
-		if ns := res.Nodes[id]; ns.OK || ns.Attempts != 2 || ns.Retries != 1 || ns.Err == "" {
-			t.Fatalf("%s stats %+v", id, ns)
+	for _, nr := range res.Nodes[1:] {
+		if nr.Included || nr.Attempts != 2 || nr.Retries != 1 || nr.Err == "" {
+			t.Fatalf("%s report %+v", nr.ID, nr)
 		}
 	}
 	if res.Stats.Attempts != 5 || res.Stats.Messages != 1 {
@@ -117,12 +117,12 @@ func TestCollectSumsInNodeOrder(t *testing.T) {
 	for i, y := range ys {
 		nodes[i] = &fixedNode{name: fmt.Sprint("n", i), y: y, delay: time.Duration(len(ys)-i) * 20 * time.Millisecond}
 	}
-	res, err := CollectSketches(context.Background(), nodes, sensing.GaussianSpec(sensing.Params{M: 1, N: 1}), CollectOptions{})
+	sum, _, err := collectNodes(context.Background(), nodes, sensing.GaussianSpec(sensing.Params{M: 1, N: 1}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sketch[0] != 1 {
-		t.Fatalf("aggregate %v, want 1 = (1e16 + -1e16) + 1 in node order", res.Sketch[0])
+	if sum[0] != 1 {
+		t.Fatalf("aggregate %v, want 1 = (1e16 + -1e16) + 1 in node order", sum[0])
 	}
 }
 
@@ -155,7 +155,7 @@ func TestCollectCtxStragglerTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	p := sensing.Params{M: 20, N: 80, Seed: 28}
-	res, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 2})
+	_, res, err := collectNodes(ctx, nodes, sensing.GaussianSpec(p), Options{MinNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +179,13 @@ func TestCollectCtxTimeoutBelowQuorum(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	p := sensing.Params{M: 4, N: 10, Seed: 29}
-	if _, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 1}); err == nil {
+	if _, _, err := collectNodes(ctx, nodes, sensing.GaussianSpec(p), Options{MinNodes: 1}); err == nil {
 		t.Fatal("all-straggler collection succeeded")
 	}
 }
 
 func TestCollectCtxNoNodes(t *testing.T) {
-	if _, err := CollectSketches(context.Background(), []NodeAPI(nil), sensing.GaussianSpec(sensing.Params{M: 1, N: 1}), CollectOptions{}); err == nil {
-		t.Fatal("no nodes accepted")
+	if _, r, err := Collect(context.Background(), []string{}, sensing.GaussianSpec(sensing.Params{M: 1, N: 1}), Options{}); err == nil || r != nil {
+		t.Fatalf("no addresses: report %+v, error %v", r, err)
 	}
 }

@@ -113,7 +113,7 @@ func TestRetiredKindRefused(t *testing.T) {
 		spec := sensing.Spec{Params: sensing.Params{M: 16, N: 64, Seed: 1}, Kind: kind}
 
 		var reply bytes.Buffer
-		ServeStream(bytes.NewReader(appendRequest(nil, &request{Kind: reqSketch, Spec: spec})), &reply, nodes[0], ServeOptions{})
+		ServeStream(bytes.NewReader(appendRequest(nil, &request{Kind: reqSketch, Spec: spec})), &reply, nodes[0])
 		limits := [kindReply + 1]int{kindReply: 1 + maxReplyText}
 		fr := frame.Reader{R: &reply, Limits: limits[:]}
 		_, body, err := fr.Next()

@@ -52,9 +52,6 @@ type ServeOptions struct {
 	// IdleTimeout bounds how long a connection may sit between requests
 	// (and how long one request frame may take to arrive). 0 = no limit.
 	IdleTimeout time.Duration
-	// RequestTimeout bounds the handling of a single request via the
-	// context handed to the NodeAPI implementation. 0 = no limit.
-	RequestTimeout time.Duration
 }
 
 // Serve answers NodeAPI requests for node on the listener until the
@@ -82,18 +79,17 @@ func serveConn(conn net.Conn, node NodeAPI, opts ServeOptions) {
 		arm = func() { conn.SetReadDeadline(time.Now().Add(opts.IdleTimeout)) }
 		disarm = func() { conn.SetReadDeadline(time.Time{}) }
 	}
-	serveFrames(conn, conn, node, opts, arm, disarm)
+	serveFrames(conn, conn, node, arm, disarm)
 }
 
 // ServeStream answers request frames decoded from r with response frames
 // encoded to w, until r ends or yields bytes that are not a frame. It is
 // the transport's frame loop detached from TCP: the fuzz target for the
 // frame decoder drives it with arbitrary bytes, and in-process tests can
-// run the exact server path over any io.Reader/io.Writer pair.
-// ServeOptions.IdleTimeout does not apply (there is no connection to arm
-// a deadline on); RequestTimeout is honored.
-func ServeStream(r io.Reader, w io.Writer, node NodeAPI, opts ServeOptions) {
-	serveFrames(r, w, node, opts, nil, nil)
+// run the exact server path over any io.Reader/io.Writer pair. It takes
+// no ServeOptions: there is no connection to arm an idle deadline on.
+func ServeStream(r io.Reader, w io.Writer, node NodeAPI) {
+	serveFrames(r, w, node, nil, nil)
 }
 
 // SketchRequestFrame encodes the wire frame of a sketch request for the
@@ -107,10 +103,10 @@ func SketchRequestFrame(spec sensing.Spec) ([]byte, error) {
 }
 
 // serveFrames is the protocol loop shared by the TCP server and
-// ServeStream: decode one request, handle it under the request timeout,
-// encode one response. arm/disarm, when non-nil, run before and after
-// each frame decode (the TCP path uses them for the idle deadline).
-func serveFrames(r io.Reader, w io.Writer, node NodeAPI, opts ServeOptions, arm, disarm func()) {
+// ServeStream: decode one request, handle it, encode one response.
+// arm/disarm, when non-nil, run before and after each frame decode (the
+// TCP path uses them for the idle deadline).
+func serveFrames(r io.Reader, w io.Writer, node NodeAPI, arm, disarm func()) {
 	fr := frame.Reader{R: r, Limits: requestLimits[:]}
 	var (
 		req  request
@@ -126,13 +122,7 @@ func serveFrames(r io.Reader, w io.Writer, node NodeAPI, opts ServeOptions, arm,
 		if disarm != nil {
 			disarm()
 		}
-		ctx := context.Background()
-		cancel := func() {}
-		if opts.RequestTimeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, opts.RequestTimeout)
-		}
-		resp := handle(ctx, node, &req)
-		cancel()
+		resp := handle(node, &req)
 		wbuf = appendReply(wbuf, req.Kind, &resp)
 		if _, err := w.Write(wbuf); err != nil {
 			return
@@ -149,7 +139,7 @@ func readRequest(fr *frame.Reader, req *request) error {
 	return parseRequest(reqKind(kind), body, req)
 }
 
-func handle(ctx context.Context, node NodeAPI, req *request) response {
+func handle(node NodeAPI, req *request) response {
 	switch req.Kind {
 	case reqID:
 		return response{Name: node.ID()}
@@ -158,7 +148,7 @@ func handle(ctx context.Context, node NodeAPI, req *request) response {
 		if err := req.Spec.Validate(); err != nil {
 			return response{Err: err.Error()}
 		}
-		y, err := node.Sketch(ctx, req.Spec)
+		y, err := node.Sketch(context.Background(), req.Spec)
 		if err != nil {
 			return response{Err: err.Error()}
 		}
@@ -168,16 +158,7 @@ func handle(ctx context.Context, node NodeAPI, req *request) response {
 	}
 }
 
-// NodeHealth is a snapshot of one RemoteNode's connection counters. What
-// each exchange cost and whether it failed is the collector's to count
-// (NodeStats): a RemoteNode makes one exchange per call.
-type NodeHealth struct {
-	Redials      int   // connections dialed to replace a poisoned one
-	BytesRead    int64 // raw wire bytes received
-	BytesWritten int64 // raw wire bytes sent
-}
-
-// countingConn counts raw wire bytes into a RemoteNode's health.
+// countingConn counts raw wire bytes into a RemoteNode's counters.
 type countingConn struct {
 	net.Conn
 	r, w *atomic.Int64
@@ -216,8 +197,10 @@ type RemoteNode struct {
 	dialed bool // a connection was dialed before: the next dial is a redial
 	closed bool
 
-	redials                 atomic.Int64
-	bytesRead, bytesWritten atomic.Int64
+	// Connection counters, read into the round's NodeReport; what each
+	// exchange cost and whether it failed is the collector's to count.
+	redials                 atomic.Int64 // connections dialed to replace a poisoned one
+	bytesRead, bytesWritten atomic.Int64 // raw wire bytes, both directions
 }
 
 // Dial connects to a node served at addr and fetches its ID, in one
@@ -231,15 +214,6 @@ func Dial(ctx context.Context, addr string) (*RemoteNode, error) {
 	}
 	r.name = resp.Name
 	return r, nil
-}
-
-// Health returns a snapshot of the node's connection counters.
-func (r *RemoteNode) Health() NodeHealth {
-	return NodeHealth{
-		Redials:      int(r.redials.Load()),
-		BytesRead:    r.bytesRead.Load(),
-		BytesWritten: r.bytesWritten.Load(),
-	}
 }
 
 // Close releases the connection. An in-flight exchange observes a
@@ -337,18 +311,9 @@ func (r *RemoteNode) roundTrip(ctx context.Context, req *request, resp *response
 func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, kind reqKind, resp *response) error {
 	deadline, _ := ctx.Deadline()
 	conn.SetDeadline(deadline)
-	// Watchdog: a context cancel must unblock a read that is parked on a
-	// hung node before its deadline fires.
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		select {
-		case <-ctx.Done():
-			conn.SetDeadline(time.Unix(1, 0))
-		case <-stop:
-		}
-	}()
+	// A cancel must unpark a read that is stuck on a hung node before its
+	// deadline fires.
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	err := func() error {
 		if _, err := conn.Write(r.wbuf); err != nil {
 			return fmt.Errorf("send: %w", err)
@@ -365,8 +330,11 @@ func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, kind reqKind, 
 		}
 		return nil
 	}()
-	close(stop)
-	<-done
+	if !stop() {
+		// The cancel already ran, and the past deadline it set may land
+		// after this exchange: the next one must not inherit it.
+		r.poison(conn)
+	}
 	return err
 }
 

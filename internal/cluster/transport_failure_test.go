@@ -76,7 +76,7 @@ func TestSketchDeadlineOnHungNode(t *testing.T) {
 
 func TestCancelUnblocksHungExchange(t *testing.T) {
 	// A cancel without a deadline sets none on the connection: only the
-	// watchdog can unpark a read that is stuck on a wedged node.
+	// cancel's callback can unpark a read that is stuck on a wedged node.
 	s := startChaos(t, NewLocalNode("wedged", testVector()))
 	s.SetBehavior(BehaveHang)
 	rn, err := dial(s.Addr())
@@ -111,19 +111,19 @@ func TestTransparentRedialAfterMidStreamDisconnect(t *testing.T) {
 	}
 	defer rn.Close()
 
-	res, err := CollectSketches(context.Background(), []NodeAPI{rn}, testSpec, CollectOptions{})
+	sum, res, err := collectNodes(context.Background(), []NodeAPI{rn}, testSpec, Options{})
 	if err != nil {
 		t.Fatalf("collection did not survive a mid-stream disconnect: %v", err)
 	}
 	want, _ := node.Sketch(context.Background(), testSpec)
-	if !res.Sketch.Equal(want, 0) {
+	if !sum.Equal(want, 0) {
 		t.Fatal("retried sketch differs from direct computation")
 	}
-	if ns := res.Nodes["flaky"]; ns.Attempts != 2 || ns.Retries != 1 {
-		t.Fatalf("node stats %+v, want exactly 2 attempts and 1 retry", ns)
+	if nr := res.Nodes[0]; nr.Attempts != 2 || nr.Retries != 1 {
+		t.Fatalf("node report %+v, want exactly 2 attempts and 1 retry", nr)
 	}
-	if h := rn.Health(); h.Redials != 1 {
-		t.Fatalf("health %+v, want exactly 1 redial", h)
+	if n := rn.redials.Load(); n != 1 {
+		t.Fatalf("%d redials, want exactly 1", n)
 	}
 }
 
@@ -141,19 +141,19 @@ func TestGarbageResponsePoisonsConnection(t *testing.T) {
 	defer rn.Close()
 
 	req, _ := SketchRequestFrame(testSpec)
-	before := rn.Health().BytesWritten
+	before := rn.bytesWritten.Load()
 	if _, err := rn.Sketch(context.Background(), testSpec); err == nil {
 		t.Fatal("garbage response accepted as a sketch")
 	}
-	if sent := rn.Health().BytesWritten - before; sent != int64(len(req)) {
+	if sent := rn.bytesWritten.Load() - before; sent != int64(len(req)) {
 		t.Fatalf("sent %d bytes, want one %d-byte request: a RemoteNode does not retry", sent, len(req))
 	}
 	s.SetBehavior(behaveOK)
 	if _, err := rn.Sketch(context.Background(), testSpec); err != nil {
 		t.Fatalf("sketch after garbage recovery: %v", err)
 	}
-	if h := rn.Health(); h.Redials != 1 {
-		t.Fatalf("health %+v, want the poisoned connection replaced once", h)
+	if n := rn.redials.Load(); n != 1 {
+		t.Fatalf("%d redials, want the poisoned connection replaced once", n)
 	}
 }
 
@@ -177,19 +177,19 @@ func TestRedialAfterNodeRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := CollectSketches(context.Background(), []NodeAPI{rn}, testSpec, CollectOptions{})
+	sum, res, err := collectNodes(context.Background(), []NodeAPI{rn}, testSpec, Options{})
 	if err != nil {
 		t.Fatalf("collection did not survive a node restart: %v", err)
 	}
 	want, _ := node.Sketch(context.Background(), testSpec)
-	if !res.Sketch.Equal(want, 0) {
+	if !sum.Equal(want, 0) {
 		t.Fatal("post-restart sketch differs from direct computation")
 	}
-	if ns := res.Nodes["rebooted"]; ns.Attempts != 2 {
-		t.Fatalf("node stats %+v, want the stale connection's attempt and one more", ns)
+	if nr := res.Nodes[0]; nr.Attempts != 2 {
+		t.Fatalf("node report %+v, want the stale connection's attempt and one more", nr)
 	}
-	if h := rn.Health(); h.Redials != 1 {
-		t.Fatalf("health %+v, want exactly 1 redial", h)
+	if n := rn.redials.Load(); n != 1 {
+		t.Fatalf("%d redials, want exactly 1", n)
 	}
 }
 
@@ -214,7 +214,7 @@ func TestCollectorLeaksNoGoroutines(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	p := sensing.Params{M: 16, N: 60, Seed: 53}
-	res, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{MinNodes: 3})
+	_, res, err := collectNodes(ctx, nodes, sensing.GaussianSpec(p), Options{MinNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestQuorumCollectionWithHungAndCrashedNodes(t *testing.T) {
 	defer cancel()
 	p := sensing.Params{M: 20, N: 60, Seed: 63}
 	start := time.Now()
-	res, err := CollectSketches(ctx, nodes, sensing.GaussianSpec(p), CollectOptions{
+	sum, res, err := collectNodes(ctx, nodes, sensing.GaussianSpec(p), Options{
 		MinNodes:    2,
 		MaxAttempts: 2,
 		NodeTimeout: 250 * time.Millisecond,
@@ -277,34 +277,29 @@ func TestQuorumCollectionWithHungAndCrashedNodes(t *testing.T) {
 	if len(res.Included) != 2 || res.Included[0] != "healthy-a" || res.Included[1] != "healthy-b" {
 		t.Fatalf("included %v", res.Included)
 	}
-	for _, id := range []string{"hung", "crashed"} {
-		if _, ok := res.Failed[id]; !ok {
-			t.Fatalf("%s not reported failed: %v", id, res.Failed)
-		}
-	}
 
 	// The quorum aggregate is exactly the healthy nodes' sum.
 	want, _ := locals[0].Sketch(context.Background(), sensing.GaussianSpec(p))
 	wb, _ := locals[1].Sketch(context.Background(), sensing.GaussianSpec(p))
 	sensing.AddSketch(want, wb)
-	if !res.Sketch.Equal(want, 1e-12) {
+	if !sum.Equal(want, 1e-12) {
 		t.Fatal("quorum aggregate != healthy-subset sum")
 	}
 
 	// Per-node accounting: the hung node burned both attempts on
 	// deadlines; the crashed node burned both without timing out (EOF,
 	// then connection refused); healthy nodes needed one attempt.
-	hung := res.Nodes["hung"]
-	if hung.Attempts != 2 || hung.Retries != 1 || hung.Timeouts != 2 {
-		t.Fatalf("hung node stats %+v", hung)
+	hung := res.Nodes[2]
+	if hung.Included || hung.Err == "" || hung.Attempts != 2 || hung.Retries != 1 || hung.Timeouts != 2 {
+		t.Fatalf("hung node report %+v", hung)
 	}
-	crashed := res.Nodes["crashed"]
-	if crashed.Attempts != 2 || crashed.Retries != 1 {
-		t.Fatalf("crashed node stats %+v", crashed)
+	crashed := res.Nodes[3]
+	if crashed.Included || crashed.Err == "" || crashed.Attempts != 2 || crashed.Retries != 1 {
+		t.Fatalf("crashed node report %+v", crashed)
 	}
-	for _, id := range []string{"healthy-a", "healthy-b"} {
-		if ns := res.Nodes[id]; !ns.OK || ns.Attempts != 1 {
-			t.Fatalf("%s stats %+v", id, ns)
+	for _, nr := range res.Nodes[:2] {
+		if !nr.Included || nr.Attempts != 1 {
+			t.Fatalf("%s report %+v", nr.ID, nr)
 		}
 	}
 	if res.Stats.Attempts != 6 || res.Stats.Retries != 2 || res.Stats.Timeouts < 2 {

@@ -128,16 +128,15 @@ func TestSketchExchangeWireBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rn.Close()
-	before := rn.Health()
+	wrote, read := rn.bytesWritten.Load(), rn.bytesRead.Load()
 	if _, err := rn.Sketch(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	after := rn.Health()
 	req, _ := SketchRequestFrame(spec)
-	if got, want := after.BytesWritten-before.BytesWritten, int64(len(req)); got != want {
+	if got, want := rn.bytesWritten.Load()-wrote, int64(len(req)); got != want {
 		t.Fatalf("request took %d bytes, want %d", got, want)
 	}
-	if got, want := after.BytesRead-before.BytesRead, int64(frame.Overhead+1+8*spec.M); got != want {
+	if got, want := rn.bytesRead.Load()-read, int64(frame.Overhead+1+8*spec.M); got != want {
 		t.Fatalf("reply took %d bytes, want %d", got, want)
 	}
 }
@@ -299,7 +298,7 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		before := rn.Health().BytesWritten
+		before := rn.bytesWritten.Load()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		start := time.Now()
 		if y, err := rn.Sketch(ctx, spec); err == nil {
@@ -309,7 +308,7 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 		if d := time.Since(start); d > 2*time.Second {
 			t.Fatalf("%s: took %v to fail", name, d)
 		}
-		if got := rn.Health().BytesWritten - before; got != int64(len(req)) {
+		if got := rn.bytesWritten.Load() - before; got != int64(len(req)) {
 			t.Fatalf("%s: sent %d bytes, want one %d-byte request", name, got, len(req))
 		}
 		rn.Close()
@@ -326,7 +325,7 @@ func TestClientRefusesUnsendableRequests(t *testing.T) {
 	}
 	defer rn.Close()
 	ctx := context.Background()
-	before := rn.Health().BytesWritten
+	before := rn.bytesWritten.Load()
 	for name, spec := range map[string]sensing.Spec{
 		"negative M":   {Params: sensing.Params{M: -4, N: 8}},
 		"M past N":     {Params: sensing.Params{M: 9, N: 8}},
@@ -337,7 +336,7 @@ func TestClientRefusesUnsendableRequests(t *testing.T) {
 			t.Fatalf("%s sent", name)
 		}
 	}
-	if got := rn.Health().BytesWritten - before; got != 0 {
+	if got := rn.bytesWritten.Load() - before; got != 0 {
 		t.Fatalf("%d bytes sent for requests that cannot be sent", got)
 	}
 	if y, err := rn.Sketch(ctx, sensing.GaussianSpec(sensing.Params{M: 4, N: 8, Seed: 1})); err != nil || len(y) != 4 {
@@ -411,7 +410,8 @@ func TestGobPeerGetsCleanClose(t *testing.T) {
 
 // TestRemoteSketchExchangeAllocs pins the client side of one loopback
 // sketch exchange on a live connection: the returned vector, plus the
-// deadline watchdog's goroutine closure and its two channels.
+// cancel callback context.AfterFunc registers, its closure and its stop
+// function.
 func TestRemoteSketchExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pinning runs without -race")

@@ -85,7 +85,8 @@ func RunCluster(scn Scenario, data *Data, h Hooks) (*csoutlier.ClusterReport, er
 		MaxAttempts: 2,
 		// Scenario-scoped retry jitter: pull-path replays are
 		// deterministic for a given scenario seed (| 1 keeps it
-		// non-zero, since 0 means "per-address default seeding").
+		// non-zero, since 0 means the fixed default seed, split per
+		// node ID like any other).
 		BackoffSeed: scn.Seed | 1,
 	})
 	if err != nil {

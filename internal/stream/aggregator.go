@@ -96,7 +96,7 @@ const (
 
 // NodeStatus is the aggregator's liveness/lag view of one streaming
 // node — the server-side counterpart of the pull path's
-// cluster.NodeHealth.
+// cluster.NodeReport.
 type NodeStatus struct {
 	Node       string
 	State      string    // StateLive, StateLeft or "evicted"

@@ -171,14 +171,30 @@ for args in "-snapshot-every 1s" \
 	fi
 	tail -n 1 "$tmp/refuse.log"
 done
-status=0
-"$tmp/bin/csnode" -dict "$tmp/demo/keys.txt" -data "$tmp/demo/node0.csv" -listen 127.0.0.1:0 -shards 0 >"$tmp/refuse.log" 2>&1 || status=$?
-if [ "$status" -ne 2 ]; then
-	cat "$tmp/refuse.log" >&2
-	echo "verify: csnode -shards 0 exited $status, want 2" >&2
-	exit 1
-fi
-tail -n 1 "$tmp/refuse.log"
+# csnode and csagg refuse a flag value that would silently mean another,
+# with status 2, before they listen or dial: csnode -shards 0 and
+# -push-chunk 0 (which meant 256), csagg -attempts 0 or -1 (which meant
+# 2) and -min-nodes -1 (which meant every node).
+for args in "-shards 0" "-push-chunk 0"; do
+	status=0
+	"$tmp/bin/csnode" -dict "$tmp/demo/keys.txt" -data "$tmp/demo/node0.csv" -listen 127.0.0.1:0 $args >"$tmp/refuse.log" 2>&1 || status=$?
+	if [ "$status" -ne 2 ]; then
+		cat "$tmp/refuse.log" >&2
+		echo "verify: csnode $args exited $status, want 2" >&2
+		exit 1
+	fi
+	tail -n 1 "$tmp/refuse.log"
+done
+for args in "-attempts 0" "-attempts -1" "-min-nodes -1"; do
+	status=0
+	"$tmp/bin/csagg" -nodes "$addrs" -dict "$tmp/demo/keys.txt" -m 400 $args >"$tmp/refuse.log" 2>&1 || status=$?
+	if [ "$status" -ne 2 ]; then
+		cat "$tmp/refuse.log" >&2
+		echo "verify: csagg $args exited $status, want 2" >&2
+		exit 1
+	fi
+	tail -n 1 "$tmp/refuse.log"
+done
 
 echo "== examples: every main under examples/ runs to a zero exit =="
 go build -o "$tmp/examples/" ./examples/...
