@@ -65,7 +65,7 @@ func main() {
 		watch       = flag.String("watch", "", "comma-separated keys to point-query in every report (requires -ensemble countsketch)")
 		watchThresh = flag.Float64("watch-threshold", 0, "flag a watched key as an outlier when it deviates from the span mode by at least this much (0 = just report values)")
 		windows     = flag.Int("windows", 8, "window ring size: current window plus windows-1 sealed ones stay queryable")
-		windowEvery = flag.Duration("window-every", 10*time.Minute, "wall-clock window rotation period (0 = never rotate)")
+		windowEvery = flag.Duration("window-every", 10*time.Minute, "wall-clock window rotation period (0 = never rotate; refused on a relay, which rotates when its upstream does)")
 		k           = flag.Int("k", 10, "outliers per report")
 		span        = flag.Int("span", 0, "report outliers over the last span windows (0 = all available)")
 		reportEvery = flag.Duration("report-every", time.Minute, "how often to print the outlier/liveness report (0 = only on shutdown)")
@@ -99,6 +99,14 @@ func main() {
 	if *snapEvery != 0 && *relayUpstream != "" {
 		fmt.Fprintln(os.Stderr, "csstreamd: -snapshot-every does not apply to a relay (-relay-upstream): it snapshots on every -forward-every")
 		os.Exit(2)
+	}
+	if *relayUpstream != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "window-every" {
+				fmt.Fprintln(os.Stderr, "csstreamd: -window-every does not apply to a relay (-relay-upstream): it rotates when the upstream does")
+				os.Exit(2)
+			}
+		})
 	}
 	if *shards < 1 || *shardIndex < 0 || *shardIndex >= *shards {
 		fmt.Fprintf(os.Stderr, "csstreamd: -shards %d -shard-index %d: want -shards ≥ 1 and the index in [0, -shards)\n", *shards, *shardIndex)
@@ -200,8 +208,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("csstreamd: listen: %v", err)
 	}
-	log.Printf("csstreamd serving %d keys (M=%d, %s) on %s; windows=%d every %v",
-		len(sk.Keys()), *m, *ensemble, ln.Addr(), *windows, *windowEvery)
+	clock := fmt.Sprintf("every %v", *windowEvery)
+	if relay != nil {
+		clock = "on the upstream's clock"
+	}
+	log.Printf("csstreamd serving %d keys (M=%d, %s) on %s; windows=%d %s",
+		len(sk.Keys()), *m, *ensemble, ln.Addr(), *windows, clock)
 	go func() {
 		if err := agg.Serve(ln); err != nil {
 			log.Fatalf("csstreamd: serve: %v", err)

@@ -372,6 +372,7 @@ func deadline() <-chan time.Time { return time.NewTimer(time.Second).C }`},
 		check:   longChanges,
 		fixtures: []map[string]string{
 			{"CHANGES.md": "- short: entry.\n- long: " + strings.Repeat("entry ", 100) + "\n"},
+			{"CHANGES.md": "- short: entry.\nFOUND: " + strings.Repeat("entry ", 100) + "\n"},
 		},
 	},
 	{
@@ -498,12 +499,13 @@ func staleFamilies(p *program) []string {
 const maxChangesEntry = 600
 
 // longChanges returns the CHANGES.md entries over maxChangesEntry. An
-// entry is a "- " line and the lines that continue it.
+// entry is a "- " line, or a "FOUND:" or "MENDED:" line (a fault seen
+// and left, or mended later), and the lines that continue it.
 func longChanges(p *program) []string {
 	var entries []string
 	for _, line := range strings.Split(p.docs["CHANGES.md"], "\n") {
 		switch {
-		case strings.HasPrefix(line, "- "):
+		case strings.HasPrefix(line, "- "), strings.HasPrefix(line, "FOUND:"), strings.HasPrefix(line, "MENDED:"):
 			entries = append(entries, line)
 		case strings.TrimSpace(line) != "" && len(entries) > 0:
 			entries[len(entries)-1] += "\n" + line

@@ -14,8 +14,9 @@ import (
 // Client is the low-level delta-protocol client: one TCP connection,
 // one strictly serialized request/response exchange at a time, no
 // retries and no state. Sender builds the production retry/redial loop
-// on top of it; tests use it directly to inject duplicate, reordered
-// and stale frames the aggregator must tolerate.
+// on top of it; tests use it directly to inject duplicate, stale and
+// refused frames, and seqs out of order, which the aggregator folds at
+// most once.
 type Client struct {
 	conn    net.Conn
 	fr      frame.Reader

@@ -130,15 +130,16 @@ func (a *Aggregator) applyFrame(req pushRequest, delta csoutlier.Sketch, decodeE
 		return reject("stream: delta frames number from seq 1")
 	}
 	if ns.tracker.seen(req.Seq) {
-		// Redelivery (lost ack, duplicated packet, replay): already
-		// folded, ack again, fold nothing.
+		// Redelivery (lost ack, duplicated packet, replay), or a seq
+		// below one already processed: ack again, fold nothing.
 		ack.Status = StatusDuplicate
 		ns.status.Duplicates++
 		return ackStable()
 	}
 	if req.Window > in.window {
-		// A frame from the future means clock confusion somewhere; do not
-		// mark it processed — the node should re-sync and retry.
+		// A frame from the future means clock confusion somewhere:
+		// refused and not marked. A Sender drops a refused frame and
+		// reports it (Drain's error); it does not retry it.
 		return reject("stream: window %d is ahead of the aggregator's %d", req.Window, in.window)
 	}
 	age := in.window - req.Window
@@ -155,8 +156,8 @@ func (a *Aggregator) applyFrame(req pushRequest, delta csoutlier.Sketch, decodeE
 	}
 	if err != nil {
 		// Corrupt, consensus-mismatched or overflowing payload: rejected
-		// before it can touch the aggregate, not marked (a clean retry may
-		// succeed).
+		// before it can touch the aggregate, and not marked, so the same
+		// seq sent again before any later one still folds.
 		return reject("stream: node %s delta seq %d: %v", req.Node, req.Seq, err)
 	}
 	mark(req.Seq)

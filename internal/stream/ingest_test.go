@@ -228,9 +228,9 @@ func TestConcurrentIngestConservation(t *testing.T) {
 				}
 				var booked uint64
 				for _, sn := range dec.Nodes {
-					booked += sn.Base + uint64(len(sn.Ahead))
-					if uint64(sn.Applied) != sn.Base+uint64(len(sn.Ahead)) {
-						t.Fatalf("snapshot %d: node %s Applied=%d but its book covers %d seqs", i, sn.Node, sn.Applied, sn.Base+uint64(len(sn.Ahead)))
+					booked += sn.Base
+					if uint64(sn.Applied) != sn.Base {
+						t.Fatalf("snapshot %d: node %s Applied=%d but its book covers %d seqs", i, sn.Node, sn.Applied, sn.Base)
 					}
 				}
 				if mass != float64(booked) {
@@ -424,4 +424,37 @@ func TestOverflowingDeltaRefused(t *testing.T) {
 	}
 	w, _ := agg.WindowSketch(0)
 	sameBits(t, "window after ±Max and back", w, sk.ZeroSketch())
+}
+
+// TestNodeFlushReportsRejection: a Node whose second +MaxFloat64 delta
+// would take its window to +Inf gets that refusal back from Flush, with
+// the seq it names, instead of a nil that says everything folded.
+func TestNodeFlushReportsRejection(t *testing.T) {
+	sk := testCountSketcher(t, 64, 35, 1, 13) // depth 1: a key's column is one ±1
+	agg, addr := serveAgg(t, sk, AggregatorOptions{Windows: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer n.Close(ctx)
+	for seq := 1; seq <= 2; seq++ {
+		if err := n.Observe("key007", math.MaxFloat64); err != nil {
+			t.Fatalf("Observe %d: %v", seq, err)
+		}
+		err := n.Flush(ctx)
+		if seq == 1 && err != nil {
+			t.Fatalf("first Flush: %v", err)
+		}
+		if seq == 2 && (err == nil || !strings.Contains(err.Error(), "seq 2 rejected")) {
+			t.Fatalf("Flush of the overflowing delta: %v, want the refusal of seq 2", err)
+		}
+	}
+	if st := n.Stats(); st.Rejected != 1 || st.Applied != 1 || st.Pending != 0 {
+		t.Fatalf("node books %+v, want 1 applied, 1 rejected, none pending", st)
+	}
+	if st := agg.Stats(); st.Rejected != 1 || st.Applied != 1 {
+		t.Fatalf("aggregator books %+v, want 1 applied, 1 rejected", st)
+	}
 }

@@ -27,9 +27,9 @@ func (ns *nodeState) stabilise(base uint64) {
 	}
 }
 
-// maxTombstones bounds retired-node state. Tombstones are tiny (a
-// tracker low-water mark plus counters), so the cap only guards a
-// pathological churn of distinct node names; eviction is FIFO.
+// maxTombstones bounds retired-node state. Tombstones are tiny (a dedup
+// mark plus counters), so the cap only guards a pathological churn of
+// distinct node names; eviction is FIFO.
 const maxTombstones = 1024
 
 // members is the membership: live nodes, tombstones of retired ones,
@@ -228,10 +228,6 @@ func snapNodes(group map[string]*nodeState) []SnapNode {
 	for _, ns := range group {
 		sn := SnapNode{NodeStatus: ns.status, Base: ns.tracker.base}
 		sn.LastSeen, sn.Stable = time.Time{}, 0
-		for seq := range ns.tracker.ahead {
-			sn.Ahead = append(sn.Ahead, seq)
-		}
-		slices.Sort(sn.Ahead)
 		out = append(out, sn)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
@@ -252,12 +248,6 @@ func (ms *members) restore(snap *Snapshot) error {
 	load := func(sn *SnapNode) *nodeState {
 		ns := &nodeState{status: sn.NodeStatus, tracker: seqTracker{base: sn.Base}}
 		ns.status.Stable = sn.Base
-		if len(sn.Ahead) > 0 {
-			ns.tracker.ahead = make(map[uint64]struct{}, len(sn.Ahead))
-			for _, seq := range sn.Ahead {
-				ns.tracker.ahead[seq] = struct{}{}
-			}
-		}
 		return ns
 	}
 	for i := range snap.Nodes {

@@ -208,9 +208,12 @@ func (n *Node) adoptWindow(w uint64) {
 // observations accumulated since the last capture as one delta frame
 // and pushes it until acked. It is the node's durability point: when
 // Flush returns nil, everything observed before the call is folded
-// (exactly once) into the aggregator. If the queue does not drain,
-// Flush returns the error and captures nothing: the observations stay
-// in the standing sketch for the next Flush to ship.
+// (exactly once) into the aggregator, or acked "dropped-old" (its
+// window left the ring: by design, not an error). A refused frame is
+// dropped, and Flush returns an error naming it. If a frame pending
+// before the capture does not drain, or is refused, Flush captures
+// nothing: the observations stay in the standing sketch for the next
+// Flush to ship.
 func (n *Node) Flush(ctx context.Context) error {
 	snd := n.snd
 	snd.sendMu.Lock()
@@ -277,9 +280,11 @@ func (n *Node) Leave(ctx context.Context) error {
 // not yet acked is lost, exactly as if the process had died; a
 // successor must Dial with a higher epoch.
 func (n *Node) Abort() {
-	n.snd.Disconnect()
-	n.snd.mu.Lock()
-	n.snd.pending = nil
-	n.snd.retained = nil
-	n.snd.mu.Unlock()
+	snd := n.snd
+	snd.sendMu.Lock()
+	defer snd.sendMu.Unlock()
+	snd.disconnect()
+	snd.mu.Lock()
+	snd.pending, snd.retained = nil, nil
+	snd.mu.Unlock()
 }

@@ -1,13 +1,17 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"csoutlier/internal/frame"
 )
 
 // gateRelay is a TCP relay whose uplink can be cut and restored: Cut
@@ -326,4 +330,174 @@ func TestRecycleNeverReusesResendableFrame(t *testing.T) {
 		t.Fatalf("WindowSketch: %v", err)
 	}
 	closeTo(t, "window after retries and replay", sk, got, u)
+}
+
+// deltaSeqs parses what an aggregator read (a wireTap's bytes) with the
+// package's own frame reader and returns the seq of every delta frame,
+// in arrival order.
+func deltaSeqs(t *testing.T, read []byte, m int) []uint64 {
+	t.Helper()
+	limits := requestLimits(m)
+	fr := frame.Reader{R: bytes.NewReader(read), Limits: limits[:]}
+	var seqs []uint64
+	var req pushRequest
+	for {
+		kind, body, err := fr.Next()
+		if err == io.EOF {
+			return seqs
+		}
+		if err != nil {
+			t.Fatalf("the aggregator's input does not parse: %v", err)
+		}
+		if pushKind(kind) == pushDelta {
+			if err := parseRequest(pushDelta, body, &req); err != nil {
+				t.Fatal(err)
+			}
+			seqs = append(seqs, req.Seq)
+		}
+	}
+}
+
+// TestReplayReachesRestoredBookInSeqOrder: a node holds retained frames
+// and one pending frame stuck behind a cut link when its durable
+// aggregator dies, and the aggregator comes back from a snapshot older
+// than all of them. The redial's hello requeues the retained frames
+// ahead of the stuck one, and the restored aggregator must read every
+// delta in strictly ascending seq order: its book is the highest seq
+// processed, so a frame that overtook the replay would turn the replay
+// into duplicates and lose it.
+func TestReplayReachesRestoredBookInSeqOrder(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 21)
+	first, firstAddr := serveAgg(t, sk, AggregatorOptions{Windows: 2, Durable: true})
+	gate := newGateRelay(t, firstAddr)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	// The default PushTimeout: a cut link fails at once, and no exchange
+	// with a live aggregator may time out and be sent twice.
+	n, err := Dial(ctx, gate.addr, sk, "node00", NodeOptions{
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  4 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	flush := func(ctx context.Context) error {
+		t.Helper()
+		if err := n.Observe("key003", 1); err != nil {
+			t.Fatal(err)
+		}
+		return n.Flush(ctx)
+	}
+	if err := flush(ctx); err != nil {
+		t.Fatalf("Flush seq 1: %v", err)
+	}
+	snap, err := first.Snapshot() // covers seq 1 only
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.commitSnapshot(snap)
+	for seq := 2; seq <= 3; seq++ {
+		if err := flush(ctx); err != nil {
+			t.Fatalf("Flush seq %d: %v", seq, err)
+		}
+	}
+	gate.Cut()
+	short, cancelShort := context.WithTimeout(ctx, 100*time.Millisecond)
+	err = flush(short)
+	cancelShort()
+	if err == nil {
+		t.Fatal("Flush over a cut link returned nil")
+	}
+	if st := n.Stats(); st.Retained != 2 || st.Pending != 1 {
+		t.Fatalf("before the restore: %+v, want seqs 2 and 3 retained and seq 4 pending", st)
+	}
+	first.Close(ctx)
+	second, err := RestoreAggregator(sk, AggregatorOptions{}, snap)
+	if err != nil {
+		t.Fatalf("RestoreAggregator: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &wireTap{}
+	go second.Serve(tapListener{ln, tap})
+	defer second.Close(ctx)
+	gate.Retarget(ln.Addr().String())
+	gate.Restore()
+	if err := n.Flush(ctx); err != nil {
+		t.Fatalf("Flush after the restore: %v", err)
+	}
+	tap.mu.Lock()
+	read := tap.read
+	tap.mu.Unlock()
+	if got := deltaSeqs(t, read, sk.M()); !slices.Equal(got, []uint64{2, 3, 4}) {
+		t.Fatalf("the restored aggregator read seqs %v, want 2, 3, 4", got)
+	}
+	u := sk.NewUpdater()
+	if err := u.Observe("key003", 4); err != nil {
+		t.Fatal(err)
+	}
+	got, err := second.WindowSketch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeTo(t, "window after the replay", sk, got, u)
+}
+
+// TestNonDurableRestartKeepsStableMoving: a node keeps its epoch across
+// a restart of a non-durable aggregator on the same address. The new
+// aggregator's book for it starts at 0 and jumps to the node's next
+// seq, so every ack declares its frame durable: nothing piles up in the
+// node's retention buffer.
+func TestNonDurableRestartKeepsStableMoving(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 23)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	serve := func(addr string) (*Aggregator, string) {
+		t.Helper()
+		agg, err := NewAggregator(sk, AggregatorOptions{Windows: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("listen %s: %v", addr, err)
+		}
+		go agg.Serve(ln)
+		t.Cleanup(func() { agg.Close(context.Background()) })
+		return agg, ln.Addr().String()
+	}
+	first, addr := serve("127.0.0.1:0")
+	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  4 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer n.Close(ctx)
+	flush := func() {
+		t.Helper()
+		if err := n.Observe("key005", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Flush(ctx); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		flush()
+	}
+	first.Close(ctx)
+	second, _ := serve(addr)
+	for i := 0; i < 300; i++ {
+		flush()
+	}
+	if st := n.Stats(); st.Retained != 0 || st.RetainDropped != 0 || st.Stable != st.Seq || st.Seq != 303 {
+		t.Fatalf("after 300 flushes into the restarted aggregator: %+v, want Retained 0, RetainDropped 0, Stable = Seq = 303", st)
+	}
+	if ns := second.Nodes(); len(ns) != 1 || ns[0].Applied != 300 {
+		t.Fatalf("restarted aggregator's books %+v, want 300 applied", ns)
+	}
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -149,7 +150,7 @@ func (s *Sender) noteAck(f *Frame, ack Ack) {
 		if s.aggEpoch != 0 && len(s.retained) > 0 {
 			// The aggregator restarted from a snapshot. Replay everything
 			// retained, oldest first and ahead of the pending queue, so
-			// frames reach the restored dedup books in capture order.
+			// frames reach the restored dedup books in seq order.
 			s.pending = append(append(make([]*Frame, 0, len(s.retained)+len(s.pending)), s.retained...), s.pending...)
 			s.stats.Replayed += int64(len(s.retained))
 			s.retained = nil
@@ -280,23 +281,32 @@ func (s *Sender) exchange(ctx context.Context, request func(*Client) (Ack, error
 	}
 }
 
-// drain pushes every pending frame in order. Called with sendMu held.
+// drain pushes the pending queue until it is empty, each attempt sending
+// the head as that attempt finds it: a redial's hello may have requeued
+// a replay ahead of the previous attempt's frame. A refused frame is
+// dropped and draining goes on; the first refusal is returned at the
+// end. Called with sendMu held.
 func (s *Sender) drain(ctx context.Context) error {
+	var rejected error
 	for {
 		s.mu.Lock()
-		var f *Frame
-		if len(s.pending) > 0 {
-			f = s.pending[0]
-		}
+		empty := len(s.pending) == 0
 		s.mu.Unlock()
-		if f == nil {
-			return nil
+		if empty {
+			return rejected
 		}
+		var f *Frame
 		ack, err := s.exchange(ctx, func(c *Client) (Ack, error) {
+			s.mu.Lock()
+			f = s.pending[0]
+			s.mu.Unlock()
 			return c.PushDelta(s.id, s.opts.Epoch, f.Window, f.Seq, f.Folds, f.Payload)
 		})
 		if err != nil {
-			return err
+			return errors.Join(rejected, err)
+		}
+		if ack.Err != "" && rejected == nil {
+			rejected = fmt.Errorf("stream: node %s seq %d rejected: %s", s.id, f.Seq, ack.Err)
 		}
 		// The owner may answer a rotation learned from the ack by
 		// enqueueing a residual frame; the loop drains it in the same pass.
@@ -321,7 +331,9 @@ func (s *Sender) Disconnect() {
 
 // Drain pushes every pending frame until acked. When it returns nil,
 // everything enqueued before the call is folded (exactly once) into
-// the aggregator.
+// the aggregator, or acked "dropped-old" (its window left the ring: by
+// design, not an error). A refused frame is dropped, and Drain returns
+// an error naming the first one once the rest are acked.
 func (s *Sender) Drain(ctx context.Context) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()

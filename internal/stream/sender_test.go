@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -206,7 +207,10 @@ func TestSenderRules(t *testing.T) {
 		{"a rejected frame is not retained", NodeOptions{}, func(t *testing.T, r *senderRig) {
 			r.enqueue([]byte("not a sketch"))
 			r.enqueue(r.delta)
-			r.drain()
+			// Drain folds the rest of the queue, then reports the refusal.
+			if err := r.s.Drain(r.ctx(5 * time.Second)); err == nil || !strings.Contains(err.Error(), "seq 1 rejected") {
+				t.Fatalf("Drain: %v, want the refusal of seq 1", err)
+			}
 			r.want("retained", r.seqs(retainedOf), 2)
 			if st := r.s.Stats(); st.Rejected != 1 || st.Applied != 1 || st.Acked != 2 {
 				t.Errorf("%+v, want one rejected and one applied", st)

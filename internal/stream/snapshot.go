@@ -39,9 +39,13 @@ package stream
 // where each node is
 //
 //	nameLen:u16 name state:u8 epoch:u64 base:u64
-//	aheadCount:u32 { seq:u64 }...   (strictly ascending, all > base)
+//	aheadCount:u32                  (always 0)
 //	lastWindow:u64 applied:u64 duplicates:u64 dropped:u64 rejected:u64
 //	restarts:u64 shedFrames:u64 shedFolds:u64
+//
+// The dedup book is one number (seqTracker), so aheadCount is always 0:
+// the field keeps the node record's byte layout, and a blob with any
+// other count is refused.
 //
 // Window payloads reuse the csoutlier sketch codec, so every window
 // carries the full consensus identity (M, N, seed, ensemble) and its
@@ -75,12 +79,10 @@ const (
 // SnapNode is one node's membership + dedup state in a snapshot: its
 // NodeStatus (LastSeen, Lag and Stable are a running aggregator's view
 // and are not encoded; a restore sets Stable = Base) plus the
-// seqTracker — every seq in [1, Base] processed, and the sparse sorted
-// set processed ahead of that low-water mark.
+// seqTracker's mark, the highest seq processed.
 type SnapNode struct {
 	NodeStatus
-	Base  uint64
-	Ahead []uint64
+	Base uint64
 }
 
 // Snapshot is a point-in-time copy of an aggregator's fold state.
@@ -267,7 +269,7 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 }
 
 // MarshalBinary encodes the snapshot. The encoding is canonical
-// (nodes and ahead sets sorted), so encode∘decode is the identity on
+// (nodes sorted, ahead counts 0), so encode∘decode is the identity on
 // the bytes DecodeSnapshot accepts.
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	if s.Capacity < 1 || len(s.Windows) < 1 || len(s.Windows) > s.Capacity {
@@ -323,10 +325,7 @@ func appendSnapNode(b []byte, sn *SnapNode) ([]byte, error) {
 	b = append(b, state)
 	b = binary.LittleEndian.AppendUint64(b, sn.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, sn.Base)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(sn.Ahead)))
-	for _, seq := range sn.Ahead {
-		b = binary.LittleEndian.AppendUint64(b, seq)
-	}
+	b = binary.LittleEndian.AppendUint32(b, 0) // aheadCount
 	b = binary.LittleEndian.AppendUint64(b, sn.LastWindow)
 	for _, v := range []int64{sn.Applied, sn.Duplicates, sn.Dropped, sn.Rejected, sn.Restarts, sn.ShedFrames, sn.ShedFolds} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
@@ -447,20 +446,8 @@ func decodeSnapNode(r *frame.Cursor) (SnapNode, error) {
 	sn.State = state
 	sn.Epoch = r.U64()
 	sn.Base = r.U64()
-	aheadCount := r.U32()
-	prev := sn.Base
-	for i := uint32(0); i < aheadCount && r.Err == nil; i++ {
-		seq := r.U64()
-		if r.Err != nil {
-			break
-		}
-		// Canonical form: strictly ascending, all above the low-water
-		// mark. (The tracker would have absorbed anything ≤ base.)
-		if seq <= prev {
-			return sn, fmt.Errorf("stream: snapshot node %s: non-canonical ahead set (%d after %d)", sn.Node, seq, prev)
-		}
-		prev = seq
-		sn.Ahead = append(sn.Ahead, seq)
+	if ahead := r.U32(); r.Err == nil && ahead != 0 {
+		return sn, fmt.Errorf("stream: snapshot node %s: %d seqs ahead of its mark %d (the dedup book is one number)", sn.Node, ahead, sn.Base)
 	}
 	sn.LastWindow = r.U64()
 	for _, dst := range []*int64{&sn.Applied, &sn.Duplicates, &sn.Dropped, &sn.Rejected, &sn.Restarts, &sn.ShedFrames, &sn.ShedFolds} {

@@ -3,12 +3,15 @@ package stream
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,8 +23,7 @@ import (
 
 // randSnapshot builds a random-but-valid Snapshot: random window byte
 // blobs (the codec does not interpret them), random node names, dedup
-// books with sparse ahead sets, every state, and counter values across
-// the int64 range.
+// marks, every state, and counter values across the int64 range.
 func randSnapshot(rng *xrand.RNG) *Snapshot {
 	s := &Snapshot{
 		AggEpoch:   rng.Uint64(),
@@ -55,11 +57,6 @@ func randSnapshot(rng *xrand.RNG) *Snapshot {
 		sn.ShedFolds = int64(rng.Uint64())
 		if tomb {
 			sn.State = states[1+rng.Intn(2)]
-		}
-		seq := sn.Base
-		for k := rng.Intn(8); k > 0; k-- {
-			seq += 1 + rng.Uint64()%50
-			sn.Ahead = append(sn.Ahead, seq)
 		}
 		return sn
 	}
@@ -111,7 +108,8 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 // TestSnapshotDecodeRejects pins the failure modes the codec must catch
 // without panicking: truncation at every length, bit corruption
-// everywhere (the CRC), a wrong version, wrong magic and trailing junk.
+// everywhere (the CRC), a wrong version, wrong magic, trailing junk, and
+// a node record listing seqs ahead of its mark.
 func TestSnapshotDecodeRejects(t *testing.T) {
 	rng := xrandtest.New(t, 99)
 	snap := randSnapshot(rng)
@@ -133,6 +131,28 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 	}
 	if _, err := DecodeSnapshot(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Fatal("trailing byte decoded")
+	}
+
+	// A node record with one seq ahead of its mark, in the layout the
+	// codec wrote when the book kept such seqs, under a valid CRC: the
+	// book is one number now, so the blob is refused by the node's name.
+	one := &Snapshot{Window: 1, Capacity: 1, Windows: [][]byte{{1, 2, 3}}, Nodes: []SnapNode{{
+		NodeStatus: NodeStatus{Node: "gamma", State: StateLive, Epoch: 1}, Base: 4,
+	}}}
+	if data, err = one.MarshalBinary(); err != nil {
+		t.Fatalf("MarshalBinary: %v", err)
+	}
+	at := 4 + 2 + 3*8 + 4 + 4 + (4 + 3) + 4 + 2 + len("gamma") + 1 + 8 + 8 // gamma's aheadCount
+	if n := binary.LittleEndian.Uint32(data[at:]); n != 0 {
+		t.Fatalf("aheadCount at byte %d is %d, want 0", at, n)
+	}
+	ahead := append([]byte(nil), data[:at]...)
+	ahead = binary.LittleEndian.AppendUint32(ahead, 1)
+	ahead = binary.LittleEndian.AppendUint64(ahead, 6)
+	ahead = append(ahead, data[at+4:len(data)-4]...)
+	ahead = binary.LittleEndian.AppendUint32(ahead, crc32.ChecksumIEEE(ahead))
+	if _, err := DecodeSnapshot(ahead); err == nil || !strings.Contains(err.Error(), "gamma") {
+		t.Fatalf("a seq ahead of the mark: err %v, want a refusal naming gamma", err)
 	}
 }
 
@@ -473,7 +493,7 @@ func TestSnapshotWhileFolding(t *testing.T) {
 		}
 		var folded uint64
 		for _, sn := range dec.Nodes {
-			folded += sn.Base + uint64(len(sn.Ahead))
+			folded += sn.Base
 		}
 		if mass != float64(folded) {
 			t.Fatalf("snapshot %d: window mass %v but dedup book covers %d frames", i, mass, folded)
@@ -551,7 +571,7 @@ func TestConcurrentSnapshotCommitOrder(t *testing.T) {
 		var base uint64
 		for _, sn := range snap.Nodes {
 			if sn.Node == "alpha" {
-				base = sn.Base + uint64(len(sn.Ahead))
+				base = sn.Base
 			}
 		}
 		if base < stable {
@@ -616,20 +636,24 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesGolden pins the snapshot encoding of a fixed fold
-// history to hashes recorded before Snapshot encoded windows straight
-// from the ring: two nodes (one with a seq gap, so an ahead set), a
-// frame too old for the ring, three rotations, with and without an
-// Extra blob. A change to how a window reaches the blob must not move
-// one byte of it.
+// TestSnapshotBytesGolden pins the snapshot encoding of two fixed fold
+// histories, with and without an Extra blob: two nodes, a frame too old
+// for the ring, three rotations. In the gap-free history beta folds seq
+// 1 and 2 and its seq 3 is dropped as too old; its hashes are those of
+// the two-part book (a mark plus a set of seqs ahead of it) and must not
+// move. In the gapped one beta skips seq 2. A change to how a window or
+// a dedup book reaches the blob must not move one byte of either.
 func TestSnapshotBytesGolden(t *testing.T) {
 	sk := testSketcher(t, 128, 64, 7)
 	for _, tc := range []struct {
-		extra []byte
-		want  string
+		betaSeqs [3]uint64 // beta's seqs: window 1, window 2, dropped as too old
+		extra    []byte
+		want     string
 	}{
-		{nil, "4fe77580d8c50f08831173125514a1073729bd338af21d4c51289354bb561aae"},
-		{[]byte("relay-upward-state"), "f037db0b1339afea54a37c8de2759a5b1e3eb3299396eb8f3f34c943c471b079"},
+		{[3]uint64{1, 2, 3}, nil, "102fd9de4ed01e25fed8b16a5ecbdb5798ee88f73eb8d90503321aee07558535"},
+		{[3]uint64{1, 2, 3}, []byte("relay-upward-state"), "b7686b0827cddd5471305f6c0aedad6e4f79fdf1c82212e7f472e19c2f32ac3c"},
+		{[3]uint64{1, 3, 4}, nil, "93d1106e522a302f52078956e4698717ed4c23784f59f0d35a5f6297476463f9"},
+		{[3]uint64{1, 3, 4}, []byte("relay-upward-state"), "0358fe04c4d4578ae7ca8841ef66a50aa65d153b6a7a08257099ec323e361c55"},
 	} {
 		opts := AggregatorOptions{Windows: 4, Durable: true}
 		if tc.extra != nil {
@@ -647,16 +671,16 @@ func TestSnapshotBytesGolden(t *testing.T) {
 			}
 		}
 		fold("alpha", 1, 1, 0.5)
-		fold("beta", 1, 1, -2)
+		fold("beta", 1, tc.betaSeqs[0], -2)
 		agg.Rotate()
 		fold("alpha", 2, 2, 1.25)
-		fold("beta", 2, 3, 3) // seq 2 missing: an ahead set
+		fold("beta", 2, tc.betaSeqs[1], 3)
 		agg.Rotate()
 		agg.Rotate()
 		fold("alpha", 1, 3, 7) // age 3: the ring's oldest slot
 		fold("alpha", 4, 4, math.Pi)
 		agg.Rotate()
-		fold("beta", 1, 4, 9) // age 4: dropped as too old
+		fold("beta", 1, tc.betaSeqs[2], 9) // age 4: dropped as too old
 		snap, err := agg.Snapshot()
 		if err != nil {
 			t.Fatalf("Snapshot: %v", err)
@@ -667,7 +691,7 @@ func TestSnapshotBytesGolden(t *testing.T) {
 			t.Fatalf("MarshalBinary: %v", err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want {
-			t.Errorf("snapshot (extra %q): %d bytes, sha256 %s, want %s", tc.extra, len(data), got, tc.want)
+			t.Errorf("snapshot (beta seqs %v, extra %q): %d bytes, sha256 %s, want %s", tc.betaSeqs, tc.extra, len(data), got, tc.want)
 		}
 	}
 }

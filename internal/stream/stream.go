@@ -17,14 +17,16 @@
 //   - window is the wall-clock window the observations belong to, as
 //     assigned by the aggregator's rotation clock and learned by nodes
 //     from ack piggybacks — sketch linearity means a window-tagged delta
-//     folds correctly whenever it arrives, so late and out-of-order
-//     frames need no coordination round;
-//   - (epoch, seq) make folding idempotent: the aggregator tracks the
-//     processed sequence numbers of each node incarnation and folds
-//     each delta exactly once, no matter how often retries, reconnects
-//     or duplicated packets redeliver it. A node that restarts from
-//     scratch announces a higher epoch, which resets its sequence space
-//     (and abandons any un-acked data the old incarnation lost).
+//     folds correctly whenever it arrives, so late frames need no
+//     coordination round;
+//   - (epoch, seq) make folding idempotent: a node's sender pushes
+//     stop-and-wait in ascending seq order, replays included, so the
+//     aggregator keeps one number per node incarnation, the highest seq
+//     processed, and folds each delta exactly once, no matter how often
+//     retries, reconnects or duplicated packets redeliver it. A node
+//     that restarts from scratch announces a higher epoch, which resets
+//     its sequence space (and abandons any un-acked data the old
+//     incarnation lost).
 //
 // The Aggregator maintains the global per-window standing sketches in a
 // csoutlier.WindowStore, folds each incoming delta on the goroutine
@@ -135,39 +137,16 @@ type Ack struct {
 	Stable uint64
 }
 
-// seqTracker records which delta sequence numbers of one node epoch
-// have been processed, making folds idempotent under duplicate and
-// out-of-order delivery. It keeps a contiguous low-water mark plus the
-// sparse set of sequence numbers processed ahead of it, so memory stays
-// O(reordering window), not O(stream length).
+// seqTracker is the dedup book of one node epoch: the highest seq
+// processed. Senders push stop-and-wait in ascending seq order, so every
+// seq below the mark was processed or will never be sent, and a seq
+// that never arrives (a refused frame, then the next) holds nothing up.
 type seqTracker struct {
-	base  uint64 // every seq in [1, base] has been processed
-	ahead map[uint64]struct{}
+	base uint64 // the highest seq processed; every seq ≤ base is a duplicate
 }
 
-// seen reports whether seq has already been processed.
-func (t *seqTracker) seen(seq uint64) bool {
-	if seq <= t.base {
-		return true
-	}
-	_, ok := t.ahead[seq]
-	return ok
-}
+// seen reports whether seq is at or below the mark.
+func (t *seqTracker) seen(seq uint64) bool { return seq <= t.base }
 
-// mark records seq as processed and advances the contiguous mark.
-func (t *seqTracker) mark(seq uint64) {
-	if seq <= t.base {
-		return
-	}
-	if t.ahead == nil {
-		t.ahead = make(map[uint64]struct{})
-	}
-	t.ahead[seq] = struct{}{}
-	for {
-		if _, ok := t.ahead[t.base+1]; !ok {
-			return
-		}
-		t.base++
-		delete(t.ahead, t.base)
-	}
-}
+// mark records seq as processed.
+func (t *seqTracker) mark(seq uint64) { t.base = max(t.base, seq) }

@@ -223,8 +223,9 @@ func TestStreamEndToEnd(t *testing.T) {
 
 // TestStreamIdempotency replays, duplicates, reorders and mis-tags
 // delta frames through a raw client and checks the aggregator folds
-// each exactly once — the global sketches stay bit-identical to the
-// intended fold sequence.
+// each at most once — a seq below one already processed is a duplicate
+// — and the global sketches stay bit-identical to the intended fold
+// sequence.
 func TestStreamIdempotency(t *testing.T) {
 	sk := testSketcher(t, 64, 24, 7)
 	agg, addr := serveAgg(t, sk, AggregatorOptions{Windows: 3})
@@ -281,15 +282,16 @@ func TestStreamIdempotency(t *testing.T) {
 	if ack := push(1, 1, 1, deltas[0]); ack.Applied || ack.Status != StatusDuplicate {
 		t.Fatalf("seq 1 replay: %+v, want duplicate", ack)
 	}
-	// Reorder: seq 3 lands before seq 2.
+	// Reorder: seq 3 lands before seq 2. The book is the highest seq
+	// processed, and a conforming sender never sends seq 2 after seq 3,
+	// so seq 2 is a duplicate and is not folded.
 	if ack := push(1, 1, 3, deltas[2]); !ack.Applied {
 		t.Fatalf("seq 3: %+v, want applied", ack)
 	}
 	expect1.Add(sketches[2])
-	if ack := push(1, 1, 2, deltas[1]); !ack.Applied {
-		t.Fatalf("seq 2: %+v, want applied", ack)
+	if ack := push(1, 1, 2, deltas[1]); ack.Applied || ack.Status != StatusDuplicate {
+		t.Fatalf("seq 2 after seq 3: %+v, want duplicate", ack)
 	}
-	expect1.Add(sketches[1])
 	if ack := push(1, 1, 2, deltas[1]); ack.Status != StatusDuplicate {
 		t.Fatalf("seq 2 replay: %+v, want duplicate", ack)
 	}
@@ -364,36 +366,68 @@ func TestStreamIdempotency(t *testing.T) {
 	if len(sts) != 1 || sts[0].Restarts != 1 {
 		t.Fatalf("node status = %+v, want one node with Restarts=1", sts)
 	}
-	if s := agg.Stats(); s.Duplicates != 3 || s.Dropped != 1 || s.Applied != 6 {
-		t.Fatalf("stats = %+v, want Applied=6 Duplicates=3 Dropped=1", s)
+	if s := agg.Stats(); s.Duplicates != 4 || s.Dropped != 1 || s.Applied != 5 {
+		t.Fatalf("stats = %+v, want Applied=5 Duplicates=4 Dropped=1", s)
 	}
 }
 
+// TestSeqTracker: the book is the highest seq processed. A mark never
+// moves it back, and every seq at or below it is seen, a skipped one
+// included.
 func TestSeqTracker(t *testing.T) {
 	var tr seqTracker
 	if tr.seen(1) {
 		t.Fatal("empty tracker saw seq 1")
 	}
 	tr.mark(1)
-	tr.mark(3)
-	tr.mark(5)
-	if tr.base != 1 || len(tr.ahead) != 2 {
-		t.Fatalf("base=%d ahead=%d, want 1/2", tr.base, len(tr.ahead))
+	if tr.base != 1 || !tr.seen(1) || tr.seen(2) {
+		t.Fatalf("base=%d after mark(1), want 1 with seq 1 seen and seq 2 not", tr.base)
 	}
-	if !tr.seen(1) || tr.seen(2) || !tr.seen(3) || tr.seen(4) || !tr.seen(5) {
-		t.Fatal("seen() wrong after sparse marks")
+	tr.mark(3) // seq 2 skipped: a rejected frame, then the next one
+	if tr.base != 3 || !tr.seen(2) || !tr.seen(3) || tr.seen(4) {
+		t.Fatalf("base=%d after mark(3), want 3 with seqs 1–3 seen and 4 not", tr.base)
 	}
-	tr.mark(2) // fills the gap: base jumps over 3
-	if tr.base != 3 || len(tr.ahead) != 1 {
-		t.Fatalf("base=%d ahead=%d after gap fill, want 3/1", tr.base, len(tr.ahead))
+	tr.mark(2) // below the mark: no-op
+	if tr.base != 3 {
+		t.Fatalf("mark(2) moved base to %d, want 3", tr.base)
 	}
-	tr.mark(4)
-	if tr.base != 5 || len(tr.ahead) != 0 {
-		t.Fatalf("base=%d ahead=%d after full fill, want 5/0 (memory reclaimed)", tr.base, len(tr.ahead))
+	tr.mark(300)
+	if tr.base != 300 || !tr.seen(299) || tr.seen(301) {
+		t.Fatalf("base=%d after mark(300), want 300", tr.base)
 	}
-	tr.mark(4) // no-op
-	if tr.base != 5 {
-		t.Fatalf("re-mark moved base to %d", tr.base)
+}
+
+// TestRejectedSeqDoesNotPinTheBook: a refused seq is never marked, and
+// the frames after it move the book past it, so the Stable watermark a
+// non-durable aggregator acks keeps up with the node instead of staying
+// at 0 for the rest of the epoch.
+func TestRejectedSeqDoesNotPinTheBook(t *testing.T) {
+	sk := testSketcher(t, 64, 24, 17)
+	agg, addr := serveAgg(t, sk, AggregatorOptions{Windows: 2})
+	c, err := DialClient(context.Background(), addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if ack, err := c.PushDelta("n", 1, 1, 1, 1, []byte("not a sketch")); err != nil || ack.Err == "" {
+		t.Fatalf("corrupt seq 1: %v / %+v, want it refused", err, ack)
+	}
+	good := testDelta(t, sk, "key003", 1)
+	var last Ack
+	for seq := uint64(2); seq <= 301; seq++ {
+		if last, err = c.PushDelta("n", 1, 1, seq, 1, good); err != nil || !last.Applied {
+			t.Fatalf("seq %d: %v / %+v, want applied", seq, err, last)
+		}
+	}
+	if last.Stable != 301 {
+		t.Fatalf("last ack Stable %d, want 301", last.Stable)
+	}
+	snap, err := agg.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Nodes) != 1 || snap.Nodes[0].Base != 301 {
+		t.Fatalf("books %+v, want one node at Base 301", snap.Nodes)
 	}
 }
 

@@ -485,8 +485,8 @@ func TestRelayRefusesOverflow(t *testing.T) {
 	if ack := leaf(-math.MaxFloat64); !ack.Applied {
 		t.Fatalf("−Max at the relay: %+v", ack)
 	}
-	if err := relay.Forward(ctx); err != nil {
-		t.Fatalf("Forward: %v", err)
+	if err := relay.Forward(ctx); err == nil || !strings.Contains(err.Error(), "rejected") {
+		t.Fatalf("Forward of the frame the root refuses: %v, want the refusal", err)
 	}
 	sameBits(t, "root window after it refused the upward frame", window(root), before)
 	if rs, up := root.Stats(), relay.Stats(); rs.Rejected != 1 || up.Rejected != 1 {

@@ -157,10 +157,12 @@ kill $pids 2>/dev/null || true
 pids=""
 # csstreamd refuses a flag it would ignore, with status 2, before it
 # listens: -snapshot-every without -snapshot, and on a relay (which
-# snapshots on every forward); -shards below 1, and a -shard-index
-# outside [0, -shards), with one shard too.
+# snapshots on every forward); -window-every on a relay (which rotates
+# when its upstream does); -shards below 1, and a -shard-index outside
+# [0, -shards), with one shard too.
 for args in "-snapshot-every 1s" \
 	"-snapshot $tmp/relay.snap -snapshot-every 1s -relay-upstream 127.0.0.1:1 -relay-id r0" \
+	"-window-every 1m -relay-upstream 127.0.0.1:1 -relay-id r0" \
 	"-shards 0" "-shards -1" "-shard-index 5" "-shard-index -1" "-shards 2 -shard-index 2"; do
 	status=0
 	"$tmp/bin/csstreamd" -dict "$tmp/demo/keys.txt" -m 400 -listen 127.0.0.1:0 $args >"$tmp/refuse.log" 2>&1 || status=$?
