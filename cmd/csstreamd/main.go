@@ -169,6 +169,7 @@ func main() {
 	var agg *stream.Aggregator
 	var relay *tier.Relay
 	if *relayUpstream != "" {
+		opts.WindowEvery = 0 // the flag's default: a relay rotates when its upstream does
 		relay = startRelay(sk, tier.RelayOptions{
 			ID:       *relayID,
 			Shard:    *shardIndex,

@@ -170,9 +170,10 @@ func FuzzClusterFrameDecoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	// A prelude that claims a 2 GiB spec: refused from its length alone.
-	huge := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(huge, 1<<31)
-	f.Add(huge)
+	f.Add(append([]byte{valid[0], valid[1]}, binary.AppendUvarint(nil, 1<<31)...))
+	// A length longer than it needs, and version 4's u32 length.
+	f.Add([]byte{valid[0], valid[1], 0x80, 0x00})
+	f.Add(append([]byte{byte(len(valid) - 3), 0, 0, 0, 4, valid[1]}, valid[3:]...))
 	// The kinds the wire carried for the evaluation baselines (full
 	// vector, sample values, local outliers), each with its old body.
 	f.Add(frame.End(frame.Begin(nil, 0x12)))
@@ -187,8 +188,8 @@ func FuzzClusterFrameDecoder(f *testing.F) {
 		var out bytes.Buffer
 		cluster.ServeStream(bytes.NewReader(data), &out, node)
 		// A first frame of a retired kind ends the stream unanswered.
-		if len(data) >= frame.Overhead && data[5] >= 0x12 && data[5] <= 0x14 && out.Len() != 0 {
-			t.Fatalf("a frame of retired kind %#x was answered with %d bytes", data[5], out.Len())
+		if len(data) >= frame.MinOverhead && data[1] >= 0x12 && data[1] <= 0x14 && out.Len() != 0 {
+			t.Fatalf("a frame of retired kind %#x was answered with %d bytes", data[1], out.Len())
 		}
 	})
 }

@@ -22,10 +22,10 @@ import (
 // cmd/csagg; the geo-distributed deployment of the paper's §1 maps one
 // csnode process to one data center.
 //
-// Every frame, in either direction, is internal/frame's six-byte prelude
-// (u32 body length, version, kind) and a body, laid out per kind:
+// Every frame, in either direction, is internal/frame's prelude
+// (version, kind, uv body length) and a body, laid out per kind:
 //
-//	id      0x10  (empty)
+//	id      0x10  three zero bytes (idPad: an older peer hangs up on them)
 //	sketch  0x11  uv M | uv N | u64 seed | u8 ensemble | uv D
 //	reply   0x15  u8 status (1 ok, 0 error), then for an error its text and
 //	              for an ok what the request asked for, each to the end of
@@ -33,8 +33,8 @@ import (
 //
 // uv is an unsigned varint, u64 and f64 are little-endian. It is the push
 // protocol's framing (internal/stream/wire.go) with its own kinds: one
-// codec, no negotiation, and a sketch costs its 8·M bytes plus 7 on the
-// wire. Every body length is capped before the body is read — a request
+// codec, no negotiation, and a sketch costs its 8·M bytes plus 5 on the
+// wire (M from 16 to 2,047). Every body length is capped before the body is read — a request
 // by requestLimits, a reply by the client from what it asked for
 // (replyLimit) — and a peer that sends anything else (another version,
 // an unknown kind, an oversized, truncated or trailing field) is

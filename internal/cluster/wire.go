@@ -41,13 +41,19 @@ const (
 	maxReplyText = 1024
 
 	maxSpecBody = 3*binary.MaxVarintLen64 + 8 + 1 // uv M | uv N | u64 seed | u8 kind | uv D
+
+	// idPad is an ID request's body, that many zero bytes. They make the
+	// first frame a client sends six bytes long, as long as the u32
+	// prelude of version 4: a node from before version 5 reads a whole
+	// prelude, finds version 0 and hangs up, and a gob node reads the
+	// version byte 5 as a message length it can fill and fails to decode
+	// it. Neither waits for a byte the client will not send.
+	idPad = 3
 )
 
-// requestLimits is the largest body a node accepts per request kind. An
-// ID request carries nothing; its cap only has to be non-zero for the
-// kind to be accepted, and the parser refuses the byte.
+// requestLimits is the largest body a node accepts per request kind.
 var requestLimits = [kindReply]int{
-	reqID:     1,
+	reqID:     idPad,
 	reqSketch: maxSpecBody,
 }
 
@@ -75,7 +81,10 @@ type response struct {
 // appendRequest encodes req as one frame into buf's storage.
 func appendRequest(buf []byte, req *request) []byte {
 	buf = frame.Begin(buf, uint8(req.Kind))
-	if req.Kind == reqSketch {
+	switch req.Kind {
+	case reqID:
+		buf = append(buf, make([]byte, idPad)...)
+	case reqSketch:
 		buf = binary.AppendUvarint(buf, uint64(req.Spec.M))
 		buf = binary.AppendUvarint(buf, uint64(req.Spec.N))
 		buf = binary.LittleEndian.AppendUint64(buf, req.Spec.Seed)
@@ -101,7 +110,12 @@ func cursorInt(r *frame.Cursor) int {
 func parseRequest(kind reqKind, body []byte, req *request) error {
 	r := frame.Cursor{B: body}
 	*req = request{Kind: kind}
-	if kind == reqSketch {
+	switch kind {
+	case reqID:
+		if pad := r.Take(idPad); pad != nil && string(pad) != string(make([]byte, idPad)) {
+			r.Err = frame.ErrMalformed
+		}
+	case reqSketch:
 		req.Spec.M = cursorInt(&r)
 		req.Spec.N = cursorInt(&r)
 		req.Spec.Seed = r.U64()

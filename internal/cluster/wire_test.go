@@ -33,6 +33,19 @@ func sampleRequests() []request {
 // retiredRequests are well-formed frames of the kinds the pull wire
 // carried for the evaluation baselines (full vector, sample values, local
 // outliers), which a node now refuses as unknown.
+// bodyOf is a frame's body: what follows the version, the kind and the
+// length.
+func bodyOf(wire []byte) []byte {
+	_, n := binary.Uvarint(wire[2:])
+	return wire[2+n:]
+}
+
+// prelude is a frame's first bytes as a peer may send them, a body
+// length that need not be the body's, then body.
+func prelude(n uint64, version byte, kind reqKind, body ...byte) []byte {
+	return append(binary.AppendUvarint([]byte{version, byte(kind)}, n), body...)
+}
+
 func retiredRequests() [][]byte {
 	return [][]byte{
 		frame.End(frame.Begin(nil, 0x12)),
@@ -82,20 +95,20 @@ func TestPullWireRoundTrip(t *testing.T) {
 		kind, want := r.kind, r.resp
 		wire := appendReply(nil, kind, &want)
 		var resp response
-		if err := parseReply(kind, wire[frame.Overhead:], &resp); err != nil {
+		if err := parseReply(kind, bodyOf(wire), &resp); err != nil {
 			t.Fatalf("reply to kind %d: %v", kind, err)
 		}
 		if !bytes.Equal(appendReply(nil, kind, &resp), wire) {
 			t.Fatalf("reply to kind %d: parsed %+v, sent %+v", kind, resp, want)
 		}
-		if len(wire)-frame.Overhead > replyLimit(&request{Kind: kind, Spec: sensing.Spec{Params: sensing.Params{M: len(want.Vec)}}}) {
+		if len(bodyOf(wire)) > replyLimit(&request{Kind: kind, Spec: sensing.Spec{Params: sensing.Params{M: len(want.Vec)}}}) {
 			t.Fatalf("reply to kind %d is over its own limit", kind)
 		}
 	}
 	// Floats travel by their bits.
 	sk := sampleReplies()[2].resp
 	var resp response
-	if err := parseReply(reqSketch, appendReply(nil, reqSketch, &sk)[frame.Overhead:], &resp); err != nil {
+	if err := parseReply(reqSketch, bodyOf(appendReply(nil, reqSketch, &sk)), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if !bitsEqual(resp.Vec, sk.Vec) {
@@ -105,15 +118,15 @@ func TestPullWireRoundTrip(t *testing.T) {
 	// refused, when its text is long.
 	long := response{Err: strings.Repeat("x", 3*maxReplyText)}
 	wire := appendReply(nil, reqSketch, &long)
-	if err := parseReply(reqSketch, wire[frame.Overhead:], &resp); err != nil || resp.Err != long.Err[:maxReplyText] || resp.Vec != nil {
+	if err := parseReply(reqSketch, bodyOf(wire), &resp); err != nil || resp.Err != long.Err[:maxReplyText] || resp.Vec != nil {
 		t.Fatalf("error reply: %+v, %v", resp, err)
 	}
-	if len(wire)-frame.Overhead > replyLimit(&request{Kind: reqSketch, Spec: sensing.Spec{Params: sensing.Params{M: 1}}}) {
+	if len(bodyOf(wire)) > replyLimit(&request{Kind: reqSketch, Spec: sensing.Spec{Params: sensing.Params{M: 1}}}) {
 		t.Fatal("a cut error text does not fit the smallest sketch reply limit")
 	}
 	// A payload the client would refuse goes out as the error instead.
 	big := response{Name: strings.Repeat("n", maxReplyText+1)}
-	if err := parseReply(reqID, appendReply(nil, reqID, &big)[frame.Overhead:], &resp); err != nil || resp.Err == "" {
+	if err := parseReply(reqID, bodyOf(appendReply(nil, reqID, &big)), &resp); err != nil || resp.Err == "" {
 		t.Fatalf("oversized name: %+v, %v", resp, err)
 	}
 }
@@ -136,7 +149,8 @@ func TestSketchExchangeWireBytes(t *testing.T) {
 	if got, want := rn.bytesWritten.Load()-wrote, int64(len(req)); got != want {
 		t.Fatalf("request took %d bytes, want %d", got, want)
 	}
-	if got, want := rn.bytesRead.Load()-read, int64(frame.Overhead+1+8*spec.M); got != want {
+	body := 1 + 8*spec.M // status | M f64s, behind version | kind | uv length
+	if got, want := rn.bytesRead.Load()-read, int64(2+len(binary.AppendUvarint(nil, uint64(body)))+body); got != want {
 		t.Fatalf("reply took %d bytes, want %d", got, want)
 	}
 }
@@ -159,9 +173,6 @@ func expectClosed(t *testing.T, what string, conn net.Conn) {
 func TestMalformedRequestsCloseConnection(t *testing.T) {
 	node := NewLocalNode("dc", make(linalg.Vector, 8))
 	addr := startServer(t, node)
-	prelude := func(n uint32, version byte, kind reqKind, body ...byte) []byte {
-		return append(binary.LittleEndian.AppendUint32(nil, n), append([]byte{version, byte(kind)}, body...)...)
-	}
 	sketch, _ := SketchRequestFrame(sensing.GaussianSpec(sensing.Params{M: 4, N: 8, Seed: 9}))
 	// uv M past MaxInt, then uv N, u64 seed, u8 ensemble, uv D.
 	overM := append(binary.AppendUvarint(nil, math.MaxUint64), append([]byte{8}, make([]byte, 8+1+1)...)...)
@@ -178,12 +189,17 @@ func TestMalformedRequestsCloseConnection(t *testing.T) {
 		{"retired sample kind 0x13", retiredRequests()[1], false},
 		{"retired local-outliers kind 0x14", retiredRequests()[2], false},
 		{"oversized spec", prelude(1<<20, frame.Version, reqSketch), false},
-		{"body on an id request", prelude(1, frame.Version, reqID, 0), false},
+		{"id request without its pad", prelude(0, frame.Version, reqID), false},
+		{"id request with a short pad", prelude(1, frame.Version, reqID, 0), false},
+		{"id request with a non-zero pad", prelude(idPad, frame.Version, reqID, 0, 1, 0), false},
+		{"id request with a long pad", prelude(idPad+1, frame.Version, reqID, 0, 0, 0, 0), false},
 		{"truncated spec", sketch[:len(sketch)-2], true},
-		{"truncated prelude", sketch[:3], true},
-		{"trailing byte after a spec", append(prelude(uint32(len(sketch)-frame.Overhead+1), frame.Version, reqSketch), append(sketch[frame.Overhead:], 0)...), false},
+		{"truncated prelude", sketch[:2], true},
+		{"length longer than it needs", []byte{frame.Version, byte(reqID), 0x80, 0x00}, false},
+		{"the u32 length of version 4", append([]byte{0, 0, 0, 0, 4}, byte(reqID)), false},
+		{"trailing byte after a spec", prelude(uint64(len(bodyOf(sketch))+1), frame.Version, reqSketch, append(bodyOf(sketch), 0)...), false},
 		{"varint runs off the body", prelude(1, frame.Version, reqSketch, 0x80), false},
-		{"M past MaxInt", prelude(uint32(len(overM)), frame.Version, reqSketch, overM...), false},
+		{"M past MaxInt", prelude(uint64(len(overM)), frame.Version, reqSketch, overM...), false},
 		{"garbage", GarbageFrame(), false},
 	}
 	for _, tc := range cases {
@@ -271,8 +287,7 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 	spec := sensing.GaussianSpec(sensing.Params{M: m, N: 8, Seed: 9})
 	okID := appendReply(nil, reqID, &response{Name: "dc"})
 	reply := func(body ...byte) []byte { return frame.End(append(frame.Begin(nil, uint8(kindReply)), body...)) }
-	overCap := frame.Begin(nil, uint8(kindReply))
-	binary.LittleEndian.PutUint32(overCap, uint32(1+max(8*m, maxReplyText)+1)) // one past the cap; no body follows
+	overCap := prelude(uint64(1+max(8*m, maxReplyText)+1), frame.Version, kindReply) // one past the cap; no body follows
 	cases := map[string][]byte{
 		"over the cap from M":  overCap,
 		"request kind back":    frame.End(frame.Begin(nil, uint8(reqSketch))),
@@ -280,7 +295,8 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 		"empty body":           reply(),
 		"ragged vector":        reply(replyOK, 1, 2, 3),
 		"garbage":              GarbageFrame(),
-		"another wire version": {1, 0, 0, 0, 9, byte(kindReply), replyOK},
+		"another wire version": {9, byte(kindReply), 1, replyOK},
+		"version 4's prelude":  {1, 0, 0, 0, 4, byte(kindReply), replyOK},
 	}
 	// A vector that parses but would poison the round's sum.
 	for name, v := range map[string]float64{"NaN in the vector": math.NaN(), "+Inf in the vector": math.Inf(1), "-Inf in the vector": math.Inf(-1)} {
@@ -408,6 +424,46 @@ func TestGobPeerGetsCleanClose(t *testing.T) {
 	}
 }
 
+// TestVersion4NodeGetsCleanClose: a node from before version 5 reads a
+// u32 length, a version and a kind, six bytes, before it judges a
+// frame. The id request a client opens with is that long, so such a node
+// hangs up at once instead of waiting for bytes that never come.
+func TestVersion4NodeGetsCleanClose(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var p [6]byte
+				if _, err := io.ReadFull(conn, p[:]); err != nil || p[4] != 4 {
+					return
+				}
+				conn.Write([]byte{3, 0, 0, 0, 4, byte(kindReply), replyOK, 'o', 'l'})
+			}()
+		}
+	}()
+	start := time.Now()
+	rn, err := dial(ln.Addr().String())
+	if err == nil {
+		rn.Close()
+		t.Fatal("dialed a version-4 node")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("took %v to give up on a version-4 node", d)
+	}
+	if !strings.Contains(err.Error(), "node closed connection") {
+		t.Fatalf("dial error: %v", err)
+	}
+}
+
 // TestRemoteSketchExchangeAllocs pins the client side of one loopback
 // sketch exchange on a live connection: the returned vector, plus the
 // cancel callback context.AfterFunc registers, its closure and its stop
@@ -445,21 +501,21 @@ func FuzzRequestFrame(f *testing.F) {
 		wire := appendRequest(nil, &req)
 		f.Add(wire)
 		f.Add(wire[:len(wire)/2])
-		long := append([]byte(nil), wire...)
-		binary.LittleEndian.PutUint32(long, 1<<31)
-		f.Add(long)
+		f.Add(prelude(1<<31, wire[0], reqKind(wire[1]), bodyOf(wire)...))
 	}
 	for _, wire := range retiredRequests() {
 		f.Add(wire)
 	}
 	f.Add(GarbageFrame())
-	f.Add([]byte{1, 0, 0, 0, frame.Version, byte(reqSketch), 0x80})
+	f.Add(prelude(1, frame.Version, reqSketch, 0x80))
+	f.Add([]byte{frame.Version, byte(reqSketch), 0x81, 0x00, 0x80}) // a length longer than it needs
+	f.Add([]byte{1, 0, 0, 0, 4, byte(reqSketch), 0x80})             // version 4's u32 length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := frame.Reader{R: bytes.NewReader(data), Limits: requestLimits[:]}
 		var req request
 		for {
 			err := readRequest(&fr, &req)
-			if cap(fr.Buf) > maxSpecBody+frame.Overhead {
+			if cap(fr.Buf) > max(maxSpecBody, frame.MaxOverhead) {
 				t.Fatalf("read buffer grew to %d bytes, past the largest request", cap(fr.Buf))
 			}
 			if err != nil {
@@ -471,7 +527,7 @@ func FuzzRequestFrame(f *testing.F) {
 			// What parses re-encodes to a frame that parses to the same.
 			canon := appendRequest(nil, &req)
 			var again request
-			if err := parseRequest(req.Kind, canon[frame.Overhead:], &again); err != nil || again != req {
+			if err := parseRequest(req.Kind, bodyOf(canon), &again); err != nil || again != req {
 				t.Fatalf("kind %d: %+v re-parsed as %+v, %v", req.Kind, req, again, err)
 			}
 		}
@@ -483,10 +539,11 @@ func FuzzRequestFrame(f *testing.F) {
 func FuzzReplyFrame(f *testing.F) {
 	for _, r := range sampleReplies() {
 		wire := appendReply(nil, r.kind, &r.resp)
-		f.Add(byte(r.kind), wire[frame.Overhead:])
-		f.Add(byte(r.kind), wire[frame.Overhead:len(wire)-1])
+		body := bodyOf(wire)
+		f.Add(byte(r.kind), body)
+		f.Add(byte(r.kind), body[:len(body)-1])
 	}
-	f.Add(byte(reqSketch), appendReply(nil, reqSketch, &response{Err: "cluster: no"})[frame.Overhead:])
+	f.Add(byte(reqSketch), bodyOf(appendReply(nil, reqSketch, &response{Err: "cluster: no"})))
 	f.Add(byte(reqSketch), GarbageFrame())
 	f.Add(byte(reqID), append([]byte{replyOK}, strings.Repeat("n", maxReplyText+1)...))
 	f.Fuzz(func(t *testing.T, k byte, body []byte) {
@@ -508,7 +565,7 @@ func FuzzReplyFrame(f *testing.F) {
 			return
 		}
 		// What parses re-encodes to a body that parses to the same bits.
-		canon := appendReply(nil, kind, &resp)[frame.Overhead:]
+		canon := bodyOf(appendReply(nil, kind, &resp))
 		var again response
 		if err := parseReply(kind, canon, &again); err != nil || again.Name != resp.Name || !bitsEqual(again.Vec, resp.Vec) {
 			t.Fatalf("kind %d: %+v re-parsed as %+v, %v", kind, resp, again, err)

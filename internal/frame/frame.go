@@ -1,17 +1,17 @@
 // Package frame is the byte layer the repository's two wire protocols
 // share: the push stream (internal/stream) and the pull RPCs
-// (internal/cluster). Every message, in either direction, is a fixed
-// six-byte prelude and a body:
+// (internal/cluster). Every message, in either direction, is a prelude
+// of three to seven bytes and a body:
 //
-//	length  uint32 LE  size of the body in bytes
-//	version uint8      Version
-//	kind    uint8      the protocol's message kind
+//	version uint8  Version
+//	kind    uint8  the protocol's message kind
+//	length  uv     size of the body in bytes, below 2^32
 //	body    length bytes, laid out per kind by the protocol
 //
 // The package knows nothing about kinds or bodies. It reads frames off a
-// connection into one reused buffer, with the length prefix capped per
-// kind before any of the body is read; it starts and finishes frames in
-// a caller's buffer; and it gives body parsers a bounds-checked cursor.
+// connection into one reused buffer, with the length capped per kind
+// before any of the body is read; it starts and finishes frames in a
+// caller's buffer; and it gives body parsers a bounds-checked cursor.
 // Bodies are built from unsigned varints (uv, minimal: no longer than
 // the value needs), strings (a uv length, then that many bytes) and
 // IEEE-754 doubles, little-endian (f64).
@@ -33,9 +33,14 @@ const (
 	// 3: a pair's value may be a varint (magic "CSKV", not "CSKP").
 	// 4: a pairs payload no longer carries the consensus identity (tag
 	// 'P', not magic "CSKV"); a push hello names it instead.
-	Version = 4
-	// Overhead is the prelude in front of every frame body.
-	Overhead = 4 + 1 + 1
+	// 5: the prelude is version | kind | uv length (it was a u32 length
+	// first), and a push delta or bye no longer names its node and epoch:
+	// the connection's hello does.
+	Version = 5
+	// MinOverhead and MaxOverhead bound the prelude in front of a frame
+	// body: three bytes for a body under 128 bytes, seven at most.
+	MinOverhead = 1 + 1 + 1
+	MaxOverhead = 1 + 1 + binary.MaxVarintLen32
 )
 
 // ErrMalformed marks input no conforming peer produces.
@@ -61,21 +66,38 @@ type Reader struct {
 // the peer closed between frames; a close inside one is
 // io.ErrUnexpectedEOF.
 func (fr *Reader) Next() (kind uint8, body []byte, err error) {
-	if err := fr.fill(Overhead); err != nil {
+	if err := fr.fill(MinOverhead); err != nil {
 		return 0, nil, err
 	}
-	p := fr.Buf[fr.off:]
-	n, version, kind := binary.LittleEndian.Uint32(p), p[4], p[5]
+	version, kind := fr.Buf[fr.off], fr.Buf[fr.off+1]
 	if version != Version {
 		return 0, nil, fmt.Errorf("%w: version %d", ErrMalformed, version)
 	}
 	if int(kind) >= len(fr.Limits) || fr.Limits[kind] == 0 {
 		return 0, nil, fmt.Errorf("%w: unexpected kind %d", ErrMalformed, kind)
 	}
-	if uint64(n) > uint64(fr.Limits[kind]) {
+	// The length a byte at a time, so nothing past it is waited for.
+	var n uint64
+	for i := 0; ; i++ {
+		if i == binary.MaxVarintLen32 {
+			return 0, nil, fmt.Errorf("%w: kind %d length runs past %d bytes", ErrMalformed, kind, i)
+		}
+		if err := fr.fill(2 + i + 1); err != nil {
+			return 0, nil, err
+		}
+		b := fr.Buf[fr.off+2+i]
+		n |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			if i > 0 && b == 0 {
+				return 0, nil, fmt.Errorf("%w: kind %d length in %d bytes, longer than it needs", ErrMalformed, kind, i+1)
+			}
+			fr.off += 2 + i + 1
+			break
+		}
+	}
+	if n > math.MaxUint32 || n > uint64(fr.Limits[kind]) {
 		return 0, nil, fmt.Errorf("%w: kind %d body of %d bytes, limit %d", ErrMalformed, kind, n, fr.Limits[kind])
 	}
-	fr.off += Overhead
 	if err := fr.fill(int(n)); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -95,7 +117,8 @@ func (fr *Reader) fill(n int) error {
 	fr.end = copy(fr.Buf, fr.Buf[fr.off:fr.end])
 	fr.off = 0
 	if n > len(fr.Buf) {
-		fr.Buf = append(make([]byte, 0, n), fr.Buf[:fr.end]...)[:n]
+		size := max(n, MaxOverhead) // a prelude grows the buffer once
+		fr.Buf = append(make([]byte, 0, size), fr.Buf[:fr.end]...)[:size]
 	}
 	for fr.end < n {
 		got, err := fr.R.Read(fr.Buf[fr.end:])
@@ -110,16 +133,21 @@ func (fr *Reader) fill(n int) error {
 	return nil
 }
 
-// Begin starts a frame of the given kind in buf's storage; End fills in
-// the length once the body is appended.
+// Begin starts a frame of the given kind in buf's storage, room left
+// for the longest length; End fills in the length once the body is
+// appended.
 func Begin(buf []byte, kind uint8) []byte {
-	return append(buf[:0], 0, 0, 0, 0, Version, kind)
+	return append(buf[:0], Version, kind, 0, 0, 0, 0, 0)
 }
 
-// End finishes the frame Begin started.
+// End finishes the frame Begin started: it writes the length and moves
+// the body up against it. The frame is the returned slice, which starts
+// where buf does.
 func End(buf []byte) []byte {
-	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-Overhead))
-	return buf
+	n := len(buf) - MaxOverhead
+	s := binary.PutUvarint(buf[2:], uint64(n))
+	copy(buf[2+s:], buf[MaxOverhead:])
+	return buf[:2+s+n]
 }
 
 // AppendString appends s as a str: a uv length, then the bytes.

@@ -240,13 +240,13 @@ func (s StreamScenario) activeNodes(w int) []int {
 }
 
 // proxyFrame is the most a fresh connection's first exchange puts on
-// the wire: a hello and one delta of m measurements, each with its ack,
-// sized from the push wire format's own overhead constants (a delta
-// travels as pairs only when that is smaller than the sketch, so the
-// sketch is the cap). A chaos budget below it could starve a node
-// forever.
+// the wire: a hello, which names the node, and one delta of m
+// measurements, which does not, each with its ack, sized from the push
+// wire format's own overhead constants (a delta travels as pairs only
+// when that is smaller than the sketch, so the sketch is the cap). A
+// chaos budget below it could starve a node forever.
 func proxyFrame(m int) int64 {
-	return int64(csoutlier.EncodedSketchLen(m) + 2*(stream.MaxDeltaOverhead+len(NodeID(0))))
+	return int64(csoutlier.EncodedSketchLen(m) + 2*stream.MaxDeltaOverhead + len(NodeID(0)))
 }
 
 // proxyBudgets draws a scenario's per-connection chaos byte budget
@@ -262,7 +262,7 @@ func proxyFrame(m int) int64 {
 // exercised (the checker asserts Kills ≥ 1).
 func proxyBudgets(m, flushes int) (min, max int64) {
 	frame := proxyFrame(m)
-	floorTotal := int64(flushes) * int64(stream.MinDeltaPayload+stream.MinDeltaOverhead+len(NodeID(0)))
+	floorTotal := int64(flushes) * int64(stream.MinDeltaPayload+stream.MinDeltaOverhead)
 	min, max = frame, 3*frame
 	if cap := floorTotal - frame; max > cap {
 		max = cap

@@ -13,15 +13,20 @@ import (
 
 // Client is the low-level delta-protocol client: one TCP connection,
 // one strictly serialized request/response exchange at a time, no
-// retries and no state. Sender builds the production retry/redial loop
-// on top of it; tests use it directly to inject duplicate, stale and
-// refused frames, and seqs out of order, which the aggregator folds at
-// most once.
+// retries. Sender builds the production retry/redial loop on top of it;
+// tests use it directly to inject duplicate, stale and refused frames,
+// and seqs out of order, which the aggregator folds at most once. Its
+// one piece of state is whom the connection speaks for: the (node,
+// epoch) of its last hello, if the aggregator admitted it.
 type Client struct {
 	conn    net.Conn
 	fr      frame.Reader
 	wbuf    []byte // the outgoing frame, reused across exchanges
 	timeout time.Duration
+
+	bound bool // the aggregator admitted a hello naming node and epoch
+	node  string
+	epoch uint64
 }
 
 // DialClient connects to an Aggregator's listener. timeout bounds each
@@ -33,50 +38,58 @@ func DialClient(ctx context.Context, addr string, timeout time.Duration) (*Clien
 		return nil, fmt.Errorf("stream: dial %s: %w", addr, err)
 	}
 	c := &Client{conn: conn, timeout: timeout}
-	c.fr = frame.Reader{R: conn, Limits: replyLimits[:], Buf: make([]byte, frame.Overhead+maxAckBody)} // any ack in one Read
+	c.fr = frame.Reader{R: conn, Limits: replyLimits[:], Buf: make([]byte, frame.MaxOverhead+maxAckBody)} // any ack in one Read
 	return c, nil
 }
 
 // Hello announces (node, epoch) and returns the aggregator's current
-// window — sent on every connect and as an idle heartbeat. A Client has
-// no Sketcher, so it names no consensus: its deltas speak for
-// themselves (a sketch payload carries the identity, a pairs payload's
-// checksum covers it).
+// window — sent on every connect and as an idle heartbeat. An admitted
+// hello binds the connection to (node, epoch), a refused one unbinds
+// it. A Client has no Sketcher, so it names no consensus: its deltas
+// speak for themselves (a sketch payload carries the identity, a pairs
+// payload's checksum covers it).
 func (c *Client) Hello(node string, epoch uint64) (Ack, error) {
 	return c.hello(node, epoch, nil)
 }
 
 // hello is Hello naming the consensus identity id (none when empty).
 func (c *Client) hello(node string, epoch uint64, id []byte) (Ack, error) {
-	return c.exchange(&pushRequest{Kind: pushHello, Node: node, Epoch: epoch, ID: id})
+	if len(node) > maxNodeLen {
+		return Ack{}, fmt.Errorf("stream: node name is %d bytes, the wire carries at most %d", len(node), maxNodeLen)
+	}
+	ack, err := c.exchange(&pushRequest{Kind: pushHello, Node: node, Epoch: epoch, ID: id})
+	c.bound, c.node, c.epoch = err == nil && ack.Err == "", node, epoch
+	return ack, err
 }
 
-// PushDelta ships one window-tagged sketch delta. payload must be the
-// csoutlier binary codec bytes of the delta, in either of its
-// encodings; folds is how many
-// captures it sums (0 and 1 both mean a plain frame, >1 marks a relay's
-// sum of leaf deltas). A transport error poisons the
-// connection (the client must be re-dialed); an Ack with a non-empty
-// Err is a frame-level rejection on a healthy connection.
+// PushDelta ships one window-tagged sketch delta for (node, epoch),
+// after a hello if the connection speaks for another or for none.
+// payload must be the csoutlier binary codec bytes of the delta, in
+// either of its encodings; folds is how many captures it sums (0 and 1
+// both mean a plain frame, >1 marks a relay's sum of leaf deltas). A
+// transport error poisons the connection (the client must be
+// re-dialed); an Ack with a non-empty Err is a frame-level rejection on
+// a healthy connection — of the delta, or of the hello before it.
 func (c *Client) PushDelta(node string, epoch, window, seq uint64, folds uint32, payload []byte) (Ack, error) {
-	return c.exchange(&pushRequest{
-		Kind: pushDelta, Node: node, Epoch: epoch,
-		Window: window, Seq: seq, Folds: folds, Payload: payload,
-	})
+	if !c.bound || c.node != node || c.epoch != epoch {
+		if ack, err := c.Hello(node, epoch); err != nil || ack.Err != "" {
+			return ack, err
+		}
+	}
+	return c.exchange(&pushRequest{Kind: pushDelta, Window: window, Seq: seq, Folds: folds, Payload: payload})
 }
 
-// bye announces a graceful leave for (node, epoch). The aggregator
-// retires the membership; the ack carries the final window view.
-func (c *Client) bye(node string, epoch uint64) (Ack, error) {
-	return c.exchange(&pushRequest{Kind: pushBye, Node: node, Epoch: epoch})
+// bye announces a graceful leave for the (node, epoch) the connection
+// speaks for. The aggregator retires the membership; the ack carries
+// the final window view. On a connection with no admitted hello the
+// aggregator takes the bye for malformed and hangs up.
+func (c *Client) bye() (Ack, error) {
+	return c.exchange(&pushRequest{Kind: pushBye})
 }
 
 // exchange writes req as one frame with one Write and reads the ack
 // under the deadline; the reader refuses any other reply kind.
 func (c *Client) exchange(req *pushRequest) (Ack, error) {
-	if len(req.Node) > maxNodeLen {
-		return Ack{}, fmt.Errorf("stream: node name is %d bytes, the wire carries at most %d", len(req.Node), maxNodeLen)
-	}
 	c.wbuf = appendRequest(c.wbuf, req)
 	if c.timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))

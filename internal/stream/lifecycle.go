@@ -105,8 +105,11 @@ func (a *Aggregator) Serve(ln net.Listener) error {
 // it into one M-float sketch per connection (made at the first delta),
 // then folded, on this goroutine: the next frame is not read until the
 // current one is folded and acked, which is the backpressure a pusher
-// sees. Input no conforming node produces (another protocol, an
-// oversized or truncated frame) closes the connection.
+// sees. The connection speaks for the (node, epoch) of its last hello
+// if that hello was admitted, and a delta or bye takes both from it.
+// Input no conforming node produces (another protocol, an oversized or
+// truncated frame, a delta or bye with no admitted hello before it)
+// closes the connection.
 func (a *Aggregator) handle(conn net.Conn) {
 	l := &a.life
 	defer l.wg.Done()
@@ -116,11 +119,14 @@ func (a *Aggregator) handle(conn net.Conn) {
 		l.connMu.Unlock()
 		conn.Close()
 	}()
-	fr := frame.Reader{R: conn, Limits: a.limits[:], Buf: make([]byte, frame.Overhead+a.limits[pushDelta])}
+	fr := frame.Reader{R: conn, Limits: a.limits[:], Buf: make([]byte, frame.MaxOverhead+a.limits[pushDelta])}
 	var (
 		req   pushRequest
 		wbuf  []byte
 		delta csoutlier.Sketch
+		bound bool // the last hello, naming node and epoch, was admitted
+		node  string
+		epoch uint64
 	)
 	for {
 		if a.opts.IdleTimeout > 0 {
@@ -130,6 +136,12 @@ func (a *Aggregator) handle(conn net.Conn) {
 		kind := pushKind(k)
 		if err == nil {
 			err = parseRequest(kind, body, &req)
+		}
+		if err == nil && kind != pushHello {
+			if !bound {
+				err = fmt.Errorf("%w: kind %d before an admitted hello", errMalformed, kind)
+			}
+			req.Node, req.Epoch = node, epoch
 		}
 		if err != nil {
 			// A clean EOF, a deadline or a reset is a node going away (it
@@ -143,6 +155,7 @@ func (a *Aggregator) handle(conn net.Conn) {
 		switch kind {
 		case pushHello:
 			ack = a.hello(req)
+			bound, node, epoch = ack.Err == "", req.Node, req.Epoch
 		case pushBye:
 			ack = a.bye(req)
 		case pushDelta:

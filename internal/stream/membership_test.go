@@ -238,10 +238,10 @@ func TestTombstoneEpochFencing(t *testing.T) {
 	if ack, err := c.PushDelta("node00", 2, 1, 1, 1, payload); err != nil || !ack.Applied {
 		t.Fatalf("seed frame: ack=%+v err=%v", ack, err)
 	}
-	if ack, err := c.bye("node00", 2); err != nil || ack.Err != "" || ack.Status != statusBye {
+	if ack, err := c.bye(); err != nil || ack.Err != "" || ack.Status != statusBye {
 		t.Fatalf("bye: ack=%+v err=%v", ack, err)
 	}
-	if ack, err := c.bye("node00", 2); err != nil || ack.Err != "" {
+	if ack, err := c.bye(); err != nil || ack.Err != "" {
 		t.Fatalf("second bye not idempotent: ack=%+v err=%v", ack, err)
 	}
 	if ack, err := c.Hello("node00", 1); err != nil || ack.Err == "" {

@@ -265,7 +265,7 @@ func (n *Node) Leave(ctx context.Context) error {
 	}
 	if err == nil {
 		var ack Ack
-		if ack, err = c.bye(snd.id, n.opts.Epoch); err == nil && ack.Err != "" {
+		if ack, err = c.bye(); err == nil && ack.Err != "" {
 			err = fmt.Errorf("stream: node %s bye rejected: %s", snd.id, ack.Err)
 		}
 	}

@@ -352,6 +352,7 @@ func (s *Sender) Sync(ctx context.Context) error {
 		return err
 	}
 	if ack.Err != "" {
+		s.disconnect() // unbound now: the next exchange dials and says hello anew
 		return fmt.Errorf("stream: node %s rejected: %s", s.id, ack.Err)
 	}
 	s.noteAck(nil, ack)

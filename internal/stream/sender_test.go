@@ -132,6 +132,24 @@ func TestSenderRules(t *testing.T) {
 				t.Errorf("after the link came back: %+v, want the one frame settled", st)
 			}
 		}},
+		{"a refused heartbeat hello drops the connection it unbound", NodeOptions{}, func(t *testing.T, r *senderRig) {
+			c, err := DialClient(r.ctx(time.Second), r.gate.addr, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if ack, err := c.Hello("sender00", r.s.opts.Epoch+1); err != nil || ack.Err != "" {
+				t.Fatalf("a later incarnation's hello: %+v, %v", ack, err)
+			}
+			if err := r.s.Sync(r.ctx(time.Second)); err == nil || !strings.Contains(err.Error(), "rejected") {
+				t.Fatalf("Sync under a later incarnation: %v, want its hello rejected", err)
+			}
+			r.s.sendMu.Lock()
+			defer r.s.sendMu.Unlock()
+			if r.s.client != nil {
+				t.Error("the connection stayed open, unbound, after its hello was refused")
+			}
+		}},
 		{"an epoch bump requeues retained ahead of pending, in seq order", NodeOptions{}, func(t *testing.T, r *senderRig) {
 			r.enqueue(r.delta)
 			snap := r.commit() // covers nothing yet: seq 1 is still pending

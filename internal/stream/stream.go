@@ -12,7 +12,8 @@
 // and pushes it to the Aggregator over a persistent TCP connection, as
 // one fixed binary frame (wire.go) the aggregator folds straight from
 // its read buffer.
-// Every delta frame is tagged with (node, epoch, window, seq):
+// Every delta is tagged with (node, epoch, window, seq), the first two
+// named once per connection by its hello:
 //
 //   - window is the wall-clock window the observations belong to, as
 //     assigned by the aggregator's rotation clock and learned by nodes
@@ -50,7 +51,9 @@ package stream
 //
 //	hello  — announce (node, epoch) and, from a Sender, the consensus
 //	         identity (M, N, seed, ensemble, depth); learn the current
-//	         window. Sent on every (re)connect and as an idle heartbeat.
+//	         window. Sent on every (re)connect and as an idle heartbeat;
+//	         once admitted, the deltas and bye that follow on the
+//	         connection speak for that (node, epoch).
 //	         Also the join path: a node the aggregator has never seen
 //	         becomes a member on its first hello, unless it named
 //	         another consensus.
@@ -81,8 +84,8 @@ const (
 // frame is acked.
 type pushRequest struct {
 	Kind    pushKind
-	Node    string
-	Epoch   uint64
+	Node    string // a hello's, or for delta and bye the connection's (not on the wire)
+	Epoch   uint64 // likewise
 	Window  uint64 // delta only: window ID the observations belong to
 	Seq     uint64 // delta only: per-(node, epoch) sequence number, from 1
 	Folds   uint32 // delta only: captures summed into this frame (0/1 = plain, >1 = a relay's sum)

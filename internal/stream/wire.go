@@ -10,24 +10,27 @@ import (
 )
 
 // The wire format. Every frame, in either direction, is
-// internal/frame's six-byte prelude (u32 body length, version, kind)
-// and a body, laid out per kind:
+// internal/frame's prelude (version, kind, uv body length) and a body,
+// laid out per kind:
 //
 //	hello 1         str node | uv epoch | identity: the rest of the body,
 //	                none or csoutlier.IdentityLen bytes
-//	bye 3           str node | uv epoch
-//	delta 2         str node | uv epoch | uv window | uv seq | uv folds |
+//	bye 3           (empty)
+//	delta 2         uv window | uv seq | uv folds |
 //	                payload: the rest of the body, csoutlier's delta codec
 //	ack 5           u8 status (low bits: index into ackStatuses; bit 7: Applied) |
 //	                uv window | uv aggEpoch | uv stable | err: the rest of the body
 //
 // uv is an unsigned varint, no longer than its value needs; str a uv
-// length then that many bytes. A peer that sends anything else —
-// another version, an unknown kind (the retired query kinds 4 and 6
-// among them), a body over the kind's limit, a truncated or trailing
-// field, a hello identity of any other length — is disconnected; there
-// is no negotiation. So every request that parses re-encodes to its
-// own bytes.
+// length then that many bytes. A connection speaks for the (node, epoch)
+// of its last hello, once the aggregator admits that hello: a delta or
+// bye names neither, the aggregator takes both from the connection. A
+// peer that sends anything else — another version, an unknown kind (the
+// retired query kinds 4 and 6 among them), a body over the kind's limit,
+// a truncated or trailing field, a hello identity of any other length,
+// a delta or bye on a connection whose last hello was refused or that
+// sent none — is disconnected; there is no negotiation. So every request
+// that parses re-encodes to its own bytes.
 //
 // The identity is the 25 bytes a csoutlier sketch payload opens with
 // ("CSK2", M, N, seed, ensemble, depth): the consensus, fixed for a
@@ -46,9 +49,9 @@ import (
 // are paid for in CPU one hop up: whoever folds a pairs payload
 // measures it (O(M) per pair), work the leaf no longer does. Each
 // prelude version marks a pairs layout: 2 "CSKP" (f64 values), 3 "CSKV"
-// (varint values behind the identity), 4 the tag. A peer of an earlier
-// one is disconnected at its first frame, not acked "bad sketch magic"
-// frame after frame.
+// (varint values behind the identity), 4 and 5 the tag. A peer of an
+// earlier one is disconnected at its first frame, not acked "bad sketch
+// magic" frame after frame.
 
 // Frame-size accounting, exported for harnesses that budget bytes per
 // connection (internal/simtest's chaos proxies).
@@ -57,10 +60,11 @@ const (
 	maxNodeLen = 256
 	// MinDeltaOverhead and MaxDeltaOverhead bound what one delta exchange
 	// — the frame and its Err-free ack — puts on the wire on top of the
-	// node name and the delta payload. A hello exchange, identity
-	// included, or a bye exchange fits in MaxDeltaOverhead plus the name.
-	MinDeltaOverhead = 2*frame.Overhead + (1 + 4) + (1 + 3)
-	MaxDeltaOverhead = 2*frame.Overhead + (binary.MaxVarintLen16 + 4*binary.MaxVarintLen64) + (1 + 3*binary.MaxVarintLen64)
+	// delta payload. A hello exchange, identity included, fits in
+	// MaxDeltaOverhead plus the node name, and a bye exchange in
+	// MaxDeltaOverhead.
+	MinDeltaOverhead = 2*frame.MinOverhead + 3 + (1 + 3)
+	MaxDeltaOverhead = 2*frame.MaxOverhead + maxHelloHeader + (1 + 3*binary.MaxVarintLen64)
 	// MinDeltaPayload is the smallest payload a flush carries: one
 	// observation as a pair. The largest is csoutlier.EncodedSketchLen(M)
 	// — pairs are only ever sent when smaller.
@@ -68,9 +72,12 @@ const (
 )
 
 const (
-	maxNodeHeader  = binary.MaxVarintLen16 + maxNodeLen + binary.MaxVarintLen64 // str node | uv epoch
-	maxDeltaHeader = maxNodeHeader + 3*binary.MaxVarintLen64                    // … | window | seq | folds
-	maxAckErr      = 1024                                                       // longer rejection texts are cut
+	// maxHelloHeader is a hello's body but the name's bytes: str's
+	// length, uv epoch and the identity. It bounds a delta's three uvs
+	// too (38 ≥ 30 bytes).
+	maxHelloHeader = binary.MaxVarintLen16 + binary.MaxVarintLen64 + csoutlier.IdentityLen
+	maxDeltaHeader = 3 * binary.MaxVarintLen64 // uv window | uv seq | uv folds
+	maxAckErr      = 1024                      // longer rejection texts are cut
 	maxAckBody     = 1 + 3*binary.MaxVarintLen64 + maxAckErr
 	ackApplied     = 0x80
 )
@@ -82,16 +89,17 @@ var ackStatuses = [...]string{"", statusApplied, StatusDuplicate, statusDroppedO
 var errMalformed = frame.ErrMalformed
 
 // frameLimits is the largest body accepted per kind; 0 = the kind is
-// not accepted at all (every real body is at least two bytes).
+// not accepted at all.
 type frameLimits [replyAck + 1]int
 
 // requestLimits are the bodies an aggregator of m-measurement sketches
-// accepts: the length prefix is capped from the consensus before any
-// of the body is read.
+// accepts: the length is capped from the consensus before any of the
+// body is read. A bye carries nothing; its cap only has to be non-zero
+// for the kind to be accepted, and the parser refuses the byte.
 func requestLimits(m int) frameLimits {
 	return frameLimits{
-		pushHello: maxNodeHeader + csoutlier.IdentityLen,
-		pushBye:   maxNodeHeader,
+		pushHello: maxHelloHeader + maxNodeLen,
+		pushBye:   1,
 		pushDelta: maxDeltaHeader + csoutlier.EncodedSketchLen(m),
 	}
 }
@@ -99,15 +107,16 @@ func requestLimits(m int) frameLimits {
 // replyLimits is the one body a client accepts: an ack.
 var replyLimits = frameLimits{replyAck: maxAckBody}
 
-// appendRequest encodes req as one frame into buf's storage.
+// appendRequest encodes req as one frame into buf's storage. Only a
+// hello names req.Node and req.Epoch.
 func appendRequest(buf []byte, req *pushRequest) []byte {
 	buf = frame.Begin(buf, uint8(req.Kind))
-	buf = frame.AppendString(buf, req.Node)
-	buf = binary.AppendUvarint(buf, req.Epoch)
-	if req.Kind == pushHello {
+	switch req.Kind {
+	case pushHello:
+		buf = frame.AppendString(buf, req.Node)
+		buf = binary.AppendUvarint(buf, req.Epoch)
 		buf = append(buf, req.ID...)
-	}
-	if req.Kind == pushDelta {
+	case pushDelta:
 		buf = binary.AppendUvarint(buf, req.Window)
 		buf = binary.AppendUvarint(buf, req.Seq)
 		buf = binary.AppendUvarint(buf, uint64(req.Folds))
@@ -117,28 +126,24 @@ func appendRequest(buf []byte, req *pushRequest) []byte {
 }
 
 // parseRequest decodes a request body into req, overwriting every
-// field. req.Payload and req.ID alias body. The node name reuses req's previous
-// one when unchanged — a connection speaks for one node, so the steady
-// state allocates nothing.
+// field: a delta or bye leaves req.Node and req.Epoch empty, for the
+// caller to fill from the connection's hello. req.Payload and req.ID
+// alias body.
 func parseRequest(kind pushKind, body []byte, req *pushRequest) error {
 	r := frame.Cursor{B: body}
-	node := req.Node
 	*req = pushRequest{Kind: kind}
-	name := r.Str()
-	if len(name) > maxNodeLen {
-		return fmt.Errorf("%w: node name of %d bytes, limit %d", errMalformed, len(name), maxNodeLen)
-	}
-	if string(name) != node {
-		node = string(name)
-	}
-	req.Node = node
-	req.Epoch = r.Uvarint()
-	if kind == pushHello {
+	switch kind {
+	case pushHello:
+		name := r.Str()
+		if len(name) > maxNodeLen {
+			return fmt.Errorf("%w: node name of %d bytes, limit %d", errMalformed, len(name), maxNodeLen)
+		}
+		req.Node = string(name)
+		req.Epoch = r.Uvarint()
 		if req.ID = r.Take(len(r.B)); len(req.ID) != 0 && len(req.ID) != csoutlier.IdentityLen {
 			return fmt.Errorf("%w: hello identity of %d bytes", errMalformed, len(req.ID))
 		}
-	}
-	if kind == pushDelta {
+	case pushDelta:
 		req.Window = r.Uvarint()
 		req.Seq = r.Uvarint()
 		folds := r.Uvarint()

@@ -28,10 +28,40 @@ func sampleFrames(t testing.TB, sk *csoutlier.Sketcher) map[pushKind][]byte {
 	payload := uniformDelta(t, sk, 1.5)
 	return map[pushKind][]byte{
 		pushHello: appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: sk.AppendIdentity(nil)}),
-		pushBye:   appendRequest(nil, &pushRequest{Kind: pushBye, Node: "node00", Epoch: 3}),
-		pushDelta: appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 70000, Seq: 1 << 40, Folds: 5, Payload: payload}),
+		pushBye:   appendRequest(nil, &pushRequest{Kind: pushBye}),
+		pushDelta: appendRequest(nil, &pushRequest{Kind: pushDelta, Window: 70000, Seq: 1 << 40, Folds: 5, Payload: payload}),
 		replyAck:  appendAck(nil, &Ack{Window: 9, Applied: true, Status: statusApplied, AggEpoch: 2, Stable: 1 << 33}),
 	}
+}
+
+// bodyOf is a frame's body: what follows the version, the kind and the
+// length.
+func bodyOf(wire []byte) []byte {
+	_, n := binary.Uvarint(wire[2:])
+	return wire[2+n:]
+}
+
+// prelude is a frame's first bytes as a peer may send them, a body
+// length that need not be the body's, then body.
+func prelude(n uint64, version byte, kind pushKind, body ...byte) []byte {
+	return append(binary.AppendUvarint([]byte{version, byte(kind)}, n), body...)
+}
+
+// withLength is wire with its prelude claiming a body of n bytes.
+func withLength(wire []byte, n uint64) []byte {
+	return prelude(n, wire[0], pushKind(wire[1]), bodyOf(wire)...)
+}
+
+// oldFrame is a frame of a version before 5: a u32 body length, then the
+// version, the kind and the body.
+func oldFrame(version byte, kind pushKind, body []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), append([]byte{version, byte(kind)}, body...)...)
+}
+
+// oldBody is how a request body of a version before 5 opened, whatever
+// its kind: str node | uv epoch, then rest.
+func oldBody(node string, epoch uint64, rest ...byte) []byte {
+	return append(binary.AppendUvarint(frame.AppendString(nil, node), epoch), rest...)
 }
 
 // The kinds of the retired point-query RPC: a watch-list query and its
@@ -185,7 +215,7 @@ func TestWireRoundTrip(t *testing.T) {
 	// Every status string survives the trip; rejection text does too.
 	for _, status := range ackStatuses {
 		in := Ack{Status: status, Err: "stream: no", Window: 1}
-		out, err := parseAck(appendAck(nil, &in)[frame.Overhead:])
+		out, err := parseAck(bodyOf(appendAck(nil, &in)))
 		if err != nil || out != in {
 			t.Fatalf("status %q: got %+v err %v", status, out, err)
 		}
@@ -201,16 +231,20 @@ func FuzzPushFrame(f *testing.F) {
 	for _, frame := range sampleFrames(f, sk) {
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2])
-		long := append([]byte(nil), frame...)
-		binary.LittleEndian.PutUint32(long, 1<<31)
-		f.Add(long)
+		f.Add(withLength(frame, 1<<31))
 	}
 	for _, frame := range retiredFrames() {
 		f.Add(frame)
 	}
-	f.Add([]byte{2, 0, 0, 0, frame.Version, byte(pushHello), 0x80, 0x80})
-	// An epoch varint longer than it needs.
-	f.Add([]byte{4, 0, 0, 0, frame.Version, byte(pushHello), 1, 'n', 0x81, 0x00})
+	f.Add(prelude(2, frame.Version, pushHello, 0x80, 0x80))
+	// An epoch varint longer than it needs, a body length longer than it
+	// needs, a bye with a body, and a delta and a bye of version 4, which
+	// named the node and epoch behind a u32 length.
+	f.Add(prelude(4, frame.Version, pushHello, 1, 'n', 0x81, 0x00))
+	f.Add([]byte{frame.Version, byte(pushHello), 0x84, 0x00, 1, 'n', 1, 0})
+	f.Add(prelude(1, frame.Version, pushBye, 0))
+	f.Add(oldFrame(4, pushDelta, oldBody("n", 3, append([]byte{1, 1, 1}, uniformDelta(f, sk, 1)...)...)))
+	f.Add(oldFrame(4, pushBye, oldBody("n", 3)))
 	// A node name at the limit and one byte past it, a hello naming no
 	// identity and one of a byte too few or too many, folds past 32 bits,
 	// and an ack status no conforming aggregator sends.
@@ -221,21 +255,21 @@ func FuzzPushFrame(f *testing.F) {
 	for _, id := range [][]byte{nil, ident[:len(ident)-1], append(ident, 0)} {
 		f.Add(appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: id}))
 	}
-	wide := frame.AppendString(frame.Begin(nil, uint8(pushDelta)), "node00")
-	for _, v := range []uint64{3, 1, 1, 1 << 32} { // epoch, window, seq, folds
+	wide := frame.Begin(nil, uint8(pushDelta))
+	for _, v := range []uint64{1, 1, 1 << 32} { // window, seq, folds
 		wide = binary.AppendUvarint(wide, v)
 	}
 	f.Add(frame.End(append(wide, uniformDelta(f, sk, 1)...)))
 	badStatus := appendAck(nil, &Ack{Window: 1})
-	badStatus[frame.Overhead] = byte(len(ackStatuses))
+	badStatus[frame.MinOverhead] = byte(len(ackStatuses))
 	f.Add(badStatus)
 	// A delta whose payload passes its checksum around a non-finite float.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		f.Add(appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 1, Seq: 1, Folds: 1, Payload: uniformDelta(f, sk, v)}))
+		f.Add(appendRequest(nil, &pushRequest{Kind: pushDelta, Window: 1, Seq: 1, Folds: 1, Payload: uniformDelta(f, sk, v)}))
 	}
 	// Deltas in the pairs encoding: a good one, and each hostile one.
 	pairsDelta := func(payload []byte) []byte {
-		return appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 1, Seq: 1, Folds: 1, Payload: payload})
+		return appendRequest(nil, &pushRequest{Kind: pushDelta, Window: 1, Seq: 1, Folds: 1, Payload: payload})
 	}
 	f.Add(pairsDelta(rawPairs(sk, pairsBody(2, []uint64{3, 60}, []float64{1.5, -2.25}))))
 	for _, bad := range hostilePairs(f, sk, testSketcher(f, 64, 32, 6), testSketcher(f, 64, 36, 5)) {
@@ -247,7 +281,7 @@ func FuzzPushFrame(f *testing.F) {
 	}
 	delta := sk.ZeroSketch()
 	limits := allKinds()
-	largest := 0
+	largest := frame.MaxOverhead
 	for _, l := range limits {
 		if l > largest {
 			largest = l
@@ -268,7 +302,7 @@ func FuzzPushFrame(f *testing.F) {
 			switch kind {
 			case replyAck:
 				if ack, err := parseAck(body); err == nil {
-					if again, err := parseAck(appendAck(nil, &ack)[frame.Overhead:]); err != nil || again != ack {
+					if again, err := parseAck(bodyOf(appendAck(nil, &ack))); err != nil || again != ack {
 						t.Fatalf("ack %+v re-encodes to %+v (%v)", ack, again, err)
 					}
 				}
@@ -293,7 +327,7 @@ func FuzzPushFrame(f *testing.F) {
 					}
 				}
 				// What parsed is canonical: it re-encodes to its own bytes.
-				if again := appendRequest(nil, &req)[frame.Overhead:]; !bytes.Equal(again, body) {
+				if again := bodyOf(appendRequest(nil, &req)); !bytes.Equal(again, body) {
 					t.Fatalf("kind %d: %+v re-encodes to\n%x, not\n%x", kind, req, again, body)
 				}
 			}
@@ -352,26 +386,17 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 	sk := testSketcher(t, 64, 32, 5)
 	agg, addr := serveAgg(t, sk, AggregatorOptions{})
 	good, retired := sampleFrames(t, sk), retiredFrames()
-	prelude := func(n uint32, version byte, kind pushKind, body ...byte) []byte {
-		return append(binary.LittleEndian.AppendUint32(nil, n), append([]byte{version, byte(kind)}, body...)...)
-	}
-	oversized := append([]byte(nil), good[pushDelta]...)
-	binary.LittleEndian.PutUint32(oversized, uint32(agg.limits[pushDelta]+1))
 	// What a peer of an earlier version sends first: its hello, or a
 	// delta of pairs in the layout of that version, each under its
 	// version's prelude. Version 2 carried values as f64s ("CSKP"),
-	// version 3 as varints ("CSKV"), each behind the identity.
-	version := func(v byte, b []byte) []byte {
-		b = append([]byte(nil), b...)
-		b[4] = v
-		return b
-	}
+	// version 3 as varints ("CSKV"), each behind the identity; version 4
+	// is this layout, a node and epoch in every delta and a u32 length.
 	oldDelta := func(v byte, payload []byte) []byte {
-		return version(v, appendRequest(nil, &pushRequest{Kind: pushDelta, Node: "node00", Epoch: 3, Window: 1, Seq: 1, Folds: 1, Payload: payload}))
+		return oldFrame(v, pushDelta, oldBody("node00", 3, append([]byte{1, 1, 1}, payload...)...))
 	}
-	bareHello := appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3})
 	cskp := oldPairs(sk, "CSKP", frame.AppendF64([]byte{1, 3}, 1.5))
 	cskv := oldPairs(sk, "CSKV", pairsBody(1, []uint64{3}, []float64{2}))
+	pairs := rawPairs(sk, pairsBody(1, []uint64{3}, []float64{2}))
 	// A hello naming an identity of a byte too few or too many, or of one
 	// byte.
 	ident := sk.AppendIdentity(nil)
@@ -384,19 +409,26 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		closeSend bool // half-close after writing: the frame is cut short
 	}{
 		{"unknown version", prelude(2, 9, pushHello, 0, 1), false},
-		{"version-2 hello", version(2, bareHello), false},
+		{"version-2 hello", oldFrame(2, pushHello, oldBody("node00", 3)), false},
 		{"version-2 delta of CSKP pairs", oldDelta(2, cskp), false},
-		{"version-3 hello", version(3, bareHello), false},
+		{"version-3 hello", oldFrame(3, pushHello, oldBody("node00", 3)), false},
 		{"version-3 delta of CSKV pairs", oldDelta(3, cskv), false},
+		{"version-4 hello", oldFrame(4, pushHello, oldBody("node00", 3, ident...)), false},
+		{"version-4 delta of pairs", oldDelta(4, pairs), false},
 		{"hello naming a 1-byte identity", helloNaming(ident[:1]), false},
 		{"hello naming a 24-byte identity", helloNaming(ident[:24]), false},
 		{"hello naming a 26-byte identity", helloNaming(append(ident, 0)), false},
 		{"unknown kind", prelude(2, frame.Version, 77, 0, 1), false},
 		{"reply kind as a request", good[replyAck], false},
-		{"oversized delta", oversized, false},
+		{"oversized delta", withLength(good[pushDelta], uint64(agg.limits[pushDelta]+1)), false},
+		{"length longer than it needs", []byte{frame.Version, byte(pushHello), 0x88, 0x00}, false},
+		{"length past uint32", prelude(1<<32, frame.Version, pushDelta), false},
+		{"bye with a body", prelude(1, frame.Version, pushBye, 0), false},
+		{"delta before any hello", good[pushDelta], false},
+		{"bye before any hello", good[pushBye], false},
 		{"oversized hello", prelude(1<<20, frame.Version, pushHello), false},
 		{"truncated delta", good[pushDelta][:len(good[pushDelta])-9], true},
-		{"truncated prelude", good[pushHello][:3], true},
+		{"truncated prelude", good[pushHello][:2], true},
 		{"varint runs off the body", prelude(2, frame.Version, pushHello, 0x80, 0x80), false},
 		{"name longer than the body", prelude(2, frame.Version, pushHello, 40, 'x'), false},
 		{"trailing bytes after a hello", prelude(4, frame.Version, pushHello, 1, 'x', 1, 0), false},
@@ -434,6 +466,164 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		t.Fatal("a node name past maxNodeLen was sent")
 	}
 	malformedCount(t, agg, int64(len(cases)))
+	if st := agg.Stats(); st.Frames != 0 {
+		t.Fatalf("the malformed peers got %d frames processed, want none", st.Frames)
+	}
+}
+
+// TestRefusedHelloUnbinds: a delta or bye speaks for the (node, epoch)
+// of its connection's last hello, and only if the aggregator admitted
+// it. After a refused one — it named another consensus, or an epoch a
+// successor already owns — a delta or bye is not the push protocol,
+// even on a connection an earlier hello bound: the connection closes,
+// the malformed counter moves, and nothing folds or leaves.
+func TestRefusedHelloUnbinds(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 5)
+	agg, addr := serveAgg(t, sk, AggregatorOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := DialClient(ctx, addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// node00's epoch 2 owns its sequence space.
+	if ack, err := c.PushDelta("node00", 2, 1, 1, 1, uniformDelta(t, sk, 1)); err != nil || !ack.Applied {
+		t.Fatalf("seed frame: %+v, %v", ack, err)
+	}
+	before, err := agg.WindowSketch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := map[string]pushRequest{
+		"another consensus": {Kind: pushHello, Node: "node01", Epoch: 1, ID: testSketcher(t, 64, 32, 6).AppendIdentity(nil)},
+		"a stale epoch":     {Kind: pushHello, Node: "node00", Epoch: 1},
+	}
+	next := map[string]pushRequest{
+		"delta": {Kind: pushDelta, Window: 1, Seq: 2, Folds: 1, Payload: uniformDelta(t, sk, 2)},
+		"bye":   {Kind: pushBye},
+	}
+	malformed := int64(0)
+	for why, hello := range refused {
+		for what, req := range next {
+			for _, first := range []string{"", "node02"} {
+				name := fmt.Sprintf("%s after a hello naming %s", what, why)
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fr := frame.Reader{R: conn, Limits: replyLimits[:]}
+				send := func(req pushRequest, refused bool) {
+					t.Helper()
+					if _, err := conn.Write(appendRequest(nil, &req)); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					_, body, err := fr.Next()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if ack, err := parseAck(body); err != nil || refused != (ack.Err != "") {
+						t.Fatalf("%s: hello acked %+v, %v; want refused=%v", name, ack, err, refused)
+					}
+				}
+				if first != "" {
+					// An admitted hello first: the refused one unbinds it.
+					name += " after an admitted one"
+					send(pushRequest{Kind: pushHello, Node: first, Epoch: 1}, false)
+				}
+				send(hello, true)
+				if _, err := conn.Write(appendRequest(nil, &req)); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				expectClosed(t, name, conn)
+				conn.Close()
+				malformed++
+				malformedCount(t, agg, malformed)
+			}
+		}
+	}
+	after, err := agg.WindowSketch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "window after the unbound frames", after, before)
+	if st := agg.Stats(); st.Frames != 1 || st.Applied != 1 {
+		t.Fatalf("stats %+v, want the seed frame alone", st)
+	}
+	for _, st := range agg.Nodes() {
+		if st.State != StateLive || st.Node == "node01" {
+			t.Fatalf("node %s is %s; a refused hello joined it or an unbound bye retired it", st.Node, st.State)
+		}
+	}
+}
+
+// TestClientSpeaksForOneNode: a Client says hello only when a push names
+// a (node, epoch) its connection does not speak for already. Hello then
+// PushDelta of the same pair — what a benchmark pusher does — puts one
+// delta on the wire per push; a PushDelta naming another pair, or
+// following a refused hello, one hello first.
+func TestClientSpeaksForOneNode(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 5)
+	agg, err := NewAggregator(sk, AggregatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &wireTap{}
+	go agg.Serve(tapListener{ln, tap})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	defer agg.Close(ctx)
+	c, err := DialClient(ctx, ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload := uniformDelta(t, sk, 1)
+	push := func(node string, epoch, seq uint64) func() (Ack, error) {
+		return func() (Ack, error) { return c.PushDelta(node, epoch, 1, seq, 1, payload) }
+	}
+	limits := allKinds()
+	for _, step := range []struct {
+		what    string
+		call    func() (Ack, error)
+		refused bool
+		want    []pushKind
+	}{
+		{"Hello(pusher, 1)", func() (Ack, error) { return c.Hello("pusher", 1) }, false, []pushKind{pushHello}},
+		{"PushDelta(pusher, 1) after it", push("pusher", 1, 1), false, []pushKind{pushDelta}},
+		{"PushDelta(pusher, 1) again", push("pusher", 1, 2), false, []pushKind{pushDelta}},
+		{"PushDelta(other, 1)", push("other", 1, 1), false, []pushKind{pushHello, pushDelta}},
+		{"PushDelta(other, 2)", push("other", 2, 1), false, []pushKind{pushHello, pushDelta}},
+		{"bye()", func() (Ack, error) { return c.bye() }, false, []pushKind{pushBye}},
+		{"Hello(other, 1), stale", func() (Ack, error) { return c.Hello("other", 1) }, true, []pushKind{pushHello}},
+		{"PushDelta(other, 2) after the refusal", push("other", 2, 2), false, []pushKind{pushHello, pushDelta}},
+		{"PushDelta(pusher, 1) back", push("pusher", 1, 3), false, []pushKind{pushHello, pushDelta}},
+	} {
+		var ack Ack
+		_, read := tap.exchange(func() { ack, err = step.call() })
+		if err != nil || step.refused != (ack.Err != "") {
+			t.Fatalf("%s: %+v, %v; want refused=%v", step.what, ack, err, step.refused)
+		}
+		var got []pushKind
+		fr := frame.Reader{R: bytes.NewReader(read), Limits: limits[:]}
+		for {
+			k, _, err := fr.Next()
+			if err != nil {
+				break
+			}
+			got = append(got, pushKind(k))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(step.want) {
+			t.Fatalf("%s put kinds %v on the wire, want %v", step.what, got, step.want)
+		}
+	}
+	if st := agg.Stats(); st.Applied != 6 || st.Hellos != 6 {
+		t.Fatalf("stats %+v, want 6 deltas applied after 6 hellos", st)
+	}
 }
 
 // ensembleSketchers is one Sketcher per ensemble over the same keys.
@@ -461,15 +651,20 @@ func ensembleSketchers(t *testing.T, m int, seed uint64) map[string]*csoutlier.S
 // folded straight from the read buffer, or through a relay's OnApplied
 // decode scratch — leaves windows Float64bits-identical to decoding
 // each payload and adding the Sketch, in either encoding; and a payload
-// with a flipped bit, another seed, another M or a NaN/±Inf measurement
-// — or, as pairs, any of hostilePairs' defects — is acked with Err, not
-// marked, and leaves every window bit-for-bit unchanged.
+// with a flipped bit, another seed, a smaller or a larger M or a
+// NaN/±Inf measurement — or, as pairs, any of hostilePairs' defects — is
+// acked with Err, not marked, and leaves every window bit-for-bit
+// unchanged. The larger M is three measurements wider, the most whose
+// frame still fits the delta's length cap; a frame past it is refused
+// from its prelude (TestMalformedFramesCloseConnection's "oversized
+// delta").
 func TestFoldFromWire(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	const m, windows = 32, 3
 	foreign := ensembleSketchers(t, m, 12)
-	wider := ensembleSketchers(t, m+4, 11)
+	wider := ensembleSketchers(t, m+3, 11)
+	narrower := ensembleSketchers(t, m-4, 11)
 	for name, sk := range ensembleSketchers(t, m, 11) {
 		direct, directAddr := serveAgg(t, sk, AggregatorOptions{Windows: windows})
 		mirrored := sk.ZeroSketch() // Σ of what OnApplied was shown
@@ -537,7 +732,7 @@ func TestFoldFromWire(t *testing.T) {
 			}
 			seq++
 			if round%3 == 0 {
-				// The same seq first arrives damaged six ways: each is
+				// The same seq first arrives damaged seven ways: each is
 				// refused without being marked, so the clean copy still folds.
 				flipped := append([]byte(nil), good...)
 				flipped[40+round] ^= 1 << (round % 8)
@@ -555,7 +750,7 @@ func TestFoldFromWire(t *testing.T) {
 					b, _ := s.MarshalBinary()
 					return b
 				}
-				for _, bad := range [][]byte{flipped, shaped(foreign[name]), shaped(wider[name]),
+				for _, bad := range [][]byte{flipped, shaped(foreign[name]), shaped(wider[name]), shaped(narrower[name]),
 					poisoned(math.NaN()), poisoned(math.Inf(1)), poisoned(math.Inf(-1))} {
 					push(bad, true, window)
 					rejected++
@@ -729,9 +924,9 @@ func (w *wireTap) exchange(fn func()) (total int, read []byte) {
 
 // TestDeltaWireBytes pins what a flush puts on the wire at the
 // benchmark's ingest_flat shape (M=256, N=4096, 16 observations a
-// flush, a six-byte node name): the observations themselves, 92 bytes
-// for the whole exchange when they are counts and 189 when they are
-// not, where the sketch frame takes 2,104 — and that from the size
+// flush): the observations themselves, 78 bytes for the whole exchange
+// when they are counts and 176 when they are not, where the sketch
+// frame takes 2,091 — and that from the size
 // crossover up, the frame is byte for byte the sketch frame a node that
 // measured every observation on arrival, drained and encoded would
 // have sent.
@@ -781,12 +976,16 @@ func TestDeltaWireBytes(t *testing.T) {
 		}
 	}
 	frameOf := func(seq uint64, payload []byte) []byte {
-		return appendRequest(nil, &pushRequest{Kind: pushDelta, Node: id, Epoch: 1, Window: 1, Seq: seq, Folds: 1, Payload: payload})
+		return appendRequest(nil, &pushRequest{Kind: pushDelta, Window: 1, Seq: seq, Folds: 1, Payload: payload})
 	}
 	const (
-		deltaHeader = (1 + len(id)) + 1 + 1 + 1 + 1  // str node | uv epoch | uv window | uv seq | uv folds
-		ack         = frame.Overhead + 1 + 1 + 1 + 1 // status | uv window | uv aggEpoch | uv stable
+		deltaHeader = 1 + 1 + 1                         // uv window | uv seq | uv folds
+		ack         = frame.MinOverhead + 1 + 1 + 1 + 1 // status | uv window | uv aggEpoch | uv stable
 	)
+	// The delta's prelude: version, kind and the body's length as a uv.
+	prelude := func(payload []byte) int {
+		return 2 + len(binary.AppendUvarint(nil, uint64(deltaHeader+len(payload))))
+	}
 
 	for i, c := range []struct {
 		what        string
@@ -794,8 +993,8 @@ func TestDeltaWireBytes(t *testing.T) {
 		body, total int
 	}{
 		// Tags 4×1 + 12×2 bytes; values 2×1 + 13×2 + 1×3 bytes, or 16×8.
-		{"counts", counts, 28 + 31, 92},
-		{"non-integers", vals, 28 + 128, 189},
+		{"counts", counts, 28 + 31, 78},
+		{"non-integers", vals, 28 + 128, 176},
 	} {
 		observe(node, 16, c.vals)
 		total, read := tap.exchange(flush)
@@ -806,7 +1005,7 @@ func TestDeltaWireBytes(t *testing.T) {
 		if !bytes.Equal(read, frameOf(uint64(1+i), pairs)) {
 			t.Fatalf("a flush of 16 %s sent\n%x\nwant the observations as pairs\n%x", c.what, read, frameOf(uint64(1+i), pairs))
 		}
-		if want := frame.Overhead + deltaHeader + len(pairs) + ack; total != want || want != c.total {
+		if want := prelude(pairs) + deltaHeader + len(pairs) + ack; total != want || want != c.total {
 			t.Fatalf("a flush of 16 %s put %d bytes on the wire, want %d (= %d)", c.what, total, want, c.total)
 		}
 	}
@@ -833,16 +1032,16 @@ func TestDeltaWireBytes(t *testing.T) {
 		}
 		total, read := tap.exchange(flush)
 		if i == 0 {
-			if total >= frame.Overhead+deltaHeader+len(payload)+ack || !csoutlier.PairsEncoded(read[frame.Overhead+deltaHeader:]) {
-				t.Fatalf("%d observations, one under the crossover: %d bytes on the wire, pairs=%v", n, total, csoutlier.PairsEncoded(read[frame.Overhead+deltaHeader:]))
+			if total >= prelude(payload)+deltaHeader+len(payload)+ack || !csoutlier.PairsEncoded(bodyOf(read)[deltaHeader:]) {
+				t.Fatalf("%d observations, one under the crossover: %d bytes on the wire, pairs=%v", n, total, csoutlier.PairsEncoded(bodyOf(read)[deltaHeader:]))
 			}
 			continue
 		}
 		if !bytes.Equal(read, frameOf(uint64(3+i), payload)) {
 			t.Fatalf("%d observations (crossover %d): the frame is not the parent's sketch frame", n, cross)
 		}
-		if want := frame.Overhead + deltaHeader + csoutlier.EncodedSketchLen(256) + ack; total != want || want != 2104 {
-			t.Fatalf("%d observations: %d bytes on the wire, want %d (= 2104)", n, total, want)
+		if want := prelude(payload) + deltaHeader + csoutlier.EncodedSketchLen(256) + ack; total != want || want != 2091 {
+			t.Fatalf("%d observations: %d bytes on the wire, want %d (= 2091)", n, total, want)
 		}
 	}
 	if st := node.Stats(); st.Captured != 5 || st.PairFrames != 3 || st.Applied != 5 {

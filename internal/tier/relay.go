@@ -44,8 +44,8 @@ type RelayOptions struct {
 	// back to the last Forward. The relay owns that file and its
 	// window clock (adopted from the parent, so the whole tree shares
 	// the root's rotation): the aggregator never snapshots or rotates on
-	// its own, so SnapshotEvery and WindowEvery are ignored, and the
-	// snapshot hooks are overridden.
+	// its own, so SnapshotEvery is ignored, a non-zero WindowEvery is
+	// refused, and the snapshot hooks are overridden.
 	Agg stream.AggregatorOptions
 }
 
@@ -171,6 +171,9 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 	if opts.Upstream == "" {
 		return nil, errors.New("tier: relay upstream address must be non-empty")
 	}
+	if opts.Agg.WindowEvery != 0 {
+		return nil, fmt.Errorf("tier: relay %s: Agg.WindowEvery is %v, want 0: a relay rotates when its upstream does", opts.ID, opts.Agg.WindowEvery)
+	}
 	r := &Relay{
 		sk:       sk,
 		opts:     opts,
@@ -190,11 +193,9 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 	// The relay owns its snapshot file: the embedded aggregator must
 	// never write one on its own (a snapshot not followed by the relay's
 	// commit discipline would advance nothing; without a path its
-	// SnapshotEvery never fires), and must never rotate on its own clock
-	// (windows are adopted from the parent).
+	// SnapshotEvery never fires).
 	aopts.Durable = aopts.Durable || aopts.SnapshotPath != ""
 	aopts.SnapshotPath = ""
-	aopts.WindowEvery = 0
 	aopts.OnApplied = r.onApplied
 	aopts.SnapshotExtra = r.snapshotExtra
 	aopts.OnSnapshotCommit = r.onSnapshotCommit

@@ -1260,3 +1260,25 @@ func TestRelayOfAnotherConsensusRefused(t *testing.T) {
 		t.Fatalf("root Nodes() = %+v, want none", sts)
 	}
 }
+
+// TestRelayRefusesItsOwnWindowClock: a relay rotates when its upstream
+// does, so a window period set on its embedded aggregator is refused by
+// name, not silently dropped, and the relay never says hello upstream.
+func TestRelayRefusesItsOwnWindowClock(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sk := tierSketcher(t, 64, 32, 13)
+	root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{})
+	opts := RelayOptions{ID: "r0", Upstream: rootAddr, Agg: stream.AggregatorOptions{WindowEvery: time.Minute}}
+	relay, err := NewRelay(ctx, sk, opts)
+	if err == nil {
+		relay.Close(ctx)
+		t.Fatal("NewRelay took a window period of its own")
+	}
+	if !strings.Contains(err.Error(), "WindowEvery") || !strings.Contains(err.Error(), "1m0s") {
+		t.Fatalf("NewRelay error %q does not name WindowEvery and its value", err)
+	}
+	if st := root.Stats(); st.Hellos != 0 {
+		t.Fatalf("the refused relay said %d hellos upstream", st.Hellos)
+	}
+}
