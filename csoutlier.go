@@ -491,8 +491,11 @@ func (s *Sketcher) reportFromResult(res *recovery.Result, k int) *Report {
 		Residual:   res.Residual,
 		Selection:  append([]int(nil), res.Selection...),
 	}
-	for _, kv := range top {
-		rep.Outliers = append(rep.Outliers, Outlier{Key: s.dict.Key(kv.Index), Value: kv.Value})
+	if len(top) > 0 {
+		rep.Outliers = make([]Outlier, len(top))
+	}
+	for i, kv := range top {
+		rep.Outliers[i] = Outlier{Key: s.dict.Key(kv.Index), Value: kv.Value}
 	}
 	return rep
 }

@@ -90,7 +90,7 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	before = misses.Value()
 	turn, want := 0, 0.0
 	for _, sk := range sks {
-		want += reportAllocs(sk) / float64(len(sks))
+		want += reportAllocs(sk)
 	}
 	got = testing.AllocsPerRun(len(sks)*2-1, func() { // the warm-up run makes it two whole rounds
 		if _, err := s.Detect(sks[turn%len(sks)], k); err != nil {
@@ -98,8 +98,10 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 		}
 		turn++
 	})
-	if missed := misses.Value() - before; got != want || missed < int64(len(sks)) {
-		t.Fatalf("Detect on a full cache: %.2f allocs/op (its Reports: %.2f), %d Gram misses in %d calls", got, want, missed, turn)
+	// Whole counts on both sides: a round's allocations against the sum
+	// of its Reports', not a mean of fractions that rounding can miss.
+	if missed := misses.Value() - before; got*float64(len(sks)) != want || missed < int64(len(sks)) {
+		t.Fatalf("Detect on a full cache: %.0f allocs per round of %d (its Reports: %.0f), %d Gram misses in %d calls", got*float64(len(sks)), len(sks), want, missed, turn)
 	}
 
 	// The batch: 8 Reports, and the items, workspaces and reports slices.

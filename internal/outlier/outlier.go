@@ -7,7 +7,9 @@
 package outlier
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"csoutlier/internal/linalg"
@@ -41,36 +43,38 @@ func TopK(x linalg.Vector, mode float64, k int) []KV {
 		}
 		out = append(out, KV{Index: i, Value: v})
 	}
-	sortByDivergence(out, mode)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return Rank(out, mode, k)
 }
 
 // TopKOf ranks only the given candidate set — used when recovery already
-// produced a support and we only need the k strongest of it.
+// produced a support and we only need the k strongest of it. cands is
+// left as it was.
 func TopKOf(cands []KV, mode float64, k int) []KV {
 	if k <= 0 {
 		return nil
 	}
-	out := append([]KV(nil), cands...)
-	sortByDivergence(out, mode)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return Rank(append([]KV(nil), cands...), mode, k)
 }
 
-func sortByDivergence(kvs []KV, mode float64) {
-	sort.Slice(kvs, func(i, j int) bool {
-		di := math.Abs(kvs[i].Value - mode)
-		dj := math.Abs(kvs[j].Value - mode)
-		if di != dj {
-			return di > dj
+// Rank orders kvs in place the way TopK orders its answer and returns
+// its first min(k, len(kvs)) entries: no copy, for a caller that owns
+// the candidates.
+func Rank(kvs []KV, mode float64, k int) []KV {
+	if k <= 0 {
+		return nil
+	}
+	// The order is total (divergence, then index), so the answer does
+	// not depend on the sort's stability.
+	slices.SortFunc(kvs, func(a, b KV) int {
+		if c := cmp.Compare(math.Abs(b.Value-mode), math.Abs(a.Value-mode)); c != 0 {
+			return c
 		}
-		return kvs[i].Index < kvs[j].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
+	if len(kvs) > k {
+		kvs = kvs[:k]
+	}
+	return kvs
 }
 
 // Mode returns the exact majority value of x and true when one exists

@@ -133,7 +133,7 @@ func (r *Result) Outliers(k int) []outlier.KV {
 	for i, j := range r.Support {
 		cands[i] = outlier.KV{Index: j, Value: r.X[j]}
 	}
-	return outlier.TopKOf(cands, r.Mode, k)
+	return outlier.Rank(cands, r.Mode, k)
 }
 
 // BOMP is Workspace.BOMP on a throwaway workspace, which misses every

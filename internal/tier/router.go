@@ -1,10 +1,12 @@
 package tier
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"csoutlier"
@@ -36,9 +38,28 @@ type Target struct {
 // sharding is a partition — each key's value lives in exactly one
 // shard's sketch, so a shard's answer for its own keys IS the global
 // answer for them; the router only has to rank and reassemble.
+//
+// A call's fan-out state comes from a pool on the Router, and the last
+// shard a call needs is asked on the calling goroutine: a warm read
+// allocates its answers and one goroutine per other shard it asks.
 type Router struct {
 	m       *ShardMap
 	targets []Target
+	scratch sync.Pool // *fanout
+}
+
+// fanout is one call's routing and fan-out state. Its slices grow to
+// the largest call seen; the keys, reports and errors of a call are
+// cleared before the fanout goes back to the pool.
+type fanout struct {
+	count   []int      // keys per shard
+	keys    []string   // request keys grouped by shard, in request order
+	slots   []int      // request position of each grouped key
+	byShard [][]string // shard i's window of keys
+	slotsOf [][]int    // shard i's window of slots
+	reports []*csoutlier.Report
+	errs    []error
+	wg      sync.WaitGroup
 }
 
 // NewRouter builds a router over the shard roots, in shard order.
@@ -46,7 +67,27 @@ func NewRouter(m *ShardMap, targets []Target) (*Router, error) {
 	if len(targets) != m.Shards() {
 		return nil, fmt.Errorf("tier: router needs %d targets, got %d", m.Shards(), len(targets))
 	}
-	return &Router{m: m, targets: targets}, nil
+	n := len(targets)
+	r := &Router{m: m, targets: targets}
+	r.scratch.New = func() any {
+		return &fanout{
+			count:   make([]int, n),
+			byShard: make([][]string, n),
+			slotsOf: make([][]int, n),
+			reports: make([]*csoutlier.Report, n),
+			errs:    make([]error, n),
+		}
+	}
+	return r, nil
+}
+
+// release clears what f holds of the call and pools it.
+func (r *Router) release(f *fanout) {
+	clear(f.count)
+	clear(f.keys)
+	clear(f.reports)
+	clear(f.errs)
+	r.scratch.Put(f)
 }
 
 // Outliers answers the global top-k span query: fan out to every shard
@@ -61,33 +102,37 @@ func (r *Router) Outliers(fromAge, toAge, k int) (*csoutlier.Report, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("tier: k must be positive, got %d", k)
 	}
-	reports := make([]*csoutlier.Report, len(r.targets))
-	errs := make([]error, len(r.targets))
-	var wg sync.WaitGroup
-	for i := range r.targets {
-		sk := k
-		if n := len(r.m.Shard(i).Keys); sk > n {
-			sk = n
-		}
-		wg.Add(1)
-		go func(i, sk int) {
-			defer wg.Done()
-			reports[i], errs[i] = r.targets[i].Span.Outliers(fromAge, toAge, sk)
-		}(i, sk)
+	f := r.scratch.Get().(*fanout)
+	defer r.release(f)
+	last := len(r.targets) - 1
+	for i := range last {
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			r.askSpan(f, i, fromAge, toAge, k)
+		}()
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	r.askSpan(f, last, fromAge, toAge, k)
+	f.wg.Wait()
+	if err := errors.Join(f.errs...); err != nil {
 		return nil, err
 	}
 	merged := &csoutlier.Report{}
 	var modeSum, weight float64
 	var residualSq float64
-	for i, rep := range reports {
+	total := 0
+	for i, rep := range f.reports {
 		w := float64(len(r.m.Shard(i).Keys))
 		modeSum += rep.Mode * w
 		weight += w
 		merged.Iterations += rep.Iterations
 		residualSq += rep.Residual * rep.Residual
+		total += len(rep.Outliers)
+	}
+	if total > 0 {
+		merged.Outliers = make([]csoutlier.Outlier, 0, total)
+	}
+	for _, rep := range f.reports {
 		merged.Outliers = append(merged.Outliers, rep.Outliers...)
 	}
 	merged.Mode = modeSum / weight
@@ -96,18 +141,23 @@ func (r *Router) Outliers(fromAge, toAge, k int) (*csoutlier.Report, error) {
 	// the (merged) mode descending, key ascending on ties — the shard
 	// ranges are contiguous in sorted key order, so key order is global
 	// dictionary-index order.
-	sort.SliceStable(merged.Outliers, func(a, b int) bool {
-		da := math.Abs(merged.Outliers[a].Value - merged.Mode)
-		db := math.Abs(merged.Outliers[b].Value - merged.Mode)
-		if da != db {
-			return da > db
+	mode := merged.Mode
+	slices.SortStableFunc(merged.Outliers, func(a, b csoutlier.Outlier) int {
+		if c := cmp.Compare(math.Abs(b.Value-mode), math.Abs(a.Value-mode)); c != 0 {
+			return c
 		}
-		return merged.Outliers[a].Key < merged.Outliers[b].Key
+		return strings.Compare(a.Key, b.Key)
 	})
 	if len(merged.Outliers) > k {
 		merged.Outliers = merged.Outliers[:k]
 	}
 	return merged, nil
+}
+
+// askSpan asks shard i for its top-k, k capped at the shard's key count.
+func (r *Router) askSpan(f *fanout, i, fromAge, toAge, k int) {
+	k = min(k, len(r.m.Shard(i).Keys))
+	f.reports[i], f.errs[i] = r.targets[i].Span.Outliers(fromAge, toAge, k)
 }
 
 // PointQueryMulti answers a mixed-shard watch list: keys partition by
@@ -117,53 +167,65 @@ func (r *Router) PointQueryMulti(fromAge, toAge int, keys []string, threshold fl
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	// Two passes — route and count per shard, then fill — so the
-	// per-shard key and position lists are exact-size slices of two
-	// allocations instead of lists grown by doubling.
-	count := make([]int, len(r.targets))
-	shard := make([]int, len(keys))
-	for pos, key := range keys {
-		shard[pos] = r.m.Route(key)
-		count[shard[pos]]++
-	}
-	allKeys, allSlots := make([]string, len(keys)), make([]int, len(keys))
-	byShard := make([][]string, len(r.targets))
-	slots := make([][]int, len(r.targets))
-	off := 0
-	for s, n := range count {
-		byShard[s], slots[s] = allKeys[off:off:off+n], allSlots[off:off:off+n]
-		off += n
-	}
-	for pos, key := range keys {
-		s := shard[pos]
-		byShard[s] = append(byShard[s], key)
-		slots[s] = append(slots[s], pos)
-	}
+	f := r.scratch.Get().(*fanout)
+	defer r.release(f)
+	last := f.route(r.m, keys)
 	out := make([]csoutlier.PointAnswer, len(keys))
-	errs := make([]error, len(r.targets))
-	var wg sync.WaitGroup
-	for i := range r.targets {
-		if len(byShard[i]) == 0 {
+	for i := range last {
+		if len(f.byShard[i]) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			answers, err := r.targets[i].Point.PointQueryMulti(fromAge, toAge, byShard[i], threshold)
-			if err != nil {
-				errs[i] = fmt.Errorf("tier: shard %d: %w", i, err)
-				return
-			}
-			for j, pos := range slots[i] {
-				out[pos] = answers[j]
-			}
-		}(i)
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			r.askPoint(f, i, fromAge, toAge, threshold, out)
+		}()
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	r.askPoint(f, last, fromAge, toAge, threshold, out)
+	f.wg.Wait()
+	if err := errors.Join(f.errs...); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// route partitions keys into f's per-shard key and position lists and
+// returns the highest shard the list touches. Two passes — count per
+// shard, then fill, routing each key again (a binary search over the
+// shard lows) — so each shard's lists are exact-size windows of one
+// reused buffer.
+func (f *fanout) route(m *ShardMap, keys []string) (last int) {
+	for _, key := range keys {
+		s := m.Route(key)
+		f.count[s]++
+		last = max(last, s)
+	}
+	f.keys = slices.Grow(f.keys[:0], len(keys))[:len(keys)]
+	f.slots = slices.Grow(f.slots[:0], len(keys))[:len(keys)]
+	off := 0
+	for s, n := range f.count {
+		f.byShard[s], f.slotsOf[s] = f.keys[off:off:off+n], f.slots[off:off:off+n]
+		off += n
+	}
+	for pos, key := range keys {
+		s := m.Route(key)
+		f.byShard[s] = append(f.byShard[s], key)
+		f.slotsOf[s] = append(f.slotsOf[s], pos)
+	}
+	return last
+}
+
+// askPoint asks shard i for its keys and scatters the answers into
+// their request positions in out.
+func (r *Router) askPoint(f *fanout, i, fromAge, toAge int, threshold float64, out []csoutlier.PointAnswer) {
+	answers, err := r.targets[i].Point.PointQueryMulti(fromAge, toAge, f.byShard[i], threshold)
+	if err != nil {
+		f.errs[i] = fmt.Errorf("tier: shard %d: %w", i, err)
+		return
+	}
+	for j, pos := range f.slotsOf[i] {
+		out[pos] = answers[j]
+	}
 }
 
 // PointQuery answers a single key — the watch list of one.

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,5 +236,141 @@ func TestRouterEndToEndInProcess(t *testing.T) {
 	}
 	if _, err := NewRouter(fx.m, []Target{{Span: fx.aggs[0]}}); err == nil {
 		t.Fatal("accepted target count != shard count")
+	}
+}
+
+// fixtureRouter is a Router over the fixture's shard roots, queried in
+// process.
+func fixtureRouter(t *testing.T, fx shardedFixture) *Router {
+	t.Helper()
+	r, err := NewRouter(fx.m, []Target{
+		{Span: fx.aggs[0], Point: fx.aggs[0]},
+		{Span: fx.aggs[1], Point: fx.aggs[1]},
+	})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	return r
+}
+
+// TestRouterWarmReadAllocs pins what a warm read through the Router
+// allocates: the answer it returns, each shard's own answer, and one
+// goroutine per shard but the last — the route scratch is pooled and
+// the last shard is asked on the calling goroutine.
+func TestRouterWarmReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates; alloc pinning runs without it")
+	}
+	fx := buildShardedFixture(t)
+	r := fixtureRouter(t, fx)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name  string
+		keys  []string
+		limit float64
+	}{
+		// The result, two shard results, one goroutine.
+		{"two shards", []string{"key300", "key010", "key000", "key450", "key511"}, 4},
+		// The result and shard 0's: no goroutine.
+		{"shard 0 only", []string{"key010", "key000", "key255", "key100"}, 2},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := r.PointQueryMulti(0, 0, tc.keys, 1000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.limit {
+			t.Errorf("warm watch list, %s: %.0f allocs/op, want ≤ %.0f", tc.name, got, tc.limit)
+		}
+	}
+	// The merged Report, its Outliers and one goroutine: both shard
+	// roots answer from their caches.
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := r.Outliers(0, 0, 5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 4 {
+		t.Errorf("warm Outliers(0, 0, 5): %.0f allocs/op, want ≤ 4", got)
+	}
+}
+
+// TestRouterConcurrentReads shares one Router among eight goroutines
+// that mix watch lists of different lengths and shard mixes, rejected
+// lists and span queries. Every answer, and every rejection's shard
+// attribution, must equal what a sequential call returns, whatever
+// another call left in the pooled scratch.
+func TestRouterConcurrentReads(t *testing.T) {
+	fx := buildShardedFixture(t)
+	r := fixtureRouter(t, fx)
+	type request struct {
+		keys []string // a watch list, or nil for a span query
+		to   int      // the span's oldest window age
+		k    int
+	}
+	var reqs []request
+	for _, keys := range [][]string{
+		{"key300", "key010", "key000", "key450", "key511"},
+		{"zzz"},                     // rejected by shard 1
+		{"key450"},                  // after a rejection, from the same shard
+		{"key000", "aaa", "key511"}, // rejected by shard 0
+		{"key010", "key001", "key002", "key003", "key004", "key005", "key006"},
+		{"key511", "key256", "key300"},
+		{"key255", "key256"},
+		{"key000", "zzz"}, // rejected by shard 1, shard 0 answers
+		testKeys(fixtureN),
+	} {
+		reqs = append(reqs, request{keys: keys})
+	}
+	for to := 0; to < 2; to++ {
+		for k := 1; k <= 4; k++ {
+			reqs = append(reqs, request{to: to, k: k})
+		}
+	}
+	ask := func(q request) (any, string) {
+		var got any
+		var err error
+		if q.keys != nil {
+			got, err = r.PointQueryMulti(0, q.to, q.keys, 1000)
+		} else {
+			got, err = r.Outliers(0, q.to, q.k)
+		}
+		if err != nil {
+			return nil, err.Error()
+		}
+		return got, ""
+	}
+	wantAns := make([]any, len(reqs))
+	wantErr := make([]string, len(reqs))
+	for i, q := range reqs {
+		wantAns[i], wantErr[i] = ask(q)
+	}
+	for i, want := range map[int]string{1: "shard 1", 3: "shard 0", 7: "shard 1"} {
+		if !strings.Contains(wantErr[i], want) || strings.Count(wantErr[i], "tier: shard") != 1 {
+			t.Fatalf("request %d: error %q, want one rejection from %s", i, wantErr[i], want)
+		}
+	}
+
+	const workers, rounds = 8, 20
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < rounds*len(reqs); n++ {
+				i := (w*5 + n) % len(reqs) // each worker its own rotation
+				got, msg := ask(reqs[i])
+				if msg != wantErr[i] || !reflect.DeepEqual(got, wantAns[i]) {
+					errs <- fmt.Errorf("worker %d request %d: got %v %q, sequential %v %q", w, i, got, msg, wantAns[i], wantErr[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -261,9 +261,11 @@ case "${1:-}" in
 		exit 1
 	fi
 	echo "== benchmark gate: standing_tier allocated and wire bytes per observation =="
-	# A relay without a snapshot file commits without copying its window
-	# ring: 32 cycles allocate about 18-19 B/obs, against 29-31 when every
-	# Forward captured a snapshot it threw away. Its leaves' counts travel
+	# A warm Router read allocates only its answers (pooled route scratch,
+	# the last shard asked on the caller's goroutine): 32 cycles allocate
+	# 12.8-13.0 B/obs, gated at that plus 25 %; 18-19 with a per-call
+	# route split, 29-31 when every relay Forward captured a snapshot it
+	# threw away. Its leaves' counts travel
 	# as varints, and their frames leave the consensus, node and epoch to
 	# the hello, each length a varint: 5.05 wire B/obs exactly (5.14 with
 	# the node and epoch in every delta and a u32 length, 5.33 with the
@@ -280,8 +282,8 @@ case "${1:-}" in
 	esac
 	alloc=$(printf '%s\n' "$line" | sed -n 's/.*"alloc_bytes_per_obs":{"value":\([0-9.eE+-]*\).*/\1/p')
 	echo "alloc_bytes_per_obs = ${alloc:-missing}"
-	if ! awk -v a="${alloc:-1e9}" 'BEGIN { exit !(a <= 22) }'; then
-		echo "verify: standing_tier alloc_bytes_per_obs above 22" >&2
+	if ! awk -v a="${alloc:-1e9}" 'BEGIN { exit !(a <= 16.2) }'; then
+		echo "verify: standing_tier alloc_bytes_per_obs above 16.2" >&2
 		exit 1
 	fi
 	wire=$(printf '%s\n' "$line" | sed -n 's/.*"wire_bytes_per_obs":{"value":\([0-9.eE+-]*\).*/\1/p')
