@@ -152,27 +152,37 @@ func BenchmarkPublicAPIPipeline(b *testing.B) {
 // (N=4096, M=256) on either side of the size crossover: logged, when a
 // drain comes every 16 observations and the delta ships as pairs; and
 // measured, when no drain comes and all but the first ~200 observations
-// are folded into the sketch on arrival.
+// are folded into the sketch on arrival. countsketch-measured is the
+// measured case at standing_tier's shard shape (N=4096, M=448, depth
+// 7), where an observation touches depth cells, not M.
 func BenchmarkUpdaterObserve(b *testing.B) {
 	keys := make([]string, 4096)
 	for i := range keys {
 		keys[i] = "key-" + strconv.Itoa(100000+i)
 	}
-	sk, err := NewSketcher(keys, Config{M: 256, Seed: 9})
+	gauss, err := NewSketcher(keys, Config{M: 256, Seed: 9})
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]byte, 0, EncodedSketchLen(sk.M()))
-	for name, every := range map[string]int{"logged": 16, "measured": 0} {
-		b.Run(name, func(b *testing.B) {
-			u := sk.NewUpdater()
+	cs, err := NewSketcher(keys, Config{M: 448, Seed: 9, Ensemble: CountSketch, Depth: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		sk    *Sketcher
+		every int
+	}{{"logged", gauss, 16}, {"measured", gauss, 0}, {"countsketch-measured", cs, 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]byte, 0, EncodedSketchLen(c.sk.M()))
+			u := c.sk.NewUpdater()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := u.Observe(keys[i*257%len(keys)], float64(i+1)); err != nil {
 					b.Fatal(err)
 				}
-				if every > 0 && i%every == every-1 {
+				if c.every > 0 && i%c.every == c.every-1 {
 					u.DrainEncoded(buf[:0])
 				}
 			}

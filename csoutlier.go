@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"csoutlier/internal/keydict"
-	"csoutlier/internal/linalg"
 	"csoutlier/internal/obs"
 	"csoutlier/internal/outlier"
 	"csoutlier/internal/recovery"
@@ -193,13 +192,6 @@ type Sketcher struct {
 	wsHeld atomic.Pointer[recovery.Workspace]
 	ws     sync.Pool
 
-	// colPool recycles M-length scratch vectors for column generation
-	// across every Updater bound to this Sketcher. Generating a Φ column
-	// is O(M) PRNG work; doing it on a pooled buffer outside the
-	// Updater's mutex is what lets concurrent writers scale instead of
-	// serializing on the critical section.
-	colPool sync.Pool
-
 	// metrics, when installed by Instrument, observes every Detect call.
 	// Loaded atomically so instrumented and uninstrumented Sketchers pay
 	// the same lock-free read on the recovery path.
@@ -349,18 +341,6 @@ func (s *Sketcher) emptySketch() Sketch {
 	out.Y = make([]float64, s.spec.M)
 	return out
 }
-
-// getCol checks an M-length scratch vector out of the shared pool.
-func (s *Sketcher) getCol() *linalg.Vector {
-	if v, ok := s.colPool.Get().(*linalg.Vector); ok {
-		return v
-	}
-	v := make(linalg.Vector, s.spec.M)
-	return &v
-}
-
-// putCol returns a scratch vector to the pool.
-func (s *Sketcher) putCol(v *linalg.Vector) { s.colPool.Put(v) }
 
 // ZeroSketch returns an all-zero sketch, the identity for Add — useful
 // as an accumulator at the aggregator.

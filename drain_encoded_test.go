@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -383,33 +382,29 @@ func TestDrainEncodedZeroAlloc(t *testing.T) {
 }
 
 // TestObserveMeasuredZeroAlloc pins Observe past the size crossover,
-// where each observation is measured into the sketch on arrival: its
-// column scratch comes from the Sketcher's sync.Pool and goes back, so
-// with the GC held off (a collection may empty the pool) an observation
-// allocates nothing.
+// where each observation is measured into the sketch on arrival: one
+// AddCol into the standing sketch under the updater's mutex, which
+// allocates nothing for either ensemble, with the GC running.
 func TestObserveMeasuredZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation drops sync.Pool entries at random")
-	}
-	sk, err := NewSketcher(testKeys(512), Config{M: 256, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := sk.Keys()
-	u := sk.NewUpdater()
-	i := 0
-	observe := func() {
-		i++
-		if err := u.Observe(keys[i%len(keys)], float64(i)); err != nil {
+	for _, cfg := range []Config{{M: 256, Seed: 9}, {M: 252, Seed: 9, Ensemble: CountSketch, Depth: 7}} {
+		sk, err := NewSketcher(testKeys(512), cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for u.logging {
-		observe()
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	observe() // the pool holds a column from here on
-	if n := testing.AllocsPerRun(200, observe); n != 0 {
-		t.Errorf("Observe past the crossover: %v allocs per call, want 0", n)
+		keys := sk.Keys()
+		u := sk.NewUpdater()
+		i := 0
+		observe := func() {
+			i++
+			if err := u.Observe(keys[i%len(keys)], float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for u.logging {
+			observe()
+		}
+		if n := testing.AllocsPerRun(200, observe); n != 0 {
+			t.Errorf("%v Observe past the crossover: %v allocs per call, want 0", cfg.Ensemble, n)
+		}
 	}
 }

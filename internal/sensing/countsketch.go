@@ -136,16 +136,13 @@ func (c *CountSketch) Width() int { return c.width }
 // Params implements Matrix.
 func (c *CountSketch) Params() Params { return c.p }
 
-// Col implements Matrix: one ±1/√depth entry per row.
+// Col implements Matrix: one ±1/√depth entry per row, added into zeros.
 func (c *CountSketch) Col(j int, dst linalg.Vector) linalg.Vector {
 	if j < 0 || j >= c.p.N {
 		panic(fmt.Sprintf("sensing: column %d out of [0,%d)", j, c.p.N))
 	}
 	dst = ensure(dst, c.p.M)
-	for r := 0; r < c.depth; r++ {
-		cell, sign := c.cell(r, j)
-		dst[cell] = sign * c.invs
-	}
+	c.AddCol(j, 1, dst)
 	return dst
 }
 
@@ -168,39 +165,28 @@ func (c *CountSketch) AddCol(j int, v float64, y linalg.Vector) {
 	}
 }
 
-// Measure implements Matrix in O(nnz(x)·depth) — no column
-// materialization, just depth scattered adds per non-zero.
+// Measure implements Matrix in O(nnz(x)·depth) as one AddCol per
+// non-zero, in ascending j.
 func (c *CountSketch) Measure(x, dst linalg.Vector) linalg.Vector {
 	if len(x) != c.p.N {
 		panic(fmt.Sprintf("sensing: Measure vector length %d, want N=%d", len(x), c.p.N))
 	}
 	dst = ensure(dst, c.p.M)
 	for j, v := range x {
-		if v == 0 {
-			continue
-		}
-		for r := 0; r < c.depth; r++ {
-			cell, sign := c.cell(r, j)
-			dst[cell] += v * sign * c.invs
+		if v != 0 {
+			c.AddCol(j, v, dst)
 		}
 	}
 	return dst
 }
 
-// MeasureSparse implements Matrix. Cost: O(depth) per pair.
+// MeasureSparse implements Matrix as one AddCol per non-zero pair, in k
+// order. Cost: O(depth) per pair.
 func (c *CountSketch) MeasureSparse(idx []int, vals []float64, dst linalg.Vector) linalg.Vector {
 	dst = ensure(dst, c.p.M)
 	for k, j := range idx {
-		v := vals[k]
-		if v == 0 {
-			continue
-		}
-		if j < 0 || j >= c.p.N {
-			panic(fmt.Sprintf("sensing: index %d out of [0,%d)", j, c.p.N))
-		}
-		for r := 0; r < c.depth; r++ {
-			cell, sign := c.cell(r, j)
-			dst[cell] += v * sign * c.invs
+		if v := vals[k]; v != 0 {
+			c.AddCol(j, v, dst)
 		}
 	}
 	return dst

@@ -279,8 +279,9 @@ func proxyBudgets(m, flushes int) (min, max int64) {
 //   - nodecrash and dup on one node: a duplicate carrying the dead
 //     incarnation's epoch is rejected as stale, not deduplicated.
 //   - aggcrash without a snap earlier in the same window: a restored
-//     aggregator resumes at the snapshot's window and refuses frames
-//     tagged with a later one as from the future.
+//     aggregator resumes at the snapshot's window and folds frames
+//     tagged with a later one into it, where the per-window shadow
+//     cannot judge them.
 //   - nodecrash between the snap and the aggcrash: Abort discards the
 //     node's retention buffer, so the frames the aggregator acked after
 //     the snapshot die twice — lost by design, not a defect to find.
@@ -338,7 +339,7 @@ func (s StreamScenario) validate() error {
 	case crash != nil && leave != nil && crash.Node == leave.Node && crash.Window > leave.Window:
 		return fmt.Errorf("simtest: %s after the node left (%s)", crash, leave)
 	case aggCrash != nil && (snap == nil || snap.Window != aggCrash.Window || snap.Flush >= aggCrash.Flush):
-		return fmt.Errorf("simtest: %s needs a snap earlier in the same window (a restored aggregator resumes at the snapshot's window and refuses later frames as from the future)", aggCrash)
+		return fmt.Errorf("simtest: %s needs a snap earlier in the same window (a restored aggregator resumes at the snapshot's window and folds later frames into it, which the per-window shadow cannot judge)", aggCrash)
 	case (aggCrash != nil || kill != nil) && s.direct():
 		return fmt.Errorf("simtest: a restore comes back on a new listener and only a chaos proxy can retarget a node; proxy=0:0 dials direct")
 	case aggCrash != nil && crash != nil && crash.Window == snap.Window && s.gapCrash(*crash, *snap, *aggCrash):

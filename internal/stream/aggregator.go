@@ -51,7 +51,7 @@ type AggregatorOptions struct {
 	EvictAfter time.Duration
 	// OnApplied, when set, is invoked for every applied delta — under
 	// the aggregator mutex, right after the frame folds — with the
-	// frame's window tag, its local-capture count (max(1, Folds)) and
+	// window it folded into, its local-capture count (max(1, Folds)) and
 	// the decoded delta sketch. The tier relay uses it to accumulate the
 	// per-window upward delta atomically with the fold it mirrors. The
 	// callback must be fast and must not call back into the aggregator.
@@ -63,12 +63,6 @@ type AggregatorOptions struct {
 	// with the window ring and dedup books captured alongside. Same
 	// no-reentrancy rule as OnApplied.
 	SnapshotExtra func() ([]byte, error)
-	// OnSnapshotCommit, when set, is invoked when a snapshot commits
-	// (WriteSnapshot) with the committed snapshot's Extra bytes, after
-	// the nodes' Stable watermarks advance. The tier relay uses it to
-	// release staged upward frames exactly when the snapshot covering
-	// them is durable.
-	OnSnapshotCommit func(extra []byte)
 }
 
 func (o AggregatorOptions) withDefaults() AggregatorOptions {
@@ -102,7 +96,7 @@ type NodeStatus struct {
 	State      string    // StateLive, StateLeft or "evicted"
 	Epoch      uint64    // latest announced incarnation
 	LastSeen   time.Time // last frame (hello or delta) from the node
-	LastWindow uint64    // window tag of the node's latest applied delta
+	LastWindow uint64    // window the node's latest applied delta folded into
 	Lag        uint64    // current window − LastWindow (0 = fully caught up)
 	Applied    int64     // deltas folded
 	Duplicates int64     // deltas ignored as already-processed

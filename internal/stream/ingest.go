@@ -136,13 +136,12 @@ func (a *Aggregator) applyFrame(req pushRequest, delta csoutlier.Sketch, decodeE
 		ns.status.Duplicates++
 		return ackStable()
 	}
-	if req.Window > in.window {
-		// A frame from the future means clock confusion somewhere:
-		// refused and not marked. A Sender drops a refused frame and
-		// reports it (Drain's error); it does not retry it.
-		return reject("stream: window %d is ahead of the aggregator's %d", req.Window, in.window)
-	}
-	age := in.window - req.Window
+	// A node is ahead only when this aggregator's counter went back: a
+	// non-durable one restarted at window 1, and its nodes never adopt a
+	// lower window. Such a delta folds into the open window, as a late
+	// one folds into its own.
+	w := min(req.Window, in.window)
+	age := in.window - w
 	if age >= uint64(in.ws.Windows()) {
 		// Too old to represent. Acknowledge and mark it so the node moves
 		// on — re-sending can never succeed.
@@ -163,7 +162,7 @@ func (a *Aggregator) applyFrame(req pushRequest, delta csoutlier.Sketch, decodeE
 	mark(req.Seq)
 	ns.status.Applied++
 	if fn := a.opts.OnApplied; fn != nil {
-		fn(req.Window, max(1, int(req.Folds)), delta)
+		fn(w, max(1, int(req.Folds)), delta)
 	}
 	if req.Folds > 1 {
 		// A relay's frame: the exact sum of Folds leaf deltas it folded
@@ -172,8 +171,8 @@ func (a *Aggregator) applyFrame(req pushRequest, delta csoutlier.Sketch, decodeE
 		ns.status.ShedFrames++
 		ns.status.ShedFolds += int64(req.Folds - 1)
 	}
-	if req.Window > ns.status.LastWindow {
-		ns.status.LastWindow = req.Window
+	if w > ns.status.LastWindow {
+		ns.status.LastWindow = w
 	}
 	in.gen.Add(1) // new data: recovery and point-state caches are now stale
 	ack.Applied = true

@@ -316,7 +316,8 @@ func windowBits(t *testing.T, agg *Aggregator) []csoutlier.Sketch {
 // takes ingest.mu, but a payload that does not decode is refused where
 // it always was — after admission, the seq checks and window placement.
 // A corrupt payload on a frame an earlier check settles gets that
-// check's ack, one on a fresh frame gets its decode error, and no
+// check's ack, one on a fresh frame (a future window's too, which would
+// fold into the open one) gets its decode error, and no
 // refusal changes a window, even though the connection's scratch still
 // holds the last good delta.
 func TestDecodeBeforeLockKeepsAckOrder(t *testing.T) {
@@ -359,7 +360,7 @@ func TestDecodeBeforeLockKeepsAckOrder(t *testing.T) {
 		}{
 			{"duplicate seq", 2, 3, 1, StatusDuplicate, ""},
 			{"too-old window", 2, 1, seq, statusDroppedOld, ""},
-			{"future window", 2, 4, seq + 1, "", "is ahead of"},
+			{"future window", 2, 4, seq + 1, "", "delta seq"},
 			{"seq 0", 2, 3, 0, "", "number from seq 1"},
 			{"stale epoch", 1, 3, seq + 1, "", "is stale"},
 			{"fresh frame", 2, 3, seq + 1, "", "delta seq"},

@@ -104,7 +104,7 @@ type NodeStats struct {
 // however long the outage: by linearity the sketch already holds the
 // exact sum of everything observed since.
 //
-// Observe/ObserveBatch are safe for concurrent use and never block on
+// Observe is safe for concurrent use and never blocks on
 // the network. Flush, Sync and Close serialize among themselves.
 type Node struct {
 	opts NodeOptions

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"slices"
@@ -454,21 +455,7 @@ func TestNonDurableRestartKeepsStableMoving(t *testing.T) {
 	sk := testSketcher(t, 64, 32, 23)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	serve := func(addr string) (*Aggregator, string) {
-		t.Helper()
-		agg, err := NewAggregator(sk, AggregatorOptions{Windows: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			t.Fatalf("listen %s: %v", addr, err)
-		}
-		go agg.Serve(ln)
-		t.Cleanup(func() { agg.Close(context.Background()) })
-		return agg, ln.Addr().String()
-	}
-	first, addr := serve("127.0.0.1:0")
+	first, addr := serveAgg(t, sk, AggregatorOptions{Windows: 2})
 	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  4 * time.Millisecond,
@@ -490,7 +477,7 @@ func TestNonDurableRestartKeepsStableMoving(t *testing.T) {
 		flush()
 	}
 	first.Close(ctx)
-	second, _ := serve(addr)
+	second, _ := serveAggAt(t, sk, AggregatorOptions{Windows: 2}, addr)
 	for i := 0; i < 300; i++ {
 		flush()
 	}
@@ -500,4 +487,57 @@ func TestNonDurableRestartKeepsStableMoving(t *testing.T) {
 	if ns := second.Nodes(); len(ns) != 1 || ns[0].Applied != 300 {
 		t.Fatalf("restarted aggregator's books %+v, want 300 applied", ns)
 	}
+}
+
+// TestNonDurableRestartFoldsNodesAhead: a non-durable aggregator that
+// restarts on the same address counts windows from 1 again, while its
+// nodes, which never adopt a lower window, keep tagging frames with the
+// window they last saw. Those frames fold into the open window: every
+// flush after the restart is applied, none refused as ahead.
+func TestNonDurableRestartFoldsNodesAhead(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 23)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	first, addr := serveAgg(t, sk, AggregatorOptions{Windows: 4})
+	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  4 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer n.Close(ctx)
+	for i := 0; i < 5; i++ {
+		first.Rotate()
+	}
+	if err := n.Sync(ctx); err != nil || n.Window() != 6 {
+		t.Fatalf("Sync: %v, node window %d, want 6", err, n.Window())
+	}
+	first.Close(ctx)
+	second, _ := serveAggAt(t, sk, AggregatorOptions{Windows: 4}, addr)
+	shadow := sk.NewUpdater()
+	for i := 0; i < 10; i++ {
+		key := fmt.Sprintf("key%03d", i)
+		if err := n.Observe(key, float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := shadow.Observe(key, float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Flush(ctx); err != nil {
+			t.Fatalf("flush %d into the restarted aggregator: %v", i, err)
+		}
+	}
+	ns := second.Nodes()
+	if len(ns) != 1 || ns[0].Applied != 10 || ns[0].Rejected != 0 || ns[0].LastWindow != 1 {
+		t.Fatalf("restarted aggregator's books %+v, want 10 applied into window 1, none rejected", ns)
+	}
+	if w := n.Window(); w != 6 {
+		t.Fatalf("node window %d after the restart, want 6 (never adopted lower)", w)
+	}
+	got, err := second.WindowSketch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeTo(t, "open window after the restart", sk, got, shadow)
 }

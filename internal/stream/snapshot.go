@@ -97,10 +97,9 @@ type Snapshot struct {
 	Nodes   []SnapNode // live members
 	Tombs   []SnapNode // retired members (left/evicted)
 	// Extra is an opaque embedder blob captured atomically with the fold
-	// state (AggregatorOptions.SnapshotExtra) and handed back when the
-	// snapshot commits (OnSnapshotCommit). internal/tier stores a relay's
-	// upward-forwarding state here, so "leaf frame folded" and "upward
-	// frame staged" are always the same durability event.
+	// state (AggregatorOptions.SnapshotExtra). internal/tier stores a
+	// relay's upward-forwarding state here, so "leaf frame folded" and
+	// "upward frame staged" are always the same durability event.
 	Extra []byte
 }
 
@@ -161,9 +160,6 @@ func (a *Aggregator) commitSnapshot(snap *Snapshot) {
 	}
 	a.in.mu.Unlock()
 	a.metrics.snapshots.Inc()
-	if fn := a.opts.OnSnapshotCommit; fn != nil {
-		fn(snap.Extra)
-	}
 }
 
 // CommitStaged is a commit with no capture, for an embedder that keeps
@@ -175,7 +171,6 @@ func (a *Aggregator) commitSnapshot(snap *Snapshot) {
 // fold lands between what stage takes and what the nodes are told is
 // durable. stage runs under the aggregator mutex with the same
 // no-reentrancy rule as OnApplied; when it fails, nothing advances.
-// OnSnapshotCommit is not called: stage releases what it staged.
 func (a *Aggregator) CommitStaged(stage func() error) error {
 	in := &a.in
 	in.mu.Lock()

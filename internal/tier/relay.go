@@ -105,10 +105,10 @@ type RelayStats struct {
 //     Snapshot.Extra. The upward state is therefore always captured
 //     atomically with the fold state that produced it.
 //  2. The relay persists the snapshot (WriteSnapshot), whose commit
-//     releases staged frames to the sender (OnSnapshotCommit) in the
-//     same call that advances the leaves' Stable watermarks. So a leaf
-//     is told "your frame is durable" exactly when the upward frame
-//     carrying it is on disk — one atomic durability event.
+//     advances the leaves' Stable watermarks, and when that returns it
+//     releases the frames the capture staged to the sender. So a leaf
+//     is told "your frame is durable" only once the upward frame
+//     carrying it is on disk, and no such frame is sent before.
 //  3. Every sendable frame's (seq → content) binding is a function of
 //     committed snapshot state only: RestoreRelay re-derives
 //     byte-identical frames, the parent's dedup books drop replayed
@@ -124,9 +124,9 @@ type RelayStats struct {
 // one so tells a leaf "durable" exactly when its delta sits in a
 // committed upward frame, the same instant a snapshot commit would.
 //
-// Lock order: the aggregator's ingest mutex → fmu → the sender's lock,
-// on both commit paths (the file path enters through the aggregator's
-// snapMu, which is outside all three). The sender's window callback
+// Lock order: cmu → the aggregator's ingest mutex → fmu → the sender's
+// lock, on both commit paths (the file path enters the ingest mutex
+// through the aggregator's snapMu). The sender's window callback
 // (adoptRoot) runs under none of them.
 type Relay struct {
 	sk      *csoutlier.Sketcher
@@ -136,11 +136,16 @@ type Relay struct {
 	agg     *stream.Aggregator
 	snd     *stream.Sender // committed frames: push, retain, replay
 
+	// cmu serializes commit cycles, so the seq a capture records is
+	// the one its own commit releases.
+	cmu sync.Mutex
+
 	fmu      sync.Mutex
 	unstable map[uint64]*upAccum
 	spare    []*upAccum // zeroed accumulators staging emptied
 	staged   []*stream.Frame
 	upSeq    uint64
+	snapSeq  uint64     // upSeq at the last snapshot capture
 	stats    RelayStats // the staging counters; Stats adds the sender's
 
 	metrics *relayMetrics
@@ -198,7 +203,6 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 	aopts.SnapshotPath = ""
 	aopts.OnApplied = r.onApplied
 	aopts.SnapshotExtra = r.snapshotExtra
-	aopts.OnSnapshotCommit = r.onSnapshotCommit
 	if restored != nil {
 		r.upSeq = restored.UpSeq
 		for _, f := range restored.Frames {
@@ -388,24 +392,11 @@ func (r *Relay) snapshotExtra() ([]byte, error) {
 	if err := r.stage(); err != nil {
 		return nil, err
 	}
+	r.snapSeq = r.upSeq
 	// Staging is the relay's only Alloc and runs under fmu: the listed
 	// frames hold still while they are encoded.
 	return encodeRelayExtra(r.opts.Shard, relayLevel, r.opts.ID, r.upEpoch, r.upSeq,
 		r.snd.Resendable(), r.staged)
-}
-
-// onSnapshotCommit releases the staged frames the committed snapshot
-// covers to the sender. Frames staged after the capture (by a fold
-// whose accumulator would overflow) stay staged for the next cycle.
-func (r *Relay) onSnapshotCommit(extra []byte) {
-	// The header holds the seq counter; the frames behind it need no copy.
-	st, err := readRelayExtraHeader(&frame.Cursor{B: extra})
-	if err != nil {
-		return // not a relay snapshot (or corrupt): release nothing
-	}
-	r.fmu.Lock()
-	defer r.fmu.Unlock()
-	r.release(st.UpSeq)
 }
 
 // stageAndRelease is the pathless commit's stage: with no file to wait
@@ -447,14 +438,22 @@ func (r *Relay) Forward(ctx context.Context) error {
 }
 
 // commitCycle commits one cycle. A relay with a snapshot file captures
-// (staging in snapshotExtra), persists and commits a snapshot, whose
-// commit calls onSnapshotCommit. One without stages, releases and
-// advances the watermarks in one aggregator critical section and
-// copies no window.
+// (staging in snapshotExtra), persists and commits a snapshot — which
+// advances the leaves' Stable watermarks — and then releases the frames
+// the capture staged; frames staged after it (by a fold whose
+// accumulator would overflow) wait for the next cycle. One without
+// stages, releases and advances the watermarks in one aggregator
+// critical section and copies no window.
 func (r *Relay) commitCycle() error {
+	r.cmu.Lock()
+	defer r.cmu.Unlock()
 	var err error
 	if path := r.opts.Agg.SnapshotPath; path != "" {
-		err = r.agg.WriteSnapshot(path)
+		if err = r.agg.WriteSnapshot(path); err == nil {
+			r.fmu.Lock()
+			r.release(r.snapSeq)
+			r.fmu.Unlock()
+		}
 	} else {
 		err = r.agg.CommitStaged(r.stageAndRelease)
 	}
@@ -561,8 +560,8 @@ func encodeRelayExtra(shard, level int, id string, upEpoch, upSeq uint64, groups
 	return b, nil
 }
 
-// readRelayExtraHeader reads the fixed fields ahead of the frames.
-func readRelayExtraHeader(r *frame.Cursor) (*relayExtraState, error) {
+func decodeRelayExtra(data []byte) (*relayExtraState, error) {
+	r := frame.Cursor{B: data}
 	magic := r.Take(4)
 	if r.Err == nil && string(magic) != string(relayExtraMagic[:]) {
 		return nil, fmt.Errorf("tier: bad relay extra magic %q", magic)
@@ -577,18 +576,6 @@ func readRelayExtraHeader(r *frame.Cursor) (*relayExtraState, error) {
 	st.ID = string(r.Take(int(r.U16())))
 	st.UpEpoch = r.U64()
 	st.UpSeq = r.U64()
-	if r.Err != nil {
-		return nil, fmt.Errorf("tier: relay extra: %w", r.Err)
-	}
-	return st, nil
-}
-
-func decodeRelayExtra(data []byte) (*relayExtraState, error) {
-	r := frame.Cursor{B: data}
-	st, err := readRelayExtraHeader(&r)
-	if err != nil {
-		return nil, err
-	}
 	count := r.U32()
 	prev := uint64(0)
 	for i := uint32(0); i < count && r.Err == nil; i++ {

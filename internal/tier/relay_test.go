@@ -33,13 +33,20 @@ func tierSketcher(t testing.TB, n, m int, seed uint64) *csoutlier.Sketcher {
 // serveRoot starts a plain aggregator on a loopback listener.
 func serveRoot(t *testing.T, sk *csoutlier.Sketcher, opts stream.AggregatorOptions) (*stream.Aggregator, string) {
 	t.Helper()
+	return serveRootAt(t, sk, opts, "127.0.0.1:0")
+}
+
+// serveRootAt is serveRoot on a given address: a restart on the address
+// its relays already dial.
+func serveRootAt(t *testing.T, sk *csoutlier.Sketcher, opts stream.AggregatorOptions, addr string) (*stream.Aggregator, string) {
+	t.Helper()
 	agg, err := stream.NewAggregator(sk, opts)
 	if err != nil {
 		t.Fatalf("NewAggregator: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		t.Fatalf("listen %s: %v", addr, err)
 	}
 	go agg.Serve(ln)
 	t.Cleanup(func() {
@@ -396,6 +403,71 @@ func TestVolatileRelayRestart(t *testing.T) {
 		t.Fatalf("root window: %v", err)
 	}
 	sameBits(t, "root window after a volatile relay restart", got, want)
+}
+
+// TestRelayAfterRootRestart: a non-durable root restarts on the same
+// address and counts windows from 1 again, while its relay, which never
+// rotates back, keeps tagging upward frames with the window it last
+// adopted. The root folds them into its open window, so every Forward
+// after the restart lands and the root's window holds the leaf's bits.
+func TestRelayAfterRootRestart(t *testing.T) {
+	sk := tierSketcher(t, 64, 32, 13)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	first, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
+	fast := stream.NodeOptions{BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
+	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr, Up: fast})
+	if err != nil {
+		t.Fatalf("NewRelay: %v", err)
+	}
+	defer relay.Close(ctx)
+	leaf, err := stream.Dial(ctx, serveRelay(t, relay), sk, "node00", fast)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer leaf.Close(ctx)
+	for i := 0; i < 5; i++ {
+		first.Rotate()
+	}
+	if err := relay.Sync(ctx); err != nil {
+		t.Fatalf("relay Sync: %v", err)
+	}
+	if err := leaf.Sync(ctx); err != nil || leaf.Window() != 6 {
+		t.Fatalf("leaf Sync: %v, window %d, want 6", err, leaf.Window())
+	}
+	first.Close(ctx)
+	second, _ := serveRootAt(t, sk, stream.AggregatorOptions{Windows: 4}, rootAddr)
+	want, delta := sk.ZeroSketch(), sk.ZeroSketch()
+	shadow := sk.NewUpdater()
+	for f := 0; f < 3; f++ {
+		key := fmt.Sprintf("key%03d", f)
+		if err := leaf.Observe(key, float64(f+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := shadow.Observe(key, float64(f+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := leaf.Flush(ctx); err != nil {
+			t.Fatalf("leaf flush %d: %v", f, err)
+		}
+		if err := relay.Forward(ctx); err != nil {
+			t.Fatalf("Forward %d after the root restart: %v", f, err)
+		}
+		if _, err := shadow.DrainInto(delta); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Add(delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rs := second.Stats(); rs.Applied != 3 || rs.Rejected != 0 {
+		t.Fatalf("restarted root applied %d, rejected %d; want 3 applied", rs.Applied, rs.Rejected)
+	}
+	got, err := second.WindowSketch(0)
+	if err != nil {
+		t.Fatalf("root window: %v", err)
+	}
+	sameBits(t, "restarted root's open window", got, want)
 }
 
 // TestRelayRefusesOverflow carries the window overflow refusal across a

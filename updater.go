@@ -10,7 +10,7 @@ import (
 // Updater maintains a node's standing sketch over a stream of
 // key→value updates — the paper's "terabyte of new click log data is
 // generated every 10 mins" operating mode (§1, challenge 2). Each
-// observation folds one measurement column into the sketch in O(M)
+// observation folds one measurement column into the sketch in at most O(M)
 // time and O(M) total memory; the slice itself is never stored.
 //
 // Until the observations since the last drain would encode no smaller
@@ -22,11 +22,11 @@ import (
 // the sketch, and from there to the next drain every observation is
 // measured on arrival.
 //
-// An Updater is safe for concurrent use. The O(M) column generation of
-// each measured observation happens outside the mutex on pooled
-// scratch, so concurrent writers only contend for the O(M) accumulate;
-// the one replay per drain period, and a DrainInto while the log is
-// still open, measure the log under it.
+// An Updater is safe for concurrent use: every observation, the one
+// replay per drain period and every drain run under one mutex. A
+// measured observation is one Matrix.AddCol, the kernel receivers
+// measure pairs deltas with: O(M) for a Gaussian matrix, O(depth) for
+// a count-sketch.
 type Updater struct {
 	sk *Sketcher
 	id Sketch // the consensus identity, Y nil
@@ -82,8 +82,8 @@ func (u *Updater) reopenLocked() {
 }
 
 // Observe folds one (key, delta) observation into the standing sketch:
-// y += delta·φ_key. Cost: O(M) at most, independent of how much data
-// the node has already absorbed.
+// y += delta·φ_key. Cost: one AddCol at most, independent of how much
+// data the node has already absorbed.
 func (u *Updater) Observe(key string, delta float64) error {
 	idx, ok := u.sk.dict.Index(key)
 	if !ok {
@@ -96,24 +96,11 @@ func (u *Updater) Observe(key string, delta float64) error {
 		return nil
 	}
 	u.mu.Lock()
-	logged := u.logLocked(idx, delta)
-	if logged {
-		u.updates++
-	}
-	u.mu.Unlock()
-	if logged {
-		return nil
-	}
-	col := u.sk.getCol()
-	*col = u.sk.matrix.Col(idx, *col) // O(M) PRNG work, outside the mutex
-	u.mu.Lock()
-	// A drain may have reopened the log since the check above.
 	if !u.logLocked(idx, delta) {
-		u.y.AddScaled(delta, *col)
+		u.sk.matrix.AddCol(idx, delta, u.y)
 	}
 	u.updates++
 	u.mu.Unlock()
-	u.sk.putCol(col)
 	return nil
 }
 
