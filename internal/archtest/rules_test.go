@@ -649,7 +649,7 @@ func setLines(p *program) string {
 
 // maxDocBytes caps the two documents that describe the system at the
 // sizes their last edit left: lower a cap after a cut, never raise it.
-var maxDocBytes = map[string]int{"README.md": 44532, "DESIGN.md": 50363}
+var maxDocBytes = map[string]int{"README.md": 44521, "DESIGN.md": 50322}
 
 // bigDocs returns the docs over their cap.
 func bigDocs(p *program) []string {

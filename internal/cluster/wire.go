@@ -43,12 +43,12 @@ const (
 	maxSpecBody = 3*binary.MaxVarintLen64 + 8 + 1 // uv M | uv N | u64 seed | u8 kind | uv D
 
 	// idPad is an ID request's body, that many zero bytes. They make the
-	// first frame a client sends six bytes long, as long as the u32
-	// prelude of version 4: a node from before version 5 reads a whole
-	// prelude, finds version 0 and hangs up, and a gob node reads the
-	// version byte 5 as a message length it can fill and fails to decode
-	// it. Neither waits for a byte the client will not send.
-	idPad = 3
+	// first frame a client sends one byte longer than its version byte
+	// says: a gob node reads that byte as a message length it can fill
+	// and fails to decode the message, and a node from before version 5
+	// reads a whole u32 prelude (six bytes), finds version 0 and hangs
+	// up. Neither waits for a byte the client will not send.
+	idPad = frame.Version - 2
 )
 
 // requestLimits is the largest body a node accepts per request kind.

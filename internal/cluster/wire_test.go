@@ -191,8 +191,8 @@ func TestMalformedRequestsCloseConnection(t *testing.T) {
 		{"oversized spec", prelude(1<<20, frame.Version, reqSketch), false},
 		{"id request without its pad", prelude(0, frame.Version, reqID), false},
 		{"id request with a short pad", prelude(1, frame.Version, reqID, 0), false},
-		{"id request with a non-zero pad", prelude(idPad, frame.Version, reqID, 0, 1, 0), false},
-		{"id request with a long pad", prelude(idPad+1, frame.Version, reqID, 0, 0, 0, 0), false},
+		{"id request with a non-zero pad", prelude(idPad, frame.Version, reqID, append(make([]byte, idPad-1), 1)...), false},
+		{"id request with a long pad", prelude(idPad+1, frame.Version, reqID, make([]byte, idPad+1)...), false},
 		{"truncated spec", sketch[:len(sketch)-2], true},
 		{"truncated prelude", sketch[:2], true},
 		{"length longer than it needs", []byte{frame.Version, byte(reqID), 0x80, 0x00}, false},
@@ -426,8 +426,9 @@ func TestGobPeerGetsCleanClose(t *testing.T) {
 
 // TestVersion4NodeGetsCleanClose: a node from before version 5 reads a
 // u32 length, a version and a kind, six bytes, before it judges a
-// frame. The id request a client opens with is that long, so such a node
-// hangs up at once instead of waiting for bytes that never come.
+// frame. The id request a client opens with is at least that long, so
+// such a node hangs up at once instead of waiting for bytes that never
+// come.
 func TestVersion4NodeGetsCleanClose(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -36,7 +36,10 @@ const (
 	// 5: the prelude is version | kind | uv length (it was a u32 length
 	// first), and a push delta or bye no longer names its node and epoch:
 	// the connection's hello does.
-	Version = 5
+	// 6: a push delta or ack carries its window, seq, folds, aggEpoch and
+	// stable only where they differ from what the connection implies,
+	// behind a byte that says which.
+	Version = 6
 	// MinOverhead and MaxOverhead bound the prelude in front of a frame
 	// body: three bytes for a body under 128 bytes, seven at most.
 	MinOverhead = 1 + 1 + 1

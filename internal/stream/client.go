@@ -15,13 +15,17 @@ import (
 // one strictly serialized request/response exchange at a time, no
 // retries. Sender builds the production retry/redial loop on top of it;
 // tests use it directly to inject duplicate, stale and refused frames,
-// and seqs out of order, which the aggregator folds at most once. Its
-// one piece of state is whom the connection speaks for: the (node,
-// epoch) of its last hello, if the aggregator admitted it.
+// and seqs out of order, which the aggregator folds at most once. It
+// keeps two pieces of state: whom the connection speaks for — the
+// (node, epoch) of its last hello, if the aggregator admitted it — and
+// the connection's wireContext, which lets a delta or ack leave out what
+// the other end can infer. Every Ack it returns has every field filled
+// in.
 type Client struct {
 	conn    net.Conn
 	fr      frame.Reader
 	wbuf    []byte // the outgoing frame, reused across exchanges
+	ctx     wireContext
 	timeout time.Duration
 
 	bound bool // the aggregator admitted a hello naming node and epoch
@@ -90,7 +94,7 @@ func (c *Client) bye() (Ack, error) {
 // exchange writes req as one frame with one Write and reads the ack
 // under the deadline; the reader refuses any other reply kind.
 func (c *Client) exchange(req *pushRequest) (Ack, error) {
-	c.wbuf = appendRequest(c.wbuf, req)
+	c.wbuf = c.ctx.appendRequest(c.wbuf, req)
 	if c.timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
@@ -104,7 +108,7 @@ func (c *Client) exchange(req *pushRequest) (Ack, error) {
 		}
 		return Ack{}, fmt.Errorf("stream: receive: %w", err)
 	}
-	ack, err := parseAck(body)
+	ack, err := c.ctx.parseAck(body)
 	if err != nil {
 		return Ack{}, fmt.Errorf("stream: receive: %w", err)
 	}

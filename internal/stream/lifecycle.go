@@ -106,10 +106,11 @@ func (a *Aggregator) Serve(ln net.Listener) error {
 // then folded, on this goroutine: the next frame is not read until the
 // current one is folded and acked, which is the backpressure a pusher
 // sees. The connection speaks for the (node, epoch) of its last hello
-// if that hello was admitted, and a delta or bye takes both from it.
-// Input no conforming node produces (another protocol, an oversized or
-// truncated frame, a delta or bye with no admitted hello before it)
-// closes the connection.
+// if that hello was admitted, and a delta or bye takes both from it;
+// the handler's wireContext fills in what a delta leaves out and lets
+// the ack leave out the same. Input no conforming node produces
+// (another protocol, an oversized or truncated frame, a delta or bye
+// with no admitted hello before it) closes the connection.
 func (a *Aggregator) handle(conn net.Conn) {
 	l := &a.life
 	defer l.wg.Done()
@@ -123,6 +124,7 @@ func (a *Aggregator) handle(conn net.Conn) {
 	var (
 		req   pushRequest
 		wbuf  []byte
+		ctx   wireContext
 		delta csoutlier.Sketch
 		bound bool // the last hello, naming node and epoch, was admitted
 		node  string
@@ -135,7 +137,7 @@ func (a *Aggregator) handle(conn net.Conn) {
 		k, body, err := fr.Next()
 		kind := pushKind(k)
 		if err == nil {
-			err = parseRequest(kind, body, &req)
+			err = ctx.parseRequest(kind, body, &req)
 		}
 		if err == nil && kind != pushHello {
 			if !bound {
@@ -161,7 +163,7 @@ func (a *Aggregator) handle(conn net.Conn) {
 		case pushDelta:
 			ack = a.apply(req, &delta)
 		}
-		wbuf = appendAck(wbuf, &ack)
+		wbuf = ctx.appendAck(wbuf, &ack)
 		if _, err := conn.Write(wbuf); err != nil {
 			return
 		}

@@ -333,27 +333,36 @@ func TestRecycleNeverReusesResendableFrame(t *testing.T) {
 	closeTo(t, "window after retries and replay", sk, got, u)
 }
 
-// deltaSeqs parses what an aggregator read (a wireTap's bytes) with the
-// package's own frame reader and returns the seq of every delta frame,
-// in arrival order.
-func deltaSeqs(t *testing.T, read []byte, m int) []uint64 {
+// deltaSeqs parses one connection's transcript (a wireTap's talk) with
+// the package's own frame reader and wire context and returns the seq of
+// every delta frame, in arrival order.
+func deltaSeqs(t *testing.T, talk []byte, m int) []uint64 {
 	t.Helper()
 	limits := requestLimits(m)
-	fr := frame.Reader{R: bytes.NewReader(read), Limits: limits[:]}
-	var seqs []uint64
-	var req pushRequest
+	limits[replyAck] = maxAckBody
+	fr := frame.Reader{R: bytes.NewReader(talk), Limits: limits[:]}
+	var (
+		seqs []uint64
+		req  pushRequest
+		ctx  wireContext
+	)
 	for {
 		kind, body, err := fr.Next()
 		if err == io.EOF {
 			return seqs
 		}
 		if err != nil {
-			t.Fatalf("the aggregator's input does not parse: %v", err)
+			t.Fatalf("the connection's transcript does not parse: %v", err)
+		}
+		if pushKind(kind) == replyAck {
+			_, err = ctx.parseAck(body)
+		} else {
+			err = ctx.parseRequest(pushKind(kind), body, &req)
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 		if pushKind(kind) == pushDelta {
-			if err := parseRequest(pushDelta, body, &req); err != nil {
-				t.Fatal(err)
-			}
 			seqs = append(seqs, req.Seq)
 		}
 	}
@@ -430,9 +439,9 @@ func TestReplayReachesRestoredBookInSeqOrder(t *testing.T) {
 		t.Fatalf("Flush after the restore: %v", err)
 	}
 	tap.mu.Lock()
-	read := tap.read
+	talk := tap.talk
 	tap.mu.Unlock()
-	if got := deltaSeqs(t, read, sk.M()); !slices.Equal(got, []uint64{2, 3, 4}) {
+	if got := deltaSeqs(t, talk, sk.M()); !slices.Equal(got, []uint64{2, 3, 4}) {
 		t.Fatalf("the restored aggregator read seqs %v, want 2, 3, 4", got)
 	}
 	u := sk.NewUpdater()

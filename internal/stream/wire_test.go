@@ -22,16 +22,29 @@ import (
 	"csoutlier/internal/xrand"
 )
 
-// sampleFrames is one real encoded frame of every kind.
+// sampleFrames is one real encoded frame of every kind, each as the
+// first frame on a fresh connection, where every field travels.
 func sampleFrames(t testing.TB, sk *csoutlier.Sketcher) map[pushKind][]byte {
 	t.Helper()
 	payload := uniformDelta(t, sk, 1.5)
 	return map[pushKind][]byte{
-		pushHello: appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: sk.AppendIdentity(nil)}),
-		pushBye:   appendRequest(nil, &pushRequest{Kind: pushBye}),
-		pushDelta: appendRequest(nil, &pushRequest{Kind: pushDelta, Window: 70000, Seq: 1 << 40, Folds: 5, Payload: payload}),
-		replyAck:  appendAck(nil, &Ack{Window: 9, Applied: true, Status: statusApplied, AggEpoch: 2, Stable: 1 << 33}),
+		pushHello: freshRequest(&pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: sk.AppendIdentity(nil)}),
+		pushBye:   freshRequest(&pushRequest{Kind: pushBye}),
+		pushDelta: freshRequest(&pushRequest{Kind: pushDelta, Window: 70000, Seq: 1 << 40, Folds: 5, Payload: payload}),
+		replyAck:  freshAck(&Ack{Window: 9, Applied: true, Status: statusApplied, AggEpoch: 2, Stable: 1 << 33}),
 	}
+}
+
+// freshRequest and freshAck encode one frame under a fresh connection's
+// context.
+func freshRequest(req *pushRequest) []byte {
+	var c wireContext
+	return c.appendRequest(nil, req)
+}
+
+func freshAck(ack *Ack) []byte {
+	var c wireContext
+	return c.appendAck(nil, ack)
 }
 
 // bodyOf is a frame's body: what follows the version, the kind and the
@@ -178,26 +191,32 @@ func TestWireRoundTrip(t *testing.T) {
 		stream = append(stream, frames[k]...)
 	}
 	// One byte per Read: frames must reassemble however TCP slices them.
+	// In this order on one connection, each frame's every field still
+	// differs from what the context implies.
 	limits := allKinds()
 	fr := frame.Reader{R: iotest.OneByteReader(bytes.NewReader(stream)), Limits: limits[:]}
-	var req pushRequest
+	var (
+		req pushRequest
+		ctx wireContext
+	)
 	for _, want := range order {
 		k, body, err := fr.Next()
 		kind := pushKind(k)
 		if err != nil || kind != want {
 			t.Fatalf("next: kind %d err %v, want kind %d", kind, err, want)
 		}
+		before := ctx
 		switch kind {
 		case replyAck:
-			ack, err := parseAck(body)
+			ack, err := ctx.parseAck(body)
 			if err != nil || ack != (Ack{Window: 9, Applied: true, Status: statusApplied, AggEpoch: 2, Stable: 1 << 33}) {
 				t.Fatalf("ack %+v err %v", ack, err)
 			}
 		default:
-			if err := parseRequest(kind, body, &req); err != nil {
+			if err := ctx.parseRequest(kind, body, &req); err != nil {
 				t.Fatalf("kind %d: %v", kind, err)
 			}
-			if again := appendRequest(nil, &req); !bytes.Equal(again, frames[kind]) {
+			if again := before.appendRequest(nil, &req); !bytes.Equal(again, frames[kind]) {
 				t.Fatalf("kind %d: re-encoding the parsed request changed the frame", kind)
 			}
 		}
@@ -215,17 +234,126 @@ func TestWireRoundTrip(t *testing.T) {
 	// Every status string survives the trip; rejection text does too.
 	for _, status := range ackStatuses {
 		in := Ack{Status: status, Err: "stream: no", Window: 1}
-		out, err := parseAck(bodyOf(appendAck(nil, &in)))
+		var ctx wireContext
+		out, err := ctx.parseAck(bodyOf(freshAck(&in)))
 		if err != nil || out != in {
 			t.Fatalf("status %q: got %+v err %v", status, out, err)
 		}
 	}
 }
 
-// FuzzPushFrame feeds arbitrary bytes to the frame reader and every
-// body parser: none may panic, the read buffer may never outgrow the
-// largest limit, and every request that parses re-encodes to its own
-// body bytes — one request has one encoding.
+// TestWireContextRoundTrip drives random sequences of hello, delta, bye
+// and ack frames through an encoding and a decoding context, values
+// drawn at, near and far from what the context implies: every frame
+// decodes to what was encoded (folds 0 as 1), re-encodes to its own
+// bytes under the context it was read with, and leaves both contexts
+// equal. A flagged field equal to its implied value, and an unknown flag
+// bit, are refused as malformed.
+func TestWireContextRoundTrip(t *testing.T) {
+	rng := xrand.New(50)
+	near := func(implied uint64) uint64 {
+		switch rng.Intn(4) {
+		case 0, 1:
+			return implied
+		case 2:
+			return implied + rng.Uint64()%3 - 1
+		}
+		return rng.Uint64() >> rng.Intn(64)
+	}
+	payload := []byte("payload")
+	for run := 0; run < 200; run++ {
+		var enc, dec wireContext
+		for i := 0; i < 40; i++ {
+			var wire []byte
+			before := dec
+			var ack Ack
+			var req pushRequest
+			isAck := false
+			switch rng.Intn(7) {
+			case 0:
+				req = pushRequest{Kind: pushHello, Node: "n", Epoch: rng.Uint64() % 4}
+			case 1:
+				req = pushRequest{Kind: pushBye}
+			case 2, 3:
+				req = pushRequest{Kind: pushDelta, Window: near(enc.window), Seq: near(enc.seq + 1), Folds: uint32(near(1)), Payload: payload}
+			default:
+				isAck = true
+				ack = Ack{Window: near(enc.window), AggEpoch: near(enc.aggEpoch), Stable: near(enc.seq),
+					Status: ackStatuses[rng.Intn(len(ackStatuses))], Applied: rng.Intn(2) == 0}
+				if rng.Intn(8) == 0 {
+					ack.Err = "refused"
+				}
+			}
+			if isAck {
+				wire = enc.appendAck(nil, &ack)
+				got, err := dec.parseAck(bodyOf(wire))
+				if err != nil || got != ack {
+					t.Fatalf("run %d frame %d: ack %+v decodes to %+v, %v", run, i, ack, got, err)
+				}
+				if again := before.appendAck(nil, &got); !bytes.Equal(again, wire) {
+					t.Fatalf("run %d frame %d: ack %+v re-encodes to %x, not %x", run, i, got, again, wire)
+				}
+			} else {
+				wire = enc.appendRequest(nil, &req)
+				var got pushRequest
+				if err := dec.parseRequest(req.Kind, bodyOf(wire), &got); err != nil {
+					t.Fatalf("run %d frame %d: %+v: %v", run, i, req, err)
+				}
+				want := req
+				if want.Kind == pushDelta {
+					want.Folds = max(want.Folds, 1)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("run %d frame %d: %+v decodes to %+v", run, i, want, got)
+				}
+				if again := before.appendRequest(nil, &got); !bytes.Equal(again, wire) {
+					t.Fatalf("run %d frame %d: %+v re-encodes to %x, not %x", run, i, got, again, wire)
+				}
+			}
+			if enc != dec || before != dec {
+				t.Fatalf("run %d frame %d: contexts %+v (encoder), %+v (decoder), %+v (re-encoder)", run, i, enc, dec, before)
+			}
+		}
+	}
+
+	// A field flagged but equal to what the context implies has a shorter
+	// encoding; a flag bit the layout does not name is no layout at all.
+	ctx := wireContext{window: 7, aggEpoch: 2, seq: 40}
+	uv := binary.AppendUvarint
+	for what, body := range map[string][]byte{
+		"delta flagging its implied window": append(uv([]byte{deltaWindow}, 7), payload...),
+		"delta flagging its implied seq":    append(uv([]byte{deltaSeq}, 41), payload...),
+		"delta flagging folds 1":            append(uv([]byte{deltaFolds}, 1), payload...),
+		"delta flagging folds 0":            append(uv([]byte{deltaFolds}, 0), payload...),
+		"delta with an unknown flag bit":    append([]byte{0x08}, payload...),
+		"delta with no flags byte":          nil,
+	} {
+		c := ctx
+		if err := c.parseRequest(pushDelta, body, new(pushRequest)); !errors.Is(err, errMalformed) {
+			t.Errorf("%s: %v, want a malformed-frame refusal", what, err)
+		}
+	}
+	for what, body := range map[string][]byte{
+		"ack flagging its implied window":   uv([]byte{1 | ackWindow}, 7),
+		"ack flagging its implied aggEpoch": uv([]byte{1 | ackAggEpoch}, 2),
+		"ack flagging stable at the seq":    uv([]byte{1 | ackStable}, 40),
+		"ack with an unknown flag bit":      {1 | 0x40},
+		"ack of status 6":                   {6},
+	} {
+		c := ctx
+		if _, err := c.parseAck(body); !errors.Is(err, errMalformed) {
+			t.Errorf("%s: %v, want a malformed-frame refusal", what, err)
+		}
+	}
+}
+
+// FuzzPushFrame feeds arbitrary bytes to the frame reader and, as one
+// connection's sequence of frames, through one context to every body
+// parser: none may panic, the read buffer may never outgrow the largest
+// limit, and every frame that parses re-encodes to its own body bytes
+// under the context it was read with, leaving that context where the
+// parse left it — one frame has one encoding. The first frame that does
+// not parse ends the sequence, as it closes a connection.
 func FuzzPushFrame(f *testing.F) {
 	sk := testSketcher(f, 64, 32, 5)
 	for _, frame := range sampleFrames(f, sk) {
@@ -236,6 +364,20 @@ func FuzzPushFrame(f *testing.F) {
 	for _, frame := range retiredFrames() {
 		f.Add(frame)
 	}
+	// A connection's exchanges: a hello and its ack, a delta and an ack
+	// where the context implies every field, then a late delta of a
+	// relay's sum after a seq gap, and an ack from a restored
+	// aggregator, where none is implied.
+	var ctx wireContext
+	payload := uniformDelta(f, sk, 1)
+	var talk []byte
+	talk = ctx.appendRequest(talk, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: sk.AppendIdentity(nil)})
+	talk = ctx.appendAck(talk, &Ack{Window: 4, AggEpoch: 1, Status: statusHello})
+	talk = ctx.appendRequest(talk, &pushRequest{Kind: pushDelta, Window: 4, Seq: 1, Folds: 1, Payload: payload})
+	talk = ctx.appendAck(talk, &Ack{Window: 4, AggEpoch: 1, Stable: 1, Status: statusApplied, Applied: true})
+	talk = ctx.appendRequest(talk, &pushRequest{Kind: pushDelta, Window: 3, Seq: 9, Folds: 6, Payload: payload})
+	talk = ctx.appendAck(talk, &Ack{Window: 5, AggEpoch: 2, Stable: 7, Status: statusApplied, Applied: true})
+	f.Add(talk)
 	f.Add(prelude(2, frame.Version, pushHello, 0x80, 0x80))
 	// An epoch varint longer than it needs, a body length longer than it
 	// needs, a bye with a body, and a delta and a bye of version 4, which
@@ -247,29 +389,28 @@ func FuzzPushFrame(f *testing.F) {
 	f.Add(oldFrame(4, pushBye, oldBody("n", 3)))
 	// A node name at the limit and one byte past it, a hello naming no
 	// identity and one of a byte too few or too many, folds past 32 bits,
-	// and an ack status no conforming aggregator sends.
+	// a delta flagging its implied seq, one with an unknown flag bit, and
+	// an ack status no conforming aggregator sends.
 	for _, n := range []int{maxNodeLen, maxNodeLen + 1} {
-		f.Add(appendRequest(nil, &pushRequest{Kind: pushHello, Node: strings.Repeat("n", n), Epoch: 1}))
+		f.Add(freshRequest(&pushRequest{Kind: pushHello, Node: strings.Repeat("n", n), Epoch: 1}))
 	}
 	ident := sk.AppendIdentity(nil)
 	for _, id := range [][]byte{nil, ident[:len(ident)-1], append(ident, 0)} {
-		f.Add(appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: id}))
+		f.Add(freshRequest(&pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: id}))
 	}
-	wide := frame.Begin(nil, uint8(pushDelta))
-	for _, v := range []uint64{1, 1, 1 << 32} { // window, seq, folds
-		wide = binary.AppendUvarint(wide, v)
+	for _, head := range [][]byte{{deltaFolds, 0x80, 0x80, 0x80, 0x80, 0x10}, {deltaSeq, 1}, {0x08}} {
+		f.Add(frame.End(append(append(frame.Begin(nil, uint8(pushDelta)), head...), payload...)))
 	}
-	f.Add(frame.End(append(wide, uniformDelta(f, sk, 1)...)))
-	badStatus := appendAck(nil, &Ack{Window: 1})
+	badStatus := freshAck(&Ack{Window: 1})
 	badStatus[frame.MinOverhead] = byte(len(ackStatuses))
 	f.Add(badStatus)
 	// A delta whose payload passes its checksum around a non-finite float.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		f.Add(appendRequest(nil, &pushRequest{Kind: pushDelta, Window: 1, Seq: 1, Folds: 1, Payload: uniformDelta(f, sk, v)}))
+		f.Add(freshRequest(&pushRequest{Kind: pushDelta, Window: 1, Seq: 1, Folds: 1, Payload: uniformDelta(f, sk, v)}))
 	}
 	// Deltas in the pairs encoding: a good one, and each hostile one.
 	pairsDelta := func(payload []byte) []byte {
-		return appendRequest(nil, &pushRequest{Kind: pushDelta, Window: 1, Seq: 1, Folds: 1, Payload: payload})
+		return freshRequest(&pushRequest{Kind: pushDelta, Window: 1, Seq: 1, Folds: 1, Payload: payload})
 	}
 	f.Add(pairsDelta(rawPairs(sk, pairsBody(2, []uint64{3, 60}, []float64{1.5, -2.25}))))
 	for _, bad := range hostilePairs(f, sk, testSketcher(f, 64, 32, 6), testSketcher(f, 64, 36, 5)) {
@@ -289,7 +430,10 @@ func FuzzPushFrame(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := frame.Reader{R: bytes.NewReader(data), Limits: limits[:]}
-		var req pushRequest
+		var (
+			req pushRequest
+			ctx wireContext
+		)
 		for {
 			k, body, err := fr.Next()
 			kind := pushKind(k)
@@ -299,16 +443,18 @@ func FuzzPushFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
+			before := ctx
+			var again []byte
 			switch kind {
 			case replyAck:
-				if ack, err := parseAck(body); err == nil {
-					if again, err := parseAck(bodyOf(appendAck(nil, &ack))); err != nil || again != ack {
-						t.Fatalf("ack %+v re-encodes to %+v (%v)", ack, again, err)
-					}
+				ack, err := ctx.parseAck(body)
+				if err != nil {
+					return
 				}
+				again = before.appendAck(nil, &ack)
 			default:
-				if parseRequest(kind, body, &req) != nil {
-					continue
+				if ctx.parseRequest(kind, body, &req) != nil {
+					return
 				}
 				if len(req.Node) > maxNodeLen || len(req.ID) != 0 && len(req.ID) != csoutlier.IdentityLen {
 					t.Fatalf("kind %d: a %d-byte name or a %d-byte identity parsed", kind, len(req.Node), len(req.ID))
@@ -326,10 +472,11 @@ func FuzzPushFrame(f *testing.F) {
 						}
 					}
 				}
-				// What parsed is canonical: it re-encodes to its own bytes.
-				if again := bodyOf(appendRequest(nil, &req)); !bytes.Equal(again, body) {
-					t.Fatalf("kind %d: %+v re-encodes to\n%x, not\n%x", kind, req, again, body)
-				}
+				again = before.appendRequest(nil, &req)
+			}
+			// What parsed is canonical: it re-encodes to its own bytes.
+			if !bytes.Equal(bodyOf(again), body) || before != ctx {
+				t.Fatalf("kind %d re-encodes to\n%x, not\n%x (context %+v, not %+v)", kind, bodyOf(again), body, before, ctx)
 			}
 		}
 	})
@@ -390,9 +537,15 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 	// delta of pairs in the layout of that version, each under its
 	// version's prelude. Version 2 carried values as f64s ("CSKP"),
 	// version 3 as varints ("CSKV"), each behind the identity; version 4
-	// is this layout, a node and epoch in every delta and a u32 length.
+	// is this layout, a node and epoch in every delta and a u32 length;
+	// version 5 named the window, seq and folds in every delta.
 	oldDelta := func(v byte, payload []byte) []byte {
 		return oldFrame(v, pushDelta, oldBody("node00", 3, append([]byte{1, 1, 1}, payload...)...))
+	}
+	v5 := func(req *pushRequest) []byte {
+		b := freshRequest(req)
+		b[0] = 5
+		return b
 	}
 	cskp := oldPairs(sk, "CSKP", frame.AppendF64([]byte{1, 3}, 1.5))
 	cskv := oldPairs(sk, "CSKV", pairsBody(1, []uint64{3}, []float64{2}))
@@ -401,7 +554,7 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 	// byte.
 	ident := sk.AppendIdentity(nil)
 	helloNaming := func(id []byte) []byte {
-		return appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: id})
+		return freshRequest(&pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: id})
 	}
 	cases := []struct {
 		name      string
@@ -415,6 +568,8 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		{"version-3 delta of CSKV pairs", oldDelta(3, cskv), false},
 		{"version-4 hello", oldFrame(4, pushHello, oldBody("node00", 3, ident...)), false},
 		{"version-4 delta of pairs", oldDelta(4, pairs), false},
+		{"version-5 hello", v5(&pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: ident}), false},
+		{"version-5 delta of pairs", prelude(uint64(3+len(pairs)), 5, pushDelta, append([]byte{1, 1, 1}, pairs...)...), false},
 		{"hello naming a 1-byte identity", helloNaming(ident[:1]), false},
 		{"hello naming a 24-byte identity", helloNaming(ident[:24]), false},
 		{"hello naming a 26-byte identity", helloNaming(append(ident, 0)), false},
@@ -450,6 +605,45 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		conn.Close()
 		malformedCount(t, agg, int64(i+1))
 	}
+	// On a connection an admitted hello bound, a delta the context makes
+	// non-canonical: a flagged field equal to its implied value, or an
+	// unknown flag bit.
+	delta := func(head ...byte) []byte {
+		return frame.End(append(append(frame.Begin(nil, uint8(pushDelta)), head...), pairs...))
+	}
+	refused := int64(len(cases))
+	bound := []struct {
+		name  string
+		bytes []byte
+	}{
+		{"delta flagging its implied window", delta(deltaWindow, 1)},
+		{"delta flagging its implied seq", delta(deltaSeq, 1)},
+		{"delta flagging folds 1", delta(deltaFolds, 1)},
+		{"delta with an unknown flag bit", delta(0x10)},
+	}
+	for _, tc := range bound {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ctx wireContext
+		fr := frame.Reader{R: conn, Limits: replyLimits[:]}
+		if _, err := conn.Write(ctx.appendRequest(nil, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 1})); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, body, err := fr.Next(); err != nil {
+			t.Fatalf("%s: hello: %v", tc.name, err)
+		} else if ack, err := ctx.parseAck(body); err != nil || ack.Err != "" || ack.Window != 1 {
+			t.Fatalf("%s: hello acked %+v, %v; want window 1", tc.name, ack, err)
+		}
+		if _, err := conn.Write(tc.bytes); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		expectClosed(t, tc.name, conn)
+		conn.Close()
+		refused++
+		malformedCount(t, agg, refused)
+	}
 	// A node going away between frames is not malformed input, and the
 	// aggregator still serves a conforming client.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -465,7 +659,7 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 	if _, err := c.Hello(string(make([]byte, maxNodeLen+1)), 1); err == nil {
 		t.Fatal("a node name past maxNodeLen was sent")
 	}
-	malformedCount(t, agg, int64(len(cases)))
+	malformedCount(t, agg, refused)
 	if st := agg.Stats(); st.Frames != 0 {
 		t.Fatalf("the malformed peers got %d frames processed, want none", st.Frames)
 	}
@@ -513,16 +707,17 @@ func TestRefusedHelloUnbinds(t *testing.T) {
 					t.Fatal(err)
 				}
 				fr := frame.Reader{R: conn, Limits: replyLimits[:]}
+				var ctx wireContext
 				send := func(req pushRequest, refused bool) {
 					t.Helper()
-					if _, err := conn.Write(appendRequest(nil, &req)); err != nil {
+					if _, err := conn.Write(ctx.appendRequest(nil, &req)); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					_, body, err := fr.Next()
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if ack, err := parseAck(body); err != nil || refused != (ack.Err != "") {
+					if ack, err := ctx.parseAck(body); err != nil || refused != (ack.Err != "") {
 						t.Fatalf("%s: hello acked %+v, %v; want refused=%v", name, ack, err, refused)
 					}
 				}
@@ -532,7 +727,7 @@ func TestRefusedHelloUnbinds(t *testing.T) {
 					send(pushRequest{Kind: pushHello, Node: first, Epoch: 1}, false)
 				}
 				send(hello, true)
-				if _, err := conn.Write(appendRequest(nil, &req)); err != nil {
+				if _, err := conn.Write(ctx.appendRequest(nil, &req)); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				expectClosed(t, name, conn)
@@ -867,7 +1062,7 @@ func TestPushPathAllocs(t *testing.T) {
 }
 
 // tapListener counts every byte that crosses its connections and keeps
-// what the server read from them.
+// what the server read from them, and what it read and wrote.
 type tapListener struct {
 	net.Listener
 	tap *wireTap
@@ -877,6 +1072,7 @@ type wireTap struct {
 	mu    sync.Mutex
 	bytes int
 	read  []byte
+	talk  []byte // what the server read and wrote, in the order it did
 }
 
 func (l tapListener) Accept() (net.Conn, error) {
@@ -897,6 +1093,7 @@ func (c tapConn) Read(p []byte) (int, error) {
 	c.tap.mu.Lock()
 	c.tap.bytes += n
 	c.tap.read = append(c.tap.read, p[:n]...)
+	c.tap.talk = append(c.tap.talk, p[:n]...)
 	c.tap.mu.Unlock()
 	return n, err
 }
@@ -906,6 +1103,7 @@ func (c tapConn) Read(p []byte) (int, error) {
 func (c tapConn) Write(p []byte) (int, error) {
 	c.tap.mu.Lock()
 	c.tap.bytes += len(p)
+	c.tap.talk = append(c.tap.talk, p...)
 	c.tap.mu.Unlock()
 	return c.Conn.Write(p)
 }
@@ -924,12 +1122,12 @@ func (w *wireTap) exchange(fn func()) (total int, read []byte) {
 
 // TestDeltaWireBytes pins what a flush puts on the wire at the
 // benchmark's ingest_flat shape (M=256, N=4096, 16 observations a
-// flush): the observations themselves, 78 bytes for the whole exchange
-// when they are counts and 176 when they are not, where the sketch
-// frame takes 2,091 — and that from the size
-// crossover up, the frame is byte for byte the sketch frame a node that
-// measured every observation on arrival, drained and encoded would
-// have sent.
+// flush): the observations themselves, 73 bytes for the whole exchange
+// when they are counts and 171 when they are not, where the sketch
+// frame takes 2,086 — that from the size crossover up, the frame is
+// byte for byte the sketch frame a node that measured every observation
+// on arrival, drained and encoded would have sent — and that on a warm
+// connection those bytes do not grow with the seq or the window.
 func TestDeltaWireBytes(t *testing.T) {
 	sk := testSketcher(t, 4096, 256, 5)
 	agg, err := NewAggregator(sk, AggregatorOptions{})
@@ -975,12 +1173,16 @@ func TestDeltaWireBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The node's hello was acked with window 1 and aggEpoch 1, and every
+	// ack since with the seq it answers as stable: each flush's delta and
+	// ack imply every field.
 	frameOf := func(seq uint64, payload []byte) []byte {
-		return appendRequest(nil, &pushRequest{Kind: pushDelta, Window: 1, Seq: seq, Folds: 1, Payload: payload})
+		ctx := wireContext{window: 1, aggEpoch: 1, seq: seq - 1}
+		return ctx.appendRequest(nil, &pushRequest{Kind: pushDelta, Window: 1, Seq: seq, Folds: 1, Payload: payload})
 	}
 	const (
-		deltaHeader = 1 + 1 + 1                         // uv window | uv seq | uv folds
-		ack         = frame.MinOverhead + 1 + 1 + 1 + 1 // status | uv window | uv aggEpoch | uv stable
+		deltaHeader = 1                     // u8 flags
+		ack         = frame.MinOverhead + 1 // u8 status
 	)
 	// The delta's prelude: version, kind and the body's length as a uv.
 	prelude := func(payload []byte) int {
@@ -993,8 +1195,8 @@ func TestDeltaWireBytes(t *testing.T) {
 		body, total int
 	}{
 		// Tags 4×1 + 12×2 bytes; values 2×1 + 13×2 + 1×3 bytes, or 16×8.
-		{"counts", counts, 28 + 31, 78},
-		{"non-integers", vals, 28 + 128, 176},
+		{"counts", counts, 28 + 31, 73},
+		{"non-integers", vals, 28 + 128, 171},
 	} {
 		observe(node, 16, c.vals)
 		total, read := tap.exchange(flush)
@@ -1040,11 +1242,44 @@ func TestDeltaWireBytes(t *testing.T) {
 		if !bytes.Equal(read, frameOf(uint64(3+i), payload)) {
 			t.Fatalf("%d observations (crossover %d): the frame is not the parent's sketch frame", n, cross)
 		}
-		if want := prelude(payload) + deltaHeader + csoutlier.EncodedSketchLen(256) + ack; total != want || want != 2091 {
-			t.Fatalf("%d observations: %d bytes on the wire, want %d (= 2091)", n, total, want)
+		if want := prelude(payload) + deltaHeader + csoutlier.EncodedSketchLen(256) + ack; total != want || want != 2086 {
+			t.Fatalf("%d observations: %d bytes on the wire, want %d (= 2086)", n, total, want)
 		}
 	}
 	if st := node.Stats(); st.Captured != 5 || st.PairFrames != 3 || st.Applied != 5 {
 		t.Fatalf("node stats %+v, want 5 captures, 3 of them pairs, all applied", st)
+	}
+
+	// A warm connection's flush of the 16 counts costs the same 73 bytes
+	// at seq 1 and window 1 as at seq 2^40 and window 70000; only the
+	// first delta after a jump names the seq and the window.
+	c, err := DialClient(ctx, ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	counts16 := rawPairs(sk, pairsBody(16, idx, counts))
+	push := func(window, seq uint64) int {
+		total, _ := tap.exchange(func() {
+			if ack, err := c.PushDelta("warm", 1, window, seq, 1, counts16); err != nil || !ack.Applied || ack.Window != window || ack.Stable != seq {
+				t.Fatalf("push of seq %d in window %d: %+v, %v", seq, window, ack, err)
+			}
+		})
+		return total
+	}
+	if _, err := c.Hello("warm", 1); err != nil {
+		t.Fatal(err)
+	}
+	if total := push(1, 1); total != 73 || total != MinDeltaOverhead+len(counts16) {
+		t.Fatalf("seq 1 in window 1: %d bytes on the wire, want 73 = MinDeltaOverhead + the payload", total)
+	}
+	for agg.CurrentWindow() < 70000 {
+		agg.Rotate()
+	}
+	if total := push(70000, 1<<40-1); total <= 73 {
+		t.Fatalf("the jump to seq 2^40-1 in window 70000: %d bytes on the wire, want the seq and the window named", total)
+	}
+	if total := push(70000, 1<<40); total != 73 {
+		t.Fatalf("seq 2^40 in window 70000: %d bytes on the wire, want 73", total)
 	}
 }

@@ -240,11 +240,13 @@ case "${1:-}" in
 	# Every root window is checked against the exact sketch, and a small
 	# flush must travel as its observations, not as the M-float sketch,
 	# each count a varint, the consensus, node and epoch named once in the
-	# hello and not in every frame, each frame's length a varint:
-	# 4.92 B/obs exactly, run after run (5.79 with the node and epoch in
-	# every delta and a u32 length, 7.29 with the identity in every pairs
-	# frame too, 13.32 when every value was an 8-byte float), gated at
-	# that plus 2 %.
+	# hello and not in every frame, each frame's length a varint, and a
+	# delta's window, seq and folds and its ack's window, aggEpoch and
+	# stable left to the connection's context: 4.48 B/obs exactly, run
+	# after run (4.92 with those six fields in every exchange, 5.79 with
+	# the node and epoch in every delta and a u32 length, 7.29 with the
+	# identity in every pairs frame too, 13.32 when every value was an
+	# 8-byte float), gated at that plus 2 %.
 	line=$(bash benchmark/run.sh --workload ingest_flat --seed 1 --cycles 8 --trace 0 | tail -n 1)
 	echo "$line"
 	case "$line" in
@@ -256,8 +258,8 @@ case "${1:-}" in
 	esac
 	wire=$(printf '%s\n' "$line" | sed -n 's/.*"wire_bytes_per_obs":{"value":\([0-9.eE+-]*\).*/\1/p')
 	echo "wire_bytes_per_obs = ${wire:-missing}"
-	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 5.02) }'; then
-		echo "verify: ingest_flat wire_bytes_per_obs above 5.02" >&2
+	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 4.57) }'; then
+		echo "verify: ingest_flat wire_bytes_per_obs above 4.57" >&2
 		exit 1
 	fi
 	echo "== benchmark gate: standing_tier allocated and wire bytes per observation =="
@@ -267,10 +269,12 @@ case "${1:-}" in
 	# route split, 29-31 when every relay Forward captured a snapshot it
 	# threw away. Its leaves' counts travel
 	# as varints, and their frames leave the consensus, node and epoch to
-	# the hello, each length a varint: 5.05 wire B/obs exactly (5.14 with
-	# the node and epoch in every delta and a u32 length, 5.33 with the
-	# identity in every pairs frame too, 11.31 as 8-byte floats), gated
-	# at that plus 2 %.
+	# the hello, each length a varint, and what the connection implies
+	# to its context: 5.01 wire B/obs exactly (5.05 with the window, seq,
+	# folds, aggEpoch and stable in every exchange, 5.14 with the node
+	# and epoch in every delta and a u32 length, 5.33 with the identity
+	# in every pairs frame too, 11.31 as 8-byte floats), gated at that
+	# plus 2 %.
 	line=$(bash benchmark/run.sh --workload standing_tier --seed 1 --cycles 32 --trace 0 | tail -n 1)
 	echo "$line"
 	case "$line" in
@@ -288,8 +292,8 @@ case "${1:-}" in
 	fi
 	wire=$(printf '%s\n' "$line" | sed -n 's/.*"wire_bytes_per_obs":{"value":\([0-9.eE+-]*\).*/\1/p')
 	echo "wire_bytes_per_obs = ${wire:-missing}"
-	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 5.15) }'; then
-		echo "verify: standing_tier wire_bytes_per_obs above 5.15" >&2
+	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 5.11) }'; then
+		echo "verify: standing_tier wire_bytes_per_obs above 5.11" >&2
 		exit 1
 	fi
 	echo "verify: OK (bench smoke)"
