@@ -142,11 +142,12 @@ func isDense(m sensing.Matrix) bool { _, ok := m.(*sensing.Dense); return ok }`}
 	},
 	{
 		id:      "retired-names",
-		name:    "no retired ensemble, column cache or optional batch interface, test files included",
+		name:    "no retired ensemble, column cache, optional batch interface or format-compatibility shim, test files included",
 		section: "pr21",
 		check: func(p *program) []string {
 			return idents(p, true, func(name string) bool {
-				for _, retired := range []string{"NewSRHT", "NewSparseRademacher", "NewColumnCache", "BatchCorrelator"} {
+				for _, retired := range []string{"NewSRHT", "NewSparseRademacher", "NewColumnCache", "BatchCorrelator",
+					"idPad", "snapVersionExtra", "kindRetiredSparse", "kindRetiredSRHT", "relayExtraVersion"} {
 					if strings.Contains(name, retired) {
 						return true
 					}
@@ -154,7 +155,10 @@ func isDense(m sensing.Matrix) bool { _, ok := m.(*sensing.Dense); return ok }`}
 				return false
 			})
 		},
-		fixtures: []map[string]string{{"internal/sensing/srht_test.go": `package sensing; var _ = NewSRHT`}},
+		fixtures: []map[string]string{
+			{"internal/sensing/srht_test.go": `package sensing; var _ = NewSRHT`},
+			{"internal/cluster/pad.go": `package cluster; const idPad = 5`},
+		},
 	},
 	{
 		id:      "one-harness",
@@ -649,7 +653,7 @@ func setLines(p *program) string {
 
 // maxDocBytes caps the two documents that describe the system at the
 // sizes their last edit left: lower a cap after a cut, never raise it.
-var maxDocBytes = map[string]int{"README.md": 44521, "DESIGN.md": 50322}
+var maxDocBytes = map[string]int{"README.md": 44410, "DESIGN.md": 49842}
 
 // bigDocs returns the docs over their cap.
 func bigDocs(p *program) []string {

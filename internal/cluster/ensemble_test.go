@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -101,15 +102,15 @@ func typeName(v interface{}) string {
 	}
 }
 
-// TestRetiredKindRefused: Kind numbers 1 and 2 named ensembles this
-// build no longer carries. A request carrying one on the wire is a
-// well-formed frame the server answers with the one retired-kind error —
-// it never builds another ensemble in its place — and the client refuses
-// the same spec before the round trip.
+// TestRetiredKindRefused: Kind numbers 1 and 2 are unknown kinds. A
+// request carrying one on the wire is a well-formed frame the server
+// answers with the unknown-kind error — it never builds another ensemble
+// in its place — and the client refuses the same spec before the round
+// trip.
 func TestRetiredKindRefused(t *testing.T) {
 	nodes, _, _ := makeCluster(t, 64, 2, 1, 100, 5)
-	for kind, name := range map[sensing.Kind]string{1: "sparse", 2: "srht"} {
-		want := `sensing: ensemble "` + name + `" was retired (use gaussian or countsketch)`
+	for _, kind := range []sensing.Kind{1, 2} {
+		want := fmt.Sprintf("sensing: unknown ensemble kind %d", kind)
 		spec := sensing.Spec{Params: sensing.Params{M: 16, N: 64, Seed: 1}, Kind: kind}
 
 		var reply bytes.Buffer

@@ -26,7 +26,7 @@ import (
 // Every frame, in either direction, is internal/frame's prelude
 // (version, kind, uv body length) and a body, laid out per kind:
 //
-//	id      0x10  idPad zero bytes (an older peer hangs up on them)
+//	id      0x10  (empty)
 //	sketch  0x11  uv M | uv N | u64 seed | u8 ensemble | uv D
 //	reply   0x15  u8 status (1 ok, 0 error), then for an error its text and
 //	              for an ok what the request asked for, each to the end of
@@ -324,9 +324,8 @@ func (r *RemoteNode) exchange(ctx context.Context, conn net.Conn, kind reqKind, 
 			err = parseReply(kind, body, resp)
 		}
 		if err != nil {
-			// A node that hangs up with part of the request unread (one
-			// from before version 5 reads six bytes of the id request and
-			// no more) resets the connection instead: the same close.
+			// A node that hangs up with part of the request unread
+			// resets the connection instead: the same close.
 			if errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) {
 				return errors.New("node closed connection")
 			}

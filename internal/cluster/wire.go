@@ -15,9 +15,7 @@ import (
 
 // reqKind is a frame kind. The numbers start past the push protocol's
 // (internal/stream, 1–5) so a peer of one protocol that reaches a port of
-// the other is refused at its first prelude. 0x12–0x14 carried the
-// baselines' full-vector, sample and local-outlier requests; they are
-// refused as unknown, and the reply keeps its number.
+// the other is refused at its first prelude.
 type reqKind uint8
 
 const (
@@ -41,19 +39,13 @@ const (
 	maxReplyText = 1024
 
 	maxSpecBody = 3*binary.MaxVarintLen64 + 8 + 1 // uv M | uv N | u64 seed | u8 kind | uv D
-
-	// idPad is an ID request's body, that many zero bytes. They make the
-	// first frame a client sends one byte longer than its version byte
-	// says: a gob node reads that byte as a message length it can fill
-	// and fails to decode the message, and a node from before version 5
-	// reads a whole u32 prelude (six bytes), finds version 0 and hangs
-	// up. Neither waits for a byte the client will not send.
-	idPad = frame.Version - 2
 )
 
-// requestLimits is the largest body a node accepts per request kind.
+// requestLimits is the largest body a node accepts per request kind. An
+// id request carries nothing; its cap only has to be non-zero for the
+// kind to be accepted, and the parser refuses the byte.
 var requestLimits = [kindReply]int{
-	reqID:     idPad,
+	reqID:     1,
 	reqSketch: maxSpecBody,
 }
 
@@ -81,10 +73,7 @@ type response struct {
 // appendRequest encodes req as one frame into buf's storage.
 func appendRequest(buf []byte, req *request) []byte {
 	buf = frame.Begin(buf, uint8(req.Kind))
-	switch req.Kind {
-	case reqID:
-		buf = append(buf, make([]byte, idPad)...)
-	case reqSketch:
+	if req.Kind == reqSketch {
 		buf = binary.AppendUvarint(buf, uint64(req.Spec.M))
 		buf = binary.AppendUvarint(buf, uint64(req.Spec.N))
 		buf = binary.LittleEndian.AppendUint64(buf, req.Spec.Seed)
@@ -110,12 +99,7 @@ func cursorInt(r *frame.Cursor) int {
 func parseRequest(kind reqKind, body []byte, req *request) error {
 	r := frame.Cursor{B: body}
 	*req = request{Kind: kind}
-	switch kind {
-	case reqID:
-		if pad := r.Take(idPad); pad != nil && string(pad) != string(make([]byte, idPad)) {
-			r.Err = frame.ErrMalformed
-		}
-	case reqSketch:
+	if kind == reqSketch {
 		req.Spec.M = cursorInt(&r)
 		req.Spec.N = cursorInt(&r)
 		req.Spec.Seed = r.U64()

@@ -26,20 +26,10 @@ import (
 )
 
 const (
-	// Version is the prelude's version byte. A peer that sends another is
-	// disconnected; there is no negotiation. 2: a push delta's payload may
-	// be csoutlier's pairs encoding, which a version-1 aggregator would
-	// ack as a bad sketch, frame after frame, instead of hanging up.
-	// 3: a pair's value may be a varint (magic "CSKV", not "CSKP").
-	// 4: a pairs payload no longer carries the consensus identity (tag
-	// 'P', not magic "CSKV"); a push hello names it instead.
-	// 5: the prelude is version | kind | uv length (it was a u32 length
-	// first), and a push delta or bye no longer names its node and epoch:
-	// the connection's hello does.
-	// 6: a push delta or ack carries its window, seq, folds, aggEpoch and
-	// stable only where they differ from what the connection implies,
-	// behind a byte that says which.
-	Version = 6
+	// Version is the prelude's version byte: the layout of every body
+	// of both protocols. A peer that sends another is disconnected;
+	// there is no negotiation.
+	Version = 7
 	// MinOverhead and MaxOverhead bound the prelude in front of a frame
 	// body: three bytes for a body under 128 bytes, seven at most.
 	MinOverhead = 1 + 1 + 1

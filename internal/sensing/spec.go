@@ -6,30 +6,21 @@ import "fmt"
 type Kind uint8
 
 // The ensembles the package implements. The sketch codec and the cluster
-// protocol write Kind values, so the numbers are fixed: 1 and 2 named
-// two ensembles this build no longer carries and are refused by name
-// (see check), never re-mapped.
+// protocol write Kind values, so the numbers are fixed; any other is an
+// unknown kind.
 const (
 	// KindGaussian is the paper's i.i.d. N(0, 1/M) ensemble.
 	KindGaussian Kind = 0
 	// KindCountSketch is the bias-aware count-sketch: depth rows of
 	// hashed ±1/√depth buckets, the recovery-free point-query backend.
 	KindCountSketch Kind = 3
-
-	kindRetiredSparse Kind = 1
-	kindRetiredSRHT   Kind = 2
 )
 
-// String implements fmt.Stringer. The retired kinds keep their names so
-// the refusal can say which one was asked for.
+// String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {
 	case KindGaussian:
 		return "gaussian"
-	case kindRetiredSparse:
-		return "sparse"
-	case kindRetiredSRHT:
-		return "srht"
 	case KindCountSketch:
 		return "countsketch"
 	default:
@@ -37,14 +28,12 @@ func (k Kind) String() string {
 	}
 }
 
-// check is the one test of whether this build implements k; ParseKind,
-// Spec.Validate and New all answer with its error.
+// check is the one test of whether this build implements k; Spec.Validate
+// and New answer with its error.
 func (k Kind) check() error {
 	switch k {
 	case KindGaussian, KindCountSketch:
 		return nil
-	case kindRetiredSparse, kindRetiredSRHT:
-		return fmt.Errorf("sensing: ensemble %q was retired (use gaussian or countsketch)", k.String())
 	default:
 		return fmt.Errorf("sensing: unknown ensemble kind %d", k)
 	}
@@ -53,13 +42,11 @@ func (k Kind) check() error {
 // ParseKind converts a user-facing name (String's; empty means
 // gaussian) into a Kind.
 func ParseKind(s string) (Kind, error) {
-	if s == "" {
+	switch s {
+	case "", KindGaussian.String():
 		return KindGaussian, nil
-	}
-	for k := KindGaussian; k <= KindCountSketch; k++ {
-		if s == k.String() {
-			return k, k.check()
-		}
+	case KindCountSketch.String():
+		return KindCountSketch, nil
 	}
 	return 0, fmt.Errorf("sensing: unknown ensemble %q (want gaussian or countsketch)", s)
 }

@@ -1,6 +1,7 @@
 package sensing
 
 import (
+	"fmt"
 	"testing"
 
 	"csoutlier/internal/linalg"
@@ -122,16 +123,16 @@ func TestSketchArithmeticPanicsOnMismatch(t *testing.T) {
 }
 
 // TestRetiredKindRefused: wire numbers 1 and 2 and the names "sparse"
-// and "srht" belonged to ensembles this build no longer carries. Every
-// door answers with the one error, and none substitutes another
-// ensemble.
+// and "srht" are unknown, like any other number or name: every door
+// refuses them with its unknown-kind error, and none substitutes
+// another ensemble.
 func TestRetiredKindRefused(t *testing.T) {
 	p := Params{M: 10, N: 40, Seed: 1}
 	for kind, name := range map[Kind]string{1: "sparse", 2: "srht"} {
-		want := `sensing: ensemble "` + name + `" was retired (use gaussian or countsketch)`
-		if k, err := ParseKind(name); err == nil || err.Error() != want {
-			t.Errorf("ParseKind(%q) = %v, %v; want %q", name, k, err, want)
+		if k, err := ParseKind(name); err == nil || err.Error() != `sensing: unknown ensemble "`+name+`" (want gaussian or countsketch)` {
+			t.Errorf("ParseKind(%q) = %v, %v; want an unknown ensemble", name, k, err)
 		}
+		want := fmt.Sprintf("sensing: unknown ensemble kind %d", kind)
 		spec := Spec{Params: p, Kind: kind, D: 4}
 		if err := spec.Validate(); err == nil || err.Error() != want {
 			t.Errorf("Validate(kind %d) = %v, want %q", kind, err, want)
@@ -139,8 +140,8 @@ func TestRetiredKindRefused(t *testing.T) {
 		if m, err := New(spec, 0); err == nil || err.Error() != want || m != nil {
 			t.Errorf("New(kind %d) = %T, %v; want %q", kind, m, err, want)
 		}
-		if kind.String() != name {
-			t.Errorf("Kind(%d).String() = %q, want %q", kind, kind.String(), name)
+		if got := kind.String(); got != fmt.Sprintf("Kind(%d)", kind) {
+			t.Errorf("Kind(%d).String() = %q, a name", kind, got)
 		}
 	}
 	// The kept kinds keep their wire numbers.

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestRetiredKindRefused: a recorded replay line that names a retired
-// ensemble fails to parse with sensing's retired-kind error, in every
-// grammar that carries an ens= field — it is never replayed under
-// another ensemble. The generators no longer produce such lines. A line
+// TestRetiredKindRefused: a recorded replay line that names the
+// ensembles "sparse" or "srht" fails to parse with sensing's
+// unknown-ensemble error, in every grammar that carries an ens= field —
+// it is never replayed under another ensemble. A line
 // under a retired streaming prefix, or a pull-path line, is refused by
 // its prefix: stream2 is the one streaming grammar.
 func TestRetiredKindRefused(t *testing.T) {
@@ -38,7 +38,7 @@ func TestRetiredKindRefused(t *testing.T) {
 		}
 		for _, ens := range []string{"sparse", "srht"} {
 			retired := strings.Replace(line, " ens=gaussian ", " ens="+ens+" ", 1)
-			want := `sensing: ensemble "` + ens + `" was retired (use gaussian or countsketch)`
+			want := `sensing: unknown ensemble "` + ens + `"`
 			if err := parse(retired); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s ens=%s: %v, want an error containing %q", name, ens, err, want)
 			}

@@ -27,9 +27,11 @@ func (ns *nodeState) stabilise(base uint64) {
 	}
 }
 
-// maxTombstones bounds retired-node state. Tombstones are tiny (a dedup
-// mark plus counters), so the cap only guards a pathological churn of
-// distinct node names; eviction is FIFO.
+// maxTombstones bounds retired-node state: past it the oldest tombstone
+// is forgotten (FIFO) and counted in stream_tombstones_forgotten_total.
+// The trade is memory for exactly-once: a forgotten name that comes back
+// at the same epoch gets a fresh dedup book, so a replay of a frame it
+// folded before it left folds again.
 const maxTombstones = 1024
 
 // members is the membership: live nodes, tombstones of retired ones,
@@ -100,6 +102,7 @@ func (ms *members) retire(ns *nodeState, state string) {
 	for len(ms.tombs) > maxTombstones {
 		delete(ms.tombs, ms.tombFIFO[0])
 		ms.tombFIFO = ms.tombFIFO[1:]
+		ms.m.tombsForgotten.Inc()
 	}
 	ms.version++
 	if state == stateEvicted {

@@ -314,3 +314,30 @@ func TestHelloRefusesAnotherConsensus(t *testing.T) {
 		t.Fatalf("Nodes() = %+v, want bare and node00", sts)
 	}
 }
+
+// TestTombstonesForgottenCounted: one name past the tombstone cap
+// forgets the oldest tombstone, and /metrics says so.
+func TestTombstonesForgottenCounted(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 5)
+	agg, addr := serveAgg(t, sk, AggregatorOptions{})
+	c, err := DialClient(context.Background(), addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("DialClient: %v", err)
+	}
+	defer c.Close()
+	for i := 0; i <= maxTombstones; i++ {
+		node := fmt.Sprintf("node%04d", i)
+		if ack, err := c.Hello(node, 1); err != nil || ack.Err != "" {
+			t.Fatalf("hello %s: %+v, %v", node, ack, err)
+		}
+		if ack, err := c.bye(); err != nil || ack.Err != "" {
+			t.Fatalf("bye %s: %+v, %v", node, ack, err)
+		}
+	}
+	if s := agg.Stats(); s.Tombstones != maxTombstones || s.Leaves != maxTombstones+1 {
+		t.Fatalf("tombstones %d, leaves %d; want %d and %d", s.Tombstones, s.Leaves, maxTombstones, maxTombstones+1)
+	}
+	if expo := renderMetrics(t, agg); !strings.Contains(expo, "\nstream_tombstones_forgotten_total 1\n") {
+		t.Fatalf("/metrics does not count one forgotten tombstone:\n%s", expo)
+	}
+}

@@ -40,9 +40,10 @@ type aggMetrics struct {
 	snapshotBytes   *obs.Gauge
 	snapshotSeconds *obs.Histogram
 
-	joins     *obs.Counter
-	leaves    *obs.Counter
-	evictions *obs.Counter
+	joins          *obs.Counter
+	leaves         *obs.Counter
+	evictions      *obs.Counter
+	tombsForgotten *obs.Counter
 
 	shedFrames *obs.Counter
 	shedFolds  *obs.Counter
@@ -122,6 +123,8 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		joins:     membership.With("join"),
 		leaves:    membership.With("leave"),
 		evictions: membership.With("evict"),
+		tombsForgotten: reg.Counter("stream_tombstones_forgotten_total",
+			"tombstones dropped past the cap, oldest first: a forgotten name back at the same epoch starts a fresh dedup book"),
 		shedFrames: reg.Counter("stream_shed_frames_total",
 			"applied frames that carried more than one capture (a relay's sum of leaf deltas)"),
 		shedFolds: reg.Counter("stream_shed_folds_total",

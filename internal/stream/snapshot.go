@@ -27,25 +27,17 @@ package stream
 //	capacity:u32 windowCount:u32 { len:u32 sketchCodecBytes }...
 //	nodeCount:u32 { node }...
 //	tombCount:u32 { node }...
-//	extraLen:u32 extraBytes...     (version 2 only)
+//	extraLen:u32 extraBytes...
 //	crc:u32
 //
-// Version 1 and version 2 differ only in the opaque Extra blob an
-// embedder (internal/tier's relay) snapshots alongside the fold state.
-// The encoding is canonical both ways: a snapshot without Extra is
-// always written as version 1 (byte-identical to the v1 codec), and a
-// version-2 blob with extraLen == 0 is rejected.
-//
-// where each node is
+// Extra is an opaque blob an embedder (internal/tier's relay) snapshots
+// alongside the fold state; a plain aggregator's is empty. Each node is
 //
 //	nameLen:u16 name state:u8 epoch:u64 base:u64
-//	aheadCount:u32                  (always 0)
 //	lastWindow:u64 applied:u64 duplicates:u64 dropped:u64 rejected:u64
 //	restarts:u64 shedFrames:u64 shedFolds:u64
 //
-// The dedup book is one number (seqTracker), so aheadCount is always 0:
-// the field keeps the node record's byte layout, and a blob with any
-// other count is refused.
+// where base is the node's dedup book (seqTracker), one number.
 //
 // Window payloads reuse the csoutlier sketch codec, so every window
 // carries the full consensus identity (M, N, seed, ensemble) and its
@@ -71,10 +63,7 @@ import (
 // snapMagic/snapVersion identify the snapshot codec.
 var snapMagic = [4]byte{'C', 'S', 'N', 'P'}
 
-const (
-	snapVersion      uint16 = 1 // no Extra
-	snapVersionExtra uint16 = 2 // trailing opaque Extra blob
-)
+const snapVersion uint16 = 3
 
 // SnapNode is one node's membership + dedup state in a snapshot: its
 // NodeStatus (LastSeen, Lag and Stable are a running aggregator's view
@@ -264,23 +253,19 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 }
 
 // MarshalBinary encodes the snapshot. The encoding is canonical
-// (nodes sorted, ahead counts 0), so encode∘decode is the identity on
-// the bytes DecodeSnapshot accepts.
+// (nodes sorted), so encode∘decode is the identity on the bytes
+// DecodeSnapshot accepts.
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	if s.Capacity < 1 || len(s.Windows) < 1 || len(s.Windows) > s.Capacity {
 		return nil, fmt.Errorf("stream: snapshot has %d windows for capacity %d", len(s.Windows), s.Capacity)
 	}
-	size := 4 + 2 + 8*3 + 4 + 4
+	size := 4 + 2 + 8*3 + 4 + 4 + 4 + len(s.Extra)
 	for _, w := range s.Windows {
 		size += 4 + len(w)
 	}
-	version := snapVersion
-	if len(s.Extra) > 0 {
-		version = snapVersionExtra
-	}
 	b := make([]byte, 0, size)
 	b = append(b, snapMagic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, version)
+	b = binary.LittleEndian.AppendUint16(b, snapVersion)
 	b = binary.LittleEndian.AppendUint64(b, s.AggEpoch)
 	b = binary.LittleEndian.AppendUint64(b, s.Window)
 	b = binary.LittleEndian.AppendUint64(b, s.Membership)
@@ -299,10 +284,8 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 			}
 		}
 	}
-	if version == snapVersionExtra {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Extra)))
-		b = append(b, s.Extra...)
-	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Extra)))
+	b = append(b, s.Extra...)
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	return b, nil
 }
@@ -320,7 +303,6 @@ func appendSnapNode(b []byte, sn *SnapNode) ([]byte, error) {
 	b = append(b, state)
 	b = binary.LittleEndian.AppendUint64(b, sn.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, sn.Base)
-	b = binary.LittleEndian.AppendUint32(b, 0) // aheadCount
 	b = binary.LittleEndian.AppendUint64(b, sn.LastWindow)
 	for _, v := range []int64{sn.Applied, sn.Duplicates, sn.Dropped, sn.Rejected, sn.Restarts, sn.ShedFrames, sn.ShedFolds} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
@@ -370,9 +352,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("stream: snapshot CRC mismatch (stored %08x, computed %08x)", binary.LittleEndian.Uint32(trailer), crc)
 	}
 	r := &frame.Cursor{B: body[4:]}
-	version := r.U16()
-	if version != snapVersion && version != snapVersionExtra {
-		return nil, fmt.Errorf("stream: snapshot version %d (supported: %d, %d)", version, snapVersion, snapVersionExtra)
+	if version := r.U16(); version != snapVersion {
+		return nil, fmt.Errorf("stream: snapshot version %d (supported: %d)", version, snapVersion)
 	}
 	s := &Snapshot{
 		AggEpoch:   r.U64(),
@@ -406,16 +387,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			}
 		}
 	}
-	if version == snapVersionExtra {
-		n := r.U32()
-		if r.Err == nil && n == 0 {
-			// Canonical form: an empty Extra is encoded as version 1.
-			return nil, errors.New("stream: version-2 snapshot with empty extra")
-		}
-		extra := r.Take(int(n))
-		if r.Err == nil {
-			s.Extra = append([]byte(nil), extra...)
-		}
+	if extra := r.Take(int(r.U32())); len(extra) > 0 {
+		s.Extra = append([]byte(nil), extra...)
 	}
 	if r.Err != nil {
 		return nil, errSnapTruncated
@@ -441,9 +414,6 @@ func decodeSnapNode(r *frame.Cursor) (SnapNode, error) {
 	sn.State = state
 	sn.Epoch = r.U64()
 	sn.Base = r.U64()
-	if ahead := r.U32(); r.Err == nil && ahead != 0 {
-		return sn, fmt.Errorf("stream: snapshot node %s: %d seqs ahead of its mark %d (the dedup book is one number)", sn.Node, ahead, sn.Base)
-	}
 	sn.LastWindow = r.U64()
 	for _, dst := range []*int64{&sn.Applied, &sn.Duplicates, &sn.Dropped, &sn.Rejected, &sn.Restarts, &sn.ShedFrames, &sn.ShedFolds} {
 		*dst = int64(r.U64())

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,8 +65,8 @@ func randSnapshot(rng *xrand.RNG) *Snapshot {
 	for i := rng.Intn(3); i > 0; i-- {
 		s.Tombs = append(s.Tombs, randNode(100+len(s.Tombs), true))
 	}
-	// Half the cases carry an opaque embedder blob (the v2 form a
-	// tier.Relay snapshot uses for its upward-forwarding state).
+	// Half the cases carry an opaque embedder blob (what a tier.Relay
+	// snapshot uses for its upward-forwarding state).
 	if rng.Intn(2) == 1 {
 		b := make([]byte, 1+rng.Intn(48))
 		for j := range b {
@@ -108,8 +107,8 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 // TestSnapshotDecodeRejects pins the failure modes the codec must catch
 // without panicking: truncation at every length, bit corruption
-// everywhere (the CRC), a wrong version, wrong magic, trailing junk, and
-// a node record listing seqs ahead of its mark.
+// everywhere (the CRC), trailing junk, and a blob of another version,
+// refused by that version's number.
 func TestSnapshotDecodeRejects(t *testing.T) {
 	rng := xrandtest.New(t, 99)
 	snap := randSnapshot(rng)
@@ -133,26 +132,16 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 		t.Fatal("trailing byte decoded")
 	}
 
-	// A node record with one seq ahead of its mark, in the layout the
-	// codec wrote when the book kept such seqs, under a valid CRC: the
-	// book is one number now, so the blob is refused by the node's name.
-	one := &Snapshot{Window: 1, Capacity: 1, Windows: [][]byte{{1, 2, 3}}, Nodes: []SnapNode{{
-		NodeStatus: NodeStatus{Node: "gamma", State: StateLive, Epoch: 1}, Base: 4,
-	}}}
-	if data, err = one.MarshalBinary(); err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	at := 4 + 2 + 3*8 + 4 + 4 + (4 + 3) + 4 + 2 + len("gamma") + 1 + 8 + 8 // gamma's aheadCount
-	if n := binary.LittleEndian.Uint32(data[at:]); n != 0 {
-		t.Fatalf("aheadCount at byte %d is %d, want 0", at, n)
-	}
-	ahead := append([]byte(nil), data[:at]...)
-	ahead = binary.LittleEndian.AppendUint32(ahead, 1)
-	ahead = binary.LittleEndian.AppendUint64(ahead, 6)
-	ahead = append(ahead, data[at+4:len(data)-4]...)
-	ahead = binary.LittleEndian.AppendUint32(ahead, crc32.ChecksumIEEE(ahead))
-	if _, err := DecodeSnapshot(ahead); err == nil || !strings.Contains(err.Error(), "gamma") {
-		t.Fatalf("a seq ahead of the mark: err %v, want a refusal naming gamma", err)
+	// Versions 1 and 2, and the next, under a valid CRC are refused by
+	// their number, whatever their layout.
+	for _, v := range []uint16{1, 2, snapVersion + 1} {
+		old := append([]byte(nil), data[:len(data)-4]...)
+		binary.LittleEndian.PutUint16(old[4:], v)
+		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+		want := fmt.Sprintf("stream: snapshot version %d (supported: %d)", v, snapVersion)
+		if _, err := DecodeSnapshot(old); err == nil || err.Error() != want {
+			t.Fatalf("version %d: err %v, want %q", v, err, want)
+		}
 	}
 }
 
@@ -639,10 +628,9 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 // TestSnapshotBytesGolden pins the snapshot encoding of two fixed fold
 // histories, with and without an Extra blob: two nodes, a frame too old
 // for the ring, three rotations. In the gap-free history beta folds seq
-// 1 and 2 and its seq 3 is dropped as too old; its hashes are those of
-// the two-part book (a mark plus a set of seqs ahead of it) and must not
-// move. In the gapped one beta skips seq 2. A change to how a window or
-// a dedup book reaches the blob must not move one byte of either.
+// 1 and 2 and its seq 3 is dropped as too old; in the gapped one beta
+// skips seq 2. A change to how a window or a dedup book reaches the
+// blob must not move one byte of either.
 func TestSnapshotBytesGolden(t *testing.T) {
 	sk := testSketcher(t, 128, 64, 7)
 	for _, tc := range []struct {
@@ -650,10 +638,10 @@ func TestSnapshotBytesGolden(t *testing.T) {
 		extra    []byte
 		want     string
 	}{
-		{[3]uint64{1, 2, 3}, nil, "102fd9de4ed01e25fed8b16a5ecbdb5798ee88f73eb8d90503321aee07558535"},
-		{[3]uint64{1, 2, 3}, []byte("relay-upward-state"), "b7686b0827cddd5471305f6c0aedad6e4f79fdf1c82212e7f472e19c2f32ac3c"},
-		{[3]uint64{1, 3, 4}, nil, "93d1106e522a302f52078956e4698717ed4c23784f59f0d35a5f6297476463f9"},
-		{[3]uint64{1, 3, 4}, []byte("relay-upward-state"), "0358fe04c4d4578ae7ca8841ef66a50aa65d153b6a7a08257099ec323e361c55"},
+		{[3]uint64{1, 2, 3}, nil, "e7df9b4dbc9344d116ee8717a65a65fd2d51de604df22712e70e7f0865779113"},
+		{[3]uint64{1, 2, 3}, []byte("relay-upward-state"), "67c2f5fe34d7d8bfd6f7ae83093b9eed52f42acf40ba6f3e60586c29b6180a7b"},
+		{[3]uint64{1, 3, 4}, nil, "b8c0e9f347c57c9269d95bff8f14ec4372e5cc672c05ba47d6a89de6ff1f0eec"},
+		{[3]uint64{1, 3, 4}, []byte("relay-upward-state"), "3ed352140c982185f3aa33ed3cd9b0b591d377f9039035d57024ffba97cbd7fd"},
 	} {
 		opts := AggregatorOptions{Windows: 4, Durable: true}
 		if tc.extra != nil {

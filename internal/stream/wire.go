@@ -28,12 +28,12 @@ import (
 // the byte before it says so. A connection speaks for the (node, epoch)
 // of its last hello, once the aggregator admits that hello: a delta or
 // bye names neither, the aggregator takes both from the connection. A
-// peer that sends anything else — another version, an unknown kind (the
-// retired query kinds 4 and 6 among them), a body over the kind's limit,
-// a truncated or trailing field, an unknown flag bit, a flagged field
-// equal to the value it would imply, a hello identity of any other
-// length, a delta or bye on a connection whose last hello was refused or
-// that sent none — is disconnected; there is no negotiation. So every
+// peer that sends anything else — another version, an unknown kind, a
+// body over the kind's limit, a truncated or trailing field, an unknown
+// flag bit, a flagged field equal to the value it would imply, a hello
+// identity of any other length, a delta or bye on a connection whose
+// last hello was refused or that sent none — is disconnected; there is
+// no negotiation. So every
 // frame that parses re-encodes to its own bytes under the same context.
 //
 // The identity is the 25 bytes a csoutlier sketch payload opens with
@@ -51,11 +51,7 @@ import (
 // (csoutlier.Updater.DrainEncoded): a flush never costs more bytes than
 // the data it carries, and never more than the sketch. The bytes saved
 // are paid for in CPU one hop up: whoever folds a pairs payload
-// measures it (O(M) per pair), work the leaf no longer does. Each
-// prelude version marks a pairs layout: 2 "CSKP" (f64 values), 3 "CSKV"
-// (varint values behind the identity), 4 to 6 the tag. A peer of an
-// earlier one is disconnected at its first frame, not acked "bad sketch
-// magic" frame after frame.
+// measures it (O(M) per pair), work the leaf no longer does.
 
 // Frame-size accounting, exported for harnesses that budget bytes per
 // connection (internal/simtest's chaos proxies).

@@ -241,9 +241,6 @@ func RestoreRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions
 	if err != nil {
 		return nil, err
 	}
-	if st.Level != relayLevel {
-		return nil, fmt.Errorf("tier: snapshot of a level-%d relay; relays are level %d", st.Level, relayLevel)
-	}
 	if st.Shard != opts.Shard || st.ID != opts.ID {
 		return nil, fmt.Errorf("tier: snapshot belongs to relay %s, not %s",
 			frameID(st.Shard, st.ID), frameID(opts.Shard, opts.ID))
@@ -395,7 +392,7 @@ func (r *Relay) snapshotExtra() ([]byte, error) {
 	r.snapSeq = r.upSeq
 	// Staging is the relay's only Alloc and runs under fmu: the listed
 	// frames hold still while they are encoded.
-	return encodeRelayExtra(r.opts.Shard, relayLevel, r.opts.ID, r.upEpoch, r.upSeq,
+	return encodeRelayExtra(r.opts.Shard, r.opts.ID, r.upEpoch, r.upSeq,
 		r.snd.Resendable(), r.staged)
 }
 
@@ -504,18 +501,18 @@ func (r *Relay) Kill(ctx context.Context) error {
 
 // relayExtraState is the decoded Snapshot.Extra of a relay.
 type relayExtraState struct {
-	Shard, Level int
-	ID           string
-	UpEpoch      uint64
-	UpSeq        uint64
-	Frames       []*stream.Frame
-	snap         *stream.Snapshot // carrier, set by RestoreRelay
+	Shard   int
+	ID      string
+	UpEpoch uint64
+	UpSeq   uint64
+	Frames  []*stream.Frame
+	snap    *stream.Snapshot // carrier, set by RestoreRelay
 }
 
-// The Extra blob layout (little-endian; integrity comes from the outer
-// snapshot CRC):
+// The Extra blob layout (little-endian; its version and integrity are
+// the outer snapshot's):
 //
-//	magic[4]="CSTR" ver:u16 shard:u32 level:u32 idLen:u16 id
+//	magic[4]="CSTR" shard:u32 idLen:u16 id
 //	upEpoch:u64 upSeq:u64 frameCount:u32
 //	{ window:u64 seq:u64 folds:u32 payloadLen:u32 payload }...
 //
@@ -523,17 +520,13 @@ type relayExtraState struct {
 // and queued ones, then the staged — which is replay order.
 var relayExtraMagic = [4]byte{'C', 'S', 'T', 'R'}
 
-const relayExtraVersion uint16 = 1
-
-func encodeRelayExtra(shard, level int, id string, upEpoch, upSeq uint64, groups ...[]*stream.Frame) ([]byte, error) {
+func encodeRelayExtra(shard int, id string, upEpoch, upSeq uint64, groups ...[]*stream.Frame) ([]byte, error) {
 	if len(id) > 0xffff {
 		return nil, fmt.Errorf("tier: relay id %q too long to snapshot", id[:32]+"…")
 	}
 	b := make([]byte, 0, 64)
 	b = append(b, relayExtraMagic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, relayExtraVersion)
 	b = binary.LittleEndian.AppendUint32(b, uint32(shard))
-	b = binary.LittleEndian.AppendUint32(b, uint32(level))
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(id)))
 	b = append(b, id...)
 	b = binary.LittleEndian.AppendUint64(b, upEpoch)
@@ -566,13 +559,7 @@ func decodeRelayExtra(data []byte) (*relayExtraState, error) {
 	if r.Err == nil && string(magic) != string(relayExtraMagic[:]) {
 		return nil, fmt.Errorf("tier: bad relay extra magic %q", magic)
 	}
-	if v := r.U16(); r.Err == nil && v != relayExtraVersion {
-		return nil, fmt.Errorf("tier: relay extra version %d (supported: %d)", v, relayExtraVersion)
-	}
-	st := &relayExtraState{
-		Shard: int(r.U32()),
-		Level: int(r.U32()),
-	}
+	st := &relayExtraState{Shard: int(r.U32())}
 	st.ID = string(r.Take(int(r.U16())))
 	st.UpEpoch = r.U64()
 	st.UpSeq = r.U64()

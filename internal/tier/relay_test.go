@@ -795,24 +795,23 @@ func TestRelayExtraCodec(t *testing.T) {
 		{Window: 1, Seq: 2, Folds: 1, Payload: nil},
 		{Window: 3, Seq: 5, Folds: 7, Payload: []byte{0xff}},
 	}
-	b, err := encodeRelayExtra(3, 1, "relayA", 4, 9, frames[:1], frames[1:])
+	b, err := encodeRelayExtra(3, "relayA", 4, 9, frames[:1], frames[1:])
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	// CSTR version 1, as the commit before the shared sender wrote it: a
-	// relay snapshot taken by an older build restores under this one.
-	const golden = "4353545201000300000001000000060072656c6179410400000000000000090000000000000003000000" +
+	// Magic, shard, id, upEpoch, upSeq, then the frames in seq order.
+	const golden = "4353545203000000060072656c6179410400000000000000090000000000000003000000" +
 		"010000000000000001000000000000000200000003000000010203" +
 		"0100000000000000020000000000000001000000" + "00000000" +
 		"030000000000000005000000000000000700000001000000ff"
 	if got := hex.EncodeToString(b); got != golden {
-		t.Fatalf("CSTR v1 bytes changed:\n got %s\nwant %s", got, golden)
+		t.Fatalf("CSTR bytes changed:\n got %s\nwant %s", got, golden)
 	}
 	st, err := decodeRelayExtra(b)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if st.Shard != 3 || st.Level != 1 || st.ID != "relayA" || st.UpEpoch != 4 || st.UpSeq != 9 {
+	if st.Shard != 3 || st.ID != "relayA" || st.UpEpoch != 4 || st.UpSeq != 9 {
 		t.Fatalf("decoded header %+v", st)
 	}
 	if len(st.Frames) != 3 {
@@ -836,18 +835,18 @@ func TestRelayExtraCodec(t *testing.T) {
 	if _, err := decodeRelayExtra(bad); err == nil {
 		t.Fatal("accepted bad magic")
 	}
-	if _, err := encodeRelayExtra(0, 1, "x", 1, 1, []*stream.Frame{{Seq: 2}, {Seq: 1}}); err == nil {
+	if _, err := encodeRelayExtra(0, "x", 1, 1, []*stream.Frame{{Seq: 2}, {Seq: 1}}); err == nil {
 		t.Fatal("encoded out-of-order seqs")
 	}
 	// A frame seq above the snapshotted counter can never have been
 	// assigned — reject rather than replay a forged frame.
-	forged, err := encodeRelayExtra(0, 1, "x", 1, 9, []*stream.Frame{{Seq: 3}})
+	forged, err := encodeRelayExtra(0, "x", 1, 9, []*stream.Frame{{Seq: 3}})
 	if err != nil {
 		t.Fatalf("encode forged base: %v", err)
 	}
 	// Patch upSeq (bytes right before the count) down to 2 < 3.
-	// Layout: magic(4) ver(2) shard(4) level(4) idLen(2) id(1) upEpoch(8) upSeq(8) ...
-	off := 4 + 2 + 4 + 4 + 2 + 1 + 8
+	// Layout: magic(4) shard(4) idLen(2) id(1) upEpoch(8) upSeq(8) ...
+	off := 4 + 4 + 2 + 1 + 8
 	for i := 0; i < 8; i++ {
 		forged[off+i] = 0
 	}
@@ -867,11 +866,11 @@ func FuzzRelayExtra(f *testing.F) {
 		{Window: 1, Seq: 2, Folds: 1},
 		{Window: 3, Seq: 5, Folds: 7, Payload: []byte{0xff}},
 	}
-	valid, err := encodeRelayExtra(3, 1, "relayA", 4, 9, frames[:1], frames[1:])
+	valid, err := encodeRelayExtra(3, "relayA", 4, 9, frames[:1], frames[1:])
 	if err != nil {
 		f.Fatal(err)
 	}
-	empty, err := encodeRelayExtra(0, 0, "", 0, 0)
+	empty, err := encodeRelayExtra(0, "", 0, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -890,7 +889,7 @@ func FuzzRelayExtra(f *testing.F) {
 		if err != nil {
 			return
 		}
-		const header = 4 + 2 + 4 + 4 + 2 + 8 + 8 + 4 // magic ver shard level idLen upEpoch upSeq count
+		const header = 4 + 4 + 2 + 8 + 8 + 4 // magic shard idLen upEpoch upSeq count
 		used := header + len(st.ID)
 		for _, fr := range st.Frames {
 			used += 8 + 8 + 4 + 4 + len(fr.Payload)
@@ -901,7 +900,7 @@ func FuzzRelayExtra(f *testing.F) {
 		if cap(st.Frames) > max(8, 2*len(st.Frames)) {
 			t.Fatalf("%d frames decoded into a list of capacity %d", len(st.Frames), cap(st.Frames))
 		}
-		again, err := encodeRelayExtra(st.Shard, st.Level, st.ID, st.UpEpoch, st.UpSeq, st.Frames)
+		again, err := encodeRelayExtra(st.Shard, st.ID, st.UpEpoch, st.UpSeq, st.Frames)
 		if err != nil {
 			t.Fatalf("accepted blob does not re-encode: %v", err)
 		}

@@ -3,7 +3,7 @@
 #
 #   scripts/verify.sh          # tier-1, then doc-lint, the CLI deployment,
 #                              # the examples, race, simulation smoke, soaks,
-#                              # /metrics smokes
+#                              # fuzzing, /metrics smokes
 #   scripts/verify.sh -quick   # gofmt + tier-1 + the benchmark module
 #   scripts/verify.sh -bench   # tier-1, doc-lint, the CLI deployment, the
 #                              # examples, then the benchmark smokes and gates
@@ -317,6 +317,15 @@ go test ./internal/simtest -run 'TestStreamChurnSoak$' -sim.streamchurncount=10
 go test ./internal/simtest -run 'TestStreamPointQSoak$' -sim.streampointqcount=10
 go test ./internal/simtest -run 'TestStreamTierSoak$' -sim.streamtiercount=10
 
+echo "== fuzz: 10 s on each decoder of a versioned format =="
+# The seed corpora run in tier-1; this searches past them: the snapshot
+# codec, the relay's blob inside it, the pull request frame and the push
+# frame (with its connection context).
+go test ./internal/stream -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s
+go test ./internal/tier -run '^$' -fuzz '^FuzzRelayExtra$' -fuzztime 10s
+go test ./internal/cluster -run '^$' -fuzz '^FuzzRequestFrame$' -fuzztime 10s
+go test ./internal/stream -run '^$' -fuzz '^FuzzPushFrame$' -fuzztime 10s
+
 echo "== metrics smoke: /metrics + /healthz on a live csstreamd =="
 printf 'key000\nkey001\nkey002\nkey003\nkey004\nkey005\nkey006\nkey007\n' >"$tmp/keys.txt"
 "$tmp/bin/csstreamd" -dict "$tmp/keys.txt" -m 4 -listen 127.0.0.1:0 \
@@ -334,7 +343,7 @@ if [ -z "$url" ]; then
 	exit 1
 fi
 "$tmp/bin/obscheck" -url "$url" -require \
-	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,recovery_solver_picks_total
+	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_tombstones_forgotten_total,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,recovery_solver_picks_total
 "$tmp/bin/obscheck" -url "${url%/metrics}/healthz" -health
 
 echo "== hierarchical metrics smoke: tier_*/shard_* on a live relay =="

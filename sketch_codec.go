@@ -48,8 +48,7 @@ import (
 // −0 (a click-log count costs 1–3 bytes); raw = 1, the little-endian
 // float64, for every other value. Each value has exactly one form, and
 // every varint is minimal, so a payload that decodes re-encodes to the
-// same bytes. (The layouts that carried the identity, "CSKP" and
-// "CSKV", are refused by their magic.)
+// same bytes.
 //
 // A pairs payload does not carry the consensus identity: the consensus
 // is fixed for a deployment (§3.1), so a push connection names it once,
