@@ -60,9 +60,11 @@ type AggregatorOptions struct {
 	OnApplied func(window uint64, folds int, delta csoutlier.Sketch)
 	// SnapshotExtra, when set, is invoked inside Snapshot()'s critical
 	// section; its bytes ride in Snapshot.Extra, atomically consistent
-	// with the window ring and dedup books captured alongside. Same
-	// no-reentrancy rule as OnApplied.
-	SnapshotExtra func() ([]byte, error)
+	// with the window ring and dedup books captured alongside, and its
+	// release runs under the same mutex when that snapshot commits,
+	// after the dedup books' Stable marks advance. Same no-reentrancy
+	// rule as OnApplied.
+	SnapshotExtra func() (extra []byte, release func(), err error)
 }
 
 func (o AggregatorOptions) withDefaults() AggregatorOptions {
@@ -119,7 +121,7 @@ type NodeStatus struct {
 // /metrics exports, not a second set of books.
 type AggStats struct {
 	Window      uint64 // current window ID
-	Nodes       int    // nodes ever seen
+	Nodes       int    // live members, as the stream_nodes gauge
 	Conns       int64  // connections accepted
 	Hellos      int64  // hello frames answered
 	Frames      int64  // delta frames processed (all outcomes)
@@ -190,7 +192,7 @@ type Aggregator struct {
 	limits  frameLimits // per-kind request body caps, from the consensus M
 	metrics *aggMetrics // registry-backed counters, always set
 
-	in   ingest    // mu: window ring, dedup books, membership
+	in   ingest    // mu: window ring and the book (window, incarnation, members)
 	q    queries   // qmu: recovery cache and its range-sketch buffers
 	pts  points    // pmu: committed point-query states
 	life lifecycle // connMu: listeners and connections; snapMu: the durable snapshot cycle
@@ -215,7 +217,7 @@ func newAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, epoch uint64)
 		sk:     sk,
 		opts:   opts,
 		limits: requestLimits(sk.M()),
-		in:     ingest{window: 1, epoch: epoch, ws: ws},
+		in:     ingest{bk: newBook(opts.Durable, opts.Windows, epoch), ws: ws},
 		q:      queries{cache: newGenCache[queryKey, queryResult](cacheCap)},
 		pts:    points{cache: newGenCache[pointKey, *csoutlier.PointState](pointCacheCap)},
 		life:   lifecycle{conns: make(map[net.Conn]struct{}), quit: make(chan struct{})},
@@ -225,7 +227,6 @@ func newAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, epoch uint64)
 		reg = obs.NewRegistry()
 	}
 	a.metrics = newAggMetrics(reg, a)
-	a.in.members = newMembers(a.metrics)
 	if opts.WindowEvery > 0 {
 		// A durable aggregator snapshots right after each rotation: the
 		// snapshot's window counter then matches what nodes learn from
@@ -247,7 +248,7 @@ func newAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, epoch uint64)
 func (a *Aggregator) Epoch() uint64 {
 	a.in.mu.Lock()
 	defer a.in.mu.Unlock()
-	return a.in.epoch
+	return a.in.bk.epoch
 }
 
 // Rotate seals the current window and opens the next. Nodes learn the
@@ -258,17 +259,17 @@ func (a *Aggregator) Rotate() uint64 {
 	a.in.mu.Lock()
 	defer a.in.mu.Unlock()
 	a.in.ws.Rotate()
-	a.in.window++
+	a.in.bk.window++
 	a.in.gen.Add(1)
 	a.metrics.rotations.Inc()
-	return a.in.window
+	return a.in.bk.window
 }
 
 // CurrentWindow returns the current window ID.
 func (a *Aggregator) CurrentWindow() uint64 {
 	a.in.mu.Lock()
 	defer a.in.mu.Unlock()
-	return a.in.window
+	return a.in.bk.window
 }
 
 // AvailableWindows returns how many windows currently hold data.
@@ -295,12 +296,13 @@ func (a *Aggregator) RangeSketch(fromAge, toAge int) (csoutlier.Sketch, error) {
 // CacheHits+CacheMisses == queries hold exactly.
 func (a *Aggregator) Stats() AggStats {
 	a.in.mu.Lock()
+	bk := &a.in.bk
 	s := AggStats{
-		Window:     a.in.window,
-		Nodes:      len(a.in.members.nodes),
-		AggEpoch:   a.in.epoch,
-		Membership: a.in.members.version,
-		Tombstones: len(a.in.members.tombs),
+		Window:     bk.window,
+		Nodes:      len(bk.members) - bk.retired,
+		AggEpoch:   bk.epoch,
+		Membership: bk.version,
+		Tombstones: bk.retired,
 	}
 	a.in.mu.Unlock()
 	m := a.metrics

@@ -23,7 +23,7 @@ import (
 func BenchmarkStreamFold(b *testing.B) { benchFold(b, false) }
 
 // BenchmarkStreamFoldBare is BenchmarkStreamFold on the decode and
-// applyFrame that apply wraps — the uninstrumented fold. Comparing the
+// the book's verdict and add that apply wraps — the uninstrumented fold. Comparing the
 // two pins the instrumentation overhead (two or three atomic counter
 // increments per frame, plus a sampled 1-in-16 histogram observation;
 // the acceptance budget is ≤2%).
@@ -47,9 +47,16 @@ func benchFold(b *testing.B, bare bool) {
 			if bare {
 				fold = func(req pushRequest) Ack {
 					err := sk.UnmarshalSketchInto(req.Payload, delta)
-					agg.in.mu.Lock()
-					defer agg.in.mu.Unlock()
-					return agg.applyFrame(req, delta, err)
+					in := &agg.in
+					in.mu.Lock()
+					defer in.mu.Unlock()
+					ack, _ := in.bk.delta(req.Node, req.Epoch, req.Window, req.Seq, req.Folds, time.Time{}, func(age int, _ uint64) error {
+						if err != nil {
+							return err
+						}
+						return in.ws.AddSketch(age, delta)
+					})
+					return ack
 				}
 			}
 			payload := benchDelta(b, sk)

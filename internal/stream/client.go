@@ -15,22 +15,16 @@ import (
 // one strictly serialized request/response exchange at a time, no
 // retries. Sender builds the production retry/redial loop on top of it;
 // tests use it directly to inject duplicate, stale and refused frames,
-// and seqs out of order, which the aggregator folds at most once. It
-// keeps two pieces of state: whom the connection speaks for — the
-// (node, epoch) of its last hello, if the aggregator admitted it — and
-// the connection's wireContext, which lets a delta or ack leave out what
-// the other end can infer. Every Ack it returns has every field filled
-// in.
+// and seqs out of order, which the aggregator folds at most once. Its
+// one record is the connection's wireContext: whom the connection speaks
+// for, and what lets a delta or ack leave out what the other end can
+// infer. Every Ack it returns has every field filled in.
 type Client struct {
 	conn    net.Conn
 	fr      frame.Reader
 	wbuf    []byte // the outgoing frame, reused across exchanges
 	ctx     wireContext
 	timeout time.Duration
-
-	bound bool // the aggregator admitted a hello naming node and epoch
-	node  string
-	epoch uint64
 }
 
 // DialClient connects to an Aggregator's listener. timeout bounds each
@@ -62,7 +56,7 @@ func (c *Client) hello(node string, epoch uint64, id []byte) (Ack, error) {
 		return Ack{}, fmt.Errorf("stream: node name is %d bytes, the wire carries at most %d", len(node), maxNodeLen)
 	}
 	ack, err := c.exchange(&pushRequest{Kind: pushHello, Node: node, Epoch: epoch, ID: id})
-	c.bound, c.node, c.epoch = err == nil && ack.Err == "", node, epoch
+	c.ctx.bound, c.ctx.node, c.ctx.epoch = err == nil && ack.Err == "", node, epoch
 	return ack, err
 }
 
@@ -75,7 +69,7 @@ func (c *Client) hello(node string, epoch uint64, id []byte) (Ack, error) {
 // re-dialed); an Ack with a non-empty Err is a frame-level rejection on
 // a healthy connection — of the delta, or of the hello before it.
 func (c *Client) PushDelta(node string, epoch, window, seq uint64, folds uint32, payload []byte) (Ack, error) {
-	if !c.bound || c.node != node || c.epoch != epoch {
+	if !c.ctx.bound || c.ctx.node != node || c.ctx.epoch != epoch {
 		if ack, err := c.Hello(node, epoch); err != nil || ack.Err != "" {
 			return ack, err
 		}

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,17 +11,15 @@ import (
 // ingest is the fold state and the one mutex every fold, rotation,
 // membership change and snapshot capture serialises on.
 type ingest struct {
-	mu     sync.Mutex
-	window uint64 // current window ID, from 1
-	epoch  uint64 // aggregator incarnation; RestoreAggregator bumps it
-	ws     *csoutlier.WindowStore
+	mu sync.Mutex
+	bk book // the window counter, incarnation and members: every verdict
+	ws *csoutlier.WindowStore
 	// gen is the fold generation: bumped on every fold and rotation, it
 	// versions both the recovery cache and the point-state cache. Writes
 	// happen under mu, after the ring change they version; reads are
 	// atomic, so the point-query fast path never touches mu.
-	gen     atomic.Uint64
-	members members
-	tick    atomic.Uint64 // frame counter for sampled fold timing
+	gen  atomic.Uint64
+	tick atomic.Uint64 // frame counter for sampled fold timing
 }
 
 // foldSampleMask picks which frames get wall-clock fold timing: frame
@@ -37,8 +34,8 @@ const foldSampleMask = 15
 // calling connection's own M-float scratch, made at its first delta —
 // before mu is taken: checksum, consensus and finiteness, and for a
 // pairs payload the measurement Σ vᵢ·φ_{kᵢ}, which is a function of the
-// payload and Φ alone. Under mu, applyFrame does only admission, dedup,
-// window placement and one M-float add, so connections measure in
+// payload and Φ alone. Under mu, the book's verdict (admission, dedup,
+// window placement) and one M-float add, so connections measure in
 // parallel and hold the lock for about a microsecond. Outside mu: two
 // atomic counter increments per frame (three for an applied one), plus
 // a lock-free histogram observation on sampled frames, whose time is the
@@ -62,11 +59,26 @@ func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 	if timed {
 		start = time.Now()
 	}
-	ack := a.applyFrame(req, *delta, decodeErr)
+	ack, joined := in.bk.delta(req.Node, req.Epoch, req.Window, req.Seq, req.Folds, time.Now(), func(age int, w uint64) error {
+		if decodeErr != nil {
+			return decodeErr
+		}
+		if err := in.ws.AddSketch(age, *delta); err != nil {
+			return err
+		}
+		if fn := a.opts.OnApplied; fn != nil {
+			fn(w, max(1, int(req.Folds)), *delta)
+		}
+		in.gen.Add(1) // new data: recovery and point-state caches are now stale
+		return nil
+	})
 	if timed {
 		work += time.Since(start)
 	}
 	in.mu.Unlock()
+	if joined {
+		m.joins.Inc()
+	}
 	if timed {
 		m.foldSeconds.Observe(work.Seconds())
 	}
@@ -93,89 +105,72 @@ func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 	return ack
 }
 
-// applyFrame is the bare fold of a decoded delta: admission,
-// idempotency, window placement and the sketch addition, no
-// instrumentation. decodeErr is what decoding the payload into delta
-// returned; it is reported where a payload check always was, after the
-// frame is admitted, known new and placed in a window. The caller holds
-// in.mu.
-func (a *Aggregator) applyFrame(req pushRequest, delta csoutlier.Sketch, decodeErr error) Ack {
+// hello admits a node and returns the current window. A node the
+// aggregator has never seen (or one coming back retired) joins the
+// membership here — unless its hello names a consensus other than the
+// aggregator's: that is refused before admission, and the node is
+// neither joined nor refreshed.
+func (a *Aggregator) hello(req pushRequest) Ack {
+	a.metrics.hellos.Inc()
+	var idErr error
+	if len(req.ID) > 0 {
+		idErr = a.sk.CheckIdentity(req.ID)
+	}
 	in := &a.in
-	ack := Ack{Window: in.window, AggEpoch: in.epoch}
-	ns, err := in.members.admit(req.Node, req.Epoch)
-	if err != nil {
-		ack.Err = err.Error()
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if idErr != nil {
+		ack := in.bk.reply(statusHello)
+		ack.Err = idErr.Error()
 		return ack
 	}
-	ns.status.LastSeen = time.Now()
-	// mark records seq as processed and, for a non-durable aggregator
-	// (which never restores, so acked == durable), advances the stable
-	// watermark with it.
-	mark := func(seq uint64) {
-		ns.tracker.mark(seq)
-		if !a.opts.Durable {
-			ns.status.Stable = ns.tracker.base
-		}
+	ack, joined := in.bk.hello(req.Node, req.Epoch, time.Now())
+	if joined {
+		a.metrics.joins.Inc()
 	}
-	ackStable := func() Ack {
-		ack.Stable = ns.status.Stable
-		return ack
+	return ack
+}
+
+// bye retires a node's membership gracefully. Its record stays: a late
+// retry of an already-folded frame still dedups, and a same-epoch
+// reappearance revives the state intact.
+func (a *Aggregator) bye(req pushRequest) Ack {
+	in := &a.in
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	ack, left, forgotten := in.bk.bye(req.Node, req.Epoch)
+	if left {
+		a.metrics.leaves.Inc()
 	}
-	reject := func(format string, args ...any) Ack {
-		ack.Err = fmt.Sprintf(format, args...)
-		ns.status.Rejected++
-		return ackStable()
-	}
-	if req.Seq == 0 {
-		return reject("stream: delta frames number from seq 1")
-	}
-	if ns.tracker.seen(req.Seq) {
-		// Redelivery (lost ack, duplicated packet, replay), or a seq
-		// below one already processed: ack again, fold nothing.
-		ack.Status = StatusDuplicate
-		ns.status.Duplicates++
-		return ackStable()
-	}
-	// A node is ahead only when this aggregator's counter went back: a
-	// non-durable one restarted at window 1, and its nodes never adopt a
-	// lower window. Such a delta folds into the open window, as a late
-	// one folds into its own.
-	w := min(req.Window, in.window)
-	age := in.window - w
-	if age >= uint64(in.ws.Windows()) {
-		// Too old to represent. Acknowledge and mark it so the node moves
-		// on — re-sending can never succeed.
-		mark(req.Seq)
-		ack.Status = statusDroppedOld
-		ns.status.Dropped++
-		return ackStable()
-	}
-	if err = decodeErr; err == nil {
-		err = in.ws.AddSketch(int(age), delta)
-	}
-	if err != nil {
-		// Corrupt, consensus-mismatched or overflowing payload: rejected
-		// before it can touch the aggregate, and not marked, so the same
-		// seq sent again before any later one still folds.
-		return reject("stream: node %s delta seq %d: %v", req.Node, req.Seq, err)
-	}
-	mark(req.Seq)
-	ns.status.Applied++
-	if fn := a.opts.OnApplied; fn != nil {
-		fn(w, max(1, int(req.Folds)), delta)
-	}
-	if req.Folds > 1 {
-		// A relay's frame: the exact sum of Folds leaf deltas it folded
-		// before forwarding — account them so "captures folded"
-		// reconciles.
-		ns.status.ShedFrames++
-		ns.status.ShedFolds += int64(req.Folds - 1)
-	}
-	if w > ns.status.LastWindow {
-		ns.status.LastWindow = w
-	}
-	in.gen.Add(1) // new data: recovery and point-state caches are now stale
-	ack.Applied = true
-	ack.Status = statusApplied
-	return ackStable()
+	a.metrics.tombsForgotten.Add(int64(forgotten))
+	return ack
+}
+
+// EvictIdle retires every live node whose last frame is older than
+// olderThan, returning how many were evicted. The background loop
+// (AggregatorOptions.EvictAfter) calls it on a timer; tests call it
+// directly for determinism.
+func (a *Aggregator) EvictIdle(olderThan time.Duration) int {
+	deadline := time.Now().Add(-olderThan)
+	a.in.mu.Lock()
+	defer a.in.mu.Unlock()
+	evicted, forgotten := a.in.bk.evict(deadline)
+	a.metrics.evictions.Add(int64(evicted))
+	a.metrics.tombsForgotten.Add(int64(forgotten))
+	return evicted
+}
+
+// Nodes returns the liveness/lag table — live members and retired
+// (left/evicted) ones, distinguished by State — sorted by node name.
+func (a *Aggregator) Nodes() []NodeStatus {
+	a.in.mu.Lock()
+	defer a.in.mu.Unlock()
+	return a.in.bk.statuses()
+}
+
+// liveNodes returns how many nodes are current members.
+func (a *Aggregator) liveNodes() int {
+	a.in.mu.Lock()
+	defer a.in.mu.Unlock()
+	return len(a.in.bk.members) - a.in.bk.retired
 }

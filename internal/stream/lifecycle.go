@@ -126,9 +126,6 @@ func (a *Aggregator) handle(conn net.Conn) {
 		wbuf  []byte
 		ctx   wireContext
 		delta csoutlier.Sketch
-		bound bool // the last hello, naming node and epoch, was admitted
-		node  string
-		epoch uint64
 	)
 	for {
 		if a.opts.IdleTimeout > 0 {
@@ -140,10 +137,10 @@ func (a *Aggregator) handle(conn net.Conn) {
 			err = ctx.parseRequest(kind, body, &req)
 		}
 		if err == nil && kind != pushHello {
-			if !bound {
+			if !ctx.bound {
 				err = fmt.Errorf("%w: kind %d before an admitted hello", errMalformed, kind)
 			}
-			req.Node, req.Epoch = node, epoch
+			req.Node, req.Epoch = ctx.node, ctx.epoch
 		}
 		if err != nil {
 			// A clean EOF, a deadline or a reset is a node going away (it
@@ -157,7 +154,7 @@ func (a *Aggregator) handle(conn net.Conn) {
 		switch kind {
 		case pushHello:
 			ack = a.hello(req)
-			bound, node, epoch = ack.Err == "", req.Node, req.Epoch
+			ctx.bound, ctx.node, ctx.epoch = ack.Err == "", req.Node, req.Epoch
 		case pushBye:
 			ack = a.bye(req)
 		case pushDelta:

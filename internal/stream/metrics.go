@@ -150,14 +150,10 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		func() float64 { return float64(a.liveNodes()) })
 	reg.GaugeFunc("stream_membership_version",
 		"membership configuration version (bumped on join/leave/evict)",
-		func() float64 { return float64(a.membershipVersion()) })
+		func() float64 { return float64(a.Stats().Membership) })
 	reg.GaugeFunc("stream_membership_tombstones",
 		"retired (left/evicted) node states held for dedup",
-		func() float64 {
-			a.in.mu.Lock()
-			defer a.in.mu.Unlock()
-			return float64(len(a.in.members.tombs))
-		})
+		func() float64 { return float64(a.Stats().Tombstones) })
 	reg.GaugeFunc("stream_agg_epoch",
 		"aggregator incarnation number (bumped on snapshot restore)",
 		func() float64 { return float64(a.Epoch()) })

@@ -60,7 +60,7 @@ func (o NodeOptions) withDefaults() NodeOptions {
 // NodeStats is a snapshot of a streaming node's delta-protocol state.
 type NodeStats struct {
 	Window     uint64 // the node's current window view
-	Seq        uint64 // last captured sequence number
+	Seq        uint64 // last sequence number assigned
 	Pending    int    // captured frames not yet acknowledged
 	Captured   int64  // local captures drained from the standing sketch
 	Acked      int64  // frames acknowledged (any status)
@@ -77,6 +77,7 @@ type NodeStats struct {
 	// Retained is the current replay-retention buffer depth: acked
 	// frames the aggregator has not yet declared durable.
 	Retained int
+	Staged   int // frames a relay's capture staged and its commit has not released (0 on a node)
 	// Replayed counts retained frames requeued because the aggregator's
 	// incarnation (AggEpoch) advanced — a restore that may have lost
 	// recently-acked frames.
@@ -111,10 +112,9 @@ type Node struct {
 	u    *csoutlier.Updater
 	snd  *Sender
 
-	// Guarded by snd.mu, the node's one state lock: a capture appends
-	// to the pending queue.
+	// Guarded by snd.mu, the node's one state lock: a capture pushes
+	// into the sender's outbox.
 	window uint64
-	seq    uint64
 }
 
 // Dial connects a streaming node to an aggregator, announces itself,
@@ -149,7 +149,6 @@ func (n *Node) Stats() NodeStats {
 	defer n.snd.mu.Unlock()
 	s := n.snd.statsLocked()
 	s.Window = n.window
-	s.Seq = n.seq
 	return s
 }
 
@@ -169,20 +168,19 @@ func (n *Node) captureLocked() error {
 	if n.u.Updates() == 0 {
 		return nil
 	}
-	snd := n.snd
-	f := snd.allocLocked()
+	ob := &n.snd.ob
+	f := ob.alloc()
 	// Whichever encoding is smaller, straight into the recycled buffer.
 	payload, _, err := n.u.DrainEncoded(f.Payload[:0])
 	if err != nil {
-		snd.recycleLocked(f)
+		ob.recycle(f)
 		return err
 	}
-	n.seq++
-	*f = Frame{Window: n.window, Seq: n.seq, Folds: 1, Payload: payload}
-	snd.pending = append(snd.pending, f)
-	snd.stats.Captured++
+	*f = Frame{Window: n.window, Folds: 1, Payload: payload}
+	ob.push(f)
+	ob.stats.Captured++
 	if csoutlier.PairsEncoded(payload) {
-		snd.stats.PairFrames++
+		ob.stats.PairFrames++
 	}
 	return nil
 }
@@ -201,7 +199,7 @@ func (n *Node) adoptWindow(w uint64) {
 	}
 	n.captureLocked() // residual of the sealed window
 	n.window = w
-	n.snd.stats.Rotations++
+	n.snd.ob.stats.Rotations++
 }
 
 // Flush pushes whatever is still pending, then captures the
@@ -285,6 +283,6 @@ func (n *Node) Abort() {
 	defer snd.sendMu.Unlock()
 	snd.disconnect()
 	snd.mu.Lock()
-	snd.pending, snd.retained = nil, nil
+	snd.ob.queue, snd.ob.acked, snd.ob.sent = nil, 0, nil
 	snd.mu.Unlock()
 }

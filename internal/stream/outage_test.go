@@ -187,14 +187,14 @@ func TestRecycleNeverReusesResendableFrame(t *testing.T) {
 	// the next tick retries the frame it left pending.
 	stopFlushing := flushEvery(n, time.Millisecond, 20*time.Millisecond)
 
-	// checkLists: a frame is in at most one of pending, retained and
-	// free, and no two frames share a payload buffer.
+	// checkLists: a frame is in at most one of the queue and the free
+	// list, and no two frames share a payload buffer.
 	checkLists := func() {
 		n.snd.mu.Lock()
 		defer n.snd.mu.Unlock()
 		where := make(map[*Frame]string)
 		buffers := make(map[*byte]*Frame)
-		for list, frames := range map[string][]*Frame{"pending": n.snd.pending, "retained": n.snd.retained, "free": n.snd.free} {
+		for list, frames := range map[string][]*Frame{"queue": n.snd.ob.queue, "free": n.snd.ob.free} {
 			for _, f := range frames {
 				if prev, dup := where[f]; dup {
 					t.Errorf("frame seq %d is in both %s and %s", f.Seq, prev, list)
@@ -308,7 +308,7 @@ func TestRecycleNeverReusesResendableFrame(t *testing.T) {
 	}
 	checkLists()
 	n.snd.mu.Lock()
-	retained, recycled := len(n.snd.retained), len(n.snd.free)
+	retained, recycled := n.snd.ob.acked, len(n.snd.ob.free)
 	n.snd.mu.Unlock()
 	if retained != 0 || recycled == 0 {
 		t.Fatalf("after a covering commit: %d frames retained, %d recycled; want 0 and some", retained, recycled)

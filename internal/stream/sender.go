@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	"csoutlier"
@@ -13,7 +14,7 @@ import (
 
 // Frame is one captured, retryable delta. Folds counts the captures it
 // carries (>1 = a relay's sum of leaf deltas). A frame's fields are
-// fixed once it is enqueued.
+// fixed once it is staged, which gives it its Seq.
 type Frame struct {
 	Window  uint64
 	Seq     uint64
@@ -26,15 +27,11 @@ type Frame struct {
 const freeCap = 64
 
 // Sender is the exactly-once half of the push path, the one place a
-// frame is transmitted, retried, retained and replayed. A leaf Node
-// feeds it captures; a tier.Relay feeds it the frames a snapshot commit
-// released. Either way a frame is pushed stop-and-wait, in queue order,
-// until acked; kept after the ack until the aggregator declares it
-// durable (ack.Stable at or past its Seq); requeued ahead of everything
-// pending if the aggregator comes back as a newer incarnation
-// (ack.AggEpoch) that may have lost it; and only then recycled.
-// Exactly-once folding comes from the (epoch, seq) tags, not from the
-// transport: the aggregator ignores redeliveries.
+// frame is transmitted, retried, retained and replayed: its outbox
+// (outbox.go) decides, the Sender does the I/O. A leaf Node pushes its
+// captures; a tier.Relay stages a capture's frames and releases them at
+// the commit. Exactly-once folding comes from the (epoch, seq) tags, not
+// from the transport: the aggregator ignores redeliveries.
 //
 // Every hello names the owner's consensus, so an aggregator of another
 // refuses the sender before it joins. Every window the aggregator
@@ -46,14 +43,8 @@ type Sender struct {
 	opts     NodeOptions
 	adopt    func(window uint64)
 
-	mu       sync.Mutex
-	pending  []*Frame
-	retained []*Frame // acked but not yet durable, oldest first
-	free     []*Frame // frames nothing can resend any more; Alloc reuses their payload buffers
-	aggEpoch uint64   // aggregator incarnation last seen (0 = none yet)
-	// stats is the delivery half of NodeStats; a Node counts its
-	// captures in the other half of the same book, under the same lock.
-	stats NodeStats
+	mu sync.Mutex
+	ob outbox
 
 	sendMu sync.Mutex // serializes network use: Connect/Drain/Sync/Disconnect
 	client *Client
@@ -75,7 +66,7 @@ func NewSender(addr, id string, sk *csoutlier.Sketcher, opts NodeOptions, adopt 
 		h.Write([]byte(id))
 		seed = h.Sum64() ^ opts.Epoch
 	}
-	return &Sender{id: id, addr: addr, ident: sk.AppendIdentity(nil), opts: opts, adopt: adopt, rng: xrand.New(seed)}, nil
+	return &Sender{id: id, addr: addr, ident: sk.AppendIdentity(nil), opts: opts, adopt: adopt, ob: outbox{retain: opts.Retain}, rng: xrand.New(seed)}, nil
 }
 
 // Stats returns the delivery counters and queue depths.
@@ -86,129 +77,65 @@ func (s *Sender) Stats() NodeStats {
 }
 
 func (s *Sender) statsLocked() NodeStats {
-	st := s.stats
-	st.Pending = len(s.pending)
-	st.Retained = len(s.retained)
-	st.AggEpoch = s.aggEpoch
+	st := s.ob.stats
+	st.Seq, st.AggEpoch, st.Retained = s.ob.seq, s.ob.aggEpoch, s.ob.acked
+	for _, f := range s.ob.queue[s.ob.acked:] {
+		if f.Seq <= s.ob.released {
+			st.Pending++
+		} else {
+			st.Staged++
+		}
+	}
 	return st
 }
 
-// Alloc returns a frame to fill and Enqueue, reusing a recycled
-// payload buffer (f.Payload[:0]) when there is one.
-func (s *Sender) Alloc() *Frame {
+// Stage has fill write a frame — into a recycled payload buffer
+// (f.Payload[:0]) when there is one — gives it the next seq and queues
+// it, unsendable until a Release covers that seq.
+func (s *Sender) Stage(fill func(f *Frame) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.allocLocked()
-}
-
-func (s *Sender) allocLocked() *Frame {
-	if last := len(s.free) - 1; last >= 0 {
-		f := s.free[last]
-		s.free = s.free[:last]
-		return f
+	f := s.ob.alloc()
+	if err := fill(f); err != nil {
+		s.ob.recycle(f)
+		return err
 	}
-	return &Frame{}
+	s.ob.stage(f)
+	return nil
 }
 
-// recycleLocked hands f's payload buffer to future Allocs. Only for a
-// frame that is in neither the pending queue nor the retention buffer:
-// nothing — retry, replay, in-flight push — can send its bytes again.
-func (s *Sender) recycleLocked(f *Frame) {
-	if len(s.free) < freeCap {
-		s.free = append(s.free, f)
-	}
-}
-
-// Enqueue appends f to the pending queue. Callers enqueue in ascending
-// Seq order.
-func (s *Sender) Enqueue(f *Frame) {
+// Release makes every frame staged up to seq upTo sendable.
+func (s *Sender) Release(upTo uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pending = append(s.pending, f)
+	s.ob.release(upTo)
 }
 
-// Resendable lists every frame the sender may still transmit: retained,
-// then pending, which is replay order. A listed frame's bytes stay as
-// they are at least until the caller's next Alloc, whatever is acked
-// meanwhile.
-func (s *Sender) Resendable() []*Frame {
+// Queue returns the last seq staged and a copy of the queue: every frame
+// the sender may still transmit, acked ones first, in seq order — replay
+// order. A listed frame's bytes stay as they are at least until the
+// caller's next Stage, whatever is acked meanwhile.
+func (s *Sender) Queue() (seq uint64, frames []*Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append(append(make([]*Frame, 0, len(s.retained)+len(s.pending)), s.retained...), s.pending...)
+	return s.ob.seq, slices.Clone(s.ob.queue)
 }
 
-// noteAck processes what every ack carries: the durability piggybacks
-// under the lock, then the window, to the owner, outside it. An
-// AggEpoch bump requeues the retention buffer for replay (the restored
-// aggregator may have lost those frames; its dedup books drop the ones
-// it didn't), and the Stable watermark trims frames that can never need
-// replay again. f, when non-nil, is the frame this ack answers.
-func (s *Sender) noteAck(f *Frame, ack Ack) {
+// Restore reloads an upward state Queue listed: the seq counter and the
+// frames, all pending, for a sender that has not staged anything yet.
+func (s *Sender) Restore(seq uint64, frames []*Frame) {
 	s.mu.Lock()
-	s.stats.Stable = ack.Stable
-	if ack.AggEpoch > s.aggEpoch {
-		if s.aggEpoch != 0 && len(s.retained) > 0 {
-			// The aggregator restarted from a snapshot. Replay everything
-			// retained, oldest first and ahead of the pending queue, so
-			// frames reach the restored dedup books in seq order.
-			s.pending = append(append(make([]*Frame, 0, len(s.retained)+len(s.pending)), s.retained...), s.pending...)
-			s.stats.Replayed += int64(len(s.retained))
-			s.retained = nil
-		}
-		s.aggEpoch = ack.AggEpoch
-	}
-	if len(s.retained) > 0 && ack.Stable > 0 {
-		keep := s.retained[:0]
-		for _, r := range s.retained {
-			if r.Seq > ack.Stable {
-				keep = append(keep, r)
-			} else {
-				s.recycleLocked(r)
-			}
-		}
-		s.retained = keep
-	}
-	if f != nil {
-		s.settleLocked(f, ack)
-	}
+	defer s.mu.Unlock()
+	s.ob.restore(seq, frames)
+}
+
+// noteAck hands an ack to the outbox under the lock (settles: it answers
+// the frame sent), then its window to the owner, outside it.
+func (s *Sender) noteAck(ack Ack, settles bool) {
+	s.mu.Lock()
+	s.ob.heard(ack, settles)
 	s.mu.Unlock()
 	s.adopt(ack.Window)
-}
-
-// settleLocked accounts f's ack, removes it from the pending queue (by
-// identity — a replay may have requeued older frames ahead of it) and
-// moves it to the retention buffer if the aggregator has not yet
-// declared it durable.
-func (s *Sender) settleLocked(f *Frame, ack Ack) {
-	for i, p := range s.pending {
-		if p == f {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			break
-		}
-	}
-	s.stats.Acked++
-	switch {
-	case ack.Err != "":
-		s.stats.Rejected++
-	case ack.Applied:
-		s.stats.Applied++
-	case ack.Status == StatusDuplicate:
-		s.stats.Duplicates++
-	case ack.Status == statusDroppedOld:
-		s.stats.Dropped++
-	}
-	if ack.Err != "" || s.opts.Retain <= 0 || f.Seq <= ack.Stable {
-		s.recycleLocked(f)
-		return
-	}
-	// Acked but not durable: keep for replay. The buffer is in seq order
-	// because stop-and-wait acks frames in seq order.
-	s.retained = append(s.retained, f)
-	for len(s.retained) > s.opts.Retain {
-		s.recycleLocked(s.retained[0])
-		s.retained = s.retained[1:]
-		s.stats.RetainDropped++
-	}
 }
 
 // connect returns the live client, dialing and re-announcing if needed.
@@ -224,16 +151,15 @@ func (s *Sender) connect(ctx context.Context) (*Client, error) {
 		return nil, err
 	}
 	ack, err := c.hello(s.id, s.opts.Epoch, s.ident)
+	if err == nil && ack.Err != "" {
+		err = fmt.Errorf("stream: node %s rejected: %s", s.id, ack.Err)
+	}
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	if ack.Err != "" {
-		c.Close()
-		return nil, fmt.Errorf("stream: node %s rejected: %s", s.id, ack.Err)
-	}
 	s.client = c
-	s.noteAck(nil, ack)
+	s.noteAck(ack, false)
 	return c, nil
 }
 
@@ -265,7 +191,7 @@ func (s *Sender) exchange(ctx context.Context, request func(*Client) (Ack, error
 		}
 		if attempt > 0 {
 			s.mu.Lock()
-			s.stats.Redials++
+			s.ob.stats.Redials++
 			s.mu.Unlock()
 		}
 		ack, err := request(c)
@@ -282,35 +208,36 @@ func (s *Sender) exchange(ctx context.Context, request func(*Client) (Ack, error
 }
 
 // drain pushes the pending queue until it is empty, each attempt sending
-// the head as that attempt finds it: a redial's hello may have requeued
-// a replay ahead of the previous attempt's frame. A refused frame is
-// dropped and draining goes on; the first refusal is returned at the
-// end. Called with sendMu held.
+// what the outbox names after the attempt's redial, if any: a redial's
+// hello may have put a replay ahead of the previous attempt's frame. A
+// refused frame is dropped and draining goes on; the first refusal is
+// returned at the end. Called with sendMu held.
 func (s *Sender) drain(ctx context.Context) error {
 	var rejected error
 	for {
 		s.mu.Lock()
-		empty := len(s.pending) == 0
+		empty := s.ob.head() == nil
 		s.mu.Unlock()
 		if empty {
 			return rejected
 		}
-		var f *Frame
+		var seq uint64
 		ack, err := s.exchange(ctx, func(c *Client) (Ack, error) {
 			s.mu.Lock()
-			f = s.pending[0]
+			f := s.ob.send()
 			s.mu.Unlock()
+			seq = f.Seq
 			return c.PushDelta(s.id, s.opts.Epoch, f.Window, f.Seq, f.Folds, f.Payload)
 		})
 		if err != nil {
 			return errors.Join(rejected, err)
 		}
 		if ack.Err != "" && rejected == nil {
-			rejected = fmt.Errorf("stream: node %s seq %d rejected: %s", s.id, f.Seq, ack.Err)
+			rejected = fmt.Errorf("stream: node %s seq %d rejected: %s", s.id, seq, ack.Err)
 		}
 		// The owner may answer a rotation learned from the ack by
-		// enqueueing a residual frame; the loop drains it in the same pass.
-		s.noteAck(f, ack)
+		// pushing a residual frame; the loop drains it in the same pass.
+		s.noteAck(ack, true)
 	}
 }
 
@@ -355,6 +282,6 @@ func (s *Sender) Sync(ctx context.Context) error {
 		s.disconnect() // unbound now: the next exchange dials and says hello anew
 		return fmt.Errorf("stream: node %s rejected: %s", s.id, ack.Err)
 	}
-	s.noteAck(nil, ack)
+	s.noteAck(ack, false)
 	return s.drain(ctx)
 }

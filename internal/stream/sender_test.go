@@ -18,7 +18,6 @@ type senderRig struct {
 	gate    *gateRelay
 	adopted []uint64 // every window the sender handed to its owner
 	delta   []byte   // a valid payload
-	seq     uint64
 }
 
 func newSenderRig(t *testing.T, opts NodeOptions) *senderRig {
@@ -45,19 +44,23 @@ func (r *senderRig) ctx(d time.Duration) context.Context {
 	return ctx
 }
 
-// enqueue queues the next frame the way an owner does: Alloc, fill the
-// recycled buffer, Enqueue.
+// enqueue queues the next frame the way a relay does: Stage it into the
+// recycled buffer, and Release it at once.
 func (r *senderRig) enqueue(payload []byte) *Frame {
 	r.t.Helper()
-	f := r.s.Alloc()
-	for _, live := range r.s.Resendable() {
-		if live == f || (cap(f.Payload) > 0 && cap(live.Payload) > 0 && &f.Payload[:1][0] == &live.Payload[:1][0]) {
-			r.t.Fatalf("Alloc handed out seq %d, which is still resendable", live.Seq)
+	_, queued := r.s.Queue()
+	var f *Frame
+	r.s.Stage(func(g *Frame) error {
+		for _, live := range queued {
+			if live == g || (cap(g.Payload) > 0 && cap(live.Payload) > 0 && &g.Payload[:1][0] == &live.Payload[:1][0]) {
+				r.t.Errorf("Stage handed out seq %d's frame, which is still resendable", live.Seq)
+			}
 		}
-	}
-	r.seq++
-	*f = Frame{Window: 1, Seq: r.seq, Folds: 1, Payload: append(f.Payload[:0], payload...)}
-	r.s.Enqueue(f)
+		*g = Frame{Window: 1, Folds: 1, Payload: append(g.Payload[:0], payload...)}
+		f = g
+		return nil
+	})
+	r.s.Release(f.Seq)
 	return f
 }
 
@@ -91,8 +94,8 @@ func (r *senderRig) seqs(list func(*Sender) []*Frame) []uint64 {
 	return out
 }
 
-func pendingOf(s *Sender) []*Frame  { return s.pending }
-func retainedOf(s *Sender) []*Frame { return s.retained }
+func pendingOf(s *Sender) []*Frame  { return s.ob.queue[s.ob.acked:] }
+func retainedOf(s *Sender) []*Frame { return s.ob.queue[:s.ob.acked] }
 
 func (r *senderRig) want(what string, got []uint64, want ...uint64) {
 	r.t.Helper()
@@ -194,7 +197,7 @@ func TestSenderRules(t *testing.T) {
 			r.drain()
 			r.want("retained after Stable=2", r.seqs(retainedOf), 3)
 			r.s.mu.Lock()
-			free := len(r.s.free)
+			free := len(r.s.ob.free)
 			r.s.mu.Unlock()
 			if st := r.s.Stats(); st.Stable != 2 || free != 2 {
 				t.Errorf("Stable %d with %d frames recycled, want 2 and 2", st.Stable, free)
@@ -239,14 +242,15 @@ func TestSenderRules(t *testing.T) {
 			r := newSenderRig(t, tc.opts)
 			defer r.s.Disconnect()
 			tc.run(t, r)
-			// Every ack's window reached the owner, and no frame is in two books.
+			// Every ack's window reached the owner, and no frame is both
+			// queued and free.
 			if len(r.adopted) == 0 {
 				t.Error("the window callback never ran")
 			}
 			r.s.mu.Lock()
 			defer r.s.mu.Unlock()
 			where := make(map[*Frame]string)
-			for book, frames := range map[string][]*Frame{"pending": r.s.pending, "retained": r.s.retained, "free": r.s.free} {
+			for book, frames := range map[string][]*Frame{"queue": r.s.ob.queue, "free": r.s.ob.free} {
 				for _, f := range frames {
 					if prev, dup := where[f]; dup {
 						t.Errorf("frame seq %d is in both %s and %s", f.Seq, prev, book)

@@ -26,7 +26,6 @@ package stream
 //	aggEpoch:u64 window:u64 membership:u64
 //	capacity:u32 windowCount:u32 { len:u32 sketchCodecBytes }...
 //	nodeCount:u32 { node }...
-//	tombCount:u32 { node }...
 //	extraLen:u32 extraBytes...
 //	crc:u32
 //
@@ -37,7 +36,9 @@ package stream
 //	lastWindow:u64 applied:u64 duplicates:u64 dropped:u64 rejected:u64
 //	restarts:u64 shedFrames:u64 shedFolds:u64
 //
-// where base is the node's dedup book (seqTracker), one number.
+// where state (0 live, 1 left, 2 evicted) says whether the member is
+// live or retired and base is its dedup book, one number. Every name is
+// listed once.
 //
 // Window payloads reuse the csoutlier sketch codec, so every window
 // carries the full consensus identity (M, N, seed, ensemble) and its
@@ -45,6 +46,7 @@ package stream
 // not folded.
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -54,6 +56,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"csoutlier"
@@ -63,12 +66,12 @@ import (
 // snapMagic/snapVersion identify the snapshot codec.
 var snapMagic = [4]byte{'C', 'S', 'N', 'P'}
 
-const snapVersion uint16 = 3
+const snapVersion uint16 = 4
 
 // SnapNode is one node's membership + dedup state in a snapshot: its
 // NodeStatus (LastSeen, Lag and Stable are a running aggregator's view
-// and are not encoded; a restore sets Stable = Base) plus the
-// seqTracker's mark, the highest seq processed.
+// and are not encoded; a restore sets Stable = Base) plus its dedup
+// base, the highest seq processed.
 type SnapNode struct {
 	NodeStatus
 	Base uint64
@@ -83,13 +86,15 @@ type Snapshot struct {
 	// Windows holds the sketch-codec bytes of every filled window,
 	// oldest first; the last entry is the open window.
 	Windows [][]byte
-	Nodes   []SnapNode // live members
-	Tombs   []SnapNode // retired members (left/evicted)
+	Nodes   []SnapNode // every member, live and retired, by name
 	// Extra is an opaque embedder blob captured atomically with the fold
 	// state (AggregatorOptions.SnapshotExtra). internal/tier stores a
 	// relay's upward-forwarding state here, so "leaf frame folded" and
 	// "upward frame staged" are always the same durability event.
 	Extra []byte
+	// release is what SnapshotExtra's capture runs once the snapshot
+	// commits (nil: nothing).
+	release func()
 }
 
 // Snapshot captures the aggregator's fold state under one mutex
@@ -104,12 +109,11 @@ func (a *Aggregator) Snapshot() (*Snapshot, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	snap := &Snapshot{
-		AggEpoch:   in.epoch,
-		Window:     in.window,
-		Membership: in.members.version,
+		AggEpoch:   in.bk.epoch,
+		Window:     in.bk.window,
+		Membership: in.bk.version,
 		Capacity:   in.ws.Windows(),
-		Nodes:      snapNodes(in.members.nodes),
-		Tombs:      snapNodes(in.members.tombs),
+		Nodes:      in.bk.cut(),
 	}
 	// Every window is encoded straight from its ring slot into one buffer
 	// the entries share.
@@ -125,28 +129,24 @@ func (a *Aggregator) Snapshot() (*Snapshot, error) {
 		snap.Windows = append(snap.Windows, buf[start:len(buf):len(buf)])
 	}
 	if fn := a.opts.SnapshotExtra; fn != nil {
-		extra, err := fn()
-		if err != nil {
+		var err error
+		if snap.Extra, snap.release, err = fn(); err != nil {
 			return nil, fmt.Errorf("stream: snapshot extra: %w", err)
 		}
-		snap.Extra = extra
 	}
 	a.metrics.snapshotSeconds.Observe(time.Since(start).Seconds())
 	return snap, nil
 }
 
-// commitSnapshot marks snap as durable: every live node whose epoch the
+// commitSnapshot marks snap as durable: every node whose epoch the
 // snapshot covers has its Stable watermark advanced to the snapshot's
 // dedup base, so subsequent acks let the node trim its replay-retention
-// buffer. Call it after the snapshot bytes are safely on disk (or
-// wherever they need to be); WriteSnapshot does.
+// buffer, and then the capture's release runs. Call it after the
+// snapshot bytes are safely on disk (or wherever they need to be);
+// WriteSnapshot does.
 func (a *Aggregator) commitSnapshot(snap *Snapshot) {
 	a.in.mu.Lock()
-	for _, sn := range snap.Nodes {
-		if ns, ok := a.in.members.nodes[sn.Node]; ok && ns.status.Epoch == sn.Epoch {
-			ns.stabilise(sn.Base)
-		}
-	}
+	a.in.bk.commit(snap.Nodes, snap.release)
 	a.in.mu.Unlock()
 	a.metrics.snapshots.Inc()
 }
@@ -154,20 +154,19 @@ func (a *Aggregator) commitSnapshot(snap *Snapshot) {
 // CommitStaged is a commit with no capture, for an embedder that keeps
 // its state somewhere other than a snapshot (internal/tier's relay
 // without a snapshot file, whose upward frames are its durability).
-// Under one ingest.mu acquisition it runs stage and then advances every
-// live node's Stable watermark to its dedup base — the advance
-// commitSnapshot makes for a snapshot captured at this instant — so no
-// fold lands between what stage takes and what the nodes are told is
-// durable. stage runs under the aggregator mutex with the same
-// no-reentrancy rule as OnApplied; when it fails, nothing advances.
-func (a *Aggregator) CommitStaged(stage func() error) error {
+// Under one ingest.mu acquisition it runs stage, advances every node's
+// Stable watermark to its dedup base — the advance commitSnapshot makes
+// for a snapshot captured at this instant — and then runs the release
+// stage returned, so no fold lands between what stage takes and what
+// the nodes are told is durable. stage runs under the aggregator mutex
+// with the same no-reentrancy rule as OnApplied; when it fails, nothing
+// advances.
+func (a *Aggregator) CommitStaged(stage func() (release func(), err error)) error {
 	in := &a.in
 	in.mu.Lock()
-	err := stage()
+	release, err := stage()
 	if err == nil {
-		for _, ns := range in.members.nodes {
-			ns.stabilise(ns.tracker.base)
-		}
+		in.bk.commit(nil, release)
 	}
 	in.mu.Unlock()
 	if err != nil {
@@ -275,13 +274,11 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(w)))
 		b = append(b, w...)
 	}
-	for _, group := range [][]SnapNode{s.Nodes, s.Tombs} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(group)))
-		for i := range group {
-			var err error
-			if b, err = appendSnapNode(b, &group[i]); err != nil {
-				return nil, err
-			}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Nodes)))
+	for i := range s.Nodes {
+		var err error
+		if b, err = appendSnapNode(b, &s.Nodes[i]); err != nil {
+			return nil, err
 		}
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Extra)))
@@ -294,13 +291,13 @@ func appendSnapNode(b []byte, sn *SnapNode) ([]byte, error) {
 	if len(sn.Node) > 0xffff {
 		return nil, fmt.Errorf("stream: node name %q too long to snapshot", sn.Node[:32]+"…")
 	}
-	state, err := encodeState(sn.State)
-	if err != nil {
-		return nil, err
+	state := slices.Index(snapStates[:], cmp.Or(sn.State, StateLive))
+	if state < 0 {
+		return nil, fmt.Errorf("stream: unknown node state %q", sn.State)
 	}
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(sn.Node)))
 	b = append(b, sn.Node...)
-	b = append(b, state)
+	b = append(b, byte(state))
 	b = binary.LittleEndian.AppendUint64(b, sn.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, sn.Base)
 	b = binary.LittleEndian.AppendUint64(b, sn.LastWindow)
@@ -310,29 +307,8 @@ func appendSnapNode(b []byte, sn *SnapNode) ([]byte, error) {
 	return b, nil
 }
 
-func encodeState(state string) (byte, error) {
-	switch state {
-	case StateLive, "":
-		return 0, nil
-	case StateLeft:
-		return 1, nil
-	case stateEvicted:
-		return 2, nil
-	}
-	return 0, fmt.Errorf("stream: unknown node state %q", state)
-}
-
-func decodeState(b byte) (string, error) {
-	switch b {
-	case 0:
-		return StateLive, nil
-	case 1:
-		return StateLeft, nil
-	case 2:
-		return stateEvicted, nil
-	}
-	return "", fmt.Errorf("stream: unknown node state byte %d", b)
-}
+// snapStates are the node states by their snapshot byte.
+var snapStates = [...]string{StateLive, StateLeft, stateEvicted}
 
 // errSnapTruncated reports a snapshot blob that ends inside a field.
 var errSnapTruncated = errors.New("stream: snapshot truncated")
@@ -375,17 +351,19 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			s.Windows = append(s.Windows, cp)
 		}
 	}
-	for _, dst := range []*[]SnapNode{&s.Nodes, &s.Tombs} {
-		count := r.U32()
-		for i := uint32(0); i < count && r.Err == nil; i++ {
-			sn, err := decodeSnapNode(r)
-			if err != nil {
-				return nil, err
-			}
-			if r.Err == nil {
-				*dst = append(*dst, sn)
-			}
+	count := r.U32()
+	for i := uint32(0); i < count && r.Err == nil; i++ {
+		sn, err := decodeSnapNode(r)
+		if err != nil {
+			return nil, err
 		}
+		if r.Err != nil {
+			break
+		}
+		if i > 0 && sn.Node <= s.Nodes[i-1].Node {
+			return nil, fmt.Errorf("stream: snapshot lists node %q after %q: names are listed once, in order", sn.Node, s.Nodes[i-1].Node)
+		}
+		s.Nodes = append(s.Nodes, sn)
 	}
 	if extra := r.Take(int(r.U32())); len(extra) > 0 {
 		s.Extra = append([]byte(nil), extra...)
@@ -407,11 +385,10 @@ func decodeSnapNode(r *frame.Cursor) (SnapNode, error) {
 	if r.Err != nil {
 		return sn, nil
 	}
-	state, err := decodeState(stateByte[0])
-	if err != nil {
-		return sn, err
+	if int(stateByte[0]) >= len(snapStates) {
+		return sn, fmt.Errorf("stream: unknown node state byte %d", stateByte[0])
 	}
-	sn.State = state
+	sn.State = snapStates[stateByte[0]]
 	sn.Epoch = r.U64()
 	sn.Base = r.U64()
 	sn.LastWindow = r.U64()
@@ -423,11 +400,14 @@ func decodeSnapNode(r *frame.Cursor) (SnapNode, error) {
 
 // RestoreAggregator builds a new aggregator from a snapshot: the window
 // ring comes back Float64bits-identical, the dedup books still refuse
-// every frame the snapshot covers, and the membership (including
-// tombstones) survives. The restored aggregator announces AggEpoch =
+// every frame the snapshot covers, and the membership (retired members
+// included) survives. The restored aggregator announces AggEpoch =
 // snapshot's + 1, which is what tells reconnecting nodes to replay
-// their retained frames. opts.Windows is taken from the snapshot; the
-// sketcher must be the same consensus the snapshot's windows were
+// their retained frames. With a SnapshotPath it writes that bumped
+// incarnation there before it returns, so a second crash before any
+// other snapshot restores to a higher one still: nodes replay only to an
+// AggEpoch they have not seen. opts.Windows is taken from the snapshot;
+// the sketcher must be the same consensus the snapshot's windows were
 // measured under (a mismatch is rejected by the sketch codec).
 func RestoreAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, snap *Snapshot) (*Aggregator, error) {
 	if snap.Capacity < 1 || len(snap.Windows) < 1 || len(snap.Windows) > snap.Capacity {
@@ -459,9 +439,12 @@ func RestoreAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, snap *Sna
 		err = fmt.Errorf("stream: snapshot restore: %w", err)
 	} else {
 		a.in.mu.Lock()
-		a.in.window = snap.Window
-		err = a.in.members.restore(snap)
+		a.in.bk.window, a.in.bk.version = snap.Window, snap.Membership
+		err = a.in.bk.restore(snap.Nodes, time.Now())
 		a.in.mu.Unlock()
+	}
+	if err == nil && opts.SnapshotPath != "" {
+		err = a.WriteSnapshot(opts.SnapshotPath)
 	}
 	if err != nil {
 		a.Close(context.Background())

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -63,7 +64,7 @@ func randSnapshot(rng *xrand.RNG) *Snapshot {
 		s.Nodes = append(s.Nodes, randNode(len(s.Nodes), false))
 	}
 	for i := rng.Intn(3); i > 0; i-- {
-		s.Tombs = append(s.Tombs, randNode(100+len(s.Tombs), true))
+		s.Nodes = append(s.Nodes, randNode(100+len(s.Nodes), true))
 	}
 	// Half the cases carry an opaque embedder blob (what a tier.Relay
 	// snapshot uses for its upward-forwarding state).
@@ -132,9 +133,22 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 		t.Fatal("trailing byte decoded")
 	}
 
-	// Versions 1 and 2, and the next, under a valid CRC are refused by
+	// A name listed twice — what a live member and a tombstone of the
+	// same name were in the two lists of version 3 — is refused, and so
+	// is any other order but by name.
+	twice := &Snapshot{AggEpoch: 1, Window: 1, Capacity: 1, Windows: [][]byte{{1}}}
+	for _, state := range []string{StateLive, StateLeft} {
+		twice.Nodes = append(twice.Nodes, SnapNode{NodeStatus: NodeStatus{Node: "alpha", State: state, Epoch: 1}})
+	}
+	if blob, err := twice.MarshalBinary(); err != nil {
+		t.Fatalf("MarshalBinary: %v", err)
+	} else if _, err := DecodeSnapshot(blob); err == nil || !strings.Contains(err.Error(), `node "alpha" after "alpha"`) {
+		t.Fatalf("a name listed twice: err %v, want it refused by name", err)
+	}
+
+	// Versions 1 to 3, and the next, under a valid CRC are refused by
 	// their number, whatever their layout.
-	for _, v := range []uint16{1, 2, snapVersion + 1} {
+	for _, v := range []uint16{1, 2, 3, snapVersion + 1} {
 		old := append([]byte(nil), data[:len(data)-4]...)
 		binary.LittleEndian.PutUint16(old[4:], v)
 		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
@@ -158,6 +172,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add([]byte("CSNP"))
 	f.Add([]byte{})
+	// A version-3 blob (two node lists): refused by number.
+	v3 := []byte("CSNP\x03\x00")
+	f.Add(binary.LittleEndian.AppendUint32(v3, crc32.ChecksumIEEE(v3)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
@@ -638,14 +655,14 @@ func TestSnapshotBytesGolden(t *testing.T) {
 		extra    []byte
 		want     string
 	}{
-		{[3]uint64{1, 2, 3}, nil, "e7df9b4dbc9344d116ee8717a65a65fd2d51de604df22712e70e7f0865779113"},
-		{[3]uint64{1, 2, 3}, []byte("relay-upward-state"), "67c2f5fe34d7d8bfd6f7ae83093b9eed52f42acf40ba6f3e60586c29b6180a7b"},
-		{[3]uint64{1, 3, 4}, nil, "b8c0e9f347c57c9269d95bff8f14ec4372e5cc672c05ba47d6a89de6ff1f0eec"},
-		{[3]uint64{1, 3, 4}, []byte("relay-upward-state"), "3ed352140c982185f3aa33ed3cd9b0b591d377f9039035d57024ffba97cbd7fd"},
+		{[3]uint64{1, 2, 3}, nil, "09dc717f9533aaabc6b50dd5df444a147f177d156d31112003aacf86278f26e6"},
+		{[3]uint64{1, 2, 3}, []byte("relay-upward-state"), "69c5e2cbb2548d017107fde29984bb1146d185571c5fe63f45e9487007b90837"},
+		{[3]uint64{1, 3, 4}, nil, "7995e0d0afcba639bbbe98494da17e40b61e63bc9128c2fa0f794effdbdedb7e"},
+		{[3]uint64{1, 3, 4}, []byte("relay-upward-state"), "d83f8b30222c464c5adfd8fdc1a419272ce84a8b9fdcdad19f3874f7460e2650"},
 	} {
 		opts := AggregatorOptions{Windows: 4, Durable: true}
 		if tc.extra != nil {
-			opts.SnapshotExtra = func() ([]byte, error) { return tc.extra, nil }
+			opts.SnapshotExtra = func() ([]byte, func(), error) { return tc.extra, nil, nil }
 		}
 		agg, err := NewAggregator(sk, opts)
 		if err != nil {
@@ -681,5 +698,38 @@ func TestSnapshotBytesGolden(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want {
 			t.Errorf("snapshot (beta seqs %v, extra %q): %d bytes, sha256 %s, want %s", tc.betaSeqs, tc.extra, len(data), got, tc.want)
 		}
+	}
+}
+
+// TestRestoreTwiceAnnouncesHigherIncarnation: a restored aggregator
+// with a SnapshotPath writes its bumped incarnation there before it
+// serves, so a second crash before any other snapshot restores to a
+// higher AggEpoch still. Both restores used to announce 2: a node whose
+// frames the first restored incarnation had acked, but not yet
+// snapshotted, saw no bump from the second and never replayed them.
+func TestRestoreTwiceAnnouncesHigherIncarnation(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 5)
+	path := filepath.Join(t.TempDir(), "agg.snap")
+	first, err := NewAggregator(sk, AggregatorOptions{SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(context.Background()); err != nil { // writes the file
+		t.Fatalf("Close: %v", err)
+	}
+	var epochs []uint64
+	for crash := 0; crash < 2; crash++ {
+		snap, err := LoadSnapshot(path)
+		if err != nil {
+			t.Fatalf("LoadSnapshot: %v", err)
+		}
+		agg, err := RestoreAggregator(sk, AggregatorOptions{SnapshotPath: path}, snap)
+		if err != nil {
+			t.Fatalf("RestoreAggregator: %v", err)
+		}
+		epochs = append(epochs, agg.Epoch()) // and it dies without a Close
+	}
+	if epochs[0] != 2 || epochs[1] != 3 {
+		t.Fatalf("two restores from one file announced AggEpoch %v, want [2 3]", epochs)
 	}
 }

@@ -68,8 +68,8 @@ package stream
 //
 // and one reply kind, the Ack. Sketches travel one way: queries are
 // answered in the process that holds the windows (Aggregator.Outliers,
-// PointQueryMulti), not over this wire. Kinds 4 and 6 carried a
-// point-query RPC and its reply; they are refused as unknown.
+// PointQueryMulti), not over this wire; any other kind is refused as
+// unknown.
 type pushKind uint8
 
 const (
@@ -113,9 +113,9 @@ const (
 
 // Ack is the aggregator's reply to one push frame.
 type Ack struct {
-	// Err is a frame-level rejection (stale epoch, corrupt payload,
-	// future window). The frame was not applied and must not be
-	// retried as-is.
+	// Err is a frame-level rejection (another consensus, stale epoch,
+	// seq 0, corrupt or overflowing payload). The frame was not applied
+	// and must not be retried as-is.
 	Err string
 	// Window is the aggregator's current window ID — the rotation
 	// broadcast. Nodes adopt it: observations after the ack land in the
@@ -139,17 +139,3 @@ type Ack struct {
 	// trim their replay-retention buffer with it.
 	Stable uint64
 }
-
-// seqTracker is the dedup book of one node epoch: the highest seq
-// processed. Senders push stop-and-wait in ascending seq order, so every
-// seq below the mark was processed or will never be sent, and a seq
-// that never arrives (a refused frame, then the next) holds nothing up.
-type seqTracker struct {
-	base uint64 // the highest seq processed; every seq ≤ base is a duplicate
-}
-
-// seen reports whether seq is at or below the mark.
-func (t *seqTracker) seen(seq uint64) bool { return seq <= t.base }
-
-// mark records seq as processed.
-func (t *seqTracker) mark(seq uint64) { t.base = max(t.base, seq) }

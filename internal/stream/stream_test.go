@@ -377,29 +377,33 @@ func TestStreamIdempotency(t *testing.T) {
 	}
 }
 
-// TestSeqTracker: the book is the highest seq processed. A mark never
-// moves it back, and every seq at or below it is seen, a skipped one
-// included.
+// TestSeqTracker: a member's dedup book is the highest seq processed.
+// A fold never moves it back, and every seq at or below it is a
+// duplicate, a skipped one included.
 func TestSeqTracker(t *testing.T) {
-	var tr seqTracker
-	if tr.seen(1) {
-		t.Fatal("empty tracker saw seq 1")
+	bk := newBook(false, 2, 1)
+	deliver := func(seq uint64) string {
+		t.Helper()
+		ack, _ := bk.delta("n", 1, 1, seq, 1, time.Time{}, func(int, uint64) error { return nil })
+		if ack.Err != "" {
+			t.Fatalf("seq %d refused: %s", seq, ack.Err)
+		}
+		return ack.Status
 	}
-	tr.mark(1)
-	if tr.base != 1 || !tr.seen(1) || tr.seen(2) {
-		t.Fatalf("base=%d after mark(1), want 1 with seq 1 seen and seq 2 not", tr.base)
+	base := func() uint64 { return bk.members["n"].base }
+	if got := deliver(1); got != statusApplied || base() != 1 {
+		t.Fatalf("seq 1 on an empty book: %s, base %d; want applied, 1", got, base())
 	}
-	tr.mark(3) // seq 2 skipped: a rejected frame, then the next one
-	if tr.base != 3 || !tr.seen(2) || !tr.seen(3) || tr.seen(4) {
-		t.Fatalf("base=%d after mark(3), want 3 with seqs 1–3 seen and 4 not", tr.base)
+	if got := deliver(3); got != statusApplied || base() != 3 { // seq 2 skipped: a rejected frame, then the next one
+		t.Fatalf("seq 3 after 1: %s, base %d; want applied, 3", got, base())
 	}
-	tr.mark(2) // below the mark: no-op
-	if tr.base != 3 {
-		t.Fatalf("mark(2) moved base to %d, want 3", tr.base)
+	for _, seq := range []uint64{1, 2, 3} {
+		if got := deliver(seq); got != StatusDuplicate || base() != 3 {
+			t.Fatalf("seq %d at base 3: %s, base %d; want duplicate, 3", seq, got, base())
+		}
 	}
-	tr.mark(300)
-	if tr.base != 300 || !tr.seen(299) || tr.seen(301) {
-		t.Fatalf("base=%d after mark(300), want 300", tr.base)
+	if got := deliver(300); got != statusApplied || base() != 300 || bk.members["n"].Stable != 300 {
+		t.Fatalf("seq 300: %s, base %d; want applied, 300, and Stable with it", got, base())
 	}
 }
 

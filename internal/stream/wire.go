@@ -128,12 +128,18 @@ func requestLimits(m int) frameLimits {
 var replyLimits = frameLimits{replyAck: maxAckBody}
 
 // wireContext is what both ends of one push connection know without
-// being told: the last window said on it, either way, the last aggEpoch
-// an ack said, and the last delta's seq. Each end keeps one; a hello
-// zeroes it, and every frame, sent or parsed, moves it the same way on
-// both ends — a refused or duplicate delta's too. A frame that does not
-// parse closes the connection, so the two can never drift apart.
+// being told: whom the connection speaks for — the (node, epoch) of its
+// last hello, if the aggregator admitted it — the last window said on
+// it, either way, the last aggEpoch an ack said, and the last delta's
+// seq. Each end keeps one; a hello zeroes it and its verdict binds it
+// (admitted, to the hello's node and epoch; refused, to no one), and
+// every frame, sent or parsed, moves it the same way on both ends —
+// a refused or duplicate delta's too. A frame that does not parse closes
+// the connection, so the two can never drift apart.
 type wireContext struct {
+	bound                 bool // the aggregator admitted the last hello, naming node and epoch
+	node                  string
+	epoch                 uint64
 	window, aggEpoch, seq uint64
 }
 

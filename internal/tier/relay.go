@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,7 +66,7 @@ type RelayStats struct {
 	ForwardErrors   int64 // Forward cycles that failed (commit or drain)
 	FramesStaged    int64 // upward frames created (seq assigned)
 	FoldsStaged     int64 // leaf captures carried by staged frames
-	FramesCommitted int64 // staged frames released by a commit
+	FramesCommitted int64 // staged frames a commit released
 	Applied         int64 // upward frames the parent folded
 	Duplicates      int64 // upward frames the parent had already processed
 	Dropped         int64 // upward frames too old for the parent's ring
@@ -92,37 +93,22 @@ type RelayStats struct {
 // forwarding it upward as one frame gives the root bit-identical
 // windows at a fraction of the fan-in.
 //
-// Exactly-once across the hop comes from a staging discipline tied to
-// the embedded aggregator's mutex. Staging drains the unstable
-// accumulators into frames, assigning upward seqs in ascending-window
-// order, always inside a critical section of the aggregator's ingest
-// mutex, so the frames are exactly the folds that mutex has admitted.
-// A relay with a snapshot file commits in three steps:
-//
-//  1. SnapshotExtra (inside Snapshot's critical section) stages and
-//     encodes the full upward state (epoch, seq counter, the sender's
-//     retained+queued frames and the staged ones, with payloads) into
-//     Snapshot.Extra. The upward state is therefore always captured
-//     atomically with the fold state that produced it.
-//  2. The relay persists the snapshot (WriteSnapshot), whose commit
-//     advances the leaves' Stable watermarks, and when that returns it
-//     releases the frames the capture staged to the sender. So a leaf
-//     is told "your frame is durable" only once the upward frame
-//     carrying it is on disk, and no such frame is sent before.
-//  3. Every sendable frame's (seq → content) binding is a function of
-//     committed snapshot state only: RestoreRelay re-derives
-//     byte-identical frames, the parent's dedup books drop replayed
-//     ones, and leaf-replayed deltas accumulate fresh (never reused)
-//     seqs. Conservation holds through the tree: every leaf capture is
-//     folded exactly once at the root or accounted shed on the way.
-//
-// A relay without a file has nothing to capture: by linearity the
-// upward frames are the whole of what it forwards, and the window ring
-// plays no part in them. Its Forward stages, releases the frames to the
-// sender and advances the leaves' Stable watermarks in one critical
-// section (Aggregator.CommitStaged), never copying the ring. A Durable
-// one so tells a leaf "durable" exactly when its delta sits in a
-// committed upward frame, the same instant a snapshot commit would.
+// Exactly-once across the hop: a capture stages the unstable
+// accumulators into the sender's outbox, which gives them upward seqs in
+// ascending-window order, inside a critical section of the embedded
+// aggregator's mutex, so the frames are exactly the folds it admitted.
+// Staged frames are not sendable until the release the capture returns,
+// which the aggregator runs at the commit, after the leaves' Stable
+// watermarks advance: a leaf hears "durable" only once the upward frame
+// carrying its delta is, and no such frame is sent before. A relay with
+// a snapshot file captures inside Snapshot (SnapshotExtra), encoding its
+// whole upward state — epoch, seq counter, every queued frame — into
+// Snapshot.Extra, and WriteSnapshot commits once the file is on disk;
+// RestoreRelay re-derives byte-identical frames, the parent's dedup
+// books drop replayed ones, and leaf-replayed deltas get fresh seqs. A
+// relay without a file has nothing to capture: by linearity the upward
+// frames are all it forwards, so its Forward captures and commits in one
+// critical section (Aggregator.CommitStaged) and never copies the ring.
 //
 // Lock order: cmu → the aggregator's ingest mutex → fmu → the sender's
 // lock, on both commit paths (the file path enters the ingest mutex
@@ -143,9 +129,6 @@ type Relay struct {
 	fmu      sync.Mutex
 	unstable map[uint64]*upAccum
 	spare    []*upAccum // zeroed accumulators staging emptied
-	staged   []*stream.Frame
-	upSeq    uint64
-	snapSeq  uint64     // upSeq at the last snapshot capture
 	stats    RelayStats // the staging counters; Stats adds the sender's
 
 	metrics *relayMetrics
@@ -202,12 +185,9 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 	aopts.Durable = aopts.Durable || aopts.SnapshotPath != ""
 	aopts.SnapshotPath = ""
 	aopts.OnApplied = r.onApplied
-	aopts.SnapshotExtra = r.snapshotExtra
+	aopts.SnapshotExtra = func() ([]byte, func(), error) { return r.capture(true) }
 	if restored != nil {
-		r.upSeq = restored.UpSeq
-		for _, f := range restored.Frames {
-			r.snd.Enqueue(f)
-		}
+		r.snd.Restore(restored.UpSeq, restored.Frames)
 		r.agg, err = stream.RestoreAggregator(sk, aopts, restored.snap)
 	} else {
 		r.agg, err = stream.NewAggregator(sk, aopts)
@@ -246,7 +226,20 @@ func RestoreRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions
 			frameID(st.Shard, st.ID), frameID(opts.Shard, opts.ID))
 	}
 	st.snap = snap
-	return buildRelay(ctx, sk, opts, st.UpEpoch, st)
+	r, err := buildRelay(ctx, sk, opts, st.UpEpoch, st)
+	if err != nil {
+		return nil, err
+	}
+	// The leaf-facing incarnation the restore bumped goes to disk before
+	// any leaf hears it: a second crash then restores to a higher one
+	// still, and the leaves replay.
+	if opts.Agg.SnapshotPath != "" {
+		if err := r.commitCycle(); err != nil {
+			r.Kill(context.Background())
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // Name returns the relay's upward wire identity.
@@ -267,8 +260,9 @@ func (r *Relay) Stats() RelayStats {
 	defer r.fmu.Unlock()
 	s := r.stats
 	s.Unstable = len(r.unstable)
-	s.Staged = len(r.staged)
-	s.UpSeq = r.upSeq
+	s.Staged = up.Staged
+	s.FramesCommitted = s.FramesStaged - int64(up.Staged) // a staged frame is released or still staged
+	s.UpSeq = up.Seq
 	s.UpEpoch = r.upEpoch
 	s.Applied, s.Duplicates, s.Dropped, s.Rejected = up.Applied, up.Duplicates, up.Dropped, up.Rejected
 	s.Replayed, s.RetainDropped, s.Redials = up.Replayed, up.RetainDropped, up.Redials
@@ -320,20 +314,15 @@ func (r *Relay) accumulator(window uint64) *upAccum {
 	return acc
 }
 
-// stage drains the unstable accumulators into staged frames, assigning
-// upward seqs in ascending-window order so replay order is
-// deterministic. Both commit paths stage through it, under the
-// aggregator mutex and fmu.
+// stage drains the unstable accumulators into staged frames, in
+// ascending-window order so replay order is deterministic. Every capture
+// stages through it, under the aggregator mutex and fmu.
 func (r *Relay) stage() error {
 	windows := make([]uint64, 0, len(r.unstable))
 	for w := range r.unstable {
 		windows = append(windows, w)
 	}
-	for i := 1; i < len(windows); i++ { // insertion sort: few windows
-		for j := i; j > 0 && windows[j] < windows[j-1]; j-- {
-			windows[j], windows[j-1] = windows[j-1], windows[j]
-		}
-	}
+	slices.Sort(windows)
 	for _, w := range windows {
 		if err := r.stageWindow(w); err != nil {
 			return err
@@ -342,19 +331,19 @@ func (r *Relay) stage() error {
 	return nil
 }
 
-// stageWindow encodes one window's accumulator as the next staged
-// frame and keeps the emptied accumulator for reuse. The caller holds
-// the aggregator mutex and fmu.
+// stageWindow encodes one window's accumulator as the sender's next
+// staged frame and keeps the emptied accumulator for reuse. The caller
+// holds the aggregator mutex and fmu.
 func (r *Relay) stageWindow(w uint64) error {
 	acc := r.unstable[w]
-	f := r.snd.Alloc() // a buffer some settled frame no longer needs, when there is one
-	payload, err := acc.sketch.AppendBinary(f.Payload[:0])
+	err := r.snd.Stage(func(f *stream.Frame) error {
+		payload, err := acc.sketch.AppendBinary(f.Payload[:0])
+		*f = stream.Frame{Window: w, Folds: acc.folds, Payload: payload}
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("tier: relay %s window %d: %w", r.name, w, err)
 	}
-	r.upSeq++
-	*f = stream.Frame{Window: w, Seq: r.upSeq, Folds: acc.folds, Payload: payload}
-	r.staged = append(r.staged, f)
 	delete(r.unstable, w)
 	r.stats.FramesStaged++
 	r.stats.FoldsStaged += int64(acc.folds)
@@ -364,49 +353,29 @@ func (r *Relay) stageWindow(w uint64) error {
 	return nil
 }
 
-// release hands the staged frames with seq ≤ upTo to the sender; later
-// ones stay staged for the next cycle. The caller holds fmu.
-func (r *Relay) release(upTo uint64) {
-	keep := r.staged[:0]
-	for _, f := range r.staged {
-		if f.Seq <= upTo {
-			r.snd.Enqueue(f)
-			r.stats.FramesCommitted++
-		} else {
-			keep = append(keep, f)
+// capture stages every unstable window and returns the release the
+// commit runs: it makes sendable every frame staged so far, and no frame
+// staged later. With encode it also returns the whole upward state as a
+// snapshot's Extra. Runs under the aggregator mutex (inside Snapshot's
+// critical section, or CommitStaged's), so the frames and the fold state
+// they summarize are captured atomically.
+func (r *Relay) capture(encode bool) (extra []byte, release func(), err error) {
+	r.fmu.Lock()
+	defer r.fmu.Unlock()
+	if err := r.stage(); err != nil {
+		return nil, nil, err
+	}
+	upTo := r.snd.Stats().Seq
+	if encode {
+		// Staging is the relay's only Stage and runs under fmu: the
+		// listed frames hold still while they are encoded.
+		var frames []*stream.Frame
+		upTo, frames = r.snd.Queue()
+		if extra, err = encodeRelayExtra(r.opts.Shard, r.opts.ID, r.upEpoch, upTo, frames); err != nil {
+			return nil, nil, err
 		}
 	}
-	r.staged = keep
-}
-
-// snapshotExtra stages and encodes the complete upward state. Runs
-// inside the embedded aggregator's Snapshot critical section: the
-// staged frames and the fold state they summarize are captured
-// atomically.
-func (r *Relay) snapshotExtra() ([]byte, error) {
-	r.fmu.Lock()
-	defer r.fmu.Unlock()
-	if err := r.stage(); err != nil {
-		return nil, err
-	}
-	r.snapSeq = r.upSeq
-	// Staging is the relay's only Alloc and runs under fmu: the listed
-	// frames hold still while they are encoded.
-	return encodeRelayExtra(r.opts.Shard, r.opts.ID, r.upEpoch, r.upSeq,
-		r.snd.Resendable(), r.staged)
-}
-
-// stageAndRelease is the pathless commit's stage: with no file to wait
-// for, every frame it stages is released at once. Runs under the
-// aggregator mutex (CommitStaged).
-func (r *Relay) stageAndRelease() error {
-	r.fmu.Lock()
-	defer r.fmu.Unlock()
-	if err := r.stage(); err != nil {
-		return err
-	}
-	r.release(r.upSeq)
-	return nil
+	return extra, func() { r.snd.Release(upTo) }, nil
 }
 
 // Forward runs one commit-and-drain cycle — commit (staging the windows
@@ -434,25 +403,23 @@ func (r *Relay) Forward(ctx context.Context) error {
 	return err
 }
 
-// commitCycle commits one cycle. A relay with a snapshot file captures
-// (staging in snapshotExtra), persists and commits a snapshot — which
-// advances the leaves' Stable watermarks — and then releases the frames
-// the capture staged; frames staged after it (by a fold whose
-// accumulator would overflow) wait for the next cycle. One without
-// stages, releases and advances the watermarks in one aggregator
-// critical section and copies no window.
+// commitCycle commits one cycle. A relay with a snapshot file captures,
+// persists and commits a snapshot — which advances the leaves' Stable
+// watermarks and then releases the frames the capture staged; frames
+// staged after it (by a fold whose accumulator would overflow) wait for
+// the next cycle. One without captures, advances the watermarks and
+// releases in one aggregator critical section and copies no window.
 func (r *Relay) commitCycle() error {
 	r.cmu.Lock()
 	defer r.cmu.Unlock()
 	var err error
 	if path := r.opts.Agg.SnapshotPath; path != "" {
-		if err = r.agg.WriteSnapshot(path); err == nil {
-			r.fmu.Lock()
-			r.release(r.snapSeq)
-			r.fmu.Unlock()
-		}
+		err = r.agg.WriteSnapshot(path)
 	} else {
-		err = r.agg.CommitStaged(r.stageAndRelease)
+		err = r.agg.CommitStaged(func() (func(), error) {
+			_, release, err := r.capture(false)
+			return release, err
+		})
 	}
 	if err != nil {
 		return fmt.Errorf("tier: relay %s: %w", r.name, err)
@@ -516,11 +483,11 @@ type relayExtraState struct {
 //	upEpoch:u64 upSeq:u64 frameCount:u32
 //	{ window:u64 seq:u64 folds:u32 payloadLen:u32 payload }...
 //
-// Frames appear in strictly ascending seq order: the sender's retained
-// and queued ones, then the staged — which is replay order.
+// Frames appear in strictly ascending seq order: the sender's queue,
+// which is replay order.
 var relayExtraMagic = [4]byte{'C', 'S', 'T', 'R'}
 
-func encodeRelayExtra(shard int, id string, upEpoch, upSeq uint64, groups ...[]*stream.Frame) ([]byte, error) {
+func encodeRelayExtra(shard int, id string, upEpoch, upSeq uint64, frames []*stream.Frame) ([]byte, error) {
 	if len(id) > 0xffff {
 		return nil, fmt.Errorf("tier: relay id %q too long to snapshot", id[:32]+"…")
 	}
@@ -531,24 +498,18 @@ func encodeRelayExtra(shard int, id string, upEpoch, upSeq uint64, groups ...[]*
 	b = append(b, id...)
 	b = binary.LittleEndian.AppendUint64(b, upEpoch)
 	b = binary.LittleEndian.AppendUint64(b, upSeq)
-	count := 0
-	for _, g := range groups {
-		count += len(g)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(count))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(frames)))
 	prev := uint64(0)
-	for _, g := range groups {
-		for _, f := range g {
-			if f.Seq <= prev {
-				return nil, fmt.Errorf("tier: relay frame seq %d out of order after %d", f.Seq, prev)
-			}
-			prev = f.Seq
-			b = binary.LittleEndian.AppendUint64(b, f.Window)
-			b = binary.LittleEndian.AppendUint64(b, f.Seq)
-			b = binary.LittleEndian.AppendUint32(b, f.Folds)
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Payload)))
-			b = append(b, f.Payload...)
+	for _, f := range frames {
+		if f.Seq <= prev {
+			return nil, fmt.Errorf("tier: relay frame seq %d out of order after %d", f.Seq, prev)
 		}
+		prev = f.Seq
+		b = binary.LittleEndian.AppendUint64(b, f.Window)
+		b = binary.LittleEndian.AppendUint64(b, f.Seq)
+		b = binary.LittleEndian.AppendUint32(b, f.Folds)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Payload)))
+		b = append(b, f.Payload...)
 	}
 	return b, nil
 }

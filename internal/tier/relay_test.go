@@ -795,7 +795,7 @@ func TestRelayExtraCodec(t *testing.T) {
 		{Window: 1, Seq: 2, Folds: 1, Payload: nil},
 		{Window: 3, Seq: 5, Folds: 7, Payload: []byte{0xff}},
 	}
-	b, err := encodeRelayExtra(3, "relayA", 4, 9, frames[:1], frames[1:])
+	b, err := encodeRelayExtra(3, "relayA", 4, 9, frames)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -866,11 +866,11 @@ func FuzzRelayExtra(f *testing.F) {
 		{Window: 1, Seq: 2, Folds: 1},
 		{Window: 3, Seq: 5, Folds: 7, Payload: []byte{0xff}},
 	}
-	valid, err := encodeRelayExtra(3, "relayA", 4, 9, frames[:1], frames[1:])
+	valid, err := encodeRelayExtra(3, "relayA", 4, 9, frames)
 	if err != nil {
 		f.Fatal(err)
 	}
-	empty, err := encodeRelayExtra(0, "", 0, 0)
+	empty, err := encodeRelayExtra(0, "", 0, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -1160,6 +1160,45 @@ func TestRelayConfiguredThroughAgg(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "restored relay window", got, want)
+}
+
+// TestRelayRestoreTwiceAnnouncesHigherIncarnation: RestoreRelay writes
+// the leaf-facing incarnation it bumped before any leaf hears it, so a
+// relay that crashes again before its next Forward restores to a higher
+// one still, and its leaves replay what the crashed incarnation acked.
+func TestRelayRestoreTwiceAnnouncesHigherIncarnation(t *testing.T) {
+	sk := tierSketcher(t, 64, 32, 17)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
+	opts := RelayOptions{ID: "r0", Upstream: rootAddr, Agg: stream.AggregatorOptions{
+		Windows: 4, SnapshotPath: filepath.Join(t.TempDir(), "relay.snap"),
+	}}
+	relay, err := NewRelay(ctx, sk, opts)
+	if err != nil {
+		t.Fatalf("NewRelay: %v", err)
+	}
+	if err := relay.Forward(ctx); err != nil {
+		t.Fatalf("Forward: %v", err)
+	}
+	var epochs []uint64
+	for crash := 0; crash < 3; crash++ {
+		if err := relay.Kill(ctx); err != nil {
+			t.Fatalf("Kill: %v", err)
+		}
+		snap, err := stream.LoadSnapshot(opts.Agg.SnapshotPath)
+		if err != nil {
+			t.Fatalf("LoadSnapshot: %v", err)
+		}
+		if relay, err = RestoreRelay(ctx, sk, opts, snap); err != nil {
+			t.Fatalf("RestoreRelay: %v", err)
+		}
+		epochs = append(epochs, relay.Aggregator().Epoch())
+	}
+	relay.Close(ctx)
+	if epochs[0] != 2 || epochs[1] != 3 || epochs[2] != 4 {
+		t.Fatalf("three restores, none followed by a Forward, announced leaf-facing AggEpoch %v, want [2 3 4]", epochs)
+	}
 }
 
 // TestPathlessForwardCommit: a relay without a snapshot file commits

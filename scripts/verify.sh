@@ -317,14 +317,24 @@ go test ./internal/simtest -run 'TestStreamChurnSoak$' -sim.streamchurncount=10
 go test ./internal/simtest -run 'TestStreamPointQSoak$' -sim.streampointqcount=10
 go test ./internal/simtest -run 'TestStreamTierSoak$' -sim.streamtiercount=10
 
-echo "== fuzz: 10 s on each decoder of a versioned format =="
+echo "== protocol explorer: every ordering of the push protocol's events to depth 7 =="
+# internal/stream's explorer walks two nodes, a relay and a root through
+# the book and outbox calls the product makes, breadth-first with state
+# dedup; tier-1 walks it to depth 5. The floor is the distinct states
+# depth 7 covered at its first green run (EXPERIMENTS.md pr52): fewer
+# means an event or a state went missing.
+go test ./internal/stream -count=1 -run '^TestProtocolExplorer$' -explore.depth=7 -explore.floor=443102
+
+echo "== fuzz: 10 s on each decoder of a versioned format, and the protocol =="
 # The seed corpora run in tier-1; this searches past them: the snapshot
-# codec, the relay's blob inside it, the pull request frame and the push
-# frame (with its connection context).
+# codec, the relay's blob inside it, the pull request frame, the push
+# frame (with its connection context), and random event strings through
+# the explorer's step function, past its exhaustive depth.
 go test ./internal/stream -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s
 go test ./internal/tier -run '^$' -fuzz '^FuzzRelayExtra$' -fuzztime 10s
 go test ./internal/cluster -run '^$' -fuzz '^FuzzRequestFrame$' -fuzztime 10s
 go test ./internal/stream -run '^$' -fuzz '^FuzzPushFrame$' -fuzztime 10s
+go test ./internal/stream -run '^$' -fuzz '^FuzzProtocol$' -fuzztime 10s
 
 echo "== metrics smoke: /metrics + /healthz on a live csstreamd =="
 printf 'key000\nkey001\nkey002\nkey003\nkey004\nkey005\nkey006\nkey007\n' >"$tmp/keys.txt"
