@@ -104,7 +104,8 @@ type Report struct {
 	// Residual is the final recovery residual norm ‖y − Φ·x̂‖₂ — the
 	// measurement energy the recovered support does not explain. A
 	// persistently high residual on a standing query means the data is
-	// less sparse than the measurement budget assumes.
+	// less sparse than the measurement budget assumes. It is in y's
+	// units: a count-sketch's ±1 entries make it √depth times a unit-norm Φ's.
 	Residual float64
 	// Selection is the recovery engine's internal selection order for
 	// this query (an opaque warm hint). A standing query should pass the

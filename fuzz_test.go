@@ -57,6 +57,24 @@ func FuzzDecodeSketch(f *testing.F) {
 	}
 	f.Add(validCsk)
 	f.Add(validCsk[:len(validCsk)-5])
+	// The same backend's integer form ("CSKI"): an integer observation
+	// sums to integer counters, which travel as varints; and the
+	// float64 layout of those counters, which is refused.
+	yint, err := csk.SketchPairs(map[string]float64{"b": 3, "d": -70})
+	if err != nil {
+		f.Fatal(err)
+	}
+	validInt, err := yint.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(validInt)
+	f.Add(validInt[:len(validInt)-5])
+	asFloats := append([]byte("CSK2"), validInt[4:sketchHeaderLen]...)
+	for _, v := range yint.Y {
+		asFloats = binary.LittleEndian.AppendUint64(asFloats, math.Float64bits(v))
+	}
+	f.Add(binary.LittleEndian.AppendUint32(asFloats, crc32.ChecksumIEEE(asFloats)))
 	// The pairs encoding of the same observation, whole and damaged: a
 	// NaN value, an index past N, a count past the bytes, a cut tail; an
 	// integer past 2^53, an integer sent raw, a value varint one byte

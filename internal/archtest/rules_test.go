@@ -677,7 +677,7 @@ func setLines(p *program) string {
 
 // maxDocBytes caps the two documents that describe the system at the
 // sizes their last edit left: lower a cap after a cut, never raise it.
-var maxDocBytes = map[string]int{"README.md": 44410, "DESIGN.md": 49824}
+var maxDocBytes = map[string]int{"README.md": 44338, "DESIGN.md": 49760}
 
 // bigDocs returns the docs over their cap.
 func bigDocs(p *program) []string {

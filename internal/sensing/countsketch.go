@@ -13,46 +13,45 @@ import (
 // Sketches"). The M measurements are laid out as depth rows of width
 // buckets (cell (r, b) lives at index r·width+b; when depth does not
 // divide M the trailing M−depth·width entries stay zero). Column j has
-// exactly one non-zero per row — value sign_r(j)/√depth at bucket
-// bucket_r(j), both derived from a seeded hash of (row, j) — so every
-// column has unit norm and the matrix is a perfectly ordinary linear Φ:
-// Updater, WindowStore, the push protocol and BOMP recovery all work on
-// it unchanged.
+// exactly one non-zero per row — sign_r(j) = ±1 at bucket bucket_r(j),
+// both derived from a seeded hash of (row, j) — so the matrix is a
+// perfectly ordinary linear Φ (columns of norm √depth, which recovery's
+// relative tolerances ignore): Updater, WindowStore, the push protocol
+// and BOMP recovery all work on it unchanged, and integer data sums into
+// exact integer counters in any order.
 //
 // What the hashed structure adds is an O(depth) estimator that needs no
 // recovery at all. The sketch cell (r, b) holds
 //
-//	C[r,b] = (1/√depth) · Σ_{i: bucket_r(i)=b} sign_r(i)·x_i,
+//	C[r,b] = Σ_{i: bucket_r(i)=b} sign_r(i)·x_i,
 //
 // and the ensemble precomputes the signed key counts
 //
 //	S[r,b] = Σ_{i: bucket_r(i)=b} sign_r(i).
 //
 // For data concentrated around an unknown mode m, every cell's ratio
-// √depth·C/S is a signed-weighted mean of that cell's values — m
-// exactly for cells no outlier hashed into — so the median of the
-// ratios over all cells (EstimateMode, the median-of-bucket-means
-// estimator) recovers m as long as outliers contaminate fewer than half
-// the cells. Subtracting the mode's contribution m·S/√depth from each
-// cell and taking the median over a key's depth cells (PointEstimate)
-// then recovers that key's value with the usual count-sketch median
-// guarantee. Both estimators read only the sketch payload: no BOMP, no
-// column generation, no allocation.
+// C/S is a signed-weighted mean of that cell's values — m exactly for
+// cells no outlier hashed into — so the median of the ratios over all
+// cells (EstimateMode, the median-of-bucket-means estimator) recovers m
+// as long as outliers contaminate fewer than half the cells.
+// Subtracting the mode's contribution m·S from each cell and taking the
+// median over a key's depth cells (PointEstimate) then recovers that
+// key's value with the usual count-sketch median guarantee. Both
+// estimators read only the sketch payload: no BOMP, no column
+// generation, no allocation.
 //
-// The same precomputed S table is (up to 1/√(N·depth)) exactly the
-// extension column φ₀ = (1/√N)·Σφᵢ that BOMP prepends for the bias, so
-// the recovery path and the point-query path agree on what "the mode"
+// The same precomputed S table is (up to 1/√N) exactly the extension
+// column φ₀ = (1/√N)·Σφᵢ that BOMP prepends for the bias, so the
+// recovery path and the point-query path agree on what "the mode"
 // means — one sketch serves both.
 type CountSketch struct {
 	p     Params
 	depth int
 	width int
-	invs  float64 // 1/√depth, the per-entry magnitude
-	sqd   float64 // √depth
 
 	rowSalt []uint64      // per-row hash salt, derived from the seed
 	signed  linalg.Vector // S[r·width+b], signed key count per cell
-	phi0    linalg.Vector // cached extension column = signed/(√depth·√N)
+	phi0    linalg.Vector // cached extension column = signed/√N
 }
 
 // maxCountSketchDepth bounds depth so PointEstimate's median buffer can
@@ -78,13 +77,7 @@ func NewCountSketch(p Params, depth int) (*CountSketch, error) {
 	if width < 2 {
 		return nil, fmt.Errorf("sensing: M=%d gives %d buckets per row at depth %d, need ≥ 2", p.M, width, depth)
 	}
-	c := &CountSketch{
-		p:     p,
-		depth: depth,
-		width: width,
-		invs:  1 / math.Sqrt(float64(depth)),
-		sqd:   math.Sqrt(float64(depth)),
-	}
+	c := &CountSketch{p: p, depth: depth, width: width}
 	c.rowSalt = make([]uint64, depth)
 	for r := range c.rowSalt {
 		c.rowSalt[r] = mix64(p.Seed ^ countSketchSalt + uint64(r+1)*0x9e3779b97f4a7c15)
@@ -98,7 +91,7 @@ func NewCountSketch(p Params, depth int) (*CountSketch, error) {
 		}
 	}
 	c.phi0 = make(linalg.Vector, p.M)
-	scale := c.invs / math.Sqrt(float64(p.N))
+	scale := 1 / math.Sqrt(float64(p.N))
 	for i, s := range c.signed {
 		c.phi0[i] = s * scale
 	}
@@ -136,7 +129,7 @@ func (c *CountSketch) Width() int { return c.width }
 // Params implements Matrix.
 func (c *CountSketch) Params() Params { return c.p }
 
-// Col implements Matrix: one ±1/√depth entry per row, added into zeros.
+// Col implements Matrix: one ±1 entry per row, added into zeros.
 func (c *CountSketch) Col(j int, dst linalg.Vector) linalg.Vector {
 	if j < 0 || j >= c.p.N {
 		panic(fmt.Sprintf("sensing: column %d out of [0,%d)", j, c.p.N))
@@ -161,7 +154,7 @@ func (c *CountSketch) AddCol(j int, v float64, y linalg.Vector) {
 	}
 	for r := 0; r < c.depth; r++ {
 		cell, sign := c.cell(r, j)
-		y[cell] += v * (sign * c.invs)
+		y[cell] += v * sign
 	}
 }
 
@@ -221,7 +214,7 @@ func (c *CountSketch) correlateRange(r, dst linalg.Vector, lo, hi int) {
 		sum := 0.0
 		for row := 0; row < c.depth; row++ {
 			cell, sign := c.cell(row, j)
-			sum += sign * c.invs * r[cell]
+			sum += sign * r[cell]
 		}
 		dst[j] = sum
 	}
@@ -248,9 +241,8 @@ func (c *CountSketch) correlateBatchRange(rs, dsts []linalg.Vector, lo, hi int) 
 		clear(sums)
 		for row := 0; row < c.depth; row++ {
 			cell, sign := c.cell(row, j)
-			sv := sign * c.invs
 			for q, r := range rs {
-				sums[q] += sv * r[cell]
+				sums[q] += sign * r[cell]
 			}
 		}
 		for q := range dsts {
@@ -260,7 +252,7 @@ func (c *CountSketch) correlateBatchRange(rs, dsts []linalg.Vector, lo, hi int) 
 }
 
 // ExtensionColumn implements Matrix from the construction-time cache:
-// φ₀ = (1/√N)·Σφᵢ has entries S[cell]/(√depth·√N) — the signed-count
+// φ₀ = (1/√N)·Σφᵢ has entries S[cell]/√N — the signed-count
 // table again, which is why recovery's bias column and the point
 // estimators see the same mode.
 func (c *CountSketch) ExtensionColumn(dst linalg.Vector) linalg.Vector {
@@ -269,7 +261,7 @@ func (c *CountSketch) ExtensionColumn(dst linalg.Vector) linalg.Vector {
 
 // EstimateMode recovers the bias the data concentrates around from a
 // sketch payload y (length M): the median over all cells with a
-// non-zero signed count of the cell ratio √depth·y[cell]/S[cell].
+// non-zero signed count of the cell ratio y[cell]/S[cell].
 // Cells no outlier hashed into have ratio exactly the mode, so the
 // estimate is exact (up to float rounding) whenever outliers touch
 // fewer than half the populated cells. scratch, reused across calls,
@@ -286,7 +278,7 @@ func (c *CountSketch) EstimateMode(y linalg.Vector, scratch []float64) float64 {
 	ratios := scratch[:0]
 	for cell := 0; cell < cells; cell++ {
 		if s := c.signed[cell]; s != 0 {
-			ratios = append(ratios, c.sqd*y[cell]/s)
+			ratios = append(ratios, y[cell]/s)
 		}
 	}
 	if len(ratios) == 0 {
@@ -302,7 +294,7 @@ func (c *CountSketch) EstimateMode(y linalg.Vector, scratch []float64) float64 {
 
 // PointEstimate recovers key j's value from a sketch payload y given a
 // mode estimate (from EstimateMode): the median over the key's depth
-// cells of sign·√depth·(y[cell] − mode·S[cell]/√depth), plus the mode.
+// cells of sign·(y[cell] − mode·S[cell]), plus the mode.
 // Cells only this key's deviation hashed into contribute it exactly, so
 // the estimate survives up to ⌊(depth−1)/2⌋ collisions with other
 // outliers. O(depth), zero allocations: the median buffer lives on the
@@ -317,7 +309,7 @@ func (c *CountSketch) PointEstimate(y linalg.Vector, j int, mode float64) float6
 	var buf [maxCountSketchDepth]float64
 	for r := 0; r < c.depth; r++ {
 		cell, sign := c.cell(r, j)
-		dev := sign * (c.sqd*y[cell] - mode*c.signed[cell])
+		dev := sign * (y[cell] - mode*c.signed[cell])
 		// Insertion sort keeps buf[:r+1] ordered; depth ≤ 64 keeps it cheap.
 		k := r
 		for k > 0 && buf[k-1] > dev {

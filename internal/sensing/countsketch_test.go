@@ -23,7 +23,6 @@ func TestCountSketchColumnStructure(t *testing.T) {
 	if c.Width() != 16 || c.Depth() != 4 {
 		t.Fatalf("shape %dx%d, want 4x16", c.Depth(), c.Width())
 	}
-	inv := 1 / math.Sqrt(4)
 	for j := 0; j < p.N; j++ {
 		col := c.Col(j, nil)
 		for r := 0; r < 4; r++ {
@@ -34,22 +33,22 @@ func TestCountSketchColumnStructure(t *testing.T) {
 					continue
 				}
 				nnz++
-				if math.Abs(v) != inv {
-					t.Fatalf("col %d row %d entry %v, want ±%v", j, r, v, inv)
+				if math.Abs(v) != 1 {
+					t.Fatalf("col %d row %d entry %v, want ±1", j, r, v)
 				}
 			}
 			if nnz != 1 {
 				t.Fatalf("col %d row %d has %d nonzeros, want exactly 1", j, r, nnz)
 			}
 		}
-		// Unit norm exactly: depth entries of ±1/√depth, never colliding
-		// (one bucket per row).
+		// Squared norm exactly depth: depth entries of ±1, never
+		// colliding (one bucket per row).
 		sumSq := 0.0
 		for _, v := range col {
 			sumSq += v * v
 		}
-		if math.Abs(sumSq-1) > 1e-12 {
-			t.Fatalf("col %d squared norm %v, want 1", j, sumSq)
+		if sumSq != 4 {
+			t.Fatalf("col %d squared norm %v, want 4", j, sumSq)
 		}
 	}
 }
@@ -301,7 +300,7 @@ func TestCountSketchEvenDepthMedian(t *testing.T) {
 
 // From a zero vector, a run of AddCol lands on the bits of one Col and
 // one dense AddScaled per index — through repeats, cancellations that leave +0,
-// negative values and products that underflow to −0.
+// negative values and subnormals.
 func TestCountSketchAddColsBitIdentical(t *testing.T) {
 	c := cskMat(t, Params{M: 45, N: 200, Seed: 7}, 4) // one tail cell
 	rng := xrand.New(11)
@@ -316,7 +315,7 @@ func TestCountSketchAddColsBitIdentical(t *testing.T) {
 				vals[k] = -vals[k-1] // cancels wherever idx repeats
 				idx[k] = idx[k-1]
 			case 2:
-				vals[k] = -5e-324 // times 1/√depth: −0
+				vals[k] = -5e-324
 			default:
 				vals[k] = float64(rng.Intn(7) - 3)
 			}

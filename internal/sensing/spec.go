@@ -12,7 +12,7 @@ const (
 	// KindGaussian is the paper's i.i.d. N(0, 1/M) ensemble.
 	KindGaussian Kind = 0
 	// KindCountSketch is the bias-aware count-sketch: depth rows of
-	// hashed ±1/√depth buckets, the recovery-free point-query backend.
+	// hashed ±1 buckets, the recovery-free point-query backend.
 	KindCountSketch Kind = 3
 )
 

@@ -66,7 +66,7 @@ import (
 // snapMagic/snapVersion identify the snapshot codec.
 var snapMagic = [4]byte{'C', 'S', 'N', 'P'}
 
-const snapVersion uint16 = 4
+const snapVersion uint16 = 5
 
 // SnapNode is one node's membership + dedup state in a snapshot: its
 // NodeStatus (LastSeen, Lag and Stable are a running aggregator's view

@@ -146,9 +146,10 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 		t.Fatalf("a name listed twice: err %v, want it refused by name", err)
 	}
 
-	// Versions 1 to 3, and the next, under a valid CRC are refused by
-	// their number, whatever their layout.
-	for _, v := range []uint16{1, 2, 3, snapVersion + 1} {
+	// Versions 1 to 4, and the next, under a valid CRC are refused by
+	// their number, whatever their layout (version 4 held integer
+	// windows as float64s).
+	for _, v := range []uint16{1, 2, 3, 4, snapVersion + 1} {
 		old := append([]byte(nil), data[:len(data)-4]...)
 		binary.LittleEndian.PutUint16(old[4:], v)
 		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
@@ -175,6 +176,27 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// A version-3 blob (two node lists): refused by number.
 	v3 := []byte("CSNP\x03\x00")
 	f.Add(binary.LittleEndian.AppendUint32(v3, crc32.ChecksumIEEE(v3)))
+	// A real aggregator's snapshot whose window holds integer counters,
+	// in the sketch codec's integer form.
+	sk := testSketcher(f, 128, 64, 7)
+	agg, err := NewAggregator(sk, AggregatorOptions{Windows: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	req := pushRequest{Kind: pushDelta, Node: "alpha", Epoch: 1, Window: 1, Seq: 1, Folds: 1, Payload: uniformDelta(f, sk, 3)}
+	if ack := agg.apply(req, new(csoutlier.Sketch)); ack.Err != "" {
+		f.Fatalf("apply: %+v", ack)
+	}
+	snap, err := agg.Snapshot()
+	agg.Close(context.Background())
+	if err != nil || string(snap.Windows[0][:4]) != "CSKI" {
+		f.Fatalf("integer window: %v, %q", err, snap.Windows[0][:4])
+	}
+	data, err := snap.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
@@ -646,8 +668,9 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 // histories, with and without an Extra blob: two nodes, a frame too old
 // for the ring, three rotations. In the gap-free history beta folds seq
 // 1 and 2 and its seq 3 is dropped as too old; in the gapped one beta
-// skips seq 2. A change to how a window or a dedup book reaches the
-// blob must not move one byte of either.
+// skips seq 2. Its two empty windows travel in the sketch codec's
+// integer form, the other two as float64s. A change to how a window or a
+// dedup book reaches the blob must not move one byte of either.
 func TestSnapshotBytesGolden(t *testing.T) {
 	sk := testSketcher(t, 128, 64, 7)
 	for _, tc := range []struct {
@@ -655,10 +678,10 @@ func TestSnapshotBytesGolden(t *testing.T) {
 		extra    []byte
 		want     string
 	}{
-		{[3]uint64{1, 2, 3}, nil, "09dc717f9533aaabc6b50dd5df444a147f177d156d31112003aacf86278f26e6"},
-		{[3]uint64{1, 2, 3}, []byte("relay-upward-state"), "69c5e2cbb2548d017107fde29984bb1146d185571c5fe63f45e9487007b90837"},
-		{[3]uint64{1, 3, 4}, nil, "7995e0d0afcba639bbbe98494da17e40b61e63bc9128c2fa0f794effdbdedb7e"},
-		{[3]uint64{1, 3, 4}, []byte("relay-upward-state"), "d83f8b30222c464c5adfd8fdc1a419272ce84a8b9fdcdad19f3874f7460e2650"},
+		{[3]uint64{1, 2, 3}, nil, "339862515cfcd8e7329e2b6d88cadbbdccca77441e79f9d2410ae026e2e74e73"},
+		{[3]uint64{1, 2, 3}, []byte("relay-upward-state"), "e9ff7e81071db45c56a6272b566dcb41f0d27be6678f0d5fe55c114931196e49"},
+		{[3]uint64{1, 3, 4}, nil, "b3b11250b5886c57dc3b816d3121138893190b9e0a58c36d3cfbabf5efe50f6d"},
+		{[3]uint64{1, 3, 4}, []byte("relay-upward-state"), "9b738af59e14e5ff1e3c68e8672cccd2d46b6a896e5d7f7bc1da10757f1acdce"},
 	} {
 		opts := AggregatorOptions{Windows: 4, Durable: true}
 		if tc.extra != nil {

@@ -538,13 +538,14 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 	// version's prelude. Version 2 carried values as f64s ("CSKP"),
 	// version 3 as varints ("CSKV"), each behind the identity; version 4
 	// is this layout, a node and epoch in every delta and a u32 length;
-	// version 5 named the window, seq and folds in every delta.
+	// version 5 named the window, seq and folds in every delta; version 7
+	// sent integer sketch counters as f64s.
 	oldDelta := func(v byte, payload []byte) []byte {
 		return oldFrame(v, pushDelta, oldBody("node00", 3, append([]byte{1, 1, 1}, payload...)...))
 	}
-	v5 := func(req *pushRequest) []byte {
+	at := func(v byte, req *pushRequest) []byte {
 		b := freshRequest(req)
-		b[0] = 5
+		b[0] = v
 		return b
 	}
 	cskp := oldPairs(sk, "CSKP", frame.AppendF64([]byte{1, 3}, 1.5))
@@ -568,8 +569,9 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		{"version-3 delta of CSKV pairs", oldDelta(3, cskv), false},
 		{"version-4 hello", oldFrame(4, pushHello, oldBody("node00", 3, ident...)), false},
 		{"version-4 delta of pairs", oldDelta(4, pairs), false},
-		{"version-5 hello", v5(&pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: ident}), false},
+		{"version-5 hello", at(5, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: ident}), false},
 		{"version-5 delta of pairs", prelude(uint64(3+len(pairs)), 5, pushDelta, append([]byte{1, 1, 1}, pairs...)...), false},
+		{"version-7 hello", at(7, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: ident}), false},
 		{"hello naming a 1-byte identity", helloNaming(ident[:1]), false},
 		{"hello naming a 24-byte identity", helloNaming(ident[:24]), false},
 		{"hello naming a 26-byte identity", helloNaming(append(ident, 0)), false},

@@ -270,11 +270,13 @@ case "${1:-}" in
 	# threw away. Its leaves' counts travel
 	# as varints, and their frames leave the consensus, node and epoch to
 	# the hello, each length a varint, and what the connection implies
-	# to its context: 5.01 wire B/obs exactly (5.05 with the window, seq,
-	# folds, aggEpoch and stable in every exchange, 5.14 with the node
-	# and epoch in every delta and a u32 length, 5.33 with the identity
-	# in every pairs frame too, 11.31 as 8-byte floats), gated at that
-	# plus 2 %.
+	# to its context; its count-sketch windows hold integer counters,
+	# which travel as varints: 4.35 wire B/obs exactly (5.01 with every
+	# sketch frame's counters as 8-byte floats, 5.05 with the window,
+	# seq, folds, aggEpoch and stable in every exchange too, 5.14 with
+	# the node and epoch in every delta and a u32 length, 5.33 with the
+	# identity in every pairs frame too, 11.31 with every value an 8-byte
+	# float), gated at that plus 2 %.
 	line=$(bash benchmark/run.sh --workload standing_tier --seed 1 --cycles 32 --trace 0 | tail -n 1)
 	echo "$line"
 	case "$line" in
@@ -292,8 +294,8 @@ case "${1:-}" in
 	fi
 	wire=$(printf '%s\n' "$line" | sed -n 's/.*"wire_bytes_per_obs":{"value":\([0-9.eE+-]*\).*/\1/p')
 	echo "wire_bytes_per_obs = ${wire:-missing}"
-	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 5.11) }'; then
-		echo "verify: standing_tier wire_bytes_per_obs above 5.11" >&2
+	if ! awk -v w="${wire:-1e9}" 'BEGIN { exit !(w <= 4.43) }'; then
+		echo "verify: standing_tier wire_bytes_per_obs above 4.43" >&2
 		exit 1
 	fi
 	echo "verify: OK (bench smoke)"

@@ -15,14 +15,19 @@ import (
 // Binary sketch wire format, for shipping sketches between processes
 // without bringing a serialization framework along:
 //
-//	magic    [4]byte  "CSK2"
+//	magic    [4]byte  "CSKI" or "CSK2"
 //	m        uint32
 //	n        uint32
 //	seed     uint64
 //	ensemble uint8
 //	density  uint32   (CountSketch depth; 0 for Gaussian)
-//	payload  m × float64 (little endian)
+//	payload  CSKI: m × minimal zigzag varint; CSK2: m × float64 (little endian)
 //	crc32    uint32 (IEEE, over everything above)
+//
+// A sketch has one form: CSKI when every counter passes pairInt (a
+// count-sketch of integer data, an all-zero sketch), CSK2 otherwise; a
+// decoder refuses a CSK2 payload that CSKI would carry, so a payload that
+// decodes re-encodes to the same bytes.
 //
 // The full consensus identity travels with the payload so the receiver
 // can verify sketch compatibility before summing — a mismatched seed or
@@ -68,7 +73,8 @@ import (
 // smaller than EncodedSketchLen(m) (Updater.DrainEncoded), and a
 // decoder refuses a pairs payload that is not.
 
-var sketchMagic = [4]byte{'C', 'S', 'K', '2'}
+// sketchMagic opens a CSK2 sketch, intSketchMagic a CSKI one.
+var sketchMagic, intSketchMagic = [4]byte{'C', 'S', 'K', '2'}, [4]byte{'C', 'S', 'K', 'I'}
 
 // pairsTag is a pairs payload's first byte.
 const pairsTag = 'P'
@@ -89,9 +95,9 @@ const MinEncodedPairsLen = 1 + 1 + (1 + 1) + sketchTrailerLen
 // raw float64.
 const maxPairLen = binary.MaxVarintLen64 + 8
 
-// EncodedSketchLen returns the size in bytes of the binary encoding of
-// a sketch of m measurements — what a transport needs to bound a frame
-// before reading it.
+// EncodedSketchLen returns the size in bytes of a CSK2 sketch of m
+// measurements, which bounds a CSKI one (a counter's varint is at most 8
+// bytes): what a transport needs to bound a frame before reading it.
 func EncodedSketchLen(m int) int { return sketchHeaderLen + 8*m + sketchTrailerLen }
 
 // PairsEncoded reports whether data is a delta in the pairs encoding,
@@ -106,15 +112,29 @@ func (s Sketch) AppendBinary(dst []byte) ([]byte, error) {
 	if s.m == 0 || len(s.Y) != s.m {
 		return dst, fmt.Errorf("csoutlier: cannot marshal zero-value or inconsistent sketch (m=%d, len=%d)", s.m, len(s.Y))
 	}
-	start, n := len(dst), EncodedSketchLen(s.m)
-	dst = s.appendIdentity(slices.Grow(dst, n))[:start+n]
-	buf := dst[start:]
-	for i, v := range s.Y {
-		binary.LittleEndian.PutUint64(buf[sketchHeaderLen+8*i:], math.Float64bits(v))
+	start := len(dst)
+	dst = s.appendIdentity(slices.Grow(dst, EncodedSketchLen(s.m)))
+	if intCounters(s.Y) {
+		copy(dst[start:], intSketchMagic[:])
+		for _, v := range s.Y {
+			dst = binary.AppendVarint(dst, int64(v))
+		}
+	} else {
+		for _, v := range s.Y {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
 	}
-	sum := crc32.ChecksumIEEE(buf[:n-sketchTrailerLen])
-	binary.LittleEndian.PutUint32(buf[n-sketchTrailerLen:], sum)
-	return dst, nil
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
+}
+
+// intCounters reports whether y travels in the CSKI form.
+func intCounters(y []float64) bool {
+	for _, v := range y {
+		if _, ok := pairInt(v); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // appendIdentity appends the magic and the consensus identity: the 25
@@ -189,7 +209,7 @@ func (s *Sketcher) UnmarshalSketchInto(data []byte, dst Sketch) error {
 	if err := sk.compatible(id); err != nil {
 		return err
 	}
-	readFloats(dst.Y, data)
+	readCounters(dst.Y, data)
 	return nil
 }
 
@@ -203,7 +223,7 @@ func DecodeSketch(data []byte) (Sketch, error) {
 		return Sketch{}, err
 	}
 	sk.Y = make([]float64, sk.m)
-	readFloats(sk.Y, data)
+	readCounters(sk.Y, data)
 	return sk, nil
 }
 
@@ -220,14 +240,15 @@ func identityOf(data []byte) Sketch {
 }
 
 // decodeSketchID validates an encoded sketch — length, magic, checksum,
-// dimensions, finite measurements — and returns its consensus identity
-// with no payload (Y nil, no allocation). After it succeeds, data holds
-// exactly m finite floats at sketchHeaderLen.
+// dimensions, its counters' one form, finite measurements — and returns
+// its consensus identity with no payload (Y nil, no allocation). After
+// it succeeds, data holds exactly m counters for readCounters.
 func decodeSketchID(data []byte) (Sketch, error) {
 	if len(data) < sketchHeaderLen+sketchTrailerLen {
 		return Sketch{}, fmt.Errorf("csoutlier: sketch payload too short (%d bytes)", len(data))
 	}
-	if [4]byte(data[0:4]) != sketchMagic {
+	magic := [4]byte(data[0:4])
+	if magic != sketchMagic && magic != intSketchMagic {
 		return Sketch{}, fmt.Errorf("csoutlier: bad sketch magic %q", data[0:4])
 	}
 	wantSum := binary.LittleEndian.Uint32(data[len(data)-sketchTrailerLen:])
@@ -241,11 +262,29 @@ func decodeSketchID(data []byte) (Sketch, error) {
 	if id.m <= 0 || id.n <= 0 {
 		return Sketch{}, fmt.Errorf("csoutlier: sketch header has non-positive dimensions (m=%d, n=%d)", id.m, id.n)
 	}
+	body := data[sketchHeaderLen : len(data)-sketchTrailerLen]
+	if magic == intSketchMagic {
+		for i := 0; i < id.m; i++ {
+			_, n, defect := intVarint(body)
+			if defect != "" {
+				return Sketch{}, fmt.Errorf("csoutlier: sketch counter %d of %d: %s", i, id.m, defect)
+			}
+			body = body[n:]
+		}
+		if len(body) != 0 {
+			return Sketch{}, fmt.Errorf("csoutlier: sketch payload has %d bytes after its %d counters", len(body), id.m)
+		}
+		return id, nil
+	}
 	if want := EncodedSketchLen(id.m); len(data) != want {
 		return Sketch{}, fmt.Errorf("csoutlier: sketch payload is %d bytes, header says %d", len(data), want)
 	}
-	if i := firstNonFinite(data[sketchHeaderLen : len(data)-sketchTrailerLen]); i >= 0 {
+	i, ints := firstNonFinite(body)
+	if i >= 0 {
 		return Sketch{}, fmt.Errorf("csoutlier: sketch measurement %d is not finite", i)
+	}
+	if ints {
+		return Sketch{}, fmt.Errorf("csoutlier: sketch of integer counters sent as float64s")
 	}
 	return id, nil
 }
@@ -293,18 +332,11 @@ func nextPair(b []byte) (idx uint64, v float64, rest []byte, defect string) {
 	}
 	idx, b = tag>>1, b[n:]
 	if tag&1 == 0 {
-		z, n := uvarint(b)
-		if n <= 0 {
-			return 0, 0, nil, "integer value cut short or not minimal"
+		v, n, defect := intVarint(b)
+		if defect != "" {
+			return 0, 0, nil, defect
 		}
-		i := int64(z >> 1)
-		if z&1 != 0 {
-			i = ^i
-		}
-		if i < -maxExactInt || i > maxExactInt {
-			return 0, 0, nil, "integer value past ±2^53"
-		}
-		return idx, float64(i), b[n:], ""
+		return idx, v, b[n:], ""
 	}
 	if len(b) < 8 {
 		return 0, 0, nil, "raw value cut short"
@@ -317,6 +349,23 @@ func nextPair(b []byte) (idx uint64, v float64, rest []byte, defect string) {
 		return 0, 0, nil, "integer value sent raw"
 	}
 	return idx, v, b[8:], ""
+}
+
+// intVarint reads the zigzag varint of a pairInt integer at the head of
+// b; defect is empty, or says why b does not start with one.
+func intVarint(b []byte) (v float64, n int, defect string) {
+	z, n := uvarint(b)
+	if n <= 0 {
+		return 0, 0, "integer value cut short or not minimal"
+	}
+	i := int64(z >> 1)
+	if z&1 != 0 {
+		i = ^i
+	}
+	if i < -maxExactInt || i > maxExactInt {
+		return 0, 0, "integer value past ±2^53"
+	}
+	return float64(i), n, ""
 }
 
 // uvarint is binary.Uvarint refusing, as n = -1, a varint longer than
@@ -412,15 +461,26 @@ func (s *Sketcher) measurePairs(y linalg.Vector, l pairLog) {
 const expMask = 0x7ff << 52
 
 // firstNonFinite returns the index of the first NaN or ±Inf among the
-// little-endian float64s of body, or -1. The push path runs it over
-// every frame before folding, so the common all-finite case is kept
+// little-endian float64s of body, or -1, and whether all pass pairInt.
+// One pass: integers are finite, so the finiteness scan starts at the
+// first counter that is not (a Gaussian sketch's first). The push path
+// runs it over every frame before folding, so the all-finite case is
 // branch-free: (bits&expMask)+1<<52 carries into the sign bit exactly
 // when every exponent bit is set, and OR-ing that over the body, four
 // floats a step, costs about what the checksum pass does.
-func firstNonFinite(body []byte) int {
+func firstNonFinite(body []byte) (int, bool) {
+	start := 0
+	for ; start < len(body); start += 8 {
+		if _, ok := pairInt(math.Float64frombits(binary.LittleEndian.Uint64(body[start:]))); !ok {
+			break
+		}
+	}
+	if start == len(body) {
+		return -1, true
+	}
 	const carry = 1 << 52
 	var acc uint64
-	b := body
+	b := body[start:]
 	for ; len(b) >= 32; b = b[32:] {
 		acc |= (binary.LittleEndian.Uint64(b)&expMask + carry) |
 			(binary.LittleEndian.Uint64(b[8:])&expMask + carry) |
@@ -431,11 +491,11 @@ func firstNonFinite(body []byte) int {
 		acc |= binary.LittleEndian.Uint64(b)&expMask + carry
 	}
 	if acc>>63 == 0 {
-		return -1
+		return -1, false
 	}
-	for i := 0; ; i++ {
+	for i := start / 8; ; i++ {
 		if binary.LittleEndian.Uint64(body[8*i:])&expMask == expMask {
-			return i
+			return i, false
 		}
 	}
 }
@@ -454,11 +514,25 @@ func checkFinite(vals []float64) error {
 	return nil
 }
 
-// readFloats copies the len(y) payload floats of a validated encoded
-// sketch into y.
-func readFloats(y []float64, data []byte) {
-	body := data[sketchHeaderLen:]
+// readCounters copies the len(y) counters of a validated encoded sketch
+// into y, float64s four at a time (half of a Gaussian frame's decode).
+func readCounters(y []float64, data []byte) {
+	b := data[sketchHeaderLen:]
+	if data[3] == intSketchMagic[3] {
+		for i := range y {
+			v, n, _ := intVarint(b)
+			y[i], b = v, b[n:]
+		}
+		return
+	}
+	for len(y) >= 4 && len(b) >= 32 {
+		y[0] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		y[1] = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+		y[2] = math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
+		y[3] = math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
+		y, b = y[4:], b[32:]
+	}
 	for i := range y {
-		y[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+		y[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }

@@ -109,15 +109,13 @@ func TestMarshalZeroValueSketchFails(t *testing.T) {
 // craftSketchBytes builds a wire image with arbitrary header dimensions
 // and a VALID checksum — the adversarial case corruption alone (caught
 // by CRC) cannot reach.
-func craftSketchBytes(m, n uint32, payloadFloats int) []byte {
-	buf := make([]byte, sketchHeaderLen+8*payloadFloats+sketchTrailerLen)
-	copy(buf[0:4], sketchMagic[:])
+func craftSketchBytes(magic [4]byte, m, n uint32, body []byte) []byte {
+	buf := append(magic[:], make([]byte, sketchHeaderLen-4)...)
 	binary.LittleEndian.PutUint32(buf[4:8], m)
 	binary.LittleEndian.PutUint32(buf[8:12], n)
 	binary.LittleEndian.PutUint64(buf[12:20], 9)
-	sum := crc32.ChecksumIEEE(buf[:len(buf)-sketchTrailerLen])
-	binary.LittleEndian.PutUint32(buf[len(buf)-sketchTrailerLen:], sum)
-	return buf
+	buf = append(buf, body...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 func TestDecodeSketchRejectsZeroDimensionHeaders(t *testing.T) {
@@ -125,15 +123,26 @@ func TestDecodeSketchRejectsZeroDimensionHeaders(t *testing.T) {
 	// and checksum gates both pass, so the dimension gate must fire —
 	// otherwise the decoder mints a Sketch that MarshalBinary refuses to
 	// round-trip.
-	for _, tc := range []struct{ m, n uint32 }{{0, 50}, {3, 0}, {0, 0}} {
-		data := craftSketchBytes(tc.m, tc.n, int(tc.m))
-		if _, err := DecodeSketch(data); err == nil {
-			t.Fatalf("m=%d n=%d header accepted", tc.m, tc.n)
+	for _, magic := range [][4]byte{sketchMagic, intSketchMagic} {
+		for _, tc := range []struct{ m, n uint32 }{{0, 50}, {3, 0}, {0, 0}} {
+			var body []byte
+			if magic == intSketchMagic {
+				body = make([]byte, tc.m) // m zero varints
+			} else {
+				body = make([]byte, 8*tc.m)
+			}
+			if _, err := DecodeSketch(craftSketchBytes(magic, tc.m, tc.n, body)); err == nil {
+				t.Fatalf("%s m=%d n=%d header accepted", magic, tc.m, tc.n)
+			}
 		}
 	}
 	// Sanity: the same crafting with positive dimensions decodes and
-	// round-trips.
-	data := craftSketchBytes(2, 10, 2)
+	// round-trips — in the integer form, the one a zero payload has; as
+	// float64s it is refused.
+	if _, err := DecodeSketch(craftSketchBytes(sketchMagic, 2, 10, make([]byte, 16))); err == nil || !strings.Contains(err.Error(), "integer counters") {
+		t.Fatalf("zero counters as float64s: %v", err)
+	}
+	data := craftSketchBytes(intSketchMagic, 2, 10, []byte{0, 0})
 	s, err := DecodeSketch(data)
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +151,8 @@ func TestDecodeSketchRejectsZeroDimensionHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("crafted positive-dimension sketch does not round-trip: %v", err)
 	}
-	if len(out) != len(data) {
-		t.Fatalf("round-trip changed length: %d vs %d", len(out), len(data))
+	if !bytes.Equal(out, data) {
+		t.Fatalf("round-trip changed the bytes: %x, want %x", out, data)
 	}
 }
 
@@ -605,6 +614,104 @@ func TestEncodedOpsRejectWithoutSideEffects(t *testing.T) {
 	}
 }
 
+// TestSketchForm: a sketch travels in the integer form exactly when
+// every counter is an integer of magnitude at most 2^53 other than −0,
+// the test a pair's value passes to travel as a varint; it round-trips
+// bit for bit either way, and the integer form is never the larger.
+func TestSketchForm(t *testing.T) {
+	keys := testKeys(64)
+	ens := codecEnsembles(t, 9)
+	csk, gauss := ens["countsketch"], ens["gaussian"]
+	counts := map[string]float64{keys[3]: 5, keys[9]: -120, keys[40]: 1 << 40}
+	ints, err := csk.SketchPairs(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gaussian, err := gauss.SketchPairs(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := func(v float64) Sketch {
+		s := sketchOf(csk, ints.Y)
+		s.Y[7] = v
+		return s
+	}
+	for _, c := range []struct {
+		name  string
+		s     Sketch
+		magic [4]byte
+	}{
+		{"count-sketch of integer data", ints, intSketchMagic},
+		{"gaussian of integer data", gaussian, sketchMagic},
+		{"all zero", gauss.ZeroSketch(), intSketchMagic},
+		{"one −2^53 counter", with(-1 << 53), intSketchMagic},
+		{"one −0 counter", with(math.Copysign(0, -1)), sketchMagic},
+		{"one 2^53+2 counter", with(1<<53 + 2), sketchMagic},
+		{"one 0.5 counter", with(0.5), sketchMagic},
+	} {
+		data, err := c.s.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if [4]byte(data) != c.magic {
+			t.Errorf("%s: encoded as %q, want %q", c.name, data[:4], c.magic[:])
+		}
+		if n := EncodedSketchLen(c.s.m); len(data) > n || (c.magic == sketchMagic) != (len(data) == n) {
+			t.Errorf("%s: %d bytes against EncodedSketchLen %d", c.name, len(data), n)
+		}
+		back, err := DecodeSketch(data)
+		if err != nil || !bitsEqual(back.Y, c.s.Y) {
+			t.Errorf("%s: round trip: %v", c.name, err)
+		}
+	}
+	// The count-sketch of integer data ships its counters as varints.
+	data, _ := ints.MarshalBinary()
+	want := sketchHeaderLen + sketchTrailerLen
+	for _, v := range ints.Y {
+		want += len(binary.AppendVarint(nil, int64(v)))
+	}
+	if len(data) != want {
+		t.Errorf("integer form is %d bytes, want %d", len(data), want)
+	}
+}
+
+// TestSketchFormRefusals: a payload in the wrong form, or an integer
+// form whose varints are not as the encoder writes them, is refused
+// under a valid checksum.
+func TestSketchFormRefusals(t *testing.T) {
+	sk := codecEnsembles(t, 9)["countsketch"]
+	layout := func(magic [4]byte, body ...byte) []byte {
+		b := append(append(magic[:], sk.AppendIdentity(nil)[4:]...), body...)
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	}
+	var counters, floats []byte // counter i is i−7
+	for i := 0; i < sk.M(); i++ {
+		counters = binary.AppendVarint(counters, int64(i-7))
+		floats = binary.LittleEndian.AppendUint64(floats, math.Float64bits(float64(i-7)))
+	}
+	if _, err := DecodeSketch(layout(intSketchMagic, counters...)); err != nil {
+		t.Fatalf("the integer form: %v", err)
+	}
+	for name, c := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"integer counters as float64s": {layout(sketchMagic, floats...), "integer counters sent as float64s"},
+		"a counter short":              {layout(intSketchMagic, counters[:len(counters)-1]...), "cut short"},
+		"a varint cut short":           {layout(intSketchMagic, append(slices.Clone(counters[:len(counters)-1]), 0x80)...), "cut short"},
+		"a non-minimal varint":         {layout(intSketchMagic, append([]byte{0x8d, 0x00}, counters[1:]...)...), "not minimal"},
+		"a counter past 2^53":          {layout(intSketchMagic, append(binary.AppendVarint(nil, 1<<53+1), counters[1:]...)...), "past ±2^53"},
+		"a trailing byte":              {layout(intSketchMagic, append(slices.Clone(counters), 0)...), "1 bytes after its 24 counters"},
+	} {
+		if _, err := DecodeSketch(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an error naming %q", name, err, c.want)
+		}
+		if err := sk.UnmarshalSketchInto(c.data, sk.ZeroSketch()); err == nil {
+			t.Errorf("%s: UnmarshalSketchInto accepted it", name)
+		}
+	}
+}
+
 // TestPairLengths pins what one observation costs in a pairs payload.
 // An integer up to ±2^53 is a zigzag varint (a count takes 1–3 bytes,
 // 2^53 eight). Any other value is the 8-byte float64 every value was
@@ -631,29 +738,32 @@ func TestPairLengths(t *testing.T) {
 	}
 }
 
-// The push path's codec calls allocate nothing once their buffers exist.
+// The push path's codec calls allocate nothing once their buffers
+// exist, in either sketch form.
 func TestEncodedOpsZeroAlloc(t *testing.T) {
 	sk := codecEnsembles(t, 9)["gaussian"]
-	s := sk.ZeroSketch()
-	for i := range s.Y {
-		s.Y[i] = float64(i)
-	}
-	buf := make([]byte, 0, EncodedSketchLen(sk.M()))
-	ws, _ := sk.NewWindowStore(1)
-	dst := sk.ZeroSketch()
-	for _, op := range []struct {
-		name string
-		fn   func() error
-	}{
-		{"AppendBinary", func() (err error) { buf, err = s.AppendBinary(buf[:0]); return }},
-		{"UnmarshalSketchInto", func() error { return sk.UnmarshalSketchInto(buf, dst) }},
-		{"AddSketch", func() error { return ws.AddSketch(0, dst) }},
-	} {
-		if err := op.fn(); err != nil {
-			t.Fatalf("%s: %v", op.name, err)
+	for _, frac := range []float64{0, 0.5} {
+		s := sk.ZeroSketch()
+		for i := range s.Y {
+			s.Y[i] = float64(i) + frac
 		}
-		if n := testing.AllocsPerRun(100, func() { op.fn() }); n != 0 {
-			t.Errorf("%s: %v allocs per call, want 0", op.name, n)
+		buf := make([]byte, 0, EncodedSketchLen(sk.M()))
+		ws, _ := sk.NewWindowStore(1)
+		dst := sk.ZeroSketch()
+		for _, op := range []struct {
+			name string
+			fn   func() error
+		}{
+			{"AppendBinary", func() (err error) { buf, err = s.AppendBinary(buf[:0]); return }},
+			{"UnmarshalSketchInto", func() error { return sk.UnmarshalSketchInto(buf, dst) }},
+			{"AddSketch", func() error { return ws.AddSketch(0, dst) }},
+		} {
+			if err := op.fn(); err != nil {
+				t.Fatalf("%q: %s: %v", buf[:4], op.name, err)
+			}
+			if n := testing.AllocsPerRun(100, func() { op.fn() }); n != 0 {
+				t.Errorf("%q: %s: %v allocs per call, want 0", buf[:4], op.name, n)
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package csoutlier
 import (
 	"math"
 	"testing"
+
+	"csoutlier/internal/xrand"
 )
 
 func windowFixture(t *testing.T) (*Sketcher, []string) {
@@ -229,5 +231,60 @@ func TestWindowStoreDetection(t *testing.T) {
 	if len(repRecent.Outliers) > 0 && repRecent.Outliers[0].Key == keys[7] &&
 		math.Abs(repRecent.Outliers[0].Value-5050) < 1 {
 		t.Fatal("recent-window query sees the old anomaly")
+	}
+}
+
+// TestCountSketchWindowsExactInAnyOrder: with ±1 entries a count-sketch
+// sums integer observations into integer counters exactly, so folding
+// the same integer pairs frames in any order gives the same window, bit
+// for bit, and every counter is an integer (the sketch codec's integer
+// form).
+func TestCountSketchWindowsExactInAnyOrder(t *testing.T) {
+	keys := testKeys(500)
+	sk, err := NewSketcher(keys, Config{M: 63, Seed: 5, Ensemble: CountSketch, Depth: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(3)
+	var frames [][]byte
+	for f := 0; f < 24; f++ {
+		u := sk.NewUpdater()
+		for o := 0; o < 1+rng.Intn(12); o++ {
+			v := float64(rng.Intn(2001) - 1000)
+			if o == 0 {
+				v *= 1 << 30 // large enough that a float sum would round
+			}
+			if err := u.Observe(keys[rng.Intn(len(keys))], v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frame, _, err := u.DrainEncoded(nil)
+		if err != nil || !PairsEncoded(frame) {
+			t.Fatalf("frame %d: pairs %v, err %v", f, PairsEncoded(frame), err)
+		}
+		frames = append(frames, frame)
+	}
+	var first Sketch
+	for trial := 0; trial < 8; trial++ {
+		ws, err := sk.NewWindowStore(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range rng.Perm(len(frames)) {
+			if err := foldEncoded(ws, 0, frames[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w, _ := ws.Window(0)
+		if trial == 0 {
+			first = w
+			if !intCounters(w.Y) {
+				t.Fatalf("window holds a non-integer counter: %v", w.Y)
+			}
+			continue
+		}
+		if !bitsEqual(w.Y, first.Y) {
+			t.Fatalf("order %d folds to another window", trial)
+		}
 	}
 }
