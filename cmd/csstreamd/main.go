@@ -84,8 +84,8 @@ func main() {
 		forwardEvery  = flag.Duration("forward-every", 30*time.Second, "how often a relay forwards its folded window deltas upward")
 	)
 	flag.Parse()
-	if *dictPath == "" || *m <= 0 {
-		fmt.Fprintln(os.Stderr, "csstreamd: -dict and -m are required")
+	if *dictPath == "" || *m <= 0 || *windows < 1 || *k < 1 || *span < 0 {
+		fmt.Fprintln(os.Stderr, "csstreamd: -dict and -m are required, -windows and -k must be ≥ 1 and -span ≥ 0")
 		os.Exit(2)
 	}
 	if *relayUpstream != "" && *relayID == "" {

@@ -142,12 +142,13 @@ func isDense(m sensing.Matrix) bool { _, ok := m.(*sensing.Dense); return ok }`}
 	},
 	{
 		id:      "retired-names",
-		name:    "no retired ensemble, column cache, optional batch interface or format-compatibility shim, test files included",
+		name:    "no retired ensemble, column cache, optional batch interface, format-compatibility shim or tombstone cap, test files included",
 		section: "pr21",
 		check: func(p *program) []string {
 			return idents(p, true, func(name string) bool {
 				for _, retired := range []string{"NewSRHT", "NewSparseRademacher", "NewColumnCache", "BatchCorrelator",
-					"idPad", "snapVersionExtra", "kindRetiredSparse", "kindRetiredSRHT", "relayExtraVersion"} {
+					"idPad", "snapVersionExtra", "kindRetiredSparse", "kindRetiredSRHT", "relayExtraVersion",
+					"maxTombstones", "tombsForgotten"} {
 					if strings.Contains(name, retired) {
 						return true
 					}
@@ -158,6 +159,7 @@ func isDense(m sensing.Matrix) bool { _, ok := m.(*sensing.Dense); return ok }`}
 		fixtures: []map[string]string{
 			{"internal/sensing/srht_test.go": `package sensing; var _ = NewSRHT`},
 			{"internal/cluster/pad.go": `package cluster; const idPad = 5`},
+			{"internal/stream/cap.go": `package stream; const maxTombstones = 1024`},
 		},
 	},
 	{
@@ -677,7 +679,7 @@ func setLines(p *program) string {
 
 // maxDocBytes caps the two documents that describe the system at the
 // sizes their last edit left: lower a cap after a cut, never raise it.
-var maxDocBytes = map[string]int{"README.md": 44338, "DESIGN.md": 49760}
+var maxDocBytes = map[string]int{"README.md": 44295, "DESIGN.md": 49753}
 
 // bigDocs returns the docs over their cap.
 func bigDocs(p *program) []string {

@@ -44,10 +44,10 @@ type AggregatorOptions struct {
 	// so nodes retain acked frames for replay. Implied by SnapshotPath.
 	Durable bool
 	// EvictAfter, when positive, evicts nodes not heard from for this
-	// long: their membership is retired into a tombstone (the dedup book
-	// survives, so a late frame still dedups) and their per-node metric
-	// series are dropped. 0 = never evict. Tests drive EvictIdle
-	// directly.
+	// long: their membership is retired into a tombstone (the record,
+	// dedup book included, stays as long as the aggregator, so a late
+	// frame still dedups) and their per-node metric series are dropped.
+	// 0 = never evict. Tests drive EvictIdle directly.
 	EvictAfter time.Duration
 	// OnApplied, when set, is invoked for every applied delta — under
 	// the aggregator mutex, right after the frame folds — with the

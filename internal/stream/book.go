@@ -11,10 +11,10 @@ import (
 // about a push frame, and no I/O, clock (callers pass now), lock (the
 // Aggregator holds it under ingest.mu) or metric (callers count what
 // the verdicts say). It keeps the window counter, the incarnation and
-// one record per node name ever admitted; being retired (left or
-// evicted) is a state of the record, so the dedup base outlives the
-// membership and a late or replayed frame from a retired node still
-// dedups instead of refolding.
+// one record per node name ever admitted, up to limit, for its life;
+// being retired (left or evicted) is a state of the record, so the
+// dedup base outlives the membership and a late or replayed frame from
+// a retired node still dedups instead of refolding.
 type book struct {
 	durable  bool   // Stable advances only at a commit
 	capacity int    // the window ring's: a delta this many windows old is dropped
@@ -22,8 +22,8 @@ type book struct {
 	epoch    uint64 // aggregator incarnation; a restore bumps it
 	version  uint64 // membership version: bumped on join, leave and evict
 	members  map[string]*member
-	retired  int    // members not live
-	retires  uint64 // retirements so far: orders the tombstones for the cap
+	retired  int // members not live
+	limit    int // records admitted at most
 }
 
 // member is one node's record. Stable is the durable watermark acked to
@@ -33,19 +33,14 @@ type book struct {
 // base was processed or will never be sent.
 type member struct {
 	NodeStatus
-	base    uint64
-	retired uint64 // when, in retires; 0 while live
+	base uint64
 }
 
-// maxTombstones bounds retired members: past it the one retired longest
-// ago is forgotten (stream_tombstones_forgotten_total). The trade is
-// memory for exactly-once: a forgotten name back at the same epoch gets
-// a fresh dedup book, so a replay of a frame it folded before folds
-// again.
-const maxTombstones = 1024
+// maxMembers is a book's limit, a guard against hostile input.
+const maxMembers = 4096
 
 func newBook(durable bool, capacity int, epoch uint64) book {
-	return book{durable: durable, capacity: capacity, window: 1, epoch: epoch, members: make(map[string]*member)}
+	return book{durable: durable, capacity: capacity, window: 1, epoch: epoch, members: make(map[string]*member), limit: maxMembers}
 }
 
 func errStaleEpoch(node string, epoch, current uint64) error {
@@ -58,13 +53,16 @@ func (b *book) reply(status string) Ack {
 }
 
 // admit returns the live record for (node, epoch), seen at now. First
-// contact is a join, and so is a retired node's return, which revives
-// its record: at the same epoch its base still describes this sequence
-// space, so nothing can refold. A higher epoch is a restart, a fresh
-// sequence space; a lower one is refused, the successor owns it.
+// contact is a join (refused, changing nothing, at limit records), and
+// so is a retired node's return, which revives its record: at the same
+// epoch its base still describes this sequence space, so nothing can
+// refold. A higher epoch is a restart, a fresh sequence space; a lower
+// one is refused, the successor owns it.
 func (b *book) admit(node string, epoch uint64, now time.Time) (m *member, joined bool, err error) {
 	m = b.members[node]
 	switch {
+	case m == nil && len(b.members) >= b.limit:
+		return nil, false, fmt.Errorf("stream: node %s refused: the aggregator holds %d node records, its limit", node, b.limit)
 	case m == nil:
 		m = &member{NodeStatus: NodeStatus{Node: node, Epoch: epoch, State: StateLive}}
 		b.members[node] = m
@@ -77,7 +75,7 @@ func (b *book) admit(node string, epoch uint64, now time.Time) (m *member, joine
 		m.Restarts++
 	}
 	if m.State != StateLive {
-		m.State, m.retired = StateLive, 0
+		m.State = StateLive
 		b.retired--
 		b.version++
 		joined = true
@@ -86,25 +84,11 @@ func (b *book) admit(node string, epoch uint64, now time.Time) (m *member, joine
 	return m, joined, nil
 }
 
-// retire moves a live member to state (StateLeft or stateEvicted) and
-// returns how many tombstones, retired longest ago, it forgot past the
-// cap.
-func (b *book) retire(m *member, state string) (forgotten int) {
-	b.retires++
-	m.State, m.retired = state, b.retires
+// retire moves a live member to state (StateLeft or stateEvicted).
+func (b *book) retire(m *member, state string) {
+	m.State = state
 	b.retired++
 	b.version++
-	for ; b.retired > maxTombstones; forgotten++ {
-		var oldest *member
-		for _, t := range b.members {
-			if t.retired != 0 && (oldest == nil || t.retired < oldest.retired) {
-				oldest = t
-			}
-		}
-		delete(b.members, oldest.Node)
-		b.retired--
-	}
-	return forgotten
 }
 
 // mark records seq as processed; a book that never restores (acked is
@@ -116,21 +100,22 @@ func (b *book) mark(m *member, seq uint64) {
 	}
 }
 
-// hello admits (node, epoch) and answers with its Stable.
-func (b *book) hello(node string, epoch uint64, now time.Time) (Ack, bool) {
-	ack := b.reply(statusHello)
+// hello admits (node, epoch) and answers with its Stable; refused says
+// the book was full for a name it holds no record of.
+func (b *book) hello(node string, epoch uint64, now time.Time) (ack Ack, joined, refused bool) {
+	ack = b.reply(statusHello)
 	m, joined, err := b.admit(node, epoch, now)
 	if err != nil {
 		ack.Err = err.Error()
-		return ack, false
+		return ack, false, b.members[node] == nil
 	}
 	ack.Stable = m.Stable
-	return ack, joined
+	return ack, joined, false
 }
 
-// bye retires a live (node, epoch); for an unknown or retired node it
-// changes nothing.
-func (b *book) bye(node string, epoch uint64) (ack Ack, left bool, forgotten int) {
+// bye retires a live (node, epoch), whose record stays; for an unknown
+// or retired node it changes nothing.
+func (b *book) bye(node string, epoch uint64) (ack Ack, left bool) {
 	ack = b.reply(statusBye)
 	switch m := b.members[node]; {
 	case m == nil || m.State != StateLive:
@@ -138,9 +123,10 @@ func (b *book) bye(node string, epoch uint64) (ack Ack, left bool, forgotten int
 		ack.Err = errStaleEpoch(node, epoch, m.Epoch).Error()
 	default:
 		ack.Stable = m.Stable
-		return ack, true, b.retire(m, StateLeft)
+		b.retire(m, StateLeft)
+		return ack, true
 	}
-	return ack, false, 0
+	return ack, false
 }
 
 // delta gives the verdict on a delta of (node, epoch): refused (Err), a
@@ -213,15 +199,16 @@ func (b *book) commit(cut []SnapNode, release func()) {
 	}
 }
 
-// evict retires every live member last seen before deadline.
-func (b *book) evict(deadline time.Time) (evicted, forgotten int) {
+// evict retires every live member last seen before deadline; each
+// record stays.
+func (b *book) evict(deadline time.Time) (evicted int) {
 	for _, m := range b.members {
 		if m.State == StateLive && m.LastSeen.Before(deadline) {
-			forgotten += b.retire(m, stateEvicted)
+			b.retire(m, stateEvicted)
 			evicted++
 		}
 	}
-	return evicted, forgotten
+	return evicted
 }
 
 // cut lists every member by name, with its base and without LastSeen
@@ -248,8 +235,7 @@ func (b *book) restore(nodes []SnapNode, now time.Time) error {
 		m := &member{NodeStatus: sn.NodeStatus, base: sn.Base}
 		m.Stable, m.LastSeen = sn.Base, now
 		if m.State != StateLive {
-			b.retires++
-			m.retired, m.LastSeen = b.retires, time.Time{}
+			m.LastSeen = time.Time{}
 			b.retired++
 		}
 		b.members[sn.Node] = m

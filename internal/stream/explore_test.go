@@ -40,6 +40,13 @@ var (
 // rotations make a delta dropped-old.
 const exploreWindows = 2
 
+// relayLimit and rootLimit are the books' limits: the names each
+// receiver serves, n0 at the relay and the relay and n1 at the root.
+// Both books run full, so after every step a stranger must be refused
+// (step) while every rejoin is admitted (connect): a forgotten record
+// fails one or the other.
+const relayLimit, rootLimit = 1, 2
+
 // config is one deployment the explorer walks. A durable one snapshots
 // the root (at every rotation and on snap) and the relay (rcap, then
 // rcommit), and crashes restore them; a volatile one acks every fold as
@@ -78,6 +85,13 @@ type receiver struct {
 	file   *image // the last committed snapshot (durable only)
 }
 
+// newReceiver is a fresh receiver whose book holds at most limit records.
+func newReceiver(durable bool, epoch uint64, limit int) receiver {
+	r := receiver{bk: newBook(durable, exploreWindows, epoch), folded: map[byte]int{}}
+	r.bk.limit = limit
+	return r
+}
+
 // image is a snapshot: a receiver's book and folds, and for the relay
 // its upward outbox.
 type image struct {
@@ -114,8 +128,8 @@ func newWorld(cfg *config) *world {
 		w.nodes[i] = endpoint{name: fmt.Sprintf("n%d", i), epoch: 1, ob: outbox{retain: 1024}, window: 1}
 	}
 	w.up = endpoint{name: "relay", epoch: 1, ob: outbox{retain: 1024}, window: 1}
-	w.relay = receiver{bk: newBook(cfg.durable, exploreWindows, 1), folded: map[byte]int{}}
-	w.root = receiver{bk: newBook(cfg.durable, exploreWindows, 1), folded: map[byte]int{}}
+	w.relay = newReceiver(cfg.durable, 1, relayLimit)
+	w.root = newReceiver(cfg.durable, 1, rootLimit)
 	if cfg.durable {
 		w.relay.file = w.relaySnapshot()
 		w.root.file = w.root.snapshot()
@@ -159,7 +173,7 @@ func (w *world) connect(e *endpoint) bool {
 	if e.connected {
 		return true
 	}
-	ack, _ := w.to(e).bk.hello(e.name, e.epoch, time.Time{})
+	ack, _, _ := w.to(e).bk.hello(e.name, e.epoch, time.Time{})
 	if ack.Err != "" {
 		w.failf("%s's hello refused: %s", e.name, ack.Err)
 		return false
@@ -271,7 +285,8 @@ func (r *receiver) snapshot() *image {
 // RestoreAggregator makes it.
 func (r *receiver) restored() receiver {
 	im := r.file
-	n := receiver{bk: newBook(true, exploreWindows, im.epoch+1), folded: cloneMap(im.folded), file: im}
+	n := newReceiver(true, im.epoch+1, r.bk.limit)
+	n.folded, n.file = cloneMap(im.folded), im
 	n.bk.window, n.bk.version = im.window, im.version
 	if err := n.bk.restore(im.cut, time.Time{}); err != nil {
 		panic(err)
@@ -319,7 +334,7 @@ func nodeEvents(i int) []event {
 			e := n(w)
 			w.drain(e)
 			if w.connect(e) {
-				if ack, _, _ := w.to(e).bk.bye(e.name, e.epoch); ack.Err != "" {
+				if ack, _ := w.to(e).bk.bye(e.name, e.epoch); ack.Err != "" {
 					w.failf("%s's bye refused: %s", e.name, ack.Err)
 				}
 			}
@@ -412,7 +427,7 @@ func (w *world) wipeRelay() {
 			w.extra[c]++
 		}
 	}
-	w.relay = receiver{bk: newBook(false, exploreWindows, 1), folded: map[byte]int{}}
+	w.relay = newReceiver(false, 1, relayLimit)
 	w.acc = map[uint64][]byte{}
 	w.up = endpoint{name: "relay", epoch: w.up.epoch + 1, ob: outbox{retain: w.up.ob.retain}, window: 1}
 	w.nodes[0].connected = false
@@ -440,7 +455,7 @@ func rootEvents(durable bool) []event {
 			for c := range w.root.folded {
 				w.lost[c] = true
 			}
-			w.root = receiver{bk: newBook(false, exploreWindows, 1), folded: map[byte]int{}}
+			w.root = newReceiver(false, 1, rootLimit)
 			w.nodes[1].connected, w.up.connected = false, false
 			w.behind = true
 		}})
@@ -467,7 +482,8 @@ func (cfg *config) events() []event {
 	return append(evs, rootEvents(cfg.durable)...)
 }
 
-// step applies one event, recording it in the trace.
+// step applies one event, recording it in the trace, and then checks
+// that a full book refuses a stranger's hello, which changes nothing.
 func (w *world) step(ev event) {
 	w.trace = append(w.trace, ev.name)
 	defer func() {
@@ -476,6 +492,14 @@ func (w *world) step(ev event) {
 		}
 	}()
 	ev.do(w)
+	for _, r := range []*receiver{&w.relay, &w.root} {
+		if len(r.bk.members) < r.bk.limit {
+			continue
+		}
+		if _, _, refused := r.bk.hello("stranger", 1, time.Time{}); !refused {
+			w.failf("a book holding its limit of %d records admitted a stranger", r.bk.limit)
+		}
+	}
 }
 
 // quiesce brings a clone of the world to rest the canonical way and

@@ -108,8 +108,8 @@ func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 // hello admits a node and returns the current window. A node the
 // aggregator has never seen (or one coming back retired) joins the
 // membership here — unless its hello names a consensus other than the
-// aggregator's: that is refused before admission, and the node is
-// neither joined nor refreshed.
+// aggregator's, or the node is new and the book full (counted as
+// refused): either way it is neither joined nor refreshed.
 func (a *Aggregator) hello(req pushRequest) Ack {
 	a.metrics.hellos.Inc()
 	var idErr error
@@ -124,9 +124,12 @@ func (a *Aggregator) hello(req pushRequest) Ack {
 		ack.Err = idErr.Error()
 		return ack
 	}
-	ack, joined := in.bk.hello(req.Node, req.Epoch, time.Now())
+	ack, joined, refused := in.bk.hello(req.Node, req.Epoch, time.Now())
 	if joined {
 		a.metrics.joins.Inc()
+	}
+	if refused {
+		a.metrics.refusals.Inc()
 	}
 	return ack
 }
@@ -138,11 +141,10 @@ func (a *Aggregator) bye(req pushRequest) Ack {
 	in := &a.in
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	ack, left, forgotten := in.bk.bye(req.Node, req.Epoch)
+	ack, left := in.bk.bye(req.Node, req.Epoch)
 	if left {
 		a.metrics.leaves.Inc()
 	}
-	a.metrics.tombsForgotten.Add(int64(forgotten))
 	return ack
 }
 
@@ -154,9 +156,8 @@ func (a *Aggregator) EvictIdle(olderThan time.Duration) int {
 	deadline := time.Now().Add(-olderThan)
 	a.in.mu.Lock()
 	defer a.in.mu.Unlock()
-	evicted, forgotten := a.in.bk.evict(deadline)
+	evicted := a.in.bk.evict(deadline)
 	a.metrics.evictions.Add(int64(evicted))
-	a.metrics.tombsForgotten.Add(int64(forgotten))
 	return evicted
 }
 

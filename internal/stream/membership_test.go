@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -315,17 +316,26 @@ func TestHelloRefusesAnotherConsensus(t *testing.T) {
 	}
 }
 
-// TestTombstonesForgottenCounted: one name past the tombstone cap
-// forgets the oldest tombstone, and /metrics says so.
-func TestTombstonesForgottenCounted(t *testing.T) {
+// TestRetiredNameNeverRefolds: a book keeps every record it admitted.
+// node0000 folds seq 1 and leaves, maxMembers-1 other names come and
+// go, and its replay of seq 1 is still a duplicate. The full book then
+// refuses a further name, over a Client or a Dial, by name and counted,
+// changing nothing; a retired name redials and revives.
+func TestRetiredNameNeverRefolds(t *testing.T) {
 	sk := testSketcher(t, 64, 32, 5)
 	agg, addr := serveAgg(t, sk, AggregatorOptions{})
-	c, err := DialClient(context.Background(), addr, 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := DialClient(ctx, addr, 5*time.Second)
 	if err != nil {
 		t.Fatalf("DialClient: %v", err)
 	}
 	defer c.Close()
-	for i := 0; i <= maxTombstones; i++ {
+	payload := uniformDelta(t, sk, 1)
+	if ack, err := c.PushDelta("node0000", 1, 1, 1, 1, payload); err != nil || !ack.Applied {
+		t.Fatalf("node0000 seq 1: %+v, %v", ack, err)
+	}
+	for i := 0; i < maxMembers; i++ {
 		node := fmt.Sprintf("node%04d", i)
 		if ack, err := c.Hello(node, 1); err != nil || ack.Err != "" {
 			t.Fatalf("hello %s: %+v, %v", node, ack, err)
@@ -334,10 +344,45 @@ func TestTombstonesForgottenCounted(t *testing.T) {
 			t.Fatalf("bye %s: %+v, %v", node, ack, err)
 		}
 	}
-	if s := agg.Stats(); s.Tombstones != maxTombstones || s.Leaves != maxTombstones+1 {
-		t.Fatalf("tombstones %d, leaves %d; want %d and %d", s.Tombstones, s.Leaves, maxTombstones, maxTombstones+1)
+	if ack, err := c.PushDelta("node0000", 1, 1, 1, 1, payload); err != nil || ack.Status != StatusDuplicate {
+		t.Fatalf("node0000's replay of seq 1 after %d other names: %+v, %v; want a duplicate", maxMembers-1, ack, err)
 	}
-	if expo := renderMetrics(t, agg); !strings.Contains(expo, "\nstream_tombstones_forgotten_total 1\n") {
-		t.Fatalf("/metrics does not count one forgotten tombstone:\n%s", expo)
+	if s := agg.Stats(); s.Applied != 1 || s.Tombstones != maxMembers-1 {
+		t.Fatalf("applied %d, tombstones %d; want 1 and %d", s.Applied, s.Tombstones, maxMembers-1)
+	}
+
+	if ack, err := c.Hello("stranger", 1); err != nil || !strings.Contains(ack.Err, "node stranger refused") {
+		t.Fatalf("a new name's hello at the limit: %+v, %v; want it refused by name", ack, err)
+	}
+	if expo := renderMetrics(t, agg); !strings.Contains(expo, "\nstream_membership_events_total{event=\"refused\"} 1\n") {
+		t.Fatalf("/metrics does not count one refusal:\n%s", expo)
+	}
+	nodes, applied := agg.Nodes(), agg.Stats().Applied
+	window, err := agg.WindowSketch(0)
+	if err != nil {
+		t.Fatalf("WindowSketch: %v", err)
+	}
+	if n, err := Dial(ctx, addr, sk, "stranger", NodeOptions{}); err == nil {
+		n.Abort()
+		t.Fatal("a stranger's Dial to a full aggregator succeeded")
+	} else if !strings.Contains(err.Error(), fmt.Sprintf("%d node records, its limit", maxMembers)) {
+		t.Fatalf("a stranger's Dial: %v; want the error to name the limit", err)
+	}
+	if got := agg.Nodes(); !slices.Equal(got, nodes) || agg.Stats().Applied != applied {
+		t.Fatal("a refused Dial changed the members or the applied count")
+	}
+	after, err := agg.WindowSketch(0)
+	if err != nil {
+		t.Fatalf("WindowSketch: %v", err)
+	}
+	sameBits(t, "window after a refused Dial", after, window)
+
+	n, err := Dial(ctx, addr, sk, "node0001", NodeOptions{})
+	if err != nil {
+		t.Fatalf("a retired name's Dial to a full aggregator: %v", err)
+	}
+	defer n.Abort()
+	if st := agg.Nodes()[1]; st.Node != "node0001" || st.State != StateLive {
+		t.Fatalf("node0001 after its Dial: %+v, want live", st)
 	}
 }

@@ -40,10 +40,10 @@ type aggMetrics struct {
 	snapshotBytes   *obs.Gauge
 	snapshotSeconds *obs.Histogram
 
-	joins          *obs.Counter
-	leaves         *obs.Counter
-	evictions      *obs.Counter
-	tombsForgotten *obs.Counter
+	joins     *obs.Counter
+	leaves    *obs.Counter
+	evictions *obs.Counter
+	refusals  *obs.Counter
 
 	shedFrames *obs.Counter
 	shedFolds  *obs.Counter
@@ -72,7 +72,7 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 	cache := reg.CounterVec("stream_recovery_cache_total",
 		"outlier queries by recovery-cache result", "result")
 	membership := reg.CounterVec("stream_membership_events_total",
-		"membership changes by kind (join covers first contact and rejoin)", "event")
+		"membership events by kind (join covers first contact and rejoin; refused, a new name's hello at the member limit)", "event")
 	encodings := reg.CounterVec("stream_delta_frames_total",
 		"applied delta frames by payload encoding: pairs are measured here, at the fold; sketches were measured by the sender", "encoding")
 	m := &aggMetrics{
@@ -123,8 +123,7 @@ func newAggMetrics(reg *obs.Registry, a *Aggregator) *aggMetrics {
 		joins:     membership.With("join"),
 		leaves:    membership.With("leave"),
 		evictions: membership.With("evict"),
-		tombsForgotten: reg.Counter("stream_tombstones_forgotten_total",
-			"tombstones dropped past the cap, oldest first: a forgotten name back at the same epoch starts a fresh dedup book"),
+		refusals:  membership.With("refused"),
 		shedFrames: reg.Counter("stream_shed_frames_total",
 			"applied frames that carried more than one capture (a relay's sum of leaf deltas)"),
 		shedFolds: reg.Counter("stream_shed_folds_total",

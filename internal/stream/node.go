@@ -248,9 +248,9 @@ func (n *Node) Close(ctx context.Context) error {
 
 // Leave is the graceful-membership exit: flush everything pending, then
 // announce a bye so the aggregator retires this node from the live set
-// (its dedup book survives as a tombstone — a stray retry can still
-// dedup, and this same incarnation may rejoin later with its sequence
-// space intact). The connection is released either way.
+// (its dedup book stays, a tombstone for the aggregator's life: a stray
+// retry still dedups, and this same incarnation may rejoin later with
+// its sequence space intact). The connection is released either way.
 func (n *Node) Leave(ctx context.Context) error {
 	err := n.Flush(ctx)
 	snd := n.snd

@@ -38,7 +38,7 @@ package stream
 //
 // where state (0 live, 1 left, 2 evicted) says whether the member is
 // live or retired and base is its dedup book, one number. Every name is
-// listed once.
+// listed once, and nodeCount is at most maxMembers, a book's limit.
 //
 // Window payloads reuse the csoutlier sketch codec, so every window
 // carries the full consensus identity (M, N, seed, ensemble) and its
@@ -352,6 +352,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 	}
 	count := r.U32()
+	if r.Err == nil && count > maxMembers {
+		return nil, fmt.Errorf("stream: snapshot lists %d nodes (at most %d)", count, maxMembers)
+	}
 	for i := uint32(0); i < count && r.Err == nil; i++ {
 		sn, err := decodeSnapNode(r)
 		if err != nil {

@@ -108,8 +108,8 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 // TestSnapshotDecodeRejects pins the failure modes the codec must catch
 // without panicking: truncation at every length, bit corruption
-// everywhere (the CRC), trailing junk, and a blob of another version,
-// refused by that version's number.
+// everywhere (the CRC), trailing junk, and a blob of another version or
+// of more nodes than a book holds, refused by that number.
 func TestSnapshotDecodeRejects(t *testing.T) {
 	rng := xrandtest.New(t, 99)
 	snap := randSnapshot(rng)
@@ -144,6 +144,21 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 		t.Fatalf("MarshalBinary: %v", err)
 	} else if _, err := DecodeSnapshot(blob); err == nil || !strings.Contains(err.Error(), `node "alpha" after "alpha"`) {
 		t.Fatalf("a name listed twice: err %v, want it refused by name", err)
+	}
+
+	// More nodes than a book holds are refused by number before any is
+	// read, so a restored book keeps its limit: a node-less blob ends
+	// nodeCount:u32 extraLen:u32 crc:u32.
+	empty, err := (&Snapshot{AggEpoch: 1, Window: 1, Capacity: 1, Windows: [][]byte{{1}}}).MarshalBinary()
+	if err != nil {
+		t.Fatalf("MarshalBinary: %v", err)
+	}
+	over := empty[:len(empty)-4]
+	binary.LittleEndian.PutUint32(over[len(over)-8:], maxMembers+1)
+	over = binary.LittleEndian.AppendUint32(over, crc32.ChecksumIEEE(over))
+	want := fmt.Sprintf("stream: snapshot lists %d nodes (at most %d)", maxMembers+1, maxMembers)
+	if _, err := DecodeSnapshot(over); err == nil || err.Error() != want {
+		t.Fatalf("%d nodes: err %v, want %q", maxMembers+1, err, want)
 	}
 
 	// Versions 1 to 4, and the next, under a valid CRC are refused by

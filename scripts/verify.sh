@@ -159,11 +159,14 @@ pids=""
 # listens: -snapshot-every without -snapshot, and on a relay (which
 # snapshots on every forward); -window-every on a relay (which rotates
 # when its upstream does); -shards below 1, and a -shard-index outside
-# [0, -shards), with one shard too.
+# [0, -shards), with one shard too; and a value that would silently mean
+# another: -windows below 1 (which meant 8), -k 0 (which failed every
+# report) and a negative -span (which meant every window).
 for args in "-snapshot-every 1s" \
 	"-snapshot $tmp/relay.snap -snapshot-every 1s -relay-upstream 127.0.0.1:1 -relay-id r0" \
 	"-window-every 1m -relay-upstream 127.0.0.1:1 -relay-id r0" \
-	"-shards 0" "-shards -1" "-shard-index 5" "-shard-index -1" "-shards 2 -shard-index 2"; do
+	"-shards 0" "-shards -1" "-shard-index 5" "-shard-index -1" "-shards 2 -shard-index 2" \
+	"-windows 0" "-windows -1" "-k 0" "-span -1"; do
 	status=0
 	"$tmp/bin/csstreamd" -dict "$tmp/demo/keys.txt" -m 400 -listen 127.0.0.1:0 $args >"$tmp/refuse.log" 2>&1 || status=$?
 	if [ "$status" -ne 2 ]; then
@@ -355,7 +358,7 @@ if [ -z "$url" ]; then
 	exit 1
 fi
 "$tmp/bin/obscheck" -url "$url" -require \
-	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_tombstones_forgotten_total,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,recovery_solver_picks_total
+	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,recovery_solver_picks_total
 "$tmp/bin/obscheck" -url "${url%/metrics}/healthz" -health
 
 echo "== hierarchical metrics smoke: tier_*/shard_* on a live relay =="
