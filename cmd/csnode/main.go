@@ -60,16 +60,14 @@ func main() {
 		name     = flag.String("name", "", "node name (default: listen address)")
 		idleTO   = flag.Duration("idle-timeout", 0, "drop connections idle for this long (0 = never)")
 
-		push       = flag.String("push", "", "stream deltas to a csstreamd aggregator at this address")
-		pushEvery  = flag.Duration("push-every", 2*time.Second, "delay between delta flushes in -push mode (also the heartbeat period once the slice is drained)")
-		pushChunk  = flag.Int("push-chunk", 256, "keys observed per delta flush in -push mode")
-		m          = flag.Int("m", 0, "measurement count M for -push mode (must match the daemon)")
-		seed       = flag.Uint64("seed", 42, "consensus measurement seed for -push mode")
-		ensemble   = flag.String("ensemble", "gaussian", "measurement ensemble for -push mode: gaussian or countsketch")
-		depth      = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
-		epoch      = flag.Uint64("epoch", 1, "incarnation number for -push mode; bump after a restart so the daemon resets this node's sequence space")
-		pushRetain = flag.Int("push-retain", 1024, "acked frames retained for replay after an aggregator restore (-1 = none: a restore may silently lose recent deltas)")
-		shards     = flag.Int("shards", 1, "push into a sharded deployment: -push takes this many comma-separated per-shard addresses, keys route to their owning shard")
+		push      = flag.String("push", "", "stream deltas to a csstreamd aggregator at this address")
+		pushEvery = flag.Duration("push-every", 2*time.Second, "delay between delta flushes in -push mode (also the heartbeat period once the slice is drained)")
+		pushChunk = flag.Int("push-chunk", 256, "keys observed per delta flush in -push mode")
+		m         = flag.Int("m", 0, "measurement count M for -push mode (must match the daemon)")
+		seed      = flag.Uint64("seed", 42, "consensus measurement seed for -push mode")
+		ensemble  = flag.String("ensemble", "gaussian", "measurement ensemble for -push mode: gaussian or countsketch")
+		depth     = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
+		shards    = flag.Int("shards", 1, "push into a sharded deployment: -push takes this many comma-separated per-shard addresses, keys route to their owning shard")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address (empty = off)")
 	)
@@ -122,10 +120,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("csnode: %v", err)
 		}
-		opts := stream.NodeOptions{
-			Epoch:  *epoch,
-			Retain: *pushRetain,
-		}
 		var dial func(context.Context) (pushNode, func() string, error)
 		if *shards > 1 {
 			addrs := strings.Split(*push, ",")
@@ -145,11 +139,11 @@ func main() {
 			// The per-node stream_client_* metrics are not registered: the
 			// per-shard nodes would collide in one registry.
 			dial = func(ctx context.Context) (pushNode, func() string, error) {
-				sn, err := tier.DialSharded(ctx, shardMap, sks, addrs, *name, opts)
+				sn, err := tier.DialSharded(ctx, shardMap, sks, addrs, *name, stream.NodeOptions{})
 				if err != nil {
 					return nil, nil, err
 				}
-				log.Printf("csnode: pushing to %d shards as %q (epoch %d)", shardMap.Shards(), *name, opts.Epoch)
+				log.Printf("csnode: pushing to %d shards as %q (shard 0 epoch %d)", shardMap.Shards(), *name, sn.Node(0).Stats().Epoch)
 				return sn, func() string {
 					var captured, applied, replayed, redials int64
 					for i := 0; i < shardMap.Shards(); i++ {
@@ -171,14 +165,14 @@ func main() {
 				log.Fatalf("csnode: %v", err)
 			}
 			dial = func(ctx context.Context) (pushNode, func() string, error) {
-				n, err := stream.Dial(ctx, *push, sk, *name, opts)
+				n, err := stream.Dial(ctx, *push, sk, *name, stream.NodeOptions{})
 				if err != nil {
 					return nil, nil, err
 				}
 				if reg != nil {
 					n.RegisterMetrics(reg)
 				}
-				log.Printf("csnode: pushing to %s as %q (epoch %d, window %d)", *push, *name, opts.Epoch, n.Window())
+				log.Printf("csnode: pushing to %s as %q (epoch %d, window %d)", *push, *name, n.Stats().Epoch, n.Window())
 				return n, func() string {
 					s := n.Stats()
 					return fmt.Sprintf(": %d deltas captured (%d sent as pairs), %d applied, %d replayed, %d redials",

@@ -336,16 +336,13 @@ func (s *Sketcher) sketchID() Sketch {
 	return Sketch{m: s.spec.M, n: s.spec.N, seed: s.spec.Seed, ens: s.spec.Kind, d: s.spec.D}
 }
 
-// emptySketch returns a zero sketch with this sketcher's identity.
-func (s *Sketcher) emptySketch() Sketch {
+// ZeroSketch returns an all-zero sketch with this sketcher's identity,
+// the identity for Add — useful as an accumulator at the aggregator.
+func (s *Sketcher) ZeroSketch() Sketch {
 	out := s.sketchID()
 	out.Y = make([]float64, s.spec.M)
 	return out
 }
-
-// ZeroSketch returns an all-zero sketch, the identity for Add — useful
-// as an accumulator at the aggregator.
-func (s *Sketcher) ZeroSketch() Sketch { return s.emptySketch() }
 
 // SketchPairs compresses a node's local aggregation, given as key→value
 // pairs. Keys must come from the global key list; missing keys simply
@@ -361,7 +358,7 @@ func (s *Sketcher) SketchPairs(pairs map[string]float64) (Sketch, error) {
 	if err := checkFinite(vals); err != nil {
 		return Sketch{}, err
 	}
-	out := s.emptySketch()
+	out := s.ZeroSketch()
 	s.matrix.MeasureSparse(idx, vals, out.Y)
 	return out, nil
 }
@@ -375,7 +372,7 @@ func (s *Sketcher) SketchVector(x []float64) (Sketch, error) {
 	if err := checkFinite(x); err != nil {
 		return Sketch{}, err
 	}
-	out := s.emptySketch()
+	out := s.ZeroSketch()
 	s.matrix.Measure(x, out.Y)
 	return out, nil
 }
@@ -389,7 +386,7 @@ func (s *Sketcher) fromPayload(y []float64) (Sketch, error) {
 	if err := checkFinite(y); err != nil {
 		return Sketch{}, err
 	}
-	out := s.emptySketch()
+	out := s.ZeroSketch()
 	copy(out.Y, y)
 	return out, nil
 }

@@ -42,7 +42,7 @@ const (
 	MarkDup MarkKind = iota
 	// MarkNodeCrash (nodecrash=node@window): after its last flush of the
 	// window the node observes a batch that dies with it (Abort), and a
-	// successor re-dials with epoch 2.
+	// successor dials as a new incarnation.
 	MarkNodeCrash
 	// MarkSnap (snap=window:flush): the aggregator writes a snapshot after
 	// the flush completes.

@@ -300,12 +300,12 @@ func (r *StreamRig) checkBooks(s int, root *stream.Aggregator, queries int64) er
 
 // checkLiveness: the liveness table of every lane — the aggregator its
 // leaves push into — holds exactly the leaves homed on it: the leaver
-// left, everyone else live and caught up, a crashed node on epoch 2
-// after one restart and everyone else on epoch 1, and nobody short of a
-// delta per window it took part in.
+// left, everyone else live and caught up, each at the epoch its last
+// incarnation announced with one restart per redial, and nobody short
+// of a delta per window it took part in.
 func (r *StreamRig) checkLiveness() error {
 	scn := r.scn
-	crash, leave, join := scn.mark(MarkNodeCrash), scn.mark(MarkLeave), scn.mark(MarkJoin)
+	leave, join := scn.mark(MarkLeave), scn.mark(MarkJoin)
 	for s := range r.lanes {
 		for li, ln := range r.lanes[s] {
 			agg := r.roots[s]
@@ -314,7 +314,7 @@ func (r *StreamRig) checkLiveness() error {
 			}
 			rows := agg.Nodes()
 			homed := 0
-			for l := range r.epoch {
+			for l := range r.lives {
 				if l%len(r.lanes[s]) == li {
 					homed++
 				}
@@ -325,10 +325,10 @@ func (r *StreamRig) checkLiveness() error {
 			for _, ns := range rows {
 				l := -1
 				fmt.Sscanf(ns.Node, "node%d", &l)
-				windows, epoch := scn.W, uint64(1)
-				if crash != nil && l == crash.Node {
-					epoch = 2
+				if l < 0 || l >= len(r.lives) {
+					return fmt.Errorf("lane %d/%d: unknown node %s", s, li, ns.Node)
 				}
+				windows, epoch, restarts := scn.W, r.parts[l][s].Stats().Epoch, int64(r.lives[l]-1)
 				if join != nil && l == scn.L {
 					windows = scn.W - join.Window + 1
 				}
@@ -341,8 +341,8 @@ func (r *StreamRig) checkLiveness() error {
 					return fmt.Errorf("leaver status %+v, want state %q", ns, stream.StateLeft)
 				case !left && ns.State != stream.StateLive:
 					return fmt.Errorf("node %s state %q at quiescence, want live", ns.Node, ns.State)
-				case ns.Epoch != epoch || ns.Restarts != int64(epoch-1):
-					return fmt.Errorf("node %s status %+v, want epoch %d after %d restarts", ns.Node, ns, epoch, epoch-1)
+				case ns.Epoch != epoch || ns.Restarts != restarts:
+					return fmt.Errorf("node %s status %+v, want epoch %d after %d restarts", ns.Node, ns, epoch, restarts)
 				case !left && ns.Lag != 0:
 					return fmt.Errorf("node %s still lags after final sync: %+v", ns.Node, ns)
 				case ns.Applied < int64(windows)-1:

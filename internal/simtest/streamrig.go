@@ -33,6 +33,10 @@ const (
 	pointMidProbeClean = 8
 )
 
+// pushTimeout is every leaf's and relay's: it bounds an exchange on
+// loopback, and backs a redial off from 0.5ms up to 20ms.
+const pushTimeout = 200 * time.Millisecond
+
 // pushNode is what the window drive needs of a leaf: a *stream.Node on
 // the flat topology, a *tier.ShardedNode on the tier.
 type pushNode interface {
@@ -104,7 +108,7 @@ type StreamRig struct {
 	proxies [][]*chaosProxy        // [leaf][shard]; nil when the scenario dials direct
 	nodes   []pushNode             // [leaf]; nil before a join, after a leave or the final close
 	parts   [][]*stream.Node       // [leaf][shard]
-	epoch   []uint64               // [leaf] current incarnation, 0 = never dialed
+	lives   []int                  // [leaf] incarnations dialed, 0 = never
 	shadow  [][]*csoutlier.Updater // [leaf][shard]
 	scratch []csoutlier.Sketch     // [shard] the last shadow drain
 
@@ -232,7 +236,6 @@ func (r *StreamRig) buildTier() error {
 	r.rootOpts = stream.AggregatorOptions{Windows: scn.W}
 	r.lanes = make([][]lane, tierShards)
 	targets := make([]tier.Target, tierShards)
-	seedRng := xrand.New(scn.Seed)
 	kill := scn.mark(MarkRelayKill)
 	for s := 0; s < tierShards; s++ {
 		root, err := stream.NewAggregator(r.sks[s], r.rootOpts)
@@ -250,13 +253,8 @@ func (r *StreamRig) buildTier() error {
 				ID:       fmt.Sprintf("r%d", rr),
 				Shard:    s,
 				Upstream: rootAddr,
-				Up: stream.NodeOptions{
-					PushTimeout: 2 * time.Second,
-					BaseBackoff: time.Millisecond,
-					MaxBackoff:  20 * time.Millisecond,
-					BackoffSeed: seedRng.Split(0x8e1a1 ^ uint64(s)<<16 ^ uint64(rr)<<8).Uint64(),
-				},
-				Agg: stream.AggregatorOptions{Windows: scn.W, Durable: true},
+				Up:       stream.NodeOptions{PushTimeout: pushTimeout},
+				Agg:      stream.AggregatorOptions{Windows: scn.W, Durable: true},
 			}}
 			if kill != nil && kill.Node == s && rr == 0 {
 				ln.opts.Agg.SnapshotPath = filepath.Join(r.snapDir, fmt.Sprintf("relay-%d-%d.snap", s, rr))
@@ -302,7 +300,7 @@ func (r *StreamRig) connectAll() error {
 	shards := len(r.sks)
 	r.nodes = make([]pushNode, leaves)
 	r.parts = make([][]*stream.Node, leaves)
-	r.epoch = make([]uint64, leaves)
+	r.lives = make([]int, leaves)
 	r.shadow = make([][]*csoutlier.Updater, leaves)
 	r.proxies = make([][]*chaosProxy, leaves)
 	proxySeed := xrand.New(scn.Seed).Split(0x9097)
@@ -341,8 +339,8 @@ func (r *StreamRig) laneOf(l, shard int) *lane {
 // connect dials leaf l's next incarnation through its proxies. The
 // first is a membership join; a later one is a restart.
 func (r *StreamRig) connect(l int) error {
-	r.epoch[l]++
-	if r.epoch[l] == 1 {
+	r.lives[l]++
+	if r.lives[l] == 1 {
 		r.joins++
 		r.member++
 	}
@@ -354,17 +352,9 @@ func (r *StreamRig) connect(l int) error {
 		}
 	}
 	var err error
-	r.nodes[l], r.parts[l], err = r.dial(l, addrs, stream.NodeOptions{
-		Epoch:       r.epoch[l],
-		PushTimeout: 2 * time.Second,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-		// Reconnect jitter derives from the scenario seed, so a soak
-		// failure's backoff timing replays from its scenario line.
-		BackoffSeed: xrand.New(r.scn.Seed).Split(0xbac0ff ^ uint64(l)<<8 ^ r.epoch[l]).Uint64(),
-	})
+	r.nodes[l], r.parts[l], err = r.dial(l, addrs, stream.NodeOptions{PushTimeout: pushTimeout})
 	if err != nil {
-		return fmt.Errorf("simtest: dial node %d (epoch %d): %w", l, r.epoch[l], err)
+		return fmt.Errorf("simtest: dial node %d (life %d): %w", l, r.lives[l], err)
 	}
 	return nil
 }
@@ -658,7 +648,7 @@ func (r *StreamRig) restoreRoot() error {
 	}
 	// A probe from an incarnation that has since restarted is refused as
 	// stale instead; either way it must fold nothing.
-	if ack.Applied || (r.probe.epoch == r.epoch[r.probe.leaf] && ack.Status != stream.StatusDuplicate) {
+	if ack.Applied || (r.probe.epoch == r.parts[r.probe.leaf][0].Stats().Epoch && ack.Status != stream.StatusDuplicate) {
 		return fmt.Errorf("simtest: snapshot-covered frame refolded after restore: %+v", ack)
 	}
 	if ack.Status == stream.StatusDuplicate {
@@ -704,7 +694,7 @@ func (r *StreamRig) restoreRelay(shard int) error {
 func (r *StreamRig) lastFlush(l int) (sentFrame, error) {
 	payload, err := r.scratch[0].MarshalBinary()
 	st := r.parts[l][0].Stats()
-	return sentFrame{leaf: l, epoch: r.epoch[l], window: st.Window, seq: st.Seq, payload: payload}, err
+	return sentFrame{leaf: l, epoch: st.Epoch, window: st.Window, seq: st.Seq, payload: payload}, err
 }
 
 // redeliver pushes a frame again, straight at its leaf's upstream (no
@@ -741,7 +731,7 @@ func (r *StreamRig) fireNodeMarks(w, l int) error {
 	if crash := scn.markAt(MarkNodeCrash, w); crash != nil && crash.Node == l {
 		// The crash loses everything observed since the last flush: an
 		// extra anomalous batch that must never reach the aggregate. The
-		// successor re-dials with a bumped epoch.
+		// successor dials as a new incarnation.
 		if err := r.nodes[l].Observe(r.data.Keys[r.data.Support[0]], 123456); err != nil {
 			return err
 		}

@@ -125,9 +125,9 @@ type world struct {
 func newWorld(cfg *config) *world {
 	w := &world{cfg: cfg, acc: map[uint64][]byte{}, dropped: map[byte]bool{}, lost: map[byte]bool{}, extra: map[byte]int{}}
 	for i := range w.nodes {
-		w.nodes[i] = endpoint{name: fmt.Sprintf("n%d", i), epoch: 1, ob: outbox{retain: 1024}, window: 1}
+		w.nodes[i] = endpoint{name: fmt.Sprintf("n%d", i), epoch: 1, ob: outbox{}, window: 1}
 	}
-	w.up = endpoint{name: "relay", epoch: 1, ob: outbox{retain: 1024}, window: 1}
+	w.up = endpoint{name: "relay", epoch: 1, ob: outbox{}, window: 1}
 	w.relay = newReceiver(cfg.durable, 1, relayLimit)
 	w.root = newReceiver(cfg.durable, 1, rootLimit)
 	if cfg.durable {
@@ -373,7 +373,7 @@ func relayEvents(durable bool) []event {
 			for i, f := range im.frames {
 				frames[i] = cloneFrame(f)
 			}
-			w.up.ob = outbox{retain: w.up.ob.retain}
+			w.up.ob = outbox{}
 			w.up.ob.restore(im.seq, frames)
 			w.up.connected, w.up.window = false, im.window
 			w.acc, w.capture = map[uint64][]byte{}, nil
@@ -429,7 +429,7 @@ func (w *world) wipeRelay() {
 	}
 	w.relay = newReceiver(false, 1, relayLimit)
 	w.acc = map[uint64][]byte{}
-	w.up = endpoint{name: "relay", epoch: w.up.epoch + 1, ob: outbox{retain: w.up.ob.retain}, window: 1}
+	w.up = endpoint{name: "relay", epoch: w.up.epoch + 1, ob: outbox{}, window: 1}
 	w.nodes[0].connected = false
 	w.behind = true
 }

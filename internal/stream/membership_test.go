@@ -45,6 +45,7 @@ func TestMembershipLeaveRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WindowSketch: %v", err)
 	}
+	epoch := n.Stats().Epoch
 	if err := n.Leave(ctx); err != nil {
 		t.Fatalf("Leave: %v", err)
 	}
@@ -74,7 +75,7 @@ func TestMembershipLeaveRejoin(t *testing.T) {
 	}
 	defer c.Close()
 	payload := uniformDelta(t, sk, 1)
-	ack, err := c.PushDelta("node00", 1, 1, 1, 1, payload)
+	ack, err := c.PushDelta("node00", epoch, 1, 1, 1, payload)
 	if err != nil {
 		t.Fatalf("PushDelta: %v", err)
 	}
@@ -98,7 +99,7 @@ func TestMembershipLeaveRejoin(t *testing.T) {
 	if s := agg.Stats(); s.Joins != 2 {
 		t.Fatalf("Joins after rejoin = %d, want 2", s.Joins)
 	}
-	ack, err = c.PushDelta("node00", 1, 1, 2, 1, payload)
+	ack, err = c.PushDelta("node00", epoch, 1, 2, 1, payload)
 	if err != nil {
 		t.Fatalf("PushDelta seq 2: %v", err)
 	}
@@ -180,7 +181,7 @@ func TestMembershipEvict(t *testing.T) {
 		t.Fatalf("DialClient: %v", err)
 	}
 	defer c.Close()
-	ack, err := c.PushDelta("node00", 1, 1, 1, 1, uniformDelta(t, sk, 1))
+	ack, err := c.PushDelta("node00", quiet.Stats().Epoch, 1, 1, 1, uniformDelta(t, sk, 1))
 	if err != nil {
 		t.Fatalf("PushDelta: %v", err)
 	}

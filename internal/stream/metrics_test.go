@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -385,29 +384,6 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestNodeBackoffSeedOption checks BackoffSeed reaches the node's RNG:
-// two nodes with the same seed draw identical jitter streams.
-func TestNodeBackoffSeedOption(t *testing.T) {
-	sk := testSketcher(t, 64, 32, 17)
-	_, addr := serveAgg(t, sk, AggregatorOptions{Windows: 2})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	var rngs []*xrand.RNG
-	for i := 0; i < 2; i++ {
-		n, err := Dial(ctx, addr, sk, fmt.Sprintf("twin%d", i), NodeOptions{BackoffSeed: 999})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Abort()
-		rngs = append(rngs, n.snd.rng)
-	}
-	for i := 0; i < 8; i++ {
-		if a, b := rngs[0].Uint64(), rngs[1].Uint64(); a != b {
-			t.Fatalf("draw %d: seeded RNGs diverged (%d vs %d)", i, a, b)
 		}
 	}
 }

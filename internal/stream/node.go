@@ -8,57 +8,31 @@ import (
 	"csoutlier"
 )
 
-// NodeOptions tunes a streaming node. The zero value gets production
-// defaults; the caller drives Flush and Sync.
+// NodeOptions tunes a streaming node or a relay's upward connection.
+// The zero value gets production defaults; the caller drives Flush and
+// Sync.
 type NodeOptions struct {
-	// Epoch is the node's incarnation number (default 1). A node that
-	// restarts from scratch MUST announce a strictly higher epoch than
-	// its previous life: the aggregator resets the node's sequence space
-	// on an epoch bump, and rejects frames from older epochs.
-	Epoch uint64
-	// PushTimeout bounds each dial and each push exchange (default 10s).
+	// PushTimeout bounds each dial and each push exchange (default
+	// 10s). The reconnect backoff follows it: from PushTimeout/400 up to
+	// PushTimeout/10, 25ms to 1s at the default.
 	PushTimeout time.Duration
-	// BaseBackoff/MaxBackoff shape the reconnect backoff (defaults
-	// 25ms / 1s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// BackoffSeed seeds the jitter RNG for reconnect backoff. 0 derives
-	// a per-(id, epoch) seed, which is already deterministic; the
-	// simulation harness sets it from the scenario seed so a soak's
-	// reconnect timing replays from its -sim.streamreplay line.
-	BackoffSeed uint64
-	// Retain caps the replay-retention buffer: acked frames the
-	// aggregator has not yet declared durable (ack.Stable below their
-	// seq) are kept and replayed if a restored aggregator (bumped
-	// AggEpoch) announces it may have lost them. Default 1024; negative
-	// disables retention (an aggregator restore then silently loses
-	// frames acked after its last snapshot). Against a non-durable
-	// aggregator the buffer stays empty — every ack declares its own
-	// frame durable.
-	Retain int
 }
 
 func (o NodeOptions) withDefaults() NodeOptions {
-	if o.Epoch == 0 {
-		o.Epoch = 1
-	}
 	if o.PushTimeout <= 0 {
 		o.PushTimeout = 10 * time.Second
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 25 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = time.Second
-	}
-	if o.Retain == 0 {
-		o.Retain = 1024
 	}
 	return o
 }
 
+// FreshEpoch is a new incarnation's epoch: the wall clock in Unix
+// nanoseconds, so a sender started after its predecessor announces a
+// higher epoch than it did, on a clock that does not step back.
+func FreshEpoch() uint64 { return uint64(time.Now().UnixNano()) }
+
 // NodeStats is a snapshot of a streaming node's delta-protocol state.
 type NodeStats struct {
+	Epoch      uint64 // the incarnation this sender announces
 	Window     uint64 // the node's current window view
 	Seq        uint64 // last sequence number assigned
 	Pending    int    // captured frames not yet acknowledged
@@ -82,8 +56,9 @@ type NodeStats struct {
 	// incarnation (AggEpoch) advanced — a restore that may have lost
 	// recently-acked frames.
 	Replayed int64
-	// RetainDropped counts retained frames discarded at the Retain cap;
-	// each is a frame an aggregator restore could silently lose.
+	// RetainDropped counts retained frames discarded at the retention
+	// cap (1,024 frames); each is a frame an aggregator restore could
+	// silently lose.
 	RetainDropped int64
 	// AggEpoch is the aggregator incarnation last seen in an ack.
 	AggEpoch uint64
@@ -108,9 +83,8 @@ type NodeStats struct {
 // Observe is safe for concurrent use and never blocks on
 // the network. Flush, Sync and Close serialize among themselves.
 type Node struct {
-	opts NodeOptions
-	u    *csoutlier.Updater
-	snd  *Sender
+	u   *csoutlier.Updater
+	snd *Sender
 
 	// Guarded by snd.mu, the node's one state lock: a capture pushes
 	// into the sender's outbox.
@@ -120,14 +94,15 @@ type Node struct {
 // Dial connects a streaming node to an aggregator, announces itself,
 // and adopts the aggregator's current window. id identifies the node
 // across reconnects and restarts; every node of a deployment must use
-// the same Sketcher consensus as the aggregator.
+// the same Sketcher consensus as the aggregator. Each Dial is a new
+// incarnation with a FreshEpoch, so the aggregator folds a restarted
+// node's frames as new data, never as duplicates of its predecessor's.
+// On a clock that steps back behind the predecessor's epoch the hello
+// is refused as stale, by name: the frames are not deduped.
 func Dial(ctx context.Context, addr string, sk *csoutlier.Sketcher, id string, opts NodeOptions) (*Node, error) {
-	n := &Node{
-		opts: opts.withDefaults(),
-		u:    sk.NewUpdater(),
-	}
+	n := &Node{u: sk.NewUpdater()}
 	var err error
-	if n.snd, err = NewSender(addr, id, sk, n.opts, n.adoptWindow); err != nil {
+	if n.snd, err = NewSender(addr, id, sk, FreshEpoch(), opts, n.adoptWindow); err != nil {
 		return nil, err
 	}
 	if err := n.snd.Connect(ctx); err != nil {
@@ -276,7 +251,7 @@ func (n *Node) Leave(ctx context.Context) error {
 // Abort drops the connection and every pending frame without flushing —
 // a crash, for tests and for callers abandoning an incarnation. Data
 // not yet acked is lost, exactly as if the process had died; a
-// successor must Dial with a higher epoch.
+// successor Dials as a new incarnation.
 func (n *Node) Abort() {
 	snd := n.snd
 	snd.sendMu.Lock()

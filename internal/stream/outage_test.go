@@ -103,11 +103,7 @@ func TestOverloadShed(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	n, err := Dial(ctx, relay.addr, sk, "node00", NodeOptions{
-		PushTimeout: 10 * time.Millisecond,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-	})
+	n, err := Dial(ctx, relay.addr, sk, "node00", NodeOptions{PushTimeout: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -175,11 +171,7 @@ func TestRecycleNeverReusesResendableFrame(t *testing.T) {
 	relay := newGateRelay(t, firstAddr)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	n, err := Dial(ctx, relay.addr, sk, "node00", NodeOptions{
-		PushTimeout: 5 * time.Millisecond,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-	})
+	n, err := Dial(ctx, relay.addr, sk, "node00", NodeOptions{PushTimeout: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -384,10 +376,7 @@ func TestReplayReachesRestoredBookInSeqOrder(t *testing.T) {
 	defer cancel()
 	// The default PushTimeout: a cut link fails at once, and no exchange
 	// with a live aggregator may time out and be sent twice.
-	n, err := Dial(ctx, gate.addr, sk, "node00", NodeOptions{
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-	})
+	n, err := Dial(ctx, gate.addr, sk, "node00", NodeOptions{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -465,10 +454,7 @@ func TestNonDurableRestartKeepsStableMoving(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	first, addr := serveAgg(t, sk, AggregatorOptions{Windows: 2})
-	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-	})
+	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -508,10 +494,7 @@ func TestNonDurableRestartFoldsNodesAhead(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	first, addr := serveAgg(t, sk, AggregatorOptions{Windows: 4})
-	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-	})
+	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

@@ -2,6 +2,10 @@ package stream
 
 import "slices"
 
+// maxRetained caps the acked frames an outbox keeps for replay; past it
+// the oldest go, each counted in RetainDropped.
+const maxRetained = 1024
+
 // outbox is the sending end's book: every decision a Sender makes about
 // its frames, and no I/O, clock, lock (the Sender holds it under mu) or
 // metric. It owns the seq space and one queue in seq order, cut in three
@@ -11,7 +15,6 @@ import "slices"
 //	then, up to released    pending: the head is what the next attempt sends
 //	the rest                staged by a relay's capture, released by its commit
 type outbox struct {
-	retain   int      // cap on acked frames; ≤ 0 keeps none
 	seq      uint64   // the last seq staged
 	queue    []*Frame // seq order
 	acked    int
@@ -79,7 +82,7 @@ func (o *outbox) send() *Frame {
 // cursor back to 0 — the restored aggregator may have lost those frames,
 // its dedup books drop the ones it did not — and last, acked frames the
 // aggregator declares durable (Seq ≤ Stable) leave, and so do the oldest
-// past the Retain cap.
+// past maxRetained.
 func (o *outbox) heard(a Ack, settles bool) {
 	if f := o.sent; settles && f != nil && o.acked < len(o.queue) && o.queue[o.acked] == f {
 		o.stats.Acked++
@@ -111,8 +114,8 @@ func (o *outbox) heard(a Ack, settles bool) {
 	}
 	o.stats.Stable = a.Stable
 	drop := 0
-	for ; drop < o.acked && (o.queue[drop].Seq <= a.Stable || o.acked-drop > max(o.retain, 0)); drop++ {
-		if o.queue[drop].Seq > a.Stable && o.retain > 0 {
+	for ; drop < o.acked && (o.queue[drop].Seq <= a.Stable || o.acked-drop > maxRetained); drop++ {
+		if o.queue[drop].Seq > a.Stable {
 			o.stats.RetainDropped++
 		}
 		o.recycle(o.queue[drop])

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"slices"
 	"sync"
+	"time"
 
 	"csoutlier"
 	"csoutlier/internal/xrand"
@@ -39,6 +40,7 @@ const freeCap = 64
 // callback, which is never called with mu held (sendMu is).
 type Sender struct {
 	id, addr string
+	epoch    uint64
 	ident    []byte // the owner's consensus identity, named in every hello
 	opts     NodeOptions
 	adopt    func(window uint64)
@@ -51,22 +53,20 @@ type Sender struct {
 	rng    *xrand.RNG // backoff jitter, guarded by sendMu
 }
 
-// NewSender makes the sender for (id, opts.Epoch) towards the aggregator
-// at addr, for frames of sk's consensus; nothing is dialed until
-// Connect. Of opts it reads Epoch, Retain, PushTimeout and the backoff
-// triple.
-func NewSender(addr, id string, sk *csoutlier.Sketcher, opts NodeOptions, adopt func(window uint64)) (*Sender, error) {
+// NewSender makes the sender for (id, epoch) towards the aggregator at
+// addr, for frames of sk's consensus; nothing is dialed until Connect.
+// Its backoff jitter is seeded from id and the consensus identity, so
+// two senders of one name draw the same stream, and the shard senders of
+// one name different ones.
+func NewSender(addr, id string, sk *csoutlier.Sketcher, epoch uint64, opts NodeOptions, adopt func(window uint64)) (*Sender, error) {
 	if id == "" || len(id) > maxNodeLen {
 		return nil, fmt.Errorf("stream: node id must be 1 to %d bytes, got %d", maxNodeLen, len(id))
 	}
-	opts = opts.withDefaults()
-	seed := opts.BackoffSeed
-	if seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(id))
-		seed = h.Sum64() ^ opts.Epoch
-	}
-	return &Sender{id: id, addr: addr, ident: sk.AppendIdentity(nil), opts: opts, adopt: adopt, ob: outbox{retain: opts.Retain}, rng: xrand.New(seed)}, nil
+	ident := sk.AppendIdentity(nil)
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	h.Write(ident)
+	return &Sender{id: id, addr: addr, epoch: epoch, ident: ident, opts: opts.withDefaults(), adopt: adopt, rng: xrand.New(h.Sum64())}, nil
 }
 
 // Stats returns the delivery counters and queue depths.
@@ -78,7 +78,7 @@ func (s *Sender) Stats() NodeStats {
 
 func (s *Sender) statsLocked() NodeStats {
 	st := s.ob.stats
-	st.Seq, st.AggEpoch, st.Retained = s.ob.seq, s.ob.aggEpoch, s.ob.acked
+	st.Epoch, st.Seq, st.AggEpoch, st.Retained = s.epoch, s.ob.seq, s.ob.aggEpoch, s.ob.acked
 	for _, f := range s.ob.queue[s.ob.acked:] {
 		if f.Seq <= s.ob.released {
 			st.Pending++
@@ -150,7 +150,7 @@ func (s *Sender) connect(ctx context.Context) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	ack, err := c.hello(s.id, s.opts.Epoch, s.ident)
+	ack, err := c.hello(s.id, s.epoch, s.ident)
 	if err == nil && ack.Err != "" {
 		err = fmt.Errorf("stream: node %s rejected: %s", s.id, ack.Err)
 	}
@@ -171,13 +171,19 @@ func (s *Sender) disconnect() {
 	}
 }
 
+// backoff is the wait before retry attempt n: from PushTimeout/400 up
+// to PushTimeout/10, jittered. Called with sendMu held.
+func (s *Sender) backoff(attempt int) time.Duration {
+	return xrand.BackoffDelay(s.rng, attempt, s.opts.PushTimeout/400, s.opts.PushTimeout/10)
+}
+
 // exchange runs one request on the live connection, redialing with
 // backoff until it is answered or ctx expires. Called with sendMu held.
 func (s *Sender) exchange(ctx context.Context, request func(*Client) (Ack, error)) (Ack, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			if err := xrand.SleepCtx(ctx, xrand.BackoffDelay(s.rng, attempt, s.opts.BaseBackoff, s.opts.MaxBackoff)); err != nil {
+			if err := xrand.SleepCtx(ctx, s.backoff(attempt)); err != nil {
 				return Ack{}, fmt.Errorf("stream: node %s: %w (last transport error: %v)", s.id, err, lastErr)
 			}
 		}
@@ -227,7 +233,7 @@ func (s *Sender) drain(ctx context.Context) error {
 			f := s.ob.send()
 			s.mu.Unlock()
 			seq = f.Seq
-			return c.PushDelta(s.id, s.opts.Epoch, f.Window, f.Seq, f.Folds, f.Payload)
+			return c.PushDelta(s.id, s.epoch, f.Window, f.Seq, f.Folds, f.Payload)
 		})
 		if err != nil {
 			return errors.Join(rejected, err)
@@ -274,7 +280,7 @@ func (s *Sender) Drain(ctx context.Context) error {
 func (s *Sender) Sync(ctx context.Context) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	ack, err := s.exchange(ctx, func(c *Client) (Ack, error) { return c.hello(s.id, s.opts.Epoch, s.ident) })
+	ack, err := s.exchange(ctx, func(c *Client) (Ack, error) { return c.hello(s.id, s.epoch, s.ident) })
 	if err != nil {
 		return err
 	}

@@ -27,9 +27,11 @@ func newSenderRig(t *testing.T, opts NodeOptions) *senderRig {
 	var addr string
 	r.agg, addr = serveAgg(t, sk, AggregatorOptions{Windows: 2, Durable: true})
 	r.gate = newGateRelay(t, addr)
-	opts.BaseBackoff, opts.MaxBackoff = time.Millisecond, 2*time.Millisecond
+	if opts.PushTimeout == 0 {
+		opts.PushTimeout = 400 * time.Millisecond // backoff 1ms to 40ms
+	}
 	var err error
-	if r.s, err = NewSender(r.gate.addr, "sender00", sk, opts, func(w uint64) { r.adopted = append(r.adopted, w) }); err != nil {
+	if r.s, err = NewSender(r.gate.addr, "sender00", sk, 1, opts, func(w uint64) { r.adopted = append(r.adopted, w) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.s.Connect(r.ctx(time.Second)); err != nil {
@@ -141,7 +143,7 @@ func TestSenderRules(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if ack, err := c.Hello("sender00", r.s.opts.Epoch+1); err != nil || ack.Err != "" {
+			if ack, err := c.Hello("sender00", r.s.epoch+1); err != nil || ack.Err != "" {
 				t.Fatalf("a later incarnation's hello: %+v, %v", ack, err)
 			}
 			if err := r.s.Sync(r.ctx(time.Second)); err == nil || !strings.Contains(err.Error(), "rejected") {
@@ -208,21 +210,17 @@ func TestSenderRules(t *testing.T) {
 				t.Error("a trimmed frame was not reused")
 			}
 		}},
-		{"the retention cap drops oldest first and counts each drop", NodeOptions{Retain: 2}, func(t *testing.T, r *senderRig) {
-			for i := 0; i < 5; i++ {
+		{"the retention cap drops oldest first and counts each drop", NodeOptions{}, func(t *testing.T, r *senderRig) {
+			for i := 0; i < maxRetained+3; i++ {
 				r.enqueue(r.delta)
 			}
 			r.drain()
-			r.want("retained at the cap", r.seqs(retainedOf), 4, 5)
-			if st := r.s.Stats(); st.RetainDropped != 3 || st.Retained != 2 || st.Applied != 5 {
-				t.Errorf("%+v, want 3 of 5 applied frames dropped from retention", st)
+			retained := r.seqs(retainedOf)
+			if len(retained) != maxRetained || retained[0] != 4 || retained[maxRetained-1] != maxRetained+3 {
+				t.Errorf("retained %d frames, seqs %d to %d; want %d, 4 to %d", len(retained), retained[0], retained[len(retained)-1], maxRetained, maxRetained+3)
 			}
-		}},
-		{"negative Retain retains nothing", NodeOptions{Retain: -1}, func(t *testing.T, r *senderRig) {
-			r.enqueue(r.delta)
-			r.drain()
-			if st := r.s.Stats(); st.Retained != 0 || st.RetainDropped != 0 || st.Applied != 1 {
-				t.Errorf("%+v, want the applied frame recycled at once", st)
+			if st := r.s.Stats(); st.RetainDropped != 3 || st.Retained != maxRetained || st.Applied != maxRetained+3 {
+				t.Errorf("%+v, want 3 of %d applied frames dropped from retention", st, maxRetained+3)
 			}
 		}},
 		{"a rejected frame is not retained", NodeOptions{}, func(t *testing.T, r *senderRig) {

@@ -377,6 +377,50 @@ func TestStreamIdempotency(t *testing.T) {
 	}
 }
 
+// TestRestartedNodeIsANewIncarnation: a node that crashes and Dials
+// again under its name with the same options is a new incarnation. Its
+// flushes fold as new data, none acked as a duplicate of its
+// predecessor's, and the aggregator's row counts one restart.
+func TestRestartedNodeIsANewIncarnation(t *testing.T) {
+	sk := testSketcher(t, 64, 32, 13)
+	agg, addr := serveAgg(t, sk, AggregatorOptions{Windows: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	total := sk.NewUpdater()
+	var n *Node
+	for life := 0; life < 2; life++ {
+		var err error
+		if n, err = Dial(ctx, addr, sk, "dc0", NodeOptions{}); err != nil {
+			t.Fatalf("Dial %d: %v", life, err)
+		}
+		for i := 0; i < 3; i++ {
+			key := fmt.Sprintf("key%03d", 3*life+i)
+			if err := n.Observe(key, 1); err != nil {
+				t.Fatal(err)
+			}
+			total.Observe(key, 1)
+			if err := n.Flush(ctx); err != nil {
+				t.Fatalf("life %d flush %d: %v", life, i, err)
+			}
+		}
+		if life == 0 {
+			n.Abort()
+		}
+	}
+	defer n.Abort()
+	if s := agg.Stats(); s.Applied != 6 || s.Duplicates != 0 {
+		t.Fatalf("applied %d, duplicates %d; want 6 and 0", s.Applied, s.Duplicates)
+	}
+	if rows := agg.Nodes(); len(rows) != 1 || rows[0].Epoch != n.Stats().Epoch || rows[0].Restarts != 1 {
+		t.Fatalf("rows %+v, want dc0 at epoch %d after one restart", rows, n.Stats().Epoch)
+	}
+	got, err := agg.WindowSketch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeTo(t, "window after both lives", sk, got, total)
+}
+
 // TestSeqTracker: a member's dedup book is the highest seq processed.
 // A fold never moves it back, and every seq at or below it is a
 // duplicate, a skipped one included.
@@ -454,10 +498,7 @@ func TestNodeBackpressureAndAbort(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
-	n, err := Dial(ctx, gate.addr, sk, "node00", NodeOptions{
-		PushTimeout: 100 * time.Millisecond,
-		BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
-	})
+	n, err := Dial(ctx, gate.addr, sk, "node00", NodeOptions{PushTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

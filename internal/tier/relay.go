@@ -32,8 +32,8 @@ type RelayOptions struct {
 	// (required).
 	Upstream string
 	// Up configures the upward connection exactly as it does a leaf
-	// node's: its timeouts, backoff and replay-retention cap. Epoch is
-	// overridden: it is the relay's upward incarnation (see NewRelay).
+	// node's: its PushTimeout, and with it the backoff. The upward epoch
+	// is the relay's incarnation (see NewRelay).
 	Up stream.NodeOptions
 	// Agg configures the embedded leaf-facing aggregator. Its Metrics
 	// registry also gets the relay's tier_* families. SnapshotPath, when
@@ -41,8 +41,11 @@ type RelayOptions struct {
 	// atomic-rename snapshot there (the embedded aggregator's fold state
 	// plus the upward-forwarding state in Snapshot.Extra) before any
 	// upward frame becomes sendable. Without one, Forward captures
-	// nothing; Durable then still holds the leaves' Stable watermarks
-	// back to the last Forward. The relay owns that file and its
+	// nothing and the relay is not durable, Durable or not: a crash
+	// loses what it folded since its last Forward, as a fresh relay's
+	// AggEpoch 1 makes no leaf replay. Durable then only holds the
+	// leaves' Stable watermarks, and their trimming, back to the last
+	// Forward. The relay owns that file and its
 	// window clock (adopted from the parent, so the whole tree shares
 	// the root's rotation): the aggregator never snapshots or rotates on
 	// its own, so SnapshotEvery is ignored, a non-zero WindowEvery is
@@ -72,7 +75,7 @@ type RelayStats struct {
 	Dropped         int64 // upward frames too old for the parent's ring
 	Rejected        int64 // upward frames the parent refused
 	Replayed        int64 // retained frames requeued after a parent restore
-	RetainDropped   int64 // retained frames discarded at the Up.Retain cap; a parent restore could lose each
+	RetainDropped   int64 // retained frames discarded at the retention cap; a parent restore could lose each
 	Redials         int64 // upstream connections re-established
 	Unstable        int   // windows with accumulated-but-unstaged deltas
 	Staged          int   // frames waiting for a snapshot commit
@@ -115,12 +118,11 @@ type RelayStats struct {
 // through the aggregator's snapMu). The sender's window callback
 // (adoptRoot) runs under none of them.
 type Relay struct {
-	sk      *csoutlier.Sketcher
-	opts    RelayOptions
-	name    string // frameID(shard, id)
-	upEpoch uint64 // the relay's upward incarnation
-	agg     *stream.Aggregator
-	snd     *stream.Sender // committed frames: push, retain, replay
+	sk   *csoutlier.Sketcher
+	opts RelayOptions
+	name string // frameID(shard, id)
+	agg  *stream.Aggregator
+	snd  *stream.Sender // committed frames: push, retain, replay
 
 	// cmu serializes commit cycles, so the seq a capture records is
 	// the one its own commit releases.
@@ -139,14 +141,13 @@ type Relay struct {
 // leaf-facing window clock agrees with the root before the first leaf
 // connects. Serve must be called to accept leaf pushes.
 //
-// The upward epoch is the wall clock in Unix nanoseconds: a relay built
-// fresh after a restart announces a higher epoch than its previous
-// incarnation (on a clock that does not step back), so the parent
-// resets the relay's sequence space and folds its frames as new data —
-// the leaf-node restart rule, one level up. A durable relay comes back
-// through RestoreRelay instead.
+// The upward epoch is a stream.FreshEpoch, a leaf node's rule: a relay
+// built fresh after a restart announces a higher epoch than its previous
+// incarnation, so the parent resets the relay's sequence space and
+// folds its frames as new data. A durable relay comes back through
+// RestoreRelay instead.
 func NewRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions) (*Relay, error) {
-	return buildRelay(ctx, sk, opts, uint64(time.Now().UnixNano()), nil)
+	return buildRelay(ctx, sk, opts, stream.FreshEpoch(), nil)
 }
 
 // buildRelay constructs the relay and its embedded aggregator with the
@@ -166,13 +167,10 @@ func buildRelay(ctx context.Context, sk *csoutlier.Sketcher, opts RelayOptions, 
 		sk:       sk,
 		opts:     opts,
 		name:     frameID(opts.Shard, opts.ID),
-		upEpoch:  upEpoch,
 		unstable: make(map[uint64]*upAccum),
 	}
 	var err error
-	up := opts.Up
-	up.Epoch = upEpoch
-	r.snd, err = stream.NewSender(opts.Upstream, r.name, sk, up, r.adoptRoot)
+	r.snd, err = stream.NewSender(opts.Upstream, r.name, sk, upEpoch, opts.Up, r.adoptRoot)
 	if err != nil {
 		return nil, err
 	}
@@ -262,8 +260,7 @@ func (r *Relay) Stats() RelayStats {
 	s.Unstable = len(r.unstable)
 	s.Staged = up.Staged
 	s.FramesCommitted = s.FramesStaged - int64(up.Staged) // a staged frame is released or still staged
-	s.UpSeq = up.Seq
-	s.UpEpoch = r.upEpoch
+	s.UpSeq, s.UpEpoch = up.Seq, up.Epoch
 	s.Applied, s.Duplicates, s.Dropped, s.Rejected = up.Applied, up.Duplicates, up.Dropped, up.Rejected
 	s.Replayed, s.RetainDropped, s.Redials = up.Replayed, up.RetainDropped, up.Redials
 	s.Queued, s.Retained = up.Pending, up.Retained
@@ -365,13 +362,14 @@ func (r *Relay) capture(encode bool) (extra []byte, release func(), err error) {
 	if err := r.stage(); err != nil {
 		return nil, nil, err
 	}
-	upTo := r.snd.Stats().Seq
+	up := r.snd.Stats()
+	upTo := up.Seq
 	if encode {
 		// Staging is the relay's only Stage and runs under fmu: the
 		// listed frames hold still while they are encoded.
 		var frames []*stream.Frame
 		upTo, frames = r.snd.Queue()
-		if extra, err = encodeRelayExtra(r.opts.Shard, r.opts.ID, r.upEpoch, upTo, frames); err != nil {
+		if extra, err = encodeRelayExtra(r.opts.Shard, r.opts.ID, up.Epoch, upTo, frames); err != nil {
 			return nil, nil, err
 		}
 	}

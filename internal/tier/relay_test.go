@@ -415,7 +415,7 @@ func TestRelayAfterRootRestart(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	first, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
-	fast := stream.NodeOptions{BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
+	fast := stream.NodeOptions{PushTimeout: 400 * time.Millisecond} // backoff 1ms to 40ms
 	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr, Up: fast})
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)
@@ -620,7 +620,6 @@ func driveTierRun(t *testing.T, seed uint64, kill bool) tierRun {
 	snapPath := filepath.Join(t.TempDir(), "relay.snap")
 	ropts := RelayOptions{
 		ID: "r0", Upstream: rootAddr,
-		Up:  stream.NodeOptions{BackoffSeed: seed ^ 0xbac0ff},
 		Agg: stream.AggregatorOptions{SnapshotPath: snapPath},
 	}
 	relay, err := NewRelay(ctx, sk, ropts)
@@ -631,9 +630,7 @@ func driveTierRun(t *testing.T, seed uint64, kill bool) tierRun {
 
 	leaves := make([]*stream.Node, L)
 	for l := range leaves {
-		n, err := stream.Dial(ctx, proxy.Addr(), sk, fmt.Sprintf("node%02d", l), stream.NodeOptions{
-			BackoffSeed: seed ^ uint64(l+1)<<8,
-		})
+		n, err := stream.Dial(ctx, proxy.Addr(), sk, fmt.Sprintf("node%02d", l), stream.NodeOptions{})
 		if err != nil {
 			t.Fatalf("Dial leaf %d: %v", l, err)
 		}
@@ -931,7 +928,7 @@ func driveRootRun(t *testing.T, kill bool) rootRun {
 	proxy := startTestProxy(t, rootAddr)
 	relay, err := NewRelay(ctx, sk, RelayOptions{
 		ID: "r0", Upstream: proxy.Addr(),
-		Up: stream.NodeOptions{BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond, BackoffSeed: 77},
+		Up: stream.NodeOptions{PushTimeout: 400 * time.Millisecond}, // backoff 1ms to 40ms
 	})
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)
@@ -1055,14 +1052,14 @@ func TestRelayReplaysAfterRootRestore(t *testing.T) {
 }
 
 // TestRelayRetainCapCounted: upward frames dropped from retention at
-// the cap are counted, as a leaf's are — each is a frame a parent
-// restore could lose.
+// the cap (1,024 frames) are counted, as a leaf's are — each is a frame
+// a parent restore could lose.
 func TestRelayRetainCapCounted(t *testing.T) {
 	sk := tierSketcher(t, 64, 32, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 2, Durable: true}) // never commits: every ack leaves its frame retained
-	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr, Up: stream.NodeOptions{Retain: 1}})
+	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr})
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)
 	}
@@ -1071,7 +1068,8 @@ func TestRelayRetainCapCounted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	for i := 0; i < 3; i++ {
+	const retainCap = 1024
+	for i := 0; i < retainCap+2; i++ {
 		if err := leaf.Observe("key001", 1); err != nil {
 			t.Fatal(err)
 		}
@@ -1082,8 +1080,8 @@ func TestRelayRetainCapCounted(t *testing.T) {
 			t.Fatalf("Forward: %v", err)
 		}
 	}
-	if st := relay.Stats(); st.Applied != 3 || st.Retained != 1 || st.RetainDropped != 2 {
-		t.Fatalf("%+v, want 3 applied, 1 retained, 2 dropped at the cap", st)
+	if st := relay.Stats(); st.Applied != retainCap+2 || st.Retained != retainCap || st.RetainDropped != 2 {
+		t.Fatalf("%+v, want %d applied, %d retained, 2 dropped at the cap", st, retainCap+2, retainCap)
 	}
 }
 

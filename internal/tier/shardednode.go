@@ -21,8 +21,9 @@ type ShardedNode struct {
 
 // DialSharded connects one leaf node per shard. addrs[i] is shard i's
 // push-listener address, sks[i] its measurement consensus (from
-// ShardMap.Sketchers). opts applies to every shard node; a nonzero
-// BackoffSeed is decorrelated per shard so the shard connections don't
+// ShardMap.Sketchers). opts applies to every shard node. Each shard
+// node is its own incarnation with its own epoch, and its jitter is
+// seeded from its shard's consensus, so the shard connections do not
 // reconnect in lockstep.
 func DialSharded(ctx context.Context, m *ShardMap, sks []*csoutlier.Sketcher, addrs []string, id string, opts stream.NodeOptions) (*ShardedNode, error) {
 	if len(sks) != m.Shards() || len(addrs) != m.Shards() {
@@ -31,11 +32,7 @@ func DialSharded(ctx context.Context, m *ShardMap, sks []*csoutlier.Sketcher, ad
 	}
 	sn := &ShardedNode{m: m, nodes: make([]*stream.Node, m.Shards())}
 	for i := range sn.nodes {
-		o := opts
-		if o.BackoffSeed != 0 {
-			o.BackoffSeed = o.BackoffSeed ^ uint64(i+1)*0x9e3779b97f4a7c15
-		}
-		n, err := stream.Dial(ctx, addrs[i], sks[i], id, o)
+		n, err := stream.Dial(ctx, addrs[i], sks[i], id, opts)
 		if err != nil {
 			for _, prev := range sn.nodes[:i] {
 				prev.Abort()

@@ -69,7 +69,7 @@ func (s *Sketcher) NewPointState() (*PointState, error) {
 	return &PointState{
 		sk:      s,
 		cs:      cs,
-		sketch:  s.emptySketch(),
+		sketch:  s.ZeroSketch(),
 		scratch: make([]float64, 0, cs.Depth()*cs.Width()),
 	}, nil
 }

@@ -178,7 +178,7 @@ func (s Sketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 // verifies both its integrity (checksum) and its compatibility with
 // this Sketcher's consensus parameters.
 func (s *Sketcher) UnmarshalSketch(data []byte) (Sketch, error) {
-	out := s.emptySketch()
+	out := s.ZeroSketch()
 	if err := s.UnmarshalSketchInto(data, out); err != nil {
 		return Sketch{}, err
 	}

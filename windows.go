@@ -134,7 +134,7 @@ func (w *WindowStore) Available() int {
 // Window returns a copy of the sketch of the window `age` rotations ago
 // (0 = the currently open window).
 func (w *WindowStore) Window(age int) (Sketch, error) {
-	out := w.sk.emptySketch()
+	out := w.sk.ZeroSketch()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.checkAge(age); err != nil {
@@ -163,7 +163,7 @@ func (w *WindowStore) AppendWindow(dst []byte, age int) ([]byte, error) {
 // The sum of window sketches is exactly the sketch of the concatenated
 // data — no accuracy is lost by querying wider spans.
 func (w *WindowStore) Range(fromAge, toAge int) (Sketch, error) {
-	out := w.sk.emptySketch()
+	out := w.sk.ZeroSketch()
 	if err := w.RangeInto(fromAge, toAge, out); err != nil {
 		return Sketch{}, err
 	}
