@@ -28,10 +28,11 @@
 //     leaf pushes fold into the embedded aggregator exactly as in the
 //     flat daemon, and every -forward-every the folded window deltas
 //     are forwarded upward as single frames — exact by linearity, and
-//     exactly-once across the extra hop (with -snapshot, a relay
-//     restart replays its retained upward frames against the root's
-//     dedup books; without it, a restarted relay announces a fresh
-//     upward epoch and its frames fold as new data).
+//     exactly-once across the extra hop. A relay keeps no file, so
+//     -snapshot is refused on it: each upward frame carries the cut of
+//     the leaf frames it sums, the root keeps the cuts, and a restarted
+//     relay is given them back, so its leaves replay exactly what the
+//     root lacks.
 package main
 
 import (
@@ -71,8 +72,8 @@ func main() {
 		reportEvery = flag.Duration("report-every", time.Minute, "how often to print the outlier/liveness report (0 = only on shutdown)")
 		idleTO      = flag.Duration("idle-timeout", 5*time.Minute, "drop node connections silent for this long (0 = never)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address (empty = off)")
-		snapPath    = flag.String("snapshot", "", "durable snapshot file: written atomically on rotation/shutdown, restored on boot (empty = in-memory only)")
-		snapEvery   = flag.Duration("snapshot-every", 0, "also snapshot on this wall-clock period (requires -snapshot; a relay snapshots on every forward instead)")
+		snapPath    = flag.String("snapshot", "", "durable snapshot file: written atomically on rotation/shutdown, restored on boot (empty = in-memory only; refused on a relay, which keeps no file)")
+		snapEvery   = flag.Duration("snapshot-every", 0, "also snapshot on this wall-clock period (requires -snapshot)")
 		evictAfter  = flag.Duration("evict-after", 0, "evict nodes not heard from for this long; their dedup state is tombstoned, not lost (0 = never)")
 
 		shards     = flag.Int("shards", 1, "carve the dictionary into this many contiguous key-range shards")
@@ -96,8 +97,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "csstreamd: -snapshot-every requires -snapshot")
 		os.Exit(2)
 	}
-	if *snapEvery != 0 && *relayUpstream != "" {
-		fmt.Fprintln(os.Stderr, "csstreamd: -snapshot-every does not apply to a relay (-relay-upstream): it snapshots on every -forward-every")
+	if *snapPath != "" && *relayUpstream != "" {
+		fmt.Fprintln(os.Stderr, "csstreamd: -snapshot does not apply to a relay (-relay-upstream): it keeps no file, its root keeps what a restart needs")
 		os.Exit(2)
 	}
 	if *relayUpstream != "" {
@@ -238,11 +239,10 @@ func main() {
 	for {
 		select {
 		case <-fwd:
-			// Forward commits a snapshot and drains the folded deltas
-			// upward; Sync then adopts the root's window clock even when
-			// there was nothing to push. Failures are transient (the root
-			// may be restarting) — the next tick retries and the staged
-			// frames survive.
+			// Forward drains the folded deltas upward; Sync then adopts
+			// the root's window clock even when there was nothing to push.
+			// Failures are transient (the root may be restarting) — the
+			// next tick retries and the staged frames survive.
 			ctx, cancel := context.WithTimeout(context.Background(), *forwardEvery)
 			if err := relay.Forward(ctx); err != nil {
 				log.Printf("csstreamd: forward: %v", err)
@@ -270,36 +270,17 @@ func main() {
 	}
 }
 
-// startRelay builds (or restores, when the snapshot file exists) the
-// regional relay; its snapshot file and registry are the aggregator
-// options' own.
+// startRelay builds the regional relay, seeded from the cut its root
+// gives back; its registry is the aggregator options' own.
 func startRelay(sk *csoutlier.Sketcher, ropts tier.RelayOptions) *tier.Relay {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if path := ropts.Agg.SnapshotPath; path != "" {
-		snap, serr := stream.LoadSnapshot(path)
-		switch {
-		case serr == nil:
-			relay, err := tier.RestoreRelay(ctx, sk, ropts, snap)
-			if err != nil {
-				log.Fatalf("csstreamd: restore relay %s: %v", path, err)
-			}
-			st := relay.Stats()
-			log.Printf("csstreamd restored relay %s: up-epoch %d, up-seq %d, %d frames to replay",
-				relay.Name(), st.UpEpoch, st.UpSeq, st.Queued)
-			if err := relay.Sync(ctx); err != nil {
-				log.Printf("csstreamd: relay replay: %v", err)
-			}
-			return relay
-		case !os.IsNotExist(serr):
-			log.Fatalf("csstreamd: relay snapshot %s: %v", path, serr)
-		}
-	}
 	relay, err := tier.NewRelay(ctx, sk, ropts)
 	if err != nil {
 		log.Fatalf("csstreamd: relay: %v", err)
 	}
-	log.Printf("csstreamd relaying to %s as %s", ropts.Upstream, relay.Name())
+	log.Printf("csstreamd relaying to %s as %s: up-epoch %d, %d leaves seeded from the root's cut",
+		ropts.Upstream, relay.Name(), relay.Stats().UpEpoch, len(relay.Aggregator().Nodes()))
 	return relay
 }
 
@@ -338,9 +319,9 @@ func report(agg *stream.Aggregator, relay *tier.Relay, k, span int, watched []st
 		s.ShedFrames, s.ShedFolds, s.Snapshots, s.SnapshotErrors, s.SnapshotBytes)
 	if relay != nil {
 		rs := relay.Stats()
-		log.Printf("  relay %s → root epoch %d: %d forwards (%d errors), %d frames committed (%d applied, %d dup, %d replayed), %d staged, %d queued, %d retained",
-			relay.Name(), rs.RootEpoch, rs.Forwards, rs.ForwardErrors, rs.FramesCommitted,
-			rs.Applied, rs.Duplicates, rs.Replayed, rs.Staged, rs.Queued, rs.Retained)
+		log.Printf("  relay %s → root epoch %d: %d forwards (%d errors), %d frames staged (%d applied, %d dup, %d replayed), %d queued, %d retained",
+			relay.Name(), rs.RootEpoch, rs.Forwards, rs.ForwardErrors, rs.FramesStaged,
+			rs.Applied, rs.Duplicates, rs.Replayed, rs.Queued, rs.Retained)
 	}
 	for _, ns := range agg.Nodes() {
 		log.Printf("  node %-12s %-7s epoch=%d lag=%d applied=%d dup=%d dropped=%d rejected=%d restarts=%d shed=%d/%d last-seen=%s",

@@ -142,13 +142,14 @@ func isDense(m sensing.Matrix) bool { _, ok := m.(*sensing.Dense); return ok }`}
 	},
 	{
 		id:      "retired-names",
-		name:    "no retired ensemble, column cache, optional batch interface, format-compatibility shim, tombstone cap or hand-set sender backoff or retention, test files included",
+		name:    "no retired ensemble, column cache, optional batch interface, format-compatibility shim, tombstone cap, hand-set sender backoff or retention, or relay snapshot file half, test files included",
 		section: "pr21",
 		check: func(p *program) []string {
 			return idents(p, true, func(name string) bool {
 				for _, retired := range []string{"NewSRHT", "NewSparseRademacher", "NewColumnCache", "BatchCorrelator",
 					"idPad", "snapVersionExtra", "kindRetiredSparse", "kindRetiredSRHT", "relayExtraVersion",
-					"maxTombstones", "tombsForgotten", "BaseBackoff", "MaxBackoff", "pushRetain"} {
+					"maxTombstones", "tombsForgotten", "BaseBackoff", "MaxBackoff", "pushRetain",
+					"RestoreRelay", "SnapshotExtra", "CommitStaged", "relayExtraMagic"} {
 					if strings.Contains(name, retired) {
 						return true
 					}
@@ -161,6 +162,7 @@ func isDense(m sensing.Matrix) bool { _, ok := m.(*sensing.Dense); return ok }`}
 			{"internal/cluster/pad.go": `package cluster; const idPad = 5`},
 			{"internal/stream/cap.go": `package stream; const maxTombstones = 1024`},
 			{"internal/stream/opts.go": `package stream; type o struct{ MaxBackoff int }`},
+			{"internal/tier/restore.go": `package tier; func RestoreRelay() {}`},
 		},
 	},
 	{
@@ -680,7 +682,7 @@ func setLines(p *program) string {
 
 // maxDocBytes caps the two documents that describe the system at the
 // sizes their last edit left: lower a cap after a cut, never raise it.
-var maxDocBytes = map[string]int{"README.md": 44283, "DESIGN.md": 49747}
+var maxDocBytes = map[string]int{"README.md": 43947, "DESIGN.md": 49728}
 
 // bigDocs returns the docs over their cap.
 func bigDocs(p *program) []string {

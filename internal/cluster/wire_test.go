@@ -185,7 +185,7 @@ func TestMalformedRequestsCloseConnection(t *testing.T) {
 		bytes     []byte
 		closeSend bool // half-close after writing: the frame is cut short
 	}{
-		{"unknown version", prelude(0, 9, reqID), false},
+		{"unknown version", prelude(0, frame.Version+1, reqID), false},
 		{"unknown kind", prelude(0, frame.Version, 77), false},
 		{"a push-protocol kind", prelude(2, frame.Version, 1, 0, 1), false},
 		{"reply kind as a request", prelude(1, frame.Version, kindReply, replyOK), false},
@@ -296,7 +296,7 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 		"empty body":           reply(),
 		"ragged vector":        reply(replyOK, 1, 2, 3),
 		"garbage":              GarbageFrame(),
-		"another wire version": {9, byte(kindReply), 1, replyOK},
+		"another wire version": {frame.Version + 1, byte(kindReply), 1, replyOK},
 		"version 4's prelude":  {1, 0, 0, 0, 4, byte(kindReply), replyOK},
 	}
 	// A vector that parses but would poison the round's sum.

@@ -29,7 +29,7 @@ const (
 	// Version is the prelude's version byte: the layout of every body
 	// of both protocols. A peer that sends another is disconnected;
 	// there is no negotiation.
-	Version = 8
+	Version = 9
 	// MinOverhead and MaxOverhead bound the prelude in front of a frame
 	// body: three bytes for a body under 128 bytes, seven at most.
 	MinOverhead = 1 + 1 + 1

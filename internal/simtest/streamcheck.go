@@ -361,7 +361,7 @@ func (r *StreamRig) checkRelays() error {
 		if rs.ForwardErrors != 0 || rs.Rejected != 0 || rs.Dropped != 0 {
 			return fmt.Errorf("%+v", rs)
 		}
-		if rs.Queued != 0 || rs.Staged != 0 || rs.Unstable != 0 {
+		if rs.Queued != 0 || rs.Unstable != 0 {
 			return fmt.Errorf("not drained at close: %+v", rs)
 		}
 		return nil
@@ -413,9 +413,6 @@ func (r *StreamRig) checkMarks() error {
 			st := root.Stats()
 			if st.Rejected != 0 || st.Dropped != 0 {
 				return fmt.Errorf("shard %d root rejected %d / dropped %d upward frames", s, st.Rejected, st.Dropped)
-			}
-			if s == kill.Node && st.Duplicates < 1 {
-				return fmt.Errorf("kill-shard root saw no duplicates; the restored relay's upward replay should dedup: %+v", st)
 			}
 		}
 	}

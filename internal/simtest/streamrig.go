@@ -211,12 +211,11 @@ func (r *StreamRig) buildFlat() error {
 }
 
 // buildTier is the 2-shard × 2-relay tree: per shard one root (not
-// durable: the durability story here is the relays') fed by two durable
-// relays; queries go through a tier.Router over the roots in process,
-// span and point queries alike. The relay a relaykill mark targets owns
-// a snapshot file to restore from; every other relay is Durable with no
-// file, so its Forward commits without a capture and the shadow checks
-// that commit bit for bit.
+// durable: the durability story here is the relays') fed by two relays;
+// queries go through a tier.Router over the roots in process, span and
+// point queries alike. No relay keeps a file: the one a relaykill mark
+// targets comes back through NewRelay, seeded from its root's cut, and
+// the shadow checks its successor's folds bit for bit.
 func (r *StreamRig) buildTier() error {
 	scn := r.scn
 	m, err := tier.NewShardMap(r.data.Keys, tierShards, tier.Spec{
@@ -236,7 +235,6 @@ func (r *StreamRig) buildTier() error {
 	r.rootOpts = stream.AggregatorOptions{Windows: scn.W}
 	r.lanes = make([][]lane, tierShards)
 	targets := make([]tier.Target, tierShards)
-	kill := scn.mark(MarkRelayKill)
 	for s := 0; s < tierShards; s++ {
 		root, err := stream.NewAggregator(r.sks[s], r.rootOpts)
 		if err != nil {
@@ -254,11 +252,8 @@ func (r *StreamRig) buildTier() error {
 				Shard:    s,
 				Upstream: rootAddr,
 				Up:       stream.NodeOptions{PushTimeout: pushTimeout},
-				Agg:      stream.AggregatorOptions{Windows: scn.W, Durable: true},
+				Agg:      stream.AggregatorOptions{Windows: scn.W},
 			}}
-			if kill != nil && kill.Node == s && rr == 0 {
-				ln.opts.Agg.SnapshotPath = filepath.Join(r.snapDir, fmt.Sprintf("relay-%d-%d.snap", s, rr))
-			}
 			if ln.relay, err = tier.NewRelay(r.ctx, r.sks[s], ln.opts); err != nil {
 				return fmt.Errorf("simtest: relay %d/%d: %w", s, rr, err)
 			}
@@ -657,34 +652,27 @@ func (r *StreamRig) restoreRoot() error {
 	return nil
 }
 
-// restoreRelay is the relay crash: relay 0 of the shard dies without a
-// snapshot (everything since its last Forward is lost), restores from
-// its own snapshot file, and syncs first — it must adopt the root's
-// current window (its snapshot predates the latest rotations) and replay
-// its retained upward frames against the root's dedup books before any
-// leaf frame arrives. Then the leaves replay the lost leaf frames
-// against its restored books.
+// restoreRelay is the relay crash: relay 0 of the shard dies
+// (everything it folded since its last Forward is lost) and a new one
+// takes its place through NewRelay, which adopts the root's current
+// window and seeds its books from the root's cut. Then the leaves hear
+// its fresh AggEpoch and replay what they retain: the books drop what
+// the root holds and fold the rest.
 func (r *StreamRig) restoreRelay(shard int) error {
 	ln := &r.lanes[shard][0]
 	if err := ln.relay.Kill(r.ctx); err != nil {
 		return fmt.Errorf("simtest: kill relay: %w", err)
 	}
-	snap, err := stream.LoadSnapshot(ln.opts.Agg.SnapshotPath)
-	if err != nil {
-		return fmt.Errorf("simtest: load relay snapshot: %w", err)
-	}
-	if ln.relay, err = tier.RestoreRelay(r.ctx, r.sks[shard], ln.opts, snap); err != nil {
-		return fmt.Errorf("simtest: restore relay: %w", err)
+	var err error
+	if ln.relay, err = tier.NewRelay(r.ctx, r.sks[shard], ln.opts); err != nil {
+		return fmt.Errorf("simtest: restart relay: %w", err)
 	}
 	addr, err := r.serve(ln.relay)
 	if err != nil {
 		return err
 	}
 	r.reattach(shard, 0, addr)
-	if err := ln.relay.Sync(r.ctx); err != nil {
-		return fmt.Errorf("simtest: restored relay sync: %w", err)
-	}
-	return r.syncLeaves("post-restore sync", -1)
+	return r.syncLeaves("post-restart sync", -1)
 }
 
 // lastFlush returns leaf l's latest flush to shard 0 as it went on the

@@ -39,9 +39,9 @@ type AggregatorOptions struct {
 	SnapshotEvery time.Duration
 	// Durable forces durable ack semantics without a snapshot path: acks
 	// advance the nodes' Stable watermark only at a commit — a
-	// WriteSnapshot's, or CommitStaged's for an embedder that keeps no
-	// snapshot (a tier relay without a file commits at every Forward) —
-	// so nodes retain acked frames for replay. Implied by SnapshotPath.
+	// WriteSnapshot's, or an embedder's Commit — so nodes retain acked
+	// frames for replay. Implied by SnapshotPath; a restored aggregator,
+	// and so a tier relay's, is durable whatever it says.
 	Durable bool
 	// EvictAfter, when positive, evicts nodes not heard from for this
 	// long: their membership is retired into a tombstone (the record,
@@ -50,21 +50,15 @@ type AggregatorOptions struct {
 	// 0 = never evict. Tests drive EvictIdle directly.
 	EvictAfter time.Duration
 	// OnApplied, when set, is invoked for every applied delta — under
-	// the aggregator mutex, right after the frame folds — with the
-	// window it folded into, its local-capture count (max(1, Folds)) and
-	// the decoded delta sketch. The tier relay uses it to accumulate the
-	// per-window upward delta atomically with the fold it mirrors. The
-	// callback must be fast and must not call back into the aggregator.
-	// delta is the connection's decode scratch: it is valid for the
-	// duration of the call only.
-	OnApplied func(window uint64, folds int, delta csoutlier.Sketch)
-	// SnapshotExtra, when set, is invoked inside Snapshot()'s critical
-	// section; its bytes ride in Snapshot.Extra, atomically consistent
-	// with the window ring and dedup books captured alongside, and its
-	// release runs under the same mutex when that snapshot commits,
-	// after the dedup books' Stable marks advance. Same no-reentrancy
-	// rule as OnApplied.
-	SnapshotExtra func() (extra []byte, release func(), err error)
+	// the aggregator mutex, right after the frame folds and before its
+	// seq is marked processed — with the sender's (node, epoch, seq),
+	// the window it folded into, its local-capture count (max(1, Folds))
+	// and the decoded delta sketch. The tier relay uses it to accumulate
+	// the per-window upward delta, and the cut it covers, atomically
+	// with the fold it mirrors. The callback must be fast and must not
+	// call back into the aggregator. delta is the connection's decode
+	// scratch: it is valid for the duration of the call only.
+	OnApplied func(node string, epoch, seq, window uint64, folds int, delta csoutlier.Sketch)
 }
 
 func (o AggregatorOptions) withDefaults() AggregatorOptions {

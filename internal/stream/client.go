@@ -69,12 +69,17 @@ func (c *Client) hello(node string, epoch uint64, id []byte) (Ack, error) {
 // re-dialed); an Ack with a non-empty Err is a frame-level rejection on
 // a healthy connection — of the delta, or of the hello before it.
 func (c *Client) PushDelta(node string, epoch, window, seq uint64, folds uint32, payload []byte) (Ack, error) {
+	return c.push(node, epoch, &pushRequest{Kind: pushDelta, Window: window, Seq: seq, Folds: folds, Payload: payload})
+}
+
+// push is PushDelta of a delta request, a relay's cut included.
+func (c *Client) push(node string, epoch uint64, req *pushRequest) (Ack, error) {
 	if !c.ctx.bound || c.ctx.node != node || c.ctx.epoch != epoch {
 		if ack, err := c.Hello(node, epoch); err != nil || ack.Err != "" {
 			return ack, err
 		}
 	}
-	return c.exchange(&pushRequest{Kind: pushDelta, Window: window, Seq: seq, Folds: folds, Payload: payload})
+	return c.exchange(req)
 }
 
 // bye announces a graceful leave for the (node, epoch) the connection

@@ -23,8 +23,9 @@ import (
 // per node, commits, heartbeats) must end with every capture folded at
 // the root exactly once, in the window it was captured in (or an earlier
 // one, after a window counter went back), or acked as dropped-old, or
-// lost by design with a volatile restart, and with no sender holding a
-// frame.
+// lost by design with a volatile root's restart, and with no sender
+// holding a frame. The relay keeps no file: a restart (rwipe) is
+// NewRelay, seeded from the cut its root gives back.
 //
 // A red run prints the shortest trace as one explore1 line, which
 // -explore.replay replays:
@@ -47,11 +48,10 @@ const exploreWindows = 2
 // fails one or the other.
 const relayLimit, rootLimit = 1, 2
 
-// config is one deployment the explorer walks. A durable one snapshots
-// the root (at every rotation and on snap) and the relay (rcap, then
-// rcommit), and crashes restore them; a volatile one acks every fold as
-// durable, forwards in one step (rfwd), and restarts lose state (wipe,
-// rwipe).
+// config is one deployment the explorer walks; the configs vary the
+// root. A durable root snapshots at every rotation, on snap and before
+// it gives a relay its cut back, and a crash restores it; a volatile one
+// acks every fold as durable, and its restart (wipe) loses its state.
 type config struct {
 	name    string
 	durable bool
@@ -82,7 +82,7 @@ type endpoint struct {
 type receiver struct {
 	bk     book
 	folded map[byte]int
-	file   *image // the last committed snapshot (durable only)
+	file   *image // the root's last committed snapshot (durable only)
 }
 
 // newReceiver is a fresh receiver whose book holds at most limit records.
@@ -92,30 +92,32 @@ func newReceiver(durable bool, epoch uint64, limit int) receiver {
 	return r
 }
 
-// image is a snapshot: a receiver's book and folds, and for the relay
-// its upward outbox.
+// image is the root's snapshot: its book and folds.
 type image struct {
 	cut                    []SnapNode
 	window, version, epoch uint64
 	folded                 map[byte]int
-	seq                    uint64   // the relay's upward seq counter
-	frames                 []*Frame // the relay's upward queue
+}
+
+// accum is one of the relay's unstaged upward accumulators: the captures
+// it sums and their cut, n0's epoch and highest seq.
+type accum struct {
+	caps []byte
+	cut  []SnapNode
 }
 
 // world is one state of the explored system.
 type world struct {
-	cfg     *config
-	nodes   [2]endpoint // n0 under the relay, n1 under the root
-	relay   receiver
-	acc     map[uint64][]byte // the relay's unstaged upward accumulators, by window
-	up      endpoint          // the relay's upward sender
-	capture *image            // a durable relay's capture awaiting its commit
-	root    receiver
+	cfg   *config
+	nodes [2]endpoint // n0 under the relay, n1 under the root
+	relay receiver    // its books are durable: Stable follows the root
+	acc   map[uint64]*accum
+	up    endpoint // the relay's upward sender
+	root  receiver
 
 	tags    []uint64      // tags[c-1]: the window capture c was observed in
 	dropped map[byte]bool // acked dropped-old somewhere
-	lost    map[byte]bool // may be missing: a volatile restart lost it
-	extra   map[byte]int  // may fold once more per volatile relay restart it was in flight at
+	lost    map[byte]bool // may be missing: a volatile root's restart lost it
 	behind  bool          // a window counter went back: a capture may fold into an earlier window
 	used    budget
 	trace   []string
@@ -123,15 +125,14 @@ type world struct {
 }
 
 func newWorld(cfg *config) *world {
-	w := &world{cfg: cfg, acc: map[uint64][]byte{}, dropped: map[byte]bool{}, lost: map[byte]bool{}, extra: map[byte]int{}}
+	w := &world{cfg: cfg, acc: map[uint64]*accum{}, dropped: map[byte]bool{}, lost: map[byte]bool{}}
 	for i := range w.nodes {
 		w.nodes[i] = endpoint{name: fmt.Sprintf("n%d", i), epoch: 1, ob: outbox{}, window: 1}
 	}
 	w.up = endpoint{name: "relay", epoch: 1, ob: outbox{}, window: 1}
-	w.relay = newReceiver(cfg.durable, 1, relayLimit)
+	w.relay = newReceiver(true, 1, relayLimit)
 	w.root = newReceiver(cfg.durable, 1, rootLimit)
 	if cfg.durable {
-		w.relay.file = w.relaySnapshot()
 		w.root.file = w.root.snapshot()
 	}
 	return w
@@ -162,10 +163,26 @@ func (w *world) adopt(e *endpoint, window uint64) {
 	e.window = max(e.window, window)
 }
 
-// heard is Sender.noteAck.
+// heard is Sender.noteAck: the relay commits the cuts its root declared
+// durable (Relay.adoptRoot), then the owner adopts the window.
 func (w *world) heard(e *endpoint, ack Ack, settles bool) {
 	e.ob.heard(ack, settles)
+	if durable := e.ob.durable; e == &w.up && durable != nil {
+		w.relay.bk.commit(durable)
+	}
+	e.ob.durable = nil
 	w.adopt(e, ack.Window)
+}
+
+// hello is Aggregator.hello: a durable root snapshots a cut before it
+// gives it back.
+func (w *world) hello(e *endpoint) Ack {
+	r := w.to(e)
+	ack, _, _ := r.bk.hello(e.name, e.epoch, time.Time{})
+	if r == &w.root && len(ack.Cut) > 0 && w.cfg.durable {
+		w.snapRoot()
+	}
+	return ack
 }
 
 // connect is Sender.connect: a hello on a fresh connection.
@@ -173,7 +190,7 @@ func (w *world) connect(e *endpoint) bool {
 	if e.connected {
 		return true
 	}
-	ack, _, _ := w.to(e).bk.hello(e.name, e.epoch, time.Time{})
+	ack := w.hello(e)
 	if ack.Err != "" {
 		w.failf("%s's hello refused: %s", e.name, ack.Err)
 		return false
@@ -195,14 +212,20 @@ func (w *world) attempt(e *endpoint, lose bool) {
 		return
 	}
 	r := w.to(e)
-	ack, _ := r.bk.delta(e.name, e.epoch, f.Window, f.Seq, f.Folds, time.Time{}, func(age int, window uint64) error {
+	ack, _ := r.bk.delta(e.name, e.epoch, f.Window, f.Seq, f.Folds, f.Cut, time.Time{}, func(age int, window uint64) error {
 		for _, c := range f.Payload {
 			if r.folded[c]++; r == &w.root {
 				w.checkFold(c, window)
 			}
 		}
-		if r == &w.relay {
-			w.acc[window] = append(w.acc[window], f.Payload...)
+		if r == &w.relay { // Relay.onApplied
+			a := w.acc[window]
+			if a == nil {
+				a = &accum{}
+				w.acc[window] = a
+			}
+			a.caps = append(a.caps, f.Payload...)
+			a.cut = []SnapNode{{NodeStatus: NodeStatus{Node: e.name, Epoch: e.epoch}, Base: f.Seq}}
 		}
 		return nil
 	})
@@ -223,7 +246,7 @@ func (w *world) attempt(e *endpoint, lose bool) {
 func (w *world) checkFold(c byte, window uint64) {
 	n, tag := w.root.folded[c], w.tags[c-1]
 	switch {
-	case n > 1+w.extra[c]:
+	case n > 1:
 		w.failf("capture %d folded %d times at the root", c, n)
 	case window > tag || window < tag && !w.behind:
 		w.failf("capture %d observed in window %d folded into window %d", c, tag, window)
@@ -250,9 +273,9 @@ func (w *world) observe(e *endpoint) {
 	e.ob.push(f)
 }
 
-// stage is the relay's Relay.stage: every unstable window's accumulator
-// becomes the next staged upward frame, in ascending-window order.
-func (w *world) stage() {
+// forward is Relay.stage: every unstable window's accumulator becomes
+// the next upward frame, with its cut, in ascending-window order.
+func (w *world) forward() {
 	windows := make([]uint64, 0, len(w.acc))
 	for win := range w.acc {
 		windows = append(windows, win)
@@ -260,21 +283,10 @@ func (w *world) stage() {
 	slices.Sort(windows)
 	for _, win := range windows {
 		f := w.up.ob.alloc()
-		*f = Frame{Window: win, Folds: uint32(len(w.acc[win])), Payload: w.acc[win]}
-		w.up.ob.stage(f)
+		*f = Frame{Window: win, Folds: uint32(len(w.acc[win].caps)), Cut: w.acc[win].cut, Payload: w.acc[win].caps}
+		w.up.ob.push(f)
 		delete(w.acc, win)
 	}
-}
-
-// relaySnapshot is the relay's capture: its book, its folds and its
-// whole upward state, as Snapshot with SnapshotExtra takes them.
-func (w *world) relaySnapshot() *image {
-	im := w.relay.snapshot()
-	im.seq = w.up.ob.seq
-	for _, f := range w.up.ob.queue {
-		im.frames = append(im.frames, cloneFrame(f))
-	}
-	return im
 }
 
 func (r *receiver) snapshot() *image {
@@ -343,94 +355,44 @@ func nodeEvents(i int) []event {
 	}
 }
 
-// relayEvents: a durable relay captures and commits in two steps, so a
-// push or a crash can fall between them; a volatile one forwards in
-// one (Aggregator.CommitStaged).
-func relayEvents(durable bool) []event {
-	push := []event{
+// relayEvents: a relay forwards (rfwd) and drains (rpush) in two
+// steps, so a leaf frame or a restart can fall between them.
+func relayEvents() []event {
+	return []event{
 		{"rpush", func(w *world) bool { return w.up.ob.head() != nil }, func(w *world) { w.drain(&w.up) }},
 		{"rlost", func(w *world) bool { return w.used.lost < w.cfg.budget.lost && w.up.ob.head() != nil }, func(w *world) {
 			w.used.lost++
 			w.attempt(&w.up, true)
 		}},
-	}
-	if !durable {
-		return append(push,
-			event{"rfwd", func(w *world) bool { return len(w.acc) > 0 }, func(w *world) { w.forward() }},
-			event{"rwipe", func(w *world) bool { return w.used.crashes < 2*w.cfg.budget.crashes }, func(w *world) {
-				w.used.crashes++
-				w.wipeRelay()
-			}})
-	}
-	return append(push,
-		event{"rcap", func(w *world) bool { return w.capture == nil && len(w.acc) > 0 }, func(w *world) { w.captureRelay() }},
-		event{"rcommit", func(w *world) bool { return w.capture != nil }, func(w *world) { w.commitRelay() }},
-		event{"rcrash", func(w *world) bool { return w.used.crashes < 2*w.cfg.budget.crashes }, func(w *world) {
+		{"rfwd", func(w *world) bool { return len(w.acc) > 0 }, func(w *world) { w.forward() }},
+		{"rwipe", func(w *world) bool { return w.used.crashes < 2*w.cfg.budget.crashes }, func(w *world) {
 			w.used.crashes++
-			w.relay = w.relay.restored()
-			im := w.relay.file
-			frames := make([]*Frame, len(im.frames))
-			for i, f := range im.frames {
-				frames[i] = cloneFrame(f)
-			}
-			w.up.ob = outbox{}
-			w.up.ob.restore(im.seq, frames)
-			w.up.connected, w.up.window = false, im.window
-			w.acc, w.capture = map[uint64][]byte{}, nil
-			w.nodes[0].connected = false
-			w.behind = true
-			// RestoreRelay persists the new incarnation before it serves.
-			w.captureRelay()
-			w.commitRelay()
-		}})
+			w.wipeRelay()
+		}},
+	}
 }
 
-// forward is a volatile relay's commit: stage, commit the leaves' Stable
-// and release, in one critical section.
-func (w *world) forward() {
-	w.stage()
-	upTo := w.up.ob.seq
-	w.relay.bk.commit(nil, func() { w.up.ob.release(upTo) })
-}
-
-// captureRelay is the durable relay's capture (SnapshotExtra inside
-// Snapshot): stage, then take the image; the release waits for commit.
-func (w *world) captureRelay() {
-	w.stage()
-	w.capture = w.relaySnapshot()
-}
-
-// commitRelay is the rest of WriteSnapshot: the file is the capture, and
-// the commit advances the leaves' Stable and releases what it staged.
-func (w *world) commitRelay() {
-	im := w.capture
-	w.relay.file, w.capture = im, nil
-	w.relay.bk.commit(im.cut, func() { w.up.ob.release(im.seq) })
-}
-
-// wipeRelay is a volatile relay's restart (NewRelay): a fresh book, no
-// accumulators, an empty upward outbox under a higher upward epoch. What
-// it had folded may now be missing at the root; a leaf frame it folded
-// without the leaf hearing so (a lost ack) is sent again to the new
-// relay, and folds at the root a second time if the old relay had
-// already forwarded it.
+// wipeRelay is a relay's restart (NewRelay): no accumulators and an
+// empty upward outbox under a higher upward epoch; its hello's ack gives
+// back the root's cut, which seeds books of a fresh, higher AggEpoch at
+// the root's window. n0 hears the bump and replays what it retains.
 func (w *world) wipeRelay() {
-	inFlight := map[byte]bool{}
-	for _, f := range w.nodes[0].ob.queue[w.nodes[0].ob.acked:] {
-		for _, c := range f.Payload {
-			inFlight[c] = true
-		}
-	}
-	for c := range w.relay.folded {
-		w.lost[c] = true
-		if inFlight[c] {
-			w.extra[c]++
-		}
-	}
-	w.relay = newReceiver(false, 1, relayLimit)
-	w.acc = map[uint64][]byte{}
+	epoch := w.relay.bk.epoch + 1
+	w.acc = map[uint64]*accum{}
 	w.up = endpoint{name: "relay", epoch: w.up.epoch + 1, ob: outbox{}, window: 1}
 	w.nodes[0].connected = false
+	w.relay = newReceiver(true, epoch, relayLimit)
+	ack := w.hello(&w.up)
+	if ack.Err != "" {
+		w.failf("the new relay's hello refused: %s", ack.Err)
+		return
+	}
+	w.up.connected = true
+	w.up.ob.heard(ack, false)
+	w.up.window, w.relay.bk.window = ack.Window, ack.Window
+	if err := w.relay.bk.restore(ack.Cut, time.Time{}); err != nil {
+		w.failf("the new relay's seed: %v", err)
+	}
 	w.behind = true
 }
 
@@ -473,12 +435,12 @@ func rootEvents(durable bool) []event {
 // snapRoot is WriteSnapshot on the root: capture, persist, commit.
 func (w *world) snapRoot() {
 	w.root.file = w.root.snapshot()
-	w.root.bk.commit(w.root.file.cut, nil)
+	w.root.bk.commit(w.root.file.cut)
 }
 
 func (cfg *config) events() []event {
 	evs := append(nodeEvents(0), nodeEvents(1)...)
-	evs = append(evs, relayEvents(cfg.durable)...)
+	evs = append(evs, relayEvents()...)
 	return append(evs, rootEvents(cfg.durable)...)
 }
 
@@ -513,17 +475,11 @@ func (w *world) quiesce() string {
 			q.drain(&q.nodes[i])
 		}
 		for round := 0; round < 3; round++ {
-			if q.cfg.durable {
-				if q.capture != nil {
-					q.commitRelay()
-				}
-				q.captureRelay()
-				q.commitRelay()
-				q.snapRoot()
-			} else {
-				q.forward()
-			}
+			q.forward()
 			q.drain(&q.up)
+			if q.cfg.durable {
+				q.snapRoot()
+			}
 			for _, e := range []*endpoint{&q.nodes[0], &q.nodes[1], &q.up} {
 				e.connected = false // a heartbeat hello hears the latest Stable
 				q.connect(e)
@@ -539,7 +495,7 @@ func (w *world) quiesce() string {
 		switch n := q.root.folded[c]; {
 		case n == 0 && !q.dropped[c] && !q.lost[c]:
 			return fmt.Sprintf("capture %d never folded at the root", c)
-		case n > 1+q.extra[c]:
+		case n > 1:
 			return fmt.Sprintf("capture %d folded %d times at the root", c, n)
 		}
 	}
@@ -557,12 +513,12 @@ func (w *world) key() string {
 	var b strings.Builder
 	for _, e := range []*endpoint{&w.nodes[0], &w.nodes[1], &w.up} {
 		o := &e.ob
-		fmt.Fprintf(&b, "%s:%d/%t/%d|%d,%d,%d,%d,", e.name, e.epoch, e.connected, e.window, o.seq, o.acked, o.released, o.aggEpoch)
+		fmt.Fprintf(&b, "%s:%d/%t/%d|%d,%d,%d,", e.name, e.epoch, e.connected, e.window, o.seq, o.acked, o.aggEpoch)
 		if o.sent != nil {
 			fmt.Fprintf(&b, "s%d,", o.sent.Seq)
 		}
 		for _, f := range o.queue {
-			fmt.Fprintf(&b, "%d.%d%v", f.Seq, f.Window, f.Payload)
+			fmt.Fprintf(&b, "%d.%d%v%s", f.Seq, f.Window, f.Payload, cutKey(f.Cut))
 		}
 		b.WriteByte(';')
 	}
@@ -573,31 +529,42 @@ func (w *world) key() string {
 			r.file.key(&b)
 		}
 	}
-	if w.capture != nil {
-		b.WriteString("capture")
-		w.capture.key(&b)
+	b.WriteString("acc")
+	windows := make([]uint64, 0, len(w.acc))
+	for win := range w.acc {
+		windows = append(windows, win)
 	}
-	fmt.Fprintf(&b, "acc%v tags%v d%v l%v x%v %t %+v", w.acc, w.tags, w.dropped, w.lost, w.extra, w.behind, w.used)
+	slices.Sort(windows)
+	for _, win := range windows {
+		fmt.Fprintf(&b, "%d:%v%s,", win, w.acc[win].caps, cutKey(w.acc[win].cut))
+	}
+	fmt.Fprintf(&b, " tags%v d%v l%v %t %+v", w.tags, w.dropped, w.lost, w.behind, w.used)
 	return b.String()
 }
 
 func (r *receiver) key(b *strings.Builder) {
 	fmt.Fprintf(b, "{%d,%d,%d:", r.bk.window, r.bk.epoch, r.bk.retired)
 	for _, sn := range r.bk.cut() {
-		fmt.Fprintf(b, "%s.%s.%d.%d.%d,", sn.Node, sn.State, sn.Epoch, sn.Base, r.bk.members[sn.Node].Stable)
+		fmt.Fprintf(b, "%s.%s.%d.%d.%d%s,", sn.Node, sn.State, sn.Epoch, sn.Base, r.bk.members[sn.Node].Stable, cutKey(sn.Cut))
 	}
 	fmt.Fprintf(b, "%v}", r.folded)
 }
 
 func (im *image) key(b *strings.Builder) {
-	fmt.Fprintf(b, "{%d,%d,%d,%d:%v", im.window, im.epoch, im.version, im.seq, im.folded)
+	fmt.Fprintf(b, "{%d,%d,%d:%v", im.window, im.epoch, im.version, im.folded)
 	for _, sn := range im.cut {
-		fmt.Fprintf(b, "%s.%s.%d.%d,", sn.Node, sn.State, sn.Epoch, sn.Base)
-	}
-	for _, f := range im.frames {
-		fmt.Fprintf(b, "%d.%d%v", f.Seq, f.Window, f.Payload)
+		fmt.Fprintf(b, "%s.%s.%d.%d%s,", sn.Node, sn.State, sn.Epoch, sn.Base, cutKey(sn.Cut))
 	}
 	b.WriteByte('}')
+}
+
+// cutKey is a cut's names, epochs and seqs.
+func cutKey(cut []SnapNode) string {
+	var b strings.Builder
+	for _, sn := range cut {
+		fmt.Fprintf(&b, "<%s.%d.%d>", sn.Node, sn.Epoch, sn.Base)
+	}
+	return b.String()
 }
 
 // clone deep-copies the world: books, outboxes and their frames (the
@@ -609,12 +576,12 @@ func (w *world) clone() *world {
 	}
 	c.up.ob = cloneOutbox(&w.up.ob)
 	c.relay, c.root = w.relay.clone(), w.root.clone()
-	c.acc = make(map[uint64][]byte, len(w.acc))
-	for win, caps := range w.acc {
-		c.acc[win] = slices.Clone(caps)
+	c.acc = make(map[uint64]*accum, len(w.acc))
+	for win, a := range w.acc {
+		c.acc[win] = &accum{caps: slices.Clone(a.caps), cut: slices.Clone(a.cut)}
 	}
 	c.tags, c.trace = slices.Clone(w.tags), slices.Clone(w.trace)
-	c.dropped, c.lost, c.extra = cloneMap(w.dropped), cloneMap(w.lost), cloneMap(w.extra)
+	c.dropped, c.lost = cloneMap(w.dropped), cloneMap(w.lost)
 	return &c
 }
 
@@ -623,6 +590,7 @@ func (r *receiver) clone() receiver {
 	c.bk.members = make(map[string]*member, len(r.bk.members))
 	for name, m := range r.bk.members {
 		cp := *m
+		cp.cut = cloneMap(m.cut)
 		c.bk.members[name] = &cp
 	}
 	c.folded = cloneMap(r.folded)
@@ -789,7 +757,7 @@ func TestProtocolExplorer(t *testing.T) {
 func FuzzProtocol(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 9, 12, 14, 16})
 	f.Add([]byte{1, 4, 1, 15, 0, 16, 13, 5, 0})
-	f.Add([]byte("1y7b8y7b8")) // volatile: lost0,rfwd,rpush,rwipe twice — a capture folds three times
+	f.Add([]byte("1y7b8y7b8")) // volatile: lost0,rfwd,rpush,rwipe twice — a capture once folded three times
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

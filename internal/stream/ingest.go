@@ -59,7 +59,7 @@ func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 	if timed {
 		start = time.Now()
 	}
-	ack, joined := in.bk.delta(req.Node, req.Epoch, req.Window, req.Seq, req.Folds, time.Now(), func(age int, w uint64) error {
+	ack, joined := in.bk.delta(req.Node, req.Epoch, req.Window, req.Seq, req.Folds, req.Cut, time.Now(), func(age int, w uint64) error {
 		if decodeErr != nil {
 			return decodeErr
 		}
@@ -67,7 +67,7 @@ func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 			return err
 		}
 		if fn := a.opts.OnApplied; fn != nil {
-			fn(w, max(1, int(req.Folds)), *delta)
+			fn(req.Node, req.Epoch, req.Seq, w, max(1, int(req.Folds)), *delta)
 		}
 		in.gen.Add(1) // new data: recovery and point-state caches are now stale
 		return nil
@@ -109,7 +109,9 @@ func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 // aggregator has never seen (or one coming back retired) joins the
 // membership here — unless its hello names a consensus other than the
 // aggregator's, or the node is new and the book full (counted as
-// refused): either way it is neither joined nor refreshed.
+// refused): either way it is neither joined nor refreshed. A cut given
+// back to a relay is snapshotted first, when there is a snapshot file:
+// the relay's leaves trim by it, so a crash must not lose what it names.
 func (a *Aggregator) hello(req pushRequest) Ack {
 	a.metrics.hellos.Inc()
 	var idErr error
@@ -118,18 +120,22 @@ func (a *Aggregator) hello(req pushRequest) Ack {
 	}
 	in := &a.in
 	in.mu.Lock()
-	defer in.mu.Unlock()
 	if idErr != nil {
 		ack := in.bk.reply(statusHello)
+		in.mu.Unlock()
 		ack.Err = idErr.Error()
 		return ack
 	}
 	ack, joined, refused := in.bk.hello(req.Node, req.Epoch, time.Now())
+	in.mu.Unlock()
 	if joined {
 		a.metrics.joins.Inc()
 	}
 	if refused {
 		a.metrics.refusals.Inc()
+	}
+	if len(ack.Cut) > 0 && a.maybeSnapshot() != nil {
+		ack.Cut, ack.Err = nil, "stream: the cut for "+req.Node+" could not be made durable"
 	}
 	return ack
 }

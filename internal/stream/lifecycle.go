@@ -120,7 +120,7 @@ func (a *Aggregator) handle(conn net.Conn) {
 		l.connMu.Unlock()
 		conn.Close()
 	}()
-	fr := frame.Reader{R: conn, Limits: a.limits[:], Buf: make([]byte, frame.MaxOverhead+a.limits[pushDelta])}
+	fr := frame.Reader{R: conn, Limits: a.limits[:], Buf: make([]byte, frame.MaxOverhead+maxLeafDelta(a.sk.M()))}
 	var (
 		req   pushRequest
 		wbuf  []byte

@@ -51,7 +51,6 @@ type NodeStats struct {
 	// Retained is the current replay-retention buffer depth: acked
 	// frames the aggregator has not yet declared durable.
 	Retained int
-	Staged   int // frames a relay's capture staged and its commit has not released (0 on a node)
 	// Replayed counts retained frames requeued because the aggregator's
 	// incarnation (AggEpoch) advanced — a restore that may have lost
 	// recently-acked frames.
@@ -105,7 +104,7 @@ func Dial(ctx context.Context, addr string, sk *csoutlier.Sketcher, id string, o
 	if n.snd, err = NewSender(addr, id, sk, FreshEpoch(), opts, n.adoptWindow); err != nil {
 		return nil, err
 	}
-	if err := n.snd.Connect(ctx); err != nil {
+	if _, err := n.snd.Connect(ctx); err != nil {
 		return nil, err
 	}
 	return n, nil
@@ -161,12 +160,13 @@ func (n *Node) captureLocked() error {
 }
 
 // adoptWindow advances the node's window view to the aggregator's — the
-// Sender's window callback. The sealed window's residual observations
+// Sender's callback (a node's frames carry no cut, so none turns
+// durable). The sealed window's residual observations
 // are captured first (tagged with the old window), so no observation
 // leaks across the boundary. Observations racing the adoption land on
 // one side or the other — wall-clock skew the window-tagged protocol is
 // explicitly built to absorb.
-func (n *Node) adoptWindow(w uint64) {
+func (n *Node) adoptWindow(w uint64, _ []SnapNode) {
 	n.snd.mu.Lock()
 	defer n.snd.mu.Unlock()
 	if w <= n.window {
@@ -234,7 +234,7 @@ func (n *Node) Leave(ctx context.Context) error {
 	defer snd.disconnect()
 	var c *Client
 	if err == nil {
-		c, err = snd.connect(ctx)
+		c, _, err = snd.connect(ctx)
 	}
 	if err == nil {
 		var ack Ack

@@ -225,7 +225,7 @@ func TestRecycleNeverReusesResendableFrame(t *testing.T) {
 			t.Errorf("Snapshot: %v", err)
 			return
 		}
-		agg.commitSnapshot(snap)
+		agg.Commit(snap.Nodes)
 	}
 	// phase observes while the link flaps and snapshots commit.
 	phase := func(agg *Aggregator) {
@@ -394,7 +394,7 @@ func TestReplayReachesRestoredBookInSeqOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first.commitSnapshot(snap)
+	first.Commit(snap.Nodes)
 	for seq := 2; seq <= 3; seq++ {
 		if err := flush(ctx); err != nil {
 			t.Fatalf("Flush seq %d: %v", seq, err)

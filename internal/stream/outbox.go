@@ -8,24 +8,23 @@ const maxRetained = 1024
 
 // outbox is the sending end's book: every decision a Sender makes about
 // its frames, and no I/O, clock, lock (the Sender holds it under mu) or
-// metric. It owns the seq space and one queue in seq order, cut in three
-// by the acked cursor and the release watermark:
+// metric. It owns the seq space and one queue in seq order, cut in two
+// by the acked cursor:
 //
-//	queue[:acked]           acked, not yet durable: sent again if the aggregator restarts
-//	then, up to released    pending: the head is what the next attempt sends
-//	the rest                staged by a relay's capture, released by its commit
+//	queue[:acked]   acked, not yet durable: sent again if the aggregator restarts
+//	the rest        pending: the head is what the next attempt sends
 type outbox struct {
-	seq      uint64   // the last seq staged
+	seq      uint64   // the last seq pushed
 	queue    []*Frame // seq order
 	acked    int
-	released uint64   // frames with Seq ≤ released are sendable
-	sent     *Frame   // what the attempt in flight sent, until its ack
-	aggEpoch uint64   // the aggregator incarnation last heard (0 = none yet)
-	free     []*Frame // frames nothing can resend any more; alloc reuses their buffers
+	sent     *Frame     // what the attempt in flight sent, until its ack
+	aggEpoch uint64     // the aggregator incarnation last heard (0 = none yet)
+	durable  []SnapNode // the cuts of the frames the last ack's Stable let leave
+	free     []*Frame   // frames nothing can resend any more; alloc reuses their buffers
 	stats    NodeStats
 }
 
-// alloc returns a frame to fill and stage, with a recycled payload buffer
+// alloc returns a frame to fill and push, with a recycled payload buffer
 // (f.Payload[:0]) when there is one.
 func (o *outbox) alloc() *Frame {
 	if last := len(o.free) - 1; last >= 0 {
@@ -44,25 +43,16 @@ func (o *outbox) recycle(f *Frame) {
 	}
 }
 
-// stage gives f the next seq and queues it, not yet sendable.
-func (o *outbox) stage(f *Frame) {
+// push gives f the next seq and queues it, sendable at once.
+func (o *outbox) push(f *Frame) {
 	o.seq++
 	f.Seq = o.seq
 	o.queue = append(o.queue, f)
 }
 
-// push stages f and releases it: a node's capture is sendable at once.
-func (o *outbox) push(f *Frame) {
-	o.stage(f)
-	o.released = f.Seq
-}
-
-// release makes the frames staged up to seq upTo sendable.
-func (o *outbox) release(upTo uint64) { o.released = max(o.released, upTo) }
-
 // head returns the first pending frame, or nil.
 func (o *outbox) head() *Frame {
-	if o.acked < len(o.queue) && o.queue[o.acked].Seq <= o.released {
+	if o.acked < len(o.queue) {
 		return o.queue[o.acked]
 	}
 	return nil
@@ -81,9 +71,11 @@ func (o *outbox) send() *Frame {
 // queue; otherwise it is acked. An AggEpoch bump then moves the acked
 // cursor back to 0 — the restored aggregator may have lost those frames,
 // its dedup books drop the ones it did not — and last, acked frames the
-// aggregator declares durable (Seq ≤ Stable) leave, and so do the oldest
-// past maxRetained.
+// aggregator declares durable (Seq ≤ Stable) leave, their cuts kept for
+// the owner, and so do the oldest past maxRetained, whose cuts nothing
+// commits.
 func (o *outbox) heard(a Ack, settles bool) {
+	o.durable = o.durable[:0]
 	if f := o.sent; settles && f != nil && o.acked < len(o.queue) && o.queue[o.acked] == f {
 		o.stats.Acked++
 		switch {
@@ -115,8 +107,10 @@ func (o *outbox) heard(a Ack, settles bool) {
 	o.stats.Stable = a.Stable
 	drop := 0
 	for ; drop < o.acked && (o.queue[drop].Seq <= a.Stable || o.acked-drop > maxRetained); drop++ {
-		if o.queue[drop].Seq > a.Stable {
+		if f := o.queue[drop]; f.Seq > a.Stable {
 			o.stats.RetainDropped++
+		} else {
+			o.durable = append(o.durable, f.Cut...)
 		}
 		o.recycle(o.queue[drop])
 	}
@@ -125,10 +119,4 @@ func (o *outbox) heard(a Ack, settles bool) {
 		clear(o.queue[n:])
 		o.queue, o.acked = o.queue[:n], o.acked-drop
 	}
-}
-
-// restore reloads a relay's upward state: the seq counter and its
-// frames, all pending again, in replay order.
-func (o *outbox) restore(seq uint64, frames []*Frame) {
-	o.seq, o.released, o.queue, o.acked = seq, seq, frames, 0
 }

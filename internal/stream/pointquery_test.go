@@ -288,7 +288,7 @@ func TestPointQueryWhileFolding(t *testing.T) {
 				t.Errorf("MarshalBinary %d: %v", i, err)
 				return
 			}
-			agg.commitSnapshot(snap)
+			agg.Commit(snap.Nodes)
 		}
 	}()
 

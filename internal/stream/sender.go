@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"sync"
 	"time"
 
@@ -14,12 +13,14 @@ import (
 )
 
 // Frame is one captured, retryable delta. Folds counts the captures it
-// carries (>1 = a relay's sum of leaf deltas). A frame's fields are
-// fixed once it is staged, which gives it its Seq.
+// carries (>1 = a relay's sum of leaf deltas), and a relay's Cut names
+// the leaf folds it sums: per leaf, its epoch and highest seq in Base. A
+// frame's fields are fixed once it is pushed, which gives it its Seq.
 type Frame struct {
 	Window  uint64
 	Seq     uint64
 	Folds   uint32
+	Cut     []SnapNode
 	Payload []byte
 }
 
@@ -30,20 +31,21 @@ const freeCap = 64
 // Sender is the exactly-once half of the push path, the one place a
 // frame is transmitted, retried, retained and replayed: its outbox
 // (outbox.go) decides, the Sender does the I/O. A leaf Node pushes its
-// captures; a tier.Relay stages a capture's frames and releases them at
-// the commit. Exactly-once folding comes from the (epoch, seq) tags, not
-// from the transport: the aggregator ignores redeliveries.
+// captures, a tier.Relay its per-window sums. Exactly-once folding comes
+// from the (epoch, seq) tags, not from the transport: the aggregator
+// ignores redeliveries.
 //
 // Every hello names the owner's consensus, so an aggregator of another
-// refuses the sender before it joins. Every window the aggregator
-// announces, in a hello ack or a push ack, goes to the owner's adopt
-// callback, which is never called with mu held (sendMu is).
+// refuses the sender before it joins. Every ack, hello or push, goes to
+// the owner's adopt callback — the window the aggregator announces, and
+// the cuts of the frames it just declared durable — which is never
+// called with mu held (sendMu is).
 type Sender struct {
 	id, addr string
 	epoch    uint64
 	ident    []byte // the owner's consensus identity, named in every hello
 	opts     NodeOptions
-	adopt    func(window uint64)
+	adopt    func(window uint64, durable []SnapNode)
 
 	mu sync.Mutex
 	ob outbox
@@ -58,7 +60,7 @@ type Sender struct {
 // Its backoff jitter is seeded from id and the consensus identity, so
 // two senders of one name draw the same stream, and the shard senders of
 // one name different ones.
-func NewSender(addr, id string, sk *csoutlier.Sketcher, epoch uint64, opts NodeOptions, adopt func(window uint64)) (*Sender, error) {
+func NewSender(addr, id string, sk *csoutlier.Sketcher, epoch uint64, opts NodeOptions, adopt func(window uint64, durable []SnapNode)) (*Sender, error) {
 	if id == "" || len(id) > maxNodeLen {
 		return nil, fmt.Errorf("stream: node id must be 1 to %d bytes, got %d", maxNodeLen, len(id))
 	}
@@ -79,20 +81,14 @@ func (s *Sender) Stats() NodeStats {
 func (s *Sender) statsLocked() NodeStats {
 	st := s.ob.stats
 	st.Epoch, st.Seq, st.AggEpoch, st.Retained = s.epoch, s.ob.seq, s.ob.aggEpoch, s.ob.acked
-	for _, f := range s.ob.queue[s.ob.acked:] {
-		if f.Seq <= s.ob.released {
-			st.Pending++
-		} else {
-			st.Staged++
-		}
-	}
+	st.Pending = len(s.ob.queue) - s.ob.acked
 	return st
 }
 
-// Stage has fill write a frame — into a recycled payload buffer
+// Push has fill write a frame — into a recycled payload buffer
 // (f.Payload[:0]) when there is one — gives it the next seq and queues
-// it, unsendable until a Release covers that seq.
-func (s *Sender) Stage(fill func(f *Frame) error) error {
+// it, sendable at once.
+func (s *Sender) Push(fill func(f *Frame) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.ob.alloc()
@@ -100,55 +96,33 @@ func (s *Sender) Stage(fill func(f *Frame) error) error {
 		s.ob.recycle(f)
 		return err
 	}
-	s.ob.stage(f)
+	s.ob.push(f)
 	return nil
 }
 
-// Release makes every frame staged up to seq upTo sendable.
-func (s *Sender) Release(upTo uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ob.release(upTo)
-}
-
-// Queue returns the last seq staged and a copy of the queue: every frame
-// the sender may still transmit, acked ones first, in seq order — replay
-// order. A listed frame's bytes stay as they are at least until the
-// caller's next Stage, whatever is acked meanwhile.
-func (s *Sender) Queue() (seq uint64, frames []*Frame) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ob.seq, slices.Clone(s.ob.queue)
-}
-
-// Restore reloads an upward state Queue listed: the seq counter and the
-// frames, all pending, for a sender that has not staged anything yet.
-func (s *Sender) Restore(seq uint64, frames []*Frame) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ob.restore(seq, frames)
-}
-
 // noteAck hands an ack to the outbox under the lock (settles: it answers
-// the frame sent), then its window to the owner, outside it.
+// the frame sent), then its window and the cuts it made durable to the
+// owner, outside it; sendMu, held, keeps the next ack from reusing the
+// cuts' buffer while the owner reads it.
 func (s *Sender) noteAck(ack Ack, settles bool) {
 	s.mu.Lock()
 	s.ob.heard(ack, settles)
+	durable := s.ob.durable
 	s.mu.Unlock()
-	s.adopt(ack.Window)
+	s.adopt(ack.Window, durable)
 }
 
-// connect returns the live client, dialing and re-announcing if needed.
-// Called with sendMu held.
-func (s *Sender) connect(ctx context.Context) (*Client, error) {
+// connect returns the live client, dialing and re-announcing if needed,
+// and the hello's ack when it said one. Called with sendMu held.
+func (s *Sender) connect(ctx context.Context) (*Client, Ack, error) {
 	if s.client != nil {
-		return s.client, nil
+		return s.client, Ack{}, nil
 	}
 	dctx, cancel := context.WithTimeout(ctx, s.opts.PushTimeout)
 	c, err := DialClient(dctx, s.addr, s.opts.PushTimeout)
 	cancel()
 	if err != nil {
-		return nil, err
+		return nil, Ack{}, err
 	}
 	ack, err := c.hello(s.id, s.epoch, s.ident)
 	if err == nil && ack.Err != "" {
@@ -156,11 +130,11 @@ func (s *Sender) connect(ctx context.Context) (*Client, error) {
 	}
 	if err != nil {
 		c.Close()
-		return nil, err
+		return nil, Ack{}, err
 	}
 	s.client = c
 	s.noteAck(ack, false)
-	return c, nil
+	return c, ack, nil
 }
 
 // disconnect poisons the current connection. Called with sendMu held.
@@ -190,7 +164,7 @@ func (s *Sender) exchange(ctx context.Context, request func(*Client) (Ack, error
 		if err := ctx.Err(); err != nil {
 			return Ack{}, err
 		}
-		c, err := s.connect(ctx)
+		c, _, err := s.connect(ctx)
 		if err != nil {
 			lastErr = err
 			continue
@@ -233,7 +207,7 @@ func (s *Sender) drain(ctx context.Context) error {
 			f := s.ob.send()
 			s.mu.Unlock()
 			seq = f.Seq
-			return c.PushDelta(s.id, s.epoch, f.Window, f.Seq, f.Folds, f.Payload)
+			return c.push(s.id, s.epoch, &pushRequest{Kind: pushDelta, Window: f.Window, Seq: f.Seq, Folds: f.Folds, Cut: f.Cut, Payload: f.Payload})
 		})
 		if err != nil {
 			return errors.Join(rejected, err)
@@ -247,12 +221,13 @@ func (s *Sender) drain(ctx context.Context) error {
 	}
 }
 
-// Connect dials and announces the sender if it has no live connection.
-func (s *Sender) Connect(ctx context.Context) error {
+// Connect dials and announces the sender if it has no live connection,
+// and returns that hello's ack (the zero Ack when it had one).
+func (s *Sender) Connect(ctx context.Context) (Ack, error) {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	_, err := s.connect(ctx)
-	return err
+	_, ack, err := s.connect(ctx)
+	return ack, err
 }
 
 // Disconnect releases the connection; the next Drain or Sync redials.

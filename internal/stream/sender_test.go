@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,8 +17,10 @@ type senderRig struct {
 	s       *Sender
 	agg     *Aggregator
 	gate    *gateRelay
-	adopted []uint64 // every window the sender handed to its owner
-	delta   []byte   // a valid payload
+	adopted []uint64   // every window the sender handed to its owner
+	durable []SnapNode // every cut it handed over as durable
+	cut     []SnapNode // the cut enqueue gives the next frame
+	delta   []byte     // a valid payload
 }
 
 func newSenderRig(t *testing.T, opts NodeOptions) *senderRig {
@@ -31,10 +34,13 @@ func newSenderRig(t *testing.T, opts NodeOptions) *senderRig {
 		opts.PushTimeout = 400 * time.Millisecond // backoff 1ms to 40ms
 	}
 	var err error
-	if r.s, err = NewSender(r.gate.addr, "sender00", sk, 1, opts, func(w uint64) { r.adopted = append(r.adopted, w) }); err != nil {
+	adopt := func(w uint64, durable []SnapNode) {
+		r.adopted, r.durable = append(r.adopted, w), append(r.durable, durable...)
+	}
+	if r.s, err = NewSender(r.gate.addr, "sender00", sk, 1, opts, adopt); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.s.Connect(r.ctx(time.Second)); err != nil {
+	if _, err := r.s.Connect(r.ctx(time.Second)); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
 	return r
@@ -46,23 +52,24 @@ func (r *senderRig) ctx(d time.Duration) context.Context {
 	return ctx
 }
 
-// enqueue queues the next frame the way a relay does: Stage it into the
-// recycled buffer, and Release it at once.
+// enqueue queues the next frame the way a relay does: Push it into the
+// recycled buffer, with r.cut.
 func (r *senderRig) enqueue(payload []byte) *Frame {
 	r.t.Helper()
-	_, queued := r.s.Queue()
+	r.s.mu.Lock()
+	queued := slices.Clone(r.s.ob.queue)
+	r.s.mu.Unlock()
 	var f *Frame
-	r.s.Stage(func(g *Frame) error {
+	r.s.Push(func(g *Frame) error {
 		for _, live := range queued {
 			if live == g || (cap(g.Payload) > 0 && cap(live.Payload) > 0 && &g.Payload[:1][0] == &live.Payload[:1][0]) {
-				r.t.Errorf("Stage handed out seq %d's frame, which is still resendable", live.Seq)
+				r.t.Errorf("Push handed out seq %d's frame, which is still resendable", live.Seq)
 			}
 		}
-		*g = Frame{Window: 1, Folds: 1, Payload: append(g.Payload[:0], payload...)}
+		*g = Frame{Window: 1, Folds: 1, Cut: r.cut, Payload: append(g.Payload[:0], payload...)}
 		f = g
 		return nil
 	})
-	r.s.Release(f.Seq)
 	return f
 }
 
@@ -81,7 +88,7 @@ func (r *senderRig) commit() *Snapshot {
 	if err != nil {
 		r.t.Fatalf("Snapshot: %v", err)
 	}
-	r.agg.commitSnapshot(snap)
+	r.agg.Commit(snap.Nodes)
 	return snap
 }
 
@@ -180,7 +187,7 @@ func TestSenderRules(t *testing.T) {
 			r.gate.Restore()
 			// The hello alone requeues; nothing has been pushed yet.
 			r.s.Disconnect() // the cut connection was still the live one
-			if err := r.s.Connect(r.ctx(time.Second)); err != nil {
+			if _, err := r.s.Connect(r.ctx(time.Second)); err != nil {
 				t.Fatalf("Connect to the restored aggregator: %v", err)
 			}
 			r.want("pending after the bump", r.seqs(pendingOf), 1, 2, 3)
@@ -208,6 +215,23 @@ func TestSenderRules(t *testing.T) {
 			// neither is seq 3's.
 			if a, b := r.enqueue(r.delta), r.enqueue(r.delta); a != first && b != first {
 				t.Error("a trimmed frame was not reused")
+			}
+		}},
+		{"the cuts of frames Stable trims reach the owner, a capped frame's do not", NodeOptions{}, func(t *testing.T, r *senderRig) {
+			leaf := func(seq uint64) []SnapNode {
+				return []SnapNode{{NodeStatus: NodeStatus{Node: "leaf", Epoch: 7}, Base: seq}}
+			}
+			for i := uint64(1); i <= maxRetained+1; i++ {
+				r.cut = leaf(i)
+				r.enqueue(r.delta)
+			}
+			r.drain() // seq 1 leaves at the cap, uncommitted
+			r.commit()
+			r.cut = leaf(maxRetained + 2)
+			r.enqueue(r.delta)
+			r.drain() // the ack says Stable = maxRetained+1
+			if len(r.durable) != maxRetained || r.durable[0].Base != 2 || r.durable[maxRetained-1].Base != maxRetained+1 {
+				t.Fatalf("the owner heard %d durable cut entries, want seq 2 to %d", len(r.durable), maxRetained+1)
 			}
 		}},
 		{"the retention cap drops oldest first and counts each drop", NodeOptions{}, func(t *testing.T, r *senderRig) {

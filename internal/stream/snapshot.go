@@ -26,19 +26,20 @@ package stream
 //	aggEpoch:u64 window:u64 membership:u64
 //	capacity:u32 windowCount:u32 { len:u32 sketchCodecBytes }...
 //	nodeCount:u32 { node }...
-//	extraLen:u32 extraBytes...
 //	crc:u32
 //
-// Extra is an opaque blob an embedder (internal/tier's relay) snapshots
-// alongside the fold state; a plain aggregator's is empty. Each node is
+// Each node is
 //
 //	nameLen:u16 name state:u8 epoch:u64 base:u64
 //	lastWindow:u64 applied:u64 duplicates:u64 dropped:u64 rejected:u64
 //	restarts:u64 shedFrames:u64 shedFolds:u64
+//	cutCount:u32 { nameLen:u16 name epoch:u64 base:u64 }...
 //
 // where state (0 live, 1 left, 2 evicted) says whether the member is
-// live or retired and base is its dedup book, one number. Every name is
-// listed once, and nodeCount is at most maxMembers, a book's limit.
+// live or retired, base is its dedup book, one number, and the cut is a
+// relay's merged leaf cut (empty for a leaf). Every name is listed once,
+// a list is in name order, and nodeCount and cutCount are each at most
+// maxMembers, a book's limit.
 //
 // Window payloads reuse the csoutlier sketch codec, so every window
 // carries the full consensus identity (M, N, seed, ensemble) and its
@@ -66,15 +67,18 @@ import (
 // snapMagic/snapVersion identify the snapshot codec.
 var snapMagic = [4]byte{'C', 'S', 'N', 'P'}
 
-const snapVersion uint16 = 5
+const snapVersion uint16 = 6
 
 // SnapNode is one node's membership + dedup state in a snapshot: its
 // NodeStatus (LastSeen, Lag and Stable are a running aggregator's view
 // and are not encoded; a restore sets Stable = Base) plus its dedup
-// base, the highest seq processed.
+// base, the highest seq processed, and for a relay its merged cut. The
+// same type is an entry of a cut — a node's name, epoch and Base, the
+// highest seq of that epoch a relay's frames summed.
 type SnapNode struct {
 	NodeStatus
 	Base uint64
+	Cut  []SnapNode // a relay's, by name
 }
 
 // Snapshot is a point-in-time copy of an aggregator's fold state.
@@ -87,14 +91,6 @@ type Snapshot struct {
 	// oldest first; the last entry is the open window.
 	Windows [][]byte
 	Nodes   []SnapNode // every member, live and retired, by name
-	// Extra is an opaque embedder blob captured atomically with the fold
-	// state (AggregatorOptions.SnapshotExtra). internal/tier stores a
-	// relay's upward-forwarding state here, so "leaf frame folded" and
-	// "upward frame staged" are always the same durability event.
-	Extra []byte
-	// release is what SnapshotExtra's capture runs once the snapshot
-	// commits (nil: nothing).
-	release func()
 }
 
 // Snapshot captures the aggregator's fold state under one mutex
@@ -128,52 +124,20 @@ func (a *Aggregator) Snapshot() (*Snapshot, error) {
 		}
 		snap.Windows = append(snap.Windows, buf[start:len(buf):len(buf)])
 	}
-	if fn := a.opts.SnapshotExtra; fn != nil {
-		var err error
-		if snap.Extra, snap.release, err = fn(); err != nil {
-			return nil, fmt.Errorf("stream: snapshot extra: %w", err)
-		}
-	}
 	a.metrics.snapshotSeconds.Observe(time.Since(start).Seconds())
 	return snap, nil
 }
 
-// commitSnapshot marks snap as durable: every node whose epoch the
-// snapshot covers has its Stable watermark advanced to the snapshot's
-// dedup base, so subsequent acks let the node trim its replay-retention
-// buffer, and then the capture's release runs. Call it after the
-// snapshot bytes are safely on disk (or wherever they need to be);
-// WriteSnapshot does.
-func (a *Aggregator) commitSnapshot(snap *Snapshot) {
+// Commit raises the Stable watermark of every node cut names at its
+// current epoch to the cut's Base, so subsequent acks let the node trim
+// its replay-retention buffer: a snapshot's Nodes once its bytes are
+// safely on disk (WriteSnapshot commits them), or at a tier relay the
+// cuts of the upward frames its root declared durable.
+func (a *Aggregator) Commit(cut []SnapNode) {
 	a.in.mu.Lock()
-	a.in.bk.commit(snap.Nodes, snap.release)
+	a.in.bk.commit(cut)
 	a.in.mu.Unlock()
 	a.metrics.snapshots.Inc()
-}
-
-// CommitStaged is a commit with no capture, for an embedder that keeps
-// its state somewhere other than a snapshot (internal/tier's relay
-// without a snapshot file, whose upward frames are its durability).
-// Under one ingest.mu acquisition it runs stage, advances every node's
-// Stable watermark to its dedup base — the advance commitSnapshot makes
-// for a snapshot captured at this instant — and then runs the release
-// stage returned, so no fold lands between what stage takes and what
-// the nodes are told is durable. stage runs under the aggregator mutex
-// with the same no-reentrancy rule as OnApplied; when it fails, nothing
-// advances.
-func (a *Aggregator) CommitStaged(stage func() (release func(), err error)) error {
-	in := &a.in
-	in.mu.Lock()
-	release, err := stage()
-	if err == nil {
-		in.bk.commit(nil, release)
-	}
-	in.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	a.metrics.snapshots.Inc()
-	return nil
 }
 
 // WriteSnapshot captures, encodes and atomically persists a snapshot:
@@ -217,7 +181,7 @@ func (a *Aggregator) WriteSnapshot(path string) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("stream: snapshot %s: %w", path, err)
 	}
-	a.commitSnapshot(snap)
+	a.Commit(snap.Nodes)
 	a.metrics.snapshotBytes.SetInt(int64(len(data)))
 	return nil
 }
@@ -258,7 +222,7 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	if s.Capacity < 1 || len(s.Windows) < 1 || len(s.Windows) > s.Capacity {
 		return nil, fmt.Errorf("stream: snapshot has %d windows for capacity %d", len(s.Windows), s.Capacity)
 	}
-	size := 4 + 2 + 8*3 + 4 + 4 + 4 + len(s.Extra)
+	size := 4 + 2 + 8*3 + 4 + 4 + 4 + 4
 	for _, w := range s.Windows {
 		size += 4 + len(w)
 	}
@@ -281,22 +245,19 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 			return nil, err
 		}
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Extra)))
-	b = append(b, s.Extra...)
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	return b, nil
 }
 
 func appendSnapNode(b []byte, sn *SnapNode) ([]byte, error) {
-	if len(sn.Node) > 0xffff {
-		return nil, fmt.Errorf("stream: node name %q too long to snapshot", sn.Node[:32]+"…")
-	}
 	state := slices.Index(snapStates[:], cmp.Or(sn.State, StateLive))
 	if state < 0 {
 		return nil, fmt.Errorf("stream: unknown node state %q", sn.State)
 	}
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(sn.Node)))
-	b = append(b, sn.Node...)
+	b, err := appendSnapName(b, sn)
+	if err != nil {
+		return nil, err
+	}
 	b = append(b, byte(state))
 	b = binary.LittleEndian.AppendUint64(b, sn.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, sn.Base)
@@ -304,7 +265,23 @@ func appendSnapNode(b []byte, sn *SnapNode) ([]byte, error) {
 	for _, v := range []int64{sn.Applied, sn.Duplicates, sn.Dropped, sn.Rejected, sn.Restarts, sn.ShedFrames, sn.ShedFolds} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(sn.Cut)))
+	for i := range sn.Cut {
+		if b, err = appendSnapName(b, &sn.Cut[i]); err != nil {
+			return nil, err
+		}
+		b = binary.LittleEndian.AppendUint64(b, sn.Cut[i].Epoch)
+		b = binary.LittleEndian.AppendUint64(b, sn.Cut[i].Base)
+	}
 	return b, nil
+}
+
+func appendSnapName(b []byte, sn *SnapNode) ([]byte, error) {
+	if len(sn.Node) > 0xffff {
+		return nil, fmt.Errorf("stream: node name %q too long to snapshot", sn.Node[:32]+"…")
+	}
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(sn.Node)))
+	return append(b, sn.Node...), nil
 }
 
 // snapStates are the node states by their snapshot byte.
@@ -351,25 +328,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			s.Windows = append(s.Windows, cp)
 		}
 	}
-	count := r.U32()
-	if r.Err == nil && count > maxMembers {
-		return nil, fmt.Errorf("stream: snapshot lists %d nodes (at most %d)", count, maxMembers)
-	}
-	for i := uint32(0); i < count && r.Err == nil; i++ {
-		sn, err := decodeSnapNode(r)
-		if err != nil {
-			return nil, err
-		}
-		if r.Err != nil {
-			break
-		}
-		if i > 0 && sn.Node <= s.Nodes[i-1].Node {
-			return nil, fmt.Errorf("stream: snapshot lists node %q after %q: names are listed once, in order", sn.Node, s.Nodes[i-1].Node)
-		}
-		s.Nodes = append(s.Nodes, sn)
-	}
-	if extra := r.Take(int(r.U32())); len(extra) > 0 {
-		s.Extra = append([]byte(nil), extra...)
+	var err error
+	if s.Nodes, err = decodeSnapList(r, decodeSnapNode); err != nil {
+		return nil, err
 	}
 	if r.Err != nil {
 		return nil, errSnapTruncated
@@ -378,6 +339,27 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("stream: snapshot has %d trailing bytes", len(r.B))
 	}
 	return s, nil
+}
+
+// decodeSnapList reads a count and that many entries, each named once
+// and in order, at most maxMembers of them.
+func decodeSnapList(r *frame.Cursor, entry func(*frame.Cursor) (SnapNode, error)) ([]SnapNode, error) {
+	count := r.U32()
+	if r.Err == nil && count > maxMembers {
+		return nil, fmt.Errorf("stream: snapshot lists %d nodes (at most %d)", count, maxMembers)
+	}
+	var list []SnapNode
+	for i := uint32(0); i < count && r.Err == nil; i++ {
+		sn, err := entry(r)
+		if err != nil || r.Err != nil {
+			return nil, err
+		}
+		if i > 0 && sn.Node <= list[i-1].Node {
+			return nil, fmt.Errorf("stream: snapshot lists node %q after %q: names are listed once, in order", sn.Node, list[i-1].Node)
+		}
+		list = append(list, sn)
+	}
+	return list, nil
 }
 
 func decodeSnapNode(r *frame.Cursor) (SnapNode, error) {
@@ -398,7 +380,12 @@ func decodeSnapNode(r *frame.Cursor) (SnapNode, error) {
 	for _, dst := range []*int64{&sn.Applied, &sn.Duplicates, &sn.Dropped, &sn.Rejected, &sn.Restarts, &sn.ShedFrames, &sn.ShedFolds} {
 		*dst = int64(r.U64())
 	}
-	return sn, nil
+	var err error
+	sn.Cut, err = decodeSnapList(r, func(r *frame.Cursor) (SnapNode, error) {
+		name := string(r.Take(int(r.U16())))
+		return SnapNode{NodeStatus: NodeStatus{Node: name, Epoch: r.U64()}, Base: r.U64()}, nil
+	})
+	return sn, err
 }
 
 // RestoreAggregator builds a new aggregator from a snapshot: the window
@@ -411,16 +398,20 @@ func decodeSnapNode(r *frame.Cursor) (SnapNode, error) {
 // other snapshot restores to a higher one still: nodes replay only to an
 // AggEpoch they have not seen. opts.Windows is taken from the snapshot;
 // the sketcher must be the same consensus the snapshot's windows were
-// measured under (a mismatch is rejected by the sketch codec).
+// measured under (a mismatch is rejected by the sketch codec). A
+// snapshot with no windows and no capacity — a relay's seed, its root's
+// cut (tier.NewRelay) — restores its books alone, into an empty ring of
+// opts.Windows; a snapshot file always holds a window.
 func RestoreAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, snap *Snapshot) (*Aggregator, error) {
-	if snap.Capacity < 1 || len(snap.Windows) < 1 || len(snap.Windows) > snap.Capacity {
+	seed := snap.Capacity == 0 && len(snap.Windows) == 0
+	if !seed && (snap.Capacity < 1 || len(snap.Windows) < 1 || len(snap.Windows) > snap.Capacity) {
 		return nil, fmt.Errorf("stream: snapshot has %d windows for capacity %d", len(snap.Windows), snap.Capacity)
 	}
 	// Window IDs count from 1 and advance with every rotation, so a ring
 	// holding len(Windows) windows implies Window ≥ len(Windows). The
 	// counter is exported as the int64 stream_window gauge, so one past
 	// MaxInt64 is refused too.
-	if snap.Window < uint64(len(snap.Windows)) || snap.Window > math.MaxInt64 {
+	if snap.Window < uint64(max(len(snap.Windows), 1)) || snap.Window > math.MaxInt64 {
 		return nil, fmt.Errorf("stream: snapshot window counter %d inconsistent with %d restored windows", snap.Window, len(snap.Windows))
 	}
 	sketches := make([]csoutlier.Sketch, len(snap.Windows))
@@ -431,13 +422,17 @@ func RestoreAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, snap *Sna
 		}
 		sketches[i] = s
 	}
-	opts.Windows = snap.Capacity
+	if !seed {
+		opts.Windows = snap.Capacity
+	}
 	opts.Durable = true
 	a, err := newAggregator(sk, opts, snap.AggEpoch+1)
 	if err != nil {
 		return nil, err
 	}
-	err = a.in.ws.RestoreWindows(sketches)
+	if !seed {
+		err = a.in.ws.RestoreWindows(sketches)
+	}
 	if err != nil {
 		err = fmt.Errorf("stream: snapshot restore: %w", err)
 	} else {

@@ -66,14 +66,12 @@ func randSnapshot(rng *xrand.RNG) *Snapshot {
 	for i := rng.Intn(3); i > 0; i-- {
 		s.Nodes = append(s.Nodes, randNode(100+len(s.Nodes), true))
 	}
-	// Half the cases carry an opaque embedder blob (what a tier.Relay
-	// snapshot uses for its upward-forwarding state).
-	if rng.Intn(2) == 1 {
-		b := make([]byte, 1+rng.Intn(48))
-		for j := range b {
-			b[j] = byte(rng.Uint64())
+	// Some nodes are relays and carry the merged cut of their leaves.
+	for i := range s.Nodes {
+		for j := rng.Intn(4) - 1; j > 0; j-- {
+			leaf := SnapNode{NodeStatus: NodeStatus{Node: fmt.Sprintf("leaf%02d", len(s.Nodes[i].Cut)), Epoch: rng.Uint64()}, Base: rng.Uint64()}
+			s.Nodes[i].Cut = append(s.Nodes[i].Cut, leaf)
 		}
-		s.Extra = b
 	}
 	return s
 }
@@ -146,25 +144,40 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 		t.Fatalf("a name listed twice: err %v, want it refused by name", err)
 	}
 
-	// More nodes than a book holds are refused by number before any is
-	// read, so a restored book keeps its limit: a node-less blob ends
-	// nodeCount:u32 extraLen:u32 crc:u32.
-	empty, err := (&Snapshot{AggEpoch: 1, Window: 1, Capacity: 1, Windows: [][]byte{{1}}}).MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
+	// So is a relay's cut that names a leaf twice.
+	relay := &Snapshot{AggEpoch: 1, Window: 1, Capacity: 1, Windows: [][]byte{{1}}, Nodes: []SnapNode{{NodeStatus: NodeStatus{Node: "relay", Epoch: 1}}}}
+	for seq := uint64(1); seq <= 2; seq++ {
+		relay.Nodes[0].Cut = append(relay.Nodes[0].Cut, SnapNode{NodeStatus: NodeStatus{Node: "leaf", Epoch: 1}, Base: seq})
 	}
-	over := empty[:len(empty)-4]
-	binary.LittleEndian.PutUint32(over[len(over)-8:], maxMembers+1)
-	over = binary.LittleEndian.AppendUint32(over, crc32.ChecksumIEEE(over))
-	want := fmt.Sprintf("stream: snapshot lists %d nodes (at most %d)", maxMembers+1, maxMembers)
-	if _, err := DecodeSnapshot(over); err == nil || err.Error() != want {
-		t.Fatalf("%d nodes: err %v, want %q", maxMembers+1, err, want)
+	if blob, err := relay.MarshalBinary(); err != nil {
+		t.Fatalf("MarshalBinary: %v", err)
+	} else if _, err := DecodeSnapshot(blob); err == nil || !strings.Contains(err.Error(), `node "leaf" after "leaf"`) {
+		t.Fatalf("a cut naming a leaf twice: err %v, want it refused by name", err)
 	}
 
-	// Versions 1 to 4, and the next, under a valid CRC are refused by
+	// More nodes than a book holds are refused by number before any is
+	// read, so a restored book keeps its limit, and so are more leaves in
+	// a cut: a blob ends count:u32 crc:u32 when the list it counts is
+	// empty, the nodes of a node-less one or the cut of its last node.
+	relay.Nodes[0].Cut = nil
+	for _, snap := range []*Snapshot{{AggEpoch: 1, Window: 1, Capacity: 1, Windows: [][]byte{{1}}}, relay} {
+		empty, err := snap.MarshalBinary()
+		if err != nil {
+			t.Fatalf("MarshalBinary: %v", err)
+		}
+		over := empty[:len(empty)-4]
+		binary.LittleEndian.PutUint32(over[len(over)-4:], maxMembers+1)
+		over = binary.LittleEndian.AppendUint32(over, crc32.ChecksumIEEE(over))
+		want := fmt.Sprintf("stream: snapshot lists %d nodes (at most %d)", maxMembers+1, maxMembers)
+		if _, err := DecodeSnapshot(over); err == nil || err.Error() != want {
+			t.Fatalf("%d nodes in a list of %d members: err %v, want %q", maxMembers+1, len(snap.Nodes), err, want)
+		}
+	}
+
+	// Versions 1 to 5, and the next, under a valid CRC are refused by
 	// their number, whatever their layout (version 4 held integer
-	// windows as float64s).
-	for _, v := range []uint16{1, 2, 3, 4, snapVersion + 1} {
+	// windows as float64s, version 5 an embedder blob and no cuts).
+	for _, v := range []uint16{1, 2, 3, 4, 5, snapVersion + 1} {
 		old := append([]byte(nil), data[:len(data)-4]...)
 		binary.LittleEndian.PutUint16(old[4:], v)
 		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
@@ -209,6 +222,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	data, err := snap.MarshalBinary()
 	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	// A root's snapshot whose relay record carries a cut.
+	snap.Nodes[0].Cut = []SnapNode{{NodeStatus: NodeStatus{Node: "leaf0", Epoch: 9}, Base: 4}, {NodeStatus: NodeStatus{Node: "leaf1", Epoch: 2}, Base: 1}}
+	if data, err = snap.MarshalBinary(); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(data)
@@ -426,7 +445,7 @@ func TestDuplicateReplayAfterRestore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MarshalBinary: %v", err)
 			}
-			agg.commitSnapshot(s)
+			agg.Commit(s.Nodes)
 			if snap, err = DecodeSnapshot(data); err != nil {
 				t.Fatalf("DecodeSnapshot: %v", err)
 			}
@@ -680,7 +699,7 @@ func TestWriteSnapshotAtomic(t *testing.T) {
 }
 
 // TestSnapshotBytesGolden pins the snapshot encoding of two fixed fold
-// histories, with and without an Extra blob: two nodes, a frame too old
+// histories, with and without a relay's cut: two nodes, a frame too old
 // for the ring, three rotations. In the gap-free history beta folds seq
 // 1 and 2 and its seq 3 is dropped as too old; in the gapped one beta
 // skips seq 2. Its two empty windows travel in the sketch codec's
@@ -690,25 +709,24 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	sk := testSketcher(t, 128, 64, 7)
 	for _, tc := range []struct {
 		betaSeqs [3]uint64 // beta's seqs: window 1, window 2, dropped as too old
-		extra    []byte
+		relay    bool      // beta is a relay: each of its frames carries a one-leaf cut
 		want     string
 	}{
-		{[3]uint64{1, 2, 3}, nil, "339862515cfcd8e7329e2b6d88cadbbdccca77441e79f9d2410ae026e2e74e73"},
-		{[3]uint64{1, 2, 3}, []byte("relay-upward-state"), "e9ff7e81071db45c56a6272b566dcb41f0d27be6678f0d5fe55c114931196e49"},
-		{[3]uint64{1, 3, 4}, nil, "b3b11250b5886c57dc3b816d3121138893190b9e0a58c36d3cfbabf5efe50f6d"},
-		{[3]uint64{1, 3, 4}, []byte("relay-upward-state"), "9b738af59e14e5ff1e3c68e8672cccd2d46b6a896e5d7f7bc1da10757f1acdce"},
+		{[3]uint64{1, 2, 3}, false, "790a4d1c5c7708c409506133ecdb3116011a9c858c520a90049692448a1539e4"},
+		{[3]uint64{1, 2, 3}, true, "7574d152b0f566b9c79bf56eda61d980661ce7c1e9a34d9a4aa3678d6f64b548"},
+		{[3]uint64{1, 3, 4}, false, "70e2f7d0b8a1d161eec161ae51c412d5d44b160440cbabce363fe79795e55b56"},
+		{[3]uint64{1, 3, 4}, true, "3c1538e654731b0b219b80592d5dabe42a3b8bad174894a44b567f4801f0562d"},
 	} {
-		opts := AggregatorOptions{Windows: 4, Durable: true}
-		if tc.extra != nil {
-			opts.SnapshotExtra = func() ([]byte, func(), error) { return tc.extra, nil, nil }
-		}
-		agg, err := NewAggregator(sk, opts)
+		agg, err := NewAggregator(sk, AggregatorOptions{Windows: 4, Durable: true})
 		if err != nil {
 			t.Fatalf("NewAggregator: %v", err)
 		}
 		fold := func(node string, window, seq uint64, v float64) {
 			t.Helper()
 			req := pushRequest{Kind: pushDelta, Node: node, Epoch: 1, Window: window, Seq: seq, Folds: 1, Payload: uniformDelta(t, sk, v)}
+			if node == "beta" && tc.relay {
+				req.Cut = []SnapNode{{NodeStatus: NodeStatus{Node: "leaf", Epoch: 5}, Base: 10 * seq}}
+			}
 			if ack := agg.apply(req, new(csoutlier.Sketch)); ack.Err != "" {
 				t.Fatalf("apply %s seq %d: %+v", node, seq, ack)
 			}
@@ -734,7 +752,7 @@ func TestSnapshotBytesGolden(t *testing.T) {
 			t.Fatalf("MarshalBinary: %v", err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want {
-			t.Errorf("snapshot (beta seqs %v, extra %q): %d bytes, sha256 %s, want %s", tc.betaSeqs, tc.extra, len(data), got, tc.want)
+			t.Errorf("snapshot (beta seqs %v, relay %v): %d bytes, sha256 %s, want %s", tc.betaSeqs, tc.relay, len(data), got, tc.want)
 		}
 	}
 }

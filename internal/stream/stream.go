@@ -84,13 +84,14 @@ const (
 // frame is acked.
 type pushRequest struct {
 	Kind    pushKind
-	Node    string // a hello's, or for delta and bye the connection's (not on the wire)
-	Epoch   uint64 // likewise
-	Window  uint64 // delta only: window ID the observations belong to
-	Seq     uint64 // delta only: per-(node, epoch) sequence number, from 1
-	Folds   uint32 // delta only: captures summed into this frame (0/1 = plain, >1 = a relay's sum)
-	Payload []byte // delta only: csoutlier.Sketch binary codec bytes
-	ID      []byte // hello only: the consensus identity the node names (csoutlier.IdentityLen bytes), or none
+	Node    string     // a hello's, or for delta and bye the connection's (not on the wire)
+	Epoch   uint64     // likewise
+	Window  uint64     // delta only: window ID the observations belong to
+	Seq     uint64     // delta only: per-(node, epoch) sequence number, from 1
+	Folds   uint32     // delta only: captures summed into this frame (0/1 = plain, >1 = a relay's sum)
+	Cut     []SnapNode // delta only: a relay's, the leaf folds the frame sums (see Frame.Cut)
+	Payload []byte     // delta only: csoutlier.Sketch binary codec bytes
+	ID      []byte     // hello only: the consensus identity the node names (csoutlier.IdentityLen bytes), or none
 }
 
 // Statuses an Ack can carry for a processed delta.
@@ -138,4 +139,10 @@ type Ack struct {
 	// aggregator, which never forgets) and can never need replay. Nodes
 	// trim their replay-retention buffer with it.
 	Stable uint64
+	// Cut, in a hello ack only, is the cut the aggregator merged from
+	// the node's frames: per leaf below a relay, the highest seq of its
+	// epoch the relay's frames summed. It travels when the node has
+	// folded nothing yet at its epoch (a relay's new incarnation), which
+	// seeds its leaf-facing books from it (tier.NewRelay).
+	Cut []SnapNode
 }

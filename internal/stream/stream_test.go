@@ -428,7 +428,7 @@ func TestSeqTracker(t *testing.T) {
 	bk := newBook(false, 2, 1)
 	deliver := func(seq uint64) string {
 		t.Helper()
-		ack, _ := bk.delta("n", 1, 1, seq, 1, time.Time{}, func(int, uint64) error { return nil })
+		ack, _ := bk.delta("n", 1, 1, seq, 1, nil, time.Time{}, func(int, uint64) error { return nil })
 		if ack.Err != "" {
 			t.Fatalf("seq %d refused: %s", seq, ack.Err)
 		}

@@ -16,14 +16,20 @@ import (
 //	hello 1         str node | uv epoch | identity: the rest of the body,
 //	                none or csoutlier.IdentityLen bytes
 //	bye 3           (empty)
-//	delta 2         u8 flags | uv window? | uv seq? | uv folds? |
+//	delta 2         u8 flags | uv window? | uv seq? | uv folds? | cut? |
 //	                payload: the rest of the body, csoutlier's delta codec
-//	ack 5           u8 status (bits 0–2: index into ackStatuses; 3, 4, 5:
-//	                window, aggEpoch, stable follow; 7: Applied) |
-//	                uv window? | uv aggEpoch? | uv stable? | err: the rest
+//	ack 5           u8 status (bits 0–2: index into ackStatuses; 3, 4, 5,
+//	                6: window, aggEpoch, stable, cut follow; 7: Applied) |
+//	                uv window? | uv aggEpoch? | uv stable? | cut? |
+//	                err: the rest
+//	cut             uv count | { str node | uv epoch | uv seq }...
 //
 // uv is an unsigned varint, no longer than its value needs; str a uv
-// length then that many bytes. A field marked ? travels only when it
+// length then that many bytes. A cut lists one to maxMembers names, in
+// ascending order, each once: a relay's delta carries the leaf folds it
+// sums (a leaf's carries none), and the hello ack a relay's new
+// incarnation hears carries the cut its root has merged (see book.hello).
+// A field marked ? travels only when it
 // differs from what the connection's wireContext implies, and a bit of
 // the byte before it says so. A connection speaks for the (node, epoch)
 // of its last hello, once the aggregator admits that hello: a delta or
@@ -81,6 +87,8 @@ const (
 	maxAckHeader   = 1 + 3*binary.MaxVarintLen64 // u8 status | uv window | uv aggEpoch | uv stable
 	maxAckErr      = 1024                        // longer rejection texts are cut
 	maxAckBody     = maxAckHeader + maxAckErr
+	// maxCutLen is the longest cut: maxMembers names of maxNodeLen bytes.
+	maxCutLen = binary.MaxVarintLen16 + maxMembers*(binary.MaxVarintLen16+maxNodeLen+2*binary.MaxVarintLen64)
 )
 
 // The delta's flags byte: which fields follow it.
@@ -88,7 +96,8 @@ const (
 	deltaWindow = 1 << iota // the window is not the context's
 	deltaSeq                // the seq is not the context's + 1
 	deltaFolds              // the frame sums more than one capture
-	deltaFlags  = deltaWindow | deltaSeq | deltaFolds
+	deltaCut                // a relay's frame: the cut of the leaf folds it sums
+	deltaFlags  = deltaWindow | deltaSeq | deltaFolds | deltaCut
 )
 
 // The ack's status byte: the status index in the low three bits, which
@@ -98,8 +107,9 @@ const (
 	ackWindow   = 0x08 // the window is not the context's
 	ackAggEpoch = 0x10 // the aggEpoch is not the context's
 	ackStable   = 0x20 // stable is not the seq just acked
+	ackCut      = 0x40 // a hello ack carries the cut its root merged
 	ackApplied  = 0x80
-	ackFlags    = ackStatus | ackWindow | ackAggEpoch | ackStable | ackApplied
+	ackFlags    = ackStatus | ackWindow | ackAggEpoch | ackStable | ackCut | ackApplied
 )
 
 // ackStatuses maps Ack.Status to its wire code (the index) and back.
@@ -112,6 +122,10 @@ var errMalformed = frame.ErrMalformed
 // not accepted at all.
 type frameLimits [replyAck + 1]int
 
+// maxLeafDelta is the longest delta a leaf sends, one without a cut:
+// what a connection's read buffer starts at.
+func maxLeafDelta(m int) int { return maxDeltaHeader + csoutlier.EncodedSketchLen(m) }
+
 // requestLimits are the bodies an aggregator of m-measurement sketches
 // accepts: the length is capped from the consensus before any of the
 // body is read. A bye carries nothing; its cap only has to be non-zero
@@ -120,12 +134,12 @@ func requestLimits(m int) frameLimits {
 	return frameLimits{
 		pushHello: maxHelloHeader + maxNodeLen,
 		pushBye:   1,
-		pushDelta: maxDeltaHeader + csoutlier.EncodedSketchLen(m),
+		pushDelta: maxLeafDelta(m) + maxCutLen,
 	}
 }
 
 // replyLimits is the one body a client accepts: an ack.
-var replyLimits = frameLimits{replyAck: maxAckBody}
+var replyLimits = frameLimits{replyAck: maxAckBody + maxCutLen}
 
 // wireContext is what both ends of one push connection know without
 // being told: whom the connection speaks for — the (node, epoch) of its
@@ -170,6 +184,48 @@ func readOpt(r *frame.Cursor, flags, bit byte, implied uint64) uint64 {
 	return v
 }
 
+// appendCut appends cut and sets bit in flags when it names anyone.
+func appendCut(buf []byte, flags *byte, bit byte, cut []SnapNode) []byte {
+	if len(cut) == 0 {
+		return buf
+	}
+	*flags |= bit
+	buf = binary.AppendUvarint(buf, uint64(len(cut)))
+	for i := range cut {
+		buf = frame.AppendString(buf, cut[i].Node)
+		buf = binary.AppendUvarint(buf, cut[i].Epoch)
+		buf = binary.AppendUvarint(buf, cut[i].Base)
+	}
+	return buf
+}
+
+// readCut reads a cut into buf's storage when bit is set in flags, and
+// returns nil otherwise. One that names no one or more than maxMembers,
+// or a name out of order, twice or longer than maxNodeLen, poisons r.
+func readCut(r *frame.Cursor, flags, bit byte, buf []SnapNode) []SnapNode {
+	if flags&bit == 0 {
+		return nil
+	}
+	n := r.Uvarint()
+	if r.Err == nil && (n == 0 || n > maxMembers) {
+		r.Err = fmt.Errorf("%w: a cut of %d names", errMalformed, n)
+	}
+	cut := buf[:0]
+	for i := uint64(0); i < n && r.Err == nil; i++ {
+		name := r.Str()
+		sn := SnapNode{NodeStatus: NodeStatus{Node: string(name), Epoch: r.Uvarint()}, Base: r.Uvarint()}
+		switch {
+		case r.Err != nil:
+		case len(name) > maxNodeLen:
+			r.Err = fmt.Errorf("%w: a cut names a node of %d bytes, limit %d", errMalformed, len(name), maxNodeLen)
+		case i > 0 && sn.Node <= cut[i-1].Node:
+			r.Err = fmt.Errorf("%w: a cut names %q after %q: names are listed once, in order", errMalformed, sn.Node, cut[i-1].Node)
+		}
+		cut = append(cut, sn)
+	}
+	return cut
+}
+
 // appendRequest encodes req as one frame into buf's storage and moves
 // the context past it. Only a hello names req.Node and req.Epoch; a
 // delta's folds 0 travels as 1.
@@ -187,6 +243,7 @@ func (c *wireContext) appendRequest(buf []byte, req *pushRequest) []byte {
 		buf = appendOpt(buf, &flags, deltaWindow, req.Window, c.window)
 		buf = appendOpt(buf, &flags, deltaSeq, req.Seq, c.seq+1)
 		buf = appendOpt(buf, &flags, deltaFolds, uint64(max(req.Folds, 1)), 1)
+		buf = appendCut(buf, &flags, deltaCut, req.Cut)
 		buf[at] = flags
 		buf = append(buf, req.Payload...)
 		c.window, c.seq = req.Window, req.Seq
@@ -197,10 +254,11 @@ func (c *wireContext) appendRequest(buf []byte, req *pushRequest) []byte {
 // parseRequest decodes a request body into req, overwriting every
 // field, and moves the context past it: a delta or bye leaves req.Node
 // and req.Epoch empty, for the caller to fill from the connection's
-// hello. req.Payload and req.ID alias body.
+// hello. req.Payload and req.ID alias body; a cut reuses req.Cut's
+// storage.
 func (c *wireContext) parseRequest(kind pushKind, body []byte, req *pushRequest) error {
 	r := frame.Cursor{B: body}
-	*req = pushRequest{Kind: kind}
+	*req = pushRequest{Kind: kind, Cut: req.Cut[:0]}
 	switch kind {
 	case pushHello:
 		name := r.Str()
@@ -222,6 +280,7 @@ func (c *wireContext) parseRequest(kind pushKind, body []byte, req *pushRequest)
 			return fmt.Errorf("%w: delta flags %#x, folds %d", errMalformed, flags, folds)
 		}
 		req.Folds = uint32(folds)
+		req.Cut = readCut(&r, flags, deltaCut, req.Cut)
 		req.Payload = r.Take(len(r.B))
 		c.window, c.seq = req.Window, req.Seq
 	}
@@ -249,6 +308,7 @@ func (c *wireContext) appendAck(buf []byte, ack *Ack) []byte {
 	buf = appendOpt(buf, &status, ackWindow, ack.Window, c.window)
 	buf = appendOpt(buf, &status, ackAggEpoch, ack.AggEpoch, c.aggEpoch)
 	buf = appendOpt(buf, &status, ackStable, ack.Stable, c.seq)
+	buf = appendCut(buf, &status, ackCut, ack.Cut)
 	buf[at] = status
 	c.window, c.aggEpoch = ack.Window, ack.AggEpoch
 	msg := ack.Err
@@ -272,6 +332,7 @@ func (c *wireContext) parseAck(body []byte) (Ack, error) {
 		Window:   readOpt(&r, status, ackWindow, c.window),
 		AggEpoch: readOpt(&r, status, ackAggEpoch, c.aggEpoch),
 		Stable:   readOpt(&r, status, ackStable, c.seq),
+		Cut:      readCut(&r, status, ackCut, nil),
 	}
 	if r.Err != nil || len(r.B) > maxAckErr {
 		return Ack{}, fmt.Errorf("%w: ack does not parse", errMalformed)

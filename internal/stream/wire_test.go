@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -209,7 +210,7 @@ func TestWireRoundTrip(t *testing.T) {
 		switch kind {
 		case replyAck:
 			ack, err := ctx.parseAck(body)
-			if err != nil || ack != (Ack{Window: 9, Applied: true, Status: statusApplied, AggEpoch: 2, Stable: 1 << 33}) {
+			if err != nil || !reflect.DeepEqual(ack, Ack{Window: 9, Applied: true, Status: statusApplied, AggEpoch: 2, Stable: 1 << 33}) {
 				t.Fatalf("ack %+v err %v", ack, err)
 			}
 		default:
@@ -236,7 +237,7 @@ func TestWireRoundTrip(t *testing.T) {
 		in := Ack{Status: status, Err: "stream: no", Window: 1}
 		var ctx wireContext
 		out, err := ctx.parseAck(bodyOf(freshAck(&in)))
-		if err != nil || out != in {
+		if err != nil || !reflect.DeepEqual(out, in) {
 			t.Fatalf("status %q: got %+v err %v", status, out, err)
 		}
 	}
@@ -261,6 +262,14 @@ func TestWireContextRoundTrip(t *testing.T) {
 		return rng.Uint64() >> rng.Intn(64)
 	}
 	payload := []byte("payload")
+	// cut is a relay's, one time in four: up to three leaves, by name.
+	cut := func() []SnapNode {
+		var out []SnapNode
+		for i := rng.Intn(12) - 8; i > 0; i-- {
+			out = append(out, SnapNode{NodeStatus: NodeStatus{Node: fmt.Sprintf("leaf%d", len(out)), Epoch: near(1)}, Base: near(0)})
+		}
+		return out
+	}
 	for run := 0; run < 200; run++ {
 		var enc, dec wireContext
 		for i := 0; i < 40; i++ {
@@ -275,11 +284,11 @@ func TestWireContextRoundTrip(t *testing.T) {
 			case 1:
 				req = pushRequest{Kind: pushBye}
 			case 2, 3:
-				req = pushRequest{Kind: pushDelta, Window: near(enc.window), Seq: near(enc.seq + 1), Folds: uint32(near(1)), Payload: payload}
+				req = pushRequest{Kind: pushDelta, Window: near(enc.window), Seq: near(enc.seq + 1), Folds: uint32(near(1)), Cut: cut(), Payload: payload}
 			default:
 				isAck = true
 				ack = Ack{Window: near(enc.window), AggEpoch: near(enc.aggEpoch), Stable: near(enc.seq),
-					Status: ackStatuses[rng.Intn(len(ackStatuses))], Applied: rng.Intn(2) == 0}
+					Status: ackStatuses[rng.Intn(len(ackStatuses))], Applied: rng.Intn(2) == 0, Cut: cut()}
 				if rng.Intn(8) == 0 {
 					ack.Err = "refused"
 				}
@@ -287,7 +296,7 @@ func TestWireContextRoundTrip(t *testing.T) {
 			if isAck {
 				wire = enc.appendAck(nil, &ack)
 				got, err := dec.parseAck(bodyOf(wire))
-				if err != nil || got != ack {
+				if err != nil || !reflect.DeepEqual(got, ack) {
 					t.Fatalf("run %d frame %d: ack %+v decodes to %+v, %v", run, i, ack, got, err)
 				}
 				if again := before.appendAck(nil, &got); !bytes.Equal(again, wire) {
@@ -325,7 +334,8 @@ func TestWireContextRoundTrip(t *testing.T) {
 		"delta flagging its implied seq":    append(uv([]byte{deltaSeq}, 41), payload...),
 		"delta flagging folds 1":            append(uv([]byte{deltaFolds}, 1), payload...),
 		"delta flagging folds 0":            append(uv([]byte{deltaFolds}, 0), payload...),
-		"delta with an unknown flag bit":    append([]byte{0x08}, payload...),
+		"delta flagging an empty cut":       append(uv([]byte{deltaCut}, 0), payload...),
+		"delta with an unknown flag bit":    append([]byte{0x10}, payload...),
 		"delta with no flags byte":          nil,
 	} {
 		c := ctx
@@ -337,7 +347,7 @@ func TestWireContextRoundTrip(t *testing.T) {
 		"ack flagging its implied window":   uv([]byte{1 | ackWindow}, 7),
 		"ack flagging its implied aggEpoch": uv([]byte{1 | ackAggEpoch}, 2),
 		"ack flagging stable at the seq":    uv([]byte{1 | ackStable}, 40),
-		"ack with an unknown flag bit":      {1 | 0x40},
+		"ack flagging an empty cut":         uv([]byte{1 | ackCut}, 0),
 		"ack of status 6":                   {6},
 	} {
 		c := ctx
@@ -378,6 +388,14 @@ func FuzzPushFrame(f *testing.F) {
 	talk = ctx.appendRequest(talk, &pushRequest{Kind: pushDelta, Window: 3, Seq: 9, Folds: 6, Payload: payload})
 	talk = ctx.appendAck(talk, &Ack{Window: 5, AggEpoch: 2, Stable: 7, Status: statusApplied, Applied: true})
 	f.Add(talk)
+	// A relay's: a hello whose ack gives back its root's cut, and a delta
+	// that carries the cut of the leaf folds it sums.
+	leaves := []SnapNode{{NodeStatus: NodeStatus{Node: "leaf0", Epoch: 1 << 60}, Base: 3}, {NodeStatus: NodeStatus{Node: "leaf1", Epoch: 2}, Base: 1}}
+	ctx = wireContext{}
+	talk = ctx.appendRequest(nil, &pushRequest{Kind: pushHello, Node: "s00.t1.r0", Epoch: 5, ID: sk.AppendIdentity(nil)})
+	talk = ctx.appendAck(talk, &Ack{Window: 4, AggEpoch: 1, Status: statusHello, Cut: leaves})
+	talk = ctx.appendRequest(talk, &pushRequest{Kind: pushDelta, Window: 4, Seq: 1, Folds: 2, Cut: leaves, Payload: payload})
+	f.Add(talk)
 	f.Add(prelude(2, frame.Version, pushHello, 0x80, 0x80))
 	// An epoch varint longer than it needs, a body length longer than it
 	// needs, a bye with a body, and a delta and a bye of version 4, which
@@ -398,7 +416,7 @@ func FuzzPushFrame(f *testing.F) {
 	for _, id := range [][]byte{nil, ident[:len(ident)-1], append(ident, 0)} {
 		f.Add(freshRequest(&pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: id}))
 	}
-	for _, head := range [][]byte{{deltaFolds, 0x80, 0x80, 0x80, 0x80, 0x10}, {deltaSeq, 1}, {0x08}} {
+	for _, head := range [][]byte{{deltaFolds, 0x80, 0x80, 0x80, 0x80, 0x10}, {deltaSeq, 1}, {0x10}, {deltaCut, 2, 1, 'x', 1, 1, 1, 'x', 1, 2}} {
 		f.Add(frame.End(append(append(frame.Begin(nil, uint8(pushDelta)), head...), payload...)))
 	}
 	badStatus := freshAck(&Ack{Window: 1})
@@ -562,7 +580,7 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		bytes     []byte
 		closeSend bool // half-close after writing: the frame is cut short
 	}{
-		{"unknown version", prelude(2, 9, pushHello, 0, 1), false},
+		{"unknown version", prelude(2, frame.Version+1, pushHello, 0, 1), false},
 		{"version-2 hello", oldFrame(2, pushHello, oldBody("node00", 3)), false},
 		{"version-2 delta of CSKP pairs", oldDelta(2, cskp), false},
 		{"version-3 hello", oldFrame(3, pushHello, oldBody("node00", 3)), false},
@@ -572,6 +590,7 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		{"version-5 hello", at(5, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: ident}), false},
 		{"version-5 delta of pairs", prelude(uint64(3+len(pairs)), 5, pushDelta, append([]byte{1, 1, 1}, pairs...)...), false},
 		{"version-7 hello", at(7, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: ident}), false},
+		{"version-8 hello", at(8, &pushRequest{Kind: pushHello, Node: "node00", Epoch: 3, ID: ident}), false},
 		{"hello naming a 1-byte identity", helloNaming(ident[:1]), false},
 		{"hello naming a 24-byte identity", helloNaming(ident[:24]), false},
 		{"hello naming a 26-byte identity", helloNaming(append(ident, 0)), false},
@@ -608,8 +627,9 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		malformedCount(t, agg, int64(i+1))
 	}
 	// On a connection an admitted hello bound, a delta the context makes
-	// non-canonical: a flagged field equal to its implied value, or an
-	// unknown flag bit.
+	// non-canonical — a flagged field equal to its implied value, or an
+	// unknown flag bit — or whose cut a relay could not have sent: one
+	// naming no one, more leaves than a book holds, or a leaf twice.
 	delta := func(head ...byte) []byte {
 		return frame.End(append(append(frame.Begin(nil, uint8(pushDelta)), head...), pairs...))
 	}
@@ -622,6 +642,9 @@ func TestMalformedFramesCloseConnection(t *testing.T) {
 		{"delta flagging its implied seq", delta(deltaSeq, 1)},
 		{"delta flagging folds 1", delta(deltaFolds, 1)},
 		{"delta with an unknown flag bit", delta(0x10)},
+		{"delta flagging an empty cut", delta(deltaCut, 0)},
+		{"delta whose cut names more leaves than a book holds", delta(deltaCut, 0x81, 0x20, 1, 'x', 1, 1)},
+		{"delta whose cut names a leaf twice", delta(deltaCut, 2, 1, 'x', 1, 1, 1, 'x', 1, 2)},
 	}
 	for _, tc := range bound {
 		conn, err := net.Dial("tcp", addr)
@@ -866,7 +889,7 @@ func TestFoldFromWire(t *testing.T) {
 		direct, directAddr := serveAgg(t, sk, AggregatorOptions{Windows: windows})
 		mirrored := sk.ZeroSketch() // Σ of what OnApplied was shown
 		relayed, relayedAddr := serveAgg(t, sk, AggregatorOptions{Windows: windows,
-			OnApplied: func(_ uint64, _ int, delta csoutlier.Sketch) { mirrored.Add(delta) }})
+			OnApplied: func(_ string, _, _, _ uint64, _ int, delta csoutlier.Sketch) { mirrored.Add(delta) }})
 		want, _ := sk.NewWindowStore(windows)
 		total := sk.ZeroSketch()
 		var clients []*Client

@@ -68,11 +68,13 @@ func startCountingProxy(t *testing.T, target string) *countingProxy {
 // count-sketch window's counters are integers and travel as varints; the
 // Gaussian window's are not and travel as EncodedSketchLen(M) bytes of
 // float64s, as every window did before the integer form. The two frames'
-// framing is the same.
+// framing is the same, and it includes the frame's cut: one leaf, named
+// "leaf", epoch 1, seq 1.
 func TestRelayForwardFrameBytes(t *testing.T) {
 	keys := testKeys(4096)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
+	const cut = 1 + 1 + len("leaf") + 1 + 1 // count, name length, name, epoch, seq
 	framing := -1
 	for _, c := range []struct {
 		name    string
@@ -80,8 +82,8 @@ func TestRelayForwardFrameBytes(t *testing.T) {
 		frame   int // bytes of the forwarded delta frame, prelude included
 		payload int // bytes of the window's sketch payload in it
 	}{
-		{"countsketch", csoutlier.Config{M: 448, Seed: 1, Ensemble: csoutlier.CountSketch, Depth: 7}, 905, 900},
-		{"gaussian", csoutlier.Config{M: 448, Seed: 1}, 3618, csoutlier.EncodedSketchLen(448)},
+		{"countsketch", csoutlier.Config{M: 448, Seed: 1, Ensemble: csoutlier.CountSketch, Depth: 7}, 905 + cut, 900},
+		{"gaussian", csoutlier.Config{M: 448, Seed: 1}, 3618 + cut, csoutlier.EncodedSketchLen(448)},
 	} {
 		sk, err := csoutlier.NewSketcher(keys, c.cfg)
 		if err != nil {

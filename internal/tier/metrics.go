@@ -15,13 +15,12 @@ type relayMetrics struct {
 func newRelayMetrics(reg *obs.Registry, r *Relay) *relayMetrics {
 	m := &relayMetrics{
 		forwardSeconds: reg.Histogram("tier_forward_seconds",
-			"wall time of one Forward cycle (snapshot commit + upstream drain)", obs.LatencyBuckets()),
+			"wall time of one Forward cycle (staging + upstream drain)", obs.LatencyBuckets()),
 	}
 	forwards := reg.Gauge("tier_forwards_total", "completed forward cycles")
-	forwardErrors := reg.Gauge("tier_forward_errors_total", "forward cycles that failed (snapshot or drain)")
-	framesStaged := reg.Gauge("tier_frames_staged_total", "upward frames created (seq assigned at snapshot capture)")
+	forwardErrors := reg.Gauge("tier_forward_errors_total", "forward cycles whose upstream drain failed")
+	framesStaged := reg.Gauge("tier_frames_staged_total", "upward frames created (seq assigned)")
 	foldsStaged := reg.Gauge("tier_folds_staged_total", "leaf captures carried by staged upward frames")
-	framesCommitted := reg.Gauge("tier_frames_committed_total", "staged frames released to the send queue by a snapshot commit")
 	outcomes := reg.GaugeVec("tier_up_frames_total", "upward frames by parent fold outcome", "outcome")
 	applied := outcomes.With("applied")
 	duplicates := outcomes.With("duplicate")
@@ -31,8 +30,7 @@ func newRelayMetrics(reg *obs.Registry, r *Relay) *relayMetrics {
 	retainDropped := reg.Gauge("tier_retain_dropped_frames_total", "retained upward frames discarded at the retention cap; a parent restore could lose each")
 	redials := reg.Gauge("tier_redials_total", "upstream connections re-established")
 	unstable := reg.Gauge("tier_unstable_windows", "windows with accumulated-but-unstaged upward deltas")
-	staged := reg.Gauge("tier_staged_frames", "upward frames waiting for a snapshot commit")
-	queued := reg.Gauge("tier_queue_frames", "committed upward frames waiting to be pushed")
+	queued := reg.Gauge("tier_queue_frames", "staged upward frames waiting to be pushed")
 	retained := reg.Gauge("tier_retained_frames", "acked upward frames held for parent-restore replay")
 	upSeq := reg.Gauge("tier_up_seq", "last assigned upward sequence number")
 	upEpoch := reg.Gauge("tier_up_epoch", "relay's upward incarnation")
@@ -44,7 +42,6 @@ func newRelayMetrics(reg *obs.Registry, r *Relay) *relayMetrics {
 		forwardErrors.SetInt(s.ForwardErrors)
 		framesStaged.SetInt(s.FramesStaged)
 		foldsStaged.SetInt(s.FoldsStaged)
-		framesCommitted.SetInt(s.FramesCommitted)
 		applied.SetInt(s.Applied)
 		duplicates.SetInt(s.Duplicates)
 		dropped.SetInt(s.Dropped)
@@ -53,7 +50,6 @@ func newRelayMetrics(reg *obs.Registry, r *Relay) *relayMetrics {
 		retainDropped.SetInt(s.RetainDropped)
 		redials.SetInt(s.Redials)
 		unstable.SetInt(int64(s.Unstable))
-		staged.SetInt(int64(s.Staged))
 		queued.SetInt(int64(s.Queued))
 		retained.SetInt(int64(s.Retained))
 		upSeq.SetInt(int64(s.UpSeq))

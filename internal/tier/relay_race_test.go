@@ -3,7 +3,6 @@ package tier
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -11,12 +10,13 @@ import (
 	"csoutlier/internal/stream"
 )
 
-// TestRelayForwardRace runs leaf folds, upward forwards (each of which
-// snapshots the relay), root rotations and stats scrapes concurrently
-// under the race detector. The point is the locking seams: OnApplied
-// fires under the aggregator's mutex and takes fmu; snapshotExtra
-// drains unstable under the same ordering; Forward and Sync contend on
-// sendMu; Stats and the metrics scraper read everything from outside.
+// TestRelayForwardRace runs leaf folds, upward forwards, root rotations
+// and stats scrapes concurrently under the race detector. The point is
+// the locking seams: OnApplied fires under the aggregator's mutex and
+// takes fmu; Forward stages under fmu alone; the sender's callback
+// commits the leaves' Stable and rotates under sendMu, for which Forward
+// and Sync contend; Stats and the metrics scraper read everything from
+// outside.
 func TestRelayForwardRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed concurrency soak")
@@ -28,7 +28,7 @@ func TestRelayForwardRace(t *testing.T) {
 	relay, err := NewRelay(ctx, sk, RelayOptions{
 		ID:       "r0",
 		Upstream: rootAddr,
-		Agg:      stream.AggregatorOptions{Windows: 8, SnapshotPath: filepath.Join(t.TempDir(), "relay.snap")},
+		Agg:      stream.AggregatorOptions{Windows: 8},
 	})
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)
@@ -74,7 +74,7 @@ func TestRelayForwardRace(t *testing.T) {
 		}(l)
 	}
 
-	// Forwarder: snapshot + commit + drain upward, continuously.
+	// Forwarder: stage + drain upward, continuously.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -144,7 +144,7 @@ func TestRelayForwardRace(t *testing.T) {
 	}
 
 	st := relay.Stats()
-	if st.Forwards == 0 || st.FramesCommitted == 0 {
+	if st.Forwards == 0 || st.FramesStaged == 0 {
 		t.Fatalf("soak did nothing: %+v", st)
 	}
 	rs := root.Stats()

@@ -2,12 +2,10 @@ package tier
 
 import (
 	"context"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
 	"net"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -600,10 +598,11 @@ type tierRun struct {
 }
 
 // driveTierRun executes a deterministic observation plan (derived from
-// seed) through a durable relay, optionally killing and restoring it
-// mid-window-2, and returns the root's final state. The drive is
-// leaf-major inside each window, so a post-restore replay (all of leaf
-// 0's frames, then leaf 1's) re-folds in exactly the original order.
+// seed) through a relay, optionally killing it mid-window-2 and building
+// a new one with NewRelay, and returns the root's final state. The
+// drive is leaf-major inside each window, so a post-restart replay (all
+// of leaf 0's frames, then leaf 1's) re-folds in exactly the original
+// order.
 func driveTierRun(t *testing.T, seed uint64, kill bool) tierRun {
 	t.Helper()
 	const (
@@ -617,11 +616,7 @@ func driveTierRun(t *testing.T, seed uint64, kill bool) tierRun {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
-	snapPath := filepath.Join(t.TempDir(), "relay.snap")
-	ropts := RelayOptions{
-		ID: "r0", Upstream: rootAddr,
-		Agg: stream.AggregatorOptions{SnapshotPath: snapPath},
-	}
+	ropts := RelayOptions{ID: "r0", Upstream: rootAddr}
 	relay, err := NewRelay(ctx, sk, ropts)
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)
@@ -665,27 +660,17 @@ func driveTierRun(t *testing.T, seed uint64, kill bool) tierRun {
 		if err := relay.Kill(ctx); err != nil {
 			t.Fatalf("Kill: %v", err)
 		}
-		snap, err := stream.LoadSnapshot(snapPath)
-		if err != nil {
-			t.Fatalf("LoadSnapshot: %v", err)
+		// The new relay adopts the root's window and seeds its books from
+		// the root's cut before it serves; the leaves hear its fresh
+		// AggEpoch and replay what they retain.
+		var err error
+		if relay, err = NewRelay(ctx, sk, ropts); err != nil {
+			t.Fatalf("NewRelay after the kill: %v", err)
 		}
-		restored, err := RestoreRelay(ctx, sk, ropts, snap)
-		if err != nil {
-			t.Fatalf("RestoreRelay: %v", err)
-		}
-		proxy.Retarget(serveRelay(t, restored))
-		// The restored relay syncs FIRST: its snapshot predates the
-		// window adoptions after it, so its clock must catch up with the
-		// root before any leaf frame arrives (a leaf frame tagged with a
-		// window the relay hasn't adopted yet would be rejected as
-		// "ahead").
-		if err := restored.Sync(ctx); err != nil {
-			t.Fatalf("restored relay sync: %v", err)
-		}
-		relay = restored
+		proxy.Retarget(serveRelay(t, relay))
 		for l := range leaves {
 			if err := leaves[l].Sync(ctx); err != nil {
-				t.Fatalf("leaf %d post-restore sync: %v", l, err)
+				t.Fatalf("leaf %d post-restart sync: %v", l, err)
 			}
 		}
 	}
@@ -706,9 +691,9 @@ func driveTierRun(t *testing.T, seed uint64, kill bool) tierRun {
 				}
 			}
 			if kill && w == 1 && l == 0 {
-				// Mid-window crash: window 1 was forwarded (and therefore
-				// snapshotted), leaf 0's window-2 frames die with the relay's
-				// unstable accumulators and must come back via leaf replay.
+				// Mid-window crash: window 1 was forwarded and the root holds
+				// it; leaf 0's window-2 frames die with the relay's unstable
+				// accumulators and must come back via leaf replay.
 				doKill()
 			}
 		}
@@ -747,9 +732,9 @@ func driveTierRun(t *testing.T, seed uint64, kill bool) tierRun {
 }
 
 // TestRelayRestartReplayBitIdentical is the dedup-book property test
-// for the extra hop: a run with a mid-window relay kill/restore must
-// leave the root's windows bit-identical to an uninterrupted run of
-// the same plan, with every leaf capture folded exactly once.
+// for the extra hop: a run with a mid-window relay kill and restart
+// must leave the root's windows bit-identical to an uninterrupted run
+// of the same plan, with every leaf capture folded exactly once.
 func TestRelayRestartReplayBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run TCP soak")
@@ -777,134 +762,8 @@ func TestRelayRestartReplayBitIdentical(t *testing.T) {
 			if crashed.replayed == 0 {
 				t.Fatal("crash run replayed no leaf frames — the kill point lost nothing, test is vacuous")
 			}
-			if crashed.root.Duplicates == 0 {
-				t.Fatal("crash run produced no upward duplicates — the restored relay replayed nothing")
-			}
 		})
 	}
-}
-
-// TestRelayExtraCodec pins the Snapshot.Extra inner codec: round-trip
-// identity and rejection of malformed blobs.
-func TestRelayExtraCodec(t *testing.T) {
-	frames := []*stream.Frame{
-		{Window: 1, Seq: 1, Folds: 2, Payload: []byte{1, 2, 3}},
-		{Window: 1, Seq: 2, Folds: 1, Payload: nil},
-		{Window: 3, Seq: 5, Folds: 7, Payload: []byte{0xff}},
-	}
-	b, err := encodeRelayExtra(3, "relayA", 4, 9, frames)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	// Magic, shard, id, upEpoch, upSeq, then the frames in seq order.
-	const golden = "4353545203000000060072656c6179410400000000000000090000000000000003000000" +
-		"010000000000000001000000000000000200000003000000010203" +
-		"0100000000000000020000000000000001000000" + "00000000" +
-		"030000000000000005000000000000000700000001000000ff"
-	if got := hex.EncodeToString(b); got != golden {
-		t.Fatalf("CSTR bytes changed:\n got %s\nwant %s", got, golden)
-	}
-	st, err := decodeRelayExtra(b)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if st.Shard != 3 || st.ID != "relayA" || st.UpEpoch != 4 || st.UpSeq != 9 {
-		t.Fatalf("decoded header %+v", st)
-	}
-	if len(st.Frames) != 3 {
-		t.Fatalf("decoded %d frames, want 3", len(st.Frames))
-	}
-	for i, f := range st.Frames {
-		want := frames[i]
-		if f.Window != want.Window || f.Seq != want.Seq || f.Folds != want.Folds || string(f.Payload) != string(want.Payload) {
-			t.Fatalf("frame %d: %+v, want %+v", i, f, want)
-		}
-	}
-
-	if _, err := decodeRelayExtra(b[:len(b)-1]); err == nil {
-		t.Fatal("accepted truncated blob")
-	}
-	if _, err := decodeRelayExtra(append(append([]byte(nil), b...), 0)); err == nil {
-		t.Fatal("accepted trailing bytes")
-	}
-	bad := append([]byte(nil), b...)
-	bad[0] ^= 0x40
-	if _, err := decodeRelayExtra(bad); err == nil {
-		t.Fatal("accepted bad magic")
-	}
-	if _, err := encodeRelayExtra(0, "x", 1, 1, []*stream.Frame{{Seq: 2}, {Seq: 1}}); err == nil {
-		t.Fatal("encoded out-of-order seqs")
-	}
-	// A frame seq above the snapshotted counter can never have been
-	// assigned — reject rather than replay a forged frame.
-	forged, err := encodeRelayExtra(0, "x", 1, 9, []*stream.Frame{{Seq: 3}})
-	if err != nil {
-		t.Fatalf("encode forged base: %v", err)
-	}
-	// Patch upSeq (bytes right before the count) down to 2 < 3.
-	// Layout: magic(4) shard(4) idLen(2) id(1) upEpoch(8) upSeq(8) ...
-	off := 4 + 4 + 2 + 1 + 8
-	for i := 0; i < 8; i++ {
-		forged[off+i] = 0
-	}
-	forged[off] = 2
-	if _, err := decodeRelayExtra(forged); err == nil {
-		t.Fatal("accepted frame seq above the snapshotted upSeq")
-	}
-}
-
-// FuzzRelayExtra feeds the relay snapshot's Extra decoder hostile bytes.
-// It never panics; what it accepts accounts for every input byte (the
-// header, the id, then per frame its 24 fixed bytes and its payload), so
-// nothing is sized from a decoded count; and it re-encodes byte for byte.
-func FuzzRelayExtra(f *testing.F) {
-	frames := []*stream.Frame{
-		{Window: 1, Seq: 1, Folds: 2, Payload: []byte{1, 2, 3}},
-		{Window: 1, Seq: 2, Folds: 1},
-		{Window: 3, Seq: 5, Folds: 7, Payload: []byte{0xff}},
-	}
-	valid, err := encodeRelayExtra(3, "relayA", 4, 9, frames)
-	if err != nil {
-		f.Fatal(err)
-	}
-	empty, err := encodeRelayExtra(0, "", 0, 0, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(empty)
-	f.Add(valid[:len(valid)-1])
-	f.Add(append(append([]byte(nil), valid...), 0))
-	f.Add([]byte{})
-	f.Add([]byte("CSTR"))
-	// A frame count of 2³²−1 over no frames: refused, not preallocated.
-	huge := append([]byte(nil), empty...)
-	copy(huge[len(huge)-4:], []byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(huge)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := decodeRelayExtra(data)
-		if err != nil {
-			return
-		}
-		const header = 4 + 4 + 2 + 8 + 8 + 4 // magic shard idLen upEpoch upSeq count
-		used := header + len(st.ID)
-		for _, fr := range st.Frames {
-			used += 8 + 8 + 4 + 4 + len(fr.Payload)
-		}
-		if used != len(data) {
-			t.Fatalf("a %d-byte blob decoded to %d bytes' worth", len(data), used)
-		}
-		if cap(st.Frames) > max(8, 2*len(st.Frames)) {
-			t.Fatalf("%d frames decoded into a list of capacity %d", len(st.Frames), cap(st.Frames))
-		}
-		again, err := encodeRelayExtra(st.Shard, st.ID, st.UpEpoch, st.UpSeq, st.Frames)
-		if err != nil {
-			t.Fatalf("accepted blob does not re-encode: %v", err)
-		}
-		if string(again) != string(data) {
-			t.Fatalf("re-encoding changed the bytes:\n in  %x\n out %x", data, again)
-		}
-	})
 }
 
 // rootRun is one drive of a durable root above one relay and two leaves.
@@ -1085,47 +944,41 @@ func TestRelayRetainCapCounted(t *testing.T) {
 	}
 }
 
-// TestRelayConfiguredThroughAgg: a relay takes its snapshot file and
-// its metrics registry from Agg alone. The embedded aggregator never
-// writes the file on its own clock (Agg.SnapshotEvery is ignored);
-// Forward does, RestoreRelay recovers the relay from it, and the tier_*
-// families sit in Agg.Metrics next to the stream_* ones.
+// TestRelayConfiguredThroughAgg: a relay takes its metrics registry
+// from Agg alone, the tier_* families next to the stream_* ones, and
+// refuses a snapshot file by name before it says hello upstream: it
+// keeps no file, its root keeps what a restart needs.
 func TestRelayConfiguredThroughAgg(t *testing.T) {
 	sk := tierSketcher(t, 64, 32, 17)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
-	snapPath := filepath.Join(t.TempDir(), "relay.snap")
+	root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
+	path := filepath.Join(t.TempDir(), "relay.snap")
+	if _, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr, Agg: stream.AggregatorOptions{SnapshotPath: path}}); err == nil ||
+		!strings.Contains(err.Error(), "SnapshotPath") || !strings.Contains(err.Error(), path) {
+		t.Fatalf("NewRelay with a snapshot file: %v, want a refusal naming SnapshotPath and the file", err)
+	}
+	if st := root.Stats(); st.Hellos != 0 {
+		t.Fatalf("the refused relay said %d hellos upstream", st.Hellos)
+	}
 	reg := obs.NewRegistry()
-	opts := RelayOptions{ID: "r0", Upstream: rootAddr, Agg: stream.AggregatorOptions{
-		Windows: 4, SnapshotPath: snapPath, SnapshotEvery: time.Millisecond, Metrics: reg,
-	}}
-	relay, err := NewRelay(ctx, sk, opts)
+	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr, Agg: stream.AggregatorOptions{Windows: 4, Metrics: reg}})
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)
 	}
+	defer relay.Close(ctx)
 	leaf, err := stream.Dial(ctx, serveRelay(t, relay), sk, "node00", stream.NodeOptions{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	for f := 0; f < 3; f++ {
-		if err := leaf.Observe(fmt.Sprintf("key%03d", f), float64(f+1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := leaf.Flush(ctx); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
+	if err := leaf.Observe("key001", 1); err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // twenty SnapshotEvery periods
-	if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
-		t.Fatalf("snapshot file before the first Forward: %v", err)
+	if err := leaf.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
 	}
 	if err := relay.Forward(ctx); err != nil {
 		t.Fatalf("Forward: %v", err)
-	}
-	snap, err := stream.LoadSnapshot(snapPath)
-	if err != nil {
-		t.Fatalf("LoadSnapshot after Forward: %v", err)
 	}
 	var text strings.Builder
 	if err := reg.WritePrometheus(&text); err != nil {
@@ -1136,87 +989,56 @@ func TestRelayConfiguredThroughAgg(t *testing.T) {
 			t.Errorf("Agg.Metrics has no %q line", line)
 		}
 	}
-	want, err := relay.Aggregator().WindowSketch(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := relay.Stats()
-	if err := relay.Kill(ctx); err != nil {
-		t.Fatalf("Kill: %v", err)
-	}
-	opts.Agg.Metrics = obs.NewRegistry()
-	restored, err := RestoreRelay(ctx, sk, opts, snap)
-	if err != nil {
-		t.Fatalf("RestoreRelay: %v", err)
-	}
-	defer restored.Close(ctx)
-	if after := restored.Stats(); after.UpEpoch != before.UpEpoch || after.UpSeq != before.UpSeq {
-		t.Fatalf("restored upward state epoch %d seq %d, want %d and %d", after.UpEpoch, after.UpSeq, before.UpEpoch, before.UpSeq)
-	}
-	got, err := restored.Aggregator().WindowSketch(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "restored relay window", got, want)
 }
 
-// TestRelayRestoreTwiceAnnouncesHigherIncarnation: RestoreRelay writes
-// the leaf-facing incarnation it bumped before any leaf hears it, so a
-// relay that crashes again before its next Forward restores to a higher
-// one still, and its leaves replay what the crashed incarnation acked.
+// TestRelayRestoreTwiceAnnouncesHigherIncarnation: a relay restores
+// from its root's cut, through NewRelay, and every one of one ID
+// announces a higher upward epoch and a higher leaf-facing AggEpoch
+// than the one before, so the root folds its frames as new data and its
+// leaves replay what they retain, however often it restarts before a
+// Forward.
 func TestRelayRestoreTwiceAnnouncesHigherIncarnation(t *testing.T) {
 	sk := tierSketcher(t, 64, 32, 17)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 4})
-	opts := RelayOptions{ID: "r0", Upstream: rootAddr, Agg: stream.AggregatorOptions{
-		Windows: 4, SnapshotPath: filepath.Join(t.TempDir(), "relay.snap"),
-	}}
-	relay, err := NewRelay(ctx, sk, opts)
-	if err != nil {
-		t.Fatalf("NewRelay: %v", err)
-	}
-	if err := relay.Forward(ctx); err != nil {
-		t.Fatalf("Forward: %v", err)
-	}
-	var epochs []uint64
-	for crash := 0; crash < 3; crash++ {
-		if err := relay.Kill(ctx); err != nil {
-			t.Fatalf("Kill: %v", err)
-		}
-		snap, err := stream.LoadSnapshot(opts.Agg.SnapshotPath)
+	var up, agg []uint64
+	for life := 0; life < 3; life++ {
+		relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr})
 		if err != nil {
-			t.Fatalf("LoadSnapshot: %v", err)
+			t.Fatalf("life %d: NewRelay: %v", life, err)
 		}
-		if relay, err = RestoreRelay(ctx, sk, opts, snap); err != nil {
-			t.Fatalf("RestoreRelay: %v", err)
+		up, agg = append(up, relay.Stats().UpEpoch), append(agg, relay.Aggregator().Epoch())
+		if err := relay.Kill(ctx); err != nil {
+			t.Fatalf("life %d: Kill: %v", life, err)
 		}
-		epochs = append(epochs, relay.Aggregator().Epoch())
 	}
-	relay.Close(ctx)
-	if epochs[0] != 2 || epochs[1] != 3 || epochs[2] != 4 {
-		t.Fatalf("three restores, none followed by a Forward, announced leaf-facing AggEpoch %v, want [2 3 4]", epochs)
+	for i := 1; i < len(up); i++ {
+		if up[i] <= up[i-1] || agg[i] <= agg[i-1] {
+			t.Fatalf("three relays announced upward epochs %v and leaf-facing AggEpochs %v, want each higher than the last", up, agg)
+		}
 	}
 }
 
-// TestPathlessForwardCommit: a relay without a snapshot file commits
-// without capturing. The bytes a steady-state Forward allocates do not
-// grow with the window ring (a capture copied and encoded every filled
-// window, so 64 windows cost more than ten times what 4 did), no
-// capture is recorded in stream_snapshot_seconds, every Forward counts
-// as a commit, and a Durable relay still advances a leaf's Stable
-// watermark at Forward only, a volatile one at apply.
+// TestPathlessForwardCommit: a relay keeps no file and captures
+// nothing. A leaf's Stable follows the root: it stays below a frame the
+// relay applied until the Forward whose upward frame carries it is
+// acked, and rises then. The bytes a steady-state Forward allocates do
+// not grow with the window ring (a capture copied and encoded every
+// filled window, so 64 windows cost more than ten times what 4 did), no
+// capture is recorded in stream_snapshot_seconds, and every Forward's
+// ack counts as a commit.
 func TestPathlessForwardCommit(t *testing.T) {
 	sk := tierSketcher(t, 1024, 512, 23)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	const forwards = 16
-	perForward := func(windows int, durable bool) float64 {
+	perForward := func(windows int) float64 {
 		t.Helper()
 		root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: windows})
 		reg := obs.NewRegistry()
 		relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr, Agg: stream.AggregatorOptions{
-			Windows: windows, Durable: durable, Metrics: reg,
+			Windows: windows, Metrics: reg,
 		}})
 		if err != nil {
 			t.Fatalf("NewRelay: %v", err)
@@ -1227,7 +1049,7 @@ func TestPathlessForwardCommit(t *testing.T) {
 			t.Fatalf("Dial: %v", err)
 		}
 		defer leaf.Close(ctx)
-		// Fill the ring: a capture copies every window that was ever open.
+		// Fill the ring: a capture copied every window that was ever open.
 		for root.AvailableWindows() < windows {
 			root.Rotate()
 		}
@@ -1255,18 +1077,14 @@ func TestPathlessForwardCommit(t *testing.T) {
 				t.Fatalf("flush: %v", err)
 			}
 			seq++
-			want := seq // a volatile relay: durable once applied
-			if durable {
-				want-- // held back until the next Forward commits
-			}
-			if got := stable(); check && got != want {
-				t.Fatalf("durable=%v: leaf Stable %d after applying seq %d, want %d", durable, got, seq, want)
+			if got := stable(); check && got != seq-1 {
+				t.Fatalf("leaf Stable %d after the relay applied seq %d, want %d: held until the root acks it", got, seq, seq-1)
 			}
 			if err := relay.Forward(ctx); err != nil {
 				t.Fatalf("Forward: %v", err)
 			}
 			if got := stable(); check && got != seq {
-				t.Fatalf("durable=%v: leaf Stable %d after Forward, want %d", durable, got, seq)
+				t.Fatalf("leaf Stable %d after Forward, want %d", got, seq)
 			}
 		}
 		for i := 0; i < 4; i++ { // warm the sender's and the relay's buffers
@@ -1288,21 +1106,20 @@ func TestPathlessForwardCommit(t *testing.T) {
 			fmt.Sprintf("stream_snapshot_commits_total %d", forwards+4),
 		} {
 			if !strings.Contains(text.String(), "\n"+line+"\n") {
-				t.Errorf("windows=%d durable=%v: no %q line", windows, durable, line)
+				t.Errorf("windows=%d: no %q line", windows, line)
 			}
 		}
-		if st := relay.Stats(); st.Applied != int64(seq) || st.Staged != 0 || st.Unstable != 0 {
-			t.Fatalf("windows=%d durable=%v: %+v, want %d frames applied upstream and none left behind", windows, durable, st, seq)
+		if st := relay.Stats(); st.Applied != int64(seq) || st.Queued != 0 || st.Unstable != 0 {
+			t.Fatalf("windows=%d: %+v, want %d frames applied upstream and none left behind", windows, st, seq)
 		}
 		return float64(after.TotalAlloc-before.TotalAlloc) / forwards
 	}
-	perForward(4, false)
-	small, large := perForward(4, true), perForward(64, true)
+	small, large := perForward(4), perForward(64)
 	t.Logf("bytes allocated per leaf flush + Forward: %.0f at 4 windows, %.0f at 64", small, large)
 	// A captured window cost a 4 KiB M-float copy plus its 4 KiB
 	// encoding: 4 KiB of slack per Forward is half of one.
 	if large > small+4096 {
-		t.Fatalf("a Forward at 64 windows allocates %.0f B, %.1f× the %.0f B at 4: the pathless commit copies the ring", large, large/small, small)
+		t.Fatalf("a Forward at 64 windows allocates %.0f B, %.1f× the %.0f B at 4: the Forward copies the ring", large, large/small, small)
 	}
 }
 

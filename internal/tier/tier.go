@@ -20,14 +20,12 @@
 // mechanism: an upward frame is tagged (relay-identity, upEpoch,
 // window, upSeq) where the identity string carries (shard, tier) — see
 // frameID — so the root's ordinary per-(node, epoch) dedup books refuse
-// upward duplicates exactly as they refuse leaf duplicates. A volatile
-// relay (NewRelay) takes its upward epoch from the wall clock, so a
-// restart announces a higher one and the root folds its frames as new
-// data; a durable relay (RestoreRelay) keeps its snapshotted epoch,
-// restores its upward frame state from Snapshot.Extra and replays
-// byte-identical frames the root dedups. See Relay for the staging
-// discipline that makes "leaf frame folded" and "upward frame durable"
-// a single atomic event.
+// upward duplicates exactly as they refuse leaf duplicates. A relay
+// takes its upward epoch from the wall clock, so a restart announces a
+// higher one and the root folds its frames as new data; the cuts its
+// frames carried, which the root keeps and gives back, tell the new
+// incarnation which leaf frames the root already holds. See Relay: a
+// relay keeps no state its root cannot give back.
 package tier
 
 import (

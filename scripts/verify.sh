@@ -156,13 +156,14 @@ tail -n 1 "$tmp/agg.err"
 kill $pids 2>/dev/null || true
 pids=""
 # csstreamd refuses a flag it would ignore, with status 2, before it
-# listens: -snapshot-every without -snapshot, and on a relay (which
-# snapshots on every forward); -window-every on a relay (which rotates
+# listens: -snapshot-every without -snapshot; -snapshot on a relay
+# (which keeps no file), alone or with -snapshot-every; -window-every on a relay (which rotates
 # when its upstream does); -shards below 1, and a -shard-index outside
 # [0, -shards), with one shard too; and a value that would silently mean
 # another: -windows below 1 (which meant 8), -k 0 (which failed every
 # report) and a negative -span (which meant every window).
 for args in "-snapshot-every 1s" \
+	"-snapshot $tmp/relay.snap -relay-upstream 127.0.0.1:1 -relay-id r0" \
 	"-snapshot $tmp/relay.snap -snapshot-every 1s -relay-upstream 127.0.0.1:1 -relay-id r0" \
 	"-window-every 1m -relay-upstream 127.0.0.1:1 -relay-id r0" \
 	"-shards 0" "-shards -1" "-shard-index 5" "-shard-index -1" "-shards 2 -shard-index 2" \
@@ -326,17 +327,17 @@ echo "== protocol explorer: every ordering of the push protocol's events to dept
 # internal/stream's explorer walks two nodes, a relay and a root through
 # the book and outbox calls the product makes, breadth-first with state
 # dedup; tier-1 walks it to depth 5. The floor is the distinct states
-# depth 7 covered at its first green run (EXPERIMENTS.md pr52): fewer
-# means an event or a state went missing.
-go test ./internal/stream -count=1 -run '^TestProtocolExplorer$' -explore.depth=7 -explore.floor=443102
+# depth 7 covered at its first green run with one relay kind, which the
+# configs no longer vary (EXPERIMENTS.md pr56): fewer means an event or
+# a state went missing.
+go test ./internal/stream -count=1 -run '^TestProtocolExplorer$' -explore.depth=7 -explore.floor=694657
 
 echo "== fuzz: 10 s on each decoder of a versioned format, and the protocol =="
 # The seed corpora run in tier-1; this searches past them: the snapshot
-# codec, the relay's blob inside it, the pull request frame, the push
-# frame (with its connection context), and random event strings through
-# the explorer's step function, past its exhaustive depth.
+# codec (relay cuts included), the pull request frame, the push frame
+# (with its connection context), and random event strings through the
+# explorer's step function, past its exhaustive depth.
 go test ./internal/stream -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s
-go test ./internal/tier -run '^$' -fuzz '^FuzzRelayExtra$' -fuzztime 10s
 go test ./internal/cluster -run '^$' -fuzz '^FuzzRequestFrame$' -fuzztime 10s
 go test ./internal/stream -run '^$' -fuzz '^FuzzPushFrame$' -fuzztime 10s
 go test ./internal/stream -run '^$' -fuzz '^FuzzProtocol$' -fuzztime 10s
@@ -394,7 +395,7 @@ if [ -z "$relayurl" ]; then
 	exit 1
 fi
 "$tmp/bin/obscheck" -url "$relayurl" -require \
-	tier_forwards_total,tier_forward_errors_total,tier_frames_staged_total,tier_folds_staged_total,tier_frames_committed_total,tier_up_frames_total,tier_replayed_frames_total,tier_retain_dropped_frames_total,tier_redials_total,tier_unstable_windows,tier_staged_frames,tier_queue_frames,tier_retained_frames,tier_up_seq,tier_up_epoch,tier_root_epoch,tier_root_stable,tier_forward_seconds,shard_index,shard_count,shard_keys,shard_map_version
+	tier_forwards_total,tier_forward_errors_total,tier_frames_staged_total,tier_folds_staged_total,tier_up_frames_total,tier_replayed_frames_total,tier_retain_dropped_frames_total,tier_redials_total,tier_unstable_windows,tier_queue_frames,tier_retained_frames,tier_up_seq,tier_up_epoch,tier_root_epoch,tier_root_stable,tier_forward_seconds,shard_index,shard_count,shard_keys,shard_map_version
 "$tmp/bin/obscheck" -url "${relayurl%/metrics}/healthz" -health
 
 echo "verify: OK"
