@@ -345,7 +345,7 @@ func report(agg *stream.Aggregator, relay *tier.Relay, k, span int, watched []st
 				if ans.Outlier {
 					mark = "  OUTLIER"
 				}
-				log.Printf("  watch %-40s value %.6g (divergence %+.6g)%s", key, ans.Value, ans.Deviation, mark)
+				log.Printf("  watch %-40s value %.6g (divergence %+.6g)%s", key, ans.Value, ans.Deviation(), mark)
 			}
 		}
 	}

@@ -114,12 +114,13 @@ func observedSketch(sk *Sketcher, obs []obsPair) Sketch {
 
 // crossoverCount is the first count of obs's observations whose pairs
 // payload, at the lengths the encoder writes, is no smaller than the
-// sketch of m measurements (len(obs)+1 if none is).
-func crossoverCount(m int, obs []obsPair) int {
+// bound on sk's sketch its Updater closes the log at (len(obs)+1 if
+// none is).
+func crossoverCount(sk *Sketcher, obs []obsPair) int {
 	var l pairLog
 	for _, o := range obs {
 		l.add(o.idx, o.v)
-		if pairsLen(l.count, len(l.bytes)) >= EncodedSketchLen(m) {
+		if pairsLen(l.count, len(l.bytes)) >= l.limit(sk) {
 			return l.count
 		}
 	}
@@ -145,7 +146,7 @@ func TestDrainEncodedBitIdentical(t *testing.T) {
 		into := sk.ZeroSketch()
 		for _, kind := range []string{"integer", "raw", "mixed"} {
 			stream := observationStream(rng, len(keys), 16*sk.M()+64, kind)
-			cross := crossoverCount(sk.M(), stream)
+			cross := crossoverCount(sk, stream)
 			if 4*cross > len(stream) {
 				t.Fatalf("%s %s: crossover at %d of %d drawn observations", name, kind, cross, len(stream))
 			}
@@ -224,6 +225,88 @@ func TestDrainEncodedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDrainEncodedCountSketchBound: a count-sketch Updater of integer
+// observations closes its log at a bound on its CSKI sketch, not at the
+// CSK2 size, so 400 observations of 100 over 4,096 keys drain as the
+// sketch (about 850 bytes, where their pairs are about 1,600) while 128
+// still drain as pairs; a Gaussian Updater, whose counters are never
+// integers, keeps the CSK2 size. The close is final: a non-integer
+// observed after it makes the drain the CSK2 sketch (3,613 bytes),
+// where the pairs would have been about 1,600 — the one case in
+// which a flush costs more than the data it carries. The bound holds:
+// no CSKI sketch is larger than the limit of the log that measures
+// into it.
+func TestDrainEncodedCountSketchBound(t *testing.T) {
+	keys := testKeys(4096)
+	rng := xrand.New(5)
+	for _, c := range []struct {
+		cfg   Config
+		count int
+		tail  float64 // observed last when not 0
+		magic []byte  // the sketch drained, or nil for pairs
+	}{
+		{Config{M: 448, Seed: 1, Ensemble: CountSketch, Depth: 7}, 128, 0, nil},
+		{Config{M: 448, Seed: 1, Ensemble: CountSketch, Depth: 7}, 400, 0, intSketchMagic[:]},
+		{Config{M: 448, Seed: 1, Ensemble: CountSketch, Depth: 7}, 400, 0.5, sketchMagic[:]},
+		{Config{M: 448, Seed: 1}, 400, 0, nil},
+	} {
+		sk, err := NewSketcher(keys, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := make([]obsPair, c.count)
+		for i := range obs {
+			obs[i] = obsPair{rng.Intn(len(keys)), 100}
+		}
+		if c.tail != 0 {
+			obs = append(obs, obsPair{rng.Intn(len(keys)), c.tail})
+		}
+		u := sk.NewUpdater()
+		var l pairLog
+		for _, o := range obs {
+			if err := u.Observe(keys[o.idx], o.v); err != nil {
+				t.Fatal(err)
+			}
+			l.add(o.idx, o.v)
+		}
+		payload, _, err := u.DrainEncoded(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := observedSketch(sk, obs).MarshalBinary()
+		pairs := pairsLen(l.count, len(l.bytes))
+		if c.magic == nil && (!PairsEncoded(payload) || len(payload) != pairs || pairs >= len(want)) ||
+			c.magic != nil && (!bytes.Equal(payload, want) || !bytes.HasPrefix(want, c.magic)) {
+			t.Fatalf("%v, %d observations then %v: drained %d bytes (pairs=%v), want %q; the sketch is %d bytes, the pairs %d",
+				c.cfg.Ensemble, c.count, c.tail, len(payload), PairsEncoded(payload), c.magic, len(want), pairs)
+		}
+		if c.tail != 0 && (len(payload) != EncodedSketchLen(sk.M()) || pairs >= len(payload)/2) {
+			t.Fatalf("%d observations then %v: drained %d bytes against %d of pairs, want the %d-byte CSK2 sketch at over twice the pairs",
+				c.count, c.tail, len(payload), pairs, EncodedSketchLen(sk.M()))
+		}
+	}
+
+	sk, err := NewSketcher(keys, Config{M: 448, Seed: 1, Ensemble: CountSketch, Depth: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l pairLog
+	s := sk.ZeroSketch()
+	for i := 0; i < 2000; i++ {
+		// Few keys, so counters grow toward Σ|v|.
+		idx, v := rng.Intn(8), float64(rng.Intn(1<<uint(rng.Intn(20)))+1)
+		if rng.Intn(4) == 0 {
+			v = -v
+		}
+		l.add(idx, v)
+		sk.matrix.AddCol(idx, v, s.Y)
+		data, _ := s.MarshalBinary()
+		if limit := l.limit(sk); len(data) > limit {
+			t.Fatalf("after %d observations the sketch is %d bytes, over the log's limit %d", l.count, len(data), limit)
+		}
+	}
+}
+
 // TestDrainEncodedBitIdenticalConcurrent: writers and a drainer share one Updater.
 // Every sum here is exact (±½ entries, integer deltas), so whatever
 // order the observations landed in and however the drains cut them up
@@ -237,7 +320,7 @@ func TestDrainEncodedBitIdenticalConcurrent(t *testing.T) {
 	}
 	const writers = 4
 	keys := sk.Keys()
-	cross := crossoverCount(sk.M(), repeated(obsPair{len(keys) - 1, -9}, 8*sk.M())) // every pair below is two bytes
+	cross := crossoverCount(sk, repeated(obsPair{len(keys) - 1, -9}, 8*sk.M())) // every pair below is two bytes
 	u := sk.NewUpdater()
 	ws, _ := sk.NewWindowStore(1)
 	buf := make([]byte, 0, EncodedSketchLen(sk.M()))

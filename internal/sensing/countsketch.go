@@ -14,7 +14,9 @@ import (
 // buckets (cell (r, b) lives at index r·width+b; when depth does not
 // divide M the trailing M−depth·width entries stay zero). Column j has
 // exactly one non-zero per row — sign_r(j) = ±1 at bucket bucket_r(j),
-// both derived from a seeded hash of (row, j) — so the matrix is a
+// both derived from a seeded hash of (row, j), which NewCountSketch
+// evaluates once per (row, key) into a key-major cell table of 4·depth
+// bytes per key that every other method reads — so the matrix is a
 // perfectly ordinary linear Φ (columns of norm √depth, which recovery's
 // relative tolerances ignore): Updater, WindowStore, the push protocol
 // and BOMP recovery all work on it unchanged, and integer data sums into
@@ -49,9 +51,12 @@ type CountSketch struct {
 	depth int
 	width int
 
-	rowSalt []uint64      // per-row hash salt, derived from the seed
-	signed  linalg.Vector // S[r·width+b], signed key count per cell
-	phi0    linalg.Vector // cached extension column = signed/√N
+	// cells[j·depth+r] is column j's cell in row r as cell<<1 | neg,
+	// neg set where the sign is −1: the hash's output for every (row,
+	// key), computed once by NewCountSketch, 4·depth bytes per key.
+	cells  []uint32
+	signed linalg.Vector // S[r·width+b], signed key count per cell
+	phi0   linalg.Vector // cached extension column = signed/√N
 }
 
 // maxCountSketchDepth bounds depth so PointEstimate's median buffer can
@@ -77,17 +82,27 @@ func NewCountSketch(p Params, depth int) (*CountSketch, error) {
 	if width < 2 {
 		return nil, fmt.Errorf("sensing: M=%d gives %d buckets per row at depth %d, need ≥ 2", p.M, width, depth)
 	}
-	c := &CountSketch{p: p, depth: depth, width: width}
-	c.rowSalt = make([]uint64, depth)
-	for r := range c.rowSalt {
-		c.rowSalt[r] = mix64(p.Seed ^ countSketchSalt + uint64(r+1)*0x9e3779b97f4a7c15)
+	// A cell index travels shifted by one in cells.
+	if uint64(p.M) > 1<<31 {
+		return nil, fmt.Errorf("sensing: count-sketch M=%d past 2^31", p.M)
 	}
-	// The signed-count table S and (from it) φ₀, both O(N·depth) once.
+	c := &CountSketch{p: p, depth: depth, width: width}
+	rowSalt := make([]uint64, depth)
+	for r := range rowSalt {
+		rowSalt[r] = mix64(p.Seed ^ countSketchSalt + uint64(r+1)*0x9e3779b97f4a7c15)
+	}
+	// The cell table, and from it S and φ₀, all O(N·depth) once. Bucket
+	// and sign both come from one hash of (row, j): the bucket from its
+	// upper 63 bits, the sign from its lowest (−1 where it is 0).
+	c.cells = make([]uint32, p.N*depth)
 	c.signed = make(linalg.Vector, p.M)
 	for j := 0; j < p.N; j++ {
-		for r := 0; r < depth; r++ {
-			cell, sign := c.cell(r, j)
-			c.signed[cell] += sign
+		col := c.cells[j*depth : (j+1)*depth]
+		for r := range col {
+			h := mix64(rowSalt[r] + uint64(j)*0x9e3779b97f4a7c15)
+			cell := r*width + int((h>>1)%uint64(width))
+			col[r] = uint32(cell)<<1 | uint32(^h&1)
+			c.signed[cell] += signOf(col[r])
 		}
 	}
 	c.phi0 = make(linalg.Vector, p.M)
@@ -109,16 +124,17 @@ func mix64(z uint64) uint64 {
 	return z
 }
 
-// cell returns column j's (flat cell index, ±1 sign) in row r.
-func (c *CountSketch) cell(r, j int) (int, float64) {
-	h := mix64(c.rowSalt[r] + uint64(j)*0x9e3779b97f4a7c15)
-	b := int((h >> 1) % uint64(c.width))
-	sign := 1.0
-	if h&1 == 0 {
-		sign = -1
-	}
-	return r*c.width + b, sign
+// signOf returns a table entry's sign, ±1.
+func signOf(e uint32) float64 { return float64(1 - int(e&1)<<1) }
+
+// flip returns v with its sign flipped where the table entry e's sign
+// is −1: the bits of sign·v, without the multiply.
+func flip(v float64, e uint32) float64 {
+	return math.Float64frombits(math.Float64bits(v) ^ uint64(e&1)<<63)
 }
+
+// col returns column j's depth table entries.
+func (c *CountSketch) col(j int) []uint32 { return c.cells[j*c.depth : (j+1)*c.depth] }
 
 // Depth returns the number of hash rows.
 func (c *CountSketch) Depth() int { return c.depth }
@@ -152,9 +168,8 @@ func (c *CountSketch) AddCol(j int, v float64, y linalg.Vector) {
 	if j < 0 || j >= c.p.N {
 		panic(fmt.Sprintf("sensing: index %d out of [0,%d)", j, c.p.N))
 	}
-	for r := 0; r < c.depth; r++ {
-		cell, sign := c.cell(r, j)
-		y[cell] += v * sign
+	for _, e := range c.col(j) {
+		y[e>>1] += flip(v, e)
 	}
 }
 
@@ -186,12 +201,13 @@ func (c *CountSketch) MeasureSparse(idx []int, vals []float64, dst linalg.Vector
 }
 
 // countSketchCorrChunk is the minimum columns per worker for the
-// parallel correlation; a column costs only depth hashes, so chunks
-// must be large to amortize goroutine dispatch.
+// parallel correlation; a column costs only depth table loads (3–5 ns
+// in BenchmarkKernelCountSketchCorrelate), so chunks must be large to
+// amortize goroutine dispatch.
 const countSketchCorrChunk = 512
 
 // Correlate implements Matrix, fanned over GOMAXPROCS workers. dst[j]
-// depends only on column j's hashes and r, so the result is the same
+// depends only on column j's cells and r, so the result is the same
 // bits for any worker count.
 func (c *CountSketch) Correlate(r, dst linalg.Vector) linalg.Vector {
 	if len(r) != c.p.M {
@@ -212,16 +228,15 @@ func (c *CountSketch) Correlate(r, dst linalg.Vector) linalg.Vector {
 func (c *CountSketch) correlateRange(r, dst linalg.Vector, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		sum := 0.0
-		for row := 0; row < c.depth; row++ {
-			cell, sign := c.cell(row, j)
-			sum += sign * r[cell]
+		for _, e := range c.col(j) {
+			sum += flip(r[e>>1], e)
 		}
 		dst[j] = sum
 	}
 }
 
 // CorrelateBatch implements Matrix: each column's depth (cell, sign)
-// pairs are hashed once and applied to every residual.
+// pairs are read once and applied to every residual.
 // The accumulation order over rows matches correlateRange's, so each
 // dsts[q] is bit-identical to Correlate(rs[q], ·).
 func (c *CountSketch) CorrelateBatch(rs, dsts []linalg.Vector) {
@@ -239,10 +254,9 @@ func (c *CountSketch) correlateBatchRange(rs, dsts []linalg.Vector, lo, hi int) 
 	sums := make([]float64, len(rs))
 	for j := lo; j < hi; j++ {
 		clear(sums)
-		for row := 0; row < c.depth; row++ {
-			cell, sign := c.cell(row, j)
+		for _, e := range c.col(j) {
 			for q, r := range rs {
-				sums[q] += sign * r[cell]
+				sums[q] += flip(r[e>>1], e)
 			}
 		}
 		for q := range dsts {
@@ -307,9 +321,8 @@ func (c *CountSketch) PointEstimate(y linalg.Vector, j int, mode float64) float6
 		panic(fmt.Sprintf("sensing: PointEstimate index %d out of [0,%d)", j, c.p.N))
 	}
 	var buf [maxCountSketchDepth]float64
-	for r := 0; r < c.depth; r++ {
-		cell, sign := c.cell(r, j)
-		dev := sign * (y[cell] - mode*c.signed[cell])
+	for r, e := range c.col(j) {
+		dev := flip(y[e>>1]-mode*c.signed[e>>1], e)
 		// Insertion sort keeps buf[:r+1] ordered; depth ≤ 64 keeps it cheap.
 		k := r
 		for k > 0 && buf[k-1] > dev {

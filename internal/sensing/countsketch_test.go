@@ -1,6 +1,8 @@
 package sensing
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -15,6 +17,12 @@ func cskMat(t testing.TB, p Params, depth int) *CountSketch {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// cell returns column j's (flat cell index, ±1 sign) in row r.
+func (c *CountSketch) cell(r, j int) (int, float64) {
+	e := c.col(j)[r]
+	return int(e >> 1), signOf(e)
 }
 
 func TestCountSketchColumnStructure(t *testing.T) {
@@ -331,6 +339,54 @@ func TestCountSketchAddColsBitIdentical(t *testing.T) {
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%d columns: y[%d] = %v (%#x), Col+AddScaled gives %v (%#x)", n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestCountSketchGolden pins every (cell, sign) of three count-sketch
+// shapes: FNV-1a over each column's depth cells, key-major, as the
+// little-endian uint32 cell index and one byte for the sign (1 for +1).
+// The shapes are the standing_tier benchmark's (depth 7, M=448, width
+// 64), an odd width, and a depth that leaves a tail of M. A few cells
+// are spelled out so a failure says where the hash moved. Every
+// count-sketch deployment depends on these bits; scripts/verify.sh runs
+// this test on 386 too.
+func TestCountSketchGolden(t *testing.T) {
+	type cell struct{ r, j, cell, sign int }
+	for _, c := range []struct {
+		p     Params
+		depth int
+		hash  uint64
+		cells []cell
+	}{
+		{Params{M: 448, N: 4096, Seed: 1}, 7, 0x3092ea075126144b,
+			[]cell{{0, 0, 59, -1}, {6, 0, 388, 1}, {0, 1, 0, -1}, {6, 4095, 386, 1}}},
+		{Params{M: 99, N: 301, Seed: 7919}, 3, 0xbc7c1a470618ea54,
+			[]cell{{0, 0, 16, 1}, {2, 1, 71, -1}, {0, 300, 8, -1}, {2, 300, 88, 1}}},
+		{Params{M: 100, N: 500, Seed: 42}, 7, 0x11b145a6035ddb9a,
+			[]cell{{0, 0, 1, -1}, {6, 0, 87, -1}, {6, 1, 91, -1}, {6, 499, 93, -1}}},
+	} {
+		cs := cskMat(t, c.p, c.depth)
+		h := fnv.New64a()
+		var b [5]byte
+		for j := 0; j < c.p.N; j++ {
+			for r := 0; r < c.depth; r++ {
+				at, sign := cs.cell(r, j)
+				binary.LittleEndian.PutUint32(b[:], uint32(at))
+				b[4] = 0
+				if sign > 0 {
+					b[4] = 1
+				}
+				h.Write(b[:])
+			}
+		}
+		if got := h.Sum64(); got != c.hash {
+			t.Errorf("%+v depth %d: (cell, sign) hash = %#x, want %#x", c.p, c.depth, got, c.hash)
+		}
+		for _, e := range c.cells {
+			if at, sign := cs.cell(e.r, e.j); at != e.cell || int(sign) != e.sign {
+				t.Errorf("%+v depth %d: cell(%d, %d) = (%d, %v), want (%d, %d)", c.p, c.depth, e.r, e.j, at, sign, e.cell, e.sign)
 			}
 		}
 	}

@@ -129,10 +129,9 @@ func (r *StreamRig) checkSpans() (int64, error) {
 }
 
 // checkPointAnswer compares one PointAnswer against the exact span
-// truth: mode and value within matchTol, Deviation = Value − Mode, and
-// the Outlier flag equal to the oracle's verdict whenever the exact
-// deviation is not inside the pointFlagBand dead zone around the
-// threshold.
+// truth: mode and value within matchTol, and the Outlier flag equal to
+// the oracle's verdict whenever the exact deviation is not inside the
+// pointFlagBand dead zone around the threshold.
 func checkPointAnswer(truth spanTruth, idx int, ans csoutlier.PointAnswer) error {
 	exact := truth.sum[idx]
 	if !closeRel(ans.Mode, truth.mode) {
@@ -140,9 +139,6 @@ func checkPointAnswer(truth spanTruth, idx int, ans csoutlier.PointAnswer) error
 	}
 	if !closeRel(ans.Value, exact) {
 		return fmt.Errorf("key %d: value %v, oracle %v", idx, ans.Value, exact)
-	}
-	if ans.Deviation != ans.Value-ans.Mode {
-		return fmt.Errorf("key %d: deviation %v != value %v − mode %v", idx, ans.Deviation, ans.Value, ans.Mode)
 	}
 	dev := math.Abs(exact - truth.mode)
 	if math.Abs(dev-pointThreshold) <= pointFlagBand {

@@ -305,8 +305,8 @@ func TestPointQueryWhileFolding(t *testing.T) {
 					t.Errorf("PointQuery %v %s: %v", span, key, err)
 					return
 				}
-				if math.Abs(ans.Deviation) > 1e-6 || ans.Outlier {
-					t.Errorf("uniform data returned deviation %v (span %v key %s)", ans.Deviation, span, key)
+				if math.Abs(ans.Deviation()) > 1e-6 || ans.Outlier {
+					t.Errorf("uniform data returned deviation %v (span %v key %s)", ans.Deviation(), span, key)
 					return
 				}
 				if ans.Value < -1e-6 || ans.Value > frames+1e-6 ||

@@ -24,12 +24,13 @@ type PointAnswer struct {
 	// Mode is the bias estimate the deviation is measured against,
 	// shared by every query on the same committed PointState.
 	Mode float64
-	// Deviation is Value − Mode.
-	Deviation float64
-	// Outlier reports |Deviation| ≥ the query's threshold. Always false
-	// for threshold ≤ 0 (callers that only want the estimate).
+	// Outlier reports |Deviation()| ≥ the query's threshold. Always
+	// false for threshold ≤ 0 (callers that only want the estimate).
 	Outlier bool
 }
+
+// Deviation is Value − Mode.
+func (a PointAnswer) Deviation() float64 { return a.Value - a.Mode }
 
 // PointState is the recovery-free point-query engine over one sketch:
 // an owned sketch buffer plus a cached mode estimate. The intended
@@ -99,12 +100,7 @@ func (ps *PointState) Query(key string, threshold float64) (PointAnswer, error) 
 	if !ps.committed {
 		return PointAnswer{}, errPointStateUncommitted
 	}
-	v := ps.cs.PointEstimate(ps.sketch.Y, idx, ps.mode)
-	dev := v - ps.mode
-	return PointAnswer{
-		Value:     v,
-		Mode:      ps.mode,
-		Deviation: dev,
-		Outlier:   threshold > 0 && math.Abs(dev) >= threshold,
-	}, nil
+	a := PointAnswer{Value: ps.cs.PointEstimate(ps.sketch.Y, idx, ps.mode), Mode: ps.mode}
+	a.Outlier = threshold > 0 && math.Abs(a.Deviation()) >= threshold
+	return a, nil
 }

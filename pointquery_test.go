@@ -75,8 +75,8 @@ func TestPointStateEndToEnd(t *testing.T) {
 		if math.Abs(ans.Value-want) > 1e-6*math.Abs(val) {
 			t.Fatalf("outlier %d value = %v, want %v", idx, ans.Value, want)
 		}
-		if ans.Deviation != ans.Value-ans.Mode {
-			t.Fatalf("deviation inconsistent: %+v", ans)
+		if math.Abs(ans.Deviation()-val) > 1e-6*math.Abs(val) {
+			t.Fatalf("outlier %d deviation = %v, want %v", idx, ans.Deviation(), val)
 		}
 	}
 	// Clean keys: estimate = mode, not an outlier.

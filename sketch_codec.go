@@ -69,9 +69,10 @@ import (
 // The sketch is linear, so the receiver computes Σ valueᵢ·φ_indexᵢ itself,
 // with Observe's arithmetic in Observe's order, and lands on the bits the
 // sender's sketch would have held. Which encoding a delta gets is a
-// function of the two sizes alone: pairs exactly when they are strictly
-// smaller than EncodedSketchLen(m) (Updater.DrainEncoded), and a
-// decoder refuses a pairs payload that is not.
+// function of the log alone: pairs exactly when they are strictly
+// smaller than pairLog.limit, EncodedSketchLen(m) or, for a count-sketch
+// of integers, a bound on the CSKI sketch (Updater.DrainEncoded), and a
+// decoder refuses a pairs payload no smaller than EncodedSketchLen(m).
 
 // sketchMagic opens a CSK2 sketch, intSketchMagic a CSKI one.
 var sketchMagic, intSketchMagic = [4]byte{'C', 'S', 'K', '2'}, [4]byte{'C', 'S', 'K', 'I'}
@@ -294,6 +295,9 @@ func decodeSketchID(data []byte) (Sketch, error) {
 type pairLog struct {
 	count int
 	bytes []byte
+	// abs is Σ|v| over the logged values, capped at 2^53+1, which one
+	// value that travels raw sets outright: past 2^53 it bounds nothing.
+	abs uint64
 }
 
 // maxExactInt is the largest magnitude a pair's integer value may have:
@@ -312,10 +316,26 @@ func pairInt(v float64) (int64, bool) {
 func (l *pairLog) add(idx int, v float64) {
 	if i, ok := pairInt(v); ok {
 		l.bytes = binary.AppendVarint(binary.AppendUvarint(l.bytes, uint64(idx)<<1), i)
+		l.abs = min(l.abs+uint64(max(i, -i)), maxExactInt+1)
 	} else {
 		l.bytes = binary.LittleEndian.AppendUint64(binary.AppendUvarint(l.bytes, uint64(idx)<<1|1), math.Float64bits(v))
+		l.abs = maxExactInt + 1
 	}
 	l.count++
+}
+
+// limit is the size l's pairs payload must stay under to travel as
+// pairs under sk: the CSK2 sketch's (EncodedSketchLen(M)), or, on a
+// count-sketch, where each counter is a ±1-weighted sum of the logged
+// values, while those are integers with Σ|v| ≤ 2^53, a bound on the
+// CSKI sketch's: every counter is then an integer of magnitude at most
+// Σ|v|, so none takes more varint bytes than zigzag(Σ|v|).
+func (l *pairLog) limit(sk *Sketcher) int {
+	m := sk.spec.M
+	if sk.spec.Kind != CountSketch || l.abs > maxExactInt {
+		return EncodedSketchLen(m)
+	}
+	return sketchHeaderLen + m*uvarintLen(2*l.abs) + sketchTrailerLen
 }
 
 // reset empties the log, keeping its storage.
@@ -379,12 +399,12 @@ func uvarint(b []byte) (uint64, int) {
 }
 
 // uvarintLen is the size of v as a uvarint.
-func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // pairsLen is the size of the pairs payload of count observations whose
 // bytes total body.
 func pairsLen(count, body int) int {
-	return 1 + uvarintLen(count) + body + sketchTrailerLen
+	return 1 + uvarintLen(uint64(count)) + body + sketchTrailerLen
 }
 
 // appendPairs appends the pairs payload of l under the consensus whose

@@ -14,13 +14,16 @@ import (
 // time and O(M) total memory; the slice itself is never stored.
 //
 // Until the observations since the last drain would encode no smaller
-// than the sketch itself, they are kept as they came — an in-order log
-// of (key index, delta), under EncodedSketchLen(M) bytes — and not
+// than a bound on the sketch itself (pairLog.limit: EncodedSketchLen(M),
+// or for a count-sketch of integers a bound on its CSKI form), they are
+// kept as they came — an in-order log of (key index, delta) — and not
 // measured at all: DrainEncoded ships the log, and whoever folds it
 // measures it with the arithmetic Observe would have used. The
-// observation that tips the log over the sketch's size replays it into
-// the sketch, and from there to the next drain every observation is
-// measured on arrival.
+// observation that tips the log over that bound replays it into the
+// sketch, and from there to the next drain every observation is
+// measured on arrival, so a non-integer observed after a count-sketch's
+// log closed makes the drain the CSK2 sketch, whatever the pairs would
+// have cost.
 //
 // An Updater is safe for concurrent use: every observation, the one
 // replay per drain period and every drain run under one mutex. A
@@ -51,8 +54,8 @@ func (s *Sketcher) NewUpdater() *Updater {
 }
 
 // logLocked appends one observation to the open log and reports whether
-// it did. The observation that would make the log no smaller than the
-// sketch closes it instead: the log is replayed into y and the caller
+// it did. The observation that would make the log no smaller than its
+// limit closes it instead: the log is replayed into y and the caller
 // measures this observation, and every later one, itself.
 func (u *Updater) logLocked(idx int, delta float64) bool {
 	if !u.logging {
@@ -60,7 +63,7 @@ func (u *Updater) logLocked(idx int, delta float64) bool {
 	}
 	end := len(u.log.bytes)
 	u.log.add(idx, delta)
-	if pairsLen(u.log.count, len(u.log.bytes)) < EncodedSketchLen(len(u.y)) {
+	if pairsLen(u.log.count, len(u.log.bytes)) < u.log.limit(u.sk) {
 		return true
 	}
 	// Take the observation back out and close the log: y becomes the
