@@ -494,8 +494,9 @@ type BatchQuery struct {
 // batched recovery engine: every query's first correlation and every
 // Gram column a warm hint names that the cache lacks go through a single
 // block kernel call that regenerates each dictionary column once for the
-// whole batch. Each report is bit-identical to an independent Detect on
-// the same sketch.
+// whole batch, and queries on bitwise-equal sketches at different k share
+// one greedy run. Each report is bit-identical to an independent Detect
+// on the same sketch.
 func (s *Sketcher) DetectBatch(queries []BatchQuery) ([]*Report, error) {
 	if len(queries) == 0 {
 		return nil, nil

@@ -682,7 +682,7 @@ func setLines(p *program) string {
 
 // maxDocBytes caps the two documents that describe the system at the
 // sizes their last edit left: lower a cap after a cut, never raise it.
-var maxDocBytes = map[string]int{"README.md": 43939, "DESIGN.md": 49675}
+var maxDocBytes = map[string]int{"README.md": 43886, "DESIGN.md": 49673}
 
 // bigDocs returns the docs over their cap.
 func bigDocs(p *program) []string {

@@ -161,7 +161,8 @@ type GramStats struct {
 	// of one dictionary column against the whole matrix.
 	Hits, Misses int
 	// CorrelateColumns is dictionary columns × vectors correlated with
-	// them: N per query for c₀ = Φᵀy, N more per miss.
+	// them: N per greedy run for c₀ = Φᵀy, N more per miss. A batch item
+	// cut from another item's run (see share) correlates nothing.
 	CorrelateColumns int
 }
 

@@ -41,7 +41,8 @@ func (ws *Workspace) BOMPWarm(m sensing.Matrix, y linalg.Vector, warm []int, opt
 }
 
 // BOMPBatch solves many BOMP queries against the same matrix, sharing
-// one pass over it (see solve). wss supplies one workspace per item
+// one pass over it and one greedy run among items that differ only in
+// their budget (see solve). wss supplies one workspace per item
 // (results alias their workspaces, exactly as in Workspace.BOMP; the
 // returned slice aliases wss[0]). Each results[i] is bit-identical to
 // wss[i].BOMP(m, items[i].Y, items[i].Opt).

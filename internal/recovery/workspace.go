@@ -65,9 +65,15 @@ type Workspace struct {
 	st       greedyState
 	stats    GramStats
 
+	// The run this item is cut from (itself when it runs; see share),
+	// and the item's iteration budget after the clamps.
+	run    *Workspace
+	budget int
+
 	// Scratch of the solve this workspace leads (wss[0] of a batch).
 	rs, dsts []linalg.Vector
 	results  []*Result
+	group    []int // item i's run is that of its group's first item, group[i]
 	self     [1]*Workspace
 	item     [1]BatchItem
 }
@@ -141,8 +147,9 @@ func (ws *Workspace) bind(m sensing.Matrix) *GramCache {
 	return ws.gram
 }
 
-// solve runs the greedy loop of every item on its workspace; finish
-// packages each result. Everything the items can share happens in one
+// solve runs the greedy loop of every distinct item on its workspace
+// and cuts each repeat's result from its run (see share); finish
+// packages each result. Everything the runs can share happens in one
 // pass over the matrix: all the c₀s, and every Gram column a warm hint
 // names that its cache lacks, go through a single CorrelateBlock, which
 // a regenerating ensemble serves by building each dictionary column
@@ -150,11 +157,15 @@ func (ws *Workspace) bind(m sensing.Matrix) *GramCache {
 // per column it selects that neither a hint nor an earlier run fetched.
 func solve(m sensing.Matrix, wss []*Workspace, items []BatchItem, biased bool) {
 	lead := wss[0]
+	lead.share(m, wss, items, biased)
 	lead.rs, lead.dsts = lead.rs[:0], lead.dsts[:0]
 	n := m.Params().N
 	for i, ws := range wss {
 		it := &items[i]
 		ws.stats = GramStats{}
+		if ws.run != ws {
+			continue
+		}
 		// The hint first: it may be this workspace's previous Selection,
 		// and ws.masked is free as scratch until greedyInit resets it.
 		ws.prefetch(ws.bind(m), it, lead)
@@ -174,8 +185,12 @@ func solve(m sensing.Matrix, wss []*Workspace, items []BatchItem, biased bool) {
 		for _, s := range ws.pending {
 			ws.gram.publish(s)
 		}
+		ws.pending = ws.pending[:0]
 	}
 	for _, ws := range wss {
+		if ws.run != ws {
+			continue
+		}
 		for !ws.st.done {
 			var top int
 			ws.corr, top = linalg.SubCombination(ws.corr, ws.c0, ws.coef, ws.gcols)
@@ -186,6 +201,91 @@ func solve(m sensing.Matrix, wss []*Workspace, items []BatchItem, biased bool) {
 		clear(ws.gcols)
 		ws.pins, ws.gcols = ws.pins[:0], ws.gcols[:0]
 	}
+	for _, ws := range wss {
+		if ws.run != ws {
+			ws.cut(ws.run)
+		}
+		ws.run = nil
+	}
+}
+
+// share points each workspace at the run its result comes from. Items
+// whose measurements are bitwise equal and whose Options differ at most
+// in MaxIterations take the same greedy path: the budget decides only
+// where it stops. So each such group runs once, on the first of its
+// items with the largest budget, and the others are cut from that run.
+func (lead *Workspace) share(m sensing.Matrix, wss []*Workspace, items []BatchItem, biased bool) {
+	size := m.Params().N + 1
+	if !biased {
+		size--
+	}
+	group := lead.group[:0]
+	for i, ws := range wss {
+		it := &items[i]
+		ws.budget = clampMaxIter(it.Opt.MaxIterations, len(it.Y), size)
+		h := i
+		for j, g := range group {
+			if g == j && sameRun(&items[j], it) {
+				h = j
+				break
+			}
+		}
+		group = append(group, h)
+		if h == i {
+			ws.run = ws
+		} else if ws.budget > wss[h].run.budget {
+			wss[h].run = ws
+		}
+	}
+	for i, ws := range wss {
+		ws.run = wss[group[i]].run
+	}
+	lead.group = group
+}
+
+// sameRun reports whether a and b take the same greedy path: the same
+// measurement bits, and the same Options but for the budget.
+func sameRun(a, b *BatchItem) bool {
+	oa, ob := a.Opt, b.Opt
+	oa.MaxIterations, ob.MaxIterations = 0, 0
+	if oa != ob || len(a.Y) != len(b.Y) {
+		return false
+	}
+	if len(a.Y) == 0 || &a.Y[0] == &b.Y[0] {
+		return true
+	}
+	for i, v := range a.Y {
+		if math.Float64bits(v) != math.Float64bits(b.Y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// cut leaves in ws what its own run of r's item would have ended with,
+// given r's run on the same path at a budget no smaller. If r stopped
+// within ws's budget, that is r's result. Otherwise ws's run would have
+// stopped on its budget b, and the selection, R and Qᵀy grow by
+// appending, so theirs are the first b selections, R's first b columns
+// and Qᵀy[:b]; z and ‖r‖ are computed from those as greedyStep does.
+func (ws *Workspace) cut(r *Workspace) {
+	b := min(ws.budget, len(r.selected))
+	st := &ws.st
+	*st = greedyState{n: r.st.n, biased: r.st.biased, done: true, diag: r.st.diag}
+	ws.selected = append(ws.selected[:0], r.selected[:b]...)
+	if b == len(r.selected) {
+		ws.coef = append(ws.coef[:0], r.coef...)
+	} else {
+		ws.chol = append(ws.chol[:0], r.chol[:b*(b+1)/2]...)
+		ws.qty = append(ws.qty[:0], r.qty[:b]...)
+		ws.solveCoef()
+		st.diag.residual = residualNorm(r.st.yy, ws.qty)
+		st.diag.stalled = false
+	}
+	// A trace holds one entry per selection, or is nil.
+	prefix := func(tr []float64) []float64 { return slices.Clone(tr[:min(b, len(tr))]) }
+	st.diag.residualTrace = prefix(st.diag.residualTrace)
+	st.diag.modeTrace = prefix(st.diag.modeTrace)
 }
 
 // prefetch pins the Gram columns a warm hint names, so the run finds
@@ -359,15 +459,7 @@ func (ws *Workspace) greedyStep(top int) {
 	ws.selected = append(ws.selected, best)
 	ws.solveCoef()
 
-	qq := 0.0
-	for _, c := range ws.qty {
-		qq += c * c
-	}
-	d := st.yy - qq
-	if d < 0 {
-		d = 0 // cancellation
-	}
-	norm := math.Sqrt(d)
+	norm := residualNorm(st.yy, ws.qty)
 	st.diag.residual = norm
 	if st.opt.TraceMode {
 		st.diag.residualTrace = append(st.diag.residualTrace, norm)
@@ -429,6 +521,19 @@ func (ws *Workspace) extend(b int) bool {
 	ws.chol[base+t] = d
 	ws.qty = append(ws.qty, (ws.c0[b]-w.Dot(ws.qty))/d)
 	return true
+}
+
+// residualNorm is ‖r‖ = √(‖y‖² − ‖Qᵀy‖²), given yy = ‖y‖².
+func residualNorm(yy float64, qty linalg.Vector) float64 {
+	qq := 0.0
+	for _, c := range qty {
+		qq += c * c
+	}
+	d := yy - qq
+	if d < 0 {
+		d = 0 // cancellation
+	}
+	return math.Sqrt(d)
 }
 
 // solveCoef back-substitutes R·z = Qᵀy into ws.coef, a column of R at a

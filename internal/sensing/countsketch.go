@@ -235,10 +235,10 @@ func (c *CountSketch) correlateRange(r, dst linalg.Vector, lo, hi int) {
 	}
 }
 
-// CorrelateBatch implements Matrix: each column's depth (cell, sign)
-// pairs are read once and applied to every residual.
-// The accumulation order over rows matches correlateRange's, so each
-// dsts[q] is bit-identical to Correlate(rs[q], ·).
+// CorrelateBatch implements Matrix. A column is depth table reads, with
+// nothing to regenerate that residuals could share, so each worker's
+// range runs correlateRange once per residual: each dsts[q] is
+// bit-identical to Correlate(rs[q], ·), and the sum stays in a register.
 func (c *CountSketch) CorrelateBatch(rs, dsts []linalg.Vector) {
 	if kernelWorkers() < 2 || c.p.N < 2*countSketchCorrChunk {
 		c.correlateBatchRange(rs, dsts, 0, c.p.N)
@@ -251,17 +251,8 @@ func (c *CountSketch) CorrelateBatch(rs, dsts []linalg.Vector) {
 
 // correlateBatchRange fills dsts[q][j] = <φ_j, rs[q]> for j in [lo, hi).
 func (c *CountSketch) correlateBatchRange(rs, dsts []linalg.Vector, lo, hi int) {
-	sums := make([]float64, len(rs))
-	for j := lo; j < hi; j++ {
-		clear(sums)
-		for _, e := range c.col(j) {
-			for q, r := range rs {
-				sums[q] += flip(r[e>>1], e)
-			}
-		}
-		for q := range dsts {
-			dsts[q][j] = sums[q]
-		}
+	for q, r := range rs {
+		c.correlateRange(r, dsts[q], lo, hi)
 	}
 }
 

@@ -95,14 +95,13 @@ func (b *book) reply(status string) Ack {
 	return Ack{Window: b.window, Status: status, AggEpoch: b.epoch}
 }
 
-// admit returns the live record for (node, epoch), seen at now. First
-// contact is a join (refused, changing nothing, at limit records), and
-// so is a retired node's return, which revives its record: at the same
-// epoch its base still describes this sequence space, so nothing can
-// refold. A higher epoch is a restart, a fresh sequence space; a lower
+// admit returns the record for (node, epoch). First contact is a join
+// (refused, changing nothing, at limit records) and makes a live
+// record. A higher epoch is a restart, a fresh sequence space; a lower
 // one is refused, the successor owns it. A restart keeps the record's
-// cut: the folds it names are still in the windows.
-func (b *book) admit(node string, epoch uint64, now time.Time) (m *member, joined bool, err error) {
+// cut: the folds it names are still in the windows. A retired record
+// stays retired: only revive brings it back.
+func (b *book) admit(node string, epoch uint64) (m *member, joined bool, err error) {
 	m = b.members[node]
 	switch {
 	case m == nil && len(b.members) >= b.limit:
@@ -118,6 +117,13 @@ func (b *book) admit(node string, epoch uint64, now time.Time) (m *member, joine
 		m.Epoch, m.Stable, m.base, m.folded = epoch, 0, 0, 0
 		m.Restarts++
 	}
+	return m, joined, nil
+}
+
+// revive marks m live and seen at now: a retired node's return is a
+// join. At the same epoch its base still describes this sequence space,
+// so nothing can refold.
+func (b *book) revive(m *member, now time.Time) (joined bool) {
 	if m.State != StateLive {
 		m.State = StateLive
 		b.retired--
@@ -125,7 +131,7 @@ func (b *book) admit(node string, epoch uint64, now time.Time) (m *member, joine
 		joined = true
 	}
 	m.LastSeen = now
-	return m, joined, nil
+	return joined
 }
 
 // retire moves a live member to state (StateLeft or stateEvicted).
@@ -162,11 +168,12 @@ func (b *book) settle(m *member) {
 // a name it holds no record of.
 func (b *book) hello(node string, epoch uint64, now time.Time) (ack Ack, joined, refused bool) {
 	ack = b.reply(statusHello)
-	m, joined, err := b.admit(node, epoch, now)
+	m, joined, err := b.admit(node, epoch)
 	if err != nil {
 		ack.Err = err.Error()
 		return ack, false, b.members[node] == nil
 	}
+	joined = b.revive(m, now) || joined
 	ack.Stable = m.Stable
 	if m.base == 0 {
 		ack.Cut = m.cutList()
@@ -194,18 +201,23 @@ func (b *book) bye(node string, epoch uint64) (ack Ack, left bool) {
 // duplicate (seq at or below base), dropped-old (its window left the
 // ring) or new, which fold adds at its age. A delta processed, folded or
 // dropped, merges its cut into the record's; one whose cut would take
-// the record's past maxMembers names is refused. A delta tagged ahead of the
-// counter (a non-durable aggregator restarted at window 1; nodes never
-// adopt a lower window) folds into the open window, as a late one into
-// its own. When fold fails (the payload did not decode, or the sum would
-// overflow) the delta is refused and not marked, so the same seq sent
-// again before any later one still folds.
+// the record's past maxMembers names is refused. Only a folded delta
+// revives a retired record: a late retry read after the node's bye or
+// eviction leaves it retired. Any delta of a live one marks it seen. A
+// delta tagged ahead of the counter (a non-durable aggregator restarted
+// at window 1; nodes never adopt a lower window) folds into the open
+// window, as a late one into its own. When fold fails (the payload did
+// not decode, or the sum would overflow) the delta is refused and not
+// marked, so the same seq sent again before any later one still folds.
 func (b *book) delta(node string, epoch, window, seq uint64, folds uint32, cut []SnapNode, now time.Time, fold func(age int, window uint64) error) (Ack, bool) {
 	ack := b.reply("")
-	m, joined, err := b.admit(node, epoch, now)
+	m, joined, err := b.admit(node, epoch)
 	if err != nil {
 		ack.Err = err.Error()
 		return ack, false
+	}
+	if m.State == StateLive {
+		m.LastSeen = now
 	}
 	w := min(window, b.window)
 	switch age := b.window - w; {
@@ -229,6 +241,7 @@ func (b *book) delta(node string, epoch, window, seq uint64, folds uint32, cut [
 		}
 		b.mark(m, seq, true)
 		m.merge(cut)
+		joined = b.revive(m, now) || joined
 		m.Applied++
 		if folds > 1 { // a relay's sum of folds leaf deltas, so "captures folded" reconciles
 			m.ShedFrames++

@@ -387,3 +387,58 @@ func TestRetiredNameNeverRefolds(t *testing.T) {
 		t.Fatalf("node0001 after its Dial: %+v, want live", st)
 	}
 }
+
+// TestLateFrameLeavesRetiredMember: a frame a slow handler reads after
+// the node's bye, or after its eviction, changes no membership unless it
+// folds. A duplicate retry, a refused frame and a frame dropped as too
+// old leave the record retired, unseen and uncounted as a join; the
+// next new seq revives it.
+func TestLateFrameLeavesRetiredMember(t *testing.T) {
+	bk := newBook(false, 2, 1)
+	fold := func(int, uint64) error { return nil }
+	t0, t1 := time.Unix(100, 0), time.Unix(200, 0)
+	for _, node := range []string{"leaver", "silent"} {
+		if _, joined, refused := bk.hello(node, 1, t0); !joined || refused {
+			t.Fatalf("%s hello: joined %v refused %v", node, joined, refused)
+		}
+		if ack, _ := bk.delta(node, 1, 1, 1, 1, nil, t0, fold); !ack.Applied {
+			t.Fatalf("%s seq 1: %+v", node, ack)
+		}
+	}
+	if _, left := bk.bye("leaver", 1); !left {
+		t.Fatal("bye did not retire the leaver")
+	}
+	if n := bk.evict(t0.Add(time.Second)); n != 1 {
+		t.Fatalf("evicted %d, want the silent node alone", n)
+	}
+	bk.window = 5 // window 1 is out of the 2-window ring
+	for _, node := range []string{"leaver", "silent"} {
+		m := bk.members[node]
+		state, version, retired := m.State, bk.version, bk.retired
+		for _, late := range []struct {
+			name           string
+			window, seq    uint64
+			status, errSub string
+		}{
+			{"duplicate retry", 5, 1, StatusDuplicate, ""},
+			{"refused seq 0", 5, 0, "", "seq 1"},
+			{"dropped-old", 1, 2, statusDroppedOld, ""},
+		} {
+			ack, joined := bk.delta(node, 1, late.window, late.seq, 1, nil, t1, fold)
+			if ack.Status != late.status || !strings.Contains(ack.Err, late.errSub) || (late.errSub == "") != (ack.Err == "") {
+				t.Fatalf("%s %s: %+v", node, late.name, ack)
+			}
+			if joined || m.State != state || !m.LastSeen.Equal(t0) || bk.version != version || bk.retired != retired {
+				t.Fatalf("%s %s: joined %v, state %q, seen %v, version %d→%d, retired %d→%d; want the record untouched",
+					node, late.name, joined, m.State, m.LastSeen, version, bk.version, retired, bk.retired)
+			}
+		}
+		ack, joined := bk.delta(node, 1, 5, 3, 1, nil, t1, fold)
+		if !ack.Applied || !joined || m.State != StateLive || !m.LastSeen.Equal(t1) {
+			t.Fatalf("%s new seq: %+v, joined %v, state %q; want it folded and the record revived", node, ack, joined, m.State)
+		}
+	}
+	if bk.retired != 0 {
+		t.Fatalf("retired %d after both revivals, want 0", bk.retired)
+	}
+}

@@ -68,8 +68,8 @@ type queryResult struct {
 	// standing marks a query that has been asked more than once. Standing
 	// queries are the ones worth refreshing speculatively: when any query
 	// misses, stale standing entries piggyback on its batched recovery
-	// pass, so a dashboard's query set is served by one block correlation
-	// per generation instead of one cold solve each.
+	// pass, so a dashboard's query set is served by one greedy run per
+	// distinct span and generation instead of one cold solve per query.
 	standing bool
 }
 
@@ -131,7 +131,8 @@ func (a *Aggregator) Outliers(fromAge, toAge, k int) (*csoutlier.Report, error) 
 	// The missing query does not recover alone: stale standing queries
 	// piggyback on its batched recovery pass, each warm-started from its
 	// previous generation's selection order, so a dashboard's whole query
-	// set is served by one block correlation per fold generation.
+	// set is served by one greedy run per distinct span and fold
+	// generation (queries on one span at different k share it).
 	type slot struct {
 		key      queryKey
 		warm     []int
