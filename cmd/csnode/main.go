@@ -72,8 +72,8 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address (empty = off)")
 	)
 	flag.Parse()
-	if *dictPath == "" || *dataPath == "" || *shards < 1 || *pushChunk < 1 {
-		fmt.Fprintln(os.Stderr, "csnode: -dict and -data are required, and -shards and -push-chunk must be ≥ 1")
+	if *dictPath == "" || *dataPath == "" || *shards < 1 || *pushChunk < 1 || *pushEvery <= 0 {
+		fmt.Fprintln(os.Stderr, "csnode: -dict and -data are required, -shards and -push-chunk must be ≥ 1 and -push-every > 0")
 		os.Exit(2)
 	}
 	if *name == "" {

@@ -72,8 +72,7 @@ func main() {
 		reportEvery = flag.Duration("report-every", time.Minute, "how often to print the outlier/liveness report (0 = only on shutdown)")
 		idleTO      = flag.Duration("idle-timeout", 5*time.Minute, "drop node connections silent for this long (0 = never)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address (empty = off)")
-		snapPath    = flag.String("snapshot", "", "durable snapshot file: written atomically on rotation/shutdown, restored on boot (empty = in-memory only; refused on a relay, which keeps no file)")
-		snapEvery   = flag.Duration("snapshot-every", 0, "also snapshot on this wall-clock period (requires -snapshot)")
+		snapPath    = flag.String("snapshot", "", "durable snapshot file: written atomically on rotation, on shutdown and when a node's retained frames need it, restored on boot (empty = in-memory only; refused on a relay, which keeps no file)")
 		evictAfter  = flag.Duration("evict-after", 0, "evict nodes not heard from for this long; their dedup state is tombstoned, not lost (0 = never)")
 
 		shards     = flag.Int("shards", 1, "carve the dictionary into this many contiguous key-range shards")
@@ -81,8 +80,8 @@ func main() {
 		shardVer   = flag.Uint64("shard-version", 1, "version stamp of the shard partition (advertised via shard_map_version)")
 
 		relayUpstream = flag.String("relay-upstream", "", "parent aggregator's push address; non-empty makes this process a regional relay")
-		relayID       = flag.String("relay-id", "", "relay identity in the parent's dedup books (required with -relay-upstream)")
-		forwardEvery  = flag.Duration("forward-every", 30*time.Second, "how often a relay forwards its folded window deltas upward")
+		relayID       = flag.String("relay-id", "", "relay identity in the parent's dedup books (required with -relay-upstream, refused without)")
+		forwardEvery  = flag.Duration("forward-every", 30*time.Second, "how often a relay forwards its folded window deltas upward (> 0; refused without -relay-upstream)")
 	)
 	flag.Parse()
 	if *dictPath == "" || *m <= 0 || *windows < 1 || *k < 1 || *span < 0 {
@@ -93,22 +92,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, "csstreamd: -relay-upstream requires -relay-id")
 		os.Exit(2)
 	}
-	if *snapEvery != 0 && *snapPath == "" {
-		fmt.Fprintln(os.Stderr, "csstreamd: -snapshot-every requires -snapshot")
-		os.Exit(2)
-	}
 	if *snapPath != "" && *relayUpstream != "" {
 		fmt.Fprintln(os.Stderr, "csstreamd: -snapshot does not apply to a relay (-relay-upstream): it keeps no file, its root keeps what a restart needs")
 		os.Exit(2)
 	}
-	if *relayUpstream != "" {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "window-every" {
-				fmt.Fprintln(os.Stderr, "csstreamd: -window-every does not apply to a relay (-relay-upstream): it rotates when the upstream does")
-				os.Exit(2)
-			}
-		})
+	if *windowEvery < 0 || *reportEvery < 0 || *idleTO < 0 || *evictAfter < 0 {
+		fmt.Fprintln(os.Stderr, "csstreamd: -window-every, -report-every, -idle-timeout and -evict-after must be ≥ 0 (0 = never)")
+		os.Exit(2)
 	}
+	if *relayUpstream != "" && *forwardEvery <= 0 {
+		fmt.Fprintln(os.Stderr, "csstreamd: -forward-every must be > 0 on a relay: it would never forward or adopt the upstream's window")
+		os.Exit(2)
+	}
+	flag.Visit(func(f *flag.Flag) {
+		switch relay := *relayUpstream != ""; {
+		case relay && f.Name == "window-every":
+			fmt.Fprintln(os.Stderr, "csstreamd: -window-every does not apply to a relay (-relay-upstream): it rotates when the upstream does")
+			os.Exit(2)
+		case !relay && (f.Name == "forward-every" || f.Name == "relay-id"):
+			fmt.Fprintf(os.Stderr, "csstreamd: -%s applies only to a relay (-relay-upstream)\n", f.Name)
+			os.Exit(2)
+		}
+	})
 	if *shards < 1 || *shardIndex < 0 || *shardIndex >= *shards {
 		fmt.Fprintf(os.Stderr, "csstreamd: -shards %d -shard-index %d: want -shards ≥ 1 and the index in [0, -shards)\n", *shards, *shardIndex)
 		os.Exit(2)
@@ -159,13 +164,12 @@ func main() {
 
 	sk.Instrument(reg)
 	opts := stream.AggregatorOptions{
-		Windows:       *windows,
-		WindowEvery:   *windowEvery,
-		IdleTimeout:   *idleTO,
-		Metrics:       reg,
-		SnapshotPath:  *snapPath,
-		SnapshotEvery: *snapEvery,
-		EvictAfter:    *evictAfter,
+		Windows:      *windows,
+		WindowEvery:  *windowEvery,
+		IdleTimeout:  *idleTO,
+		Metrics:      reg,
+		SnapshotPath: *snapPath,
+		EvictAfter:   *evictAfter,
 	}
 	var agg *stream.Aggregator
 	var relay *tier.Relay
@@ -231,7 +235,7 @@ func main() {
 		tick = t.C
 	}
 	var fwd <-chan time.Time
-	if relay != nil && *forwardEvery > 0 {
+	if relay != nil {
 		t := time.NewTicker(*forwardEvery)
 		defer t.Stop()
 		fwd = t.C

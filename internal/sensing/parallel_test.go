@@ -111,7 +111,7 @@ func TestSeededParallelBitIdentical(t *testing.T) {
 		vals := []float64{1.5, -2.25, 0, 3.5}
 
 		wantCorr := make(linalg.Vector, p.N)
-		serial.correlateRange(r, wantCorr, 0, p.N)
+		serial.correlateRange([]linalg.Vector{r}, []linalg.Vector{wantCorr}, 0, p.N)
 		wantMeas := seededMeasureSerial(serial, x)
 		wantSparse := seededMeasureSparseSerial(serial, idx, vals)
 		wantExt := serial.ExtensionColumn(nil)

@@ -498,51 +498,41 @@ func (s *Seeded) MeasureSparse(idx []int, vals []float64, dst linalg.Vector) lin
 const colGenChunk = 16
 
 // Correlate implements Matrix by regenerating every column, fanned over
-// GOMAXPROCS workers. dst[j] depends only on column j's sub-stream and
-// r, so the result is the same bits for any worker count.
+// GOMAXPROCS workers through CorrelateBatch. dst[j] depends only on
+// column j's sub-stream and r, so the result is the same bits for any
+// worker count.
 func (s *Seeded) Correlate(r, dst linalg.Vector) linalg.Vector {
 	if len(r) != s.p.M {
 		panic(fmt.Sprintf("sensing: Correlate vector length %d, want M=%d", len(r), s.p.M))
 	}
 	dst = ensureExact(dst, s.p.N)
-	if kernelWorkers() < 2 || s.p.N < 2*colGenChunk {
-		s.correlateRange(r, dst, 0, s.p.N)
+	if kernelWorkers() > 1 && s.p.N >= 2*colGenChunk {
+		s.CorrelateBatch([]linalg.Vector{r}, []linalg.Vector{dst})
 		return dst
 	}
-	parallelRanges(s.p.N, colGenChunk, func(lo, hi int) {
-		s.correlateRange(r, dst, lo, hi)
-	})
+	// One residual on the calling goroutine: nothing escapes, so the
+	// serial path allocates nothing.
+	rs, dsts := [1]linalg.Vector{r}, [1]linalg.Vector{dst}
+	s.correlateRange(rs[:], dsts[:], 0, s.p.N)
 	return dst
-}
-
-// correlateRange fills dst[j] = <φ_j, r> for j in [lo, hi).
-func (s *Seeded) correlateRange(r, dst linalg.Vector, lo, hi int) {
-	col := s.cols.get(s.p.M)
-	for j := lo; j < hi; j++ {
-		fillColumn(s.p, j, *col)
-		dst[j] = col.Dot(r)
-	}
-	s.cols.put(col)
 }
 
 // CorrelateBatch implements Matrix: each column is regenerated ONCE
 // and dotted with every residual, so a q-residual block costs one
 // M·N regeneration pass plus q·N dot products — the regeneration, which
 // dominates Seeded's correlate cost, is amortized across the block.
-// Each dsts[q][j] comes from the same fillColumn bits and the same Dot
-// as Correlate(rs[q], ·), so results are bit-identical per residual.
 func (s *Seeded) CorrelateBatch(rs, dsts []linalg.Vector) {
 	if kernelWorkers() < 2 || s.p.N < 2*colGenChunk {
-		s.correlateBatchRange(rs, dsts, 0, s.p.N)
+		s.correlateRange(rs, dsts, 0, s.p.N)
 		return
 	}
 	parallelRanges(s.p.N, colGenChunk, func(lo, hi int) {
-		s.correlateBatchRange(rs, dsts, lo, hi)
+		s.correlateRange(rs, dsts, lo, hi)
 	})
 }
 
-// correlateBatchRange fills dsts[q][j] = <φ_j, rs[q]> for j in [lo, hi).
-func (s *Seeded) correlateBatchRange(rs, dsts []linalg.Vector, lo, hi int) {
+// correlateRange fills dsts[q][j] = <φ_j, rs[q]> for j in [lo, hi).
+func (s *Seeded) correlateRange(rs, dsts []linalg.Vector, lo, hi int) {
 	col := s.cols.get(s.p.M)
 	for j := lo; j < hi; j++ {
 		fillColumn(s.p, j, *col)

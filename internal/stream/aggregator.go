@@ -30,13 +30,11 @@ type AggregatorOptions struct {
 	Metrics *obs.Registry
 	// SnapshotPath, when non-empty, makes the aggregator durable: it
 	// writes an atomic-rename snapshot (window ring + dedup books +
-	// membership) to this path after every rotation, on every
-	// SnapshotEvery tick, and on Close. On restart, restore with
-	// LoadSnapshot + RestoreAggregator.
+	// membership) to this path after every rotation, on Close, and
+	// whenever a node has sent half the frames it retains at most
+	// since its last commit. On restart, restore with LoadSnapshot +
+	// RestoreAggregator.
 	SnapshotPath string
-	// SnapshotEvery, when positive, also writes snapshots on this
-	// wall-clock period (requires SnapshotPath).
-	SnapshotEvery time.Duration
 	// Durable forces durable ack semantics without a snapshot path: acks
 	// advance the nodes' Stable watermark only at a commit — a
 	// WriteSnapshot's, or an embedder's Commit — so nodes retain acked
@@ -227,9 +225,6 @@ func newAggregator(sk *csoutlier.Sketcher, opts AggregatorOptions, epoch uint64)
 		// their next ack, so a restore never resurrects a pre-rotation
 		// window numbering.
 		a.life.every(opts.WindowEvery, func() { a.Rotate(); a.maybeSnapshot() })
-	}
-	if opts.SnapshotPath != "" && opts.SnapshotEvery > 0 {
-		a.life.every(opts.SnapshotEvery, func() { a.maybeSnapshot() })
 	}
 	if opts.EvictAfter > 0 {
 		a.life.every(max(opts.EvictAfter/4, 10*time.Millisecond), func() { a.EvictIdle(opts.EvictAfter) })

@@ -50,7 +50,7 @@ func benchFold(b *testing.B, bare bool) {
 					in := &agg.in
 					in.mu.Lock()
 					defer in.mu.Unlock()
-					ack, _ := in.bk.delta(req.Node, req.Epoch, req.Window, req.Seq, req.Folds, nil, time.Time{}, func(age int, _ uint64) error {
+					ack, _, _ := in.bk.delta(req.Node, req.Epoch, req.Window, req.Seq, req.Folds, nil, time.Time{}, func(age int, _ uint64) error {
 						if err != nil {
 							return err
 						}

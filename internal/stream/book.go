@@ -38,8 +38,13 @@ type member struct {
 	NodeStatus
 	base   uint64
 	folded uint64              // the highest seq folded this epoch: above it, base covers only seqs dropped as too old
+	since  int                 // captures processed since Stable last reached base
 	cut    map[string]SnapNode // by leaf name; nil for a node that never sent one
 }
+
+// commitEvery is the captures (a relay's frame counts those it sums) a
+// record takes before a commit is due: its sender stays clear of the cap.
+const commitEvery = maxRetained / 2
 
 // fits reports whether merging cut keeps m's within maxMembers names.
 func (m *member) fits(cut []SnapNode) bool {
@@ -114,7 +119,7 @@ func (b *book) admit(node string, epoch uint64) (m *member, joined bool, err err
 	case epoch < m.Epoch:
 		return nil, false, errStaleEpoch(node, epoch, m.Epoch)
 	case epoch > m.Epoch:
-		m.Epoch, m.Stable, m.base, m.folded = epoch, 0, 0, 0
+		m.Epoch, m.Stable, m.base, m.folded, m.since = epoch, 0, 0, 0, 0
 		m.Restarts++
 	}
 	return m, joined, nil
@@ -141,12 +146,13 @@ func (b *book) retire(m *member, state string) {
 	b.version++
 }
 
-// mark records seq as processed, folded or dropped as too old.
-func (b *book) mark(m *member, seq uint64, folded bool) {
+// mark records seq, of captures, as processed: folded or dropped as too old.
+func (b *book) mark(m *member, seq uint64, captures uint32, folded bool) {
 	m.base = max(m.base, seq)
 	if folded {
 		m.folded = m.base
 	}
+	m.since += int(max(1, captures))
 	b.settle(m)
 }
 
@@ -154,10 +160,13 @@ func (b *book) mark(m *member, seq uint64, folded bool) {
 // always in a book that never restores (acked is durable), and in a
 // durable one once every seq it folded is durable — a seq dropped as too
 // old held nothing a restart could lose, and at a relay no cut ever
-// names it.
+// names it. A Stable at base restarts the commit count.
 func (b *book) settle(m *member) {
 	if !b.durable || m.Stable >= m.folded {
 		m.Stable = m.base
+	}
+	if m.Stable >= m.base {
+		m.since = 0
 	}
 }
 
@@ -209,12 +218,14 @@ func (b *book) bye(node string, epoch uint64) (ack Ack, left bool) {
 // window, as a late one into its own. When fold fails (the payload did
 // not decode, or the sum would overflow) the delta is refused and not
 // marked, so the same seq sent again before any later one still folds.
-func (b *book) delta(node string, epoch, window, seq uint64, folds uint32, cut []SnapNode, now time.Time, fold func(age int, window uint64) error) (Ack, bool) {
-	ack := b.reply("")
+// due says the record took commitEvery captures since its Stable last
+// reached its base, which a volatile book's always is.
+func (b *book) delta(node string, epoch, window, seq uint64, folds uint32, cut []SnapNode, now time.Time, fold func(age int, window uint64) error) (ack Ack, joined, due bool) {
+	ack = b.reply("")
 	m, joined, err := b.admit(node, epoch)
 	if err != nil {
 		ack.Err = err.Error()
-		return ack, false
+		return ack, false, false
 	}
 	if m.State == StateLive {
 		m.LastSeen = now
@@ -230,7 +241,7 @@ func (b *book) delta(node string, epoch, window, seq uint64, folds uint32, cut [
 		err = fmt.Errorf("stream: node %s delta seq %d: its cut would name more than %d leaves", node, seq, maxMembers)
 	case age >= uint64(b.capacity):
 		// Too old to represent: acked and marked, so the node moves on.
-		b.mark(m, seq, false)
+		b.mark(m, seq, folds, false)
 		m.merge(cut)
 		ack.Status = statusDroppedOld
 		m.Dropped++
@@ -239,7 +250,7 @@ func (b *book) delta(node string, epoch, window, seq uint64, folds uint32, cut [
 			err = fmt.Errorf("stream: node %s delta seq %d: %v", node, seq, err)
 			break
 		}
-		b.mark(m, seq, true)
+		b.mark(m, seq, folds, true)
 		m.merge(cut)
 		joined = b.revive(m, now) || joined
 		m.Applied++
@@ -255,7 +266,7 @@ func (b *book) delta(node string, epoch, window, seq uint64, folds uint32, cut [
 		m.Rejected++
 	}
 	ack.Stable = m.Stable
-	return ack, joined
+	return ack, joined, m.since >= commitEvery
 }
 
 // commit raises Stable to the cut's base for every member the cut names

@@ -212,7 +212,7 @@ func (w *world) attempt(e *endpoint, lose bool) {
 		return
 	}
 	r := w.to(e)
-	ack, _ := r.bk.delta(e.name, e.epoch, f.Window, f.Seq, f.Folds, f.Cut, time.Time{}, func(age int, window uint64) error {
+	ack, _, _ := r.bk.delta(e.name, e.epoch, f.Window, f.Seq, f.Folds, f.Cut, time.Time{}, func(age int, window uint64) error {
 		for _, c := range f.Payload {
 			if r.folded[c]++; r == &w.root {
 				w.checkFold(c, window)

@@ -39,7 +39,8 @@ const foldSampleMask = 15
 // parallel and hold the lock for about a microsecond. Outside mu: two
 // atomic counter increments per frame (three for an applied one), plus
 // a lock-free histogram observation on sampled frames, whose time is the
-// decode plus the locked fold — never the wait for mu.
+// decode plus the locked fold — never the wait for mu. A commit the book
+// says is due is written before the ack, by one handler at a time.
 func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 	in, m := &a.in, a.metrics
 	timed := in.tick.Add(1)&foldSampleMask == 1
@@ -59,7 +60,7 @@ func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 	if timed {
 		start = time.Now()
 	}
-	ack, joined := in.bk.delta(req.Node, req.Epoch, req.Window, req.Seq, req.Folds, req.Cut, time.Now(), func(age int, w uint64) error {
+	ack, joined, due := in.bk.delta(req.Node, req.Epoch, req.Window, req.Seq, req.Folds, req.Cut, time.Now(), func(age int, w uint64) error {
 		if decodeErr != nil {
 			return decodeErr
 		}
@@ -76,6 +77,10 @@ func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 		work += time.Since(start)
 	}
 	in.mu.Unlock()
+	if due && a.life.committing.CompareAndSwap(false, true) {
+		a.maybeSnapshot()
+		a.life.committing.Store(false)
+	}
 	if joined {
 		m.joins.Inc()
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"csoutlier"
@@ -21,13 +22,14 @@ type lifecycle struct {
 	conns     map[net.Conn]struct{}
 
 	// snapMu serializes whole snapshot cycles (capture → encode → rename
-	// → commit). The rotation tick, the snapshot tick and Close can all
-	// request one concurrently; without ordering, an older capture's
-	// rename could land after a newer capture's rename+commit, leaving
-	// the disk holding the older dedup base while nodes have already
-	// trimmed their retention buffers to the newer one — a restore would
-	// then silently lose the frames between the two bases.
-	snapMu sync.Mutex
+	// → commit). Rotation, a node's due commit, a relay's hello and Close
+	// can all request one concurrently; without ordering, an older
+	// capture's rename could land after a newer capture's rename+commit,
+	// leaving the disk holding the older dedup base while nodes have
+	// already trimmed their retention buffers to the newer one — a restore
+	// would then silently lose the frames between the two bases.
+	snapMu     sync.Mutex
+	committing atomic.Bool // a handler is writing the commit a node is due
 
 	closeOnce sync.Once
 	quit      chan struct{}  // closed first: stops accept and the periodic loops

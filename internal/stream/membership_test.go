@@ -401,7 +401,7 @@ func TestLateFrameLeavesRetiredMember(t *testing.T) {
 		if _, joined, refused := bk.hello(node, 1, t0); !joined || refused {
 			t.Fatalf("%s hello: joined %v refused %v", node, joined, refused)
 		}
-		if ack, _ := bk.delta(node, 1, 1, 1, 1, nil, t0, fold); !ack.Applied {
+		if ack, _, _ := bk.delta(node, 1, 1, 1, 1, nil, t0, fold); !ack.Applied {
 			t.Fatalf("%s seq 1: %+v", node, ack)
 		}
 	}
@@ -424,7 +424,7 @@ func TestLateFrameLeavesRetiredMember(t *testing.T) {
 			{"refused seq 0", 5, 0, "", "seq 1"},
 			{"dropped-old", 1, 2, statusDroppedOld, ""},
 		} {
-			ack, joined := bk.delta(node, 1, late.window, late.seq, 1, nil, t1, fold)
+			ack, joined, _ := bk.delta(node, 1, late.window, late.seq, 1, nil, t1, fold)
 			if ack.Status != late.status || !strings.Contains(ack.Err, late.errSub) || (late.errSub == "") != (ack.Err == "") {
 				t.Fatalf("%s %s: %+v", node, late.name, ack)
 			}
@@ -433,7 +433,7 @@ func TestLateFrameLeavesRetiredMember(t *testing.T) {
 					node, late.name, joined, m.State, m.LastSeen, version, bk.version, retired, bk.retired)
 			}
 		}
-		ack, joined := bk.delta(node, 1, 5, 3, 1, nil, t1, fold)
+		ack, joined, _ := bk.delta(node, 1, 5, 3, 1, nil, t1, fold)
 		if !ack.Applied || !joined || m.State != StateLive || !m.LastSeen.Equal(t1) {
 			t.Fatalf("%s new seq: %+v, joined %v, state %q; want it folded and the record revived", node, ack, joined, m.State)
 		}

@@ -9,9 +9,10 @@ package stream
 //
 // The recovery contract has three parts:
 //
-//  1. The aggregator snapshots after every rotation (and on a timer and
-//     at Close), committing each snapshot by advancing the per-node
-//     Stable watermark it acks — "everything up to seq S is durable".
+//  1. The aggregator snapshots after every rotation, at Close and when
+//     a node has sent commitEvery captures since its last commit, each
+//     committed by advancing the per-node Stable watermark it acks —
+//     "everything up to seq S is durable".
 //  2. Nodes retain acked frames above the watermark (Node's retention
 //     buffer) — the frames an aggregator crash could lose.
 //  3. A restored aggregator announces a bumped AggEpoch in every ack;
@@ -147,8 +148,8 @@ func (a *Aggregator) Commit(cut []SnapNode) {
 // snapshot is committed (nodes' Stable watermarks advance).
 //
 // The whole capture→write→rename→commit sequence runs under snapMu:
-// concurrent callers (the rotation loop, the periodic snapshot loop,
-// Close) are serialized, so the snapshot on disk is always at least as
+// concurrent callers (the rotation loop, a handler whose node is due a
+// commit, Close) are serialized, so the snapshot on disk is always at least as
 // new as the latest committed dedup base — the commit that lets nodes
 // trim their replay-retention buffers can never outrun the rename.
 func (a *Aggregator) WriteSnapshot(path string) error {

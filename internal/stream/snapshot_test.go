@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -788,4 +789,75 @@ func TestRestoreTwiceAnnouncesHigherIncarnation(t *testing.T) {
 	if epochs[0] != 2 || epochs[1] != 3 {
 		t.Fatalf("two restores from one file announced AggEpoch %v, want [2 3]", epochs)
 	}
+}
+
+// TestDurableRootCommitsBeforeRetentionCap: a durable aggregator that
+// never rotates commits by itself once a node has sent commitEvery
+// frames since its last commit, so a node flushing 1,500 times retains
+// at most commitEvery+1 frames and drops none at the cap. An aggregator
+// restored from the file that run left gets the rest back from the
+// node's replay: its window is the node-side sum, bit for bit (integer
+// count-sketch counters add exactly in any order).
+func TestDurableRootCommitsBeforeRetentionCap(t *testing.T) {
+	sk := testCountSketcher(t, 64, 32, 3, 31)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	path := filepath.Join(t.TempDir(), "agg.snap")
+	first, addr := serveAgg(t, sk, AggregatorOptions{Windows: 2, SnapshotPath: path})
+	n, err := Dial(ctx, addr, sk, "node00", NodeOptions{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer n.Close(ctx)
+	total := sk.NewUpdater()
+	flush := func(i int) {
+		t.Helper()
+		key, v := fmt.Sprintf("key%03d", i%64), float64(i%7+1)
+		if err := n.Observe(key, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := total.Observe(key, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Flush(ctx); err != nil {
+			t.Fatalf("Flush %d: %v", i, err)
+		}
+	}
+	peak := 0
+	for i := 0; i < 1500; i++ {
+		flush(i)
+		peak = max(peak, n.Stats().Retained)
+	}
+	if st := n.Stats(); st.RetainDropped != 0 || peak > commitEvery+1 {
+		t.Fatalf("after 1,500 flushes: %+v, peak Retained %d; want nothing dropped and a peak of at most %d", st, peak, commitEvery+1)
+	}
+	t.Logf("peak Retained %d, %d snapshots written", peak, first.Stats().Snapshots)
+	left, err := LoadSnapshot(path)
+	if err != nil {
+		t.Fatalf("LoadSnapshot: %v", err)
+	}
+	first.Close(ctx)
+	second, err := RestoreAggregator(sk, AggregatorOptions{Windows: 2}, left)
+	if err != nil {
+		t.Fatalf("RestoreAggregator: %v", err)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listen %s: %v", addr, err)
+	}
+	go second.Serve(ln)
+	defer second.Close(ctx)
+	flush(1500)
+	if st := n.Stats(); st.Replayed == 0 || st.RetainDropped != 0 {
+		t.Fatalf("after the restore: %+v, want the retained frames replayed", st)
+	}
+	want := sk.ZeroSketch()
+	if _, err := total.DrainInto(want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := second.WindowSketch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "restored window after the replay", got, want)
 }

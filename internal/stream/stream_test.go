@@ -428,7 +428,7 @@ func TestSeqTracker(t *testing.T) {
 	bk := newBook(false, 2, 1)
 	deliver := func(seq uint64) string {
 		t.Helper()
-		ack, _ := bk.delta("n", 1, 1, seq, 1, nil, time.Time{}, func(int, uint64) error { return nil })
+		ack, _, _ := bk.delta("n", 1, 1, seq, 1, nil, time.Time{}, func(int, uint64) error { return nil })
 		if ack.Err != "" {
 			t.Fatalf("seq %d refused: %s", seq, ack.Err)
 		}
@@ -448,6 +448,50 @@ func TestSeqTracker(t *testing.T) {
 	}
 	if got := deliver(300); got != statusApplied || base() != 300 || bk.members["n"].Stable != 300 {
 		t.Fatalf("seq 300: %s, base %d; want applied, 300, and Stable with it", got, base())
+	}
+}
+
+// TestBookCommitDue: a durable book counts the captures a record
+// processed since its Stable last reached its base, a relay's frame
+// every capture it sums, and reports a commit due at commitEvery. A
+// commit that covers the base restarts the count and one that does not
+// leaves it. A volatile book's Stable is always its base, so it never
+// reports one.
+func TestBookCommitDue(t *testing.T) {
+	fold := func(int, uint64) error { return nil }
+	bk := newBook(true, 2, 1)
+	deliver := func(seq uint64, folds uint32) bool {
+		t.Helper()
+		ack, _, due := bk.delta("relay", 1, 1, seq, folds, nil, time.Time{}, fold)
+		if !ack.Applied {
+			t.Fatalf("seq %d: %+v", seq, ack)
+		}
+		return due
+	}
+	m := func() *member { return bk.members["relay"] }
+	if deliver(1, 300) || m().since != 300 {
+		t.Fatalf("a 300-fold frame: count %d, want 300 and no commit due", m().since)
+	}
+	if !deliver(2, commitEvery-300) || m().since != commitEvery {
+		t.Fatalf("count %d, want %d and a commit due", m().since, commitEvery)
+	}
+	cut := func(base uint64) []SnapNode {
+		return []SnapNode{{NodeStatus: NodeStatus{Node: "relay", Epoch: 1}, Base: base}}
+	}
+	if bk.commit(cut(1)); m().Stable != 1 || m().since != commitEvery {
+		t.Fatalf("a commit below base: Stable %d, count %d; want 1, %d", m().Stable, m().since, commitEvery)
+	}
+	if bk.commit(cut(2)); m().Stable != 2 || m().since != 0 {
+		t.Fatalf("a commit at base: Stable %d, count %d; want 2, 0", m().Stable, m().since)
+	}
+	if deliver(3, 1) || m().since != 1 {
+		t.Fatalf("after the commit: count %d, want 1 and no commit due", m().since)
+	}
+	vol := newBook(false, 2, 1)
+	for seq := uint64(1); seq <= 2*commitEvery; seq++ {
+		if _, _, due := vol.delta("leaf", 1, 1, seq, 300, nil, time.Time{}, fold); due {
+			t.Fatalf("a volatile book reported a commit due at seq %d", seq)
+		}
 	}
 }
 

@@ -157,18 +157,22 @@ tail -n 1 "$tmp/agg.err"
 kill $pids 2>/dev/null || true
 pids=""
 # csstreamd refuses a flag it would ignore, with status 2, before it
-# listens: -snapshot-every without -snapshot; -snapshot on a relay
-# (which keeps no file), alone or with -snapshot-every; -window-every on a relay (which rotates
-# when its upstream does); -shards below 1, and a -shard-index outside
-# [0, -shards), with one shard too; and a value that would silently mean
-# another: -windows below 1 (which meant 8), -k 0 (which failed every
-# report) and a negative -span (which meant every window).
-for args in "-snapshot-every 1s" \
-	"-snapshot $tmp/relay.snap -relay-upstream 127.0.0.1:1 -relay-id r0" \
-	"-snapshot $tmp/relay.snap -snapshot-every 1s -relay-upstream 127.0.0.1:1 -relay-id r0" \
+# listens: -snapshot on a relay (which keeps no file); -window-every on
+# a relay (which rotates when its upstream does); -forward-every or
+# -relay-id without -relay-upstream; -shards below 1, and a -shard-index
+# outside [0, -shards), with one shard too; and a value that would
+# silently mean another: -windows below 1 (which meant 8), -k 0 (which
+# failed every report), a negative -span (which meant every window),
+# -forward-every 0 on a relay (which never forwarded or synced) and a
+# negative -window-every, -report-every, -idle-timeout or -evict-after
+# (each meant 0).
+for args in "-snapshot $tmp/relay.snap -relay-upstream 127.0.0.1:1 -relay-id r0" \
 	"-window-every 1m -relay-upstream 127.0.0.1:1 -relay-id r0" \
+	"-forward-every 0 -relay-upstream 127.0.0.1:1 -relay-id r0" \
+	"-forward-every 30s" "-relay-id r0" \
 	"-shards 0" "-shards -1" "-shard-index 5" "-shard-index -1" "-shards 2 -shard-index 2" \
-	"-windows 0" "-windows -1" "-k 0" "-span -1"; do
+	"-windows 0" "-windows -1" "-k 0" "-span -1" \
+	"-window-every -1s" "-report-every -1s" "-idle-timeout -1s" "-evict-after -1s"; do
 	status=0
 	"$tmp/bin/csstreamd" -dict "$tmp/demo/keys.txt" -m 400 -listen 127.0.0.1:0 $args >"$tmp/refuse.log" 2>&1 || status=$?
 	if [ "$status" -ne 2 ]; then
@@ -179,10 +183,11 @@ for args in "-snapshot-every 1s" \
 	tail -n 1 "$tmp/refuse.log"
 done
 # csnode and csagg refuse a flag value that would silently mean another,
-# with status 2, before they listen or dial: csnode -shards 0 and
-# -push-chunk 0 (which meant 256), csagg -attempts 0 or -1 (which meant
+# with status 2, before they listen or dial: csnode -shards 0,
+# -push-chunk 0 (which meant 256) and -push-every 0 (a busy loop of
+# hellos once the slice is sent), csagg -attempts 0 or -1 (which meant
 # 2) and -min-nodes -1 (which meant every node).
-for args in "-shards 0" "-push-chunk 0"; do
+for args in "-shards 0" "-push-chunk 0" "-push-every 0"; do
 	status=0
 	"$tmp/bin/csnode" -dict "$tmp/demo/keys.txt" -data "$tmp/demo/node0.csv" -listen 127.0.0.1:0 $args >"$tmp/refuse.log" 2>&1 || status=$?
 	if [ "$status" -ne 2 ]; then
