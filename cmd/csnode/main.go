@@ -18,10 +18,12 @@
 // deployment must use the same dictionary file.
 //
 // Streaming mode: with -push, the node additionally streams its slice
-// into a csstreamd aggregator as window-tagged sketch deltas — observing
-// -push-chunk keys at a time, flushing a delta every -push-every — while
-// still serving the pull API. The sketch consensus (-m, -seed,
-// -ensemble) must match the daemon's:
+// into csstreamd as window-tagged sketch deltas — observing -push-chunk
+// keys at a time, flushing a delta every -push-every — while still
+// serving the pull API. -push names one daemon per key-range shard,
+// comma-separated in shard order (one address: a flat deployment, a
+// tree of one shard), and each key is pushed to its owner. The sketch
+// consensus (-m, -seed, -ensemble) must match the daemons':
 //
 //	csnode -listen :7001 -dict keys.txt -data slice.csv \
 //	       -push agg:7100 -m 500 -push-every 2s
@@ -37,6 +39,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -60,21 +63,27 @@ func main() {
 		name     = flag.String("name", "", "node name (default: listen address)")
 		idleTO   = flag.Duration("idle-timeout", 0, "drop connections idle for this long (0 = never)")
 
-		push      = flag.String("push", "", "stream deltas to a csstreamd aggregator at this address")
+		push      = flag.String("push", "", "stream deltas to csstreamd: one address per key-range shard, comma-separated in shard order")
 		pushEvery = flag.Duration("push-every", 2*time.Second, "delay between delta flushes in -push mode (also the heartbeat period once the slice is drained)")
 		pushChunk = flag.Int("push-chunk", 256, "keys observed per delta flush in -push mode")
 		m         = flag.Int("m", 0, "measurement count M for -push mode (must match the daemon)")
 		seed      = flag.Uint64("seed", 42, "consensus measurement seed for -push mode")
 		ensemble  = flag.String("ensemble", "gaussian", "measurement ensemble for -push mode: gaussian or countsketch")
 		depth     = flag.Int("depth", 0, "hash-row count for -ensemble countsketch, in [1,64] (0 = 5)")
-		shards    = flag.Int("shards", 1, "push into a sharded deployment: -push takes this many comma-separated per-shard addresses, keys route to their owning shard")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof/ on this address (empty = off)")
 	)
 	flag.Parse()
-	if *dictPath == "" || *dataPath == "" || *shards < 1 || *pushChunk < 1 || *pushEvery <= 0 {
-		fmt.Fprintln(os.Stderr, "csnode: -dict and -data are required, -shards and -push-chunk must be ≥ 1 and -push-every > 0")
+	if *dictPath == "" || *dataPath == "" || *pushChunk < 1 || *pushEvery <= 0 {
+		fmt.Fprintln(os.Stderr, "csnode: -dict and -data are required, -push-chunk must be ≥ 1 and -push-every > 0")
 		os.Exit(2)
+	}
+	var addrs []string
+	if *push != "" {
+		if addrs = strings.Split(*push, ","); slices.Contains(addrs, "") || *m <= 0 {
+			fmt.Fprintln(os.Stderr, "csnode: -push takes one non-empty address per shard and requires -m (the daemons' sketch length)")
+			os.Exit(2)
+		}
 	}
 	if *name == "" {
 		*name = *listen
@@ -94,6 +103,20 @@ func main() {
 		log.Fatalf("csnode: %v", err)
 	}
 	node := cluster.NewLocalNode(*name, x)
+	var shardMap *tier.ShardMap
+	var sks []*csoutlier.Sketcher
+	if *push != "" {
+		ens, err := sensing.ParseKind(*ensemble)
+		if err != nil {
+			log.Fatalf("csnode: %v", err)
+		}
+		if shardMap, err = tier.NewShardMap(dict.Keys(), len(addrs), tier.Spec{M: *m, BaseSeed: *seed, Ensemble: ens, Depth: *depth}, 1); err != nil {
+			log.Fatalf("csnode: %v", err)
+		}
+		if sks, err = shardMap.Sketchers(); err != nil {
+			log.Fatalf("csnode: %v", err)
+		}
+	}
 
 	var reg *obs.Registry
 	if *metricsAddr != "" {
@@ -111,104 +134,35 @@ func main() {
 		log.Fatalf("csnode: listen: %v", err)
 	}
 	log.Printf("csnode %q serving %d keys on %s", *name, dict.N(), ln.Addr())
-	if *push != "" {
-		if *m <= 0 {
-			fmt.Fprintln(os.Stderr, "csnode: -push requires -m (the daemon's sketch length)")
-			os.Exit(2)
-		}
-		ens, err := sensing.ParseKind(*ensemble)
-		if err != nil {
-			log.Fatalf("csnode: %v", err)
-		}
-		var dial func(context.Context) (pushNode, func() string, error)
-		if *shards > 1 {
-			addrs := strings.Split(*push, ",")
-			if len(addrs) != *shards {
-				log.Fatalf("csnode: -shards %d needs that many comma-separated -push addresses, got %d", *shards, len(addrs))
-			}
-			shardMap, err := tier.NewShardMap(dict.Keys(), *shards, tier.Spec{
-				M: *m, BaseSeed: *seed, Ensemble: ens, Depth: *depth,
-			}, 1)
+	if shardMap != nil {
+		go func() {
+			sn, err := tier.DialSharded(context.Background(), shardMap, sks, addrs, *name, stream.NodeOptions{})
 			if err != nil {
-				log.Fatalf("csnode: %v", err)
+				log.Printf("csnode: push: %v (streaming disabled, pull API unaffected)", err)
+				return
 			}
-			sks, err := shardMap.Sketchers()
-			if err != nil {
-				log.Fatalf("csnode: %v", err)
+			// One shard's stream_client_* families; more would collide in
+			// one registry.
+			if reg != nil && shardMap.Shards() == 1 {
+				sn.Node(0).RegisterMetrics(reg)
 			}
-			// The per-node stream_client_* metrics are not registered: the
-			// per-shard nodes would collide in one registry.
-			dial = func(ctx context.Context) (pushNode, func() string, error) {
-				sn, err := tier.DialSharded(ctx, shardMap, sks, addrs, *name, stream.NodeOptions{})
-				if err != nil {
-					return nil, nil, err
-				}
-				log.Printf("csnode: pushing to %d shards as %q (shard 0 epoch %d)", shardMap.Shards(), *name, sn.Node(0).Stats().Epoch)
-				return sn, func() string {
-					var captured, applied, replayed, redials int64
-					for i := 0; i < shardMap.Shards(); i++ {
-						s := sn.Node(i).Stats()
-						captured += s.Captured
-						applied += s.Applied
-						replayed += s.Replayed
-						redials += s.Redials
-					}
-					return fmt.Sprintf(" across %d shards: %d deltas captured, %d applied, %d replayed, %d redials",
-						shardMap.Shards(), captured, applied, replayed, redials)
-				}, nil
-			}
-		} else {
-			sk, err := csoutlier.NewSketcher(dict.Keys(), csoutlier.Config{
-				M: *m, Seed: *seed, Ensemble: ens, Depth: *depth,
-			})
-			if err != nil {
-				log.Fatalf("csnode: %v", err)
-			}
-			dial = func(ctx context.Context) (pushNode, func() string, error) {
-				n, err := stream.Dial(ctx, *push, sk, *name, stream.NodeOptions{})
-				if err != nil {
-					return nil, nil, err
-				}
-				if reg != nil {
-					n.RegisterMetrics(reg)
-				}
-				log.Printf("csnode: pushing to %s as %q (epoch %d, window %d)", *push, *name, n.Stats().Epoch, n.Window())
-				return n, func() string {
-					s := n.Stats()
-					return fmt.Sprintf(": %d deltas captured (%d sent as pairs), %d applied, %d replayed, %d redials",
-						s.Captured, s.PairFrames, s.Applied, s.Replayed, s.Redials)
-				}, nil
-			}
-		}
-		go pushSlice(dial, dict, x, *pushEvery, *pushChunk)
+			st := sn.Node(0).Stats()
+			log.Printf("csnode: pushing to %s as %q (epoch %d, window %d on shard 0 of %d)", *push, *name, st.Epoch, st.Window, shardMap.Shards())
+			pushSlice(sn, shardMap.Shards(), dict, x, *pushEvery, *pushChunk)
+		}()
 	}
 	if err := cluster.ServeWith(ln, node, cluster.ServeOptions{IdleTimeout: *idleTO}); err != nil {
 		log.Fatalf("csnode: serve: %v", err)
 	}
 }
 
-// pushNode is the push half of a csnode: a *stream.Node pushing at one
-// daemon, or a *tier.ShardedNode observing each key at its shard's.
-type pushNode interface {
-	Observe(key string, delta float64) error
-	Flush(ctx context.Context) error
-	Sync(ctx context.Context) error
-}
-
-// pushSlice dials a push node and streams the loaded slice through it as
-// a sequence of delta frames — pushChunk keys per flush, one flush per
-// pushEvery — then logs the totals streamed renders and keeps
-// heartbeating so the daemons' liveness tables and this node's window
-// view stay fresh. Runs alongside the pull API: the same slice is
-// available both ways.
-func pushSlice(dial func(context.Context) (pushNode, func() string, error), dict *keydict.Dictionary, x linalg.Vector,
-	pushEvery time.Duration, pushChunk int) {
+// pushSlice streams the loaded slice through a push node as a sequence
+// of delta frames — pushChunk keys per flush, one flush per pushEvery —
+// then logs each shard's totals and keeps heartbeating so the daemons'
+// liveness tables and this node's window view stay fresh. Runs
+// alongside the pull API: the same slice is available both ways.
+func pushSlice(n *tier.ShardedNode, shards int, dict *keydict.Dictionary, x linalg.Vector, pushEvery time.Duration, pushChunk int) {
 	ctx := context.Background()
-	n, streamed, err := dial(ctx)
-	if err != nil {
-		log.Printf("csnode: push: %v (streaming disabled, pull API unaffected)", err)
-		return
-	}
 	inChunk := 0
 	for idx, v := range x {
 		if v == 0 {
@@ -229,7 +183,12 @@ func pushSlice(dial func(context.Context) (pushNode, func() string, error), dict
 	if err := n.Flush(ctx); err != nil {
 		log.Printf("csnode: push flush: %v", err)
 	}
-	log.Printf("csnode: slice streamed%s; heartbeating every %v", streamed(), pushEvery)
+	for i := 0; i < shards; i++ {
+		s := n.Node(i).Stats()
+		log.Printf("csnode: slice streamed to shard %d: %d deltas captured (%d sent as pairs), %d applied, %d replayed, %d redials",
+			i, s.Captured, s.PairFrames, s.Applied, s.Replayed, s.Redials)
+	}
+	log.Printf("csnode: heartbeating every %v", pushEvery)
 	for {
 		time.Sleep(pushEvery)
 		if err := n.Sync(ctx); err != nil {

@@ -21,9 +21,10 @@
 //   - -shards N -shard-index I carves the dictionary into N contiguous
 //     key-range shards and serves shard I: the sketcher is derived for
 //     that shard's key slice with a per-shard seed, and the shard_*
-//     metric families advertise the partition. A sharded csnode pusher
-//     (-shards N, with N comma-separated -push addresses in shard
-//     order) routes each key to its owner.
+//     metric families advertise the partition. The flat daemon is the
+//     one shard of -shards 1, which keeps -seed. A csnode pusher with
+//     N comma-separated -push addresses in shard order routes each key
+//     to its owner.
 //   - -relay-upstream ADDR turns the process into a regional relay:
 //     leaf pushes fold into the embedded aggregator exactly as in the
 //     flat daemon, and every -forward-every the folded window deltas
@@ -133,30 +134,21 @@ func main() {
 		log.Fatalf("csstreamd: %v", err)
 	}
 
-	reg := obs.NewRegistry()
-	var sk *csoutlier.Sketcher
-	if *shards > 1 {
-		shardMap, err := tier.NewShardMap(dict.Keys(), *shards, tier.Spec{
-			M: *m, BaseSeed: *seed, Ensemble: ens, Depth: *depth,
-		}, *shardVer)
-		if err != nil {
-			log.Fatalf("csstreamd: %v", err)
-		}
-		if sk, err = shardMap.Sketcher(*shardIndex); err != nil {
-			log.Fatalf("csstreamd: %v", err)
-		}
-		tier.RegisterShardMetrics(reg, shardMap, *shardIndex)
-		own := shardMap.Shard(*shardIndex)
-		log.Printf("csstreamd serving shard %d/%d (partition v%d): %d of %d keys [%s, %s]",
-			*shardIndex, *shards, *shardVer, len(own.Keys), dict.N(), own.Keys[0], own.Keys[len(own.Keys)-1])
-	} else {
-		sk, err = csoutlier.NewSketcher(dict.Keys(), csoutlier.Config{
-			M: *m, Seed: *seed, Ensemble: ens, Depth: *depth,
-		})
-		if err != nil {
-			log.Fatalf("csstreamd: %v", err)
-		}
+	shardMap, err := tier.NewShardMap(dict.Keys(), *shards, tier.Spec{
+		M: *m, BaseSeed: *seed, Ensemble: ens, Depth: *depth,
+	}, *shardVer)
+	if err != nil {
+		log.Fatalf("csstreamd: %v", err)
 	}
+	sk, err := shardMap.Sketcher(*shardIndex)
+	if err != nil {
+		log.Fatalf("csstreamd: %v", err)
+	}
+	reg := obs.NewRegistry()
+	tier.RegisterShardMetrics(reg, shardMap, *shardIndex)
+	own := shardMap.Shard(*shardIndex)
+	log.Printf("csstreamd serving shard %d/%d (partition v%d): %d of %d keys [%s, %s]",
+		*shardIndex, *shards, *shardVer, len(own.Keys), dict.N(), own.Keys[0], own.Keys[len(own.Keys)-1])
 	watched := splitKeys(*watch)
 	if len(watched) > 0 && !sk.SupportsPointQuery() {
 		log.Fatalf("csstreamd: -watch needs -ensemble countsketch (got %s)", *ensemble)

@@ -324,7 +324,7 @@ func (r *StreamRig) checkLiveness() error {
 				if l < 0 || l >= len(r.lives) {
 					return fmt.Errorf("lane %d/%d: unknown node %s", s, li, ns.Node)
 				}
-				windows, epoch, restarts := scn.W, r.parts[l][s].Stats().Epoch, int64(r.lives[l]-1)
+				windows, epoch, restarts := scn.W, r.last[l].Node(s).Stats().Epoch, int64(r.lives[l]-1)
 				if join != nil && l == scn.L {
 					windows = scn.W - join.Window + 1
 				}

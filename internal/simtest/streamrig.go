@@ -37,16 +37,6 @@ const (
 // loopback, and backs a redial off from 0.5ms up to 20ms.
 const pushTimeout = 200 * time.Millisecond
 
-// pushNode is what the window drive needs of a leaf: a *stream.Node on
-// the flat topology, a *tier.ShardedNode on the tier.
-type pushNode interface {
-	Observe(key string, delta float64) error
-	Flush(ctx context.Context) error
-	Sync(ctx context.Context) error
-	Close(ctx context.Context) error
-	Abort()
-}
-
 // streamQuerier is where the checker asks its questions: the flat
 // aggregator itself, or a tier.Router over the shard roots.
 type streamQuerier interface {
@@ -95,19 +85,16 @@ type StreamRig struct {
 	cancel  context.CancelFunc
 	snapDir string
 
-	sks      []*csoutlier.Sketcher // [shard]; one shard on the flat topology
-	route    func(key string) int  // key → shard
+	smap     *tier.ShardMap        // one shard on the flat topology
+	sks      []*csoutlier.Sketcher // [shard]
 	roots    []*stream.Aggregator  // [shard]
 	rootOpts stream.AggregatorOptions
 	lanes    [][]lane // [shard][lane]
 	query    streamQuerier
-	// dial connects leaf l to one address per shard and returns it with
-	// its per-shard stream nodes.
-	dial func(l int, addrs []string, opts stream.NodeOptions) (pushNode, []*stream.Node, error)
 
 	proxies [][]*chaosProxy        // [leaf][shard]; nil when the scenario dials direct
-	nodes   []pushNode             // [leaf]; nil before a join, after a leave or the final close
-	parts   [][]*stream.Node       // [leaf][shard]
+	nodes   []*tier.ShardedNode    // [leaf]; nil before a join, after a leave or the final close
+	last    []*tier.ShardedNode    // [leaf] its latest incarnation, kept after it retires
 	lives   []int                  // [leaf] incarnations dialed, 0 = never
 	shadow  [][]*csoutlier.Updater // [leaf][shard]
 	scratch []csoutlier.Sketch     // [shard] the last shadow drain
@@ -172,24 +159,32 @@ func (r *StreamRig) serve(srv interface{ Serve(net.Listener) error }) (string, e
 	return ln.Addr().String(), nil
 }
 
-// buildFlat is the flat topology: one sketcher, one aggregator every
-// node pushes into, durable when the schedule snapshots it.
-func (r *StreamRig) buildFlat() error {
+// buildMap partitions the scenario's keys into shards; one shard is
+// the flat consensus.
+func (r *StreamRig) buildMap(shards int) (err error) {
 	scn := r.scn
-	sk, err := csoutlier.NewSketcher(r.data.Keys, csoutlier.Config{
+	r.smap, err = tier.NewShardMap(r.data.Keys, shards, tier.Spec{
 		M:             scn.M,
-		Seed:          scn.Seed ^ 0x9e3779b97f4a7c15,
+		BaseSeed:      scn.Seed ^ 0x9e3779b97f4a7c15,
 		MaxIterations: recoveryBudget(scn.S, scn.K),
 		Ensemble:      scn.Ens,
 		Depth:         scn.Depth,
-	})
-	if err != nil {
+	}, 1)
+	if err == nil {
+		r.sks, err = r.smap.Sketchers()
+	}
+	return err
+}
+
+// buildFlat is the flat topology, a tree of one shard and no relays:
+// one aggregator every node pushes into, durable when the schedule
+// snapshots it.
+func (r *StreamRig) buildFlat() error {
+	if err := r.buildMap(1); err != nil {
 		return err
 	}
-	r.sks = []*csoutlier.Sketcher{sk}
-	r.route = func(string) int { return 0 }
-	r.rootOpts = stream.AggregatorOptions{Windows: scn.W, Durable: scn.mark(MarkSnap) != nil}
-	root, err := stream.NewAggregator(sk, r.rootOpts)
+	r.rootOpts = stream.AggregatorOptions{Windows: r.scn.W, Durable: r.scn.mark(MarkSnap) != nil}
+	root, err := stream.NewAggregator(r.sks[0], r.rootOpts)
 	if err != nil {
 		return err
 	}
@@ -200,13 +195,6 @@ func (r *StreamRig) buildFlat() error {
 		return err
 	}
 	r.lanes = [][]lane{{{addr: addr}}}
-	r.dial = func(l int, addrs []string, opts stream.NodeOptions) (pushNode, []*stream.Node, error) {
-		n, err := stream.Dial(r.ctx, addrs[0], sk, NodeID(l), opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return n, []*stream.Node{n}, nil
-	}
 	return nil
 }
 
@@ -218,20 +206,9 @@ func (r *StreamRig) buildFlat() error {
 // the shadow checks its successor's folds bit for bit.
 func (r *StreamRig) buildTier() error {
 	scn := r.scn
-	m, err := tier.NewShardMap(r.data.Keys, tierShards, tier.Spec{
-		M:             scn.M,
-		BaseSeed:      scn.Seed ^ 0x9e3779b97f4a7c15,
-		MaxIterations: recoveryBudget(scn.S, scn.K),
-		Ensemble:      scn.Ens,
-		Depth:         scn.Depth,
-	}, 1)
-	if err != nil {
+	if err := r.buildMap(tierShards); err != nil {
 		return err
 	}
-	if r.sks, err = m.Sketchers(); err != nil {
-		return err
-	}
-	r.route = m.Route
 	r.rootOpts = stream.AggregatorOptions{Windows: scn.W}
 	r.lanes = make([][]lane, tierShards)
 	targets := make([]tier.Target, tierShards)
@@ -263,21 +240,9 @@ func (r *StreamRig) buildTier() error {
 			}
 		}
 	}
-	if r.query, err = tier.NewRouter(m, targets); err != nil {
-		return err
-	}
-	r.dial = func(l int, addrs []string, opts stream.NodeOptions) (pushNode, []*stream.Node, error) {
-		sn, err := tier.DialSharded(r.ctx, m, r.sks, addrs, NodeID(l), opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		parts := make([]*stream.Node, tierShards)
-		for s := range parts {
-			parts[s] = sn.Node(s)
-		}
-		return sn, parts, nil
-	}
-	return nil
+	var err error
+	r.query, err = tier.NewRouter(r.smap, targets)
+	return err
 }
 
 // connectAll starts one chaos proxy per (leaf, shard) connection — the
@@ -293,8 +258,8 @@ func (r *StreamRig) connectAll() error {
 		leaves++
 	}
 	shards := len(r.sks)
-	r.nodes = make([]pushNode, leaves)
-	r.parts = make([][]*stream.Node, leaves)
+	r.nodes = make([]*tier.ShardedNode, leaves)
+	r.last = make([]*tier.ShardedNode, leaves)
 	r.lives = make([]int, leaves)
 	r.shadow = make([][]*csoutlier.Updater, leaves)
 	r.proxies = make([][]*chaosProxy, leaves)
@@ -346,19 +311,19 @@ func (r *StreamRig) connect(l int) error {
 			addrs[s] = r.proxies[l][s].Addr()
 		}
 	}
-	var err error
-	r.nodes[l], r.parts[l], err = r.dial(l, addrs, stream.NodeOptions{PushTimeout: pushTimeout})
+	n, err := tier.DialSharded(r.ctx, r.smap, r.sks, addrs, NodeID(l), stream.NodeOptions{PushTimeout: pushTimeout})
 	if err != nil {
 		return fmt.Errorf("simtest: dial node %d (life %d): %w", l, r.lives[l], err)
 	}
+	r.nodes[l], r.last[l] = n, n
 	return nil
 }
 
 // retire books what leaf l's current incarnation did before the drive
 // lets go of it (Abort, Leave or the final Close).
 func (r *StreamRig) retire(l int) {
-	for s, n := range r.parts[l] {
-		st := n.Stats()
+	for s := range r.sks {
+		st := r.last[l].Node(s).Stats()
 		r.captured[s] += st.Captured
 		r.replayed += st.Replayed
 	}
@@ -417,7 +382,7 @@ func (r *StreamRig) drive() error {
 					if err := r.nodes[l].Observe(key, v); err != nil {
 						return fmt.Errorf("simtest: node %d observe: %w", l, err)
 					}
-					if err := r.shadow[l][r.route(key)].Observe(key, v); err != nil {
+					if err := r.shadow[l][r.smap.Route(key)].Observe(key, v); err != nil {
 						return err
 					}
 				}
@@ -643,7 +608,7 @@ func (r *StreamRig) restoreRoot() error {
 	}
 	// A probe from an incarnation that has since restarted is refused as
 	// stale instead; either way it must fold nothing.
-	if ack.Applied || (r.probe.epoch == r.parts[r.probe.leaf][0].Stats().Epoch && ack.Status != stream.StatusDuplicate) {
+	if ack.Applied || (r.probe.epoch == r.last[r.probe.leaf].Node(0).Stats().Epoch && ack.Status != stream.StatusDuplicate) {
 		return fmt.Errorf("simtest: snapshot-covered frame refolded after restore: %+v", ack)
 	}
 	if ack.Status == stream.StatusDuplicate {
@@ -681,7 +646,7 @@ func (r *StreamRig) restoreRelay(shard int) error {
 // exact wire-level duplicate.
 func (r *StreamRig) lastFlush(l int) (sentFrame, error) {
 	payload, err := r.scratch[0].MarshalBinary()
-	st := r.parts[l][0].Stats()
+	st := r.last[l].Node(0).Stats()
 	return sentFrame{leaf: l, epoch: st.Epoch, window: st.Window, seq: st.Seq, payload: payload}, err
 }
 
@@ -761,7 +726,7 @@ func (r *StreamRig) fireWindowMarks(w int) error {
 		// idempotent) until it lands.
 		var err error
 		for attempt := 0; attempt < 20; attempt++ {
-			if err = r.parts[leave.Node][0].Leave(r.ctx); err == nil {
+			if err = r.last[leave.Node].Node(0).Leave(r.ctx); err == nil {
 				break
 			}
 		}
@@ -788,7 +753,7 @@ func (r *StreamRig) fireWindowMarks(w int) error {
 
 // notePoint books one point-query answer against the root that gave it.
 func (r *StreamRig) notePoint(idx int, ans csoutlier.PointAnswer) {
-	s := r.route(r.data.Keys[idx])
+	s := r.smap.Route(r.data.Keys[idx])
 	r.pointIssued[s]++
 	if ans.Outlier {
 		r.pointFlagged[s]++

@@ -172,8 +172,10 @@ type AggStats struct {
 // mutex and writes the ack, so a pusher's next frame is not read until
 // its current one is folded (stop-and-wait is the backpressure). Eq. 1
 // is a sum, so the order in which handlers win the mutex cannot change
-// a window; a test that needs one fold order drives the frames from one
-// goroutine.
+// a count-sketch window, whose counters are integers below 2^53 and
+// add exactly. A Gaussian window is a float64 sum whose last bits
+// depend on fold order, so a test that checks its bits drives the
+// frames in one order.
 //
 // The state is four components, each owning the mutex that guards its
 // fields (ingest.go, queries.go, points.go, lifecycle.go). Lock order:

@@ -40,7 +40,8 @@ const foldSampleMask = 15
 // atomic counter increments per frame (three for an applied one), plus
 // a lock-free histogram observation on sampled frames, whose time is the
 // decode plus the locked fold — never the wait for mu. A commit the book
-// says is due is written before the ack, by one handler at a time.
+// says is due is written before the ack, by one handler at a time, and
+// the ack carries the Stable it wrote.
 func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 	in, m := &a.in, a.metrics
 	timed := in.tick.Add(1)&foldSampleMask == 1
@@ -77,8 +78,14 @@ func (a *Aggregator) apply(req pushRequest, delta *csoutlier.Sketch) Ack {
 		work += time.Since(start)
 	}
 	in.mu.Unlock()
-	if due && a.life.committing.CompareAndSwap(false, true) {
-		a.maybeSnapshot()
+	if due && a.opts.SnapshotPath != "" && a.life.committing.CompareAndSwap(false, true) {
+		if a.maybeSnapshot() == nil { // ack the Stable it wrote: the sender trims now
+			in.mu.Lock()
+			if rec := in.bk.members[req.Node]; rec != nil && rec.Epoch == req.Epoch {
+				ack.Stable = max(ack.Stable, rec.Stable)
+			}
+			in.mu.Unlock()
+		}
 		a.life.committing.Store(false)
 	}
 	if joined {

@@ -49,15 +49,18 @@ func ringCount(t *testing.T, agg *Aggregator, unit csoutlier.Sketch) float64 {
 // TestConcurrentIngestConservation pins what the single folder
 // goroutine used to give by construction, now that every connection
 // decodes and folds on its own handler goroutine (run under -race):
-// eight connections push the same delta concurrently over loopback —
-// half of them, on the Gaussian matrix, as a pairs frame their handlers
-// measure in parallel — each re-sending every tenth frame, while
+// eight connections push concurrently over loopback — on the Gaussian
+// matrix the same delta, half of them as a pairs frame their handlers
+// measure in parallel; on count-sketch connection i its own integer
+// delta, i+1 on every key — each re-sending every tenth frame, while
 // windows rotate and span queries,
 // snapshots and (count-sketch) point queries run. Every frame is
 // accounted exactly once — in the aggregator's counters, in its node's
 // book, and in the ring — every snapshot's ring matches its own dedup
 // books, and after a Close that cuts the pushers off mid-stream every
-// frame a pusher saw acked is in the ring.
+// frame a pusher saw acked is in the ring. A count-sketch ring holds
+// the exact sum of the deltas folded, bit for bit, in whatever order
+// the handlers won the lock.
 func TestConcurrentIngestConservation(t *testing.T) {
 	const (
 		conns  = 8
@@ -80,9 +83,25 @@ func TestConcurrentIngestConservation(t *testing.T) {
 			// Gaussian: even connections push a sketch frame, odd ones the
 			// same eight observations as a pairs frame, measured by their
 			// handlers outside the lock into the unit's exact bits.
+			// Count-sketch: connection i pushes weight[i] = i+1 units, so
+			// every key reads the same integer and a fold from another
+			// connection's scratch would show in the weighted sums.
 			payloads := [2][]byte{uniformDelta(t, sk, 1)}
+			weight := make([]float64, conns)
+			perConn := make([][]byte, conns)
+			for i := range weight {
+				weight[i] = 1
+				if sk.SupportsPointQuery() {
+					weight[i] = float64(i + 1)
+					scaled := make(map[string]float64, len(allOnes))
+					for key := range allOnes {
+						scaled[key] = weight[i]
+					}
+					perConn[i] = pairsDelta(t, sk, scaled)
+				}
+			}
 			if sk.SupportsPointQuery() {
-				payloads[0] = pairsDelta(t, sk, allOnes) // point answers that mean something: every key reads the fold count
+				payloads[0] = pairsDelta(t, sk, allOnes) // the unit: point answers that mean something, every key reads the weighted fold count
 			} else {
 				u := sk.NewUpdater()
 				for i := 0; i < 8; i++ {
@@ -105,6 +124,34 @@ func TestConcurrentIngestConservation(t *testing.T) {
 			}
 			// 32 ring slots and 20 racing rotations: nothing is dropped.
 			agg, addr := serveAgg(t, sk, AggregatorOptions{Windows: 32, Durable: true})
+			weightOf := func(node string) float64 {
+				var i int
+				if _, err := fmt.Sscanf(node, "n%d", &i); err != nil {
+					t.Fatalf("node %q: %v", node, err)
+				}
+				return weight[i]
+			}
+			// exactRing checks a count-sketch ring, summed over its windows,
+			// against units·unit bit for bit.
+			exactRing := func(what string, units float64) {
+				if !sk.SupportsPointQuery() {
+					return
+				}
+				got, want := sk.ZeroSketch(), sk.ZeroSketch()
+				for age := 0; age < agg.AvailableWindows(); age++ {
+					w, err := agg.WindowSketch(age)
+					if err != nil {
+						t.Fatalf("WindowSketch(%d): %v", age, err)
+					}
+					if err := got.Add(w); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for c := range want.Y {
+					want.Y[c] = units * unit.Y[c]
+				}
+				sameBits(t, what, got, want)
+			}
 
 			// A pusher is one connection and one node. It pushes until it has
 			// `limit` frames acked as applied (0 = until the connection
@@ -114,6 +161,9 @@ func TestConcurrentIngestConservation(t *testing.T) {
 				node, payload := fmt.Sprintf("n%d", i), payloads[0]
 				if payloads[1] != nil && i%2 == 1 {
 					payload = payloads[1]
+				}
+				if perConn[i] != nil {
+					payload = perConn[i]
 				}
 				window := uint64(1)
 				for limit == 0 || acked < limit {
@@ -226,15 +276,15 @@ func TestConcurrentIngestConservation(t *testing.T) {
 					}
 					mass += foldCount(t, fmt.Sprintf("snapshot %d window %d", i, w), s, unit)
 				}
-				var booked uint64
+				var booked float64
 				for _, sn := range dec.Nodes {
-					booked += sn.Base
+					booked += weightOf(sn.Node) * float64(sn.Base)
 					if uint64(sn.Applied) != sn.Base {
 						t.Fatalf("snapshot %d: node %s Applied=%d but its book covers %d seqs", i, sn.Node, sn.Applied, sn.Base)
 					}
 				}
-				if mass != float64(booked) {
-					t.Fatalf("snapshot %d: ring holds %v frames but the dedup books cover %d", i, mass, booked)
+				if mass != booked {
+					t.Fatalf("snapshot %d: ring holds %v units but the dedup books cover %v", i, mass, booked)
 				}
 			}
 			push.Wait()
@@ -256,9 +306,14 @@ func TestConcurrentIngestConservation(t *testing.T) {
 					t.Fatalf("node %s: Applied=%d Duplicates=%d, want %d/%d", ns.Node, ns.Applied, ns.Duplicates, frames, frames/every)
 				}
 			}
-			if mass := ringCount(t, agg, unit); mass != conns*frames {
-				t.Fatalf("ring holds %v frames, want %d", mass, conns*frames)
+			var units float64
+			for i := range weight {
+				units += weight[i] * frames
 			}
+			if mass := ringCount(t, agg, unit); mass != units {
+				t.Fatalf("ring holds %v units, want %v", mass, units)
+			}
+			exactRing("ring after the pushers", units)
 
 			// Close under load: the pushers run until their connections die.
 			acked := make([]int, conns)
@@ -284,10 +339,17 @@ func TestConcurrentIngestConservation(t *testing.T) {
 			// frame is always both (a folded frame whose ack was cut off is
 			// the only slack, and the node would replay it as a duplicate).
 			st = agg.Stats()
-			mass := ringCount(t, agg, unit)
-			if mass != float64(st.Applied) || st.Frames != st.Applied+st.Duplicates+st.Dropped+st.Rejected {
-				t.Fatalf("after Close: ring holds %v frames, Applied=%d, Frames=%d", mass, st.Applied, st.Frames)
+			units = 0
+			var applied int64
+			for _, ns := range agg.Nodes() {
+				units += weightOf(ns.Node) * float64(ns.Applied)
+				applied += ns.Applied
 			}
+			mass := ringCount(t, agg, unit)
+			if mass != units || applied != st.Applied || st.Frames != st.Applied+st.Duplicates+st.Dropped+st.Rejected {
+				t.Fatalf("after Close: ring holds %v units, the books %v (%d frames), Applied=%d, Frames=%d", mass, units, applied, st.Applied, st.Frames)
+			}
+			exactRing("ring after Close", units)
 			for i, ns := range agg.Nodes() {
 				sent := int64(frames + acked[i])
 				if ns.Applied < sent || ns.Applied > sent+1 {

@@ -110,13 +110,6 @@ func Dial(ctx context.Context, addr string, sk *csoutlier.Sketcher, id string, o
 	return n, nil
 }
 
-// Window returns the node's current window view.
-func (n *Node) Window() uint64 {
-	n.snd.mu.Lock()
-	defer n.snd.mu.Unlock()
-	return n.window
-}
-
 // Stats returns a snapshot of the node's streaming counters.
 func (n *Node) Stats() NodeStats {
 	n.snd.mu.Lock()

@@ -502,8 +502,8 @@ func TestNonDurableRestartFoldsNodesAhead(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		first.Rotate()
 	}
-	if err := n.Sync(ctx); err != nil || n.Window() != 6 {
-		t.Fatalf("Sync: %v, node window %d, want 6", err, n.Window())
+	if err := n.Sync(ctx); err != nil || n.Stats().Window != 6 {
+		t.Fatalf("Sync: %v, node window %d, want 6", err, n.Stats().Window)
 	}
 	first.Close(ctx)
 	second, _ := serveAggAt(t, sk, AggregatorOptions{Windows: 4}, addr)
@@ -524,7 +524,7 @@ func TestNonDurableRestartFoldsNodesAhead(t *testing.T) {
 	if len(ns) != 1 || ns[0].Applied != 10 || ns[0].Rejected != 0 || ns[0].LastWindow != 1 {
 		t.Fatalf("restarted aggregator's books %+v, want 10 applied into window 1, none rejected", ns)
 	}
-	if w := n.Window(); w != 6 {
+	if w := n.Stats().Window; w != 6 {
 		t.Fatalf("node window %d after the restart, want 6 (never adopted lower)", w)
 	}
 	got, err := second.WindowSketch(0)

@@ -163,14 +163,14 @@ func TestStreamEndToEnd(t *testing.T) {
 	}
 	observe(0, "key007", 111)
 	flush(0, expected1) // late: node 0 still tags window 1
-	if nodes[0].Window() != 2 {
-		t.Fatalf("node 0 window = %d after flush, want 2 (adopted from ack)", nodes[0].Window())
+	if w := nodes[0].Stats().Window; w != 2 {
+		t.Fatalf("node 0 window = %d after flush, want 2 (adopted from ack)", w)
 	}
 	if err := nodes[1].Sync(ctx); err != nil {
 		t.Fatalf("node 1 sync: %v", err)
 	}
-	if nodes[1].Window() != 2 {
-		t.Fatalf("node 1 window = %d after sync, want 2", nodes[1].Window())
+	if w := nodes[1].Stats().Window; w != 2 {
+		t.Fatalf("node 1 window = %d after sync, want 2", w)
 	}
 	observe(1, "key009", 77)
 	expected2 := sk.ZeroSketch()

@@ -430,8 +430,8 @@ func TestRelayAfterRootRestart(t *testing.T) {
 	if err := relay.Sync(ctx); err != nil {
 		t.Fatalf("relay Sync: %v", err)
 	}
-	if err := leaf.Sync(ctx); err != nil || leaf.Window() != 6 {
-		t.Fatalf("leaf Sync: %v, window %d, want 6", err, leaf.Window())
+	if err := leaf.Sync(ctx); err != nil || leaf.Stats().Window != 6 {
+		t.Fatalf("leaf Sync: %v, window %d, want 6", err, leaf.Stats().Window)
 	}
 	first.Close(ctx)
 	second, _ := serveRootAt(t, sk, stream.AggregatorOptions{Windows: 4}, rootAddr)
@@ -946,49 +946,54 @@ func TestRelayRetainCapCounted(t *testing.T) {
 
 // TestLeafBelowRelayKeepsRetainedFrames: a durable root that never
 // rotates commits once the relay's frames carry commitEvery (512, half
-// the 1,024 retention cap) leaf captures since its last commit, so a
-// leaf flushing 1,500 times below a relay that forwards every 50
-// flushes drops nothing at the cap: it retains at most 512 frames plus
-// the two forward periods the root's Stable takes to reach it.
+// the 1,024 retention cap) leaf captures since its last commit, and
+// acks the frame that made the commit due with the Stable it wrote. So
+// a leaf flushing 1,500 times below a relay that forwards every P
+// flushes drops nothing at the cap while P ≤ 1,023: it retains at most
+// the forward periods that reach commitEvery, plus one frame.
 func TestLeafBelowRelayKeepsRetainedFrames(t *testing.T) {
-	sk := tierSketcher(t, 64, 32, 5)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 2, SnapshotPath: filepath.Join(t.TempDir(), "root.snap")})
-	relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr})
-	if err != nil {
-		t.Fatalf("NewRelay: %v", err)
-	}
-	defer relay.Close(ctx)
-	leaf, err := stream.Dial(ctx, serveRelay(t, relay), sk, "node00", stream.NodeOptions{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer leaf.Close(ctx)
-	const commitEvery, forwardEvery = 512, 50
-	peak := 0
-	for i := 1; i <= 1500; i++ {
-		if err := leaf.Observe(fmt.Sprintf("key%03d", i%64), 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := leaf.Flush(ctx); err != nil {
-			t.Fatalf("flush %d: %v", i, err)
-		}
-		peak = max(peak, leaf.Stats().Retained)
-		if i%forwardEvery == 0 {
-			if err := relay.Forward(ctx); err != nil {
-				t.Fatalf("Forward: %v", err)
+	const commitEvery = 512
+	for _, forwardEvery := range []int{50, 1000} {
+		t.Run(fmt.Sprintf("forward-every-%d", forwardEvery), func(t *testing.T) {
+			sk := tierSketcher(t, 64, 32, 5)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			root, rootAddr := serveRoot(t, sk, stream.AggregatorOptions{Windows: 2, SnapshotPath: filepath.Join(t.TempDir(), "root.snap")})
+			relay, err := NewRelay(ctx, sk, RelayOptions{ID: "r0", Upstream: rootAddr})
+			if err != nil {
+				t.Fatalf("NewRelay: %v", err)
 			}
-		}
+			defer relay.Close(ctx)
+			leaf, err := stream.Dial(ctx, serveRelay(t, relay), sk, "node00", stream.NodeOptions{})
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer leaf.Close(ctx)
+			peak := 0
+			for i := 1; i <= 1500; i++ {
+				if err := leaf.Observe(fmt.Sprintf("key%03d", i%64), 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := leaf.Flush(ctx); err != nil {
+					t.Fatalf("flush %d: %v", i, err)
+				}
+				peak = max(peak, leaf.Stats().Retained)
+				if i%forwardEvery == 0 {
+					if err := relay.Forward(ctx); err != nil {
+						t.Fatalf("Forward: %v", err)
+					}
+				}
+			}
+			bound := (commitEvery+forwardEvery-1)/forwardEvery*forwardEvery + 1
+			if st := leaf.Stats(); st.RetainDropped != 0 || peak > bound {
+				t.Fatalf("leaf after 1,500 flushes: %+v, peak Retained %d; want nothing dropped and a peak of at most %d", st, peak, bound)
+			}
+			if st := relay.Stats(); st.RetainDropped != 0 {
+				t.Fatalf("relay: %+v, want nothing dropped", st)
+			}
+			t.Logf("leaf peak Retained %d, %d root snapshots written", peak, root.Stats().Snapshots)
+		})
 	}
-	if st := leaf.Stats(); st.RetainDropped != 0 || peak > commitEvery+2*forwardEvery+1 {
-		t.Fatalf("leaf after 1,500 flushes: %+v, peak Retained %d; want nothing dropped and a peak of at most %d",
-			st, peak, commitEvery+2*forwardEvery+1)
-	}
-	if st := relay.Stats(); st.RetainDropped != 0 {
-		t.Fatalf("relay: %+v, want nothing dropped", st)
-	}
-	t.Logf("leaf peak Retained %d, %d root snapshots written", peak, root.Stats().Snapshots)
 }
 
 // TestRelayConfiguredThroughAgg: a relay takes its metrics registry

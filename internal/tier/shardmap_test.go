@@ -1,11 +1,15 @@
 package tier
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"csoutlier"
+	"csoutlier/internal/stream"
 )
 
 func testKeys(n int) []string {
@@ -151,6 +155,68 @@ func TestShardMapSketchers(t *testing.T) {
 	}
 	if _, err := sks[1].UnmarshalSketch(raw); err == nil {
 		t.Fatal("shard 1 accepted a shard-0 sketch (seed consensus not enforced)")
+	}
+}
+
+// TestOneShardMapIsTheFlatConsensus: a one-shard map's shard keeps
+// BaseSeed, so its sketcher names the identity a flat NewSketcher with
+// that seed names, and a leaf dialed through the map folds into a flat
+// aggregator bit for bit what a flat updater measures of the same
+// observations in the same order. A map of two
+// shards still derives its seeds.
+func TestOneShardMapIsTheFlatConsensus(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	keys := testKeys(64)
+	for _, spec := range []Spec{{M: 16, BaseSeed: 42}, {M: 20, BaseSeed: 7, Ensemble: csoutlier.CountSketch, Depth: 5}} {
+		m, err := NewShardMap(keys, 1, spec, 1)
+		if err != nil {
+			t.Fatalf("NewShardMap: %v", err)
+		}
+		sharded, err := m.Sketcher(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := csoutlier.NewSketcher(keys, csoutlier.Config{M: spec.M, Seed: spec.BaseSeed, Ensemble: spec.Ensemble, Depth: spec.Depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sharded.AppendIdentity(nil), flat.AppendIdentity(nil); !bytes.Equal(got, want) {
+			t.Fatalf("%v: one-shard identity %x, flat %x", spec.Ensemble, got, want)
+		}
+		root, addr := serveRoot(t, flat, stream.AggregatorOptions{Windows: 2})
+		sn, err := DialSharded(ctx, m, []*csoutlier.Sketcher{sharded}, []string{addr}, "dc0", stream.NodeOptions{})
+		if err != nil {
+			t.Fatalf("%v: DialSharded into a flat root: %v", spec.Ensemble, err)
+		}
+		u, want := flat.NewUpdater(), flat.ZeroSketch()
+		for i, key := range []string{"key003", "key017", "key060"} {
+			v := []float64{5, -2.5, 1}[i]
+			if err := sn.Observe(key, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := u.Observe(key, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sn.Close(ctx); err != nil {
+			t.Fatalf("%v: Close: %v", spec.Ensemble, err)
+		}
+		if _, err := u.DrainInto(want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := root.WindowSketch(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("%v window", spec.Ensemble), got, want)
+	}
+	two, err := NewShardMap(keys, 2, Spec{M: 16, BaseSeed: 42}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.Shard(0).Seed == 42 || two.Shard(1).Seed == 42 {
+		t.Fatal("a two-shard map handed a shard its BaseSeed")
 	}
 }
 

@@ -51,13 +51,14 @@ func frameID(shard int, id string) string {
 }
 
 // Spec is the per-shard measurement consensus template: csoutlier
-// Config minus the seed, which each shard derives from BaseSeed so no
-// two shards share a Φ (a cross-shard misroute then fails codec
-// validation instead of folding garbage).
+// Config minus the seed, which each shard of two or more derives from
+// BaseSeed so no two shards share a Φ (a cross-shard misroute then
+// fails codec validation instead of folding garbage).
 type Spec struct {
 	// M is the per-shard sketch length.
 	M int
-	// BaseSeed seeds the per-shard consensus seed derivation.
+	// BaseSeed seeds the per-shard consensus seed derivation, and is
+	// the seed of a one-shard map's shard.
 	BaseSeed uint64
 	// MaxIterations, Ensemble, Depth pass through to csoutlier.Config
 	// per shard.
@@ -90,7 +91,8 @@ type ShardMap struct {
 
 // NewShardMap partitions keys into `shards` near-equal contiguous
 // ranges of the sorted key space and derives each shard's consensus
-// seed from spec.BaseSeed.
+// seed from spec.BaseSeed. A one-shard map is the flat consensus: its
+// shard keeps BaseSeed, so a flat deployment is a tree of one shard.
 func NewShardMap(keys []string, shards int, spec Spec, version uint64) (*ShardMap, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("tier: shard count %d < 1", shards)
@@ -118,10 +120,9 @@ func NewShardMap(keys []string, shards int, spec Spec, version uint64) (*ShardMa
 	for i := 0; i < shards; i++ {
 		start := i * len(sorted) / shards
 		end := (i + 1) * len(sorted) / shards
-		m.shards[i] = Shard{
-			Index: i,
-			Keys:  sorted[start:end:end],
-			Seed:  rng.Split(shardSeedLabel ^ uint64(i)).Uint64(),
+		m.shards[i] = Shard{Index: i, Keys: sorted[start:end:end], Seed: spec.BaseSeed}
+		if shards > 1 {
+			m.shards[i].Seed = rng.Split(shardSeedLabel ^ uint64(i)).Uint64()
 		}
 		m.lo[i] = sorted[start]
 	}

@@ -183,11 +183,13 @@ for args in "-snapshot $tmp/relay.snap -relay-upstream 127.0.0.1:1 -relay-id r0"
 	tail -n 1 "$tmp/refuse.log"
 done
 # csnode and csagg refuse a flag value that would silently mean another,
-# with status 2, before they listen or dial: csnode -shards 0,
-# -push-chunk 0 (which meant 256) and -push-every 0 (a busy loop of
-# hellos once the slice is sent), csagg -attempts 0 or -1 (which meant
-# 2) and -min-nodes -1 (which meant every node).
-for args in "-shards 0" "-push-chunk 0" "-push-every 0"; do
+# with status 2, before they listen or dial: csnode -push-chunk 0 (which
+# meant 256), -push-every 0 (a busy loop of hellos once the slice is
+# sent) and a -push list naming an empty address (one shard per
+# address: a trailing comma would be a shard no daemon serves), csagg
+# -attempts 0 or -1 (which meant 2) and -min-nodes -1 (which meant every
+# node).
+for args in "-push-chunk 0" "-push-every 0" "-push 127.0.0.1:1, -m 400"; do
 	status=0
 	"$tmp/bin/csnode" -dict "$tmp/demo/keys.txt" -data "$tmp/demo/node0.csv" -listen 127.0.0.1:0 $args >"$tmp/refuse.log" 2>&1 || status=$?
 	if [ "$status" -ne 2 ]; then
@@ -354,6 +356,7 @@ go test ./internal/stream -run '^$' -fuzz '^FuzzProtocol$' -fuzztime 10s
 go test ./internal/recovery -run '^$' -fuzz '^FuzzBOMPBatchShared$' -fuzztime 10s
 
 echo "== metrics smoke: /metrics + /healthz on a live csstreamd =="
+# A flat daemon serves the one shard of a one-shard map: shard_* too.
 printf 'key000\nkey001\nkey002\nkey003\nkey004\nkey005\nkey006\nkey007\n' >"$tmp/keys.txt"
 "$tmp/bin/csstreamd" -dict "$tmp/keys.txt" -m 4 -listen 127.0.0.1:0 \
 	-metrics-addr 127.0.0.1:0 -report-every 0 >"$tmp/log" 2>&1 &
@@ -370,7 +373,7 @@ if [ -z "$url" ]; then
 	exit 1
 fi
 "$tmp/bin/obscheck" -url "$url" -require \
-	stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,recovery_solver_picks_total
+	shard_index,shard_count,stream_frames_total,stream_malformed_frames_total,stream_frame_outcomes_total,stream_fold_seconds,stream_window,stream_recovery_cache_total,stream_warm_starts_total,stream_batch_refreshes_total,recovery_detect_seconds,recovery_batch_queries_total,recovery_gram_hits_total,recovery_gram_misses_total,recovery_correlate_columns_total,stream_snapshot_commits_total,stream_snapshot_errors_total,stream_snapshot_bytes,stream_snapshot_seconds,stream_membership_events_total,stream_membership_version,stream_membership_tombstones,stream_agg_epoch,stream_shed_frames_total,stream_shed_folds_total,stream_delta_frames_total,pointq_queries_total,pointq_refreshes_total,pointq_outliers_total,pointq_seconds,recovery_solver_picks_total
 "$tmp/bin/obscheck" -url "${url%/metrics}/healthz" -health
 
 echo "== hierarchical metrics smoke: tier_*/shard_* on a live relay =="
